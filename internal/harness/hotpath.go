@@ -15,13 +15,16 @@ import (
 // RunHotpath measures the zero-copy hot path against the scan-and-copy
 // baseline: the default ZoFS configuration (device access windows,
 // directory lookup cache, batched page allocation) versus ZoFS-copypath
-// with all three disabled. Three single-thread cells over one shared
+// with all three disabled. Four single-thread cells over one shared
 // directory large enough to exercise both the inline dentry area and the
 // bucket chains:
 //
-//	create — empty-file creates (allocator + dentry insert path)
-//	lookup — stat by path (directory lookup path)
-//	read4k — open + 4KB pread + close (open/read path)
+//	create  — empty-file creates (allocator + dentry insert path)
+//	lookup  — stat by path (directory lookup path)
+//	read4k  — open + 4KB pread + close (open/read path)
+//	readdir — list the directory; an op is one name listed (the copy
+//	          path scans the whole hash table, the default walks the
+//	          directory index)
 //
 // Throughput is simulated (virtual-time) kops/s. Results are printed and
 // recorded, before/after with speedups, in BENCH_hotpath.json.
@@ -33,7 +36,7 @@ func RunHotpath(w io.Writer, opts Options) error {
 	if opts.Quick {
 		n = 4096
 	}
-	cells := []string{"create", "lookup", "read4k"}
+	cells := []string{"create", "lookup", "read4k", "readdir"}
 	base, err := hotpathRun(sysfactory.ZoFSCopyPath, opts, n)
 	if err != nil {
 		return fmt.Errorf("hotpath %s: %w", sysfactory.ZoFSCopyPath.Name, err)
@@ -89,7 +92,7 @@ func RunHotpath(w io.Writer, opts Options) error {
 func round1(v float64) float64 { return float64(int64(v*10+0.5)) / 10 }
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 
-// hotpathRun runs all three cells on one fresh instance and returns
+// hotpathRun runs all four cells on one fresh instance and returns
 // simulated kops/s per cell.
 func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]float64, error) {
 	in, err := sys.New(opts.DeviceBytes)
@@ -99,7 +102,7 @@ func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]float64,
 	return hotpathRunOn(in, nil, n)
 }
 
-// hotpathRunOn runs the three hot-path cells on an instance the caller
+// hotpathRunOn runs the four hot-path cells on an instance the caller
 // built (and may have instrumented, e.g. enabled byte-flow accounting on).
 // rec, when non-nil, receives per-op telemetry from the obsfs wrap — the
 // series gate passes one so the cumulative histograms and the windowed
@@ -169,5 +172,19 @@ func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[
 		h.Close(th)
 	}
 	res["read4k"] = kops(n, th.Clk.Now()-start)
+
+	// Cell 4: list the directory; each name listed counts as one op.
+	const listings = 4
+	start = th.Clk.Now()
+	for i := 0; i < listings; i++ {
+		ents, err := fs.ReadDir(th, "/hot")
+		if err != nil {
+			return nil, err
+		}
+		if len(ents) != n {
+			return nil, fmt.Errorf("readdir listed %d of %d names", len(ents), n)
+		}
+	}
+	res["readdir"] = kops(listings*n, th.Clk.Now()-start)
 	return res, nil
 }

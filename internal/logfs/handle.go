@@ -69,6 +69,11 @@ func (h *handle) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
 	}
 	h.lc.mu.Lock()
 	defer h.lc.mu.Unlock()
+	return h.writeLocked(th, p, off)
+}
+
+// writeLocked is WriteAt's body, for callers that hold lc.mu.
+func (h *handle) writeLocked(th *proc.Thread, p []byte, off int64) (int, error) {
 	m, ok := h.lc.index[h.rel]
 	if !ok {
 		return 0, vfs.ErrNotExist
@@ -119,17 +124,20 @@ func (h *handle) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// Append writes at end of file.
+// Append writes at end of file. lc.mu is held from the size read to the
+// commit, so concurrent appends to one file never land on the same offset.
 func (h *handle) Append(th *proc.Thread, p []byte) (int64, error) {
 	h.lc.mu.Lock()
+	defer h.lc.mu.Unlock()
 	m, ok := h.lc.index[h.rel]
 	if !ok {
-		h.lc.mu.Unlock()
 		return 0, vfs.ErrNotExist
 	}
+	if !h.writable() {
+		return 0, vfs.ErrBadFD
+	}
 	off := m.size
-	h.lc.mu.Unlock()
-	_, err := h.WriteAt(th, p, off)
+	_, err := h.writeLocked(th, p, off)
 	return off, err
 }
 

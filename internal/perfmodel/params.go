@@ -104,7 +104,9 @@ const (
 	// CPUDentryScan is the per-slot cost of examining one 128-byte dentry
 	// during a linear directory scan (decode the commit word, compare the
 	// check hash, occasionally memcmp the name). Charged by the scan-based
-	// lookup/insert paths on top of the media reads they perform.
+	// lookup/insert paths on top of the media reads they perform, and once
+	// per entry served by the index-backed directory listing (zofs.dirList),
+	// beside that entry's cache-hit verification read.
 	CPUDentryScan = 4
 	// CPULockAcquire is the cost of an uncontended lock/lease acquisition
 	// including its timestamp read (vDSO clock_gettime) (ns).

@@ -202,27 +202,48 @@ func Run(t *testing.T, factory Factory) {
 			}
 		}
 		fs.Mkdir(th, "/ls/sub", 0o755)
-		ents, err := fs.ReadDir(th, "/ls")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ents) != 26 {
-			t.Fatalf("ReadDir = %d entries", len(ents))
-		}
-		subSeen := false
-		for _, e := range ents {
-			if e.Name == "sub" {
-				subSeen = true
-				if e.Type != vfs.TypeDir {
-					t.Fatal("sub must be a dir")
+		names["sub"] = true
+		// listed fails unless ReadDir returns exactly the current names.
+		listed := func(when string) []vfs.DirEntry {
+			t.Helper()
+			ents, err := fs.ReadDir(th, "/ls")
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, e := range ents {
+				if !names[e.Name] || seen[e.Name] {
+					t.Fatalf("%s: unexpected or repeated entry %q", when, e.Name)
 				}
-			} else if !names[e.Name] {
-				t.Fatalf("unexpected entry %q", e.Name)
+				seen[e.Name] = true
+			}
+			if len(seen) != len(names) {
+				t.Fatalf("%s: ReadDir = %d entries, want %d", when, len(seen), len(names))
+			}
+			return ents
+		}
+		for _, e := range listed("after create") {
+			if e.Name == "sub" && e.Type != vfs.TypeDir {
+				t.Fatal("sub must be a dir")
 			}
 		}
-		if !subSeen {
-			t.Fatal("sub missing")
+		// The listing follows unlink, rename and rmdir name for name.
+		for _, n := range []string{"f03", "f17"} {
+			if err := fs.Unlink(th, "/ls/"+n); err != nil {
+				t.Fatal(err)
+			}
+			delete(names, n)
 		}
+		if err := fs.Rename(th, "/ls/f05", "/ls/moved"); err != nil {
+			t.Fatal(err)
+		}
+		delete(names, "f05")
+		names["moved"] = true
+		if err := fs.Rmdir(th, "/ls/sub"); err != nil {
+			t.Fatal(err)
+		}
+		delete(names, "sub")
+		listed("after unlink, rename and rmdir")
 	})
 
 	t.Run("UnlinkRmdir", func(t *testing.T) {

@@ -1,6 +1,8 @@
 package zofs
 
 import (
+	"math"
+
 	"zofs/internal/byteflow"
 	"zofs/internal/coffer"
 	"zofs/internal/proc"
@@ -27,20 +29,18 @@ func (f *FS) collectTreePages(th *proc.Thread, ino int64, typ vfs.FileType) []in
 	case vfs.TypeRegular:
 		pages = append(pages, f.filePages(th, ino)...)
 	case vfs.TypeDir:
-		pages = append(pages, f.dirPages(th, ino)...)
-		type child struct {
-			ino int64
-			typ vfs.FileType
-		}
-		var children []child
-		f.dirScan(th, ino, func(d dentry, _ deLoc) bool {
-			if d.cofferID == 0 {
-				children = append(children, child{d.inode, vfs.FileType(d.typ)})
+		// One walk for the structure pages; the children to descend into
+		// come off the index (without it, off that same walk).
+		var children []dentry
+		f.dirList(th, ino, math.MaxInt, func(pg int64) { pages = append(pages, pg) }, func(ents []cachedDe) {
+			for i := range ents {
+				if ents[i].de.cofferID == 0 {
+					children = append(children, ents[i].de)
+				}
 			}
-			return true
 		})
 		for _, c := range children {
-			pages = append(pages, f.collectTreePages(th, c.ino, c.typ)...)
+			pages = append(pages, f.collectTreePages(th, c.inode, vfs.FileType(c.typ))...)
 		}
 	}
 	return pages

@@ -16,8 +16,10 @@ import (
 // name with one or more charged media reads per lookup and a linear slot
 // scan per insert. This cache keeps, per directory inode, a complete DRAM
 // index of its live dentries — name → (decoded dentry, NVM location) — plus
-// the free dentry slots, so hot-path lookups cost one hash probe and
-// inserts pop a free slot without rescanning pages.
+// the free dentry slots, so hot-path lookups cost one hash probe, inserts
+// pop a free slot without rescanning pages, and enumeration (ReadDir, the
+// emptiness check of Rmdir, chmod-split's child discovery) walks the
+// indexed entries instead of the whole hash table.
 //
 // It lives in the per-device `shared` state: in the simulation every
 // process of a device shares it, standing in for the shared-DRAM index a
@@ -39,6 +41,8 @@ import (
 //   - A non-authoritative index is rebuilt under its mutex by one full
 //     charged scan; mutators that find the index non-authoritative fall
 //     back to the on-NVM scan path and leave the index reset.
+//   - No cached dentry is served, to a lookup or a listing, before
+//     dcacheTrusted has checked it against its NVM slot under the mutex.
 //
 // Negative lookups need no tombstones: completeness means absence from the
 // index IS the negative answer, invalidated naturally when an insert adds
@@ -80,11 +84,17 @@ type cachedDe struct {
 // virtual-time lock): holding it costs no simulated time, and virtual-time
 // concurrency is still governed by the bucket locks; the lockprof wrapper
 // records its real contention without adding virtual cost.
+//
+// Live dentries sit in a dense slice with a name → position map beside it:
+// lookups probe the map, enumeration walks the slice. Inserts append and
+// removals move the last entry into the hole, so listing order is a
+// function of the op history alone, never of Go's map iteration order.
 type dirIndex struct {
 	mu       lockprof.RealMutex
 	epoch    uint64 // device epoch the index was built under
-	complete bool   // names holds every live dentry of the directory
-	names    map[string]cachedDe
+	complete bool   // ents holds every live dentry of the directory
+	ents     []cachedDe
+	pos      map[string]int    // name -> position in ents
 	free     map[int64][]deLoc // free dentry slots by placement key
 }
 
@@ -97,8 +107,41 @@ func (idx *dirIndex) authoritative(epoch uint64) bool {
 // reset discards the index contents; the next lookup rebuilds.
 func (idx *dirIndex) reset() {
 	idx.complete = false
-	idx.names = nil
+	idx.ents = nil
+	idx.pos = nil
 	idx.free = nil
+}
+
+// get returns the entry indexed under name, nil if there is none. The
+// pointer is valid until the next put or del.
+func (idx *dirIndex) get(name string) *cachedDe {
+	if i, ok := idx.pos[name]; ok {
+		return &idx.ents[i]
+	}
+	return nil
+}
+
+// put indexes c under its name, replacing any entry already there.
+func (idx *dirIndex) put(c cachedDe) {
+	if old := idx.get(c.de.name); old != nil {
+		*old = c
+		return
+	}
+	idx.pos[c.de.name] = len(idx.ents)
+	idx.ents = append(idx.ents, c)
+}
+
+// del drops name's entry, moving the last entry into its position.
+func (idx *dirIndex) del(name string) {
+	i := idx.pos[name]
+	last := len(idx.ents) - 1
+	if i != last {
+		idx.ents[i] = idx.ents[last]
+		idx.pos[idx.ents[i].de.name] = i
+	}
+	idx.ents[last] = cachedDe{}
+	idx.ents = idx.ents[:last]
+	delete(idx.pos, name)
 }
 
 // inlineKey keys the free list of a second-level page's inline area: any
@@ -110,55 +153,58 @@ func inlineKey(l1Idx int64) int64 { return l1Idx }
 // are disjoint from inlineKey's range.
 func chainKey(l1Idx, bucket int64) int64 { return 1<<32 | l1Idx<<8 | bucket }
 
-// dcacheBuild rebuilds a directory's index with one full charged scan of
-// the on-NVM structure. Caller holds idx.mu and the coffer's MPK window.
-func (f *FS) dcacheBuild(th *proc.Thread, idx *dirIndex, dirIno int64, epoch uint64) {
-	readPage := func(pg int64) []byte { return f.readView(th, pg*pageSize, pageSize) }
-	idx.names = map[string]cachedDe{}
-	idx.free = map[int64][]deLoc{}
-	idx.epoch = epoch
-	idx.complete = true
-	l1 := f.dirL1Of(th, dirIno)
-	if l1 == 0 {
-		return
-	}
-	l1buf := readPage(l1)
-	for i := int64(0); i < dirL1Slots; i++ {
-		l2 := int64(u64at(l1buf, int(i*8)))
-		if l2 == 0 {
-			continue
-		}
-		l2buf := readPage(l2)
-		ik := inlineKey(i)
-		for o := int64(0); o+dentrySize <= l2BucketOff; o += dentrySize {
-			f.dcacheRecord(idx, decodeDentry(l2buf[o:o+dentrySize]), deLoc{page: l2, off: o}, ik)
-		}
-		for b := int64(0); b < l2Buckets; b++ {
-			ck := chainKey(i, b)
-			pg := int64(u64at(l2buf, int(l2BucketOff+b*8)))
-			for pg != 0 {
-				cbuf := readPage(pg)
-				next := int64(u64at(cbuf, chainNextOff))
-				for o := int64(chainFirstDe); o+dentrySize <= pageSize; o += dentrySize {
-					f.dcacheRecord(idx, decodeDentry(cbuf[o:o+dentrySize]), deLoc{page: pg, off: o}, ck)
-				}
-				pg = next
-			}
-		}
+// dcacheFresh makes the index authoritative: a cold, epoch-bumped or reset
+// one is rebuilt from NVM. Caller holds idx.mu — by defer, since a read of a
+// coffer the kernel unmapped behind the library's back faults out of here —
+// and the coffer's MPK window.
+func (f *FS) dcacheFresh(th *proc.Thread, idx *dirIndex, dirIno int64) {
+	if idx.authoritative(f.sh.dc.epoch.Load()) {
+		f.span(th).DCacheHit()
+	} else {
+		f.dcacheRebuild(th, idx, dirIno)
 	}
 }
 
-// dcacheRecord classifies one scanned slot: live entries index by name,
-// free slots join their placement free list. A live-but-undecodable dentry
-// (torn commit word) is neither — it is invisible to lookups, exactly as on
-// the scan path, and its slot is left for recovery to reclaim.
-func (f *FS) dcacheRecord(idx *dirIndex, d dentry, loc deLoc, bkt int64) {
-	switch {
-	case d.state == deStateLive && d.name != "":
-		idx.names[d.name] = cachedDe{de: d, loc: loc, bkt: bkt}
-	case d.state != deStateLive:
-		idx.free[bkt] = append(idx.free[bkt], loc)
-	}
+// dcacheRebuild discards the index and rebuilds it with one full charged
+// walk of the on-NVM structure. Live entries index by name, free slots join
+// their placement free list; a live-but-undecodable dentry (torn commit
+// word) is neither — it is invisible to lookups, exactly as on the scan
+// path, and its slot is left for recovery to reclaim. Caller holds idx.mu.
+func (f *FS) dcacheRebuild(th *proc.Thread, idx *dirIndex, dirIno int64) {
+	sp := f.span(th)
+	sp.DCacheMiss()
+	t0 := th.Clk.Now()
+	idx.ents = nil
+	idx.pos = map[string]int{}
+	idx.free = map[int64][]deLoc{}
+	idx.epoch = f.sh.dc.epoch.Load()
+	idx.complete = true
+	f.dirWalk(th, dirIno, nil, func(d dentry, loc deLoc, bkt int64) bool {
+		switch {
+		case d.visible():
+			idx.put(cachedDe{de: d, loc: loc, bkt: bkt})
+		case d.state != deStateLive:
+			idx.free[bkt] = append(idx.free[bkt], loc)
+		}
+		return true
+	})
+	sp.Child("dcache.rebuild", t0, th.Clk.Now()-t0)
+}
+
+// dcacheTrusted is the one statement of when a cached dentry may be served
+// (G3): its NVM slot still carries the commit word (state, name length,
+// type, check hash) and the routing fields (coffer, inode) the index
+// recorded — 24 bytes sharing one cache line, read as a CPU-cache hit. The
+// name itself comes from the index, never from this check. A mismatch means
+// some writer bypassed the coherence hooks — possibly a malicious process
+// rewriting dentries in a shared coffer — and the caller must dcacheRebuild
+// and serve the NVM truth, which the walk validates as usual.
+func (f *FS) dcacheTrusted(th *proc.Thread, c *cachedDe) bool {
+	hdr := f.readViewCached(th, c.loc.addr(), deNameOff)
+	state, nameLen, typ, hash := unpackCommit(u64at(hdr, deCommitOff))
+	return state == deStateLive && nameLen == len(c.de.name) && typ == c.de.typ && hash == c.de.hash &&
+		u32at(hdr, deCofferOff) == c.de.cofferID &&
+		u64at(hdr, deInodeOff) == uint64(c.de.inode)
 }
 
 // DirCacheDirs reports how many directory indexes the device's shared cache

@@ -24,6 +24,10 @@ type dentry struct {
 	name     string
 }
 
+// visible reports whether lookups and listings may see the dentry: live
+// with a decodable name. A torn commit word decodes to a nameless dentry.
+func (d dentry) visible() bool { return d.state == deStateLive && d.name != "" }
+
 // deLoc locates a dentry on NVM.
 type deLoc struct {
 	page int64 // page number
@@ -66,55 +70,25 @@ func (f *FS) dirL1Of(th *proc.Thread, dirIno int64) int64 {
 
 // dirLookup finds a name in a directory. Caller holds at least a read lock.
 // With the directory cache enabled (the default) a hit costs one hash probe
-// plus a cache-charged verification load of the commit word; the on-NVM
-// walk runs only to (re)build the index.
+// plus the cache-charged dcacheTrusted check; the on-NVM walk runs only to
+// (re)build the index.
 func (f *FS) dirLookup(th *proc.Thread, dirIno int64, name string) (dentry, deLoc, error) {
 	if f.opts.NoDirCache {
 		return f.dirLookupScan(th, dirIno, name)
 	}
-	sp := f.span(th)
 	th.CPU(perfmodel.CPUHashLookup)
 	idx := f.sh.dc.dir(dirIno)
 	idx.mu.Lock()
-	cur := f.sh.dc.epoch.Load()
-	if !idx.authoritative(cur) {
-		sp.DCacheMiss()
-		idx.reset()
-		t0 := th.Clk.Now()
-		f.dcacheBuild(th, idx, dirIno, cur)
-		sp.Child("dcache.rebuild", t0, th.Clk.Now()-t0)
-	} else {
-		sp.DCacheHit()
+	defer idx.mu.Unlock()
+	f.dcacheFresh(th, idx, dirIno)
+	c := idx.get(name)
+	if c != nil && !f.dcacheTrusted(th, c) {
+		f.dcacheRebuild(th, idx, dirIno)
+		c = idx.get(name)
 	}
-	c, ok := idx.names[name]
-	idx.mu.Unlock()
-	if !ok {
+	if c == nil {
 		// Negative answer from completeness: the index holds every live
 		// dentry, so absence is authoritative.
-		return dentry{}, deLoc{}, vfs.ErrNotExist
-	}
-	// Verify the hit against the NVM dentry before trusting it: the commit
-	// word plus the routing fields (coffer, inode), which share one cache
-	// line. A mismatch means some writer bypassed the coherence hooks —
-	// possibly a malicious process rewriting dentries in a shared coffer —
-	// so fall back to the on-NVM truth (rebuild), which the walk then
-	// validates as usual (G3).
-	hdr := f.readViewCached(th, c.loc.addr(), deNameOff)
-	state, nameLen, typ, hash := unpackCommit(u64at(hdr, deCommitOff))
-	if state == deStateLive && nameLen == len(name) && typ == c.de.typ && hash == c.de.hash &&
-		u32at(hdr, deCofferOff) == c.de.cofferID &&
-		u64at(hdr, deInodeOff) == uint64(c.de.inode) {
-		return c.de, c.loc, nil
-	}
-	idx.mu.Lock()
-	sp.DCacheMiss()
-	idx.reset()
-	t0 := th.Clk.Now()
-	f.dcacheBuild(th, idx, dirIno, cur)
-	sp.Child("dcache.rebuild", t0, th.Clk.Now()-t0)
-	c, ok = idx.names[name]
-	idx.mu.Unlock()
-	if !ok {
 		return dentry{}, deLoc{}, vfs.ErrNotExist
 	}
 	return c.de, c.loc, nil
@@ -138,36 +112,26 @@ func (f *FS) dirLookupScan(th *proc.Thread, dirIno int64, name string) (dentry, 
 	inline := f.readViewCached(th, l2*pageSize, l2BucketOff)
 	th.CPU(perfmodel.CPUDentryScan * (l2BucketOff / dentrySize))
 	want := checkHash(h)
-	var found dentry
-	var loc deLoc
-	ok := false
-	scanDentries(inline, 0, func(d dentry, off int64) bool {
-		if d.hash == want && d.name == name {
-			found, loc, ok = d, deLoc{page: l2, off: off}, true
-			return false
+	find := func(buf []byte, pg, from int64) (dentry, deLoc, bool) {
+		for o := from; o+dentrySize <= int64(len(buf)); o += dentrySize {
+			if d := decodeDentry(buf[o : o+dentrySize]); d.state == deStateLive && d.hash == want && d.name == name {
+				return d, deLoc{page: pg, off: o}, true
+			}
 		}
-		return true
-	})
-	if ok {
-		return found, loc, nil
+		return dentry{}, deLoc{}, false
+	}
+	if d, loc, ok := find(inline, l2, 0); ok {
+		return d, loc, nil
 	}
 	// Bucket chain.
 	pg := int64(th.Load64(l2*pageSize + l2BucketOff + 8*l2Bucket(h)))
 	for pg != 0 {
 		page := f.readView(th, pg*pageSize, pageSize)
 		th.CPU(perfmodel.CPUDentryScan * ((pageSize - chainFirstDe) / dentrySize))
-		next := int64(u64at(page, chainNextOff))
-		scanDentries(page[chainFirstDe:], chainFirstDe, func(d dentry, off int64) bool {
-			if d.hash == want && d.name == name {
-				found, loc, ok = d, deLoc{page: pg, off: off}, true
-				return false
-			}
-			return true
-		})
-		if ok {
-			return found, loc, nil
+		if d, loc, ok := find(page, pg, chainFirstDe); ok {
+			return d, loc, nil
 		}
-		pg = next
+		pg = int64(u64at(page, chainNextOff))
 	}
 	return dentry{}, deLoc{}, vfs.ErrNotExist
 }
@@ -239,11 +203,11 @@ func (f *FS) dirInsertCached(th *proc.Thread, m *mount, idx *dirIndex, dirIno in
 	th.CPU(perfmodel.CPUHashLookup)
 	commit := func(loc deLoc, bkt int64) {
 		f.writeDentry(th, loc, name, typ, cofferID, inode)
-		idx.names[name] = cachedDe{
+		idx.put(cachedDe{
 			de:  dentry{state: deStateLive, typ: typ, hash: checkHash(h), cofferID: cofferID, inode: inode, name: name},
 			loc: loc,
 			bkt: bkt,
-		}
+		})
 	}
 	// Inline area first (§5.1), then this bucket's chain slots — both from
 	// the cached free lists, with no on-NVM structure walk at all.
@@ -396,9 +360,9 @@ func (f *FS) dirRemove(th *proc.Thread, dirIno int64, name string, loc deLoc) {
 	idx.mu.Lock()
 	th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
 	if idx.authoritative(f.sh.dc.epoch.Load()) {
-		if c, ok := idx.names[name]; ok && c.loc == loc {
-			delete(idx.names, name)
+		if c := idx.get(name); c != nil && c.loc == loc {
 			idx.free[c.bkt] = append(idx.free[c.bkt], loc)
+			idx.del(name)
 		} else {
 			idx.reset()
 		}
@@ -427,10 +391,9 @@ func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deL
 	idx.mu.Lock()
 	write()
 	if idx.authoritative(f.sh.dc.epoch.Load()) {
-		if c, ok := idx.names[name]; ok && c.loc == loc {
+		if c := idx.get(name); c != nil && c.loc == loc {
 			c.de.cofferID = cofferID
 			c.de.inode = inode
-			idx.names[name] = c
 		} else {
 			idx.reset()
 		}
@@ -438,87 +401,119 @@ func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deL
 	idx.mu.Unlock()
 }
 
-// dirScan calls fn for every live dentry; fn returns false to stop early.
-// Caller holds at least a read lock.
-func (f *FS) dirScan(th *proc.Thread, dirIno int64, fn func(d dentry, loc deLoc) bool) {
+// dirWalk is the one full traversal of the two-level hash table (§5.1):
+// first-level page, each second-level page's inline area, then each of its
+// 256 bucket chains. Index rebuild, cache-free enumeration and structure
+// page collection all consume it through two hooks, either of which may be
+// nil; recovery's pointer-validating walk is separate on purpose.
+//
+// page sees every structure page (first-level, second-level, chain). slot
+// sees every dentry slot, live or not, with the free-list key of its
+// placement, and ends the walk by returning false; without it chain pages
+// are read for their next pointer only. Every read is charged as a media
+// read. Caller holds at least a read lock (or idx.mu).
+func (f *FS) dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot func(d dentry, loc deLoc, bkt int64) bool) {
+	if page == nil {
+		page = func(int64) {}
+	}
+	slots := func(buf []byte, pg, from, bkt int64) bool {
+		for o := from; o+dentrySize <= int64(len(buf)); o += dentrySize {
+			if !slot(decodeDentry(buf[o:o+dentrySize]), deLoc{page: pg, off: o}, bkt) {
+				return false
+			}
+		}
+		return true
+	}
 	l1 := f.dirL1Of(th, dirIno)
 	if l1 == 0 {
 		return
 	}
+	page(l1)
 	l1buf := f.readView(th, l1*pageSize, pageSize)
-	for i := 0; i < dirL1Slots; i++ {
-		l2 := int64(u64at(l1buf, i*8))
+	var next [8]byte
+	for i := int64(0); i < dirL1Slots; i++ {
+		l2 := int64(u64at(l1buf, int(i*8)))
 		if l2 == 0 {
 			continue
 		}
-		page := f.readView(th, l2*pageSize, pageSize)
-		stop := false
-		scanDentries(page[:l2BucketOff], 0, func(d dentry, off int64) bool {
-			if !fn(d, deLoc{page: l2, off: off}) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
+		page(l2)
+		l2buf := f.readView(th, l2*pageSize, pageSize)
+		if slot != nil && !slots(l2buf[:l2BucketOff], l2, 0, inlineKey(i)) {
 			return
 		}
-		for b := 0; b < l2Buckets; b++ {
-			pg := int64(u64at(page, l2BucketOff+b*8))
-			for pg != 0 {
+		for b := int64(0); b < l2Buckets; b++ {
+			for pg := int64(u64at(l2buf, int(l2BucketOff+b*8))); pg != 0; {
+				page(pg)
+				if slot == nil {
+					th.Read(pg*pageSize+chainNextOff, next[:])
+					pg = int64(u64at(next[:], 0))
+					continue
+				}
 				chain := f.readView(th, pg*pageSize, pageSize)
-				next := int64(u64at(chain, chainNextOff))
-				scanDentries(chain[chainFirstDe:], chainFirstDe, func(d dentry, off int64) bool {
-					if !fn(d, deLoc{page: pg, off: off}) {
-						stop = true
-						return false
-					}
-					return true
-				})
-				if stop {
+				nextPg := int64(u64at(chain, chainNextOff))
+				if !slots(chain, pg, chainFirstDe, chainKey(i, b)) {
 					return
 				}
-				pg = next
+				pg = nextPg
 			}
 		}
 	}
 }
 
+// dirList enumerates a directory: fn receives up to limit of its visible
+// dentries, once; it runs under idx.mu, so it only copies out what it needs
+// and neither retains the slice nor touches a directory. page, when non-nil,
+// also sees every structure page of the directory (pass no limit with it: a
+// limit reached ends the cache-free walk).
+//
+// With the directory cache the entries are the authoritative index's, in
+// index order, under idx.mu: each one served costs a slot examination
+// (CPUDentryScan) plus the dcacheTrusted check, so listing n names reads n
+// hot cache lines instead of every page of the hash table. One mismatch
+// distrusts the whole index: it is rebuilt and the NVM truth is served.
+// Without the cache (NoDirCache) the entries come from the walk itself.
+// Caller holds at least a read lock.
+func (f *FS) dirList(th *proc.Thread, dirIno int64, limit int, page func(pg int64), fn func(ents []cachedDe)) {
+	if f.opts.NoDirCache {
+		var ents []cachedDe
+		f.dirWalk(th, dirIno, page, func(d dentry, loc deLoc, bkt int64) bool {
+			if d.visible() {
+				ents = append(ents, cachedDe{de: d, loc: loc, bkt: bkt})
+			}
+			return len(ents) < limit
+		})
+		fn(ents)
+		return
+	}
+	if page != nil {
+		f.dirWalk(th, dirIno, page, nil)
+	}
+	th.CPU(perfmodel.CPUSmallOp)
+	idx := f.sh.dc.dir(dirIno)
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	f.dcacheFresh(th, idx, dirIno)
+	n := min(limit, len(idx.ents))
+	for i := 0; i < n; i++ {
+		th.CPU(perfmodel.CPUDentryScan)
+		if !f.dcacheTrusted(th, &idx.ents[i]) {
+			f.dcacheRebuild(th, idx, dirIno)
+			n = min(limit, len(idx.ents))
+			break
+		}
+	}
+	fn(idx.ents[:n])
+}
+
 // dirEmpty reports whether a directory has no live entries.
-func (f *FS) dirEmpty(th *proc.Thread, dirIno int64) bool {
-	empty := true
-	f.dirScan(th, dirIno, func(dentry, deLoc) bool {
-		empty = false
-		return false
-	})
+func (f *FS) dirEmpty(th *proc.Thread, dirIno int64) (empty bool) {
+	f.dirList(th, dirIno, 1, nil, func(ents []cachedDe) { empty = len(ents) == 0 })
 	return empty
 }
 
 // dirPages collects every page used by the directory structure itself
 // (L1, L2 and chain pages), for truncation/recovery accounting.
-func (f *FS) dirPages(th *proc.Thread, dirIno int64) []int64 {
-	l1 := f.dirL1Of(th, dirIno)
-	if l1 == 0 {
-		return nil
-	}
-	pages := []int64{l1}
-	l1buf := f.readView(th, l1*pageSize, pageSize)
-	for i := 0; i < dirL1Slots; i++ {
-		l2 := int64(u64at(l1buf, i*8))
-		if l2 == 0 {
-			continue
-		}
-		pages = append(pages, l2)
-		page := f.readView(th, l2*pageSize, pageSize)
-		for b := 0; b < l2Buckets; b++ {
-			pg := int64(u64at(page, l2BucketOff+b*8))
-			var next [8]byte
-			for pg != 0 {
-				pages = append(pages, pg)
-				th.Read(pg*pageSize+chainNextOff, next[:])
-				pg = int64(u64at(next[:], 0))
-			}
-		}
-	}
+func (f *FS) dirPages(th *proc.Thread, dirIno int64) (pages []int64) {
+	f.dirWalk(th, dirIno, func(pg int64) { pages = append(pages, pg) }, nil)
 	return pages
 }

@@ -83,12 +83,14 @@ type FS struct {
 
 	mu      lockprof.RealMutex // guards mounts and revSeen; real-only, no virtual cost
 	mounts  map[coffer.ID]*mount
+	mapSeq  uint64 // ensureMapped calls so far; stamps mount.seq
 	revSeen uint64 // last-seen kernel revocation generation (see ensureMapped)
 }
 
 // mount is a cached coffer mapping.
 type mount struct {
 	id       coffer.ID
+	seq      uint64 // FS.mapSeq at the last ensureMapped, for LRU eviction
 	key      mpk.Key
 	writable bool
 	root     int64 // root-file inode page
@@ -210,6 +212,8 @@ func (f *FS) ensureMapped(th *proc.Thread, id coffer.ID, write bool) (*mount, er
 		f.mounts = make(map[coffer.ID]*mount)
 	}
 	if m, ok := f.mounts[id]; ok && (!write || m.writable) {
+		f.mapSeq++
+		m.seq = f.mapSeq
 		f.mu.Unlock()
 		return m, nil
 	}
@@ -224,6 +228,8 @@ func (f *FS) ensureMapped(th *proc.Thread, id coffer.ID, write bool) (*mount, er
 				m = &mount{id: id}
 				f.mounts[id] = m
 			}
+			f.mapSeq++
+			m.seq = f.mapSeq
 			m.key, m.writable = mi.Key, mi.Writable
 			m.root, m.custom = mi.Root.RootInode, mi.Root.Custom
 			f.mu.Unlock()
@@ -238,25 +244,24 @@ func (f *FS) ensureMapped(th *proc.Thread, id coffer.ID, write bool) (*mount, er
 	}
 }
 
-// evictOne unmaps an arbitrary mapped coffer other than keep.
+// evictOne unmaps the least recently ensured coffer other than keep. The
+// choice is a function of the op history alone, so a process over the MPK
+// region limit loses the same coffers — and pays the same re-maps in
+// virtual time — on every run; and the coffers the op in flight has just
+// walked through (its window is open on one of them) are the last to go.
 func (f *FS) evictOne(th *proc.Thread, keep coffer.ID) bool {
 	f.mu.Lock()
-	var victim coffer.ID
-	found := false
-	for id := range f.mounts {
-		if id != keep {
-			victim, found = id, true
-			break
+	var victim *mount
+	for id, m := range f.mounts {
+		if id != keep && (victim == nil || m.seq < victim.seq) {
+			victim = m
 		}
 	}
-	if found {
-		delete(f.mounts, victim)
+	if victim != nil {
+		delete(f.mounts, victim.id)
 	}
 	f.mu.Unlock()
-	if !found {
-		return false
-	}
-	return f.kern.CofferUnmap(th, victim) == nil
+	return victim != nil && f.kern.CofferUnmap(th, victim.id) == nil
 }
 
 // window opens the MPK access window for one coffer (guidelines G1+G2) and

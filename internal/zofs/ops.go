@@ -2,6 +2,7 @@ package zofs
 
 import (
 	"fmt"
+	"math"
 
 	"zofs/internal/coffer"
 	"zofs/internal/proc"
@@ -408,14 +409,20 @@ func (f *FS) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
 	f.rlockInode(th, pos.ino)
 	defer f.runlockInode(th, pos.ino)
 	var out []vfs.DirEntry
-	f.dirScan(th, pos.ino, func(d dentry, _ deLoc) bool {
-		out = append(out, vfs.DirEntry{
-			Name:   d.name,
-			Type:   vfs.FileType(d.typ),
-			Inode:  d.inode,
-			Coffer: coffer.ID(d.cofferID),
-		})
-		return true
+	f.dirList(th, pos.ino, math.MaxInt, nil, func(ents []cachedDe) {
+		if len(ents) == 0 {
+			return
+		}
+		out = make([]vfs.DirEntry, len(ents))
+		for i := range ents {
+			d := &ents[i].de
+			out[i] = vfs.DirEntry{
+				Name:   d.name,
+				Type:   vfs.FileType(d.typ),
+				Inode:  d.inode,
+				Coffer: coffer.ID(d.cofferID),
+			}
+		}
 	})
 	return out, nil
 }

@@ -87,6 +87,26 @@ else
     fi
 fi
 
+echo "== readdir gate =="
+# Pins the listing path to the directory index: one meta_churn pass of the
+# end-to-end benchmark (read-only use; it builds into .bench_build/) must be
+# correct and read under 2000 media bytes per op. A ReadDir, Rmdir or
+# chmod-split that scans the two-level hash table again reads ~55 KB per op
+# here (55106 before the index served listings, ~630 after).
+e2e=$(bash benchmark/run.sh --workload meta_churn --seed 101 --seconds 1 --trace 0 | tail -n 1)
+case "$e2e" in
+*'"correct":true'*) ;;
+*)
+    echo "readdir gate: meta_churn did not verify: $e2e" >&2
+    exit 1
+    ;;
+esac
+rbytes=$(printf '%s' "$e2e" | sed -n 's/.*"nvm_rbytes_per_op":{"value":\([0-9.eE+-]*\).*/\1/p')
+if ! awk -v v="$rbytes" 'BEGIN { exit !(v != "" && v + 0 < 2000) }'; then
+    echo "readdir gate: meta_churn nvm_rbytes_per_op = '$rbytes', want < 2000" >&2
+    exit 1
+fi
+
 echo "== wa smoke =="
 # Byte-flow gates. The "wa" experiment is self-asserting: per-class issued
 # bytes sum exactly to the device's independent issued total, write cells
