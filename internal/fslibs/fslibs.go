@@ -279,47 +279,50 @@ func (l *Lib) getFD(fd int) (*fdEntry, error) {
 	return e, nil
 }
 
-// Open opens path, returning the new FD.
+// Open opens path, returning the new FD. O_CREATE is one probe through the
+// µFS interface, not a Stat before the Create: open what is there, and create
+// only when the µFS says nothing is. An exclusive create never uses what the
+// probe opened, so it probes read-only — no truncation, no write access
+// needed to learn that the name is taken. The probe and the create are two
+// µFS calls, so O_EXCL is not atomic against a concurrent creator (nor were
+// the Stat and Create this replaces); that needs a create-if-absent method on
+// vfs.FileSystem.
 func (l *Lib) Open(th *proc.Thread, path string, flags int, mode coffer.Mode) (fd int, err error) {
 	defer l.traceAt(th, telemetry.OpOpen, path)()
 	defer l.guard(th, &err)
+	probe := flags &^ (vfs.O_CREATE | vfs.O_EXCL)
+	excl := flags&(vfs.O_CREATE|vfs.O_EXCL) == vfs.O_CREATE|vfs.O_EXCL
+	if excl {
+		probe = vfs.O_RDONLY
+	}
 	var h vfs.Handle
 	var finalPath string
 	err = l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
-		var e error
-		if flags&vfs.O_CREATE != 0 && flags&vfs.O_EXCL != 0 {
-			if _, statErr := fs.Stat(th, p); statErr == nil {
-				return vfs.ErrExist
-			}
-		}
-		if flags&vfs.O_CREATE != 0 {
-			if _, statErr := fs.Stat(th, p); errors.Is(statErr, vfs.ErrNotExist) {
-				h, e = fs.Create(th, p, mode)
-				if e == nil && flags&vfs.O_TRUNC == 0 {
-					finalPath = p
-					return nil
-				}
-				if e != nil {
-					return e
-				}
-			}
-		}
-		h, e = fs.Open(th, p, flags)
 		finalPath = p
+		var e error
+		h, e = fs.Open(th, p, probe)
+		switch {
+		case flags&vfs.O_CREATE == 0:
+		case e == nil && excl:
+			h.Close(th)
+			return vfs.ErrExist
+		case errors.Is(e, vfs.ErrNotExist):
+			h, e = fs.Create(th, p, mode)
+		}
 		return e
 	})
 	if err != nil {
 		return -1, err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	fd = l.allocFD()
 	e := &fdEntry{h: h, path: finalPath, flags: flags}
 	if flags&vfs.O_APPEND != 0 {
 		if fi, serr := h.Stat(th); serr == nil {
 			e.pos = fi.Size
 		}
 	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fd = l.allocFD()
 	l.fds[fd] = e
 	return fd, nil
 }
@@ -357,7 +360,12 @@ func (l *Lib) Dup(fd int) (int, error) {
 }
 
 // Dup2 duplicates an FD onto a specific number, closing any previous one.
-func (l *Lib) Dup2(th *proc.Thread, fd, to int) (int, error) {
+// That implicit close may reclaim an unlinked file's pages, so it runs under
+// guard like Close: a fault in it is Dup2's error (§3.4.2), reported after
+// the duplicate has taken the number.
+func (l *Lib) Dup2(th *proc.Thread, fd, to int) (nfd int, err error) {
+	nfd = -1 // what a fault recovered by guard returns beside its error
+	defer l.guard(th, &err)
 	l.mu.Lock()
 	e := l.fds[fd]
 	old := l.fds[to]
@@ -457,26 +465,32 @@ const (
 	SeekEnd = 2
 )
 
-// Lseek repositions the FD offset.
-func (l *Lib) Lseek(th *proc.Thread, fd int, off int64, whence int) (int64, error) {
+// Lseek repositions the FD offset. SeekEnd enters the µFS for the size, so it
+// does that under guard and before taking l.mu: the inode lock it may wait on
+// in virtual time must not stall the process's other FD operations.
+func (l *Lib) Lseek(th *proc.Thread, fd int, off int64, whence int) (pos int64, err error) {
+	defer l.guard(th, &err)
 	e, err := l.getFD(fd)
 	if err != nil {
 		return 0, err
+	}
+	var size int64
+	if whence == SeekEnd {
+		fi, serr := e.h.Stat(th)
+		if serr != nil {
+			return 0, serr
+		}
+		size = fi.Size
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var base int64
 	switch whence {
 	case SeekSet:
-		base = 0
 	case SeekCur:
 		base = e.pos
 	case SeekEnd:
-		fi, serr := e.h.Stat(th)
-		if serr != nil {
-			return 0, serr
-		}
-		base = fi.Size
+		base = size
 	default:
 		return 0, vfs.ErrInvalid
 	}
@@ -706,20 +720,29 @@ func (l *Lib) RestoreFDs(th *proc.Thread, env string) error {
 		return err
 	}
 	for _, r := range recs {
-		var h vfs.Handle
-		derr := l.dispatch(th, r.Path, func(fs vfs.FileSystem, p string) error {
-			var e error
-			h, e = fs.Open(th, p, r.Flags&^(vfs.O_TRUNC|vfs.O_EXCL|vfs.O_CREATE))
-			return e
-		})
+		h, derr := l.reopen(th, r.Path, r.Flags&^(vfs.O_TRUNC|vfs.O_EXCL|vfs.O_CREATE))
 		if derr != nil {
-			continue // the file vanished; the FD is simply absent, as after a failed reopen
+			// The file vanished or its coffer faulted; the FD is simply
+			// absent, as after a failed reopen.
+			continue
 		}
 		l.mu.Lock()
 		l.fds[r.FD] = &fdEntry{h: h, path: r.Path, flags: r.Flags, pos: r.Pos}
 		l.mu.Unlock()
 	}
 	return nil
+}
+
+// reopen opens one restored FD's file, under guard like any other entry into
+// the µFS.
+func (l *Lib) reopen(th *proc.Thread, path string, flags int) (h vfs.Handle, err error) {
+	defer l.guard(th, &err)
+	err = l.dispatch(th, path, func(fs vfs.FileSystem, p string) error {
+		var e error
+		h, e = fs.Open(th, p, flags)
+		return e
+	})
+	return h, err
 }
 
 // Exec simulates execve through Treasury: the FD table is serialized into

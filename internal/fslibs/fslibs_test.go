@@ -15,6 +15,12 @@ import (
 
 func newLib(t *testing.T) (*nvm.Device, *kernfs.KernFS, *Lib, *proc.Thread) {
 	t.Helper()
+	return newLibWith(t, Options{})
+}
+
+// newLibWith mounts a fresh Treasury with opts and an empty ZoFS root.
+func newLibWith(t *testing.T, opts Options) (*nvm.Device, *kernfs.KernFS, *Lib, *proc.Thread) {
+	t.Helper()
 	dev := nvm.NewDevice(128 << 20)
 	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
 		t.Fatal(err)
@@ -25,7 +31,7 @@ func newLib(t *testing.T) (*nvm.Device, *kernfs.KernFS, *Lib, *proc.Thread) {
 	}
 	p := proc.NewProcess(dev, 0, 0)
 	th := p.NewThread()
-	l, err := Mount(k, th, Options{})
+	l, err := Mount(k, th, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

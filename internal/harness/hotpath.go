@@ -15,7 +15,7 @@ import (
 // RunHotpath measures the zero-copy hot path against the scan-and-copy
 // baseline: the default ZoFS configuration (device access windows,
 // directory lookup cache, batched page allocation) versus ZoFS-copypath
-// with all three disabled. Four single-thread cells over one shared
+// with all three disabled. Five single-thread cells over one shared
 // directory large enough to exercise both the inline dentry area and the
 // bucket chains:
 //
@@ -25,6 +25,8 @@ import (
 //	readdir — list the directory; an op is one name listed (the copy
 //	          path scans the whole hash table, the default walks the
 //	          directory index)
+//	unlink  — remove every file, one 4KB block each (dentry kill, the
+//	          inode's pointer read, page frees)
 //
 // Throughput is simulated (virtual-time) kops/s. Results are printed and
 // recorded, before/after with speedups, in BENCH_hotpath.json.
@@ -36,7 +38,7 @@ func RunHotpath(w io.Writer, opts Options) error {
 	if opts.Quick {
 		n = 4096
 	}
-	cells := []string{"create", "lookup", "read4k", "readdir"}
+	cells := []string{"create", "lookup", "read4k", "readdir", "unlink"}
 	base, err := hotpathRun(sysfactory.ZoFSCopyPath, opts, n)
 	if err != nil {
 		return fmt.Errorf("hotpath %s: %w", sysfactory.ZoFSCopyPath.Name, err)
@@ -92,7 +94,7 @@ func RunHotpath(w io.Writer, opts Options) error {
 func round1(v float64) float64 { return float64(int64(v*10+0.5)) / 10 }
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 
-// hotpathRun runs all four cells on one fresh instance and returns
+// hotpathRun runs all five cells on one fresh instance and returns
 // simulated kops/s per cell.
 func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]float64, error) {
 	in, err := sys.New(opts.DeviceBytes)
@@ -102,7 +104,7 @@ func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]float64,
 	return hotpathRunOn(in, nil, n)
 }
 
-// hotpathRunOn runs the four hot-path cells on an instance the caller
+// hotpathRunOn runs the five hot-path cells on an instance the caller
 // built (and may have instrumented, e.g. enabled byte-flow accounting on).
 // rec, when non-nil, receives per-op telemetry from the obsfs wrap — the
 // series gate passes one so the cumulative histograms and the windowed
@@ -186,5 +188,15 @@ func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[
 		}
 	}
 	res["readdir"] = kops(listings*n, th.Clk.Now()-start)
+
+	// Cell 5: unlink every file, strided like the lookups. Last, so the
+	// cells above keep the op stream they always had.
+	start = th.Clk.Now()
+	for i := 0; i < n; i++ {
+		if err := fs.Unlink(th, names[i*7919%n]); err != nil {
+			return nil, err
+		}
+	}
+	res["unlink"] = kops(n, th.Clk.Now()-start)
 	return res, nil
 }

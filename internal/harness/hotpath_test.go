@@ -17,7 +17,7 @@ func TestRunHotpath(t *testing.T) {
 	runAndCheck(t, "hotpath", func() (*bytes.Buffer, error) {
 		var b bytes.Buffer
 		return &b, harness.RunHotpath(&b, tiny())
-	}, "Speedup", "create", "lookup", "read4k", "readdir", "ZoFS-copypath")
+	}, "Speedup", "create", "lookup", "read4k", "readdir", "unlink", "ZoFS-copypath")
 
 	blob, err := os.ReadFile("BENCH_hotpath.json")
 	if err != nil {
@@ -37,8 +37,8 @@ func TestRunHotpath(t *testing.T) {
 	if out.Baseline != "ZoFS-copypath" || out.Optimized != "ZoFS" {
 		t.Fatalf("unexpected variants: %+v", out)
 	}
-	if len(out.Cells) != 4 {
-		t.Fatalf("want 4 cells, got %+v", out.Cells)
+	if len(out.Cells) != 5 {
+		t.Fatalf("want 5 cells, got %+v", out.Cells)
 	}
 	for _, c := range out.Cells {
 		if c.Speedup < 2.0 {

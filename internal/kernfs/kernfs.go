@@ -498,10 +498,34 @@ func (k *KernFS) LookupPath(clk *simclock.Clock, path string) (coffer.ID, bool) 
 // found. Returns the coffer and the prefix that matched. Deep paths charge
 // proportionally more — the ZoFS-20dirwidth effect. Lock-free like
 // LookupPath.
+//
+// One op resolves nested paths several times (the dispatcher routes by the
+// full path, the µFS then walks it or its parent), so the thread's last
+// answer rides on its clock and serves those repeats for one component
+// compare instead of a probe per prefix. See resolveMemo for the rule.
 func (k *KernFS) ResolveLongest(clk *simclock.Clock, path string) (coffer.ID, string, bool) {
+	var memo *resolveMemo
+	var seq uint64
+	if clk != nil {
+		seq = k.paths.seq.Load()
+		memo, _ = clk.PathMemo().(*resolveMemo)
+		if memo.answers(k.paths, seq, path) {
+			clk.Advance(perfmodel.CPUPathComponent)
+			return memo.id, memo.prefix, true
+		}
+	}
 	p := path
 	for {
 		if id, ok := k.paths.lookup(clk, p); ok {
+			// Only an answer read from an unchanged, even seq describes one
+			// table state; a resolve that raced a writer is served but not kept.
+			if clk != nil && seq%2 == 0 && k.paths.seq.Load() == seq {
+				if memo == nil {
+					memo = new(resolveMemo)
+					clk.SetPathMemo(memo)
+				}
+				*memo = resolveMemo{tab: k.paths, seq: seq, path: path, prefix: p, id: id}
+			}
 			return id, p, true
 		}
 		if clk != nil {
@@ -517,6 +541,40 @@ func (k *KernFS) ResolveLongest(clk *simclock.Clock, path string) (coffer.ID, st
 			p = p[:i]
 		}
 	}
+}
+
+// resolveMemo is a thread's last successful ResolveLongest: path resolved to
+// coffer id at prefix, in table tab at sequence seq. It answers a later call
+// when nothing can have changed and the answer is implied:
+//
+//   - same table (a remount builds a new one whose seq may well be equal) and
+//     the same even seq — every insert, remove and rename bumps it, whichever
+//     thread or process made it;
+//   - prefix ⊑ asked ⊑ path, component-wise. A coffer root on asked's chain
+//     longer than prefix would lie on path's chain too and would have been
+//     found first, so asked's longest root is prefix.
+//
+// It is a per-thread value on a single-owner clock: no lock, no sharing, and
+// reused in place, so steady state allocates nothing.
+type resolveMemo struct {
+	tab    *pathTable
+	seq    uint64
+	path   string
+	prefix string
+	id     coffer.ID
+}
+
+func (m *resolveMemo) answers(tab *pathTable, seq uint64, asked string) bool {
+	return m != nil && m.tab == tab && m.seq == seq &&
+		pathWithin(m.prefix, asked) && pathWithin(asked, m.path)
+}
+
+// pathWithin reports whether cleaned absolute path p is dir or lies under it.
+func pathWithin(dir, p string) bool {
+	if !strings.HasPrefix(p, dir) {
+		return false
+	}
+	return len(p) == len(dir) || dir == "/" || p[len(dir)] == '/'
 }
 
 // Info returns a copy of a coffer's root-page metadata. Lock-free: the

@@ -27,6 +27,7 @@ type Clock struct {
 	wclass    uint8
 	bill      any
 	lockState any
+	pathMemo  any
 }
 
 // NewClock returns a clock starting at virtual time zero.
@@ -122,6 +123,15 @@ func (c *Clock) LockState() any {
 	}
 	return c.lockState
 }
+
+// SetPathMemo attaches the thread's last path resolution (kernfs's
+// resolveMemo) to the clock: the third opaque rider, for the same reason as
+// the other two — the clock is the one per-thread object every resolve call
+// already carries, and being single-owner it needs no locking.
+func (c *Clock) SetPathMemo(m any) { c.pathMemo = m }
+
+// PathMemo returns the attached path-resolution memo (nil when none).
+func (c *Clock) PathMemo() any { return c.pathMemo }
 
 // lockWaitBiller is implemented by cost sinks that want virtual lock-wait
 // time attributed to them (see Mutex/RWMutex).

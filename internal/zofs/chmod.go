@@ -101,11 +101,11 @@ func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid ui
 		// dentry becomes an ordinary in-coffer reference (Table 5).
 		parentRP, _ := f.kern.Info(pos.m.id)
 		if !f.opts.OneCoffer && f.sameCofferPerm(parentRP, newMode, newUID, newGID) {
-			if _, err := f.ensureMapped(th, target, true); err == nil {
+			if tm, err := f.ensureMapped(th, target, true); err == nil {
 				if f.kern.CofferMerge(th, pos.m.id, target) == nil {
 					f.window(th, pos.m, true)
 					f.dirUpdateCoffer(th, pos.ino, base, loc, 0, de.inode)
-					f.forgetMount(target)
+					f.mergedInto(th, pos.m, tm)
 				}
 			}
 		}
@@ -220,7 +220,8 @@ func (f *FS) maybeMergeBack(th *proc.Thread, dir, base string, target coffer.ID)
 	if err != nil || coffer.ID(de.cofferID) != target {
 		return
 	}
-	if _, err := f.ensureMapped(th, target, true); err != nil {
+	tm, err := f.ensureMapped(th, target, true)
+	if err != nil {
 		return
 	}
 	if f.kern.CofferMerge(th, pos.m.id, target) != nil {
@@ -238,5 +239,19 @@ func (f *FS) maybeMergeBack(th *proc.Thread, dir, base string, target coffer.ID)
 	putU32(b, 8, rp.GID)
 	th.WriteNT(de.inode*pageSize+inoModeOff, b)
 	th.Fence()
-	f.forgetMount(target)
+	f.mergedInto(th, pos.m, tm)
+}
+
+// mergedInto finishes a successful coffer_merge of src into parent: src's
+// mapping is gone, and its allocator pool page — retagged to the parent with
+// every other page but referenced by nothing there — goes back on the
+// parent's metadata list instead of leaking one page per split/merge cycle.
+// The caller has the window open on parent.
+func (f *FS) mergedInto(th *proc.Thread, parent, src *mount) {
+	f.forgetMount(src.id)
+	if debugPool {
+		// A coffer_new pool page was placed by the kernel, not by allocPage.
+		debugFree.Store(src.custom, 2)
+	}
+	f.freePage(th, parent, classMeta, src.custom)
 }

@@ -6,8 +6,85 @@ import (
 
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
+	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 )
+
+// What kernfs.ResolveLongest charges, in virtual ns. A miss is the backwards
+// parse: one hash probe per prefix tried plus one component step per prefix
+// that was not a coffer root. A hit on the thread's last resolution is one
+// component compare.
+const (
+	resolveHit        = perfmodel.CPUPathComponent                               // 25
+	resolveMissDepth2 = 2*perfmodel.CPUHashLookup + perfmodel.CPUPathComponent   // 85: "/d"  or "/p/f" under coffer /p
+	resolveMissDepth3 = 3*perfmodel.CPUHashLookup + 2*perfmodel.CPUPathComponent // 140: "/d/f" under coffer /
+)
+
+// TestResolveOncePerOpCost pins the memo's effect on whole µFS calls. Two
+// Stats of one path differ by exactly (miss − hit): everything after the
+// resolve is the same walk. Create resolves its parent, so after a Stat of
+// the file (what the dispatcher's routing amounts to) its walk is a hit, and
+// with a cold memo a miss one component shallower.
+func TestResolveOncePerOpCost(t *testing.T) {
+	if resolveHit != 25 || resolveMissDepth2 != 85 || resolveMissDepth3 != 140 {
+		t.Fatalf("cost model moved: hit %d, depth-2 miss %d, depth-3 miss %d",
+			resolveHit, resolveMissDepth2, resolveMissDepth3)
+	}
+	_, k, f, th := newTestFS(t, Options{})
+	if err := f.Mkdir(th, "/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []string{"/d/f", "/d/g"} {
+		h, err := f.Create(th, n, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Close(th)
+	}
+	stat := func(path string) int64 {
+		t.Helper()
+		t0 := th.Clk.Now()
+		if _, err := f.Stat(th, path); err != nil {
+			t.Fatal(err)
+		}
+		return th.Clk.Now() - t0
+	}
+	stat("/d/f") // warm the inode header and dentry index; memo = /d/f
+	stat("/d/g") // likewise for g; memo = /d/g
+	miss := stat("/d/f")
+	hit := stat("/d/f")
+	if miss-hit != resolveMissDepth3-resolveHit {
+		t.Fatalf("Stat with a cold memo %d vns, repeated %d: differ by %d, want %d",
+			miss, hit, miss-hit, resolveMissDepth3-resolveHit)
+	}
+	if sib := stat("/d/g"); sib != miss {
+		t.Fatalf("Stat of a sibling cost %d vns, want the full parse (%d)", sib, miss)
+	}
+
+	// The dispatcher's resolve of the full path serves Create's parent walk.
+	create := func(path string, routed bool) int64 {
+		t.Helper()
+		k.ResolveLongest(th.Clk, "/elsewhere") // displace the memo
+		if routed {
+			k.ResolveLongest(th.Clk, path)
+		}
+		t0 := th.Clk.Now()
+		h, err := f.Create(th, path, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := th.Clk.Now() - t0
+		h.Close(th)
+		return c
+	}
+	create("/d/warm", false) // first create takes the lease grants
+	cold := create("/d/c1", false)
+	routed := create("/d/c2", true)
+	if cold-routed != resolveMissDepth2-resolveHit {
+		t.Fatalf("Create with a cold memo %d vns, after routing %d: differ by %d, want %d",
+			cold, routed, cold-routed, resolveMissDepth2-resolveHit)
+	}
+}
 
 // TestAppendCostBudget pins ZoFS's steady-state 4KB append cost (Table 2's
 // headline single-process number). The budget is dominated by the 4KB

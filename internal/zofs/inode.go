@@ -392,20 +392,27 @@ func (f *FS) clearBlockPtr(th *proc.Thread, ino, idx int64) {
 }
 
 // filePages collects every page reachable from a regular file inode
-// (data + indirect pages), excluding the inode page itself.
+// (data + indirect pages), excluding the inode page itself. The inode's
+// pointer area is read once, as one view ending at the double-indirect word
+// and starting at the first direct slot the size covers — for an empty file
+// that is the two indirect words alone. Those are read whatever the size:
+// truncation leaves indirect pages in place until unlink.
 func (f *FS) filePages(th *proc.Thread, ino int64) []int64 {
 	var pages []int64
 	size := f.inodeSize(th, ino)
-	blocks := (size + pageSize - 1) / pageSize
-	// Direct.
-	dir := f.readView(th, ino*pageSize+inoDirectOff, inoDirectCnt*8)
-	for i := int64(0); i < inoDirectCnt && i < blocks; i++ {
-		if pg := int64(u64at(dir, int(i*8))); pg != 0 {
+	direct := min((size+pageSize-1)/pageSize, inoDirectCnt)
+	from := int64(inoIndirectOff)
+	if direct > 0 {
+		from = inoDirectOff
+	}
+	ptrs := f.readView(th, ino*pageSize+from, inoDIndirOff+8-from)
+	for i := int64(0); i < direct; i++ {
+		if pg := int64(u64at(ptrs, int(i*8))); pg != 0 {
 			pages = append(pages, pg)
 		}
 	}
 	// Indirect.
-	ind := int64(th.Load64(ino*pageSize + inoIndirectOff))
+	ind := int64(u64at(ptrs, int(inoIndirectOff-from)))
 	if ind != 0 {
 		pages = append(pages, ind)
 		buf := f.readView(th, ind*pageSize, pageSize)
@@ -416,7 +423,7 @@ func (f *FS) filePages(th *proc.Thread, ino int64) []int64 {
 		}
 	}
 	// Double indirect.
-	d1 := int64(th.Load64(ino*pageSize + inoDIndirOff))
+	d1 := int64(u64at(ptrs, int(inoDIndirOff-from)))
 	if d1 != 0 {
 		pages = append(pages, d1)
 		l1 := f.readView(th, d1*pageSize, pageSize)
