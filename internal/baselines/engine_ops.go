@@ -3,6 +3,7 @@ package baselines
 import (
 	"zofs/internal/byteflow"
 	"zofs/internal/coffer"
+	"zofs/internal/nvm"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
@@ -408,24 +409,16 @@ func (h *bHandle) ReadAt(th *proc.Thread, p []byte, off int64) (int, error) {
 	if off+int64(len(p)) > size {
 		p = p[:size-off]
 	}
-	n := 0
-	for n < len(p) {
-		idx := (off + int64(n)) / pageSize
-		pOff := (off + int64(n)) % pageSize
-		chunk := int(pageSize - pOff)
-		if chunk > len(p)-n {
-			chunk = len(p) - n
-		}
-		if idx < int64(len(blocks)) && blocks[idx] != 0 {
-			h.e.dev.Read(th.Clk, blocks[idx]*pageSize+pOff, p[n:n+chunk])
+	// One media read per physically contiguous extent, as the real kernel
+	// file systems copy per extent (and as ZoFS does: the same run rule).
+	nvm.ForEachRun(blocks, 0, off, off+int64(len(p)), func(dev, from, to int64) {
+		if dev < 0 {
+			clear(p[from-off : to-off])
 		} else {
-			for i := 0; i < chunk; i++ {
-				p[n+i] = 0
-			}
+			h.e.dev.Read(th.Clk, dev, p[from-off:to-off])
 		}
-		n += chunk
-	}
-	return n, nil
+	})
+	return len(p), nil
 }
 
 // WriteAt writes under the file's write lock, through the personality's
@@ -540,6 +533,10 @@ func (e *Engine) blockFor(th *proc.Thread, ino *Inode, idx int64, zeroNew bool) 
 		e.dev.Zero(th.Clk, pg*pageSize, pageSize)
 	}
 	ino.mu.Lock()
+	// A concurrent unlink may have dropped the block list meanwhile.
+	for int64(len(ino.blocks)) <= idx {
+		ino.blocks = append(ino.blocks, 0)
+	}
 	ino.blocks[idx] = pg
 	ino.mu.Unlock()
 	return pg

@@ -15,9 +15,9 @@ import (
 // RunHotpath measures the zero-copy hot path against the scan-and-copy
 // baseline: the default ZoFS configuration (device access windows,
 // directory lookup cache, batched page allocation) versus ZoFS-copypath
-// with all three disabled. Five single-thread cells over one shared
-// directory large enough to exercise both the inline dentry area and the
-// bucket chains:
+// with all three disabled. Seven single-thread cells; the first five run
+// over one shared directory large enough to exercise both the inline dentry
+// area and the bucket chains:
 //
 //	create  — empty-file creates (allocator + dentry insert path)
 //	lookup  — stat by path (directory lookup path)
@@ -27,6 +27,11 @@ import (
 //	          directory index)
 //	unlink  — remove every file, one 4KB block each (dentry kill, the
 //	          inode's pointer read, page frees)
+//	read64k — 64KB preads through open handles at block-aligned offsets
+//	          of 1MB files written front to back (one device access per
+//	          physically contiguous run)
+//	truncate — truncate each of those 1MB files to nothing (one read and
+//	          one clear per pointer array, 256 page frees)
 //
 // Throughput is simulated (virtual-time) kops/s. Results are printed and
 // recorded, before/after with speedups, in BENCH_hotpath.json.
@@ -38,7 +43,7 @@ func RunHotpath(w io.Writer, opts Options) error {
 	if opts.Quick {
 		n = 4096
 	}
-	cells := []string{"create", "lookup", "read4k", "readdir", "unlink"}
+	cells := []string{"create", "lookup", "read4k", "readdir", "unlink", "read64k", "truncate"}
 	base, err := hotpathRun(sysfactory.ZoFSCopyPath, opts, n)
 	if err != nil {
 		return fmt.Errorf("hotpath %s: %w", sysfactory.ZoFSCopyPath.Name, err)
@@ -94,7 +99,7 @@ func RunHotpath(w io.Writer, opts Options) error {
 func round1(v float64) float64 { return float64(int64(v*10+0.5)) / 10 }
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 
-// hotpathRun runs all five cells on one fresh instance and returns
+// hotpathRun runs all seven cells on one fresh instance and returns
 // simulated kops/s per cell.
 func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]float64, error) {
 	in, err := sys.New(opts.DeviceBytes)
@@ -104,7 +109,7 @@ func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]float64,
 	return hotpathRunOn(in, nil, n)
 }
 
-// hotpathRunOn runs the five hot-path cells on an instance the caller
+// hotpathRunOn runs the seven hot-path cells on an instance the caller
 // built (and may have instrumented, e.g. enabled byte-flow accounting on).
 // rec, when non-nil, receives per-op telemetry from the obsfs wrap — the
 // series gate passes one so the cumulative histograms and the windowed
@@ -151,6 +156,24 @@ func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[
 		h.Close(th)
 	}
 
+	// And the data cells' 1MB files, written front to back (untimed) while
+	// the allocator still hands out fresh grants: after the unlink cell the
+	// free list holds 4KB pages in the order the names were removed.
+	const bigFiles, bigBlocks = 64, 256
+	big := make([]vfs.Handle, bigFiles)
+	bigName := func(i int) string { return fmt.Sprintf("/big-%02d", i) }
+	mb := make([]byte, bigBlocks*4096)
+	for i := range big {
+		h, err := fs.Create(th, bigName(i), 0o644)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := h.WriteAt(th, mb, 0); err != nil {
+			return nil, err
+		}
+		big[i] = h
+	}
+
 	// Cell 2: lookup (stat by path, strided so neighbours don't share
 	// hash buckets).
 	start = th.Clk.Now()
@@ -189,8 +212,7 @@ func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[
 	}
 	res["readdir"] = kops(listings*n, th.Clk.Now()-start)
 
-	// Cell 5: unlink every file, strided like the lookups. Last, so the
-	// cells above keep the op stream they always had.
+	// Cell 5: unlink every file, strided like the lookups.
 	start = th.Clk.Now()
 	for i := 0; i < n; i++ {
 		if err := fs.Unlink(th, names[i*7919%n]); err != nil {
@@ -198,5 +220,28 @@ func hotpathRunOn(in *sysfactory.Instance, rec *telemetry.Recorder, n int) (map[
 		}
 	}
 	res["unlink"] = kops(n, th.Clk.Now()-start)
+
+	// Cell 6: 64KB preads, strided over files and offsets.
+	kb64 := mb[:64<<10]
+	start = th.Clk.Now()
+	for i := 0; i < n; i++ {
+		off := int64(i*7919%(bigBlocks-15)) * 4096
+		if got, err := big[i%bigFiles].ReadAt(th, kb64, off); err != nil || got != len(kb64) {
+			return nil, fmt.Errorf("read64k: %d, %v", got, err)
+		}
+	}
+	res["read64k"] = kops(n, th.Clk.Now()-start)
+
+	// Cell 7: truncate every 1MB file to nothing.
+	start = th.Clk.Now()
+	for i := range big {
+		if err := fs.Truncate(th, bigName(i), 0); err != nil {
+			return nil, err
+		}
+	}
+	res["truncate"] = kops(bigFiles, th.Clk.Now()-start)
+	for _, h := range big {
+		h.Close(th)
+	}
 	return res, nil
 }

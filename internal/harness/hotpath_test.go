@@ -10,14 +10,16 @@ import (
 )
 
 // TestRunHotpath runs the zero-copy-vs-copy-path experiment at quick size
-// and gates on the optimization target: every cell at least 2x the
-// copy-path baseline, with the JSON artifact written and well-formed.
+// and gates on the optimization target: every metadata and small-I/O cell at
+// least 2x the copy-path baseline, the large-I/O cell (where both variants
+// spend most of the op in the same media transfer) at least 1.5x, with the
+// JSON artifact written and well-formed.
 func TestRunHotpath(t *testing.T) {
 	t.Chdir(t.TempDir())
 	runAndCheck(t, "hotpath", func() (*bytes.Buffer, error) {
 		var b bytes.Buffer
 		return &b, harness.RunHotpath(&b, tiny())
-	}, "Speedup", "create", "lookup", "read4k", "readdir", "unlink", "ZoFS-copypath")
+	}, "Speedup", "create", "lookup", "read4k", "readdir", "unlink", "read64k", "truncate", "ZoFS-copypath")
 
 	blob, err := os.ReadFile("BENCH_hotpath.json")
 	if err != nil {
@@ -37,12 +39,16 @@ func TestRunHotpath(t *testing.T) {
 	if out.Baseline != "ZoFS-copypath" || out.Optimized != "ZoFS" {
 		t.Fatalf("unexpected variants: %+v", out)
 	}
-	if len(out.Cells) != 5 {
-		t.Fatalf("want 5 cells, got %+v", out.Cells)
+	if len(out.Cells) != 7 {
+		t.Fatalf("want 7 cells, got %+v", out.Cells)
 	}
 	for _, c := range out.Cells {
-		if c.Speedup < 2.0 {
-			t.Errorf("cell %s: speedup %.2fx below the 2x target", c.Cell, c.Speedup)
+		target := 2.0
+		if c.Cell == "read64k" {
+			target = 1.5
+		}
+		if c.Speedup < target {
+			t.Errorf("cell %s: speedup %.2fx below the %.1fx target", c.Cell, c.Speedup, target)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package logfs
 
 import (
 	"zofs/internal/coffer"
+	"zofs/internal/nvm"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
 )
@@ -38,24 +39,14 @@ func (h *handle) ReadAt(th *proc.Thread, p []byte, off int64) (int, error) {
 	}
 	cl := h.fs.window(th, h.lc, false)
 	defer cl()
-	n := 0
-	for n < len(p) {
-		idx := (off + int64(n)) / pageSize
-		pOff := (off + int64(n)) % pageSize
-		chunk := int(pageSize - pOff)
-		if chunk > len(p)-n {
-			chunk = len(p) - n
-		}
-		if idx < int64(len(blocks)) && blocks[idx] != 0 {
-			th.Read(blocks[idx]*pageSize+pOff, p[n:n+chunk])
+	nvm.ForEachRun(blocks, 0, off, off+int64(len(p)), func(dev, from, to int64) {
+		if dev < 0 {
+			clear(p[from-off : to-off])
 		} else {
-			for i := 0; i < chunk; i++ {
-				p[n+i] = 0
-			}
+			th.Read(dev, p[from-off:to-off])
 		}
-		n += chunk
-	}
-	return n, nil
+	})
+	return len(p), nil
 }
 
 // WriteAt performs the copy-on-write update and commits a superseding

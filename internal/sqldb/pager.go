@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
@@ -150,9 +151,15 @@ func (p *pager) commit(th *proc.Thread) error {
 	if !p.inTxn {
 		return errors.New("sqldb: commit outside transaction")
 	}
+	// Ascending page order, not map order: identical runs issue identical
+	// file system traffic, and the file is extended front to back.
+	nos := make([]int64, 0, len(p.dirty))
 	for no := range p.dirty {
-		pg := p.cache[no]
-		if _, err := p.h.WriteAt(th, pg, no*PageSize); err != nil {
+		nos = append(nos, no)
+	}
+	slices.Sort(nos)
+	for _, no := range nos {
+		if _, err := p.h.WriteAt(th, p.cache[no], no*PageSize); err != nil {
 			return err
 		}
 	}

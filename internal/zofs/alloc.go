@@ -170,7 +170,7 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (int64, error) {
 	if !f.opts.NoAllocBatch {
 		if ts := m.threadSlotsFor(th.TID); ts.slot[class] < 0 && th.Clk.Now() < ts.noSlotUntil[class] {
 			th.CPU(perfmodel.CPULockAcquire) // backoff-deadline check
-			return f.allocSlotless(th, m, ts, class)
+			return f.allocCached(th, m, ts, class)
 		}
 	}
 	ts, slotOff, err := f.slotFor(th, m, class)
@@ -190,36 +190,15 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (int64, error) {
 			seed := uint64(th.TID)<<32 ^ uint64(m.id)
 			ts.noSlotUntil[class] = th.Clk.Now() + allocRescanPolicy.DelayAt(seed, ts.noSlotTries[class])
 			ts.noSlotTries[class]++
-			return f.allocSlotless(th, m, ts, class)
+			return f.allocCached(th, m, ts, class)
 		}
 		return 0, err
 	}
-	if !f.opts.NoAllocBatch {
-		if page, ok := f.popCached(th, ts, class); ok {
-			return page, nil
-		}
-		if ts.head[class] == 0 {
-			// Both lists dry: one kernel grant refills the volatile cache.
-			// Unlike pushExtents, no per-page chain stores and no persistent
-			// head update — the whole batch costs one syscall.
-			exts, err := f.enlarge(th, m, class)
-			if err != nil {
-				return 0, err
-			}
-			for _, e := range exts {
-				for pg := e.Start; pg < e.End(); pg++ {
-					if debugPool {
-						debugFree.Store(pg, 1)
-					}
-					ts.cache[class] = append(ts.cache[class], pg)
-				}
-			}
-			page, _ := f.popCached(th, ts, class)
-			return page, nil
-		}
-		// Cache dry but the persistent list holds pages (stranded by a
-		// NoAllocBatch mount or a re-claimed slot): drain it below.
+	if !f.opts.NoAllocBatch && (len(ts.cache[class]) > 0 || ts.head[class] == 0) {
+		return f.allocCached(th, m, ts, class)
 	}
+	// Batching off, or the cache is dry but the persistent list holds pages
+	// (stranded by a NoAllocBatch mount or a re-claimed slot): drain it.
 	if ts.head[class] == 0 {
 		exts, err := f.enlarge(th, m, class)
 		if err != nil {
@@ -246,13 +225,13 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (int64, error) {
 	return page, nil
 }
 
-// allocSlotless serves a page with no pool slot: straight from the volatile
-// batch cache, refilled by whole kernel grants. A slot only carries the
-// persistent free-list head, which the batch cache never used — a slotless
-// thread loses nothing but crash observability. A crash leaks its cached
-// batch and recovery's in-use traversal reclaims it, exactly as for slotted
-// threads' caches (§5.3).
-func (f *FS) allocSlotless(th *proc.Thread, m *mount, ts *threadSlots, class int) (int64, error) {
+// allocCached serves a page from the thread's volatile batch cache, refilled
+// by one whole kernel grant when dry: no per-page chain stores and no
+// persistent head update, the batch costs one syscall. It needs no pool slot
+// — a slot only carries the persistent free-list head, which the cache never
+// uses — so a slotless thread loses nothing but crash observability. A crash
+// leaks the cached batch and recovery's in-use traversal reclaims it (§5.3).
+func (f *FS) allocCached(th *proc.Thread, m *mount, ts *threadSlots, class int) (int64, error) {
 	if page, ok := f.popCached(th, ts, class); ok {
 		return page, nil
 	}
@@ -260,8 +239,11 @@ func (f *FS) allocSlotless(th *proc.Thread, m *mount, ts *threadSlots, class int
 	if err != nil {
 		return 0, err
 	}
-	for _, e := range exts {
-		for pg := e.Start; pg < e.End(); pg++ {
+	// The cache is a stack: push the grant from its top page down so pops
+	// ascend through each extent and a file written front to back lies in
+	// ascending, physically consecutive pages (the run rule, nvm.ForEachRun).
+	for i := len(exts) - 1; i >= 0; i-- {
+		for pg := exts[i].End() - 1; pg >= exts[i].Start; pg-- {
 			if debugPool {
 				debugFree.Store(pg, 1)
 			}

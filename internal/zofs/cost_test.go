@@ -204,3 +204,35 @@ func TestBlockSlotProperties(t *testing.T) {
 		t.Fatal("negative index accepted")
 	}
 }
+
+// TestReadCostPins pins the data-read path on a file written front to back.
+// A 4 KiB read is one pointer load and one device access under the window
+// and the read lock: 482 vns, what it cost a block at a time. A 64 KiB read
+// is sixteen pointer loads and still one device access, paying the media
+// latency once (305 + 1680 for the bytes): a block at a time it was 6857.
+func TestReadCostPins(t *testing.T) {
+	_, _, f, th := newTestFS(t, Options{})
+	h, err := f.Create(th, "/f", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.WriteAt(th, make([]byte, 1<<20), 0); err != nil {
+		t.Fatal(err)
+	}
+	read := func(n int, off int64) int64 {
+		t.Helper()
+		buf := make([]byte, n)
+		t0 := th.Clk.Now()
+		if got, err := h.ReadAt(th, buf, off); err != nil || got != n {
+			t.Fatalf("ReadAt(%d at %d) = %d, %v", n, off, got, err)
+		}
+		return th.Clk.Now() - t0
+	}
+	read(4096, 0) // settle the lease and the mapping
+	if c := read(4096, 7*4096); c != 482 {
+		t.Fatalf("4 KiB read = %d vns, want 482", c)
+	}
+	if c := read(64<<10, 33*4096); c < 305+1680 || c > 2400 {
+		t.Fatalf("64 KiB read = %d vns, want one media access (>= 1985) and <= 2400", c)
+	}
+}

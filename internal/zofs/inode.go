@@ -2,6 +2,7 @@ package zofs
 
 import (
 	"zofs/internal/byteflow"
+	"zofs/internal/nvm"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/spans"
@@ -64,27 +65,6 @@ func (f *FS) setInodeSize(th *proc.Thread, ino int64, size int64) {
 	th.WriteNT(ino*pageSize+inoSizeOff, buf[:])
 }
 
-// blockPtr maps file block idx to its data page, optionally allocating the
-// page (and any needed indirect pages) on the way.
-func (f *FS) blockPtr(th *proc.Thread, m *mount, ino, idx int64, alloc bool) (int64, error) {
-	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
-	defer th.Clk.SetWriteClass(prev)
-	slot, err := f.blockSlot(th, m, ino, idx, alloc)
-	if err != nil || slot == 0 {
-		return 0, err
-	}
-	pg := int64(th.Load64Cached(slot))
-	if pg == 0 && alloc {
-		newPg, err := f.allocPage(th, m, classData)
-		if err != nil {
-			return 0, err
-		}
-		th.Store64(slot, uint64(newPg))
-		pg = newPg
-	}
-	return pg, nil
-}
-
 // blockSlot resolves the block-map slot holding block idx's page pointer,
 // allocating intermediate pointer pages when alloc is set. A zero slot
 // with nil error means the path is unallocated (and alloc was false).
@@ -115,39 +95,131 @@ func (f *FS) blockSlot(th *proc.Thread, m *mount, ino, idx int64, alloc bool) (i
 	}
 }
 
-// blockPtrForWrite resolves (allocating if absent) the data page for block
-// idx and reports whether it was freshly allocated, in one map walk.
-func (f *FS) blockPtrForWrite(th *proc.Thread, m *mount, ino, idx int64) (pg int64, created bool, err error) {
+// leafSpan returns the block range [first, end) mapped by the pointer array
+// that maps block idx — the inode's direct slots, the indirect page, or one
+// second-level page of the double-indirect tree. Within it, consecutive
+// blocks' slots are adjacent words: blockSlot(i+1) == blockSlot(i)+8.
+func leafSpan(idx int64) (first, end int64) {
+	switch {
+	case idx < inoDirectCnt:
+		return 0, inoDirectCnt
+	case idx < inoDirectCnt+ptrsPerPage:
+		return inoDirectCnt, inoDirectCnt + ptrsPerPage
+	default:
+		first = idx - (idx-inoDirectCnt-ptrsPerPage)%ptrsPerPage
+		return first, first + ptrsPerPage
+	}
+}
+
+// ptrView borrows the n adjacent block-map slots starting at slot, charged as
+// n cache-hit loads (a thread working on one file keeps its block pointers in
+// L1). The slots share a page, so the view never crosses a device chunk.
+func (f *FS) ptrView(th *proc.Thread, slot, n int64) []byte {
+	th.CPU((n - 1) * perfmodel.CPUSmallOp)
+	v, _ := th.ReadViewCached(slot, 8*n)
+	return v
+}
+
+// appendPtrs appends the non-null page pointers of a slot view to dst.
+func appendPtrs(dst []int64, slots []byte) []int64 {
+	for i := 0; i+8 <= len(slots); i += 8 {
+		if pg := int64(u64at(slots, i)); pg != 0 {
+			dst = append(dst, pg)
+		}
+	}
+	return dst
+}
+
+// forEachRun is the one walk over a file's block map that moves data. It
+// resolves the blocks under file bytes [off, off+n) a pointer array at a time
+// — each indirect page is dereferenced once per array, not once per block —
+// and hands fn every run (nvm.ForEachRun) of each array: the device offset of
+// its first byte, or -1 for a hole, and the file range it maps. A run is built
+// only from pointers read out of this inode's map, under the inode lock the
+// caller holds, and fn moves its bytes through the thread's checked accessors,
+// which test every page of the range against the PKRU.
+//
+// With alloc set, absent blocks (and pointer pages) are allocated, so fn never
+// sees a hole; the part of a fresh page the range does not cover is zeroed
+// first (data-class grants are not scrubbed), keeping the invariant that bytes
+// of a mapped page outside anything ever written are zero. When allocation
+// fails part-way the walk stops; the result is the byte count that was mapped
+// and handed to fn, with the error only if that is zero.
+func (f *FS) forEachRun(th *proc.Thread, m *mount, ino, off int64, n int, alloc bool, fn func(dev, from, to int64)) (int, error) {
+	var (
+		pages [ptrsPerPage]int64
+		err   error
+		end   = off + int64(n)
+		pos   = off
+	)
+	for pos < end && err == nil {
+		idx := pos / pageSize
+		_, leafEnd := leafSpan(idx)
+		cnt := min((end+pageSize-1)/pageSize, leafEnd) - idx
+		var slot int64
+		if slot, err = f.blockSlot(th, m, ino, idx, alloc); err != nil {
+			break
+		}
+		mapped := pages[:cnt]
+		if slot == 0 {
+			clear(mapped)
+		} else {
+			ptrs := f.ptrView(th, slot, cnt)
+			for i := range mapped {
+				pg := int64(u64at(ptrs, 8*i))
+				if pg == 0 && alloc {
+					if pg, err = f.allocPage(th, m, classData); err != nil {
+						mapped = mapped[:i]
+						break
+					}
+					f.storePtr(th, slot+8*int64(i), pg)
+					f.zeroUncovered(th, pg, idx+int64(i), off, end)
+				}
+				mapped[i] = pg
+			}
+		}
+		if to := min(end, (idx+int64(len(mapped)))*pageSize); to > pos {
+			nvm.ForEachRun(mapped, idx, pos, to, fn)
+			pos = to
+		}
+	}
+	if pos > off {
+		err = nil
+	}
+	return int(pos - off), err
+}
+
+// storePtr persists one block-map pointer (inode-class bytes, whatever the
+// caller is writing).
+func (f *FS) storePtr(th *proc.Thread, slot, pg int64) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
-	defer th.Clk.SetWriteClass(prev)
-	slot, err := f.blockSlot(th, m, ino, idx, true)
-	if err != nil {
-		return 0, false, err
-	}
-	pg = int64(th.Load64Cached(slot))
-	if pg != 0 {
-		return pg, false, nil
-	}
-	if pg, err = f.allocPage(th, m, classData); err != nil {
-		return 0, false, err
-	}
 	th.Store64(slot, uint64(pg))
-	return pg, true, nil
+	th.Clk.SetWriteClass(prev)
+}
+
+// zeroUncovered zeroes what a write of file bytes [off, end) leaves unwritten
+// of the fresh page pg mapped at block blk. Only the first and the last block
+// of the range can be partly covered; full-page writes — the append fast path
+// — pay nothing.
+func (f *FS) zeroUncovered(th *proc.Thread, pg, blk, off, end int64) {
+	if head := off - blk*pageSize; head > 0 {
+		th.Zero(pg*pageSize, head)
+	}
+	if tail := (blk+1)*pageSize - end; tail > 0 {
+		th.Zero(pg*pageSize+pageSize-tail, tail)
+	}
 }
 
 // indirectPage dereferences (and optionally allocates) a pointer page.
 // Pointer pages must arrive zeroed, so they come from the metadata class.
 func (f *FS) indirectPage(th *proc.Thread, m *mount, slot int64, alloc bool) (int64, error) {
-	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
-	defer th.Clk.SetWriteClass(prev)
 	pg := int64(th.Load64Cached(slot))
 	if pg == 0 && alloc {
-		newPg, err := f.allocPage(th, m, classMeta)
-		if err != nil {
+		var err error
+		if pg, err = f.allocPage(th, m, classMeta); err != nil {
 			return 0, err
 		}
-		th.Store64(slot, uint64(newPg))
-		pg = newPg
+		f.storePtr(th, slot, pg)
 	}
 	return pg, nil
 }
@@ -181,27 +253,13 @@ func (f *FS) readAt(th *proc.Thread, m *mount, ino int64, p []byte, off int64) (
 		th.Read(ino*pageSize+inoInlineOff+off, p)
 		return len(p), nil
 	}
-	n := 0
-	for n < len(p) {
-		idx := (off + int64(n)) / pageSize
-		pOff := (off + int64(n)) % pageSize
-		chunk := int(pageSize - pOff)
-		if chunk > len(p)-n {
-			chunk = len(p) - n
-		}
-		pg, err := f.blockPtr(th, m, ino, idx, false)
-		if err != nil {
-			return n, err
-		}
-		if pg == 0 {
-			// Hole: reads as zeros.
-			clear(p[n : n+chunk])
+	return f.forEachRun(th, m, ino, off, len(p), false, func(dev, from, to int64) {
+		if dev < 0 {
+			clear(p[from-off : to-off]) // hole: reads as zeros
 		} else {
-			th.Read(pg*pageSize+pOff, p[n:n+chunk])
+			th.Read(dev, p[from-off:to-off])
 		}
-		n += chunk
-	}
-	return n, nil
+	})
 }
 
 // writeAt writes file data in place with non-temporal stores (§5.3: ZoFS
@@ -250,34 +308,14 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 		}
 	}
 	f.rec().Inc(telemetry.CtrZoFSExtentWrites)
-	n := 0
-	for n < len(p) {
-		idx := (off + int64(n)) / pageSize
-		pOff := (off + int64(n)) % pageSize
-		chunk := int(pageSize - pOff)
-		if chunk > len(p)-n {
-			chunk = len(p) - n
-		}
-		pg, created, err := f.blockPtrForWrite(th, m, ino, idx)
-		if err != nil {
-			return n, err
-		}
-		if created {
-			// Zero only the unwritten parts of the fresh page. The head
-			// is inside the final size whenever pOff > 0; the tail must
-			// be zeroed to keep the invariant that bytes beyond a page's
-			// written extent are zero (a later write below them would
-			// expose stale content). Full-page writes — the append
-			// fast path — pay nothing.
-			if pOff > 0 {
-				th.Zero(pg*pageSize, pOff)
-			}
-			if wEnd := pOff + int64(chunk); wEnd < pageSize {
-				th.Zero(pg*pageSize+wEnd, pageSize-wEnd)
-			}
-		}
-		th.WriteNT(pg*pageSize+pOff, p[n:n+chunk])
-		n += chunk
+	// A write that runs out of space part-way is a short write: n is what was
+	// mapped and stored, and it is committed below, so no block is left
+	// beyond the size where neither truncate nor unlink would find it.
+	n, err := f.forEachRun(th, m, ino, off, len(p), true, func(dev, from, to int64) {
+		th.WriteNT(dev, p[from-off:to-off])
+	})
+	if err != nil {
+		return 0, err
 	}
 	// Epoch fence before the commit-point publish: if the lease was stolen
 	// while the data stores ran, the size/mtime must not be published —
@@ -305,12 +343,15 @@ func (f *FS) deInline(th *proc.Thread, m *mount, ino, size int64) error {
 	f.rec().Inc(telemetry.CtrZoFSDeInline)
 	buf := make([]byte, size)
 	th.Read(ino*pageSize+inoInlineOff, buf)
-	pg, err := f.blockPtr(th, m, ino, 0, true)
+	// Map block 0 whole, so the walk zeroes nothing itself: the page is
+	// scrubbed here whether or not it is fresh.
+	_, err := f.forEachRun(th, m, ino, 0, pageSize, true, func(dev, _, _ int64) {
+		th.Zero(dev, pageSize)
+		th.WriteNT(dev, buf)
+	})
 	if err != nil {
 		return err
 	}
-	th.Zero(pg*pageSize, pageSize)
-	th.WriteNT(pg*pageSize, buf)
 	th.Store64(ino*pageSize+inoInlineFlag, 0)
 	return nil
 }
@@ -344,61 +385,54 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 		return nil
 	}
 	// Zero the tail of the boundary page so a later extension reads zeros,
-	// not resurrected bytes (POSIX truncate semantics).
-	if tail := newSize % pageSize; tail != 0 {
-		if pg, err := f.blockPtr(th, m, ino, newSize/pageSize, false); err == nil && pg != 0 {
-			th.Zero(pg*pageSize+tail, pageSize-tail)
-		}
-	}
+	// not resurrected bytes (POSIX truncate semantics). A boundary past the
+	// end of the block map has no page to scrub.
 	firstDead := (newSize + pageSize - 1) / pageSize
-	lastIdx := (size + pageSize - 1) / pageSize
-	for idx := firstDead; idx < lastIdx; idx++ {
-		pg, err := f.blockPtr(th, m, ino, idx, false)
+	_, _ = f.forEachRun(th, m, ino, newSize, int(firstDead*pageSize-newSize), false, func(dev, from, to int64) {
+		if dev >= 0 {
+			th.Zero(dev, to-from)
+		}
+	})
+	// Free the dead blocks a pointer array at a time, from the end of the
+	// file down: read the array's dead slots once, clear them with one
+	// streaming store, and only then hand the pages to the free list — a
+	// pointer is persistently gone before its page can be granted again, as
+	// when this was done slot by slot. A crash leaves size == newSize with
+	// some arrays' dead slots still set; recovery drops pointers past the
+	// size. Pushing in descending block order makes the recycled pages pop in
+	// ascending order again, so the next file written reuses them as runs.
+	// Emptied pointer pages stay in place until unlink (filePages).
+	var dead [ptrsPerPage]int64
+	for hi := min((size+pageSize-1)/pageSize, maxBlocks); hi > firstDead; {
+		first, _ := leafSpan(hi - 1)
+		lo := max(first, firstDead)
+		slot, err := f.blockSlot(th, m, ino, lo, false)
 		if err != nil {
 			return err
 		}
-		if pg != 0 {
-			f.clearBlockPtr(th, ino, idx)
-			f.freePage(th, m, classData, pg)
+		if slot != 0 {
+			if pages := appendPtrs(dead[:0], f.readView(th, slot, 8*(hi-lo))); len(pages) > 0 {
+				th.Clk.SetWriteClass(uint8(byteflow.ClassInode))
+				th.Zero(slot, 8*(hi-lo))
+				th.Clk.SetWriteClass(uint8(byteflow.ClassData))
+				for i := len(pages) - 1; i >= 0; i-- {
+					f.freePage(th, m, classData, pages[i])
+				}
+			}
 		}
+		hi = lo
 	}
 	return nil
 }
 
-// clearBlockPtr zeroes the pointer slot for a block (direct and indirect
-// levels; empty indirect pages are left in place and reclaimed by fsck).
-func (f *FS) clearBlockPtr(th *proc.Thread, ino, idx int64) {
-	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
-	defer th.Clk.SetWriteClass(prev)
-	switch {
-	case idx < inoDirectCnt:
-		th.Store64(ino*pageSize+inoDirectOff+8*idx, 0)
-	case idx < inoDirectCnt+ptrsPerPage:
-		ind := int64(th.Load64(ino*pageSize + inoIndirectOff))
-		if ind != 0 {
-			th.Store64(ind*pageSize+8*(idx-inoDirectCnt), 0)
-		}
-	default:
-		rel := idx - inoDirectCnt - ptrsPerPage
-		d1 := int64(th.Load64(ino*pageSize + inoDIndirOff))
-		if d1 == 0 {
-			return
-		}
-		d2 := int64(th.Load64(d1*pageSize + 8*(rel/ptrsPerPage)))
-		if d2 != 0 {
-			th.Store64(d2*pageSize+8*(rel%ptrsPerPage), 0)
-		}
-	}
-}
-
 // filePages collects every page reachable from a regular file inode
-// (data + indirect pages), excluding the inode page itself. The inode's
+// (data + indirect pages), excluding the inode page itself, in ascending
+// block order (a pointer page precedes the blocks it maps). The inode's
 // pointer area is read once, as one view ending at the double-indirect word
 // and starting at the first direct slot the size covers — for an empty file
 // that is the two indirect words alone. Those are read whatever the size:
 // truncation leaves indirect pages in place until unlink.
 func (f *FS) filePages(th *proc.Thread, ino int64) []int64 {
-	var pages []int64
 	size := f.inodeSize(th, ino)
 	direct := min((size+pageSize-1)/pageSize, inoDirectCnt)
 	from := int64(inoIndirectOff)
@@ -406,49 +440,32 @@ func (f *FS) filePages(th *proc.Thread, ino int64) []int64 {
 		from = inoDirectOff
 	}
 	ptrs := f.readView(th, ino*pageSize+from, inoDIndirOff+8-from)
-	for i := int64(0); i < direct; i++ {
-		if pg := int64(u64at(ptrs, int(i*8))); pg != 0 {
-			pages = append(pages, pg)
+	pages := appendPtrs(nil, ptrs[:8*direct])
+	// leaf appends a pointer page and every page its slots name.
+	leaf := func(pg int64) {
+		if pg != 0 {
+			pages = appendPtrs(append(pages, pg), f.readView(th, pg*pageSize, pageSize))
 		}
 	}
-	// Indirect.
-	ind := int64(u64at(ptrs, int(inoIndirectOff-from)))
-	if ind != 0 {
-		pages = append(pages, ind)
-		buf := f.readView(th, ind*pageSize, pageSize)
-		for i := 0; i < ptrsPerPage; i++ {
-			if pg := int64(u64at(buf, i*8)); pg != 0 {
-				pages = append(pages, pg)
-			}
-		}
-	}
-	// Double indirect.
-	d1 := int64(u64at(ptrs, int(inoDIndirOff-from)))
-	if d1 != 0 {
+	leaf(int64(u64at(ptrs, int(inoIndirectOff-from))))
+	if d1 := int64(u64at(ptrs, int(inoDIndirOff-from))); d1 != 0 {
 		pages = append(pages, d1)
 		l1 := f.readView(th, d1*pageSize, pageSize)
-		for i := 0; i < ptrsPerPage; i++ {
-			d2 := int64(u64at(l1, i*8))
-			if d2 == 0 {
-				continue
-			}
-			pages = append(pages, d2)
-			l2 := f.readView(th, d2*pageSize, pageSize)
-			for j := 0; j < ptrsPerPage; j++ {
-				if pg := int64(u64at(l2, j*8)); pg != 0 {
-					pages = append(pages, pg)
-				}
-			}
+		for i := 0; i < pageSize; i += 8 {
+			leaf(int64(u64at(l1, i)))
 		}
 	}
 	return pages
 }
 
 // freeFileContent releases all of a regular file's pages to the caller's
-// free lists (after the dentry kill has committed).
+// free lists (after the dentry kill has committed), last block first: the
+// free list is a stack, so the pages pop in ascending block order and the
+// next file written reuses them as the runs this one was laid out in.
 func (f *FS) freeFileContent(th *proc.Thread, m *mount, ino int64) {
-	for _, pg := range f.filePages(th, ino) {
-		f.freePage(th, m, classData, pg)
+	pages := f.filePages(th, ino)
+	for i := len(pages) - 1; i >= 0; i-- {
+		f.freePage(th, m, classData, pages[i])
 	}
 	f.freePage(th, m, classMeta, ino)
 }

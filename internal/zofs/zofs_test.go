@@ -17,6 +17,13 @@ import (
 func newTestFS(t *testing.T, opts Options) (*nvm.Device, *kernfs.KernFS, *FS, *proc.Thread) {
 	t.Helper()
 	dev := nvm.NewDevice(256 << 20)
+	k, f, th := mountTestFS(t, dev, opts)
+	return dev, k, f, th
+}
+
+// mountTestFS formats dev and mounts a ZoFS instance over it.
+func mountTestFS(t *testing.T, dev *nvm.Device, opts Options) (*kernfs.KernFS, *FS, *proc.Thread) {
+	t.Helper()
 	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +40,7 @@ func newTestFS(t *testing.T, opts Options) (*nvm.Device, *kernfs.KernFS, *FS, *p
 	if err := f.EnsureRootDir(th); err != nil {
 		t.Fatal(err)
 	}
-	return dev, k, f, th
+	return k, f, th
 }
 
 func TestCreateWriteRead(t *testing.T) {

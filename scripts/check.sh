@@ -87,6 +87,22 @@ else
     fi
 fi
 
+# e2e_pass WORKLOAD SECONDS runs one benchmark workload at seed 101, leaves
+# its result line in $e2e and fails unless every pass verified.
+e2e_pass() {
+    e2e=$(bash benchmark/run.sh --workload "$1" --seed 101 --seconds "$2" --trace 0 | tail -n 1)
+    case "$e2e" in
+    *'"correct":true'*) ;;
+    *)
+        echo "e2e gate: $1 did not verify: $e2e" >&2
+        exit 1
+        ;;
+    esac
+}
+metric() {
+    printf '%s' "$e2e" | sed -n 's/.*"'"$1"'":{"value":\([0-9.eE+-]*\).*/\1/p'
+}
+
 echo "== metadata gate =="
 # One meta_churn pass of the end-to-end benchmark at seed 101 (read-only use;
 # it builds into .bench_build/) must be correct and hold two floors, both
@@ -99,17 +115,7 @@ echo "== metadata gate =="
 #   sim_kops_per_vsec >= 850  each op resolves its path once (the dispatcher's
 #                             resolve serves the µFS walks) and O_CREAT probes
 #                             the name once (680 before, 929 now).
-e2e=$(bash benchmark/run.sh --workload meta_churn --seed 101 --seconds 1 --trace 0 | tail -n 1)
-case "$e2e" in
-*'"correct":true'*) ;;
-*)
-    echo "metadata gate: meta_churn did not verify: $e2e" >&2
-    exit 1
-    ;;
-esac
-metric() {
-    printf '%s' "$e2e" | sed -n 's/.*"'"$1"'":{"value":\([0-9.eE+-]*\).*/\1/p'
-}
+e2e_pass meta_churn 1
 rbytes=$(metric nvm_rbytes_per_op)
 if ! awk -v v="$rbytes" 'BEGIN { exit !(v != "" && v + 0 < 50) }'; then
     echo "metadata gate: meta_churn nvm_rbytes_per_op = '$rbytes', want < 50" >&2
@@ -120,6 +126,27 @@ if ! awk -v v="$kops" 'BEGIN { exit !(v != "" && v + 0 >= 850) }'; then
     echo "metadata gate: meta_churn sim_kops_per_vsec = '$kops', want >= 850" >&2
     exit 1
 fi
+
+echo "== data gate =="
+# One pass each of data_read and data_write at seed 101 must be correct and
+# hold a throughput floor:
+#   data_read  sim_kops_per_vsec >= 1350  a 64 KiB pread of a file written
+#                                         front to back is one device access,
+#                                         not sixteen (895 a block at a time,
+#                                         1513 now);
+#   data_write sim_kops_per_vsec >= 1050  truncating a 16 MiB log reads and
+#                                         clears each pointer array once
+#                                         (902 slot by slot, 1185 now).
+for gate in "data_read 1350" "data_write 1050"; do
+    workload=${gate% *}
+    floor=${gate#* }
+    e2e_pass "$workload" 3
+    kops=$(metric sim_kops_per_vsec)
+    if ! awk -v v="$kops" -v f="$floor" 'BEGIN { exit !(v != "" && v + 0 >= f + 0) }'; then
+        echo "data gate: $workload sim_kops_per_vsec = '$kops', want >= $floor" >&2
+        exit 1
+    fi
+done
 
 echo "== wa smoke =="
 # Byte-flow gates. The "wa" experiment is self-asserting: per-class issued
