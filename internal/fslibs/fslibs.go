@@ -248,13 +248,30 @@ func (l *Lib) dispatch(th *proc.Thread, path string, op func(fs vfs.FileSystem, 
 		// shows up as repeated dispatch segments on the timeline.
 		sp.Child("fslib.dispatch", t0, th.Clk.Now()-t0)
 		err := op(fs, p)
-		var se *vfs.SymlinkError
-		if errors.As(err, &se) {
-			p = se.Path
-			continue
+		se := symlinkError(err)
+		if se == nil {
+			return err
 		}
-		return err
+		p = se.Path
 	}
+}
+
+// symlinkError finds the *vfs.SymlinkError in err's Unwrap chain, nil if there
+// is none. It is errors.As for that one type, spelled out because errors.As
+// needs a pointer to its target in an interface, which costs every dispatched
+// op — the successful ones too — a heap allocation.
+func symlinkError(err error) *vfs.SymlinkError {
+	for err != nil {
+		switch e := err.(type) {
+		case *vfs.SymlinkError:
+			return e
+		case interface{ Unwrap() error }:
+			err = e.Unwrap()
+		default:
+			return nil
+		}
+	}
+	return nil
 }
 
 // ---- FD table ----------------------------------------------------------------

@@ -431,3 +431,45 @@ func TestChmodMergeBackThroughLib(t *testing.T) {
 	}
 	l.Close(th, fd)
 }
+
+// linkFS is a fallback file system with one symlink, /link -> /target, whose
+// expansion it reports wrapped, as a µFS adding context with %w would.
+type linkFS struct{ vfs.FileSystem }
+
+func (linkFS) Stat(_ *proc.Thread, p string) (vfs.FileInfo, error) {
+	switch p {
+	case "/link":
+		return vfs.FileInfo{}, fmt.Errorf("linkfs: walking %s: %w", p, &vfs.SymlinkError{Path: "/target"})
+	case "/target":
+		return vfs.FileInfo{Type: vfs.TypeRegular, Size: 42}, nil
+	}
+	return vfs.FileInfo{}, fmt.Errorf("linkfs: %w", vfs.ErrNotExist)
+}
+
+// TestDispatchUnwrapsSymlinkError: the dispatcher finds a *vfs.SymlinkError
+// anywhere in the error's Unwrap chain and re-dispatches; other wrapped errors
+// come back as they are.
+func TestDispatchUnwrapsSymlinkError(t *testing.T) {
+	dev := nvm.NewDevice(64 << 20)
+	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernfs.Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := proc.NewProcess(dev, 0, 0).NewThread()
+	l, err := Mount(k, th, Options{MountPath: "/mnt/pm", Fallback: linkFS{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := l.Stat(th, "/link"); err != nil || fi.Size != 42 {
+		t.Fatalf("Stat through a wrapped symlink expansion = %+v, %v", fi, err)
+	}
+	if _, err := l.Stat(th, "/nothing"); !errors.Is(err, vfs.ErrNotExist) || symlinkError(err) != nil {
+		t.Fatalf("Stat of a missing path = %v", err)
+	}
+	if se := symlinkError(&vfs.SymlinkError{Path: "/bare"}); se == nil || se.Path != "/bare" {
+		t.Fatal("an unwrapped SymlinkError was not recognised")
+	}
+}

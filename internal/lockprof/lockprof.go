@@ -18,6 +18,7 @@
 package lockprof
 
 import (
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -513,6 +514,8 @@ func (m *Mutex) Unlock(c *simclock.Clock) {
 // RWMutex is a named simclock.RWMutex.
 type RWMutex struct {
 	class, label string
+	key          int64 // the label as a number, when keyed (see InitKeyed)
+	keyed        bool
 	mu           simclock.RWMutex
 	ent          atomic.Pointer[entry]
 	// Writer release mirror: plain fields guarded by the write lock.
@@ -523,15 +526,14 @@ type RWMutex struct {
 	rTID atomic.Int64
 }
 
-// NewRWMutex returns a named readers-writer mutex.
-func NewRWMutex(class, label string) *RWMutex {
-	m := &RWMutex{}
-	m.Init(class, label)
-	return m
-}
-
 // Init names a zero-value RWMutex in place. Call before first use.
 func (m *RWMutex) Init(class, label string) { m.class, m.label = class, label }
+
+// InitKeyed names a zero-value RWMutex whose label is a number, such as an
+// inode page. The decimal string is built when a registry first resolves the
+// lock, so a table holding one lock per page pays for no label until somebody
+// profiles it.
+func (m *RWMutex) InitKeyed(class string, key int64) { m.class, m.key, m.keyed = class, key, true }
 
 func (m *RWMutex) resolve(reg *Registry) *entry {
 	rs := reg.state.Load()
@@ -541,7 +543,11 @@ func (m *RWMutex) resolve(reg *Registry) *entry {
 	if m.class == "" {
 		return nil
 	}
-	e := rs.entryFor(m.class, m.label, false)
+	label := m.label
+	if m.keyed {
+		label = strconv.FormatInt(m.key, 10)
+	}
+	e := rs.entryFor(m.class, label, false)
 	// Racy store among concurrent readers; all of them resolved the same
 	// entry from the same generation, so any winner is correct.
 	m.ent.Store(e)

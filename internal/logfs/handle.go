@@ -38,7 +38,7 @@ func (h *handle) ReadAt(th *proc.Thread, p []byte, off int64) (int, error) {
 		p = p[:size-off]
 	}
 	cl := h.fs.window(th, h.lc, false)
-	defer cl()
+	defer cl.close()
 	nvm.ForEachRun(blocks, 0, off, off+int64(len(p)), func(dev, from, to int64) {
 		if dev < 0 {
 			clear(p[from-off : to-off])
@@ -70,7 +70,7 @@ func (h *handle) writeLocked(th *proc.Thread, p []byte, off int64) (int, error) 
 		return 0, vfs.ErrNotExist
 	}
 	cl := h.fs.window(th, h.lc, true)
-	defer cl()
+	defer cl.close()
 
 	nm := *m
 	end := off + int64(len(p))
@@ -177,7 +177,7 @@ func (f *FS) Compact(th *proc.Thread, id coffer.ID) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	cl := f.window(th, lc, true)
-	defer cl()
+	defer cl.close()
 	f.compactLocked(th, lc)
 	return nil
 }

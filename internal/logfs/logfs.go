@@ -152,7 +152,7 @@ func (f *FS) attach(th *proc.Thread, id coffer.ID) (*logCoffer, error) {
 		index: map[string]*meta{},
 	}
 	cl := f.window(th, lc, true)
-	defer cl()
+	defer cl.close()
 	if th.Load64(lc.custom*pageSize+lsMagicOff) != lsMagic {
 		// Fresh coffer: allocate the first segment and commit an empty log.
 		seg, err := f.newPages(th, lc, 1)
@@ -175,11 +175,17 @@ func (f *FS) attach(th *proc.Thread, id coffer.ID) (*logCoffer, error) {
 	return lc, nil
 }
 
-// window opens the MPK window (G1/G2 hold for LogFS exactly as for ZoFS).
-func (f *FS) window(th *proc.Thread, lc *logCoffer, write bool) func() {
+// window opens the MPK window (G1/G2 hold for LogFS exactly as for ZoFS);
+// closing the returned value shuts it. A value, not th.CloseWindow: a method
+// value is a heap object per op.
+func (f *FS) window(th *proc.Thread, lc *logCoffer, write bool) window {
 	th.OpenWindow(lc.key, write)
-	return th.CloseWindow
+	return window{th}
 }
+
+type window struct{ th *proc.Thread }
+
+func (w window) close() { w.th.CloseWindow() }
 
 // newPages allocates pages via coffer_enlarge, buffering a batch.
 func (f *FS) newPages(th *proc.Thread, lc *logCoffer, n int) ([]int64, error) {

@@ -28,7 +28,7 @@ func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle,
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	cl := f.window(th, lc, true)
-	defer cl()
+	defer cl.close()
 	if err := lc.checkParent(rel); err != nil {
 		return nil, err
 	}
@@ -131,7 +131,7 @@ func (f *FS) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
 		cl := f.window(th, lc, true)
 		nm := &meta{typ: vfs.TypeRegular, mode: m.mode, mtime: th.Clk.Now()}
 		err := f.commitMeta(th, lc, rel, nm)
-		cl()
+		cl.close()
 		lc.mu.Unlock()
 		if err != nil {
 			return nil, err
@@ -165,7 +165,7 @@ func (f *FS) Mkdir(th *proc.Thread, path string, mode coffer.Mode) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	cl := f.window(th, lc, true)
-	defer cl()
+	defer cl.close()
 	if err := lc.checkParent(rel); err != nil {
 		return err
 	}
@@ -194,7 +194,7 @@ func (f *FS) Unlink(th *proc.Thread, path string) error {
 		return vfs.ErrIsDir
 	}
 	cl := f.window(th, lc, true)
-	defer cl()
+	defer cl.close()
 	if err := f.commitDead(th, lc, rel); err != nil {
 		return err
 	}
@@ -224,7 +224,7 @@ func (f *FS) Rmdir(th *proc.Thread, path string) error {
 		}
 	}
 	cl := f.window(th, lc, true)
-	defer cl()
+	defer cl.close()
 	return f.commitDead(th, lc, rel)
 }
 
@@ -255,7 +255,7 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 		return err
 	}
 	cl := f.window(th, lc, true)
-	defer cl()
+	defer cl.close()
 	if dst, exists := lc.index[newRel]; exists {
 		if dst.typ == vfs.TypeDir {
 			return vfs.ErrExist
@@ -354,7 +354,7 @@ func (f *FS) setAttr(th *proc.Thread, path string, mut func(*meta)) error {
 	nm := *m
 	mut(&nm)
 	cl := f.window(th, lc, true)
-	defer cl()
+	defer cl.close()
 	return f.commitMeta(th, lc, rel, &nm)
 }
 
@@ -367,7 +367,7 @@ func (f *FS) Symlink(th *proc.Thread, target, link string) error {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	cl := f.window(th, lc, true)
-	defer cl()
+	defer cl.close()
 	if err := lc.checkParent(rel); err != nil {
 		return err
 	}
@@ -456,7 +456,7 @@ func (f *FS) Truncate(th *proc.Thread, path string, size int64) error {
 	copy(nm.blocks, m.blocks)
 	nm.mtime = th.Clk.Now()
 	cl := f.window(th, lc, true)
-	defer cl()
+	defer cl.close()
 	// Zero the boundary tail so extension reads zeros (the page is about to
 	// be shared between the old content and the new hole).
 	if tail := size % pageSize; tail != 0 && nb <= len(m.blocks) && nb > 0 && nm.blocks[nb-1] != 0 {

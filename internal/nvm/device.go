@@ -110,6 +110,11 @@ type Device struct {
 	failBefore atomic.Bool
 
 	uid uint64 // process-unique identity; see UID
+
+	// vol is DRAM-only state a layer above keeps about this device (see
+	// Volatile). It hangs here so that it dies with the device.
+	volMu sync.Mutex
+	vol   any
 }
 
 var nextDeviceUID atomic.Uint64
@@ -168,10 +173,30 @@ func (d *Device) Tracer() *pmemtrace.Recorder { return d.tr }
 // SetTracer attaches a flight recorder to an existing device (nil detaches).
 func (d *Device) SetTracer(t *pmemtrace.Recorder) { d.tr = t }
 
-// UID returns a process-unique identity for this device. Registries that
-// outlive individual devices key on the UID rather than the pointer so a
-// discarded device (and its lazily materialized chunks) can be collected.
+// UID returns a process-unique identity for this device; the flight
+// recorder stamps it on every event.
 func (d *Device) UID() uint64 { return d.uid }
+
+// Volatile returns the device's volatile attachment: state that describes the
+// device but lives in DRAM, such as ZoFS's cross-process lock and directory
+// tables. With none attached, mk (when non-nil) builds one. Keeping it on the
+// device rather than in a registry keyed by device means a discarded device
+// takes it along to the collector.
+func (d *Device) Volatile(mk func() any) any {
+	d.volMu.Lock()
+	defer d.volMu.Unlock()
+	if d.vol == nil && mk != nil {
+		d.vol = mk()
+	}
+	return d.vol
+}
+
+// DropVolatile discards the attachment, as a power failure discards DRAM.
+func (d *Device) DropVolatile() {
+	d.volMu.Lock()
+	d.vol = nil
+	d.volMu.Unlock()
+}
 
 // Pages returns the device capacity in pages.
 func (d *Device) Pages() int64 { return d.size / PageSize }
@@ -349,16 +374,16 @@ func (d *Device) ReadViewNoCharge(off, n int64) ([]byte, bool) {
 
 // WriteView hands out a borrowed slice the caller fills in place, with the
 // cost model and persistence semantics of WriteNT: the write is charged,
-// numbered as one persisting store, and traced at handout; commit marks the
-// range persisted (clears dirty-line state) and fires the post-store crash
-// edge. A crash between handout and commit leaves whatever the caller had
-// already filled — legal non-temporal semantics, since NT stores may drain
-// to media before the trailing fence. Returns ok=false for cross-chunk
-// ranges; callers fall back to WriteNT.
-func (d *Device) WriteView(clk *simclock.Clock, off, n int64) (buf []byte, commit func(), ok bool) {
+// numbered as one persisting store, and traced at handout; the returned
+// commit's Done marks the range persisted (clears dirty-line state) and fires
+// the post-store crash edge. A crash between handout and Done leaves whatever
+// the caller had already filled — legal non-temporal semantics, since NT
+// stores may drain to media before the trailing fence. Returns ok=false for
+// cross-chunk ranges; callers fall back to WriteNT.
+func (d *Device) WriteView(clk *simclock.Clock, off, n int64) (buf []byte, commit ViewCommit, ok bool) {
 	d.check(off, n)
 	if !viewSpan(off, n) {
-		return nil, nil, false
+		return nil, ViewCommit{}, false
 	}
 	pp := d.persistPoint(clk)
 	if clk != nil {
@@ -378,13 +403,23 @@ func (d *Device) WriteView(clk *simclock.Clock, off, n int64) (buf []byte, commi
 	d.tr.Record(d.uid, clk, pmemtrace.KindNTStore, off, n)
 	c := d.chunkFor(off, true)
 	co := off % chunkBytes
-	commit = func() {
-		if d.track {
-			d.clearDirty(off, n)
-		}
-		d.persistDone(clk, pp)
+	return c[co : co+n : co+n], ViewCommit{d: d, clk: clk, off: off, n: n, pp: pp}, true
+}
+
+// ViewCommit is the second half of a WriteView, returned by value so that a
+// dentry write borrows the device image without a heap-allocated closure.
+type ViewCommit struct {
+	d          *Device
+	clk        *simclock.Clock
+	off, n, pp int64
+}
+
+// Done completes the write: call it once, after the view has been filled.
+func (c ViewCommit) Done() {
+	if c.d.track {
+		c.d.clearDirty(c.off, c.n)
 	}
-	return c[co : co+n : co+n], commit, true
+	c.d.persistDone(c.clk, c.pp)
 }
 
 // saveDirty records the persisted content of every line in [off,off+n)

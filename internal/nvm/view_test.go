@@ -94,7 +94,7 @@ func TestWriteViewCommitPersists(t *testing.T) {
 	for i := range buf {
 		buf[i] = byte(i)
 	}
-	commit()
+	commit.Done()
 
 	c2 := simclock.NewClock()
 	d.WriteNT(c2, 16384, make([]byte, 120))
@@ -125,7 +125,7 @@ func TestWriteViewIsolatesFromReadPath(t *testing.T) {
 		t.Fatal("write view refused")
 	}
 	buf[0] = 0xAB
-	commit()
+	commit.Done()
 	rv, _ := d.ReadView(clk, 2*chunkBytes, 64) // a different hole
 	if rv[0] != 0 {
 		t.Fatal("write view aliased the shared zero chunk")

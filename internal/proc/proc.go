@@ -232,10 +232,10 @@ func (t *Thread) ReadViewCached(off, n int64) ([]byte, bool) {
 }
 
 // WriteView hands out a borrowed slice the caller fills in place with
-// WriteNT's cost and persistence semantics; commit must be called once the
-// fill is complete, before the coffer window closes. ok=false means the
+// WriteNT's cost and persistence semantics; commit.Done must be called once
+// the fill is complete, before the coffer window closes. ok=false means the
 // range crosses a chunk boundary — fall back to WriteNT.
-func (t *Thread) WriteView(off, n int64) (buf []byte, commit func(), ok bool) {
+func (t *Thread) WriteView(off, n int64) (buf []byte, commit nvm.ViewCommit, ok bool) {
 	t.check(off, n, true)
 	return t.Proc.dev.WriteView(t.Clk, off, n)
 }

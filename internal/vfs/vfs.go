@@ -163,44 +163,78 @@ func SplitPath(p string) (dir, base string) {
 }
 
 // Clean lexically normalizes a path: collapses "//", resolves "." and
-// "..". Absolute paths stay absolute.
+// "..". Absolute paths stay absolute. A path that is already clean — what
+// every caller on an op's hot path passes — is returned as it came, after one
+// scan and with no allocation; anything else is rebuilt in one buffer.
 func Clean(p string) string {
+	if isClean(p) {
+		return p
+	}
+	buf := make([]byte, 0, len(p)) // the result is never longer than p
 	abs := len(p) > 0 && p[0] == '/'
-	var out []string
-	start := 0
-	flush := func(c string) {
-		switch c {
-		case "", ".":
-		case "..":
-			if len(out) > 0 && out[len(out)-1] != ".." {
-				out = out[:len(out)-1]
-			} else if !abs {
-				out = append(out, "..")
-			}
-		default:
-			out = append(out, c)
-		}
-	}
-	for i := 0; i <= len(p); i++ {
-		if i == len(p) || p[i] == '/' {
-			flush(p[start:i])
-			start = i + 1
-		}
-	}
-	s := ""
-	for i, c := range out {
-		if i > 0 {
-			s += "/"
-		}
-		s += c
-	}
 	if abs {
-		return "/" + s
+		buf = append(buf, '/')
 	}
-	if s == "" {
+	root := len(buf) // what ".." may not pop
+	for i := 0; i <= len(p); {
+		j := i
+		for j < len(p) && p[j] != '/' {
+			j++
+		}
+		c := p[i:j]
+		i = j + 1
+		if c == "" || c == "." {
+			continue
+		}
+		if c == ".." {
+			last := len(buf) // start of the last component kept so far
+			for last > root && buf[last-1] != '/' {
+				last--
+			}
+			if len(buf) > root && string(buf[last:]) != ".." {
+				buf = buf[:max(last-1, root)]
+				continue
+			}
+			if abs {
+				continue
+			}
+		}
+		if len(buf) > root {
+			buf = append(buf, '/')
+		}
+		buf = append(buf, c...)
+	}
+	if len(buf) == 0 {
 		return "."
 	}
-	return s
+	return string(buf)
+}
+
+// isClean reports whether Clean(p) == p, for the paths it can tell in one
+// scan: "/", ".", and any path whose components are all non-empty and none of
+// them "." or "..".
+func isClean(p string) bool {
+	if p == "/" || p == "." {
+		return true
+	}
+	i := 0
+	if len(p) > 0 && p[0] == '/' {
+		i = 1
+	}
+	for {
+		j := i
+		for j < len(p) && p[j] != '/' {
+			j++
+		}
+		switch c := p[i:j]; c {
+		case "", ".", "..":
+			return false
+		}
+		if j == len(p) {
+			return true
+		}
+		i = j + 1
+	}
 }
 
 // Join concatenates a directory and a name.

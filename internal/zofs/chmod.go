@@ -179,7 +179,7 @@ func (f *FS) EnsureRootDir(th *proc.Thread) error {
 		return err
 	}
 	cl := f.window(th, m, true)
-	defer cl()
+	defer cl.close()
 	var magic [4]byte
 	th.Read(m.root*pageSize, magic[:])
 	if u32at(magic[:], 0) != inoMagic {

@@ -161,7 +161,7 @@ func TestBlockSlotProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := f.window(th, m, true)
-	defer cl()
+	defer cl.close()
 
 	seen := make(map[int64]int64)
 	check := func(raw int64) bool {

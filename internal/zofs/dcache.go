@@ -211,20 +211,10 @@ func (f *FS) dcacheTrusted(th *proc.Thread, c *cachedDe) bool {
 // currently holds (tests and the crash checker assert a cold cache after
 // remount).
 func DirCacheDirs(dev *nvm.Device) int {
-	s, ok := sharedRegistry.Load(dev.UID())
-	if !ok {
-		return 0
-	}
 	n := 0
-	s.(*shared).dc.dirs.Range(func(any, any) bool { n++; return true })
+	sharedFor(dev).dc.dirs.Range(func(any, any) bool { n++; return true })
 	return n
 }
 
 // DirCacheEpoch reports the device's cache-invalidation epoch (tests).
-func DirCacheEpoch(dev *nvm.Device) uint64 {
-	s, ok := sharedRegistry.Load(dev.UID())
-	if !ok {
-		return 0
-	}
-	return s.(*shared).dc.epoch.Load()
-}
+func DirCacheEpoch(dev *nvm.Device) uint64 { return sharedFor(dev).dc.epoch.Load() }

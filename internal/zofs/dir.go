@@ -150,7 +150,7 @@ func (f *FS) writeDentry(th *proc.Thread, loc deLoc, name string, typ uint8, cof
 			putU32(buf, deCofferOff-8, cofferID)
 			putU64(buf, deInodeOff-8, uint64(inode))
 			copy(buf[deNameOff-8:], name)
-			commit()
+			commit.Done()
 			wrote = true
 		}
 	}

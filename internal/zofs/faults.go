@@ -99,7 +99,7 @@ func (f *FS) ResumeStaleWrite(th *proc.Thread, cid coffer.ID, ino int64, epoch u
 		return err
 	}
 	cl := f.window(th, m, true)
-	defer cl()
+	defer cl.close()
 	if err := f.checkLease(th, ino, epoch); err != nil {
 		return err
 	}

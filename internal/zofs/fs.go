@@ -264,31 +264,48 @@ func (f *FS) evictOne(th *proc.Thread, keep coffer.ID) bool {
 	return victim != nil && f.kern.CofferUnmap(th, victim.id) == nil
 }
 
-// window opens the MPK access window for one coffer (guidelines G1+G2) and
-// returns a closer. Variants that model kernel-side implementations skip
-// the PKRU writes.
-func (f *FS) window(th *proc.Thread, m *mount, write bool) func() {
+// window opens the MPK access window for one coffer (guidelines G1+G2);
+// closing the returned value shuts it. Variants that model kernel-side
+// implementations skip the PKRU writes.
+func (f *FS) window(th *proc.Thread, m *mount, write bool) window {
 	if f.opts.NoMPK || f.opts.KernelWrite {
 		// Kernel-side / no-MPK variants: accesses are not MPK-mediated, so
 		// the switch is free; the register is still tracked so the memory
 		// safety checks stay meaningful.
 		th.SetPKRUFree(mpk.DefaultPKRU().WithAccess(m.key, true, write && m.writable))
-		return func() { th.SetPKRUFree(mpk.DefaultPKRU()) }
+		return window{th: th, free: true}
 	}
 	th.OpenWindow(m.key, write && m.writable)
-	return th.CloseWindow
+	return window{th: th}
+}
+
+// window is a thread's open MPK window. It is a value, not a closure: every
+// op opens at least one, and a func capturing the thread is a heap object.
+type window struct {
+	th   *proc.Thread
+	free bool // opened without the WRPKRU charge; closes the same way
+}
+
+func (w window) close() {
+	if w.free {
+		w.th.SetPKRUFree(mpk.DefaultPKRU())
+	} else {
+		w.th.CloseWindow()
+	}
 }
 
 // walkPos is the result of a path walk: the coffer and inode a path
 // resolves to, with the MPK window left OPEN on pos.m — the caller must
-// invoke pos.close when done.
+// invoke pos.close when done. path is a prefix of the string handed to walk.
 type walkPos struct {
-	m     *mount
-	ino   int64
-	typ   vfs.FileType
-	path  string
-	close func()
+	m    *mount
+	ino  int64
+	typ  vfs.FileType
+	path string
+	win  window
 }
+
+func (p walkPos) close() { p.win.close() }
 
 // walk resolves an absolute, cleaned path to an inode.
 //
@@ -300,6 +317,10 @@ type walkPos struct {
 //
 // followFinal controls whether a symlink at the final component is
 // expanded. write requests a writable mapping/window on the final coffer.
+//
+// The walk builds no strings: a component is path[start:end], the path of the
+// inode it names is path[:end], and what a mid-walk symlink leaves unconsumed
+// is path[start:].
 func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPos, error) {
 	cid, cofferPath, ok := f.kern.ResolveLongest(th.Clk, path)
 	if !ok {
@@ -309,12 +330,10 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 	if err != nil {
 		return walkPos{}, err
 	}
-	closer := f.window(th, m, write)
-
-	rest := strings.TrimPrefix(path, cofferPath)
-	rest = strings.TrimPrefix(rest, "/")
-	pos := walkPos{m: m, ino: m.root, path: cofferPath, close: closer}
-	if rest == "" {
+	// cofferPath is path's longest coffer root, component-wise: path[:end].
+	end := len(cofferPath)
+	pos := walkPos{m: m, ino: m.root, path: path[:end], win: f.window(th, m, write)}
+	if end == len(path) {
 		hdr := f.readInodeHeader(th, pos.ino)
 		if u32at(hdr, inoMagicOff) != inoMagic {
 			pos.close()
@@ -329,9 +348,16 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 		return pos, nil
 	}
 
-	comps := strings.Split(rest, "/")
-	for i, comp := range comps {
-		last := i == len(comps)-1
+	start := end + 1 // past the separator after the coffer root
+	if end == 1 {
+		start = 1 // the root coffer's path is the separator
+	}
+	for start < len(path) {
+		end = start
+		for end < len(path) && path[end] != '/' {
+			end++
+		}
+		comp, childPath := path[start:end], path[:end]
 		if len(comp) > MaxNameLen {
 			pos.close()
 			return walkPos{}, vfs.ErrNameTooLong
@@ -346,7 +372,7 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 			// Symlink in the middle of the walk: expand and re-dispatch.
 			target := f.readSymlink(th, pos.ino)
 			pos.close()
-			return walkPos{}, &vfs.SymlinkError{Path: resolveSymlink(pos.path, target, strings.Join(comps[i:], "/"))}
+			return walkPos{}, &vfs.SymlinkError{Path: resolveSymlink(pos.path, target, path[start:])}
 		}
 		if typ != vfs.TypeDir {
 			pos.close()
@@ -357,7 +383,6 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 			pos.close()
 			return walkPos{}, err
 		}
-		childPath := vfs.Join(pos.path, comp)
 		if de.cofferID != 0 {
 			// Cross-coffer reference: validate per G3 before making the
 			// target accessible.
@@ -374,11 +399,11 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 				return walkPos{}, err
 			}
 			pos.m = nm
-			pos.close = f.window(th, nm, write)
+			pos.win = f.window(th, nm, write)
 		}
 		pos.ino = de.inode
 		pos.path = childPath
-		if last {
+		if end == len(path) {
 			hdr := f.readInodeHeader(th, pos.ino)
 			if u32at(hdr, inoMagicOff) != inoMagic {
 				pos.close()
@@ -391,6 +416,7 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 				return walkPos{}, &vfs.SymlinkError{Path: resolveSymlink(pos.path, t, "")}
 			}
 		}
+		start = end + 1
 	}
 	return pos, nil
 }
@@ -408,25 +434,7 @@ func resolveSymlink(linkPath, target, rest string) string {
 	if rest != "" {
 		base = base + "/" + rest
 	}
-	return cleanPath(base)
-}
-
-// cleanPath normalizes "//", "." and ".." lexically.
-func cleanPath(p string) string {
-	parts := strings.Split(p, "/")
-	out := make([]string, 0, len(parts))
-	for _, c := range parts {
-		switch c {
-		case "", ".":
-		case "..":
-			if len(out) > 0 {
-				out = out[:len(out)-1]
-			}
-		default:
-			out = append(out, c)
-		}
-	}
-	return "/" + strings.Join(out, "/")
+	return vfs.Clean(base)
 }
 
 // readView returns a borrowed window over [off, off+n), charged like a

@@ -63,7 +63,7 @@ func TestLeaseStealRace(t *testing.T) {
 				return
 			}
 			cl := fr.window(thr, m, true)
-			defer cl()
+			defer cl.close()
 			ep, err := fr.lockInode(thr, m, ino)
 			if err != nil {
 				results <- result{0, err}

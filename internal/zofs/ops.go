@@ -130,23 +130,23 @@ func (f *FS) openExisting(th *proc.Thread, pos walkPos, de dentry, flags int, pa
 	hdr := f.readInodeHeader(th, ino)
 	typ := vfs.FileType(u32at(hdr, inoTypeOff))
 	if typ == vfs.TypeDir && flags&vfs.O_ACCESS != vfs.O_RDONLY {
-		cl()
+		cl.close()
 		return nil, vfs.ErrIsDir
 	}
 	if flags&vfs.O_TRUNC != 0 && typ == vfs.TypeRegular {
 		ep, lerr := f.lockInode(th, m, ino)
 		if lerr != nil {
-			cl()
+			cl.close()
 			return nil, lerr
 		}
 		err := f.truncateTo(th, m, ino, 0)
 		f.unlockInode(th, m, ino, ep)
 		if err != nil {
-			cl()
+			cl.close()
 			return nil, err
 		}
 	}
-	cl()
+	cl.close()
 	return f.newHandle(m, ino, path, flags), nil
 }
 
@@ -529,7 +529,7 @@ func (h *file) ReadAt(th *proc.Thread, p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	cl := h.fs.window(th, m, false)
-	defer cl()
+	defer cl.close()
 	h.fs.rlockInode(th, h.ino)
 	defer h.fs.runlockInode(th, h.ino)
 	return h.fs.readAt(th, m, h.ino, p, off)
@@ -548,7 +548,7 @@ func (h *file) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
 	h.fs.maybeEmptySyscall(th)
 	h.fs.maybeKernelCall(th)
 	cl := h.fs.window(th, m, true)
-	defer cl()
+	defer cl.close()
 	ep, lerr := h.fs.lockInode(th, m, h.ino)
 	if lerr != nil {
 		return 0, lerr
@@ -569,7 +569,7 @@ func (h *file) Append(th *proc.Thread, p []byte) (int64, error) {
 	h.fs.maybeEmptySyscall(th)
 	h.fs.maybeKernelCall(th)
 	cl := h.fs.window(th, m, true)
-	defer cl()
+	defer cl.close()
 	ep, lerr := h.fs.lockInode(th, m, h.ino)
 	if lerr != nil {
 		return 0, lerr
@@ -587,7 +587,7 @@ func (h *file) Stat(th *proc.Thread) (vfs.FileInfo, error) {
 		return vfs.FileInfo{}, err
 	}
 	cl := h.fs.window(th, m, false)
-	defer cl()
+	defer cl.close()
 	h.fs.rlockInode(th, h.ino)
 	defer h.fs.runlockInode(th, h.ino)
 	fi := h.fs.statInode(th, m, h.ino)
@@ -618,7 +618,7 @@ func (h *file) Close(th *proc.Thread) error {
 		return nil // mapping revoked; recovery will reclaim the orphan
 	}
 	cl := h.fs.window(th, m, true)
-	defer cl()
+	defer cl.close()
 	ep, lerr := h.fs.lockInode(th, m, h.ino)
 	if lerr != nil {
 		return nil // lease unobtainable; recovery reclaims the orphan

@@ -339,7 +339,7 @@ func (f *FS) RecoverCoffer(th *proc.Thread, id coffer.ID) (RecoverStats, error) 
 			t.repair(cr.loc.addr(), cr.inode, "cross_ref")
 		}
 	}
-	cl()
+	cl.close()
 	st.UserNS = th.Clk.Now() - userStart
 	st.DentriesFixed = t.fixed
 	st.LeasesCleared = t.leases

@@ -80,7 +80,7 @@ func blockPages(t *testing.T, f *FS, th *proc.Thread, h *file, n int64) []int64 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.window(th, m, false)()
+	defer f.window(th, m, false).close()
 	pages := make([]int64, n)
 	for idx := range pages {
 		slot, err := f.blockSlot(th, m, h.ino, int64(idx), false)

@@ -1,7 +1,6 @@
 package zofs
 
 import (
-	"strconv"
 	"sync"
 
 	"zofs/internal/byteflow"
@@ -18,112 +17,122 @@ import (
 // cache coherence; in the simulation the persistent lease words are still
 // maintained (recovery inspects and clears them) while the blocking/waiting
 // behaviour is modeled by per-inode virtual-time readers-writer locks,
-// shared by every process of the same device.
+// shared by every process of the same device. It is volatile and hangs off
+// the device it describes (nvm.Device.Volatile): a crash drops it
+// (ResetShared), and it is collected with the device.
 type shared struct {
-	locks sync.Map // inode page (int64) -> *lockprof.RWMutex
-	// open tracks open-handle counts per inode across every process of the
-	// device, so unlink can defer content reclamation until the last close
-	// (POSIX semantics). A crash drops the table; recovery reclaims the
-	// orphans' pages (§5.3).
-	open sync.Map // inode page (int64) -> *openState
+	// states is the per-inode volatile state table, sharded by key so that
+	// threads working on different inodes rarely meet on a shard mutex.
+	// Entries are created on first use and live as long as the table: the
+	// lock in one must outlast every thread that may still be queued on it.
+	states [stateShards]struct {
+		mu sync.Mutex
+		m  map[int64]*inoState
+	}
 	// dc is the volatile directory lookup index (see dcache.go). Dropping
 	// the shared state on crash drops it too, so recovery can never observe
 	// pre-crash cached dentries.
 	dc dcache
-	// retained maps inode page -> parked lease word (uint64) for batched
-	// lease renewal (DESIGN.md §14): unlockInode leaves a still-live lease
-	// word in NVM and parks it here instead of CAS-clearing it, so the next
-	// lock of the same inode by the same thread within the lease window
-	// reuses the word with zero NVM writes. Another thread finding a parked
-	// word steals it immediately (epoch bump) — the park is the proof the
-	// in-process hold is over. Volatile by design: a crash drops the table,
-	// leaving the word for recovery to clear, exactly like a crashed live
-	// lease.
-	retained sync.Map
 }
 
-type openState struct {
-	mu       sync.Mutex
-	count    int
+const stateShards = 64
+
+// inoState is what the processes of a device share, in DRAM, about one inode
+// page — or, under a negative key, one directory hash bucket, which uses the
+// lock alone.
+type inoState struct {
+	// lock is the virtual-time readers-writer lock standing in for the
+	// blocking behaviour of the inode's lease word.
+	lock lockprof.RWMutex
+	// parked is the lease word unlockInode left live in NVM for batched
+	// renewal (DESIGN.md §14), 0 for none: the next lock of the inode by the
+	// same thread within the lease window reuses the word with zero NVM
+	// writes. Another thread finding a parked word steals it immediately
+	// (epoch bump) — the park is the proof the in-process hold is over. It is
+	// read and written under lock's write side; a crash drops it, leaving the
+	// word for recovery to clear, exactly like a crashed live lease.
+	parked uint64
+
+	// Open-handle accounting across every process of the device, so unlink
+	// can defer content reclamation until the last close (POSIX semantics).
+	// A crash drops it; recovery reclaims the orphans' pages (§5.3).
+	mu       sync.Mutex // guards the fields below
+	opens    int
 	orphaned bool
 	typ      uint8 // vfs.FileType of the orphan, for reclamation
 }
 
+// state returns the entry for an inode page (non-negative keys) or a
+// directory hash bucket (negative keys), creating it on first use.
+func (s *shared) state(key int64) *inoState {
+	sh := &s.states[uint64(key)%stateShards]
+	sh.mu.Lock()
+	st := sh.m[key]
+	if st == nil {
+		st = new(inoState)
+		if key < 0 {
+			st.lock.InitKeyed("zofs.dirbucket", -key)
+		} else {
+			st.lock.InitKeyed("zofs.inode", key)
+		}
+		if sh.m == nil {
+			sh.m = map[int64]*inoState{}
+		}
+		sh.m[key] = st
+	}
+	sh.mu.Unlock()
+	return st
+}
+
+// lockOf returns the shared lock for an inode page or directory hash bucket.
+func (s *shared) lockOf(key int64) *lockprof.RWMutex { return &s.state(key).lock }
+
 // retain registers an open handle on an inode.
 func (s *shared) retain(ino int64) {
-	v, _ := s.open.LoadOrStore(ino, &openState{})
-	st := v.(*openState)
+	st := s.state(ino)
 	st.mu.Lock()
-	st.count++
+	st.opens++
 	st.mu.Unlock()
 }
 
 // release drops a handle; it reports whether the caller must now reclaim an
 // orphaned inode's content (and of which type).
 func (s *shared) release(ino int64) (reclaim bool, typ uint8) {
-	v, ok := s.open.Load(ino)
-	if !ok {
-		return false, 0
-	}
-	st := v.(*openState)
+	st := s.state(ino)
 	st.mu.Lock()
-	st.count--
-	if st.count <= 0 {
-		reclaim, typ = st.orphaned, st.typ
-		s.open.Delete(ino)
+	defer st.mu.Unlock()
+	if st.opens == 0 {
+		return false, 0 // opened before a ResetShared
 	}
-	st.mu.Unlock()
+	if st.opens--; st.opens == 0 {
+		reclaim, typ = st.orphaned, st.typ
+		st.orphaned, st.typ = false, 0
+	}
 	return reclaim, typ
 }
 
 // orphan marks an unlinked-but-open inode; it reports whether any handle is
 // still open (true = defer reclamation to the last close).
 func (s *shared) orphan(ino int64, typ uint8) bool {
-	v, ok := s.open.Load(ino)
-	if !ok {
-		return false
-	}
-	st := v.(*openState)
+	st := s.state(ino)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.count <= 0 {
+	if st.opens == 0 {
 		return false
 	}
 	st.orphaned, st.typ = true, typ
 	return true
 }
 
-var sharedRegistry sync.Map // nvm.Device UID -> *shared
-
 // ResetShared discards all volatile cross-process coordination state for a
 // device — the analogue of every process dying in a power failure. Crash
 // tests call it right after nvm.Device.Crash, before remounting; persistent
 // lease words remain on the device for recovery to clear.
-func ResetShared(dev *nvm.Device) { sharedRegistry.Delete(dev.UID()) }
+func ResetShared(dev *nvm.Device) { dev.DropVolatile() }
 
+// sharedFor returns the device's shared state, creating it on first use.
 func sharedFor(dev *nvm.Device) *shared {
-	if s, ok := sharedRegistry.Load(dev.UID()); ok {
-		return s.(*shared)
-	}
-	s, _ := sharedRegistry.LoadOrStore(dev.UID(), &shared{})
-	return s.(*shared)
-}
-
-// lockOf returns the shared lock for an inode page (non-negative keys) or a
-// directory hash bucket (negative keys), naming it for the lock profiler on
-// first creation.
-func (s *shared) lockOf(page int64) *lockprof.RWMutex {
-	if l, ok := s.locks.Load(page); ok {
-		return l.(*lockprof.RWMutex)
-	}
-	var nl *lockprof.RWMutex
-	if page < 0 {
-		nl = lockprof.NewRWMutex("zofs.dirbucket", strconv.FormatInt(-page, 10))
-	} else {
-		nl = lockprof.NewRWMutex("zofs.inode", strconv.FormatInt(page, 10))
-	}
-	l, _ := s.locks.LoadOrStore(page, nl)
-	return l.(*lockprof.RWMutex)
+	return dev.Volatile(func() any { return new(shared) }).(*shared)
 }
 
 // leaseAcquirePolicy bounds how long an op may wait behind a live foreign
@@ -147,14 +156,15 @@ func (f *FS) lockInode(th *proc.Thread, m *mount, ino int64) (uint8, error) {
 	sp := f.span(th)
 	th.CPU(perfmodel.CPULockAcquire) // clock_gettime via vDSO + bookkeeping
 	t0 := th.Clk.Now()
-	f.sh.lockOf(ino).Lock(th.Clk)
+	st := f.sh.state(ino)
+	st.lock.Lock(th.Clk)
 	if w := th.Clk.Now() - t0; w > 0 {
 		sp.LockContend(ino, w)
 	}
 	f.window(th, m, true)
-	epoch, err := f.claimInodeLease(th, ino)
+	epoch, err := f.claimInodeLease(th, st, ino)
 	if err != nil {
-		f.sh.lockOf(ino).Unlock(th.Clk)
+		st.lock.Unlock(th.Clk)
 		return 0, err
 	}
 	return epoch, nil
@@ -167,7 +177,7 @@ func (f *FS) lockInode(th *proc.Thread, m *mount, ino int64) (uint8, error) {
 // bumped (fencing the late holder), and a live foreign lease is waited out
 // under the unified retry policy until its expiry or the op's deadline
 // budget runs out.
-func (f *FS) claimInodeLease(th *proc.Thread, ino int64) (uint8, error) {
+func (f *FS) claimInodeLease(th *proc.Thread, st *inoState, ino int64) (uint8, error) {
 	off := ino*pageSize + inoLeaseOff
 	wprev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
 	defer th.Clk.SetWriteClass(wprev)
@@ -181,7 +191,7 @@ func (f *FS) claimInodeLease(th *proc.Thread, ino int64) (uint8, error) {
 		tid, epoch, expiry := unpackInoLease(w)
 		now := th.Clk.Now()
 		if batch && w != 0 {
-			if parked, ok := f.sh.retained.Load(ino); ok && parked.(uint64) == w {
+			if st.parked == w {
 				if tid == th.TID&0xffff {
 					// Our own parked lease: the batched fast path. Reuse the
 					// word as-is — zero NVM writes per lock/unlock pair —
@@ -189,11 +199,11 @@ func (f *FS) claimInodeLease(th *proc.Thread, ino int64) (uint8, error) {
 					// allocator slot idiom), so renewals amortize to one
 					// write per lease window instead of two per op.
 					if expiry > now && expiry-now >= leaseDuration/2 && expiry <= now+leaseDuration {
-						f.sh.retained.Delete(ino)
+						st.parked = 0
 						return uint8(epoch), nil
 					}
 					if th.CAS64(off, w, inoLeaseWord(th.TID, epoch, now+leaseDuration)) {
-						f.sh.retained.Delete(ino)
+						st.parked = 0
 						return uint8(epoch), nil
 					}
 					continue
@@ -204,7 +214,7 @@ func (f *FS) claimInodeLease(th *proc.Thread, ino int64) (uint8, error) {
 				// the remaining window.
 				ne := (epoch + 1) & 0xff
 				if th.CAS64(off, w, inoLeaseWord(th.TID, ne, now+leaseDuration)) {
-					f.sh.retained.Delete(ino)
+					st.parked = 0
 					return uint8(ne), nil
 				}
 				continue
@@ -244,7 +254,7 @@ func (f *FS) claimInodeLease(th *proc.Thread, ino int64) (uint8, error) {
 // — clearing it would hand a third writer a lock the stealer still holds.
 //
 // With batching on (the default), a still-live own lease is parked instead
-// of cleared: the word stays in NVM and the retained table records it, so
+// of cleared: the word stays in NVM and the inode's state records it, so
 // the thread's next lock of the same inode inside the lease window costs no
 // NVM write at all — one renewal per lease window per thread instead of a
 // CAS pair per op (the DWOM hold-time fix).
@@ -254,15 +264,16 @@ func (f *FS) unlockInode(th *proc.Thread, m *mount, ino int64, epoch uint8) {
 	off := ino*nvm.PageSize + inoLeaseOff
 	w := th.Load64Cached(off) // written by this thread at lock time
 	tid, ep, expiry := unpackInoLease(w)
+	st := f.sh.state(ino)
 	if w != 0 && tid == th.TID&0xffff && uint8(ep) == epoch {
 		if !f.opts.NoLeaseBatch && expiry > th.Clk.Now() {
-			f.sh.retained.Store(ino, w)
+			st.parked = w
 		} else {
 			th.CAS64(off, w, 0)
 		}
 	}
 	th.Clk.SetWriteClass(wprev)
-	f.sh.lockOf(ino).Unlock(th.Clk)
+	st.lock.Unlock(th.Clk)
 }
 
 // checkLease is the epoch fence consulted immediately before a commit-point

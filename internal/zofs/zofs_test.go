@@ -722,8 +722,8 @@ func TestLeaseBatchParksAndReuses(t *testing.T) {
 	if w == 0 {
 		t.Fatal("batched unlock cleared the lease word instead of parking it")
 	}
-	if parked, ok := f.sh.retained.Load(pos.ino); !ok || parked.(uint64) != w {
-		t.Fatal("parked word not recorded in the retained table")
+	if parked := f.sh.state(pos.ino).parked; parked != w {
+		t.Fatalf("parked word not recorded in the inode's state: %#x, want %#x", parked, w)
 	}
 	ep2, lerr := f.lockInode(th, pos.m, pos.ino)
 	if lerr != nil {
@@ -735,8 +735,8 @@ func TestLeaseBatchParksAndReuses(t *testing.T) {
 	if w2 := th.Load64(pos.ino*pageSize + inoLeaseOff); w2 != w {
 		t.Fatalf("batched reuse rewrote the lease word inside the half-window: %#x -> %#x", w, w2)
 	}
-	if _, ok := f.sh.retained.Load(pos.ino); ok {
-		t.Fatal("retained entry survived a re-claim")
+	if parked := f.sh.state(pos.ino).parked; parked != 0 {
+		t.Fatalf("parked word %#x survived a re-claim", parked)
 	}
 	// A different thread claiming a parked (released) lease must steal it
 	// immediately with an epoch bump, not sleep out the window.

@@ -105,7 +105,7 @@ metric() {
 
 echo "== metadata gate =="
 # One meta_churn pass of the end-to-end benchmark at seed 101 (read-only use;
-# it builds into .bench_build/) must be correct and hold two floors, both
+# it builds into .bench_build/) must be correct and hold three floors, all
 # read from that single run:
 #   nvm_rbytes_per_op < 50    listings come off the directory index and unlink
 #                             reads an empty file's two indirect words, not
@@ -114,7 +114,10 @@ echo "== metadata gate =="
 #                             3.2 now);
 #   sim_kops_per_vsec >= 850  each op resolves its path once (the dispatcher's
 #                             resolve serves the µFS walks) and O_CREAT probes
-#                             the name once (680 before, 929 now).
+#                             the name once (680 before, 929 now);
+#   host_allocs_per_op <= 3   paths are sliced, not rebuilt; windows, commits
+#                             and inode state cost no heap object (18.2
+#                             before, 0.97 now: FD entries, handles, listings).
 e2e_pass meta_churn 1
 rbytes=$(metric nvm_rbytes_per_op)
 if ! awk -v v="$rbytes" 'BEGIN { exit !(v != "" && v + 0 < 50) }'; then
@@ -124,6 +127,11 @@ fi
 kops=$(metric sim_kops_per_vsec)
 if ! awk -v v="$kops" 'BEGIN { exit !(v != "" && v + 0 >= 850) }'; then
     echo "metadata gate: meta_churn sim_kops_per_vsec = '$kops', want >= 850" >&2
+    exit 1
+fi
+allocs=$(metric host_allocs_per_op)
+if ! awk -v v="$allocs" 'BEGIN { exit !(v != "" && v + 0 <= 3) }'; then
+    echo "metadata gate: meta_churn host_allocs_per_op = '$allocs', want <= 3" >&2
     exit 1
 fi
 
