@@ -127,12 +127,13 @@ type RootPage struct {
 	Path      string
 }
 
-// EncodeRootPage serializes a root page into a PageSize buffer.
-func EncodeRootPage(rp *RootPage) []byte {
+// EncodeRootPage serializes a root page into the caller's page buffer
+// (normally a stack variable), overwriting all of it.
+func EncodeRootPage(buf *[nvm.PageSize]byte, rp *RootPage) {
 	if len(rp.Path) > MaxPathLen {
 		panic(fmt.Sprintf("coffer: path too long (%d bytes)", len(rp.Path)))
 	}
-	buf := make([]byte, nvm.PageSize)
+	clear(buf[:])
 	binary.LittleEndian.PutUint64(buf[rpMagicOff:], RootPageMagic)
 	binary.LittleEndian.PutUint32(buf[rpIDOff:], uint32(rp.ID))
 	binary.LittleEndian.PutUint32(buf[rpTypeOff:], uint32(rp.Type))
@@ -145,7 +146,6 @@ func EncodeRootPage(rp *RootPage) []byte {
 	binary.LittleEndian.PutUint64(buf[rpLeaseOff:], rp.Lease)
 	binary.LittleEndian.PutUint16(buf[rpPathLenOff:], uint16(len(rp.Path)))
 	copy(buf[rpPathOff:], rp.Path)
-	return buf
 }
 
 // DecodeRootPage parses a root page buffer. It returns an error (not a

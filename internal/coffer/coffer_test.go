@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"zofs/internal/nvm"
 )
 
 func TestAccess(t *testing.T) {
@@ -49,13 +51,24 @@ func TestAccessHierarchyProperty(t *testing.T) {
 	}
 }
 
+// encode runs EncodeRootPage over a dirty buffer: the image must not depend
+// on what the caller's page held before.
+func encode(rp *RootPage) []byte {
+	var page [nvm.PageSize]byte
+	for i := range page {
+		page[i] = 0xa5
+	}
+	EncodeRootPage(&page, rp)
+	return page[:]
+}
+
 func TestRootPageRoundTrip(t *testing.T) {
 	rp := &RootPage{
 		ID: 1234, Type: TypeZoFS, Mode: 0o640, UID: 7, GID: 8,
 		Flags: FlagInRecovery, RootInode: 999, Custom: 1000,
 		Lease: 0xabcdef, Path: "/home/user/data",
 	}
-	buf := EncodeRootPage(rp)
+	buf := encode(rp)
 	got, err := DecodeRootPage(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -63,15 +76,20 @@ func TestRootPageRoundTrip(t *testing.T) {
 	if *got != *rp {
 		t.Fatalf("round trip: %+v != %+v", got, rp)
 	}
+	for i, b := range buf[rpPathOff+len(rp.Path):] {
+		if b != 0 {
+			t.Fatalf("byte %d after the path = %#x, want 0", i, b)
+		}
+	}
 }
 
 func TestRootPageRejectsCorruption(t *testing.T) {
-	buf := EncodeRootPage(&RootPage{ID: 1, Path: "/x"})
+	buf := encode(&RootPage{ID: 1, Path: "/x"})
 	buf[0] ^= 0xff // break magic
 	if _, err := DecodeRootPage(buf); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	buf2 := EncodeRootPage(&RootPage{ID: 1, Path: "/x"})
+	buf2 := encode(&RootPage{ID: 1, Path: "/x"})
 	buf2[56] = 0xff // absurd path length
 	buf2[57] = 0xff
 	if _, err := DecodeRootPage(buf2); err == nil {
@@ -89,7 +107,7 @@ func TestRootPagePathLimit(t *testing.T) {
 			t.Fatal("oversized path accepted")
 		}
 	}()
-	EncodeRootPage(&RootPage{ID: 1, Path: long})
+	encode(&RootPage{ID: 1, Path: long})
 }
 
 func TestRootPageRoundTripProperty(t *testing.T) {
@@ -99,7 +117,7 @@ func TestRootPageRoundTripProperty(t *testing.T) {
 			ID: ID(id), Type: TypeZoFS, Mode: Mode(mode) & 0o777,
 			UID: uid, GID: gid, RootInode: int64(ri), Custom: int64(cu), Path: path,
 		}
-		got, err := DecodeRootPage(EncodeRootPage(rp))
+		got, err := DecodeRootPage(encode(rp))
 		return err == nil && *got == *rp
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -34,6 +34,12 @@ func typedErr(err error) bool {
 // errors), and after a final sweep the device must conserve free pages
 // exactly and pass the three-way space check. Run it with -race: the whole
 // point of killing kernfs.big is that these paths now interleave.
+//
+// The racers keep the kernel's contract for calls by bare ID (see
+// CofferDelete): resolve→use of one path is serialized, here by a mutex per
+// shared path standing in for the parent directory's bucket lease. Without it
+// a stale ID can name the disjoint coffer that reused the page, and a racer
+// deletes a coffer its owner is entitled to find intact.
 func TestConcurrentCofferLifecycle(t *testing.T) {
 	dev, k := newFS(t)
 	freeBefore := k.FreePages()
@@ -43,6 +49,7 @@ func TestConcurrentCofferLifecycle(t *testing.T) {
 	const nshared = 4
 
 	var wg sync.WaitGroup
+	var pathMu [nshared]sync.Mutex
 	errCh := make(chan error, nthreads*iters)
 	report := func(op string, err error) {
 		if err != nil && !typedErr(err) {
@@ -83,6 +90,7 @@ func TestConcurrentCofferLifecycle(t *testing.T) {
 				spath := fmt.Sprintf("/s-%d", (g+j)%nshared)
 				_, err = k.CofferNew(th, k.RootCoffer(), spath, coffer.TypeZoFS, 0o755, 0, 0, 3)
 				report("shared CofferNew", err)
+				pathMu[(g+j)%nshared].Lock()
 				if sid, ok := k.LookupPath(th.Clk, spath); ok {
 					if _, err := k.CofferMap(th, sid, true); err != nil {
 						report("shared CofferMap", err)
@@ -94,6 +102,7 @@ func TestConcurrentCofferLifecycle(t *testing.T) {
 						report("shared CofferDelete", k.CofferDelete(th, sid))
 					}
 				}
+				pathMu[(g+j)%nshared].Unlock()
 			}
 		}(g)
 	}
@@ -199,7 +208,7 @@ func TestCrashMidRefillLeakFree(t *testing.T) {
 	dev, k := newFS(t)
 	freeBefore := k.FreePages()
 
-	exts, err := k.space.takeFree(nil, 42, 64)
+	exts, err := k.space.takeFree(nil, 42, 64, nil)
 	if err != nil {
 		t.Fatalf("takeFree: %v", err)
 	}

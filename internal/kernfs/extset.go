@@ -18,48 +18,64 @@ func newExtentSet() *extentSet { return &extentSet{t: rbtree.New()} }
 // Pages returns the total number of pages in the set.
 func (s *extentSet) Pages() int64 { return s.pages }
 
-// Add inserts [start, start+count), coalescing with adjacent extents.
-// Overlapping adds are a caller bug and corrupt the set; callers guarantee
-// disjointness (the allocation table is the source of truth).
+// Add inserts [start, start+count), growing the adjacent extent in place
+// where there is one. Overlapping adds are a caller bug and corrupt the set;
+// callers guarantee disjointness (the allocation table is the source of
+// truth).
 func (s *extentSet) Add(start, count int64) {
 	if count <= 0 {
 		return
 	}
-	added := count
-	// Coalesce with predecessor.
-	if pk, pv, ok := s.t.Floor(start); ok && pk+pv == start {
-		s.t.Delete(pk)
-		start, count = pk, pv+count
-	}
-	// Coalesce with successor.
-	if nk, nv, ok := s.t.Ceiling(start); ok && start+count == nk {
+	s.pages += count
+	pk, pv, pred := s.t.Floor(start)
+	pred = pred && pk+pv == start
+	nk, nv, succ := s.t.Ceiling(start)
+	succ = succ && start+count == nk
+	switch {
+	case pred && succ:
 		s.t.Delete(nk)
-		count += nv
+		s.t.Insert(pk, pv+count+nv)
+	case pred:
+		s.t.Insert(pk, pv+count)
+	case succ:
+		s.t.Rekey(nk, start, count+nv)
+	default:
+		s.t.Insert(start, count)
 	}
-	s.t.Insert(start, count)
-	s.pages += added
 }
 
-// Remove deletes [start, start+count) from the set, splitting the
-// containing extent as needed. It reports whether the full range was
-// present.
+// Remove deletes [start, start+count) from the set, shrinking the containing
+// extent in place (a cut from the middle adds one). It reports whether the
+// full range was present.
 func (s *extentSet) Remove(start, count int64) bool {
 	if count <= 0 {
 		return true
 	}
 	k, v, ok := s.t.Floor(start)
-	if !ok || k+v < start+count {
+	end := start + count
+	if !ok || k+v < end {
 		return false
 	}
-	s.t.Delete(k)
-	if k < start {
-		s.t.Insert(k, start-k)
+	if k == start {
+		s.cutFront(k, v, count)
+		return true
 	}
-	if k+v > start+count {
-		s.t.Insert(start+count, k+v-(start+count))
+	s.t.Insert(k, start-k)
+	if k+v > end {
+		s.t.Insert(end, k+v-end)
 	}
 	s.pages -= count
 	return true
+}
+
+// cutFront removes the first n pages of the extent (k, v).
+func (s *extentSet) cutFront(k, v, n int64) {
+	if n == v {
+		s.t.Delete(k)
+	} else {
+		s.t.Rekey(k, k+n, v-n)
+	}
+	s.pages -= n
 }
 
 // Contains reports whether every page of [start, start+count) is present.
@@ -77,15 +93,8 @@ func (s *extentSet) TakeFirst(want int64) []coffer.Extent {
 		if !ok {
 			break
 		}
-		take := v
-		if take > want {
-			take = want
-		}
-		s.t.Delete(k)
-		if take < v {
-			s.t.Insert(k+take, v-take)
-		}
-		s.pages -= take
+		take := min(v, want)
+		s.cutFront(k, v, take)
 		out = append(out, coffer.Extent{Start: k, Count: take})
 		want -= take
 	}
@@ -113,20 +122,30 @@ func (s *extentSet) TakeRun(want int64) (coffer.Extent, bool) {
 	if bestK < 0 {
 		return coffer.Extent{}, false
 	}
-	s.t.Delete(bestK)
-	if bestV > want {
-		s.t.Insert(bestK+want, bestV-want)
-	}
-	s.pages -= want
+	s.cutFront(bestK, bestV, want)
 	return coffer.Extent{Start: bestK, Count: want}, true
+}
+
+// Each calls fn for every extent in address order. fn must not modify the
+// set; a loop that does walks it with Next.
+func (s *extentSet) Each(fn func(start, count int64)) {
+	s.t.Ascend(func(k, v int64) bool {
+		fn(k, v)
+		return true
+	})
+}
+
+// Next returns the first extent starting at or after page from.
+func (s *extentSet) Next(from int64) (coffer.Extent, bool) {
+	k, v, ok := s.t.Ceiling(from)
+	return coffer.Extent{Start: k, Count: v}, ok
 }
 
 // All returns every extent in address order.
 func (s *extentSet) All() []coffer.Extent {
-	var out []coffer.Extent
-	s.t.Ascend(func(k, v int64) bool {
-		out = append(out, coffer.Extent{Start: k, Count: v})
-		return true
+	out := make([]coffer.Extent, 0, s.t.Len())
+	s.Each(func(start, count int64) {
+		out = append(out, coffer.Extent{Start: start, Count: count})
 	})
 	return out
 }

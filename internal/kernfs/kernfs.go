@@ -14,7 +14,7 @@
 //
 //	kernfs.registry          create/delete/rename visibility (short sections)
 //	kernfs.coffer/<id>       one per coffer: flags, mappers, owner tree
-//	kernfs.paths             path-table write side (readers use the snapshot)
+//	kernfs.paths             path-table write side (readers take no lock)
 //	kernfs.freeshard/<i>     free-pool shards; transient leaves
 //
 // Class order is strictly descending in that list; within kernfs.coffer,
@@ -25,9 +25,11 @@
 package kernfs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,9 +95,8 @@ type KernFS struct {
 	// change together under it). Steady-state operations — enlarge, map,
 	// shrink, lookups — never touch it.
 	regMu lockprof.Mutex
-	// pmu is the path-table write lock; lock-free readers validate against
-	// the table's seq/snapshot and only fall back to its read side when
-	// they catch a writer mid-publish.
+	// pmu is the path-table write lock; readers probe the table's concurrent
+	// mirror and never take it.
 	pmu lockprof.RWMutex
 
 	space *spaceManager
@@ -250,11 +251,12 @@ func Mkfs(dev *nvm.Device, opts MkfsOptions) error {
 	pt.init(nil)
 
 	// Root coffer: root page + root dir inode page + custom page.
-	exts, err := sm.takeFree(nil, 0, 3)
+	var one [1]coffer.Extent
+	exts, err := sm.takeFree(nil, 0, 3, one[:0])
 	if err != nil {
 		return err
 	}
-	pages := flatten(exts)
+	pages := headPages(exts)
 	rootID := coffer.ID(pages[0])
 	own := sm.ownerSet(rootID)
 	for _, e := range exts {
@@ -269,7 +271,9 @@ func Mkfs(dev *nvm.Device, opts MkfsOptions) error {
 	}
 	// Root pages are the coffer's super-inode; interior scrubbing is
 	// allocator overhead, same as a zeroed enlarge grant.
-	dev.WriteNTClass(nil, byteflow.ClassInode, pages[0]*nvm.PageSize, coffer.EncodeRootPage(rp))
+	var page [nvm.PageSize]byte
+	coffer.EncodeRootPage(&page, rp)
+	dev.WriteNTClass(nil, byteflow.ClassInode, pages[0]*nvm.PageSize, page[:])
 	dev.ZeroClass(nil, byteflow.ClassAlloc, pages[1]*nvm.PageSize, nvm.PageSize)
 	dev.ZeroClass(nil, byteflow.ClassAlloc, pages[2]*nvm.PageSize, nvm.PageSize)
 	if err := pt.insert(nil, "/", rootID); err != nil {
@@ -290,14 +294,17 @@ func Mkfs(dev *nvm.Device, opts MkfsOptions) error {
 	return nil
 }
 
-func flatten(exts []coffer.Extent) []int64 {
-	var out []int64
+// headPages returns the first three pages of a new coffer's grant: its root
+// page, root-file inode page and custom page.
+func headPages(exts []coffer.Extent) (pages [3]int64) {
+	n := 0
 	for _, e := range exts {
-		for i := int64(0); i < e.Count; i++ {
-			out = append(out, e.Start+i)
+		for pg := e.Start; pg < e.End() && n < len(pages); pg++ {
+			pages[n] = pg
+			n++
 		}
 	}
-	return out
+	return pages
 }
 
 // Mount attaches KernFS to a formatted device, rebuilding volatile state
@@ -333,13 +340,19 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 	}
 	// Materialize coffer infos from root pages.
 	buf := make([]byte, nvm.PageSize)
-	for path, id := range k.paths.all() {
+	var bad error
+	k.paths.each(func(path string, id coffer.ID) bool {
 		dev.ReadNoCharge(int64(id)*nvm.PageSize, buf)
 		rp, err := coffer.DecodeRootPage(buf)
 		if err != nil {
-			return nil, fmt.Errorf("kernfs: coffer %d (%s): %v", id, path, err)
+			bad = fmt.Errorf("kernfs: coffer %d (%s): %v", id, path, err)
+			return false
 		}
 		k.coffers.Store(id, newCofferInfo(*rp))
+		return true
+	})
+	if bad != nil {
+		return nil, bad
 	}
 	return k, nil
 }
@@ -374,7 +387,9 @@ func (k *KernFS) lockCoffer(clk *simclock.Clock, id coffer.ID) *cofferInfo {
 // writeRootPage persists a coffer's root page. Root pages are the coffer's
 // super-inode, so the byte-flow ledger books them inode-class.
 func (k *KernFS) writeRootPage(clk *simclock.Clock, pg int64, rp *coffer.RootPage) {
-	k.dev.WriteNTClass(clk, byteflow.ClassInode, pg*nvm.PageSize, coffer.EncodeRootPage(rp))
+	var page [nvm.PageSize]byte
+	coffer.EncodeRootPage(&page, rp)
+	k.dev.WriteNTClass(clk, byteflow.ClassInode, pg*nvm.PageSize, page[:])
 }
 
 // rec returns the telemetry recorder attached to the device (nil when
@@ -405,7 +420,7 @@ func (k *KernFS) FreePages() int64 { return k.space.freePages() }
 
 // FreeExtents returns the global free pool's extents in address order
 // (df-style tools derive device-level fragmentation from them).
-func (k *KernFS) FreeExtents() []coffer.Extent { return k.space.freeExtents() }
+func (k *KernFS) FreeExtents() []coffer.Extent { return k.space.freeSnapshot().All() }
 
 // VerifySpace re-reads the persistent allocation table and cross-checks it
 // against the kernel's volatile extent trees: per-slot ownership, per-owner
@@ -487,8 +502,8 @@ func (k *KernFS) SetIdentity(th *proc.Thread, uid, gid uint32) error {
 
 // LookupPath finds a coffer by exact path. The path table is readable from
 // user space (mapped read-only like root pages), so no syscall is charged —
-// only the hash probe. Lock-free: the probe runs against the seq-validated
-// path snapshot and never blocks behind a concurrent create/delete/rename.
+// only the hash probe. Lock-free: the probe never blocks behind a concurrent
+// create/delete/rename.
 func (k *KernFS) LookupPath(clk *simclock.Clock, path string) (coffer.ID, bool) {
 	return k.paths.lookup(clk, path)
 }
@@ -569,6 +584,9 @@ func (m *resolveMemo) answers(tab *pathTable, seq uint64, asked string) bool {
 		pathWithin(m.prefix, asked) && pathWithin(asked, m.path)
 }
 
+// pathBelow reports whether cleaned absolute path p lies strictly under dir.
+func pathBelow(dir, p string) bool { return len(p) > len(dir) && pathWithin(dir, p) }
+
 // pathWithin reports whether cleaned absolute path p is dir or lies under it.
 func pathWithin(dir, p string) bool {
 	if !strings.HasPrefix(p, dir) {
@@ -643,11 +661,12 @@ func (k *KernFS) CofferNew(th *proc.Thread, parent coffer.ID, path string, typ c
 
 	// Stage: take pages, tag them, scrub the metadata pages, write the root
 	// page. No lock is held; the ID is not yet discoverable.
-	exts, err := k.space.takeFree(th.Clk, uint64(parent)^uint64(th.TID)<<32, npages)
+	var one [1]coffer.Extent
+	exts, err := k.space.takeFree(th.Clk, uint64(parent)^uint64(th.TID)<<32, npages, one[:0])
 	if err != nil {
 		return 0, err
 	}
-	pages := flatten(exts)
+	pages := headPages(exts)
 	id := coffer.ID(pages[0])
 	own := k.space.ownerSet(id)
 	for _, e := range exts {
@@ -683,6 +702,14 @@ func (k *KernFS) CofferNew(th *proc.Thread, parent coffer.ID, path string, typ c
 // uses — so a deleted coffer can never stay readable through stale page
 // tables; a straggler faults on its next access and re-resolves the path.
 // Runs under the registry lock (delete visibility), then the coffer lock.
+//
+// Contract for every call that names a coffer by bare ID: an ID is the
+// coffer's root page number, so once a coffer is deleted the same ID can name
+// an unrelated coffer that was granted the page, and nothing in an ID tells
+// the kernel which of the two the caller resolved. The caller therefore
+// serializes resolve→use per path against that path's delete — ZoFS holds the
+// parent directory's bucket lease from the lookup of the coffer's dentry to
+// the kernel call — and the kernel checks only that the ID is live.
 func (k *KernFS) CofferDelete(th *proc.Thread, id coffer.ID) error {
 	defer kcall(th, "coffer_delete")()
 	th.Syscall()
@@ -761,7 +788,7 @@ func (k *KernFS) CofferEnlarge(th *proc.Thread, id coffer.ID, npages int64, zero
 
 	// Stage: shard extraction, grant scrubbing and the table write, all
 	// lock-free.
-	exts, err := k.space.takeFree(th.Clk, enlargeHint(id, th.TID), npages)
+	exts, err := k.space.takeFree(th.Clk, enlargeHint(id, th.TID), npages, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -916,7 +943,6 @@ type MapInfo struct {
 	Key      mpk.Key
 	Writable bool
 	Root     coffer.RootPage
-	Extents  []coffer.Extent
 }
 
 // CofferMap checks permissions and maps all of a coffer's pages into the
@@ -965,7 +991,7 @@ func (k *KernFS) CofferMap(th *proc.Thread, id coffer.ID, write bool) (MapInfo, 
 		if upgrade {
 			k.mapPagesLocked(ps, ci, key, true)
 		}
-		info := MapInfo{Key: key, Writable: w, Root: ci.rp, Extents: k.space.extentsOf(id)}
+		info := MapInfo{Key: key, Writable: w, Root: ci.rp}
 		ci.mu.Unlock(th.Clk)
 		return info, nil
 	}
@@ -981,7 +1007,7 @@ func (k *KernFS) CofferMap(th *proc.Thread, id coffer.ID, write bool) (MapInfo, 
 	ci.mappers[th.Proc.PID] = ps
 	k.mapPagesLocked(ps, ci, key, write)
 	npg := k.space.pagesOf(id)
-	info := MapInfo{Key: key, Writable: write, Root: ci.rp, Extents: k.space.extentsOf(id)}
+	info := MapInfo{Key: key, Writable: write, Root: ci.rp}
 	ci.mu.Unlock(th.Clk)
 	th.CPU(perfmodel.CPUSmallOp * npg / 32) // page-table setup
 	return info, nil
@@ -991,11 +1017,10 @@ func (k *KernFS) CofferMap(th *proc.Thread, id coffer.ID, write bool) (MapInfo, 
 // The root page is read-only regardless of the requested access. Caller
 // holds ci.mu.
 func (k *KernFS) mapPagesLocked(ps *procState, ci *cofferInfo, key mpk.Key, write bool) {
-	root := int64(ci.rp.ID)
-	for _, e := range k.space.extentsOf(ci.rp.ID) {
-		ps.p.Mem.Map(e.Start, e.Count, key, write)
+	if own := k.space.peekOwner(ci.rp.ID); own != nil {
+		own.Each(func(start, count int64) { ps.p.Mem.Map(start, count, key, write) })
 	}
-	ps.p.Mem.Map(root, 1, key, false)
+	ps.p.Mem.Map(int64(ci.rp.ID), 1, key, false)
 }
 
 // allocKeyLocked grabs a free MPK key; the caller holds ps.mu.
@@ -1036,8 +1061,8 @@ func (k *KernFS) CofferUnmap(th *proc.Thread, id coffer.ID) error {
 // ci.mu.
 func (k *KernFS) unmapLocked(ci *cofferInfo, ps *procState) {
 	id := ci.rp.ID
-	for _, e := range k.space.extentsOf(id) {
-		ps.p.Mem.Unmap(e.Start, e.Count)
+	if own := k.space.peekOwner(id); own != nil {
+		own.Each(ps.p.Mem.Unmap)
 	}
 	ps.forgetKey(id)
 	delete(ci.mappers, ps.p.PID)
@@ -1150,23 +1175,17 @@ func (k *KernFS) RenameCoffer(th *proc.Thread, oldPath, newPath string) error {
 // without requiring oldPath itself to be a coffer. µFSs call this when a
 // plain in-coffer directory is renamed, so that descendant coffers keep
 // consistent paths. A no-op when no coffer matches — detected lock-free
-// against the path snapshot, so the common case (renaming a directory with
-// no descendant coffers) costs one snapshot scan and takes no lock at all.
+// against the path mirror, so the common case (renaming a directory with
+// no descendant coffers) costs one scan of it and takes no lock at all.
 func (k *KernFS) RenamePrefix(th *proc.Thread, oldPath, newPath string) error {
 	defer kcall(th, "rename_prefix")()
 	th.Syscall()
 	if id, ok := k.paths.lookup(th.Clk, oldPath); !ok || id == 0 {
-		prefix := oldPath
-		if !strings.HasSuffix(prefix, "/") {
-			prefix += "/"
-		}
 		hit := false
-		for p := range k.paths.all() {
-			if strings.HasPrefix(p, prefix) {
-				hit = true
-				break
-			}
-		}
+		k.paths.each(func(p string, _ coffer.ID) bool {
+			hit = pathBelow(oldPath, p)
+			return !hit
+		})
 		if !hit {
 			return nil
 		}
@@ -1185,7 +1204,8 @@ func (k *KernFS) renameTreeLocked(th *proc.Thread, oldPath, newPath string, exac
 		id       coffer.ID
 		from, to string
 	}
-	var ops []renameOp
+	var one [1]renameOp // the usual rename moves a coffer with none below it
+	ops := one[:0]
 	if id, ok := k.paths.lookup(th.Clk, oldPath); ok {
 		ci, _ := k.cofferLoad(id)
 		if ci == nil {
@@ -1202,16 +1222,13 @@ func (k *KernFS) renameTreeLocked(th *proc.Thread, oldPath, newPath string, exac
 	if _, dup := k.paths.lookup(th.Clk, newPath); dup {
 		return ErrExists
 	}
-	prefix := oldPath
-	if !strings.HasSuffix(prefix, "/") {
-		prefix += "/"
-	}
-	for p, cid := range k.paths.all() {
-		if strings.HasPrefix(p, prefix) {
-			ops = append(ops, renameOp{cid, p, newPath + "/" + p[len(prefix):]})
+	k.paths.each(func(p string, cid coffer.ID) bool {
+		if pathBelow(oldPath, p) {
+			ops = append(ops, renameOp{cid, p, newPath + "/" + strings.TrimPrefix(p[len(oldPath):], "/")})
 		}
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].id < ops[j].id })
+		return true
+	})
+	slices.SortFunc(ops, func(a, b renameOp) int { return cmp.Compare(a.id, b.id) })
 	for _, op := range ops {
 		ci := k.lockCoffer(th.Clk, op.id)
 		if ci == nil {
@@ -1256,7 +1273,8 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 		return 0, ErrExists
 	}
 	// New root page.
-	exts, err := k.space.takeFree(th.Clk, enlargeHint(old, th.TID), 1)
+	var one [1]coffer.Extent
+	exts, err := k.space.takeFree(th.Clk, enlargeHint(old, th.TID), 1, one[:0])
 	if err != nil {
 		return 0, err
 	}
@@ -1320,8 +1338,10 @@ func (k *KernFS) CofferMerge(th *proc.Thread, dst, src coffer.ID) error {
 			return ErrBusy
 		}
 	}
-	srcRoot := int64(src)
-	for _, e := range k.space.extentsOf(src) {
+	// Retagging takes pages out of the tree being walked, so the walk re-finds
+	// its place after every extent; all that stays behind is the root page.
+	srcRoot, own := int64(src), k.space.ownerSet(src)
+	for e, ok := own.Next(0); ok; e, ok = own.Next(e.End()) {
 		for pg := e.Start; pg < e.End(); pg++ {
 			if pg == srcRoot {
 				continue

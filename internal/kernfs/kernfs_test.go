@@ -22,14 +22,25 @@ func newFS(t *testing.T) (*nvm.Device, *KernFS) {
 	return dev, k
 }
 
-func mountedThread(t *testing.T, k *KernFS, uid, gid uint32) *proc.Thread {
-	t.Helper()
+func mountedThread(tb testing.TB, k *KernFS, uid, gid uint32) *proc.Thread {
+	tb.Helper()
 	p := proc.NewProcess(k.Device(), uid, gid)
 	th := p.NewThread()
 	if err := k.FSMount(th); err != nil {
-		t.Fatalf("FSMount: %v", err)
+		tb.Fatalf("FSMount: %v", err)
 	}
 	return th
+}
+
+// flatten lists a grant's pages one by one.
+func flatten(exts []coffer.Extent) []int64 {
+	var out []int64
+	for _, e := range exts {
+		for pg := e.Start; pg < e.End(); pg++ {
+			out = append(out, pg)
+		}
+	}
+	return out
 }
 
 func TestMkfsMountRoot(t *testing.T) {

@@ -3,7 +3,7 @@ package kernfs
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"sync"
 	"sync/atomic"
 
 	"zofs/internal/byteflow"
@@ -28,7 +28,7 @@ import (
 //	             path bytes, padded to 8-byte alignment}
 //
 // Deletion tombstones entries (state = entryDead); recovery compacts them.
-// A volatile map mirrors the table for O(1) lookups.
+// A volatile concurrent map mirrors the table for O(1) lock-free lookups.
 const (
 	pathBuckets     = 4096
 	entryPageHdr    = 16
@@ -38,43 +38,38 @@ const (
 	entryPageUsable = nvm.PageSize - entryPageHdr
 )
 
-// pathSnap is an immutable copy-on-write snapshot of the live path→coffer
-// map, published for lock-free readers.
-type pathSnap struct {
-	m map[string]coffer.ID
-}
-
 type pathTable struct {
 	dev       *nvm.Device
 	bucketOff int64 // byte offset of bucket-head array
 	sm        *spaceManager
 
 	// wmu is the write-side coupling to KernFS.pmu: insert/remove/rename
-	// serialize on it; readers normally never touch it (they consume the
-	// seq-validated snapshot below) and fall back to its read side only if
-	// they catch a writer mid-publish.
+	// serialize on it; readers never touch it.
 	wmu *lockprof.RWMutex
 
-	vol map[string]coffer.ID
+	// vol mirrors the live entries, path (string) → coffer.ID. Probes load
+	// from it without a lock and writers update it in place, so path
+	// resolution never blocks behind a concurrent coffer create/delete/
+	// rename and a mutation costs the same however many coffers exist.
+	vol sync.Map
 
-	// Lock-free read protocol (the dcache's verify-against-truth trick
-	// applied to the path table): writers bump seq to odd, mutate vol,
-	// publish a fresh immutable snapshot, and bump seq to even. Readers
-	// load seq, read the snapshot pointer, and re-check seq — a torn
-	// observation (odd or changed seq) retries and then falls back to the
-	// read lock. Path resolution therefore never blocks behind a concurrent
-	// coffer create/delete/rename.
-	seq  atomic.Uint64
-	snap atomic.Pointer[pathSnap]
+	// seq versions the mirror for readers that keep an answer across calls
+	// (resolveMemo): writers bump it to odd before a mutation and to even
+	// after, so an answer read under an unchanged even seq describes one
+	// table state.
+	seq atomic.Uint64
 }
 
 // pathTabBytes is the persistent size of the bucket-head region.
 func pathTabBytes() int64 { return pathBuckets * 8 }
 
+// pathHash is 64-bit FNV-1a, inline so that hashing a path allocates nothing.
 func pathHash(p string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(p))
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(p); i++ {
+		h = (h ^ uint64(p[i])) * 1099511628211
+	}
+	return h
 }
 
 func (pt *pathTable) bucketFor(p string) int64 {
@@ -98,36 +93,17 @@ func entrySize(pathLen int) int64 {
 	return (n + 7) &^ 7
 }
 
-// beginWrite/endWrite bracket a volatile-map mutation with the seqlock
-// odd/even protocol; endWrite publishes the COW snapshot.
-func (pt *pathTable) beginWrite() { pt.seq.Add(1) }
-
-func (pt *pathTable) endWrite() {
-	pt.publish()
+// set and unset edit the mirror inside the seq odd/even bracket.
+func (pt *pathTable) set(p string, id coffer.ID) {
+	pt.seq.Add(1)
+	pt.vol.Store(p, id)
 	pt.seq.Add(1)
 }
 
-// publish installs a fresh immutable snapshot of vol. init/load call it
-// directly (single-threaded contexts where the seq dance is unnecessary).
-func (pt *pathTable) publish() {
-	s := &pathSnap{m: make(map[string]coffer.ID, len(pt.vol))}
-	for k, v := range pt.vol {
-		s.m[k] = v
-	}
-	pt.snap.Store(s)
-}
-
-// snapshot returns a seq-stable snapshot, or nil when a writer is
-// mid-publish after a bounded retry (callers fall back to the read lock).
-func (pt *pathTable) snapshot() *pathSnap {
-	for try := 0; try < 2; try++ {
-		s1 := pt.seq.Load()
-		snap := pt.snap.Load()
-		if s1%2 == 0 && pt.seq.Load() == s1 && snap != nil {
-			return snap
-		}
-	}
-	return nil
+func (pt *pathTable) unset(p string) {
+	pt.seq.Add(1)
+	pt.vol.Delete(p)
+	pt.seq.Add(1)
 }
 
 // init formats the bucket heads to empty. Path-table traffic is directory
@@ -135,13 +111,10 @@ func (pt *pathTable) snapshot() *pathSnap {
 // formatting (nil clock) out of the ledger's residual.
 func (pt *pathTable) init(clk *simclock.Clock) {
 	pt.dev.ZeroClass(clk, byteflow.ClassDentry, pt.bucketOff, pathTabBytes())
-	pt.vol = map[string]coffer.ID{}
-	pt.publish()
 }
 
-// load rebuilds the volatile map by walking every bucket chain.
+// load fills the volatile map of a fresh table by walking every bucket chain.
 func (pt *pathTable) load(clk *simclock.Clock) error {
-	pt.vol = map[string]coffer.ID{}
 	page := make([]byte, nvm.PageSize)
 	for b := int64(0); b < pathBuckets; b++ {
 		for pg := pt.bucketHead(clk, b); pg != 0; {
@@ -160,45 +133,28 @@ func (pt *pathTable) load(clk *simclock.Clock) error {
 					return fmt.Errorf("kernfs: corrupt path-table entry at page %d off %d", pg, off)
 				}
 				if state == entryLive {
-					pt.vol[string(page[off+entryHdr:off+entryHdr+int64(plen)])] = id
+					pt.vol.Store(string(page[off+entryHdr:off+entryHdr+int64(plen)]), id)
 				}
 				off += sz
 			}
 			pg = next
 		}
 	}
-	pt.publish()
 	return nil
 }
 
 // lookup finds the coffer for an exact path, with a hash-probe CPU charge —
 // this is the per-prefix cost that makes deep paths slower in ZoFS (§6.2).
-// Lock-free on the snapshot; callers holding the write lock read vol
-// directly via lookupLocked.
+// Lock-free.
 func (pt *pathTable) lookup(clk *simclock.Clock, p string) (coffer.ID, bool) {
 	if clk != nil {
 		clk.Advance(perfmodel.CPUHashLookup)
 	}
-	if s := pt.snapshot(); s != nil {
-		id, ok := s.m[p]
-		return id, ok
+	v, ok := pt.vol.Load(p)
+	if !ok {
+		return 0, false
 	}
-	// Writer mid-publish: fall back to the read lock for a stable view.
-	if pt.wmu != nil {
-		pt.wmu.RLock(clk)
-		defer pt.wmu.RUnlock(clk)
-	}
-	id, ok := pt.vol[p]
-	return id, ok
-}
-
-// lookupLocked reads the volatile map directly; the caller holds wmu.
-func (pt *pathTable) lookupLocked(clk *simclock.Clock, p string) (coffer.ID, bool) {
-	if clk != nil {
-		clk.Advance(perfmodel.CPUHashLookup)
-	}
-	id, ok := pt.vol[p]
-	return id, ok
+	return v.(coffer.ID), true
 }
 
 // insert adds a live entry, persisting it in the bucket chain.
@@ -207,7 +163,7 @@ func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) error {
 		pt.wmu.Lock(clk)
 		defer pt.wmu.Unlock(clk)
 	}
-	if _, dup := pt.vol[p]; dup {
+	if _, dup := pt.vol.Load(p); dup {
 		return ErrExists
 	}
 	if len(p) > coffer.MaxPathLen {
@@ -216,6 +172,10 @@ func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) error {
 	b := pt.bucketFor(p)
 	sz := entrySize(len(p))
 
+	// One stack page serves either outcome: the entry alone, or a fresh
+	// entry page around it.
+	var page [nvm.PageSize]byte
+
 	// Find an entry page with room.
 	var hdr [16]byte
 	pg := pt.bucketHead(clk, b)
@@ -223,47 +183,38 @@ func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) error {
 		pt.dev.Read(clk, cur*nvm.PageSize, hdr[:])
 		used := int64(binary.LittleEndian.Uint16(hdr[8:]))
 		if used+sz <= entryPageUsable {
-			pt.writeEntry(clk, cur, entryPageHdr+used, p, id)
+			encodeEntry(page[:sz], p, id)
+			pt.dev.WriteNTClass(clk, byteflow.ClassDentry, cur*nvm.PageSize+entryPageHdr+used, page[:sz])
 			binary.LittleEndian.PutUint16(hdr[8:], uint16(used+sz))
 			pt.dev.WriteNTClass(clk, byteflow.ClassDentry, cur*nvm.PageSize+8, hdr[8:10])
-			pt.beginWrite()
-			pt.vol[p] = id
-			pt.endWrite()
+			pt.set(p, id)
 			return nil
 		}
 		cur = int64(binary.LittleEndian.Uint64(hdr[0:]))
 	}
 
 	// Allocate a fresh entry page at the head of the chain.
-	exts, err := pt.sm.allocate(clk, 0, coffer.KernelID, 1)
+	var one [1]coffer.Extent
+	exts, err := pt.sm.allocate(clk, 0, coffer.KernelID, 1, one[:0])
 	if err != nil {
 		return err
 	}
 	newPg := exts[0].Start
-	page := make([]byte, nvm.PageSize)
 	binary.LittleEndian.PutUint64(page[0:], uint64(pg))
 	binary.LittleEndian.PutUint16(page[8:], uint16(sz))
-	pt.encodeEntry(page[entryPageHdr:], p, id)
-	pt.dev.WriteNTClass(clk, byteflow.ClassDentry, newPg*nvm.PageSize, page)
+	encodeEntry(page[entryPageHdr:], p, id)
+	pt.dev.WriteNTClass(clk, byteflow.ClassDentry, newPg*nvm.PageSize, page[:])
 	pt.setBucketHead(clk, b, newPg)
-	pt.beginWrite()
-	pt.vol[p] = id
-	pt.endWrite()
+	pt.set(p, id)
 	return nil
 }
 
-func (pt *pathTable) encodeEntry(dst []byte, p string, id coffer.ID) {
+func encodeEntry(dst []byte, p string, id coffer.ID) {
 	binary.LittleEndian.PutUint64(dst[0:], pathHash(p))
 	binary.LittleEndian.PutUint32(dst[8:], uint32(id))
 	dst[12] = entryLive
 	binary.LittleEndian.PutUint16(dst[13:], uint16(len(p)))
 	copy(dst[entryHdr:], p)
-}
-
-func (pt *pathTable) writeEntry(clk *simclock.Clock, pg, off int64, p string, id coffer.ID) {
-	buf := make([]byte, entrySize(len(p)))
-	pt.encodeEntry(buf, p, id)
-	pt.dev.WriteNTClass(clk, byteflow.ClassDentry, pg*nvm.PageSize+off, buf)
 }
 
 // remove tombstones the entry for path p. When the tombstone leaves its
@@ -279,15 +230,15 @@ func (pt *pathTable) remove(clk *simclock.Clock, p string) error {
 		pt.wmu.Lock(clk)
 		defer pt.wmu.Unlock(clk)
 	}
-	if _, ok := pt.vol[p]; !ok {
+	if _, ok := pt.vol.Load(p); !ok {
 		return ErrNotFound
 	}
 	b := pt.bucketFor(p)
 	h := pathHash(p)
-	page := make([]byte, nvm.PageSize)
+	var page [nvm.PageSize]byte
 	prev := int64(0)
 	for pg := pt.bucketHead(clk, b); pg != 0; {
-		pt.dev.Read(clk, pg*nvm.PageSize, page)
+		pt.dev.Read(clk, pg*nvm.PageSize, page[:])
 		next := int64(binary.LittleEndian.Uint64(page[0:]))
 		used := int64(binary.LittleEndian.Uint16(page[8:]))
 		for off := int64(entryPageHdr); off < entryPageHdr+used; {
@@ -298,7 +249,7 @@ func (pt *pathTable) remove(clk *simclock.Clock, p string) error {
 			if state == entryLive && eh == h && string(page[off+entryHdr:off+entryHdr+int64(plen)]) == p {
 				pt.dev.WriteNTClass(clk, byteflow.ClassDentry, pg*nvm.PageSize+off+12, []byte{entryDead})
 				page[off+12] = entryDead
-				if pageAllDead(page, used) {
+				if pageAllDead(page[:], used) {
 					if prev == 0 {
 						pt.setBucketHead(clk, b, next)
 					} else {
@@ -310,9 +261,7 @@ func (pt *pathTable) remove(clk *simclock.Clock, p string) error {
 						return err
 					}
 				}
-				pt.beginWrite()
-				delete(pt.vol, p)
-				pt.endWrite()
+				pt.unset(p)
 				return nil
 			}
 			off += sz
@@ -348,15 +297,9 @@ func (pt *pathTable) rename(clk *simclock.Clock, oldPath, newPath string, id cof
 	return nil
 }
 
-// all returns a snapshot of every live path→coffer mapping. Lock-free when
-// the snapshot is stable.
-func (pt *pathTable) all() map[string]coffer.ID {
-	if s := pt.snapshot(); s != nil {
-		return s.m
-	}
-	out := make(map[string]coffer.ID, len(pt.vol))
-	for k, v := range pt.vol {
-		out[k] = v
-	}
-	return out
+// each calls fn for every live path→coffer mapping, in no particular order,
+// until fn returns false. It walks the mirror in place; fn must not write to
+// the table.
+func (pt *pathTable) each(fn func(p string, id coffer.ID) bool) {
+	pt.vol.Range(func(k, v any) bool { return fn(k.(string), v.(coffer.ID)) })
 }

@@ -53,6 +53,9 @@ type spaceManager struct {
 
 	ownMu   sync.Mutex
 	byOwner map[coffer.ID]*extentSet
+	// spare holds the emptied trees of deleted coffers; the next coffer takes
+	// one over, nodes and all, before building a new one.
+	spare []*extentSet
 
 	inflMu   sync.Mutex
 	inflight *extentSet
@@ -98,9 +101,17 @@ func shardHome(hint uint64) int {
 // writeRun persists slots for [start, start+count) as owned by id, as one
 // streaming non-temporal write. Run lengths descend from count to 1, as in
 // Figure 3. Table traffic books to the alloc class regardless of clock —
-// mkfs-time runs carry no clock but are still allocator bytes.
+// mkfs-time runs carry no clock but are still allocator bytes. A run of up to
+// 64 slots — a retagged page, a new coffer, a metadata grant — is built on
+// the stack; only the rare large data grant takes a buffer from the heap.
 func (sm *spaceManager) writeRun(clk *simclock.Clock, start, count int64, id coffer.ID) {
-	buf := make([]byte, count*allocSlotSize)
+	var small [64 * allocSlotSize]byte
+	buf := small[:]
+	if n := count * allocSlotSize; n <= int64(len(small)) {
+		buf = buf[:n]
+	} else {
+		buf = make([]byte, n)
+	}
 	for i := int64(0); i < count; i++ {
 		binary.LittleEndian.PutUint32(buf[i*allocSlotSize:], uint32(id))
 		binary.LittleEndian.PutUint32(buf[i*allocSlotSize+4:], uint32(count-i))
@@ -207,7 +218,11 @@ func (sm *spaceManager) ownerSet(id coffer.ID) *extentSet {
 	defer sm.ownMu.Unlock()
 	s := sm.byOwner[id]
 	if s == nil {
-		s = newExtentSet()
+		if n := len(sm.spare); n > 0 {
+			s, sm.spare = sm.spare[n-1], sm.spare[:n-1]
+		} else {
+			s = newExtentSet()
+		}
 		sm.byOwner[id] = s
 	}
 	return s
@@ -220,50 +235,38 @@ func (sm *spaceManager) peekOwner(id coffer.ID) *extentSet {
 	return sm.byOwner[id]
 }
 
-// dropOwner removes an emptied coffer's tree (coffer_delete/merge).
-func (sm *spaceManager) dropOwner(id coffer.ID) {
-	sm.ownMu.Lock()
-	defer sm.ownMu.Unlock()
-	delete(sm.byOwner, id)
-}
-
 // takeFree extracts want pages from the sharded pool without touching the
-// persistent table. The extents are parked in the inflight set until the
-// caller either publishes them (writeRun to an owner + uninflight) or backs
-// out (returnFree). Fast path: the hint's home shard satisfies the whole
-// request under one shard lock. Slow path (refill): sweep the other shards
-// one lock at a time, draining what each can spare, until the request is
-// met; a shortfall returns everything and ErrNoSpace — exactly when the
-// device is genuinely out of pages, same as the old global tree.
-func (sm *spaceManager) takeFree(clk *simclock.Clock, hint uint64, want int64) ([]coffer.Extent, error) {
+// persistent table, appending them to got (a caller that keeps the grant to
+// itself passes a one-extent stack buffer: the usual grant is one run). The
+// extents are parked in the inflight set until the caller either publishes
+// them (writeRun to an owner + uninflight) or backs out (returnFree). Fast
+// path: the hint's home shard satisfies the whole request under one shard
+// lock. Slow path (refill): sweep the other shards one lock at a time,
+// draining what each can spare, until the request is met; a shortfall returns
+// everything and ErrNoSpace — exactly when the device is genuinely out of
+// pages, same as the old global tree.
+func (sm *spaceManager) takeFree(clk *simclock.Clock, hint uint64, want int64, got []coffer.Extent) ([]coffer.Extent, error) {
 	if want <= 0 {
 		return nil, fmt.Errorf("%w: non-positive allocation", ErrInvalid)
 	}
 	home := shardHome(hint)
-	var got []coffer.Extent
 	var have int64
-
-	takeFrom := func(s *freeShard, need int64) {
+	for i := 0; i < numFreeShards && have < want; i++ {
+		s := &sm.shards[(home+i)%numFreeShards]
 		s.mu.Lock(clk)
 		// Prefer one contiguous run: batch grants feed the µFS's per-thread
 		// page caches, where a single extent keeps the table update one
 		// streaming write and the free-run bookkeeping compact.
-		if run, ok := s.set.TakeRun(need); ok {
+		if run, ok := s.set.TakeRun(want - have); ok {
 			got = append(got, run)
 			have += run.Count
 		} else {
-			exts := s.set.TakeFirst(need)
-			for _, e := range exts {
+			for _, e := range s.set.TakeFirst(want - have) {
 				got = append(got, e)
 				have += e.Count
 			}
 		}
 		s.mu.Unlock(clk)
-	}
-
-	takeFrom(&sm.shards[home], want)
-	for i := 1; i < numFreeShards && have < want; i++ {
-		takeFrom(&sm.shards[(home+i)%numFreeShards], want-have)
 	}
 	if have < want {
 		// Genuine shortfall: put everything back where its address lives.
@@ -306,8 +309,8 @@ func (sm *spaceManager) returnFree(clk *simclock.Clock, exts []coffer.Extent) {
 // ErrNoSpace without partial allocation if the pool is short. The caller
 // must hold the coffer's lock (or be the only reference holder) so the
 // owner tree is stable.
-func (sm *spaceManager) allocate(clk *simclock.Clock, hint uint64, id coffer.ID, want int64) ([]coffer.Extent, error) {
-	exts, err := sm.takeFree(clk, hint, want)
+func (sm *spaceManager) allocate(clk *simclock.Clock, hint uint64, id coffer.ID, want int64, got []coffer.Extent) ([]coffer.Extent, error) {
+	exts, err := sm.takeFree(clk, hint, want, got)
 	if err != nil {
 		return nil, err
 	}
@@ -334,22 +337,25 @@ func (sm *spaceManager) release(clk *simclock.Clock, id coffer.ID, start, count 
 // releaseAll frees every page of a coffer and drops its owner tree, in that
 // order of visibility: the tree is unregistered before any page reaches the
 // free pool. A coffer ID is its root page's number, so the instant the root
-// page is free a concurrent coffer_new can mint the same ID — and must get a
-// fresh owner tree from ownerSet, never a doomed one about to be dropped.
-func (sm *spaceManager) releaseAll(clk *simclock.Clock, id coffer.ID) []coffer.Extent {
+// page is free a concurrent coffer_new can mint the same ID — and must get
+// another owner tree from ownerSet, never the doomed one, which joins the
+// spares only once it is empty.
+func (sm *spaceManager) releaseAll(clk *simclock.Clock, id coffer.ID) {
 	sm.ownMu.Lock()
 	s := sm.byOwner[id]
 	delete(sm.byOwner, id)
 	sm.ownMu.Unlock()
 	if s == nil {
-		return nil
+		return
 	}
-	exts := s.All()
-	for _, e := range exts {
+	for e, ok := s.Next(0); ok; e, ok = s.Next(e.End()) {
+		s.Remove(e.Start, e.Count)
 		sm.writeRun(clk, e.Start, e.Count, 0)
 		sm.addFree(clk, e.Start, e.Count)
 	}
-	return exts
+	sm.ownMu.Lock()
+	sm.spare = append(sm.spare, s)
+	sm.ownMu.Unlock()
 }
 
 // retag moves [start, start+count) from coffer from to coffer to. This is
@@ -395,19 +401,17 @@ func (sm *spaceManager) freePages() int64 {
 	return total
 }
 
-// freeExtents returns the free pool's extents in address order, merged
-// across shards.
-func (sm *spaceManager) freeExtents() []coffer.Extent {
+// freeSnapshot copies the sharded free pool into one set, merging runs
+// across shard boundaries.
+func (sm *spaceManager) freeSnapshot() *extentSet {
 	merged := newExtentSet()
 	for i := range sm.shards {
 		s := &sm.shards[i]
 		s.mu.Lock(nil)
-		for _, e := range s.set.All() {
-			merged.Add(e.Start, e.Count)
-		}
+		s.set.Each(merged.Add)
 		s.mu.Unlock(nil)
 	}
-	return merged.All()
+	return merged
 }
 
 // verify re-reads the persistent allocation table (uncharged) and checks it
@@ -420,20 +424,10 @@ func (sm *spaceManager) freeExtents() []coffer.Extent {
 // under test. Owner trees require quiescence (fsck/tooling context).
 func (sm *spaceManager) verify() error {
 	// Snapshot the sharded free pool and the in-flight set.
-	free := newExtentSet()
-	for i := range sm.shards {
-		s := &sm.shards[i]
-		s.mu.Lock(nil)
-		for _, e := range s.set.All() {
-			free.Add(e.Start, e.Count)
-		}
-		s.mu.Unlock(nil)
-	}
+	free := sm.freeSnapshot()
 	sm.inflMu.Lock()
 	infl := newExtentSet()
-	for _, e := range sm.inflight.All() {
-		infl.Add(e.Start, e.Count)
-	}
+	sm.inflight.Each(infl.Add)
 	sm.inflMu.Unlock()
 
 	const slotsPerRead = int64(nvm.PageSize / allocSlotSize)

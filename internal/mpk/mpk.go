@@ -12,6 +12,7 @@ package mpk
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // NumKeys is the number of protection keys (16; key 0 is conventionally the
@@ -82,36 +83,59 @@ const (
 // AddressSpace is the per-process page table: for each device page it
 // records whether the page is mapped into the process, whether it is
 // writable, and its protection key. Only the kernel (KernFS) mutates it.
+//
+// The one-byte entries are packed eight to an atomic word, page i in lane
+// i%8. Every access check loads its entries without a lock — per-page
+// atomicity is what the hardware's page walk gives — and the kernel's edits,
+// serialized by mu, store whole words except at the two ends of a range.
 type AddressSpace struct {
-	mu    sync.RWMutex
-	pages []uint8
+	mu     sync.Mutex
+	npages int64
+	words  []atomic.Uint64
 }
+
+const ptesPerWord = 8
 
 // NewAddressSpace creates an empty address space covering npages pages.
 func NewAddressSpace(npages int64) *AddressSpace {
-	return &AddressSpace{pages: make([]uint8, npages)}
+	return &AddressSpace{npages: npages, words: make([]atomic.Uint64, (npages+ptesPerWord-1)/ptesPerWord)}
 }
 
 // Map marks [page, page+count) present with the given key and writability.
 func (a *AddressSpace) Map(page, count int64, key Key, writable bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	e := uint8(key&pteKeyMask) | ptePresent
 	if writable {
 		e |= pteWritable
 	}
-	for i := page; i < page+count; i++ {
-		a.pages[i] = e
-	}
+	a.fill(page, count, e)
 }
 
 // Unmap removes [page, page+count) from the address space.
-func (a *AddressSpace) Unmap(page, count int64) {
+func (a *AddressSpace) Unmap(page, count int64) { a.fill(page, count, 0) }
+
+// fill sets the entries of [page, page+count) to e, a word at a time.
+func (a *AddressSpace) fill(page, count int64, e uint8) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i := page; i < page+count; i++ {
-		a.pages[i] = 0
+	lanes := uint64(e) * 0x0101010101010101
+	for end := page + count; page < end; {
+		w, lane := &a.words[page/ptesPerWord], page%ptesPerWord
+		n := min(end-page, ptesPerWord-lane)
+		if n == ptesPerWord {
+			w.Store(lanes)
+		} else {
+			// An edge word keeps its other lanes; mu makes the
+			// read-modify-write safe among writers.
+			mask := (uint64(1)<<(8*n) - 1) << (8 * lane)
+			w.Store(w.Load()&^mask | lanes&mask)
+		}
+		page += n
 	}
+}
+
+// pte loads one page's entry; the page must lie inside the address space.
+func (a *AddressSpace) pte(page int64) uint8 {
+	return uint8(a.words[page/ptesPerWord].Load() >> (8 * (page % ptesPerWord)))
 }
 
 // ViolationObserver sees a Violation the instant it is raised, before the
@@ -129,13 +153,11 @@ func (a *AddressSpace) Check(pkru PKRU, page, count int64, write bool) {
 // CheckObserved is Check with an optional ViolationObserver that is notified
 // synchronously before the Violation panic is thrown.
 func (a *AddressSpace) CheckObserved(pkru PKRU, page, count int64, write bool, obs ViolationObserver) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
 	for i := page; i < page+count; i++ {
-		if i < 0 || i >= int64(len(a.pages)) {
+		if i < 0 || i >= a.npages {
 			raise(obs, Violation{Page: i, Write: write, PKRU: pkru, Cause: "page not in address space"})
 		}
-		e := a.pages[i]
+		e := a.pte(i)
 		if e&ptePresent == 0 {
 			raise(obs, Violation{Page: i, Write: write, PKRU: pkru, Cause: "page not mapped"})
 		}
@@ -163,17 +185,14 @@ func raise(obs ViolationObserver, v Violation) {
 
 // Mapped reports whether a page is present.
 func (a *AddressSpace) Mapped(page int64) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return page >= 0 && page < int64(len(a.pages)) && a.pages[page]&ptePresent != 0
+	return page >= 0 && page < a.npages && a.pte(page)&ptePresent != 0
 }
 
 // KeyOf returns the protection key of a mapped page.
 func (a *AddressSpace) KeyOf(page int64) (Key, bool) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if page < 0 || page >= int64(len(a.pages)) || a.pages[page]&ptePresent == 0 {
+	if page < 0 || page >= a.npages {
 		return 0, false
 	}
-	return Key(a.pages[page] & pteKeyMask), true
+	e := a.pte(page)
+	return Key(e & pteKeyMask), e&ptePresent != 0
 }

@@ -175,3 +175,105 @@ func TestWithAccessIsolatedProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPackedLanes: entries share a word eight at a time, so every lane must
+// raise its own violation, and mapping or unmapping a range that starts and
+// ends mid-word must leave the neighbouring lanes of both edge words alone.
+func TestPackedLanes(t *testing.T) {
+	const npages = 43 // the last word is partial
+	pkru := DefaultPKRU().WithAccess(2, true, true).WithAccess(3, true, true)
+	for lane := int64(0); lane < ptesPerWord; lane++ {
+		as := NewAddressSpace(npages)
+		as.Map(8, 16, 2, true)
+		as.Unmap(8+lane, 1)
+		v := expectViolation(t, func() { as.Check(pkru, 8, 16, false) })
+		if v.Page != 8+lane || v.Cause != "page not mapped" {
+			t.Fatalf("lane %d: violation %+v", lane, v)
+		}
+		as.Map(8+lane, 1, 2, false)
+		v = expectViolation(t, func() { as.Check(pkru, 8, 16, true) })
+		if v.Page != 8+lane || v.Cause != "page mapped read-only" {
+			t.Fatalf("lane %d: violation %+v", lane, v)
+		}
+	}
+
+	as := NewAddressSpace(npages)
+	model := make([]uint8, npages)
+	fill := func(page, count int64, key Key, writable, present bool) {
+		e := uint8(0)
+		if present {
+			as.Map(page, count, key, writable)
+			e = uint8(key) | ptePresent
+			if writable {
+				e |= pteWritable
+			}
+		} else {
+			as.Unmap(page, count)
+		}
+		for i := page; i < page+count; i++ {
+			model[i] = e
+		}
+	}
+	fill(0, npages, 2, true, true)
+	fill(3, 2, 3, false, true)   // inside one word
+	fill(5, 14, 3, true, true)   // mid-word to mid-word across a whole word
+	fill(13, 6, 0, false, false) // unmap across a word boundary
+	fill(38, 5, 3, false, true)  // up to the last page of the partial word
+	fill(16, 8, 0, false, false) // exactly one word
+	for i := int64(0); i < npages; i++ {
+		if got := as.pte(i); got != model[i] {
+			t.Fatalf("page %d: entry %#x, want %#x", i, got, model[i])
+		}
+		key, ok := as.KeyOf(i)
+		if ok != (model[i]&ptePresent != 0) || as.Mapped(i) != ok || (ok && key != Key(model[i]&pteKeyMask)) {
+			t.Fatalf("page %d: KeyOf = %d,%v, Mapped = %v, entry %#x", i, key, ok, as.Mapped(i), model[i])
+		}
+	}
+	if as.Mapped(npages) || as.Mapped(-1) {
+		t.Fatal("a page outside the address space reads as mapped")
+	}
+}
+
+// TestCheckRacesMapUnmap: access checks take no lock, so under -race they run
+// against a kernel remapping ranges whose two ends fall mid-word. Pages the
+// writer never touches must check clean throughout; pages it does touch may
+// fault, but only ever with a whole entry (mapped under the writer's key, or
+// not mapped).
+func TestCheckRacesMapUnmap(t *testing.T) {
+	const npages = 64
+	as := NewAddressSpace(npages)
+	as.Map(0, npages, 1, true)
+	pkru := DefaultPKRU().WithAccess(1, true, true).WithAccess(2, true, true)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			as.Unmap(11, 26) // lanes 3.. of word 1 through lane 4 of word 4
+			as.Map(11, 26, 2, i%2 == 0)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		as.Check(pkru, 0, 11, true)  // shares word 1 with the writer's range
+		as.Check(pkru, 37, 27, true) // shares word 4 with it
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					return
+				}
+				v := r.(Violation)
+				unmapped := v.Cause == "page not mapped"
+				readOnly := v.Cause == "page mapped read-only" && v.Key == 2
+				if v.Page < 11 || v.Page >= 37 || !(unmapped || readOnly) {
+					t.Errorf("torn entry: %+v", v)
+				}
+			}()
+			as.Check(pkru, 8, 32, true)
+		}()
+	}
+}

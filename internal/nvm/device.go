@@ -17,12 +17,13 @@
 package nvm
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"zofs/internal/byteflow"
 	"zofs/internal/lockprof"
@@ -153,6 +154,28 @@ func New(cfg Config) *Device {
 }
 
 type chunk [chunkBytes]byte
+
+// word returns the 8-byte word at device offset off (8-aligned) for atomic
+// access. A chunk is a multi-megabyte heap object and so starts on a page
+// boundary, which aligns every such word.
+func (c *chunk) word(off int64) *uint64 {
+	return (*uint64)(unsafe.Pointer(&c[off%chunkBytes]))
+}
+
+// hostBigEndian: the image is little-endian whatever the host is, so words
+// moved whole are byte-swapped on a big-endian one.
+var hostBigEndian = func() bool {
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 0
+}()
+
+// le64 converts between a host word and its little-endian image.
+func le64(v uint64) uint64 {
+	if hostBigEndian {
+		return bits.ReverseBytes64(v)
+	}
+	return v
+}
 
 // Size returns the device capacity in bytes.
 func (d *Device) Size() int64 { return d.size }
@@ -640,7 +663,9 @@ func (d *Device) zero(clk *simclock.Clock, cls byteflow.Class, off, n int64) {
 	d.persistDone(clk, pp)
 }
 
-// Load64 atomically reads an 8-byte little-endian word.
+// Load64 atomically reads an 8-byte little-endian word: one atomic load, no
+// lock. Store64 and CAS64 store atomically too, and serialize among
+// themselves on the word's stripe lock.
 func (d *Device) Load64(clk *simclock.Clock, off int64) uint64 {
 	d.check(off, 8)
 	if off%8 != 0 {
@@ -655,11 +680,7 @@ func (d *Device) Load64(clk *simclock.Clock, off int64) uint64 {
 	if c == nil {
 		return 0
 	}
-	mu := &d.casMu[(off/8)%lockStripes]
-	mu.Lock()
-	v := binary.LittleEndian.Uint64(c[off%chunkBytes:])
-	mu.Unlock()
-	return v
+	return le64(atomic.LoadUint64(c.word(off)))
 }
 
 // Store64 atomically writes an 8-byte word with persistence (ntstore+fence
@@ -697,7 +718,7 @@ func (d *Device) store64(clk *simclock.Clock, cls byteflow.Class, off int64, v u
 	c := d.chunkFor(off, true)
 	mu := &d.casMu[(off/8)%lockStripes]
 	mu.Lock()
-	binary.LittleEndian.PutUint64(c[off%chunkBytes:], v)
+	atomic.StoreUint64(c.word(off), le64(v))
 	mu.Unlock()
 	if d.track {
 		d.clearDirty(off, 8)
@@ -720,8 +741,7 @@ func (d *Device) CAS64(clk *simclock.Clock, off int64, old, new uint64) bool {
 	c := d.chunkFor(off, true)
 	mu := &d.casMu[(off/8)%lockStripes]
 	mu.Lock()
-	cur := binary.LittleEndian.Uint64(c[off%chunkBytes:])
-	if cur != old {
+	if le64(atomic.LoadUint64(c.word(off))) != old {
 		mu.Unlock()
 		return false
 	}
@@ -734,7 +754,7 @@ func (d *Device) CAS64(clk *simclock.Clock, off int64, old, new uint64) bool {
 		mu.Unlock()
 		d.injectCrash(clk, pp)
 	}
-	binary.LittleEndian.PutUint64(c[off%chunkBytes:], new)
+	atomic.StoreUint64(c.word(off), le64(new))
 	mu.Unlock()
 	d.rec.Inc(telemetry.CtrNVMNTStores)
 	d.rec.Inc(telemetry.CtrNVMFences)

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -126,6 +127,42 @@ func TestAtomics(t *testing.T) {
 	}
 	if got := d.Load64(clk, 8); got != 42 {
 		t.Fatalf("Load64 after CAS = %d", got)
+	}
+}
+
+// TestLoad64RacesWriters: Load64 takes no lock, so under -race it runs
+// against Store64 and CAS64 on the same word and must only ever see a whole
+// value one of them wrote. The word is also read bytewise afterwards: the
+// image stays little-endian.
+func TestLoad64RacesWriters(t *testing.T) {
+	d := New(Config{Size: 1 << 16})
+	const off, a, b = 4096 + 24, 0x1111111111111111, 0x2222222222222222
+	d.Store64(nil, off, a)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5000; i++ {
+			d.CAS64(nil, off, a, b)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5000; i++ {
+			d.Store64(nil, off, a)
+		}
+	}()
+	for i := 0; i < 5000; i++ {
+		if v := d.Load64(nil, off); v != a && v != b {
+			t.Fatalf("Load64 = %#x: torn", v)
+		}
+	}
+	wg.Wait()
+	d.Store64(nil, off, 0x0807060504030201)
+	var raw [8]byte
+	d.ReadNoCharge(off, raw[:])
+	if raw != [8]byte{1, 2, 3, 4, 5, 6, 7, 8} {
+		t.Fatalf("image bytes = %v, want little-endian", raw)
 	}
 }
 

@@ -22,6 +22,10 @@ type Tree struct {
 	root *node
 	nil_ *node // sentinel
 	size int
+	// free chains (through right) the nodes Delete unlinked; Insert takes
+	// from it before the heap, so a tree whose size oscillates allocates
+	// nothing in steady state.
+	free *node
 }
 
 // New returns an empty tree.
@@ -88,7 +92,13 @@ func (t *Tree) Insert(key, val int64) {
 			return
 		}
 	}
-	z := &node{key: key, val: val, color: red, left: t.nil_, right: t.nil_, parent: y}
+	z := t.free
+	if z != nil {
+		t.free = z.right
+	} else {
+		z = new(node)
+	}
+	*z = node{key: key, val: val, color: red, left: t.nil_, right: t.nil_, parent: y}
 	switch {
 	case y == t.nil_:
 		t.root = z
@@ -162,6 +172,19 @@ func (t *Tree) Get(key int64) (int64, bool) {
 		return 0, false
 	}
 	return n.val, true
+}
+
+// Rekey changes the entry at key to (newKey, val) without moving its node.
+// newKey must keep the entry's place in the order — strictly between its
+// neighbours' keys — which is what an extent does when it shrinks from, or
+// grows at, its front. It reports whether key existed.
+func (t *Tree) Rekey(key, newKey, val int64) bool {
+	n := t.search(key)
+	if n == t.nil_ {
+		return false
+	}
+	n.key, n.val = newKey, val
+	return true
 }
 
 // Floor returns the greatest entry with key <= k.
@@ -270,6 +293,8 @@ func (t *Tree) Delete(key int64) bool {
 	if yOrig == black {
 		t.deleteFixup(x)
 	}
+	*z = node{right: t.free}
+	t.free = z
 	return true
 }
 
@@ -328,27 +353,46 @@ func (t *Tree) deleteFixup(x *node) {
 	x.color = black
 }
 
-// Ascend calls fn for each entry in key order until fn returns false.
+// Ascend calls fn for each entry in key order until fn returns false. fn
+// must not modify the tree.
 func (t *Tree) Ascend(fn func(key, val int64) bool) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if n == t.nil_ {
-			return true
-		}
-		if !walk(n.left) {
-			return false
-		}
-		if !fn(n.key, n.val) {
-			return false
-		}
-		return walk(n.right)
+	if t.root == t.nil_ {
+		return
 	}
-	walk(t.root)
+	for n := t.min(t.root); n != t.nil_; n = t.next(n) {
+		if !fn(n.key, n.val) {
+			return
+		}
+	}
 }
 
-// validate checks red-black invariants; used by tests.
+// next returns n's in-order successor, or the sentinel after the last node.
+func (t *Tree) next(n *node) *node {
+	if n.right != t.nil_ {
+		return t.min(n.right)
+	}
+	p := n.parent
+	for p != t.nil_ && n == p.right {
+		n, p = p, p.parent
+	}
+	return p
+}
+
+// validate checks the red-black invariants, key order and size; used by
+// tests.
 func (t *Tree) validate() (ok bool, blackHeight int) {
 	if t.root.color != black {
+		return false, 0
+	}
+	n, sorted := 0, true
+	var prev int64
+	t.Ascend(func(k, _ int64) bool {
+		sorted = sorted && (n == 0 || prev < k)
+		prev = k
+		n++
+		return true
+	})
+	if !sorted || n != t.size {
 		return false, 0
 	}
 	var check func(n *node) (bool, int)

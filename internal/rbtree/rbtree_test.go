@@ -163,3 +163,88 @@ func TestTreeMatchesMapProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRecycledNodesMatchModel: seeded insert / replace / delete / rekey churn
+// on one tree, so most inserts reuse a node an earlier delete unlinked. After
+// every step the tree must be a valid red-black tree holding exactly what a
+// sorted-map model holds — in particular a deleted key stays absent once its
+// node carries another key — and in steady state nothing is allocated.
+func TestRecycledNodesMatchModel(t *testing.T) {
+	const keySpace = 256
+	tr := New()
+	model := map[int64]int64{}
+	rng := rand.New(rand.NewSource(7))
+	sortedKeys := func() []int64 {
+		keys := make([]int64, 0, len(model))
+		for k := range model {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		return keys
+	}
+	for step := 0; step < 4000; step++ {
+		k, v := int64(rng.Intn(keySpace)), int64(step)
+		_, had := model[k]
+		switch op := rng.Intn(10); {
+		case op < 4:
+			tr.Insert(k, v) // a new key, or a replace in place
+			model[k] = v
+		case op < 8:
+			if tr.Delete(k) != had {
+				t.Fatalf("step %d: Delete(%d) = %v, model says %v", step, k, !had, had)
+			}
+			delete(model, k)
+		case had:
+			// Move k anywhere strictly between its neighbours.
+			keys := sortedKeys()
+			i := sort.Search(len(keys), func(i int) bool { return keys[i] >= k })
+			lo, hi := int64(-1), int64(keySpace)
+			if i > 0 {
+				lo = keys[i-1]
+			}
+			if i+1 < len(keys) {
+				hi = keys[i+1]
+			}
+			nk := lo + 1 + rng.Int63n(hi-lo-1)
+			if !tr.Rekey(k, nk, v) {
+				t.Fatalf("step %d: Rekey(%d, %d) found no entry", step, k, nk)
+			}
+			delete(model, k)
+			model[nk] = v
+		default:
+			if tr.Rekey(k, k, v) {
+				t.Fatalf("step %d: Rekey of absent key %d succeeded", step, k)
+			}
+		}
+		if ok, _ := tr.validate(); !ok {
+			t.Fatalf("step %d: invariants violated", step)
+		}
+		keys, i := sortedKeys(), 0
+		tr.Ascend(func(k, v int64) bool {
+			if i >= len(keys) || k != keys[i] || v != model[k] {
+				t.Fatalf("step %d: entry %d is (%d,%d), model keys %v", step, i, k, v, keys)
+			}
+			i++
+			return true
+		})
+		if i != len(keys) {
+			t.Fatalf("step %d: tree holds %d entries, model %d", step, i, len(keys))
+		}
+		for probe := int64(0); probe < keySpace; probe++ {
+			_, want := model[probe]
+			if _, ok := tr.Get(probe); ok != want {
+				t.Fatalf("step %d: Get(%d) present = %v, model says %v", step, probe, ok, want)
+			}
+		}
+	}
+
+	tr.Insert(1000, 0)
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Delete(1000)
+		tr.Insert(1001, 1)
+		tr.Delete(1001)
+		tr.Insert(1000, 0)
+	}); n != 0 {
+		t.Fatalf("delete+insert on a warm tree: %v allocs, want 0", n)
+	}
+}
