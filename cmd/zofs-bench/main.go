@@ -6,8 +6,8 @@
 //	zofs-bench [-quick] [-stats] [-threads 1,2,4,8,12,16,20] [experiment ...]
 //
 // Experiments: table1 table2 table3 table4 fig7 fig8 fig9 fig10 table7
-// fig11 table9 safety recovery crashmc hotpath spans series wa fxmark-scale
-// chaos — or "all" (the default).
+// fig11 table9 safety recovery crashmc spans series wa fxmark-scale chaos —
+// or "all" (the default).
 package main
 
 import (
@@ -24,6 +24,7 @@ import (
 
 	"zofs/internal/harness"
 	"zofs/internal/lockprof"
+	"zofs/internal/openmetrics"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/series"
 	"zofs/internal/spans"
@@ -48,7 +49,6 @@ var experiments = []struct {
 	{"safety", "stray-write and malicious-metadata tests", harness.RunSafety},
 	{"recovery", "coffer recovery timing", harness.RunRecovery},
 	{"crashmc", "crash-state model checker and fault injection", harness.RunCrashMC},
-	{"hotpath", "zero-copy hot path vs copy-path baseline", harness.RunHotpath},
 	{"spans", "causal-span overhead/attribution/OpenMetrics gate", harness.RunSpans},
 	{"series", "tail observatory gate: merge-exact windows, exemplars, SLO burn", harness.RunSeries},
 	{"wa", "write-amplification and byte-conservation gate", harness.RunWA},
@@ -71,10 +71,14 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: zofs-bench [flags] [experiment ...]\n\nexperiments:\n")
+		pad := len("all")
 		for _, e := range experiments {
-			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.name, e.desc)
+			pad = max(pad, len(e.name))
 		}
-		fmt.Fprintln(os.Stderr, "  all      everything above (default)")
+		for _, e := range experiments {
+			fmt.Fprintf(os.Stderr, "  %-*s %s\n", pad, e.name, e.desc)
+		}
+		fmt.Fprintf(os.Stderr, "  %-*s everything above (default)\n", pad, "all")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -127,7 +131,7 @@ func main() {
 			cfg.ExemplarK = spans.DefaultExemplarK
 		}
 		col := spans.Enable(cfg)
-		stop := spans.PublishEvery(col, *spansDir, 500*time.Millisecond)
+		stop := openmetrics.PublishEvery(500*time.Millisecond, func() error { return spans.Publish(col, *spansDir) })
 		defer func() {
 			stop()
 			spans.Disable()
@@ -157,8 +161,8 @@ func main() {
 			defer spans.Disable()
 		}
 		sc := series.Enable(series.Config{})
-		stop := series.PublishEvery(sc, *seriesDir, 500*time.Millisecond)
 		dir := *seriesDir
+		stop := openmetrics.PublishEvery(500*time.Millisecond, func() error { return series.Publish(sc, dir) })
 		defer func() {
 			stop()
 			series.Disable()
@@ -196,7 +200,7 @@ func main() {
 			rep := reg.Snapshot()
 			return &rep
 		})
-		stop := lockprof.PublishEvery(reg, *lockDir, 500*time.Millisecond)
+		stop := openmetrics.PublishEvery(500*time.Millisecond, func() error { return lockprof.Publish(reg, *lockDir) })
 		defer func() {
 			stop()
 			lockprof.Disable()

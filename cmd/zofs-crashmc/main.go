@@ -32,7 +32,7 @@ import (
 )
 
 func main() {
-	system := flag.String("system", "ZoFS", "system under test: ZoFS, ZoFS-inline, Ext4-DAX, PMFS")
+	system := flag.String("system", "ZoFS", "system under test: "+crashmc.Systems())
 	points := flag.Int("points", 35, "crash points to sample across the workload (0 = every point)")
 	model := flag.String("model", "all", "media model: drop, subset, torn or all")
 	edges := flag.String("edges", "both", "crash edge: after, before or both")

@@ -10,13 +10,11 @@
 //	zofs-locks [-dir results] [-interval 1s] [-once]
 //	zofs-locks -om out.prom [-dir results]
 //	zofs-locks -dot waitfor.dot [-dir results]
-//	zofs-locks -validate locks.prom
 //
 // -om re-renders the report as OpenMetrics (the same bytes the publisher
-// writes to locks.prom); -dot exports the wait-for graph for Graphviz, with
-// inversion-implicated lock classes highlighted; -validate parses an
-// OpenMetrics export and enforces the profiler's conservation invariants,
-// exiting non-zero on any violation.
+// writes to locks.prom, which zofs-perfdiff -validate checks); -dot exports
+// the wait-for graph for Graphviz, with inversion-implicated lock classes
+// highlighted.
 package main
 
 import (
@@ -36,21 +34,7 @@ func main() {
 	once := flag.Bool("once", false, "render one frame and exit")
 	om := flag.String("om", "", "write the report as OpenMetrics to this file ('-' for stdout) and exit")
 	dot := flag.String("dot", "", "write the wait-for graph as Graphviz DOT to this file ('-' for stdout) and exit")
-	validate := flag.String("validate", "", "validate an OpenMetrics lock export and exit")
 	flag.Parse()
-
-	if *validate != "" {
-		f, err := os.Open(*validate)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := lockprof.ValidateOpenMetrics(f); err != nil {
-			fatal(fmt.Errorf("%s: %v", *validate, err))
-		}
-		fmt.Printf("%s: valid OpenMetrics, lock-wait conservation holds\n", *validate)
-		return
-	}
 
 	if *om != "" || *dot != "" {
 		rep, err := load(*dir)

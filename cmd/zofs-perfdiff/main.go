@@ -1,6 +1,6 @@
 // Command zofs-perfdiff compares two performance artifacts and fails on
-// statistically significant regressions — the standing perf gate between a
-// committed baseline and a fresh run.
+// statistically significant regressions — a perf gate between a baseline and
+// a fresh run.
 //
 // Usage:
 //
@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -261,7 +262,7 @@ type row struct {
 	Regression bool    `json:"regression"`
 }
 
-func diff(w *os.File, oldPath, newPath string, noise, sig float64, asJSON bool) (int, error) {
+func diff(w io.Writer, oldPath, newPath string, noise, sig float64, asJSON bool) (int, error) {
 	oldM, err := load(oldPath)
 	if err != nil {
 		return 0, err
@@ -336,7 +337,7 @@ func diff(w *os.File, oldPath, newPath string, noise, sig float64, asJSON bool) 
 
 // injectRegression copies a JSON artifact, degrading every direction-carrying
 // numeric leaf by frac: throughput-like values are deflated, latency-like
-// values inflated. Used by check.sh to prove the gate trips.
+// values inflated. main_test.go uses it to prove the differ trips.
 func injectRegression(in, out string, frac float64) error {
 	raw, err := os.ReadFile(in)
 	if err != nil {

@@ -10,12 +10,10 @@
 //
 //	zofs-top [-dir results] [-interval 1s] [-once]
 //	zofs-top -json [-dir results]
-//	zofs-top -validate spans.prom
 //
 // -once renders a single frame and exits (scripts, CI). -json emits one
 // machine-readable frame — the span snapshot plus the windowed series —
-// and exits. -validate parses an OpenMetrics export, checks that per-op
-// component shares sum to ~100%, and exits non-zero on any violation.
+// and exits. The published spans.prom is checked by zofs-perfdiff -validate.
 package main
 
 import (
@@ -40,21 +38,7 @@ func main() {
 	interval := flag.Duration("interval", time.Second, "refresh interval")
 	once := flag.Bool("once", false, "render one frame and exit")
 	jsonOut := flag.Bool("json", false, "emit one frame as JSON (spans snapshot + series windows) and exit")
-	validate := flag.String("validate", "", "validate an OpenMetrics spans export and exit")
 	flag.Parse()
-
-	if *validate != "" {
-		f, err := os.Open(*validate)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := spans.ValidateOpenMetrics(f); err != nil {
-			fatal(fmt.Errorf("%s: %v", *validate, err))
-		}
-		fmt.Printf("%s: valid OpenMetrics, component shares consistent\n", *validate)
-		return
-	}
 
 	if *jsonOut {
 		if err := renderJSON(*dir); err != nil {

@@ -2,6 +2,7 @@ package crashmc
 
 import (
 	"fmt"
+	"strings"
 
 	"zofs/internal/baselines"
 	"zofs/internal/kernfs"
@@ -36,25 +37,37 @@ type personality struct {
 	build func(bytes int64) (*stack, error)
 }
 
+// personalities is the one list of systems the checker can build; lookup
+// resolves against it and Systems prints it.
+var personalities = []*personality{
+	zofsPersonality("ZoFS", zofs.Options{}),
+	zofsPersonality("ZoFS-inline", zofs.Options{InlineData: true}),
+	baselinePersonality("Ext4-DAX", func(d *nvm.Device) vfs.FileSystem {
+		return baselines.NewExt4DAX(d)
+	}),
+	baselinePersonality("PMFS", func(d *nvm.Device) vfs.FileSystem {
+		return baselines.NewPMFS(d, baselines.PMFSOptions{})
+	}),
+}
+
+// Systems lists the system names Config.System accepts, comma-separated, for
+// error messages and command-line help.
+func Systems() string {
+	names := make([]string, len(personalities))
+	for i, p := range personalities {
+		names[i] = p.name
+	}
+	return strings.Join(names, ", ")
+}
+
 // lookup resolves a system name to its crash-test personality.
 func lookup(name string) (*personality, error) {
-	switch name {
-	case "ZoFS":
-		return zofsPersonality(name, zofs.Options{}), nil
-	case "ZoFS-inline":
-		return zofsPersonality(name, zofs.Options{InlineData: true}), nil
-	case "ZoFS-copypath":
-		return zofsPersonality(name, zofs.Options{NoZeroCopy: true, NoDirCache: true, NoAllocBatch: true}), nil
-	case "Ext4-DAX":
-		return baselinePersonality(name, func(d *nvm.Device) vfs.FileSystem {
-			return baselines.NewExt4DAX(d)
-		}), nil
-	case "PMFS":
-		return baselinePersonality(name, func(d *nvm.Device) vfs.FileSystem {
-			return baselines.NewPMFS(d, baselines.PMFSOptions{})
-		}), nil
+	for _, p := range personalities {
+		if p.name == name {
+			return p, nil
+		}
 	}
-	return nil, fmt.Errorf("crashmc: unknown system %q (have ZoFS, ZoFS-inline, ZoFS-copypath, Ext4-DAX, PMFS)", name)
+	return nil, fmt.Errorf("crashmc: unknown system %q (have %s)", name, Systems())
 }
 
 func zofsPersonality(name string, opts zofs.Options) *personality {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"zofs/internal/chaos"
 )
@@ -49,13 +48,5 @@ func RunChaos(w io.Writer, opts Options) error {
 		return fmt.Errorf("chaos: %d containment violations", rep.ViolationCount)
 	}
 
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_chaos.json", append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "wrote BENCH_chaos.json")
-	return nil
+	return writeBench(w, "BENCH_chaos.json", rep)
 }

@@ -5,8 +5,10 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"text/tabwriter"
 
 	"zofs/internal/nvm"
@@ -62,6 +64,25 @@ func (o *Options) fill() {
 
 func tw(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline.
+func writeJSON(path string, v any) error {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(blob, '\n'), 0o644)
+}
+
+// writeBench records an experiment's result document in the working
+// directory, under the committed artifact's name, and says so.
+func writeBench(w io.Writer, name string, v any) error {
+	if err := writeJSON(name, v); err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "wrote", name)
+	return nil
 }
 
 // RunTable1 prints the DRAM vs Optane characteristics (paper Table 1):

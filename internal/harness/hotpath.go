@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"zofs/internal/obsfs"
 	"zofs/internal/sysfactory"
@@ -12,95 +9,7 @@ import (
 	"zofs/internal/vfs"
 )
 
-// RunHotpath measures the zero-copy hot path against the scan-and-copy
-// baseline: the default ZoFS configuration (device access windows,
-// directory lookup cache, batched page allocation) versus ZoFS-copypath
-// with all three disabled. Seven single-thread cells; the first five run
-// over one shared directory large enough to exercise both the inline dentry
-// area and the bucket chains:
-//
-//	create  — empty-file creates (allocator + dentry insert path)
-//	lookup  — stat by path (directory lookup path)
-//	read4k  — open + 4KB pread + close (open/read path)
-//	readdir — list the directory; an op is one name listed (the copy
-//	          path scans the whole hash table, the default walks the
-//	          directory index)
-//	unlink  — remove every file, one 4KB block each (dentry kill, the
-//	          inode's pointer read, page frees)
-//	read64k — 64KB preads through open handles at block-aligned offsets
-//	          of 1MB files written front to back (one device access per
-//	          physically contiguous run)
-//	truncate — truncate each of those 1MB files to nothing (one read and
-//	          one clear per pointer array, 256 page frees)
-//
-// Throughput is simulated (virtual-time) kops/s. Results are printed and
-// recorded, before/after with speedups, in BENCH_hotpath.json.
-func RunHotpath(w io.Writer, opts Options) error {
-	opts.fill()
-	// Enough names in one directory that some buckets overflow into chain
-	// pages (inline capacity is 16 dentries per first-level slot).
-	n := 12288
-	if opts.Quick {
-		n = 4096
-	}
-	cells := []string{"create", "lookup", "read4k", "readdir", "unlink", "read64k", "truncate"}
-	base, err := hotpathRun(sysfactory.ZoFSCopyPath, opts, n)
-	if err != nil {
-		return fmt.Errorf("hotpath %s: %w", sysfactory.ZoFSCopyPath.Name, err)
-	}
-	opt, err := hotpathRun(sysfactory.ZoFS, opts, n)
-	if err != nil {
-		return fmt.Errorf("hotpath %s: %w", sysfactory.ZoFS.Name, err)
-	}
-
-	fmt.Fprintf(w, "Hot path: %s vs %s, %d files in one directory (simulated kops/s)\n",
-		sysfactory.ZoFS.Name, sysfactory.ZoFSCopyPath.Name, n)
-	t := tw(w)
-	fmt.Fprintln(t, "Cell\tCopy path\tZero copy\tSpeedup")
-	type cellOut struct {
-		Cell          string  `json:"cell"`
-		BaselineKops  float64 `json:"baseline_kops"`
-		OptimizedKops float64 `json:"optimized_kops"`
-		Speedup       float64 `json:"speedup"`
-	}
-	out := struct {
-		Experiment string    `json:"experiment"`
-		Baseline   string    `json:"baseline"`
-		Optimized  string    `json:"optimized"`
-		Files      int       `json:"files"`
-		Quick      bool      `json:"quick"`
-		Cells      []cellOut `json:"cells"`
-	}{
-		Experiment: "hotpath",
-		Baseline:   sysfactory.ZoFSCopyPath.Name,
-		Optimized:  sysfactory.ZoFS.Name,
-		Files:      n,
-		Quick:      opts.Quick,
-	}
-	for _, c := range cells {
-		sp := opt[c] / base[c]
-		fmt.Fprintf(t, "%s\t%.1f\t%.1f\t%.2fx\n", c, base[c], opt[c], sp)
-		out.Cells = append(out.Cells, cellOut{Cell: c, BaselineKops: round1(base[c]), OptimizedKops: round1(opt[c]), Speedup: round2(sp)})
-	}
-	if err := t.Flush(); err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile("BENCH_hotpath.json", append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "wrote BENCH_hotpath.json")
-	return nil
-}
-
-func round1(v float64) float64 { return float64(int64(v*10+0.5)) / 10 }
-func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
-
-// hotpathRun runs all seven cells on one fresh instance and returns
-// simulated kops/s per cell.
+// hotpathRun is hotpathRunOn on a fresh instance of sys.
 func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]float64, error) {
 	in, err := sys.New(opts.DeviceBytes)
 	if err != nil {
@@ -110,7 +19,24 @@ func hotpathRun(sys sysfactory.System, opts Options, n int) (map[string]float64,
 }
 
 // hotpathRunOn runs the seven hot-path cells on an instance the caller
-// built (and may have instrumented, e.g. enabled byte-flow accounting on).
+// built (and may have instrumented, e.g. enabled byte-flow accounting on)
+// and returns simulated kops/s per cell. It is the workload the spans,
+// series and wa gates share: each runs it with its collector off and on and
+// compares. The first five cells run over one directory large enough to
+// exercise both the inline dentry area and the bucket chains:
+//
+//	create  — empty-file creates (allocator + dentry insert path)
+//	lookup  — stat by path (directory lookup path)
+//	read4k  — open + 4KB pread + close (open/read path)
+//	readdir — list the directory; an op is one name listed
+//	unlink  — remove every file, one 4KB block each (dentry kill, the
+//	          inode's pointer read, page frees)
+//	read64k — 64KB preads through open handles at block-aligned offsets
+//	          of 1MB files written front to back (one device access per
+//	          physically contiguous run)
+//	truncate — truncate each of those 1MB files to nothing (one read and
+//	          one clear per pointer array, 256 page frees)
+//
 // rec, when non-nil, receives per-op telemetry from the obsfs wrap — the
 // series gate passes one so the cumulative histograms and the windowed
 // series observe the identical op stream.

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strings"
 
@@ -410,14 +408,9 @@ func RunFxmarkScale(w io.Writer, opts Options) error {
 	}
 
 	rep.Gates = gates
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
+	if err := writeBench(w, "BENCH_fxmark_scale.json", rep); err != nil {
 		return err
 	}
-	if err := os.WriteFile("BENCH_fxmark_scale.json", append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "wrote BENCH_fxmark_scale.json")
 
 	if len(failures) > 0 {
 		return fmt.Errorf("fxmark-scale gates failed:\n  %s", strings.Join(failures, "\n  "))

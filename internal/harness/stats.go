@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -153,12 +152,8 @@ func (s *statsRun) finish(w io.Writer) error {
 		Experiment string      `json:"experiment"`
 		Cells      []statsCell `json:"cells"`
 	}{Experiment: s.name, Cells: s.cells}
-	raw, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
 	path := filepath.Join(s.dir, "metrics-"+s.name+"-"+s.tag+".json")
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, doc); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\nmetrics sidecar: %s\n", path)

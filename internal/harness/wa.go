@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strings"
 
 	"zofs/internal/byteflow"
@@ -30,7 +28,7 @@ import (
 //     advances them, so ZoFS hot-path throughput with accounting enabled
 //     must agree with accounting disabled within 2%.
 //
-// The per-cell WA table (ZoFS, ZoFS-copypath and the baselines) is printed
+// The per-cell WA table (ZoFS and the baselines) is printed
 // and recorded in BENCH_wa.json — the command-line answer to "how many
 // media bytes does one application byte cost".
 func RunWA(w io.Writer, opts Options) error {
@@ -40,8 +38,7 @@ func RunWA(w io.Writer, opts Options) error {
 		n = 256
 	}
 	systems := []sysfactory.System{
-		sysfactory.ZoFS, sysfactory.ZoFSCopyPath,
-		sysfactory.PMFS, sysfactory.NOVA, sysfactory.Ext4DAX,
+		sysfactory.ZoFS, sysfactory.PMFS, sysfactory.NOVA, sysfactory.Ext4DAX,
 	}
 
 	type cellOut struct {
@@ -126,20 +123,17 @@ func RunWA(w io.Writer, opts Options) error {
 	out.OverheadPct = round2(worst)
 	fmt.Fprintf(w, "\naccounting overhead (simulated throughput delta): %.3f%%\n", worst)
 
-	blob, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
+	if err := writeBench(w, "BENCH_wa.json", out); err != nil {
 		return err
 	}
-	if err := os.WriteFile("BENCH_wa.json", append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "wrote BENCH_wa.json")
 	if len(failures) > 0 {
 		return fmt.Errorf("wa gate failed:\n  %s", strings.Join(failures, "\n  "))
 	}
 	fmt.Fprintln(w, "wa gate: conservation, flow ordering and overhead checks passed")
 	return nil
 }
+
+func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 
 func waStr(f *byteflow.Flow) string {
 	if f.App <= 0 {

@@ -209,13 +209,7 @@ func NewRegistry(cfg Config) *Registry {
 
 // Install makes r the active registry (nil is equivalent to Disable) — the
 // save/restore idiom harness gates use around instrumented runs.
-func Install(r *Registry) {
-	if r == nil {
-		active.Store(nil)
-		return
-	}
-	active.Store(r)
-}
+func Install(r *Registry) { active.Store(r) }
 
 // Disable deactivates profiling. Existing ThreadStates go quiescent (their
 // registry no longer matches the active one).

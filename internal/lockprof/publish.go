@@ -3,9 +3,9 @@ package lockprof
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
-	"time"
+
+	"zofs/internal/openmetrics"
 )
 
 // Publishing mirrors the spans layer: zofs-bench -lockprof writes into a
@@ -21,14 +21,14 @@ func Publish(r *Registry, dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeAtomic(filepath.Join(dir, "locks.json"), append(raw, '\n')); err != nil {
+	if err := openmetrics.WriteAtomic(filepath.Join(dir, "locks.json"), append(raw, '\n')); err != nil {
 		return err
 	}
 	var om bytes.Buffer
 	if err := WriteOpenMetrics(&om, rep); err != nil {
 		return err
 	}
-	if err := writeAtomic(filepath.Join(dir, "locks.prom"), om.Bytes()); err != nil {
+	if err := openmetrics.WriteAtomic(filepath.Join(dir, "locks.prom"), om.Bytes()); err != nil {
 		return err
 	}
 	var wl bytes.Buffer
@@ -38,39 +38,5 @@ func Publish(r *Registry, dir string) error {
 			return err
 		}
 	}
-	return writeAtomic(filepath.Join(dir, "waits.jsonl"), wl.Bytes())
-}
-
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// PublishEvery republishes on an interval until the returned stop function
-// is called; callers do a final Publish themselves once collection stops.
-// Mid-run publish errors are dropped — a missed refresh must not kill the
-// benchmark.
-func PublishEvery(r *Registry, dir string, every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				_ = Publish(r, dir)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-	}
+	return openmetrics.WriteAtomic(filepath.Join(dir, "waits.jsonl"), wl.Bytes())
 }

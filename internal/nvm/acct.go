@@ -88,9 +88,8 @@ func (d *Device) acctWrite(clk *simclock.Clock, off, n int64, persisted, fenced 
 	d.acctWriteClass(clkClass(clk), off, n, persisted, fenced)
 }
 
-// acctWriteClass is acctWrite with the byte class resolved by the caller —
-// the ledger path for clock-less stores that still belong to a named class
-// (Store64Class).
+// acctWriteClass is acctWrite with the byte class resolved by the caller
+// (WriteNTClass, ZeroClass).
 func (d *Device) acctWriteClass(cls byteflow.Class, off, n int64, persisted, fenced bool) {
 	a := d.acct.Load()
 	if a == nil || n <= 0 {

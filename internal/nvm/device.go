@@ -686,19 +686,6 @@ func (d *Device) Load64(clk *simclock.Clock, off int64) uint64 {
 // Store64 atomically writes an 8-byte word with persistence (ntstore+fence
 // semantics) — the atomic building block of ZoFS's ordered metadata updates.
 func (d *Device) Store64(clk *simclock.Clock, off int64, v uint64) {
-	d.store64(clk, clkClass(clk), off, v)
-}
-
-// Store64Class is Store64 with an explicit ledger byte class. It exists for
-// clock-less store paths whose media cost is bulk-charged by the caller
-// (zofs free-list chaining charges one batched NVMWriteLatency+fence for n
-// chained stores): passing a clock here would double-bill the time, but the
-// bytes still belong to a named class rather than the `other` residual.
-func (d *Device) Store64Class(cls byteflow.Class, off int64, v uint64) {
-	d.store64(nil, cls, off, v)
-}
-
-func (d *Device) store64(clk *simclock.Clock, cls byteflow.Class, off int64, v uint64) {
 	d.check(off, 8)
 	if off%8 != 0 {
 		panic(Fault{Off: off, Len: 8, Cause: "unaligned atomic store"})
@@ -713,7 +700,7 @@ func (d *Device) store64(clk *simclock.Clock, cls byteflow.Class, off int64, v u
 	d.rec.Inc(telemetry.CtrNVMNTStores)
 	d.rec.Inc(telemetry.CtrNVMFences)
 	d.rec.Add(telemetry.CtrNVMBytesWritten, 8)
-	d.acctWriteClass(cls, off, 8, true, true)
+	d.acctWrite(clk, off, 8, true, true)
 	d.tr.Record(d.uid, clk, pmemtrace.KindStore64, off, 8)
 	c := d.chunkFor(off, true)
 	mu := &d.casMu[(off/8)%lockStripes]

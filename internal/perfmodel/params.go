@@ -142,23 +142,6 @@ const (
 	LeaseHandoff = 2000
 )
 
-// MemcpyCost is the virtual-ns cost of staging n bytes through a DRAM
-// bounce buffer: one read stream plus one write stream. The copy-path
-// ZoFS variant pays this on top of the media access for every ReadAt and
-// WriteAt; the zero-copy access windows skip the staging copy entirely.
-func MemcpyCost(n int) int64 {
-	return DRAMReadLatency + DRAMWriteLatency +
-		int64(float64(n)*1e9/DRAMReadBandwidth) + int64(float64(n)*1e9/DRAMWriteBand)
-}
-
-// StageCost is the cost of materializing n streamed bytes in a DRAM
-// staging buffer (allocation plus the DRAM write stream) — the work a
-// borrowed device view avoids. Charged by copy-path fallbacks on top of
-// the media access itself.
-func StageCost(n int) int64 {
-	return DRAMWriteLatency + int64(float64(n)*1e9/DRAMWriteBand)
-}
-
 // WriteBWDegradation returns the effective write-bandwidth multiplier for n
 // concurrently writing threads. Optane write bandwidth peaks at a small
 // thread count and then declines (Izraelevitz et al., cited as [25]); this

@@ -205,14 +205,6 @@ func (t *Thread) Read(off int64, buf []byte) {
 	t.Proc.dev.Read(t.Clk, off, buf)
 }
 
-// ReadCached performs a checked load charged as a CPU-cache hit (used for
-// hot metadata the library has touched recently).
-func (t *Thread) ReadCached(off int64, buf []byte) {
-	t.check(off, int64(len(buf)), false)
-	t.Clk.Advance(perfmodel.CPUSmallOp)
-	t.Proc.dev.ReadNoCharge(off, buf)
-}
-
 // ReadView returns a borrowed slice over device bytes, MPK-checked at
 // handout and charged like Read. The view aliases live media: it is valid
 // only while the coffer window that authorized it stays open, must not be

@@ -6,11 +6,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
-	"time"
 
 	"zofs/internal/openmetrics"
 )
@@ -188,46 +186,12 @@ func Publish(c *Collector, dir string) error {
 	if err := c.WriteJSONL(&jl); err != nil {
 		return err
 	}
-	if err := writeAtomic(filepath.Join(dir, "series.jsonl"), jl.Bytes()); err != nil {
+	if err := openmetrics.WriteAtomic(filepath.Join(dir, "series.jsonl"), jl.Bytes()); err != nil {
 		return err
 	}
 	var om bytes.Buffer
 	if err := c.WriteOpenMetrics(&om); err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(dir, "series.prom"), om.Bytes())
-}
-
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// PublishEvery republishes on an interval until the returned stop function
-// is called (no final write — callers do a last Publish themselves once
-// collection has stopped). Mid-run publish errors are dropped: a missed
-// refresh must not kill the benchmark.
-func PublishEvery(c *Collector, dir string, every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				_ = Publish(c, dir)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-	}
+	return openmetrics.WriteAtomic(filepath.Join(dir, "series.prom"), om.Bytes())
 }

@@ -3,12 +3,11 @@ package spans
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 
 	"zofs/internal/lockprof"
+	"zofs/internal/openmetrics"
 )
 
 // Publishing: periodic snapshot files for live monitoring. zofs-bench -spans
@@ -66,46 +65,12 @@ func Publish(c *Collector, dir string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeAtomic(filepath.Join(dir, "spans.json"), append(raw, '\n')); err != nil {
+	if err := openmetrics.WriteAtomic(filepath.Join(dir, "spans.json"), append(raw, '\n')); err != nil {
 		return err
 	}
 	var om bytes.Buffer
 	if err := WriteOpenMetrics(&om, snap); err != nil {
 		return err
 	}
-	return writeAtomic(filepath.Join(dir, "spans.prom"), om.Bytes())
-}
-
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// PublishEvery republishes the snapshot on an interval until the returned
-// stop function is called (which also performs no final write — callers do
-// a last Publish themselves once collection has stopped). Publish errors
-// mid-run are dropped: a missed refresh must not kill the benchmark.
-func PublishEvery(c *Collector, dir string, every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				_ = Publish(c, dir)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-	}
+	return openmetrics.WriteAtomic(filepath.Join(dir, "spans.prom"), om.Bytes())
 }

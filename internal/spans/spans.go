@@ -46,8 +46,10 @@ const (
 	CompLock
 	// CompPKRU is protection-domain switching: WRPKRU register writes.
 	CompPKRU
-	// CompMemcpy is data staging: DRAM copy costs on the copy path and
-	// view-fallback staging charges.
+	// CompMemcpy is data staging through a DRAM bounce buffer. Nothing bills
+	// it while ZoFS moves data and metadata through borrowed device views; it
+	// stays because the component set is the export schema (spans.jsonl,
+	// spans.prom, zofs-top, the benchmark's span shares).
 	CompMemcpy
 	// CompKernel is kernel-crossing time: syscall entry/exit charges.
 	CompKernel

@@ -77,11 +77,6 @@ var (
 	ZoFS1Coffer  = NewZoFS("ZoFS-1coffer", zofs.Options{OneCoffer: true})
 	ZoFSNoMPK    = NewZoFS("ZoFS-nompk", zofs.Options{NoMPK: true})
 	ZoFSInline   = NewZoFS("ZoFS-inline", zofs.Options{InlineData: true})
-	// ZoFSCopyPath disables every hot-path optimization (device access
-	// windows, directory lookup cache, allocation batching): the
-	// scan-and-copy implementation the paper describes, kept as the
-	// baseline the `zofs-bench hotpath` experiment measures against.
-	ZoFSCopyPath = NewZoFS("ZoFS-copypath", zofs.Options{NoZeroCopy: true, NoDirCache: true, NoAllocBatch: true})
 
 	PMFS        = newBaseline("PMFS", func(d *nvm.Device) *baselines.Engine { return baselines.NewPMFS(d, baselines.PMFSOptions{}) })
 	PMFSNocache = newBaseline("PMFS-nocache", func(d *nvm.Device) *baselines.Engine {

@@ -33,10 +33,11 @@ var allocRescanPolicy = retry.Policy{
 // structures {TID, lease, head, count}. A thread wanting pages first checks
 // its cached slot; if the lease is valid it renews and allocates from its
 // own free list (no cross-thread contention). Otherwise it claims a free or
-// lease-expired slot from the pool. When a free list runs dry the thread
-// requests a batch from KernFS via coffer_enlarge; freed pages are pushed
-// back to the caller's own list. Free pages are chained through their first
-// 8 bytes.
+// lease-expired slot from the pool. The free list itself is volatile
+// (threadSlots.cache): when it runs dry the thread requests a batch from
+// KernFS via coffer_enlarge, and freed pages are pushed back to the caller's
+// own list. The slot's on-media head word, which chains free pages through
+// their first 8 bytes, is only ever read and drained (allocPage).
 //
 // Two classes exist per thread: metadata pages (kernel-zeroed grants, small
 // batch) and data pages (unzeroed grants, large batch).
@@ -148,37 +149,34 @@ func (f *FS) slotFor(th *proc.Thread, m *mount, class int) (*threadSlots, int64,
 	}
 	ts.slot[class] = idx
 	off := slotOffset(m.custom, idx)
+	// The head word is media input: usually 0, but a slot claimed on an image
+	// from outside this program may head a chain, which allocPage drains.
 	ts.head[class] = int64(th.Load64(off + slotHeadOff))
 	return ts, off, nil
 }
 
-// allocPage takes one page for the thread: by default off its volatile
-// batch cache (no NVM traffic at all), falling back to the persistent
-// free list and finally a kernel grant. Metadata pages come back zeroed.
+// allocPage takes one page for the thread: off its volatile batch cache (no
+// NVM traffic at all), refilled by a kernel grant. Metadata pages come back
+// zeroed.
 //
 // The lease machinery still runs on every allocation (slotFor), so crashed
-// holders remain observable; only the page list itself moved to DRAM. A
+// holders remain observable; only the page list itself lives in DRAM. A
 // crash drops cached pages on the floor — they stay tagged to the coffer in
 // the allocation table but are referenced by nothing, so recovery's in-use
 // traversal reclaims them (§5.3).
 func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (int64, error) {
-	// Allocator scope: lease stores, kernel grants (including their zeroing
-	// and allocation-table writes) and free-list chaining are alloc-class
-	// bytes, whatever class the caller was writing.
+	// Allocator scope: lease stores and kernel grants (including their
+	// zeroing and allocation-table writes) are alloc-class bytes, whatever
+	// class the caller was writing.
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassAlloc))
 	defer th.Clk.SetWriteClass(prev)
-	if !f.opts.NoAllocBatch {
-		if ts := m.threadSlotsFor(th.TID); ts.slot[class] < 0 && th.Clk.Now() < ts.noSlotUntil[class] {
-			th.CPU(perfmodel.CPULockAcquire) // backoff-deadline check
-			return f.allocCached(th, m, ts, class)
-		}
+	if ts := m.threadSlotsFor(th.TID); ts.slot[class] < 0 && th.Clk.Now() < ts.noSlotUntil[class] {
+		th.CPU(perfmodel.CPULockAcquire) // backoff-deadline check
+		return f.allocCached(th, m, ts, class)
 	}
 	ts, slotOff, err := f.slotFor(th, m, class)
-	if err == nil {
-		ts.noSlotTries[class] = 0
-	}
 	if err != nil {
-		if !f.opts.NoAllocBatch && errors.Is(err, vfs.ErrNoSpace) {
+		if errors.Is(err, vfs.ErrNoSpace) {
 			// Every pool slot is leased to a live thread: the pool is one
 			// custom page (62 slots, §5.2), so past ~62 threads per coffer
 			// claims must fail until a lease expires. Serve the thread
@@ -194,32 +192,26 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (int64, error) {
 		}
 		return 0, err
 	}
-	if !f.opts.NoAllocBatch && (len(ts.cache[class]) > 0 || ts.head[class] == 0) {
+	ts.noSlotTries[class] = 0
+	if len(ts.cache[class]) > 0 || ts.head[class] == 0 {
 		return f.allocCached(th, m, ts, class)
 	}
-	// Batching off, or the cache is dry but the persistent list holds pages
-	// (stranded by a NoAllocBatch mount or a re-claimed slot): drain it.
-	if ts.head[class] == 0 {
-		exts, err := f.enlarge(th, m, class)
-		if err != nil {
-			return 0, err
-		}
-		f.pushExtents(th, ts, slotOff, class, exts)
-	}
+	// The cache is dry and the claimed slot's on-media free list holds pages:
+	// drain it before asking the kernel for more. Nothing in this program
+	// chains pages there, but a device image is input from outside it (one
+	// written by a build that did), and pages left on a chain would otherwise
+	// stay allocated to the coffer and unused until the next recovery.
 	page := ts.head[class]
 	f.rec().Inc(telemetry.CtrZoFSPagesAlloc)
 	if debugPool {
 		debugFree.Store(page, 2)
 	}
-	// The thread itself chained these next pointers when the batch was
-	// granted, so the line is cache-warm.
-	next := int64(th.Load64Cached(page * pageSize))
+	next := int64(th.Load64(page * pageSize)) // a cold line: this thread did not chain it
 	th.Store64(slotOff+slotHeadOff, uint64(next))
 	ts.head[class] = next
 	if class == classMeta {
-		// The kernel zeroed the grant, but the free-list next pointer we
-		// just consumed must be cleared before the page is used as
-		// metadata.
+		// The free-list next pointer just consumed must be cleared before the
+		// page is used as metadata: metadata pages arrive zeroed.
 		th.Store64(page*pageSize, 0)
 	}
 	return page, nil
@@ -286,46 +278,10 @@ func (f *FS) popCached(th *proc.Thread, ts *threadSlots, class int) (int64, bool
 	return page, true
 }
 
-// pushExtents chains freshly granted extents onto the thread's free list.
-// The next-pointer stores are independent 8-byte ntstores with one trailing
-// fence, so the device pipelines them: charge one latency plus bandwidth
-// for the batch rather than a fence per pointer.
-func (f *FS) pushExtents(th *proc.Thread, ts *threadSlots, slotOff int64, class int, exts []coffer.Extent) {
-	head := ts.head[class]
-	var n int64
-	for _, e := range exts {
-		for pg := e.End() - 1; pg >= e.Start; pg-- {
-			if debugPool {
-				// Kernel grants may legitimately recycle pages reclaimed
-				// wholesale by coffer_delete; reset their tracked state.
-				debugFree.Store(pg, 1)
-			}
-			f.chainStore(th, pg*pageSize, uint64(head))
-			head = pg
-			n++
-		}
-	}
-	th.CPU(perfmodel.NVMWriteLatency + n*perfmodel.CPUSmallOp)
-	th.Fence()
-	th.Store64(slotOff+slotHeadOff, uint64(head))
-	ts.head[class] = head
-}
-
-// chainStore performs a checked 8-byte store whose media cost is accounted
-// in bulk by the caller (pushExtents charges one batched latency + fence
-// for the whole run). The store carries no clock — a clock here would
-// double-bill that batched time — but its bytes still book to the alloc
-// class via Store64Class, so free-list chaining no longer lands in the
-// ledger's residual bucket.
-func (f *FS) chainStore(th *proc.Thread, off int64, v uint64) {
-	th.CheckAccess(off, 8, true)
-	f.kern.Device().Store64Class(byteflow.ClassAlloc, off, v)
-}
-
-// freePage returns a page to the thread's free list — by default the
-// volatile batch cache (one append, no NVM chain stores). Metadata pages
-// are scrubbed on free so the metadata list invariant — pages arrive
-// zeroed — holds for recycled pages exactly as for fresh kernel grants.
+// freePage returns a page to the thread's free list, the volatile batch
+// cache (one append, no NVM chain stores). Metadata pages are scrubbed on
+// free so the metadata list invariant — pages arrive zeroed — holds for
+// recycled pages exactly as for fresh kernel grants.
 func (f *FS) freePage(th *proc.Thread, m *mount, class int, page int64) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassAlloc))
 	defer th.Clk.SetWriteClass(prev)
@@ -335,49 +291,11 @@ func (f *FS) freePage(th *proc.Thread, m *mount, class int, page int64) {
 		}
 		debugFree.Store(page, 1)
 	}
-	if !f.opts.NoAllocBatch {
-		ts := m.threadSlotsFor(th.TID)
-		f.rec().Inc(telemetry.CtrZoFSPagesFreed)
-		if class == classMeta {
-			th.Zero(page*pageSize, pageSize)
-		}
-		th.CPU(perfmodel.CPUSmallOp)
-		ts.cache[class] = append(ts.cache[class], page)
-		return
-	}
-	ts, slotOff, err := f.slotFor(th, m, class)
-	if err != nil {
-		// Pool exhausted: leak the page; recovery reclaims it (§5.3).
-		if debugPool {
-			debugFree.Delete(page)
-		}
-		return
-	}
+	ts := m.threadSlotsFor(th.TID)
 	f.rec().Inc(telemetry.CtrZoFSPagesFreed)
 	if class == classMeta {
 		th.Zero(page*pageSize, pageSize)
 	}
-	th.Store64(page*pageSize, uint64(ts.head[class]))
-	th.Store64(slotOff+slotHeadOff, uint64(page))
-	ts.head[class] = page
-}
-
-// freeListPages walks every pool slot's chain and reports the pages held in
-// persistent free lists (used by recovery to keep them out of the kernel
-// reclaim, or to drop them deliberately). Volatile batch caches are
-// intentionally invisible here: their pages are unreferenced by design and
-// recovery reclaims them.
-func (f *FS) freeListPages(th *proc.Thread, m *mount) []int64 {
-	var out []int64
-	if th.Load64(m.custom*pageSize+customMagicOff) != customMagic {
-		return nil
-	}
-	for idx := int32(0); idx < poolSlots; idx++ {
-		off := slotOffset(m.custom, idx)
-		for pg := int64(th.Load64(off + slotHeadOff)); pg != 0; {
-			out = append(out, pg)
-			pg = int64(th.Load64(pg * pageSize))
-		}
-	}
-	return out
+	th.CPU(perfmodel.CPUSmallOp)
+	ts.cache[class] = append(ts.cache[class], page)
 }

@@ -8,6 +8,7 @@ import (
 	"zofs/internal/lockprof"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
+	"zofs/internal/spans"
 )
 
 // Volatile directory lookup cache.
@@ -159,7 +160,7 @@ func chainKey(l1Idx, bucket int64) int64 { return 1<<32 | l1Idx<<8 | bucket }
 // and the coffer's MPK window.
 func (f *FS) dcacheFresh(th *proc.Thread, idx *dirIndex, dirIno int64) {
 	if idx.authoritative(f.sh.dc.epoch.Load()) {
-		f.span(th).DCacheHit()
+		spans.FromClock(th.Clk).DCacheHit()
 	} else {
 		f.dcacheRebuild(th, idx, dirIno)
 	}
@@ -168,10 +169,10 @@ func (f *FS) dcacheFresh(th *proc.Thread, idx *dirIndex, dirIno int64) {
 // dcacheRebuild discards the index and rebuilds it with one full charged
 // walk of the on-NVM structure. Live entries index by name, free slots join
 // their placement free list; a live-but-undecodable dentry (torn commit
-// word) is neither — it is invisible to lookups, exactly as on the scan
-// path, and its slot is left for recovery to reclaim. Caller holds idx.mu.
+// word) is neither — it is invisible to lookups and its slot is left for
+// recovery to reclaim. Caller holds idx.mu.
 func (f *FS) dcacheRebuild(th *proc.Thread, idx *dirIndex, dirIno int64) {
-	sp := f.span(th)
+	sp := spans.FromClock(th.Clk)
 	sp.DCacheMiss()
 	t0 := th.Clk.Now()
 	idx.ents = nil

@@ -3,6 +3,7 @@ package zofs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -86,8 +87,9 @@ func TestDcacheNegativeEntries(t *testing.T) {
 	}
 }
 
-// TestDcacheLookupMatchesScan cross-checks the cached lookup against the
-// scan path over a directory large enough to spill into bucket chains.
+// TestDcacheLookupMatchesScan cross-checks the cached lookup — answer and
+// NVM location — against a full scan of the on-NVM structure (dirWalk, the
+// reference) over a directory large enough to spill into bucket chains.
 func TestDcacheLookupMatchesScan(t *testing.T) {
 	_, _, f, th := newTestFS(t, Options{})
 	if err := f.Mkdir(th, "/big", 0o755); err != nil {
@@ -116,15 +118,29 @@ func TestDcacheLookupMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pos.close()
+	type found struct {
+		de  dentry
+		loc deLoc
+	}
+	scan := map[string]found{}
+	f.dirWalk(th, pos.ino, nil, func(d dentry, loc deLoc, _ int64) bool {
+		if d.visible() {
+			scan[d.name] = found{d, loc}
+		}
+		return true
+	})
+	if len(scan) != n-n/3+n/6 {
+		t.Fatalf("scan found %d names, want %d", len(scan), n-n/3+n/6)
+	}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("file-%04d", i)
 		cd, cloc, cerr := f.dirLookup(th, pos.ino, name)
-		sd, sloc, serr := f.dirLookupScan(th, pos.ino, name)
-		if (cerr == nil) != (serr == nil) {
-			t.Fatalf("%s: cached err=%v scan err=%v", name, cerr, serr)
+		s, ok := scan[name]
+		if (cerr == nil) != ok {
+			t.Fatalf("%s: cached err=%v, scan found=%v", name, cerr, ok)
 		}
-		if cerr == nil && (cd != sd || cloc != sloc) {
-			t.Fatalf("%s: cached (%+v,%+v) != scan (%+v,%+v)", name, cd, cloc, sd, sloc)
+		if ok && (cd != s.de || cloc != s.loc) {
+			t.Fatalf("%s: cached (%+v,%+v) != scan (%+v,%+v)", name, cd, cloc, s.de, s.loc)
 		}
 	}
 }
@@ -311,5 +327,114 @@ func TestBatchedGrantsReclaimedByRecovery(t *testing.T) {
 		h.Close(th)
 		dev.Crash()
 		ResetShared(dev)
+	}
+}
+
+// TestInsertBehindStaleIndexScansNVM drives dirInsert's fallback: with the
+// index not authoritative at insert time (here: the epoch bumped before every
+// insert) the dentry goes in by the on-NVM free-slot scan. The names all
+// hash to one first-level slot, so the scan installs the first- and
+// second-level pages, fills the 16 inline slots, then — for names that also
+// share a bucket — opens a chain page, finds a freed chain slot again
+// instead of growing, and grows the chain at the head once it is full. The
+// walk and the rebuilt index must agree on the result.
+func TestInsertBehindStaleIndexScansNVM(t *testing.T) {
+	_, _, f, th := newTestFS(t, Options{})
+	if err := f.Mkdir(th, "/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Create(th, "/target", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	target, err := f.Stat(th, "/target")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 16 names for the inline area of first-level slot 7, then a chain page's
+	// worth and two more in its bucket 3.
+	const l1, bucket = 7, 3
+	var inline, chained []string
+	// One candidate in 131072 qualifies, so the search counts in a byte
+	// buffer and hashes it with FNV-1a inline (checked against nameHash for
+	// the names it keeps) instead of formatting and hashing millions of
+	// strings.
+	cand := []byte("n0000000")
+	for len(inline) < l2InlineCnt || len(chained) < chainDentryCnt+2 {
+		for j := len(cand) - 1; ; j-- { // next decimal number
+			if cand[j]++; cand[j] <= '9' {
+				break
+			}
+			cand[j] = '0'
+		}
+		h := uint64(14695981039346656037)
+		for _, c := range cand {
+			h = (h ^ uint64(c)) * 1099511628211
+		}
+		switch {
+		case l1Index(h) != l1:
+			continue
+		case l2Bucket(h) == bucket && len(chained) < chainDentryCnt+2:
+			chained = append(chained, string(cand))
+		case len(inline) < l2InlineCnt:
+			inline = append(inline, string(cand))
+		}
+		if got := nameHash(string(cand)); got != h {
+			t.Fatalf("nameHash(%q) = %#x, the test's FNV-1a says %#x", cand, got, h)
+		}
+	}
+	pos, err := f.walk(th, "/d", false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pos.close()
+	insert := func(name string) {
+		t.Helper()
+		f.sh.dc.bump() // whatever index there is, is stale now
+		bk := f.lockDirBucket(th, pos.ino, name)
+		defer f.unlockDirBucket(th, bk)
+		if err := f.dirInsert(th, pos.m, pos.ino, name, uint8(vfs.TypeRegular), 0, target.Inode); err != nil {
+			t.Fatalf("insert %s: %v", name, err)
+		}
+	}
+	for _, name := range inline {
+		insert(name)
+	}
+	full, spare, extra := chained[:chainDentryCnt], chained[chainDentryCnt], chained[chainDentryCnt+1]
+	for _, name := range full {
+		insert(name)
+	}
+	// L1, one L2, and the one chain page the bucket's 31 names fill.
+	if pages := f.dirPages(th, pos.ino); len(pages) != 3 {
+		t.Fatalf("directory structure is %d pages, want 3: %v", len(pages), pages)
+	}
+	// Free a slot in the full chain page: the scan must find it for the next
+	// name of the bucket rather than grow the chain.
+	_, loc, err := f.dirLookup(th, pos.ino, full[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.dirRemove(th, pos.ino, full[0], loc)
+	insert(spare)
+	if _, sloc, err := f.dirLookup(th, pos.ino, spare); err != nil || sloc != loc {
+		t.Fatalf("spare name at %+v (%v), want the freed slot %+v", sloc, err, loc)
+	}
+	// Full again: one more name opens a second chain page at the head.
+	insert(extra)
+	if pages := f.dirPages(th, pos.ino); len(pages) != 4 {
+		t.Fatalf("directory structure is %d pages, want 4: %v", len(pages), pages)
+	}
+
+	want := append(append([]string{}, inline...), chained[1:]...)
+	for _, name := range want {
+		if de, _, err := f.dirLookup(th, pos.ino, name); err != nil || de.inode != target.Inode {
+			t.Fatalf("lookup %s: %+v, %v", name, de, err)
+		}
+	}
+	// Last, since these open (and close) the thread's window themselves.
+	slices.Sort(want)
+	walked := entryNames(walkEntries(t, f, th, "/d"))
+	listed := entryNames(listSorted(t, f, th, "/d"))
+	if !slices.Equal(walked, want) || !slices.Equal(listed, want) {
+		t.Fatalf("after %d scan inserts: walk sees %d names, index lists %d, want %d", len(want)+1, len(walked), len(listed), len(want))
 	}
 }

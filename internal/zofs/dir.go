@@ -4,7 +4,6 @@ import (
 	"zofs/internal/byteflow"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
-	"zofs/internal/spans"
 	"zofs/internal/vfs"
 )
 
@@ -69,13 +68,9 @@ func (f *FS) dirL1Of(th *proc.Thread, dirIno int64) int64 {
 }
 
 // dirLookup finds a name in a directory. Caller holds at least a read lock.
-// With the directory cache enabled (the default) a hit costs one hash probe
-// plus the cache-charged dcacheTrusted check; the on-NVM walk runs only to
-// (re)build the index.
+// A hit costs one hash probe of the directory index plus the cache-charged
+// dcacheTrusted check; the on-NVM walk runs only to (re)build the index.
 func (f *FS) dirLookup(th *proc.Thread, dirIno int64, name string) (dentry, deLoc, error) {
-	if f.opts.NoDirCache {
-		return f.dirLookupScan(th, dirIno, name)
-	}
 	th.CPU(perfmodel.CPUHashLookup)
 	idx := f.sh.dc.dir(dirIno)
 	idx.mu.Lock()
@@ -94,95 +89,32 @@ func (f *FS) dirLookup(th *proc.Thread, dirIno int64, name string) (dentry, deLo
 	return c.de, c.loc, nil
 }
 
-// dirLookupScan is the cache-free lookup: the on-NVM two-level hash walk.
-func (f *FS) dirLookupScan(th *proc.Thread, dirIno int64, name string) (dentry, deLoc, error) {
-	h := nameHash(name)
-	th.CPU(perfmodel.CPUHashLookup)
-	l1 := f.dirL1Of(th, dirIno)
-	if l1 == 0 {
-		return dentry{}, deLoc{}, vfs.ErrNotExist
-	}
-	l2 := int64(th.Load64Cached(l1*pageSize + 8*l1Index(h)))
-	if l2 == 0 {
-		return dentry{}, deLoc{}, vfs.ErrNotExist
-	}
-	// Inline area: hot directories keep their second-level pages in the
-	// CPU cache, like a kernel dcache keeps dentries in DRAM, but every
-	// slot still costs decode-and-compare CPU work.
-	inline := f.readViewCached(th, l2*pageSize, l2BucketOff)
-	th.CPU(perfmodel.CPUDentryScan * (l2BucketOff / dentrySize))
-	want := checkHash(h)
-	find := func(buf []byte, pg, from int64) (dentry, deLoc, bool) {
-		for o := from; o+dentrySize <= int64(len(buf)); o += dentrySize {
-			if d := decodeDentry(buf[o : o+dentrySize]); d.state == deStateLive && d.hash == want && d.name == name {
-				return d, deLoc{page: pg, off: o}, true
-			}
-		}
-		return dentry{}, deLoc{}, false
-	}
-	if d, loc, ok := find(inline, l2, 0); ok {
-		return d, loc, nil
-	}
-	// Bucket chain.
-	pg := int64(th.Load64(l2*pageSize + l2BucketOff + 8*l2Bucket(h)))
-	for pg != 0 {
-		page := f.readView(th, pg*pageSize, pageSize)
-		th.CPU(perfmodel.CPUDentryScan * ((pageSize - chainFirstDe) / dentrySize))
-		if d, loc, ok := find(page, pg, chainFirstDe); ok {
-			return d, loc, nil
-		}
-		pg = int64(u64at(page, chainNextOff))
-	}
-	return dentry{}, deLoc{}, vfs.ErrNotExist
-}
-
 // writeDentry writes a dentry body then atomically publishes its commit
-// word (§5.3's ordered update). The body write composes directly in the
-// device image through a write view when available; the copy path remains
-// for the NoZeroCopy baseline.
+// word (§5.3's ordered update). The body is composed directly in the device
+// image through a write view: a dentry lies inside one page, so the view
+// cannot fail (see readView).
 func (f *FS) writeDentry(th *proc.Thread, loc deLoc, name string, typ uint8, cofferID uint32, inode int64) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassDentry))
 	defer th.Clk.SetWriteClass(prev)
-	wrote := false
-	if !f.opts.NoZeroCopy {
-		if buf, commit, ok := th.WriteView(loc.addr()+8, dentrySize-8); ok {
-			clear(buf)
-			putU32(buf, deCofferOff-8, cofferID)
-			putU64(buf, deInodeOff-8, uint64(inode))
-			copy(buf[deNameOff-8:], name)
-			commit.Done()
-			wrote = true
-		}
-	}
-	if !wrote {
-		// The body is composed in a DRAM staging buffer and then copied to
-		// the device — the round trip the write view avoids.
-		cost := perfmodel.StageCost(dentrySize - 8)
-		th.CPU(cost)
-		f.span(th).Bill(spans.CompMemcpy, cost)
-		body := make([]byte, dentrySize-8)
-		putU32(body, deCofferOff-8, cofferID)
-		putU64(body, deInodeOff-8, uint64(inode))
-		copy(body[deNameOff-8:], name)
-		th.WriteNT(loc.addr()+8, body)
-	}
+	buf, commit, _ := th.WriteView(loc.addr()+8, dentrySize-8)
+	clear(buf)
+	putU32(buf, deCofferOff-8, cofferID)
+	putU64(buf, deInodeOff-8, uint64(inode))
+	copy(buf[deNameOff-8:], name)
+	commit.Done()
 	th.Fence()
 	th.Store64(loc.addr(), dentryCommit(deStateLive, len(name), typ, checkHash(nameHash(name))))
 }
 
 // dirInsert adds a dentry. Caller holds the bucket write lock and has
-// verified the name does not exist. With the directory cache enabled the
-// insert runs under the index mutex and applies its delta, keeping the
-// index exact; free dentry slots come off the cached free lists instead of
-// rescanning pages.
+// verified the name does not exist. The insert runs under the index mutex
+// and applies its delta, keeping the index exact; free dentry slots come off
+// the cached free lists instead of rescanning pages.
 func (f *FS) dirInsert(th *proc.Thread, m *mount, dirIno int64, name string, typ uint8, cofferID uint32, inode int64) error {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassDentry))
 	defer th.Clk.SetWriteClass(prev)
 	if len(name) > MaxNameLen {
 		return vfs.ErrNameTooLong
-	}
-	if f.opts.NoDirCache {
-		return f.dirInsertScan(th, m, dirIno, name, typ, cofferID, inode)
 	}
 	idx := f.sh.dc.dir(dirIno)
 	idx.mu.Lock()
@@ -190,7 +122,8 @@ func (f *FS) dirInsert(th *proc.Thread, m *mount, dirIno int64, name string, typ
 	if idx.authoritative(f.sh.dc.epoch.Load()) {
 		return f.dirInsertCached(th, m, idx, dirIno, name, typ, cofferID, inode)
 	}
-	// Non-authoritative index: mutate via the scan path and leave the index
+	// Non-authoritative index (never built, or invalidated by a crash epoch
+	// or a distrusted entry): mutate via the scan path and leave the index
 	// reset; the next lookup rebuilds it.
 	idx.reset()
 	return f.dirInsertScan(th, m, dirIno, name, typ, cofferID, inode)
@@ -278,8 +211,9 @@ func (f *FS) dirInsertCached(th *proc.Thread, m *mount, idx *dirIndex, dirIno in
 	return nil
 }
 
-// dirInsertScan is the cache-free insert: linear free-slot scan of the
-// on-NVM structure. Allocates L1/L2/chain pages on demand.
+// dirInsertScan inserts without an index: linear free-slot scan of the
+// on-NVM structure, allocating L1/L2/chain pages on demand. It is what
+// dirInsert falls back to while the directory's index is not authoritative.
 func (f *FS) dirInsertScan(th *proc.Thread, m *mount, dirIno int64, name string, typ uint8, cofferID uint32, inode int64) error {
 	h := nameHash(name)
 	th.CPU(perfmodel.CPUHashLookup)
@@ -310,7 +244,7 @@ func (f *FS) dirInsertScan(th *proc.Thread, m *mount, dirIno int64, name string,
 	}
 	// Try the inline area first (§5.1: "ZoFS tries to put new dentries in
 	// the second-level page first"). Hot directories keep this page in the
-	// CPU cache, like dirLookup, but the free-slot scan still burns CPU.
+	// CPU cache, but the free-slot scan still burns CPU.
 	inline := f.readViewCached(th, l2*pageSize, l2BucketOff)
 	th.CPU(perfmodel.CPUDentryScan * (l2BucketOff / dentrySize))
 	for o := int64(0); o < l2BucketOff; o += dentrySize {
@@ -346,16 +280,12 @@ func (f *FS) dirInsertScan(th *proc.Thread, m *mount, dirIno int64, name string,
 	return nil
 }
 
-// dirRemove kills a dentry with a single atomic commit-word store. With the
-// cache enabled the store runs under the index mutex and the slot returns
-// to its free list, so the index stays complete.
+// dirRemove kills a dentry with a single atomic commit-word store. The store
+// runs under the index mutex and the slot returns to its free list, so the
+// index stays complete.
 func (f *FS) dirRemove(th *proc.Thread, dirIno int64, name string, loc deLoc) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassDentry))
 	defer th.Clk.SetWriteClass(prev)
-	if f.opts.NoDirCache {
-		th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
-		return
-	}
 	idx := f.sh.dc.dir(dirIno)
 	idx.mu.Lock()
 	th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
@@ -376,20 +306,13 @@ func (f *FS) dirRemove(th *proc.Thread, dirIno int64, name string, loc deLoc) {
 func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deLoc, cofferID uint32, inode int64) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassDentry))
 	defer th.Clk.SetWriteClass(prev)
-	write := func() {
-		var b [8]byte
-		putU32(b[:4], 0, cofferID)
-		th.WriteNT(loc.addr()+deCofferOff, b[:4])
-		th.Store64(loc.addr()+deInodeOff, uint64(inode))
-		th.Fence()
-	}
-	if f.opts.NoDirCache {
-		write()
-		return
-	}
 	idx := f.sh.dc.dir(dirIno)
 	idx.mu.Lock()
-	write()
+	var b [4]byte
+	putU32(b[:], 0, cofferID)
+	th.WriteNT(loc.addr()+deCofferOff, b[:])
+	th.Store64(loc.addr()+deInodeOff, uint64(inode))
+	th.Fence()
 	if idx.authoritative(f.sh.dc.epoch.Load()) {
 		if c := idx.get(name); c != nil && c.loc == loc {
 			c.de.cofferID = cofferID
@@ -403,9 +326,10 @@ func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deL
 
 // dirWalk is the one full traversal of the two-level hash table (§5.1):
 // first-level page, each second-level page's inline area, then each of its
-// 256 bucket chains. Index rebuild, cache-free enumeration and structure
-// page collection all consume it through two hooks, either of which may be
-// nil; recovery's pointer-validating walk is separate on purpose.
+// 256 bucket chains. It is what the index is rebuilt from (dcacheRebuild),
+// how a directory's structure pages are collected, and the reference the
+// index is tested against; either hook may be nil. Recovery's
+// pointer-validating walk is separate on purpose.
 //
 // page sees every structure page (first-level, second-level, chain). slot
 // sees every dentry slot, live or not, with the free-list key of its
@@ -463,28 +387,14 @@ func (f *FS) dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot fu
 // dirList enumerates a directory: fn receives up to limit of its visible
 // dentries, once; it runs under idx.mu, so it only copies out what it needs
 // and neither retains the slice nor touches a directory. page, when non-nil,
-// also sees every structure page of the directory (pass no limit with it: a
-// limit reached ends the cache-free walk).
+// also sees every structure page of the directory.
 //
-// With the directory cache the entries are the authoritative index's, in
-// index order, under idx.mu: each one served costs a slot examination
-// (CPUDentryScan) plus the dcacheTrusted check, so listing n names reads n
-// hot cache lines instead of every page of the hash table. One mismatch
-// distrusts the whole index: it is rebuilt and the NVM truth is served.
-// Without the cache (NoDirCache) the entries come from the walk itself.
-// Caller holds at least a read lock.
+// The entries are the authoritative index's, in index order, under idx.mu:
+// each one served costs a slot examination (CPUDentryScan) plus the
+// dcacheTrusted check, so listing n names reads n hot cache lines instead of
+// every page of the hash table. One mismatch distrusts the whole index: it
+// is rebuilt and the NVM truth is served. Caller holds at least a read lock.
 func (f *FS) dirList(th *proc.Thread, dirIno int64, limit int, page func(pg int64), fn func(ents []cachedDe)) {
-	if f.opts.NoDirCache {
-		var ents []cachedDe
-		f.dirWalk(th, dirIno, page, func(d dentry, loc deLoc, bkt int64) bool {
-			if d.visible() {
-				ents = append(ents, cachedDe{de: d, loc: loc, bkt: bkt})
-			}
-			return len(ents) < limit
-		})
-		fn(ents)
-		return
-	}
 	if page != nil {
 		f.dirWalk(th, dirIno, page, nil)
 	}

@@ -16,8 +16,8 @@ import (
 	"zofs/internal/vfs"
 )
 
-// walkEntries lists a directory by the on-NVM walk alone (the NoDirCache
-// listing path, which is also what an index rebuild sees), sorted by name.
+// walkEntries lists a directory by the on-NVM walk alone (what an index
+// rebuild sees), sorted by name: the reference the index is tested against.
 func walkEntries(t *testing.T, f *FS, th *proc.Thread, dir string) []vfs.DirEntry {
 	t.Helper()
 	pos, err := f.walk(th, dir, true, false)
@@ -129,12 +129,6 @@ func TestDirListMatchesWalk(t *testing.T) {
 	})
 	if checks == 0 || len(listSorted(t, f, th, "/a")) == 0 {
 		t.Fatal("churn checked nothing")
-	}
-	// The ablation lists by the walk itself and must agree too.
-	_, _, fs, ths := newTestFS(t, Options{NoDirCache: true})
-	churnDirs(t, fs, ths, 42, 300, nil)
-	if got, want := listSorted(t, fs, ths, "/a"), walkEntries(t, fs, ths, "/a"); !slices.Equal(got, want) || len(got) == 0 {
-		t.Fatalf("NoDirCache listing differs from the walk: %v vs %v", entryNames(got), entryNames(want))
 	}
 }
 
@@ -306,23 +300,21 @@ func TestDirListColdAfterReset(t *testing.T) {
 }
 
 // TestRmdirViaIndex: the emptiness check of Rmdir, for an in-coffer and a
-// cross-coffer directory, through a warm index, a cold one and the walk.
+// cross-coffer directory, through a warm index and a cold one (which the
+// walk rebuilds).
 func TestRmdirViaIndex(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		opts Options
 		mode coffer.Mode
 		cold bool
 	}{
-		{"in-coffer", Options{}, 0o755, false},
-		{"in-coffer-cold", Options{}, 0o755, true},
-		{"cross-coffer", Options{}, 0o700, false},
-		{"cross-coffer-cold", Options{}, 0o700, true},
-		{"in-coffer-walk", Options{NoDirCache: true}, 0o755, false},
-		{"cross-coffer-walk", Options{NoDirCache: true}, 0o700, false},
+		{"in-coffer", 0o755, false},
+		{"in-coffer-cold", 0o755, true},
+		{"cross-coffer", 0o700, false},
+		{"cross-coffer-cold", 0o700, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, k, f, th := newTestFS(t, tc.opts)
+			_, k, f, th := newTestFS(t, Options{})
 			chill := func() {
 				if tc.cold {
 					f.InvalidateAll() // bumps the epoch: every index is stale

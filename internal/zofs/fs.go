@@ -13,7 +13,6 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
-	"zofs/internal/spans"
 	"zofs/internal/vfs"
 )
 
@@ -42,25 +41,6 @@ type Options struct {
 	// Metadata grants are kernel-zeroed; data grants are not (§5.2).
 	DataEnlargeBatch int64
 	MetaEnlargeBatch int64
-	// NoZeroCopy disables borrowed device access windows: metadata scans and
-	// dentry writes go back to the allocate-and-copy device API (hot-path
-	// ablation baseline).
-	NoZeroCopy bool
-	// NoDirCache disables the volatile directory lookup index: every lookup
-	// and insert walks the on-NVM two-level hash structure.
-	NoDirCache bool
-	// NoAllocBatch disables volatile per-thread page caching: every page
-	// allocation and free updates the persistent slot free-list chain.
-	NoAllocBatch bool
-	// NoSpans ablates ZoFS-layer causal-span instrumentation (lock and
-	// memcpy billing, dcache hit/miss accounting). Lower layers still bill
-	// device costs through the clock when a collector is installed.
-	NoSpans bool
-	// NoLeaseBatch disables batched inode-lease renewal: every unlock
-	// CAS-clears the lease word and every lock re-publishes it, restoring
-	// the two-NVM-writes-per-op discipline (ablation baseline; also used by
-	// tests that assert the word is cleared after each op).
-	NoLeaseBatch bool
 }
 
 func (o *Options) fill() {
@@ -159,16 +139,6 @@ func (f *FS) SecondMount(p *proc.Process) (vfs.FileSystem, error) {
 		return nil, err
 	}
 	return New(f.kern, f.opts), nil
-}
-
-// span returns the thread's causal-span context, or nil when ZoFS-layer
-// span instrumentation is ablated via Options.NoSpans. Every ThreadCtx
-// method is nil-safe, so call sites stay unconditional.
-func (f *FS) span(th *proc.Thread) *spans.ThreadCtx {
-	if f.opts.NoSpans {
-		return nil
-	}
-	return spans.FromClock(th.Clk)
 }
 
 // errno translates kernel errors into vfs errors.
@@ -437,38 +407,19 @@ func resolveSymlink(linkPath, target, rest string) string {
 	return vfs.Clean(base)
 }
 
-// readView returns a borrowed window over [off, off+n), charged like a
-// device read, falling back to an allocated copy when zero-copy is disabled
-// or the range crosses a chunk boundary (never for page-granular accesses).
-// The view aliases live media: read-only, valid only while the current MPK
-// window stays open.
+// readView borrows the device image over [off, off+n), charged like a device
+// read. Every caller asks for a positive range inside one page, and a page
+// never crosses a device chunk, so the view cannot fail. It aliases live
+// media: read-only, valid only while the current MPK window stays open.
 func (f *FS) readView(th *proc.Thread, off, n int64) []byte {
-	if !f.opts.NoZeroCopy {
-		if v, ok := th.ReadView(off, n); ok {
-			return v
-		}
-	}
-	cost := perfmodel.StageCost(int(n))
-	th.CPU(cost)
-	f.span(th).Bill(spans.CompMemcpy, cost)
-	buf := make([]byte, n)
-	th.Read(off, buf)
-	return buf
+	v, _ := th.ReadView(off, n)
+	return v
 }
 
 // readViewCached is readView charged as a CPU-cache hit.
 func (f *FS) readViewCached(th *proc.Thread, off, n int64) []byte {
-	if !f.opts.NoZeroCopy {
-		if v, ok := th.ReadViewCached(off, n); ok {
-			return v
-		}
-	}
-	cost := perfmodel.StageCost(int(n))
-	th.CPU(cost)
-	f.span(th).Bill(spans.CompMemcpy, cost)
-	buf := make([]byte, n)
-	th.ReadCached(off, buf)
-	return buf
+	v, _ := th.ReadViewCached(off, n)
+	return v
 }
 
 // readInodeHeader reads the 64-byte inode header, charged as a CPU-cache

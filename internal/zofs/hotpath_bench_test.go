@@ -64,44 +64,34 @@ func BenchmarkDirLookupHit(b *testing.B) {
 	}
 }
 
-// BenchmarkDirList measures listing a 1024-name directory: the warm index
-// walk with its per-entry verification read against the full on-NVM table
-// walk of the NoDirCache ablation. Host wall-time and allocations here are
-// the listing's real cost; vns/name is what the cost model charges.
+// BenchmarkDirList measures listing a 1024-name directory off the warm
+// index, with its per-entry verification read. Host wall-time and
+// allocations here are the listing's real cost; vns/name is what the cost
+// model charges.
 func BenchmarkDirList(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{
-		{"index", Options{}},
-		{"walk", Options{NoDirCache: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			f, th := newBenchFS(b, cfg.opts)
-			if err := f.Mkdir(th, "/d", 0o755); err != nil {
-				b.Fatal(err)
-			}
-			const n = 1024
-			for i := 0; i < n; i++ {
-				if _, err := f.Create(th, fmt.Sprintf("/d/file-%04d", i), 0o644); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, err := f.ReadDir(th, "/d"); err != nil { // warm
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			t0 := th.Clk.Now()
-			for i := 0; i < b.N; i++ {
-				ents, err := f.ReadDir(th, "/d")
-				if err != nil || len(ents) != n {
-					b.Fatalf("listed %d of %d: %v", len(ents), n, err)
-				}
-			}
-			b.ReportMetric(float64(th.Clk.Now()-t0)/float64(b.N)/n, "vns/name")
-		})
+	f, th := newBenchFS(b, Options{})
+	if err := f.Mkdir(th, "/d", 0o755); err != nil {
+		b.Fatal(err)
 	}
+	const n = 1024
+	for i := 0; i < n; i++ {
+		if _, err := f.Create(th, fmt.Sprintf("/d/file-%04d", i), 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := f.ReadDir(th, "/d"); err != nil { // warm
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	t0 := th.Clk.Now()
+	for i := 0; i < b.N; i++ {
+		ents, err := f.ReadDir(th, "/d")
+		if err != nil || len(ents) != n {
+			b.Fatalf("listed %d of %d: %v", len(ents), n, err)
+		}
+	}
+	b.ReportMetric(float64(th.Clk.Now()-t0)/float64(b.N)/n, "vns/name")
 }
 
 // BenchmarkDirLookupMiss measures negative lookups answered from index
@@ -130,31 +120,21 @@ func BenchmarkDirLookupMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkAllocBatch compares page allocation with the volatile batch
-// cache against the persistent per-page free-list chaining it replaces.
+// BenchmarkAllocBatch measures a page allocation and free through the
+// thread's volatile batch cache.
 func BenchmarkAllocBatch(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		opts Options
-	}{
-		{"batched", Options{}},
-		{"chained", Options{NoAllocBatch: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			f, th := newBenchFS(b, cfg.opts)
-			pos, err := f.walk(th, "/", false, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pos.close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				page, err := f.allocPage(th, pos.m, classData)
-				if err != nil {
-					b.Fatal(err)
-				}
-				f.freePage(th, pos.m, classData, page)
-			}
-		})
+	f, th := newBenchFS(b, Options{})
+	pos, err := f.walk(th, "/", false, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pos.close()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		page, err := f.allocPage(th, pos.m, classData)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.freePage(th, pos.m, classData, page)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
-	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 	"zofs/internal/vfs"
 )
@@ -116,8 +115,7 @@ func leafSpan(idx int64) (first, end int64) {
 // L1). The slots share a page, so the view never crosses a device chunk.
 func (f *FS) ptrView(th *proc.Thread, slot, n int64) []byte {
 	th.CPU((n - 1) * perfmodel.CPUSmallOp)
-	v, _ := th.ReadViewCached(slot, 8*n)
-	return v
+	return f.readViewCached(th, slot, 8*n)
 }
 
 // appendPtrs appends the non-null page pointers of a slot view to dst.
@@ -229,10 +227,8 @@ func (f *FS) isInline(th *proc.Thread, ino int64) bool {
 	return f.opts.InlineData && th.Load64Cached(ino*pageSize+inoInlineFlag) == 1
 }
 
-// readAt reads file data; the caller holds at least a read lock on ino.
-// The default configuration delivers straight from the mapped device into
-// the caller's buffer; the NoZeroCopy variant stages every transfer
-// through a DRAM bounce buffer and pays the extra memcpy.
+// readAt reads file data straight from the mapped device into the caller's
+// buffer; the caller holds at least a read lock on ino.
 func (f *FS) readAt(th *proc.Thread, m *mount, ino int64, p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrInvalid
@@ -243,11 +239,6 @@ func (f *FS) readAt(th *proc.Thread, m *mount, ino int64, p []byte, off int64) (
 	}
 	if off+int64(len(p)) > size {
 		p = p[:size-off]
-	}
-	if f.opts.NoZeroCopy && len(p) > 0 {
-		cost := perfmodel.MemcpyCost(len(p))
-		th.CPU(cost)
-		f.span(th).Bill(spans.CompMemcpy, cost)
 	}
 	if f.isInline(th, ino) {
 		th.Read(ino*pageSize+inoInlineOff+off, p)
@@ -273,12 +264,6 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 	defer th.Clk.SetWriteClass(prev)
 	if off < 0 {
 		return 0, vfs.ErrInvalid
-	}
-	if f.opts.NoZeroCopy && len(p) > 0 {
-		// Copy-path staging of the outgoing bytes (see readAt).
-		cost := perfmodel.MemcpyCost(len(p))
-		th.CPU(cost)
-		f.span(th).Bill(spans.CompMemcpy, cost)
 	}
 	size := f.inodeSize(th, ino)
 	if f.opts.InlineData {

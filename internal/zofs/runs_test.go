@@ -21,7 +21,6 @@ var runVariants = []struct {
 	opts Options
 }{
 	{"default", Options{}},
-	{"NoAllocBatch", Options{NoAllocBatch: true}},
 	{"InlineData", Options{InlineData: true}},
 }
 

@@ -9,6 +9,7 @@ import (
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/retry"
+	"zofs/internal/spans"
 	"zofs/internal/vfs"
 )
 
@@ -153,7 +154,7 @@ var leaseAcquirePolicy = retry.Policy{
 // fences the caller's commit points (checkLease) and must be handed back to
 // unlockInode. On vfs.ErrLeaseTimeout the shared lock is already released.
 func (f *FS) lockInode(th *proc.Thread, m *mount, ino int64) (uint8, error) {
-	sp := f.span(th)
+	sp := spans.FromClock(th.Clk)
 	th.CPU(perfmodel.CPULockAcquire) // clock_gettime via vDSO + bookkeeping
 	t0 := th.Clk.Now()
 	st := f.sh.state(ino)
@@ -181,7 +182,6 @@ func (f *FS) claimInodeLease(th *proc.Thread, st *inoState, ino int64) (uint8, e
 	off := ino*pageSize + inoLeaseOff
 	wprev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
 	defer th.Clk.SetWriteClass(wprev)
-	batch := !f.opts.NoLeaseBatch
 	var bo *retry.Backoff
 	for {
 		// The lease word of a repeatedly locked inode stays resident in the
@@ -190,35 +190,33 @@ func (f *FS) claimInodeLease(th *proc.Thread, st *inoState, ino int64) (uint8, e
 		w := th.Load64Cached(off)
 		tid, epoch, expiry := unpackInoLease(w)
 		now := th.Clk.Now()
-		if batch && w != 0 {
-			if st.parked == w {
-				if tid == th.TID&0xffff {
-					// Our own parked lease: the batched fast path. Reuse the
-					// word as-is — zero NVM writes per lock/unlock pair —
-					// renewing only once the window is half-spent (the
-					// allocator slot idiom), so renewals amortize to one
-					// write per lease window instead of two per op.
-					if expiry > now && expiry-now >= leaseDuration/2 && expiry <= now+leaseDuration {
-						st.parked = 0
-						return uint8(epoch), nil
-					}
-					if th.CAS64(off, w, inoLeaseWord(th.TID, epoch, now+leaseDuration)) {
-						st.parked = 0
-						return uint8(epoch), nil
-					}
-					continue
-				}
-				// Foreign parked lease: the park proves the holder's
-				// in-process hold ended, so steal immediately (epoch bump
-				// fences the parker's stale word) instead of sleeping out
-				// the remaining window.
-				ne := (epoch + 1) & 0xff
-				if th.CAS64(off, w, inoLeaseWord(th.TID, ne, now+leaseDuration)) {
+		if w != 0 && st.parked == w {
+			if tid == th.TID&0xffff {
+				// Our own parked lease: the batched fast path. Reuse the
+				// word as-is — zero NVM writes per lock/unlock pair —
+				// renewing only once the window is half-spent (the
+				// allocator slot idiom), so renewals amortize to one
+				// write per lease window instead of two per op.
+				if expiry > now && expiry-now >= leaseDuration/2 && expiry <= now+leaseDuration {
 					st.parked = 0
-					return uint8(ne), nil
+					return uint8(epoch), nil
+				}
+				if th.CAS64(off, w, inoLeaseWord(th.TID, epoch, now+leaseDuration)) {
+					st.parked = 0
+					return uint8(epoch), nil
 				}
 				continue
 			}
+			// Foreign parked lease: the park proves the holder's
+			// in-process hold ended, so steal immediately (epoch bump
+			// fences the parker's stale word) instead of sleeping out
+			// the remaining window.
+			ne := (epoch + 1) & 0xff
+			if th.CAS64(off, w, inoLeaseWord(th.TID, ne, now+leaseDuration)) {
+				st.parked = 0
+				return uint8(ne), nil
+			}
+			continue
 		}
 		switch {
 		case w == 0 || (tid == th.TID&0xffff && expiry > now):
@@ -253,11 +251,13 @@ func (f *FS) claimInodeLease(th *proc.Thread, st *inoState, ino int64) (uint8, e
 // while we ran (we stalled past expiry), the stealer's word is left intact
 // — clearing it would hand a third writer a lock the stealer still holds.
 //
-// With batching on (the default), a still-live own lease is parked instead
-// of cleared: the word stays in NVM and the inode's state records it, so
-// the thread's next lock of the same inode inside the lease window costs no
-// NVM write at all — one renewal per lease window per thread instead of a
-// CAS pair per op (the DWOM hold-time fix).
+// A still-live own lease is parked instead of cleared: the word stays in NVM
+// and the inode's state records it, so the thread's next lock of the same
+// inode inside the lease window costs no NVM write at all — one renewal per
+// lease window per thread instead of a CAS pair per op (the DWOM hold-time
+// fix). An own lease that expired while the op ran is cleared instead: no
+// window is left to reuse, and a free word is claimed at its current epoch
+// where an expired one would be stolen with the epoch bumped.
 func (f *FS) unlockInode(th *proc.Thread, m *mount, ino int64, epoch uint8) {
 	f.window(th, m, true)
 	wprev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
@@ -266,7 +266,7 @@ func (f *FS) unlockInode(th *proc.Thread, m *mount, ino int64, epoch uint8) {
 	tid, ep, expiry := unpackInoLease(w)
 	st := f.sh.state(ino)
 	if w != 0 && tid == th.TID&0xffff && uint8(ep) == epoch {
-		if !f.opts.NoLeaseBatch && expiry > th.Clk.Now() {
+		if expiry > th.Clk.Now() {
 			st.parked = w
 		} else {
 			th.CAS64(off, w, 0)
@@ -306,7 +306,7 @@ func bucketKey(dirIno int64, name string) int64 {
 
 // lockDirBucket write-locks the bucket of name in directory dirIno.
 func (f *FS) lockDirBucket(th *proc.Thread, dirIno int64, name string) int64 {
-	sp := f.span(th)
+	sp := spans.FromClock(th.Clk)
 	th.CPU(2 * perfmodel.CPULockAcquire) // clock_gettime + bucket lease CAS
 	k := bucketKey(dirIno, name)
 	t0 := th.Clk.Now()
@@ -325,7 +325,7 @@ func (f *FS) unlockDirBucket(th *proc.Thread, k int64) {
 // rlockInode read-locks an inode (readers overlap; no lease write — reads
 // are made safe by the atomic 8-byte update discipline of §5.3).
 func (f *FS) rlockInode(th *proc.Thread, ino int64) {
-	sp := f.span(th)
+	sp := spans.FromClock(th.Clk)
 	th.CPU(perfmodel.CPULockAcquire)
 	t0 := th.Clk.Now()
 	f.sh.lockOf(ino).RLock(th.Clk)

@@ -140,8 +140,7 @@ func TestTruncateEveryLevel(t *testing.T) {
 
 // TestTruncateCrashPoints crashes Truncate around every persisting store it
 // makes (the size commit, the boundary-page scrub, one streaming
-// clear per pointer array, and under NoAllocBatch the free-list chaining),
-// recovers, and requires: the size is the new one (the old one only if the
+// clear per pointer array), recovers, and requires: the size is the new one (the old one only if the
 // commit itself did not land) with the content below it intact; the dropped
 // blocks re-extend to zeros; and no page is both reachable from the file and
 // granted again — pages handed to a new file never alias the old one.

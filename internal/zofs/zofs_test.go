@@ -679,27 +679,54 @@ func TestCrashDuringCreatesThenFsck(t *testing.T) {
 }
 
 func TestLeaseWordWrittenAndCleared(t *testing.T) {
-	// NoLeaseBatch: this test pins the unbatched discipline — word written
-	// at lock, CAS-cleared at unlock. The batched default is pinned by
-	// TestLeaseBatchParksAndReuses.
-	_, _, f, th := newTestFS(t, Options{NoLeaseBatch: true})
+	// The two arms of unlockInode on the holder's own word: inside the lease
+	// window the word is parked (left live in NVM for the next lock to
+	// reuse), after the window has elapsed it is CAS-cleared. The reuse and
+	// steal of a parked word are pinned by TestLeaseBatchParksAndReuses.
+	_, _, f, th := newTestFS(t, Options{})
 	f.Create(th, "/l", 0o644)
 	pos, err := f.walk(th, "/l", true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pos.close()
+	leaseOff := pos.ino*pageSize + inoLeaseOff
+	st := f.sh.state(pos.ino)
+
 	ep, lerr := f.lockInode(th, pos.m, pos.ino)
 	if lerr != nil {
 		t.Fatalf("lockInode: %v", lerr)
 	}
-	if th.Load64(pos.ino*pageSize+inoLeaseOff) == 0 {
+	w := th.Load64(leaseOff)
+	if w == 0 {
 		t.Fatal("lease word not written under lock")
 	}
 	f.unlockInode(th, pos.m, pos.ino, ep)
-	if th.Load64(pos.ino*pageSize+inoLeaseOff) != 0 {
-		t.Fatal("lease word not cleared on unlock")
+	if got := th.Load64(leaseOff); got != w || st.parked != w {
+		t.Fatalf("unlock inside the window: word %#x parked %#x, want both %#x", got, st.parked, w)
 	}
+
+	ep, lerr = f.lockInode(th, pos.m, pos.ino)
+	if lerr != nil {
+		t.Fatalf("relock: %v", lerr)
+	}
+	th.Clk.Advance(leaseDuration + 1) // the op outlives its lease
+	f.unlockInode(th, pos.m, pos.ino, ep)
+	if got := th.Load64(leaseOff); got != 0 {
+		t.Fatalf("unlock after the window elapsed left the lease word %#x, want it cleared", got)
+	}
+	if st.parked != 0 {
+		t.Fatalf("an expired lease was parked: %#x", st.parked)
+	}
+	// The cleared word is free: the next lock claims it at the same epoch.
+	ep2, lerr := f.lockInode(th, pos.m, pos.ino)
+	if lerr != nil {
+		t.Fatalf("lock after clear: %v", lerr)
+	}
+	if ep2 != ep {
+		t.Fatalf("lock of a cleared word bumped the epoch: %d -> %d", ep, ep2)
+	}
+	f.unlockInode(th, pos.m, pos.ino, ep2)
 }
 
 func TestLeaseBatchParksAndReuses(t *testing.T) {
