@@ -5,7 +5,7 @@
 // kernel. The repaired image is written back unless -n is given.
 //
 // With -trace, a flight-recorder log of the run that produced the image
-// (zofs-trace record, zofs-bench -trace) is replayed through the
+// (zofs-obs trace record, zofs-bench -trace) is replayed through the
 // crash-consistency auditor and its lost-line report is cross-checked
 // against the repairs fsck performed: any repair the recorder cannot
 // explain — or any repair at all when the recorder saw no hazard — is a

@@ -1,17 +1,25 @@
-// Command zofs-perfdiff compares two performance artifacts and fails on
-// statistically significant regressions — a perf gate between a baseline and
-// a fresh run.
+package main
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"sort"
+	"strings"
+
+	"zofs/internal/obsfs"
+	"zofs/internal/series"
+)
+
+// cmdDiff compares two performance artifacts and fails on statistically
+// significant regressions — a perf gate between a baseline and a fresh run.
 //
-// Usage:
-//
-//	zofs-perfdiff [-noise 0.05] [-sig 3] [-json] old new
-//	zofs-perfdiff -inject 0.2 -o out.json in.json
-//	zofs-perfdiff -validate file.prom
-//
-// old and new are each either a metrics/BENCH JSON document (any shape: the
-// differ flattens numeric leaves into labelled metrics) or a series
-// directory written by zofs-bench -series (series.jsonl), which additionally
-// yields a noise model from window-to-window variance.
+// OLD and NEW are each either a metrics/BENCH JSON document (any shape: the
+// differ flattens numeric leaves into labelled metrics) or an observation
+// directory (its series.jsonl), which additionally yields a noise model from
+// window-to-window variance.
 //
 // A metric regresses when it moves in its bad direction — lower for
 // throughput-like names (kops, speedup), higher for latency-like names
@@ -22,67 +30,36 @@
 // -inject writes a copy of a JSON artifact with a synthetic regression of
 // the given fraction (throughput deflated, latency inflated) — the gate's
 // self-test: a differ that cannot detect a 20% regression is no gate.
-//
-// -validate parses one OpenMetrics file with the shared strict parser and
-// runs the family-appropriate invariant checks (series, lockprof or spans,
-// chosen by metric-name prefix).
-package main
-
-import (
-	"encoding/json"
-	"flag"
-	"fmt"
-	"io"
-	"math"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-
-	"zofs/internal/lockprof"
-	"zofs/internal/openmetrics"
-	"zofs/internal/series"
-	"zofs/internal/spans"
-)
-
-func main() {
-	noise := flag.Float64("noise", 0.05, "relative noise floor below which deltas are never significant")
-	sig := flag.Float64("sig", 3.0, "significance multiplier on the relative standard error (series inputs)")
-	jsonOut := flag.Bool("json", false, "emit the comparison as JSON instead of a table")
-	inject := flag.Float64("inject", 0, "write a copy of the input with a synthetic regression of this fraction (self-test)")
-	out := flag.String("o", "", "output path for -inject")
-	validate := flag.String("validate", "", "validate one OpenMetrics file (family chosen by metric prefix) and exit")
-	flag.Parse()
-
-	switch {
-	case *validate != "":
-		if err := validateFile(*validate); err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-perfdiff: %s: %v\n", *validate, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: OK\n", *validate)
-	case *inject > 0:
-		if flag.NArg() != 1 || *out == "" {
-			fmt.Fprintln(os.Stderr, "usage: zofs-perfdiff -inject <frac> -o out.json in.json")
-			os.Exit(2)
-		}
-		if err := injectRegression(flag.Arg(0), *out, *inject); err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-perfdiff: -inject: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s with a %.0f%% synthetic regression\n", *out, *inject*100)
-	default:
-		if flag.NArg() != 2 {
-			flag.Usage()
-			os.Exit(2)
-		}
-		code, err := diff(os.Stdout, flag.Arg(0), flag.Arg(1), *noise, *sig, *jsonOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-perfdiff: %v\n", err)
-			os.Exit(1)
-		}
-		os.Exit(code)
+func cmdDiff(args []string, stdout, stderr io.Writer) int {
+	fl := newFlags("diff", stderr)
+	noise := fl.Float64("noise", 0.05, "relative noise floor below which deltas are never significant")
+	sig := fl.Float64("sig", 3.0, "significance multiplier on the relative standard error (series inputs)")
+	jsonOut := fl.Bool("json", false, "emit the comparison as JSON instead of a table")
+	inject := fl.Float64("inject", 0, "write a copy of the input with a synthetic regression of this fraction (self-test)")
+	out := fl.String("o", "", "output path for -inject")
+	if !parse(fl, args, 1, 2) {
+		return 2
 	}
+	if *inject > 0 {
+		if fl.NArg() != 1 || *out == "" {
+			fmt.Fprintln(stderr, "usage: zofs-obs diff -inject <frac> -o out.json in.json")
+			return 2
+		}
+		if err := injectRegression(fl.Arg(0), *out, *inject); err != nil {
+			return fail(stderr, fmt.Errorf("-inject: %w", err))
+		}
+		fmt.Fprintf(stdout, "wrote %s with a %.0f%% synthetic regression\n", *out, *inject*100)
+		return 0
+	}
+	if fl.NArg() != 2 {
+		fl.Usage()
+		return 2
+	}
+	code, err := diff(stdout, stderr, fl.Arg(0), fl.Arg(1), *noise, *sig, *jsonOut)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	return code
 }
 
 // metric is one flattened numeric observation with an optional noise model.
@@ -155,8 +132,8 @@ func flatten(prefix string, v any, into map[string]metric) {
 	}
 }
 
-// load reads one artifact — a JSON file or a series directory — into a
-// labelled metric map.
+// load reads one artifact — a JSON file or an observation directory — into
+// a labelled metric map.
 func load(path string) (map[string]metric, error) {
 	st, err := os.Stat(path)
 	if err != nil {
@@ -181,22 +158,17 @@ func load(path string) (map[string]metric, error) {
 	return m, nil
 }
 
-// loadSeriesDir turns a zofs-bench -series directory into per-op whole-run
+// loadSeriesDir turns an observation directory into per-op whole-run
 // metrics with a window-to-window noise model: the relative standard error
 // of the per-window mean latency estimates how much a run's own timeline
 // wobbles, which is the natural yardstick for judging a cross-run delta.
 func loadSeriesDir(dir string) (map[string]metric, error) {
-	f, err := os.Open(filepath.Join(dir, "series.jsonl"))
+	wins, err := readLog[series.Window](dir, obsfs.SeriesLog, false)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	wins, err := series.ReadJSONL(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", dir, err)
-	}
 	if len(wins) == 0 {
-		return nil, fmt.Errorf("%s: series.jsonl holds no windows", dir)
+		return nil, fmt.Errorf("%s: %s holds no windows", dir, obsfs.SeriesLog)
 	}
 	type acc struct {
 		count, sum          int64
@@ -262,7 +234,7 @@ type row struct {
 	Regression bool    `json:"regression"`
 }
 
-func diff(w io.Writer, oldPath, newPath string, noise, sig float64, asJSON bool) (int, error) {
+func diff(w, stderr io.Writer, oldPath, newPath string, noise, sig float64, asJSON bool) (int, error) {
 	oldM, err := load(oldPath)
 	if err != nil {
 		return 0, err
@@ -329,7 +301,7 @@ func diff(w io.Writer, oldPath, newPath string, noise, sig float64, asJSON bool)
 		}
 	}
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "zofs-perfdiff: %d significant regression(s)\n", regressions)
+		fmt.Fprintf(stderr, "zofs-obs diff: %d significant regression(s)\n", regressions)
 		return 3, nil
 	}
 	return 0, nil
@@ -377,28 +349,4 @@ func degrade(name string, v any, frac float64) any {
 		return t
 	}
 	return v
-}
-
-// validateFile picks the invariant checker by the families present in the
-// document: zofs_series_/zofs_slo_ → series, zofs_lockprof_ → lockprof,
-// anything else with zofs_ → spans.
-func validateFile(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	// The strict parse runs first either way; the family dispatch only
-	// chooses which conservation rules apply on top.
-	if _, err := openmetrics.Parse(strings.NewReader(string(raw))); err != nil {
-		return err
-	}
-	text := string(raw)
-	switch {
-	case strings.Contains(text, "zofs_series_"):
-		return series.ValidateOpenMetrics(strings.NewReader(text))
-	case strings.Contains(text, "zofs_lockprof_"):
-		return lockprof.ValidateOpenMetrics(strings.NewReader(text))
-	default:
-		return spans.ValidateOpenMetrics(strings.NewReader(text))
-	}
 }

@@ -21,10 +21,10 @@
 // media bytes, write amplification) and prints the per-coffer space table.
 // "wear" prints the n hottest pages of the wear heatmap (default 10).
 //
-// "spans" dumps the causal-span latency attribution for everything typed so
-// far: per-op component breakdowns (media, flush/fence, lock wait, PKRU,
-// memcpy, kernel), the critical-path summary, dcache hit rates and lock
-// contention. "spans reset" zeroes the collector.
+// "spans" dumps the observation document for everything typed so far: per-op
+// component breakdowns (media, flush/fence, lock wait, PKRU, memcpy, kernel),
+// the critical-path summary and dcache hit rates, then the byte-flow, space
+// and timeline panels. "spans reset" zeroes the span collector.
 //
 // "tail" shows the virtual-time windowed view of the session: the latest
 // windows with per-op counts and tail quantiles, plus the captured worst-op
@@ -46,6 +46,7 @@ import (
 	"zofs/internal/fslibs"
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
+	"zofs/internal/obsfs"
 	"zofs/internal/proc"
 	"zofs/internal/series"
 	"zofs/internal/spans"
@@ -87,13 +88,6 @@ func main() {
 	if err := lib.ZoFS().EnsureRootDir(th); err != nil {
 		fatal("root: %v", err)
 	}
-	// Published/dumped span snapshots carry the byte-flow and coffer-space
-	// panels alongside the latency attribution.
-	spans.OnSnapshot(func(s *spans.Snapshot) {
-		s.Flow = dev.FlowSnapshot()
-		s.Space = lib.ZoFS().SpaceReport()
-	})
-
 	save := func() {
 		out, err := os.Create(path)
 		if err != nil {
@@ -294,9 +288,7 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 			fail(fmt.Errorf("usage: spans [reset]"))
 			return false
 		}
-		snap := col.Snapshot()
-		spans.Enrich(&snap)
-		if err := snap.WriteText(os.Stdout); err != nil {
+		if err := obsfs.Collect(lib.ZoFS()).WriteText(os.Stdout); err != nil {
 			fail(err)
 		}
 	case "tail":
@@ -311,9 +303,9 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 				n = v
 			}
 		}
-		wins := sc.Windows()
+		wins, snap := sc.Windows(), sc.Snapshot()
 		fmt.Printf("tail: %d observations, %d windows of %d ns (%d spilled)\n",
-			sc.Total(), len(wins), sc.WidthNS(), sc.SpilledWindows())
+			snap.Observations, len(wins), snap.WidthNS, snap.Spilled)
 		if len(wins) > n {
 			wins = wins[len(wins)-n:]
 		}
@@ -403,22 +395,10 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 		}
 	case "df":
 		fmt.Printf("%d free pages of %d\n", k.FreePages(), k.Device().Pages())
-		if f := k.Device().FlowSnapshot(); f != nil {
-			fmt.Printf("byte flow: app %d  issued %d  media %d  WA %.2f  flushes %d  fences %d\n",
-				f.App, f.Total, f.MediaBytes(), f.WA(), f.Flushes, f.Fences)
-			for _, c := range byteflow.Classes() {
-				if f.Issued[c] != 0 {
-					fmt.Printf("  %-8s %d bytes\n", c, f.Issued[c])
-				}
-			}
+		doc := obsfs.Collect(lib.ZoFS())
+		if err := (obsfs.Doc{Flow: doc.Flow, Space: doc.Space}).WriteText(os.Stdout); err != nil {
+			fail(err)
 		}
-		t := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(t, "coffer\tpath\tpages\tused\tfree_listed\tcached\textents\tfrag")
-		for _, cs := range lib.ZoFS().SpaceReport() {
-			fmt.Fprintf(t, "%d\t%s\t%d\t%d\t%d\t%d\t%d\t%.3f\n",
-				cs.ID, cs.Path, cs.Pages, cs.Used, cs.FreeListed, cs.Cached, cs.Extents, cs.Frag)
-		}
-		t.Flush()
 	case "wear":
 		n := 10
 		if len(args) == 2 {
@@ -426,18 +406,9 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 				n = v
 			}
 		}
-		wear := lib.ZoFS().WearReport()
-		sort.Slice(wear, func(i, j int) bool { return wear[i].Writes > wear[j].Writes })
-		if n > len(wear) {
-			n = len(wear)
+		if err := byteflow.WriteWearText(os.Stdout, lib.ZoFS().WearReport(), n); err != nil {
+			fail(err)
 		}
-		fmt.Printf("hottest pages (%d of %d worn):\n", n, len(wear))
-		t := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(t, "page\tcoffer\twrites\tbytes\tflushes")
-		for _, pw := range wear[:n] {
-			fmt.Fprintf(t, "%d\t%d\t%d\t%d\t%d\n", pw.Page, pw.Coffer, pw.Writes, pw.Bytes, pw.Flushes)
-		}
-		t.Flush()
 	case "coffers":
 		for _, id := range k.Coffers() {
 			info, _ := k.Info(id)

@@ -4,11 +4,21 @@
 // application bytes against FS-issued bytes against media bytes, per-page
 // wear records and per-coffer space records.
 //
-// The package is pure data — it imports nothing — so any layer (simclock,
-// nvm, spans, zofs, kernfs, the harness) can use it without import cycles.
+// The package is data plus its renderers — it imports only the OpenMetrics
+// parser — so any layer (simclock, nvm, zofs, kernfs, the harness) can use it
+// without import cycles.
 package byteflow
 
-import "fmt"
+import (
+	"bufio"
+	"fmt"
+	"io"
+	"sort"
+	"strconv"
+	"text/tabwriter"
+
+	"zofs/internal/openmetrics"
+)
 
 // Class labels the file-system intent behind one persisted write. The zero
 // value is the residual class: writes issued with no tag (bulk-charged
@@ -158,6 +168,63 @@ func (f *Flow) Conserved() error {
 	return nil
 }
 
+// WriteText renders the reconciliation line and the per-class table (classes
+// that moved no bytes are left out).
+func (f *Flow) WriteText(w io.Writer) error {
+	fmt.Fprintf(w, "byte flow: app %d  issued %d  media %d  WA %.2f  flushes %d  fences %d\n",
+		f.App, f.Total, f.MediaBytes(), f.WA(), f.Flushes, f.Fences)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "class\tissued\tnt\tflush_lines")
+	for _, c := range Classes() {
+		if f.Issued[c] == 0 && f.NT[c] == 0 && f.Lines[c] == 0 {
+			continue
+		}
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\n", c, f.Issued[c], f.NT[c], f.Lines[c])
+	}
+	return tw.Flush()
+}
+
+// WriteOpenMetrics renders the flow's families (no "# EOF": the observation
+// document terminates the exposition).
+func (f *Flow) WriteOpenMetrics(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	openmetrics.WriteScalar(bw, "zofs_app_bytes", "counter", "application-requested write bytes", f.App)
+	openmetrics.WriteScalar(bw, "zofs_issued_bytes", "counter", "bytes issued to the device", f.Total)
+	openmetrics.WriteScalar(bw, "zofs_media_bytes", "counter", "estimated bytes that reached media", f.MediaBytes())
+	openmetrics.WriteScalar(bw, "zofs_flushes", "counter", "cache-line flush instructions", f.Flushes)
+	openmetrics.WriteScalar(bw, "zofs_fences", "counter", "store fences", f.Fences)
+	openmetrics.WriteScalar(bw, "zofs_write_amplification", "gauge", "media bytes per application byte",
+		strconv.FormatFloat(f.WA(), 'f', 4, 64))
+	for _, fam := range []struct {
+		name string
+		v    *[NumClasses]int64
+	}{
+		{"zofs_issued_class_bytes", &f.Issued},
+		{"zofs_nt_class_bytes", &f.NT},
+		{"zofs_flush_class_lines", &f.Lines},
+	} {
+		fmt.Fprintf(bw, "# TYPE %s counter\n", fam.name)
+		for _, c := range Classes() {
+			fmt.Fprintf(bw, "%s_total{class=%q} %d\n", fam.name, c.String(), fam.v[c])
+		}
+	}
+	return bw.Flush()
+}
+
+// CheckOpenMetrics enforces the flow panel's invariant on a parsed
+// exposition, when the panel is there: the per-class issued bytes sum
+// exactly to the independently counted issued total.
+func CheckOpenMetrics(doc *openmetrics.Doc) error {
+	if !doc.Has("zofs_issued_bytes_total") && !doc.Has("zofs_issued_class_bytes_total") {
+		return nil
+	}
+	if err := doc.Require("byte-flow", "zofs_issued_bytes_total", "zofs_issued_class_bytes_total", "zofs_app_bytes_total"); err != nil {
+		return err
+	}
+	return openmetrics.Conserved("byte-flow: class bytes",
+		doc.SumInt("zofs_issued_class_bytes_total"), doc.Int("zofs_issued_bytes_total"))
+}
+
 // PageWear is the wear-heatmap record of one device page.
 type PageWear struct {
 	Page    int64  `json:"page"`
@@ -165,6 +232,22 @@ type PageWear struct {
 	Writes  int64  `json:"writes"`
 	Bytes   int64  `json:"bytes"`
 	Flushes int64  `json:"flushes,omitempty"`
+}
+
+// WriteWearText renders the n most-written pages of a wear report.
+func WriteWearText(w io.Writer, wear []PageWear, n int) error {
+	hot := append([]PageWear(nil), wear...)
+	sort.Slice(hot, func(i, j int) bool { return hot[i].Writes > hot[j].Writes })
+	if n > len(hot) {
+		n = len(hot)
+	}
+	fmt.Fprintf(w, "hottest pages (%d of %d worn):\n", n, len(wear))
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "page\tcoffer\twrites\tbytes\tflushes")
+	for _, pw := range hot[:n] {
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\n", pw.Page, pw.Coffer, pw.Writes, pw.Bytes, pw.Flushes)
+	}
+	return tw.Flush()
 }
 
 // CofferSpace is one coffer's space-accounting row: the kernel's grant
@@ -181,6 +264,38 @@ type CofferSpace struct {
 	Used       int64   `json:"used"`
 	Extents    int64   `json:"extents"`
 	Frag       float64 `json:"frag"`
+}
+
+// Space is a file system's per-coffer space report.
+type Space []CofferSpace
+
+// WriteText renders the per-coffer space table.
+func (rows Space) WriteText(w io.Writer) error {
+	fmt.Fprintln(w, "coffer space:")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "coffer\tpath\tpages\tused\tfree_listed\tcached\textents\tfrag")
+	for _, cs := range rows {
+		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%d\t%d\t%.3f\n",
+			cs.ID, cs.Path, cs.Pages, cs.Used, cs.FreeListed, cs.Cached, cs.Extents, cs.Frag)
+	}
+	return tw.Flush()
+}
+
+// WriteOpenMetrics renders the per-coffer space families (no "# EOF").
+func (rows Space) WriteOpenMetrics(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "# TYPE zofs_coffer_pages gauge\n")
+	for _, cs := range rows {
+		fmt.Fprintf(bw, "zofs_coffer_pages{coffer=\"%d\",state=\"used\"} %d\n", cs.ID, cs.Used)
+		fmt.Fprintf(bw, "zofs_coffer_pages{coffer=\"%d\",state=\"free_listed\"} %d\n", cs.ID, cs.FreeListed)
+		fmt.Fprintf(bw, "zofs_coffer_pages{coffer=\"%d\",state=\"cached\"} %d\n", cs.ID, cs.Cached)
+	}
+	fmt.Fprintf(bw, "# TYPE zofs_coffer_frag gauge\n")
+	fmt.Fprintf(bw, "# HELP zofs_coffer_frag fraction of adjacent page pairs breaking contiguity\n")
+	for _, cs := range rows {
+		fmt.Fprintf(bw, "zofs_coffer_frag{coffer=\"%d\"} %s\n", cs.ID, strconv.FormatFloat(cs.Frag, 'f', 4, 64))
+	}
+	return bw.Flush()
 }
 
 // FragScore computes the fragmentation score of a grant held in `extents`

@@ -22,8 +22,8 @@ import (
 	"zofs/internal/logfs"
 	"zofs/internal/mpk"
 	"zofs/internal/nvm"
+	"zofs/internal/obsfs"
 	"zofs/internal/proc"
-	"zofs/internal/series"
 	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 	"zofs/internal/vfs"
@@ -148,32 +148,19 @@ func (l *Lib) guard(th *proc.Thread, err *error) {
 	*err = fmt.Errorf("%w: fault inside FS library: %v", vfs.ErrIO, r)
 }
 
-// trace starts a per-op latency measurement against the thread's virtual
-// clock, returning the closure that records it. Deferred textually before
-// guard so it observes the clock after any fault recovery has been charged —
-// and, for spans, so the root closes after guard has marked it aborted.
+// trace starts a per-op observation against the thread's virtual clock
+// (obsfs.Begin), returning the closure that records it. Deferred textually
+// before guard so it observes the clock after any fault recovery has been
+// charged — and, for spans, so the root closes after guard has marked it
+// aborted.
 func (l *Lib) trace(th *proc.Thread, op telemetry.Op) func() {
 	return l.traceAt(th, op, "")
 }
 
-// traceAt is trace for path-taking operations: the path's hash is stamped on
-// the root span so traces can be grouped by file without recording names.
+// traceAt is trace for path-taking operations, whose root span carries the
+// path's hash.
 func (l *Lib) traceAt(th *proc.Thread, op telemetry.Op, path string) func() {
-	rec := l.kern.Device().Recorder()
-	sp := spans.FromClock(th.Clk)
-	if rec == nil && sp == nil && series.Active() == nil {
-		return func() {}
-	}
-	rec.Inc(telemetry.CtrDispatchOps)
-	start := th.Clk.Now()
-	sp.Begin(op, spans.PathHash(path), start)
-	return func() {
-		now := th.Clk.Now()
-		rec.Observe(op, now-start)
-		series.ObserveActive(op, start, now-start)
-		rec.TraceOp(th.TID, op, start, now-start)
-		sp.End(now)
-	}
+	return obsfs.Begin(l.kern.Device().Recorder(), th.Clk, op, path)
 }
 
 // resolve normalizes a path against the CWD and checks the mount point,

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"zofs/internal/obsfs"
 	"zofs/internal/series"
 	"zofs/internal/spans"
 	"zofs/internal/sysfactory"
@@ -27,7 +28,7 @@ import (
 //  4. SLO burn accounting is conservative: an always-breached objective
 //     (threshold 1ns) counts every op as bad, a never-breached one
 //     (threshold 2^40 ns) counts none, and totals equal the op counts.
-//  5. The OpenMetrics rendering of the windowed state validates.
+//  5. The OpenMetrics rendering of the collected document validates.
 func RunSeries(w io.Writer, opts Options) error {
 	opts.fill()
 	n := 12288
@@ -62,9 +63,11 @@ func RunSeries(w io.Writer, opts Options) error {
 	})
 	col := spans.Enable(spans.Config{RingCap: -1, ExemplarK: spans.DefaultExemplarK})
 	var inst map[string]float64
+	var doc obsfs.Doc
 	in, err := sysfactory.ZoFS.New(opts.DeviceBytes)
 	if err == nil {
 		inst, err = hotpathRunOn(in, rec, n)
+		doc = obsfs.Collect(in.FS)
 	}
 	spans.Install(prevSpans)
 	series.Install(prevSeries)
@@ -90,9 +93,8 @@ func RunSeries(w io.Writer, opts Options) error {
 	}
 
 	// Merge-exactness against the cumulative telemetry histograms.
-	wins := sc.Windows()
-	if len(wins) < 2 {
-		failures = append(failures, fmt.Sprintf("only %d windows retained; want multiple (width %d ns)", len(wins), sc.WidthNS()))
+	if doc.Series.Windows < 2 {
+		failures = append(failures, fmt.Sprintf("only %d windows retained; want multiple (width %d ns)", doc.Series.Windows, doc.Series.WidthNS))
 	}
 	merged := sc.Merged()
 	snap := rec.Snapshot()
@@ -153,16 +155,12 @@ func RunSeries(w io.Writer, opts Options) error {
 		}
 	}
 
-	var om strings.Builder
-	if err := sc.WriteOpenMetrics(&om); err != nil {
-		return err
-	}
-	if err := series.ValidateOpenMetrics(strings.NewReader(om.String())); err != nil {
+	if err := doc.Validate(); err != nil {
 		failures = append(failures, fmt.Sprintf("OpenMetrics validation: %v", err))
 	}
 
 	fmt.Fprintf(w, "\nWindows: %d retained (width %d ns, %d spilled), %d observations, %d exemplars\n",
-		len(wins), sc.WidthNS(), sc.SpilledWindows(), sc.Total(), len(exes))
+		doc.Series.Windows, doc.Series.WidthNS, doc.Series.Spilled, doc.Series.Observations, len(exes))
 	t = tw(w)
 	fmt.Fprintln(t, "SLO\tthreshold ns\ttarget\tevents\tbreaches\tburn")
 	for _, s := range slos {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 
+	"zofs/internal/obsfs"
 	"zofs/internal/spans"
 	"zofs/internal/sysfactory"
 )
@@ -21,7 +22,7 @@ import (
 //     (media, flush/fence, lock wait, PKRU, memcpy, kernel, other) must sum
 //     to the measured op latency within 1% — "other" is the accounted
 //     residual, so a violation means a span was double-billed.
-//  3. The OpenMetrics rendering of the collected snapshot must parse.
+//  3. The OpenMetrics rendering of the collected document must validate.
 //
 // The attribution breakdown is printed, making this the command-line answer
 // to "where does an op's latency go".
@@ -43,19 +44,17 @@ func RunSpans(w io.Writer, opts Options) error {
 	}
 
 	col := spans.Enable(spans.Config{})
-	// Byte-flow accounting rides along on the instrumented run: the
-	// obsfs wrap registers the snapshot enricher, so the snapshot (and any
-	// live -spans publication) carries the byte-flow and space panels, and
-	// the OpenMetrics validation below covers those series with real data.
+	// Byte-flow accounting rides along on the instrumented run, so the
+	// collected document carries the byte-flow and space panels and the
+	// OpenMetrics validation below covers those series with real data.
 	var inst map[string]float64
+	var doc obsfs.Doc
 	in, err := sysfactory.ZoFS.New(opts.DeviceBytes)
 	if err == nil {
 		in.Dev.EnableAccounting()
 		inst, err = hotpathRunOn(in, nil, n)
+		doc = obsfs.Collect(in.FS)
 	}
-	snap := col.Snapshot()
-	spans.Enrich(&snap)
-	spans.OnSnapshot(nil)
 	open := col.OpenRoots()
 	spans.Install(prev)
 	if err != nil {
@@ -78,7 +77,7 @@ func RunSpans(w io.Writer, opts Options) error {
 	}
 
 	// Attribution must be complete: components sum to measured latency.
-	for op, ob := range snap.Ops {
+	for op, ob := range doc.Spans.Ops {
 		var sum int64
 		for _, cs := range ob.Comp {
 			sum += cs.SumNS
@@ -97,16 +96,12 @@ func RunSpans(w io.Writer, opts Options) error {
 		failures = append(failures, fmt.Sprintf("%d double-closed spans", dc))
 	}
 
-	var om strings.Builder
-	if err := spans.WriteOpenMetrics(&om, snap); err != nil {
-		return err
-	}
-	if err := spans.ValidateOpenMetrics(strings.NewReader(om.String())); err != nil {
+	if err := doc.Validate(); err != nil {
 		failures = append(failures, fmt.Sprintf("OpenMetrics validation: %v", err))
 	}
 
 	fmt.Fprintln(w, "\nLatency attribution (spans-on run):")
-	if err := snap.WriteText(w); err != nil {
+	if err := doc.WriteText(w); err != nil {
 		return err
 	}
 	if len(failures) > 0 {

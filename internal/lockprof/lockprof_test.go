@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zofs/internal/lockprof"
+	"zofs/internal/openmetrics"
 	"zofs/internal/simclock"
 	"zofs/internal/sysfactory"
 	"zofs/internal/zofs"
@@ -160,10 +161,14 @@ func TestHistogramSaturation512(t *testing.T) {
 	}
 	// The OpenMetrics rendering of a saturated report must validate.
 	var om strings.Builder
-	if err := lockprof.WriteOpenMetrics(&om, rep); err != nil {
+	if err := rep.WriteOpenMetrics(&om); err != nil {
 		t.Fatal(err)
 	}
-	if err := lockprof.ValidateOpenMetrics(strings.NewReader(om.String())); err != nil {
+	doc, err := openmetrics.Parse(strings.NewReader(om.String() + "# EOF\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lockprof.CheckOpenMetrics(doc); err != nil {
 		t.Fatalf("OpenMetrics validation: %v", err)
 	}
 }

@@ -9,29 +9,20 @@ import (
 	"zofs/internal/openmetrics"
 )
 
-// OpenMetrics rendering of a Report. All families carry the zofs_lockprof_
-// prefix so the series namespace cannot collide with the span layer's
-// zofs_lock_wait_ns_total (which aggregates by contention key, not by named
-// lock). The validator re-parses the text and enforces the conservation
-// invariants, so a drifting writer fails CI rather than shipping bad data.
-
-// WriteOpenMetrics renders rep in OpenMetrics text format.
-func WriteOpenMetrics(w io.Writer, rep Report) error {
+// WriteOpenMetrics renders the report's families, all under the
+// zofs_lockprof_ prefix (no "# EOF": the observation document terminates the
+// exposition). CheckOpenMetrics re-derives the conservation invariants from
+// the parsed text, so a drifting writer fails CI rather than shipping bad
+// data.
+func (rep Report) WriteOpenMetrics(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	scalar := func(name, typ, help string, v int64) {
-		fmt.Fprintf(bw, "# TYPE %s %s\n# HELP %s %s\n%s", name, typ, name, help, name)
-		if typ == "counter" {
-			fmt.Fprint(bw, "_total")
-		}
-		fmt.Fprintf(bw, " %d\n", v)
-	}
-	scalar("zofs_lockprof_acquires", "counter", "Instrumented lock acquisitions.", rep.Acquires)
-	scalar("zofs_lockprof_contended", "counter", "Acquisitions that waited.", rep.Contended)
-	scalar("zofs_lockprof_wait_ns", "counter", "Total virtual lock-wait nanoseconds.", rep.WaitNS)
-	scalar("zofs_lockprof_hold_ns", "counter", "Total virtual lock-hold nanoseconds.", rep.HoldNS)
-	scalar("zofs_lockprof_real_wait_ns", "counter", "Total real-time wait nanoseconds on real-only locks.", rep.RealWaitNS)
-	scalar("zofs_lockprof_held", "gauge", "Instrumented locks currently held.", rep.HeldNow)
-	scalar("zofs_lockprof_inversions", "gauge", "Distinct lock-order inversions observed.", int64(len(rep.Inversions)))
+	openmetrics.WriteScalar(bw, "zofs_lockprof_acquires", "counter", "Instrumented lock acquisitions.", rep.Acquires)
+	openmetrics.WriteScalar(bw, "zofs_lockprof_contended", "counter", "Acquisitions that waited.", rep.Contended)
+	openmetrics.WriteScalar(bw, "zofs_lockprof_wait_ns", "counter", "Total virtual lock-wait nanoseconds.", rep.WaitNS)
+	openmetrics.WriteScalar(bw, "zofs_lockprof_hold_ns", "counter", "Total virtual lock-hold nanoseconds.", rep.HoldNS)
+	openmetrics.WriteScalar(bw, "zofs_lockprof_real_wait_ns", "counter", "Total real-time wait nanoseconds on real-only locks.", rep.RealWaitNS)
+	openmetrics.WriteScalar(bw, "zofs_lockprof_held", "gauge", "Instrumented locks currently held.", rep.HeldNow)
+	openmetrics.WriteScalar(bw, "zofs_lockprof_inversions", "gauge", "Distinct lock-order inversions observed.", int64(len(rep.Inversions)))
 
 	fmt.Fprintf(bw, "# TYPE zofs_lockprof_lock_acquires counter\n# HELP zofs_lockprof_lock_acquires Acquisitions per named lock.\n")
 	for _, l := range rep.Locks {
@@ -72,14 +63,12 @@ func WriteOpenMetrics(w io.Writer, rep Report) error {
 	for _, e := range rep.Edges {
 		fmt.Fprintf(bw, "zofs_lockprof_edge_waits_total{held=%q,wanted=%q} %d\n", e.From, e.To, e.Count)
 	}
-	fmt.Fprintln(bw, "# EOF")
 	return bw.Flush()
 }
 
-// ValidateOpenMetrics parses a lockprof OpenMetrics document (via the shared
-// internal/openmetrics parser) and enforces its invariants:
+// CheckOpenMetrics enforces the lock panel's invariants on a parsed
+// exposition, when the panel is there:
 //
-//   - syntax: every non-comment line is a valid sample, "# EOF" terminates;
 //   - conservation: per-lock virtual waits sum exactly to
 //     zofs_lockprof_wait_ns_total, holds to hold_ns_total, and real waits to
 //     real_wait_ns_total;
@@ -88,10 +77,18 @@ func WriteOpenMetrics(w io.Writer, rep Report) error {
 //     so edge waits grouped by wanted lock cannot exceed that lock's total
 //     wait. (The naive "edge wait <= holder hold sum" is NOT an invariant:
 //     n queued waiters each wait behind the same hold, multiplying it.)
-func ValidateOpenMetrics(r io.Reader) error {
-	doc, err := openmetrics.Parse(r)
-	if err != nil {
+func CheckOpenMetrics(doc *openmetrics.Doc) error {
+	if !doc.Has("zofs_lockprof_wait_ns_total") && !doc.Has("zofs_lockprof_lock_acquires_total") {
+		return nil
+	}
+	if err := doc.Require("lockprof", "zofs_lockprof_acquires_total", "zofs_lockprof_wait_ns_total",
+		"zofs_lockprof_hold_ns_total", "zofs_lockprof_real_wait_ns_total"); err != nil {
 		return err
+	}
+	if doc.Int("zofs_lockprof_acquires_total") > 0 {
+		if err := doc.Require("lockprof", "zofs_lockprof_lock_acquires_total", "zofs_lockprof_lock_contended_total"); err != nil {
+			return err
+		}
 	}
 	lockWait := doc.GroupSumInt("zofs_lockprof_lock_wait_ns_total", "lock")
 	if err := openmetrics.Conserved("per-lock virtual waits",

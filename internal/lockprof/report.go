@@ -164,24 +164,9 @@ func (r *Registry) Snapshot() Report {
 	return rep
 }
 
-// Blocked drains a copy of the blocked-interval ring, oldest first.
+// Blocked copies out the blocked-interval ring, oldest first.
 func (r *Registry) Blocked() []BlockedInterval {
-	rs := r.state.Load()
-	rs.ringMu.Lock()
-	out := make([]BlockedInterval, 0, rs.ringLen)
-	start := 0
-	if rs.ringLen == len(rs.ring) {
-		start = rs.ringPos
-	}
-	for i := 0; i < rs.ringLen; i++ {
-		b := rs.ring[(start+i)%len(rs.ring)]
-		out = append(out, BlockedInterval{
-			TID: b.tid, HolderTID: b.holder, Lock: b.e.name(),
-			StartNS: b.start, DurNS: b.dur,
-		})
-	}
-	rs.ringMu.Unlock()
-	return out
+	return r.blocked(func(blockedRec) bool { return true })
 }
 
 // BlockedIn returns tid's blocked intervals overlapping [t0, t1], oldest
@@ -191,24 +176,28 @@ func (r *Registry) BlockedIn(tid int, t0, t1 int64) []BlockedInterval {
 	if r == nil {
 		return nil
 	}
+	return r.blocked(func(b blockedRec) bool {
+		return b.tid == tid && b.start <= t1 && b.start+b.dur >= t0
+	})
+}
+
+func (r *Registry) blocked(keep func(blockedRec) bool) []BlockedInterval {
 	rs := r.state.Load()
 	rs.ringMu.Lock()
+	defer rs.ringMu.Unlock()
 	var out []BlockedInterval
 	start := 0
 	if rs.ringLen == len(rs.ring) {
 		start = rs.ringPos
 	}
 	for i := 0; i < rs.ringLen; i++ {
-		b := rs.ring[(start+i)%len(rs.ring)]
-		if b.tid != tid || b.start > t1 || b.start+b.dur < t0 {
-			continue
+		if b := rs.ring[(start+i)%len(rs.ring)]; keep(b) {
+			out = append(out, BlockedInterval{
+				TID: b.tid, HolderTID: b.holder, Lock: b.e.name(),
+				StartNS: b.start, DurNS: b.dur,
+			})
 		}
-		out = append(out, BlockedInterval{
-			TID: b.tid, HolderTID: b.holder, Lock: b.e.name(),
-			StartNS: b.start, DurNS: b.dur,
-		})
 	}
-	rs.ringMu.Unlock()
 	return out
 }
 
@@ -232,7 +221,7 @@ func ms(ns int64) float64 { return float64(ns) / 1e6 }
 // WriteText renders the human-readable contention report: per-lock table,
 // wait-for edges, inversions and the most-blocked threads.
 func (rep Report) WriteText(w io.Writer) error {
-	fmt.Fprintf(w, "locks: %d acquires, %d contended, wait %.3f ms virtual (+%.3f ms real), hold %.3f ms, held now %d\n",
+	fmt.Fprintf(w, "named locks: %d acquires, %d contended, wait %.3f ms virtual (+%.3f ms real), hold %.3f ms, held now %d\n",
 		rep.Acquires, rep.Contended, ms(rep.WaitNS), ms(rep.RealWaitNS), ms(rep.HoldNS), rep.HeldNow)
 	if rep.LocksDropped > 0 || rep.EdgesDropped > 0 {
 		fmt.Fprintf(w, "  (bounded: %d acquisitions folded into ~other rows, %d edges dropped)\n",

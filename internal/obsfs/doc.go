@@ -1,0 +1,273 @@
+package obsfs
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"sync/atomic"
+	"time"
+
+	"zofs/internal/byteflow"
+	"zofs/internal/lockprof"
+	"zofs/internal/openmetrics"
+	"zofs/internal/series"
+	"zofs/internal/spans"
+	"zofs/internal/vfs"
+)
+
+// The files of an observation directory. The first two are the document —
+// rewritten whole, through a temp file and a rename, on every publish — the
+// rest are the collectors' raw event logs.
+const (
+	DocFile      = "obs.json"        // the Doc
+	PromFile     = "obs.prom"        // its OpenMetrics rendering
+	SpansLog     = "spans.jsonl"     // every finished root span (streamed)
+	SeriesLog    = "series.jsonl"    // every retained series window
+	WaitsLog     = "waits.jsonl"     // the lock profiler's blocked intervals
+	ExemplarsLog = "exemplars.jsonl" // the worst-op exemplars
+)
+
+// Doc is the observation document: one panel per collector that was active
+// when it was collected.
+type Doc struct {
+	// Spans is the causal-span latency attribution.
+	Spans *spans.Snapshot `json:"spans,omitempty"`
+	// Flow is the device byte-flow ledger and Space the per-coffer space
+	// rows of the observed file system; absent without byte-flow accounting.
+	Flow  *byteflow.Flow `json:"flow,omitempty"`
+	Space byteflow.Space `json:"space,omitempty"`
+	// Locks is the named-lock contention report.
+	Locks *lockprof.Report `json:"locks,omitempty"`
+	// Series is the windowed tail view.
+	Series *series.Snapshot `json:"series,omitempty"`
+}
+
+// Collect asks each active collector for its snapshot. fs is the file system
+// whose device ledger and coffer space fill the flow and space panels; nil
+// means the instance a live Session last saw wrapped, if any.
+func Collect(fs vfs.FileSystem) Doc {
+	var d Doc
+	if c := spans.Active(); c != nil {
+		snap := c.Snapshot()
+		d.Spans = &snap
+	}
+	if w := live.Load(); fs == nil && w != nil {
+		fs = w.inner
+	}
+	if dv, ok := fs.(deviced); ok {
+		d.Flow = dv.Device().FlowSnapshot()
+	}
+	if sp, ok := fs.(spacer); ok && d.Flow != nil {
+		d.Space = sp.SpaceReport()
+	}
+	if r := lockprof.Active(); r != nil {
+		rep := r.Snapshot()
+		d.Locks = &rep
+	}
+	if c := series.Active(); c != nil {
+		snap := c.Snapshot()
+		d.Series = &snap
+	}
+	return d
+}
+
+// panel is what every part of the document can do; each is rendered by the
+// package that owns its data.
+type panel interface {
+	WriteText(io.Writer) error
+	// WriteOpenMetrics writes the panel's families, unterminated.
+	WriteOpenMetrics(io.Writer) error
+}
+
+// panels lists the parts the document carries, in rendering order.
+func (d Doc) panels() []panel {
+	var ps []panel
+	if d.Spans != nil {
+		ps = append(ps, d.Spans)
+	}
+	if d.Flow != nil {
+		ps = append(ps, d.Flow)
+	}
+	if len(d.Space) > 0 {
+		ps = append(ps, d.Space)
+	}
+	if d.Locks != nil {
+		ps = append(ps, d.Locks)
+	}
+	if d.Series != nil {
+		ps = append(ps, d.Series)
+	}
+	return ps
+}
+
+// WriteText renders every panel the document carries.
+func (d Doc) WriteText(w io.Writer) error {
+	for _, p := range d.panels() {
+		if err := p.WriteText(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteOpenMetrics renders every panel's families as one OpenMetrics
+// exposition.
+func (d Doc) WriteOpenMetrics(w io.Writer) error {
+	for _, p := range d.panels() {
+		if err := p.WriteOpenMetrics(w); err != nil {
+			return err
+		}
+	}
+	_, err := io.WriteString(w, "# EOF\n")
+	return err
+}
+
+// Validate is the one validator entry: r must be well-formed OpenMetrics
+// text (the strict dialect of internal/openmetrics), and every panel present
+// in it must pass its owning package's CheckOpenMetrics — which also rejects
+// a panel that lacks a family its checks compare (DESIGN.md §7 lists them).
+func Validate(r io.Reader) error {
+	doc, err := openmetrics.Parse(r)
+	if err != nil {
+		return err
+	}
+	for _, check := range []func(*openmetrics.Doc) error{
+		spans.CheckOpenMetrics, byteflow.CheckOpenMetrics, lockprof.CheckOpenMetrics, series.CheckOpenMetrics,
+	} {
+		if err := check(doc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Validate runs Validate over the document's OpenMetrics rendering.
+func (d Doc) Validate() error {
+	var om bytes.Buffer
+	if err := d.WriteOpenMetrics(&om); err != nil {
+		return err
+	}
+	return Validate(&om)
+}
+
+// Publish collects the document and writes it into dir as DocFile and
+// PromFile, and beside it the raw logs that are rewritten whole: the series
+// windows, the blocked intervals and the exemplars of whichever collectors
+// are active. Every file goes through a temp file and a rename, so a reader
+// never observes a half-written one.
+func Publish(dir string, fs vfs.FileSystem) (Doc, error) {
+	d := Collect(fs)
+	type file struct {
+		name  string
+		write func(io.Writer) error
+	}
+	files := []file{
+		{DocFile, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(&d)
+		}},
+		{PromFile, d.WriteOpenMetrics},
+	}
+	if c := series.Active(); c != nil {
+		files = append(files, file{SeriesLog, func(w io.Writer) error { return openmetrics.WriteJSONL(w, c.Windows()) }})
+	}
+	if r := lockprof.Active(); r != nil {
+		files = append(files, file{WaitsLog, func(w io.Writer) error { return openmetrics.WriteJSONL(w, r.Blocked()) }})
+	}
+	if c := spans.Active(); c != nil {
+		files = append(files, file{ExemplarsLog, func(w io.Writer) error { return openmetrics.WriteJSONL(w, c.Exemplars()) }})
+	}
+	for _, f := range files {
+		var buf bytes.Buffer
+		if err := f.write(&buf); err != nil {
+			return d, fmt.Errorf("%s: %w", f.name, err)
+		}
+		if err := openmetrics.WriteAtomic(filepath.Join(dir, f.name), buf.Bytes()); err != nil {
+			return d, err
+		}
+	}
+	return d, nil
+}
+
+// Load reads dir's published document.
+func Load(dir string) (Doc, error) {
+	var d Doc
+	path := filepath.Join(dir, DocFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return d, err
+	}
+	if err := json.Unmarshal(raw, &d); err != nil {
+		return d, fmt.Errorf("%s: %w", path, err)
+	}
+	return d, nil
+}
+
+// Session is one run-wide collection: every collector on, the document
+// republished into a directory while the run is live.
+type Session struct {
+	dir  string
+	col  *spans.Collector
+	sink *os.File
+	stop func()
+}
+
+var (
+	// session is the live Session, nil when none is collecting.
+	session atomic.Pointer[Session]
+	// live is the wrapped instance whose flow and space a session's document
+	// reports: the latest Wrap, while it ran, over a device with byte-flow
+	// accounting on.
+	live atomic.Pointer[FS]
+)
+
+// Start switches on the run-wide collectors — causal spans (streaming every
+// root into dir's SpansLog, with exemplar rings for the series feed's
+// thresholds to land in), the windowed series and the lock profiler — for
+// threads created from now on, and republishes the document into dir twice a
+// second until Stop. None of them moves a simulated number.
+func Start(dir string) (*Session, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	sink, err := os.Create(filepath.Join(dir, SpansLog))
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{dir: dir, sink: sink}
+	s.col = spans.Enable(spans.Config{JSONL: sink, ExemplarK: spans.DefaultExemplarK})
+	series.Enable(series.Config{})
+	lockprof.Enable(lockprof.Config{})
+	session.Store(s)
+	s.stop = openmetrics.PublishEvery(500*time.Millisecond, func() error {
+		_, err := Publish(dir, nil)
+		return err
+	})
+	return s, nil
+}
+
+// Stop ends the session: the publisher goroutine exits, the final document
+// and logs are written while every collector is still installed (so the
+// last obs.json carries every panel), then the collectors are switched off
+// and the span sink is drained. It returns that final document and the first
+// error met; the later steps run regardless.
+func (s *Session) Stop() (Doc, error) {
+	s.stop()
+	doc, err := Publish(s.dir, nil)
+	spans.Disable()
+	series.Disable()
+	lockprof.Disable()
+	session.Store(nil)
+	live.Store(nil)
+	if ferr := s.col.FlushSink(); err == nil {
+		err = ferr
+	}
+	if cerr := s.sink.Close(); err == nil {
+		err = cerr
+	}
+	return doc, err
+}

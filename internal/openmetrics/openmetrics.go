@@ -1,7 +1,6 @@
-// Package openmetrics is the one OpenMetrics text-format parser shared by
-// every exporter's validator (spans, lockprof, series) and by the perf
-// differ. Each observability layer used to carry its own regex parser with
-// slightly different strictness; this package folds them into a single
+// Package openmetrics is the one OpenMetrics text-format parser behind the
+// observation document's validator (obsfs.Validate) and each panel's
+// invariant checks (spans, byteflow, lockprof, series). It accepts a single
 // strict dialect — the one all of the repo's writers emit — so a drifting
 // writer fails every consumer the same way:
 //
@@ -178,6 +177,28 @@ func (d *Doc) GroupSumInt(name, label string) map[string]int64 {
 		out[s.Labels[label]] += int64(s.Value)
 	}
 	return out
+}
+
+// Require returns an error naming the first of the families that has no
+// sample. Validators call it once a panel's anchor family is present, so a
+// panel cannot pass its conservation checks by omitting one side of them.
+func (d *Doc) Require(panel string, names ...string) error {
+	for _, name := range names {
+		if !d.Has(name) {
+			return fmt.Errorf("%s: %s is missing", panel, name)
+		}
+	}
+	return nil
+}
+
+// WriteScalar writes one label-less family — its TYPE and HELP comments and
+// the sample, a counter under the _total suffix. value is rendered with %v.
+func WriteScalar(w io.Writer, name, typ, help string, value any) {
+	fmt.Fprintf(w, "# TYPE %s %s\n# HELP %s %s\n%s", name, typ, name, help, name)
+	if typ == "counter" {
+		fmt.Fprint(w, "_total")
+	}
+	fmt.Fprintf(w, " %v\n", value)
 }
 
 // Conserved is the exact-conservation check helper: parts must equal total.

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Publishing: the exporters (spans, lockprof, series) write snapshot files
-// into a directory that zofs-top and zofs-locks poll while a run is live.
+// Publishing: obsfs writes the observation document into a directory that
+// zofs-obs top polls while a run is live.
 
 // WriteAtomic writes data to path through a temp file and a rename, so a
 // reader never observes a half-written snapshot.

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"zofs/internal/perfmodel"
-	"zofs/internal/telemetry"
 )
 
 // LineSize is the cacheline granularity at which persistence is audited
@@ -16,9 +15,20 @@ const LineSize = perfmodel.CachelineSize
 // PageSize mirrors nvm.PageSize for page-level cross-checks.
 const PageSize = perfmodel.PageSize
 
+// OpSpan is one file-system operation's interval on a thread's virtual
+// timeline — what the auditor needs to name the op a device event fell
+// inside. Logs carry them as rec:"span" lines; zofs-obs trace record fills
+// them from the causal-span roots of the recorded run.
+type OpSpan struct {
+	TID   int
+	Op    string
+	Start int64
+	Dur   int64
+}
+
 // LostLine is one cacheline that was dirty — stored but never covered by a
-// flush+fence — when a crash event occurred. Op is the telemetry op-trace
-// span the dirtying store fell inside, when one matches ("" otherwise).
+// flush+fence — when a crash event occurred. Op is the op span the dirtying
+// store fell inside, when one matches ("" otherwise).
 type LostLine struct {
 	Line     int64  `json:"line"`     // byte offset of the line start
 	StoreTS  int64  `json:"store_ts"` // virtual time of the dirtying store
@@ -63,11 +73,11 @@ type Report struct {
 
 // spanIndex answers "which traced op was thread T inside at time ts".
 type spanIndex struct {
-	byTID map[int32][]telemetry.TraceEvent
+	byTID map[int32][]OpSpan
 }
 
-func newSpanIndex(spans []telemetry.TraceEvent) *spanIndex {
-	idx := &spanIndex{byTID: map[int32][]telemetry.TraceEvent{}}
+func newSpanIndex(spans []OpSpan) *spanIndex {
+	idx := &spanIndex{byTID: map[int32][]OpSpan{}}
 	for _, s := range spans {
 		idx.byTID[int32(s.TID)] = append(idx.byTID[int32(s.TID)], s)
 	}
@@ -104,11 +114,58 @@ type devLine struct {
 	line int64
 }
 
+// DirtySet is the persistence model's state: every cache line stored through
+// the cache and not yet covered by a persisting event. Apply is the model's
+// one transition; the auditor and the Chrome exporter's dirty-line counter
+// track both replay a stream through it.
+type DirtySet struct{ lines map[devLine]dirtyInfo }
+
+// NewDirtySet returns an empty set.
+func NewDirtySet() *DirtySet { return &DirtySet{lines: map[devLine]dirtyInfo{}} }
+
+// Len returns the number of dirty lines.
+func (d *DirtySet) Len() int { return len(d.lines) }
+
+// Apply advances the set across one event: a cached store dirties the lines
+// it touches, a persisting event cleans them, a crash drops every line of
+// its device (each handed to lost, when non-nil, as a LostLine without its
+// Op, before it goes). covered
+// counts the lines in the event's range and clean how many of those were
+// not dirty — a flush with clean == covered persisted nothing.
+func (d *DirtySet) Apply(ev Event, lost func(LostLine)) (covered, clean int64) {
+	switch ev.Kind {
+	case KindStore, KindNTStore, KindStore64, KindCAS, KindZero, KindFlush:
+		for lo := ev.Off / LineSize * LineSize; lo < ev.Off+ev.Len; lo += LineSize {
+			k := devLine{ev.Dev, lo}
+			_, dirty := d.lines[k]
+			covered++
+			if !dirty {
+				clean++
+			}
+			if ev.Kind != KindStore {
+				delete(d.lines, k)
+			} else if !dirty {
+				d.lines[k] = dirtyInfo{ts: ev.TS, tid: ev.TID, key: ev.Key}
+			}
+		}
+	case KindCrash:
+		for k, by := range d.lines {
+			if k.dev != ev.Dev {
+				continue // the power failure hit one device only
+			}
+			if lost != nil {
+				lost(LostLine{Line: k.line, StoreTS: by.ts, TID: by.tid, Key: by.key, CrashSeq: ev.Seq})
+			}
+			delete(d.lines, k)
+		}
+	}
+	return covered, clean
+}
+
 // Audit replays an event stream through the persistence model and reports
 // lost-update risks, redundant persistence work and epoch shape. spans, when
-// non-nil, are telemetry op-trace events used to attribute findings to file
-// system operations ("per layer": the op name encodes the issuing layer).
-func Audit(events []Event, spans []telemetry.TraceEvent) *Report {
+// non-nil, attribute findings to file system operations.
+func Audit(events []Event, spans []OpSpan) *Report {
 	rep := &Report{
 		RedundantFlushByOp: map[string]int64{},
 		EmptyFenceByOp:     map[string]int64{},
@@ -117,7 +174,7 @@ func Audit(events []Event, spans []telemetry.TraceEvent) *Report {
 	if len(events) > 0 && events[0].Seq > 1 {
 		rep.Dropped = true
 	}
-	dirty := map[devLine]dirtyInfo{}
+	dirty := NewDirtySet()
 
 	var storesInEpoch int64 // stores since the last fence point
 	var totalEpochStores int64
@@ -141,37 +198,18 @@ func Audit(events []Event, spans []telemetry.TraceEvent) *Report {
 			rep.Stores++
 			storesInEpoch++
 			sawStoreSinceFence = true
-			first := ev.Off / LineSize * LineSize
-			for lo := first; lo < ev.Off+ev.Len; lo += LineSize {
-				k := devLine{ev.Dev, lo}
-				if _, ok := dirty[k]; !ok {
-					dirty[k] = dirtyInfo{ts: ev.TS, tid: ev.TID, key: ev.Key}
-				}
-			}
+			dirty.Apply(ev, nil)
 
 		case KindNTStore, KindStore64, KindCAS, KindZero:
 			rep.NTStores++
 			storesInEpoch++
-			first := ev.Off / LineSize * LineSize
-			for lo := first; lo < ev.Off+ev.Len; lo += LineSize {
-				delete(dirty, devLine{ev.Dev, lo})
-			}
+			dirty.Apply(ev, nil)
 			endEpoch()
 
 		case KindFlush:
 			rep.Flushes++
 			flushes++
-			covered := int64(0)
-			cleanCovered := int64(0)
-			first := ev.Off / LineSize * LineSize
-			for lo := first; lo < ev.Off+ev.Len; lo += LineSize {
-				covered++
-				if _, ok := dirty[devLine{ev.Dev, lo}]; ok {
-					delete(dirty, devLine{ev.Dev, lo})
-				} else {
-					cleanCovered++
-				}
-			}
+			covered, cleanCovered := dirty.Apply(ev, nil)
 			flushLines += covered
 			rep.RedundantFlushLines += cleanCovered
 			if covered > 0 && cleanCovered == covered {
@@ -190,20 +228,10 @@ func Audit(events []Event, spans []telemetry.TraceEvent) *Report {
 
 		case KindCrash:
 			rep.Crashes++
-			for k, info := range dirty {
-				if k.dev != ev.Dev {
-					continue // the power failure hit one device only
-				}
-				rep.LostLines = append(rep.LostLines, LostLine{
-					Line:     k.line,
-					StoreTS:  info.ts,
-					TID:      info.tid,
-					Key:      info.key,
-					Op:       idx.opAt(info.tid, info.ts),
-					CrashSeq: ev.Seq,
-				})
-				delete(dirty, k)
-			}
+			dirty.Apply(ev, func(l LostLine) {
+				l.Op = idx.opAt(l.TID, l.StoreTS)
+				rep.LostLines = append(rep.LostLines, l)
+			})
 
 		case KindCrashInject:
 			rep.Injected++

@@ -2,22 +2,15 @@ package pmemtrace_test
 
 import (
 	"bytes"
-	"encoding/json"
-	"flag"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"zofs/internal/pmemtrace"
 	"zofs/internal/simclock"
-	"zofs/internal/telemetry"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
-
 // fixedStream is a deterministic event/span pair used by the export tests.
-func fixedStream() ([]pmemtrace.Event, []telemetry.TraceEvent) {
+func fixedStream() ([]pmemtrace.Event, []pmemtrace.OpSpan) {
 	events := []pmemtrace.Event{
 		{Seq: 1, TS: 1000, Kind: pmemtrace.KindStore, Off: 4096, Len: 64, TID: 1, Key: 2},
 		{Seq: 2, TS: 2000, Kind: pmemtrace.KindFlush, Off: 4096, Len: 64, TID: 1, Key: 2},
@@ -29,63 +22,11 @@ func fixedStream() ([]pmemtrace.Event, []telemetry.TraceEvent) {
 		{Seq: 8, TS: 5000, Kind: pmemtrace.KindCrashInject, Len: 4, TID: -1, Key: -1},
 		{Seq: 9, TS: 0, Kind: pmemtrace.KindCrash, Len: 1, TID: -1, Key: -1},
 	}
-	spans := []telemetry.TraceEvent{
+	spans := []pmemtrace.OpSpan{
 		{TID: 1, Op: "zofs.append", Start: 900, Dur: 1200},
 		{TID: 2, Op: "zofs.create", Start: 2400, Dur: 1200},
 	}
 	return events, spans
-}
-
-// TestChromeGolden pins the exporter's exact output: stable field ordering
-// and a well-formed JSON array.
-func TestChromeGolden(t *testing.T) {
-	events, spans := fixedStream()
-	var buf bytes.Buffer
-	if err := pmemtrace.WriteChromeTrace(&buf, events, spans); err != nil {
-		t.Fatal(err)
-	}
-	golden := filepath.Join("testdata", "chrome_golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("chrome export drifted from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
-	}
-	var arr []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
-		t.Fatalf("export is not a valid JSON array: %v", err)
-	}
-	if len(arr) == 0 {
-		t.Fatal("export array is empty")
-	}
-	for i, ev := range arr {
-		for _, field := range []string{"name", "cat", "ph", "ts", "pid", "tid"} {
-			if _, ok := ev[field]; !ok {
-				t.Fatalf("event %d missing %q: %v", i, field, ev)
-			}
-		}
-	}
-}
-
-// TestChromeEmpty checks the zero-event corner is still a valid array.
-func TestChromeEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := pmemtrace.WriteChromeTrace(&buf, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	var arr []any
-	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil || len(arr) != 0 {
-		t.Fatalf("empty export = %q, want empty JSON array", buf.String())
-	}
 }
 
 // TestJSONLRoundTrip spills a live recording to JSONL and reloads it.
@@ -102,7 +43,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := r.FlushSpill(); err != nil {
 		t.Fatal(err)
 	}
-	spans := []telemetry.TraceEvent{{TID: 9, Op: "zofs.write", Start: 100, Dur: 50}}
+	spans := []pmemtrace.OpSpan{{TID: 9, Op: "zofs.write", Start: 100, Dur: 50}}
 	if err := pmemtrace.WriteSpansJSONL(&spill, spans); err != nil {
 		t.Fatal(err)
 	}

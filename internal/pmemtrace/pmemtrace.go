@@ -10,10 +10,10 @@
 // with the nil *Recorder a valid no-op sink. Disabled, the device hot path
 // pays one pointer load and a predicted branch; no allocation, no lock.
 //
-// On top of the raw stream sit three consumers: a pmemcheck/Yat-style
-// crash-consistency auditor (audit.go), a JSONL spill/reload format
-// (jsonl.go), and a Chrome trace-event exporter (chrome.go) whose output
-// loads in chrome://tracing and Perfetto.
+// On top of the raw stream sit a pmemcheck/Yat-style crash-consistency
+// auditor (audit.go) and a JSONL spill/reload format (jsonl.go); the merged
+// Chrome trace-event exporter in internal/spans draws the events on the
+// causal-span timeline.
 package pmemtrace
 
 import (

@@ -118,9 +118,6 @@ type Collector struct {
 	total    int64  // observations ever
 	slo      [telemetry.NumOps]sloCfg
 	obsCount [telemetry.NumOps]int64
-	// threshold is the last adaptive exemplar threshold pushed per op kind
-	// (trailing-window p99), kept for introspection and the .prom export.
-	threshold [telemetry.NumOps]int64
 }
 
 // NewCollector returns an empty collector.
@@ -165,16 +162,6 @@ func Disable() { active.Store(nil) }
 
 // Active returns the current process-wide collector, or nil when disabled.
 func Active() *Collector { return active.Load() }
-
-// ObserveActive records one finished operation against the process-wide
-// collector, if any. It is the hook the two op-observation sites
-// (obsfs.begin, fslibs.traceAt) call next to telemetry's Observe, so the
-// windowed stream and the cumulative histograms see the identical sequence.
-func ObserveActive(op telemetry.Op, startNS, durNS int64) {
-	if c := active.Load(); c != nil {
-		c.Observe(op, startNS, durNS)
-	}
-}
 
 // Observe records one finished operation: it lands in the window containing
 // its start time, in the same histogram bucket the telemetry recorder uses.
@@ -254,10 +241,8 @@ func (c *Collector) pushThresholdLocked(op telemetry.Op, cur int64) {
 	if count == 0 {
 		return
 	}
-	p99 := telemetry.Quantile(buckets[:], count, 0.99)
-	c.threshold[op] = p99
 	if sc := spans.Active(); sc != nil {
-		sc.SetExemplarThreshold(op, p99)
+		sc.SetExemplarThreshold(op, telemetry.Quantile(buckets[:], count, 0.99))
 	}
 }
 
@@ -284,34 +269,6 @@ func (c *Collector) SetSLO(op telemetry.Op, thresholdNS int64, target float64) {
 	c.slo[op] = sloCfg{set: true, thresholdNS: thresholdNS, target: target}
 }
 
-// WidthNS returns the window width.
-func (c *Collector) WidthNS() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.widthNS
-}
-
-// Total returns the number of observations ever recorded.
-func (c *Collector) Total() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.total
-}
-
-// Threshold returns the last adaptive exemplar threshold computed for op.
-func (c *Collector) Threshold(op telemetry.Op) int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.threshold[op]
-}
-
 // Reset zeroes every window, the spill aggregate and the counters (SLO
 // objectives are kept).
 func (c *Collector) Reset() {
@@ -325,7 +282,6 @@ func (c *Collector) Reset() {
 	c.spilled = 0
 	c.total = 0
 	c.obsCount = [telemetry.NumOps]int64{}
-	c.threshold = [telemetry.NumOps]int64{}
 }
 
 // OpWindow is one op kind's published aggregate within one window (or the
@@ -365,7 +321,7 @@ type SLOStatus struct {
 	// consumes the budget exactly; >1 is over-budget.
 	Burn float64 `json:"burn"`
 	// LastBurn is the burn rate of the latest window carrying observations
-	// of this op — the instantaneous signal zofs-top's timeline shows.
+	// of this op — the instantaneous signal the timeline panel shows.
 	LastBurn float64 `json:"last_burn"`
 }
 
@@ -401,8 +357,16 @@ func burnRate(bad, total int64, target float64) float64 {
 
 // Windows returns the retained windows in ascending virtual-time order.
 func (c *Collector) Windows() []Window {
+	wins, _ := c.latest(0)
+	return wins
+}
+
+// latest returns the newest n retained windows (all of them when n is 0),
+// ascending, and how many are retained — so a summary of a long run does not
+// copy every window's buckets to show the last few.
+func (c *Collector) latest(n int) (wins []Window, retained int) {
 	if c == nil {
-		return nil
+		return nil, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -411,6 +375,10 @@ func (c *Collector) Windows() []Window {
 		idx = append(idx, i)
 	}
 	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
+	retained = len(idx)
+	if n > 0 && len(idx) > n {
+		idx = idx[len(idx)-n:]
+	}
 	out := make([]Window, 0, len(idx))
 	for _, i := range idx {
 		w := c.win[i]
@@ -421,11 +389,9 @@ func (c *Collector) Windows() []Window {
 			}
 			ws.Ops[telemetry.Op(oi).Name()] = c.snapOpWin(telemetry.Op(oi), w.ops[oi])
 		}
-		if len(ws.Ops) > 0 {
-			out = append(out, ws)
-		}
+		out = append(out, ws)
 	}
-	return out
+	return out, retained
 }
 
 // Merged returns the whole-run per-op aggregates: the spill plus every
@@ -459,17 +425,6 @@ func (c *Collector) Merged() map[string]OpWindow {
 		out[telemetry.Op(i).Name()] = c.snapOpWin(telemetry.Op(i), m.ops[i])
 	}
 	return out
-}
-
-// SpilledWindows reports how many windows were evicted into the spill
-// aggregate (0 means every window is still individually queryable).
-func (c *Collector) SpilledWindows() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.spilled
 }
 
 // SLOs returns the burn accounting of every configured objective, in op

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"zofs/internal/openmetrics"
 	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 )
@@ -97,7 +98,7 @@ func TestEvictionKeepsMergeExact(t *testing.T) {
 		c.Observe(s.op, s.start, s.dur)
 		rec.Observe(s.op, s.dur)
 	}
-	if c.SpilledWindows() == 0 {
+	if c.Snapshot().Spilled == 0 {
 		t.Fatal("expected evictions with MaxWindows=4")
 	}
 	if got := len(c.Windows()); got > 4 {
@@ -169,12 +170,9 @@ func TestAdaptiveThresholdFeedsSpans(t *testing.T) {
 	for i := 0; i < thresholdEvery+1; i++ {
 		c.Observe(telemetry.OpWrite, int64(i), 1000)
 	}
-	thr := c.Threshold(telemetry.OpWrite)
+	thr := sc.ExemplarThreshold(telemetry.OpWrite)
 	if thr <= 0 {
-		t.Fatal("adaptive threshold never computed")
-	}
-	if got := sc.ExemplarThreshold(telemetry.OpWrite); got != thr {
-		t.Fatalf("span collector threshold %d != series %d", got, thr)
+		t.Fatal("adaptive threshold never reached the span collector")
 	}
 	// All durations were 1000ns, so the p99 is 1000's bucket upper bound.
 	want := telemetry.BucketUpper(telemetry.BucketOf(1000))
@@ -189,10 +187,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 		c.Observe(s.op, s.start, s.dur)
 	}
 	var buf bytes.Buffer
-	if err := c.WriteJSONL(&buf); err != nil {
+	if err := openmetrics.WriteJSONL(&buf, c.Windows()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := openmetrics.ReadJSONL[Window](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +220,18 @@ func TestOpenMetricsValidates(t *testing.T) {
 		c.Observe(s.op, s.start, s.dur)
 	}
 	var buf bytes.Buffer
-	if err := c.WriteOpenMetrics(&buf); err != nil {
+	if err := c.Snapshot().WriteOpenMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	if err := ValidateOpenMetrics(strings.NewReader(text)); err != nil {
+	check := func(text string) error {
+		doc, err := openmetrics.Parse(strings.NewReader(text + "# EOF\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return CheckOpenMetrics(doc)
+	}
+	if err := check(text); err != nil {
 		t.Fatalf("well-formed document rejected: %v", err)
 	}
 	// Break conservation: inflate the observations total.
@@ -235,12 +240,12 @@ func TestOpenMetricsValidates(t *testing.T) {
 	if broken == text {
 		t.Fatal("expected observations_total 500 in document")
 	}
-	if err := ValidateOpenMetrics(strings.NewReader(broken)); err == nil {
+	if err := check(broken); err == nil {
 		t.Fatal("conservation violation not detected")
 	}
-	// Break syntax: drop the EOF terminator.
-	if err := ValidateOpenMetrics(strings.NewReader(strings.Replace(text, "# EOF\n", "", 1))); err == nil {
-		t.Fatal("missing EOF not detected")
+	// Half a panel: per-op totals with the observation total left out.
+	if err := check("zofs_series_op_ops_total{op=\"read\"} 5\n"); err == nil {
+		t.Fatal("missing observations total not detected")
 	}
 }
 
@@ -250,7 +255,7 @@ func TestResetKeepsObjectives(t *testing.T) {
 	}})
 	c.Observe(telemetry.OpRead, 0, 500)
 	c.Reset()
-	if c.Total() != 0 || len(c.Windows()) != 0 {
+	if c.Snapshot().Observations != 0 || len(c.Windows()) != 0 {
 		t.Fatal("reset left observations behind")
 	}
 	c.Observe(telemetry.OpRead, 0, 500)

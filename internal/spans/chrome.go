@@ -15,7 +15,9 @@ import (
 // events carrying their component breakdown, child spans nest inside them on
 // the same thread track, and raw pmemtrace device events interleave as
 // instant ("i") events — so a flush stall on the timeline sits visually
-// inside the op that caused it. Structs marshal with fixed field order and
+// inside the op that caused it — with a counter ("C") track replaying the
+// dirty-line count, so lost-update windows show as a non-zero sawtooth.
+// Structs marshal with fixed field order and
 // maps with sorted keys, keeping the exporter byte-deterministic for a given
 // input (golden-file tested).
 
@@ -34,6 +36,7 @@ type chromeArgs struct {
 	Len          *int64           `json:"len,omitempty"`
 	Key          *int16           `json:"key,omitempty"`
 	Cause        string           `json:"cause,omitempty"`
+	Dirty        *int64           `json:"dirty,omitempty"`
 }
 
 type chromeEvent struct {
@@ -52,42 +55,60 @@ const chromePID = 1
 
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
-// WriteChromeTrace renders root spans (with their children) and pmemtrace
-// device events on one timeline. Either input may be empty.
-func WriteChromeTrace(w io.Writer, roots []Root, events []pmemtrace.Event) error {
-	return WriteChromeTraceLanes(w, roots, events, nil)
+// byStart returns a copy of in ordered by virtual start time, then thread —
+// stably, so the export does not depend on the order of its input.
+func byStart[T any](in []T, key func(*T) (start int64, tid int)) []T {
+	out := append([]T(nil), in...)
+	sort.SliceStable(out, func(i, j int) bool {
+		si, ti := key(&out[i])
+		sj, tj := key(&out[j])
+		if si != sj {
+			return si < sj
+		}
+		return ti < tj
+	})
+	return out
 }
 
-// WriteChromeTraceLanes is WriteChromeTrace plus per-thread blocked-on
-// lanes: each lockprof blocked interval renders as a "lockwait" complete
-// event named wait:<lock> on its thread's track, so the wait sits visually
-// inside the op that incurred it and the blamed holder is one click away.
-func WriteChromeTraceLanes(w io.Writer, roots []Root, events []pmemtrace.Event, waits []lockprof.BlockedInterval) error {
-	return WriteChromeTraceMarked(w, roots, events, waits, nil)
+// compArgs names a breakdown's non-zero components (nil when there is none).
+func compArgs(b Breakdown) map[string]int64 {
+	var m map[string]int64
+	for i, v := range b {
+		if v > 0 {
+			if m == nil {
+				m = map[string]int64{}
+			}
+			m[Component(i).Name()] = v
+		}
+	}
+	return m
 }
 
 // WindowMark is one virtual-time series window boundary to overlay on the
-// merged timeline (zofs-trace export -series). The spans package cannot see
-// internal/series (series feeds thresholds into spans), so callers convert
-// series windows to these plain marks.
+// merged timeline. The spans package cannot see internal/series (series
+// feeds thresholds into spans), so callers convert series windows to these
+// plain marks.
 type WindowMark struct {
 	Index   int64
 	StartNS int64
 	Ops     int64
 }
 
-// TimelineMarks carries the tail-observatory overlays for the Chrome export:
-// window boundaries render as global instants on the device track, worst-op
-// exemplars as "exemplar"-category slices on their thread's track so the
-// captured tail op stands out against the ordinary fsop lane.
-type TimelineMarks struct {
+// Timeline is everything the merged export can draw on one virtual-time
+// axis; any field may be empty. Waits render as "lockwait" slices named
+// wait:<lock> on the blocked thread's track (the blamed holder one click
+// away), Windows as global "series" instants on the device track, Exemplars
+// as "exemplar" slices that stand out against the ordinary fsop lane.
+type Timeline struct {
+	Roots     []Root
+	Events    []pmemtrace.Event
+	Waits     []lockprof.BlockedInterval
 	Windows   []WindowMark
 	Exemplars []Exemplar
 }
 
-// WriteChromeTraceMarked is WriteChromeTraceLanes plus tail-observatory
-// marks; nil marks renders identically to WriteChromeTraceLanes.
-func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event, waits []lockprof.BlockedInterval, marks *TimelineMarks) error {
+// WriteChromeTrace renders the timeline as Chrome trace-event JSON.
+func WriteChromeTrace(w io.Writer, tl Timeline) error {
 	bw := bufio.NewWriter(w)
 	first := true
 	emit := func(ev chromeEvent) error {
@@ -107,30 +128,15 @@ func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event,
 		return err
 	}
 
-	ordered := append([]Root(nil), roots...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Start != ordered[j].Start {
-			return ordered[i].Start < ordered[j].Start
-		}
-		return ordered[i].TID < ordered[j].TID
-	})
-	for _, r := range ordered {
+	for _, r := range byStart(tl.Roots, func(r *Root) (int64, int) { return r.Start, r.TID }) {
 		dur := usec(r.Dur)
 		args := &chromeArgs{
-			Comp:         map[string]int64{},
+			Comp:         compArgs(r.Comp),
 			BytesRead:    r.BytesRead,
 			BytesWritten: r.BytesWritten,
 			Flushes:      r.Flushes,
 			Fences:       r.Fences,
 			Aborted:      r.Aborted,
-		}
-		for i, v := range r.Comp {
-			if v > 0 {
-				args.Comp[Component(i).Name()] = v
-			}
-		}
-		if len(args.Comp) == 0 {
-			args.Comp = nil
 		}
 		if r.PathHash != 0 {
 			args.PathHash = fmt.Sprintf("%016x", r.PathHash)
@@ -167,14 +173,7 @@ func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event,
 		}
 	}
 
-	lanes := append([]lockprof.BlockedInterval(nil), waits...)
-	sort.SliceStable(lanes, func(i, j int) bool {
-		if lanes[i].StartNS != lanes[j].StartNS {
-			return lanes[i].StartNS < lanes[j].StartNS
-		}
-		return lanes[i].TID < lanes[j].TID
-	})
-	for _, b := range lanes {
+	for _, b := range byStart(tl.Waits, func(b *lockprof.BlockedInterval) (int64, int) { return b.StartNS, b.TID }) {
 		d := usec(b.DurNS)
 		if err := emit(chromeEvent{
 			Name: "wait:" + b.Lock, Cat: "lockwait", Ph: "X",
@@ -186,49 +185,31 @@ func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event,
 		}
 	}
 
-	if marks != nil {
-		wm := append([]WindowMark(nil), marks.Windows...)
-		sort.SliceStable(wm, func(i, j int) bool { return wm[i].StartNS < wm[j].StartNS })
-		for _, m := range wm {
-			if err := emit(chromeEvent{
-				Name: fmt.Sprintf("window %d", m.Index), Cat: "series", Ph: "i",
-				TS: usec(m.StartNS), PID: chromePID, TID: 0, S: "g",
-				Args: &chromeArgs{Detail: fmt.Sprintf("%d ops", m.Ops)},
-			}); err != nil {
-				return err
-			}
+	for _, m := range byStart(tl.Windows, func(m *WindowMark) (int64, int) { return m.StartNS, 0 }) {
+		if err := emit(chromeEvent{
+			Name: fmt.Sprintf("window %d", m.Index), Cat: "series", Ph: "i",
+			TS: usec(m.StartNS), PID: chromePID, TID: 0, S: "g",
+			Args: &chromeArgs{Detail: fmt.Sprintf("%d ops", m.Ops)},
+		}); err != nil {
+			return err
 		}
-		exs := append([]Exemplar(nil), marks.Exemplars...)
-		sort.SliceStable(exs, func(i, j int) bool {
-			if exs[i].Root.Start != exs[j].Root.Start {
-				return exs[i].Root.Start < exs[j].Root.Start
-			}
-			return exs[i].Root.TID < exs[j].Root.TID
-		})
-		for _, e := range exs {
-			d := usec(e.Root.Dur)
-			args := &chromeArgs{Comp: map[string]int64{}}
-			for i, v := range e.Root.Comp {
-				if v > 0 {
-					args.Comp[Component(i).Name()] = v
-				}
-			}
-			if len(args.Comp) == 0 {
-				args.Comp = nil
-			}
-			args.Detail = fmt.Sprintf("threshold %d ns, %d blamed locks, %d device events",
-				e.ThresholdNS, len(e.Locks), len(e.Events))
-			if err := emit(chromeEvent{
-				Name: "worst:" + e.Root.Op, Cat: "exemplar", Ph: "X",
-				TS: usec(e.Root.Start), Dur: &d,
-				PID: chromePID, TID: int32(e.Root.TID), Args: args,
-			}); err != nil {
-				return err
-			}
+	}
+	for _, e := range byStart(tl.Exemplars, func(e *Exemplar) (int64, int) { return e.Root.Start, e.Root.TID }) {
+		d := usec(e.Root.Dur)
+		args := &chromeArgs{Comp: compArgs(e.Root.Comp), Detail: fmt.Sprintf(
+			"threshold %d ns, %d blamed locks, %d device events", e.ThresholdNS, len(e.Locks), len(e.Events))}
+		if err := emit(chromeEvent{
+			Name: "worst:" + e.Root.Op, Cat: "exemplar", Ph: "X",
+			TS: usec(e.Root.Start), Dur: &d,
+			PID: chromePID, TID: int32(e.Root.TID), Args: args,
+		}); err != nil {
+			return err
 		}
 	}
 
-	for _, ev := range events {
+	dirty := pmemtrace.NewDirtySet()
+	lastDirty := -1
+	for _, ev := range tl.Events {
 		tid := ev.TID
 		if tid < 0 {
 			tid = 0
@@ -257,6 +238,19 @@ func WriteChromeTraceMarked(w io.Writer, roots []Root, events []pmemtrace.Event,
 		}
 		if err := emit(ce); err != nil {
 			return err
+		}
+		before := dirty.Len()
+		dirty.Apply(ev, nil)
+		if after := dirty.Len(); after != before || (ev.Kind == pmemtrace.KindCrash && lastDirty != 0) {
+			n := int64(after)
+			if err := emit(chromeEvent{
+				Name: "dirty_lines", Cat: "nvm", Ph: "C",
+				TS: usec(ev.TS), PID: chromePID, TID: 0,
+				Args: &chromeArgs{Dirty: &n},
+			}); err != nil {
+				return err
+			}
+			lastDirty = after
 		}
 	}
 

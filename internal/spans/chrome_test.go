@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"zofs/internal/pmemtrace"
@@ -14,7 +15,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixedMerge is a deterministic root/device-event pair: two op spans with
-// children (one aborted by an MPK violation), interleaved device events.
+// children (one aborted by an MPK violation), interleaved device events —
+// among them a cached store that a flush cleans and one a crash loses, so the
+// dirty-line counter track rises and falls twice.
 func fixedMerge() ([]Root, []pmemtrace.Event) {
 	roots := []Root{
 		{
@@ -42,17 +45,23 @@ func fixedMerge() ([]Root, []pmemtrace.Event) {
 		{Seq: 2, TS: 1300, Kind: pmemtrace.KindFlush, Off: 8192, Len: 64, TID: 1, Key: 3},
 		{Seq: 3, TS: 1350, Kind: pmemtrace.KindFence, TID: 1, Key: -1},
 		{Seq: 4, TS: 1700, Kind: pmemtrace.KindViolation, Off: 17, TID: 2, Key: 5, Cause: "PKRU write-disable"},
+		{Seq: 5, TS: 1750, Kind: pmemtrace.KindStore, Off: 4096, Len: 64, TID: 1, Key: 2},
+		{Seq: 6, TS: 1800, Kind: pmemtrace.KindFlush, Off: 4096, Len: 64, TID: 1, Key: 2},
+		{Seq: 7, TS: 1850, Kind: pmemtrace.KindStore64, Off: 8448, Len: 8, TID: 2, Key: 3},
+		{Seq: 8, TS: 1900, Kind: pmemtrace.KindStore, Off: 128, Len: 32, TID: 1, Key: -1},
+		{Seq: 9, TS: 1950, Kind: pmemtrace.KindCrashInject, Len: 4, TID: -1, Key: -1},
+		{Seq: 10, TS: 0, Kind: pmemtrace.KindCrash, Len: 1, TID: -1, Key: -1},
 	}
 	return roots, events
 }
 
 // TestMergedChromeGolden pins the merged exporter's exact bytes: stable
 // field order, root spans as slices with nested children, device events as
-// instants on the same timeline.
+// instants on the same timeline, the dirty-line count as a counter track.
 func TestMergedChromeGolden(t *testing.T) {
 	roots, events := fixedMerge()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, roots, events); err != nil {
+	if err := WriteChromeTrace(&buf, Timeline{Roots: roots, Events: events}); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_golden.json")
@@ -76,9 +85,9 @@ func TestMergedChromeGolden(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
 		t.Fatalf("export is not a valid JSON array: %v", err)
 	}
-	// 2 roots + 3 children + 4 device events.
-	if len(arr) != 9 {
-		t.Fatalf("exported %d events, want 9", len(arr))
+	// 2 roots + 3 children + 10 device events + 4 dirty-line counter moves.
+	if len(arr) != 19 {
+		t.Fatalf("exported %d events, want 19", len(arr))
 	}
 	cats := map[string]int{}
 	for i, ev := range arr {
@@ -89,15 +98,24 @@ func TestMergedChromeGolden(t *testing.T) {
 		}
 		cats[ev["cat"].(string)]++
 	}
-	if cats["fsop"] != 2 || cats["span"] != 3 || cats["nvm"] != 4 {
+	if cats["fsop"] != 2 || cats["span"] != 3 || cats["nvm"] != 14 {
 		t.Fatalf("category counts = %v", cats)
+	}
+	var track []float64
+	for _, ev := range arr {
+		if ev["name"] == "dirty_lines" {
+			track = append(track, ev["args"].(map[string]any)["dirty"].(float64))
+		}
+	}
+	if want := []float64{1, 0, 1, 0}; !reflect.DeepEqual(track, want) {
+		t.Fatalf("dirty-line track = %v, want %v", track, want)
 	}
 }
 
 // TestMergedChromeEmpty: both inputs empty still yields a valid array.
 func TestMergedChromeEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, nil); err != nil {
+	if err := WriteChromeTrace(&buf, Timeline{}); err != nil {
 		t.Fatal(err)
 	}
 	var arr []any
@@ -107,23 +125,11 @@ func TestMergedChromeEmpty(t *testing.T) {
 }
 
 // TestMergedChromeMarks: tail-observatory overlays render as "series"
-// instants and "exemplar" slices; nil marks is byte-identical to the
-// lanes writer (the golden file stays authoritative for that path).
+// instants and "exemplar" slices.
 func TestMergedChromeMarks(t *testing.T) {
 	roots, events := fixedMerge()
-
-	var lanes, markedNil bytes.Buffer
-	if err := WriteChromeTraceLanes(&lanes, roots, events, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteChromeTraceMarked(&markedNil, roots, events, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lanes.Bytes(), markedNil.Bytes()) {
-		t.Fatal("nil marks changed the lanes export")
-	}
-
-	marks := &TimelineMarks{
+	tl := Timeline{
+		Roots: roots, Events: events,
 		Windows: []WindowMark{
 			{Index: 1, StartNS: 1000, Ops: 2},
 			{Index: 0, StartNS: 0, Ops: 0},
@@ -133,7 +139,7 @@ func TestMergedChromeMarks(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTraceMarked(&buf, roots, events, nil, marks); err != nil {
+	if err := WriteChromeTrace(&buf, tl); err != nil {
 		t.Fatal(err)
 	}
 	var arr []map[string]any
@@ -166,10 +172,10 @@ func TestMergedChromeDeterministic(t *testing.T) {
 	roots, events := fixedMerge()
 	rev := []Root{roots[1], roots[0]}
 	var a, b bytes.Buffer
-	if err := WriteChromeTrace(&a, roots, events); err != nil {
+	if err := WriteChromeTrace(&a, Timeline{Roots: roots, Events: events}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTrace(&b, rev, events); err != nil {
+	if err := WriteChromeTrace(&b, Timeline{Roots: rev, Events: events}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

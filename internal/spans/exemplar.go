@@ -1,9 +1,6 @@
 package spans
 
 import (
-	"bufio"
-	"encoding/json"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,9 +52,8 @@ type exemplars struct {
 	threshold [telemetry.NumOps]atomic.Int64
 	mu        sync.Mutex
 	// worst[op] is sorted ascending by Root.Dur; worst[op][0] is the floor.
-	worst      [telemetry.NumOps][]Exemplar
-	candidates atomic.Int64
-	captured   atomic.Int64
+	worst    [telemetry.NumOps][]Exemplar
+	captured atomic.Int64
 }
 
 // SetExemplarThreshold installs op's adaptive capture threshold (virtual
@@ -91,7 +87,6 @@ func (c *Collector) maybeCapture(op telemetry.Op, r *Root) {
 	if thr > 0 && telemetry.BucketUpper(telemetry.BucketOf(r.Dur)) < thr {
 		return
 	}
-	ex.candidates.Add(1)
 	ex.mu.Lock()
 	lst := ex.worst[op]
 	if len(lst) >= ex.k && r.Dur <= lst[0].Root.Dur {
@@ -159,37 +154,5 @@ func (c *Collector) resetExemplars() {
 	for i := range c.ex.threshold {
 		c.ex.threshold[i].Store(0)
 	}
-	c.ex.candidates.Store(0)
 	c.ex.captured.Store(0)
-}
-
-// WriteExemplarsJSONL renders every retained exemplar as one JSON line.
-func (c *Collector) WriteExemplarsJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range c.Exemplars() {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(append(b, '\n')); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadExemplarsJSONL parses an exemplars.jsonl stream.
-func ReadExemplarsJSONL(r io.Reader) ([]Exemplar, error) {
-	var out []Exemplar
-	dec := json.NewDecoder(r)
-	for {
-		var e Exemplar
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return nil, err
-		}
-		out = append(out, e)
-	}
 }

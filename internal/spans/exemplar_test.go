@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"zofs/internal/openmetrics"
 	"zofs/internal/telemetry"
 )
 
@@ -92,10 +93,10 @@ func TestExemplarJSONLRoundTrip(t *testing.T) {
 	foldOne(col, 1, telemetry.OpWrite, 0, 400)
 	foldOne(col, 2, telemetry.OpRead, 1000, 800)
 	var buf bytes.Buffer
-	if err := col.WriteExemplarsJSONL(&buf); err != nil {
+	if err := openmetrics.WriteJSONL(&buf, col.Exemplars()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadExemplarsJSONL(&buf)
+	got, err := openmetrics.ReadJSONL[Exemplar](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,33 +6,21 @@ import (
 	"io"
 	"strconv"
 
-	"zofs/internal/byteflow"
 	"zofs/internal/openmetrics"
 )
 
-// WriteOpenMetrics renders a snapshot in the OpenMetrics text exposition
-// format (Prometheus-compatible). Output is deterministic: ops in dispatch
-// order, components in enum order, contention rows by descending wait.
-func WriteOpenMetrics(w io.Writer, s Snapshot) error {
+// WriteOpenMetrics renders the snapshot's families in the OpenMetrics text
+// exposition format (no "# EOF": the observation document terminates the
+// exposition). Output is deterministic: ops in dispatch order, components in
+// enum order.
+func (s Snapshot) WriteOpenMetrics(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-
-	scalar := func(name, typ, help string, v string) {
-		fmt.Fprintf(bw, "# TYPE %s %s\n", name, typ)
-		if help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", name, help)
-		}
-		suffix := ""
-		if typ == "counter" {
-			suffix = "_total"
-		}
-		fmt.Fprintf(bw, "%s%s %s\n", name, suffix, v)
-	}
-	scalar("zofs_spans_started", "counter", "root spans opened", strconv.FormatInt(s.Started, 10))
-	scalar("zofs_spans_finished", "counter", "root spans folded", strconv.FormatInt(s.Finished, 10))
-	scalar("zofs_spans_open", "gauge", "root spans currently in flight", strconv.FormatInt(s.Open, 10))
-	scalar("zofs_spans_aborted", "counter", "root spans terminated by a fault", strconv.FormatInt(s.Aborted, 10))
-	scalar("zofs_dcache_hits", "counter", "directory cache hits", strconv.FormatInt(s.DcacheHits, 10))
-	scalar("zofs_dcache_misses", "counter", "directory cache misses", strconv.FormatInt(s.DcacheMisses, 10))
+	openmetrics.WriteScalar(bw, "zofs_spans_started", "counter", "root spans opened", s.Started)
+	openmetrics.WriteScalar(bw, "zofs_spans_finished", "counter", "root spans folded", s.Finished)
+	openmetrics.WriteScalar(bw, "zofs_spans_open", "gauge", "root spans currently in flight", s.Open)
+	openmetrics.WriteScalar(bw, "zofs_spans_aborted", "counter", "root spans terminated by a fault", s.Aborted)
+	openmetrics.WriteScalar(bw, "zofs_dcache_hits", "counter", "directory cache hits", s.DcacheHits)
+	openmetrics.WriteScalar(bw, "zofs_dcache_misses", "counter", "directory cache misses", s.DcacheMisses)
 
 	ops := s.opOrder()
 
@@ -54,9 +42,8 @@ func WriteOpenMetrics(w io.Writer, s Snapshot) error {
 	fmt.Fprintf(bw, "# TYPE zofs_op_component_ns counter\n")
 	for _, name := range ops {
 		b := s.Ops[name]
-		for _, c := range compOrder() {
-			fmt.Fprintf(bw, "zofs_op_component_ns_total{op=%q,component=%q} %d\n",
-				name, c.Name(), b.Comp[c.Name()].SumNS)
+		for _, comp := range compNames {
+			fmt.Fprintf(bw, "zofs_op_component_ns_total{op=%q,component=%q} %d\n", name, comp, b.Comp[comp].SumNS)
 		}
 	}
 
@@ -64,77 +51,34 @@ func WriteOpenMetrics(w io.Writer, s Snapshot) error {
 	fmt.Fprintf(bw, "# HELP zofs_op_component_share percent of the op kind's total latency\n")
 	for _, name := range ops {
 		b := s.Ops[name]
-		for _, c := range compOrder() {
+		for _, comp := range compNames {
 			fmt.Fprintf(bw, "zofs_op_component_share{op=%q,component=%q} %s\n",
-				name, c.Name(), strconv.FormatFloat(b.Comp[c.Name()].Pct, 'f', 4, 64))
+				name, comp, strconv.FormatFloat(b.Comp[comp].Pct, 'f', 4, 64))
 		}
 	}
 
 	fmt.Fprintf(bw, "# TYPE zofs_critical_path_share gauge\n")
-	for _, c := range compOrder() {
+	for _, comp := range compNames {
 		fmt.Fprintf(bw, "zofs_critical_path_share{component=%q} %s\n",
-			c.Name(), strconv.FormatFloat(s.CriticalPath[c.Name()], 'f', 4, 64))
+			comp, strconv.FormatFloat(s.CriticalPath[comp], 'f', 4, 64))
 	}
-
-	if f := s.Flow; f != nil {
-		scalar("zofs_app_bytes", "counter", "application-requested write bytes", strconv.FormatInt(f.App, 10))
-		scalar("zofs_issued_bytes", "counter", "bytes issued to the device", strconv.FormatInt(f.Total, 10))
-		scalar("zofs_media_bytes", "counter", "estimated bytes that reached media", strconv.FormatInt(f.MediaBytes(), 10))
-		scalar("zofs_flushes", "counter", "cache-line flush instructions", strconv.FormatInt(f.Flushes, 10))
-		scalar("zofs_fences", "counter", "store fences", strconv.FormatInt(f.Fences, 10))
-		scalar("zofs_write_amplification", "gauge", "media bytes per application byte", strconv.FormatFloat(f.WA(), 'f', 4, 64))
-		fmt.Fprintf(bw, "# TYPE zofs_issued_class_bytes counter\n")
-		for _, c := range byteflow.Classes() {
-			fmt.Fprintf(bw, "zofs_issued_class_bytes_total{class=%q} %d\n", c.String(), f.Issued[c])
-		}
-		fmt.Fprintf(bw, "# TYPE zofs_nt_class_bytes counter\n")
-		for _, c := range byteflow.Classes() {
-			fmt.Fprintf(bw, "zofs_nt_class_bytes_total{class=%q} %d\n", c.String(), f.NT[c])
-		}
-		fmt.Fprintf(bw, "# TYPE zofs_flush_class_lines counter\n")
-		for _, c := range byteflow.Classes() {
-			fmt.Fprintf(bw, "zofs_flush_class_lines_total{class=%q} %d\n", c.String(), f.Lines[c])
-		}
-	}
-	if len(s.Space) > 0 {
-		fmt.Fprintf(bw, "# TYPE zofs_coffer_pages gauge\n")
-		for _, cs := range s.Space {
-			id := strconv.FormatUint(cs.ID, 10)
-			fmt.Fprintf(bw, "zofs_coffer_pages{coffer=%q,state=\"used\"} %d\n", id, cs.Used)
-			fmt.Fprintf(bw, "zofs_coffer_pages{coffer=%q,state=\"free_listed\"} %d\n", id, cs.FreeListed)
-			fmt.Fprintf(bw, "zofs_coffer_pages{coffer=%q,state=\"cached\"} %d\n", id, cs.Cached)
-		}
-		fmt.Fprintf(bw, "# TYPE zofs_coffer_frag gauge\n")
-		fmt.Fprintf(bw, "# HELP zofs_coffer_frag fraction of adjacent page pairs breaking contiguity\n")
-		for _, cs := range s.Space {
-			fmt.Fprintf(bw, "zofs_coffer_frag{coffer=\"%d\"} %s\n", cs.ID, strconv.FormatFloat(cs.Frag, 'f', 4, 64))
-		}
-	}
-
-	if len(s.Contention) > 0 {
-		fmt.Fprintf(bw, "# TYPE zofs_lock_wait_ns counter\n")
-		for _, l := range s.Contention {
-			fmt.Fprintf(bw, "zofs_lock_wait_ns_total{lock=%q} %d\n", l.Lock, l.WaitNS)
-		}
-		fmt.Fprintf(bw, "# TYPE zofs_lock_waits counter\n")
-		for _, l := range s.Contention {
-			fmt.Fprintf(bw, "zofs_lock_waits_total{lock=%q} %d\n", l.Lock, l.Waits)
-		}
-	}
-
-	fmt.Fprintf(bw, "# EOF\n")
 	return bw.Flush()
 }
 
-// ValidateOpenMetrics checks that r is well-formed OpenMetrics text (via the
-// shared internal/openmetrics parser) and enforces the attribution
-// invariant: for every op with samples, the zofs_op_component_share values
-// sum to 100% within one point, plus byte-flow conservation when the flow
-// panel's series are present.
-func ValidateOpenMetrics(r io.Reader) error {
-	doc, err := openmetrics.Parse(r)
-	if err != nil {
+// CheckOpenMetrics enforces the attribution invariant on a parsed
+// exposition, when the span panel is there: for every op with samples the
+// zofs_op_component_share values sum to 100% within one point.
+func CheckOpenMetrics(doc *openmetrics.Doc) error {
+	if !doc.Has("zofs_spans_finished_total") && !doc.Has("zofs_ops_total") && !doc.Has("zofs_op_component_share") {
+		return nil
+	}
+	if err := doc.Require("spans", "zofs_spans_finished_total"); err != nil {
 		return err
+	}
+	if doc.Int("zofs_spans_finished_total") > 0 {
+		if err := doc.Require("spans", "zofs_ops_total", "zofs_op_latency_ns_sum", "zofs_op_component_share"); err != nil {
+			return err
+		}
 	}
 	opCount := doc.GroupSumInt("zofs_ops_total", "op")
 	latSum := doc.GroupSumInt("zofs_op_latency_ns_sum", "op")
@@ -150,17 +94,5 @@ func ValidateOpenMetrics(r io.Reader) error {
 			return fmt.Errorf("op %q: component shares sum to %.2f%%, want 100±1", op, sum)
 		}
 	}
-	// Byte-flow conservation is exact: per-class issued bytes must sum to
-	// the independently counted issued total.
-	if doc.Has("zofs_issued_class_bytes_total") {
-		if !doc.Has("zofs_issued_bytes_total") {
-			return fmt.Errorf("byte-flow: class series present without zofs_issued_bytes_total")
-		}
-		if err := openmetrics.Conserved("byte-flow: class bytes",
-			doc.SumInt("zofs_issued_class_bytes_total"), doc.Int("zofs_issued_bytes_total")); err != nil {
-			return err
-		}
-	}
-	_ = byteflow.NumClasses
 	return nil
 }

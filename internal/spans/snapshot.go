@@ -3,11 +3,8 @@ package spans
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 
-	"zofs/internal/byteflow"
-	"zofs/internal/lockprof"
 	"zofs/internal/telemetry"
 )
 
@@ -42,14 +39,6 @@ type OpBreakdown struct {
 	Buckets []int64 `json:"-"` // kept for Diff; not serialized
 }
 
-// LockStat is one row of the lock-contention table.
-type LockStat struct {
-	Lock      string `json:"lock"`
-	Waits     int64  `json:"waits"`
-	WaitNS    int64  `json:"wait_ns"`
-	MaxWaitNS int64  `json:"max_wait_ns"`
-}
-
 // Snapshot is a point-in-time copy of a Collector's aggregates.
 type Snapshot struct {
 	Started         int64 `json:"started"`
@@ -69,23 +58,9 @@ type Snapshot struct {
 	// time across all op kinds.
 	CriticalPath map[string]float64 `json:"critical_path"`
 
-	Contention        []LockStat `json:"contention,omitempty"`
-	ContentionDropped int64      `json:"contention_dropped,omitempty"`
-
-	// Flow is the device byte-flow ledger at snapshot time and Space the
-	// per-coffer space rows. The collector doesn't know the device, so both
-	// are attached by the publisher (see OnSnapshot) or by harnesses; nil
-	// when byte-flow accounting is disabled.
-	Flow  *byteflow.Flow         `json:"flow,omitempty"`
-	Space []byteflow.CofferSpace `json:"space,omitempty"`
-
-	// Locks is the named-lock contention panel (per-lock waits, wait-for
-	// edges, order inversions), attached by the publisher via OnLockReport
-	// when a lockprof registry is collecting; nil otherwise.
-	Locks *lockprof.Report `json:"locks,omitempty"`
-
 	// LockWaitNS is the collector-level total of every virtual lock wait,
-	// inside or outside spans — comparable 1:1 with Locks.WaitNS.
+	// inside or outside spans — comparable 1:1 with the lock profiler's
+	// Report.WaitNS.
 	LockWaitNS int64 `json:"lock_wait_ns,omitempty"`
 }
 
@@ -135,15 +110,6 @@ func (c *Collector) Snapshot() Snapshot {
 		s.Ops[telemetry.Op(i).Name()] = b
 	}
 
-	c.contMu.Lock()
-	for key, e := range c.cont {
-		s.Contention = append(s.Contention, LockStat{
-			Lock: lockName(key), Waits: e.waits, WaitNS: e.waitNS, MaxWaitNS: e.maxNS,
-		})
-	}
-	s.ContentionDropped = c.contDropped
-	c.contMu.Unlock()
-
 	s.finalize()
 	return s
 }
@@ -177,12 +143,6 @@ func (s *Snapshot) finalize() {
 			s.CriticalPath[cn] = float64(v) / float64(totalNS) * 100
 		}
 	}
-	sort.Slice(s.Contention, func(i, j int) bool {
-		if s.Contention[i].WaitNS != s.Contention[j].WaitNS {
-			return s.Contention[i].WaitNS > s.Contention[j].WaitNS
-		}
-		return s.Contention[i].Lock < s.Contention[j].Lock
-	})
 }
 
 // Diff returns the spans folded between prev and s (s must be the later
@@ -190,22 +150,17 @@ func (s *Snapshot) finalize() {
 // value; ops whose count did not grow are omitted.
 func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	d := Snapshot{
-		Started:           s.Started - prev.Started,
-		Finished:          s.Finished - prev.Finished,
-		Open:              s.Open,
-		Aborted:           s.Aborted - prev.Aborted,
-		Abandoned:         s.Abandoned - prev.Abandoned,
-		DoubleCloses:      s.DoubleCloses - prev.DoubleCloses,
-		DroppedChildren:   s.DroppedChildren - prev.DroppedChildren,
-		OverBilledNS:      s.OverBilledNS - prev.OverBilledNS,
-		DcacheHits:        s.DcacheHits - prev.DcacheHits,
-		DcacheMisses:      s.DcacheMisses - prev.DcacheMisses,
-		ContentionDropped: s.ContentionDropped - prev.ContentionDropped,
-		Ops:               map[string]OpBreakdown{},
-		Space:             s.Space, // space rows are a gauge, keep current
-	}
-	if s.Flow != nil {
-		d.Flow = s.Flow.Sub(prev.Flow)
+		Started:         s.Started - prev.Started,
+		Finished:        s.Finished - prev.Finished,
+		Open:            s.Open,
+		Aborted:         s.Aborted - prev.Aborted,
+		Abandoned:       s.Abandoned - prev.Abandoned,
+		DoubleCloses:    s.DoubleCloses - prev.DoubleCloses,
+		DroppedChildren: s.DroppedChildren - prev.DroppedChildren,
+		OverBilledNS:    s.OverBilledNS - prev.OverBilledNS,
+		DcacheHits:      s.DcacheHits - prev.DcacheHits,
+		DcacheMisses:    s.DcacheMisses - prev.DcacheMisses,
+		Ops:             map[string]OpBreakdown{},
 	}
 	for name, cur := range s.Ops {
 		old := prev.Ops[name] // zero value when absent
@@ -233,18 +188,6 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 		}
 		d.Ops[name] = b
 	}
-	contPrev := map[string]LockStat{}
-	for _, l := range prev.Contention {
-		contPrev[l.Lock] = l
-	}
-	for _, l := range s.Contention {
-		o := contPrev[l.Lock]
-		if w := l.WaitNS - o.WaitNS; w > 0 {
-			d.Contention = append(d.Contention, LockStat{
-				Lock: l.Lock, Waits: l.Waits - o.Waits, WaitNS: w, MaxWaitNS: l.MaxWaitNS,
-			})
-		}
-	}
 	d.finalize()
 	return d
 }
@@ -260,15 +203,6 @@ func subBuckets(cur, old []int64) []int64 {
 		if i < len(out) {
 			out[i] -= old[i]
 		}
-	}
-	return out
-}
-
-// compOrder is the fixed rendering/export order of components.
-func compOrder() []Component {
-	out := make([]Component, NumComponents)
-	for i := range out {
-		out[i] = Component(i)
 	}
 	return out
 }
@@ -306,15 +240,15 @@ func (s Snapshot) WriteText(w io.Writer) error {
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprint(tw, "op\tcount\tmean\tp50\tp95\tp99")
-	for _, c := range compOrder() {
-		fmt.Fprintf(tw, "\t%s%%", c.Name())
+	for _, comp := range compNames {
+		fmt.Fprintf(tw, "\t%s%%", comp)
 	}
 	fmt.Fprintln(tw)
 	for _, name := range s.opOrder() {
 		b := s.Ops[name]
 		fmt.Fprintf(tw, "%s\t%d\t%dns\t%dns\t%dns\t%dns", name, b.Count, b.MeanNS, b.P50NS, b.P95NS, b.P99NS)
-		for _, c := range compOrder() {
-			fmt.Fprintf(tw, "\t%.1f", b.Comp[c.Name()].Pct)
+		for _, comp := range compNames {
+			fmt.Fprintf(tw, "\t%.1f", b.Comp[comp].Pct)
 		}
 		fmt.Fprintln(tw)
 	}
@@ -323,60 +257,9 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	}
 
 	fmt.Fprint(w, "critical path:")
-	for _, c := range compOrder() {
-		fmt.Fprintf(w, " %s %.1f%%", c.Name(), s.CriticalPath[c.Name()])
+	for _, comp := range compNames {
+		fmt.Fprintf(w, " %s %.1f%%", comp, s.CriticalPath[comp])
 	}
 	fmt.Fprintln(w)
-
-	if s.Flow != nil {
-		f := s.Flow
-		fmt.Fprintf(w, "byte flow: app %d  issued %d  media %d  WA %.2f  flushes %d  fences %d\n",
-			f.App, f.Total, f.MediaBytes(), f.WA(), f.Flushes, f.Fences)
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "class\tissued\tnt\tflush_lines")
-		for _, c := range byteflow.Classes() {
-			if f.Issued[c] == 0 && f.NT[c] == 0 && f.Lines[c] == 0 {
-				continue
-			}
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\n", c, f.Issued[c], f.NT[c], f.Lines[c])
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-	}
-	if len(s.Space) > 0 {
-		fmt.Fprintln(w, "coffer space:")
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "coffer\tpath\tpages\tused\tfree_listed\tcached\textents\tfrag")
-		for _, cs := range s.Space {
-			fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%d\t%d\t%.3f\n",
-				cs.ID, cs.Path, cs.Pages, cs.Used, cs.FreeListed, cs.Cached, cs.Extents, cs.Frag)
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-	}
-
-	if len(s.Contention) > 0 {
-		fmt.Fprintln(w, "lock contention (by total wait):")
-		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "lock\twaits\ttotal_wait\tmax_wait")
-		for i, l := range s.Contention {
-			if i >= 10 {
-				fmt.Fprintf(tw, "... %d more\t\t\t\n", len(s.Contention)-i)
-				break
-			}
-			fmt.Fprintf(tw, "%s\t%d\t%dns\t%dns\n", l.Lock, l.Waits, l.WaitNS, l.MaxWaitNS)
-		}
-		if err := tw.Flush(); err != nil {
-			return err
-		}
-	}
-	if s.Locks != nil {
-		fmt.Fprintln(w, "named locks (lockprof):")
-		if err := s.Locks.WriteText(w); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -4,9 +4,8 @@
 // register writes, the NVM cost model — bill their virtual-time cost to that
 // span through a per-thread span context riding on the thread's simclock
 // (Clock.SetBill). Finished spans fold into per-op-kind latency breakdowns
-// (media vs. flush/fence vs. lock wait vs. PKRU vs. memcpy), a lock
-// contention table, an optional JSONL sink and a bounded ring for timeline
-// export — the instrument behind the paper's "where does the time go"
+// (media vs. flush/fence vs. lock wait vs. PKRU vs. memcpy), an optional
+// JSONL sink and a bounded ring for timeline export — the instrument behind the paper's "where does the time go"
 // decompositions (§6, Figures 7–11).
 //
 // Attribution never advances any clock: with spans enabled or disabled the
@@ -18,7 +17,6 @@ package spans
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -49,7 +47,7 @@ const (
 	// CompMemcpy is data staging through a DRAM bounce buffer. Nothing bills
 	// it while ZoFS moves data and metadata through borrowed device views; it
 	// stays because the component set is the export schema (spans.jsonl,
-	// spans.prom, zofs-top, the benchmark's span shares).
+	// obs.prom, zofs-obs top, the benchmark's span shares).
 	CompMemcpy
 	// CompKernel is kernel-crossing time: syscall entry/exit charges.
 	CompKernel
@@ -297,16 +295,6 @@ func (c *ThreadCtx) addChild(ch Child) {
 	c.children = append(c.children, ch)
 }
 
-// LockContend records one contended lock acquisition (wait > 0) in the
-// collector's contention table. Negative keys name directory hash buckets,
-// non-negative keys name inodes.
-func (c *ThreadCtx) LockContend(key, waitNS int64) {
-	if c == nil || waitNS <= 0 {
-		return
-	}
-	c.col.lockContend(key, waitNS)
-}
-
 // DCacheHit counts a directory-cache hit (and a child annotation).
 func (c *ThreadCtx) DCacheHit() {
 	if c == nil {
@@ -371,16 +359,6 @@ type opAgg struct {
 	fences       atomic.Int64
 }
 
-// contEntry is one lock's contention record.
-type contEntry struct {
-	waits  int64
-	waitNS int64
-	maxNS  int64
-}
-
-// maxContLocks bounds the contention table; overflow keys are counted.
-const maxContLocks = 1024
-
 // Config parameterizes a Collector.
 type Config struct {
 	// RingCap bounds the finished-root ring kept for timeline export
@@ -415,10 +393,6 @@ type Collector struct {
 
 	ops [telemetry.NumOps]opAgg
 
-	contMu      sync.Mutex
-	cont        map[int64]*contEntry
-	contDropped int64
-
 	ringMu  sync.Mutex
 	ring    []Root
 	ringPos int
@@ -442,7 +416,7 @@ func NewCollector(cfg Config) *Collector {
 	if cap < 0 {
 		cap = 0
 	}
-	c := &Collector{cont: make(map[int64]*contEntry), ringCap: cap}
+	c := &Collector{ringCap: cap}
 	if cfg.JSONL != nil {
 		c.sink = bufio.NewWriterSize(cfg.JSONL, 64<<10)
 	}
@@ -579,25 +553,6 @@ func (c *Collector) Roots() []Root {
 	return out
 }
 
-func (c *Collector) lockContend(key, waitNS int64) {
-	c.contMu.Lock()
-	defer c.contMu.Unlock()
-	e := c.cont[key]
-	if e == nil {
-		if len(c.cont) >= maxContLocks {
-			c.contDropped++
-			return
-		}
-		e = &contEntry{}
-		c.cont[key] = e
-	}
-	e.waits++
-	e.waitNS += waitNS
-	if waitNS > e.maxNS {
-		e.maxNS = waitNS
-	}
-}
-
 // OpenRoots reports the number of currently open root spans — zero whenever
 // no operation is in flight (the no-leak invariant crashmc asserts).
 func (c *Collector) OpenRoots() int64 {
@@ -633,8 +588,8 @@ func (c *Collector) LockWaitNS() int64 {
 	return c.lockWaitNS.Load()
 }
 
-// Reset zeroes every aggregate, the contention table, the ring and the
-// lifecycle counters (the JSONL sink is untouched).
+// Reset zeroes every aggregate, the ring and the lifecycle counters (the
+// JSONL sink is untouched).
 func (c *Collector) Reset() {
 	if c == nil {
 		return
@@ -664,22 +619,9 @@ func (c *Collector) Reset() {
 		a.flushes.Store(0)
 		a.fences.Store(0)
 	}
-	c.contMu.Lock()
-	c.cont = make(map[int64]*contEntry)
-	c.contDropped = 0
-	c.contMu.Unlock()
 	c.ringMu.Lock()
 	c.ring = c.ring[:0]
 	c.ringPos = 0
 	c.ringMu.Unlock()
 	c.resetExemplars()
-}
-
-// lockName renders a contention-table key: negative keys are directory hash
-// buckets, non-negative keys are inode numbers.
-func lockName(key int64) string {
-	if key < 0 {
-		return fmt.Sprintf("dirbucket/%d", -key)
-	}
-	return fmt.Sprintf("inode/%d", key)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zofs/internal/mpk"
+	"zofs/internal/openmetrics"
 	"zofs/internal/telemetry"
 )
 
@@ -133,7 +134,6 @@ func TestNilContext(t *testing.T) {
 	c.Bill(CompMedia, 5)
 	c.BillLockWait(5)
 	c.Child("x", 0, 1)
-	c.LockContend(1, 5)
 	c.DCacheHit()
 	c.DCacheMiss()
 	c.MarkAborted()
@@ -184,7 +184,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	roots, err := ReadRootsJSONL(&buf)
+	roots, err := openmetrics.ReadJSONL[Root](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,30 +220,9 @@ func TestSnapshotDiff(t *testing.T) {
 	}
 }
 
-// TestContentionTable: waits aggregate per lock with max tracking, and the
-// table is bounded.
-func TestContentionTable(t *testing.T) {
-	col := NewCollector(Config{})
-	c := NewThreadCtx(col, 1)
-	c.LockContend(42, 100)
-	c.LockContend(42, 300)
-	c.LockContend(-7, 50) // dir bucket
-	c.LockContend(1, 0)   // uncontended: ignored
-	snap := col.Snapshot()
-	if len(snap.Contention) != 2 {
-		t.Fatalf("contention rows = %d, want 2", len(snap.Contention))
-	}
-	top := snap.Contention[0]
-	if top.Lock != "inode/42" || top.Waits != 2 || top.WaitNS != 400 || top.MaxWaitNS != 300 {
-		t.Fatalf("top contention = %+v", top)
-	}
-	if snap.Contention[1].Lock != "dirbucket/7" {
-		t.Fatalf("bucket lock renders as %q", snap.Contention[1].Lock)
-	}
-}
-
 // TestOpenMetricsValidator exercises both directions: the writer's output
-// passes, and the validator rejects malformed or inconsistent documents.
+// passes, and the check rejects inconsistent or half-present span panels
+// (and ignores an exposition with no span panel at all).
 func TestOpenMetricsValidator(t *testing.T) {
 	col := NewCollector(Config{})
 	c := NewThreadCtx(col, 1)
@@ -251,32 +230,38 @@ func TestOpenMetricsValidator(t *testing.T) {
 		c.Begin(telemetry.OpWrite, 0, int64(i*1000))
 		c.Bill(CompMedia, 400)
 		c.DCacheHit()
-		c.LockContend(9, 25)
 		c.End(int64(i*1000) + 700)
 	}
+	check := func(text string) error {
+		doc, err := openmetrics.Parse(strings.NewReader(text + "# EOF\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return CheckOpenMetrics(doc)
+	}
 	var out strings.Builder
-	if err := WriteOpenMetrics(&out, col.Snapshot()); err != nil {
+	if err := col.Snapshot().WriteOpenMetrics(&out); err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateOpenMetrics(strings.NewReader(out.String())); err != nil {
+	if err := check(out.String()); err != nil {
 		t.Fatalf("writer output rejected: %v", err)
 	}
+	if err := check("zofs_lockprof_held 0\n"); err != nil {
+		t.Fatalf("exposition without a span panel rejected: %v", err)
+	}
 
+	const write = "zofs_spans_finished_total 5\nzofs_ops_total{op=\"write\"} 5\n" +
+		"zofs_op_latency_ns_sum{op=\"write\"} 3500\n"
 	bad := []struct {
 		name, doc string
 	}{
-		{"missing EOF", "# TYPE x counter\nx_total 1\n"},
-		{"malformed sample", "not a sample line\n# EOF\n"},
-		{"content after EOF", "# EOF\nx 1\n"},
-		{"bad label", "x{9bad=\"v\"} 1\n# EOF\n"},
-		{"shares don't sum", "zofs_ops_total{op=\"write\"} 5\n" +
-			"zofs_op_latency_ns_sum{op=\"write\"} 3500\n" +
-			"zofs_op_component_share{op=\"write\",component=\"media\"} 57.14\n" +
-			"# EOF\n"},
+		{"shares don't sum", write + "zofs_op_component_share{op=\"write\",component=\"media\"} 57.14\n"},
+		{"shares without the finished counter", "zofs_op_component_share{op=\"write\",component=\"media\"} 100\n"},
+		{"finished spans without shares", write},
 	}
 	for _, tc := range bad {
-		if err := ValidateOpenMetrics(strings.NewReader(tc.doc)); err == nil {
-			t.Errorf("%s: validator accepted a bad document", tc.name)
+		if err := check(tc.doc); err == nil {
+			t.Errorf("%s: check accepted a bad document", tc.name)
 		}
 	}
 }
@@ -305,12 +290,11 @@ func TestReset(t *testing.T) {
 	col := NewCollector(Config{})
 	c := NewThreadCtx(col, 1)
 	c.Begin(telemetry.OpRead, 0, 0)
-	c.LockContend(3, 10)
 	c.DCacheMiss()
 	c.End(50)
 	col.Reset()
 	snap := col.Snapshot()
-	if snap.Finished != 0 || snap.DcacheMisses != 0 || len(snap.Ops) != 0 || len(snap.Contention) != 0 {
+	if snap.Finished != 0 || snap.DcacheMisses != 0 || len(snap.Ops) != 0 {
 		t.Fatalf("snapshot after Reset = %+v", snap)
 	}
 	if len(col.Roots()) != 0 {

@@ -9,7 +9,6 @@ import (
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/retry"
-	"zofs/internal/spans"
 	"zofs/internal/vfs"
 )
 
@@ -154,14 +153,9 @@ var leaseAcquirePolicy = retry.Policy{
 // fences the caller's commit points (checkLease) and must be handed back to
 // unlockInode. On vfs.ErrLeaseTimeout the shared lock is already released.
 func (f *FS) lockInode(th *proc.Thread, m *mount, ino int64) (uint8, error) {
-	sp := spans.FromClock(th.Clk)
 	th.CPU(perfmodel.CPULockAcquire) // clock_gettime via vDSO + bookkeeping
-	t0 := th.Clk.Now()
 	st := f.sh.state(ino)
 	st.lock.Lock(th.Clk)
-	if w := th.Clk.Now() - t0; w > 0 {
-		sp.LockContend(ino, w)
-	}
 	f.window(th, m, true)
 	epoch, err := f.claimInodeLease(th, st, ino)
 	if err != nil {
@@ -306,14 +300,9 @@ func bucketKey(dirIno int64, name string) int64 {
 
 // lockDirBucket write-locks the bucket of name in directory dirIno.
 func (f *FS) lockDirBucket(th *proc.Thread, dirIno int64, name string) int64 {
-	sp := spans.FromClock(th.Clk)
 	th.CPU(2 * perfmodel.CPULockAcquire) // clock_gettime + bucket lease CAS
 	k := bucketKey(dirIno, name)
-	t0 := th.Clk.Now()
 	f.sh.lockOf(k).Lock(th.Clk)
-	if w := th.Clk.Now() - t0; w > 0 {
-		sp.LockContend(k, w)
-	}
 	return k
 }
 
@@ -325,13 +314,8 @@ func (f *FS) unlockDirBucket(th *proc.Thread, k int64) {
 // rlockInode read-locks an inode (readers overlap; no lease write — reads
 // are made safe by the atomic 8-byte update discipline of §5.3).
 func (f *FS) rlockInode(th *proc.Thread, ino int64) {
-	sp := spans.FromClock(th.Clk)
 	th.CPU(perfmodel.CPULockAcquire)
-	t0 := th.Clk.Now()
 	f.sh.lockOf(ino).RLock(th.Clk)
-	if w := th.Clk.Now() - t0; w > 0 {
-		sp.LockContend(ino, w)
-	}
 }
 
 func (f *FS) runlockInode(th *proc.Thread, ino int64) {

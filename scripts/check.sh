@@ -47,37 +47,30 @@ expect_exit3() {
 echo "== trace smoke =="
 # Record one tiny fig7 append cell with the flight recorder on, then gate on
 # the auditor: a crash-free run must have zero lost lines.
-"$bin/zofs-trace" record -workload append -system Ext4-DAX \
+"$bin/zofs-obs" trace record -workload append -system Ext4-DAX \
     -o "$tracedir/smoke.jsonl" -threads 1 -ops 8 -device-mb 64 >/dev/null
-"$bin/zofs-trace" audit -max-lost 0 "$tracedir/smoke.jsonl" >/dev/null
+"$bin/zofs-obs" trace audit -max-lost 0 "$tracedir/smoke.jsonl" >/dev/null
 
-echo "== spans smoke =="
-# Causal-span gates. The "spans" experiment is self-asserting: spans-off vs
-# spans-on simulated throughput within 2% (the disabled-overhead budget),
-# per-op component attribution summing to the measured latency within 1%,
-# and a parseable OpenMetrics rendering. Then a -spans collection run must
-# produce an export the shared validator (share sum ~100%) accepts.
-bench -quick spans
-bench -quick -spans "$tracedir/spans" fig8
-"$bin/zofs-perfdiff" -validate "$tracedir/spans/spans.prom" >/dev/null
-"$bin/zofs-top" -once -dir "$tracedir/spans" >/dev/null
-
-echo "== series smoke =="
-# Tail-observatory gates. The "series" experiment is self-asserting: series
-# and exemplar collection must leave simulated throughput bit-identical,
-# merged windows must equal the cumulative telemetry histograms bucket for
-# bucket, every captured exemplar's components must sum exactly to its
-# duration, and the SLO burn accounting must match its designed values. Then
-# a -series collection run must publish a series.prom the shared validator
-# accepts, a timeline zofs-top renders, and a series directory zofs-trace
-# can overlay on the causal-span Chrome export.
-bench -quick series
-bench -quick -spans "$tracedir/tail" -series "$tracedir/tail" fig8
-"$bin/zofs-perfdiff" -validate "$tracedir/tail/series.prom" >/dev/null
-"$bin/zofs-top" -once -dir "$tracedir/tail" >/dev/null
-"$bin/zofs-top" -json -dir "$tracedir/tail" >/dev/null
-"$bin/zofs-trace" export -spans "$tracedir/tail/spans.jsonl" \
-    -series "$tracedir/tail" -o "$tracedir/tail/chrome.json" >/dev/null
+echo "== obs smoke =="
+# The self-asserting collector experiments first: "spans" (spans-off vs
+# spans-on simulated throughput within 2%, per-op component attribution
+# summing to the measured latency within 1%, a valid OpenMetrics rendering
+# of the document with its byte-flow and space panels) and "series"
+# (bit-identical throughput, window merges equal to the cumulative telemetry
+# histograms bucket for bucket, exact-sum exemplars, designed SLO burn).
+# Then one -obs collection run — spans, series and lock profile together —
+# must publish an obs.prom the one validator accepts (share sums, wait/hold
+# conservation, edge bounds, per-op count conservation), a document top
+# renders as text and JSON, and raw logs the Chrome export can draw; and df
+# must reconcile flow and space accounting on a live instance (-validate
+# exits 1 on violation, OpenMetrics rendering included).
+bench -quick spans series
+bench -quick -obs "$tracedir/obs" fig8
+"$bin/zofs-obs" validate "$tracedir/obs" >/dev/null
+"$bin/zofs-obs" top -once -dir "$tracedir/obs" >/dev/null
+"$bin/zofs-obs" top -json -dir "$tracedir/obs" >/dev/null
+"$bin/zofs-obs" trace export -obs "$tracedir/obs" -o "$tracedir/obs/chrome.json" >/dev/null
+"$bin/zofs-obs" df -files 128 -validate >/dev/null
 
 echo "== bench identity gate =="
 # Virtual time makes the committed results bit-reproducible: a full-size
@@ -130,13 +123,6 @@ data_read 3 sim_kops_per_vsec >= 1350
 data_write 3 sim_kops_per_vsec >= 1050
 EOF
 
-echo "== wa smoke =="
-# Byte-flow gates ("wa" itself ran full-size above). zofs-df must reconcile
-# flow and space accounting (-validate exits 1 on violation) and emit
-# OpenMetrics series the shared validator accepts.
-"$bin/zofs-df" -files 128 -validate -om "$tracedir/flow.prom" >/dev/null
-"$bin/zofs-perfdiff" -validate "$tracedir/flow.prom" >/dev/null
-
 echo "== crashmc smoke =="
 # Crash-state model checker gates: a dense ZoFS sweep (>=200 states under
 # all media models on both crash edges) and one baseline must hold every
@@ -162,14 +148,8 @@ echo "== fxmark-scale smoke =="
 # self-asserting: 1-thread cells must be bit-identical in ops and virtual
 # time with the lock profiler off vs on (disabled overhead < 2%, measured
 # exactly 0), and the spans layer's aggregate lock_wait must equal the
-# profiler's per-lock wait sum to the nanosecond on a contended cell. Then a
-# -lockprof collection run must produce an OpenMetrics export the shared
-# validator (wait/hold conservation, edge bounds) accepts and a renderable
-# text report.
+# profiler's per-lock wait sum to the nanosecond on a contended cell.
 bench -quick -threads 1,4,16 fxmark-scale
-bench -quick -lockprof "$tracedir/locks" fig8
-"$bin/zofs-perfdiff" -validate "$tracedir/locks/locks.prom" >/dev/null
-"$bin/zofs-locks" -once -dir "$tracedir/locks" >/dev/null
 
 echo "== scalability gate =="
 # Regression gate for the kernfs.big decomposition: a quick fxmark-scale
@@ -188,6 +168,10 @@ lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' \
     ! -path './benchmark/*' | xargs cat | wc -l)
 fields=$(awk '/^type Options struct/ { f = 1; next } f && /^}/ { exit }
     f && /^\t[A-Z][A-Za-z0-9]* / { n++ } END { print n }' internal/zofs/fs.go)
+obs=$(find internal/telemetry internal/pmemtrace internal/spans internal/byteflow \
+    internal/lockprof internal/series internal/obsfs internal/openmetrics \
+    cmd/zofs-obs cmd/zofs-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 echo "non-test Go lines outside benchmark/: $lines; zofs.Options fields: $fields"
+echo "CLIs: $(ls cmd | wc -l); observability set + zofs-obs + zofs-bench: $obs lines"
 
 echo "OK"
