@@ -1,8 +1,9 @@
 package zofs_test
 
-// One benchmark per table and figure of the paper's evaluation (§6), plus
-// ablation benchmarks for the design decisions DESIGN.md calls out. The
-// table/figure benchmarks wrap the harness drivers (printing is discarded;
+// One benchmark per experiment of harness.Experiments — the tables and
+// figures of the paper's evaluation (§6) and the repository's own campaigns
+// — plus ablation benchmarks for the design decisions DESIGN.md calls out.
+// The experiment benchmarks wrap the harness drivers (printing is discarded;
 // go test -bench regenerates the numbers, `zofs-bench` prints them); the
 // micro and ablation benchmarks report virtual nanoseconds per operation
 // via the "vns/op" metric — the simulation's performance currency.
@@ -26,30 +27,22 @@ func benchOpts() harness.Options {
 	return harness.Options{Quick: true, DeviceBytes: 2 << 30, Threads: []int{1, 2, 4}, TargetNS: 2_000_000}
 }
 
-func runHarness(b *testing.B, fn func(io.Writer, harness.Options) error) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := fn(io.Discard, benchOpts()); err != nil {
-			b.Fatal(err)
-		}
+// ---- one benchmark per experiment ----------------------------------------------
+
+// BenchmarkExperiments runs every entry of the one experiment list, in a
+// scratch directory (some record a BENCH_*.json where they run).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range harness.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			b.Chdir(b.TempDir())
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(io.Discard, benchOpts()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// ---- one benchmark per paper artifact ----------------------------------------
-
-func BenchmarkTable1_DeviceCharacteristics(b *testing.B) { runHarness(b, harness.RunTable1) }
-func BenchmarkTable2_SharedFileLatency(b *testing.B)     { runHarness(b, harness.RunTable2) }
-func BenchmarkTable3_AppPermissionSurvey(b *testing.B)   { runHarness(b, harness.RunTable3) }
-func BenchmarkTable4_FSLHomesGrouping(b *testing.B)      { runHarness(b, harness.RunTable4) }
-func BenchmarkFig7_FxMarkSweep(b *testing.B)             { runHarness(b, harness.RunFig7) }
-func BenchmarkFig8_DWOLBreakdown(b *testing.B)           { runHarness(b, harness.RunFig8) }
-func BenchmarkFig9_FilebenchSweep(b *testing.B)          { runHarness(b, harness.RunFig9) }
-func BenchmarkFig10_FilebenchCustom(b *testing.B)        { runHarness(b, harness.RunFig10) }
-func BenchmarkTable7_LevelDBDbBench(b *testing.B)        { runHarness(b, harness.RunTable7) }
-func BenchmarkFig11_TPCCSQLite(b *testing.B)             { runHarness(b, harness.RunFig11) }
-func BenchmarkTable9_WorstCase(b *testing.B)             { runHarness(b, harness.RunTable9) }
-func BenchmarkSafety_Section65(b *testing.B)             { runHarness(b, harness.RunSafety) }
-func BenchmarkRecovery_Section65(b *testing.B)           { runHarness(b, harness.RunRecovery) }
 
 // ---- per-operation micro benchmarks (real ns/op + virtual vns/op) --------------
 

@@ -3,10 +3,9 @@
 //
 // Usage:
 //
-//	zofs-bench [-quick] [-stats] [-obs dir] [-threads 1,2,4,8,12,16,20] [experiment ...]
+//	zofs-bench [-quick] [-obs dir] [-threads 1,2,4,8,12,16,20] [experiment ...]
 //
-// Experiments: table1 table2 table3 table4 fig7 fig8 fig9 fig10 table7
-// fig11 table9 safety recovery crashmc spans series wa fxmark-scale chaos —
+// Experiments: the names of harness.Experiments (zofs-bench -h lists them),
 // or "all" (the default).
 package main
 
@@ -27,34 +26,6 @@ import (
 	"zofs/internal/pmemtrace"
 )
 
-type experiment struct {
-	name string
-	desc string
-	run  func(io.Writer, harness.Options) error
-}
-
-var experiments = []experiment{
-	{"table1", "DRAM vs Optane latency/bandwidth", harness.RunTable1},
-	{"table2", "shared append/create latency (Strata/NOVA/ZoFS)", harness.RunTable2},
-	{"table3", "application permission survey", harness.RunTable3},
-	{"table4", "FSL-Homes grouping analysis", harness.RunTable4},
-	{"fig7", "FxMark sweep over all file systems", harness.RunFig7},
-	{"fig8", "DWOL throughput breakdown", harness.RunFig8},
-	{"fig9", "Filebench sweep", harness.RunFig9},
-	{"fig10", "Filebench customized configs", harness.RunFig10},
-	{"table7", "LevelDB db_bench latencies", harness.RunTable7},
-	{"fig11", "TPC-C SQLite throughput", harness.RunFig11},
-	{"table9", "worst-case chmod/rename", harness.RunTable9},
-	{"safety", "stray-write and malicious-metadata tests", harness.RunSafety},
-	{"recovery", "coffer recovery timing", harness.RunRecovery},
-	{"crashmc", "crash-state model checker and fault injection", harness.RunCrashMC},
-	{"spans", "causal-span overhead/attribution/OpenMetrics gate", harness.RunSpans},
-	{"series", "tail observatory gate: merge-exact windows, exemplars, SLO burn", harness.RunSeries},
-	{"wa", "write-amplification and byte-conservation gate", harness.RunWA},
-	{"fxmark-scale", "FxMark scalability matrix with per-lock contention attribution", harness.RunFxmarkScale},
-	{"chaos", "adversarial campaign: byzantine clients, lease steal, quarantine containment", harness.RunChaos},
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main without the exit: 0 when every experiment passed, 1 when one
@@ -67,21 +38,19 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	quick := fl.Bool("quick", false, "smaller, faster runs")
 	threads := fl.String("threads", "", "comma-separated thread sweep (default 1,2,4,8,12,16,20)")
 	devGB := fl.Int64("device-gb", 8, "simulated device size in GiB")
-	stats := fl.Bool("stats", false, "per-layer telemetry: print counter/latency tables per cell and write metrics sidecar JSON")
 	scaleGate := fl.Bool("scale-gate", false, "fxmark-scale only: widen the sweep to 64 and 512 threads and fail if ZoFS MWCL/MWRL peak before 64T or any of DWAL/MWCL/MWRL holds <50% of peak at 512T")
-	statsDir := fl.String("statsdir", "results", "directory for metrics-<experiment>-<config>.json sidecars")
 	traceFile := fl.String("trace", "", "record every NVM persistence event to this JSONL file (audit with zofs-obs trace audit; best with -quick and a single experiment)")
-	obsDir := fl.String("obs", "", "observe the whole run — causal spans, windowed series, lock profile — and publish obs.json, obs.prom and the event logs into this directory (watch live with zofs-obs top)")
+	obsDir := fl.String("obs", "", "observe the whole run — telemetry, causal spans, windowed series, lock profile: print each benchmark cell's counter, latency and span tables, and publish obs.json, obs.prom, the cell log and the event logs into this directory (watch live with zofs-obs top)")
 	cpuProfile := fl.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fl.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	fl.Usage = func() {
 		fmt.Fprintf(stderr, "usage: zofs-bench [flags] [experiment ...]\n\nexperiments:\n")
 		pad := len("all")
-		for _, e := range experiments {
-			pad = max(pad, len(e.name))
+		for _, e := range harness.Experiments {
+			pad = max(pad, len(e.Name))
 		}
-		for _, e := range experiments {
-			fmt.Fprintf(stderr, "  %-*s %s\n", pad, e.name, e.desc)
+		for _, e := range harness.Experiments {
+			fmt.Fprintf(stderr, "  %-*s %s\n", pad, e.Name, e.Desc)
 		}
 		fmt.Fprintf(stderr, "  %-*s everything above (default)\n", pad, "all")
 		fl.PrintDefaults()
@@ -95,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		status = 1
 	}
 
-	opts := harness.Options{Quick: *quick, DeviceBytes: *devGB << 30, Stats: *stats, StatsDir: *statsDir, ScaleGate: *scaleGate}
+	opts := harness.Options{Quick: *quick, DeviceBytes: *devGB << 30, ScaleGate: *scaleGate}
 	if *threads != "" {
 		for _, part := range strings.Split(*threads, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -106,16 +75,16 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 			opts.Threads = append(opts.Threads, n)
 		}
 	}
-	want := experiments
+	want := harness.Experiments
 	if names := fl.Args(); len(names) > 0 && !(len(names) == 1 && names[0] == "all") {
 		want = nil
 		for _, name := range names {
-			i := slices.IndexFunc(experiments, func(e experiment) bool { return e.name == name })
+			i := slices.IndexFunc(harness.Experiments, func(e harness.Experiment) bool { return e.Name == name })
 			if i < 0 {
 				fmt.Fprintf(stderr, "zofs-bench: unknown experiment %q\n", name)
 				return 2
 			}
-			want = append(want, experiments[i])
+			want = append(want, harness.Experiments[i])
 		}
 	}
 
@@ -155,9 +124,10 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		}()
 	}
 
+	var sess *obsfs.Session
 	if *obsDir != "" {
-		sess, err := obsfs.Start(*obsDir)
-		if err != nil {
+		var err error
+		if sess, err = obsfs.Start(*obsDir); err != nil {
 			fail("-obs", err)
 			return
 		}
@@ -195,13 +165,17 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	}
 
 	for _, e := range want {
-		fmt.Fprintf(stdout, "==== %s ====\n", e.name)
+		fmt.Fprintf(stdout, "==== %s ====\n", e.Name)
 		start := time.Now()
-		if err := e.run(stdout, opts); err != nil {
-			fail(e.name, err)
+		err := e.Run(stdout, opts)
+		if werr := sess.WriteCells(stdout); err == nil {
+			err = werr
+		}
+		if err != nil {
+			fail(e.Name, err)
 			return
 		}
-		fmt.Fprintf(stdout, "---- %s done in %v ----\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "---- %s done in %v ----\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	return
 }

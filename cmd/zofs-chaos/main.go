@@ -9,9 +9,10 @@
 // resumes fenced by the lease epoch.
 //
 // The campaign is a pure function of its flags: same seed, same report,
-// byte for byte. Exit status 0 means every invariant held; 3 means a
-// containment violation (the violations are listed in the summary and in
-// the JSON report).
+// byte for byte. Exit status 0 means every invariant held; 1 that the
+// campaign could not run or its report could not be written; 2 a usage
+// error; 3 a containment violation (the violations are listed in the summary
+// and in the JSON report).
 //
 // Usage:
 //
@@ -22,21 +23,28 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"zofs/internal/chaos"
 )
 
-func main() {
-	seed := flag.Int64("seed", 1, "campaign seed; the whole report is a pure function of the flags")
-	ops := flag.Int("ops", 500, "total operations across all clients")
-	clients := flag.Int("clients", 4, "simulated client processes (>=4 for the full fault schedule)")
-	coffers := flag.Int("coffers", 4, "coffers; the last two are the quarantine victims")
-	jsonOut := flag.String("json", "", "also write the full report as JSON to this file")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: zofs-chaos [-seed N] [-ops N] [-clients N] [-coffers N] [-json out.json]")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("zofs-chaos", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	seed := fl.Int64("seed", 1, "campaign seed; the whole report is a pure function of the flags")
+	ops := fl.Int("ops", 500, "total operations across all clients")
+	clients := fl.Int("clients", 4, "simulated client processes (>=4 for the full fault schedule)")
+	coffers := fl.Int("coffers", 4, "coffers; the last two are the quarantine victims")
+	jsonOut := fl.String("json", "", "also write the full report as JSON to this file")
+	if fl.Parse(args) != nil {
+		return 2
+	}
+	if fl.NArg() != 0 {
+		fmt.Fprintln(stderr, "usage: zofs-chaos [-seed N] [-ops N] [-clients N] [-coffers N] [-json out.json]")
+		return 2
 	}
 
 	rep, err := chaos.Run(chaos.Config{
@@ -46,24 +54,24 @@ func main() {
 		Coffers: *coffers,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "zofs-chaos: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "zofs-chaos: %v\n", err)
+		return 1
 	}
-	rep.WriteSummary(os.Stdout)
+	rep.WriteSummary(stdout)
 
 	if *jsonOut != "" {
 		blob, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-chaos: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			err = os.WriteFile(*jsonOut, append(blob, '\n'), 0o644)
 		}
-		if err := os.WriteFile(*jsonOut, append(blob, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-chaos: %v\n", err)
-			os.Exit(1)
+		if err != nil {
+			fmt.Fprintf(stderr, "zofs-chaos: %v\n", err)
+			return 1
 		}
 	}
 
 	if !rep.Passed() {
-		os.Exit(3)
+		return 3
 	}
+	return 0
 }

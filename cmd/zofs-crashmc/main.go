@@ -26,27 +26,39 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"zofs/internal/crashmc"
 )
 
-func main() {
-	system := flag.String("system", "ZoFS", "system under test: "+crashmc.Systems())
-	points := flag.Int("points", 35, "crash points to sample across the workload (0 = every point)")
-	model := flag.String("model", "all", "media model: drop, subset, torn or all")
-	edges := flag.String("edges", "both", "crash edge: after, before or both")
-	seed := flag.Int64("seed", 1, "workload and media-fate seed")
-	ops := flag.Int("ops", 30, "workload length")
-	deviceMB := flag.Int64("device-mb", 64, "simulated device size in MiB")
-	minStates := flag.Int("min-states", 0, "fail unless at least this many crash states were explored")
-	inject := flag.String("inject", "none", "fault campaign instead of crash sweep: none, bitflip, lease or slotless")
-	flips := flag.Int("flips", 8, "bit flips for -inject bitflip")
-	jsonPath := flag.String("json", "", "write the full report as JSON to this file")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		flag.Usage()
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("zofs-crashmc", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	system := fl.String("system", "ZoFS", "system under test: "+crashmc.Systems())
+	points := fl.Int("points", 35, "crash points to sample across the workload (0 = every point)")
+	model := fl.String("model", "all", "media model: drop, subset, torn or all")
+	edges := fl.String("edges", "both", "crash edge: after, before or both")
+	seed := fl.Int64("seed", 1, "workload and media-fate seed")
+	ops := fl.Int("ops", 30, "workload length")
+	deviceMB := fl.Int64("device-mb", 64, "simulated device size in MiB")
+	minStates := fl.Int("min-states", 0, "fail unless at least this many crash states were explored")
+	inject := fl.String("inject", "none", "fault campaign instead of crash sweep: none, bitflip, lease or slotless")
+	flips := fl.Int("flips", 8, "bit flips for -inject bitflip")
+	jsonPath := fl.String("json", "", "write the full report as JSON to this file")
+	if fl.Parse(args) != nil {
+		return 2
+	}
+	if fl.NArg() != 0 {
+		fl.Usage()
+		return 2
+	}
+	// usage reports a bad flag value or a run that could not be set up.
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "zofs-crashmc: "+format+"\n", a...)
+		return 2
 	}
 
 	cfg := crashmc.Config{
@@ -58,16 +70,14 @@ func main() {
 	case "drop", "subset", "torn":
 		cfg.Models = []crashmc.Model{crashmc.Model(*model)}
 	default:
-		fmt.Fprintf(os.Stderr, "zofs-crashmc: bad -model %q\n", *model)
-		os.Exit(2)
+		return usage("bad -model %q", *model)
 	}
 	switch *edges {
 	case "both", "":
 	case "after", "before":
 		cfg.Edges = []crashmc.Edge{crashmc.Edge(*edges)}
 	default:
-		fmt.Fprintf(os.Stderr, "zofs-crashmc: bad -edges %q\n", *edges)
-		os.Exit(2)
+		return usage("bad -edges %q", *edges)
 	}
 
 	var rep *crashmc.Report
@@ -77,41 +87,38 @@ func main() {
 	case "none", "":
 		r, err := crashmc.Explore(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-crashmc: %v\n", err)
-			os.Exit(2)
+			return usage("%v", err)
 		}
 		rep = r
 		viols = r.Violations
-		fmt.Printf("%s: explored %d crash states (%d sampled points of %d, edges=%s, model=%s)\n",
+		fmt.Fprintf(stdout, "%s: explored %d crash states (%d sampled points of %d, edges=%s, model=%s)\n",
 			cfg.System, r.States, len(r.Points), r.WorkloadPoints, *edges, *model)
-		fmt.Printf("  dirty states %d (max %d lines); lines reverted %d persisted %d torn %d; fsck repairs %d\n",
+		fmt.Fprintf(stdout, "  dirty states %d (max %d lines); lines reverted %d persisted %d torn %d; fsck repairs %d\n",
 			r.DirtyStates, r.MaxDirtyLines, r.LinesReverted, r.LinesPersisted, r.LinesTorn, r.Repairs)
 		for kind, n := range r.RepairsByKind {
-			fmt.Printf("  repair %-16s %d\n", kind, n)
+			fmt.Fprintf(stdout, "  repair %-16s %d\n", kind, n)
 		}
 		if r.States < *minStates {
-			fmt.Fprintf(os.Stderr, "zofs-crashmc: explored %d states, need at least %d\n", r.States, *minStates)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "zofs-crashmc: explored %d states, need at least %d\n", r.States, *minStates)
+			return 1
 		}
 	case "bitflip", "lease", "slotless":
 		fr, v, err := crashmc.RunFaults(cfg, *inject)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-crashmc: %v\n", err)
-			os.Exit(2)
+			return usage("%v", err)
 		}
 		rep = &crashmc.Report{Config: cfg, Violations: v, Fault: fr}
 		viols = v
 		detected = fr.Detected
-		fmt.Printf("%s inject=%s: detected=%v repairs=%d leases cleared=%d survivor errors=%d/%d panics=%d\n",
+		fmt.Fprintf(stdout, "%s inject=%s: detected=%v repairs=%d leases cleared=%d survivor errors=%d/%d panics=%d\n",
 			cfg.System, *inject, fr.Detected, fr.Repairs, fr.LeasesCleared,
 			fr.SurvivorErrors, fr.SurvivorOps, fr.SurvivorPanics)
 		if fr.Mode == "slotless" {
-			fmt.Printf("  stranded %d slotless batch pages; recovery reclaimed %d\n",
+			fmt.Fprintf(stdout, "  stranded %d slotless batch pages; recovery reclaimed %d\n",
 				fr.StrandedPages, fr.PagesReclaimed)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "zofs-crashmc: bad -inject %q\n", *inject)
-		os.Exit(2)
+		return usage("bad -inject %q", *inject)
 	}
 
 	if *jsonPath != "" {
@@ -120,20 +127,20 @@ func main() {
 			err = os.WriteFile(*jsonPath, append(raw, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "zofs-crashmc: -json: %v\n", err)
-			os.Exit(2)
+			return usage("-json: %v", err)
 		}
 	}
 	if len(viols) > 0 {
 		for _, v := range viols {
-			fmt.Printf("VIOLATION %s\n", v)
+			fmt.Fprintf(stdout, "VIOLATION %s\n", v)
 		}
-		fmt.Printf("%d invariant violation(s)\n", len(viols))
-		os.Exit(1)
+		fmt.Fprintf(stdout, "%d invariant violation(s)\n", len(viols))
+		return 1
 	}
 	if detected {
-		fmt.Println("injected fault detected and repaired (exit 3)")
-		os.Exit(3)
+		fmt.Fprintln(stdout, "injected fault detected and repaired (exit 3)")
+		return 3
 	}
-	fmt.Println("all invariants held")
+	fmt.Fprintln(stdout, "all invariants held")
+	return 0
 }

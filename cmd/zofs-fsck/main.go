@@ -11,6 +11,10 @@
 // explain — or any repair at all when the recorder saw no hazard — is a
 // disagreement, and zofs-fsck exits non-zero.
 //
+// Exit codes: 0 the image was checked (and, without -n, written back); 1 it
+// could not be loaded, mounted, checked or saved, or the trace cross-check
+// disagreed; 2 usage.
+//
 // Usage:
 //
 //	zofs-fsck [-n] [-trace log.jsonl] image.zofs
@@ -19,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"zofs/internal/kernfs"
@@ -28,44 +33,54 @@ import (
 	"zofs/internal/zofs"
 )
 
-func main() {
-	dry := flag.Bool("n", false, "check only; do not write the repaired image back")
-	traceFile := flag.String("trace", "", "flight-recorder JSONL log to cross-check repairs against")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: zofs-fsck [-n] <image>")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("zofs-fsck", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	dry := fl.Bool("n", false, "check only; do not write the repaired image back")
+	traceFile := fl.String("trace", "", "flight-recorder JSONL log to cross-check repairs against")
+	if fl.Parse(args) != nil {
+		return 2
 	}
-	path := flag.Arg(0)
+	if fl.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: zofs-fsck [-n] [-trace log.jsonl] <image>")
+		return 2
+	}
+	path := fl.Arg(0)
+	fatal := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "zofs-fsck: "+format+"\n", args...)
+		return 1
+	}
 
 	f, err := os.Open(path)
 	if err != nil {
-		fatal("%v", err)
+		return fatal("%v", err)
 	}
 	dev, err := nvm.LoadImage(f)
 	f.Close()
 	if err != nil {
-		fatal("load: %v", err)
+		return fatal("load: %v", err)
 	}
 
 	k, err := kernfs.Mount(dev)
 	if err != nil {
-		fatal("mount: %v", err)
+		return fatal("mount: %v", err)
 	}
 	th := proc.NewProcess(dev, 0, 0).NewThread()
 	if err := k.FSMount(th); err != nil {
-		fatal("fs_mount: %v", err)
+		return fatal("fs_mount: %v", err)
 	}
 
 	stats, err := zofs.FsckAll(k, th)
 	if err != nil {
-		fatal("fsck: %v", err)
+		return fatal("fsck: %v", err)
 	}
 	var kept, reclaimed int64
 	var fixed, leases int
 	for id, st := range stats {
 		info, _ := k.Info(id)
-		fmt.Printf("coffer %d (%s): kept %d pages, reclaimed %d, fixed %d dentries, cleared %d leases (user %dµs / kernel %dµs)\n",
+		fmt.Fprintf(stdout, "coffer %d (%s): kept %d pages, reclaimed %d, fixed %d dentries, cleared %d leases (user %dµs / kernel %dµs)\n",
 			id, info.Path, st.PagesKept, st.PagesReclaimed, st.DentriesFixed, st.LeasesCleared,
 			st.UserNS/1000, st.KernelNS/1000)
 		kept += st.PagesKept
@@ -73,18 +88,18 @@ func main() {
 		fixed += st.DentriesFixed
 		leases += st.LeasesCleared
 	}
-	fmt.Printf("total: %d coffers, %d pages kept, %d reclaimed, %d repairs, %d stale leases\n",
+	fmt.Fprintf(stdout, "total: %d coffers, %d pages kept, %d reclaimed, %d repairs, %d stale leases\n",
 		len(stats), kept, reclaimed, fixed, leases)
 
 	if *traceFile != "" {
 		tf, err := os.Open(*traceFile)
 		if err != nil {
-			fatal("-trace: %v", err)
+			return fatal("-trace: %v", err)
 		}
 		events, spans, err := pmemtrace.ReadJSONL(tf)
 		tf.Close()
 		if err != nil {
-			fatal("-trace: %v", err)
+			return fatal("-trace: %v", err)
 		}
 		rep := pmemtrace.Audit(events, spans)
 		var repairs []pmemtrace.RepairSite
@@ -94,31 +109,30 @@ func main() {
 			}
 		}
 		disagreements := pmemtrace.CrossCheck(rep, repairs)
-		fmt.Printf("trace cross-check: %d events, %d lost lines vs %d repairs\n",
+		fmt.Fprintf(stdout, "trace cross-check: %d events, %d lost lines vs %d repairs\n",
 			rep.Events, len(rep.LostLines), len(repairs))
 		if len(disagreements) > 0 {
 			for _, d := range disagreements {
-				fmt.Fprintf(os.Stderr, "zofs-fsck: DISAGREEMENT: %s\n", d)
+				fatal("DISAGREEMENT: %s", d)
 			}
-			os.Exit(1)
+			return 1
 		}
-		fmt.Println("trace cross-check: auditor and fsck agree")
+		fmt.Fprintln(stdout, "trace cross-check: auditor and fsck agree")
 	}
 
 	if *dry {
-		return
+		return 0
 	}
 	out, err := os.Create(path)
 	if err != nil {
-		fatal("%v", err)
+		return fatal("%v", err)
 	}
-	defer out.Close()
 	if err := dev.SaveImage(out); err != nil {
-		fatal("save: %v", err)
+		out.Close()
+		return fatal("save: %v", err)
 	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "zofs-fsck: "+format+"\n", args...)
-	os.Exit(1)
+	if err := out.Close(); err != nil {
+		return fatal("save: %v", err)
+	}
+	return 0
 }

@@ -160,8 +160,12 @@ type engine struct {
 	k     *kernfs.KernFS
 	rec   *telemetry.Recorder
 	col   *spans.Collector
-	prev  *spans.Collector
 	maint *client // maintenance process: fsck, quarantine ops, probes
+
+	// The collectors found installed, put back by teardown: a campaign
+	// inside an observed run must not leave the rest of it dark.
+	prevSpans *spans.Collector
+	prevRec   *telemetry.Recorder
 
 	clients []*client
 	coffers []*cofferState
@@ -181,10 +185,10 @@ type engine struct {
 func Run(cfg Config) (*Report, error) {
 	cfg.fill()
 	e, err := setup(cfg)
+	defer e.teardown()
 	if err != nil {
 		return nil, err
 	}
-	defer e.teardown()
 
 	for i := 0; i < cfg.Ops; i++ {
 		for _, ev := range e.schedule[i] {
@@ -214,7 +218,7 @@ func setup(cfg Config) (*engine, error) {
 	// PID/TID counters so the report (whose timings include TID-seeded
 	// retry jitter) is a pure function of the Config.
 	proc.ResetIDs()
-	e.prev = spans.Active()
+	e.prevSpans, e.prevRec = spans.Active(), telemetry.Active()
 	e.col = spans.Enable(spans.Config{})
 	telemetry.Enable()
 
@@ -289,8 +293,8 @@ func setup(cfg Config) (*engine, error) {
 }
 
 func (e *engine) teardown() {
-	spans.Install(e.prev)
-	telemetry.Disable()
+	spans.Install(e.prevSpans)
+	telemetry.Install(e.prevRec)
 }
 
 // pick returns the runnable client with the smallest virtual clock (ties to

@@ -1,7 +1,10 @@
 // Package harness drives every experiment of the paper's evaluation (§6)
 // and prints the corresponding table or figure series. Each Run* function
-// regenerates one artifact; cmd/zofs-bench exposes them on the command
-// line and bench_test.go wraps them as Go benchmarks.
+// regenerates one artifact; Experiments is the one list of them, which
+// cmd/zofs-bench exposes on the command line, bench_test.go wraps as Go
+// benchmarks and the package's test runs entry by entry. Experiments
+// measure: what a collector must not disturb is asserted by the tests, and
+// an observed run (obsfs.Start) is recorded by the session, cell by cell.
 package harness
 
 import (
@@ -28,18 +31,40 @@ type Options struct {
 	Threads []int
 	// TargetNS is the virtual measurement window per thread.
 	TargetNS int64
-	// Stats enables per-layer telemetry: each benchmark cell prints a
-	// counter/latency table and the experiment writes a metrics sidecar
-	// JSON into StatsDir.
-	Stats bool
-	// StatsDir receives the metrics-<experiment>.json sidecars (default
-	// "results").
-	StatsDir string
 	// ScaleGate turns fxmark-scale into a scalability regression gate: the
 	// sweep is widened to include 64 and 512 threads and the run fails if
 	// any ZoFS metadata-write workload (DWAL/MWCL/MWRL) peaks before 64
 	// threads or retains less than half its peak throughput at 512.
 	ScaleGate bool
+}
+
+// Experiment is one entry of the evaluation: an artifact of the paper, or
+// one of the repository's own campaigns.
+type Experiment struct {
+	Name string
+	Desc string
+	Run  func(io.Writer, Options) error
+}
+
+// Experiments lists every experiment, in the order "all" runs them.
+var Experiments = []Experiment{
+	{"table1", "DRAM vs Optane latency/bandwidth", RunTable1},
+	{"table2", "shared append/create latency (Strata/NOVA/ZoFS)", RunTable2},
+	{"table3", "application permission survey", RunTable3},
+	{"table4", "FSL-Homes grouping analysis", RunTable4},
+	{"fig7", "FxMark sweep over all file systems", RunFig7},
+	{"fig8", "DWOL throughput breakdown", RunFig8},
+	{"fig9", "Filebench sweep", RunFig9},
+	{"fig10", "Filebench customized configs", RunFig10},
+	{"table7", "LevelDB db_bench latencies", RunTable7},
+	{"fig11", "TPC-C SQLite throughput", RunFig11},
+	{"table9", "worst-case chmod/rename", RunTable9},
+	{"safety", "stray-write and malicious-metadata tests", RunSafety},
+	{"recovery", "coffer recovery timing", RunRecovery},
+	{"crashmc", "crash-state model checker and fault injection", RunCrashMC},
+	{"wa", "write amplification per system and workload, byte conservation checked per cell", RunWA},
+	{"fxmark-scale", "FxMark scalability matrix with per-lock contention attribution", RunFxmarkScale},
+	{"chaos", "adversarial campaign: byzantine clients, lease steal, quarantine containment", RunChaos},
 }
 
 func (o *Options) fill() {
@@ -66,19 +91,15 @@ func tw(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
-// writeJSON writes v to path as indented JSON with a trailing newline.
-func writeJSON(path string, v any) error {
-	blob, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
 // writeBench records an experiment's result document in the working
-// directory, under the committed artifact's name, and says so.
+// directory, under the committed artifact's name — indented JSON with a
+// trailing newline — and says so.
 func writeBench(w io.Writer, name string, v any) error {
-	if err := writeJSON(name, v); err != nil {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(name, append(blob, '\n'), 0o644)
+	}
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "wrote", name)

@@ -35,105 +35,49 @@ func runAndCheck(t *testing.T, name string, fn func() (*bytes.Buffer, error), wa
 	}
 }
 
-func TestRunTable1(t *testing.T) {
-	runAndCheck(t, "table1", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunTable1(&b, tiny())
-	}, "Optane DC PM", "DRAM")
+// experimentOutput is, per entry of harness.Experiments, what its tiny run
+// must print; slow marks the sweeps -short skips.
+var experimentOutput = map[string]struct {
+	want []string
+	slow bool
+}{
+	"table1":       {want: []string{"Optane DC PM", "DRAM"}},
+	"table2":       {want: []string{"append", "create", "ZoFS"}},
+	"table3":       {want: []string{"MySQL", "PostgreSQL", "DokuWiki", "Twitter"}},
+	"table4":       {want: []string{"groups", "644"}},
+	"fig7":         {want: []string{"DWOL", "MWCL", "Ext4-DAX"}, slow: true},
+	"fig8":         {want: []string{"ZoFS-sysempty", "PMFS-nocache", "NOVAi-noindex"}},
+	"fig9":         {want: []string{"fileserver", "varmail", "ZoFS-20dirwidth"}, slow: true},
+	"fig10":        {want: []string{"Fileserver", "Varmail"}},
+	"table7":       {want: []string{"Write sync.", "Read rand.", "Delete rand."}, slow: true},
+	"fig11":        {want: []string{"mixed", "NEW", "PAY"}, slow: true},
+	"table9":       {want: []string{"chmod", "rename", "ZoFS-1coffer"}},
+	"safety":       {want: []string{"PASS", "caught by MPK", "graceful errors"}},
+	"recovery":     {want: []string{"Recovery of a coffer", "kernel"}},
+	"crashmc":      {want: []string{"ZoFS", "Ext4-DAX", "inject slotless", "PASS: all crash-state and fault-injection invariants held"}},
+	"wa":           {want: []string{"append256", "wa gate: conservation and flow ordering checks passed"}},
+	"fxmark-scale": {want: []string{"gate ok: bit-identical", "wrote BENCH_fxmark_scale.json"}},
+	"chaos":        {want: []string{"containment: OK", "gate ok: byte-identical replay", "wrote BENCH_chaos.json"}},
 }
 
-func TestRunTable2(t *testing.T) {
-	runAndCheck(t, "table2", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunTable2(&b, tiny())
-	}, "append", "create", "ZoFS")
-}
-
-func TestRunTable3(t *testing.T) {
-	runAndCheck(t, "table3", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunTable3(&b, tiny())
-	}, "MySQL", "PostgreSQL", "DokuWiki", "Twitter")
-}
-
-func TestRunTable4(t *testing.T) {
-	runAndCheck(t, "table4", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunTable4(&b, tiny())
-	}, "groups", "644")
-}
-
-func TestRunFig8(t *testing.T) {
-	runAndCheck(t, "fig8", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunFig8(&b, tiny())
-	}, "ZoFS-sysempty", "PMFS-nocache", "NOVAi-noindex")
-}
-
-func TestRunFig10(t *testing.T) {
-	runAndCheck(t, "fig10", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunFig10(&b, tiny())
-	}, "Fileserver", "Varmail")
-}
-
-func TestRunTable9(t *testing.T) {
-	runAndCheck(t, "table9", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunTable9(&b, tiny())
-	}, "chmod", "rename", "ZoFS-1coffer")
-}
-
-func TestRunSafety(t *testing.T) {
-	runAndCheck(t, "safety", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunSafety(&b, tiny())
-	}, "PASS", "caught by MPK", "graceful errors")
-}
-
-func TestRunRecovery(t *testing.T) {
-	runAndCheck(t, "recovery", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunRecovery(&b, tiny())
-	}, "Recovery of a coffer", "kernel")
-}
-
-func TestRunFig7Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig7 sweep in -short mode")
+// TestExperiments runs every entry of the one experiment list at tiny size,
+// in a scratch directory (some record a BENCH_*.json where they run). An
+// entry without a row here fails: nothing is listed without being run.
+func TestExperiments(t *testing.T) {
+	for _, e := range harness.Experiments {
+		t.Run(e.Name, func(t *testing.T) {
+			row, ok := experimentOutput[e.Name]
+			if !ok {
+				t.Fatalf("experiment %q has no expected output in experimentOutput", e.Name)
+			}
+			if row.slow && testing.Short() {
+				t.Skip("sweep in -short mode")
+			}
+			t.Chdir(t.TempDir())
+			runAndCheck(t, e.Name, func() (*bytes.Buffer, error) {
+				var b bytes.Buffer
+				return &b, e.Run(&b, tiny())
+			}, row.want...)
+		})
 	}
-	runAndCheck(t, "fig7", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunFig7(&b, tiny())
-	}, "DWOL", "MWCL", "Ext4-DAX")
-}
-
-func TestRunFig9Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig9 sweep in -short mode")
-	}
-	runAndCheck(t, "fig9", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunFig9(&b, tiny())
-	}, "fileserver", "varmail", "ZoFS-20dirwidth")
-}
-
-func TestRunTable7Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("table7 in -short mode")
-	}
-	runAndCheck(t, "table7", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunTable7(&b, tiny())
-	}, "Write sync.", "Read rand.", "Delete rand.")
-}
-
-func TestRunFig11Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig11 in -short mode")
-	}
-	runAndCheck(t, "fig11", func() (*bytes.Buffer, error) {
-		var b bytes.Buffer
-		return &b, harness.RunFig11(&b, tiny())
-	}, "mixed", "NEW", "PAY")
 }

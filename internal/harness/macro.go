@@ -5,20 +5,21 @@ import (
 	"io"
 
 	"zofs/internal/filebench"
+	"zofs/internal/obsfs"
 	"zofs/internal/sysfactory"
 )
 
 // runFilebenchCell builds a fresh instance and runs one personality cell,
-// recording its telemetry interval when stats are on.
-func runFilebenchCell(sys sysfactory.System, cfg filebench.Config, threads int, opts Options, st *statsRun) (filebench.Result, error) {
+// observed the way fxmarkCell's is.
+func runFilebenchCell(sys sysfactory.System, cfg filebench.Config, threads int, opts Options) (filebench.Result, error) {
 	in, err := sys.New(opts.DeviceBytes)
 	if err != nil {
 		return filebench.Result{}, err
 	}
 	in.SetConcurrency(threads)
-	r, err := filebench.Run(st.wrap(in.FS), in.Proc, cfg, threads, opts.TargetNS)
+	r, err := filebench.Run(obsfs.Wrap(in.FS, in.Dev.Recorder()), in.Proc, cfg, threads, opts.TargetNS)
 	if err == nil {
-		st.endCell(fmt.Sprintf("%s/%s/%d", sys.Name, cfg.Personality, threads))
+		obsfs.EndCell(fmt.Sprintf("%s/%s/%d", sys.Name, cfg.Personality, threads), nil)
 	}
 	return r, err
 }
@@ -28,7 +29,6 @@ func runFilebenchCell(sys sysfactory.System, cfg filebench.Config, threads int, 
 // (paper Figure 9).
 func RunFig9(w io.Writer, opts Options) error {
 	opts.fill()
-	st := newStatsRun(opts, "fig9")
 	fmt.Fprintln(w, "Figure 9: Filebench throughput (kops/s)")
 	for _, p := range filebench.All {
 		fmt.Fprintf(w, "\n(%s)\n", p)
@@ -45,7 +45,7 @@ func RunFig9(w io.Writer, opts Options) error {
 		for _, th := range opts.Threads {
 			fmt.Fprintf(t, "%d", th)
 			for _, sys := range comparisonSystems() {
-				r, err := runFilebenchCell(sys, filebench.Default(p), th, opts, st)
+				r, err := runFilebenchCell(sys, filebench.Default(p), th, opts)
 				if err != nil {
 					return fmt.Errorf("fig9 %s/%s/%d: %w", sys.Name, p, th, err)
 				}
@@ -54,7 +54,7 @@ func RunFig9(w io.Writer, opts Options) error {
 			if withNarrow {
 				cfg := filebench.Default(p)
 				cfg.DirWidth = 20
-				r, err := runFilebenchCell(sysfactory.ZoFS, cfg, th, opts, st)
+				r, err := runFilebenchCell(sysfactory.ZoFS, cfg, th, opts)
 				if err != nil {
 					return err
 				}
@@ -66,19 +66,18 @@ func RunFig9(w io.Writer, opts Options) error {
 			return err
 		}
 	}
-	return st.finish(w)
+	return nil
 }
 
 // RunFig10 prints the customized configurations (paper Figure 10):
 // single-threaded fileserver and varmail with dir-width 20.
 func RunFig10(w io.Writer, opts Options) error {
 	opts.fill()
-	st := newStatsRun(opts, "fig10")
 	fmt.Fprintln(w, "Figure 10(a): Fileserver with one thread (kops/s)")
 	t := tw(w)
 	fmt.Fprintln(t, "System\tkops/s")
 	for _, sys := range comparisonSystems() {
-		r, err := runFilebenchCell(sys, filebench.Default(filebench.Fileserver), 1, opts, st)
+		r, err := runFilebenchCell(sys, filebench.Default(filebench.Fileserver), 1, opts)
 		if err != nil {
 			return err
 		}
@@ -94,18 +93,15 @@ func RunFig10(w io.Writer, opts Options) error {
 	cfg := filebench.Default(filebench.Varmail)
 	cfg.DirWidth = 20
 	for _, sys := range comparisonSystems() {
-		r1, err := runFilebenchCell(sys, cfg, 1, opts, st)
+		r1, err := runFilebenchCell(sys, cfg, 1, opts)
 		if err != nil {
 			return err
 		}
-		r4, err := runFilebenchCell(sys, cfg, 4, opts, st)
+		r4, err := runFilebenchCell(sys, cfg, 4, opts)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(t, "%s\t%.1f\t%.1f\n", sys.Name, r1.KopsPerSec, r4.KopsPerSec)
 	}
-	if err := t.Flush(); err != nil {
-		return err
-	}
-	return st.finish(w)
+	return t.Flush()
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"zofs/internal/fxmark"
+	"zofs/internal/obsfs"
 	"zofs/internal/proc"
 	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
@@ -179,11 +180,23 @@ type secondMounter interface {
 	SecondMount(p *proc.Process) (vfs.FileSystem, error)
 }
 
+// fxmarkCell runs one FxMark cell on a fresh instance. Benchmarks drive the
+// vfs interface directly (bypassing FSLibs), so a run under observation sees
+// its ops through the obsfs wrapper and closes its cell of the session's
+// log; with nothing collecting, both calls do nothing.
+func fxmarkCell(in *sysfactory.Instance, wl fxmark.Workload, threads int, targetNS int64) (fxmark.Result, error) {
+	env := &fxmark.Env{FS: obsfs.Wrap(in.FS, in.Dev.Recorder()), Proc: in.Proc, SetConcurrency: in.SetConcurrency}
+	r, err := fxmark.Run(env, wl, threads, targetNS)
+	if err == nil {
+		obsfs.EndCell(fmt.Sprintf("%s/%s/%d", in.Name, wl, threads), nil)
+	}
+	return r, err
+}
+
 // RunFig7 sweeps the FxMark workloads over the thread counts for every
 // compared file system (paper Figure 7).
 func RunFig7(w io.Writer, opts Options) error {
 	opts.fill()
-	st := newStatsRun(opts, "fig7")
 	fmt.Fprintln(w, "Figure 7: FxMark throughput (Mops/s), 4KB units")
 	for _, wl := range fxmark.All {
 		fmt.Fprintf(w, "\n(%s)\n", wl)
@@ -200,12 +213,10 @@ func RunFig7(w io.Writer, opts Options) error {
 				if err != nil {
 					return err
 				}
-				env := &fxmark.Env{FS: st.wrap(in.FS), Proc: in.Proc, SetConcurrency: in.SetConcurrency}
-				r, err := fxmark.Run(env, wl, th, opts.TargetNS)
+				r, err := fxmarkCell(in, wl, th, opts.TargetNS)
 				if err != nil {
 					return fmt.Errorf("fig7 %s/%s/%d: %w", sys.Name, wl, th, err)
 				}
-				st.endCell(fmt.Sprintf("%s/%s/%d", sys.Name, wl, th))
 				fmt.Fprintf(t, "\t%.3f", r.MopsPerSec)
 			}
 			fmt.Fprintln(t)
@@ -214,7 +225,7 @@ func RunFig7(w io.Writer, opts Options) error {
 			return err
 		}
 	}
-	return st.finish(w)
+	return nil
 }
 
 // RunFig8 reproduces the DWOL breakdown (paper Figure 8): ZoFS and its
@@ -226,7 +237,6 @@ func RunFig8(w io.Writer, opts Options) error {
 		sysfactory.NOVANoIndex, sysfactory.PMFSNocache, sysfactory.ZoFSKWrite, sysfactory.NOVAiNoIndex,
 		sysfactory.PMFS, sysfactory.NOVA, sysfactory.NOVAi,
 	}
-	st := newStatsRun(opts, "fig8")
 	fmt.Fprintln(w, "Figure 8: Throughput breakdown of DWOL (Mops/s, 1 thread)")
 	t := tw(w)
 	fmt.Fprintln(t, "System\tMops/s")
@@ -235,16 +245,11 @@ func RunFig8(w io.Writer, opts Options) error {
 		if err != nil {
 			return err
 		}
-		env := &fxmark.Env{FS: st.wrap(in.FS), Proc: in.Proc, SetConcurrency: in.SetConcurrency}
-		r, err := fxmark.Run(env, fxmark.DWOL, 1, opts.TargetNS)
+		r, err := fxmarkCell(in, fxmark.DWOL, 1, opts.TargetNS)
 		if err != nil {
 			return fmt.Errorf("fig8 %s: %w", sys.Name, err)
 		}
-		st.endCell(fmt.Sprintf("%s/%s/1", sys.Name, fxmark.DWOL))
 		fmt.Fprintf(t, "%s\t%.3f\n", sys.Name, r.MopsPerSec)
 	}
-	if err := t.Flush(); err != nil {
-		return err
-	}
-	return st.finish(w)
+	return t.Flush()
 }

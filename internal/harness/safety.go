@@ -10,6 +10,7 @@ import (
 	"zofs/internal/fslibs"
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
+	"zofs/internal/obsfs"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
@@ -262,8 +263,6 @@ func RunRecovery(w io.Writer, opts Options) error {
 	if opts.Quick {
 		files = 100
 	}
-	// Telemetry must be on before the device exists for it to attach.
-	stats := newStatsRun(opts, "recovery")
 	dev := nvm.New(nvm.Config{Size: int64(files)*fileBytes + (512 << 20), TrackPersistence: false})
 	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
 		return err
@@ -307,7 +306,7 @@ func RunRecovery(w io.Writer, opts Options) error {
 	fmt.Fprintf(w, "  total %dµs = user %dµs + kernel %dµs; pages kept %d, reclaimed %d, leases cleared %d\n",
 		(st.UserNS+st.KernelNS)/1000, st.UserNS/1000, st.KernelNS/1000,
 		st.PagesKept, st.PagesReclaimed, st.LeasesCleared)
-	stats.endCellExtra(fmt.Sprintf("recovery/%d-files", files), map[string]int64{
+	obsfs.EndCell(fmt.Sprintf("recovery/%d-files", files), map[string]int64{
 		"recover_total_ns":  st.UserNS + st.KernelNS,
 		"recover_user_ns":   st.UserNS,
 		"recover_kernel_ns": st.KernelNS,
@@ -317,5 +316,5 @@ func RunRecovery(w io.Writer, opts Options) error {
 		"leases_cleared":    int64(st.LeasesCleared),
 		"repairs":           int64(len(st.Repairs)),
 	})
-	return stats.finish(w)
+	return nil
 }

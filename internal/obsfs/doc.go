@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"zofs/internal/openmetrics"
 	"zofs/internal/series"
 	"zofs/internal/spans"
+	"zofs/internal/telemetry"
 	"zofs/internal/vfs"
 )
 
@@ -28,11 +31,14 @@ const (
 	SeriesLog    = "series.jsonl"    // every retained series window
 	WaitsLog     = "waits.jsonl"     // the lock profiler's blocked intervals
 	ExemplarsLog = "exemplars.jsonl" // the worst-op exemplars
+	CellsLog     = "cells.jsonl"     // a session's document cut per benchmark cell
 )
 
 // Doc is the observation document: one panel per collector that was active
 // when it was collected.
 type Doc struct {
+	// Telemetry is the per-layer counters and per-op latency histograms.
+	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
 	// Spans is the causal-span latency attribution.
 	Spans *spans.Snapshot `json:"spans,omitempty"`
 	// Flow is the device byte-flow ledger and Space the per-coffer space
@@ -46,21 +52,29 @@ type Doc struct {
 }
 
 // Collect asks each active collector for its snapshot. fs is the file system
-// whose device ledger and coffer space fill the flow and space panels; nil
-// means the instance a live Session last saw wrapped, if any.
+// whose device ledger and coffer space fill the flow and space panels, and
+// nothing may be running on it: the space rows walk its allocator caches and
+// free lists unsynchronised. nil means the instance a live Session last saw
+// wrapped, if any, which may be mid-run — it gives its flow (atomic
+// counters) and no space panel.
 func Collect(fs vfs.FileSystem) Doc {
 	var d Doc
+	if r := telemetry.Active(); r != nil {
+		snap := r.Snapshot()
+		d.Telemetry = &snap
+	}
 	if c := spans.Active(); c != nil {
 		snap := c.Snapshot()
 		d.Spans = &snap
 	}
+	quiescent := fs != nil // handed over by the caller, not picked up mid-run
 	if w := live.Load(); fs == nil && w != nil {
 		fs = w.inner
 	}
 	if dv, ok := fs.(deviced); ok {
 		d.Flow = dv.Device().FlowSnapshot()
 	}
-	if sp, ok := fs.(spacer); ok && d.Flow != nil {
+	if sp, ok := fs.(spacer); ok && d.Flow != nil && quiescent {
 		d.Space = sp.SpaceReport()
 	}
 	if r := lockprof.Active(); r != nil {
@@ -85,6 +99,9 @@ type panel interface {
 // panels lists the parts the document carries, in rendering order.
 func (d Doc) panels() []panel {
 	var ps []panel
+	if d.Telemetry != nil {
+		ps = append(ps, d.Telemetry)
+	}
 	if d.Spans != nil {
 		ps = append(ps, d.Spans)
 	}
@@ -135,7 +152,8 @@ func Validate(r io.Reader) error {
 		return err
 	}
 	for _, check := range []func(*openmetrics.Doc) error{
-		spans.CheckOpenMetrics, byteflow.CheckOpenMetrics, lockprof.CheckOpenMetrics, series.CheckOpenMetrics,
+		telemetry.CheckOpenMetrics, spans.CheckOpenMetrics, byteflow.CheckOpenMetrics,
+		lockprof.CheckOpenMetrics, series.CheckOpenMetrics,
 	} {
 		if err := check(doc); err != nil {
 			return err
@@ -156,8 +174,8 @@ func (d Doc) Validate() error {
 // Publish collects the document and writes it into dir as DocFile and
 // PromFile, and beside it the raw logs that are rewritten whole: the series
 // windows, the blocked intervals and the exemplars of whichever collectors
-// are active. Every file goes through a temp file and a rename, so a reader
-// never observes a half-written one.
+// are active, and a live session's cells. Every file goes through a temp file
+// and a rename, so a reader never observes a half-written one.
 func Publish(dir string, fs vfs.FileSystem) (Doc, error) {
 	d := Collect(fs)
 	type file struct {
@@ -180,6 +198,9 @@ func Publish(dir string, fs vfs.FileSystem) (Doc, error) {
 	}
 	if c := spans.Active(); c != nil {
 		files = append(files, file{ExemplarsLog, func(w io.Writer) error { return openmetrics.WriteJSONL(w, c.Exemplars()) }})
+	}
+	if s := session.Load(); s != nil {
+		files = append(files, file{CellsLog, func(w io.Writer) error { return openmetrics.WriteJSONL(w, s.Cells()) }})
 	}
 	for _, f := range files {
 		var buf bytes.Buffer
@@ -208,12 +229,22 @@ func Load(dir string) (Doc, error) {
 }
 
 // Session is one run-wide collection: every collector on, the document
-// republished into a directory while the run is live.
+// republished into a directory while the run is live, and cut per benchmark
+// cell into the directory's CellsLog.
 type Session struct {
 	dir  string
+	rec  *telemetry.Recorder
 	col  *spans.Collector
 	sink *os.File
 	stop func()
+
+	// mu guards the cell log against the publisher goroutine.
+	mu      sync.Mutex
+	cells   []Cell
+	printed int // cells WriteCells has rendered
+	// Where the next cell's interval starts.
+	prevRec   telemetry.Snapshot
+	prevSpans spans.Snapshot
 }
 
 var (
@@ -225,11 +256,12 @@ var (
 	live atomic.Pointer[FS]
 )
 
-// Start switches on the run-wide collectors — causal spans (streaming every
-// root into dir's SpansLog, with exemplar rings for the series feed's
-// thresholds to land in), the windowed series and the lock profiler — for
-// threads created from now on, and republishes the document into dir twice a
-// second until Stop. None of them moves a simulated number.
+// Start switches on the run-wide collectors — telemetry, causal spans
+// (streaming every root into dir's SpansLog, with exemplar rings for the
+// series feed's thresholds to land in), the windowed series and the lock
+// profiler — for devices and threads created from now on, and republishes
+// the document into dir twice a second until Stop. None of them moves a
+// simulated number.
 func Start(dir string) (*Session, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -238,7 +270,7 @@ func Start(dir string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{dir: dir, sink: sink}
+	s := &Session{dir: dir, sink: sink, rec: telemetry.Enable()}
 	s.col = spans.Enable(spans.Config{JSONL: sink, ExemplarK: spans.DefaultExemplarK})
 	series.Enable(series.Config{})
 	lockprof.Enable(lockprof.Config{})
@@ -250,14 +282,20 @@ func Start(dir string) (*Session, error) {
 	return s, nil
 }
 
-// Stop ends the session: the publisher goroutine exits, the final document
-// and logs are written while every collector is still installed (so the
-// last obs.json carries every panel), then the collectors are switched off
-// and the span sink is drained. It returns that final document and the first
-// error met; the later steps run regardless.
+// Stop ends the session, once what it observed has stopped running: the
+// publisher goroutine exits, the final document and logs are written while
+// every collector is still installed (so the last obs.json carries every
+// panel, the live instance's coffer space included), then the collectors are
+// switched off and the span sink is drained. It returns that final document
+// and the first error met; the later steps run regardless.
 func (s *Session) Stop() (Doc, error) {
 	s.stop()
-	doc, err := Publish(s.dir, nil)
+	var fs vfs.FileSystem
+	if w := live.Load(); w != nil {
+		fs = w.inner
+	}
+	doc, err := Publish(s.dir, fs)
+	telemetry.Disable()
 	spans.Disable()
 	series.Disable()
 	lockprof.Disable()
@@ -270,4 +308,88 @@ func (s *Session) Stop() (Doc, error) {
 		err = cerr
 	}
 	return doc, err
+}
+
+// Cell is the session's document cut to one benchmark cell: what telemetry
+// and the span collector recorded since the previous cut.
+type Cell struct {
+	Label   string             `json:"label"` // e.g. "ZoFS/DWOL/4"
+	Metrics telemetry.Snapshot `json:"metrics"`
+	Spans   spans.Snapshot     `json:"spans"`
+	// Extra carries scalars of the experiment the collectors do not capture
+	// (recovery timing).
+	Extra map[string]int64 `json:"extra,omitempty"`
+}
+
+// interval returns what telemetry and spans recorded since the previous call
+// and starts the next interval. Caller holds s.mu.
+func (s *Session) interval() (telemetry.Snapshot, spans.Snapshot) {
+	rec, sp := s.rec.Snapshot(), s.col.Snapshot()
+	dRec, dSp := rec.Diff(s.prevRec), sp.Diff(s.prevSpans)
+	s.prevRec, s.prevSpans = rec, sp
+	return dRec, dSp
+}
+
+// EndCell closes one benchmark cell of the live session under label: the
+// interval since the previous cut joins the cell log. Without a session it
+// does nothing, so experiments call it unconditionally.
+func EndCell(label string, extra map[string]int64) {
+	s := session.Load()
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := Cell{Label: label, Extra: extra}
+	c.Metrics, c.Spans = s.interval()
+	s.cells = append(s.cells, c)
+}
+
+// Cells returns the cells cut so far.
+func (s *Session) Cells() []Cell {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cells[:len(s.cells):len(s.cells)]
+}
+
+// WriteCells renders the cells cut since the last call — one experiment's,
+// when called after each — and starts the next cell's interval here, so an
+// experiment that cuts none is not billed to its successor's first cell. The
+// nil session has no cells.
+func (s *Session) WriteCells(w io.Writer) error {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	cells := s.cells[s.printed:]
+	s.printed = len(s.cells)
+	s.interval()
+	s.mu.Unlock()
+	for _, c := range cells {
+		if err := c.WriteText(w); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WriteText renders the cell's telemetry tables, span breakdown and extras.
+func (c Cell) WriteText(w io.Writer) error {
+	fmt.Fprintf(w, "\n[stats %s]\n", c.Label)
+	if err := c.Metrics.WriteText(w); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\n[spans %s]\n", c.Label)
+	if err := c.Spans.WriteText(w); err != nil {
+		return err
+	}
+	keys := make([]string, 0, len(c.Extra))
+	for k := range c.Extra {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Fprintf(w, "  %-24s %d\n", k, c.Extra[k])
+	}
+	return nil
 }

@@ -5,11 +5,13 @@
 // puts it around a vfs.FileSystem for workloads that drive a file system
 // directly through the vfs interface (FxMark, Filebench), bypassing the
 // FSLibs dispatcher. Doc (doc.go) is the one observation document the
-// collectors' snapshots are gathered into, rendered from and published as.
+// collectors' snapshots are gathered into, rendered from and published as,
+// and Session the run-wide collection that publishes it, whole and cut per
+// benchmark cell.
 //
 // The wrapper is transparent for correctness but not for type identity:
 // harness code that type-asserts on the concrete file system must wrap only
-// after such assertions (see harness.statsRun).
+// after such assertions.
 package obsfs
 
 import (

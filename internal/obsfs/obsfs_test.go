@@ -3,6 +3,8 @@ package obsfs_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"zofs/internal/fslibs"
@@ -10,6 +12,7 @@ import (
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/obsfs"
+	"zofs/internal/openmetrics"
 	"zofs/internal/proc"
 	"zofs/internal/series"
 	"zofs/internal/spans"
@@ -277,4 +280,82 @@ func TestFinalDocumentCarriesEveryPanel(t *testing.T) {
 			t.Errorf("%s: missing or empty (%v)", name, err)
 		}
 	}
+}
+
+// TestCellsAreCutPerInterval: a cell holds what telemetry and spans recorded
+// since the previous cut — or since WriteCells, so that what ran between two
+// experiments' cells is billed to neither — plus the caller's scalars; the
+// cell log in the directory is the cells, whole, after every publish.
+func TestCellsAreCutPerInterval(t *testing.T) {
+	work := func() {
+		t.Helper()
+		in, err := sysfactory.ZoFS.New(64 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs, th := obsfs.Wrap(in.FS, in.Dev.Recorder()), in.Proc.NewThread()
+		for _, name := range []string{"/a", "/b"} {
+			h, err := fs.Create(th, name, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.WriteAt(th, make([]byte, payload), 0); err != nil {
+				t.Fatal(err)
+			}
+			h.Close(th)
+		}
+	}
+	cut := func(uncutWorkFirst bool) obsfs.Cell {
+		t.Helper()
+		dir := t.TempDir()
+		sess, err := obsfs.Start(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uncutWorkFirst {
+			work()
+			var none strings.Builder
+			if err := sess.WriteCells(&none); err != nil || none.Len() != 0 {
+				t.Fatalf("WriteCells with no cell cut printed %q (%v)", none.String(), err)
+			}
+		}
+		work()
+		obsfs.EndCell("first", map[string]int64{"answer": 42})
+		work()
+		work()
+		obsfs.EndCell("second", nil)
+		var out strings.Builder
+		if err := sess.WriteCells(&out); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"[stats first]", "[spans first]", "answer", "[stats second]"} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("WriteCells output lacks %q:\n%s", want, out.String())
+			}
+		}
+		if _, err := sess.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(filepath.Join(dir, obsfs.CellsLog))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		cells, err := openmetrics.ReadJSONL[obsfs.Cell](f)
+		if err != nil || len(cells) != 2 || cells[0].Label != "first" || cells[1].Label != "second" {
+			t.Fatalf("%s: %d cells (%v)", obsfs.CellsLog, len(cells), err)
+		}
+		if w1, w2 := cells[0].Metrics.Ops["write"].Count, cells[1].Metrics.Ops["write"].Count; w1 != 2 || w2 != 4 ||
+			cells[1].Spans.Finished != 2*cells[0].Spans.Finished || cells[0].Extra["answer"] != 42 {
+			t.Errorf("first cell %d writes, second %d; spans %d and %d; extra %v",
+				w1, w2, cells[0].Spans.Finished, cells[1].Spans.Finished, cells[0].Extra)
+		}
+		return cells[0]
+	}
+	alone, after := cut(false), cut(true)
+	if !reflect.DeepEqual(alone.Metrics.Counters, after.Metrics.Counters) || alone.Spans.Finished != after.Spans.Finished {
+		t.Errorf("the work before the first cell's interval was billed to it:\nalone %v\nafter %v",
+			alone.Metrics.Counters, after.Metrics.Counters)
+	}
+	obsfs.EndCell("no session", nil) // nothing to cut into: a no-op
 }

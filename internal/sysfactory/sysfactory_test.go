@@ -10,7 +10,7 @@ import (
 )
 
 // TestEverySystemBuildsAndRoundTrips: each exported System builds on a fresh
-// device under a name no other uses — the harnesses key tables, sidecars and
+// device under a name no other uses — the harnesses key tables, cell labels and
 // BENCH cells by it — and carries a file through mkdir, create, write, read,
 // stat and unlink.
 func TestEverySystemBuildsAndRoundTrips(t *testing.T) {

@@ -148,12 +148,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	fmt.Fprintln(w)
 	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "op\tcount\tmean ns\tp50 ns\tp99 ns")
-	names := make([]string, 0, len(s.Ops))
-	for name := range s.Ops {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(s.Ops) {
 		o := s.Ops[name]
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\n", name, o.Count, o.MeanNS, o.P50NS, o.P99NS)
 	}

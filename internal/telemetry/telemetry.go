@@ -162,6 +162,10 @@ func Enable() *Recorder {
 	return r
 }
 
+// Install makes r the process-wide recorder (nil is equivalent to Disable) —
+// how a scope that enabled its own puts back the one it found.
+func Install(r *Recorder) { active.Store(r) }
+
 // Disable removes the process-wide recorder; devices created afterwards are
 // unobserved.
 func Disable() { active.Store(nil) }

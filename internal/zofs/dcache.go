@@ -216,6 +216,3 @@ func DirCacheDirs(dev *nvm.Device) int {
 	sharedFor(dev).dc.dirs.Range(func(any, any) bool { n++; return true })
 	return n
 }
-
-// DirCacheEpoch reports the device's cache-invalidation epoch (tests).
-func DirCacheEpoch(dev *nvm.Device) uint64 { return sharedFor(dev).dc.epoch.Load() }

@@ -35,6 +35,31 @@ func (f *FS) sameCofferPerm(rp coffer.RootPage, mode coffer.Mode, uid, gid uint3
 
 var _ vfs.FileSystem = (*FS)(nil)
 
+// createInCoffer gives directory pos a child of its own coffer under name: it
+// takes an inode page, initialises it (a symlink's target included) and
+// inserts the dentry, and on any failure after the allocation hands the page
+// back. The caller holds the name's bucket lock, has found the name absent
+// and has checked its length, so no page is taken for a name that cannot be
+// inserted.
+func (f *FS) createInCoffer(th *proc.Thread, pos walkPos, name string, typ vfs.FileType, mode coffer.Mode, target string) (int64, error) {
+	ino, err := f.allocPage(th, pos.m, classMeta)
+	if err != nil {
+		return 0, err
+	}
+	f.initInode(th, ino, typ, uint32(mode), th.Proc.UID(), th.Proc.GID())
+	if typ == vfs.TypeSymlink {
+		err = f.writeSymlinkTarget(th, ino, target)
+	}
+	if err == nil {
+		err = f.dirInsert(th, pos.m, pos.ino, name, uint8(typ), 0, ino)
+	}
+	if err != nil {
+		f.freePage(th, pos.m, classMeta, ino)
+		return 0, err
+	}
+	return ino, nil
+}
+
 // Create makes (or truncates) a regular file. A file whose permission
 // differs from its parent coffer's becomes the root file of a fresh coffer,
 // referenced by a cross-coffer dentry (§3.1).
@@ -66,13 +91,8 @@ func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle,
 	rp, _ := f.kern.Info(pos.m.id)
 	uid, gid := th.Proc.UID(), th.Proc.GID()
 	if f.sameCofferPerm(rp, mode, uid, gid) {
-		ino, err := f.allocPage(th, pos.m, classMeta)
+		ino, err := f.createInCoffer(th, pos, base, vfs.TypeRegular, mode, "")
 		if err != nil {
-			return nil, err
-		}
-		f.initInode(th, ino, vfs.TypeRegular, uint32(mode), uid, gid)
-		if err := f.dirInsert(th, pos.m, pos.ino, base, uint8(vfs.TypeRegular), 0, ino); err != nil {
-			f.freePage(th, pos.m, classMeta, ino)
 			return nil, err
 		}
 		return f.newHandle(pos.m, ino, path, vfs.O_RDWR), nil
@@ -207,12 +227,8 @@ func (f *FS) Mkdir(th *proc.Thread, path string, mode coffer.Mode) error {
 	rp, _ := f.kern.Info(pos.m.id)
 	uid, gid := th.Proc.UID(), th.Proc.GID()
 	if f.sameCofferPerm(rp, mode, uid, gid) {
-		ino, err := f.allocPage(th, pos.m, classMeta)
-		if err != nil {
-			return err
-		}
-		f.initInode(th, ino, vfs.TypeDir, uint32(mode), uid, gid)
-		return f.dirInsert(th, pos.m, pos.ino, base, uint8(vfs.TypeDir), 0, ino)
+		_, err := f.createInCoffer(th, pos, base, vfs.TypeDir, mode, "")
+		return err
 	}
 	newID, err := f.kern.CofferNew(th, pos.m.id, path, coffer.TypeZoFS, mode, uid, gid, 3)
 	if err != nil {
@@ -434,6 +450,9 @@ func (f *FS) Symlink(th *proc.Thread, target, link string) error {
 	if base == "" {
 		return vfs.ErrExist
 	}
+	if len(base) > MaxNameLen {
+		return vfs.ErrNameTooLong
+	}
 	pos, err := f.walk(th, dir, true, true)
 	if err != nil {
 		return err
@@ -447,16 +466,8 @@ func (f *FS) Symlink(th *proc.Thread, target, link string) error {
 	if _, _, err := f.dirLookup(th, pos.ino, base); err == nil {
 		return vfs.ErrExist
 	}
-	ino, err := f.allocPage(th, pos.m, classMeta)
-	if err != nil {
-		return err
-	}
-	f.initInode(th, ino, vfs.TypeSymlink, 0o777, th.Proc.UID(), th.Proc.GID())
-	if err := f.writeSymlinkTarget(th, ino, target); err != nil {
-		f.freePage(th, pos.m, classMeta, ino)
-		return err
-	}
-	return f.dirInsert(th, pos.m, pos.ino, base, uint8(vfs.TypeSymlink), 0, ino)
+	_, err = f.createInCoffer(th, pos, base, vfs.TypeSymlink, 0o777, target)
+	return err
 }
 
 // Readlink reads a symlink's target (no following of the final component).

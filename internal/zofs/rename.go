@@ -2,6 +2,7 @@ package zofs
 
 import (
 	"zofs/internal/coffer"
+	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
 )
@@ -58,7 +59,7 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 		f.sh.lockOf(kSrc).Lock(th.Clk)
 		defer f.sh.lockOf(kSrc).Unlock(th.Clk)
 	}
-	th.CPU(4 * 30) // bucket lease acquisitions
+	th.CPU(4 * perfmodel.CPULockAcquire) // bucket lease acquisitions
 
 	f.window(th, src.m, true)
 	de, srcLoc, err := f.dirLookup(th, src.ino, oldBase)
@@ -146,6 +147,12 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 		pages = append(pages, custom)
 		newID, err := f.kern.CofferSplit(th, src.m.id, newPath, rpSrc.Mode, rpSrc.UID, rpSrc.GID, pages, de.inode, custom)
 		if err != nil {
+			// A refused split (not the owner, the path taken, no page for
+			// the new root) moved nothing: the pool page is still this
+			// coffer's and goes back.
+			if owner, _ := f.kern.OwnerOf(custom); owner == src.m.id {
+				f.freePage(th, src.m, classMeta, custom)
+			}
 			return errno(err)
 		}
 		f.window(th, dst.m, true)
