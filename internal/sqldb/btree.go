@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"zofs/internal/perfmodel"
@@ -11,6 +12,17 @@ import (
 // B-tree pages. Interior cells {key, child} mean "subtree child holds keys
 // <= key"; the rightmost pointer holds keys greater than every cell key.
 // Leaves are chained through right-sibling pointers for range scans.
+//
+// Cells are packed back to back from btCellsOff in key order and the rest of
+// the page is zero:
+//
+//	leaf      klen u16 | vlen u16  | key | val
+//	interior  klen u16 | child u64 | key
+//
+// The tree is searched and edited on the cached page image itself. Packed
+// cells have no directory on the page, so each cached page carries a
+// DRAM-only slot table (cpage.slots: the offset of every cell, then the end
+// of the last) that is rebuilt from the image after an edit.
 const (
 	pgLeaf     = 1
 	pgInterior = 2
@@ -20,79 +32,118 @@ const (
 	btRightOff = 8  // u64: leaf right sibling / interior rightmost child
 	btCellsOff = 16 // packed cells
 
+	leafCellHdr     = 4
+	interiorCellHdr = 10
+
 	// MaxKeyLen / MaxValLen bound cells so a page always fits two.
 	MaxKeyLen = 256
 	MaxValLen = 1200
+
+	maxCellSize = leafCellHdr + MaxKeyLen + MaxValLen
+	cellSpace   = PageSize - btCellsOff
 )
 
-type cell struct {
-	key   string
-	val   []byte // leaf payload
-	child int64  // interior child
-}
+var errCorrupt = errors.New("sqldb: corrupt B-tree page")
 
-// decodePage parses a B-tree page into memory.
-func decodePage(pg []byte) (typ byte, right int64, cells []cell) {
-	typ = pg[btTypeOff]
-	n := int(binary.LittleEndian.Uint16(pg[btNCellOff:]))
-	right = int64(binary.LittleEndian.Uint64(pg[btRightOff:]))
-	off := btCellsOff
-	cells = make([]cell, 0, n)
-	for i := 0; i < n; i++ {
-		klen := int(binary.LittleEndian.Uint16(pg[off:]))
-		if typ == pgLeaf {
-			vlen := int(binary.LittleEndian.Uint16(pg[off+2:]))
-			key := string(pg[off+4 : off+4+klen])
-			val := append([]byte(nil), pg[off+4+klen:off+4+klen+vlen]...)
-			cells = append(cells, cell{key: key, val: val})
-			off += 4 + klen + vlen
-		} else {
-			child := int64(binary.LittleEndian.Uint64(pg[off+2:]))
-			key := string(pg[off+10 : off+10+klen])
-			cells = append(cells, cell{key: key, child: child})
-			off += 10 + klen
-		}
-	}
-	return typ, right, cells
-}
-
-// encodedSize computes the byte size of a page holding the cells.
-func encodedSize(typ byte, cells []cell) int {
-	sz := btCellsOff
-	for _, c := range cells {
-		if typ == pgLeaf {
-			sz += 4 + len(c.key) + len(c.val)
-		} else {
-			sz += 10 + len(c.key)
-		}
-	}
-	return sz
-}
-
-// encodePage serializes cells into pg; returns false if they do not fit.
-func encodePage(pg []byte, typ byte, right int64, cells []cell) bool {
-	if encodedSize(typ, cells) > PageSize {
-		return false
-	}
-	clear(pg)
+func setHeader(pg []byte, typ byte, ncells int, right int64) {
 	pg[btTypeOff] = typ
-	binary.LittleEndian.PutUint16(pg[btNCellOff:], uint16(len(cells)))
+	binary.LittleEndian.PutUint16(pg[btNCellOff:], uint16(ncells))
 	binary.LittleEndian.PutUint64(pg[btRightOff:], uint64(right))
-	off := btCellsOff
-	for _, c := range cells {
-		binary.LittleEndian.PutUint16(pg[off:], uint16(len(c.key)))
-		if typ == pgLeaf {
-			binary.LittleEndian.PutUint16(pg[off+2:], uint16(len(c.val)))
-			copy(pg[off+4:], c.key)
-			copy(pg[off+4+len(c.key):], c.val)
-			off += 4 + len(c.key) + len(c.val)
+}
+
+func putLeafCell(at []byte, key string, val []byte) {
+	binary.LittleEndian.PutUint16(at, uint16(len(key)))
+	binary.LittleEndian.PutUint16(at[2:], uint16(len(val)))
+	copy(at[leafCellHdr:], key)
+	copy(at[leafCellHdr+len(key):], val)
+}
+
+func putInteriorCell(at []byte, key string, child int64) {
+	binary.LittleEndian.PutUint16(at, uint16(len(key)))
+	binary.LittleEndian.PutUint64(at[2:], uint64(child))
+	copy(at[interiorCellHdr:], key)
+}
+
+func (pg *cpage) leaf() bool   { return pg.buf[btTypeOff] == pgLeaf }
+func (pg *cpage) right() int64 { return int64(binary.LittleEndian.Uint64(pg.buf[btRightOff:])) }
+
+// index builds the slot table from the page image, checking on the way that
+// every cell lies inside the page.
+func (pg *cpage) index() error {
+	buf, hdr := pg.buf, interiorCellHdr
+	switch buf[btTypeOff] {
+	case pgLeaf:
+		hdr = leafCellHdr
+	case pgInterior:
+	default:
+		return errCorrupt
+	}
+	slots, off := pg.slots[:0], btCellsOff
+	for n := int(binary.LittleEndian.Uint16(buf[btNCellOff:])); n > 0; n-- {
+		if off+hdr > len(buf) {
+			return errCorrupt
+		}
+		slots = append(slots, uint16(off))
+		size := hdr + int(binary.LittleEndian.Uint16(buf[off:]))
+		if hdr == leafCellHdr {
+			size += int(binary.LittleEndian.Uint16(buf[off+2:]))
+		}
+		off += size
+	}
+	if off > len(buf) {
+		return errCorrupt
+	}
+	pg.slots = append(slots, uint16(off))
+	return nil
+}
+
+func (pg *cpage) ncells() int { return len(pg.slots) - 1 }
+
+// end is the offset of the first byte behind the last cell.
+func (pg *cpage) end() int { return int(pg.slots[len(pg.slots)-1]) }
+
+// key returns a view of cell i's key.
+func (pg *cpage) key(i int) []byte {
+	off := int(pg.slots[i])
+	klen := int(binary.LittleEndian.Uint16(pg.buf[off:]))
+	if pg.leaf() {
+		off += leafCellHdr
+	} else {
+		off += interiorCellHdr
+	}
+	return pg.buf[off : off+klen]
+}
+
+// val returns a view of leaf cell i's value: from the key to the next cell.
+func (pg *cpage) val(i int) []byte {
+	off, next := int(pg.slots[i]), int(pg.slots[i+1])
+	klen := int(binary.LittleEndian.Uint16(pg.buf[off:]))
+	return pg.buf[off+leafCellHdr+klen : next : next]
+}
+
+// child returns the subtree of an interior page that search position i
+// selects: cell i's, or the rightmost pointer behind the last cell.
+func (pg *cpage) child(i int) int64 {
+	if i == pg.ncells() {
+		return pg.right()
+	}
+	return int64(binary.LittleEndian.Uint64(pg.buf[int(pg.slots[i])+2:]))
+}
+
+// search finds the index of the first cell with key >= k and reports whether
+// that cell's key is k. (A string conversion that is only compared does not
+// allocate.)
+func (pg *cpage) search(k string) (int, bool) {
+	lo, hi := 0, pg.ncells()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if string(pg.key(mid)) < k {
+			lo = mid + 1
 		} else {
-			binary.LittleEndian.PutUint64(pg[off+2:], uint64(c.child))
-			copy(pg[off+10:], c.key)
-			off += 10 + len(c.key)
+			hi = mid
 		}
 	}
-	return true
+	return lo, lo < pg.ncells() && string(pg.key(lo)) == k
 }
 
 // btree is one tree (a table or index) within the database file.
@@ -104,51 +155,53 @@ type btree struct {
 // newBtree allocates an empty leaf root.
 func newBtree(th *proc.Thread, p *pager) (*btree, error) {
 	no, pg := p.allocPage(th)
-	encodePage(pg, pgLeaf, 0, nil)
+	setHeader(pg.buf, pgLeaf, 0, 0)
 	if err := p.write(th, no); err != nil {
 		return nil, err
 	}
 	return &btree{pg: p, root: no}, nil
 }
 
-// search finds the index of the first cell with key >= k.
-func search(cells []cell, k string) int {
-	lo, hi := 0, len(cells)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cells[mid].key < k {
-			lo = mid + 1
-		} else {
-			hi = mid
+// node returns a cached page with its slot table in step with its image.
+func (t *btree) node(th *proc.Thread, no int64) (*cpage, error) {
+	pg, err := t.pg.page(th, no)
+	if err != nil {
+		return nil, err
+	}
+	if len(pg.slots) == 0 {
+		if err := pg.index(); err != nil {
+			return nil, fmt.Errorf("page %d: %w", no, err)
 		}
 	}
-	return lo
+	return pg, nil
 }
 
-// Get returns the value for key.
-func (t *btree) Get(th *proc.Thread, key string) ([]byte, error) {
+// descend walks from the root to the leaf whose key range covers key,
+// charging perLevel for every page on the way.
+func (t *btree) descend(th *proc.Thread, key string, perLevel int64) (int64, *cpage, error) {
 	no := t.root
 	for {
-		th.CPU(perfmodel.CPUHashLookup)
-		pg, err := t.pg.page(th, no)
-		if err != nil {
-			return nil, err
+		th.CPU(perLevel)
+		pg, err := t.node(th, no)
+		if err != nil || pg.leaf() {
+			return no, pg, err
 		}
-		typ, right, cells := decodePage(pg)
-		if typ == pgLeaf {
-			i := search(cells, key)
-			if i < len(cells) && cells[i].key == key {
-				return cells[i].val, nil
-			}
-			return nil, ErrNotFound
-		}
-		i := search(cells, key)
-		if i < len(cells) {
-			no = cells[i].child
-		} else {
-			no = right
-		}
+		i, _ := pg.search(key)
+		no = pg.child(i)
 	}
+}
+
+// Get returns a private copy of the value for key.
+func (t *btree) Get(th *proc.Thread, key string) ([]byte, error) {
+	_, pg, err := t.descend(th, key, perfmodel.CPUHashLookup)
+	if err != nil {
+		return nil, err
+	}
+	i, found := pg.search(key)
+	if !found {
+		return nil, ErrNotFound
+	}
+	return append([]byte(nil), pg.val(i)...), nil
 }
 
 // Put inserts or replaces a key.
@@ -163,7 +216,8 @@ func (t *btree) Put(th *proc.Thread, key string, val []byte) error {
 	if newPage != 0 {
 		// Root split: grow the tree by one level.
 		rootNo, rootPg := t.pg.allocPage(th)
-		encodePage(rootPg, pgInterior, newPage, []cell{{key: promoted, child: t.root}})
+		setHeader(rootPg.buf, pgInterior, 1, newPage)
+		putInteriorCell(rootPg.buf[btCellsOff:], promoted, t.root)
 		if err := t.pg.write(th, rootNo); err != nil {
 			return err
 		}
@@ -172,146 +226,167 @@ func (t *btree) Put(th *proc.Thread, key string, val []byte) error {
 	return nil
 }
 
+// splice makes room for size bytes where cell i of pg stands, in place of
+// the old bytes that cell occupies now (0: a cell is inserted before it;
+// size 0: the cell is removed): the cells behind shift, what a shrink
+// vacates is zeroed and the cell count follows, so the image stays what
+// packing the edited cell list into a zeroed page gives. The caller writes
+// the cell at the returned offset. A page the edit grows past PageSize is
+// laid out in the pager's oversize page instead, for split to divide.
+func (t *btree) splice(pg *cpage, i, old, size int) (*cpage, int) {
+	off, end, n := int(pg.slots[i]), pg.end(), pg.ncells()
+	dst := pg
+	if end+size-old > PageSize {
+		dst = &t.pg.big
+		copy(dst.buf, pg.buf[:end])
+	}
+	copy(dst.buf[off+size:], dst.buf[off+old:end])
+	if size < old {
+		clear(dst.buf[end+size-old : end])
+	}
+	switch {
+	case old == 0:
+		n++
+	case size == 0:
+		n--
+	}
+	binary.LittleEndian.PutUint16(dst.buf[btNCellOff:], uint16(n))
+	pg.slots, dst.slots = pg.slots[:0], dst.slots[:0]
+	return dst, off
+}
+
+// split divides big, the oversize image of pg after an edit, between pg
+// (the lower cells) and a new right page; it returns the separator key and
+// the new page. Half the cells stay, and of an interior page the one behind
+// them moves up as the separator; the point shifts only as far as a half
+// of unequal cells needs to fit its page.
+func (t *btree) split(th *proc.Thread, pg, big *cpage) (string, int64, error) {
+	if err := big.index(); err != nil {
+		return "", 0, err
+	}
+	n, end, leaf := big.ncells(), big.end(), big.leaf()
+	upper := func(h int) int { // first cell of the right page
+		if leaf {
+			return h
+		}
+		return h + 1
+	}
+	h := n / 2
+	for end-int(big.slots[upper(h)]) > cellSpace {
+		h++
+	}
+	for int(big.slots[h])-btCellsOff > cellSpace {
+		h--
+	}
+	newNo, newPg := t.pg.allocPage(th)
+	sep, lowRight := h-1, newNo
+	if !leaf {
+		sep, lowRight = h, big.child(h)
+	}
+	promoted := string(big.key(sep))
+	setHeader(newPg.buf, big.buf[btTypeOff], n-upper(h), big.right())
+	copy(newPg.buf[btCellsOff:], big.buf[big.slots[upper(h)]:end])
+	lowEnd := int(big.slots[h])
+	copy(pg.buf[btCellsOff:lowEnd], big.buf[btCellsOff:])
+	clear(pg.buf[lowEnd:])
+	setHeader(pg.buf, big.buf[btTypeOff], h, lowRight)
+	if err := t.pg.write(th, newNo); err != nil {
+		return "", 0, err
+	}
+	return promoted, newNo, nil
+}
+
 // insert recursively inserts into subtree no; on split it returns the
-// promoted separator key and the new right page.
+// promoted separator key and the new right page. A page is journaled
+// (pager.write) before its first byte moves.
 func (t *btree) insert(th *proc.Thread, no int64, key string, val []byte) (string, int64, error) {
 	th.CPU(perfmodel.CPUHashLookup)
-	pg, err := t.pg.page(th, no)
+	pg, err := t.node(th, no)
 	if err != nil {
 		return "", 0, err
 	}
-	typ, right, cells := decodePage(pg)
+	i, found := pg.search(key)
 
-	if typ == pgLeaf {
-		i := search(cells, key)
-		if i < len(cells) && cells[i].key == key {
-			cells[i].val = val
-		} else {
-			cells = append(cells, cell{})
-			copy(cells[i+1:], cells[i:])
-			cells[i] = cell{key: key, val: val}
+	if pg.leaf() {
+		old := 0
+		if found {
+			old = int(pg.slots[i+1] - pg.slots[i])
 		}
 		if err := t.pg.write(th, no); err != nil {
 			return "", 0, err
 		}
-		if encodePage(pg, pgLeaf, right, cells) {
+		dst, off := t.splice(pg, i, old, leafCellHdr+len(key)+len(val))
+		putLeafCell(dst.buf[off:], key, val)
+		if dst == pg {
 			return "", 0, nil
 		}
-		// Split: lower half stays, upper half moves to a new right leaf.
-		h := len(cells) / 2
-		newNo, newPg := t.pg.allocPage(th)
-		encodePage(newPg, pgLeaf, right, cells[h:])
-		encodePage(pg, pgLeaf, newNo, cells[:h])
-		if err := t.pg.write(th, newNo); err != nil {
-			return "", 0, err
-		}
-		return cells[h-1].key, newNo, nil
+		return t.split(th, pg, dst)
 	}
 
-	i := search(cells, key)
-	childNo := right
-	if i < len(cells) {
-		childNo = cells[i].child
-	}
+	childNo := pg.child(i)
 	promoted, newChild, err := t.insert(th, childNo, key, val)
 	if err != nil || newChild == 0 {
 		return "", 0, err
 	}
-	// The child split: insert {promoted, childNo} before position i and
-	// point the old slot at the new child.
+	// The child split: {promoted, childNo} goes in before position i, and
+	// the pointer that led to childNo now leads to the new child.
 	if err := t.pg.write(th, no); err != nil {
 		return "", 0, err
 	}
-	if i < len(cells) {
-		cells = append(cells, cell{})
-		copy(cells[i+1:], cells[i:])
-		cells[i] = cell{key: promoted, child: childNo}
-		cells[i+1].child = newChild
+	if i < pg.ncells() {
+		binary.LittleEndian.PutUint64(pg.buf[int(pg.slots[i])+2:], uint64(newChild))
 	} else {
-		cells = append(cells, cell{key: promoted, child: childNo})
-		right = newChild
+		binary.LittleEndian.PutUint64(pg.buf[btRightOff:], uint64(newChild))
 	}
-	if encodePage(pg, pgInterior, right, cells) {
+	dst, off := t.splice(pg, i, 0, interiorCellHdr+len(promoted))
+	putInteriorCell(dst.buf[off:], promoted, childNo)
+	if dst == pg {
 		return "", 0, nil
 	}
-	// Split the interior node around the median.
-	h := len(cells) / 2
-	median := cells[h]
-	newNo, newPg := t.pg.allocPage(th)
-	encodePage(newPg, pgInterior, right, cells[h+1:])
-	encodePage(pg, pgInterior, median.child, cells[:h])
-	if err := t.pg.write(th, newNo); err != nil {
-		return "", 0, err
-	}
-	return median.key, newNo, nil
+	return t.split(th, pg, dst)
 }
 
 // Delete removes a key (leaves are not rebalanced; empty leaves remain in
 // the chain, as tombstone-free deletion suffices for TPC-C's new_order).
+// Its descent has never been charged per level, and the pinned traffic
+// fingerprint (tpcc) keeps it so.
 func (t *btree) Delete(th *proc.Thread, key string) error {
-	no := t.root
-	for {
-		pg, err := t.pg.page(th, no)
-		if err != nil {
-			return err
-		}
-		typ, right, cells := decodePage(pg)
-		if typ == pgLeaf {
-			i := search(cells, key)
-			if i >= len(cells) || cells[i].key != key {
-				return ErrNotFound
-			}
-			cells = append(cells[:i], cells[i+1:]...)
-			if err := t.pg.write(th, no); err != nil {
-				return err
-			}
-			encodePage(pg, pgLeaf, right, cells)
-			return nil
-		}
-		i := search(cells, key)
-		if i < len(cells) {
-			no = cells[i].child
-		} else {
-			no = right
-		}
+	no, pg, err := t.descend(th, key, 0)
+	if err != nil {
+		return err
 	}
+	i, found := pg.search(key)
+	if !found {
+		return ErrNotFound
+	}
+	if err := t.pg.write(th, no); err != nil {
+		return err
+	}
+	t.splice(pg, i, int(pg.slots[i+1]-pg.slots[i]), 0)
+	return nil
 }
 
 // Scan iterates keys >= start in order, calling fn until it returns false.
+// val is a view of the cached page, valid until fn returns; fn must not
+// modify the tree.
 func (t *btree) Scan(th *proc.Thread, start string, fn func(key string, val []byte) bool) error {
-	no := t.root
-	// Descend to the leaf containing start.
-	for {
-		th.CPU(perfmodel.CPUHashLookup)
-		pg, err := t.pg.page(th, no)
-		if err != nil {
-			return err
-		}
-		typ, right, cells := decodePage(pg)
-		if typ == pgLeaf {
-			break
-		}
-		i := search(cells, start)
-		if i < len(cells) {
-			no = cells[i].child
-		} else {
-			no = right
-		}
+	no, _, err := t.descend(th, start, perfmodel.CPUHashLookup)
+	if err != nil {
+		return err
 	}
 	// Walk the leaf chain.
 	for no != 0 {
-		pg, err := t.pg.page(th, no)
+		pg, err := t.node(th, no)
 		if err != nil {
 			return err
 		}
-		_, right, cells := decodePage(pg)
-		for i := search(cells, start); i < len(cells); i++ {
+		for i, _ := pg.search(start); i < pg.ncells(); i++ {
 			th.CPU(perfmodel.CPUSmallOp)
-			if !fn(cells[i].key, cells[i].val) {
+			if !fn(string(pg.key(i)), pg.val(i)) {
 				return nil
 			}
 		}
-		no = right
+		no = pg.right()
 	}
 	return nil
 }

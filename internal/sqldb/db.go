@@ -3,7 +3,6 @@ package sqldb
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"zofs/internal/lockprof"
 	"zofs/internal/proc"
@@ -28,30 +27,37 @@ func Open(fs vfs.FileSystem, th *proc.Thread, path string) (*DB, error) {
 	}
 	db := &DB{p: p, tables: map[string]*btree{}}
 	db.lock.Init("sqldb.db", "")
-	catRoot, err := p.loadHeader(th)
-	if err != nil {
+	if err := db.init(th); err != nil {
+		p.close(th) // rolls back a half-made catalog, releases the file
 		return nil, err
 	}
-	if catRoot == 0 {
-		// Fresh database: initialize the catalog within a transaction.
-		if err := p.begin(th); err != nil {
-			return nil, err
-		}
-		cat, err := newBtree(th, p)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.storeHeader(th, cat.root); err != nil {
-			return nil, err
-		}
-		if err := p.commit(th); err != nil {
-			return nil, err
-		}
-		db.catalog = cat
-	} else {
-		db.catalog = &btree{pg: p, root: catRoot}
-	}
 	return db, nil
+}
+
+// init finds the catalog, creating it in a fresh database.
+func (db *DB) init(th *proc.Thread) error {
+	p := db.p
+	catRoot, err := p.loadHeader(th)
+	if err != nil {
+		return err
+	}
+	if catRoot != 0 {
+		db.catalog = &btree{pg: p, root: catRoot}
+		return nil
+	}
+	// Fresh database: initialize the catalog within a transaction.
+	if err := p.begin(th); err != nil {
+		return err
+	}
+	cat, err := newBtree(th, p)
+	if err != nil {
+		return err
+	}
+	if err := p.storeHeader(th, cat.root); err != nil {
+		return err
+	}
+	db.catalog = cat
+	return p.commit(th)
 }
 
 // Close rolls back any open transaction and releases the file.
@@ -75,15 +81,20 @@ func (db *DB) Begin(th *proc.Thread) (*Tx, error) {
 	return &Tx{db: db, th: th}, nil
 }
 
-// Commit makes the transaction durable.
+// Commit makes the transaction durable. A commit that fails is rolled back
+// from the journal, so the database is left as it was before the
+// transaction and the next one can begin.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return errors.New("sqldb: transaction finished")
 	}
+	if err := tx.db.p.commit(tx.th); err != nil {
+		tx.Rollback()
+		return err
+	}
 	tx.done = true
-	err := tx.db.p.commit(tx.th)
 	tx.db.lock.Unlock(tx.th.Clk)
-	return err
+	return nil
 }
 
 // Rollback undoes the transaction; cached table handles are invalidated
@@ -186,7 +197,9 @@ func (tx *Tx) Delete(table, key string) error {
 	return t.Delete(tx.th, key)
 }
 
-// Scan iterates rows with key >= start until fn returns false.
+// Scan iterates rows with key >= start until fn returns false. val is a view
+// of the cached page: it is valid until fn returns (copy what must outlive
+// the call), and fn must not write to the database.
 func (tx *Tx) Scan(table, start string, fn func(key string, val []byte) bool) error {
 	t, err := tx.db.table(tx.th, table, false)
 	if err != nil {
@@ -209,7 +222,8 @@ func (db *DB) Get(th *proc.Thread, table, key string) ([]byte, error) {
 	return t.Get(th, key)
 }
 
-// Scan performs a read-only range scan outside any transaction.
+// Scan performs a read-only range scan outside any transaction; val is a
+// view, as in Tx.Scan.
 func (db *DB) Scan(th *proc.Thread, table, start string, fn func(key string, val []byte) bool) error {
 	db.lock.Lock(th.Clk)
 	defer db.lock.Unlock(th.Clk)
@@ -222,5 +236,3 @@ func (db *DB) Scan(th *proc.Thread, table, start string, fn func(key string, val
 	}
 	return t.Scan(th, start, fn)
 }
-
-var _ = fmt.Errorf

@@ -25,22 +25,30 @@ const PageSize = 4096
 // ErrNotFound reports a missing key.
 var ErrNotFound = errors.New("sqldb: not found")
 
+// cpage is one cached page: the image the database file holds (or will hold
+// once the transaction commits) and what the pager and the B-tree keep beside
+// it in DRAM only.
+type cpage struct {
+	buf    []byte   // PageSize bytes (the oversize scratch page: a cell more)
+	slots  []uint16 // B-tree cell offsets, built on demand from buf (btree.go)
+	dirty  bool     // written back at commit
+	logged bool     // original image is in the journal
+}
+
 // pager manages the database file, the page cache and the rollback
 // journal. The page cache is volatile (SQLite's cache lives in process
 // DRAM); every first read of a page and every commit write-back is charged
 // file system traffic.
 type pager struct {
 	fs      vfs.FileSystem
-	path    string
 	jpath   string
 	h       vfs.Handle
-	nPages  int64
-	cache   map[int64][]byte
+	pages   []*cpage // by page number, one slot per page of the file; nil = not cached
 	inTxn   bool
-	dirty   map[int64]bool
-	logged  map[int64]bool
+	dirty   []int64 // numbers of the pages with dirty set, in the order they became so
 	journal vfs.Handle
-	jSize   int64
+	rec     [8 + PageSize]byte // the one journal record (and header) buffer
+	big     cpage              // where a page that outgrew PageSize is laid out before it splits
 }
 
 func openPager(fs vfs.FileSystem, th *proc.Thread, path string) (*pager, error) {
@@ -50,50 +58,55 @@ func openPager(fs vfs.FileSystem, th *proc.Thread, path string) (*pager, error) 
 	}
 	fi, err := h.Stat(th)
 	if err != nil {
+		h.Close(th)
 		return nil, err
 	}
+	// Page 0 is the database header, present before anything is written.
 	p := &pager{
-		fs: fs, path: path, jpath: path + "-journal", h: h,
-		nPages: fi.Size / PageSize,
-		cache:  map[int64][]byte{},
-		dirty:  map[int64]bool{},
-		logged: map[int64]bool{},
+		fs: fs, jpath: path + "-journal", h: h,
+		pages: make([]*cpage, max(fi.Size/PageSize, 1)),
 	}
-	if p.nPages == 0 {
-		p.nPages = 1 // page 0 is the database header
-	}
+	p.big.buf = make([]byte, PageSize+maxCellSize)
 	// A leftover journal means the last transaction did not commit: roll
 	// it back (SQLite hot-journal recovery).
 	if err := p.recoverHotJournal(th); err != nil {
+		h.Close(th)
 		return nil, err
 	}
 	return p, nil
 }
 
 // page returns a cached page, loading it from the file on first touch.
-func (p *pager) page(th *proc.Thread, no int64) ([]byte, error) {
-	if pg, ok := p.cache[no]; ok {
+func (p *pager) page(th *proc.Thread, no int64) (*cpage, error) {
+	if no < 0 || no >= int64(len(p.pages)) {
+		return nil, fmt.Errorf("sqldb: page %d outside the %d-page database", no, len(p.pages))
+	}
+	if pg := p.pages[no]; pg != nil {
 		th.CPU(perfmodel.CPUSmallOp)
 		return pg, nil
 	}
-	pg := make([]byte, PageSize)
-	if no < p.nPages {
-		if _, err := p.h.ReadAt(th, pg, no*PageSize); err != nil {
-			return nil, err
-		}
+	pg := &cpage{buf: make([]byte, PageSize)}
+	if _, err := p.h.ReadAt(th, pg.buf, no*PageSize); err != nil {
+		return nil, err
 	}
-	p.cache[no] = pg
+	p.pages[no] = pg
 	return pg, nil
 }
 
 // allocPage appends a fresh page to the file.
-func (p *pager) allocPage(th *proc.Thread) (int64, []byte) {
-	no := p.nPages
-	p.nPages++
-	pg := make([]byte, PageSize)
-	p.cache[no] = pg
-	p.dirty[no] = true
+func (p *pager) allocPage(th *proc.Thread) (int64, *cpage) {
+	no := int64(len(p.pages))
+	pg := &cpage{buf: make([]byte, PageSize)}
+	p.pages = append(p.pages, pg)
+	p.markDirty(no, pg)
 	return no, pg
+}
+
+func (p *pager) markDirty(no int64, pg *cpage) {
+	if !pg.dirty {
+		pg.dirty = true
+		p.dirty = append(p.dirty, no)
+	}
 }
 
 // begin starts a transaction: create the journal with a header.
@@ -105,16 +118,17 @@ func (p *pager) begin(th *proc.Thread) error {
 	if err != nil {
 		return err
 	}
-	hdr := make([]byte, 16)
+	hdr := p.rec[:16]
+	clear(hdr)
 	binary.LittleEndian.PutUint64(hdr, 0x73716c6a726e6c00) // "sqljrnl"
 	if _, err := j.Append(th, hdr); err != nil {
+		// Leave neither the handle nor a headerless journal behind.
+		j.Close(th)
+		p.fs.Unlink(th, p.jpath)
 		return err
 	}
 	p.journal = j
-	p.jSize = 16
 	p.inTxn = true
-	p.dirty = map[int64]bool{}
-	p.logged = map[int64]bool{}
 	return nil
 }
 
@@ -124,25 +138,40 @@ func (p *pager) write(th *proc.Thread, no int64) error {
 	if !p.inTxn {
 		return errors.New("sqldb: write outside transaction")
 	}
-	if !p.logged[no] {
-		orig, err := p.page(th, no)
-		if err != nil {
+	pg := p.pages[no]
+	if pg == nil || !pg.logged {
+		var err error
+		if pg, err = p.page(th, no); err != nil {
 			return err
 		}
-		rec := make([]byte, 8+PageSize)
-		binary.LittleEndian.PutUint64(rec, uint64(no))
-		copy(rec[8:], orig)
-		if _, err := p.journal.Append(th, rec); err != nil {
+		binary.LittleEndian.PutUint64(p.rec[:], uint64(no))
+		copy(p.rec[8:], pg.buf)
+		if _, err := p.journal.Append(th, p.rec[:]); err != nil {
 			return err
 		}
 		if err := p.journal.Sync(th); err != nil {
 			return err
 		}
-		p.jSize += int64(len(rec))
-		p.logged[no] = true
+		pg.logged = true
 	}
-	p.dirty[no] = true
+	p.markDirty(no, pg)
 	return nil
+}
+
+// closeJournal closes the journal handle if it is still open.
+func (p *pager) closeJournal(th *proc.Thread) error {
+	j := p.journal
+	if j == nil {
+		return nil
+	}
+	p.journal = nil
+	return j.Close(th)
+}
+
+// endTxn forgets the transaction's page state once the journal is gone.
+func (p *pager) endTxn() {
+	p.inTxn = false
+	p.dirty = p.dirty[:0]
 }
 
 // commit writes dirty pages back and deletes the journal (the atomic
@@ -151,27 +180,29 @@ func (p *pager) commit(th *proc.Thread) error {
 	if !p.inTxn {
 		return errors.New("sqldb: commit outside transaction")
 	}
-	// Ascending page order, not map order: identical runs issue identical
-	// file system traffic, and the file is extended front to back.
-	nos := make([]int64, 0, len(p.dirty))
-	for no := range p.dirty {
-		nos = append(nos, no)
-	}
-	slices.Sort(nos)
-	for _, no := range nos {
-		if _, err := p.h.WriteAt(th, p.cache[no], no*PageSize); err != nil {
+	// Ascending page order, not the order pages were touched in: identical
+	// runs issue identical file system traffic, and the file is extended
+	// front to back.
+	slices.Sort(p.dirty)
+	for _, no := range p.dirty {
+		if _, err := p.h.WriteAt(th, p.pages[no].buf, no*PageSize); err != nil {
 			return err
 		}
 	}
 	if err := p.h.Sync(th); err != nil {
 		return err
 	}
-	p.journal.Close(th)
+	if err := p.closeJournal(th); err != nil {
+		return err
+	}
 	if err := p.fs.Unlink(th, p.jpath); err != nil {
 		return err
 	}
-	p.inTxn = false
-	p.journal = nil
+	for _, no := range p.dirty {
+		pg := p.pages[no]
+		pg.dirty, pg.logged = false, false
+	}
+	p.endTxn()
 	return nil
 }
 
@@ -180,19 +211,18 @@ func (p *pager) rollback(th *proc.Thread) error {
 	if !p.inTxn {
 		return nil
 	}
-	p.journal.Close(th)
+	p.closeJournal(th)
 	if err := p.applyJournal(th); err != nil {
 		return err
 	}
 	// Drop cached dirty pages: re-read from the (restored) file on demand.
-	for no := range p.dirty {
-		delete(p.cache, no)
+	for _, no := range p.dirty {
+		p.pages[no] = nil
 	}
 	if err := p.fs.Unlink(th, p.jpath); err != nil {
 		return err
 	}
-	p.inTxn = false
-	p.journal = nil
+	p.endTxn()
 	return nil
 }
 
@@ -207,7 +237,7 @@ func (p *pager) applyJournal(th *proc.Thread) error {
 	if err != nil {
 		return err
 	}
-	rec := make([]byte, 8+PageSize)
+	rec := p.rec[:]
 	for off := int64(16); off+int64(len(rec)) <= fi.Size; off += int64(len(rec)) {
 		if _, err := j.ReadAt(th, rec, off); err != nil {
 			return err
@@ -216,7 +246,10 @@ func (p *pager) applyJournal(th *proc.Thread) error {
 		if _, err := p.h.WriteAt(th, rec[8:], no*PageSize); err != nil {
 			return err
 		}
-		delete(p.cache, no)
+		// A hot journal can name pages past the end of the file it found.
+		if no < int64(len(p.pages)) {
+			p.pages[no] = nil
+		}
 	}
 	return nil
 }
@@ -255,20 +288,18 @@ func (p *pager) loadHeader(th *proc.Thread) (catalog int64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	if binary.LittleEndian.Uint64(pg[hdrMagicOf:]) != hdrMagic {
+	if binary.LittleEndian.Uint64(pg.buf[hdrMagicOf:]) != hdrMagic {
 		return 0, nil // fresh database
 	}
-	return int64(binary.LittleEndian.Uint64(pg[hdrCatalog:])), nil
+	return int64(binary.LittleEndian.Uint64(pg.buf[hdrCatalog:])), nil
 }
 
 func (p *pager) storeHeader(th *proc.Thread, catalog int64) error {
 	if err := p.write(th, 0); err != nil {
 		return err
 	}
-	pg := p.cache[0]
+	pg := p.pages[0].buf
 	binary.LittleEndian.PutUint64(pg[hdrMagicOf:], hdrMagic)
 	binary.LittleEndian.PutUint64(pg[hdrCatalog:], uint64(catalog))
 	return nil
 }
-
-var _ = fmt.Sprintf // keep fmt for debug helpers in other files

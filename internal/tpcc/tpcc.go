@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"zofs/internal/proc"
@@ -100,22 +101,63 @@ type historyRow struct {
 	Date          int64
 }
 
-// Keys.
-func kWarehouse(w int) string      { return fmt.Sprintf("%03d", w) }
-func kDistrict(w, d int) string    { return fmt.Sprintf("%03d-%02d", w, d) }
-func kCustomer(w, d, c int) string { return fmt.Sprintf("%03d-%02d-%05d", w, d, c) }
-func kItem(i int) string           { return fmt.Sprintf("%06d", i) }
-func kStock(w, i int) string       { return fmt.Sprintf("%03d-%06d", w, i) }
-func kOrder(w, d, o int) string    { return fmt.Sprintf("%03d-%02d-%08d", w, d, o) }
-func kNewOrder(w, d, o int) string { return fmt.Sprintf("%03d-%02d-%08d", w, d, o) }
-func kOrderLine(w, d, o, l int) string {
-	return fmt.Sprintf("%03d-%02d-%08d-%02d", w, d, o, l)
+// Keys: decimal fields zero-padded to a fixed width and joined by '-', so
+// that key order is numeric order. A builder fills one stack buffer and
+// allocates the string it returns, nothing else.
+type keyBuf [48]byte
+
+// appendKey appends each (value, width) pair of fields, the value (>= 0)
+// zero-padded to the width as fmt's %0*d does, with '-' between pairs.
+func appendKey(b []byte, fields ...int) []byte {
+	for i := 0; i < len(fields); i += 2 {
+		if i > 0 {
+			b = append(b, '-')
+		}
+		var digits [20]byte
+		d := strconv.AppendInt(digits[:0], int64(fields[i]), 10)
+		for n := len(d); n < fields[i+1]; n++ {
+			b = append(b, '0')
+		}
+		b = append(b, d...)
+	}
+	return b
 }
+
+func padKey(fields ...int) string { var b keyBuf; return string(appendKey(b[:0], fields...)) }
+
+func kWarehouse(w int) string            { return padKey(w, 3) }
+func kDistrict(w, d int) string          { return padKey(w, 3, d, 2) }
+func kCustomer(w, d, c int) string       { return padKey(w, 3, d, 2, c, 5) }
+func kItem(i int) string                 { return padKey(i, 6) }
+func kStock(w, i int) string             { return padKey(w, 3, i, 6) }
+func kOrder(w, d, o int) string          { return padKey(w, 3, d, 2, o, 8) }
+func kOrderLine(w, d, o, l int) string   { return padKey(w, 3, d, 2, o, 8, l, 2) }
+func kOrderByCust(w, d, c, o int) string { return padKey(w, 3, d, 2, c, 5, o, 8) }
+func kHistory(seq, w int) string         { return padKey(seq, 12, w, 3) }
+
+// kLineOf is kOrderLine from an order's key.
+func kLineOf(order string, l int) string {
+	var b keyBuf
+	return string(appendKey(append(append(b[:0], order...), '-'), l, 2))
+}
+
+// appendCustNamePrefix pads the last name to 16 columns, as %-16s does.
+func appendCustNamePrefix(b []byte, w, d int, last string) []byte {
+	b = append(append(appendKey(b, w, 3, d, 2), '-'), last...)
+	for n := len(last); n < 16; n++ {
+		b = append(b, ' ')
+	}
+	return b
+}
+
+func kCustNamePrefix(w, d int, last string) string {
+	var b keyBuf
+	return string(appendCustNamePrefix(b[:0], w, d, last))
+}
+
 func kCustName(w, d int, last string, c int) string {
-	return fmt.Sprintf("%03d-%02d-%-16s-%05d", w, d, last, c)
-}
-func kOrderByCust(w, d, c, o int) string {
-	return fmt.Sprintf("%03d-%02d-%05d-%08d", w, d, c, o)
+	var b keyBuf
+	return string(appendKey(append(appendCustNamePrefix(b[:0], w, d, last), '-'), c, 5))
 }
 
 // TPC-C last-name syllables.
@@ -238,14 +280,13 @@ func put(tx *sqldb.Tx, table, key string, v any) error {
 // custByName resolves the spec's 60% select-by-last-name path: scan the
 // name index and take the middle match.
 func custByName(tx *sqldb.Tx, w, d int, last string) (int, error) {
-	prefix := fmt.Sprintf("%03d-%02d-%-16s", w, d, last)
+	prefix := kCustNamePrefix(w, d, last)
 	var ids []int
 	err := tx.Scan("customer_name_idx", prefix, func(k string, v []byte) bool {
 		if !strings.HasPrefix(k, prefix) {
 			return false
 		}
-		var c int
-		fmt.Sscanf(k[len(prefix)+1:], "%d", &c)
+		c, _ := strconv.Atoi(k[len(prefix)+1:]) // an index key ends in the customer number
 		ids = append(ids, c)
 		return true
 	})
@@ -290,7 +331,7 @@ func (cl *Client) NewOrder(th *proc.Thread) error {
 	if err := put(tx, "orders", kOrder(w, d, oID), orderRow{CID: c, EntryD: th.Clk.Now(), OLCnt: olCnt}); err != nil {
 		return err
 	}
-	if err := tx.Put("new_order", kNewOrder(w, d, oID), []byte{1}); err != nil {
+	if err := tx.Put("new_order", kOrder(w, d, oID), []byte{1}); err != nil {
 		return err
 	}
 	// Index values are raw primary keys, not JSON rows.
@@ -384,7 +425,7 @@ func (cl *Client) Payment(th *proc.Thread) error {
 		return err
 	}
 	cl.hSeq++
-	if err := put(tx, "history", fmt.Sprintf("%012d-%03d", cl.hSeq, w), historyRow{WID: w, DID: d, CID: c, Amount: amount, Date: th.Clk.Now()}); err != nil {
+	if err := put(tx, "history", kHistory(cl.hSeq, w), historyRow{WID: w, DID: d, CID: c, Amount: amount, Date: th.Clk.Now()}); err != nil {
 		return err
 	}
 	return tx.Commit()
@@ -419,15 +460,18 @@ func (cl *Client) OrderStatus(th *proc.Thread) error {
 		return err
 	}
 	// Latest order of the customer via the secondary index.
-	prefix := fmt.Sprintf("%03d-%02d-%05d", w, d, c)
+	prefix := kCustomer(w, d, c)
 	lastOrder := ""
-	tx.Scan("order_by_cust_idx", prefix, func(k string, v []byte) bool {
+	err = tx.Scan("order_by_cust_idx", prefix, func(k string, v []byte) bool {
 		if !strings.HasPrefix(k, prefix) {
 			return false
 		}
 		lastOrder = string(v)
 		return true
 	})
+	if err != nil {
+		return err
+	}
 	if lastOrder == "" {
 		return tx.Commit() // customer has no orders yet
 	}
@@ -436,7 +480,7 @@ func (cl *Client) OrderStatus(th *proc.Thread) error {
 		return err
 	}
 	for l := 1; l <= ord.OLCnt; l++ {
-		if _, err := get[orderLineRow](tx, "order_line", lastOrder+fmt.Sprintf("-%02d", l)); err != nil {
+		if _, err := get[orderLineRow](tx, "order_line", kLineOf(lastOrder, l)); err != nil {
 			return err
 		}
 	}
@@ -456,14 +500,17 @@ func (cl *Client) Delivery(th *proc.Thread) error {
 	defer tx.Rollback()
 
 	for d := 1; d <= cl.cfg.Districts; d++ {
-		prefix := fmt.Sprintf("%03d-%02d", w, d)
+		prefix := kDistrict(w, d)
 		oldest := ""
-		tx.Scan("new_order", prefix, func(k string, _ []byte) bool {
+		err := tx.Scan("new_order", prefix, func(k string, _ []byte) bool {
 			if strings.HasPrefix(k, prefix) {
 				oldest = k
 			}
 			return false // first match is the oldest
 		})
+		if err != nil {
+			return err
+		}
 		if oldest == "" || !strings.HasPrefix(oldest, prefix) {
 			continue
 		}
@@ -480,7 +527,7 @@ func (cl *Client) Delivery(th *proc.Thread) error {
 		}
 		total := 0.0
 		for l := 1; l <= ord.OLCnt; l++ {
-			ol, err := get[orderLineRow](tx, "order_line", oldest+fmt.Sprintf("-%02d", l))
+			ol, err := get[orderLineRow](tx, "order_line", kLineOf(oldest, l))
 			if err != nil {
 				return err
 			}
@@ -523,7 +570,7 @@ func (cl *Client) StockLevel(th *proc.Thread) error {
 	seen := map[int]bool{}
 	low := 0
 	start := kOrderLine(w, d, lowOID, 0)
-	dPrefix := fmt.Sprintf("%03d-%02d", w, d)
+	dPrefix := kDistrict(w, d)
 	err = tx.Scan("order_line", start, func(k string, v []byte) bool {
 		if !strings.HasPrefix(k, dPrefix) {
 			return false

@@ -2,12 +2,19 @@ package tpcc_test
 
 import (
 	"encoding/json"
+	"hash/fnv"
 	"testing"
 
+	"zofs/internal/lockprof"
+	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
+	"zofs/internal/series"
+	"zofs/internal/spans"
 	"zofs/internal/sqldb"
 	"zofs/internal/sysfactory"
+	"zofs/internal/telemetry"
 	"zofs/internal/tpcc"
+	"zofs/internal/vfs"
 )
 
 // smallCfg keeps unit tests fast; the harness uses Default().
@@ -170,22 +177,114 @@ func TestLastName(t *testing.T) {
 	}
 }
 
+// TestAllocBudget pins heap allocations per transaction, by type, with every
+// collector off. What is left is the JSON row codec, one string per key and
+// per scanned row, the copy each Get returns and the journal's handle; the
+// storage engine walks and edits cached pages without allocating (at the
+// commit before it did: NEW 5,583, PAY 340, OS 1,176, DLY 5,881, SL 17,238).
+func TestAllocBudget(t *testing.T) {
+	if telemetry.Active() != nil || spans.Active() != nil || series.Active() != nil ||
+		lockprof.Active() != nil || pmemtrace.Active() != nil {
+		t.Fatal("a collector is on: the budget is stated with all of them off")
+	}
+	db, p := setup(t)
+	th := p.NewThread()
+	cl := tpcc.NewClient(db, smallCfg(), 5)
+	for i := 0; i < 100; i++ {
+		if err := cl.Exec(th, tpcc.NEW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Means over 50 transactions: NEW 234 (17 per order line), PAY 36, OS 48,
+	// DLY 239, SL 2,089 (10 per order line of the last 20 orders).
+	budget := map[tpcc.TxType]float64{tpcc.NEW: 300, tpcc.PAY: 60, tpcc.OS: 100, tpcc.DLY: 350, tpcc.SL: 3000}
+	for _, typ := range tpcc.MixOrder {
+		got := testing.AllocsPerRun(50, func() {
+			if err := cl.Exec(th, typ); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > budget[typ] {
+			t.Errorf("%s: %v allocs per transaction, budget %v", typ, got, budget[typ])
+		}
+	}
+}
+
+// mixedTx is the i-th transaction of a fixed 25-transaction cycle in Table
+// 8's 44/44/4/4/4 proportions, NEW first so the others have orders to act on.
+func mixedTx(i int) tpcc.TxType {
+	switch i % 25 {
+	case 8:
+		return tpcc.OS
+	case 16:
+		return tpcc.DLY
+	case 24:
+		return tpcc.SL
+	}
+	if i%2 == 0 {
+		return tpcc.NEW
+	}
+	return tpcc.PAY
+}
+
 // TestIdenticalRunsIssueIdenticalTraffic: the pager commits dirty pages in
 // page order, so two runs of one transaction stream move exactly the same
 // bytes. In map order, which page extended the database file first — a size
 // publish is 16 bytes, an in-place write's mtime 8 — differed between runs.
+//
+// The fingerprint is also pinned: it was taken at the commit before sqldb
+// began searching and editing pages in place (PR 21), so "the database file
+// and the file system traffic did not change" is a constant here. A change
+// that means to move the format, the call sequence or a th.CPU charge takes a
+// new fingerprint and says so.
 func TestIdenticalRunsIssueIdenticalTraffic(t *testing.T) {
-	run := func() (written, read int64) {
-		db, p := setup(t)
-		if _, err := tpcc.RunWorkload(db, p, smallCfg(), "mixed", 200); err != nil {
+	type fingerprint struct {
+		written, read int64  // media bytes, load included
+		clock         int64  // the client's virtual clock after the last transaction
+		dbHash        uint64 // FNV-1a of /tpcc.db
+	}
+	run := func() fingerprint {
+		in, err := sysfactory.ZoFS.New(2 << 30)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return p.Device().BytesWritten(), p.Device().BytesRead()
+		th := in.Proc.NewThread()
+		db, err := tpcc.Setup(in.FS, th, smallCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := tpcc.NewClient(db, smallCfg(), 12345)
+		for i := 0; i < 200; i++ {
+			if err := cl.Exec(th, mixedTx(i)); err != nil {
+				t.Fatalf("tx %d (%s): %v", i, mixedTx(i), err)
+			}
+		}
+		fp := fingerprint{
+			written: in.Proc.Device().BytesWritten(),
+			read:    in.Proc.Device().BytesRead(),
+			clock:   th.Clk.Now(),
+		}
+		h, err := in.FS.Open(th, "/tpcc.db", vfs.O_RDONLY)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close(th)
+		sum, buf := fnv.New64a(), make([]byte, 64<<10)
+		for off := int64(0); ; {
+			n, err := h.ReadAt(th, buf, off)
+			sum.Write(buf[:n])
+			off += int64(n)
+			if n < len(buf) || err != nil {
+				break
+			}
+		}
+		fp.dbHash = sum.Sum64()
+		return fp
 	}
-	w0, r0 := run()
+	want := fingerprint{written: 18806616, read: 784308, clock: 3979971, dbHash: 689123749424417242}
 	for i := 0; i < 3; i++ {
-		if w, r := run(); w != w0 || r != r0 {
-			t.Fatalf("run %d wrote %d and read %d media bytes, the first run %d and %d", i+1, w, r, w0, r0)
+		if got := run(); got != want {
+			t.Fatalf("run %d: fingerprint %+v, pinned %+v", i, got, want)
 		}
 	}
 }
