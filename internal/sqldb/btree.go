@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -51,14 +52,14 @@ func setHeader(pg []byte, typ byte, ncells int, right int64) {
 	binary.LittleEndian.PutUint64(pg[btRightOff:], uint64(right))
 }
 
-func putLeafCell(at []byte, key string, val []byte) {
+func putLeafCell(at, key, val []byte) {
 	binary.LittleEndian.PutUint16(at, uint16(len(key)))
 	binary.LittleEndian.PutUint16(at[2:], uint16(len(val)))
 	copy(at[leafCellHdr:], key)
 	copy(at[leafCellHdr+len(key):], val)
 }
 
-func putInteriorCell(at []byte, key string, child int64) {
+func putInteriorCell(at, key []byte, child int64) {
 	binary.LittleEndian.PutUint16(at, uint16(len(key)))
 	binary.LittleEndian.PutUint64(at[2:], uint64(child))
 	copy(at[interiorCellHdr:], key)
@@ -131,19 +132,18 @@ func (pg *cpage) child(i int) int64 {
 }
 
 // search finds the index of the first cell with key >= k and reports whether
-// that cell's key is k. (A string conversion that is only compared does not
-// allocate.)
-func (pg *cpage) search(k string) (int, bool) {
+// that cell's key is k.
+func (pg *cpage) search(k []byte) (int, bool) {
 	lo, hi := 0, pg.ncells()
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if string(pg.key(mid)) < k {
+		if bytes.Compare(pg.key(mid), k) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < pg.ncells() && string(pg.key(lo)) == k
+	return lo, lo < pg.ncells() && bytes.Equal(pg.key(lo), k)
 }
 
 // btree is one tree (a table or index) within the database file.
@@ -178,7 +178,7 @@ func (t *btree) node(th *proc.Thread, no int64) (*cpage, error) {
 
 // descend walks from the root to the leaf whose key range covers key,
 // charging perLevel for every page on the way.
-func (t *btree) descend(th *proc.Thread, key string, perLevel int64) (int64, *cpage, error) {
+func (t *btree) descend(th *proc.Thread, key []byte, perLevel int64) (int64, *cpage, error) {
 	no := t.root
 	for {
 		th.CPU(perLevel)
@@ -191,8 +191,9 @@ func (t *btree) descend(th *proc.Thread, key string, perLevel int64) (int64, *cp
 	}
 }
 
-// Get returns a private copy of the value for key.
-func (t *btree) Get(th *proc.Thread, key string) ([]byte, error) {
+// Get returns a view of the value for key: bytes of the cached page, valid
+// until the tree is next written or rolled back.
+func (t *btree) Get(th *proc.Thread, key []byte) ([]byte, error) {
 	_, pg, err := t.descend(th, key, perfmodel.CPUHashLookup)
 	if err != nil {
 		return nil, err
@@ -201,11 +202,12 @@ func (t *btree) Get(th *proc.Thread, key string) ([]byte, error) {
 	if !found {
 		return nil, ErrNotFound
 	}
-	return append([]byte(nil), pg.val(i)...), nil
+	return pg.val(i), nil
 }
 
-// Put inserts or replaces a key.
-func (t *btree) Put(th *proc.Thread, key string, val []byte) error {
+// Put inserts or replaces a key. Neither key nor val may be a view of a
+// cached page: the edit moves the bytes a view shows.
+func (t *btree) Put(th *proc.Thread, key, val []byte) error {
 	if len(key) > MaxKeyLen || len(val) > MaxValLen {
 		return fmt.Errorf("sqldb: key/value too large (%d/%d)", len(key), len(val))
 	}
@@ -256,13 +258,14 @@ func (t *btree) splice(pg *cpage, i, old, size int) (*cpage, int) {
 }
 
 // split divides big, the oversize image of pg after an edit, between pg
-// (the lower cells) and a new right page; it returns the separator key and
-// the new page. Half the cells stay, and of an interior page the one behind
-// them moves up as the separator; the point shifts only as far as a half
-// of unequal cells needs to fit its page.
-func (t *btree) split(th *proc.Thread, pg, big *cpage) (string, int64, error) {
+// (the lower cells) and a new right page; it returns the separator key (in
+// the pager's buffer for it, good until the next split) and the new page.
+// Half the cells stay, and of an interior page the one behind them moves up
+// as the separator; the point shifts only as far as a half of unequal cells
+// needs to fit its page.
+func (t *btree) split(th *proc.Thread, pg, big *cpage) ([]byte, int64, error) {
 	if err := big.index(); err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	n, end, leaf := big.ncells(), big.end(), big.leaf()
 	upper := func(h int) int { // first cell of the right page
@@ -283,7 +286,7 @@ func (t *btree) split(th *proc.Thread, pg, big *cpage) (string, int64, error) {
 	if !leaf {
 		sep, lowRight = h, big.child(h)
 	}
-	promoted := string(big.key(sep))
+	promoted := append(t.pg.sep[:0], big.key(sep)...)
 	setHeader(newPg.buf, big.buf[btTypeOff], n-upper(h), big.right())
 	copy(newPg.buf[btCellsOff:], big.buf[big.slots[upper(h)]:end])
 	lowEnd := int(big.slots[h])
@@ -291,7 +294,7 @@ func (t *btree) split(th *proc.Thread, pg, big *cpage) (string, int64, error) {
 	clear(pg.buf[lowEnd:])
 	setHeader(pg.buf, big.buf[btTypeOff], h, lowRight)
 	if err := t.pg.write(th, newNo); err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	return promoted, newNo, nil
 }
@@ -299,11 +302,11 @@ func (t *btree) split(th *proc.Thread, pg, big *cpage) (string, int64, error) {
 // insert recursively inserts into subtree no; on split it returns the
 // promoted separator key and the new right page. A page is journaled
 // (pager.write) before its first byte moves.
-func (t *btree) insert(th *proc.Thread, no int64, key string, val []byte) (string, int64, error) {
+func (t *btree) insert(th *proc.Thread, no int64, key, val []byte) ([]byte, int64, error) {
 	th.CPU(perfmodel.CPUHashLookup)
 	pg, err := t.node(th, no)
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	i, found := pg.search(key)
 
@@ -313,12 +316,12 @@ func (t *btree) insert(th *proc.Thread, no int64, key string, val []byte) (strin
 			old = int(pg.slots[i+1] - pg.slots[i])
 		}
 		if err := t.pg.write(th, no); err != nil {
-			return "", 0, err
+			return nil, 0, err
 		}
 		dst, off := t.splice(pg, i, old, leafCellHdr+len(key)+len(val))
 		putLeafCell(dst.buf[off:], key, val)
 		if dst == pg {
-			return "", 0, nil
+			return nil, 0, nil
 		}
 		return t.split(th, pg, dst)
 	}
@@ -326,12 +329,12 @@ func (t *btree) insert(th *proc.Thread, no int64, key string, val []byte) (strin
 	childNo := pg.child(i)
 	promoted, newChild, err := t.insert(th, childNo, key, val)
 	if err != nil || newChild == 0 {
-		return "", 0, err
+		return nil, 0, err
 	}
 	// The child split: {promoted, childNo} goes in before position i, and
 	// the pointer that led to childNo now leads to the new child.
 	if err := t.pg.write(th, no); err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	if i < pg.ncells() {
 		binary.LittleEndian.PutUint64(pg.buf[int(pg.slots[i])+2:], uint64(newChild))
@@ -341,7 +344,7 @@ func (t *btree) insert(th *proc.Thread, no int64, key string, val []byte) (strin
 	dst, off := t.splice(pg, i, 0, interiorCellHdr+len(promoted))
 	putInteriorCell(dst.buf[off:], promoted, childNo)
 	if dst == pg {
-		return "", 0, nil
+		return nil, 0, nil
 	}
 	return t.split(th, pg, dst)
 }
@@ -350,7 +353,7 @@ func (t *btree) insert(th *proc.Thread, no int64, key string, val []byte) (strin
 // the chain, as tombstone-free deletion suffices for TPC-C's new_order).
 // Its descent has never been charged per level, and the pinned traffic
 // fingerprint (tpcc) keeps it so.
-func (t *btree) Delete(th *proc.Thread, key string) error {
+func (t *btree) Delete(th *proc.Thread, key []byte) error {
 	no, pg, err := t.descend(th, key, 0)
 	if err != nil {
 		return err
@@ -367,9 +370,9 @@ func (t *btree) Delete(th *proc.Thread, key string) error {
 }
 
 // Scan iterates keys >= start in order, calling fn until it returns false.
-// val is a view of the cached page, valid until fn returns; fn must not
+// key and val are views of the cached page, as Get's value is; fn must not
 // modify the tree.
-func (t *btree) Scan(th *proc.Thread, start string, fn func(key string, val []byte) bool) error {
+func (t *btree) Scan(th *proc.Thread, start []byte, fn func(key, val []byte) bool) error {
 	no, _, err := t.descend(th, start, perfmodel.CPUHashLookup)
 	if err != nil {
 		return err
@@ -382,7 +385,7 @@ func (t *btree) Scan(th *proc.Thread, start string, fn func(key string, val []by
 		}
 		for i, _ := pg.search(start); i < pg.ncells(); i++ {
 			th.CPU(perfmodel.CPUSmallOp)
-			if !fn(string(pg.key(i)), pg.val(i)) {
+			if !fn(pg.key(i), pg.val(i)) {
 				return nil
 			}
 		}

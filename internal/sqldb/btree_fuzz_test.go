@@ -141,15 +141,15 @@ func runDifferential(t testing.TB, data []byte) refStats {
 		switch {
 		case op < 10: // put: new, or replacing with another length
 			val := bytes.Repeat([]byte{data[3]}, vlen%(MaxValLen+1))
-			d.must(d.tree.Put(d.th, key, val))
+			d.must(d.tree.Put(d.th, []byte(key), val))
 			d.rtree.Put(key, val)
 		case op == 10, op == 11:
-			err, rerr := d.tree.Delete(d.th, key), d.rtree.Delete(key)
+			err, rerr := d.tree.Delete(d.th, []byte(key)), d.rtree.Delete(key)
 			if !errors.Is(err, rerr) {
 				t.Fatalf("%s: Delete = %v, reference %v", when, err, rerr)
 			}
 		case op == 12:
-			v, err := d.tree.Get(d.th, key)
+			v, err := d.tree.Get(d.th, []byte(key)) // a view: compared before the next write
 			rv, rerr := d.rtree.Get(key)
 			if !errors.Is(err, rerr) || !bytes.Equal(v, rv) {
 				t.Fatalf("%s: Get = %d bytes, %v; reference %d bytes, %v", when, len(v), err, len(rv), rerr)
@@ -157,8 +157,8 @@ func runDifferential(t testing.TB, data []byte) refStats {
 		case op == 13:
 			var rows, rrows []fuzzRow
 			limit := 1 + vlen%64
-			d.must(d.tree.Scan(d.th, key, func(k string, v []byte) bool {
-				rows = append(rows, fuzzRow{k, slices.Clone(v)})
+			d.must(d.tree.Scan(d.th, []byte(key), func(k, v []byte) bool {
+				rows = append(rows, fuzzRow{string(k), slices.Clone(v)})
 				return len(rows) < limit
 			}))
 			d.rtree.Scan(key, func(k string, v []byte) bool {

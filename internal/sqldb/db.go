@@ -3,6 +3,7 @@ package sqldb
 import (
 	"encoding/binary"
 	"errors"
+	"sync/atomic"
 
 	"zofs/internal/lockprof"
 	"zofs/internal/proc"
@@ -17,6 +18,7 @@ type DB struct {
 	lock    lockprof.Mutex
 	catalog *btree
 	tables  map[string]*btree
+	txSeq   atomic.Uint64 // odd while a transaction is open: its number
 }
 
 // Open opens (creating if needed) a database file.
@@ -64,53 +66,62 @@ func (db *DB) init(th *proc.Thread) error {
 func (db *DB) Close(th *proc.Thread) error { return db.p.close(th) }
 
 // Tx is an open transaction. All mutations go through a Tx; the journal
-// guarantees all-or-nothing visibility across crashes.
+// guarantees all-or-nothing visibility across crashes. A Tx is a value that
+// names its transaction by number, so beginning one allocates nothing and a
+// handle kept past Commit or Rollback is inert, whoever began since.
 type Tx struct {
-	db   *DB
-	th   *proc.Thread
-	done bool
+	db  *DB
+	th  *proc.Thread
+	seq uint64
 }
 
 // Begin starts a transaction, taking the database write lock.
-func (db *DB) Begin(th *proc.Thread) (*Tx, error) {
+func (db *DB) Begin(th *proc.Thread) (Tx, error) {
 	db.lock.Lock(th.Clk)
 	if err := db.p.begin(th); err != nil {
 		db.lock.Unlock(th.Clk)
-		return nil, err
+		return Tx{}, err
 	}
-	return &Tx{db: db, th: th}, nil
+	return Tx{db: db, th: th, seq: db.txSeq.Add(1)}, nil
+}
+
+// finished reports whether the transaction was committed or rolled back.
+func (tx Tx) finished() bool { return tx.db.txSeq.Load() != tx.seq }
+
+// finish retires the handle and releases the database lock.
+func (tx Tx) finish() {
+	tx.db.txSeq.Add(1)
+	tx.db.lock.Unlock(tx.th.Clk)
 }
 
 // Commit makes the transaction durable. A commit that fails is rolled back
 // from the journal, so the database is left as it was before the
 // transaction and the next one can begin.
-func (tx *Tx) Commit() error {
-	if tx.done {
+func (tx Tx) Commit() error {
+	if tx.finished() {
 		return errors.New("sqldb: transaction finished")
 	}
 	if err := tx.db.p.commit(tx.th); err != nil {
 		tx.Rollback()
 		return err
 	}
-	tx.done = true
-	tx.db.lock.Unlock(tx.th.Clk)
+	tx.finish()
 	return nil
 }
 
 // Rollback undoes the transaction; cached table handles are invalidated
 // because their roots may have been rolled back.
-func (tx *Tx) Rollback() error {
-	if tx.done {
+func (tx Tx) Rollback() error {
+	if tx.finished() {
 		return nil
 	}
-	tx.done = true
 	err := tx.db.p.rollback(tx.th)
-	tx.db.tables = map[string]*btree{}
+	clear(tx.db.tables)
 	catRoot, herr := tx.db.p.loadHeader(tx.th)
 	if herr == nil {
-		tx.db.catalog = &btree{pg: tx.db.p, root: catRoot}
+		tx.db.catalog.root = catRoot
 	}
-	tx.db.lock.Unlock(tx.th.Clk)
+	tx.finish()
 	if err != nil {
 		return err
 	}
@@ -122,7 +133,7 @@ func (db *DB) table(th *proc.Thread, name string, create bool) (*btree, error) {
 	if t, ok := db.tables[name]; ok {
 		return t, nil
 	}
-	v, err := db.catalog.Get(th, name)
+	v, err := db.catalog.Get(th, []byte(name))
 	if err == nil {
 		t := &btree{pg: db.p, root: int64(binary.LittleEndian.Uint64(v))}
 		db.tables[name] = t
@@ -148,7 +159,7 @@ func (db *DB) setTableRoot(th *proc.Thread, name string, root int64) error {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(root))
 	oldCat := db.catalog.root
-	if err := db.catalog.Put(th, name, buf[:]); err != nil {
+	if err := db.catalog.Put(th, []byte(name), buf[:]); err != nil {
 		return err
 	}
 	if db.catalog.root != oldCat {
@@ -158,13 +169,14 @@ func (db *DB) setTableRoot(th *proc.Thread, name string, root int64) error {
 }
 
 // CreateTable ensures a table exists.
-func (tx *Tx) CreateTable(name string) error {
+func (tx Tx) CreateTable(name string) error {
 	_, err := tx.db.table(tx.th, name, true)
 	return err
 }
 
-// Put inserts or replaces a row.
-func (tx *Tx) Put(table, key string, val []byte) error {
+// Put inserts or replaces a row. key and val are the caller's own bytes, not
+// views that Get or Scan returned: the write moves what those show.
+func (tx Tx) Put(table string, key, val []byte) error {
 	t, err := tx.db.table(tx.th, table, true)
 	if err != nil {
 		return err
@@ -179,8 +191,10 @@ func (tx *Tx) Put(table, key string, val []byte) error {
 	return nil
 }
 
-// Get reads a row inside the transaction.
-func (tx *Tx) Get(table, key string) ([]byte, error) {
+// Get reads a row inside the transaction. The value is a view of the cached
+// page: it is valid until the transaction's next Put, Delete or Rollback
+// (copy what must outlive that), and the caller must not write through it.
+func (tx Tx) Get(table string, key []byte) ([]byte, error) {
 	t, err := tx.db.table(tx.th, table, false)
 	if err != nil {
 		return nil, err
@@ -189,7 +203,7 @@ func (tx *Tx) Get(table, key string) ([]byte, error) {
 }
 
 // Delete removes a row.
-func (tx *Tx) Delete(table, key string) error {
+func (tx Tx) Delete(table string, key []byte) error {
 	t, err := tx.db.table(tx.th, table, false)
 	if err != nil {
 		return err
@@ -197,10 +211,9 @@ func (tx *Tx) Delete(table, key string) error {
 	return t.Delete(tx.th, key)
 }
 
-// Scan iterates rows with key >= start until fn returns false. val is a view
-// of the cached page: it is valid until fn returns (copy what must outlive
-// the call), and fn must not write to the database.
-func (tx *Tx) Scan(table, start string, fn func(key string, val []byte) bool) error {
+// Scan iterates rows with key >= start until fn returns false. key and val
+// are views as Get's value is, and fn must not write to the database.
+func (tx Tx) Scan(table string, start []byte, fn func(key, val []byte) bool) error {
 	t, err := tx.db.table(tx.th, table, false)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
@@ -211,7 +224,8 @@ func (tx *Tx) Scan(table, start string, fn func(key string, val []byte) bool) er
 	return t.Scan(tx.th, start, fn)
 }
 
-// Get performs a read-only lookup outside any transaction.
+// Get performs a read-only lookup outside any transaction and returns a copy
+// of the value: no transaction bounds a view's life here.
 func (db *DB) Get(th *proc.Thread, table, key string) ([]byte, error) {
 	db.lock.Lock(th.Clk)
 	defer db.lock.Unlock(th.Clk)
@@ -219,11 +233,15 @@ func (db *DB) Get(th *proc.Thread, table, key string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.Get(th, key)
+	v, err := t.Get(th, []byte(key))
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), v...), nil
 }
 
-// Scan performs a read-only range scan outside any transaction; val is a
-// view, as in Tx.Scan.
+// Scan performs a read-only range scan outside any transaction, with each
+// key as a string of its own; val is a view, valid until fn returns.
 func (db *DB) Scan(th *proc.Thread, table, start string, fn func(key string, val []byte) bool) error {
 	db.lock.Lock(th.Clk)
 	defer db.lock.Unlock(th.Clk)
@@ -234,5 +252,5 @@ func (db *DB) Scan(th *proc.Thread, table, start string, fn func(key string, val
 		}
 		return err
 	}
-	return t.Scan(th, start, fn)
+	return t.Scan(th, []byte(start), func(k, v []byte) bool { return fn(string(k), v) })
 }

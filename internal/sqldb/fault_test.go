@@ -139,7 +139,7 @@ func faultDB(t *testing.T, f *faultFS, th *proc.Thread) *sqldb.DB {
 	tx, err := db.Begin(th)
 	must(err)
 	for i := 0; i < faultRows; i++ {
-		must(tx.Put("t", faultKey(i), make([]byte, 200)))
+		must(tx.Put("t", []byte(faultKey(i)), make([]byte, 200)))
 	}
 	must(tx.Commit())
 	must(db.Close(th))
@@ -159,7 +159,7 @@ func TestFaultAtEveryCall(t *testing.T) {
 			return err
 		}
 		for _, k := range []string{faultKey(3), faultKey(faultRows - 2), "fresh"} {
-			if err := tx.Put("t", k, val); err != nil {
+			if err := tx.Put("t", []byte(k), val); err != nil {
 				tx.Rollback()
 				return err
 			}
@@ -244,7 +244,7 @@ func TestOpenFaultLeaksNoHandle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := tx.Put("t", faultKey(0), []byte("uncommitted")); err != nil {
+				if err := tx.Put("t", []byte(faultKey(0)), []byte("uncommitted")); err != nil {
 					t.Fatal(err)
 				}
 			}

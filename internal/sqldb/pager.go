@@ -49,6 +49,7 @@ type pager struct {
 	journal vfs.Handle
 	rec     [8 + PageSize]byte // the one journal record (and header) buffer
 	big     cpage              // where a page that outgrew PageSize is laid out before it splits
+	sep     [MaxKeyLen]byte    // the separator key a split hands its parent
 }
 
 func openPager(fs vfs.FileSystem, th *proc.Thread, path string) (*pager, error) {

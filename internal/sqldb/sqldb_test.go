@@ -1,6 +1,7 @@
 package sqldb_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -32,10 +33,10 @@ func TestPutGetCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tx.Put("t", "k1", []byte("v1")); err != nil {
+	if err := tx.Put("t", []byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	v, err := tx.Get("t", "k1")
+	v, err := tx.Get("t", []byte("k1"))
 	if err != nil || string(v) != "v1" {
 		t.Fatalf("in-txn Get = %q,%v", v, err)
 	}
@@ -54,12 +55,12 @@ func TestPutGetCommit(t *testing.T) {
 func TestRollbackUndoesEverything(t *testing.T) {
 	db, _, th := newDB(t)
 	tx, _ := db.Begin(th)
-	tx.Put("t", "keep", []byte("A"))
+	tx.Put("t", []byte("keep"), []byte("A"))
 	tx.Commit()
 
 	tx2, _ := db.Begin(th)
-	tx2.Put("t", "keep", []byte("B"))
-	tx2.Put("t", "new", []byte("C"))
+	tx2.Put("t", []byte("keep"), []byte("B"))
+	tx2.Put("t", []byte("new"), []byte("C"))
 	if err := tx2.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRollbackUndoesEverything(t *testing.T) {
 	}
 	// The database remains usable.
 	tx3, _ := db.Begin(th)
-	if err := tx3.Put("t", "after", []byte("D")); err != nil {
+	if err := tx3.Put("t", []byte("after"), []byte("D")); err != nil {
 		t.Fatal(err)
 	}
 	tx3.Commit()
@@ -84,7 +85,7 @@ func TestManyRowsSplitAndScan(t *testing.T) {
 	const n = 3000
 	val := make([]byte, 100)
 	for i := 0; i < n; i++ {
-		if err := tx.Put("big", fmt.Sprintf("row-%06d", i), val); err != nil {
+		if err := tx.Put("big", []byte(fmt.Sprintf("row-%06d", i)), val); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -117,10 +118,10 @@ func TestDeleteRows(t *testing.T) {
 	db, _, th := newDB(t)
 	tx, _ := db.Begin(th)
 	for i := 0; i < 100; i++ {
-		tx.Put("t", fmt.Sprintf("d%03d", i), []byte("x"))
+		tx.Put("t", []byte(fmt.Sprintf("d%03d", i)), []byte("x"))
 	}
 	for i := 0; i < 100; i += 2 {
-		if err := tx.Delete("t", fmt.Sprintf("d%03d", i)); err != nil {
+		if err := tx.Delete("t", []byte(fmt.Sprintf("d%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -141,11 +142,11 @@ func TestHotJournalRecovery(t *testing.T) {
 	// but the journal still present. Reopening must roll back.
 	db, fs, th := newDB(t)
 	tx, _ := db.Begin(th)
-	tx.Put("t", "stable", []byte("OLD"))
+	tx.Put("t", []byte("stable"), []byte("OLD"))
 	tx.Commit()
 
 	tx2, _ := db.Begin(th)
-	tx2.Put("t", "stable", []byte("NEW"))
+	tx2.Put("t", []byte("stable"), []byte("NEW"))
 	// Crash before commit: abandon the Tx, leaving the hot journal, and
 	// simulate the dirty page having partially reached the file.
 	// (The pager only writes at commit, so just leave the journal.)
@@ -164,7 +165,7 @@ func TestReopenSeesCommitted(t *testing.T) {
 	db, fs, th := newDB(t)
 	tx, _ := db.Begin(th)
 	for i := 0; i < 500; i++ {
-		tx.Put("t", fmt.Sprintf("p%04d", i), []byte("v"))
+		tx.Put("t", []byte(fmt.Sprintf("p%04d", i)), []byte("v"))
 	}
 	tx.Commit()
 	db.Close(th)
@@ -183,8 +184,8 @@ func TestReopenSeesCommitted(t *testing.T) {
 func TestTwoTables(t *testing.T) {
 	db, _, th := newDB(t)
 	tx, _ := db.Begin(th)
-	tx.Put("a", "k", []byte("in-a"))
-	tx.Put("b", "k", []byte("in-b"))
+	tx.Put("a", []byte("k"), []byte("in-a"))
+	tx.Put("b", []byte("k"), []byte("in-b"))
 	tx.Commit()
 	va, _ := db.Get(th, "a", "k")
 	vb, _ := db.Get(th, "b", "k")
@@ -197,10 +198,10 @@ func TestOversizedRejected(t *testing.T) {
 	db, _, th := newDB(t)
 	tx, _ := db.Begin(th)
 	defer tx.Rollback()
-	if err := tx.Put("t", string(make([]byte, 300)), []byte("v")); err == nil {
+	if err := tx.Put("t", []byte(string(make([]byte, 300))), []byte("v")); err == nil {
 		t.Fatal("oversized key accepted")
 	}
-	if err := tx.Put("t", "k", make([]byte, 4000)); err == nil {
+	if err := tx.Put("t", []byte("k"), make([]byte, 4000)); err == nil {
 		t.Fatal("oversized value accepted")
 	}
 }
@@ -223,13 +224,13 @@ func TestBtreeMatchesMapProperty(t *testing.T) {
 			k := fmt.Sprintf("pk-%03d", op.K)
 			if op.D {
 				delete(model, k)
-				if err := tx.Delete("prop", k); err != nil && !errors.Is(err, sqldb.ErrNotFound) {
+				if err := tx.Delete("prop", []byte(k)); err != nil && !errors.Is(err, sqldb.ErrNotFound) {
 					return false
 				}
 			} else {
 				v := fmt.Sprintf("val-%03d", op.V)
 				model[k] = v
-				if err := tx.Put("prop", k, []byte(v)); err != nil {
+				if err := tx.Put("prop", []byte(k), []byte(v)); err != nil {
 					return false
 				}
 			}
@@ -247,5 +248,77 @@ func TestBtreeMatchesMapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGetAfterTheViewDied: Get returns a view of the cached page, which a
+// write to that page moves. Here the write splits the page, so the row the
+// view showed leaves it for a new one; a second Get finds the row there, and
+// the commit stores it.
+func TestGetAfterTheViewDied(t *testing.T) {
+	db, _, th := newDB(t)
+	tx, err := db.Begin(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(i int) []byte { return bytes.Repeat([]byte{'a' + byte(i)}, 1000) }
+	for i := 1; i <= 4; i++ { // four rows of a kilobyte: one leaf, no room for a fifth
+		if err := tx.Put("t", []byte{'k', '0' + byte(i)}, row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	view, err := tx.Get("t", []byte("k4"))
+	if err != nil || !bytes.Equal(view, row(4)) {
+		t.Fatalf("Get = %.8q…, %v", view, err)
+	}
+	if err := tx.Put("t", []byte("k0"), row(0)); err != nil { // shifts every row, then splits
+		t.Fatal(err)
+	}
+	if bytes.Equal(view, row(4)) {
+		t.Fatal("the view survived a write that moved its row: Get copies, or the leaf did not split")
+	}
+	for i := 0; i <= 4; i++ {
+		if v, err := tx.Get("t", []byte{'k', '0' + byte(i)}); err != nil || !bytes.Equal(v, row(i)) {
+			t.Fatalf("row %d after the split = %.8q…, %v", i, v, err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := db.Get(th, "t", "k4"); err != nil || !bytes.Equal(v, row(4)) {
+		t.Fatalf("row 4 committed = %.8q…, %v", v, err)
+	}
+}
+
+// TestFinishedTxIsInert: a Tx is a value, so a handle outlives its
+// transaction (tpcc defers a Rollback behind every Commit); used then, it
+// must not end the transaction that began since.
+func TestFinishedTxIsInert(t *testing.T) {
+	db, _, th := newDB(t)
+	tx1, err := db.Begin(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx2, err := db.Begin(th)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Put("t", []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx1.Rollback(); err != nil {
+		t.Fatalf("Rollback of a committed transaction: %v", err)
+	}
+	if err := tx1.Commit(); err == nil {
+		t.Fatal("a second Commit succeeded")
+	}
+	if err := tx2.Commit(); err != nil {
+		t.Fatalf("the open transaction after the old handle was used: %v", err)
+	}
+	if v, err := db.Get(th, "t", "k"); err != nil || string(v) != "v" {
+		t.Fatalf("its row = %q, %v", v, err)
 	}
 }

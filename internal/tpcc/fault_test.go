@@ -42,9 +42,10 @@ func (h *readFaultHandle) ReadAt(th *proc.Thread, p []byte, off int64) (int, err
 	return h.Handle.ReadAt(th, p, off)
 }
 
-// TestReadFaultFailsTheTransaction: whichever page read of an Order-Status or
-// Delivery transaction fails — the index scans' included — the transaction
-// fails; it does not read the fault as "nothing there" and commit.
+// TestReadFaultFailsTheTransaction: whichever page read of a transaction of
+// any type fails — the index scans' included, and Stock-Level's lookups from
+// inside its scan — the transaction fails; it does not read the fault as
+// "nothing there" and commit.
 func TestReadFaultFailsTheTransaction(t *testing.T) {
 	in, err := sysfactory.ZoFS.New(2 << 30)
 	if err != nil {
@@ -61,7 +62,7 @@ func TestReadFaultFailsTheTransaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, typ := range []tpcc.TxType{tpcc.OS, tpcc.DLY} {
+	for _, typ := range tpcc.MixOrder {
 		for n := 1; ; n++ {
 			// A cold cache and the same client state: the same reads each round.
 			if err := db.Close(th); err != nil {

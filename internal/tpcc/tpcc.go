@@ -7,12 +7,11 @@
 package tpcc
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"strconv"
-	"strings"
 
 	"zofs/internal/proc"
 	"zofs/internal/sqldb"
@@ -47,63 +46,9 @@ func (c *Config) fill() {
 	}
 }
 
-// Row types (JSON-encoded; realistic row sizes).
-type warehouseRow struct {
-	Name string  `json:"name"`
-	Tax  float64 `json:"tax"`
-	YTD  float64 `json:"ytd"`
-}
-
-type districtRow struct {
-	Name    string  `json:"name"`
-	Tax     float64 `json:"tax"`
-	YTD     float64 `json:"ytd"`
-	NextOID int     `json:"next_o_id"`
-}
-
-type customerRow struct {
-	First       string  `json:"first"`
-	Last        string  `json:"last"`
-	Balance     float64 `json:"balance"`
-	YTDPayment  float64 `json:"ytd_payment"`
-	PaymentCnt  int     `json:"payment_cnt"`
-	DeliveryCnt int     `json:"delivery_cnt"`
-	Data        string  `json:"data"`
-}
-
-type itemRow struct {
-	Name  string  `json:"name"`
-	Price float64 `json:"price"`
-}
-
-type stockRow struct {
-	Qty      int `json:"qty"`
-	YTD      int `json:"ytd"`
-	OrderCnt int `json:"order_cnt"`
-}
-
-type orderRow struct {
-	CID       int   `json:"c_id"`
-	EntryD    int64 `json:"entry_d"`
-	CarrierID int   `json:"carrier_id"`
-	OLCnt     int   `json:"ol_cnt"`
-}
-
-type orderLineRow struct {
-	ItemID int     `json:"i_id"`
-	Qty    int     `json:"qty"`
-	Amount float64 `json:"amount"`
-}
-
-type historyRow struct {
-	WID, DID, CID int
-	Amount        float64
-	Date          int64
-}
-
 // Keys: decimal fields zero-padded to a fixed width and joined by '-', so
-// that key order is numeric order. A builder fills one stack buffer and
-// allocates the string it returns, nothing else.
+// that key order is numeric order. Each builder appends its key to b — a
+// keyBuf of the caller's, so that a key costs no allocation — and returns it.
 type keyBuf [48]byte
 
 // appendKey appends each (value, width) pair of fields, the value (>= 0)
@@ -123,41 +68,36 @@ func appendKey(b []byte, fields ...int) []byte {
 	return b
 }
 
-func padKey(fields ...int) string { var b keyBuf; return string(appendKey(b[:0], fields...)) }
+func kWarehouse(b []byte, w int) []byte            { return appendKey(b, w, 3) }
+func kDistrict(b []byte, w, d int) []byte          { return appendKey(b, w, 3, d, 2) }
+func kCustomer(b []byte, w, d, c int) []byte       { return appendKey(b, w, 3, d, 2, c, 5) }
+func kItem(b []byte, i int) []byte                 { return appendKey(b, i, 6) }
+func kStock(b []byte, w, i int) []byte             { return appendKey(b, w, 3, i, 6) }
+func kOrder(b []byte, w, d, o int) []byte          { return appendKey(b, w, 3, d, 2, o, 8) }
+func kOrderLine(b []byte, w, d, o, l int) []byte   { return appendKey(b, w, 3, d, 2, o, 8, l, 2) }
+func kOrderByCust(b []byte, w, d, c, o int) []byte { return appendKey(b, w, 3, d, 2, c, 5, o, 8) }
+func kHistory(b []byte, seq, w int) []byte         { return appendKey(b, seq, 12, w, 3) }
 
-func kWarehouse(w int) string            { return padKey(w, 3) }
-func kDistrict(w, d int) string          { return padKey(w, 3, d, 2) }
-func kCustomer(w, d, c int) string       { return padKey(w, 3, d, 2, c, 5) }
-func kItem(i int) string                 { return padKey(i, 6) }
-func kStock(w, i int) string             { return padKey(w, 3, i, 6) }
-func kOrder(w, d, o int) string          { return padKey(w, 3, d, 2, o, 8) }
-func kOrderLine(w, d, o, l int) string   { return padKey(w, 3, d, 2, o, 8, l, 2) }
-func kOrderByCust(w, d, c, o int) string { return padKey(w, 3, d, 2, c, 5, o, 8) }
-func kHistory(seq, w int) string         { return padKey(seq, 12, w, 3) }
+// lenDistrictKey is the length of a district's key, the prefix of the key of
+// everything in the district.
+const lenDistrictKey = len("000-00")
 
 // kLineOf is kOrderLine from an order's key.
-func kLineOf(order string, l int) string {
-	var b keyBuf
-	return string(appendKey(append(append(b[:0], order...), '-'), l, 2))
+func kLineOf(b, order []byte, l int) []byte {
+	return appendKey(append(append(b, order...), '-'), l, 2)
 }
 
-// appendCustNamePrefix pads the last name to 16 columns, as %-16s does.
-func appendCustNamePrefix(b []byte, w, d int, last string) []byte {
-	b = append(append(appendKey(b, w, 3, d, 2), '-'), last...)
+// kCustNamePrefix pads the last name to 16 columns, as %-16s does.
+func kCustNamePrefix(b []byte, w, d int, last string) []byte {
+	b = append(append(kDistrict(b, w, d), '-'), last...)
 	for n := len(last); n < 16; n++ {
 		b = append(b, ' ')
 	}
 	return b
 }
 
-func kCustNamePrefix(w, d int, last string) string {
-	var b keyBuf
-	return string(appendCustNamePrefix(b[:0], w, d, last))
-}
-
-func kCustName(w, d int, last string, c int) string {
-	var b keyBuf
-	return string(appendKey(append(appendCustNamePrefix(b[:0], w, d, last), '-'), c, 5))
+func kCustName(b []byte, w, d int, last string, c int) []byte {
+	return appendKey(append(kCustNamePrefix(b, w, d, last), '-'), c, 5)
 }
 
 // TPC-C last-name syllables.
@@ -177,18 +117,37 @@ func nuRand(rng *rand.Rand, a, x, y int) int {
 // ErrAborted marks the intentional 1% New-Order rollback.
 var ErrAborted = errors.New("tpcc: transaction aborted (invalid item)")
 
-// Client runs transactions against a loaded database.
+// Client runs transactions against a loaded database. A transaction allocates
+// nothing of its own: it reads into the Client's one row of each shape, builds
+// its keys and the row it writes in the Client's buffers (sqldb.Tx.Put takes
+// bytes that are no view of a page) and collects into the Client's list and
+// set.
 type Client struct {
 	db   *sqldb.DB
 	cfg  Config
 	rng  *rand.Rand
 	hSeq int
+
+	wh    warehouseRow
+	dist  districtRow
+	cust  customerRow
+	item  itemRow
+	stock stockRow
+	order orderRow
+	line  orderLineRow
+
+	key  keyBuf // the key of the call being made
+	okey keyBuf // an order's key (a scan's start), kept while key changes
+	row  []byte // the row being put
+
+	ids  []int        // custByName's matches
+	seen map[int]bool // StockLevel's distinct items
 }
 
 // NewClient wraps a loaded database.
 func NewClient(db *sqldb.DB, cfg Config, seed int64) *Client {
 	cfg.fill()
-	return &Client{db: db, cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	return &Client{db: db, cfg: cfg, rng: rand.New(rand.NewSource(seed)), seen: map[int]bool{}}
 }
 
 // Load populates the database per the configuration.
@@ -199,10 +158,14 @@ func Load(db *sqldb.DB, th *proc.Thread, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	commitEvery := 0
-	recommit := func() error {
-		commitEvery++
-		if commitEvery%2000 == 0 {
+	var key, key2 keyBuf
+	var row []byte
+	puts := 0
+	put := func(table string, k, v []byte) error {
+		if err := tx.Put(table, k, v); err != nil {
+			return err
+		}
+		if puts++; puts%2000 == 0 {
 			if err := tx.Commit(); err != nil {
 				return err
 			}
@@ -211,47 +174,52 @@ func Load(db *sqldb.DB, th *proc.Thread, cfg Config) error {
 		}
 		return nil
 	}
-	put := func(table, key string, v any) error {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return err
+	// A district's customers differ from the next district's in nothing.
+	custs := make([]customerRow, cfg.CustomersPerDistrict)
+	filler := bytes.Repeat([]byte("x"), 250)
+	for i := range custs {
+		custs[i] = customerRow{
+			First: appendKey([]byte("first-"), i+1, 5), Last: text(LastName(i % 1000)),
+			Balance: -10, Data: filler,
 		}
-		if err := tx.Put(table, key, raw); err != nil {
-			return err
-		}
-		return recommit()
 	}
 	for w := 1; w <= cfg.Warehouses; w++ {
-		if err := put("warehouse", kWarehouse(w), warehouseRow{Name: "W", Tax: 0.07}); err != nil {
+		wh := warehouseRow{Name: text("W"), Tax: 0.07}
+		row = wh.appendJSON(row[:0])
+		if err := put("warehouse", kWarehouse(key[:0], w), row); err != nil {
 			return err
 		}
 		for i := 1; i <= cfg.Items; i++ {
 			if w == 1 {
-				if err := put("item", kItem(i), itemRow{Name: fmt.Sprintf("item-%06d", i), Price: 1 + float64(rng.Intn(9900))/100}); err != nil {
+				item := itemRow{
+					Name:  appendKey(append(key2[:0], "item-"...), i, 6),
+					Price: 1 + float64(rng.Intn(9900))/100,
+				}
+				row = item.appendJSON(row[:0])
+				if err := put("item", kItem(key[:0], i), row); err != nil {
 					return err
 				}
 			}
-			if err := put("stock", kStock(w, i), stockRow{Qty: 10 + rng.Intn(91)}); err != nil {
+			stock := stockRow{Qty: 10 + rng.Intn(91)}
+			row = stock.appendJSON(row[:0])
+			if err := put("stock", kStock(key[:0], w, i), row); err != nil {
 				return err
 			}
 		}
 		for d := 1; d <= cfg.Districts; d++ {
-			if err := put("district", kDistrict(w, d), districtRow{Name: "D", Tax: 0.05, NextOID: 1}); err != nil {
+			dist := districtRow{Name: text("D"), Tax: 0.05, NextOID: 1}
+			row = dist.appendJSON(row[:0])
+			if err := put("district", kDistrict(key[:0], w, d), row); err != nil {
 				return err
 			}
 			for c := 1; c <= cfg.CustomersPerDistrict; c++ {
-				last := LastName(((c - 1) % 1000))
-				row := customerRow{
-					First: fmt.Sprintf("first-%05d", c), Last: last,
-					Balance: -10, Data: strings.Repeat("x", 250),
-				}
-				if err := put("customer", kCustomer(w, d, c), row); err != nil {
+				cust := &custs[c-1]
+				row = cust.appendJSON(row[:0])
+				ck := kCustomer(key[:0], w, d, c)
+				if err := put("customer", ck, row); err != nil {
 					return err
 				}
-				if err := tx.Put("customer_name_idx", kCustName(w, d, last, c), []byte(kCustomer(w, d, c))); err != nil {
-					return err
-				}
-				if err := recommit(); err != nil {
+				if err := put("customer_name_idx", kCustName(key2[:0], w, d, string(cust.Last), c), ck); err != nil {
 					return err
 				}
 			}
@@ -260,43 +228,66 @@ func Load(db *sqldb.DB, th *proc.Thread, cfg Config) error {
 	return tx.Commit()
 }
 
-func get[T any](tx *sqldb.Tx, table, key string) (T, error) {
-	var out T
+// get reads the row at key into r.
+func get(tx sqldb.Tx, table string, key []byte, r row) error {
 	raw, err := tx.Get(table, key)
-	if err != nil {
-		return out, err
-	}
-	return out, json.Unmarshal(raw, &out)
-}
-
-func put(tx *sqldb.Tx, table, key string, v any) error {
-	raw, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	return tx.Put(table, key, raw)
+	if err := r.parse(raw); err != nil {
+		return fmt.Errorf("%s %s: %w", table, key, err)
+	}
+	return nil
+}
+
+// put writes r at key, through the Client's row buffer.
+func (cl *Client) put(tx sqldb.Tx, table string, key []byte, r row) error {
+	cl.row = r.appendJSON(cl.row[:0])
+	return tx.Put(table, key, cl.row)
 }
 
 // custByName resolves the spec's 60% select-by-last-name path: scan the
 // name index and take the middle match.
-func custByName(tx *sqldb.Tx, w, d int, last string) (int, error) {
-	prefix := kCustNamePrefix(w, d, last)
-	var ids []int
-	err := tx.Scan("customer_name_idx", prefix, func(k string, v []byte) bool {
-		if !strings.HasPrefix(k, prefix) {
+func (cl *Client) custByName(tx sqldb.Tx, w, d int, last string) (int, error) {
+	prefix := kCustNamePrefix(cl.key[:0], w, d, last)
+	cl.ids = cl.ids[:0]
+	var bad error
+	err := tx.Scan("customer_name_idx", prefix, func(k, _ []byte) bool {
+		if !bytes.HasPrefix(k, prefix) {
 			return false
 		}
-		c, _ := strconv.Atoi(k[len(prefix)+1:]) // an index key ends in the customer number
-		ids = append(ids, c)
+		// An index key ends in '-' and the customer number.
+		rest := k[len(prefix):]
+		c, err := strconv.Atoi(string(rest[min(1, len(rest)):]))
+		if err != nil {
+			bad = fmt.Errorf("customer_name_idx key %q: %w", k, err)
+			return false
+		}
+		cl.ids = append(cl.ids, c)
 		return true
 	})
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
 		return 0, err
 	}
-	if len(ids) == 0 {
+	if len(cl.ids) == 0 {
 		return 0, sqldb.ErrNotFound
 	}
-	return ids[len(ids)/2], nil
+	return cl.ids[len(cl.ids)/2], nil
+}
+
+// customer picks the transaction's customer as Payment and Order-Status do:
+// by last name 60% of the time (a name nobody has falls back to a number).
+func (cl *Client) customer(tx sqldb.Tx, w, d int) (int, error) {
+	if cl.rng.Intn(100) < 60 {
+		c, err := cl.custByName(tx, w, d, LastName(nuRand(cl.rng, 255, 0, 999)))
+		if !errors.Is(err, sqldb.ErrNotFound) {
+			return c, err
+		}
+	}
+	return nuRand(cl.rng, 1023, 1, cl.cfg.CustomersPerDistrict), nil
 }
 
 // NewOrder is the NEW transaction (§2.4.1 of the spec, simplified).
@@ -313,43 +304,44 @@ func (cl *Client) NewOrder(th *proc.Thread) error {
 	}
 	defer tx.Rollback()
 
-	if _, err := get[warehouseRow](tx, "warehouse", kWarehouse(w)); err != nil {
+	if err := get(tx, "warehouse", kWarehouse(cl.key[:0], w), &cl.wh); err != nil {
 		return err
 	}
-	dist, err := get[districtRow](tx, "district", kDistrict(w, d))
-	if err != nil {
+	dist := &cl.dist
+	if err := get(tx, "district", kDistrict(cl.key[:0], w, d), dist); err != nil {
 		return err
 	}
 	oID := dist.NextOID
 	dist.NextOID++
-	if err := put(tx, "district", kDistrict(w, d), dist); err != nil {
+	if err := cl.put(tx, "district", kDistrict(cl.key[:0], w, d), dist); err != nil {
 		return err
 	}
-	if _, err := get[customerRow](tx, "customer", kCustomer(w, d, c)); err != nil {
+	if err := get(tx, "customer", kCustomer(cl.key[:0], w, d, c), &cl.cust); err != nil {
 		return err
 	}
-	if err := put(tx, "orders", kOrder(w, d, oID), orderRow{CID: c, EntryD: th.Clk.Now(), OLCnt: olCnt}); err != nil {
+	okey := kOrder(cl.okey[:0], w, d, oID)
+	cl.order = orderRow{CID: c, EntryD: th.Clk.Now(), OLCnt: olCnt}
+	if err := cl.put(tx, "orders", okey, &cl.order); err != nil {
 		return err
 	}
-	if err := tx.Put("new_order", kOrder(w, d, oID), []byte{1}); err != nil {
+	if err := tx.Put("new_order", okey, []byte{1}); err != nil {
 		return err
 	}
 	// Index values are raw primary keys, not JSON rows.
-	if err := tx.Put("order_by_cust_idx", kOrderByCust(w, d, c, oID), []byte(kOrder(w, d, oID))); err != nil {
+	if err := tx.Put("order_by_cust_idx", kOrderByCust(cl.key[:0], w, d, c, oID), okey); err != nil {
 		return err
 	}
+	item, st := &cl.item, &cl.stock
 	for l := 1; l <= olCnt; l++ {
 		iID := nuRand(cl.rng, 8191, 1, cl.cfg.Items)
 		if abort && l == olCnt {
 			// Unused item number: the spec requires a rollback.
 			return ErrAborted
 		}
-		item, err := get[itemRow](tx, "item", kItem(iID))
-		if err != nil {
+		if err := get(tx, "item", kItem(cl.key[:0], iID), item); err != nil {
 			return err
 		}
-		st, err := get[stockRow](tx, "stock", kStock(w, iID))
-		if err != nil {
+		if err := get(tx, "stock", kStock(cl.key[:0], w, iID), st); err != nil {
 			return err
 		}
 		qty := 1 + cl.rng.Intn(10)
@@ -360,11 +352,11 @@ func (cl *Client) NewOrder(th *proc.Thread) error {
 		}
 		st.YTD += qty
 		st.OrderCnt++
-		if err := put(tx, "stock", kStock(w, iID), st); err != nil {
+		if err := cl.put(tx, "stock", kStock(cl.key[:0], w, iID), st); err != nil {
 			return err
 		}
-		ol := orderLineRow{ItemID: iID, Qty: qty, Amount: float64(qty) * item.Price}
-		if err := put(tx, "order_line", kOrderLine(w, d, oID, l), ol); err != nil {
+		cl.line = orderLineRow{ItemID: iID, Qty: qty, Amount: float64(qty) * item.Price}
+		if err := cl.put(tx, "order_line", kOrderLine(cl.key[:0], w, d, oID, l), &cl.line); err != nil {
 			return err
 		}
 	}
@@ -383,49 +375,41 @@ func (cl *Client) Payment(th *proc.Thread) error {
 	}
 	defer tx.Rollback()
 
-	wh, err := get[warehouseRow](tx, "warehouse", kWarehouse(w))
-	if err != nil {
+	wh := &cl.wh
+	if err := get(tx, "warehouse", kWarehouse(cl.key[:0], w), wh); err != nil {
 		return err
 	}
 	wh.YTD += amount
-	if err := put(tx, "warehouse", kWarehouse(w), wh); err != nil {
+	if err := cl.put(tx, "warehouse", kWarehouse(cl.key[:0], w), wh); err != nil {
 		return err
 	}
-	dist, err := get[districtRow](tx, "district", kDistrict(w, d))
-	if err != nil {
+	dist := &cl.dist
+	if err := get(tx, "district", kDistrict(cl.key[:0], w, d), dist); err != nil {
 		return err
 	}
 	dist.YTD += amount
-	if err := put(tx, "district", kDistrict(w, d), dist); err != nil {
+	if err := cl.put(tx, "district", kDistrict(cl.key[:0], w, d), dist); err != nil {
 		return err
 	}
 
-	var c int
-	if cl.rng.Intn(100) < 60 {
-		last := LastName(nuRand(cl.rng, 255, 0, 999))
-		c, err = custByName(tx, w, d, last)
-		if errors.Is(err, sqldb.ErrNotFound) {
-			c = nuRand(cl.rng, 1023, 1, cl.cfg.CustomersPerDistrict)
-			err = nil
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		c = nuRand(cl.rng, 1023, 1, cl.cfg.CustomersPerDistrict)
-	}
-	cust, err := get[customerRow](tx, "customer", kCustomer(w, d, c))
+	c, err := cl.customer(tx, w, d)
 	if err != nil {
+		return err
+	}
+	cust := &cl.cust
+	if err := get(tx, "customer", kCustomer(cl.key[:0], w, d, c), cust); err != nil {
 		return err
 	}
 	cust.Balance -= amount
 	cust.YTDPayment += amount
 	cust.PaymentCnt++
-	if err := put(tx, "customer", kCustomer(w, d, c), cust); err != nil {
+	if err := cl.put(tx, "customer", kCustomer(cl.key[:0], w, d, c), cust); err != nil {
 		return err
 	}
 	cl.hSeq++
-	if err := put(tx, "history", kHistory(cl.hSeq, w), historyRow{WID: w, DID: d, CID: c, Amount: amount, Date: th.Clk.Now()}); err != nil {
+	hist := historyRow{WID: w, DID: d, CID: c, Amount: amount, Date: th.Clk.Now()}
+	cl.row = hist.appendJSON(cl.row[:0])
+	if err := tx.Put("history", kHistory(cl.key[:0], cl.hSeq, w), cl.row); err != nil {
 		return err
 	}
 	return tx.Commit()
@@ -442,45 +426,34 @@ func (cl *Client) OrderStatus(th *proc.Thread) error {
 	}
 	defer tx.Rollback()
 
-	var c int
-	if cl.rng.Intn(100) < 60 {
-		last := LastName(nuRand(cl.rng, 255, 0, 999))
-		c, err = custByName(tx, w, d, last)
-		if errors.Is(err, sqldb.ErrNotFound) {
-			c = nuRand(cl.rng, 1023, 1, cl.cfg.CustomersPerDistrict)
-			err = nil
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		c = nuRand(cl.rng, 1023, 1, cl.cfg.CustomersPerDistrict)
+	c, err := cl.customer(tx, w, d)
+	if err != nil {
+		return err
 	}
-	if _, err := get[customerRow](tx, "customer", kCustomer(w, d, c)); err != nil {
+	if err := get(tx, "customer", kCustomer(cl.key[:0], w, d, c), &cl.cust); err != nil {
 		return err
 	}
 	// Latest order of the customer via the secondary index.
-	prefix := kCustomer(w, d, c)
-	lastOrder := ""
-	err = tx.Scan("order_by_cust_idx", prefix, func(k string, v []byte) bool {
-		if !strings.HasPrefix(k, prefix) {
+	prefix, last := kCustomer(cl.key[:0], w, d, c), cl.okey[:0]
+	err = tx.Scan("order_by_cust_idx", prefix, func(k, v []byte) bool {
+		if !bytes.HasPrefix(k, prefix) {
 			return false
 		}
-		lastOrder = string(v)
+		last = append(last[:0], v...)
 		return true
 	})
 	if err != nil {
 		return err
 	}
-	if lastOrder == "" {
+	if len(last) == 0 {
 		return tx.Commit() // customer has no orders yet
 	}
-	ord, err := get[orderRow](tx, "orders", lastOrder)
-	if err != nil {
+	ord := &cl.order
+	if err := get(tx, "orders", last, ord); err != nil {
 		return err
 	}
 	for l := 1; l <= ord.OLCnt; l++ {
-		if _, err := get[orderLineRow](tx, "order_line", kLineOf(lastOrder, l)); err != nil {
+		if err := get(tx, "order_line", kLineOf(cl.key[:0], last, l), &cl.line); err != nil {
 			return err
 		}
 	}
@@ -499,47 +472,44 @@ func (cl *Client) Delivery(th *proc.Thread) error {
 	}
 	defer tx.Rollback()
 
+	ord, cust := &cl.order, &cl.cust
 	for d := 1; d <= cl.cfg.Districts; d++ {
-		prefix := kDistrict(w, d)
-		oldest := ""
-		err := tx.Scan("new_order", prefix, func(k string, _ []byte) bool {
-			if strings.HasPrefix(k, prefix) {
-				oldest = k
+		prefix, oldest := kDistrict(cl.key[:0], w, d), cl.okey[:0]
+		err := tx.Scan("new_order", prefix, func(k, _ []byte) bool {
+			if bytes.HasPrefix(k, prefix) {
+				oldest = append(oldest, k...)
 			}
 			return false // first match is the oldest
 		})
 		if err != nil {
 			return err
 		}
-		if oldest == "" || !strings.HasPrefix(oldest, prefix) {
+		if len(oldest) == 0 {
 			continue
 		}
 		if err := tx.Delete("new_order", oldest); err != nil {
 			return err
 		}
-		ord, err := get[orderRow](tx, "orders", oldest)
-		if err != nil {
+		if err := get(tx, "orders", oldest, ord); err != nil {
 			return err
 		}
 		ord.CarrierID = carrier
-		if err := put(tx, "orders", oldest, ord); err != nil {
+		if err := cl.put(tx, "orders", oldest, ord); err != nil {
 			return err
 		}
 		total := 0.0
 		for l := 1; l <= ord.OLCnt; l++ {
-			ol, err := get[orderLineRow](tx, "order_line", kLineOf(oldest, l))
-			if err != nil {
+			if err := get(tx, "order_line", kLineOf(cl.key[:0], oldest, l), &cl.line); err != nil {
 				return err
 			}
-			total += ol.Amount
+			total += cl.line.Amount
 		}
-		cust, err := get[customerRow](tx, "customer", kCustomer(w, d, ord.CID))
-		if err != nil {
+		if err := get(tx, "customer", kCustomer(cl.key[:0], w, d, ord.CID), cust); err != nil {
 			return err
 		}
 		cust.Balance += total
 		cust.DeliveryCnt++
-		if err := put(tx, "customer", kCustomer(w, d, ord.CID), cust); err != nil {
+		if err := cl.put(tx, "customer", kCustomer(cl.key[:0], w, d, ord.CID), cust); err != nil {
 			return err
 		}
 	}
@@ -559,40 +529,41 @@ func (cl *Client) StockLevel(th *proc.Thread) error {
 	}
 	defer tx.Rollback()
 
-	dist, err := get[districtRow](tx, "district", kDistrict(w, d))
-	if err != nil {
+	if err := get(tx, "district", kDistrict(cl.key[:0], w, d), &cl.dist); err != nil {
 		return err
 	}
-	lowOID := dist.NextOID - 20
-	if lowOID < 1 {
-		lowOID = 1
-	}
-	seen := map[int]bool{}
+	start := kOrderLine(cl.okey[:0], w, d, max(cl.dist.NextOID-20, 1), 0)
+	clear(cl.seen)
 	low := 0
-	start := kOrderLine(w, d, lowOID, 0)
-	dPrefix := kDistrict(w, d)
-	err = tx.Scan("order_line", start, func(k string, v []byte) bool {
-		if !strings.HasPrefix(k, dPrefix) {
+	var bad error // the first failure inside the scan: the count is then no result
+	err = tx.Scan("order_line", start, func(k, v []byte) bool {
+		if !bytes.HasPrefix(k, start[:lenDistrictKey]) {
 			return false
 		}
-		var ol orderLineRow
-		if json.Unmarshal(v, &ol) != nil {
+		if err := cl.line.parse(v); err != nil {
+			bad = fmt.Errorf("order_line %s: %w", k, err)
+			return false
+		}
+		if cl.seen[cl.line.ItemID] {
 			return true
 		}
-		if seen[ol.ItemID] {
+		cl.seen[cl.line.ItemID] = true
+		err := get(tx, "stock", kStock(cl.key[:0], w, cl.line.ItemID), &cl.stock)
+		if errors.Is(err, sqldb.ErrNotFound) {
 			return true
 		}
-		seen[ol.ItemID] = true
-		raw, err := tx.Get("stock", kStock(w, ol.ItemID))
 		if err != nil {
-			return true
+			bad = err
+			return false
 		}
-		var st stockRow
-		if json.Unmarshal(raw, &st) == nil && st.Qty < threshold {
+		if cl.stock.Qty < threshold {
 			low++
 		}
 		return true
 	})
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
 		return err
 	}
