@@ -56,17 +56,32 @@ type Lib struct {
 	opts  Options
 	byTyp map[coffer.Type]vfs.FileSystem
 
-	mu  lockprof.RealMutex // guards fds/cwd; real-only, no virtual cost
-	fds map[int]*fdEntry
-	cwd string
+	mu   lockprof.RealMutex // guards fds, low, free, every openFile and cwd; real-only, no virtual cost
+	fds  []*openFile        // descriptor table: fd → open-file description, nil = unused
+	low  int                // no unused descriptor number lies below it
+	free *openFile          // descriptions awaiting reuse, linked through next
+	cwd  string
 }
 
-type fdEntry struct {
+// openFile is an open-file description (POSIX's term): what open creates and
+// dup shares — the µFS handle, the flags and the offset. Descriptors are
+// numbers that name one. refs counts the descriptors naming it plus the
+// operations in flight on it (pin); whoever drops the last reference closes
+// the handle and puts the struct on the free list, from where the next open
+// takes it — so a description outlives its file, and an op that pinned one
+// cannot find another file in it however the table changes meanwhile.
+type openFile struct {
 	h     vfs.Handle
 	path  string
 	flags int
 	pos   int64
+	refs  int32
+	next  *openFile
 }
+
+// maxFDs bounds descriptor numbers (RLIMIT_NOFILE's role): the table is dense,
+// so Dup2 onto an absurd number must fail rather than size it.
+const maxFDs = 1 << 20
 
 // Mount registers the process with KernFS (fs_mount) and builds the
 // dispatcher with a ZoFS µFS attached for ZoFS-type coffers.
@@ -84,7 +99,6 @@ func Mount(kern *kernfs.KernFS, th *proc.Thread, opts Options) (*Lib, error) {
 			coffer.TypeZoFS: zofs.New(kern, opts.ZoFS),
 			logfs.TypeLogFS: logfs.New(kern),
 		},
-		fds: map[int]*fdEntry{},
 		cwd: "/",
 	}
 	l.mu.Init("fslib.fds", strconv.Itoa(th.Proc.PID))
@@ -94,7 +108,7 @@ func Mount(kern *kernfs.KernFS, th *proc.Thread, opts Options) (*Lib, error) {
 // Umount deregisters from KernFS and drops all FDs.
 func (l *Lib) Umount(th *proc.Thread) error {
 	l.mu.Lock()
-	l.fds = map[int]*fdEntry{}
+	l.fds, l.low = nil, 0
 	l.mu.Unlock()
 	return l.kern.FSUmount(th)
 }
@@ -263,24 +277,85 @@ func symlinkError(err error) *vfs.SymlinkError {
 
 // ---- FD table ----------------------------------------------------------------
 
-// allocFD returns the lowest unused FD number — the dup() guarantee the
-// paper calls out as incompatible with range-split FD schemes (§4.2).
-func (l *Lib) allocFD() int {
-	for fd := 0; ; fd++ {
-		if _, used := l.fds[fd]; !used {
-			return fd
-		}
+// at returns the description fd names, nil if it names none. Caller holds mu.
+func (l *Lib) at(fd int) *openFile {
+	if fd < 0 || fd >= len(l.fds) {
+		return nil
 	}
+	return l.fds[fd]
 }
 
-func (l *Lib) getFD(fd int) (*fdEntry, error) {
+// lowestFree returns the lowest unused FD number — the dup() guarantee the
+// paper calls out as incompatible with range-split FD schemes (§4.2). Caller
+// holds mu.
+func (l *Lib) lowestFree() int {
+	for l.low < len(l.fds) && l.fds[l.low] != nil {
+		l.low++
+	}
+	return l.low
+}
+
+// install makes the unused number fd name f, which gains a reference. Caller
+// holds mu.
+func (l *Lib) install(fd int, f *openFile) {
+	if fd >= len(l.fds) {
+		l.fds = append(l.fds, make([]*openFile, fd+1-len(l.fds))...)
+	}
+	l.fds[fd] = f
+	f.refs++
+}
+
+// drop makes fd unused and returns the description it named, nil if none; the
+// caller, who holds mu, owes that description an unref once it has let go.
+func (l *Lib) drop(fd int) *openFile {
+	f := l.at(fd)
+	if f != nil {
+		l.fds[fd] = nil
+		l.low = min(l.low, fd)
+	}
+	return f
+}
+
+// newFile takes a description off the free list. Caller holds mu.
+func (l *Lib) newFile(h vfs.Handle, path string, flags int, pos int64) *openFile {
+	f := l.free
+	if f == nil {
+		f = new(openFile)
+	}
+	l.free = f.next
+	*f = openFile{h: h, path: path, flags: flags, pos: pos}
+	return f
+}
+
+// pin resolves fd for one operation and holds the description: until the
+// matching unref no close — of this number or of a duplicate — closes the µFS
+// handle or lets an open reuse the struct.
+func (l *Lib) pin(fd int) (*openFile, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := l.fds[fd]
-	if e == nil {
+	f := l.at(fd)
+	if f == nil {
 		return nil, vfs.ErrBadFD
 	}
-	return e, nil
+	f.refs++
+	return f, nil
+}
+
+// unref drops one reference: a descriptor's when it is closed or displaced, an
+// operation's pin when it returns. The last one out closes the µFS handle.
+func (l *Lib) unref(th *proc.Thread, f *openFile) error {
+	var h vfs.Handle
+	l.mu.Lock()
+	if f.refs--; f.refs == 0 {
+		h = f.h
+		*f = openFile{next: l.free}
+		l.free = f
+	}
+	l.mu.Unlock()
+	if h == nil {
+		return nil
+	}
+	return h.Close(th)
 }
 
 // Open opens path, returning the new FD. O_CREATE is one probe through the
@@ -318,16 +393,16 @@ func (l *Lib) Open(th *proc.Thread, path string, flags int, mode coffer.Mode) (f
 	if err != nil {
 		return -1, err
 	}
-	e := &fdEntry{h: h, path: finalPath, flags: flags}
+	var pos int64
 	if flags&vfs.O_APPEND != 0 {
 		if fi, serr := h.Stat(th); serr == nil {
-			e.pos = fi.Size
+			pos = fi.Size
 		}
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	fd = l.allocFD()
-	l.fds[fd] = e
+	fd = l.lowestFree()
+	l.install(fd, l.newFile(h, finalPath, flags, pos))
 	return fd, nil
 }
 
@@ -336,30 +411,32 @@ func (l *Lib) Create(th *proc.Thread, path string, mode coffer.Mode) (int, error
 	return l.Open(th, path, vfs.O_CREATE|vfs.O_TRUNC|vfs.O_RDWR, mode)
 }
 
-// Close releases an FD.
+// Close releases an FD. The file itself is closed when its last descriptor
+// is, and not before an operation in flight on it has returned.
 func (l *Lib) Close(th *proc.Thread, fd int) (err error) {
 	defer l.trace(th, telemetry.OpClose)()
 	defer l.guard(th, &err)
 	l.mu.Lock()
-	e := l.fds[fd]
-	delete(l.fds, fd)
+	f := l.drop(fd)
 	l.mu.Unlock()
-	if e == nil {
+	if f == nil {
 		return vfs.ErrBadFD
 	}
-	return e.h.Close(th)
+	return l.unref(th, f)
 }
 
-// Dup duplicates an FD onto the lowest available number.
+// Dup duplicates an FD onto the lowest available number. Both numbers name
+// one description: shared offset, as with POSIX dup, and the file stays open
+// until both are closed.
 func (l *Lib) Dup(fd int) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e := l.fds[fd]
-	if e == nil {
+	f := l.at(fd)
+	if f == nil {
 		return -1, vfs.ErrBadFD
 	}
-	nfd := l.allocFD()
-	l.fds[nfd] = e // shared offset, as with POSIX dup
+	nfd := l.lowestFree()
+	l.install(nfd, f)
 	return nfd, nil
 }
 
@@ -370,18 +447,22 @@ func (l *Lib) Dup(fd int) (int, error) {
 func (l *Lib) Dup2(th *proc.Thread, fd, to int) (nfd int, err error) {
 	nfd = -1 // what a fault recovered by guard returns beside its error
 	defer l.guard(th, &err)
-	l.mu.Lock()
-	e := l.fds[fd]
-	old := l.fds[to]
-	if e != nil {
-		l.fds[to] = e
-	}
-	l.mu.Unlock()
-	if e == nil {
+	if to < 0 || to >= maxFDs {
 		return -1, vfs.ErrBadFD
 	}
-	if old != nil && old != e {
-		old.h.Close(th)
+	l.mu.Lock()
+	f := l.at(fd)
+	var old *openFile
+	if f != nil {
+		old = l.drop(to)
+		l.install(to, f)
+	}
+	l.mu.Unlock()
+	if f == nil {
+		return -1, vfs.ErrBadFD
+	}
+	if old != nil {
+		l.unref(th, old)
 	}
 	return to, nil
 }
@@ -390,10 +471,11 @@ func (l *Lib) Dup2(th *proc.Thread, fd, to int) (nfd int, err error) {
 func (l *Lib) Read(th *proc.Thread, fd int, buf []byte) (n int, err error) {
 	defer l.trace(th, telemetry.OpRead)()
 	defer l.guard(th, &err)
-	e, err := l.getFD(fd)
+	e, err := l.pin(fd)
 	if err != nil {
 		return 0, err
 	}
+	defer l.unref(th, e)
 	l.mu.Lock()
 	pos := e.pos
 	l.mu.Unlock()
@@ -409,10 +491,11 @@ func (l *Lib) Read(th *proc.Thread, fd int, buf []byte) (n int, err error) {
 func (l *Lib) Write(th *proc.Thread, fd int, buf []byte) (n int, err error) {
 	defer l.trace(th, telemetry.OpWrite)()
 	defer l.guard(th, &err)
-	e, err := l.getFD(fd)
+	e, err := l.pin(fd)
 	if err != nil {
 		return 0, err
 	}
+	defer l.unref(th, e)
 	if e.flags&vfs.O_APPEND != 0 {
 		off, aerr := e.h.Append(th, buf)
 		if aerr != nil {
@@ -442,10 +525,11 @@ func (l *Lib) Write(th *proc.Thread, fd int, buf []byte) (n int, err error) {
 func (l *Lib) Pread(th *proc.Thread, fd int, buf []byte, off int64) (n int, err error) {
 	defer l.trace(th, telemetry.OpRead)()
 	defer l.guard(th, &err)
-	e, err := l.getFD(fd)
+	e, err := l.pin(fd)
 	if err != nil {
 		return 0, err
 	}
+	defer l.unref(th, e)
 	return e.h.ReadAt(th, buf, off)
 }
 
@@ -453,10 +537,11 @@ func (l *Lib) Pread(th *proc.Thread, fd int, buf []byte, off int64) (n int, err 
 func (l *Lib) Pwrite(th *proc.Thread, fd int, buf []byte, off int64) (n int, err error) {
 	defer l.trace(th, telemetry.OpWrite)()
 	defer l.guard(th, &err)
-	e, err := l.getFD(fd)
+	e, err := l.pin(fd)
 	if err != nil {
 		return 0, err
 	}
+	defer l.unref(th, e)
 	n, err = e.h.WriteAt(th, buf, off)
 	l.kern.Device().AddAppBytes(int64(n))
 	return n, err
@@ -474,10 +559,11 @@ const (
 // in virtual time must not stall the process's other FD operations.
 func (l *Lib) Lseek(th *proc.Thread, fd int, off int64, whence int) (pos int64, err error) {
 	defer l.guard(th, &err)
-	e, err := l.getFD(fd)
+	e, err := l.pin(fd)
 	if err != nil {
 		return 0, err
 	}
+	defer l.unref(th, e)
 	var size int64
 	if whence == SeekEnd {
 		fi, serr := e.h.Stat(th)
@@ -509,10 +595,11 @@ func (l *Lib) Lseek(th *proc.Thread, fd int, off int64, whence int) (pos int64, 
 func (l *Lib) Fsync(th *proc.Thread, fd int) (err error) {
 	defer l.trace(th, telemetry.OpFsync)()
 	defer l.guard(th, &err)
-	e, err := l.getFD(fd)
+	e, err := l.pin(fd)
 	if err != nil {
 		return err
 	}
+	defer l.unref(th, e)
 	return e.h.Sync(th)
 }
 
@@ -520,10 +607,11 @@ func (l *Lib) Fsync(th *proc.Thread, fd int) (err error) {
 func (l *Lib) Fstat(th *proc.Thread, fd int) (fi vfs.FileInfo, err error) {
 	defer l.trace(th, telemetry.OpStat)()
 	defer l.guard(th, &err)
-	e, err := l.getFD(fd)
+	e, err := l.pin(fd)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
+	defer l.unref(th, e)
 	return e.h.Stat(th)
 }
 
@@ -531,10 +619,11 @@ func (l *Lib) Fstat(th *proc.Thread, fd int) (fi vfs.FileInfo, err error) {
 func (l *Lib) Ftruncate(th *proc.Thread, fd int, size int64) (err error) {
 	defer l.trace(th, telemetry.OpTruncate)()
 	defer l.guard(th, &err)
-	e, err := l.getFD(fd)
+	e, err := l.pin(fd)
 	if err != nil {
 		return err
 	}
+	defer l.unref(th, e)
 	return l.dispatch(th, e.path, func(fs vfs.FileSystem, p string) error {
 		return fs.Truncate(th, p, size)
 	})
@@ -685,8 +774,11 @@ func (l *Lib) Getcwd() string {
 // base64 and pass it across exec calls").
 const fdEnvVar = "ZOFS_FDTABLE"
 
+// fdRecord is one descriptor. Records with equal Desc name one description
+// (they were dup'ed from each other) and agree on everything but FD.
 type fdRecord struct {
 	FD    int    `json:"fd"`
+	Desc  int    `json:"desc"`
 	Path  string `json:"path"`
 	Flags int    `json:"flags"`
 	Pos   int64  `json:"pos"`
@@ -698,8 +790,17 @@ func (l *Lib) SerializeFDs() (string, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	recs := make([]fdRecord, 0, len(l.fds))
-	for fd, e := range l.fds {
-		recs = append(recs, fdRecord{FD: fd, Path: e.path, Flags: e.flags, Pos: e.pos})
+	descs := map[*openFile]int{}
+	for fd, f := range l.fds {
+		if f == nil {
+			continue
+		}
+		d, seen := descs[f]
+		if !seen {
+			d = len(descs)
+			descs[f] = d
+		}
+		recs = append(recs, fdRecord{FD: fd, Desc: d, Path: f.path, Flags: f.flags, Pos: f.pos})
 	}
 	raw, err := json.Marshal(recs)
 	if err != nil {
@@ -723,16 +824,30 @@ func (l *Lib) RestoreFDs(th *proc.Thread, env string) error {
 	if err := json.Unmarshal(raw, &recs); err != nil {
 		return err
 	}
+	descs := map[int]*openFile{} // one reopen per description, shared by its FDs
 	for _, r := range recs {
-		h, derr := l.reopen(th, r.Path, r.Flags&^(vfs.O_TRUNC|vfs.O_EXCL|vfs.O_CREATE))
-		if derr != nil {
-			// The file vanished or its coffer faulted; the FD is simply
-			// absent, as after a failed reopen.
-			continue
-		}
 		l.mu.Lock()
-		l.fds[r.FD] = &fdEntry{h: h, path: r.Path, flags: r.Flags, pos: r.Pos}
+		taken := r.FD < 0 || r.FD >= maxFDs || l.at(r.FD) != nil
 		l.mu.Unlock()
+		if taken {
+			continue // not a table SerializeFDs wrote
+		}
+		f, seen := descs[r.Desc]
+		if !seen {
+			// A file that vanished or whose coffer faulted leaves its FDs
+			// simply absent, as after a failed reopen.
+			if h, derr := l.reopen(th, r.Path, r.Flags&^(vfs.O_TRUNC|vfs.O_EXCL|vfs.O_CREATE)); derr == nil {
+				l.mu.Lock()
+				f = l.newFile(h, r.Path, r.Flags, r.Pos)
+				l.mu.Unlock()
+			}
+			descs[r.Desc] = f
+		}
+		if f != nil {
+			l.mu.Lock()
+			l.install(r.FD, f)
+			l.mu.Unlock()
+		}
 	}
 	return nil
 }
@@ -777,7 +892,6 @@ func (l *Lib) Exec(th *proc.Thread, exePath string) (*Lib, error) {
 			coffer.TypeZoFS: zofs.New(l.kern, l.opts.ZoFS),
 			logfs.TypeLogFS: logfs.New(l.kern),
 		},
-		fds: map[int]*fdEntry{},
 		cwd: l.Getcwd(),
 	}
 	if err := nl.RestoreFDs(th, env); err != nil {

@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -103,10 +102,9 @@ type KernFS struct {
 	paths *pathTable
 
 	rootCoffer coffer.ID
-	// coffers maps coffer.ID -> *cofferInfo. A sync.Map so the hot paths
-	// (enlarge, map, Info) resolve IDs without any lock; mutations happen
-	// under regMu.
-	coffers sync.Map
+	// coffers maps coffer.ID -> *cofferInfo. The hot paths (enlarge, map,
+	// Info) resolve IDs without any lock; mutations happen under regMu.
+	coffers registry
 	procs   map[int]*procState
 	procsMu sync.Mutex
 
@@ -123,31 +121,28 @@ const violationThreshold = 3
 
 // cofferInfo is the kernel's per-coffer record. mu (`kernfs.coffer/<id>`)
 // guards rp, dead and mappers plus the coffer's owner tree in the space
-// manager; rpSnap republishes rp after every change so Info and permission
+// manager; snap republishes rp after every change so Info and permission
 // checks read it without the lock (validated against NVM truth the same way
 // the dcache is).
 type cofferInfo struct {
-	mu     lockprof.Mutex
-	dead   bool // set by coffer_delete/merge; checked after every acquire
-	rp     coffer.RootPage
-	rpSnap atomic.Pointer[coffer.RootPage]
+	mu   lockprof.Mutex
+	dead bool // set by coffer_delete/merge; checked after every acquire
+	rp   coffer.RootPage
+	snap rootSnap
 
-	mappers map[int]*procState
+	mappers map[int]*procState // PID → mapper; made by the first coffer_map
 }
 
 func newCofferInfo(rp coffer.RootPage) *cofferInfo {
-	ci := &cofferInfo{rp: rp, mappers: map[int]*procState{}}
-	ci.mu.Init("kernfs.coffer", strconv.FormatUint(uint64(rp.ID), 10))
+	ci := &cofferInfo{rp: rp}
+	ci.mu.InitKeyed("kernfs.coffer", int64(rp.ID))
 	ci.publishRP()
 	return ci
 }
 
 // publishRP refreshes the lock-free root-page snapshot; call after every rp
 // mutation, holding mu.
-func (ci *cofferInfo) publishRP() {
-	rp := ci.rp
-	ci.rpSnap.Store(&rp)
-}
+func (ci *cofferInfo) publishRP() { ci.snap.publish(&ci.rp) }
 
 // writeGate validates, under ci.mu, that pid may mutate the coffer's page
 // set (the enlarge/shrink precondition).
@@ -325,6 +320,7 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 	k := &KernFS{
 		dev:        dev,
 		space:      newSpaceManager(dev, allocPage*nvm.PageSize, npages),
+		coffers:    newRegistry(npages),
 		rootCoffer: coffer.ID(binary.LittleEndian.Uint64(sb[sbRootOff:])),
 		procs:      map[int]*procState{},
 		violations: map[coffer.ID]int{},
@@ -348,7 +344,7 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 			bad = fmt.Errorf("kernfs: coffer %d (%s): %v", id, path, err)
 			return false
 		}
-		k.coffers.Store(id, newCofferInfo(*rp))
+		k.coffers.store(id, newCofferInfo(*rp))
 		return true
 	})
 	if bad != nil {
@@ -362,11 +358,8 @@ func (k *KernFS) Device() *nvm.Device { return k.dev }
 
 // cofferLoad resolves an ID lock-free.
 func (k *KernFS) cofferLoad(id coffer.ID) (*cofferInfo, bool) {
-	v, ok := k.coffers.Load(id)
-	if !ok {
-		return nil, false
-	}
-	return v.(*cofferInfo), true
+	ci := k.coffers.load(id)
+	return ci, ci != nil
 }
 
 // lockCoffer resolves and locks a coffer, treating concurrently deleted
@@ -596,24 +589,20 @@ func pathWithin(dir, p string) bool {
 }
 
 // Info returns a copy of a coffer's root-page metadata. Lock-free: the
-// published root-page snapshot is read with two atomic loads.
+// registry slot and the published root-page snapshot are atomic loads.
 func (k *KernFS) Info(id coffer.ID) (coffer.RootPage, bool) {
 	ci, ok := k.cofferLoad(id)
 	if !ok {
 		return coffer.RootPage{}, false
 	}
-	return *ci.rpSnap.Load(), true
+	return ci.snap.load(), true
 }
 
 // Coffers returns a snapshot of all coffer IDs in ascending order (fsck,
 // tooling).
 func (k *KernFS) Coffers() []coffer.ID {
 	var out []coffer.ID
-	k.coffers.Range(func(key, _ any) bool {
-		out = append(out, key.(coffer.ID))
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	k.coffers.each(func(id coffer.ID, _ *cofferInfo) { out = append(out, id) })
 	return out
 }
 
@@ -651,7 +640,7 @@ func (k *KernFS) CofferNew(th *proc.Thread, parent coffer.ID, path string, typ c
 	if !ok {
 		return 0, ErrNotFound
 	}
-	prp := pci.rpSnap.Load()
+	prp := pci.snap.load()
 	if !coffer.Access(prp.Mode, prp.UID, prp.GID, th.Proc.UID(), th.Proc.GID(), true) {
 		return 0, ErrPerm
 	}
@@ -691,7 +680,7 @@ func (k *KernFS) CofferNew(th *proc.Thread, parent coffer.ID, path string, typ c
 		k.space.releaseAll(th.Clk, id) // roll back the staged allocation
 		return 0, err
 	}
-	k.coffers.Store(id, newCofferInfo(rp))
+	k.coffers.store(id, newCofferInfo(rp))
 	k.regMu.Unlock(th.Clk)
 	return id, nil
 }
@@ -735,7 +724,7 @@ func (k *KernFS) CofferDelete(th *proc.Thread, id coffer.ID) error {
 	}
 	ci.dead = true
 	k.space.releaseAll(th.Clk, id)
-	k.coffers.Delete(id)
+	k.coffers.store(id, nil)
 	delete(k.violations, id)
 	return nil
 }
@@ -775,7 +764,7 @@ func (k *KernFS) CofferEnlarge(th *proc.Thread, id coffer.ID, npages int64, zero
 	// (otherwise parallel) staging work end-to-end and the per-coffer lock
 	// convoys exactly like kernfs.big did. The publish path re-checks under
 	// the lock; this check only avoids staging work that is already doomed.
-	rp := ci.rpSnap.Load()
+	rp := ci.snap.load()
 	if rp.Flags&coffer.FlagOffline != 0 {
 		return nil, ErrCofferOffline
 	}
@@ -1004,6 +993,9 @@ func (k *KernFS) CofferMap(th *proc.Thread, id coffer.ID, write bool) (MapInfo, 
 	ps.keys[id] = key
 	ps.writable[id] = write
 	ps.mu.Unlock()
+	if ci.mappers == nil {
+		ci.mappers = map[int]*procState{}
+	}
 	ci.mappers[th.Proc.PID] = ps
 	k.mapPagesLocked(ps, ci, key, write)
 	npg := k.space.pagesOf(id)
@@ -1211,7 +1203,7 @@ func (k *KernFS) renameTreeLocked(th *proc.Thread, oldPath, newPath string, exac
 		if ci == nil {
 			return ErrNotFound
 		}
-		rp := ci.rpSnap.Load()
+		rp := ci.snap.load()
 		if u := th.Proc.UID(); u != 0 && u != rp.UID {
 			return ErrPerm
 		}
@@ -1305,7 +1297,7 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 	if err := k.paths.insert(th.Clk, newPath, id); err != nil {
 		return 0, err
 	}
-	k.coffers.Store(id, newCofferInfo(rp))
+	k.coffers.store(id, newCofferInfo(rp))
 	return id, nil
 }
 
@@ -1365,7 +1357,7 @@ func (k *KernFS) CofferMerge(th *proc.Thread, dst, src coffer.ID) error {
 	}
 	si.dead = true
 	k.space.releaseAll(th.Clk, src) // only the root page remains
-	k.coffers.Delete(src)
+	k.coffers.store(src, nil)
 	delete(k.violations, src)
 	return nil
 }

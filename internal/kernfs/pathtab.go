@@ -3,7 +3,6 @@ package kernfs
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"zofs/internal/byteflow"
@@ -28,7 +27,8 @@ import (
 //	             path bytes, padded to 8-byte alignment}
 //
 // Deletion tombstones entries (state = entryDead); recovery compacts them.
-// A volatile concurrent map mirrors the table for O(1) lock-free lookups.
+// A volatile hash table of the same shape — same hash, same bucket count —
+// mirrors the live entries for lock-free lookups.
 const (
 	pathBuckets     = 4096
 	entryPageHdr    = 16
@@ -47,17 +47,28 @@ type pathTable struct {
 	// serialize on it; readers never touch it.
 	wmu *lockprof.RWMutex
 
-	// vol mirrors the live entries, path (string) → coffer.ID. Probes load
-	// from it without a lock and writers update it in place, so path
+	// vol mirrors the live entries, path → coffer.ID: one chain of pathEnt
+	// per bucket. Probes walk a chain with atomic loads and no lock; writers
+	// (serialized by wmu) push at a chain's head and unlink in place, so path
 	// resolution never blocks behind a concurrent coffer create/delete/
-	// rename and a mutation costs the same however many coffers exist.
-	vol sync.Map
+	// rename and a mutation costs one entry however many coffers exist.
+	vol [pathBuckets]atomic.Pointer[pathEnt]
 
 	// seq versions the mirror for readers that keep an answer across calls
 	// (resolveMemo): writers bump it to odd before a mutation and to even
 	// after, so an answer read under an unchanged even seq describes one
 	// table state.
 	seq atomic.Uint64
+}
+
+// pathEnt is one live mapping in the mirror, immutable but for its chain
+// link. An unlinked entry keeps its link, so a probe standing on it walks on
+// into the chain it left; entries are never reused.
+type pathEnt struct {
+	hash uint64
+	path string
+	id   coffer.ID
+	next atomic.Pointer[pathEnt]
 }
 
 // pathTabBytes is the persistent size of the bucket-head region.
@@ -93,17 +104,45 @@ func entrySize(pathLen int) int64 {
 	return (n + 7) &^ 7
 }
 
+// find probes the mirror.
+func (pt *pathTable) find(p string) (coffer.ID, bool) {
+	h := pathHash(p)
+	for e := pt.vol[h%pathBuckets].Load(); e != nil; e = e.next.Load() {
+		if e.hash == h && e.path == p {
+			return e.id, true
+		}
+	}
+	return 0, false
+}
+
+// link pushes a mapping for p, which the caller has found absent, onto its
+// chain. It is set without the seq bracket: what load uses, on a table nobody
+// reads yet.
+func (pt *pathTable) link(p string, id coffer.ID) {
+	e := &pathEnt{hash: pathHash(p), path: p, id: id}
+	head := &pt.vol[e.hash%pathBuckets]
+	e.next.Store(head.Load())
+	head.Store(e)
+}
+
 // set and unset edit the mirror inside the seq odd/even bracket.
 func (pt *pathTable) set(p string, id coffer.ID) {
 	pt.seq.Add(1)
-	pt.vol.Store(p, id)
+	pt.link(p, id)
 	pt.seq.Add(1)
 }
 
 func (pt *pathTable) unset(p string) {
-	pt.seq.Add(1)
-	pt.vol.Delete(p)
-	pt.seq.Add(1)
+	h := pathHash(p)
+	link := &pt.vol[h%pathBuckets]
+	for e := link.Load(); e != nil; link, e = &e.next, e.next.Load() {
+		if e.hash == h && e.path == p {
+			pt.seq.Add(1)
+			link.Store(e.next.Load())
+			pt.seq.Add(1)
+			return
+		}
+	}
 }
 
 // init formats the bucket heads to empty. Path-table traffic is directory
@@ -133,7 +172,7 @@ func (pt *pathTable) load(clk *simclock.Clock) error {
 					return fmt.Errorf("kernfs: corrupt path-table entry at page %d off %d", pg, off)
 				}
 				if state == entryLive {
-					pt.vol.Store(string(page[off+entryHdr:off+entryHdr+int64(plen)]), id)
+					pt.link(string(page[off+entryHdr:off+entryHdr+int64(plen)]), id)
 				}
 				off += sz
 			}
@@ -150,11 +189,7 @@ func (pt *pathTable) lookup(clk *simclock.Clock, p string) (coffer.ID, bool) {
 	if clk != nil {
 		clk.Advance(perfmodel.CPUHashLookup)
 	}
-	v, ok := pt.vol.Load(p)
-	if !ok {
-		return 0, false
-	}
-	return v.(coffer.ID), true
+	return pt.find(p)
 }
 
 // insert adds a live entry, persisting it in the bucket chain.
@@ -163,7 +198,7 @@ func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) error {
 		pt.wmu.Lock(clk)
 		defer pt.wmu.Unlock(clk)
 	}
-	if _, dup := pt.vol.Load(p); dup {
+	if _, dup := pt.find(p); dup {
 		return ErrExists
 	}
 	if len(p) > coffer.MaxPathLen {
@@ -230,7 +265,7 @@ func (pt *pathTable) remove(clk *simclock.Clock, p string) error {
 		pt.wmu.Lock(clk)
 		defer pt.wmu.Unlock(clk)
 	}
-	if _, ok := pt.vol.Load(p); !ok {
+	if _, ok := pt.find(p); !ok {
 		return ErrNotFound
 	}
 	b := pt.bucketFor(p)
@@ -301,5 +336,11 @@ func (pt *pathTable) rename(clk *simclock.Clock, oldPath, newPath string, id cof
 // until fn returns false. It walks the mirror in place; fn must not write to
 // the table.
 func (pt *pathTable) each(fn func(p string, id coffer.ID) bool) {
-	pt.vol.Range(func(k, v any) bool { return fn(k.(string), v.(coffer.ID)) })
+	for b := range pt.vol {
+		for e := pt.vol[b].Load(); e != nil; e = e.next.Load() {
+			if !fn(e.path, e.id) {
+				return
+			}
+		}
+	}
 }

@@ -433,6 +433,8 @@ func (rs *regState) recordBlocked(tid, holder int, e *entry, start, dur int64) {
 // so call sites change only in the field's type.
 type Mutex struct {
 	class, label string
+	key          int64 // the label as a number, when keyed (see InitKeyed)
+	keyed        bool
 	mu           simclock.Mutex
 	ent          atomic.Pointer[entry]
 	// lastEnd/lastTID mirror the inner lock's release stamp and releaser for
@@ -453,6 +455,11 @@ func NewMutex(class, label string) *Mutex {
 // first use.
 func (m *Mutex) Init(class, label string) { m.class, m.label = class, label }
 
+// InitKeyed names a zero-value Mutex whose label is a number, such as a coffer
+// ID; like RWMutex.InitKeyed, it formats the label only when a registry first
+// resolves the lock.
+func (m *Mutex) InitKeyed(class string, key int64) { m.class, m.key, m.keyed = class, key, true }
+
 // resolve returns the current generation's entry for this lock, refreshing
 // the wrapper cache after Enable/Reset. Must be called while holding the
 // inner lock (the cache write races only with other holders, of which there
@@ -465,7 +472,11 @@ func (m *Mutex) resolve(reg *Registry) *entry {
 	if m.class == "" {
 		return nil
 	}
-	e := rs.entryFor(m.class, m.label, false)
+	label := m.label
+	if m.keyed {
+		label = strconv.FormatInt(m.key, 10)
+	}
+	e := rs.entryFor(m.class, label, false)
 	m.ent.Store(e)
 	return e
 }

@@ -116,6 +116,31 @@ type Thread struct {
 	Clk  *simclock.Clock
 	TID  int
 	pkru mpk.PKRU
+
+	// Scratch is host-side working memory the file system library running on
+	// this thread reuses from one operation to the next. It outlives every
+	// file, so what an op needs only until it returns — a symlink's target, a
+	// page list — costs no heap object. Single-owner like the thread; nothing
+	// in it survives the op that filled it.
+	Scratch Scratch
+}
+
+// Scratch is a thread's reusable working memory. A user slices what it needs
+// from the front and stores the slice back if it grew; two users never nest.
+type Scratch struct {
+	Bytes []byte  // a symlink target, the path a link expands to
+	Pages []int64 // a file's pages at unlink, a subtree's at split
+	// Link is the library's reusable symlink report (a *vfs.SymlinkError;
+	// vfs imports proc, so it rides opaque like the clock's riders).
+	Link any
+}
+
+// Buf returns n scratch bytes, their content unspecified.
+func (s *Scratch) Buf(n int) []byte {
+	if cap(s.Bytes) < n {
+		s.Bytes = make([]byte, n)
+	}
+	return s.Bytes[:n]
 }
 
 // PKRU returns the thread's current protection-key rights register.

@@ -100,7 +100,9 @@ var (
 // SymlinkError is returned when a path walk expands a symbolic link: the
 // µFS reports the rewritten path to the dispatcher, which re-dispatches the
 // request (§4.2 "whenever one symlink is expanded in a µFS, the new path
-// will be returned to the dispatcher").
+// will be returned to the dispatcher"). The error may be the calling thread's
+// own reusable one (ZoFS keeps it in proc.Thread.Scratch): read Path before
+// the thread next calls into a file system, and do not keep the error.
 type SymlinkError struct {
 	// Path is the remaining path after expanding the link.
 	Path string
@@ -108,7 +110,12 @@ type SymlinkError struct {
 
 func (e *SymlinkError) Error() string { return fmt.Sprintf("vfs: symlink expansion to %q", e.Path) }
 
-// Handle is an open file.
+// Handle is an open file. It is dead at Close: the file system may hand the
+// value to the next open, so a caller drops every copy it holds when it calls
+// Close and neither uses nor closes it again. (A file system that can tell —
+// ZoFS, until the value is reused — answers a late call with ErrBadFD and a
+// late Close with nil.) Calls other than Close may run concurrently; Close
+// runs after all of them have returned.
 type Handle interface {
 	// ReadAt reads len(p) bytes from offset off, returning short counts at
 	// end of file.

@@ -19,15 +19,17 @@ import (
 // pages, which takes a long time". The ZoFS-1coffer variant skips all of
 // this and rewrites the inode's mode word in user space.
 
-// collectTreePages gathers every page of an in-coffer subtree rooted at
-// ino (the inode page itself, data and indirect pages, directory structure
-// pages, and in-coffer descendants; cross-coffer children are untouched).
-// The caller holds the window open on the owning coffer.
-func (f *FS) collectTreePages(th *proc.Thread, ino int64, typ vfs.FileType) []int64 {
-	pages := []int64{ino}
+// collectTreePages appends to pages every page of an in-coffer subtree rooted
+// at ino (the inode page itself, data and indirect pages, directory structure
+// pages, and in-coffer descendants; cross-coffer children are untouched). One
+// list is passed down the recursion: callers start it from the thread's
+// scratch and store back what it grew to. The caller holds the window open on
+// the owning coffer.
+func (f *FS) collectTreePages(th *proc.Thread, ino int64, typ vfs.FileType, pages []int64) []int64 {
+	pages = append(pages, ino)
 	switch typ {
 	case vfs.TypeRegular:
-		pages = append(pages, f.filePages(th, ino)...)
+		pages = f.filePages(th, ino, pages)
 	case vfs.TypeDir:
 		// One walk for the structure pages; the children to descend into
 		// come off the index (without it, off that same walk).
@@ -40,7 +42,7 @@ func (f *FS) collectTreePages(th *proc.Thread, ino int64, typ vfs.FileType) []in
 			}
 		})
 		for _, c := range children {
-			pages = append(pages, f.collectTreePages(th, c.inode, vfs.FileType(c.typ))...)
+			pages = f.collectTreePages(th, c.inode, vfs.FileType(c.typ), pages)
 		}
 	}
 	return pages
@@ -145,12 +147,13 @@ func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid ui
 	}
 
 	// The expensive path: split the subtree into its own coffer.
-	pages := f.collectTreePages(th, de.inode, vfs.FileType(de.typ))
+	pages := f.collectTreePages(th, de.inode, vfs.FileType(de.typ), th.Scratch.Pages[:0])
 	custom, err := f.allocPage(th, pos.m, classMeta)
 	if err != nil {
 		return err
 	}
 	pages = append(pages, custom)
+	th.Scratch.Pages = pages
 	writeInodePerm()
 	newID, err := f.kern.CofferSplit(th, pos.m.id, path, newMode, newUID, newGID, pages, de.inode, custom)
 	if err != nil {

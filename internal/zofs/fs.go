@@ -3,7 +3,6 @@ package zofs
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"zofs/internal/coffer"
@@ -65,6 +64,9 @@ type FS struct {
 	mounts  map[coffer.ID]*mount
 	mapSeq  uint64 // ensureMapped calls so far; stamps mount.seq
 	revSeen uint64 // last-seen kernel revocation generation (see ensureMapped)
+
+	hmu   sync.Mutex // guards hfree
+	hfree *file      // closed handles awaiting reuse, linked through file.next
 }
 
 // mount is a cached coffer mapping.
@@ -283,7 +285,7 @@ func (p walkPos) close() { p.win.close() }
 // parsing (longest prefix first), maps it, then walks the remaining
 // components inside the coffer. A validated cross-coffer dentry switches
 // the window to the target coffer (guidelines G2/G3). Symlink expansion is
-// reported to the dispatcher via *vfs.SymlinkError (§4.2).
+// reported to the dispatcher via *vfs.SymlinkError (§4.2, expandSymlink).
 //
 // followFinal controls whether a symlink at the final component is
 // expanded. write requests a writable mapping/window on the final coffer.
@@ -311,9 +313,7 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 		}
 		pos.typ = vfs.FileType(u32at(hdr, inoTypeOff))
 		if pos.typ == vfs.TypeSymlink && followFinal {
-			target := f.readSymlink(th, pos.ino)
-			pos.close()
-			return walkPos{}, &vfs.SymlinkError{Path: resolveSymlink(pos.path, target, "")}
+			return walkPos{}, f.expandSymlink(th, pos, "")
 		}
 		return pos, nil
 	}
@@ -340,9 +340,7 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 		typ := vfs.FileType(u32at(hdr, inoTypeOff))
 		if typ == vfs.TypeSymlink {
 			// Symlink in the middle of the walk: expand and re-dispatch.
-			target := f.readSymlink(th, pos.ino)
-			pos.close()
-			return walkPos{}, &vfs.SymlinkError{Path: resolveSymlink(pos.path, target, path[start:])}
+			return walkPos{}, f.expandSymlink(th, pos, path[start:])
 		}
 		if typ != vfs.TypeDir {
 			pos.close()
@@ -381,9 +379,7 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 			}
 			pos.typ = vfs.FileType(u32at(hdr, inoTypeOff))
 			if pos.typ == vfs.TypeSymlink && followFinal {
-				t := f.readSymlink(th, pos.ino)
-				pos.close()
-				return walkPos{}, &vfs.SymlinkError{Path: resolveSymlink(pos.path, t, "")}
+				return walkPos{}, f.expandSymlink(th, pos, "")
 			}
 		}
 		start = end + 1
@@ -391,20 +387,38 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 	return pos, nil
 }
 
-// resolveSymlink rewrites a path after expanding a symlink found at
-// linkPath with the given target; rest is the unconsumed suffix.
-func resolveSymlink(linkPath, target, rest string) string {
-	var base string
-	if strings.HasPrefix(target, "/") {
-		base = target
-	} else {
-		dir, _ := vfs.SplitPath(linkPath)
-		base = vfs.Join(dir, target)
+// expandSymlink ends a walk that stands on a symlink: it reads the target,
+// closes the window and reports the path the dispatcher retries — the target,
+// joined to the link's directory when relative, then rest, the suffix of the
+// walked path the link left unconsumed. The path is assembled in the thread's
+// scratch around the target as it is read, so the string handed back is the one
+// heap object; the error is the thread's own reusable one.
+func (f *FS) expandSymlink(th *proc.Thread, pos walkPos, rest string) error {
+	dir, _ := vfs.SplitPath(pos.path)
+	at := len(dir) // where the target goes: after dir and its separator
+	if dir != "/" {
+		at++
+	}
+	buf := th.Scratch.Buf(at + symMaxLen + 1 + len(rest))
+	target := f.readSymlink(th, pos.ino, buf[at:])
+	pos.close()
+	start, end := at, at+len(target)
+	if len(target) == 0 || target[0] != '/' {
+		copy(buf, dir)
+		buf[at-1] = '/'
+		start = 0
 	}
 	if rest != "" {
-		base = base + "/" + rest
+		buf[end] = '/'
+		end += 1 + copy(buf[end+1:], rest)
 	}
-	return vfs.Clean(base)
+	se, _ := th.Scratch.Link.(*vfs.SymlinkError)
+	if se == nil {
+		se = new(vfs.SymlinkError)
+		th.Scratch.Link = se
+	}
+	se.Path = vfs.Clean(string(buf[start:end]))
+	return se
 }
 
 // readView borrows the device image over [off, off+n), charged like a device
@@ -430,17 +444,17 @@ func (f *FS) readInodeHeader(th *proc.Thread, ino int64) []byte {
 	return f.readViewCached(th, ino*pageSize, inoHeaderLen)
 }
 
-// readSymlink reads a symlink inode's target.
-func (f *FS) readSymlink(th *proc.Thread, ino int64) string {
+// readSymlink reads a symlink inode's target — its length, then that many
+// bytes — into buf, which holds symMaxLen or more, and returns the part filled.
+func (f *FS) readSymlink(th *proc.Thread, ino int64, buf []byte) []byte {
 	var lenb [2]byte
 	th.Read(ino*pageSize+inoSymLenOff, lenb[:])
 	n := int(lenb[0]) | int(lenb[1])<<8
 	if n <= 0 || n > symMaxLen {
-		return ""
+		return buf[:0]
 	}
-	buf := make([]byte, n)
-	th.Read(ino*pageSize+inoSymTgtOff, buf)
-	return string(buf)
+	th.Read(ino*pageSize+inoSymTgtOff, buf[:n])
+	return buf[:n]
 }
 
 // maybeEmptySyscall implements the ZoFS-sysempty variant (Figure 8).

@@ -28,7 +28,7 @@ func TestInlineDataRoundTrip(t *testing.T) {
 	if !f.isInline(th, pos.ino) {
 		t.Fatal("small file not inlined")
 	}
-	if pages := f.filePages(th, pos.ino); len(pages) != 0 {
+	if pages := f.filePages(th, pos.ino, nil); len(pages) != 0 {
 		t.Fatalf("inline file owns %d data pages", len(pages))
 	}
 	pos.close()

@@ -37,7 +37,7 @@ func (f *FS) writeSymlinkTarget(th *proc.Thread, page int64, target string) erro
 	if len(target) > symMaxLen {
 		return vfs.ErrNameTooLong
 	}
-	buf := make([]byte, 2+len(target))
+	buf := th.Scratch.Buf(2 + len(target))
 	buf[0] = byte(len(target))
 	buf[1] = byte(len(target) >> 8)
 	copy(buf[2:], target)
@@ -410,14 +410,14 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 	return nil
 }
 
-// filePages collects every page reachable from a regular file inode
+// filePages appends to pages every page reachable from a regular file inode
 // (data + indirect pages), excluding the inode page itself, in ascending
 // block order (a pointer page precedes the blocks it maps). The inode's
 // pointer area is read once, as one view ending at the double-indirect word
 // and starting at the first direct slot the size covers — for an empty file
 // that is the two indirect words alone. Those are read whatever the size:
 // truncation leaves indirect pages in place until unlink.
-func (f *FS) filePages(th *proc.Thread, ino int64) []int64 {
+func (f *FS) filePages(th *proc.Thread, ino int64, pages []int64) []int64 {
 	size := f.inodeSize(th, ino)
 	direct := min((size+pageSize-1)/pageSize, inoDirectCnt)
 	from := int64(inoIndirectOff)
@@ -425,7 +425,7 @@ func (f *FS) filePages(th *proc.Thread, ino int64) []int64 {
 		from = inoDirectOff
 	}
 	ptrs := f.readView(th, ino*pageSize+from, inoDIndirOff+8-from)
-	pages := appendPtrs(nil, ptrs[:8*direct])
+	pages = appendPtrs(pages, ptrs[:8*direct])
 	// leaf appends a pointer page and every page its slots name.
 	leaf := func(pg int64) {
 		if pg != 0 {
@@ -446,9 +446,11 @@ func (f *FS) filePages(th *proc.Thread, ino int64) []int64 {
 // freeFileContent releases all of a regular file's pages to the caller's
 // free lists (after the dentry kill has committed), last block first: the
 // free list is a stack, so the pages pop in ascending block order and the
-// next file written reuses them as the runs this one was laid out in.
+// next file written reuses them as the runs this one was laid out in. The
+// list is built in the thread's scratch, which keeps what it grew to.
 func (f *FS) freeFileContent(th *proc.Thread, m *mount, ino int64) {
-	pages := f.filePages(th, ino)
+	pages := f.filePages(th, ino, th.Scratch.Pages[:0])
+	th.Scratch.Pages = pages
 	for i := len(pages) - 1; i >= 0; i-- {
 		f.freePage(th, m, classData, pages[i])
 	}

@@ -327,7 +327,7 @@ func (f *FS) forgetMount(id coffer.ID) {
 // another process initiated recovery — §3.5).
 func (f *FS) InvalidateAll() {
 	f.mu.Lock()
-	f.mounts = map[coffer.ID]*mount{}
+	clear(f.mounts)
 	f.mu.Unlock()
 	// The kernel may have recovered (and rewritten) coffers behind our back:
 	// distrust every cached directory index.
@@ -480,7 +480,7 @@ func (f *FS) Readlink(th *proc.Thread, path string) (string, error) {
 	if pos.typ != vfs.TypeSymlink {
 		return "", vfs.ErrInvalid
 	}
-	return f.readSymlink(th, pos.ino), nil
+	return string(f.readSymlink(th, pos.ino, th.Scratch.Buf(symMaxLen))), nil
 }
 
 // Truncate resizes a file by path.
@@ -505,8 +505,14 @@ func (f *FS) Truncate(th *proc.Thread, path string, size int64) error {
 
 // file is ZoFS's vfs.Handle: an (instance, coffer, inode) triple. Offsets
 // are managed by the FD layer above. A handle may be shared by concurrent
-// threads (e.g. FxMark DWOM), so it holds only immutable identity; the
-// mapping is re-resolved per operation via remap.
+// threads (e.g. FxMark DWOM), so between open and close it holds only
+// immutable identity; the mapping is re-resolved per operation via remap.
+//
+// The struct outlives the open: Close hands it to the instance's free list
+// and the next open takes it from there. A closed handle answers every call
+// with vfs.ErrBadFD (Close: nil) for as long as it stays on that list; once
+// reused it is somebody else's file, so callers drop a handle at Close (the
+// vfs.Handle contract).
 type file struct {
 	fs     *FS
 	cid    coffer.ID
@@ -514,13 +520,24 @@ type file struct {
 	path   string
 	flags  int
 	closed bool
+	next   *file // free-list link
 }
 
 // newHandle registers the open with the cross-process handle table (unlink
 // defers reclamation while handles exist).
 func (f *FS) newHandle(m *mount, ino int64, path string, flags int) *file {
 	f.sh.retain(ino)
-	return &file{fs: f, cid: m.id, ino: ino, path: path, flags: flags}
+	f.hmu.Lock()
+	h := f.hfree
+	if h != nil {
+		f.hfree = h.next
+	}
+	f.hmu.Unlock()
+	if h == nil {
+		h = new(file)
+	}
+	*h = file{fs: f, cid: m.id, ino: ino, path: path, flags: flags}
+	return h
 }
 
 func (h *file) writable() bool { return h.flags&vfs.O_ACCESS != vfs.O_RDONLY }
@@ -535,6 +552,9 @@ func (h *file) remap(th *proc.Thread, write bool) (*mount, error) {
 // ReadAt implements the data-read path: readers-writer lock read side, so
 // concurrent reads overlap (Fig. 7a–c).
 func (h *file) ReadAt(th *proc.Thread, p []byte, off int64) (int, error) {
+	if h.closed {
+		return 0, vfs.ErrBadFD
+	}
 	m, err := h.remap(th, false)
 	if err != nil {
 		return 0, err
@@ -549,7 +569,7 @@ func (h *file) ReadAt(th *proc.Thread, p []byte, off int64) (int, error) {
 // WriteAt implements the data-write path under the per-file write lock
 // (Fig. 7e–f), with the Figure 8 variant hooks.
 func (h *file) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
-	if !h.writable() {
+	if h.closed || !h.writable() {
 		return 0, vfs.ErrBadFD
 	}
 	m, err := h.remap(th, true)
@@ -570,7 +590,7 @@ func (h *file) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
 
 // Append atomically appends at end of file (the DWAL operation).
 func (h *file) Append(th *proc.Thread, p []byte) (int64, error) {
-	if !h.writable() {
+	if h.closed || !h.writable() {
 		return 0, vfs.ErrBadFD
 	}
 	m, err := h.remap(th, true)
@@ -593,6 +613,9 @@ func (h *file) Append(th *proc.Thread, p []byte) (int64, error) {
 
 // Stat returns the handle's current metadata.
 func (h *file) Stat(th *proc.Thread) (vfs.FileInfo, error) {
+	if h.closed {
+		return vfs.FileInfo{}, vfs.ErrBadFD
+	}
 	m, err := h.remap(th, false)
 	if err != nil {
 		return vfs.FileInfo{}, err
@@ -610,16 +633,23 @@ func (h *file) Stat(th *proc.Thread) (vfs.FileInfo, error) {
 	return fi, nil
 }
 
-// Sync is a no-op: ZoFS is synchronous (§5, "a synchronous file system").
-func (h *file) Sync(*proc.Thread) error { return nil }
+// Sync is a no-op on an open handle: ZoFS is synchronous (§5, "a synchronous
+// file system").
+func (h *file) Sync(*proc.Thread) error {
+	if h.closed {
+		return vfs.ErrBadFD
+	}
+	return nil
+}
 
 // Close releases the handle, reclaiming an orphaned (unlinked-while-open)
-// inode's content on the last close.
+// inode's content on the last close, and leaves the struct for the next open.
 func (h *file) Close(th *proc.Thread) error {
 	if h.closed {
 		return nil
 	}
 	h.closed = true
+	defer h.fs.recycle(h)
 	reclaim, typ := h.fs.sh.release(h.ino)
 	if !reclaim {
 		return nil
@@ -641,4 +671,11 @@ func (h *file) Close(th *proc.Thread) error {
 		h.fs.freePage(th, m, classMeta, h.ino)
 	}
 	return nil
+}
+
+// recycle puts a closed handle on the free list.
+func (f *FS) recycle(h *file) {
+	f.hmu.Lock()
+	h.next, f.hfree = f.hfree, h
+	f.hmu.Unlock()
 }

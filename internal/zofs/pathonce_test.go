@@ -281,7 +281,7 @@ func TestUnlinkConservesPages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			held := f.filePages(th, pos.ino)
+			held := f.filePages(th, pos.ino, nil)
 			pos.close()
 			if len(held) != c.held {
 				t.Fatalf("filePages found %d pages, want %d", len(held), c.held)
@@ -332,7 +332,7 @@ func TestFilePagesReadsOnce(t *testing.T) {
 			}
 			defer pos.close()
 			r0, t0 := dev.BytesRead(), th.Clk.Now()
-			if got := len(f.filePages(th, pos.ino)); got != c.blocks {
+			if got := len(f.filePages(th, pos.ino, nil)); got != c.blocks {
 				t.Fatalf("filePages = %d pages, want %d", got, c.blocks)
 			}
 			if got := dev.BytesRead() - r0; got != c.bytes {

@@ -124,7 +124,8 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 		rpSrc, _ := f.kern.Info(src.m.id)
 		rpDst, _ := f.kern.Info(dst.m.id)
 		f.window(th, src.m, true)
-		pages := f.collectTreePages(th, de.inode, vfs.FileType(de.typ))
+		pages := f.collectTreePages(th, de.inode, vfs.FileType(de.typ), th.Scratch.Pages[:0])
+		th.Scratch.Pages = pages
 		if execMask(rpSrc.Mode) == execMask(rpDst.Mode) && rpSrc.UID == rpDst.UID && rpSrc.GID == rpDst.GID {
 			// Same permission: retag the pages into the destination coffer.
 			if err := errno(f.kern.MovePages(th, src.m.id, dst.m.id, pages)); err != nil {
@@ -145,6 +146,7 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 			return err
 		}
 		pages = append(pages, custom)
+		th.Scratch.Pages = pages
 		newID, err := f.kern.CofferSplit(th, src.m.id, newPath, rpSrc.Mode, rpSrc.UID, rpSrc.GID, pages, de.inode, custom)
 		if err != nil {
 			// A refused split (not the owner, the path taken, no page for

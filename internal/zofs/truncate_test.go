@@ -262,7 +262,7 @@ func TestTruncateCrashPoints(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, pg := range f2.filePages(th2, pos.ino) {
+					for _, pg := range f2.filePages(th2, pos.ino, nil) {
 						if held[pg] {
 							t.Fatalf("%s: page %d is reachable twice", where, pg)
 						}

@@ -97,8 +97,9 @@ meta_churn 1 nvm_rbytes_per_op < 50
 # Each op resolves its path once and O_CREAT probes the name once (680, 929 now).
 meta_churn 1 sim_kops_per_vsec >= 850
 # Paths are sliced, not rebuilt; windows, commits and inode state cost no heap
-# object (18.2 before, 0.97 now: FD entries, handles, listings).
-meta_churn 1 host_allocs_per_op <= 3
+# object, and open-file descriptions and handles are recycled (18.2, then 0.97
+# with an FD entry and a handle per open, 0.46 now: listings).
+meta_churn 1 host_allocs_per_op <= 1
 # A 64 KiB pread of a file written front to back is one device access, not
 # sixteen (895 a block at a time, 1513 now).
 data_read 3 sim_kops_per_vsec >= 1350
@@ -106,10 +107,17 @@ data_read 3 sim_kops_per_vsec >= 1350
 # by slot, 1185 now).
 data_write 3 sim_kops_per_vsec >= 1050
 # B-tree pages are searched and edited in place, rows are written and read by
-# a typed codec, keys are bytes and lookups return views (7954 with decoded
-# pages, 241 with encoding/json rows, 7.3 now: the journal's handle, its page
-# list at unlink, pages the database grows by).
-app_tpcc 1 host_allocs_per_op <= 40
+# a typed codec, keys are bytes and lookups return views; the journal's handle
+# is a recycled one and its page list at unlink is built in thread scratch
+# (7954 with decoded pages, 241 with encoding/json rows, 7.3 with a handle and
+# a page list per transaction, 1.8 now: pages the database grows by).
+app_tpcc 1 host_allocs_per_op <= 6
+# Files open, close, change permission and move between coffers without
+# garbage: recycled descriptions and handles, symlink targets and page lists
+# in thread scratch, typed kernel-agent tables (2.65 before, 0.57 now: the
+# path a symlinked open expands to, and per chmod split/merge cycle a coffer
+# record, a path-mirror entry, a mapper table and a mount).
+coffer_share 1 host_allocs_per_op <= 1.5
 EOF
 
 echo "== crashmc smoke =="
