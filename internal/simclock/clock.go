@@ -300,6 +300,17 @@ func (r *RWResource) Reset() {
 // simultaneous traffic contends.
 const bwWindowNS = 4096
 
+// The ledger is stored in dense pages of bwPageWindows consecutive windows
+// (16.8 ms of virtual time in 32 KB), found through a directory keyed by page
+// number, so its memory follows the span of virtual time traffic touched,
+// whatever the clocks read.
+const (
+	bwPageShift   = 12
+	bwPageWindows = 1 << bwPageShift
+)
+
+type bwPage [bwPageWindows]int64 // consumed transfer ns per window
+
 // Bandwidth models a shared transfer channel with a fixed peak rate
 // (bytes/second) and an optional concurrency-degradation factor. A transfer
 // of n bytes consumes n/effectiveRate seconds of channel capacity, so
@@ -321,8 +332,8 @@ type Bandwidth struct {
 	scale      atomic.Uint64 // effective rate multiplier in 1/1024ths
 	totalBytes atomic.Int64
 
-	mu  sync.Mutex
-	win map[int64]int64 // window index -> consumed transfer ns
+	mu    sync.Mutex
+	pages map[int64]*bwPage // page number (window index >> bwPageShift) -> its windows
 }
 
 // NewBandwidth returns a channel with the given peak rate in bytes/second.
@@ -330,9 +341,28 @@ func NewBandwidth(bytesPerSecond float64) *Bandwidth {
 	if bytesPerSecond <= 0 {
 		panic(fmt.Sprintf("simclock: invalid bandwidth %v", bytesPerSecond))
 	}
-	b := &Bandwidth{peakBps: bytesPerSecond, win: map[int64]int64{}}
+	b := &Bandwidth{peakBps: bytesPerSecond, pages: map[int64]*bwPage{}}
 	b.scale.Store(1024)
 	return b
+}
+
+// used returns the transfer ns window w has carried. Callers hold b.mu.
+func (b *Bandwidth) used(w int64) int64 {
+	if pg := b.pages[w>>bwPageShift]; pg != nil {
+		return pg[w&(bwPageWindows-1)]
+	}
+	return 0
+}
+
+// add charges ns of transfer to window w, materialising its page on first
+// use. Callers hold b.mu.
+func (b *Bandwidth) add(w, ns int64) {
+	pg := b.pages[w>>bwPageShift]
+	if pg == nil {
+		pg = new(bwPage)
+		b.pages[w>>bwPageShift] = pg
+	}
+	pg[w&(bwPageWindows-1)] += ns
 }
 
 // SetDegradation sets the effective-rate multiplier (0 < f <= 1). Workload
@@ -365,7 +395,7 @@ func (b *Bandwidth) Transfer(c *Clock, n int) {
 	t := c.Now()
 	for hold > 0 {
 		w := t / bwWindowNS
-		avail := bwWindowNS - b.win[w]
+		avail := bwWindowNS - b.used(w)
 		if avail <= 0 {
 			t = (w + 1) * bwWindowNS
 			continue
@@ -379,7 +409,7 @@ func (b *Bandwidth) Transfer(c *Clock, n int) {
 		if wall := (w+1)*bwWindowNS - t; take > wall {
 			take = wall
 		}
-		b.win[w] += take
+		b.add(w, take)
 		hold -= take
 		t += take
 		if hold > 0 && t < (w+1)*bwWindowNS {
@@ -411,7 +441,7 @@ func (b *Bandwidth) TotalBytes() int64 { return b.totalBytes.Load() }
 // Reset makes the channel idle and zeroes the byte counter.
 func (b *Bandwidth) Reset() {
 	b.mu.Lock()
-	b.win = map[int64]int64{}
+	clear(b.pages)
 	b.mu.Unlock()
 	b.totalBytes.Store(0)
 	b.scale.Store(1024)

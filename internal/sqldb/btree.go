@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
@@ -23,7 +24,9 @@ import (
 // The tree is searched and edited on the cached page image itself. Packed
 // cells have no directory on the page, so each cached page carries a
 // DRAM-only slot table (cpage.slots: the offset of every cell, then the end
-// of the last) that is rebuilt from the image after an edit.
+// of the last). It is built from the image when the page is loaded from the
+// file and edited in step with the image after that: an edit shifts the
+// entries behind it, a split hands each half its share.
 const (
 	pgLeaf     = 1
 	pgInterior = 2
@@ -79,8 +82,9 @@ func (pg *cpage) index() error {
 	default:
 		return errCorrupt
 	}
-	slots, off := pg.slots[:0], btCellsOff
-	for n := int(binary.LittleEndian.Uint16(buf[btNCellOff:])); n > 0; n-- {
+	n := int(binary.LittleEndian.Uint16(buf[btNCellOff:]))
+	slots, off := roomy(pg.slots[:0], min(n+1, pageSlots)), btCellsOff
+	for ; n > 0; n-- {
 		if off+hdr > len(buf) {
 			return errCorrupt
 		}
@@ -96,6 +100,19 @@ func (pg *cpage) index() error {
 	}
 	pg.slots = append(slots, uint16(off))
 	return nil
+}
+
+// pageSlots bounds the slot table of a page: a page of the smallest cells,
+// and its end.
+const pageSlots = cellSpace/leafCellHdr + 1
+
+// roomy returns s, or if s has no room for n more entries, s moved to a
+// table of pageSlots: a page outgrows the table its slab carved once.
+func roomy(s []uint16, n int) []uint16 {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(make([]uint16, 0, max(pageSlots, len(s)+n)), s...)
 }
 
 func (pg *cpage) ncells() int { return len(pg.slots) - 1 }
@@ -148,21 +165,24 @@ func (pg *cpage) search(k []byte) (int, bool) {
 
 // btree is one tree (a table or index) within the database file.
 type btree struct {
-	pg   *pager
-	root int64
+	pg    *pager
+	root  int64
+	stale bool // a table handle whose root a rollback may have moved (db.go)
 }
 
 // newBtree allocates an empty leaf root.
 func newBtree(th *proc.Thread, p *pager) (*btree, error) {
 	no, pg := p.allocPage(th)
 	setHeader(pg.buf, pgLeaf, 0, 0)
+	pg.slots = append(pg.slots, btCellsOff)
 	if err := p.write(th, no); err != nil {
 		return nil, err
 	}
 	return &btree{pg: p, root: no}, nil
 }
 
-// node returns a cached page with its slot table in step with its image.
+// node returns a cached page with its slot table in step with its image,
+// indexing a page just loaded from the file.
 func (t *btree) node(th *proc.Thread, no int64) (*cpage, error) {
 	pg, err := t.pg.page(th, no)
 	if err != nil {
@@ -220,6 +240,7 @@ func (t *btree) Put(th *proc.Thread, key, val []byte) error {
 		rootNo, rootPg := t.pg.allocPage(th)
 		setHeader(rootPg.buf, pgInterior, 1, newPage)
 		putInteriorCell(rootPg.buf[btCellsOff:], promoted, t.root)
+		rootPg.slots = append(rootPg.slots, btCellsOff, uint16(btCellsOff+interiorCellHdr+len(promoted)))
 		if err := t.pg.write(th, rootNo); err != nil {
 			return err
 		}
@@ -232,28 +253,35 @@ func (t *btree) Put(th *proc.Thread, key, val []byte) error {
 // the old bytes that cell occupies now (0: a cell is inserted before it;
 // size 0: the cell is removed): the cells behind shift, what a shrink
 // vacates is zeroed and the cell count follows, so the image stays what
-// packing the edited cell list into a zeroed page gives. The caller writes
-// the cell at the returned offset. A page the edit grows past PageSize is
-// laid out in the pager's oversize page instead, for split to divide.
+// packing the edited cell list into a zeroed page gives. The slot table
+// follows too: the entries behind cell i shift by the size change, and one
+// is inserted or removed. The caller writes the cell at the returned offset.
+// A page the edit grows past PageSize is laid out, table and all, in the
+// pager's oversize page instead, for split to divide.
 func (t *btree) splice(pg *cpage, i, old, size int) (*cpage, int) {
-	off, end, n := int(pg.slots[i]), pg.end(), pg.ncells()
+	off, end := int(pg.slots[i]), pg.end()
 	dst := pg
 	if end+size-old > PageSize {
 		dst = &t.pg.big
 		copy(dst.buf, pg.buf[:end])
+		dst.slots = append(roomy(dst.slots[:0], len(pg.slots)), pg.slots...)
 	}
 	copy(dst.buf[off+size:], dst.buf[off+old:end])
 	if size < old {
 		clear(dst.buf[end+size-old : end])
 	}
+	s, from := dst.slots, i+1
 	switch {
 	case old == 0:
-		n++
+		s = slices.Insert(roomy(s, 1), i, uint16(off))
 	case size == 0:
-		n--
+		s, from = slices.Delete(s, i, i+1), i
 	}
-	binary.LittleEndian.PutUint16(dst.buf[btNCellOff:], uint16(n))
-	pg.slots, dst.slots = pg.slots[:0], dst.slots[:0]
+	for j := from; j < len(s); j++ {
+		s[j] += uint16(size - old)
+	}
+	dst.slots = s
+	binary.LittleEndian.PutUint16(dst.buf[btNCellOff:], uint16(len(s)-1))
 	return dst, off
 }
 
@@ -262,11 +290,8 @@ func (t *btree) splice(pg *cpage, i, old, size int) (*cpage, int) {
 // the pager's buffer for it, good until the next split) and the new page.
 // Half the cells stay, and of an interior page the one behind them moves up
 // as the separator; the point shifts only as far as a half of unequal cells
-// needs to fit its page.
+// needs to fit its page. Each half's slot table is its share of big's.
 func (t *btree) split(th *proc.Thread, pg, big *cpage) ([]byte, int64, error) {
-	if err := big.index(); err != nil {
-		return nil, 0, err
-	}
 	n, end, leaf := big.ncells(), big.end(), big.leaf()
 	upper := func(h int) int { // first cell of the right page
 		if leaf {
@@ -288,11 +313,17 @@ func (t *btree) split(th *proc.Thread, pg, big *cpage) ([]byte, int64, error) {
 	}
 	promoted := append(t.pg.sep[:0], big.key(sep)...)
 	setHeader(newPg.buf, big.buf[btTypeOff], n-upper(h), big.right())
-	copy(newPg.buf[btCellsOff:], big.buf[big.slots[upper(h)]:end])
+	up := big.slots[upper(h)]
+	copy(newPg.buf[btCellsOff:], big.buf[up:end])
+	newPg.slots = append(roomy(newPg.slots, n-upper(h)+1), big.slots[upper(h):]...)
+	for j := range newPg.slots {
+		newPg.slots[j] -= up - btCellsOff
+	}
 	lowEnd := int(big.slots[h])
 	copy(pg.buf[btCellsOff:lowEnd], big.buf[btCellsOff:])
 	clear(pg.buf[lowEnd:])
 	setHeader(pg.buf, big.buf[btTypeOff], h, lowRight)
+	pg.slots = append(roomy(pg.slots[:0], h+1), big.slots[:h+1]...)
 	if err := t.pg.write(th, newNo); err != nil {
 		return nil, 0, err
 	}

@@ -181,6 +181,9 @@ func runDifferential(t testing.TB, data []byte) refStats {
 			d.begin()
 		}
 		d.samePages(when, op >= 14)
+		if err := d.p.slotsInStep(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
 	}
 	d.sameJournal("end")
 	d.samePages("end", true)
@@ -224,7 +227,8 @@ func fuzzSeeds() [][]byte {
 
 // FuzzBtreePage: any op stream leaves the engine's pages byte-identical to
 // the decode-edit-encode reference's, the same number of them, and the same
-// page numbers journaled in the same order.
+// page numbers journaled in the same order; and every cached page's slot
+// table what indexing its image gives.
 func FuzzBtreePage(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)

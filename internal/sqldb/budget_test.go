@@ -2,20 +2,23 @@ package sqldb_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"zofs/internal/lockprof"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/series"
 	"zofs/internal/spans"
+	"zofs/internal/sqldb"
 	"zofs/internal/telemetry"
 )
 
 // TestAllocBudget pins the engine's own heap allocations per call with every
-// collector off and the pages it touches cached: a lookup and a scan return
-// views, an update of a journaled page edits it in place and a Tx is a value,
-// so nothing is left but what the file system allocates to create, sync and
-// unlink a journal.
+// collector off: a lookup and a scan return views, an update of a journaled
+// page edits it in place and keeps its slot table in step, a Tx is a value
+// and a rollback keeps the table handles and the pages it drops, so nothing
+// is left but what the file system allocates to create, sync and unlink a
+// journal. Pages the database grows by, or loads, are carved from slabs.
 func TestAllocBudget(t *testing.T) {
 	if telemetry.Active() != nil || spans.Active() != nil || series.Active() != nil ||
 		lockprof.Active() != nil || pmemtrace.Active() != nil {
@@ -80,6 +83,12 @@ func TestAllocBudget(t *testing.T) {
 			rows = 0
 			must(tx.Scan("t", k, func(_, _ []byte) bool { rows++; return rows < 100 }))
 		}},
+		{"Rollback, then Put to the same table", 0, func() {
+			must(tx.Rollback())
+			tx, err = db.Begin(th)
+			must(err)
+			must(tx.Put("t", k, val))
+		}},
 	}
 	for _, c := range cases {
 		if got := testing.AllocsPerRun(200, c.f); got > c.max {
@@ -94,4 +103,77 @@ func TestAllocBudget(t *testing.T) {
 	}); got > journal {
 		t.Errorf("Begin+Commit: %v allocs/op, budget %v (the file system's own)", got, journal)
 	}
+
+	// Growth: rows of a kilobyte, three to a leaf, split a leaf every other
+	// Put; pages and their slot tables come from the pager's slabs.
+	pages := func() int64 {
+		fi, err := fs.Stat(th, "/test.db")
+		must(err)
+		return fi.Size / sqldb.PageSize
+	}
+	before, big := pages(), make([]byte, 1000)
+	tx, err = db.Begin(th)
+	must(err)
+	must(tx.CreateTable("grow"))
+	const puts = 2500
+	keys := make([][]byte, puts)
+	for i := range keys {
+		keys[i] = []byte(key(i))
+	}
+	if got := mallocs(func() {
+		for i := 0; i < puts; i++ {
+			must(tx.Put("grow", keys[i], big))
+		}
+	}) / puts; got > 0.1 {
+		t.Errorf("Put splitting leaves: %v allocs/op, budget 0.1", got)
+	}
+	must(tx.Commit())
+	grown := pages() - before
+
+	// Rows of 13-byte cells, some 300 to a page: each page outgrows the slot
+	// table its slab carved and takes one larger table.
+	tiny := make([][]byte, 10000)
+	for i := range tiny {
+		tiny[i] = fmt.Appendf(nil, "%08d", i)
+	}
+	tx, err = db.Begin(th)
+	must(err)
+	must(tx.CreateTable("tiny"))
+	got := mallocs(func() {
+		for _, k := range tiny {
+			must(tx.Put("tiny", k, val[:1]))
+		}
+	})
+	must(tx.Commit())
+	if perPage := got / float64(pages()-before-grown); perPage > 1.1 {
+		t.Errorf("Put of small rows: %v allocs per page grown, budget 1.1", perPage)
+	}
+
+	// A cold cache: reopened, the database loads each of the table's pages
+	// anew as the Gets reach it.
+	must(db.Close(th))
+	db, err = sqldb.Open(fs, th, "/test.db")
+	must(err)
+	tx, err = db.Begin(th)
+	must(err)
+	if got := mallocs(func() {
+		for i := 0; i < puts; i++ {
+			_, err := tx.Get("grow", keys[i])
+			must(err)
+		}
+	}); grown < 1000 || got/float64(grown) > 0.1 {
+		t.Errorf("Get from a cold cache: %v allocs over %d pages, budget 0.1 per page", got, grown)
+	}
+	must(tx.Commit())
+}
+
+// mallocs counts the heap objects f allocates, as testing.AllocsPerRun does
+// but without rounding down to whole objects per call.
+func mallocs(f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs)
 }

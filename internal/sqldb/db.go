@@ -109,14 +109,16 @@ func (tx Tx) Commit() error {
 	return nil
 }
 
-// Rollback undoes the transaction; cached table handles are invalidated
+// Rollback undoes the transaction; cached table handles are marked stale
 // because their roots may have been rolled back.
 func (tx Tx) Rollback() error {
 	if tx.finished() {
 		return nil
 	}
 	err := tx.db.p.rollback(tx.th)
-	clear(tx.db.tables)
+	for _, t := range tx.db.tables {
+		t.stale = true
+	}
 	catRoot, herr := tx.db.p.loadHeader(tx.th)
 	if herr == nil {
 		tx.db.catalog.root = catRoot
@@ -128,28 +130,35 @@ func (tx Tx) Rollback() error {
 	return herr
 }
 
-// table fetches (or, inside a transaction, creates) a table handle.
+// table fetches (or, inside a transaction, creates) a table handle. A stale
+// handle, kept through a rollback, resolves its root again as a new one does.
 func (db *DB) table(th *proc.Thread, name string, create bool) (*btree, error) {
-	if t, ok := db.tables[name]; ok {
+	t, ok := db.tables[name]
+	if ok && !t.stale {
 		return t, nil
 	}
 	v, err := db.catalog.Get(th, []byte(name))
-	if err == nil {
-		t := &btree{pg: db.p, root: int64(binary.LittleEndian.Uint64(v))}
+	var root int64
+	switch {
+	case err == nil:
+		root = int64(binary.LittleEndian.Uint64(v))
+	case !errors.Is(err, ErrNotFound) || !create:
+		return nil, err
+	default:
+		nt, err := newBtree(th, db.p)
+		if err != nil {
+			return nil, err
+		}
+		if err := db.setTableRoot(th, name, nt.root); err != nil {
+			return nil, err
+		}
+		root = nt.root
+	}
+	if !ok {
+		t = &btree{pg: db.p}
 		db.tables[name] = t
-		return t, nil
 	}
-	if !errors.Is(err, ErrNotFound) || !create {
-		return nil, err
-	}
-	t, err := newBtree(th, db.p)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.setTableRoot(th, name, t.root); err != nil {
-		return nil, err
-	}
-	db.tables[name] = t
+	t.root, t.stale = root, false
 	return t, nil
 }
 

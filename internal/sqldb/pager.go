@@ -30,9 +30,27 @@ var ErrNotFound = errors.New("sqldb: not found")
 // it in DRAM only.
 type cpage struct {
 	buf    []byte   // PageSize bytes (the oversize scratch page: a cell more)
-	slots  []uint16 // B-tree cell offsets, built on demand from buf (btree.go)
+	slots  []uint16 // B-tree cell offsets, kept in step with buf (btree.go)
 	dirty  bool     // written back at commit
 	logged bool     // original image is in the journal
+}
+
+// Cached pages are carved from slabs of slabPages: the page, its image and a
+// slot table of slabSlots entries, so the table of a page of up to
+// slabSlots-1 cells (cells of 32 bytes and up fill a page with fewer) costs
+// no heap object of its own. A page with more cells moves its table to a
+// larger slice.
+const (
+	slabPages = 64
+	slabSlots = 128
+)
+
+// pageSlab is one allocation of slabPages cached pages; pages leads so the
+// collector scans only the part that holds pointers.
+type pageSlab struct {
+	pages [slabPages]cpage
+	bufs  [slabPages * PageSize]byte
+	slots [slabPages * slabSlots]uint16
 }
 
 // pager manages the database file, the page cache and the rollback
@@ -50,6 +68,9 @@ type pager struct {
 	rec     [8 + PageSize]byte // the one journal record (and header) buffer
 	big     cpage              // where a page that outgrew PageSize is laid out before it splits
 	sep     [MaxKeyLen]byte    // the separator key a split hands its parent
+	slab    *pageSlab          // the slab pages are carved from
+	carved  int                // pages of slab handed out
+	free    []*cpage           // pages a rollback dropped, reused before the slab
 }
 
 func openPager(fs vfs.FileSystem, th *proc.Thread, path string) (*pager, error) {
@@ -86,8 +107,9 @@ func (p *pager) page(th *proc.Thread, no int64) (*cpage, error) {
 		th.CPU(perfmodel.CPUSmallOp)
 		return pg, nil
 	}
-	pg := &cpage{buf: make([]byte, PageSize)}
+	pg := p.newPage()
 	if _, err := p.h.ReadAt(th, pg.buf, no*PageSize); err != nil {
+		p.free = append(p.free, pg)
 		return nil, err
 	}
 	p.pages[no] = pg
@@ -97,10 +119,39 @@ func (p *pager) page(th *proc.Thread, no int64) (*cpage, error) {
 // allocPage appends a fresh page to the file.
 func (p *pager) allocPage(th *proc.Thread) (int64, *cpage) {
 	no := int64(len(p.pages))
-	pg := &cpage{buf: make([]byte, PageSize)}
+	pg := p.newPage()
 	p.pages = append(p.pages, pg)
 	p.markDirty(no, pg)
 	return no, pg
+}
+
+// newPage returns a zeroed, clean page with an empty slot table: one a
+// rollback dropped, or the next of the slab.
+func (p *pager) newPage() *cpage {
+	if n := len(p.free); n > 0 {
+		pg := p.free[n-1]
+		p.free = p.free[:n-1]
+		clear(pg.buf)
+		pg.slots, pg.dirty, pg.logged = pg.slots[:0], false, false
+		return pg
+	}
+	if p.slab == nil || p.carved == slabPages {
+		p.slab, p.carved = new(pageSlab), 0
+	}
+	s, i := p.slab, p.carved
+	p.carved++
+	pg := &s.pages[i]
+	pg.buf = s.bufs[i*PageSize : (i+1)*PageSize : (i+1)*PageSize]
+	pg.slots = s.slots[i*slabSlots : i*slabSlots : (i+1)*slabSlots]
+	return pg
+}
+
+// drop uncaches page no, keeping its memory for the next page.
+func (p *pager) drop(no int64) {
+	if pg := p.pages[no]; pg != nil {
+		p.pages[no] = nil
+		p.free = append(p.free, pg)
+	}
 }
 
 func (p *pager) markDirty(no int64, pg *cpage) {
@@ -218,7 +269,7 @@ func (p *pager) rollback(th *proc.Thread) error {
 	}
 	// Drop cached dirty pages: re-read from the (restored) file on demand.
 	for _, no := range p.dirty {
-		p.pages[no] = nil
+		p.drop(no)
 	}
 	if err := p.fs.Unlink(th, p.jpath); err != nil {
 		return err
@@ -249,7 +300,7 @@ func (p *pager) applyJournal(th *proc.Thread) error {
 		}
 		// A hot journal can name pages past the end of the file it found.
 		if no < int64(len(p.pages)) {
-			p.pages[no] = nil
+			p.drop(no)
 		}
 	}
 	return nil

@@ -181,10 +181,12 @@ func TestLastName(t *testing.T) {
 // collector off. Rows are written and read by the typed codec into the
 // Client's rows and buffers, keys are bytes in the Client's buffers, a lookup
 // returns a view and a Tx is a value, so tpcc and sqldb allocate nothing per
-// transaction of their own; what is left is the journal's handle, the list
-// of the journal's pages that its unlink collects (zofs.filePages) and, where
-// the database grows, a page and its slot table (with encoding/json rows,
-// string keys and copied values: NEW 234, PAY 36, OS 48, DLY 239, SL 2,089).
+// transaction of their own; the file system recycles the journal's handle
+// and collects its pages at unlink in thread scratch, and the pages the
+// database grows by come from the pager's slabs, 64 to an allocation (with
+// encoding/json rows, string keys and copied values: NEW 234, PAY 36, OS 48,
+// DLY 239, SL 2,089; with a page and a slot table per page grown: NEW 8,
+// PAY 5, OS 2, DLY 5, SL 2).
 func TestAllocBudget(t *testing.T) {
 	if telemetry.Active() != nil || spans.Active() != nil || series.Active() != nil ||
 		lockprof.Active() != nil || pmemtrace.Active() != nil {
@@ -198,9 +200,8 @@ func TestAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Means over 50 transactions: NEW 8, PAY 5, OS 2, DLY 5, SL 2; a quarter
-	// above them, rounded up.
-	budget := map[tpcc.TxType]float64{tpcc.NEW: 10, tpcc.PAY: 7, tpcc.OS: 3, tpcc.DLY: 7, tpcc.SL: 3}
+	// Means over 50 transactions, a slab amortised over them: 0 of each.
+	budget := map[tpcc.TxType]float64{tpcc.NEW: 1, tpcc.PAY: 1, tpcc.OS: 1, tpcc.DLY: 1, tpcc.SL: 1}
 	for _, typ := range tpcc.MixOrder {
 		got := testing.AllocsPerRun(50, func() {
 			if err := cl.Exec(th, typ); err != nil {

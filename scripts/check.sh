@@ -106,12 +106,17 @@ data_read 3 sim_kops_per_vsec >= 1350
 # Truncating a 16 MiB log reads and clears each pointer array once (902 slot
 # by slot, 1185 now).
 data_write 3 sim_kops_per_vsec >= 1050
+# The bandwidth ledger keeps windows in dense pages (14.8 with a map entry per
+# window, 1.7 now).
+data_write 3 host_bytes_per_op <= 5
 # B-tree pages are searched and edited in place, rows are written and read by
 # a typed codec, keys are bytes and lookups return views; the journal's handle
-# is a recycled one and its page list at unlink is built in thread scratch
+# is a recycled one and its page list at unlink is built in thread scratch;
+# pages and slot tables come from pager slabs and the tables follow each edit
 # (7954 with decoded pages, 241 with encoding/json rows, 7.3 with a handle and
-# a page list per transaction, 1.8 now: pages the database grows by).
-app_tpcc 1 host_allocs_per_op <= 6
+# a page list per transaction, 1.8 with a page and a slot table per page grown,
+# 0.01 now: a slab per 64 pages grown).
+app_tpcc 1 host_allocs_per_op <= 0.5
 # Files open, close, change permission and move between coffers without
 # garbage: recycled descriptions and handles, symlink targets and page lists
 # in thread scratch, typed kernel-agent tables (2.65 before, 0.57 now: the
