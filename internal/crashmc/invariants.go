@@ -3,6 +3,7 @@ package crashmc
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
@@ -164,23 +165,11 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 				allowed[inflight.Dst] = true
 			}
 		}
-		var walk func(dir string)
-		walk = func(dir string) {
-			ents, err := f2.ReadDir(th2, dir)
-			if err != nil {
-				panic(fmt.Sprintf("readdir %s: %v", dir, err))
+		walkTree(f2, th2, "/", func(p string, e vfs.DirEntry) {
+			if !allowed[p] {
+				panic(fmt.Sprintf("leaked namespace entry %s (%v) not explained by any op", p, e.Type))
 			}
-			for _, e := range ents {
-				p := vfs.Join(dir, e.Name)
-				if !allowed[p] {
-					panic(fmt.Sprintf("leaked namespace entry %s (%v) not explained by any op", p, e.Type))
-				}
-				if e.Type == vfs.TypeDir {
-					walk(p)
-				}
-			}
-		}
-		walk("/")
+		})
 	})
 
 	// Usability: the recovered file system must accept new work.
@@ -404,4 +393,21 @@ func firstDiff(a, b []byte) int {
 		}
 	}
 	return n
+}
+
+// walkTree calls visit for every entry below dir, parents before children.
+// A listing is valid only until the thread's next ReadDir, so each one is
+// cloned before the walk descends; it panics on a directory it cannot list.
+func walkTree(fs vfs.FileSystem, th *proc.Thread, dir string, visit func(p string, e vfs.DirEntry)) {
+	ents, err := fs.ReadDir(th, dir)
+	if err != nil {
+		panic(fmt.Sprintf("readdir %s: %v", dir, err))
+	}
+	for _, e := range slices.Clone(ents) {
+		p := vfs.Join(dir, e.Name)
+		visit(p, e)
+		if e.Type == vfs.TypeDir {
+			walkTree(fs, th, p, visit)
+		}
+	}
 }

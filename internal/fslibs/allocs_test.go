@@ -22,7 +22,7 @@ import (
 // close left behind. What an op may allocate is what outlives it — the path a
 // symlink expands to, the kernel's record of a coffer that did not exist
 // before — and nothing for path handling, dispatch, MPK windows, inode locks,
-// page lists or symlink targets.
+// page lists, symlink targets or directory listings.
 func TestAllocBudget(t *testing.T) {
 	if telemetry.Active() != nil || spans.Active() != nil || series.Active() != nil ||
 		lockprof.Active() != nil || pmemtrace.Active() != nil {
@@ -84,6 +84,12 @@ func TestAllocBudget(t *testing.T) {
 		must(l.Close(th, pfd))
 	}
 	must(l.Symlink(th, "/priv/target", "/dir/sub/ln"))
+	must(l.Mkdir(th, "/list", 0o755))
+	for j := 0; j < 256; j++ {
+		lfd, err := l.Open(th, fmt.Sprintf("/list/e%03d", j), vfs.O_CREATE|vfs.O_RDWR, 0o644)
+		must(err)
+		must(l.Close(th, lfd))
+	}
 	moveFrom, moveTo := "/priv/moved", "/dir/sub/moved"
 	i := 0
 	next := func(s []string) string { i++; return s[(i-1)%len(s)] }
@@ -162,6 +168,13 @@ func TestAllocBudget(t *testing.T) {
 		}},
 		// Nothing: the freed slot and page go onto lists that have room.
 		{"Unlink", 0, func() { must(l.Unlink(th, next(renamed))) }},
+		// Nothing: the µFS lists into the thread's buffer and the dispatcher
+		// passes it through.
+		{"ReadDir of 256 entries", 0, func() {
+			if ents, err := l.ReadDir(th, "/list"); err != nil || len(ents) != 256 {
+				t.Fatalf("listed %d of 256: %v", len(ents), err)
+			}
+		}},
 		// Nothing: the target is staged in the thread's scratch.
 		{"Symlink + Unlink", 0, func() {
 			must(l.Symlink(th, "/dir/sub/file", "/dir/sub/tmpln"))

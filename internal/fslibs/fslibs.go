@@ -722,7 +722,9 @@ func (l *Lib) Readlink(th *proc.Thread, path string) (target string, err error) 
 	return target, err
 }
 
-// ReadDir lists a directory.
+// ReadDir lists a directory. The µFS's result is passed through unchanged:
+// like readdir(3)'s, it may be storage owned by th that th's next ReadDir
+// overwrites (vfs.FileSystem.ReadDir), so a caller keeping it clones it.
 func (l *Lib) ReadDir(th *proc.Thread, path string) (ents []vfs.DirEntry, err error) {
 	defer l.traceAt(th, telemetry.OpReadDir, path)()
 	defer l.guard(th, &err)

@@ -121,7 +121,8 @@ type Thread struct {
 	// this thread reuses from one operation to the next. It outlives every
 	// file, so what an op needs only until it returns — a symlink's target, a
 	// page list — costs no heap object. Single-owner like the thread; nothing
-	// in it survives the op that filled it.
+	// in it survives the op that filled it, except Scratch.Dir, which a
+	// listing hands back to its caller.
 	Scratch Scratch
 }
 
@@ -133,6 +134,11 @@ type Scratch struct {
 	// Link is the library's reusable symlink report (a *vfs.SymlinkError;
 	// vfs imports proc, so it rides opaque like the clock's riders).
 	Link any
+	// Dir is the thread's directory listing (a *[]vfs.DirEntry, opaque for
+	// the same reason). Unlike the fields above it outlives the op that
+	// filled it: ReadDir returns it, and it stays valid until the thread's
+	// next ReadDir, as readdir(3)'s buffer does until the next call.
+	Dir any
 }
 
 // Buf returns n scratch bytes, their content unspecified.

@@ -149,6 +149,9 @@ type FileSystem interface {
 	Chown(th *proc.Thread, path string, uid, gid uint32) error
 	Symlink(th *proc.Thread, target, link string) error
 	Readlink(th *proc.Thread, path string) (string, error)
+	// ReadDir lists a directory. As with readdir(3), the result may alias
+	// storage owned by th and is valid until th's next ReadDir; a caller
+	// that keeps it longer, or lists again while ranging over it, clones it.
 	ReadDir(th *proc.Thread, path string) ([]DirEntry, error)
 	Truncate(th *proc.Thread, path string, size int64) error
 }

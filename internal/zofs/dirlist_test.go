@@ -40,13 +40,15 @@ func sortEntries(ents []vfs.DirEntry) {
 	slices.SortFunc(ents, func(a, b vfs.DirEntry) int { return cmp.Compare(a.Name, b.Name) })
 }
 
-// listSorted is ReadDir sorted by name, for set comparison against the walk.
+// listSorted is a copy of ReadDir's listing sorted by name, for set
+// comparison against the walk; callers keep it across later listings.
 func listSorted(t *testing.T, f *FS, th *proc.Thread, dir string) []vfs.DirEntry {
 	t.Helper()
 	ents, err := f.ReadDir(th, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ents = slices.Clone(ents)
 	sortEntries(ents)
 	return ents
 }
@@ -282,7 +284,7 @@ func TestDirListColdAfterReset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ents, th.Clk.Now() - t0, dev.BytesRead() - r0
+		return slices.Clone(ents), th.Clk.Now() - t0, dev.BytesRead() - r0
 	}
 	cold, coldNS, coldBytes := measure()
 	warm, warmNS, warmBytes := measure()
@@ -458,6 +460,53 @@ func TestDirListConcurrent(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestDirListPerThreadBuffer: two threads of one process list different
+// directories at once, each many times; each listing is exactly its own
+// directory's names, never one the other thread's listing wrote.
+func TestDirListPerThreadBuffer(t *testing.T) {
+	_, _, f, th := newTestFS(t, Options{})
+	want := make([][]string, 2)
+	for d := range want {
+		dir := fmt.Sprintf("/l%d", d)
+		if err := f.Mkdir(th, dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40+30*d; i++ {
+			name := fmt.Sprintf("t%d-%03d", d, i)
+			if _, err := f.Create(th, dir+"/"+name, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want[d] = append(want[d], name)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(want))
+	for d := range want {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tth := th.Proc.NewThread()
+			for i := 0; i < 200; i++ {
+				ents, err := f.ReadDir(tth, fmt.Sprintf("/l%d", d))
+				if err != nil {
+					errs[d] = err
+					return
+				}
+				got := entryNames(ents)
+				slices.Sort(got)
+				if !slices.Equal(got, want[d]) {
+					errs[d] = fmt.Errorf("listing %d of /l%d: %v", i, d, got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 }
 

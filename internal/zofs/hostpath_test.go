@@ -30,7 +30,8 @@ import (
 // benchmark runs on): none. A handle comes off the instance's free list, a
 // page list is built in the thread's scratch, and an inode's volatile state
 // and dentry slot are found where the last file left them. Create, rename and
-// unlink are measured on a stationary tree, after one lap of the same cycle.
+// unlink are measured on a stationary tree, after one lap of the same cycle;
+// a listing is written into the thread's buffer.
 func TestAllocBudget(t *testing.T) {
 	if telemetry.Active() != nil || spans.Active() != nil || series.Active() != nil ||
 		lockprof.Active() != nil || pmemtrace.Active() != nil {
@@ -68,6 +69,10 @@ func TestAllocBudget(t *testing.T) {
 		h, err := f.Create(th, name, 0o644)
 		must(err)
 		must(h.Close(th))
+	}
+	must(f.Mkdir(th, "/list", 0o755))
+	for j := 0; j < 256; j++ {
+		create(fmt.Sprintf("/list/e%03d", j))
 	}
 	for _, n := range created {
 		create(n)
@@ -136,6 +141,12 @@ func TestAllocBudget(t *testing.T) {
 			must(f.Rename(th, from, renamed[(i-1)%len(renamed)]))
 		}},
 		{"Unlink", 0, func() { must(f.Unlink(th, next(renamed))) }},
+		// The listing fills the thread's buffer, which the first run sized.
+		{"ReadDir of 256 entries", 0, func() {
+			if ents, err := f.ReadDir(th, "/list"); err != nil || len(ents) != 256 {
+				t.Fatalf("listed %d of 256: %v", len(ents), err)
+			}
+		}},
 	}
 	for _, c := range cases {
 		i = 0

@@ -3,6 +3,7 @@ package zofs
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"zofs/internal/coffer"
 	"zofs/internal/proc"
@@ -412,7 +413,9 @@ func (f *FS) Stat(th *proc.Thread, path string) (vfs.FileInfo, error) {
 	return fi, nil
 }
 
-// ReadDir lists a directory.
+// ReadDir lists a directory into the thread's listing buffer (Scratch.Dir),
+// which grows only for a directory bigger than any the thread listed before;
+// the result is valid until the thread's next ReadDir.
 func (f *FS) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
 	pos, err := f.walk(th, path, true, false)
 	if err != nil {
@@ -424,23 +427,25 @@ func (f *FS) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
 	}
 	f.rlockInode(th, pos.ino)
 	defer f.runlockInode(th, pos.ino)
-	var out []vfs.DirEntry
+	buf, _ := th.Scratch.Dir.(*[]vfs.DirEntry)
+	if buf == nil {
+		buf = new([]vfs.DirEntry)
+		th.Scratch.Dir = buf
+	}
 	f.dirList(th, pos.ino, math.MaxInt, nil, func(ents []cachedDe) {
-		if len(ents) == 0 {
-			return
-		}
-		out = make([]vfs.DirEntry, len(ents))
+		out := slices.Grow((*buf)[:0], len(ents))
 		for i := range ents {
 			d := &ents[i].de
-			out[i] = vfs.DirEntry{
+			out = append(out, vfs.DirEntry{
 				Name:   d.name,
 				Type:   vfs.FileType(d.typ),
 				Inode:  d.inode,
 				Coffer: coffer.ID(d.cofferID),
-			}
+			})
 		}
+		*buf = out
 	})
-	return out, nil
+	return *buf, nil
 }
 
 // Symlink creates a symbolic link (always in-coffer; links carry their

@@ -97,9 +97,15 @@ meta_churn 1 nvm_rbytes_per_op < 50
 # Each op resolves its path once and O_CREAT probes the name once (680, 929 now).
 meta_churn 1 sim_kops_per_vsec >= 850
 # Paths are sliced, not rebuilt; windows, commits and inode state cost no heap
-# object, and open-file descriptions and handles are recycled (18.2, then 0.97
-# with an FD entry and a handle per open, 0.46 now: listings).
+# object, open-file descriptions and handles are recycled, and a listing fills
+# the thread's buffer (18.2, then 0.97 with an FD entry and a handle per open,
+# 0.46 with a slice per listing, 0.42 now: directory-index inserts and device
+# chunks).
 meta_churn 1 host_allocs_per_op <= 1
+# ReadDir returns the thread's listing buffer, as readdir(3) does (690 with a
+# fresh 256-entry slice per listing, 256 now: device growth, which is media,
+# and directory-index inserts).
+meta_churn 1 host_bytes_per_op <= 350
 # A 64 KiB pread of a file written front to back is one device access, not
 # sixteen (895 a block at a time, 1513 now).
 data_read 3 sim_kops_per_vsec >= 1350
