@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	devGB := fl.Int64("device-gb", 8, "simulated device size in GiB")
 	scaleGate := fl.Bool("scale-gate", false, "fxmark-scale only: widen the sweep to 64 and 512 threads and fail if ZoFS MWCL/MWRL peak before 64T or any of DWAL/MWCL/MWRL holds <50% of peak at 512T")
 	traceFile := fl.String("trace", "", "record every NVM persistence event to this JSONL file (audit with zofs-obs trace audit; best with -quick and a single experiment)")
-	obsDir := fl.String("obs", "", "observe the whole run — telemetry, causal spans, windowed series, lock profile: print each benchmark cell's counter, latency and span tables, and publish obs.json, obs.prom, the cell log and the event logs into this directory (watch live with zofs-obs top)")
+	obsDir := fl.String("obs", "", "observe the whole run — telemetry, causal spans, windowed series, lock profile: print each benchmark cell's counter, latency and span tables, and publish obs.json, the cell log and the event logs into this directory (watch live with zofs-obs top)")
 	cpuProfile := fl.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fl.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	fl.Usage = func() {

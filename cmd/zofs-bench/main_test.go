@@ -10,7 +10,6 @@ import (
 
 	"zofs/internal/harness"
 	"zofs/internal/obsfs"
-	"zofs/internal/openmetrics"
 )
 
 // TestFailingRunKeepsItsObservation: an experiment that fails makes the run
@@ -59,7 +58,7 @@ func TestSessionSurvivesChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	cells, err := openmetrics.ReadJSONL[obsfs.Cell](f)
+	cells, err := obsfs.ReadJSONL[obsfs.Cell](f)
 	if err != nil || len(cells) != 9 {
 		t.Fatalf("fig8 after chaos cut %d cells, want 9 (%v)", len(cells), err)
 	}

@@ -10,7 +10,6 @@ import (
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/obsfs"
-	"zofs/internal/openmetrics"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
 	"zofs/internal/zofs"
@@ -33,9 +32,8 @@ import (
 // schema: page, coffer, writes, bytes, flushes) — JSONL, ready for jq or a
 // plotting script. -validate re-checks the accounting invariants — exact
 // byte conservation across classes, no unclassified writer on a fresh
-// instance, the three-way space reconciliation (kernel table vs allocator
-// inventory vs page census) on a live one, and the document validator over
-// the panels' OpenMetrics rendering — and exits 1 on any violation.
+// instance and the three-way space reconciliation (kernel table vs allocator
+// inventory vs page census) on a live one — and exits 1 on any violation.
 func cmdDF(args []string, stdout, stderr io.Writer) int {
 	fl := newFlags("df", stderr)
 	image := fl.String("image", "", "report on an existing device image instead of a fresh demo instance")
@@ -73,7 +71,7 @@ func cmdDF(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 		if *heatmap != "" {
-			if err := create(*heatmap, stdout, func(w io.Writer) error { return openmetrics.WriteJSONL(w, wear) }); err != nil {
+			if err := create(*heatmap, stdout, func(w io.Writer) error { return obsfs.WriteJSONL(w, wear) }); err != nil {
 				return fail(stderr, fmt.Errorf("-heatmap: %w", err))
 			}
 			fmt.Fprintf(stdout, "\nwrote %d page-wear records to %s\n", len(wear), *heatmap)
@@ -97,9 +95,6 @@ func cmdDF(args []string, stdout, stderr io.Writer) int {
 		if err := live.VerifySpace(); err != nil {
 			bad = append(bad, fmt.Errorf("space: %w", err))
 		}
-	}
-	if err := doc.Validate(); err != nil {
-		bad = append(bad, fmt.Errorf("OpenMetrics: %w", err))
 	}
 	if err := errors.Join(bad...); err != nil {
 		return fail(stderr, err)

@@ -1,5 +1,5 @@
 // Command zofs-obs is the one front end to an observation directory — what
-// `zofs-bench -obs DIR` publishes: the document (obs.json, obs.prom) and the
+// `zofs-bench -obs DIR` publishes: the document (obs.json) and the
 // collectors' raw event logs (spans.jsonl, series.jsonl, waits.jsonl,
 // exemplars.jsonl) — and to the persistence event logs of the flight
 // recorder.
@@ -28,7 +28,6 @@ import (
 	"path/filepath"
 
 	"zofs/internal/obsfs"
-	"zofs/internal/openmetrics"
 )
 
 type command struct {
@@ -41,7 +40,7 @@ var commands = []command{
 	{"df", "byte flow, coffer space and page wear of a demo instance, an image or an observation directory", cmdDF},
 	{"trace", "record, audit and export persistence event logs (record | audit | export)", cmdTrace},
 	{"diff", "compare two performance artifacts; exit 3 on a significant regression", cmdDiff},
-	{"validate", "check obs.prom files (or the directories holding one) against every panel's invariants", cmdValidate},
+	{"validate", "check obs.json files (or the directories holding one) against every panel's invariants", cmdValidate},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -104,7 +103,7 @@ func readLog[T any](dir, name string, optional bool) ([]T, error) {
 		return nil, err
 	}
 	defer f.Close()
-	out, err := openmetrics.ReadJSONL[T](f)
+	out, err := obsfs.ReadJSONL[T](f)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", f.Name(), err)
 	}
@@ -127,8 +126,8 @@ func create(path string, stdout io.Writer, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// cmdValidate runs the one validator over each PATH: an OpenMetrics file, or
-// an observation directory (its obs.prom).
+// cmdValidate runs the document's validator over each PATH: an obs.json
+// file, or an observation directory holding one.
 func cmdValidate(args []string, stdout, stderr io.Writer) int {
 	fl := newFlags("validate", stderr)
 	fl.Usage = func() { fmt.Fprintln(stderr, "usage: zofs-obs validate PATH...") }
@@ -136,15 +135,10 @@ func cmdValidate(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	for _, path := range fl.Args() {
-		if st, err := os.Stat(path); err == nil && st.IsDir() {
-			path = filepath.Join(path, obsfs.PromFile)
+		doc, err := obsfs.Load(path)
+		if err == nil {
+			err = doc.Validate()
 		}
-		f, err := os.Open(path)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		err = obsfs.Validate(f)
-		f.Close()
 		if err != nil {
 			return fail(stderr, fmt.Errorf("%s: %w", path, err))
 		}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -61,11 +60,11 @@ func write(t *testing.T, path string, data []byte) string {
 func TestExitCodes(t *testing.T) {
 	good, tmp := observe(t), t.TempDir()
 
-	prom, err := os.ReadFile(filepath.Join(good, obsfs.PromFile))
+	raw, err := os.ReadFile(filepath.Join(good, obsfs.DocFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	truncated := write(t, filepath.Join(tmp, "truncated.prom"), bytes.TrimSuffix(prom, []byte("# EOF\n")))
+	truncated := write(t, filepath.Join(tmp, "truncated.json"), raw[:len(raw)/2])
 
 	// The same document with one issued byte no class accounts for.
 	doc, err := obsfs.Load(good)
@@ -73,7 +72,7 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	doc.Flow.Total++
-	raw, err := json.Marshal(doc)
+	raw, err = json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestExitCodes(t *testing.T) {
 	if err := os.Mkdir(unbalanced, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	write(t, filepath.Join(unbalanced, obsfs.DocFile), raw)
+	tampered := write(t, filepath.Join(unbalanced, obsfs.DocFile), raw)
 
 	// A cached store nothing flushed before the power failed.
 	lossy := write(t, filepath.Join(tmp, "lossy.jsonl"), []byte(
@@ -106,7 +105,10 @@ func TestExitCodes(t *testing.T) {
 		{"top with an operand", []string{"top", "-once", good}, 2},
 
 		{"validate a directory", []string{"validate", good}, 0},
+		{"validate a file", []string{"validate", filepath.Join(good, obsfs.DocFile)}, 0},
 		{"validate a truncated file", []string{"validate", truncated}, 1},
+		{"validate a tampered document", []string{"validate", tampered}, 1},
+		{"validate a good and a tampered directory", []string{"validate", good, unbalanced}, 1},
 		{"validate nothing", []string{"validate"}, 2},
 
 		{"df of a demo instance", []string{"df", "-files", "16", "-validate"}, 0},

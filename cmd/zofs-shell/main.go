@@ -34,7 +34,9 @@ package main
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -54,20 +56,36 @@ import (
 	"zofs/internal/vfs"
 )
 
-func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: zofs-shell <image>")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is main without the exit: it reads commands from stdin until exit or
+// EOF, then writes the image back. 0 when the session ended and the image was
+// saved, 1 when the image could not be loaded, mounted or saved, 2 on a usage
+// error.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("zofs-shell", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	fl.Usage = func() { fmt.Fprintln(stderr, "usage: zofs-shell <image>") }
+	if fl.Parse(args) != nil {
+		return 2
 	}
-	path := os.Args[1]
+	if fl.NArg() != 1 {
+		fl.Usage()
+		return 2
+	}
+	path := fl.Arg(0)
+	fatal := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "zofs-shell: "+format+"\n", args...)
+		return 1
+	}
 	f, err := os.Open(path)
 	if err != nil {
-		fatal("%v", err)
+		return fatal("%v", err)
 	}
 	dev, err := nvm.LoadImage(f)
 	f.Close()
 	if err != nil {
-		fatal("load: %v", err)
+		return fatal("load: %v", err)
 	}
 	dev.SetRecorder(telemetry.New())
 	dev.EnableAccounting()
@@ -78,32 +96,22 @@ func main() {
 	series.Enable(series.Config{})
 	k, err := kernfs.Mount(dev)
 	if err != nil {
-		fatal("mount: %v", err)
+		return fatal("mount: %v", err)
 	}
 	th := proc.NewProcess(dev, 0, 0).NewThread()
 	lib, err := fslibs.Mount(k, th, fslibs.Options{})
 	if err != nil {
-		fatal("fslibs: %v", err)
+		return fatal("fslibs: %v", err)
 	}
 	if err := lib.ZoFS().EnsureRootDir(th); err != nil {
-		fatal("root: %v", err)
+		return fatal("root: %v", err)
 	}
-	save := func() {
-		out, err := os.Create(path)
-		if err != nil {
-			fmt.Println("save failed:", err)
-			return
-		}
-		defer out.Close()
-		if err := dev.SaveImage(out); err != nil {
-			fmt.Println("save failed:", err)
-		}
-	}
+	sh := &shell{lib: lib, k: k, th: th, out: stdout, image: path}
 
-	sc := bufio.NewScanner(os.Stdin)
-	fmt.Println("zofs-shell: Treasury/ZoFS over", path, "- type 'help'")
+	sc := bufio.NewScanner(stdin)
+	fmt.Fprintln(stdout, "zofs-shell: Treasury/ZoFS over", path, "- type 'help'")
 	for {
-		fmt.Printf("zofs:%s$ ", lib.Getcwd())
+		fmt.Fprintf(stdout, "zofs:%s$ ", lib.Getcwd())
 		if !sc.Scan() {
 			break
 		}
@@ -111,31 +119,61 @@ func main() {
 		if len(args) == 0 {
 			continue
 		}
-		if done := execute(lib, k, th, args, save); done {
+		if done := sh.execute(args); done {
 			break
 		}
 	}
-	save()
+	if err := sh.save(); err != nil {
+		return fatal("save: %v", err)
+	}
+	return 0
 }
 
-func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, save func()) bool {
+// shell is one session: the mounted stack, the thread every command runs
+// on, where the output goes and the image file it writes back to.
+type shell struct {
+	lib   *fslibs.Lib
+	k     *kernfs.KernFS
+	th    *proc.Thread
+	out   io.Writer
+	image string
+}
+
+// save writes the device back to the image file.
+func (sh *shell) save() error {
+	f, err := os.Create(sh.image)
+	if err != nil {
+		return err
+	}
+	err = sh.k.Device().SaveImage(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// execute runs one command line and reports whether the session ends.
+func (sh *shell) execute(args []string) bool {
+	lib, k, th, out := sh.lib, sh.k, sh.th, sh.out
 	cmd := args[0]
-	fail := func(err error) { fmt.Println(cmd+":", err) }
+	fail := func(err error) { fmt.Fprintln(out, cmd+":", err) }
 	switch cmd {
 	case "help":
-		fmt.Println("ls cat write append mkdir rm rmdir mv ln chmod chown stat cd pwd df wear coffers recover stats spans tail slo sync quit")
-		fmt.Println("stats [reset]: dump (or zero) per-layer telemetry counters and latencies")
-		fmt.Println("spans [reset]: dump (or zero) causal-span latency attribution")
-		fmt.Println("tail [n]: latest n virtual-time windows (default 10) and worst-op exemplars")
-		fmt.Println("slo [<op> <threshold_ns> <target> | clear <op>]: report, install or remove latency objectives")
-		fmt.Println("df: byte-flow reconciliation and per-coffer space table")
-		fmt.Println("wear [n]: n hottest pages of the wear heatmap (default 10)")
+		fmt.Fprintln(out, "ls cat write append mkdir rm rmdir mv ln chmod chown stat cd pwd df wear coffers recover stats spans tail slo sync quit")
+		fmt.Fprintln(out, "stats [reset]: dump (or zero) per-layer telemetry counters and latencies")
+		fmt.Fprintln(out, "spans [reset]: dump (or zero) causal-span latency attribution")
+		fmt.Fprintln(out, "tail [n]: latest n virtual-time windows (default 10) and worst-op exemplars")
+		fmt.Fprintln(out, "slo [<op> <threshold_ns> <target> | clear <op>]: report, install or remove latency objectives")
+		fmt.Fprintln(out, "df: byte-flow reconciliation and per-coffer space table")
+		fmt.Fprintln(out, "wear [n]: n hottest pages of the wear heatmap (default 10)")
 	case "quit", "exit":
 		return true
 	case "sync":
-		save()
+		if err := sh.save(); err != nil {
+			fail(err)
+		}
 	case "pwd":
-		fmt.Println(lib.Getcwd())
+		fmt.Fprintln(out, lib.Getcwd())
 	case "cd":
 		if len(args) == 2 {
 			if err := lib.Chdir(th, args[1]); err != nil {
@@ -157,7 +195,7 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 			if e.Coffer != 0 {
 				marker = fmt.Sprintf("  [coffer %d]", e.Coffer)
 			}
-			fmt.Printf("%-8s %s%s\n", e.Type, e.Name, marker)
+			fmt.Fprintf(out, "%-8s %s%s\n", e.Type, e.Name, marker)
 		}
 	case "cat":
 		if len(args) != 2 {
@@ -173,13 +211,13 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 		for {
 			n, err := lib.Read(th, fd, buf)
 			if n > 0 {
-				os.Stdout.Write(buf[:n])
+				out.Write(buf[:n])
 			}
 			if err != nil || n == 0 {
 				break
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	case "write", "append":
 		if len(args) < 3 {
 			return false
@@ -255,7 +293,7 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 				fail(err)
 				return false
 			}
-			fmt.Printf("%s: %s mode=%o uid=%d gid=%d size=%d nlink=%d coffer=%d inode=%d\n",
+			fmt.Fprintf(out, "%s: %s mode=%o uid=%d gid=%d size=%d nlink=%d coffer=%d inode=%d\n",
 				args[1], fi.Type, fi.Mode, fi.UID, fi.GID, fi.Size, fi.Nlink, fi.Coffer, fi.Inode)
 		}
 	case "stats":
@@ -263,38 +301,38 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 		if len(args) == 2 && args[1] == "reset" {
 			rec.Reset()
 			k.Device().ResetAccounting()
-			fmt.Println("stats reset")
+			fmt.Fprintln(out, "stats reset")
 			return false
 		}
 		if len(args) > 1 {
 			fail(fmt.Errorf("usage: stats [reset]"))
 			return false
 		}
-		if err := rec.Snapshot().WriteText(os.Stdout); err != nil {
+		if err := rec.Snapshot().WriteText(out); err != nil {
 			fail(err)
 		}
 	case "spans":
 		col := spans.Active()
 		if col == nil {
-			fmt.Println("spans: collection is off")
+			fmt.Fprintln(out, "spans: collection is off")
 			return false
 		}
 		if len(args) == 2 && args[1] == "reset" {
 			col.Reset()
-			fmt.Println("spans reset")
+			fmt.Fprintln(out, "spans reset")
 			return false
 		}
 		if len(args) > 1 {
 			fail(fmt.Errorf("usage: spans [reset]"))
 			return false
 		}
-		if err := obsfs.Collect(lib.ZoFS()).WriteText(os.Stdout); err != nil {
+		if err := obsfs.Collect(lib.ZoFS()).WriteText(out); err != nil {
 			fail(err)
 		}
 	case "tail":
 		sc := series.Active()
 		if sc == nil {
-			fmt.Println("tail: series collection is off")
+			fmt.Fprintln(out, "tail: series collection is off")
 			return false
 		}
 		n := 10
@@ -304,12 +342,12 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 			}
 		}
 		wins, snap := sc.Windows(), sc.Snapshot()
-		fmt.Printf("tail: %d observations, %d windows of %d ns (%d spilled)\n",
+		fmt.Fprintf(out, "tail: %d observations, %d windows of %d ns (%d spilled)\n",
 			snap.Observations, len(wins), snap.WidthNS, snap.Spilled)
 		if len(wins) > n {
 			wins = wins[len(wins)-n:]
 		}
-		t := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		t := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(t, "window\tstart ms\top\tcount\tmean ns\tp50\tp99\tp999\tburn")
 		for _, win := range wins {
 			names := make([]string, 0, len(win.Ops))
@@ -326,8 +364,8 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 		}
 		t.Flush()
 		if exs := spans.Active().Exemplars(); len(exs) > 0 {
-			fmt.Printf("worst-op exemplars (%d captured):\n", spans.Active().ExemplarsCaptured())
-			t = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+			fmt.Fprintf(out, "worst-op exemplars (%d captured):\n", spans.Active().ExemplarsCaptured())
+			t = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 			fmt.Fprintln(t, "op\tdur ns\tstart ms\tthreshold ns\tlocks\tevents")
 			for _, ex := range exs {
 				fmt.Fprintf(t, "%s\t%d\t%.3f\t%d\t%d\t%d\n",
@@ -339,7 +377,7 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 	case "slo":
 		sc := series.Active()
 		if sc == nil {
-			fmt.Println("slo: series collection is off")
+			fmt.Fprintln(out, "slo: series collection is off")
 			return false
 		}
 		opByName := func(name string) (telemetry.Op, bool) {
@@ -354,10 +392,10 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 		case len(args) == 1:
 			slos := sc.SLOs()
 			if len(slos) == 0 {
-				fmt.Println("slo: no objectives installed (slo <op> <threshold_ns> <target>)")
+				fmt.Fprintln(out, "slo: no objectives installed (slo <op> <threshold_ns> <target>)")
 				return false
 			}
-			t := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+			t := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 			fmt.Fprintln(t, "op\tthreshold ns\ttarget\ttotal\tbad\tburn\tlast burn")
 			for _, s := range slos {
 				fmt.Fprintf(t, "%s\t%d\t%.6f\t%d\t%d\t%.3f\t%.3f\n",
@@ -371,7 +409,7 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 				return false
 			}
 			sc.SetSLO(op, 0, 0)
-			fmt.Printf("slo cleared for %s\n", args[2])
+			fmt.Fprintf(out, "slo cleared for %s\n", args[2])
 		case len(args) == 4:
 			op, ok := opByName(args[1])
 			if !ok {
@@ -389,14 +427,14 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 				return false
 			}
 			sc.SetSLO(op, thr, target)
-			fmt.Printf("slo set: %s within %d ns for %.6f of ops\n", args[1], thr, target)
+			fmt.Fprintf(out, "slo set: %s within %d ns for %.6f of ops\n", args[1], thr, target)
 		default:
 			fail(fmt.Errorf("usage: slo [<op> <threshold_ns> <target> | clear <op>]"))
 		}
 	case "df":
-		fmt.Printf("%d free pages of %d\n", k.FreePages(), k.Device().Pages())
+		fmt.Fprintf(out, "%d free pages of %d\n", k.FreePages(), k.Device().Pages())
 		doc := obsfs.Collect(lib.ZoFS())
-		if err := (obsfs.Doc{Flow: doc.Flow, Space: doc.Space}).WriteText(os.Stdout); err != nil {
+		if err := (obsfs.Doc{Flow: doc.Flow, Space: doc.Space}).WriteText(out); err != nil {
 			fail(err)
 		}
 	case "wear":
@@ -406,19 +444,19 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 				n = v
 			}
 		}
-		if err := byteflow.WriteWearText(os.Stdout, lib.ZoFS().WearReport(), n); err != nil {
+		if err := byteflow.WriteWearText(out, lib.ZoFS().WearReport(), n); err != nil {
 			fail(err)
 		}
 	case "coffers":
 		for _, id := range k.Coffers() {
 			info, _ := k.Info(id)
-			fmt.Printf("coffer %-8d %-30s mode=%o uid=%d gid=%d\n", id, info.Path, info.Mode, info.UID, info.GID)
+			fmt.Fprintf(out, "coffer %-8d %-30s mode=%o uid=%d gid=%d\n", id, info.Path, info.Mode, info.UID, info.GID)
 		}
 	case "recover":
 		if len(args) == 2 {
 			id, _, ok := k.ResolveLongest(th.Clk, args[1])
 			if !ok {
-				fmt.Println("recover: no such coffer")
+				fmt.Fprintln(out, "recover: no such coffer")
 				return false
 			}
 			st, err := lib.ZoFS().RecoverCoffer(th, id)
@@ -426,16 +464,11 @@ func execute(lib *fslibs.Lib, k *kernfs.KernFS, th *proc.Thread, args []string, 
 				fail(err)
 				return false
 			}
-			fmt.Printf("recovered coffer %d: kept %d, reclaimed %d, fixed %d, leases %d\n",
+			fmt.Fprintf(out, "recovered coffer %d: kept %d, reclaimed %d, fixed %d, leases %d\n",
 				id, st.PagesKept, st.PagesReclaimed, st.DentriesFixed, st.LeasesCleared)
 		}
 	default:
-		fmt.Println("unknown command:", cmd)
+		fmt.Fprintln(out, "unknown command:", cmd)
 	}
 	return false
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "zofs-shell: "+format+"\n", args...)
-	os.Exit(1)
 }

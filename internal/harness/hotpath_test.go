@@ -140,7 +140,7 @@ func TestCollectorsObserveOnly(t *testing.T) {
 		t.Errorf("flow: app %d, issued %d, media %d", f.App, f.Total, f.MediaBytes())
 	}
 	if err := doc.Validate(); err != nil {
-		t.Errorf("the document's OpenMetrics rendering: %v", err)
+		t.Errorf("the document's panels: %v", err)
 	}
 }
 

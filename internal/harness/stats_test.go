@@ -10,7 +10,6 @@ import (
 
 	"zofs/internal/filebench"
 	"zofs/internal/obsfs"
-	"zofs/internal/openmetrics"
 	"zofs/internal/sysfactory"
 )
 
@@ -40,7 +39,7 @@ func observed(t *testing.T, run func(io.Writer, Options) error) (string, []obsfs
 		t.Fatal(err)
 	}
 	defer f.Close()
-	cells, err := openmetrics.ReadJSONL[obsfs.Cell](f)
+	cells, err := obsfs.ReadJSONL[obsfs.Cell](f)
 	if err != nil {
 		t.Fatalf("%s: %v", obsfs.CellsLog, err)
 	}

@@ -1132,26 +1132,6 @@ func (k *KernFS) SetCofferType(th *proc.Thread, id coffer.ID, typ coffer.Type, m
 	return nil
 }
 
-// UpdateRootPointers rewrites the root-file inode / custom page pointers in
-// the (user-read-only) root page on behalf of the owning µFS.
-func (k *KernFS) UpdateRootPointers(th *proc.Thread, id coffer.ID, rootInode, custom int64) error {
-	defer kcall(th, "update_root_pointers")()
-	th.Syscall()
-	ci := k.lockCoffer(th.Clk, id)
-	if ci == nil {
-		return ErrNotFound
-	}
-	defer ci.mu.Unlock(th.Clk)
-	ps := ci.mappers[th.Proc.PID]
-	if ps == nil || !ps.isWritable(id) {
-		return ErrNotMapped
-	}
-	ci.rp.RootInode, ci.rp.Custom = rootInode, custom
-	ci.publishRP()
-	k.writeRootPage(th.Clk, int64(id), &ci.rp)
-	return nil
-}
-
 // RenameCoffer changes a coffer's path and rewrites the paths of every
 // descendant coffer — the expensive prefix rewrite behind cross-coffer
 // renames (Table 9).
@@ -1493,30 +1473,6 @@ func (k *KernFS) quarantineLocked(th *proc.Thread, ci *cofferInfo, offline bool)
 			ps.revGen.Add(1)
 		}
 	}
-}
-
-// UnquarantineCoffer lifts a quarantine (operator action, or µFS recovery
-// that repaired the damage). Mappings are not restored — processes re-map on
-// their next access and go back through the permission check. Owner or root
-// only. Takes the registry lock (violation tally) before the coffer lock.
-func (k *KernFS) UnquarantineCoffer(th *proc.Thread, id coffer.ID) error {
-	defer kcall(th, "unquarantine_coffer")()
-	th.Syscall()
-	k.regMu.Lock(th.Clk)
-	defer k.regMu.Unlock(th.Clk)
-	ci := k.lockCoffer(th.Clk, id)
-	if ci == nil {
-		return ErrNotFound
-	}
-	defer ci.mu.Unlock(th.Clk)
-	if u := th.Proc.UID(); u != 0 && u != ci.rp.UID {
-		return ErrPerm
-	}
-	ci.rp.Flags &^= uint32(coffer.FlagReadOnly | coffer.FlagOffline)
-	ci.publishRP()
-	k.writeRootPage(th.Clk, int64(id), &ci.rp)
-	delete(k.violations, id)
-	return nil
 }
 
 // ReportViolation records an MPK violation whose faulting address fell in

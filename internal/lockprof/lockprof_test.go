@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"zofs/internal/lockprof"
-	"zofs/internal/openmetrics"
 	"zofs/internal/simclock"
 	"zofs/internal/sysfactory"
 	"zofs/internal/zofs"
@@ -159,17 +158,45 @@ func TestHistogramSaturation512(t *testing.T) {
 	if thSum != rep.WaitNS {
 		t.Fatalf("per-thread waits sum to %d, total %d", thSum, rep.WaitNS)
 	}
-	// The OpenMetrics rendering of a saturated report must validate.
-	var om strings.Builder
-	if err := rep.WriteOpenMetrics(&om); err != nil {
+	// A saturated report must pass its own check.
+	if err := rep.Check(); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := openmetrics.Parse(strings.NewReader(om.String() + "# EOF\n"))
-	if err != nil {
+}
+
+// TestCheck: a report with a wait-for edge passes its check, and one
+// tampered value — in either side of a conservation sum, a contended count,
+// an edge's wait — fails it.
+func TestCheck(t *testing.T) {
+	report := func() lockprof.Report {
+		return lockprof.Report{
+			Acquires: 6, Contended: 2, WaitNS: 300, HoldNS: 500, RealWaitNS: 40,
+			Locks: []lockprof.LockRow{
+				{Lock: "a", Acquires: 3, Contended: 2, WaitNS: 300, HoldNS: 350},
+				{Lock: "b", Acquires: 2, HoldNS: 150},
+				{Lock: "r", Real: true, Acquires: 1, Contended: 1, WaitNS: 40, HoldNS: 9},
+			},
+			Edges: []lockprof.EdgeRow{{From: "b", To: "a", Count: 2, WaitNS: 300}},
+		}
+	}
+	if err := report().Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := lockprof.CheckOpenMetrics(doc); err != nil {
-		t.Fatalf("OpenMetrics validation: %v", err)
+	for name, tamper := range map[string]func(r *lockprof.Report){
+		"lock wait":       func(r *lockprof.Report) { r.Locks[0].WaitNS++ },
+		"total wait":      func(r *lockprof.Report) { r.WaitNS++ },
+		"lock hold":       func(r *lockprof.Report) { r.Locks[1].HoldNS++ },
+		"real wait":       func(r *lockprof.Report) { r.Locks[2].WaitNS++ },
+		"contended":       func(r *lockprof.Report) { r.Locks[1].Contended = 3 },
+		"edge over wait":  func(r *lockprof.Report) { r.Edges[0].WaitNS++ },
+		"second edge in":  func(r *lockprof.Report) { r.Edges = append(r.Edges, lockprof.EdgeRow{From: "r", To: "a", WaitNS: 1}) },
+		"real lock holds": func(r *lockprof.Report) { r.Locks[2].Real = false },
+	} {
+		r := report()
+		tamper(&r)
+		if err := r.Check(); err == nil {
+			t.Errorf("%s: the check passed", name)
+		}
 	}
 }
 

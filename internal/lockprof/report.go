@@ -59,7 +59,7 @@ type BlockedInterval struct {
 // Report is a point-in-time rendering of a registry generation. The virtual
 // conservation invariants (non-real lock waits sum exactly to WaitNS, holds
 // to HoldNS, real waits to RealWaitNS) hold by construction and are enforced
-// again by the OpenMetrics validator.
+// again by Check.
 type Report struct {
 	Acquires     int64       `json:"acquires"`
 	Contended    int64       `json:"contended"`
@@ -199,6 +199,52 @@ func (r *Registry) blocked(keep func(blockedRec) bool) []BlockedInterval {
 		}
 	}
 	return out
+}
+
+// Check enforces the report's invariants, which hold at quiescence:
+//
+//   - conservation: non-real per-lock waits sum exactly to WaitNS, their
+//     holds to HoldNS, and real-only locks' waits to RealWaitNS;
+//   - sanity: no lock is contended more often than it is acquired;
+//   - edge soundness: each contended wait bills at most one outgoing edge,
+//     so the edges into a lock wait no longer than the lock does. (The naive
+//     "edge wait <= holder hold sum" is NOT an invariant: n queued waiters
+//     each wait behind the same hold, multiplying it.)
+func (rep Report) Check() error {
+	var wait, hold, realWait int64
+	for _, l := range rep.Locks {
+		if l.Contended > l.Acquires {
+			return fmt.Errorf("lockprof: lock %s: contended %d > acquires %d", l.Lock, l.Contended, l.Acquires)
+		}
+		if l.Real {
+			realWait += l.WaitNS
+		} else {
+			wait += l.WaitNS
+			hold += l.HoldNS
+		}
+	}
+	for _, c := range []struct {
+		what         string
+		parts, total int64
+	}{
+		{"virtual waits", wait, rep.WaitNS},
+		{"holds", hold, rep.HoldNS},
+		{"real waits", realWait, rep.RealWaitNS},
+	} {
+		if c.parts != c.total {
+			return fmt.Errorf("lockprof: per-lock %s sum to %d ns, the total says %d", c.what, c.parts, c.total)
+		}
+	}
+	edgeWait := map[string]int64{}
+	for _, e := range rep.Edges {
+		edgeWait[e.To] += e.WaitNS
+	}
+	for _, l := range rep.Locks {
+		if w := edgeWait[l.Lock]; !l.Real && w > l.WaitNS {
+			return fmt.Errorf("lockprof: edges into %s sum to %d ns > the lock's total wait %d ns", l.Lock, w, l.WaitNS)
+		}
+	}
+	return nil
 }
 
 // TopLocks returns the n most-contended virtual locks by total wait.

@@ -43,9 +43,6 @@ func newAcctState(pages int64) *acctState {
 // with zeroed counters.
 func (d *Device) EnableAccounting() { d.acct.Store(newAcctState(d.Pages())) }
 
-// DisableAccounting stops byte-flow accounting and drops the counters.
-func (d *Device) DisableAccounting() { d.acct.Store(nil) }
-
 // ResetAccounting zeroes the ledger if accounting is enabled (no-op
 // otherwise).
 func (d *Device) ResetAccounting() {

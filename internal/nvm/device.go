@@ -193,9 +193,6 @@ func (d *Device) SetRecorder(r *telemetry.Recorder) { d.rec = r }
 // tracing is off.
 func (d *Device) Tracer() *pmemtrace.Recorder { return d.tr }
 
-// SetTracer attaches a flight recorder to an existing device (nil detaches).
-func (d *Device) SetTracer(t *pmemtrace.Recorder) { d.tr = t }
-
 // UID returns a process-unique identity for this device; the flight
 // recorder stamps it on every event.
 func (d *Device) UID() uint64 { return d.uid }

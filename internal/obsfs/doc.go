@@ -3,6 +3,7 @@ package obsfs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -14,19 +15,17 @@ import (
 
 	"zofs/internal/byteflow"
 	"zofs/internal/lockprof"
-	"zofs/internal/openmetrics"
 	"zofs/internal/series"
 	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 	"zofs/internal/vfs"
 )
 
-// The files of an observation directory. The first two are the document —
+// The files of an observation directory. The first is the document —
 // rewritten whole, through a temp file and a rename, on every publish — the
 // rest are the collectors' raw event logs.
 const (
 	DocFile      = "obs.json"        // the Doc
-	PromFile     = "obs.prom"        // its OpenMetrics rendering
 	SpansLog     = "spans.jsonl"     // every finished root span (streamed)
 	SeriesLog    = "series.jsonl"    // every retained series window
 	WaitsLog     = "waits.jsonl"     // the lock profiler's blocked intervals
@@ -88,13 +87,9 @@ func Collect(fs vfs.FileSystem) Doc {
 	return d
 }
 
-// panel is what every part of the document can do; each is rendered by the
-// package that owns its data.
-type panel interface {
-	WriteText(io.Writer) error
-	// WriteOpenMetrics writes the panel's families, unterminated.
-	WriteOpenMetrics(io.Writer) error
-}
+// panel is one part of the document, rendered by the package that owns its
+// data.
+type panel interface{ WriteText(io.Writer) error }
 
 // panels lists the parts the document carries, in rendering order.
 func (d Doc) panels() []panel {
@@ -130,52 +125,34 @@ func (d Doc) WriteText(w io.Writer) error {
 	return nil
 }
 
-// WriteOpenMetrics renders every panel's families as one OpenMetrics
-// exposition.
-func (d Doc) WriteOpenMetrics(w io.Writer) error {
-	for _, p := range d.panels() {
-		if err := p.WriteOpenMetrics(w); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "# EOF\n")
-	return err
-}
-
-// Validate is the one validator entry: r must be well-formed OpenMetrics
-// text (the strict dialect of internal/openmetrics), and every panel present
-// in it must pass its owning package's CheckOpenMetrics — which also rejects
-// a panel that lacks a family its checks compare (DESIGN.md §7 lists them).
-func Validate(r io.Reader) error {
-	doc, err := openmetrics.Parse(r)
-	if err != nil {
-		return err
-	}
-	for _, check := range []func(*openmetrics.Doc) error{
-		telemetry.CheckOpenMetrics, spans.CheckOpenMetrics, byteflow.CheckOpenMetrics,
-		lockprof.CheckOpenMetrics, series.CheckOpenMetrics,
-	} {
-		if err := check(doc); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Validate runs Validate over the document's OpenMetrics rendering.
+// Validate runs the invariant checks of every panel the document carries,
+// each owned by the package that owns the panel's data (DESIGN.md §7 lists
+// them), and returns every violation found.
 func (d Doc) Validate() error {
-	var om bytes.Buffer
-	if err := d.WriteOpenMetrics(&om); err != nil {
-		return err
+	var errs []error
+	if d.Telemetry != nil {
+		errs = append(errs, d.Telemetry.Check())
 	}
-	return Validate(&om)
+	if d.Spans != nil {
+		errs = append(errs, d.Spans.Check())
+	}
+	if d.Flow != nil {
+		errs = append(errs, d.Flow.Conserved())
+	}
+	if d.Locks != nil {
+		errs = append(errs, d.Locks.Check())
+	}
+	if d.Series != nil {
+		errs = append(errs, d.Series.Check())
+	}
+	return errors.Join(errs...)
 }
 
-// Publish collects the document and writes it into dir as DocFile and
-// PromFile, and beside it the raw logs that are rewritten whole: the series
-// windows, the blocked intervals and the exemplars of whichever collectors
-// are active, and a live session's cells. Every file goes through a temp file
-// and a rename, so a reader never observes a half-written one.
+// Publish collects the document and writes it into dir as DocFile, and
+// beside it the raw logs that are rewritten whole: the series windows, the
+// blocked intervals and the exemplars of whichever collectors are active,
+// and a live session's cells. Every file goes through a temp file and a
+// rename, so a reader never observes a half-written one.
 func Publish(dir string, fs vfs.FileSystem) (Doc, error) {
 	d := Collect(fs)
 	type file struct {
@@ -188,36 +165,38 @@ func Publish(dir string, fs vfs.FileSystem) (Doc, error) {
 			enc.SetIndent("", "  ")
 			return enc.Encode(&d)
 		}},
-		{PromFile, d.WriteOpenMetrics},
 	}
 	if c := series.Active(); c != nil {
-		files = append(files, file{SeriesLog, func(w io.Writer) error { return openmetrics.WriteJSONL(w, c.Windows()) }})
+		files = append(files, file{SeriesLog, func(w io.Writer) error { return WriteJSONL(w, c.Windows()) }})
 	}
 	if r := lockprof.Active(); r != nil {
-		files = append(files, file{WaitsLog, func(w io.Writer) error { return openmetrics.WriteJSONL(w, r.Blocked()) }})
+		files = append(files, file{WaitsLog, func(w io.Writer) error { return WriteJSONL(w, r.Blocked()) }})
 	}
 	if c := spans.Active(); c != nil {
-		files = append(files, file{ExemplarsLog, func(w io.Writer) error { return openmetrics.WriteJSONL(w, c.Exemplars()) }})
+		files = append(files, file{ExemplarsLog, func(w io.Writer) error { return WriteJSONL(w, c.Exemplars()) }})
 	}
 	if s := session.Load(); s != nil {
-		files = append(files, file{CellsLog, func(w io.Writer) error { return openmetrics.WriteJSONL(w, s.Cells()) }})
+		files = append(files, file{CellsLog, func(w io.Writer) error { return WriteJSONL(w, s.Cells()) }})
 	}
 	for _, f := range files {
 		var buf bytes.Buffer
 		if err := f.write(&buf); err != nil {
 			return d, fmt.Errorf("%s: %w", f.name, err)
 		}
-		if err := openmetrics.WriteAtomic(filepath.Join(dir, f.name), buf.Bytes()); err != nil {
+		if err := writeAtomic(filepath.Join(dir, f.name), buf.Bytes()); err != nil {
 			return d, err
 		}
 	}
 	return d, nil
 }
 
-// Load reads dir's published document.
-func Load(dir string) (Doc, error) {
+// Load reads a published document: path names the document's file or the
+// observation directory holding it.
+func Load(path string) (Doc, error) {
 	var d Doc
-	path := filepath.Join(dir, DocFile)
+	if st, err := os.Stat(path); err == nil && st.IsDir() {
+		path = filepath.Join(path, DocFile)
+	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return d, err
@@ -275,7 +254,7 @@ func Start(dir string) (*Session, error) {
 	series.Enable(series.Config{})
 	lockprof.Enable(lockprof.Config{})
 	session.Store(s)
-	s.stop = openmetrics.PublishEvery(500*time.Millisecond, func() error {
+	s.stop = publishEvery(500*time.Millisecond, func() error {
 		_, err := Publish(dir, nil)
 		return err
 	})

@@ -12,7 +12,6 @@ import (
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/obsfs"
-	"zofs/internal/openmetrics"
 	"zofs/internal/proc"
 	"zofs/internal/series"
 	"zofs/internal/spans"
@@ -220,7 +219,7 @@ func TestWrapIsIdentityWhenOff(t *testing.T) {
 // TestFinalDocumentCarriesEveryPanel: a session over a contended four-thread
 // cell, stopped, leaves a last obs.json with every panel that was on — spans,
 // byte flow, coffer space, locks, series — whose lock panel accounts for the
-// span collector's lock wait to the nanosecond, and an obs.prom the validator
+// span collector's lock wait to the nanosecond, and which the validator
 // accepts. (The three publishers this replaced tore down in an order that
 // dropped the lock panel from the final document.)
 func TestFinalDocumentCarriesEveryPanel(t *testing.T) {
@@ -267,13 +266,29 @@ func TestFinalDocumentCarriesEveryPanel(t *testing.T) {
 		t.Error("flow panel saw no application bytes")
 	}
 
-	f, err := os.Open(filepath.Join(dir, obsfs.PromFile))
-	if err != nil {
-		t.Fatal(err)
+	if err := doc.Validate(); err != nil {
+		t.Errorf("final %s: %v", obsfs.DocFile, err)
 	}
-	defer f.Close()
-	if err := obsfs.Validate(f); err != nil {
-		t.Errorf("final %s: %v", obsfs.PromFile, err)
+	// Validate runs every panel's check: one tampered value in any fails it.
+	for name, tamper := range map[string]func(d *obsfs.Doc){
+		"telemetry": func(d *obsfs.Doc) { d.Telemetry.Counters["nvm.bytes_written"] = -1 },
+		"spans": func(d *obsfs.Doc) {
+			for _, b := range d.Spans.Ops {
+				b.Comp["media"] = spans.CompStat{Pct: b.Comp["media"].Pct + 50}
+			}
+		},
+		"flow":   func(d *obsfs.Doc) { d.Flow.Total++ },
+		"locks":  func(d *obsfs.Doc) { d.Locks.WaitNS++ },
+		"series": func(d *obsfs.Doc) { d.Series.Observations++ },
+	} {
+		d, err := obsfs.Load(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tamper(&d)
+		if err := d.Validate(); err == nil {
+			t.Errorf("a tampered %s panel validates", name)
+		}
 	}
 	for _, name := range []string{obsfs.SpansLog, obsfs.SeriesLog, obsfs.WaitsLog, obsfs.ExemplarsLog} {
 		if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() == 0 {
@@ -341,7 +356,7 @@ func TestCellsAreCutPerInterval(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		cells, err := openmetrics.ReadJSONL[obsfs.Cell](f)
+		cells, err := obsfs.ReadJSONL[obsfs.Cell](f)
 		if err != nil || len(cells) != 2 || cells[0].Label != "first" || cells[1].Label != "second" {
 			t.Fatalf("%s: %d cells (%v)", obsfs.CellsLog, len(cells), err)
 		}

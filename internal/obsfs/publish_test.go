@@ -1,4 +1,4 @@
-package openmetrics
+package obsfs
 
 import (
 	"os"
@@ -9,9 +9,9 @@ import (
 )
 
 func TestWriteAtomicReplacesAndLeavesNoTemp(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "snap.prom")
+	path := filepath.Join(t.TempDir(), DocFile)
 	for _, want := range []string{"first\n", "second, longer\n"} {
-		if err := WriteAtomic(path, []byte(want)); err != nil {
+		if err := writeAtomic(path, []byte(want)); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := os.ReadFile(path); err != nil || string(got) != want {
@@ -28,7 +28,7 @@ func TestWriteAtomicReplacesAndLeavesNoTemp(t *testing.T) {
 func TestPublishEveryStops(t *testing.T) {
 	var calls atomic.Int64
 	first := make(chan struct{}, 1)
-	stop := PublishEvery(time.Millisecond, func() error {
+	stop := publishEvery(time.Millisecond, func() error {
 		if calls.Add(1) == 1 {
 			first <- struct{}{}
 		}

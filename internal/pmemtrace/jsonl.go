@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"zofs/internal/openmetrics"
 )
 
 // The JSONL log is a stream of self-contained records, one JSON object per
@@ -78,12 +76,15 @@ func WriteJSONL(w io.Writer, events []Event, spans []OpSpan) error {
 // WriteSpansJSONL appends op spans to a JSONL log (used after a
 // spill-recorded workload, when the events are already on disk).
 func WriteSpansJSONL(w io.Writer, spans []OpSpan) error {
-	recs := make([]jsonlRecord, len(spans))
-	for i, s := range spans {
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	for _, s := range spans {
 		tid := int32(s.TID)
-		recs[i] = jsonlRecord{Rec: "span", TID: &tid, Op: s.Op, Start: s.Start, Dur: s.Dur}
+		if err := enc.Encode(jsonlRecord{Rec: "span", TID: &tid, Op: s.Op, Start: s.Start, Dur: s.Dur}); err != nil {
+			return err
+		}
 	}
-	return openmetrics.WriteJSONL(w, recs)
+	return bw.Flush()
 }
 
 // ReadJSONL parses a JSONL log back into device events and op spans.

@@ -72,9 +72,6 @@ type Backoff struct {
 	slept    int64
 }
 
-// Attempts reports how many sleeps have been taken.
-func (b *Backoff) Attempts() int { return b.attempts }
-
 // Slept reports the total virtual time spent sleeping so far.
 func (b *Backoff) Slept() int64 { return b.slept }
 

@@ -1,21 +1,17 @@
 package series
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"text/tabwriter"
-
-	"zofs/internal/openmetrics"
 )
 
 // The windowed view leaves the process two ways: series.jsonl is the raw log
 // (one Window per line, self-describing — every line carries the window
 // index, start and width), and Snapshot is the panel the observation
 // document carries — the merged whole-run view, the latest windows and SLO
-// burn — with its text and OpenMetrics renderings.
+// burn — with its text rendering and its checks.
 
 // RecentWindows bounds the windows a Snapshot carries (and the timeline
 // panel shows) to the latest few; series.jsonl holds them all.
@@ -84,116 +80,37 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	return t.Flush()
 }
 
-// WriteOpenMetrics renders the snapshot's families (no "# EOF": the
-// observation document terminates the exposition): run-level scalars, per-op
-// count totals, a merged latency summary (quantiles 0.5/0.95/0.99/0.999 with
-// _sum/_count), last-window rate gauges and per-objective SLO burn. Output is
-// deterministic: ops sorted by name.
-func (s Snapshot) WriteOpenMetrics(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	openmetrics.WriteScalar(bw, "zofs_series_windows", "gauge", "Retained virtual-time windows.", s.Windows)
-	openmetrics.WriteScalar(bw, "zofs_series_window_width_ns", "gauge", "Window width in virtual nanoseconds.", s.WidthNS)
-	openmetrics.WriteScalar(bw, "zofs_series_spilled_windows", "counter", "Windows evicted into the spill aggregate.", s.Spilled)
-	openmetrics.WriteScalar(bw, "zofs_series_observations", "counter", "Operations observed.", s.Observations)
-
-	ops := sortedOps(s.Ops)
-
-	fmt.Fprintf(bw, "# TYPE zofs_series_op_ops counter\n# HELP zofs_series_op_ops Operations observed per op kind.\n")
-	for _, name := range ops {
-		fmt.Fprintf(bw, "zofs_series_op_ops_total{op=%q} %d\n", name, s.Ops[name].Count)
-	}
-	fmt.Fprintf(bw, "# TYPE zofs_series_op_latency_ns summary\n# HELP zofs_series_op_latency_ns Merged whole-run latency per op kind.\n")
-	for _, name := range ops {
-		m := s.Ops[name]
-		fmt.Fprintf(bw, "zofs_series_op_latency_ns{op=%q,quantile=\"0.5\"} %d\n", name, m.P50NS)
-		fmt.Fprintf(bw, "zofs_series_op_latency_ns{op=%q,quantile=\"0.95\"} %d\n", name, m.P95NS)
-		fmt.Fprintf(bw, "zofs_series_op_latency_ns{op=%q,quantile=\"0.99\"} %d\n", name, m.P99NS)
-		fmt.Fprintf(bw, "zofs_series_op_latency_ns{op=%q,quantile=\"0.999\"} %d\n", name, m.P999NS)
-		fmt.Fprintf(bw, "zofs_series_op_latency_ns_sum{op=%q} %d\n", name, m.SumNS)
-		fmt.Fprintf(bw, "zofs_series_op_latency_ns_count{op=%q} %d\n", name, m.Count)
-	}
-
-	if len(s.Recent) > 0 {
-		last := s.Recent[len(s.Recent)-1]
-		lastOps := sortedOps(last.Ops)
-		fmt.Fprintf(bw, "# TYPE zofs_series_last_window gauge\n# HELP zofs_series_last_window Index of the latest retained window.\n")
-		fmt.Fprintf(bw, "zofs_series_last_window %d\n", last.Index)
-		fmt.Fprintf(bw, "# TYPE zofs_series_last_window_ops gauge\n# HELP zofs_series_last_window_ops Operations in the latest window per op kind.\n")
-		for _, name := range lastOps {
-			fmt.Fprintf(bw, "zofs_series_last_window_ops{op=%q} %d\n", name, last.Ops[name].Count)
-		}
-		fmt.Fprintf(bw, "# TYPE zofs_series_last_window_p99_ns gauge\n# HELP zofs_series_last_window_p99_ns p99 latency in the latest window per op kind.\n")
-		for _, name := range lastOps {
-			fmt.Fprintf(bw, "zofs_series_last_window_p99_ns{op=%q} %d\n", name, last.Ops[name].P99NS)
-		}
-	}
-
-	if slos := s.SLOs; len(slos) > 0 {
-		fmt.Fprintf(bw, "# TYPE zofs_slo_threshold_ns gauge\n# HELP zofs_slo_threshold_ns Objective latency threshold per op kind.\n")
-		for _, o := range slos {
-			fmt.Fprintf(bw, "zofs_slo_threshold_ns{op=%q} %d\n", o.Op, o.ThresholdNS)
-		}
-		fmt.Fprintf(bw, "# TYPE zofs_slo_target gauge\n# HELP zofs_slo_target Objective good-fraction target per op kind.\n")
-		for _, o := range slos {
-			fmt.Fprintf(bw, "zofs_slo_target{op=%q} %s\n", o.Op, strconv.FormatFloat(o.Target, 'f', 6, 64))
-		}
-		fmt.Fprintf(bw, "# TYPE zofs_slo_events counter\n# HELP zofs_slo_events Operations evaluated against the objective.\n")
-		for _, o := range slos {
-			fmt.Fprintf(bw, "zofs_slo_events_total{op=%q} %d\n", o.Op, o.Total)
-		}
-		fmt.Fprintf(bw, "# TYPE zofs_slo_breaches counter\n# HELP zofs_slo_breaches Operations exceeding the objective threshold.\n")
-		for _, o := range slos {
-			fmt.Fprintf(bw, "zofs_slo_breaches_total{op=%q} %d\n", o.Op, o.Bad)
-		}
-		fmt.Fprintf(bw, "# TYPE zofs_slo_burn gauge\n# HELP zofs_slo_burn Cumulative error-budget burn rate (1.0 consumes the budget exactly).\n")
-		for _, o := range slos {
-			fmt.Fprintf(bw, "zofs_slo_burn{op=%q} %s\n", o.Op, strconv.FormatFloat(o.Burn, 'f', 4, 64))
-		}
-		fmt.Fprintf(bw, "# TYPE zofs_slo_last_burn gauge\n# HELP zofs_slo_last_burn Burn rate of the latest window with observations.\n")
-		for _, o := range slos {
-			fmt.Fprintf(bw, "zofs_slo_last_burn{op=%q} %s\n", o.Op, strconv.FormatFloat(o.LastBurn, 'f', 4, 64))
-		}
-	}
-	return bw.Flush()
-}
-
-// CheckOpenMetrics enforces the series panel's invariants on a parsed
-// exposition, when the panel is there:
+// Check enforces the panel's invariants:
 //
-//   - conservation: per-op latency-summary counts equal the per-op op
-//     totals, and op totals sum exactly to zofs_series_observations_total;
+//   - each op's latency summary is of its op total: its mean is sum/count
+//     and, where the bucket vector is carried (in process), the buckets sum
+//     to the count;
+//   - conservation: op totals sum exactly to Observations;
 //   - SLO sanity: breaches never exceed evaluated events.
-func CheckOpenMetrics(doc *openmetrics.Doc) error {
-	if !doc.Has("zofs_series_observations_total") && !doc.Has("zofs_series_op_ops_total") {
-		return nil
-	}
-	if err := doc.Require("series", "zofs_series_observations_total"); err != nil {
-		return err
-	}
-	if doc.Int("zofs_series_observations_total") > 0 {
-		if err := doc.Require("series", "zofs_series_op_ops_total", "zofs_series_op_latency_ns_count"); err != nil {
-			return err
+func (s Snapshot) Check() error {
+	var total int64
+	for _, name := range sortedOps(s.Ops) {
+		o := s.Ops[name]
+		if o.Count <= 0 || o.MeanNS != o.SumNS/o.Count {
+			return fmt.Errorf("series: op %q: mean %d ns is not sum %d ns over count %d", name, o.MeanNS, o.SumNS, o.Count)
 		}
-	}
-	if doc.Has("zofs_slo_breaches_total") {
-		if err := doc.Require("series", "zofs_slo_events_total"); err != nil {
-			return err
+		if o.Buckets != nil {
+			var n int64
+			for _, v := range o.Buckets {
+				n += v
+			}
+			if n != o.Count {
+				return fmt.Errorf("series: op %q: latency histogram holds %d ops, op total %d", name, n, o.Count)
+			}
 		}
+		total += o.Count
 	}
-	opCount := doc.GroupSumInt("zofs_series_op_ops_total", "op")
-	for op, n := range doc.GroupSumInt("zofs_series_op_latency_ns_count", "op") {
-		if c, ok := opCount[op]; !ok || c != n {
-			return fmt.Errorf("op %q: latency summary count %d != op total %d", op, n, opCount[op])
-		}
+	if total != s.Observations {
+		return fmt.Errorf("series: per-op totals sum to %d, observations %d", total, s.Observations)
 	}
-	if err := openmetrics.Conserved("series: per-op ops vs observations",
-		doc.SumInt("zofs_series_op_ops_total"), doc.Int("zofs_series_observations_total")); err != nil {
-		return err
-	}
-	events := doc.GroupSumInt("zofs_slo_events_total", "op")
-	for op, bad := range doc.GroupSumInt("zofs_slo_breaches_total", "op") {
-		if bad > events[op] {
-			return fmt.Errorf("slo %q: breaches %d > events %d", op, bad, events[op])
+	for _, o := range s.SLOs {
+		if o.Bad > o.Total {
+			return fmt.Errorf("series: slo %q: breaches %d > events %d", o.Op, o.Bad, o.Total)
 		}
 	}
 	return nil

@@ -2,10 +2,9 @@ package series
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 
-	"zofs/internal/openmetrics"
 	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 )
@@ -186,15 +185,22 @@ func TestJSONLRoundTrip(t *testing.T) {
 	for _, s := range stream(500) {
 		c.Observe(s.op, s.start, s.dur)
 	}
-	var buf bytes.Buffer
-	if err := openmetrics.WriteJSONL(&buf, c.Windows()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := openmetrics.ReadJSONL[Window](&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := c.Windows()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, w := range want {
+		if err := enc.Encode(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []Window
+	for dec := json.NewDecoder(&buf); dec.More(); {
+		var w Window
+		if err := dec.Decode(&w); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, w)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("round trip lost windows: %d != %d", len(got), len(want))
 	}
@@ -212,40 +218,37 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenMetricsValidates(t *testing.T) {
-	c := NewCollector(Config{WindowNS: 1000, SLOs: []SLO{
-		{Op: telemetry.OpRead, ThresholdNS: 2000, Target: 0.99},
-	}})
-	for _, s := range stream(500) {
-		c.Observe(s.op, s.start, s.dur)
-	}
-	var buf bytes.Buffer
-	if err := c.Snapshot().WriteOpenMetrics(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	check := func(text string) error {
-		doc, err := openmetrics.Parse(strings.NewReader(text + "# EOF\n"))
-		if err != nil {
-			t.Fatal(err)
+// TestCheck: a collector's snapshot passes its check, and one tampered
+// value — an observation total, an op count, a histogram bucket, an SLO
+// breach count — fails it.
+func TestCheck(t *testing.T) {
+	snap := func() Snapshot {
+		c := NewCollector(Config{WindowNS: 1000, SLOs: []SLO{
+			{Op: telemetry.OpRead, ThresholdNS: 2000, Target: 0.99},
+		}})
+		for _, s := range stream(500) {
+			c.Observe(s.op, s.start, s.dur)
 		}
-		return CheckOpenMetrics(doc)
+		return c.Snapshot()
 	}
-	if err := check(text); err != nil {
-		t.Fatalf("well-formed document rejected: %v", err)
+	if err := snap().Check(); err != nil {
+		t.Fatalf("collector's snapshot rejected: %v", err)
 	}
-	// Break conservation: inflate the observations total.
-	broken := strings.Replace(text, "zofs_series_observations_total 500",
-		"zofs_series_observations_total 501", 1)
-	if broken == text {
-		t.Fatal("expected observations_total 500 in document")
-	}
-	if err := check(broken); err == nil {
-		t.Fatal("conservation violation not detected")
-	}
-	// Half a panel: per-op totals with the observation total left out.
-	if err := check("zofs_series_op_ops_total{op=\"read\"} 5\n"); err == nil {
-		t.Fatal("missing observations total not detected")
+	for name, tamper := range map[string]func(s *Snapshot){
+		"observations": func(s *Snapshot) { s.Observations++ },
+		"op count": func(s *Snapshot) {
+			o := s.Ops["read"]
+			o.Count++
+			s.Ops["read"] = o
+		},
+		"bucket":     func(s *Snapshot) { s.Ops["read"].Buckets[0]++ },
+		"slo breach": func(s *Snapshot) { s.SLOs[0].Bad = s.SLOs[0].Total + 1 },
+	} {
+		s := snap()
+		tamper(&s)
+		if err := s.Check(); err == nil {
+			t.Errorf("%s: the check passed", name)
+		}
 	}
 }
 

@@ -167,36 +167,14 @@ func (c *Clock) drainTo(stamp int64) int64 {
 // Duration is a convenience converter from time.Duration to virtual ns.
 func Duration(d time.Duration) int64 { return int64(d) }
 
-// Resource models an exclusively held resource (a lock, a journal tail, a
-// global allocator, a device write port). A user arriving at virtual time t
-// is granted the resource at max(t, busyUntil) and holds it for the given
-// duration; the caller's clock is advanced to the release time.
+// Resource models a worker that takes one unit of work at a time: work
+// handed over at virtual time t starts at max(t, busyUntil). The zero value
+// is idle.
 //
 // Resource is safe for concurrent use by many simulated threads.
 type Resource struct {
 	mu        sync.Mutex
 	busyUntil int64
-}
-
-// NewResource returns an idle resource.
-func NewResource() *Resource { return &Resource{} }
-
-// Use acquires the resource at the clock's current time, holds it for hold
-// virtual nanoseconds, and advances the clock past the wait plus the hold.
-// It returns the virtual time at which the resource was granted.
-func (r *Resource) Use(c *Clock, hold int64) int64 {
-	if hold < 0 {
-		hold = 0
-	}
-	r.mu.Lock()
-	grant := r.busyUntil
-	if c.now > grant {
-		grant = c.now
-	}
-	r.busyUntil = grant + hold
-	r.mu.Unlock()
-	c.now = grant + hold
-	return grant
 }
 
 // Enqueue hands the resource a unit of asynchronous work: the work occupies
@@ -220,76 +198,10 @@ func (r *Resource) Enqueue(c *Clock, hold int64) (accepted int64) {
 	return grant
 }
 
-// BusyUntil reports the virtual time at which the resource becomes free.
-func (r *Resource) BusyUntil() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.busyUntil
-}
-
 // Reset makes the resource idle again (used between benchmark phases).
 func (r *Resource) Reset() {
 	r.mu.Lock()
 	r.busyUntil = 0
-	r.mu.Unlock()
-}
-
-// RWResource models a readers-writer resource in virtual time: readers
-// overlap freely with each other but must wait for a preceding writer;
-// writers wait for all preceding readers and writers.
-type RWResource struct {
-	mu            sync.Mutex
-	writeBusy     int64 // release time of the last writer
-	lastReaderEnd int64 // latest release time among readers
-}
-
-// NewRWResource returns an idle readers-writer resource.
-func NewRWResource() *RWResource { return &RWResource{} }
-
-// UseRead performs a read-side hold: the caller waits only for the last
-// writer, then holds for the given duration, overlapping other readers.
-func (r *RWResource) UseRead(c *Clock, hold int64) int64 {
-	if hold < 0 {
-		hold = 0
-	}
-	r.mu.Lock()
-	grant := r.writeBusy
-	if c.now > grant {
-		grant = c.now
-	}
-	end := grant + hold
-	if end > r.lastReaderEnd {
-		r.lastReaderEnd = end
-	}
-	r.mu.Unlock()
-	c.now = end
-	return grant
-}
-
-// UseWrite performs a write-side hold: the caller waits for all prior
-// readers and writers, then holds exclusively.
-func (r *RWResource) UseWrite(c *Clock, hold int64) int64 {
-	if hold < 0 {
-		hold = 0
-	}
-	r.mu.Lock()
-	grant := r.writeBusy
-	if r.lastReaderEnd > grant {
-		grant = r.lastReaderEnd
-	}
-	if c.now > grant {
-		grant = c.now
-	}
-	r.writeBusy = grant + hold
-	r.mu.Unlock()
-	c.now = grant + hold
-	return grant
-}
-
-// Reset makes the resource idle again.
-func (r *RWResource) Reset() {
-	r.mu.Lock()
-	r.writeBusy, r.lastReaderEnd = 0, 0
 	r.mu.Unlock()
 }
 

@@ -36,88 +36,55 @@ func TestClockAt(t *testing.T) {
 	}
 }
 
+// probe returns the virtual time the resource next accepts work at: when
+// its queued work has drained.
+func probe(r *Resource) int64 { return r.Enqueue(NewClock(), 0) }
+
 func TestResourceSerializes(t *testing.T) {
-	r := NewResource()
+	var r Resource
 	a, b := NewClock(), NewClock()
 
-	grantA := r.Use(a, 100)
-	if grantA != 0 || a.Now() != 100 {
-		t.Fatalf("first use: grant=%d now=%d, want 0/100", grantA, a.Now())
+	acceptedA := r.Enqueue(a, 100)
+	if acceptedA != 0 || a.Now() != 0 {
+		t.Fatalf("first unit: accepted=%d now=%d, want 0/0", acceptedA, a.Now())
 	}
-	grantB := r.Use(b, 100)
-	if grantB != 100 || b.Now() != 200 {
-		t.Fatalf("queued use: grant=%d now=%d, want 100/200", grantB, b.Now())
+	acceptedB := r.Enqueue(b, 100)
+	if acceptedB != 100 || b.Now() != 100 {
+		t.Fatalf("queued unit: accepted=%d now=%d, want 100/100 (accepted once the first drained)", acceptedB, b.Now())
+	}
+	if end := probe(&r); end != 200 {
+		t.Fatalf("work drains at %d, want 200", end)
 	}
 }
 
 func TestResourceIdleGap(t *testing.T) {
-	r := NewResource()
-	c := NewClock()
-	r.Use(c, 10) // busy until 10
+	var r Resource
+	r.Enqueue(NewClock(), 10) // busy until 10
 	late := NewClockAt(1000)
-	grant := r.Use(late, 5)
-	if grant != 1000 || late.Now() != 1005 {
-		t.Fatalf("idle resource should grant at arrival: grant=%d now=%d", grant, late.Now())
+	accepted := r.Enqueue(late, 5)
+	if accepted != 1000 || late.Now() != 1000 {
+		t.Fatalf("idle resource should accept at arrival: accepted=%d now=%d", accepted, late.Now())
 	}
 }
 
 func TestResourceThroughputCeiling(t *testing.T) {
-	// N threads each performing ops holding the resource 100ns must see
-	// aggregate throughput of exactly 1 op / 100ns regardless of N.
-	r := NewResource()
+	// N threads each handing over units of 100ns must see the resource work
+	// through exactly 1 unit / 100ns regardless of N.
+	var r Resource
 	const threads, opsPer = 8, 100
 	var wg sync.WaitGroup
-	clocks := make([]*Clock, threads)
-	for i := range clocks {
-		clocks[i] = NewClock()
+	for i := 0; i < threads; i++ {
 		wg.Add(1)
 		go func(c *Clock) {
 			defer wg.Done()
 			for j := 0; j < opsPer; j++ {
-				r.Use(c, 100)
+				r.Enqueue(c, 100)
 			}
-		}(clocks[i])
+		}(NewClock())
 	}
 	wg.Wait()
-	var maxEnd int64
-	for _, c := range clocks {
-		if c.Now() > maxEnd {
-			maxEnd = c.Now()
-		}
-	}
-	want := int64(threads * opsPer * 100)
-	if maxEnd != want {
-		t.Fatalf("serialized end time = %d, want %d", maxEnd, want)
-	}
-}
-
-func TestRWResourceReadersOverlap(t *testing.T) {
-	r := NewRWResource()
-	a, b := NewClock(), NewClock()
-	r.UseRead(a, 100)
-	r.UseRead(b, 100)
-	if a.Now() != 100 || b.Now() != 100 {
-		t.Fatalf("readers should overlap: a=%d b=%d", a.Now(), b.Now())
-	}
-	w := NewClock()
-	grant := r.UseWrite(w, 50)
-	if grant != 100 || w.Now() != 150 {
-		t.Fatalf("writer should wait for readers: grant=%d now=%d", grant, w.Now())
-	}
-	c := NewClock()
-	grantR := r.UseRead(c, 10)
-	if grantR != 150 {
-		t.Fatalf("reader should wait for writer: grant=%d", grantR)
-	}
-}
-
-func TestRWResourceWriterAfterWriter(t *testing.T) {
-	r := NewRWResource()
-	a, b := NewClock(), NewClock()
-	r.UseWrite(a, 100)
-	r.UseWrite(b, 100)
-	if b.Now() != 200 {
-		t.Fatalf("writers must serialize: b=%d, want 200", b.Now())
+	if end, want := probe(&r), int64(threads*opsPer*100); end != want {
+		t.Fatalf("serialized end time = %d, want %d", end, want)
 	}
 }
 
@@ -172,33 +139,32 @@ func TestBandwidthDegradation(t *testing.T) {
 }
 
 func TestResourceReset(t *testing.T) {
-	r := NewResource()
-	c := NewClock()
-	r.Use(c, 1000)
+	var r Resource
+	r.Enqueue(NewClock(), 1000)
 	r.Reset()
-	if r.BusyUntil() != 0 {
-		t.Fatalf("BusyUntil after Reset = %d", r.BusyUntil())
+	if end := probe(&r); end != 0 {
+		t.Fatalf("reset resource accepts at %d, want 0", end)
 	}
 }
 
-// Property: a resource never grants two overlapping holds, and grants are
-// never earlier than arrival.
+// Property: a resource never starts two units at once, never accepts work
+// before it arrives, and its caller waits for acceptance only.
 func TestResourceNoOverlapProperty(t *testing.T) {
 	f := func(holds []uint16) bool {
-		r := NewResource()
+		var r Resource
 		var prevEnd int64 = -1
 		c := NewClock()
 		for _, h := range holds {
 			hold := int64(h % 1000)
 			arrival := c.Now()
-			grant := r.Use(c, hold)
-			if grant < arrival || grant < prevEnd {
+			accepted := r.Enqueue(c, hold)
+			if accepted < arrival || accepted < prevEnd {
 				return false
 			}
-			if c.Now() != grant+hold {
+			if c.Now() != accepted {
 				return false
 			}
-			prevEnd = grant + hold
+			prevEnd = accepted + hold
 		}
 		return true
 	}
@@ -207,10 +173,10 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 	}
 }
 
-// Property: concurrent Use calls always advance total busy time by exactly
-// the sum of holds (no lost or double-counted holds).
+// Property: concurrent Enqueue calls keep the resource busy for exactly the
+// sum of the holds (no lost or double-counted work).
 func TestResourceConservationProperty(t *testing.T) {
-	r := NewResource()
+	var r Resource
 	const threads = 4
 	var wg sync.WaitGroup
 	var sum int64
@@ -223,7 +189,7 @@ func TestResourceConservationProperty(t *testing.T) {
 			var local int64
 			for j := int64(0); j < 50; j++ {
 				h := (seed*31 + j*17) % 97
-				r.Use(c, h)
+				r.Enqueue(c, h)
 				local += h
 			}
 			mu.Lock()
@@ -232,7 +198,7 @@ func TestResourceConservationProperty(t *testing.T) {
 		}(int64(i))
 	}
 	wg.Wait()
-	if r.BusyUntil() != sum {
-		t.Fatalf("busyUntil = %d, want sum of holds %d", r.BusyUntil(), sum)
+	if end := probe(&r); end != sum {
+		t.Fatalf("work drains at %d, want sum of holds %d", end, sum)
 	}
 }

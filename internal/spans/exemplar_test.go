@@ -2,9 +2,9 @@ package spans
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
-	"zofs/internal/openmetrics"
 	"zofs/internal/telemetry"
 )
 
@@ -92,15 +92,15 @@ func TestExemplarJSONLRoundTrip(t *testing.T) {
 	col := NewCollector(Config{ExemplarK: 4})
 	foldOne(col, 1, telemetry.OpWrite, 0, 400)
 	foldOne(col, 2, telemetry.OpRead, 1000, 800)
-	var buf bytes.Buffer
-	if err := openmetrics.WriteJSONL(&buf, col.Exemplars()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := openmetrics.ReadJSONL[Exemplar](&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := col.Exemplars()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for _, e := range want {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := readJSONL[Exemplar](t, &buf)
 	if len(got) != len(want) {
 		t.Fatalf("round trip: %d exemplars, want %d", len(got), len(want))
 	}

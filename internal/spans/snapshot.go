@@ -220,6 +220,26 @@ func (s Snapshot) opOrder() []string {
 	return out
 }
 
+// Check enforces the attribution invariant: for every op kind with samples
+// and a nonzero total latency, the component shares sum to 100% within one
+// point.
+func (s Snapshot) Check() error {
+	for _, name := range s.opOrder() {
+		b := s.Ops[name]
+		if b.Count <= 0 || b.SumNS <= 0 {
+			continue // no samples (or all zero-latency): shares are vacuous
+		}
+		var sum float64
+		for _, cs := range b.Comp {
+			sum += cs.Pct
+		}
+		if sum < 99 || sum > 101 {
+			return fmt.Errorf("spans: op %q: component shares sum to %.2f%%, want 100±1", name, sum)
+		}
+	}
+	return nil
+}
+
 // WriteText renders the attribution tables in the same tabwriter style as
 // the telemetry snapshot printer.
 func (s Snapshot) WriteText(w io.Writer) error {

@@ -47,7 +47,7 @@ const (
 	// CompMemcpy is data staging through a DRAM bounce buffer. Nothing bills
 	// it while ZoFS moves data and metadata through borrowed device views; it
 	// stays because the component set is the export schema (spans.jsonl,
-	// obs.prom, zofs-obs top, the benchmark's span shares).
+	// obs.json, zofs-obs top, the benchmark's span shares).
 	CompMemcpy
 	// CompKernel is kernel-crossing time: syscall entry/exit charges.
 	CompKernel

@@ -2,11 +2,11 @@ package spans
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
+	"io"
 	"testing"
 
 	"zofs/internal/mpk"
-	"zofs/internal/openmetrics"
 	"zofs/internal/telemetry"
 )
 
@@ -168,6 +168,20 @@ func TestViolationAborts(t *testing.T) {
 	}
 }
 
+// readJSONL decodes a stream of JSON objects, one per line.
+func readJSONL[T any](t *testing.T, r io.Reader) []T {
+	t.Helper()
+	var out []T
+	for dec := json.NewDecoder(r); dec.More(); {
+		var item T
+		if err := dec.Decode(&item); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, item)
+	}
+	return out
+}
+
 // TestJSONLRoundTrip: every folded root reaches the sink and reloads
 // identically, including the self-describing component map.
 func TestJSONLRoundTrip(t *testing.T) {
@@ -184,10 +198,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	roots, err := openmetrics.ReadJSONL[Root](&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	roots := readJSONL[Root](t, &buf)
 	if len(roots) != 2 {
 		t.Fatalf("reloaded %d roots, want 2", len(roots))
 	}
@@ -220,10 +231,9 @@ func TestSnapshotDiff(t *testing.T) {
 	}
 }
 
-// TestOpenMetricsValidator exercises both directions: the writer's output
-// passes, and the check rejects inconsistent or half-present span panels
-// (and ignores an exposition with no span panel at all).
-func TestOpenMetricsValidator(t *testing.T) {
+// TestCheck: a collector's snapshot passes the attribution check, and one
+// tampered share fails it.
+func TestCheck(t *testing.T) {
 	col := NewCollector(Config{})
 	c := NewThreadCtx(col, 1)
 	for i := 0; i < 5; i++ {
@@ -232,37 +242,15 @@ func TestOpenMetricsValidator(t *testing.T) {
 		c.DCacheHit()
 		c.End(int64(i*1000) + 700)
 	}
-	check := func(text string) error {
-		doc, err := openmetrics.Parse(strings.NewReader(text + "# EOF\n"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return CheckOpenMetrics(doc)
+	snap := col.Snapshot()
+	if err := snap.Check(); err != nil {
+		t.Fatalf("collector's snapshot rejected: %v", err)
 	}
-	var out strings.Builder
-	if err := col.Snapshot().WriteOpenMetrics(&out); err != nil {
-		t.Fatal(err)
-	}
-	if err := check(out.String()); err != nil {
-		t.Fatalf("writer output rejected: %v", err)
-	}
-	if err := check("zofs_lockprof_held 0\n"); err != nil {
-		t.Fatalf("exposition without a span panel rejected: %v", err)
-	}
-
-	const write = "zofs_spans_finished_total 5\nzofs_ops_total{op=\"write\"} 5\n" +
-		"zofs_op_latency_ns_sum{op=\"write\"} 3500\n"
-	bad := []struct {
-		name, doc string
-	}{
-		{"shares don't sum", write + "zofs_op_component_share{op=\"write\",component=\"media\"} 57.14\n"},
-		{"shares without the finished counter", "zofs_op_component_share{op=\"write\",component=\"media\"} 100\n"},
-		{"finished spans without shares", write},
-	}
-	for _, tc := range bad {
-		if err := check(tc.doc); err == nil {
-			t.Errorf("%s: check accepted a bad document", tc.name)
-		}
+	media := snap.Ops["write"].Comp["media"]
+	media.Pct -= 2
+	snap.Ops["write"].Comp["media"] = media
+	if err := snap.Check(); err == nil {
+		t.Error("shares summing to 98% accepted")
 	}
 }
 

@@ -106,6 +106,38 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	return d
 }
 
+// Check enforces the panel's invariants, which hold of a snapshot taken
+// while threads are still running too: no counter is negative (a counter
+// that overflows pins at the ceiling, it never wraps), and every op kind's
+// latency summary has a count and p50 <= p99.
+func (s Snapshot) Check() error {
+	for _, name := range sortedKeys(s.Counters) {
+		if v := s.Counters[name]; v < 0 {
+			return fmt.Errorf("telemetry: counter %s = %d is negative", name, v)
+		}
+	}
+	for _, name := range sortedKeys(s.Ops) {
+		o := s.Ops[name]
+		if o.Count <= 0 {
+			return fmt.Errorf("telemetry: op %q has a latency summary and no count", name)
+		}
+		if o.P99NS < o.P50NS {
+			return fmt.Errorf("telemetry: op %q p99 %d ns < p50 %d ns", name, o.P99NS, o.P50NS)
+		}
+	}
+	return nil
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
 // JSON renders the snapshot as indented JSON.
 func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 

@@ -177,6 +177,43 @@ func TestSnapshotRenderers(t *testing.T) {
 	}
 }
 
+// TestCheck: a recorder's snapshot passes its own check, and one tampered
+// value — a wrapped counter, an inverted summary, a summary without its
+// count — fails it.
+func TestCheck(t *testing.T) {
+	snap := func() Snapshot {
+		r := New()
+		r.Add(CtrNVMBytesWritten, 4096)
+		r.Max(GaugeDirtyLinesHWM, 9)
+		for _, ns := range []int64{700, 900, 40_000} {
+			r.Observe(OpWrite, ns)
+		}
+		return r.Snapshot()
+	}
+	if err := snap().Check(); err != nil {
+		t.Fatal(err)
+	}
+	for name, tamper := range map[string]func(s Snapshot){
+		"negative counter": func(s Snapshot) { s.Counters["nvm.bytes_written"] = -4096 },
+		"p99 below p50": func(s Snapshot) {
+			o := s.Ops["write"]
+			o.P99NS = o.P50NS - 1
+			s.Ops["write"] = o
+		},
+		"no count": func(s Snapshot) {
+			o := s.Ops["write"]
+			o.Count = 0
+			s.Ops["write"] = o
+		},
+	} {
+		s := snap()
+		tamper(s)
+		if err := s.Check(); err == nil {
+			t.Errorf("%s: the check passed", name)
+		}
+	}
+}
+
 func TestEnableDisable(t *testing.T) {
 	defer Disable()
 	if Active() != nil {

@@ -342,8 +342,10 @@ func (f *FS) deInline(th *proc.Thread, m *mount, ino, size int64) error {
 }
 
 // truncateTo shrinks or extends a file; the caller holds the write lock.
-// Shrinking commits the new size first, then frees the trimmed pages —
-// a crash in between only leaks pages, which recovery reclaims (§5.3).
+// Shrinking scrubs the tail of the boundary block, commits the new size,
+// then frees the trimmed pages. The scrub comes first so that no crash
+// leaves the new size over stale bytes a later extension would expose; a
+// crash after the commit only leaks pages, which recovery reclaims (§5.3).
 func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassData))
 	defer th.Clk.SetWriteClass(prev)
@@ -356,17 +358,14 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 			if err := f.deInline(th, m, ino, size); err != nil {
 				return err
 			}
-			f.setInodeSize(th, ino, newSize)
-			return nil
-		}
-		f.setInodeSize(th, ino, newSize)
-		if newSize < size {
+		} else if newSize < size {
 			th.Zero(ino*pageSize+inoInlineOff+newSize, inlineCap-newSize)
 		}
+		f.setInodeSize(th, ino, newSize)
 		return nil
 	}
-	f.setInodeSize(th, ino, newSize)
 	if newSize >= size {
+		f.setInodeSize(th, ino, newSize)
 		return nil
 	}
 	// Zero the tail of the boundary page so a later extension reads zeros,
@@ -378,6 +377,7 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 			th.Zero(dev, to-from)
 		}
 	})
+	f.setInodeSize(th, ino, newSize)
 	// Free the dead blocks a pointer array at a time, from the end of the
 	// file down: read the array's dead slots once, clear them with one
 	// streaming store, and only then hand the pages to the free list — a

@@ -139,10 +139,11 @@ func TestTruncateEveryLevel(t *testing.T) {
 }
 
 // TestTruncateCrashPoints crashes Truncate around every persisting store it
-// makes (the size commit, the boundary-page scrub, one streaming
-// clear per pointer array), recovers, and requires: the size is the new one (the old one only if the
-// commit itself did not land) with the content below it intact; the dropped
-// blocks re-extend to zeros; and no page is both reachable from the file and
+// makes (the boundary-block scrub, the size commit, one streaming clear per
+// pointer array), recovers, and requires: the size is the new one (the old
+// one only if the commit itself did not land, over a scrubbed boundary tail
+// once the scrub did) with the content below it intact; everything past the
+// size re-extends to zeros; and no page is both reachable from the file and
 // granted again — pages handed to a new file never alias the old one.
 func TestTruncateCrashPoints(t *testing.T) {
 	const newSize = 3*pageSize + 100
@@ -171,7 +172,7 @@ func TestTruncateCrashPoints(t *testing.T) {
 			}
 			points := dev.WriteCount() - w0
 			if points < 5 {
-				t.Fatalf("truncate made %d persisting stores: fewer than the size commit, the scrub and three pointer arrays", points)
+				t.Fatalf("truncate made %d persisting stores: fewer than the scrub, the size commit and three pointer arrays", points)
 			}
 			other := patterned(2<<20, 99)
 			// The stores persist as they are issued, so the image before store
@@ -217,7 +218,13 @@ func TestTruncateCrashPoints(t *testing.T) {
 				}
 				f2 := New(k2, v.opts)
 				size := mustStat(t, f2, th2, "/t").Size
-				if size != newSize && !(size == int64(len(model)) && k == 0) {
+				// The first store scrubs the boundary block's tail, the second
+				// commits the size: a crash between them leaves the old size
+				// over a zeroed tail.
+				if k > 0 {
+					clear(model[newSize : blocksOf(newSize)*pageSize])
+				}
+				if size != newSize && !(size == int64(len(model)) && k <= 1) {
 					t.Fatalf("%s: recovered size %d, want %d", where, size, newSize)
 				}
 				h, err := f2.Open(th2, "/t", vfs.O_RDWR)
@@ -227,19 +234,13 @@ func TestTruncateCrashPoints(t *testing.T) {
 				if !bytes.Equal(readAll(t, th2, h, size), model[:size]) {
 					t.Fatalf("%s: content below the recovered size changed", where)
 				}
-				// Re-extended, the dropped blocks read as zeros. (The rest of
-				// the boundary block is scrubbed after the size commit, as it
-				// always was: a crash between the two leaves stale bytes there,
-				// so that tail is not compared.)
+				// Re-extended, everything past the size reads as zeros, the
+				// rest of the boundary block included.
 				if err := f2.Truncate(th2, "/t", int64(len(model))); err != nil {
 					t.Fatal(err)
 				}
 				clear(model[size:])
-				cut := blocksOf(size) * pageSize
-				same := func() bool {
-					got := readAll(t, th2, h, int64(len(model)))
-					return bytes.Equal(got[:size], model[:size]) && bytes.Equal(got[cut:], model[cut:])
-				}
+				same := func() bool { return bytes.Equal(readAll(t, th2, h, int64(len(model))), model) }
 				if !same() {
 					t.Fatalf("%s: re-extended file does not read zeros past the cut", where)
 				}

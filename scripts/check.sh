@@ -42,15 +42,24 @@ echo "== trace smoke =="
 echo "== obs smoke =="
 # What no collector may disturb is asserted by tier-1 (harness
 # TestCollectorsObserveOnly). Here one -obs collection run — telemetry,
-# spans, series and lock profile together — must publish an obs.prom the one
-# validator accepts (share sums, wait/hold conservation, edge bounds, per-op
-# count conservation), a cell log, a document top renders as text and JSON,
-# and raw logs the Chrome export can draw; and df must reconcile flow and
-# space accounting on a live instance (-validate exits 1 on violation,
-# OpenMetrics rendering included).
+# spans, series and lock profile together — must publish one document,
+# obs.json, that every panel's check accepts (share sums, wait/hold
+# conservation, edge bounds, per-op count conservation), and beside it only
+# JSON-lines logs: a cell log and raw logs the Chrome export can draw. top
+# must render the document as text and JSON, and df must reconcile flow and
+# space accounting on a live instance (-validate exits 1 on violation).
 bench -quick -obs "$tracedir/obs" fig8
 test -s "$tracedir/obs/cells.jsonl"
 "$bin/zofs-obs" validate "$tracedir/obs" >/dev/null
+for f in "$tracedir"/obs/*; do
+    case "${f##*/}" in
+    obs.json | *.jsonl) ;;
+    *)
+        echo "obs smoke: $f published beside obs.json and the logs" >&2
+        exit 1
+        ;;
+    esac
+done
 "$bin/zofs-obs" top -once -dir "$tracedir/obs" >/dev/null
 "$bin/zofs-obs" top -json -dir "$tracedir/obs" >/dev/null
 "$bin/zofs-obs" trace export -obs "$tracedir/obs" -o "$tracedir/obs/chrome.json" >/dev/null
@@ -169,7 +178,7 @@ fields() {
         f && /^\t[A-Z][A-Za-z0-9]* / { n++ } END { print n }' "$1"
 }
 obs=$(find internal/telemetry internal/pmemtrace internal/spans internal/byteflow \
-    internal/lockprof internal/series internal/obsfs internal/openmetrics \
+    internal/lockprof internal/series internal/obsfs \
     cmd/zofs-obs cmd/zofs-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 echo "non-test Go lines outside benchmark/: $lines; zofs.Options fields: $(fields internal/zofs/fs.go)"
 echo "CLIs: $(ls cmd | wc -l); observability set + zofs-obs + zofs-bench: $obs lines"
