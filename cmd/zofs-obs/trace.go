@@ -354,16 +354,8 @@ func loadTimeline(dir string) (tl spans.Timeline, err error) {
 	if tl.Waits, err = readLog[lockprof.BlockedInterval](dir, obsfs.WaitsLog, true); err != nil {
 		return tl, err
 	}
-	wins, err := readLog[series.Window](dir, obsfs.SeriesLog, true)
-	if err != nil {
+	if tl.Windows, err = readLog[series.Window](dir, obsfs.SeriesLog, true); err != nil {
 		return tl, err
-	}
-	for _, w := range wins {
-		m := spans.WindowMark{Index: w.Index, StartNS: w.StartNS}
-		for _, ow := range w.Ops {
-			m.Ops += ow.Count
-		}
-		tl.Windows = append(tl.Windows, m)
 	}
 	tl.Exemplars, err = readLog[spans.Exemplar](dir, obsfs.ExemplarsLog, true)
 	return tl, err

@@ -12,19 +12,20 @@
 // stat <path>, cd <dir>, pwd, df, wear [n], coffers, recover <path>,
 // stats [reset], spans [reset], tail [n], slo [...], sync, quit.
 //
-// "stats" dumps the per-layer telemetry accumulated since the shell started
-// (or since the last "stats reset"): NVM media traffic, PKRU switches,
-// KernFS call counts, and per-operation simulated-latency quantiles.
-// "stats reset" also zeroes the byte-flow ledger behind "df" and "wear".
+// "stats" dumps the per-layer telemetry counters accumulated since the shell
+// started (or since the last "stats reset"): NVM media traffic, PKRU
+// switches, KernFS call counts. "stats reset" also zeroes the byte-flow
+// ledger behind "df" and "wear".
 //
 // "df" reconciles the byte flow of the session so far (app vs issued vs
 // media bytes, write amplification) and prints the per-coffer space table.
 // "wear" prints the n hottest pages of the wear heatmap (default 10).
 //
 // "spans" dumps the observation document for everything typed so far: per-op
-// component breakdowns (media, flush/fence, lock wait, PKRU, memcpy, kernel),
-// the critical-path summary and dcache hit rates, then the byte-flow, space
-// and timeline panels. "spans reset" zeroes the span collector.
+// counts, latency quantiles and component breakdowns (media, flush/fence,
+// lock wait, PKRU, memcpy, kernel), the critical-path summary and dcache hit
+// rates, then the byte-flow, space and timeline panels. "spans reset" zeroes
+// the span collector.
 //
 // "tail" shows the virtual-time windowed view of the session: the latest
 // windows with per-op counts and tail quantiles, plus the captured worst-op
@@ -160,8 +161,8 @@ func (sh *shell) execute(args []string) bool {
 	switch cmd {
 	case "help":
 		fmt.Fprintln(out, "ls cat write append mkdir rm rmdir mv ln chmod chown stat cd pwd df wear coffers recover stats spans tail slo sync quit")
-		fmt.Fprintln(out, "stats [reset]: dump (or zero) per-layer telemetry counters and latencies")
-		fmt.Fprintln(out, "spans [reset]: dump (or zero) causal-span latency attribution")
+		fmt.Fprintln(out, "stats [reset]: dump (or zero) per-layer telemetry counters")
+		fmt.Fprintln(out, "spans [reset]: dump (or zero) per-op latencies and their causal-span attribution")
 		fmt.Fprintln(out, "tail [n]: latest n virtual-time windows (default 10) and worst-op exemplars")
 		fmt.Fprintln(out, "slo [<op> <threshold_ns> <target> | clear <op>]: report, install or remove latency objectives")
 		fmt.Fprintln(out, "df: byte-flow reconciliation and per-coffer space table")
@@ -342,8 +343,8 @@ func (sh *shell) execute(args []string) bool {
 			}
 		}
 		wins, snap := sc.Windows(), sc.Snapshot()
-		fmt.Fprintf(out, "tail: %d observations, %d windows of %d ns (%d spilled)\n",
-			snap.Observations, len(wins), snap.WidthNS, snap.Spilled)
+		fmt.Fprintf(out, "tail: %d observations, %d windows of %d ns (%d observations evicted)\n",
+			snap.Observations, len(wins), snap.WidthNS, snap.Evicted)
 		if len(wins) > n {
 			wins = wins[len(wins)-n:]
 		}
@@ -366,11 +367,10 @@ func (sh *shell) execute(args []string) bool {
 		if exs := spans.Active().Exemplars(); len(exs) > 0 {
 			fmt.Fprintf(out, "worst-op exemplars (%d captured):\n", spans.Active().ExemplarsCaptured())
 			t = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-			fmt.Fprintln(t, "op\tdur ns\tstart ms\tthreshold ns\tlocks\tevents")
+			fmt.Fprintln(t, "op\tdur ns\tstart ms\tlocks\tevents")
 			for _, ex := range exs {
-				fmt.Fprintf(t, "%s\t%d\t%.3f\t%d\t%d\t%d\n",
-					ex.Root.Op, ex.Root.Dur, float64(ex.Root.Start)/1e6,
-					ex.ThresholdNS, len(ex.Locks), len(ex.Events))
+				fmt.Fprintf(t, "%s\t%d\t%.3f\t%d\t%d\n",
+					ex.Root.Op, ex.Root.Dur, float64(ex.Root.Start)/1e6, len(ex.Locks), len(ex.Events))
 			}
 			t.Flush()
 		}

@@ -47,7 +47,7 @@ func session(t *testing.T, img, script string) (int, string) {
 func TestScriptedSession(t *testing.T) {
 	img := image(t)
 	code, out := session(t, img, strings.Join([]string{
-		"mkdir /d", "write /d/f hello shell", "cat /d/f", "ls /d", "df", "stats", "tail", "bogus", "exit",
+		"mkdir /d", "write /d/f hello shell", "cat /d/f", "ls /d", "df", "stats", "spans", "tail", "bogus", "exit",
 	}, "\n"))
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, out)
@@ -57,7 +57,8 @@ func TestScriptedSession(t *testing.T) {
 		" f\n",                   // ls
 		"free pages of",          // df
 		"byte flow: app",         // df
-		"p99 ns",                 // stats
+		"bytes_written",          // stats
+		"p99",                    // spans
 		"tail: ",                 // tail
 		"unknown command: bogus", // the session went on past it
 	} {

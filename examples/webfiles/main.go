@@ -7,8 +7,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 	"sync"
 
 	"zofs/internal/fslibs"
@@ -25,7 +27,10 @@ const (
 	requests = 2000
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run serves the demo and writes its narrative to w.
+func run(w io.Writer) {
 	dev := nvm.New(nvm.Config{Size: 2 << 30, TrackPersistence: false})
 	must(kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}))
 	k, err := kernfs.Mount(dev)
@@ -52,7 +57,7 @@ func main() {
 		must(err)
 		must(plib.Close(pth, fd))
 	}
-	fmt.Printf("published %d documents (%d KB each)\n", nDocs, docSize>>10)
+	fmt.Fprintf(w, "published %d documents (%d KB each)\n", nDocs, docSize>>10)
 
 	// Reader processes serve requests: open, read whole file, close,
 	// append one access-log line (the webserver personality's flow).
@@ -99,12 +104,12 @@ func main() {
 			maxNS = vtime[r]
 		}
 	}
-	fmt.Printf("served %d requests with %d reader processes in %.2fms virtual time (%.0f req/s)\n",
+	fmt.Fprintf(w, "served %d requests with %d reader processes in %.2fms virtual time (%.0f req/s)\n",
 		total, nReaders, float64(maxNS)/1e6, float64(total)/(float64(maxNS)/1e9))
 
 	fi, err := plib.Stat(pth, "/www/logs/access-0.log")
 	must(err)
-	fmt.Printf("access-0.log: %d bytes of appended log lines\n", fi.Size)
+	fmt.Fprintf(w, "access-0.log: %d bytes of appended log lines\n", fi.Size)
 }
 
 func must(err error) {

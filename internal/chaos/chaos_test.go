@@ -86,3 +86,20 @@ func TestCampaignNoFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestSeededViolationFails is the campaign's detection contract: ten ops end
+// before the stalled holder's lease can expire, so its resume is not fenced,
+// and the fence invariants must report it rather than pass the run.
+func TestSeededViolationFails(t *testing.T) {
+	rep, err := Run(Config{Seed: 1, Ops: 10})
+	if err != nil {
+		t.Fatalf("campaign: %v", err)
+	}
+	fence := false
+	for _, v := range rep.Violations {
+		fence = fence || v.Invariant == "fence_unexercised"
+	}
+	if rep.Passed() || !fence {
+		t.Fatalf("a ten-op campaign passed its fence invariants: %d violations %+v", rep.ViolationCount, rep.Violations)
+	}
+}

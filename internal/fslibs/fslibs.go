@@ -105,14 +105,6 @@ func Mount(kern *kernfs.KernFS, th *proc.Thread, opts Options) (*Lib, error) {
 	return l, nil
 }
 
-// Umount deregisters from KernFS and drops all FDs.
-func (l *Lib) Umount(th *proc.Thread) error {
-	l.mu.Lock()
-	l.fds, l.low = nil, 0
-	l.mu.Unlock()
-	return l.kern.FSUmount(th)
-}
-
 // RegisterFS attaches a µFS for a coffer type (Treasury supports multiple
 // µFS implementations side by side, §3.2).
 func (l *Lib) RegisterFS(typ coffer.Type, fs vfs.FileSystem) { l.byTyp[typ] = fs }
@@ -174,7 +166,7 @@ func (l *Lib) trace(th *proc.Thread, op telemetry.Op) func() {
 // traceAt is trace for path-taking operations, whose root span carries the
 // path's hash.
 func (l *Lib) traceAt(th *proc.Thread, op telemetry.Op, path string) func() {
-	return obsfs.Begin(l.kern.Device().Recorder(), th.Clk, op, path)
+	return obsfs.Begin(th.Clk, op, path)
 }
 
 // resolve normalizes a path against the CWD and checks the mount point,

@@ -50,7 +50,6 @@ func TestCollectorsObserveOnly(t *testing.T) {
 	pmemtrace.Disable() // the device captured it at birth
 	in.Dev.EnableAccounting()
 	lit, err := hotpathRunOn(in, n)
-	tele := in.Dev.Recorder().Snapshot()
 	doc, serr := sess.Stop()
 	if err != nil || serr != nil {
 		t.Fatal(err, serr)
@@ -88,21 +87,37 @@ func TestCollectorsObserveOnly(t *testing.T) {
 		t.Errorf("%d roots left open, %d closed twice", col.OpenRoots(), col.DoubleCloses())
 	}
 
-	// Series: folding every window reproduces the cumulative telemetry
-	// histograms bucket for bucket.
-	merged := sc.Merged()
-	if doc.Series.Windows < 2 || len(merged) != len(tele.Ops) {
-		t.Errorf("%d windows retained; series has %d op kinds, telemetry %d", doc.Series.Windows, len(merged), len(tele.Ops))
+	// Series: folding every window reproduces the span collector's per-op
+	// count, latency sum and histogram bucket for bucket.
+	span := col.Snapshot().Ops
+	merged := map[string]*series.OpWindow{}
+	for _, w := range sc.Windows() {
+		for op, ow := range w.Ops {
+			m := merged[op]
+			if m == nil {
+				m = &series.OpWindow{Buckets: make([]int64, telemetry.HistBuckets)}
+				merged[op] = m
+			}
+			m.Count += ow.Count
+			m.SumNS += ow.SumNS
+			for i, b := range ow.Buckets {
+				m.Buckets[i] += b
+			}
+		}
 	}
-	for op, ts := range tele.Ops {
+	if doc.Series.Windows < 2 || doc.Series.Evicted != 0 || len(merged) != len(span) {
+		t.Errorf("%d windows retained, %d observations evicted; series has %d op kinds, spans %d",
+			doc.Series.Windows, doc.Series.Evicted, len(merged), len(span))
+	}
+	for op, ob := range span {
 		m := merged[op]
-		if m.Count != ts.Count || m.SumNS != ts.SumNS {
-			t.Errorf("op %s: merged count/sum %d/%d, telemetry %d/%d", op, m.Count, m.SumNS, ts.Count, ts.SumNS)
+		if m == nil || m.Count != ob.Count || m.SumNS != ob.SumNS {
+			t.Errorf("op %s: merged %+v, spans count/sum %d/%d", op, m, ob.Count, ob.SumNS)
 			continue
 		}
-		for i, b := range ts.Buckets {
+		for i, b := range ob.Buckets {
 			if m.Buckets[i] != b {
-				t.Errorf("op %s: bucket %d merged %d, telemetry %d", op, i, m.Buckets[i], b)
+				t.Errorf("op %s: bucket %d merged %d, spans %d", op, i, m.Buckets[i], b)
 				break
 			}
 		}
@@ -126,9 +141,9 @@ func TestCollectorsObserveOnly(t *testing.T) {
 	// SLO burn: every op of the kind is evaluated; a 1 ns objective counts
 	// them all bad, a 2^40 ns one none.
 	for _, s := range sc.SLOs() {
-		if s.Total != merged[s.Op].Count || s.Bad > s.Total ||
+		if s.Total != span[s.Op].Count || s.Bad > s.Total ||
 			(s.ThresholdNS == 1 && s.Bad != s.Total) || (s.ThresholdNS == 1<<40 && s.Bad != 0) {
-			t.Errorf("slo %s (threshold %d ns): %d bad of %d, %d ops", s.Op, s.ThresholdNS, s.Bad, s.Total, merged[s.Op].Count)
+			t.Errorf("slo %s (threshold %d ns): %d bad of %d, %d ops", s.Op, s.ThresholdNS, s.Bad, s.Total, span[s.Op].Count)
 		}
 	}
 
@@ -165,7 +180,7 @@ func hotpathRunOn(in *sysfactory.Instance, n int) (map[string]float64, error) {
 	th := in.Proc.NewThread()
 	// Observed through the wrapper, as the harness's cells are; with
 	// everything off this returns in.FS unchanged.
-	fs := obsfs.Wrap(in.FS, in.Dev.Recorder())
+	fs := obsfs.Wrap(in.FS, nil)
 	if err := fs.Mkdir(th, "/hot", 0o755); err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ func runFilebenchCell(sys sysfactory.System, cfg filebench.Config, threads int, 
 		return filebench.Result{}, err
 	}
 	in.SetConcurrency(threads)
-	r, err := filebench.Run(obsfs.Wrap(in.FS, in.Dev.Recorder()), in.Proc, cfg, threads, opts.TargetNS)
+	r, err := filebench.Run(obsfs.Wrap(in.FS, nil), in.Proc, cfg, threads, opts.TargetNS)
 	if err == nil {
 		obsfs.EndCell(fmt.Sprintf("%s/%s/%d", sys.Name, cfg.Personality, threads), nil)
 	}

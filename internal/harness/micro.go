@@ -185,7 +185,7 @@ type secondMounter interface {
 // its ops through the obsfs wrapper and closes its cell of the session's
 // log; with nothing collecting, both calls do nothing.
 func fxmarkCell(in *sysfactory.Instance, wl fxmark.Workload, threads int, targetNS int64) (fxmark.Result, error) {
-	env := &fxmark.Env{FS: obsfs.Wrap(in.FS, in.Dev.Recorder()), Proc: in.Proc, SetConcurrency: in.SetConcurrency}
+	env := &fxmark.Env{FS: obsfs.Wrap(in.FS, nil), Proc: in.Proc, SetConcurrency: in.SetConcurrency}
 	r, err := fxmark.Run(env, wl, threads, targetNS)
 	if err == nil {
 		obsfs.EndCell(fmt.Sprintf("%s/%s/%d", in.Name, wl, threads), nil)

@@ -885,12 +885,6 @@ func (d *Device) FailAtStart(n int64) {
 // WriteCount returns the number of persisting stores performed.
 func (d *Device) WriteCount() int64 { return d.writeCount.Load() }
 
-// ResetBandwidth clears bandwidth accounting between benchmark phases.
-func (d *Device) ResetBandwidth() {
-	d.readBW.Reset()
-	d.writeBW.Reset()
-}
-
 // BytesWritten reports cumulative bytes pushed through the write channel.
 func (d *Device) BytesWritten() int64 { return d.writeBW.TotalBytes() }
 

@@ -230,12 +230,11 @@ func TestWriteBandwidthCeiling(t *testing.T) {
 }
 
 func TestConcurrencyDegradation(t *testing.T) {
-	d := New(Config{Size: 1 << 20, TrackPersistence: false})
 	buf := make([]byte, 4096)
 	a := simclock.NewClock()
-	d.WriteNT(a, 0, buf)
+	New(Config{Size: 1 << 20, TrackPersistence: false}).WriteNT(a, 0, buf)
 	base := a.Now()
-	d.ResetBandwidth()
+	d := New(Config{Size: 1 << 20, TrackPersistence: false})
 	d.SetConcurrency(20)
 	b := simclock.NewClock()
 	d.WriteNT(b, 0, buf)

@@ -36,9 +36,10 @@ const (
 // Doc is the observation document: one panel per collector that was active
 // when it was collected.
 type Doc struct {
-	// Telemetry is the per-layer counters and per-op latency histograms.
+	// Telemetry is the per-layer counters and gauges.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
-	// Spans is the causal-span latency attribution.
+	// Spans is the per-op record: counts, latency quantiles and the
+	// causal-span attribution of where the time went.
 	Spans *spans.Snapshot `json:"spans,omitempty"`
 	// Flow is the device byte-flow ledger and Space the per-coffer space
 	// rows of the observed file system; absent without byte-flow accounting.
@@ -46,7 +47,7 @@ type Doc struct {
 	Space byteflow.Space `json:"space,omitempty"`
 	// Locks is the named-lock contention report.
 	Locks *lockprof.Report `json:"locks,omitempty"`
-	// Series is the windowed tail view.
+	// Series is the windowed tail view and SLO burn.
 	Series *series.Snapshot `json:"series,omitempty"`
 }
 
@@ -236,11 +237,10 @@ var (
 )
 
 // Start switches on the run-wide collectors — telemetry, causal spans
-// (streaming every root into dir's SpansLog, with exemplar rings for the
-// series feed's thresholds to land in), the windowed series and the lock
-// profiler — for devices and threads created from now on, and republishes
-// the document into dir twice a second until Stop. None of them moves a
-// simulated number.
+// (streaming every root into dir's SpansLog, with worst-op exemplar rings),
+// the windowed series and the lock profiler — for devices and threads
+// created from now on, and republishes the document into dir twice a second
+// until Stop. None of them moves a simulated number.
 func Start(dir string) (*Session, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -352,7 +352,7 @@ func (s *Session) WriteCells(w io.Writer) error {
 	return nil
 }
 
-// WriteText renders the cell's telemetry tables, span breakdown and extras.
+// WriteText renders the cell's counters, its per-op span table and extras.
 func (c Cell) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "\n[stats %s]\n", c.Label)
 	if err := c.Metrics.WriteText(w); err != nil {

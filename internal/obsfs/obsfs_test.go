@@ -65,7 +65,7 @@ func viaWrap(t *testing.T, s stack) {
 	if err := z.EnsureRootDir(s.th); err != nil {
 		t.Fatal(err)
 	}
-	fs, th, buf := obsfs.Wrap(z, s.dev.Recorder()), s.th, make([]byte, payload)
+	fs, th, buf := obsfs.Wrap(z, nil), s.th, make([]byte, payload)
 	if fs == vfs.FileSystem(z) {
 		t.Fatal("Wrap returned its argument with collectors on")
 	}
@@ -134,11 +134,12 @@ func viaLib(t *testing.T, s stack) {
 	}
 }
 
-// TestOneFunctionFeedsThreeStores: whichever way the ops come in — Wrap over
-// a bare file system or the FSLibs dispatcher — telemetry, spans and series
-// hold the same count for every op kind, because obsfs.Begin is the only
-// thing that feeds them; and the application's bytes are credited once.
-func TestOneFunctionFeedsThreeStores(t *testing.T) {
+// TestBeginFeedsSpansAndSeries: whichever way the ops come in — Wrap over a
+// bare file system or the FSLibs dispatcher — the span collector's per-op
+// record and the series windows hold the same count and latency sum for
+// every op kind, because obsfs.Begin is the only thing that feeds them; and
+// the application's bytes are credited once.
+func TestBeginFeedsSpansAndSeries(t *testing.T) {
 	for _, route := range []struct {
 		name  string
 		drive func(*testing.T, stack)
@@ -148,15 +149,22 @@ func TestOneFunctionFeedsThreeStores(t *testing.T) {
 			s := newStack(t)
 			route.drive(t, s)
 
-			tele, span, merged := s.dev.Recorder().Snapshot().Ops, col.Snapshot().Ops, sc.Merged()
-			if len(tele) < 8 || len(span) != len(tele) || len(merged) != len(tele) {
-				t.Fatalf("op kinds: telemetry %d, spans %d, series %d (want the same, at least 8)",
-					len(tele), len(span), len(merged))
+			windowed := map[string]series.OpWindow{}
+			for _, w := range sc.Windows() {
+				for op, ow := range w.Ops {
+					f := windowed[op]
+					f.Count += ow.Count
+					f.SumNS += ow.SumNS
+					windowed[op] = f
+				}
 			}
-			for op, o := range tele {
-				if span[op].Count != o.Count || merged[op].Count != o.Count || span[op].SumNS != o.SumNS {
-					t.Errorf("%s: telemetry %d ops / %d ns, spans %d / %d, series %d",
-						op, o.Count, o.SumNS, span[op].Count, span[op].SumNS, merged[op].Count)
+			span := col.Snapshot().Ops
+			if len(span) < 8 || len(windowed) != len(span) {
+				t.Fatalf("op kinds: spans %d, series %d (want the same, at least 8)", len(span), len(windowed))
+			}
+			for op, o := range span {
+				if w := windowed[op]; w.Count != o.Count || w.SumNS != o.SumNS {
+					t.Errorf("%s: spans %d ops / %d ns, series %d / %d", op, o.Count, o.SumNS, w.Count, w.SumNS)
 				}
 			}
 			if col.OpenRoots() != 0 || col.DoubleCloses() != 0 {
@@ -308,7 +316,7 @@ func TestCellsAreCutPerInterval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, th := obsfs.Wrap(in.FS, in.Dev.Recorder()), in.Proc.NewThread()
+		fs, th := obsfs.Wrap(in.FS, nil), in.Proc.NewThread()
 		for _, name := range []string{"/a", "/b"} {
 			h, err := fs.Create(th, name, 0o644)
 			if err != nil {
@@ -360,7 +368,7 @@ func TestCellsAreCutPerInterval(t *testing.T) {
 		if err != nil || len(cells) != 2 || cells[0].Label != "first" || cells[1].Label != "second" {
 			t.Fatalf("%s: %d cells (%v)", obsfs.CellsLog, len(cells), err)
 		}
-		if w1, w2 := cells[0].Metrics.Ops["write"].Count, cells[1].Metrics.Ops["write"].Count; w1 != 2 || w2 != 4 ||
+		if w1, w2 := cells[0].Spans.Ops["write"].Count, cells[1].Spans.Ops["write"].Count; w1 != 2 || w2 != 4 ||
 			cells[1].Spans.Finished != 2*cells[0].Spans.Finished || cells[0].Extra["answer"] != 42 {
 			t.Errorf("first cell %d writes, second %d; spans %d and %d; extra %v",
 				w1, w2, cells[0].Spans.Finished, cells[1].Spans.Finished, cells[0].Extra)

@@ -10,8 +10,8 @@ import (
 // The windowed view leaves the process two ways: series.jsonl is the raw log
 // (one Window per line, self-describing — every line carries the window
 // index, start and width), and Snapshot is the panel the observation
-// document carries — the merged whole-run view, the latest windows and SLO
-// burn — with its text rendering and its checks.
+// document carries — the latest windows and SLO burn — with its text
+// rendering and its checks.
 
 // RecentWindows bounds the windows a Snapshot carries (and the timeline
 // panel shows) to the latest few; series.jsonl holds them all.
@@ -20,25 +20,39 @@ const RecentWindows = 12
 // Snapshot is a point-in-time summary of a Collector.
 type Snapshot struct {
 	WidthNS int64 `json:"width_ns"`
-	Windows int   `json:"windows"`
-	// Spilled counts the windows evicted into the spill aggregate (0 means
-	// every window is still individually queryable).
-	Spilled      int64 `json:"spilled_windows"`
+	// Windows is how many windows are retained.
+	Windows int `json:"windows"`
+	// Observations counts every op observed; Retained those the retained
+	// windows hold and Evicted those of windows dropped to bound retention.
 	Observations int64 `json:"observations"`
-	// Ops is the merged whole-run view per op kind.
-	Ops map[string]OpWindow `json:"ops"`
+	Retained     int64 `json:"retained_observations"`
+	Evicted      int64 `json:"evicted_observations"`
 	// Recent is the latest RecentWindows windows, ascending.
 	Recent []Window    `json:"recent,omitempty"`
 	SLOs   []SLOStatus `json:"slos,omitempty"`
 }
 
-// Snapshot summarizes the collector's current state.
+// Snapshot summarizes the collector's current state, under one lock, so a
+// snapshot taken while threads still observe is as consistent as a final
+// one.
 func (c *Collector) Snapshot() Snapshot {
-	s := Snapshot{WidthNS: c.widthNS, Ops: c.Merged(), SLOs: c.SLOs()}
-	s.Recent, s.Windows = c.latest(RecentWindows)
 	c.mu.Lock()
-	s.Spilled, s.Observations = c.spilled, c.total
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	s := Snapshot{
+		WidthNS:      c.widthNS,
+		Windows:      len(c.win),
+		Observations: c.total,
+		Evicted:      c.evicted,
+		Recent:       c.latestLocked(RecentWindows),
+		SLOs:         c.slosLocked(),
+	}
+	for _, w := range c.win {
+		for _, ow := range w.ops {
+			if ow != nil {
+				s.Retained += ow.count
+			}
+		}
+	}
 	return s
 }
 
@@ -82,31 +96,40 @@ func (s Snapshot) WriteText(w io.Writer) error {
 
 // Check enforces the panel's invariants:
 //
-//   - each op's latency summary is of its op total: its mean is sum/count
-//     and, where the bucket vector is carried (in process), the buckets sum
-//     to the count;
-//   - conservation: op totals sum exactly to Observations;
+//   - conservation: the retained windows' observations plus the evicted ones
+//     are exactly Observations, and the recent windows hold no more than the
+//     retained ones;
+//   - each recent window's op summary is of its op total: its mean is
+//     sum/count and, where the bucket vector is carried (in process), the
+//     buckets sum to the count;
 //   - SLO sanity: breaches never exceed evaluated events.
 func (s Snapshot) Check() error {
-	var total int64
-	for _, name := range sortedOps(s.Ops) {
-		o := s.Ops[name]
-		if o.Count <= 0 || o.MeanNS != o.SumNS/o.Count {
-			return fmt.Errorf("series: op %q: mean %d ns is not sum %d ns over count %d", name, o.MeanNS, o.SumNS, o.Count)
-		}
-		if o.Buckets != nil {
-			var n int64
-			for _, v := range o.Buckets {
-				n += v
-			}
-			if n != o.Count {
-				return fmt.Errorf("series: op %q: latency histogram holds %d ops, op total %d", name, n, o.Count)
-			}
-		}
-		total += o.Count
+	if s.Retained+s.Evicted != s.Observations {
+		return fmt.Errorf("series: %d retained + %d evicted observations, want %d", s.Retained, s.Evicted, s.Observations)
 	}
-	if total != s.Observations {
-		return fmt.Errorf("series: per-op totals sum to %d, observations %d", total, s.Observations)
+	var recent int64
+	for _, win := range s.Recent {
+		for _, name := range sortedOps(win.Ops) {
+			o := win.Ops[name]
+			if o.Count <= 0 || o.MeanNS != o.SumNS/o.Count {
+				return fmt.Errorf("series: window %d op %q: mean %d ns is not sum %d ns over count %d",
+					win.Index, name, o.MeanNS, o.SumNS, o.Count)
+			}
+			if o.Buckets != nil {
+				var n int64
+				for _, v := range o.Buckets {
+					n += v
+				}
+				if n != o.Count {
+					return fmt.Errorf("series: window %d op %q: latency histogram holds %d ops, op total %d",
+						win.Index, name, n, o.Count)
+				}
+			}
+			recent += o.Count
+		}
+	}
+	if recent > s.Retained {
+		return fmt.Errorf("series: recent windows hold %d observations, retained %d", recent, s.Retained)
 	}
 	for _, o := range s.SLOs {
 		if o.Bad > o.Total {

@@ -3,16 +3,12 @@
 // each carrying per-op-kind counters and log-bucket latency histograms in
 // the exact telemetry geometry — so p50/p95/p99/p999 are queryable per
 // window (warmup vs steady state, contention storms, quarantine transitions
-// as phenomena-in-time) and windows are *exactly* mergeable: summing the
-// bucket vectors of every window of a run reproduces the cumulative
-// telemetry histogram bit-for-bit (the merge-exactness gate in the `series`
-// experiment).
+// as phenomena-in-time). The whole-run per-op record is the span
+// collector's (internal/spans); windows add only what it cannot show, when.
 //
 // On top of the windows ride SLO objectives — a latency threshold and a
-// target good-fraction per op kind — with windowed error-budget burn-rate
-// accounting, and the adaptive worst-op exemplar thresholds pushed into the
-// span collector (trailing-window p99 per op kind, so exemplar capture
-// tracks the tail as it moves).
+// target good-fraction per op kind — with error-budget burn-rate accounting,
+// cumulative and per window.
 //
 // Like every observability layer here, the collector only reads clocks: a
 // run's virtual timeline is bit-identical with series collection on or off.
@@ -23,25 +19,15 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 )
 
 // DefaultWindowNS is the default window width (1ms of virtual time).
 const DefaultWindowNS = 1_000_000
 
-// DefaultMaxWindows bounds the retained window map; older windows fold into
-// the spill aggregate (merge-exactness is preserved, per-window resolution
-// for the evicted prefix is not).
+// DefaultMaxWindows bounds the retained window map; beyond it the oldest
+// window is dropped and its observations counted as evicted.
 const DefaultMaxWindows = 1024
-
-// defaultTrailing is how many trailing windows feed the adaptive exemplar
-// threshold.
-const defaultTrailing = 4
-
-// thresholdEvery is the per-op observation cadence of adaptive-threshold
-// recomputation.
-const thresholdEvery = 256
 
 // SLO is one latency objective: at least Target fraction of Op's operations
 // complete within ThresholdNS.
@@ -57,8 +43,6 @@ type Config struct {
 	WindowNS int64
 	// MaxWindows bounds retained windows (default DefaultMaxWindows).
 	MaxWindows int
-	// Trailing is the adaptive-threshold window count (default 4).
-	Trailing int
 	// SLOs are the initial objectives; more can be set at runtime.
 	SLOs []SLO
 }
@@ -79,29 +63,12 @@ type window struct {
 	ops [telemetry.NumOps]*opWin
 }
 
-func (w *window) op(i telemetry.Op) *opWin {
-	if w.ops[i] == nil {
-		w.ops[i] = &opWin{}
-	}
-	return w.ops[i]
-}
-
-// merge folds o into the window's op slot (eviction, merged views).
-func (w *window) merge(i telemetry.Op, o *opWin) {
-	dst := w.op(i)
-	dst.count += o.count
-	dst.sumNS += o.sumNS
-	dst.sloTotal += o.sloTotal
-	dst.sloBad += o.sloBad
-	for b, v := range o.buckets {
-		dst.buckets[b] += v
-	}
-}
-
-type sloCfg struct {
+// sloState is one op kind's objective and its cumulative burn accounting.
+type sloState struct {
 	set         bool
 	thresholdNS int64
 	target      float64
+	total, bad  int64
 }
 
 // Collector aggregates observations into virtual-time windows. Safe for
@@ -109,15 +76,12 @@ type sloCfg struct {
 type Collector struct {
 	widthNS    int64
 	maxWindows int
-	trailing   int
 
-	mu       sync.Mutex
-	win      map[int64]*window
-	spill    window // evicted windows, folded (keeps merges exact)
-	spilled  int64  // distinct windows folded into spill
-	total    int64  // observations ever
-	slo      [telemetry.NumOps]sloCfg
-	obsCount [telemetry.NumOps]int64
+	mu      sync.Mutex
+	win     map[int64]*window
+	evicted int64 // observations in windows dropped to bound retention
+	total   int64 // observations ever
+	slo     [telemetry.NumOps]sloState
 }
 
 // NewCollector returns an empty collector.
@@ -125,7 +89,6 @@ func NewCollector(cfg Config) *Collector {
 	c := &Collector{
 		widthNS:    cfg.WindowNS,
 		maxWindows: cfg.MaxWindows,
-		trailing:   cfg.Trailing,
 		win:        map[int64]*window{},
 	}
 	if c.widthNS <= 0 {
@@ -133,9 +96,6 @@ func NewCollector(cfg Config) *Collector {
 	}
 	if c.maxWindows <= 0 {
 		c.maxWindows = DefaultMaxWindows
-	}
-	if c.trailing <= 0 {
-		c.trailing = defaultTrailing
 	}
 	for _, s := range cfg.SLOs {
 		c.SetSLO(s.Op, s.ThresholdNS, s.Target)
@@ -164,7 +124,7 @@ func Disable() { active.Store(nil) }
 func Active() *Collector { return active.Load() }
 
 // Observe records one finished operation: it lands in the window containing
-// its start time, in the same histogram bucket the telemetry recorder uses.
+// its start time, in the telemetry bucket geometry.
 func (c *Collector) Observe(op telemetry.Op, startNS, durNS int64) {
 	if c == nil {
 		return
@@ -182,25 +142,29 @@ func (c *Collector) Observe(op telemetry.Op, startNS, durNS int64) {
 		w = &window{}
 		c.win[wi] = w
 	}
-	ow := w.op(op)
+	ow := w.ops[op]
+	if ow == nil {
+		ow = &opWin{}
+		w.ops[op] = ow
+	}
 	ow.count++
 	ow.sumNS += durNS
 	ow.buckets[telemetry.BucketOf(durNS)]++
 	if s := &c.slo[op]; s.set {
-		ow.sloTotal++
+		bad := int64(0)
 		if durNS > s.thresholdNS {
-			ow.sloBad++
+			bad = 1
 		}
+		ow.sloTotal++
+		ow.sloBad += bad
+		s.total++
+		s.bad += bad
 	}
 	c.total++
-	c.obsCount[op]++
-	if c.obsCount[op]%thresholdEvery == 1 {
-		c.pushThresholdLocked(op, wi)
-	}
 	c.mu.Unlock()
 }
 
-// evictOldestLocked folds the lowest-index window into the spill aggregate.
+// evictOldestLocked drops the lowest-index window, counting its observations.
 func (c *Collector) evictOldestLocked() {
 	var oldest int64
 	first := true
@@ -212,38 +176,12 @@ func (c *Collector) evictOldestLocked() {
 	if first {
 		return
 	}
-	w := c.win[oldest]
-	for i := range w.ops {
-		if w.ops[i] != nil {
-			c.spill.merge(telemetry.Op(i), w.ops[i])
+	for _, ow := range c.win[oldest].ops {
+		if ow != nil {
+			c.evicted += ow.count
 		}
 	}
 	delete(c.win, oldest)
-	c.spilled++
-}
-
-// pushThresholdLocked recomputes the op's trailing-window p99 and pushes it
-// into the span collector as the adaptive exemplar-capture threshold.
-func (c *Collector) pushThresholdLocked(op telemetry.Op, cur int64) {
-	var count int64
-	var buckets [telemetry.HistBuckets]int64
-	for wi := cur - int64(c.trailing) + 1; wi <= cur; wi++ {
-		w := c.win[wi]
-		if w == nil || w.ops[op] == nil {
-			continue
-		}
-		ow := w.ops[op]
-		count += ow.count
-		for b, v := range ow.buckets {
-			buckets[b] += v
-		}
-	}
-	if count == 0 {
-		return
-	}
-	if sc := spans.Active(); sc != nil {
-		sc.SetExemplarThreshold(op, telemetry.Quantile(buckets[:], count, 0.99))
-	}
 }
 
 // SetSLO installs (or replaces) the objective for one op kind; it applies to
@@ -256,20 +194,11 @@ func (c *Collector) SetSLO(op telemetry.Op, thresholdNS int64, target float64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if thresholdNS <= 0 {
-		c.slo[op] = sloCfg{}
-		return
-	}
-	if target < 0 {
-		target = 0
-	}
-	if target > 0.999999 {
-		target = 0.999999
-	}
-	c.slo[op] = sloCfg{set: true, thresholdNS: thresholdNS, target: target}
+	s := &c.slo[op]
+	s.set, s.thresholdNS, s.target = thresholdNS > 0, thresholdNS, min(max(target, 0), 0.999999)
 }
 
-// Reset zeroes every window, the spill aggregate and the counters (SLO
+// Reset zeroes every window, the counters and the SLO burn accounting (SLO
 // objectives are kept).
 func (c *Collector) Reset() {
 	if c == nil {
@@ -278,14 +207,14 @@ func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.win = map[int64]*window{}
-	c.spill = window{}
-	c.spilled = 0
+	c.evicted = 0
 	c.total = 0
-	c.obsCount = [telemetry.NumOps]int64{}
+	for i := range c.slo {
+		c.slo[i].total, c.slo[i].bad = 0, 0
+	}
 }
 
-// OpWindow is one op kind's published aggregate within one window (or the
-// merged whole-run view).
+// OpWindow is one op kind's published aggregate within one window.
 type OpWindow struct {
 	Count    int64   `json:"count"`
 	SumNS    int64   `json:"sum_ns"`
@@ -320,8 +249,9 @@ type SLOStatus struct {
 	// fraction divided by the budgeted bad fraction (1-target). Burn 1.0
 	// consumes the budget exactly; >1 is over-budget.
 	Burn float64 `json:"burn"`
-	// LastBurn is the burn rate of the latest window carrying observations
-	// of this op — the instantaneous signal the timeline panel shows.
+	// LastBurn is the burn rate of the latest retained window carrying
+	// observations of this op — the instantaneous signal the timeline panel
+	// shows.
 	LastBurn float64 `json:"last_burn"`
 }
 
@@ -357,25 +287,23 @@ func burnRate(bad, total int64, target float64) float64 {
 
 // Windows returns the retained windows in ascending virtual-time order.
 func (c *Collector) Windows() []Window {
-	wins, _ := c.latest(0)
-	return wins
-}
-
-// latest returns the newest n retained windows (all of them when n is 0),
-// ascending, and how many are retained — so a summary of a long run does not
-// copy every window's buckets to show the last few.
-func (c *Collector) latest(n int) (wins []Window, retained int) {
 	if c == nil {
-		return nil, 0
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.latestLocked(0)
+}
+
+// latestLocked returns the newest n retained windows (all of them when n is
+// 0), ascending — so a summary of a long run does not copy every window's
+// buckets to show the last few. Caller holds c.mu.
+func (c *Collector) latestLocked(n int) []Window {
 	idx := make([]int64, 0, len(c.win))
 	for i := range c.win {
 		idx = append(idx, i)
 	}
 	sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-	retained = len(idx)
 	if n > 0 && len(idx) > n {
 		idx = idx[len(idx)-n:]
 	}
@@ -391,39 +319,6 @@ func (c *Collector) latest(n int) (wins []Window, retained int) {
 		}
 		out = append(out, ws)
 	}
-	return out, retained
-}
-
-// Merged returns the whole-run per-op aggregates: the spill plus every
-// retained window, folded. Merging is exact — the returned bucket vectors
-// equal the cumulative telemetry histograms bit-for-bit when both observed
-// the same stream.
-func (c *Collector) Merged() map[string]OpWindow {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var m window
-	for i := range c.spill.ops {
-		if c.spill.ops[i] != nil {
-			m.merge(telemetry.Op(i), c.spill.ops[i])
-		}
-	}
-	for _, w := range c.win {
-		for i := range w.ops {
-			if w.ops[i] != nil {
-				m.merge(telemetry.Op(i), w.ops[i])
-			}
-		}
-	}
-	out := map[string]OpWindow{}
-	for i := range m.ops {
-		if m.ops[i] == nil || m.ops[i].count == 0 {
-			continue
-		}
-		out[telemetry.Op(i).Name()] = c.snapOpWin(telemetry.Op(i), m.ops[i])
-	}
 	return out
 }
 
@@ -435,9 +330,13 @@ func (c *Collector) SLOs() []SLOStatus {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.slosLocked()
+}
+
+// slosLocked is SLOs. Caller holds c.mu.
+func (c *Collector) slosLocked() []SLOStatus {
 	var out []SLOStatus
-	for oi := range c.slo {
-		s := c.slo[oi]
+	for oi, s := range c.slo {
 		if !s.set {
 			continue
 		}
@@ -445,26 +344,17 @@ func (c *Collector) SLOs() []SLOStatus {
 			Op:          telemetry.Op(oi).Name(),
 			ThresholdNS: s.thresholdNS,
 			Target:      s.target,
-		}
-		if c.spill.ops[oi] != nil {
-			st.Total += c.spill.ops[oi].sloTotal
-			st.Bad += c.spill.ops[oi].sloBad
+			Total:       s.total,
+			Bad:         s.bad,
+			Burn:        burnRate(s.bad, s.total, s.target),
 		}
 		lastIdx := int64(-1)
-		var lastBad, lastTotal int64
 		for wi, w := range c.win {
-			ow := w.ops[oi]
-			if ow == nil || ow.sloTotal == 0 {
-				continue
-			}
-			st.Total += ow.sloTotal
-			st.Bad += ow.sloBad
-			if wi > lastIdx {
-				lastIdx, lastBad, lastTotal = wi, ow.sloBad, ow.sloTotal
+			if ow := w.ops[oi]; ow != nil && ow.sloTotal > 0 && wi > lastIdx {
+				lastIdx = wi
+				st.LastBurn = burnRate(ow.sloBad, ow.sloTotal, s.target)
 			}
 		}
-		st.Burn = burnRate(st.Bad, st.Total, s.target)
-		st.LastBurn = burnRate(lastBad, lastTotal, s.target)
 		out = append(out, st)
 	}
 	return out

@@ -3,9 +3,9 @@ package series
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 
-	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 )
 
@@ -28,22 +28,9 @@ func stream(n int) []struct {
 	return out
 }
 
-// TestMergeExact is the tentpole invariant: summing every window's bucket
-// vector reproduces the cumulative telemetry histogram bit-for-bit when both
-// observed the identical stream.
-func TestMergeExact(t *testing.T) {
-	c := NewCollector(Config{WindowNS: 1000})
-	rec := telemetry.New()
-	for _, s := range stream(2000) {
-		c.Observe(s.op, s.start, s.dur)
-		rec.Observe(s.op, s.dur)
-	}
-	wins := c.Windows()
-	if len(wins) < 2 {
-		t.Fatalf("want multiple windows, got %d", len(wins))
-	}
-	// Fold the published windows by hand — the exported path, not the
-	// internal one Merged() uses.
+// fold sums the published windows per op kind: count, duration sum and
+// bucket vector.
+func fold(wins []Window) map[string]*OpWindow {
 	folded := map[string]*OpWindow{}
 	for _, w := range wins {
 		for name, ow := range w.Ops {
@@ -59,64 +46,116 @@ func TestMergeExact(t *testing.T) {
 			}
 		}
 	}
-	snap := rec.Snapshot()
-	if len(folded) != len(snap.Ops) {
-		t.Fatalf("op sets differ: series %d vs telemetry %d", len(folded), len(snap.Ops))
+	return folded
+}
+
+// TestMergeExact: windows share the telemetry bucket geometry, so summing
+// every window's bucket vector reproduces, bit for bit, a cumulative
+// telemetry.Hist that saw the identical stream — what lets a consumer check
+// the windows against the span collector's whole-run record.
+func TestMergeExact(t *testing.T) {
+	c := NewCollector(Config{WindowNS: 1000})
+	whole := map[telemetry.Op]*telemetry.Hist{}
+	for _, s := range stream(2000) {
+		c.Observe(s.op, s.start, s.dur)
+		if whole[s.op] == nil {
+			whole[s.op] = &telemetry.Hist{}
+		}
+		whole[s.op].Observe(s.dur)
 	}
-	for name, f := range folded {
-		ts, ok := snap.Ops[name]
-		if !ok {
-			t.Fatalf("op %q missing from telemetry", name)
+	wins := c.Windows()
+	if len(wins) < 2 {
+		t.Fatalf("want multiple windows, got %d", len(wins))
+	}
+	folded := fold(wins)
+	if len(folded) != len(whole) {
+		t.Fatalf("op sets differ: windows %d vs stream %d", len(folded), len(whole))
+	}
+	for op, h := range whole {
+		count, sum, buckets := h.Snapshot()
+		f := folded[op.Name()]
+		if f == nil || f.Count != count || f.SumNS != sum {
+			t.Fatalf("op %s: folded %+v, stream count/sum %d/%d", op.Name(), f, count, sum)
 		}
-		if f.Count != ts.Count || f.SumNS != ts.SumNS {
-			t.Fatalf("op %q: folded count/sum %d/%d != telemetry %d/%d",
-				name, f.Count, f.SumNS, ts.Count, ts.SumNS)
-		}
-		for i := range f.Buckets {
-			if f.Buckets[i] != ts.Buckets[i] {
-				t.Fatalf("op %q bucket %d: folded %d != telemetry %d",
-					name, i, f.Buckets[i], ts.Buckets[i])
+		for i := range buckets {
+			if f.Buckets[i] != buckets[i] {
+				t.Fatalf("op %s bucket %d: folded %d != stream %d", op.Name(), i, f.Buckets[i], buckets[i])
 			}
-		}
-	}
-	// Merged() must agree with the hand fold too.
-	for name, m := range c.Merged() {
-		f := folded[name]
-		if m.Count != f.Count || m.SumNS != f.SumNS {
-			t.Fatalf("Merged op %q: %d/%d != folded %d/%d", name, m.Count, m.SumNS, f.Count, f.SumNS)
 		}
 	}
 }
 
-// TestEvictionKeepsMergeExact forces window eviction into the spill
-// aggregate and asserts the merged view is still exact.
+// TestEvictionKeepsMergeExact: past MaxWindows the oldest window is dropped
+// and its observations counted, so the retained windows still fold exactly
+// into the histogram of the ops they hold, and retained plus evicted
+// observations account for every op observed.
 func TestEvictionKeepsMergeExact(t *testing.T) {
 	c := NewCollector(Config{WindowNS: 1000, MaxWindows: 4})
-	rec := telemetry.New()
-	for _, s := range stream(3000) {
+	obs := stream(3000)
+	for _, s := range obs {
 		c.Observe(s.op, s.start, s.dur)
-		rec.Observe(s.op, s.dur)
 	}
-	if c.Snapshot().Spilled == 0 {
-		t.Fatal("expected evictions with MaxWindows=4")
+	wins, snap := c.Windows(), c.Snapshot()
+	if len(wins) != 4 || snap.Windows != 4 {
+		t.Fatalf("retained %d windows (snapshot %d), cap is 4", len(wins), snap.Windows)
 	}
-	if got := len(c.Windows()); got > 4 {
-		t.Fatalf("retained %d windows, cap is 4", got)
-	}
-	snap := rec.Snapshot()
-	merged := c.Merged()
-	for name, ts := range snap.Ops {
-		m, ok := merged[name]
-		if !ok {
-			t.Fatalf("op %q missing from merged view", name)
-		}
-		if m.Count != ts.Count || m.SumNS != ts.SumNS {
-			t.Fatalf("op %q: merged %d/%d != telemetry %d/%d", name, m.Count, m.SumNS, ts.Count, ts.SumNS)
-		}
-		for i := range ts.Buckets {
-			if m.Buckets[i] != ts.Buckets[i] {
-				t.Fatalf("op %q bucket %d diverged after eviction", name, i)
+	kept := map[string]*telemetry.Hist{}
+	for _, s := range obs {
+		if s.start/1000 >= wins[0].Index {
+			if kept[s.op.Name()] == nil {
+				kept[s.op.Name()] = &telemetry.Hist{}
 			}
+			kept[s.op.Name()].Observe(s.dur)
+		}
+	}
+	var retained int64
+	for name, f := range fold(wins) {
+		count, sum, buckets := kept[name].Snapshot()
+		if f.Count != count || f.SumNS != sum {
+			t.Fatalf("op %s: retained windows fold to %d/%d ns, their ops %d/%d ns", name, f.Count, f.SumNS, count, sum)
+		}
+		for i := range buckets {
+			if f.Buckets[i] != buckets[i] {
+				t.Fatalf("op %s bucket %d: folded %d != kept %d", name, i, f.Buckets[i], buckets[i])
+			}
+		}
+		retained += f.Count
+	}
+	if snap.Evicted == 0 || snap.Retained != retained || retained+snap.Evicted != 3000 || snap.Observations != 3000 {
+		t.Fatalf("retained %d (windows hold %d) + evicted %d, observations %d, want 3000",
+			snap.Retained, retained, snap.Evicted, snap.Observations)
+	}
+	if err := snap.Check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLiveSnapshotPassesCheck: a snapshot taken while another thread keeps
+// observing is built under one lock, so it passes the same check a final
+// one does.
+func TestLiveSnapshotPassesCheck(t *testing.T) {
+	c := NewCollector(Config{WindowNS: 1000, MaxWindows: 8, SLOs: []SLO{
+		{Op: telemetry.OpRead, ThresholdNS: 2000, Target: 0.99},
+	}})
+	obs, done := stream(3000), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			s := obs[i%len(obs)]
+			c.Observe(s.op, s.start, s.dur)
+		}
+	}()
+	defer func() { close(done); wg.Wait() }()
+	for i := 0; i < 2000; i++ {
+		if err := c.Snapshot().Check(); err != nil {
+			t.Fatalf("live snapshot %d: %v", i, err)
 		}
 	}
 }
@@ -159,27 +198,6 @@ func TestSLOBurn(t *testing.T) {
 	}
 }
 
-// TestAdaptiveThresholdFeedsSpans drives enough observations through one op
-// kind to trigger threshold recomputation and asserts the trailing-window
-// p99 lands in the span collector's exemplar gate.
-func TestAdaptiveThresholdFeedsSpans(t *testing.T) {
-	sc := spans.Enable(spans.Config{RingCap: -1, ExemplarK: 4})
-	defer spans.Disable()
-	c := NewCollector(Config{WindowNS: 1_000_000, Trailing: 4})
-	for i := 0; i < thresholdEvery+1; i++ {
-		c.Observe(telemetry.OpWrite, int64(i), 1000)
-	}
-	thr := sc.ExemplarThreshold(telemetry.OpWrite)
-	if thr <= 0 {
-		t.Fatal("adaptive threshold never reached the span collector")
-	}
-	// All durations were 1000ns, so the p99 is 1000's bucket upper bound.
-	want := telemetry.BucketUpper(telemetry.BucketOf(1000))
-	if thr != want {
-		t.Fatalf("threshold %d, want bucket upper %d", thr, want)
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	c := NewCollector(Config{WindowNS: 1000})
 	for _, s := range stream(500) {
@@ -219,8 +237,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 // TestCheck: a collector's snapshot passes its check, and one tampered
-// value — an observation total, an op count, a histogram bucket, an SLO
-// breach count — fails it.
+// value — an observation total, a retained total, a window's op count or
+// histogram bucket, an SLO breach count — fails it.
 func TestCheck(t *testing.T) {
 	snap := func() Snapshot {
 		c := NewCollector(Config{WindowNS: 1000, SLOs: []SLO{
@@ -236,12 +254,13 @@ func TestCheck(t *testing.T) {
 	}
 	for name, tamper := range map[string]func(s *Snapshot){
 		"observations": func(s *Snapshot) { s.Observations++ },
+		"retained":     func(s *Snapshot) { s.Retained, s.Evicted = 0, s.Observations },
 		"op count": func(s *Snapshot) {
-			o := s.Ops["read"]
+			o := s.Recent[0].Ops["read"]
 			o.Count++
-			s.Ops["read"] = o
+			s.Recent[0].Ops["read"] = o
 		},
-		"bucket":     func(s *Snapshot) { s.Ops["read"].Buckets[0]++ },
+		"bucket":     func(s *Snapshot) { s.Recent[0].Ops["read"].Buckets[0]++ },
 		"slo breach": func(s *Snapshot) { s.SLOs[0].Bad = s.SLOs[0].Total + 1 },
 	} {
 		s := snap()

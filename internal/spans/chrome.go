@@ -9,6 +9,7 @@ import (
 
 	"zofs/internal/lockprof"
 	"zofs/internal/pmemtrace"
+	"zofs/internal/series"
 )
 
 // Merged Chrome trace-event export: root spans render as complete ("X")
@@ -84,26 +85,16 @@ func compArgs(b Breakdown) map[string]int64 {
 	return m
 }
 
-// WindowMark is one virtual-time series window boundary to overlay on the
-// merged timeline. The spans package cannot see internal/series (series
-// feeds thresholds into spans), so callers convert series windows to these
-// plain marks.
-type WindowMark struct {
-	Index   int64
-	StartNS int64
-	Ops     int64
-}
-
 // Timeline is everything the merged export can draw on one virtual-time
 // axis; any field may be empty. Waits render as "lockwait" slices named
 // wait:<lock> on the blocked thread's track (the blamed holder one click
-// away), Windows as global "series" instants on the device track, Exemplars
+// away), series windows as global instants on the device track, Exemplars
 // as "exemplar" slices that stand out against the ordinary fsop lane.
 type Timeline struct {
 	Roots     []Root
 	Events    []pmemtrace.Event
 	Waits     []lockprof.BlockedInterval
-	Windows   []WindowMark
+	Windows   []series.Window
 	Exemplars []Exemplar
 }
 
@@ -185,11 +176,15 @@ func WriteChromeTrace(w io.Writer, tl Timeline) error {
 		}
 	}
 
-	for _, m := range byStart(tl.Windows, func(m *WindowMark) (int64, int) { return m.StartNS, 0 }) {
+	for _, m := range byStart(tl.Windows, func(m *series.Window) (int64, int) { return m.StartNS, 0 }) {
+		var ops int64
+		for _, ow := range m.Ops {
+			ops += ow.Count
+		}
 		if err := emit(chromeEvent{
 			Name: fmt.Sprintf("window %d", m.Index), Cat: "series", Ph: "i",
 			TS: usec(m.StartNS), PID: chromePID, TID: 0, S: "g",
-			Args: &chromeArgs{Detail: fmt.Sprintf("%d ops", m.Ops)},
+			Args: &chromeArgs{Detail: fmt.Sprintf("%d ops", ops)},
 		}); err != nil {
 			return err
 		}
@@ -197,7 +192,7 @@ func WriteChromeTrace(w io.Writer, tl Timeline) error {
 	for _, e := range byStart(tl.Exemplars, func(e *Exemplar) (int64, int) { return e.Root.Start, e.Root.TID }) {
 		d := usec(e.Root.Dur)
 		args := &chromeArgs{Comp: compArgs(e.Root.Comp), Detail: fmt.Sprintf(
-			"threshold %d ns, %d blamed locks, %d device events", e.ThresholdNS, len(e.Locks), len(e.Events))}
+			"%d blamed locks, %d device events", len(e.Locks), len(e.Events))}
 		if err := emit(chromeEvent{
 			Name: "worst:" + e.Root.Op, Cat: "exemplar", Ph: "X",
 			TS: usec(e.Root.Start), Dur: &d,

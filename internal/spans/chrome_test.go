@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"zofs/internal/pmemtrace"
+	"zofs/internal/series"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -130,13 +131,11 @@ func TestMergedChromeMarks(t *testing.T) {
 	roots, events := fixedMerge()
 	tl := Timeline{
 		Roots: roots, Events: events,
-		Windows: []WindowMark{
-			{Index: 1, StartNS: 1000, Ops: 2},
-			{Index: 0, StartNS: 0, Ops: 0},
+		Windows: []series.Window{
+			{Index: 1, StartNS: 1000, Ops: map[string]series.OpWindow{"create": {Count: 2}}},
+			{Index: 0, StartNS: 0},
 		},
-		Exemplars: []Exemplar{
-			{Root: roots[0], ThresholdNS: 800},
-		},
+		Exemplars: []Exemplar{{Root: roots[0]}},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, tl); err != nil {
@@ -154,7 +153,7 @@ func TestMergedChromeMarks(t *testing.T) {
 		if name == "worst:create" {
 			sawWorst = true
 		}
-		if name == "window 0" {
+		if name == "window 1" && ev["args"].(map[string]any)["detail"] == "2 ops" {
 			sawWindow = true
 		}
 	}

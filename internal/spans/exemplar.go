@@ -11,14 +11,14 @@ import (
 )
 
 // Worst-op exemplar capture: the tail observatory's answer to "show me the
-// actual op behind that p999". When a root span folds with a duration above
-// the op kind's adaptive threshold (the trailing-window p99 pushed in by
-// internal/series; absent a threshold the worst-K floor alone gates), the
-// collector retains the full span tree together with the evidence needed to
-// explain it — the exact-sum component attribution it already carries, the
-// blamed contended-lock intervals from the lock profiler, and the
-// surrounding pmemtrace device-event window. Retention is a bounded worst-K
-// ring per op kind, so memory stays fixed no matter how long the run.
+// actual op behind that p999". When a root span folds slower than the
+// fastest of its op kind's K retained exemplars (or fewer than K are
+// retained), the collector keeps the full span tree together with the
+// evidence needed to explain it — the exact-sum component attribution it
+// already carries, the blamed contended-lock intervals from the lock
+// profiler, and the surrounding pmemtrace device-event window. Retention is a
+// bounded worst-K ring per op kind, so memory stays fixed no matter how long
+// the run.
 
 // maxExemplarEvents bounds the pmemtrace event window attached to one
 // exemplar; overflow sets EventsTruncated rather than growing unboundedly.
@@ -32,9 +32,6 @@ const DefaultExemplarK = 8
 // the cross-layer evidence gathered at capture time.
 type Exemplar struct {
 	Root Root `json:"root"`
-	// ThresholdNS is the adaptive gate in force when the op was captured
-	// (0 = pure worst-K capture, no series feed).
-	ThresholdNS int64 `json:"threshold_ns,omitempty"`
 	// Locks are the lock profiler's blocked intervals for the op's thread
 	// overlapping the span — the blamed contended locks, holder TIDs
 	// included. Nil when no lock profiler was collecting.
@@ -48,52 +45,25 @@ type Exemplar struct {
 
 // exemplars is the collector's per-op worst-K state.
 type exemplars struct {
-	k         int
-	threshold [telemetry.NumOps]atomic.Int64
-	mu        sync.Mutex
+	k  int
+	mu sync.Mutex
 	// worst[op] is sorted ascending by Root.Dur; worst[op][0] is the floor.
 	worst    [telemetry.NumOps][]Exemplar
 	captured atomic.Int64
 }
 
-// SetExemplarThreshold installs op's adaptive capture threshold (virtual
-// ns). internal/series pushes the trailing-window p99 here; 0 restores pure
-// worst-K capture.
-func (c *Collector) SetExemplarThreshold(op telemetry.Op, ns int64) {
-	if c == nil || c.ex == nil {
-		return
-	}
-	c.ex.threshold[op].Store(ns)
-}
-
-// ExemplarThreshold returns op's current capture threshold.
-func (c *Collector) ExemplarThreshold(op telemetry.Op) int64 {
-	if c == nil || c.ex == nil {
-		return 0
-	}
-	return c.ex.threshold[op].Load()
-}
-
-// maybeCapture retains r as an exemplar if it clears the op's adaptive
-// threshold and beats the worst-K floor. Called from fold after the residual
-// is computed, so the exact-sum attribution invariant already holds on every
-// captured root. The threshold gate is bucket-granular: the pushed threshold
-// is the bucket upper bound of the trailing p99, so an op landing in the same
-// histogram bucket as the p99 must qualify — comparing raw durations against
-// it would reject the very tail ops the threshold describes.
+// maybeCapture retains r as an exemplar if it beats the op kind's worst-K
+// floor. Called from fold after the residual is computed, so the exact-sum
+// attribution invariant already holds on every captured root.
 func (c *Collector) maybeCapture(op telemetry.Op, r *Root) {
 	ex := c.ex
-	thr := ex.threshold[op].Load()
-	if thr > 0 && telemetry.BucketUpper(telemetry.BucketOf(r.Dur)) < thr {
-		return
-	}
 	ex.mu.Lock()
 	lst := ex.worst[op]
 	if len(lst) >= ex.k && r.Dur <= lst[0].Root.Dur {
 		ex.mu.Unlock()
 		return
 	}
-	e := Exemplar{Root: *r, ThresholdNS: thr}
+	e := Exemplar{Root: *r}
 	// Evidence gathering under exMu is fine: both sources take only their
 	// own leaf locks, and captures are rare once the floor rises.
 	if reg := lockprof.Active(); reg != nil {
@@ -141,7 +111,7 @@ func (c *Collector) ExemplarsCaptured() int64 {
 	return c.ex.captured.Load()
 }
 
-// resetExemplars clears the rings and thresholds (Collector.Reset).
+// resetExemplars clears the rings (Collector.Reset).
 func (c *Collector) resetExemplars() {
 	if c.ex == nil {
 		return
@@ -151,8 +121,5 @@ func (c *Collector) resetExemplars() {
 		c.ex.worst[i] = nil
 	}
 	c.ex.mu.Unlock()
-	for i := range c.ex.threshold {
-		c.ex.threshold[i].Store(0)
-	}
 	c.ex.captured.Store(0)
 }

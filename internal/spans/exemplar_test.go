@@ -16,8 +16,8 @@ func foldOne(col *Collector, tid int, op telemetry.Op, start, dur int64) {
 	c.End(start + dur)
 }
 
-// TestExemplarWorstK: with no threshold set, capture is pure worst-K —
-// only the K slowest spans per op kind survive, worst first.
+// TestExemplarWorstK: only the K slowest spans per op kind survive, worst
+// first, and op kinds do not compete for each other's slots.
 func TestExemplarWorstK(t *testing.T) {
 	col := NewCollector(Config{ExemplarK: 2})
 	durs := []int64{100, 900, 300, 700, 500}
@@ -30,6 +30,10 @@ func TestExemplarWorstK(t *testing.T) {
 	}
 	if ex[0].Root.Dur != 900 || ex[1].Root.Dur != 700 {
 		t.Fatalf("worst-K = %d,%d, want 900,700", ex[0].Root.Dur, ex[1].Root.Dur)
+	}
+	foldOne(col, 9, telemetry.OpRead, 9000, 10)
+	if got := col.Exemplars(); len(got) != 3 || got[0].Root.Op != "read" { // dispatch order: read before write
+		t.Fatalf("a fast read did not get its own kind's slot: %+v", got)
 	}
 	if col.ExemplarsCaptured() < 2 {
 		t.Fatalf("captured counter = %d", col.ExemplarsCaptured())
@@ -46,45 +50,13 @@ func TestExemplarWorstK(t *testing.T) {
 	}
 }
 
-// TestExemplarThreshold: an adaptive threshold gates capture; spans below
-// it are never candidates, spans at or above it are retained with the
-// threshold recorded.
-func TestExemplarThreshold(t *testing.T) {
-	col := NewCollector(Config{ExemplarK: 8})
-	col.SetExemplarThreshold(telemetry.OpRead, 500)
-	if got := col.ExemplarThreshold(telemetry.OpRead); got != 500 {
-		t.Fatalf("threshold = %d, want 500", got)
-	}
-	foldOne(col, 1, telemetry.OpRead, 0, 100)    // below: skipped
-	foldOne(col, 2, telemetry.OpRead, 1000, 500) // at: captured
-	foldOne(col, 3, telemetry.OpRead, 2000, 900) // above: captured
-	ex := col.Exemplars()
-	if len(ex) != 2 {
-		t.Fatalf("retained %d exemplars, want 2 (100ns span must not pass the 500ns gate)", len(ex))
-	}
-	for _, e := range ex {
-		if e.ThresholdNS != 500 {
-			t.Fatalf("exemplar threshold = %d, want 500", e.ThresholdNS)
-		}
-	}
-	// Other op kinds are ungated.
-	foldOne(col, 4, telemetry.OpWrite, 3000, 10)
-	if len(col.Exemplars()) != 3 {
-		t.Fatal("threshold on read leaked onto write")
-	}
-}
-
 // TestExemplarDisabled: ExemplarK 0 keeps the collector exemplar-free and
 // every exemplar accessor nil-safe.
 func TestExemplarDisabled(t *testing.T) {
 	col := NewCollector(Config{})
 	foldOne(col, 1, telemetry.OpWrite, 0, 100)
-	if ex := col.Exemplars(); ex != nil {
+	if ex := col.Exemplars(); ex != nil || col.ExemplarsCaptured() != 0 {
 		t.Fatalf("exemplars on disabled collector: %+v", ex)
-	}
-	col.SetExemplarThreshold(telemetry.OpWrite, 100) // must not panic
-	if col.ExemplarThreshold(telemetry.OpWrite) != 0 {
-		t.Fatal("threshold stored without exemplar state")
 	}
 }
 
@@ -113,13 +85,9 @@ func TestExemplarJSONLRoundTrip(t *testing.T) {
 
 func TestExemplarReset(t *testing.T) {
 	col := NewCollector(Config{ExemplarK: 4})
-	col.SetExemplarThreshold(telemetry.OpWrite, 10)
 	foldOne(col, 1, telemetry.OpWrite, 0, 400)
 	col.Reset()
 	if len(col.Exemplars()) != 0 || col.ExemplarsCaptured() != 0 {
 		t.Fatal("reset left exemplars behind")
-	}
-	if col.ExemplarThreshold(telemetry.OpWrite) != 0 {
-		t.Fatal("reset left a stale adaptive threshold")
 	}
 }

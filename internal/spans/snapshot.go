@@ -12,14 +12,11 @@ import (
 type CompStat struct {
 	SumNS int64   `json:"sum_ns"`
 	Pct   float64 `json:"pct"` // share of the op kind's total latency
-	P50NS int64   `json:"p50_ns"`
-	P95NS int64   `json:"p95_ns"`
-	P99NS int64   `json:"p99_ns"`
-
-	Buckets []int64 `json:"-"` // kept for Diff; not serialized
 }
 
-// OpBreakdown is the folded latency decomposition of one op kind.
+// OpBreakdown is the folded latency decomposition of one op kind: the
+// stack's one cumulative per-op record — count, latency distribution and
+// where the time went.
 type OpBreakdown struct {
 	Count   int64 `json:"count"`
 	Aborted int64 `json:"aborted,omitempty"`
@@ -36,7 +33,9 @@ type OpBreakdown struct {
 
 	Comp map[string]CompStat `json:"comp"`
 
-	Buckets []int64 `json:"-"` // kept for Diff; not serialized
+	// Buckets is the latency histogram in the telemetry geometry, kept for
+	// Diff and in-process cross-checks; not serialized.
+	Buckets []int64 `json:"-"`
 }
 
 // Snapshot is a point-in-time copy of a Collector's aggregates.
@@ -45,7 +44,6 @@ type Snapshot struct {
 	Finished        int64 `json:"finished"`
 	Open            int64 `json:"open"` // gauge: in-flight roots at snapshot time
 	Aborted         int64 `json:"aborted"`
-	Abandoned       int64 `json:"abandoned"`
 	DoubleCloses    int64 `json:"double_closes"`
 	DroppedChildren int64 `json:"dropped_children,omitempty"`
 	OverBilledNS    int64 `json:"over_billed_ns,omitempty"`
@@ -78,7 +76,6 @@ func (c *Collector) Snapshot() Snapshot {
 	s.Open = c.open.Load()
 	s.LockWaitNS = c.lockWaitNS.Load()
 	s.Aborted = c.aborted.Load()
-	s.Abandoned = c.abandoned.Load()
 	s.DoubleCloses = c.doubleClose.Load()
 	s.DroppedChildren = c.childDrops.Load()
 	s.OverBilledNS = c.overBilled.Load()
@@ -103,9 +100,7 @@ func (c *Collector) Snapshot() Snapshot {
 		}
 		_, _, b.Buckets = a.total.Snapshot()
 		for j := Component(0); j < NumComponents; j++ {
-			cs := CompStat{SumNS: a.compSum[j].Load()}
-			_, _, cs.Buckets = a.comp[j].Snapshot()
-			b.Comp[j.Name()] = cs
+			b.Comp[j.Name()] = CompStat{SumNS: a.compSum[j].Load()}
 		}
 		s.Ops[telemetry.Op(i).Name()] = b
 	}
@@ -114,7 +109,7 @@ func (c *Collector) Snapshot() Snapshot {
 	return s
 }
 
-// finalize derives quantiles, percentages and the critical-path summary from
+// finalize derives quantiles, shares and the critical-path summary from
 // counts, sums and bucket vectors; Diff reuses it after subtracting.
 func (s *Snapshot) finalize() {
 	totalByComp := map[string]int64{}
@@ -128,9 +123,6 @@ func (s *Snapshot) finalize() {
 			if b.SumNS > 0 {
 				cs.Pct = float64(cs.SumNS) / float64(b.SumNS) * 100
 			}
-			cs.P50NS = telemetry.Quantile(cs.Buckets, b.Count, 0.50)
-			cs.P95NS = telemetry.Quantile(cs.Buckets, b.Count, 0.95)
-			cs.P99NS = telemetry.Quantile(cs.Buckets, b.Count, 0.99)
 			b.Comp[cn] = cs
 			totalByComp[cn] += cs.SumNS
 		}
@@ -154,7 +146,6 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 		Finished:        s.Finished - prev.Finished,
 		Open:            s.Open,
 		Aborted:         s.Aborted - prev.Aborted,
-		Abandoned:       s.Abandoned - prev.Abandoned,
 		DoubleCloses:    s.DoubleCloses - prev.DoubleCloses,
 		DroppedChildren: s.DroppedChildren - prev.DroppedChildren,
 		OverBilledNS:    s.OverBilledNS - prev.OverBilledNS,
@@ -180,11 +171,7 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 			Buckets:      subBuckets(cur.Buckets, old.Buckets),
 		}
 		for cn, cs := range cur.Comp {
-			ocs := old.Comp[cn]
-			b.Comp[cn] = CompStat{
-				SumNS:   cs.SumNS - ocs.SumNS,
-				Buckets: subBuckets(cs.Buckets, ocs.Buckets),
-			}
+			b.Comp[cn] = CompStat{SumNS: cs.SumNS - old.Comp[cn].SumNS}
 		}
 		d.Ops[name] = b
 	}
@@ -192,11 +179,8 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 	return d
 }
 
-// subBuckets subtracts bucket vectors elementwise (nil-safe).
+// subBuckets subtracts bucket vectors elementwise (old may be nil).
 func subBuckets(cur, old []int64) []int64 {
-	if cur == nil {
-		return nil
-	}
 	out := make([]int64, len(cur))
 	copy(out, cur)
 	for i := range old {
@@ -220,12 +204,16 @@ func (s Snapshot) opOrder() []string {
 	return out
 }
 
-// Check enforces the attribution invariant: for every op kind with samples
-// and a nonzero total latency, the component shares sum to 100% within one
-// point.
+// Check enforces the panel's invariants, which hold of a snapshot taken while
+// threads are still running too: every op kind's quantiles are ordered, and
+// for every op kind with a nonzero total latency the component shares sum to
+// 100% within one point.
 func (s Snapshot) Check() error {
 	for _, name := range s.opOrder() {
 		b := s.Ops[name]
+		if b.P50NS > b.P95NS || b.P95NS > b.P99NS {
+			return fmt.Errorf("spans: op %q: p50 %d ns, p95 %d ns, p99 %d ns out of order", name, b.P50NS, b.P95NS, b.P99NS)
+		}
 		if b.Count <= 0 || b.SumNS <= 0 {
 			continue // no samples (or all zero-latency): shares are vacuous
 		}
@@ -244,8 +232,8 @@ func (s Snapshot) Check() error {
 // the telemetry snapshot printer.
 func (s Snapshot) WriteText(w io.Writer) error {
 	fmt.Fprintf(w, "spans: %d finished, %d open, %d aborted", s.Finished, s.Open, s.Aborted)
-	if s.Abandoned > 0 || s.DoubleCloses > 0 {
-		fmt.Fprintf(w, " [abandoned %d double-close %d]", s.Abandoned, s.DoubleCloses)
+	if s.DoubleCloses > 0 {
+		fmt.Fprintf(w, " [double-close %d]", s.DoubleCloses)
 	}
 	if s.OverBilledNS > 0 {
 		fmt.Fprintf(w, " [OVER-BILLED %dns]", s.OverBilledNS)

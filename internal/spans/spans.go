@@ -202,21 +202,6 @@ func (c *ThreadCtx) End(now int64) {
 	c.col.fold(c.op, &c.cur, c.children)
 }
 
-// Abandon force-closes any open span without folding it (a thread discarded
-// mid-operation, e.g. by a simulated crash that is not unwound through the
-// instrumented layers).
-func (c *ThreadCtx) Abandon() {
-	if c == nil || c.depth == 0 {
-		return
-	}
-	c.depth = 0
-	c.col.open.Add(-1)
-	c.col.abandoned.Add(1)
-}
-
-// InRoot reports whether a root span is currently open.
-func (c *ThreadCtx) InRoot() bool { return c != nil && c.depth > 0 }
-
 // MarkAborted flags the current span as aborted (fault-terminated).
 func (c *ThreadCtx) MarkAborted() {
 	if c == nil || c.depth == 0 {
@@ -344,13 +329,14 @@ func PathHash(p string) uint64 {
 	return h
 }
 
-// opAgg accumulates finished spans of one op kind.
+// opAgg accumulates finished spans of one op kind. total is the stack's one
+// cumulative per-op latency distribution; components keep only their sums,
+// which is all a share needs.
 type opAgg struct {
 	count   atomic.Int64
 	aborted atomic.Int64
 	sumNS   atomic.Int64
 	total   telemetry.Hist
-	comp    [NumComponents]telemetry.Hist
 	compSum [NumComponents]atomic.Int64
 
 	bytesRead    atomic.Int64
@@ -367,10 +353,9 @@ type Config struct {
 	// JSONL, when non-nil, receives every finished root span as one JSON
 	// line. The caller owns the writer; Collector.FlushSink drains buffers.
 	JSONL io.Writer
-	// ExemplarK, when positive, retains the K worst finished roots per op
-	// kind as exemplars (full span tree + blamed locks + pmemtrace window);
-	// internal/series sharpens the capture gate with trailing-window p99
-	// thresholds. Zero disables exemplar capture entirely.
+	// ExemplarK, when positive, retains the K slowest finished roots per op
+	// kind as exemplars (full span tree + blamed locks + pmemtrace window).
+	// Zero disables exemplar capture entirely.
 	ExemplarK int
 }
 
@@ -381,7 +366,6 @@ type Collector struct {
 	finished    atomic.Int64
 	open        atomic.Int64
 	aborted     atomic.Int64
-	abandoned   atomic.Int64
 	doubleClose atomic.Int64
 	childDrops  atomic.Int64
 	overBilled  atomic.Int64
@@ -477,7 +461,6 @@ func (c *Collector) fold(op telemetry.Op, r *Root, children []Child) {
 	a.total.Observe(r.Dur)
 	for i := Component(0); i < NumComponents; i++ {
 		a.compSum[i].Add(r.Comp[i])
-		a.comp[i].Observe(r.Comp[i])
 	}
 	a.bytesRead.Add(r.BytesRead)
 	a.bytesWritten.Add(r.BytesWritten)
@@ -597,7 +580,6 @@ func (c *Collector) Reset() {
 	c.started.Store(0)
 	c.finished.Store(0)
 	c.aborted.Store(0)
-	c.abandoned.Store(0)
 	c.doubleClose.Store(0)
 	c.childDrops.Store(0)
 	c.overBilled.Store(0)
@@ -610,8 +592,7 @@ func (c *Collector) Reset() {
 		a.aborted.Store(0)
 		a.sumNS.Store(0)
 		a.total.Reset()
-		for j := range a.comp {
-			a.comp[j].Reset()
+		for j := range a.compSum {
 			a.compSum[j].Store(0)
 		}
 		a.bytesRead.Store(0)

@@ -5,9 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Op enumerates the dispatched file system operations whose latencies are
-// histogrammed. The set mirrors the FSLibs entry points; the vfs-level
-// observer (internal/obsfs) maps handle methods onto the same values.
+// Op enumerates the dispatched file system operations. The set mirrors the
+// FSLibs entry points; the vfs-level observer (internal/obsfs) maps handle
+// methods onto the same values, and the per-op collectors (internal/spans,
+// internal/series) index their aggregates by it.
 type Op int
 
 const (
@@ -56,8 +57,8 @@ var opNames = [numOps]string{
 // Name returns the op's short name.
 func (o Op) Name() string { return opNames[o] }
 
-// NumOps is the number of Op values, exported so sibling observability
-// layers (internal/spans) can size per-op aggregate arrays.
+// NumOps is the number of Op values, exported so the per-op collectors can
+// size their aggregate arrays.
 const NumOps = int(numOps)
 
 // The histogram buckets simulated-nanosecond latencies logarithmically with
@@ -65,16 +66,12 @@ const NumOps = int(numOps)
 // values in bucket 8 + 4*(log2(v)-3) + next-two-bits. This bounds the
 // relative quantile error at ~12% while keeping observation to a handful of
 // bit operations and one atomic add.
-const histBuckets = 8 + 4*61 // exact small values + octaves 3..63
+const HistBuckets = 8 + 4*61 // exact small values + octaves 3..63
 
-type histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-// bucketOf maps a latency to its bucket index.
-func bucketOf(ns int64) int {
+// BucketOf maps a latency to its bucket index. Every latency store in the
+// stack (spans, series, lockprof) fills its vectors through this one mapping,
+// so their bucket vectors add and compare exactly.
+func BucketOf(ns int64) int {
 	if ns < 0 {
 		ns = 0
 	}
@@ -87,9 +84,9 @@ func bucketOf(ns int64) int {
 	return 8 + 4*(e-3) + int(sub)
 }
 
-// bucketUpper returns the largest latency contained in a bucket — the value
+// BucketUpper returns the largest latency contained in a bucket — the value
 // quantile estimation reports.
-func bucketUpper(idx int) int64 {
+func BucketUpper(idx int) int64 {
 	if idx < 8 {
 		return int64(idx)
 	}
@@ -99,20 +96,30 @@ func bucketUpper(idx int) int64 {
 	return int64((uint64(sub)+5)<<(e-2)) - 1
 }
 
-func (h *histogram) observe(ns int64) {
+// Hist is the log-bucketed latency histogram, safe for concurrent observers.
+// Count, sum and cells saturate at the int64 ceiling instead of wrapping.
+type Hist struct {
+	count   atomic.Int64
+	sum     atomic.Int64
+	buckets [HistBuckets]atomic.Int64
+}
+
+// Observe records one value.
+func (h *Hist) Observe(ns int64) {
 	if h.count.Add(1) < 0 {
 		h.count.Store(maxInt64)
 	}
 	if ns > 0 && h.sum.Add(ns) < 0 {
 		h.sum.Store(maxInt64)
 	}
-	b := &h.buckets[bucketOf(ns)]
+	b := &h.buckets[BucketOf(ns)]
 	if b.Add(1) < 0 {
 		b.Store(maxInt64)
 	}
 }
 
-func (h *histogram) reset() {
+// Reset zeroes the histogram.
+func (h *Hist) Reset() {
 	h.count.Store(0)
 	h.sum.Store(0)
 	for i := range h.buckets {
@@ -120,50 +127,18 @@ func (h *histogram) reset() {
 	}
 }
 
-// snapshot copies the histogram's buckets into a plain slice.
-func (h *histogram) snapshot() (count, sum int64, buckets []int64) {
-	buckets = make([]int64, histBuckets)
+// Snapshot copies out the count, the (saturating) sum and the bucket vector.
+func (h *Hist) Snapshot() (count, sum int64, buckets []int64) {
+	buckets = make([]int64, HistBuckets)
 	for i := range h.buckets {
 		buckets[i] = h.buckets[i].Load()
 	}
 	return h.count.Load(), h.sum.Load(), buckets
 }
 
-// Hist is an exported handle over the log-bucketed histogram so sibling
-// observability layers (internal/spans) can reuse the exact same bucket
-// geometry and quantile estimator instead of growing a second one.
-type Hist struct{ h histogram }
-
-// Observe records one value.
-func (h *Hist) Observe(ns int64) { h.h.observe(ns) }
-
-// Reset zeroes the histogram.
-func (h *Hist) Reset() { h.h.reset() }
-
-// Snapshot copies out the count, the (saturating) sum and the bucket vector.
-func (h *Hist) Snapshot() (count, sum int64, buckets []int64) { return h.h.snapshot() }
-
-// HistBuckets is the length of the bucket vectors returned by Hist.Snapshot.
-const HistBuckets = histBuckets
-
-// BucketOf exposes the bucket index of a latency so sibling layers
-// (internal/series) can fill plain bucket vectors with the exact same
-// geometry — the merge-exactness guarantee between windowed and cumulative
-// histograms depends on both using this one mapping.
-func BucketOf(ns int64) int { return bucketOf(ns) }
-
-// BucketUpper exposes the largest latency contained in a bucket.
-func BucketUpper(idx int) int64 { return bucketUpper(idx) }
-
-// Quantile estimates the q-quantile (0 < q <= 1) of a bucket vector produced
-// by Hist.Snapshot (or Snapshot.Ops buckets).
-func Quantile(buckets []int64, count int64, q float64) int64 {
-	return quantile(buckets, count, q)
-}
-
-// quantile estimates the q-quantile (0 < q <= 1) of a bucket vector by
+// Quantile estimates the q-quantile (0 < q <= 1) of a bucket vector by
 // reporting the upper bound of the bucket containing the q-th observation.
-func quantile(buckets []int64, count int64, q float64) int64 {
+func Quantile(buckets []int64, count int64, q float64) int64 {
 	if count <= 0 {
 		return 0
 	}
@@ -175,8 +150,8 @@ func quantile(buckets []int64, count int64, q float64) int64 {
 	for i, n := range buckets {
 		seen += n
 		if seen >= rank {
-			return bucketUpper(i)
+			return BucketUpper(i)
 		}
 	}
-	return bucketUpper(len(buckets) - 1)
+	return BucketUpper(len(buckets) - 1)
 }

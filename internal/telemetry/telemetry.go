@@ -1,13 +1,15 @@
 // Package telemetry is the observability substrate of the Treasury stack:
-// sharded lock-free counters and simclock-native latency histograms behind a
-// near-zero-cost *Recorder handle whose nil value is a valid no-op sink.
+// sharded lock-free per-layer counters and gauges behind a near-zero-cost
+// *Recorder handle whose nil value is a valid no-op sink, plus the op names
+// and the log-bucket latency geometry every per-op collector shares.
 //
 // Every instrumented layer (nvm, proc/mpk, kernfs, zofs, fslibs) reaches its
 // recorder through the owning *nvm.Device, so a single Enable() call before
 // device creation lights up the whole stack and the default (nil) recorder
-// keeps the hot paths at a pointer load plus a predicted branch. Latencies
-// are simulated nanoseconds from the per-thread virtual clocks — wall time
-// is meaningless in this repository (see internal/simclock).
+// keeps the hot paths at a pointer load plus a predicted branch. Per-op
+// latencies live in the span collector (internal/spans); like every latency
+// here they are simulated nanoseconds from the per-thread virtual clocks —
+// wall time is meaningless in this repository (see internal/simclock).
 package telemetry
 
 import (
@@ -53,8 +55,7 @@ const (
 	CtrKernQuarantines
 	CtrKernViolationReports
 
-	// fslibs / dispatch layer.
-	CtrDispatchOps
+	// fslibs: faults the dispatcher's guard turned into errors.
 	CtrFaultsRecovered
 
 	// zofs µFS decisions.
@@ -99,7 +100,6 @@ var counterNames = [numCounters]string{
 	CtrKernQuarantines:      "kernfs.quarantines",
 	CtrKernViolationReports: "kernfs.violation_reports",
 
-	CtrDispatchOps:     "fslibs.ops",
 	CtrFaultsRecovered: "fslibs.faults_recovered",
 
 	CtrZoFSPagesAlloc:   "zofs.pages_alloc",
@@ -144,7 +144,6 @@ type counterShard struct {
 type Recorder struct {
 	counters [counterShards]counterShard
 	gauges   [numGauges]atomic.Int64
-	hists    [numOps]histogram
 }
 
 // New returns an empty enabled recorder.
@@ -230,15 +229,6 @@ func (r *Recorder) Max(g Gauge, v int64) {
 	}
 }
 
-// Observe records one operation latency (simulated nanoseconds) in the op's
-// log-bucketed histogram.
-func (r *Recorder) Observe(op Op, ns int64) {
-	if r == nil {
-		return
-	}
-	r.hists[op].observe(ns)
-}
-
 // counterTotal sums a counter across shards, saturating at maxInt64 so a
 // long-lived recorder reports a pinned ceiling instead of a wrapped negative.
 func (r *Recorder) counterTotal(c Counter) int64 {
@@ -249,7 +239,7 @@ func (r *Recorder) counterTotal(c Counter) int64 {
 	return t
 }
 
-// Reset zeroes every counter, gauge and histogram.
+// Reset zeroes every counter and gauge.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
@@ -261,8 +251,5 @@ func (r *Recorder) Reset() {
 	}
 	for g := range r.gauges {
 		r.gauges[g].Store(0)
-	}
-	for op := range r.hists {
-		r.hists[op].reset()
 	}
 }

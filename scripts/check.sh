@@ -143,19 +143,12 @@ EOF
 echo "== crashmc smoke =="
 # Crash-state model checker gates: a dense ZoFS sweep (>=200 states under
 # all media models on both crash edges) and one baseline must hold every
-# invariant. (The exit-code contracts — injected faults detected, a seeded
-# chaos violation — are each CLI's tier-1 TestExitCodes.)
+# invariant. (The detection contracts — injected faults caught by the
+# checker, a seeded chaos violation failing its campaign — are tier-1 tests:
+# zofs-crashmc's TestExitCodes and chaos.TestSeededViolationFails.)
 "$bin/zofs-crashmc" -system ZoFS -points 35 -ops 24 -device-mb 64 \
     -min-states 200 >/dev/null
 "$bin/zofs-crashmc" -system Ext4-DAX -points 8 -ops 16 -device-mb 64 >/dev/null
-
-echo "== fxmark-scale smoke =="
-# Concurrency-observatory gates. The "fxmark-scale" experiment is
-# self-asserting: 1-thread cells must be bit-identical in ops and virtual
-# time with the lock profiler off vs on (disabled overhead < 2%, measured
-# exactly 0), and the spans layer's aggregate lock_wait must equal the
-# profiler's per-lock wait sum to the nanosecond on a contended cell.
-bench -quick -threads 1,4,16 fxmark-scale
 
 echo "== scalability gate =="
 # Regression gate for the kernfs.big decomposition: a quick fxmark-scale
