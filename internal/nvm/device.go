@@ -19,6 +19,7 @@ package nvm
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -74,8 +75,13 @@ const chunkBytes = 4 << 20
 // Device is a simulated NVM DIMM. All methods are safe for concurrent use,
 // but — as with real memory — racing unsynchronized writes to the same
 // bytes is the caller's bug; file systems must use their own locking.
+//
+// The media is released once the Device is unreachable, so nothing —
+// above all no view — may use device memory after its last reference to the
+// Device is gone.
 type Device struct {
 	size    int64
+	media   *media // where chunks materialize (media_mmap.go, media_heap.go)
 	chunks  []atomic.Pointer[chunk]
 	allocMu sync.Mutex
 
@@ -132,9 +138,11 @@ func New(cfg Config) *Device {
 	}
 	pages := (cfg.Size + PageSize - 1) / PageSize
 	size := pages * PageSize
+	chunks := (size + chunkBytes - 1) / chunkBytes
 	d := &Device{
 		size:    size,
-		chunks:  make([]atomic.Pointer[chunk], (size+chunkBytes-1)/chunkBytes),
+		media:   newMedia(chunks),
+		chunks:  make([]atomic.Pointer[chunk], chunks),
 		readBW:  simclock.NewBandwidth(perfmodel.NVMReadBandwidth),
 		writeBW: simclock.NewBandwidth(perfmodel.NVMWriteBandwidth),
 		track:   cfg.TrackPersistence,
@@ -156,8 +164,9 @@ func New(cfg Config) *Device {
 type chunk [chunkBytes]byte
 
 // word returns the 8-byte word at device offset off (8-aligned) for atomic
-// access. A chunk is a multi-megabyte heap object and so starts on a page
-// boundary, which aligns every such word.
+// access. A chunk starts on a page boundary — it is a multi-megabyte heap
+// object or a whole-chunk offset into a mapping — which aligns every such
+// word.
 func (c *chunk) word(off int64) *uint64 {
 	return (*uint64)(unsafe.Pointer(&c[off%chunkBytes]))
 }
@@ -236,12 +245,16 @@ func (d *Device) chunkFor(off int64, mustAlloc bool) *chunk {
 	if c := d.chunks[idx].Load(); c != nil {
 		return c
 	}
-	c := new(chunk)
+	c := d.media.chunk(idx)
 	d.chunks[idx].Store(c)
 	return c
 }
 
 // copyOut copies device bytes [off, off+len(buf)) into buf.
+//
+// copyOut, copyIn and Load64 keep d alive to the end of their access: each
+// may be a caller's last use of the Device, and the media must not be
+// released under the copy.
 func (d *Device) copyOut(off int64, buf []byte) {
 	for len(buf) > 0 {
 		c := d.chunkFor(off, false)
@@ -258,6 +271,7 @@ func (d *Device) copyOut(off int64, buf []byte) {
 		buf = buf[n:]
 		off += n
 	}
+	runtime.KeepAlive(d)
 }
 
 // copyIn copies buf into the device at off.
@@ -273,6 +287,7 @@ func (d *Device) copyIn(off int64, buf []byte) {
 		buf = buf[n:]
 		off += n
 	}
+	runtime.KeepAlive(d)
 }
 
 // SetConcurrency informs the cost model of the number of threads actively
@@ -354,8 +369,8 @@ func viewSpan(off, n int64) bool {
 // [off, off+n), charged exactly like Read (read latency + bandwidth). The
 // second result is false when the range crosses a chunk boundary — callers
 // fall back to Read. The slice is a window into live media: it stays
-// coherent with later writes and must not be written through or retained
-// across an operation boundary.
+// coherent with later writes and must not be written through, retained
+// across an operation boundary, or used once the device is unreachable.
 func (d *Device) ReadView(clk *simclock.Clock, off, n int64) ([]byte, bool) {
 	d.check(off, n)
 	if !viewSpan(off, n) {
@@ -677,7 +692,9 @@ func (d *Device) Load64(clk *simclock.Clock, off int64) uint64 {
 	if c == nil {
 		return 0
 	}
-	return le64(atomic.LoadUint64(c.word(off)))
+	v := atomic.LoadUint64(c.word(off))
+	runtime.KeepAlive(d)
+	return le64(v)
 }
 
 // Store64 atomically writes an 8-byte word with persistence (ntstore+fence

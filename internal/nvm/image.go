@@ -73,10 +73,8 @@ func LoadImage(r io.Reader) (*Device, error) {
 		if i >= uint64(len(d.chunks)) {
 			return nil, fmt.Errorf("nvm: image chunk %d out of range", i)
 		}
-		c := new(chunk)
-		if _, err := io.ReadFull(br, c[:]); err != nil {
+		if _, err := io.ReadFull(br, d.chunkFor(int64(i)*chunkBytes, true)[:]); err != nil {
 			return nil, err
 		}
-		d.chunks[i].Store(c)
 	}
 }

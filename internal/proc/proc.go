@@ -9,6 +9,7 @@
 package proc
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -33,6 +34,10 @@ type Process struct {
 
 	// Mem is the kernel-maintained, MPK-tagged page table for this process.
 	Mem *mpk.AddressSpace
+
+	// windows counts, per protection key, the threads whose PKRU enables
+	// access to it: the MPK windows open in the process.
+	windows [mpk.NumKeys]atomic.Int32
 
 	// Kernel-private per-process state attached by KernFS (mapped coffers,
 	// assigned MPK regions). Typed as any to avoid a dependency cycle.
@@ -83,6 +88,11 @@ func (p *Process) SetIdentity(uid, gid uint32) {
 
 // Device returns the NVM device backing this process's mappings.
 func (p *Process) Device() *nvm.Device { return p.dev }
+
+// WindowOpen reports whether some thread of the process has an MPK window
+// open on key k. Unmapping the coffer tagged k would fault that thread's next
+// access.
+func (p *Process) WindowOpen(k mpk.Key) bool { return p.windows[k].Load() > 0 }
 
 // NewThread creates a thread with a fresh clock and the default PKRU
 // (all coffer regions access-disabled).
@@ -161,6 +171,21 @@ func (t *Thread) WrPKRU(v mpk.PKRU) {
 	rec := t.Proc.dev.Recorder()
 	rec.Inc(telemetry.CtrMPKSwitches)
 	rec.Inc(telemetry.CtrMPKWRPKRUCharged)
+	t.setPKRU(v)
+}
+
+// setPKRU installs v, counting the windows it opens and closes in the
+// process.
+func (t *Thread) setPKRU(v mpk.PKRU) {
+	const coffersAD = 0x55555554 // the access-disable bits of keys 1..15
+	for ch := uint32(t.pkru^v) & coffersAD; ch != 0; ch &= ch - 1 {
+		k := mpk.Key(bits.TrailingZeros32(ch) / 2)
+		if v.CanRead(k) {
+			t.Proc.windows[k].Add(1)
+		} else {
+			t.Proc.windows[k].Add(-1)
+		}
+	}
 	t.pkru = v
 }
 
@@ -183,7 +208,7 @@ func (t *Thread) CloseWindow() { t.WrPKRU(mpk.DefaultPKRU()) }
 // protection-switch cost exists on the modeled hardware path.
 func (t *Thread) SetPKRUFree(v mpk.PKRU) {
 	t.Proc.dev.Recorder().Inc(telemetry.CtrMPKSwitches)
-	t.pkru = v
+	t.setPKRU(v)
 }
 
 func pageSpan(off, n int64) (page, count int64) {

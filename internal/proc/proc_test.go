@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"sync"
 	"testing"
 
 	"zofs/internal/mpk"
@@ -96,6 +97,38 @@ func TestWindowIsPerThread(t *testing.T) {
 	}()
 	if !faulted {
 		t.Fatal("other thread must not inherit the open window")
+	}
+}
+
+// TestWindowOpenCounts: the process knows which keys some thread has a window
+// open on, through charged and free register writes, while threads switch
+// windows concurrently.
+func TestWindowOpenCounts(t *testing.T) {
+	p := newProc(t)
+	holder := p.NewThread()
+	holder.OpenWindow(3, false)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := p.NewThread()
+			for i := 0; i < 200; i++ {
+				th.OpenWindow(mpk.Key(1+(g+i)%15), i%2 == 0)
+				th.SetPKRUFree(mpk.DefaultPKRU().WithAccess(mpk.Key(1+i%15), true, false))
+				th.CloseWindow()
+			}
+		}()
+	}
+	wg.Wait()
+	for k := mpk.Key(1); k < mpk.NumKeys; k++ {
+		if got := p.WindowOpen(k); got != (k == 3) {
+			t.Errorf("WindowOpen(%d) = %v with only key 3's window held", k, got)
+		}
+	}
+	holder.SetPKRUFree(mpk.DefaultPKRU())
+	if p.WindowOpen(3) {
+		t.Error("key 3 still open after its holder closed the window")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"zofs/internal/coffer"
 	"zofs/internal/kernfs"
+	"zofs/internal/mpk"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
@@ -589,5 +590,62 @@ func TestEvictOneDeterministic(t *testing.T) {
 	}
 	if t1 != t2 {
 		t.Fatalf("virtual time differs between identical runs: %d vs %d", t1, t2)
+	}
+}
+
+// TestEvictSparesOpenWindow: one thread holds a window on the least recently
+// ensured coffer while another thread of the process maps a sixteenth. The
+// eviction must take another coffer: unmapping the windowed one would fault
+// the holder's next access.
+func TestEvictSparesOpenWindow(t *testing.T) {
+	dev := nvm.NewDevice(256 << 20)
+	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernfs.Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := proc.NewProcess(dev, 0, 0)
+	holder, mapper := p.NewThread(), p.NewThread()
+	if err := k.FSMount(holder); err != nil {
+		t.Fatal(err)
+	}
+	f := New(k, Options{})
+	if err := f.EnsureRootDir(mapper); err != nil {
+		t.Fatal(err)
+	}
+	const coffers = mpk.NumKeys // one more than the process has regions
+	for i := 0; i < coffers; i++ {
+		dir := fmt.Sprintf("/c%02d", i)
+		if err := f.Mkdir(mapper, dir, 0o700); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Create(mapper, dir+"/f", 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id, ok := k.LookupPath(nil, "/c00")
+	if !ok {
+		t.Fatal("/c00 is not a coffer root")
+	}
+	m, err := f.ensureMapped(holder, id, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	win := f.window(holder, m, false)
+	defer win.close()
+	for i := 1; i < coffers; i++ {
+		if _, err := f.Stat(mapper, fmt.Sprintf("/c%02d/f", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("the window holder's access faulted: %v", r)
+		}
+	}()
+	if hdr := f.readInodeHeader(holder, m.root); u32at(hdr, inoMagicOff) != inoMagic {
+		t.Fatal("the window holder read a bad root inode")
 	}
 }

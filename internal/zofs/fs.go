@@ -220,12 +220,14 @@ func (f *FS) ensureMapped(th *proc.Thread, id coffer.ID, write bool) (*mount, er
 // choice is a function of the op history alone, so a process over the MPK
 // region limit loses the same coffers — and pays the same re-maps in
 // virtual time — on every run; and the coffers the op in flight has just
-// walked through (its window is open on one of them) are the last to go.
+// walked through are the last to go. A coffer on which any thread of the
+// process holds a window open is never the victim: that thread's next access
+// would fault. (One ensured but not yet windowed can go, as the last choice.)
 func (f *FS) evictOne(th *proc.Thread, keep coffer.ID) bool {
 	f.mu.Lock()
 	var victim *mount
 	for id, m := range f.mounts {
-		if id != keep && (victim == nil || m.seq < victim.seq) {
+		if id != keep && !th.Proc.WindowOpen(m.key) && (victim == nil || m.seq < victim.seq) {
 			victim = m
 		}
 	}

@@ -111,10 +111,10 @@ meta_churn 1 sim_kops_per_vsec >= 850
 # 0.46 with a slice per listing, 0.42 now: directory-index inserts and device
 # chunks).
 meta_churn 1 host_allocs_per_op <= 1
-# ReadDir returns the thread's listing buffer, as readdir(3) does (690 with a
-# fresh 256-entry slice per listing, 256 now: device growth, which is media,
-# and directory-index inserts).
-meta_churn 1 host_bytes_per_op <= 350
+# ReadDir returns the thread's listing buffer, as readdir(3) does, and device
+# chunks materialize in an OS mapping, not on the Go heap (690 with a fresh
+# 256-entry slice per listing, 256 with heap chunks, 47 now).
+meta_churn 1 host_bytes_per_op <= 100
 # A 64 KiB pread of a file written front to back is one device access, not
 # sixteen (895 a block at a time, 1513 now).
 data_read 3 sim_kops_per_vsec >= 1350
@@ -132,12 +132,18 @@ data_write 3 host_bytes_per_op <= 5
 # a page list per transaction, 1.8 with a page and a slot table per page grown,
 # 0.01 now: a slab per 64 pages grown).
 app_tpcc 1 host_allocs_per_op <= 0.5
+# Device growth maps media instead of zeroing 4 MiB heap chunks (1530 with
+# heap chunks, 831 now).
+app_tpcc 1 host_bytes_per_op <= 1000
 # Files open, close, change permission and move between coffers without
 # garbage: recycled descriptions and handles, symlink targets and page lists
 # in thread scratch, typed kernel-agent tables (2.65 before, 0.57 now: the
 # path a symlinked open expands to, and per chmod split/merge cycle a coffer
 # record, a path-mirror entry, a mapper table and a mount).
 coffer_share 1 host_allocs_per_op <= 1.5
+# The same objects are all the bytes there are: chunks of device media are
+# pointers into one OS mapping per device (1055 with heap chunks, 41 now).
+coffer_share 1 host_bytes_per_op <= 100
 EOF
 
 echo "== crashmc smoke =="
