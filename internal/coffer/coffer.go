@@ -148,6 +148,11 @@ func EncodeRootPage(buf *[nvm.PageSize]byte, rp *RootPage) {
 	copy(buf[rpPathOff:], rp.Path)
 }
 
+// RootPageLen is how many leading bytes of an encoded root page carry a path
+// of pathLen bytes: the header and the path, rounded up to whole 8-byte words.
+// Everything after them is zero.
+func RootPageLen(pathLen int) int { return (rpPathOff + pathLen + 7) &^ 7 }
+
 // DecodeRootPage parses a root page buffer. It returns an error (not a
 // panic) because corrupted root pages are an expected recovery input.
 func DecodeRootPage(buf []byte) (*RootPage, error) {

@@ -3,9 +3,11 @@ package kernfs
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"zofs/internal/coffer"
 	"zofs/internal/lockprof"
@@ -31,9 +33,10 @@ func typedErr(err error) bool {
 // threads (64 processes) mixing disjoint per-thread coffers with a small set
 // of overlapping coffers that everyone creates, maps, enlarges and deletes
 // at once. Every failure must be a typed sentinel (no panics, no untyped
-// errors), and after a final sweep the device must conserve free pages
-// exactly and pass the three-way space check. Run it with -race: the whole
-// point of killing kernfs.big is that these paths now interleave.
+// errors), and after a final sweep the device must conserve idle pages (free,
+// or retained as emptied path-table bucket heads) exactly and pass the
+// three-way space check. Run it with -race: the whole point of killing
+// kernfs.big is that these paths now interleave.
 //
 // The racers keep the kernel's contract for calls by bare ID (see
 // CofferDelete): resolve→use of one path is serialized, here by a mutex per
@@ -42,7 +45,8 @@ func typedErr(err error) bool {
 // deletes a coffer its owner is entitled to find intact.
 func TestConcurrentCofferLifecycle(t *testing.T) {
 	dev, k := newFS(t)
-	freeBefore := k.FreePages()
+	idle := func() int64 { return k.FreePages() + k.RetainedPathPages() }
+	freeBefore := idle()
 
 	const nthreads = 64
 	const iters = 6
@@ -128,8 +132,8 @@ func TestConcurrentCofferLifecycle(t *testing.T) {
 			t.Fatalf("sweep CofferDelete %d: %v", id, err)
 		}
 	}
-	if free := k.FreePages(); free != freeBefore {
-		t.Fatalf("free pages not conserved: %d before churn, %d after sweep", freeBefore, free)
+	if free := idle(); free != freeBefore {
+		t.Fatalf("idle pages not conserved: %d before churn, %d after sweep", freeBefore, free)
 	}
 	if err := k.VerifySpace(); err != nil {
 		t.Fatalf("VerifySpace after churn: %v", err)
@@ -237,5 +241,139 @@ func TestCrashMidRefillLeakFree(t *testing.T) {
 	}
 	if err := k2.VerifySpace(); err != nil {
 		t.Fatalf("VerifySpace after remount: %v", err)
+	}
+}
+
+// TestSplitHoldsRegistryOnlyToPublish: thread A splits a 512-page file while
+// thread B creates a coffer at an unrelated path. The split retags under the
+// file's coffer lock and takes kernfs.registry only to publish, so B's create
+// completes while A is still retagging, and B's virtual wait on the registry
+// is at most a publication section, not the retag loop. Whether B's create
+// lands during the retag loop is up to the scheduler, so a round in which the
+// split finished first is run again.
+func TestSplitHoldsRegistryOnlyToPublish(t *testing.T) {
+	reg := lockprof.Enable(lockprof.Config{})
+	defer lockprof.Disable()
+	for round := 0; round < 20; round++ {
+		dev, k := newFS(t)
+		owner := mountedThread(t, k, 0, 0)
+		fid, pages := cofferWithPages(t, k, owner, k.RootCoffer(), "/f", 512)
+		a, b := owner.Proc.NewThread(), mountedThread(t, k, 0, 0)
+		a.Clk.AdvanceTo(owner.Clk.Now())
+		b.Clk.AdvanceTo(owner.Clk.Now())
+		reg.Reset()
+		start, stores := a.Clk.Now(), dev.WriteCount()
+		split := make(chan error, 1)
+		go func() {
+			_, err := k.CofferSplit(a, fid, "/f/priv", 0o700, 0, 0, pages, pages[0], pages[1])
+			split <- err
+		}()
+		for dev.WriteCount() < stores+2 { // the root page's slot, then a retag
+			runtime.Gosched()
+		}
+		if _, err := k.CofferNew(b, k.RootCoffer(), "/other", coffer.TypeZoFS, 0o755, 0, 0, 3); err != nil {
+			t.Fatal(err)
+		}
+		_, published := k.LookupPath(nil, "/f/priv")
+		if err := <-split; err != nil {
+			t.Fatal(err)
+		}
+		if published {
+			continue
+		}
+		var row lockprof.LockRow
+		for _, r := range reg.Snapshot().Locks {
+			if r.Lock == "kernfs.registry" {
+				row = r
+			}
+		}
+		// A publishes on a clock far past B's release, so all the registry
+		// wait there is is B's.
+		if span := a.Clk.Now() - start; row.MaxHoldNS*10 > span {
+			t.Fatalf("kernfs.registry held for %d vns of a %d vns split", row.MaxHoldNS, span)
+		}
+		if row.WaitNS > row.MaxHoldNS {
+			t.Fatalf("the create waited %d vns on kernfs.registry, longer than a publication (%d vns)", row.WaitNS, row.MaxHoldNS)
+		}
+		return
+	}
+	t.Fatal("a create never completed while a split retagged: the split holds kernfs.registry across its retag loop")
+}
+
+// TestRacingSplitsRollBackTheLoser: two splits of different coffers to one
+// path both stage — the test holds the registry lock until each has written
+// its new root page — and then race to publish. One wins; the other gets
+// ErrExists and is rolled back: its pages are its coffer's again and mapped
+// as before, and no page is lost.
+func TestRacingSplitsRollBackTheLoser(t *testing.T) {
+	dev, k := newFS(t)
+	th := mountedThread(t, k, 0, 0)
+	type side struct {
+		src   coffer.ID
+		pages []int64
+		th    *proc.Thread
+		id    coffer.ID
+		err   error
+	}
+	var sides [2]side
+	for i, p := range []string{"/a", "/b"} {
+		id, pages := cofferWithPages(t, k, th, k.RootCoffer(), p, 8)
+		sides[i] = side{src: id, pages: pages[:4], th: th.Proc.NewThread()}
+	}
+	idle := func() int64 { return k.FreePages() + k.RetainedPathPages() }
+	start := idle()
+
+	k.regMu.Lock(nil)
+	stores := dev.WriteCount()
+	var wg sync.WaitGroup
+	for i := range sides {
+		s := &sides[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.id, s.err = k.CofferSplit(s.th, s.src, "/x", 0o700, 0, 0, s.pages, s.pages[0], s.pages[1])
+		}()
+	}
+	// Each split stores its root page's slot, four retags and its root page
+	// before it publishes.
+	for deadline := time.Now().Add(5 * time.Second); dev.WriteCount() < stores+12; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			k.regMu.Unlock(nil)
+			wg.Wait()
+			t.Fatal("the splits did not stage without kernfs.registry")
+		}
+	}
+	k.regMu.Unlock(nil)
+	wg.Wait()
+
+	won, lost := &sides[0], &sides[1]
+	if won.err != nil {
+		won, lost = lost, won
+	}
+	if won.err != nil || !errors.Is(lost.err, ErrExists) {
+		t.Fatalf("racing splits: %v and %v, want one winner and ErrExists", won.err, lost.err)
+	}
+	if got, ok := k.LookupPath(nil, "/x"); !ok || got != won.id {
+		t.Fatalf("/x resolves to %d, %v; the winner is %d", got, ok, won.id)
+	}
+	if got := k.space.pagesOf(lost.src); got != 3+8 {
+		t.Fatalf("the loser's coffer owns %d pages after the rollback, want 11", got)
+	}
+	for _, pg := range lost.pages {
+		if _, ok := th.Proc.Mem.KeyOf(pg); !ok {
+			t.Fatalf("page %d was not mapped back into the loser's coffer", pg)
+		}
+	}
+	if err := k.VerifySpace(); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.SetCofferMeta(th, won.id, 0o755, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.CofferMerge(th, won.src, won.id); err != nil {
+		t.Fatal(err)
+	}
+	if got := idle(); got != start {
+		t.Fatalf("idle pages moved from %d to %d", start, got)
 	}
 }

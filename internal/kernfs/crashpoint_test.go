@@ -1,0 +1,169 @@
+package kernfs
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"zofs/internal/coffer"
+	"zofs/internal/nvm"
+	"zofs/internal/proc"
+)
+
+// crashScene is one coffer-metadata call to crash at every persisting store:
+// setup builds the state before it and returns the call, the paths each
+// existing coffer may have after a crash, and the paths a coffer the call
+// creates may have.
+type crashScene struct {
+	name  string
+	setup func(t *testing.T, k *KernFS, th *proc.Thread) (call func() error, paths map[coffer.ID][]string, fresh []string)
+}
+
+// cofferWithPages creates a coffer at path, write-mapped by th, with n pages
+// granted beyond its three.
+func cofferWithPages(t *testing.T, k *KernFS, th *proc.Thread, parent coffer.ID, path string, n int64) (coffer.ID, []int64) {
+	t.Helper()
+	id, err := k.CofferNew(th, parent, path, coffer.TypeZoFS, 0o755, 0, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.CofferMap(th, id, true); err != nil {
+		t.Fatal(err)
+	}
+	var pages []int64
+	if n > 0 {
+		grant, err := k.CofferEnlarge(th, id, n, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages = flatten(grant)
+	}
+	return id, pages
+}
+
+var crashScenes = []crashScene{
+	{"SetCofferMeta", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+		id, _ := cofferWithPages(t, k, th, k.RootCoffer(), "/m", 0)
+		return func() error { return k.SetCofferMeta(th, id, 0o700, 7, 7) },
+			map[coffer.ID][]string{id: {"/m"}}, nil
+	}},
+	{"RenameCoffer leaf", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+		id, _ := cofferWithPages(t, k, th, k.RootCoffer(), "/a-longer-name", 0)
+		return func() error { return k.RenameCoffer(th, "/a-longer-name", "/z") },
+			map[coffer.ID][]string{id: {"/a-longer-name", "/z"}}, nil
+	}},
+	{"RenameCoffer tree", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+		p, _ := cofferWithPages(t, k, th, k.RootCoffer(), "/p", 0)
+		c, _ := cofferWithPages(t, k, th, p, "/p/c", 0)
+		return func() error { return k.RenameCoffer(th, "/p", "/q") },
+			map[coffer.ID][]string{p: {"/p", "/q"}, c: {"/p/c", "/q/c"}}, nil
+	}},
+	{"CofferSplit", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+		id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/s", 4)
+		return func() error {
+				_, err := k.CofferSplit(th, id, "/s/x", 0o700, 0, 0, pages[:3], pages[0], pages[1])
+				return err
+			},
+			map[coffer.ID][]string{id: {"/s"}}, []string{"/s/x"}
+	}},
+	{"CofferMerge", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+		id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/s", 4)
+		sid, err := k.CofferSplit(th, id, "/s/x", 0o755, 0, 0, pages[:3], pages[0], pages[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() error { return k.CofferMerge(th, id, sid) },
+			map[coffer.ID][]string{id: {"/s"}, sid: {"/s/x"}}, nil
+	}},
+}
+
+// TestCofferMetadataCrashPoints crashes each scene's call before and after
+// every persisting store it makes. After each remount every root page
+// decodes, the path table loads, the allocation table and the extent trees
+// agree, and every coffer is at its old path or its new one — in its root
+// page and in the path table alike.
+func TestCofferMetadataCrashPoints(t *testing.T) {
+	for _, sc := range crashScenes {
+		t.Run(sc.name, func(t *testing.T) {
+			states := 0
+			for _, before := range []bool{true, false} {
+				for n := int64(1); ; n++ {
+					done := crashAt(t, sc, n, before)
+					states++
+					if done {
+						break
+					}
+				}
+			}
+			if states < 4 {
+				t.Fatalf("only %d crash states", states)
+			}
+		})
+	}
+}
+
+// crashAt runs a scene with a crash armed at its n-th persisting store, on
+// the given edge, then remounts and checks the image. It reports whether the
+// call ran to the end without reaching that store.
+func crashAt(t *testing.T, sc crashScene, n int64, before bool) (done bool) {
+	t.Helper()
+	dev := nvm.NewDevice(8 << 20)
+	if err := Mkfs(dev, MkfsOptions{RootMode: 0o755}); err != nil {
+		t.Fatal(err)
+	}
+	k, err := Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call, paths, fresh := sc.setup(t, k, mountedThread(t, k, 0, 0))
+	if before {
+		dev.FailAtStart(n)
+	} else {
+		dev.FailAfter(n)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil && !nvm.IsInjectedCrash(r) {
+				panic(r)
+			} else if r == nil {
+				done = true
+			}
+		}()
+		if err := call(); err != nil {
+			t.Fatalf("%s: %v", sc.name, err)
+		}
+	}()
+	dev.FailAfter(0)
+	dev.Crash()
+
+	edge := "after"
+	if before {
+		edge = "before"
+	}
+	where := fmt.Sprintf("crash %s store %d", edge, n)
+	k2, err := Mount(dev) // decodes every published root page, loads the path table
+	if err != nil {
+		t.Fatalf("%s: remount: %v", where, err)
+	}
+	if err := k2.VerifySpace(); err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	for _, id := range k2.Coffers() {
+		rp, _ := k2.Info(id)
+		allowed, known := paths[id]
+		switch {
+		case id == k2.RootCoffer():
+			allowed = []string{"/"}
+		case !known:
+			allowed = fresh
+		}
+		if !slices.Contains(allowed, rp.Path) {
+			t.Fatalf("%s: coffer %d at %q, want one of %q", where, id, rp.Path, allowed)
+		}
+		if got, ok := k2.LookupPath(nil, rp.Path); !ok || got != id {
+			t.Fatalf("%s: coffer %d's root page says %q, the path table resolves it to %d, %v", where, id, rp.Path, got, ok)
+		}
+		checkRootPage(t, k2, id, rp.Path)
+	}
+	return done
+}

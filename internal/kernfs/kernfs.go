@@ -12,16 +12,25 @@
 // sharded along the paper's own granularity argument — the kernel manages
 // coffers, so the kernel locks coffers:
 //
-//	kernfs.registry          create/delete/rename visibility (short sections)
+//	kernfs.registry          publication only: a coffer's path entry and
+//	                         registry slot appear, move or go together
 //	kernfs.coffer/<id>       one per coffer: flags, mappers, owner tree
 //	kernfs.paths             path-table write side (readers take no lock)
 //	kernfs.freeshard/<i>     free-pool shards; transient leaves
 //
 // Class order is strictly descending in that list; within kernfs.coffer,
 // multi-coffer operations (move_pages, coffer_merge) lock in ascending ID
-// order. Charged work — grant scrubbing, allocation-table writes, PTE
-// update costs — happens outside every lock, so concurrent coffer_enlarge
-// calls no longer serialize in virtual time.
+// order. Charged work — grant scrubbing, allocation-table writes, page
+// retagging, root-page writes, PTE update costs — happens outside the
+// registry lock: coffer_new and coffer_split stage the coffer and publish
+// it, coffer_delete and coffer_merge tear it down under its own lock and
+// unpublish it, and a rename moves path entries before it rewrites root
+// pages.
+//
+// Metadata is written where it changes. A live coffer's root page is updated
+// in place — its 64-byte header and its path, never the whole page; only a
+// fresh root page (coffer_new, coffer_split) is written in full, which is
+// also its scrub, since every mapper can read it.
 package kernfs
 
 import (
@@ -89,10 +98,11 @@ type MkfsOptions struct {
 type KernFS struct {
 	dev *nvm.Device
 
-	// regMu is the registry lock: a short critical section ordering coffer
-	// create/delete/rename visibility (the paths table and the coffer map
-	// change together under it). Steady-state operations — enlarge, map,
-	// shrink, lookups — never touch it.
+	// regMu is the registry lock: it covers publication only — a coffer's
+	// path-table entry and its registry slot (and the published path in its
+	// snapshot) change together under it, and nothing else happens there.
+	// Steady-state operations — enlarge, map, shrink, lookups — never touch
+	// it.
 	regMu lockprof.Mutex
 	// pmu is the path-table write lock; readers probe the table's concurrent
 	// mirror and never take it.
@@ -125,8 +135,10 @@ const violationThreshold = 3
 // checks read it without the lock (validated against NVM truth the same way
 // the dcache is).
 type cofferInfo struct {
-	mu   lockprof.Mutex
-	dead bool // set by coffer_delete/merge; checked after every acquire
+	mu lockprof.Mutex
+	// dead is set by coffer_delete/merge before they unpublish the coffer;
+	// checked after every acquire. A dead coffer counts as gone.
+	dead bool
 	rp   coffer.RootPage
 	snap rootSnap
 
@@ -175,12 +187,34 @@ type procState struct {
 	writable map[coffer.ID]bool
 	usedKeys uint16
 	// revGen counts kernel-initiated mapping revocations and downgrades
-	// (coffer delete, recovery eviction, quarantine). It models a
+	// (coffer delete, recovery eviction, quarantine, setuid). It models a
 	// user-readable shared counter: the µFS compares it against its cached
 	// value before trusting its mount cache, so a mapping the kernel pulled
 	// out from under the library is noticed before — not after — the library
 	// dereferences a dead key. Voluntary coffer_unmap does not bump it.
+	// Bumped under mu.
 	revGen atomic.Uint64
+	// revLog names the coffer behind each of the last revLogLen bumps, bump
+	// g in slot g%revLogLen, so the µFS drops the mounts a revocation touched
+	// and no others (Revoked). Guarded by mu.
+	revLog [revLogLen]coffer.ID
+}
+
+// revLogLen bounds a process's revocation log. allCoffers in it stands for
+// every mapping (setuid); no coffer has ID 0, the superblock's page.
+const (
+	revLogLen  = 16
+	allCoffers = coffer.ID(0)
+)
+
+// revoked logs a kernel-initiated revocation or downgrade of coffer id and
+// bumps the generation the µFS polls.
+func (ps *procState) revoked(id coffer.ID) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	g := ps.revGen.Load() + 1
+	ps.revLog[g%revLogLen] = id
+	ps.revGen.Store(g)
 }
 
 func (ps *procState) isWritable(id coffer.ID) bool {
@@ -334,9 +368,14 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 	if err := k.paths.load(nil); err != nil {
 		return nil, err
 	}
-	// Materialize coffer infos from root pages.
+	// Materialize coffer infos from root pages. A rename moves path entries
+	// first — insert the new, remove the old — and rewrites root pages after,
+	// so a crash can leave a root page behind its entry, which wins, or a
+	// coffer under both paths, where the root page's path wins and the other
+	// entry goes.
 	buf := make([]byte, nvm.PageSize)
 	var bad error
+	var stale []string
 	k.paths.each(func(path string, id coffer.ID) bool {
 		dev.ReadNoCharge(int64(id)*nvm.PageSize, buf)
 		rp, err := coffer.DecodeRootPage(buf)
@@ -344,11 +383,25 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 			bad = fmt.Errorf("kernfs: coffer %d (%s): %v", id, path, err)
 			return false
 		}
+		if rp.Path != path {
+			if at, ok := k.paths.find(rp.Path); ok && at == id {
+				stale = append(stale, path)
+				return true
+			}
+			old := len(rp.Path)
+			rp.Path = path
+			k.updateRootPage(nil, rp, old)
+		}
 		k.coffers.store(id, newCofferInfo(*rp))
 		return true
 	})
 	if bad != nil {
 		return nil, bad
+	}
+	for _, p := range stale {
+		if err := k.paths.remove(nil, p); err != nil {
+			return nil, err
+		}
 	}
 	return k, nil
 }
@@ -377,12 +430,25 @@ func (k *KernFS) lockCoffer(clk *simclock.Clock, id coffer.ID) *cofferInfo {
 	return ci
 }
 
-// writeRootPage persists a coffer's root page. Root pages are the coffer's
-// super-inode, so the byte-flow ledger books them inode-class.
+// writeRootPage persists a fresh coffer's root page, all of it: the page may
+// hold anything from its last owner, and every mapper of the coffer can read
+// it. Root pages are the coffer's super-inode, so the byte-flow ledger books
+// them inode-class.
 func (k *KernFS) writeRootPage(clk *simclock.Clock, pg int64, rp *coffer.RootPage) {
 	var page [nvm.PageSize]byte
 	coffer.EncodeRootPage(&page, rp)
 	k.dev.WriteNTClass(clk, byteflow.ClassInode, pg*nvm.PageSize, page[:])
+}
+
+// updateRootPage rewrites a live coffer's root page in place: the header and
+// the path, and zeros over the rest of a longer path it replaces (oldLen), so
+// the page stays zero past its path. One store, so a crash leaves the old
+// page or the new one.
+func (k *KernFS) updateRootPage(clk *simclock.Clock, rp *coffer.RootPage, oldLen int) {
+	var page [nvm.PageSize]byte
+	coffer.EncodeRootPage(&page, rp)
+	n := coffer.RootPageLen(max(len(rp.Path), oldLen))
+	k.dev.WriteNTClass(clk, byteflow.ClassInode, int64(rp.ID)*nvm.PageSize, page[:n])
 }
 
 // rec returns the telemetry recorder attached to the device (nil when
@@ -410,6 +476,12 @@ func (k *KernFS) RootCoffer() coffer.ID { return k.rootCoffer }
 
 // FreePages reports unallocated pages (for df-style tools).
 func (k *KernFS) FreePages() int64 { return k.space.freePages() }
+
+// RetainedPathPages reports the path-table entry pages that hold no live
+// entry: emptied bucket heads, kept for the bucket's next insert (at most one
+// per bucket). With FreePages it accounts for every page no coffer needs.
+// Uncharged (tooling).
+func (k *KernFS) RetainedPathPages() int64 { return k.paths.retained() }
 
 // FreeExtents returns the global free pool's extents in address order
 // (df-style tools derive device-level fragmentation from them).
@@ -481,12 +553,13 @@ func (k *KernFS) SetIdentity(th *proc.Thread, uid, gid uint32) error {
 	}
 	for _, id := range ps.mappedIDs() {
 		if ci := k.lockCoffer(th.Clk, id); ci != nil {
-			k.revokeLocked(ci, ps)
+			k.unmapLocked(ci, ps)
 			ci.mu.Unlock(th.Clk)
 		} else {
 			ps.forgetKey(id)
 		}
 	}
+	ps.revoked(allCoffers)
 	th.Proc.SetIdentity(uid, gid)
 	return nil
 }
@@ -690,7 +763,10 @@ func (k *KernFS) CofferNew(th *proc.Thread, parent coffer.ID, path string, typ c
 // mapping is revoked first — the same eviction discipline BeginRecover
 // uses — so a deleted coffer can never stay readable through stale page
 // tables; a straggler faults on its next access and re-resolves the path.
-// Runs under the registry lock (delete visibility), then the coffer lock.
+// The teardown runs under the coffer lock and ends with the coffer marked
+// dead; the registry lock then covers only the path removal and clearing the
+// slot; the pages go back last, once the ID — the root page's number — can
+// no longer resolve.
 //
 // Contract for every call that names a coffer by bare ID: an ID is the
 // coffer's root page number, so once a coffer is deleted the same ID can name
@@ -703,30 +779,39 @@ func (k *KernFS) CofferDelete(th *proc.Thread, id coffer.ID) error {
 	defer kcall(th, "coffer_delete")()
 	th.Syscall()
 	k.rec().Inc(telemetry.CtrKernCofferDelete)
-	k.regMu.Lock(th.Clk)
-	defer k.regMu.Unlock(th.Clk)
 	ci := k.lockCoffer(th.Clk, id)
 	if ci == nil {
 		return ErrNotFound
 	}
-	defer ci.mu.Unlock(th.Clk)
 	if u := th.Proc.UID(); u != 0 && u != ci.rp.UID {
+		ci.mu.Unlock(th.Clk)
 		return ErrPerm
 	}
 	if id == k.rootCoffer {
+		ci.mu.Unlock(th.Clk)
 		return fmt.Errorf("%w: cannot delete root coffer", ErrInvalid)
 	}
 	for _, ps := range ci.mappers {
 		k.revokeLocked(ci, ps)
 	}
-	if err := k.paths.remove(th.Clk, ci.rp.Path); err != nil {
-		return err
-	}
 	ci.dead = true
-	k.space.releaseAll(th.Clk, id)
+	ci.mu.Unlock(th.Clk)
+	return k.unpublish(th, ci)
+}
+
+// unpublish removes a coffer that its teardown has marked dead: its path entry
+// and registry slot under the registry lock, then its pages. The path is the
+// one the coffer is published under now — a rename may have moved it after
+// the teardown began.
+func (k *KernFS) unpublish(th *proc.Thread, ci *cofferInfo) error {
+	id := ci.rp.ID
+	k.regMu.Lock(th.Clk)
+	err := k.paths.remove(th.Clk, ci.snap.published())
 	k.coffers.store(id, nil)
 	delete(k.violations, id)
-	return nil
+	k.regMu.Unlock(th.Clk)
+	k.space.releaseAll(th.Clk, id)
+	return err
 }
 
 // ---- coffer_enlarge / coffer_shrink ----------------------------------------
@@ -1061,11 +1146,11 @@ func (k *KernFS) unmapLocked(ci *cofferInfo, ps *procState) {
 }
 
 // revokeLocked is unmapLocked for kernel-initiated evictions: the process
-// did not ask for this, so its revocation generation is bumped to tell the
-// µFS its mount cache is stale.
+// did not ask for this, so the coffer is logged and the revocation generation
+// bumped to tell the µFS that mount is stale.
 func (k *KernFS) revokeLocked(ci *cofferInfo, ps *procState) {
 	k.unmapLocked(ci, ps)
-	ps.revGen.Add(1)
+	ps.revoked(ci.rp.ID)
 }
 
 // RevocationGen returns the process's revocation generation. This is not a
@@ -1078,6 +1163,33 @@ func (k *KernFS) RevocationGen(pid int) uint64 {
 		return 0
 	}
 	return ps.revGen.Load()
+}
+
+// Revoked calls drop for each coffer the kernel revoked or downgraded in the
+// process after revocation generation since, and returns the generation that
+// brings the caller up to. whole is false when the log no longer says — more
+// than revLogLen revocations since, or a setuid — and the caller must treat
+// every mapping as revoked. Like RevocationGen it models reading the shared
+// page: no system call.
+func (k *KernFS) Revoked(pid int, since uint64, drop func(coffer.ID)) (gen uint64, whole bool) {
+	ps := k.stateOf(pid)
+	if ps == nil {
+		return 0, false
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	gen = ps.revGen.Load()
+	if gen-since > revLogLen {
+		return gen, false
+	}
+	for g := since + 1; g <= gen; g++ {
+		id := ps.revLog[g%revLogLen]
+		if id == allCoffers {
+			return gen, false
+		}
+		drop(id)
+	}
+	return gen, true
 }
 
 // MappedCoffers returns the coffers currently mapped by a process.
@@ -1107,7 +1219,7 @@ func (k *KernFS) SetCofferMeta(th *proc.Thread, id coffer.ID, mode coffer.Mode, 
 	}
 	ci.rp.Mode, ci.rp.UID, ci.rp.GID = mode, uid, gid
 	ci.publishRP()
-	k.writeRootPage(th.Clk, int64(id), &ci.rp)
+	k.updateRootPage(th.Clk, &ci.rp, 0)
 	return nil
 }
 
@@ -1128,7 +1240,7 @@ func (k *KernFS) SetCofferType(th *proc.Thread, id coffer.ID, typ coffer.Type, m
 	ci.rp.Type = typ
 	ci.rp.Mode = mode
 	ci.publishRP()
-	k.writeRootPage(th.Clk, int64(id), &ci.rp)
+	k.updateRootPage(th.Clk, &ci.rp, 0)
 	return nil
 }
 
@@ -1138,9 +1250,7 @@ func (k *KernFS) SetCofferType(th *proc.Thread, id coffer.ID, typ coffer.Type, m
 func (k *KernFS) RenameCoffer(th *proc.Thread, oldPath, newPath string) error {
 	defer kcall(th, "rename_coffer")()
 	th.Syscall()
-	k.regMu.Lock(th.Clk)
-	defer k.regMu.Unlock(th.Clk)
-	return k.renameTreeLocked(th, oldPath, newPath, true)
+	return k.renameTree(th, oldPath, newPath, true)
 }
 
 // RenamePrefix rewrites the paths of every coffer at or under oldPath,
@@ -1162,61 +1272,76 @@ func (k *KernFS) RenamePrefix(th *proc.Thread, oldPath, newPath string) error {
 			return nil
 		}
 	}
-	k.regMu.Lock(th.Clk)
-	defer k.regMu.Unlock(th.Clk)
-	return k.renameTreeLocked(th, oldPath, newPath, false)
+	return k.renameTree(th, oldPath, newPath, false)
 }
 
-// renameTreeLocked rewrites the path of oldPath's coffer (if any) and of
-// every coffer under it. Caller holds regMu, which keeps the coffer set
-// stable; each affected coffer is locked (ascending ID order) around its
-// root-page rewrite.
-func (k *KernFS) renameTreeLocked(th *proc.Thread, oldPath, newPath string, exact bool) error {
-	type renameOp struct {
-		id       coffer.ID
-		from, to string
-	}
+// renameOp moves one coffer's path.
+type renameOp struct {
+	ci       *cofferInfo
+	from, to string
+}
+
+// renameTree moves the path of oldPath's coffer (if any) and of every coffer
+// under it. The path entries move under the registry lock, and each coffer's
+// published path with them; the root pages follow after it, each under its
+// coffer's lock (ascending ID order), and each takes the path its coffer is
+// published under by then, so racing renames leave the last one's. A coffer
+// that a delete or merge has marked dead meanwhile counts as already gone.
+func (k *KernFS) renameTree(th *proc.Thread, oldPath, newPath string, exact bool) error {
 	var one [1]renameOp // the usual rename moves a coffer with none below it
-	ops := one[:0]
-	if id, ok := k.paths.lookup(th.Clk, oldPath); ok {
-		ci, _ := k.cofferLoad(id)
-		if ci == nil {
-			return ErrNotFound
-		}
-		rp := ci.snap.load()
-		if u := th.Proc.UID(); u != 0 && u != rp.UID {
-			return ErrPerm
-		}
-		ops = append(ops, renameOp{id, oldPath, newPath})
-	} else if exact {
-		return ErrNotFound
-	}
-	if _, dup := k.paths.lookup(th.Clk, newPath); dup {
-		return ErrExists
-	}
-	k.paths.each(func(p string, cid coffer.ID) bool {
-		if pathBelow(oldPath, p) {
-			ops = append(ops, renameOp{cid, p, newPath + "/" + strings.TrimPrefix(p[len(oldPath):], "/")})
-		}
-		return true
-	})
-	slices.SortFunc(ops, func(a, b renameOp) int { return cmp.Compare(a.id, b.id) })
+	k.regMu.Lock(th.Clk)
+	ops, err := k.movePaths(th, oldPath, newPath, exact, one[:0])
+	k.regMu.Unlock(th.Clk)
 	for _, op := range ops {
-		ci := k.lockCoffer(th.Clk, op.id)
-		if ci == nil {
-			return ErrNotFound
+		ci := op.ci
+		ci.mu.Lock(th.Clk)
+		if p := ci.snap.published(); !ci.dead && p != ci.rp.Path {
+			old := len(ci.rp.Path)
+			ci.rp.Path = p
+			ci.publishRP()
+			k.updateRootPage(th.Clk, &ci.rp, old)
 		}
-		if err := k.paths.rename(th.Clk, op.from, op.to, op.id); err != nil {
-			ci.mu.Unlock(th.Clk)
-			return err
-		}
-		ci.rp.Path = op.to
-		ci.publishRP()
-		k.writeRootPage(th.Clk, int64(op.id), &ci.rp)
 		ci.mu.Unlock(th.Clk)
 		th.CPU(perfmodel.CPUSmallOp)
 	}
-	return nil
+	return err
+}
+
+// movePaths is renameTree's registry section: it checks the rename, re-keys
+// the path entries and publishes the new paths, and returns the coffers moved
+// (all of them but after an error). Caller holds regMu, which keeps the coffer
+// set stable.
+func (k *KernFS) movePaths(th *proc.Thread, oldPath, newPath string, exact bool, ops []renameOp) ([]renameOp, error) {
+	if id, ok := k.paths.lookup(th.Clk, oldPath); ok {
+		ci, _ := k.cofferLoad(id)
+		if ci == nil {
+			return nil, ErrNotFound
+		}
+		rp := ci.snap.load()
+		if u := th.Proc.UID(); u != 0 && u != rp.UID {
+			return nil, ErrPerm
+		}
+		ops = append(ops, renameOp{ci, oldPath, newPath})
+	} else if exact {
+		return nil, ErrNotFound
+	}
+	if _, dup := k.paths.lookup(th.Clk, newPath); dup {
+		return nil, ErrExists
+	}
+	k.paths.each(func(p string, cid coffer.ID) bool {
+		if ci, _ := k.cofferLoad(cid); ci != nil && pathBelow(oldPath, p) {
+			ops = append(ops, renameOp{ci, p, newPath + "/" + strings.TrimPrefix(p[len(oldPath):], "/")})
+		}
+		return true
+	})
+	slices.SortFunc(ops, func(a, b renameOp) int { return cmp.Compare(a.ci.rp.ID, b.ci.rp.ID) })
+	for i, op := range ops {
+		if err := k.paths.rename(th.Clk, op.from, op.to, op.ci.rp.ID); err != nil {
+			return ops[:i], err
+		}
+		op.ci.snap.rename(op.to)
+	}
+	return ops, nil
 }
 
 // ---- coffer_split / coffer_merge --------------------------------------------
@@ -1227,27 +1352,33 @@ func (k *KernFS) renameTreeLocked(th *proc.Thread, oldPath, newPath string, exac
 // "the split procedure will change the coffer of all file pages, which
 // takes a long time" (Table 9). rootInode/custom are the new coffer's entry
 // points (chosen by the µFS from among the moved pages).
+//
+// The new coffer is staged like coffer_new's: its root page is taken and the
+// pages retagged under the old coffer's lock, its root page written after
+// it, and only the publish — path entry and registry slot — runs under the
+// registry lock. A publish that loses the path to a racing create or split
+// rolls the split back (unsplit).
 func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mode coffer.Mode, uid, gid uint32, pages []int64, rootInode, custom int64) (coffer.ID, error) {
 	defer kcall(th, "coffer_split")()
 	th.Syscall()
 	k.rec().Inc(telemetry.CtrKernCofferSplit)
-	k.regMu.Lock(th.Clk)
-	defer k.regMu.Unlock(th.Clk)
 	ci := k.lockCoffer(th.Clk, old)
 	if ci == nil {
 		return 0, ErrNotFound
 	}
-	defer ci.mu.Unlock(th.Clk)
 	if u := th.Proc.UID(); u != 0 && u != ci.rp.UID {
+		ci.mu.Unlock(th.Clk)
 		return 0, ErrPerm
 	}
 	if _, dup := k.paths.lookup(th.Clk, newPath); dup {
+		ci.mu.Unlock(th.Clk)
 		return 0, ErrExists
 	}
 	// New root page.
 	var one [1]coffer.Extent
 	exts, err := k.space.takeFree(th.Clk, enlargeHint(old, th.TID), 1, one[:0])
 	if err != nil {
+		ci.mu.Unlock(th.Clk)
 		return 0, err
 	}
 	rootPg := exts[0].Start
@@ -1257,9 +1388,10 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 	k.space.uninflight(exts)
 
 	// Move pages one at a time (the expensive part).
+	moved := 0
 	for _, pg := range pages {
-		if err := k.space.retag(th.Clk, old, id, pg, 1); err != nil {
-			return 0, err
+		if err = k.space.retag(th.Clk, old, id, pg, 1); err != nil {
+			break
 		}
 		// Unmap moved pages from every process mapping the old coffer:
 		// they now belong to a coffer with a different permission.
@@ -1267,30 +1399,63 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 			m.p.Mem.Unmap(pg, 1)
 		}
 		th.CPU(perfmodel.CPUSmallOp)
+		moved++
+	}
+	typ := ci.rp.Type
+	ci.mu.Unlock(th.Clk)
+	if err != nil {
+		k.unsplit(th, ci, id, pages[:moved])
+		return 0, err
 	}
 
 	rp := coffer.RootPage{
-		ID: id, Type: ci.rp.Type, Mode: mode, UID: uid, GID: gid,
+		ID: id, Type: typ, Mode: mode, UID: uid, GID: gid,
 		RootInode: rootInode, Custom: custom, Path: newPath,
 	}
 	k.writeRootPage(th.Clk, rootPg, &rp)
-	if err := k.paths.insert(th.Clk, newPath, id); err != nil {
+	k.regMu.Lock(th.Clk)
+	if err = k.paths.insert(th.Clk, newPath, id); err == nil {
+		k.coffers.store(id, newCofferInfo(rp))
+	}
+	k.regMu.Unlock(th.Clk)
+	if err != nil {
+		k.unsplit(th, ci, id, pages)
 		return 0, err
 	}
-	k.coffers.store(id, newCofferInfo(rp))
 	return id, nil
 }
 
+// unsplit rolls back a split that never published coffer id: the moved pages
+// go back to the old coffer, mapped as its mappers map it now, and id's root
+// page is freed. If the old coffer has died meanwhile, its pages went with it
+// and the moved ones follow.
+func (k *KernFS) unsplit(th *proc.Thread, ci *cofferInfo, id coffer.ID, moved []int64) {
+	ci.mu.Lock(th.Clk)
+	if !ci.dead {
+		old := ci.rp.ID
+		for _, pg := range moved {
+			if k.space.retag(th.Clk, id, old, pg, 1) != nil {
+				continue
+			}
+			for _, m := range ci.mappers {
+				key, w := m.access(old)
+				m.p.Mem.Map(pg, 1, key, w)
+			}
+			th.CPU(perfmodel.CPUSmallOp)
+		}
+	}
+	ci.mu.Unlock(th.Clk)
+	k.space.releaseAll(th.Clk, id)
+}
+
 // CofferMerge folds coffer src into coffer dst (Table 5: coffer_merge).
-// Both must carry identical permissions; src's pages are retagged one by
-// one and its root page freed. Runs under the registry lock (src is
-// deleted) with both coffers locked in ascending ID order.
+// Both must carry identical permissions; src's pages are retagged one by one
+// with both coffers locked in ascending ID order, and src, marked dead, is
+// then unpublished and its root page freed.
 func (k *KernFS) CofferMerge(th *proc.Thread, dst, src coffer.ID) error {
 	defer kcall(th, "coffer_merge")()
 	th.Syscall()
 	k.rec().Inc(telemetry.CtrKernCofferMerge)
-	k.regMu.Lock(th.Clk)
-	defer k.regMu.Unlock(th.Clk)
 	si, di, err := k.lockPair(th.Clk, src, dst)
 	if err != nil {
 		if errors.Is(err, ErrInvalid) {
@@ -1298,7 +1463,20 @@ func (k *KernFS) CofferMerge(th *proc.Thread, dst, src coffer.ID) error {
 		}
 		return err
 	}
-	defer k.unlockPair(th.Clk, si, di)
+	if err = k.foldLocked(th, si, di); err == nil {
+		si.dead = true
+	}
+	k.unlockPair(th.Clk, si, di)
+	if err != nil {
+		return err
+	}
+	return k.unpublish(th, si)
+}
+
+// foldLocked is coffer_merge's work under both coffer locks: the checks, the
+// retagging of every page of si but its root page to di, and si's unmapping.
+func (k *KernFS) foldLocked(th *proc.Thread, si, di *cofferInfo) error {
+	src, dst := si.rp.ID, di.rp.ID
 	if u := th.Proc.UID(); u != 0 && (u != di.rp.UID || u != si.rp.UID) {
 		return ErrPerm
 	}
@@ -1332,13 +1510,6 @@ func (k *KernFS) CofferMerge(th *proc.Thread, dst, src coffer.ID) error {
 	for _, m := range si.mappers {
 		k.unmapLocked(si, m)
 	}
-	if err := k.paths.remove(th.Clk, si.rp.Path); err != nil {
-		return err
-	}
-	si.dead = true
-	k.space.releaseAll(th.Clk, src) // only the root page remains
-	k.coffers.store(src, nil)
-	delete(k.violations, src)
 	return nil
 }
 
@@ -1362,7 +1533,7 @@ func (k *KernFS) BeginRecover(th *proc.Thread, id coffer.ID, leaseNS uint64) ([]
 	ci.rp.Flags |= coffer.FlagInRecovery
 	ci.rp.Lease = uint64(th.Clk.Now()) + leaseNS
 	ci.publishRP()
-	k.writeRootPage(th.Clk, int64(id), &ci.rp)
+	k.updateRootPage(th.Clk, &ci.rp, 0)
 	for pid, ps := range ci.mappers {
 		if pid != th.Proc.PID {
 			k.revokeLocked(ci, ps)
@@ -1415,7 +1586,7 @@ func (k *KernFS) EndRecover(th *proc.Thread, id coffer.ID, inUse []int64) error 
 	ci.rp.Flags &^= coffer.FlagInRecovery
 	ci.rp.Lease = 0
 	ci.publishRP()
-	k.writeRootPage(th.Clk, int64(id), &ci.rp)
+	k.updateRootPage(th.Clk, &ci.rp, 0)
 	return nil
 }
 
@@ -1452,7 +1623,7 @@ func (k *KernFS) quarantineLocked(th *proc.Thread, ci *cofferInfo, offline bool)
 		ci.rp.Flags |= coffer.FlagReadOnly
 	}
 	ci.publishRP()
-	k.writeRootPage(th.Clk, int64(ci.rp.ID), &ci.rp)
+	k.updateRootPage(th.Clk, &ci.rp, 0)
 	id := ci.rp.ID
 	if offline {
 		for _, ps := range ci.mappers {
@@ -1467,10 +1638,10 @@ func (k *KernFS) quarantineLocked(th *proc.Thread, ci *cofferInfo, offline bool)
 			ps.mu.Unlock()
 			key, _ := ps.access(id)
 			k.mapPagesLocked(ps, ci, key, false)
-			// The mapping survives but its write grant is gone — a cache
-			// flush on the µFS side turns the next write into a clean typed
-			// error instead of an MPK fault.
-			ps.revGen.Add(1)
+			// The mapping survives but its write grant is gone — dropping
+			// the mount on the µFS side turns the next write into a clean
+			// typed error instead of an MPK fault.
+			ps.revoked(id)
 		}
 	}
 }

@@ -26,7 +26,8 @@ import (
 //	16 entries: {hash u64, cofferID u32, state u8, pathLen u16, pad u8,
 //	             path bytes, padded to 8-byte alignment}
 //
-// Deletion tombstones entries (state = entryDead); recovery compacts them.
+// Deletion tombstones entries (state = entryDead), or empties a bucket's head
+// page (remove); recovery compacts them.
 // A volatile hash table of the same shape — same hash, same bucket count —
 // mirrors the live entries for lock-free lookups.
 const (
@@ -252,14 +253,18 @@ func encodeEntry(dst []byte, p string, id coffer.ID) {
 	copy(dst[entryHdr:], p)
 }
 
-// remove tombstones the entry for path p. When the tombstone leaves its
-// entry page with no live entries the page is unlinked from the bucket chain
-// and returned to the free pool — without this, coffer create/delete churn
-// consumes one page per touched bucket forever and exact free-page
-// conservation is unattainable. Tombstone first, unlink second, release
-// last: a crash anywhere in the sequence leaves either a dead entry in the
-// chain (load skips it) or an unreachable KernelID page (the allocation
-// table and owner tree still agree, and recovery compaction reclaims it).
+// remove deletes the entry for path p. Usually that is a tombstone. An entry
+// page left with no live entry leaves the chain, so that create/delete churn
+// does not keep one page per touched bucket forever — except the bucket's
+// head page, which stays linked with its used count reset to zero (one
+// store, which is the delete): the bucket's next insert, typically the same
+// path coming back from a split/merge or rename cycle, lands in it instead of
+// allocating, scrubbing and freeing a page per cycle. Only a head page can be
+// empty, so at most one page per bucket is retained (see retained). Any other
+// emptied page goes tombstone first, unlink second, release last: a crash
+// anywhere in the sequence leaves either a dead entry in the chain (load
+// skips it) or an unreachable KernelID page (the allocation table and owner
+// tree still agree, and recovery compaction reclaims it).
 func (pt *pathTable) remove(clk *simclock.Clock, p string) error {
 	if pt.wmu != nil {
 		pt.wmu.Lock(clk)
@@ -282,18 +287,20 @@ func (pt *pathTable) remove(clk *simclock.Clock, p string) error {
 			plen := int(binary.LittleEndian.Uint16(page[off+13:]))
 			sz := entrySize(plen)
 			if state == entryLive && eh == h && string(page[off+entryHdr:off+entryHdr+int64(plen)]) == p {
-				pt.dev.WriteNTClass(clk, byteflow.ClassDentry, pg*nvm.PageSize+off+12, []byte{entryDead})
 				page[off+12] = entryDead
-				if pageAllDead(page[:], used) {
-					if prev == 0 {
-						pt.setBucketHead(clk, b, next)
-					} else {
+				empty := pageAllDead(page[:], used)
+				if empty && prev == 0 {
+					var none [2]byte
+					pt.dev.WriteNTClass(clk, byteflow.ClassDentry, pg*nvm.PageSize+8, none[:])
+				} else {
+					pt.dev.WriteNTClass(clk, byteflow.ClassDentry, pg*nvm.PageSize+off+12, []byte{entryDead})
+					if empty {
 						var nb [8]byte
 						binary.LittleEndian.PutUint64(nb[:], uint64(next))
 						pt.dev.WriteNTClass(clk, byteflow.ClassDentry, prev*nvm.PageSize, nb[:])
-					}
-					if err := pt.sm.release(clk, coffer.KernelID, pg, 1); err != nil {
-						return err
+						if err := pt.sm.release(clk, coffer.KernelID, pg, 1); err != nil {
+							return err
+						}
 					}
 				}
 				pt.unset(p)
@@ -306,6 +313,24 @@ func (pt *pathTable) remove(clk *simclock.Clock, p string) error {
 	}
 	// Volatile map said it existed; persistent chain disagrees.
 	return fmt.Errorf("kernfs: path table inconsistency for %q", p)
+}
+
+// retained counts the entry pages linked into bucket chains that hold no live
+// entry — emptied bucket heads (see remove). Uncharged; run at quiescence.
+func (pt *pathTable) retained() int64 {
+	var n int64
+	var page [nvm.PageSize]byte
+	for b := int64(0); b < pathBuckets; b++ {
+		pt.dev.ReadNoCharge(pt.bucketOff+b*8, page[:8])
+		for pg := int64(binary.LittleEndian.Uint64(page[:])); pg != 0; {
+			pt.dev.ReadNoCharge(pg*nvm.PageSize, page[:])
+			if pageAllDead(page[:], int64(binary.LittleEndian.Uint16(page[8:]))) {
+				n++
+			}
+			pg = int64(binary.LittleEndian.Uint64(page[0:]))
+		}
+	}
+	return n
 }
 
 // pageAllDead reports whether an entry page holds no live entries.

@@ -71,8 +71,11 @@ func (r *registry) each(fn func(id coffer.ID, ci *cofferInfo)) {
 // (Info, the permission prechecks of coffer_new and coffer_enlarge). It is a
 // sequence-locked copy whose every word is an atomic: a publish overwrites it
 // in place — no heap copy per mutation — and a reader that overlapped one
-// retries. Only the path is boxed, and only a rename changes it; the first
-// path lives in the snapshot itself.
+// retries. The path is apart from the words: it is the path the coffer is
+// published under in the path table, set by the first publish and after that
+// only by a rename, under the registry lock, the moment the table changes —
+// the root page follows it later (renameTree). Only a renamed path is boxed;
+// the first lives in the snapshot itself.
 type rootSnap struct {
 	seq   atomic.Uint32
 	w     [6]atomic.Uint64
@@ -80,8 +83,9 @@ type rootSnap struct {
 	first string
 }
 
-// publish refreshes the snapshot from rp. The caller holds the coffer's lock
-// (or has not made the coffer visible yet).
+// publish refreshes the snapshot's words from rp, and its path the first
+// time. The caller holds the coffer's lock (or has not made the coffer
+// visible yet).
 func (s *rootSnap) publish(rp *coffer.RootPage) {
 	s.seq.Add(1)
 	s.w[0].Store(uint64(rp.ID)<<32 | uint64(rp.Type))
@@ -90,15 +94,18 @@ func (s *rootSnap) publish(rp *coffer.RootPage) {
 	s.w[3].Store(uint64(rp.RootInode))
 	s.w[4].Store(uint64(rp.Custom))
 	s.w[5].Store(rp.Lease)
-	if cur := s.path.Load(); cur == nil {
+	if s.path.Load() == nil {
 		s.first = rp.Path
 		s.path.Store(&s.first)
-	} else if *cur != rp.Path {
-		moved := rp.Path
-		s.path.Store(&moved)
 	}
 	s.seq.Add(1)
 }
+
+// rename publishes the coffer's new path. The caller holds the registry lock.
+func (s *rootSnap) rename(p string) { s.path.Store(&p) }
+
+// published returns the path the coffer is published under.
+func (s *rootSnap) published() string { return *s.path.Load() }
 
 // load returns the root page as of one publish.
 func (s *rootSnap) load() coffer.RootPage {

@@ -175,13 +175,16 @@ func (f *FS) ensureMapped(th *proc.Thread, id coffer.ID, write bool) (*mount, er
 	gen := f.kern.RevocationGen(th.Proc.PID)
 	f.mu.Lock()
 	if gen != f.revSeen {
-		// The kernel revoked or downgraded one of our mappings behind our
-		// back (coffer delete, recovery eviction, quarantine): every cached
-		// mount is suspect — a deleted coffer's ID may already name a new
-		// coffer. Drop the cache; coffer_map re-issues cheaply for mappings
-		// that are in fact still live.
-		f.revSeen = gen
-		f.mounts = make(map[coffer.ID]*mount)
+		// The kernel revoked or downgraded mappings behind our back (coffer
+		// delete, recovery eviction, quarantine, setuid): those mounts are
+		// suspect — a deleted coffer's ID may already name a new coffer.
+		// Drop them, or every mount when the kernel's log no longer says
+		// which; the rest, and their threads' page batches, stay.
+		var whole bool
+		f.revSeen, whole = f.kern.Revoked(th.Proc.PID, f.revSeen, func(id coffer.ID) { delete(f.mounts, id) })
+		if !whole {
+			f.mounts = make(map[coffer.ID]*mount)
+		}
 	}
 	if m, ok := f.mounts[id]; ok && (!write || m.writable) {
 		f.mapSeq++

@@ -3,9 +3,11 @@ package zofs
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
+	"zofs/internal/coffer"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
@@ -163,6 +165,79 @@ func TestRefusedSplitConservesPages(t *testing.T) {
 		t.Fatalf("the file did not stay where it was: %v", err)
 	}
 	if err := f.VerifySpace(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnlinkingAMappedCofferKeepsOtherMounts: a file created by a uid other
+// than its directory coffer's owner is a coffer of its own, mapped by the
+// process that writes it. Unlinking it revokes that mapping — and only that
+// one: the process's other mounts, and with them its threads' page batches,
+// stay. (Every such unlink used to drop every mount and strand each thread's
+// batches: 32–544 pages per unlink, owned by their coffers and used by
+// nothing until the next recovery.)
+func TestUnlinkingAMappedCofferKeepsOtherMounts(t *testing.T) {
+	dev, k, f, th := newTestFS(t, Options{})
+	if err := f.Mkdir(th, "/d", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	user := proc.NewProcess(dev, 1000, 1000)
+	ufs, err := f.SecondMount(user)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, uth := ufs.(*FS), user.NewThread()
+	log, err := g.Create(uth, "/d/log", 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close(uth)
+	block := make([]byte, pageSize)
+	var logged int64
+	cycle := func() {
+		t.Helper()
+		h, err := g.Create(uth, "/d/f", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.WriteAt(uth, block, 0); err != nil {
+			t.Fatal(err)
+		}
+		h.Close(uth)
+		if _, ok := k.LookupPath(nil, "/d/f"); !ok {
+			t.Fatal("the file is not a coffer of its own")
+		}
+		if err := g.Unlink(uth, "/d/f"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.WriteAt(uth, block, logged); err != nil {
+			t.Fatal(err)
+		}
+		logged += pageSize
+	}
+	cycle() // the first takes the thread's batches
+	mounts := func() map[coffer.ID]*mount {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return maps.Clone(g.mounts)
+	}
+	before := mounts()
+	idle := func() int64 { return k.FreePages() + k.RetainedPathPages() }
+	start := idle()
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	for _, p := range []string{"/d", "/d/log"} {
+		id, _ := k.LookupPath(nil, p)
+		if m := mounts()[id]; m == nil || m != before[id] {
+			t.Errorf("unlinking /d/f dropped the mount of %s", p)
+		}
+	}
+	batch := g.opts.MetaEnlargeBatch + g.opts.DataEnlargeBatch
+	if taken := start - idle(); taken > batch {
+		t.Errorf("100 unlinks took %d pages from the kernel, more than one batch (%d)", taken, batch)
+	}
+	if err := g.VerifySpace(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -144,6 +144,10 @@ coffer_share 1 host_allocs_per_op <= 1.5
 # The same objects are all the bytes there are: chunks of device media are
 # pointers into one OS mapping per device (1055 with heap chunks, 41 now).
 coffer_share 1 host_bytes_per_op <= 100
+# Root pages update in place and emptied bucket heads stay (2603 rewriting pages, 1795 now).
+coffer_share 1 nvm_wbytes_per_op <= 1900
+# Smaller root-page writes; kernfs.registry held only to publish (1450 before, 1568 now).
+coffer_share 1 sim_kops_per_vsec >= 1500
 EOF
 
 echo "== crashmc smoke =="
