@@ -23,7 +23,6 @@ import (
 
 	"zofs/internal/harness"
 	"zofs/internal/obsfs"
-	"zofs/internal/pmemtrace"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -31,7 +30,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run is main without the exit: 0 when every experiment passed, 1 when one
 // failed or an output could not be written, 2 on a usage error. Teardown is
 // deferred and reports through the status, so a failing experiment still
-// leaves its observation directory, event log and profiles complete.
+// leaves its observation directory and profiles complete.
 func run(args []string, stdout, stderr io.Writer) (status int) {
 	fl := flag.NewFlagSet("zofs-bench", flag.ContinueOnError)
 	fl.SetOutput(stderr)
@@ -39,8 +38,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	threads := fl.String("threads", "", "comma-separated thread sweep (default 1,2,4,8,12,16,20)")
 	devGB := fl.Int64("device-gb", 8, "simulated device size in GiB")
 	scaleGate := fl.Bool("scale-gate", false, "fxmark-scale only: widen the sweep to 64 and 512 threads and fail if ZoFS MWCL/MWRL peak before 64T or any of DWAL/MWCL/MWRL holds <50% of peak at 512T")
-	traceFile := fl.String("trace", "", "record every NVM persistence event to this JSONL file (audit with zofs-obs trace audit; best with -quick and a single experiment)")
-	obsDir := fl.String("obs", "", "observe the whole run — telemetry, causal spans, windowed series, lock profile: print each benchmark cell's counter, latency and span tables, and publish obs.json, the cell log and the event logs into this directory (watch live with zofs-obs top)")
+	obsDir := fl.String("obs", "", "observe the whole run — telemetry, causal spans, the event log (device events, MPK faults, lock waits), windowed series, lock profile: print each benchmark cell's counter, latency and span tables, and publish obs.json, the cell log and the raw logs into this directory (watch live with zofs-obs top, audit with zofs-obs trace audit)")
 	cpuProfile := fl.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fl.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	fl.Usage = func() {
@@ -140,27 +138,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 			if err := doc.WriteText(stdout); err != nil {
 				fail("-obs", err)
 			}
-		}()
-	}
-
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fail("-trace", err)
-			return
-		}
-		tracer := pmemtrace.Enable(pmemtrace.Config{RingCap: 1 << 20, Spill: f})
-		defer func() {
-			pmemtrace.Disable()
-			err := tracer.FlushSpill()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fail("-trace", err)
-			}
-			fmt.Fprintf(stdout, "==== persistence audit (%d events -> %s) ====\n", tracer.Total(), *traceFile)
-			pmemtrace.Audit(tracer.Events(), nil).WriteText(stdout)
 		}()
 	}
 

@@ -78,6 +78,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-quick", "table1", "no-such-experiment"},
 		{"-threads", "0", "table1"},
 		{"-no-such-flag"},
+		{"-trace", "t.jsonl", "table1"}, // the event log is -obs DIR's events.jsonl
 	} {
 		if code := run(args, io.Discard, io.Discard); code != 2 {
 			t.Errorf("zofs-bench %v exits %d, want 2", args, code)

@@ -2,22 +2,16 @@
 // coffer in a device image: each coffer is traversed from its root inode,
 // corrupted dentries and dangling pointers are repaired, stale leases are
 // cleared, allocator pools are reset and leaked pages are reclaimed by the
-// kernel. The repaired image is written back unless -n is given.
-//
-// With -trace, a flight-recorder log of the run that produced the image
-// (zofs-obs trace record, zofs-bench -trace) is replayed through the
-// crash-consistency auditor and its lost-line report is cross-checked
-// against the repairs fsck performed: any repair the recorder cannot
-// explain — or any repair at all when the recorder saw no hazard — is a
-// disagreement, and zofs-fsck exits non-zero.
+// kernel. The repaired image is written back unless -n is given. (That the
+// repairs match what the flight recorder saw lost is checked on every crash
+// state by zofs-crashmc, its cross_check invariant.)
 //
 // Exit codes: 0 the image was checked (and, without -n, written back); 1 it
-// could not be loaded, mounted, checked or saved, or the trace cross-check
-// disagreed; 2 usage.
+// could not be loaded, mounted, checked or saved; 2 usage.
 //
 // Usage:
 //
-//	zofs-fsck [-n] [-trace log.jsonl] image.zofs
+//	zofs-fsck [-n] image.zofs
 package main
 
 import (
@@ -28,7 +22,6 @@ import (
 
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
-	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
 	"zofs/internal/zofs"
 )
@@ -39,12 +32,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("zofs-fsck", flag.ContinueOnError)
 	fl.SetOutput(stderr)
 	dry := fl.Bool("n", false, "check only; do not write the repaired image back")
-	traceFile := fl.String("trace", "", "flight-recorder JSONL log to cross-check repairs against")
 	if fl.Parse(args) != nil {
 		return 2
 	}
 	if fl.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: zofs-fsck [-n] [-trace log.jsonl] <image>")
+		fmt.Fprintln(stderr, "usage: zofs-fsck [-n] <image>")
 		return 2
 	}
 	path := fl.Arg(0)
@@ -90,35 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "total: %d coffers, %d pages kept, %d reclaimed, %d repairs, %d stale leases\n",
 		len(stats), kept, reclaimed, fixed, leases)
-
-	if *traceFile != "" {
-		tf, err := os.Open(*traceFile)
-		if err != nil {
-			return fatal("-trace: %v", err)
-		}
-		events, spans, err := pmemtrace.ReadJSONL(tf)
-		tf.Close()
-		if err != nil {
-			return fatal("-trace: %v", err)
-		}
-		rep := pmemtrace.Audit(events, spans)
-		var repairs []pmemtrace.RepairSite
-		for _, st := range stats {
-			for _, rp := range st.Repairs {
-				repairs = append(repairs, pmemtrace.RepairSite{Off: rp.Off, Target: rp.Target, Kind: rp.Kind})
-			}
-		}
-		disagreements := pmemtrace.CrossCheck(rep, repairs)
-		fmt.Fprintf(stdout, "trace cross-check: %d events, %d lost lines vs %d repairs\n",
-			rep.Events, len(rep.LostLines), len(repairs))
-		if len(disagreements) > 0 {
-			for _, d := range disagreements {
-				fatal("DISAGREEMENT: %s", d)
-			}
-			return 1
-		}
-		fmt.Fprintln(stdout, "trace cross-check: auditor and fsck agree")
-	}
 
 	if *dry {
 		return 0

@@ -1,14 +1,13 @@
 // Command zofs-obs is the one front end to an observation directory — what
 // `zofs-bench -obs DIR` publishes: the document (obs.json) and the
-// collectors' raw event logs (spans.jsonl, series.jsonl, waits.jsonl,
-// exemplars.jsonl) — and to the persistence event logs of the flight
-// recorder.
+// collectors' raw logs (spans.jsonl, events.jsonl, series.jsonl,
+// exemplars.jsonl, cells.jsonl).
 //
 // Usage:
 //
 //	zofs-obs top      [-dir results] [-interval 1s] [-once | -json | -dot waitfor.dot]
 //	zofs-obs df       [-image f.zofs] [-files n] [-heatmap wear.jsonl] [-top n] [-validate] [DIR]
-//	zofs-obs trace    record|audit|export ...
+//	zofs-obs trace    audit [-max-lost N] DIR | export [-o chrome.json] DIR
 //	zofs-obs diff     [-noise 0.05] [-sig 3] [-json] OLD NEW
 //	zofs-obs diff     -inject 0.2 -o out.json in.json
 //	zofs-obs validate PATH...
@@ -38,7 +37,7 @@ type command struct {
 var commands = []command{
 	{"top", "render an observation directory's document: live, once, as JSON, or its wait-for graph", cmdTop},
 	{"df", "byte flow, coffer space and page wear of a demo instance, an image or an observation directory", cmdDF},
-	{"trace", "record, audit and export persistence event logs (record | audit | export)", cmdTrace},
+	{"trace", "audit a directory's event log, or draw the directory as a Chrome trace (audit | export)", cmdTrace},
 	{"diff", "compare two performance artifacts; exit 3 on a significant regression", cmdDiff},
 	{"validate", "check obs.json files (or the directories holding one) against every panel's invariants", cmdValidate},
 }

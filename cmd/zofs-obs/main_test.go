@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"zofs/internal/obsfs"
+	"zofs/internal/pmemtrace"
 	"zofs/internal/sysfactory"
 )
 
@@ -82,12 +84,20 @@ func TestExitCodes(t *testing.T) {
 	}
 	tampered := write(t, filepath.Join(unbalanced, obsfs.DocFile), raw)
 
-	// A cached store nothing flushed before the power failed.
-	lossy := write(t, filepath.Join(tmp, "lossy.jsonl"), []byte(
-		`{"rec":"ev","seq":1,"ts":100,"kind":"store","off":4096,"len":64,"tid":1}`+"\n"+
-			`{"rec":"ev","seq":2,"ts":200,"kind":"crash"}`+"\n"+
-			`{"rec":"span","tid":1,"op":"write","start_ns":50,"dur_ns":100}`+"\n"))
-	crashLog := filepath.Join(tmp, "crash.jsonl")
+	// A directory whose event log has a cached store nothing flushed before
+	// the power failed.
+	lossy := filepath.Join(tmp, "lossy")
+	if err := os.Mkdir(lossy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	if err := obsfs.WriteJSONL(&log, []pmemtrace.Event{
+		{Seq: 1, TS: 100, Kind: pmemtrace.KindStore, Off: 4096, Len: 64, TID: 1, Key: -1},
+		{Seq: 2, TS: 200, Kind: pmemtrace.KindCrash, TID: -1, Key: -1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	write(t, filepath.Join(lossy, obsfs.EventsLog), log.Bytes())
 	chrome := filepath.Join(tmp, "chrome.json")
 
 	for _, tc := range []struct {
@@ -117,17 +127,17 @@ func TestExitCodes(t *testing.T) {
 		{"df of two directories", []string{"df", good, good}, 2},
 
 		{"trace without a command", []string{"trace"}, 2},
-		// ZoFS appends are nt-stores, so even the crash workload loses nothing.
-		{"trace record", []string{"trace", "record", "-workload", "crash", "-ops", "8", "-device-mb", "64", "-o", crashLog}, 0},
-		{"trace audit of a clean log", []string{"trace", "audit", "-max-lost", "0", crashLog}, 0},
-		{"trace audit of a lossy log", []string{"trace", "audit", "-max-lost", "0", lossy}, 1},
+		{"trace audit of a clean directory", []string{"trace", "audit", "-max-lost", "0", good}, 0},
+		{"trace audit of a lossy directory", []string{"trace", "audit", "-max-lost", "0", lossy}, 1},
+		{"trace audit of a directory without events", []string{"trace", "audit", tmp}, 1},
 		{"trace audit of nothing", []string{"trace", "audit"}, 2},
-		{"trace export", []string{"trace", "export", "-obs", good, "-o", chrome, crashLog}, 0},
-		{"trace export of an empty directory", []string{"trace", "export", "-obs", tmp, "-o", chrome}, 1},
-		{"trace export without -obs", []string{"trace", "export", crashLog}, 2},
+		{"trace export", []string{"trace", "export", "-o", chrome, good}, 0},
+		{"trace export of an empty directory", []string{"trace", "export", "-o", chrome, tmp}, 1},
+		{"trace export of nothing", []string{"trace", "export", "-o", chrome}, 2},
+		{"trace record", []string{"trace", "record"}, 2},
 
-		{"diff of one artifact", []string{"diff", crashLog}, 2},
-		{"diff of a missing artifact", []string{"diff", filepath.Join(tmp, "absent.json"), crashLog}, 1},
+		{"diff of one artifact", []string{"diff", truncated}, 2},
+		{"diff of a missing artifact", []string{"diff", filepath.Join(tmp, "absent.json"), truncated}, 1},
 	} {
 		if got := run(tc.args, io.Discard, io.Discard); got != tc.want {
 			t.Errorf("%s: zofs-obs %v exits %d, want %d", tc.name, tc.args, got, tc.want)

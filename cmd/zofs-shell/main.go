@@ -367,10 +367,10 @@ func (sh *shell) execute(args []string) bool {
 		if exs := spans.Active().Exemplars(); len(exs) > 0 {
 			fmt.Fprintf(out, "worst-op exemplars (%d captured):\n", spans.Active().ExemplarsCaptured())
 			t = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-			fmt.Fprintln(t, "op\tdur ns\tstart ms\tlocks\tevents")
+			fmt.Fprintln(t, "op\tdur ns\tstart ms\tevents")
 			for _, ex := range exs {
-				fmt.Fprintf(t, "%s\t%d\t%.3f\t%d\t%d\n",
-					ex.Root.Op, ex.Root.Dur, float64(ex.Root.Start)/1e6, len(ex.Locks), len(ex.Events))
+				fmt.Fprintf(t, "%s\t%d\t%.3f\t%d\n",
+					ex.Root.Op, ex.Root.Dur, float64(ex.Root.Start)/1e6, len(ex.Events))
 			}
 			t.Flush()
 		}

@@ -161,8 +161,8 @@ func samplePoints(total int64, want int) []int64 {
 // Explore runs the full campaign: enumerate the workload's persistence
 // points, then for every sampled (point, edge, model) triple build a fresh
 // stack, crash it there, materialize the post-crash image and check the
-// personality's invariants. It manages the process-global pmemtrace
-// recorder (one fresh ring per state) and disables it on return.
+// personality's invariants. It installs a fresh pmemtrace recorder per state
+// and puts back the caller's on return.
 func Explore(cfg Config) (*Report, error) {
 	cfg.fill()
 	p, err := lookup(cfg.System)
@@ -171,7 +171,7 @@ func Explore(cfg Config) (*Report, error) {
 	}
 	ops := GenWorkload(cfg.Seed, cfg.Ops)
 	rep := &Report{Config: cfg, RepairsByKind: map[string]int64{}}
-	defer pmemtrace.Disable()
+	defer pmemtrace.Install(pmemtrace.Active())
 
 	// Enumeration: one uninterrupted run counts the workload's persisting
 	// stores. FailAfter/FailAtStart reset the device's store counter when

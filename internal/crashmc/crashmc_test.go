@@ -83,6 +83,20 @@ func TestExploreBaseline(t *testing.T) {
 	}
 }
 
+// TestExploreKeepsTheCallersRecorder: the campaign records each crash state
+// into a recorder of its own and puts back the one it found, so a run that
+// records its events keeps recording after the campaign.
+func TestExploreKeepsTheCallersRecorder(t *testing.T) {
+	defer pmemtrace.Install(pmemtrace.Active())
+	caller := pmemtrace.Enable(pmemtrace.Config{})
+	if _, err := Explore(Config{System: "Ext4-DAX", Seed: 3, Ops: 8, Points: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := pmemtrace.Active(); got != caller {
+		t.Fatalf("after Explore the active recorder is %p, want the caller's %p", got, caller)
+	}
+}
+
 // TestBitflipDetected: deliberate metadata corruption must be detected by
 // recovery and survived gracefully (errors, not panics).
 func TestBitflipDetected(t *testing.T) {

@@ -16,8 +16,8 @@ import (
 // TestCollectorsObserveOnly is the one place the collectors' promises are
 // asserted over a real workload: the seven hot-path cells on ZoFS, dark,
 // then with everything on at once — an observation session (telemetry,
-// spans with exemplar rings, series, lock profile), three designed SLOs, the
-// flight recorder and byte-flow accounting.
+// spans with exemplar rings, the flight recorder, series, lock profile),
+// three designed SLOs and byte-flow accounting.
 func TestCollectorsObserveOnly(t *testing.T) {
 	const n = 1024
 	fresh := func() *sysfactory.Instance {
@@ -36,7 +36,7 @@ func TestCollectorsObserveOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := spans.Active()
+	col, tracer := spans.Active(), pmemtrace.Active()
 	sc := series.Enable(series.Config{
 		WindowNS: 100_000, // tens of windows across the run
 		SLOs: []series.SLO{
@@ -45,9 +45,7 @@ func TestCollectorsObserveOnly(t *testing.T) {
 			{Op: telemetry.OpOpen, ThresholdNS: 2_000, Target: 0.999999}, // realistic mixed
 		},
 	})
-	tracer := pmemtrace.Enable(pmemtrace.Config{RingCap: 1 << 12})
 	in := fresh()
-	pmemtrace.Disable() // the device captured it at birth
 	in.Dev.EnableAccounting()
 	lit, err := hotpathRunOn(in, n)
 	doc, serr := sess.Stop()

@@ -30,13 +30,10 @@ import (
 func RunSafety(w io.Writer, opts Options) error {
 	opts.fill()
 	// The stray-write storm and MPK faults are exactly what the flight
-	// recorder exists to show, so record the run even when the caller did
-	// not enable tracing (the device below captures the recorder at birth).
-	tracer := pmemtrace.Active()
-	if tracer == nil {
-		tracer = pmemtrace.Enable(pmemtrace.Config{RingCap: 1 << 18})
-		defer pmemtrace.Disable()
-	}
+	// recorder exists to show, so the run records into a recorder of its own
+	// (the device below captures it at birth), whatever the caller records.
+	defer pmemtrace.Install(pmemtrace.Active())
+	tracer := pmemtrace.Enable(pmemtrace.Config{RingCap: 1 << 18})
 	// Track persistence explicitly: the auditor's lost-line report at the
 	// end of the run is only meaningful over a dirty-line-tracking device.
 	dev := nvm.New(nvm.Config{Size: 1 << 30, TrackPersistence: true})

@@ -9,6 +9,7 @@ import (
 
 	"zofs/internal/fxmark"
 	"zofs/internal/lockprof"
+	"zofs/internal/pmemtrace"
 	"zofs/internal/spans"
 	"zofs/internal/sysfactory"
 )
@@ -229,9 +230,11 @@ func RunFxmarkScale(w io.Writer, opts Options) error {
 
 	prevLock := lockprof.Active()
 	prevSpans := spans.Active()
+	prevTrace := pmemtrace.Active()
 	defer func() {
 		lockprof.Install(prevLock)
 		spans.Install(prevSpans)
+		pmemtrace.Install(prevTrace)
 	}()
 	spans.Disable()
 
@@ -267,25 +270,36 @@ func RunFxmarkScale(w io.Writer, opts Options) error {
 			wl, on.Ops, on.VirtualNS, delta))
 	}
 
-	// Gate 2: spans lock_wait == lockprof wait sum, exactly, on a cell with
-	// guaranteed contention (shared-file overwrites).
+	// Gate 2: three books of lock wait agree exactly on a cell with
+	// guaranteed contention (shared-file overwrites): the event log's
+	// lock_wait durations, the span collector's lock_wait component and the
+	// lock profiler's wait sum.
 	reg := lockprof.Enable(lockprof.Config{})
 	scol := spans.Enable(spans.Config{})
+	tr := pmemtrace.Enable(pmemtrace.Config{})
 	xr, err := scaleCell(sysfactory.ZoFS, fxmark.DWOM, 4, gateNS, opts.DeviceBytes)
 	spans.Disable()
+	pmemtrace.Install(prevTrace)
 	if err != nil {
 		return fmt.Errorf("fxmark-scale cross-check cell: %w", err)
+	}
+	var eventWait int64
+	for _, ev := range tr.Events() {
+		if ev.Kind == pmemtrace.KindLockWait {
+			eventWait += ev.Len
+		}
 	}
 	spanWait, profWait := scol.LockWaitNS(), reg.WaitNS()
 	switch {
 	case profWait == 0:
 		failures = append(failures, fmt.Sprintf("cross-check cell (DWOM 4T, %d ops) recorded zero lock wait", xr.Ops))
-	case spanWait != profWait:
+	case tr.Dropped() != 0 || spanWait != profWait || eventWait != profWait:
 		failures = append(failures, fmt.Sprintf(
-			"lock-wait books disagree: spans lock_wait=%d ns, lockprof wait sum=%d ns", spanWait, profWait))
+			"lock-wait books disagree: lock_wait events=%d ns (%d dropped), spans lock_wait=%d ns, lockprof wait sum=%d ns",
+			eventWait, tr.Dropped(), spanWait, profWait))
 	default:
 		gates = append(gates, fmt.Sprintf(
-			"cross-check DWOM 4T: spans lock_wait == lockprof wait sum == %d ns over %d ops", profWait, xr.Ops))
+			"cross-check DWOM 4T: lock_wait events == spans lock_wait == lockprof wait sum == %d ns over %d ops", profWait, xr.Ops))
 	}
 
 	// The sweep proper, profiler on throughout.

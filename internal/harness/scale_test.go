@@ -17,7 +17,7 @@ func TestRunFxmarkScale(t *testing.T) {
 	runAndCheck(t, "fxmark-scale", func() (*bytes.Buffer, error) {
 		var b bytes.Buffer
 		return &b, harness.RunFxmarkScale(&b, tiny())
-	}, "gate ok: bit-identical", "gate ok: cross-check", "wrote BENCH_fxmark_scale.json")
+	}, "gate ok: bit-identical", "gate ok: cross-check DWOM 4T: lock_wait events == spans lock_wait == lockprof wait sum", "wrote BENCH_fxmark_scale.json")
 
 	blob, err := os.ReadFile("BENCH_fxmark_scale.json")
 	if err != nil {

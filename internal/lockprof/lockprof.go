@@ -2,9 +2,10 @@
 // registry of lock classes and instances (kernfs.big, zofs.inode/<page>,
 // nvm.stripe/<i>, ...) whose wrappers around simclock.Mutex/RWMutex record,
 // for every acquisition, the virtual wait, the hold, the acquiring thread and
-// the blocking holder. From those it derives per-lock log-bucket histograms,
-// a hold-while-waiting wait-for edge table with lock-order-inversion
-// detection, and per-thread blocked-on intervals for the Chrome trace.
+// the blocking holder. From those it derives per-lock log-bucket histograms
+// and a hold-while-waiting wait-for edge table with lock-order-inversion
+// detection; each contended wait also goes into the run's event log
+// (pmemtrace, kind lock_wait), where the Chrome trace draws it.
 //
 // Like spans and byteflow, the profiler observes virtual clocks but never
 // advances them: enabled-mode virtual time is bit-identical to a profiler-
@@ -22,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"zofs/internal/pmemtrace"
 	"zofs/internal/simclock"
 	"zofs/internal/telemetry"
 )
@@ -36,23 +38,16 @@ const (
 	maxEdges = 1024
 	// maxThreads bounds the per-thread rows per generation.
 	maxThreads = 4096
-	// defaultRingCap is the blocked-interval ring size when Config doesn't
-	// override it.
-	defaultRingCap = 8192
 )
 
-// Config parameterizes Enable.
-type Config struct {
-	// RingCap sets the blocked-interval ring capacity (<=0 means default).
-	RingCap int
-}
+// Config parameterizes Enable. It has no settings.
+type Config struct{}
 
 // Registry is one profiling domain. Reset swaps in a fresh generation; stale
 // wrapper caches re-resolve lazily, so per-cell sweeps reuse one registry
 // without accumulating dead entries.
 type Registry struct {
-	state   atomic.Pointer[regState]
-	ringCap int
+	state atomic.Pointer[regState]
 	// heldNow is a live gauge of instrumented locks currently held. It is
 	// registry-level (not per generation) so a Reset during a hold stays
 	// balanced when the release lands; at quiescence it must read zero.
@@ -86,11 +81,6 @@ type regState struct {
 	thMu       sync.Mutex
 	threads    []*tRec
 	thrDropped atomic.Int64
-
-	ringMu  sync.Mutex
-	ring    []blockedRec
-	ringPos int
-	ringLen int
 }
 
 // entry is one named lock instance's accumulated statistics. All fields are
@@ -98,9 +88,9 @@ type regState struct {
 type entry struct {
 	rs    *regState // owning generation; totals bill here for conservation
 	class string
-	label string
-	real  bool // real-nanosecond lock (sync.Mutex wrapper), outside virtual conservation
-	other bool // per-class overflow aggregate row
+	name  string // class/label, or class alone when unlabelled
+	real  bool   // real-nanosecond lock (sync.Mutex wrapper), outside virtual conservation
+	other bool   // per-class overflow aggregate row
 
 	acquires   atomic.Int64
 	reads      atomic.Int64
@@ -113,13 +103,6 @@ type entry struct {
 
 	waitH telemetry.Hist
 	holdH telemetry.Hist
-}
-
-func (e *entry) name() string {
-	if e.label == "" {
-		return e.class
-	}
-	return e.class + "/" + e.label
 }
 
 type edgeKey struct{ from, to *entry }
@@ -158,15 +141,6 @@ type tRec struct {
 	blocks atomic.Int64
 }
 
-// blockedRec is one blocked interval in the ring (virtual times).
-type blockedRec struct {
-	tid    int
-	holder int
-	e      *entry
-	start  int64
-	dur    int64
-}
-
 // ThreadState is the per-thread rider on simclock.Clock's LockState slot. It
 // carries the held-lock stack (accessed only by the owning thread) and a
 // cached per-generation totals record.
@@ -197,13 +171,9 @@ func Enable(cfg Config) *Registry {
 }
 
 // NewRegistry creates a registry without installing it.
-func NewRegistry(cfg Config) *Registry {
-	rc := cfg.RingCap
-	if rc <= 0 {
-		rc = defaultRingCap
-	}
-	r := &Registry{ringCap: rc}
-	r.state.Store(newRegState(1, rc))
+func NewRegistry(Config) *Registry {
+	r := &Registry{}
+	r.state.Store(&regState{gen: 1})
 	return r
 }
 
@@ -218,17 +188,13 @@ func Disable() { active.Store(nil) }
 // Active returns the active registry, or nil.
 func Active() *Registry { return active.Load() }
 
-func newRegState(gen uint64, ringCap int) *regState {
-	return &regState{gen: gen, ring: make([]blockedRec, ringCap)}
-}
-
 // Reset discards all collected data by swapping in a fresh generation.
 // Wrapper entry caches and thread records re-resolve against the new
 // generation on their next acquisition; a remount plus Reset leaves no trace
 // of the previous instance's locks (asserted by the remount test).
 func (r *Registry) Reset() {
 	old := r.state.Load()
-	r.state.Store(newRegState(old.gen+1, r.ringCap))
+	r.state.Store(&regState{gen: old.gen + 1})
 }
 
 // NewThreadState returns a state for the given thread ID, for attachment to
@@ -296,10 +262,10 @@ func (rs *regState) entryFor(class, label string, real bool) *entry {
 		if v, ok := rs.entries.Load(oname); ok {
 			return v.(*entry)
 		}
-		v, _ := rs.entries.LoadOrStore(oname, &entry{rs: rs, class: class, label: "~other", real: real, other: true})
+		v, _ := rs.entries.LoadOrStore(oname, &entry{rs: rs, class: class, name: oname, real: real, other: true})
 		return v.(*entry)
 	}
-	e := &entry{rs: rs, class: class, label: label, real: real}
+	e := &entry{rs: rs, class: class, name: name, real: real}
 	if v, loaded := rs.entries.LoadOrStore(name, e); loaded {
 		return v.(*entry)
 	}
@@ -308,8 +274,8 @@ func (rs *regState) entryFor(class, label string, real bool) *entry {
 }
 
 // acquired records a completed instrumented acquisition: wait stats, the
-// wait-for edge to the innermost held lock, class-order pairs, the blocked
-// interval, and the push onto the held stack. now is the (post-drain)
+// lock_wait event, the wait-for edge to the innermost held lock, class-order
+// pairs, and the push onto the held stack. now is the (post-drain)
 // acquisition time on the thread's clock.
 func (st *ThreadState) acquired(e *entry, wait, now int64, read bool, holderTID int) {
 	rs := e.rs
@@ -329,7 +295,7 @@ func (st *ThreadState) acquired(e *entry, wait, now int64, read bool, holderTID 
 			tr.waitNS.Add(wait)
 			tr.blocks.Add(1)
 		}
-		rs.recordBlocked(st.tid, holderTID, e, now-wait, wait)
+		pmemtrace.Active().RecordLockWait(now-wait, wait, st.tid, holderTID, e.name)
 		if n := len(st.held); n > 0 {
 			rs.recordEdge(st.held[n-1].e, e, wait)
 		}
@@ -394,9 +360,9 @@ func (rs *regState) recordOrder(st *ThreadState, heldClass string, acquiring *en
 	}
 	held := make([]string, len(st.held))
 	for i := range st.held {
-		held[i] = st.held[i].e.name()
+		held[i] = st.held[i].e.name
 	}
-	ev := &OrderEvidence{TID: st.tid, Held: held, Acquired: acquiring.name()}
+	ev := &OrderEvidence{TID: st.tid, Held: held, Acquired: acquiring.name}
 	if _, loaded := rs.order.LoadOrStore(k, ev); loaded {
 		return
 	}
@@ -416,16 +382,6 @@ func (rs *regState) addInversion(a, b string, fwd, back OrderEvidence) {
 		}
 	}
 	rs.invs = append(rs.invs, Inversion{A: a, B: b, Forward: fwd, Backward: back})
-}
-
-func (rs *regState) recordBlocked(tid, holder int, e *entry, start, dur int64) {
-	rs.ringMu.Lock()
-	rs.ring[rs.ringPos] = blockedRec{tid: tid, holder: holder, e: e, start: start, dur: dur}
-	rs.ringPos = (rs.ringPos + 1) % len(rs.ring)
-	if rs.ringLen < len(rs.ring) {
-		rs.ringLen++
-	}
-	rs.ringMu.Unlock()
 }
 
 // Mutex is a named simclock.Mutex. The zero value works uninstrumented;

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"zofs/internal/lockprof"
+	"zofs/internal/pmemtrace"
 	"zofs/internal/simclock"
 	"zofs/internal/sysfactory"
 	"zofs/internal/zofs"
@@ -22,6 +23,8 @@ func thread(reg *lockprof.Registry, tid int) *simclock.Clock {
 func TestWaitAndHoldRecorded(t *testing.T) {
 	reg := lockprof.Enable(lockprof.Config{})
 	defer lockprof.Disable()
+	defer pmemtrace.Install(pmemtrace.Active())
+	tr := pmemtrace.Enable(pmemtrace.Config{})
 
 	m := lockprof.NewMutex("test.lock", "a")
 	c1, c2 := thread(reg, 1), thread(reg, 2)
@@ -56,10 +59,37 @@ func TestWaitAndHoldRecorded(t *testing.T) {
 	if reg.HeldNow() != 0 {
 		t.Fatalf("held now = %d, want 0", reg.HeldNow())
 	}
-	// One blocked interval, blaming the first holder.
-	bl := reg.Blocked()
-	if len(bl) != 1 || bl[0].TID != 2 || bl[0].HolderTID != 1 || bl[0].DurNS != 100 {
-		t.Fatalf("blocked intervals = %+v", bl)
+	// One lock_wait event in the run's log, blaming the first holder.
+	want := pmemtrace.Event{Seq: 1, TS: 0, Kind: pmemtrace.KindLockWait, Off: 1, Len: 100, TID: 2, Key: -1, Cause: "test.lock/a"}
+	if evs := tr.Events(); len(evs) != 1 || evs[0] != want {
+		t.Fatalf("events = %+v, want %+v", evs, want)
+	}
+}
+
+// TestContendedLockAllocatesNothing: recording a wait costs no heap object —
+// the lock's name is built once, when the registry resolves it, and the
+// event lands in the recorder's ring by value.
+func TestContendedLockAllocatesNothing(t *testing.T) {
+	reg := lockprof.Enable(lockprof.Config{})
+	defer lockprof.Disable()
+	defer pmemtrace.Install(pmemtrace.Active())
+	tr := pmemtrace.Enable(pmemtrace.Config{RingCap: 64})
+
+	m := lockprof.NewMutex("test.lock", "a")
+	c1, c2 := thread(reg, 1), thread(reg, 2)
+	round := func() {
+		m.Lock(c1)
+		c1.Advance(100)
+		m.Unlock(c1)
+		m.Lock(c2) // 100 ns behind c1's release
+		m.Unlock(c2)
+	}
+	round() // resolve the entry and the threads' records
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("a contended acquisition allocates %v objects", allocs)
+	}
+	if waits := reg.Snapshot().Contended; waits != 102 || tr.Total() != 102 {
+		t.Fatalf("%d contended acquisitions, %d events; want 102 of each", waits, tr.Total())
 	}
 }
 
@@ -398,34 +428,5 @@ func TestWriteDOTFoldsAllocatorShards(t *testing.T) {
 	// The folded node carries the summed per-shard wait (3 x 100ns).
 	if !strings.Contains(out, "kernfs.freeshard/* (3 shards)\\nwait 0.000 ms") {
 		t.Fatalf("folded node label missing aggregated wait:\n%s", out)
-	}
-}
-
-// TestBlockedIn: the exemplar helper filters the blocked ring by thread and
-// interval overlap (inclusive at both ends).
-func TestBlockedIn(t *testing.T) {
-	reg := lockprof.Enable(lockprof.Config{})
-	defer lockprof.Disable()
-
-	m := lockprof.NewMutex("test.lock", "a")
-	c1, c2 := thread(reg, 1), thread(reg, 2)
-	m.Lock(c1)
-	c1.Advance(100)
-	m.Unlock(c1)
-	m.Lock(c2) // blocked on [0, 100] behind c1
-	m.Unlock(c2)
-
-	bl := reg.BlockedIn(2, 50, 150)
-	if len(bl) != 1 || bl[0].HolderTID != 1 || bl[0].DurNS != 100 {
-		t.Fatalf("overlapping query = %+v, want the one 100ns interval", bl)
-	}
-	if bl = reg.BlockedIn(2, 100, 200); len(bl) != 1 {
-		t.Fatalf("boundary-touching query = %+v, want inclusive overlap", bl)
-	}
-	if bl = reg.BlockedIn(2, 101, 200); len(bl) != 0 {
-		t.Fatalf("disjoint query = %+v, want none", bl)
-	}
-	if bl = reg.BlockedIn(1, 0, 200); len(bl) != 0 {
-		t.Fatalf("wrong-thread query = %+v, want none", bl)
 	}
 }

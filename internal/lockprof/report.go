@@ -46,16 +46,6 @@ type ThreadRow struct {
 	WaitNS int64 `json:"wait_ns"`
 }
 
-// BlockedInterval is one blocked-on interval from the ring, in virtual time
-// — the raw material for the Chrome trace's lock-wait lanes.
-type BlockedInterval struct {
-	TID       int    `json:"tid"`
-	HolderTID int    `json:"holder_tid"`
-	Lock      string `json:"lock"`
-	StartNS   int64  `json:"start_ns"`
-	DurNS     int64  `json:"dur_ns"`
-}
-
 // Report is a point-in-time rendering of a registry generation. The virtual
 // conservation invariants (non-real lock waits sum exactly to WaitNS, holds
 // to HoldNS, real waits to RealWaitNS) hold by construction and are enforced
@@ -94,9 +84,9 @@ func (r *Registry) Snapshot() Report {
 	names := map[*entry]string{}
 	rs.entries.Range(func(_, v any) bool {
 		e := v.(*entry)
-		names[e] = e.name()
+		names[e] = e.name
 		row := LockRow{
-			Lock:      e.name(),
+			Lock:      e.name,
 			Class:     e.class,
 			Real:      e.real,
 			Overflow:  e.other,
@@ -162,43 +152,6 @@ func (r *Registry) Snapshot() Report {
 		return rep.Threads[i].TID < rep.Threads[j].TID
 	})
 	return rep
-}
-
-// Blocked copies out the blocked-interval ring, oldest first.
-func (r *Registry) Blocked() []BlockedInterval {
-	return r.blocked(func(blockedRec) bool { return true })
-}
-
-// BlockedIn returns tid's blocked intervals overlapping [t0, t1], oldest
-// first — the spans layer pulls these when capturing a worst-op exemplar to
-// blame the contended locks (and their holders) behind a tail latency.
-func (r *Registry) BlockedIn(tid int, t0, t1 int64) []BlockedInterval {
-	if r == nil {
-		return nil
-	}
-	return r.blocked(func(b blockedRec) bool {
-		return b.tid == tid && b.start <= t1 && b.start+b.dur >= t0
-	})
-}
-
-func (r *Registry) blocked(keep func(blockedRec) bool) []BlockedInterval {
-	rs := r.state.Load()
-	rs.ringMu.Lock()
-	defer rs.ringMu.Unlock()
-	var out []BlockedInterval
-	start := 0
-	if rs.ringLen == len(rs.ring) {
-		start = rs.ringPos
-	}
-	for i := 0; i < rs.ringLen; i++ {
-		if b := rs.ring[(start+i)%len(rs.ring)]; keep(b) {
-			out = append(out, BlockedInterval{
-				TID: b.tid, HolderTID: b.holder, Lock: b.e.name(),
-				StartNS: b.start, DurNS: b.dur,
-			})
-		}
-	}
-	return out
 }
 
 // Check enforces the report's invariants, which hold at quiescence:

@@ -15,6 +15,7 @@ import (
 
 	"zofs/internal/byteflow"
 	"zofs/internal/lockprof"
+	"zofs/internal/pmemtrace"
 	"zofs/internal/series"
 	"zofs/internal/spans"
 	"zofs/internal/telemetry"
@@ -23,12 +24,12 @@ import (
 
 // The files of an observation directory. The first is the document —
 // rewritten whole, through a temp file and a rename, on every publish — the
-// rest are the collectors' raw event logs.
+// rest are the collectors' raw logs.
 const (
 	DocFile      = "obs.json"        // the Doc
 	SpansLog     = "spans.jsonl"     // every finished root span (streamed)
+	EventsLog    = "events.jsonl"    // the run's pmemtrace event log (streamed)
 	SeriesLog    = "series.jsonl"    // every retained series window
-	WaitsLog     = "waits.jsonl"     // the lock profiler's blocked intervals
 	ExemplarsLog = "exemplars.jsonl" // the worst-op exemplars
 	CellsLog     = "cells.jsonl"     // a session's document cut per benchmark cell
 )
@@ -150,10 +151,10 @@ func (d Doc) Validate() error {
 }
 
 // Publish collects the document and writes it into dir as DocFile, and
-// beside it the raw logs that are rewritten whole: the series windows, the
-// blocked intervals and the exemplars of whichever collectors are active,
-// and a live session's cells. Every file goes through a temp file and a
-// rename, so a reader never observes a half-written one.
+// beside it the raw logs that are rewritten whole: the series windows and
+// the exemplars of whichever collectors are active, and a live session's
+// cells. Every file goes through a temp file and a rename, so a reader never
+// observes a half-written one.
 func Publish(dir string, fs vfs.FileSystem) (Doc, error) {
 	d := Collect(fs)
 	type file struct {
@@ -169,9 +170,6 @@ func Publish(dir string, fs vfs.FileSystem) (Doc, error) {
 	}
 	if c := series.Active(); c != nil {
 		files = append(files, file{SeriesLog, func(w io.Writer) error { return WriteJSONL(w, c.Windows()) }})
-	}
-	if r := lockprof.Active(); r != nil {
-		files = append(files, file{WaitsLog, func(w io.Writer) error { return WriteJSONL(w, r.Blocked()) }})
 	}
 	if c := spans.Active(); c != nil {
 		files = append(files, file{ExemplarsLog, func(w io.Writer) error { return WriteJSONL(w, c.Exemplars()) }})
@@ -212,11 +210,13 @@ func Load(path string) (Doc, error) {
 // republished into a directory while the run is live, and cut per benchmark
 // cell into the directory's CellsLog.
 type Session struct {
-	dir  string
-	rec  *telemetry.Recorder
-	col  *spans.Collector
-	sink *os.File
-	stop func()
+	dir    string
+	rec    *telemetry.Recorder
+	col    *spans.Collector
+	sink   *os.File
+	tr     *pmemtrace.Recorder
+	events *os.File
+	stop   func()
 
 	// mu guards the cell log against the publisher goroutine.
 	mu      sync.Mutex
@@ -238,9 +238,10 @@ var (
 
 // Start switches on the run-wide collectors — telemetry, causal spans
 // (streaming every root into dir's SpansLog, with worst-op exemplar rings),
-// the windowed series and the lock profiler — for devices and threads
-// created from now on, and republishes the document into dir twice a second
-// until Stop. None of them moves a simulated number.
+// the flight recorder (streaming every event into dir's EventsLog), the
+// windowed series and the lock profiler — for devices and threads created
+// from now on, and republishes the document into dir twice a second until
+// Stop. None of them moves a simulated number.
 func Start(dir string) (*Session, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -249,8 +250,14 @@ func Start(dir string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{dir: dir, sink: sink, rec: telemetry.Enable()}
+	events, err := os.Create(filepath.Join(dir, EventsLog))
+	if err != nil {
+		sink.Close()
+		return nil, err
+	}
+	s := &Session{dir: dir, sink: sink, events: events, rec: telemetry.Enable()}
 	s.col = spans.Enable(spans.Config{JSONL: sink, ExemplarK: spans.DefaultExemplarK})
+	s.tr = pmemtrace.Enable(pmemtrace.Config{Spill: events})
 	series.Enable(series.Config{})
 	lockprof.Enable(lockprof.Config{})
 	session.Store(s)
@@ -265,8 +272,8 @@ func Start(dir string) (*Session, error) {
 // publisher goroutine exits, the final document and logs are written while
 // every collector is still installed (so the last obs.json carries every
 // panel, the live instance's coffer space included), then the collectors are
-// switched off and the span sink is drained. It returns that final document
-// and the first error met; the later steps run regardless.
+// switched off and the span and event logs are drained. It returns that
+// final document and the first error met; the later steps run regardless.
 func (s *Session) Stop() (Doc, error) {
 	s.stop()
 	var fs vfs.FileSystem
@@ -276,15 +283,15 @@ func (s *Session) Stop() (Doc, error) {
 	doc, err := Publish(s.dir, fs)
 	telemetry.Disable()
 	spans.Disable()
+	pmemtrace.Disable()
 	series.Disable()
 	lockprof.Disable()
 	session.Store(nil)
 	live.Store(nil)
-	if ferr := s.col.FlushSink(); err == nil {
-		err = ferr
-	}
-	if cerr := s.sink.Close(); err == nil {
-		err = cerr
+	for _, e := range []error{s.col.FlushSink(), s.sink.Close(), s.tr.FlushSpill(), s.events.Close()} {
+		if err == nil {
+			err = e
+		}
 	}
 	return doc, err
 }

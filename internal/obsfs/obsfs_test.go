@@ -12,6 +12,7 @@ import (
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/obsfs"
+	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
 	"zofs/internal/series"
 	"zofs/internal/spans"
@@ -298,10 +299,30 @@ func TestFinalDocumentCarriesEveryPanel(t *testing.T) {
 			t.Errorf("a tampered %s panel validates", name)
 		}
 	}
-	for _, name := range []string{obsfs.SpansLog, obsfs.SeriesLog, obsfs.WaitsLog, obsfs.ExemplarsLog} {
+	for _, name := range []string{obsfs.SpansLog, obsfs.EventsLog, obsfs.SeriesLog, obsfs.ExemplarsLog} {
 		if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() == 0 {
 			t.Errorf("%s: missing or empty (%v)", name, err)
 		}
+	}
+	// The event log carries every wait the lock panel counted.
+	f, err := os.Open(filepath.Join(dir, obsfs.EventsLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := obsfs.ReadJSONL[pmemtrace.Event](f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var waited int64
+	for _, ev := range events {
+		if ev.Kind == pmemtrace.KindLockWait {
+			waited += ev.Len
+		}
+	}
+	if waited != doc.Locks.WaitNS || pmemtrace.Active() != nil {
+		t.Errorf("%s: lock waits sum to %d ns, the lock panel says %d; recorder still installed: %v",
+			obsfs.EventsLog, waited, doc.Locks.WaitNS, pmemtrace.Active() != nil)
 	}
 }
 

@@ -48,8 +48,8 @@ func publishEvery(every time.Duration, publish func() error) (stop func()) {
 	}
 }
 
-// The raw event logs beside the document (spans.jsonl, series.jsonl,
-// waits.jsonl, exemplars.jsonl, cells.jsonl) are JSON lines: one
+// The raw logs beside the document (spans.jsonl, events.jsonl,
+// series.jsonl, exemplars.jsonl, cells.jsonl) are JSON lines: one
 // self-describing object per line, whatever the record type.
 
 // WriteJSONL renders items one JSON object per line.

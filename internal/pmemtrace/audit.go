@@ -17,8 +17,8 @@ const PageSize = perfmodel.PageSize
 
 // OpSpan is one file-system operation's interval on a thread's virtual
 // timeline — what the auditor needs to name the op a device event fell
-// inside. Logs carry them as rec:"span" lines; zofs-obs trace record fills
-// them from the causal-span roots of the recorded run.
+// inside. zofs-obs trace audit builds them from an observation directory's
+// causal-span roots.
 type OpSpan struct {
 	TID   int
 	Op    string
@@ -129,9 +129,10 @@ func (d *DirtySet) Len() int { return len(d.lines) }
 // Apply advances the set across one event: a cached store dirties the lines
 // it touches, a persisting event cleans them, a crash drops every line of
 // its device (each handed to lost, when non-nil, as a LostLine without its
-// Op, before it goes). covered
-// counts the lines in the event's range and clean how many of those were
-// not dirty — a flush with clean == covered persisted nothing.
+// Op, before it goes), and any other event — a fence, a fault, a lock wait —
+// leaves it as it is. covered counts the lines in the event's range and
+// clean how many of those were not dirty — a flush with clean == covered
+// persisted nothing.
 func (d *DirtySet) Apply(ev Event, lost func(LostLine)) (covered, clean int64) {
 	switch ev.Kind {
 	case KindStore, KindNTStore, KindStore64, KindCAS, KindZero, KindFlush:
@@ -163,8 +164,9 @@ func (d *DirtySet) Apply(ev Event, lost func(LostLine)) (covered, clean int64) {
 }
 
 // Audit replays an event stream through the persistence model and reports
-// lost-update risks, redundant persistence work and epoch shape. spans, when
-// non-nil, attribute findings to file system operations.
+// lost-update risks, redundant persistence work and epoch shape; lock waits
+// are not device events and are skipped. spans, when non-nil, attribute
+// findings to file system operations.
 func Audit(events []Event, spans []OpSpan) *Report {
 	rep := &Report{
 		RedundantFlushByOp: map[string]int64{},
@@ -192,6 +194,9 @@ func Audit(events []Event, spans []OpSpan) *Report {
 	}
 
 	for _, ev := range events {
+		if ev.Kind == KindLockWait {
+			continue
+		}
 		rep.Events++
 		switch ev.Kind {
 		case KindStore:

@@ -1,6 +1,7 @@
 package pmemtrace_test
 
 import (
+	"reflect"
 	"testing"
 
 	"zofs/internal/nvm"
@@ -156,6 +157,25 @@ func TestAttribution(t *testing.T) {
 	}
 }
 
+// TestAuditIgnoresLockWaits: lock waits ride the same stream as the device
+// events but are not device events — a report over a stream with waits
+// interleaved is the report over the device events alone.
+func TestAuditIgnoresLockWaits(t *testing.T) {
+	devOnly := append(everyKind()[:9],
+		pmemtrace.Event{Seq: 12, TS: 4500, Dev: 7, Kind: pmemtrace.KindStore, Off: 0, Len: 64, TID: 1, Key: 2},
+		pmemtrace.Event{Seq: 13, TS: 4600, Dev: 7, Kind: pmemtrace.KindCrash, TID: -1, Key: -1})
+	spans := []pmemtrace.OpSpan{{TID: 1, Op: "zofs.append", Start: 900, Dur: 1200}}
+	var mixed []pmemtrace.Event
+	for _, ev := range devOnly {
+		mixed = append(mixed, ev, pmemtrace.Event{
+			Seq: ev.Seq, TS: ev.TS, Kind: pmemtrace.KindLockWait, Off: 2, Len: 30, TID: 1, Key: -1, Cause: "zofs.inode/3"})
+	}
+	want := pmemtrace.Audit(devOnly, spans)
+	if got := pmemtrace.Audit(mixed, spans); !reflect.DeepEqual(got, want) || len(want.LostLines) != 1 {
+		t.Fatalf("with lock waits: %+v\nwithout: %+v", got, want)
+	}
+}
+
 // TestRingDropKeepsSeq verifies overflow semantics: the ring drops the head
 // but preserves sequence numbers, and the auditor marks the stream as
 // truncated.
@@ -185,6 +205,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	var r *pmemtrace.Recorder
 	r.Record(7, simclock.NewClock(), pmemtrace.KindStore, 0, 64)
 	r.RecordViolation(0, 1, 2, 3, "x")
+	r.RecordLockWait(0, 1, 2, 3, "x")
 	if r.Events() != nil || r.Total() != 0 || r.Dropped() != 0 || r.FlushSpill() != nil {
 		t.Fatal("nil recorder must be inert")
 	}

@@ -1,23 +1,27 @@
-// Package pmemtrace is the persistence flight recorder of the Treasury
-// stack: a bounded event log of every persistence-relevant action on the
+// Package pmemtrace is the flight recorder of the Treasury stack: the one
+// event log of a run. It holds every persistence-relevant action on the
 // simulated NVM device — cached stores, non-temporal stores, flushes,
-// fences, atomic word updates, crashes, injected failures and MPK
-// protection faults — each stamped with the issuing thread's virtual time
-// and, when known, its thread id and protection key.
+// fences, atomic word updates, crashes, injected failures — plus MPK
+// protection faults and the lock profiler's contended waits, each stamped
+// with the issuing thread's virtual time and, when known, its thread id and
+// protection key.
 //
 // The recorder follows the same enablement pattern as internal/telemetry:
 // a process-wide atomic pointer captured by nvm.New at device creation,
 // with the nil *Recorder a valid no-op sink. Disabled, the device hot path
 // pays one pointer load and a predicted branch; no allocation, no lock.
 //
-// On top of the raw stream sit a pmemcheck/Yat-style crash-consistency
-// auditor (audit.go) and a JSONL spill/reload format (jsonl.go); the merged
-// Chrome trace-event exporter in internal/spans draws the events on the
-// causal-span timeline.
+// An Event has one encoding, its JSON form (kinds by name): the spill an
+// observation session writes as events.jsonl and an exemplar's event window
+// both use it. On top of the stream sit a pmemcheck/Yat-style
+// crash-consistency auditor (audit.go) and the merged Chrome trace-event
+// exporter in internal/spans.
 package pmemtrace
 
 import (
 	"bufio"
+	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -56,6 +60,10 @@ const (
 	// KindViolation is an MPK protection fault (mpk.Violation). Off is the
 	// faulting page number (not a byte offset), Key/Cause describe the fault.
 	KindViolation
+	// KindLockWait is a contended acquisition of a named lock (lockprof): TS
+	// is the wait's start, Len its virtual duration, TID the waiter, Off the
+	// blamed holder's TID and Cause the lock's name.
+	KindLockWait
 
 	numKinds
 )
@@ -71,6 +79,7 @@ var kindNames = [numKinds]string{
 	KindCrash:       "crash",
 	KindCrashInject: "crash_inject",
 	KindViolation:   "mpk_violation",
+	KindLockWait:    "lock_wait",
 }
 
 // String returns the event kind's stable wire name.
@@ -81,14 +90,18 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString inverts String; ok is false for unknown names.
-func KindFromString(s string) (Kind, bool) {
-	for k, name := range kindNames {
-		if name == s {
-			return Kind(k), true
+// MarshalText encodes the kind as its name.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText inverts MarshalText.
+func (k *Kind) UnmarshalText(b []byte) error {
+	for i, name := range kindNames {
+		if name == string(b) {
+			*k = Kind(i)
+			return nil
 		}
 	}
-	return 0, false
+	return fmt.Errorf("pmemtrace: unknown event kind %q", b)
 }
 
 // Persists reports whether the event makes its range durable on its own
@@ -106,21 +119,22 @@ func (k Kind) Fences() bool {
 	return k.Persists() || k == KindFence
 }
 
-// Event is one recorded device event. TID and Key are best-effort origin
+// Event is one recorded event. TID and Key are best-effort origin
 // attribution carried on the issuing thread's clock tag: -1 means unknown
 // (kernel-side access, or an access outside any mapped coffer region).
 type Event struct {
-	Seq uint64 // 1-based position in the full stream (ring drops keep Seq)
-	TS  int64  // virtual nanoseconds (simclock)
-	Dev uint64 // device UID: benchmark sweeps trace several devices whose
+	Seq uint64 `json:"seq"` // 1-based position in the full stream (ring drops keep Seq)
+	TS  int64  `json:"ts"`  // virtual nanoseconds (simclock)
+	// Dev is the device UID: benchmark sweeps trace several devices whose
 	// address ranges overlap, so the auditor partitions state per device.
-	Kind Kind
-	Off  int64 // byte offset (page number for KindViolation)
-	Len  int64 // byte length (dirty lines for KindCrash; 0 for fences)
-	TID  int32 // issuing simulated thread, -1 unknown
-	Key  int16 // MPK key of the accessed page, -1 unknown
-	// Cause is only set on KindViolation events.
-	Cause string
+	Dev  uint64 `json:"dev,omitempty"`
+	Kind Kind   `json:"kind"`
+	Off  int64  `json:"off,omitempty"` // byte offset (page for KindViolation, holder TID for KindLockWait)
+	Len  int64  `json:"len,omitempty"` // byte length (dirty lines for KindCrash, wait for KindLockWait; 0 for fences)
+	TID  int32  `json:"tid"`           // issuing simulated thread, -1 unknown
+	Key  int16  `json:"key"`           // MPK key of the accessed page, -1 unknown
+	// Cause is set on KindViolation (the fault) and KindLockWait (the lock).
+	Cause string `json:"cause,omitempty"`
 }
 
 // Config controls a recorder.
@@ -129,8 +143,8 @@ type Config struct {
 	// When the ring overflows, the oldest events are dropped (their Seq
 	// numbers are never reused, so consumers can detect the gap).
 	RingCap int
-	// Spill, when non-nil, receives every event as one JSONL record in
-	// stream order, regardless of ring drops.
+	// Spill, when non-nil, receives every event as one JSON line in stream
+	// order, regardless of ring drops.
 	Spill io.Writer
 }
 
@@ -144,6 +158,7 @@ type Recorder struct {
 	buf      []Event // ring storage, len == cap
 	total    uint64  // events ever recorded; buf[(total-1)%cap] is newest
 	spill    *bufio.Writer
+	enc      *json.Encoder // writes to spill
 	spillErr error
 }
 
@@ -156,6 +171,7 @@ func New(cfg Config) *Recorder {
 	r := &Recorder{buf: make([]Event, cap)}
 	if cfg.Spill != nil {
 		r.spill = bufio.NewWriter(cfg.Spill)
+		r.enc = json.NewEncoder(r.spill)
 	}
 	return r
 }
@@ -171,6 +187,10 @@ func Enable(cfg Config) *Recorder {
 	active.Store(r)
 	return r
 }
+
+// Install makes r the process-wide recorder (nil is equivalent to Disable) —
+// the save/restore idiom of runs that record into a recorder of their own.
+func Install(r *Recorder) { active.Store(r) }
 
 // Disable removes the process-wide recorder; devices created afterwards
 // are untraced.
@@ -220,13 +240,23 @@ func (r *Recorder) RecordViolation(ts int64, tid int, page int64, key int16, cau
 	r.append(Event{TS: ts, Kind: KindViolation, Off: page, TID: int32(tid), Key: key, Cause: cause})
 }
 
+// RecordLockWait appends a contended lock acquisition: tid waited wait
+// virtual nanoseconds from start for lock, blaming holder.
+func (r *Recorder) RecordLockWait(start, wait int64, tid, holder int, lock string) {
+	if r == nil {
+		return
+	}
+	r.append(Event{TS: start, Kind: KindLockWait, Off: int64(holder), Len: wait, TID: int32(tid), Key: -1, Cause: lock})
+}
+
 func (r *Recorder) append(ev Event) {
 	r.mu.Lock()
 	r.total++
 	ev.Seq = r.total
-	r.buf[(r.total-1)%uint64(len(r.buf))] = ev
+	slot := &r.buf[(r.total-1)%uint64(len(r.buf))]
+	*slot = ev
 	if r.spill != nil && r.spillErr == nil {
-		r.spillErr = writeEventLine(r.spill, ev)
+		r.spillErr = r.enc.Encode(slot) // from the ring, so ev stays on the stack
 	}
 	r.mu.Unlock()
 }

@@ -7,17 +7,17 @@ import (
 	"io"
 	"sort"
 
-	"zofs/internal/lockprof"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/series"
 )
 
 // Merged Chrome trace-event export: root spans render as complete ("X")
 // events carrying their component breakdown, child spans nest inside them on
-// the same thread track, and raw pmemtrace device events interleave as
-// instant ("i") events — so a flush stall on the timeline sits visually
-// inside the op that caused it — with a counter ("C") track replaying the
-// dirty-line count, so lost-update windows show as a non-zero sawtooth.
+// the same thread track, and the run's pmemtrace events interleave: device
+// events as instant ("i") events — so a flush stall on the timeline sits
+// visually inside the op that caused it — lock waits as slices on the
+// waiter's track, and a counter ("C") track replays the dirty-line count, so
+// lost-update windows show as a non-zero sawtooth.
 // Structs marshal with fixed field order and
 // maps with sorted keys, keeping the exporter byte-deterministic for a given
 // input (golden-file tested).
@@ -86,14 +86,14 @@ func compArgs(b Breakdown) map[string]int64 {
 }
 
 // Timeline is everything the merged export can draw on one virtual-time
-// axis; any field may be empty. Waits render as "lockwait" slices named
-// wait:<lock> on the blocked thread's track (the blamed holder one click
-// away), series windows as global instants on the device track, Exemplars
-// as "exemplar" slices that stand out against the ordinary fsop lane.
+// axis; any field may be empty. Lock-wait events render as "lockwait" slices
+// named wait:<lock> on the blocked thread's track (the blamed holder one
+// click away), series windows as global instants on the device track,
+// Exemplars as "exemplar" slices that stand out against the ordinary fsop
+// lane.
 type Timeline struct {
 	Roots     []Root
 	Events    []pmemtrace.Event
-	Waits     []lockprof.BlockedInterval
 	Windows   []series.Window
 	Exemplars []Exemplar
 }
@@ -164,18 +164,6 @@ func WriteChromeTrace(w io.Writer, tl Timeline) error {
 		}
 	}
 
-	for _, b := range byStart(tl.Waits, func(b *lockprof.BlockedInterval) (int64, int) { return b.StartNS, b.TID }) {
-		d := usec(b.DurNS)
-		if err := emit(chromeEvent{
-			Name: "wait:" + b.Lock, Cat: "lockwait", Ph: "X",
-			TS: usec(b.StartNS), Dur: &d,
-			PID: chromePID, TID: int32(b.TID),
-			Args: &chromeArgs{Detail: fmt.Sprintf("blocked by tid %d", b.HolderTID)},
-		}); err != nil {
-			return err
-		}
-	}
-
 	for _, m := range byStart(tl.Windows, func(m *series.Window) (int64, int) { return m.StartNS, 0 }) {
 		var ops int64
 		for _, ow := range m.Ops {
@@ -191,8 +179,7 @@ func WriteChromeTrace(w io.Writer, tl Timeline) error {
 	}
 	for _, e := range byStart(tl.Exemplars, func(e *Exemplar) (int64, int) { return e.Root.Start, e.Root.TID }) {
 		d := usec(e.Root.Dur)
-		args := &chromeArgs{Comp: compArgs(e.Root.Comp), Detail: fmt.Sprintf(
-			"%d blamed locks, %d device events", len(e.Locks), len(e.Events))}
+		args := &chromeArgs{Comp: compArgs(e.Root.Comp), Detail: fmt.Sprintf("%d events", len(e.Events))}
 		if err := emit(chromeEvent{
 			Name: "worst:" + e.Root.Op, Cat: "exemplar", Ph: "X",
 			TS: usec(e.Root.Start), Dur: &d,
@@ -205,6 +192,17 @@ func WriteChromeTrace(w io.Writer, tl Timeline) error {
 	dirty := pmemtrace.NewDirtySet()
 	lastDirty := -1
 	for _, ev := range tl.Events {
+		if ev.Kind == pmemtrace.KindLockWait {
+			d := usec(ev.Len)
+			if err := emit(chromeEvent{
+				Name: "wait:" + ev.Cause, Cat: "lockwait", Ph: "X",
+				TS: usec(ev.TS), Dur: &d, PID: chromePID, TID: ev.TID,
+				Args: &chromeArgs{Detail: fmt.Sprintf("blocked by tid %d", ev.Off)},
+			}); err != nil {
+				return err
+			}
+			continue
+		}
 		tid := ev.TID
 		if tid < 0 {
 			tid = 0

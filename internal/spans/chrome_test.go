@@ -113,6 +113,30 @@ func TestMergedChromeGolden(t *testing.T) {
 	}
 }
 
+// TestMergedChromeLockWait: a lock_wait event in the stream exports as a
+// wait:<lock> slice on the waiter's track, naming the blamed holder, and
+// leaves the dirty-line track alone.
+func TestMergedChromeLockWait(t *testing.T) {
+	events := []pmemtrace.Event{
+		{Seq: 1, TS: 1200, Kind: pmemtrace.KindLockWait, Off: 1, Len: 300, TID: 2, Key: -1, Cause: "zofs.inode/42"},
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, Timeline{Events: events}); err != nil {
+		t.Fatal(err)
+	}
+	var arr []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{
+		"name": "wait:zofs.inode/42", "cat": "lockwait", "ph": "X", "ts": 1.2, "dur": 0.3,
+		"pid": float64(chromePID), "tid": float64(2), "args": map[string]any{"detail": "blocked by tid 1"},
+	}
+	if len(arr) != 1 || !reflect.DeepEqual(arr[0], want) {
+		t.Fatalf("export = %v, want [%v]", arr, want)
+	}
+}
+
 // TestMergedChromeEmpty: both inputs empty still yields a valid array.
 func TestMergedChromeEmpty(t *testing.T) {
 	var buf bytes.Buffer

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"zofs/internal/lockprof"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/telemetry"
 )
@@ -15,10 +14,10 @@ import (
 // fastest of its op kind's K retained exemplars (or fewer than K are
 // retained), the collector keeps the full span tree together with the
 // evidence needed to explain it — the exact-sum component attribution it
-// already carries, the blamed contended-lock intervals from the lock
-// profiler, and the surrounding pmemtrace device-event window. Retention is a
-// bounded worst-K ring per op kind, so memory stays fixed no matter how long
-// the run.
+// already carries and the surrounding window of the run's pmemtrace events:
+// device traffic and the contended lock waits, blamed holders included.
+// Retention is a bounded worst-K ring per op kind, so memory stays fixed no
+// matter how long the run.
 
 // maxExemplarEvents bounds the pmemtrace event window attached to one
 // exemplar; overflow sets EventsTruncated rather than growing unboundedly.
@@ -32,13 +31,10 @@ const DefaultExemplarK = 8
 // the cross-layer evidence gathered at capture time.
 type Exemplar struct {
 	Root Root `json:"root"`
-	// Locks are the lock profiler's blocked intervals for the op's thread
-	// overlapping the span — the blamed contended locks, holder TIDs
-	// included. Nil when no lock profiler was collecting.
-	Locks []lockprof.BlockedInterval `json:"locks,omitempty"`
-	// Events is the pmemtrace device-event window overlapping the span
-	// (all threads: concurrent traffic is usually the explanation). Nil
-	// when no flight recorder was collecting.
+	// Events is the pmemtrace event window overlapping the span (all
+	// threads: concurrent traffic is usually the explanation), lock waits
+	// with their blamed holders among them. Nil when no flight recorder was
+	// collecting.
 	Events          []pmemtrace.Event `json:"events,omitempty"`
 	EventsTruncated bool              `json:"events_truncated,omitempty"`
 }
@@ -64,11 +60,8 @@ func (c *Collector) maybeCapture(op telemetry.Op, r *Root) {
 		return
 	}
 	e := Exemplar{Root: *r}
-	// Evidence gathering under exMu is fine: both sources take only their
-	// own leaf locks, and captures are rare once the floor rises.
-	if reg := lockprof.Active(); reg != nil {
-		e.Locks = reg.BlockedIn(r.TID, r.Start, r.Start+r.Dur)
-	}
+	// Evidence gathering under exMu is fine: the recorder takes only its
+	// own leaf lock, and captures are rare once the floor rises.
 	if tr := pmemtrace.Active(); tr != nil {
 		e.Events, e.EventsTruncated = tr.EventsBetween(r.Start, r.Start+r.Dur, maxExemplarEvents)
 	}

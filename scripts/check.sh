@@ -32,22 +32,16 @@ bin="$tracedir/bin"
 go build -o "$bin/" ./cmd/...
 bench() { (cd "$tracedir" && "$bin/zofs-bench" "$@" >/dev/null); }
 
-echo "== trace smoke =="
-# Record one tiny fig7 append cell with the flight recorder on, then gate on
-# the auditor: a crash-free run must have zero lost lines.
-"$bin/zofs-obs" trace record -workload append -system Ext4-DAX \
-    -o "$tracedir/smoke.jsonl" -threads 1 -ops 8 -device-mb 64 >/dev/null
-"$bin/zofs-obs" trace audit -max-lost 0 "$tracedir/smoke.jsonl" >/dev/null
-
 echo "== obs smoke =="
 # What no collector may disturb is asserted by tier-1 (harness
 # TestCollectorsObserveOnly). Here one -obs collection run — telemetry,
-# spans, series and lock profile together — must publish one document,
-# obs.json, that every panel's check accepts (share sums, wait/hold
+# spans, the event log, series and lock profile together — must publish one
+# document, obs.json, that every panel's check accepts (share sums, wait/hold
 # conservation, edge bounds, per-op count conservation), and beside it only
-# JSON-lines logs: a cell log and raw logs the Chrome export can draw. top
-# must render the document as text and JSON, and df must reconcile flow and
-# space accounting on a live instance (-validate exits 1 on violation).
+# JSON-lines logs: a cell log and raw logs the Chrome export can draw. The
+# auditor must find no lost line in the crash-free run's event log, top must
+# render the document as text and JSON, and df must reconcile flow and space
+# accounting on a live instance (-validate exits 1 on violation).
 bench -quick -obs "$tracedir/obs" fig8
 test -s "$tracedir/obs/cells.jsonl"
 "$bin/zofs-obs" validate "$tracedir/obs" >/dev/null
@@ -60,9 +54,10 @@ for f in "$tracedir"/obs/*; do
         ;;
     esac
 done
+"$bin/zofs-obs" trace audit -max-lost 0 "$tracedir/obs" >/dev/null
 "$bin/zofs-obs" top -once -dir "$tracedir/obs" >/dev/null
 "$bin/zofs-obs" top -json -dir "$tracedir/obs" >/dev/null
-"$bin/zofs-obs" trace export -obs "$tracedir/obs" -o "$tracedir/obs/chrome.json" >/dev/null
+"$bin/zofs-obs" trace export -o "$tracedir/obs/chrome.json" "$tracedir/obs" >/dev/null
 "$bin/zofs-obs" df -files 128 -validate >/dev/null
 
 echo "== bench identity gate =="
