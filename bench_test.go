@@ -152,30 +152,6 @@ func BenchmarkZoFSStat(b *testing.B) {
 
 // ---- ablation benchmarks (DESIGN.md §4) ----------------------------------------
 
-// BenchmarkAblationMPK quantifies the protection windows' cost: DWOL with
-// and without MPK switching.
-func BenchmarkAblationMPK(b *testing.B) {
-	for _, sys := range []sysfactory.System{sysfactory.ZoFS, sysfactory.ZoFSNoMPK} {
-		sys := sys
-		b.Run(sys.Name, func(b *testing.B) {
-			var v float64
-			for i := 0; i < b.N; i++ {
-				in, err := sys.New(1 << 30)
-				if err != nil {
-					b.Fatal(err)
-				}
-				env := &fxmark.Env{FS: in.FS, Proc: in.Proc, SetConcurrency: in.SetConcurrency}
-				r, err := fxmark.Run(env, fxmark.DWOL, 1, 2_000_000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				v = r.MopsPerSec
-			}
-			b.ReportMetric(v, "Mops/s")
-		})
-	}
-}
-
 // BenchmarkAblationEnlargeBatch sweeps the coffer_enlarge batch size — the
 // knob behind the Figure 7(d)/(g) scalability knee.
 func BenchmarkAblationEnlargeBatch(b *testing.B) {

@@ -37,7 +37,6 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	quick := fl.Bool("quick", false, "smaller, faster runs")
 	threads := fl.String("threads", "", "comma-separated thread sweep (default 1,2,4,8,12,16,20)")
 	devGB := fl.Int64("device-gb", 8, "simulated device size in GiB")
-	scaleGate := fl.Bool("scale-gate", false, "fxmark-scale only: widen the sweep to 64 and 512 threads and fail if ZoFS MWCL/MWRL peak before 64T or any of DWAL/MWCL/MWRL holds <50% of peak at 512T")
 	obsDir := fl.String("obs", "", "observe the whole run — telemetry, causal spans, the event log (device events, MPK faults, lock waits), windowed series, lock profile: print each benchmark cell's counter, latency and span tables, and publish obs.json, the cell log and the raw logs into this directory (watch live with zofs-obs top, audit with zofs-obs trace audit)")
 	cpuProfile := fl.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fl.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -62,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		status = 1
 	}
 
-	opts := harness.Options{Quick: *quick, DeviceBytes: *devGB << 30, ScaleGate: *scaleGate}
+	opts := harness.Options{Quick: *quick, DeviceBytes: *devGB << 30}
 	if *threads != "" {
 		for _, part := range strings.Split(*threads, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))

@@ -1,6 +1,8 @@
 package baselines_test
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"zofs/internal/baselines"
@@ -196,5 +198,46 @@ func TestFig8VariantOrdering(t *testing.T) {
 	nocache := perPMFS(baselines.PMFSOptions{Nocache: true})
 	if nocache >= stock {
 		t.Fatalf("nocache should beat stock PMFS: %d vs %d", nocache, stock)
+	}
+}
+
+// TestUnlinkedOpenFileKeepsItsPages: a file unlinked while a handle is open
+// keeps its pages until that handle closes, as POSIX orphans do: files
+// created after the unlink get other pages, so the open handle still reads
+// its own contents.
+func TestUnlinkedOpenFileKeepsItsPages(t *testing.T) {
+	for name, build := range map[string]func(*nvm.Device) *baselines.Engine{
+		"PMFS":     func(d *nvm.Device) *baselines.Engine { return baselines.NewPMFS(d, baselines.PMFSOptions{}) },
+		"NOVA":     func(d *nvm.Device) *baselines.Engine { return baselines.NewNOVA(d, baselines.NOVAOptions{}) },
+		"Strata":   baselines.NewStrata,
+		"Ext4-DAX": baselines.NewExt4DAX,
+	} {
+		fs, th := factoryFor(build)(t)
+		old := bytes.Repeat([]byte{'o'}, 3*4096)
+		h, err := fs.Create(th, "/victim", 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.WriteAt(th, old, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Unlink(th, "/victim"); err != nil {
+			t.Fatal(err)
+		}
+		for i := range 4 {
+			g, err := fs.Create(th, fmt.Sprintf("/new%d", i), 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.WriteAt(th, bytes.Repeat([]byte{'n'}, len(old)), 0); err != nil {
+				t.Fatal(err)
+			}
+			g.Close(th)
+		}
+		got := make([]byte, len(old))
+		if _, err := h.ReadAt(th, got, 0); err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("%s: the open handle of an unlinked file reads %q… (err %v), want its own data", name, got[:8], err)
+		}
+		h.Close(th)
 	}
 }

@@ -87,6 +87,11 @@ type Inode struct {
 	// synced is the fsync writeback watermark: blocks below it were covered
 	// by a previous Sync, keeping fsync O(new blocks) rather than O(file).
 	synced int
+	// opens counts the handles open on the file. A file unlinked while
+	// opens > 0 is an orphan: its pages are freed at the last close (POSIX),
+	// not under a reader that still holds the file's read lock.
+	opens  int
+	orphan bool
 
 	children *sync.Map // name -> *Inode (directories)
 

@@ -39,9 +39,11 @@ func (e *Engine) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Han
 			return nil, vfs.ErrIsDir
 		}
 		e.access(th, ino, true)
+		ino.Lock.Lock(th.Clk)
 		e.truncateLocked(th, ino, 0)
+		ino.Lock.Unlock(th.Clk)
 		e.cfg.MetaCommit(e, th, 1)
-		return &bHandle{e: e, ino: ino, flags: vfs.O_RDWR}, nil
+		return e.open(ino, vfs.O_RDWR), nil
 	}
 	ino := e.newInode(vfs.TypeRegular, mode, th.Proc.UID(), th.Proc.GID())
 	ino.inoPage = e.AllocPage(th) // inode-table block, through the allocator
@@ -49,7 +51,7 @@ func (e *Engine) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Han
 	// Durable create: dentry + inode (two objects).
 	e.cfg.MetaCommit(e, th, 2)
 	e.access(th, ino, true)
-	return &bHandle{e: e, ino: ino, flags: vfs.O_RDWR}, nil
+	return e.open(ino, vfs.O_RDWR), nil
 }
 
 // Open opens an existing file.
@@ -82,7 +84,7 @@ func (e *Engine) Open(th *proc.Thread, path string, flags int) (vfs.Handle, erro
 		ino.Lock.Unlock(th.Clk)
 		e.cfg.MetaCommit(e, th, 1)
 	}
-	return &bHandle{e: e, ino: ino, flags: flags}, nil
+	return e.open(ino, flags), nil
 }
 
 // Mkdir creates a directory.
@@ -132,11 +134,28 @@ func (e *Engine) Unlink(th *proc.Thread, path string) error {
 	e.access(th, ino, true)
 	parent.children.Delete(base)
 	e.cfg.MetaCommit(e, th, 2)
+	e.unlinked(th, ino)
+	return nil
+}
+
+// unlinked frees the data and inode pages of a file whose last name is gone
+// (unlinked, or replaced by a rename): now, or at the last close when
+// handles are still open on it.
+func (e *Engine) unlinked(th *proc.Thread, ino *Inode) {
+	ino.mu.Lock()
+	ino.orphan = ino.opens > 0
+	orphan := ino.orphan
+	ino.mu.Unlock()
+	if !orphan {
+		e.freeInode(th, ino)
+	}
+}
+
+func (e *Engine) freeInode(th *proc.Thread, ino *Inode) {
 	e.freeBlocks(th, ino)
 	if ino.inoPage != 0 {
 		e.FreePage(th, ino.inoPage)
 	}
-	return nil
 }
 
 // Rmdir removes an empty directory.
@@ -192,7 +211,7 @@ func (e *Engine) Rename(th *proc.Thread, oldPath, newPath string) error {
 		if oldIno.Typ == vfs.TypeDir {
 			return vfs.ErrExist
 		}
-		e.freeBlocks(th, oldIno)
+		e.unlinked(th, oldIno)
 	}
 	dp.children.Store(db, ino)
 	sp.children.Delete(sb)
@@ -390,6 +409,14 @@ type bHandle struct {
 	flags int
 }
 
+// open returns a new handle on ino, counted until its Close.
+func (e *Engine) open(ino *Inode, flags int) *bHandle {
+	ino.mu.Lock()
+	ino.opens++
+	ino.mu.Unlock()
+	return &bHandle{e: e, ino: ino, flags: flags}
+}
+
 func (h *bHandle) writable() bool { return h.flags&vfs.O_ACCESS != vfs.O_RDONLY }
 
 // ReadAt reads under the file's read lock: a charged syscall (for kernel
@@ -514,8 +541,17 @@ func (h *bHandle) Sync(th *proc.Thread) error {
 	return nil
 }
 
-// Close releases the handle.
-func (h *bHandle) Close(*proc.Thread) error { return nil }
+// Close releases the handle; the last close of an orphan frees its pages.
+func (h *bHandle) Close(th *proc.Thread) error {
+	h.ino.mu.Lock()
+	h.ino.opens--
+	last := h.ino.opens == 0 && h.ino.orphan
+	h.ino.mu.Unlock()
+	if last {
+		h.e.freeInode(th, h.ino)
+	}
+	return nil
+}
 
 // blockFor returns (allocating if needed) the device page for a block.
 func (e *Engine) blockFor(th *proc.Thread, ino *Inode, idx int64, zeroNew bool) int64 {

@@ -36,6 +36,7 @@ import (
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
+	"zofs/internal/simclock"
 	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 	"zofs/internal/zofs"
@@ -298,18 +299,19 @@ func (e *engine) teardown() {
 }
 
 // pick returns the runnable client with the smallest virtual clock (ties to
-// the lowest index) — the deterministic interleaving policy.
+// the lowest index) — simclock.Earliest, the deterministic interleaving
+// policy FxMark and Filebench share.
 func (e *engine) pick() *client {
-	var best *client
-	for _, c := range e.clients {
+	i := simclock.Earliest(e.clients, func(c *client) *simclock.Clock {
 		if c.dead || c.stalled {
-			continue
+			return nil
 		}
-		if best == nil || c.th.Clk.Now() < best.th.Clk.Now() {
-			best = c
-		}
+		return c.th.Clk
+	})
+	if i < 0 {
+		return nil
 	}
-	return best
+	return e.clients[i]
 }
 
 // next selects the client and operation for scheduling slot i: a queued

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"zofs/internal/proc"
 	"zofs/internal/simclock"
@@ -310,48 +309,35 @@ func Run(fs vfs.FileSystem, p *proc.Process, cfg Config, threads int, targetNS i
 	start := setup.Clk.Now()
 	deadline := start + targetNS
 
-	var wg sync.WaitGroup
-	ops := make([]int64, threads)
-	ends := make([]int64, threads)
-	errs := make([]error, threads)
-	gang := simclock.NewGang(4_000)
-	for i := 0; i < threads; i++ {
-		gang.Join(i, start)
+	// The threads run one flow at a time on this goroutine, the earliest
+	// clock first (simclock.Earliest), until every clock passes the deadline.
+	ths := make([]*proc.Thread, threads)
+	flows := make([]flow, threads)
+	rngs := make([]*rand.Rand, threads)
+	seqs := make([]int64, threads)
+	for i := range ths {
+		ths[i] = p.NewThread()
+		ths[i].Clk.AdvanceTo(start)
+		flows[i] = makeFlow(fs, set, i)
+		rngs[i] = rand.New(rand.NewSource(int64(i)*2654435761 + 1))
 	}
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer gang.Leave(i)
-			th := p.NewThread()
-			th.Clk.AdvanceTo(start)
-			fl := makeFlow(fs, set, i)
-			rng := rand.New(rand.NewSource(int64(i)*2654435761 + 1))
-			var seq, n int64
-			for th.Clk.Now() < deadline {
-				k, err := fl(th, rng, seq)
-				if err != nil {
-					errs[i] = fmt.Errorf("%s thread %d: %w", cfg.Personality, i, err)
-					break
-				}
-				seq++
-				n += k
-				gang.Pace(i, th.Clk.Now())
-			}
-			ops[i] = n
-			ends[i] = th.Clk.Now()
-		}(i)
+	clock := func(th *proc.Thread) *simclock.Clock { return th.Clk }
+	var total int64
+	for {
+		i := simclock.Earliest(ths, clock)
+		if i < 0 || ths[i].Clk.Now() >= deadline {
+			break
+		}
+		k, err := flows[i](ths[i], rngs[i], seqs[i])
+		if err != nil {
+			return Result{}, fmt.Errorf("%s thread %d: %w", cfg.Personality, i, err)
+		}
+		seqs[i]++
+		total += k
 	}
-	wg.Wait()
-	var total, maxEnd int64
-	for i := 0; i < threads; i++ {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
-		total += ops[i]
-		if ends[i] > maxEnd {
-			maxEnd = ends[i]
-		}
+	var maxEnd int64
+	for _, th := range ths {
+		maxEnd = max(maxEnd, th.Clk.Now())
 	}
 	r := Result{Personality: cfg.Personality, Threads: threads, Ops: total, VirtualNS: maxEnd - start}
 	if r.VirtualNS > 0 {

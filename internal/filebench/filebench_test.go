@@ -75,3 +75,28 @@ func TestDirWidthEffectOnZoFS(t *testing.T) {
 		t.Fatalf("deep dirs should be slower on ZoFS: flat=%.1f deep=%.1f kops/s", flat, deep)
 	}
 }
+
+// TestStrataDeepVarmailReproduces: Fig. 10(b)'s Strata cell at 4 threads —
+// varmail over dir-width 20 — run twice gives the same Ops and VirtualNS.
+// Its threads unlink and re-create names the others read and share the
+// digestion worker, so any dependence of the interleaving on host
+// scheduling shows up as a different count.
+func TestStrataDeepVarmailReproduces(t *testing.T) {
+	cfg := filebench.Default(filebench.Varmail)
+	cfg.DirWidth = 20
+	var runs [2]filebench.Result
+	for i := range runs {
+		in, err := sysfactory.Strata.New(4 << 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.SetConcurrency(4)
+		if runs[i], err = filebench.Run(in.FS, in.Proc, cfg, 4, quickNS); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs[0].Ops != runs[1].Ops || runs[0].VirtualNS != runs[1].VirtualNS {
+		t.Fatalf("ops %d then %d, virtual ns %d then %d",
+			runs[0].Ops, runs[1].Ops, runs[0].VirtualNS, runs[1].VirtualNS)
+	}
+}

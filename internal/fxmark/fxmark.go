@@ -4,25 +4,23 @@
 // different blocks, High = same block) for data reads (DRB*), data writes
 // (DWAL/DWOL/DWOM) and metadata operations (MWCL/MWUL/MWRL).
 //
-// Each simulated thread is a goroutine with its own virtual clock; a run
-// executes operations until every thread passes the target virtual
-// duration, and throughput is total operations divided by the slowest
-// thread's virtual time — exactly how wall-clock throughput behaves.
+// Each simulated thread has its own virtual clock. A run steps the threads
+// on the calling goroutine, one operation at a time on the thread with the
+// earliest clock (simclock.Earliest), until every clock passes the target
+// virtual duration; throughput is total operations divided by the slowest
+// thread's virtual time — exactly how wall-clock throughput behaves. The
+// interleaving is a function of virtual time alone, so every cell
+// reproduces exactly.
 package fxmark
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"zofs/internal/proc"
 	"zofs/internal/simclock"
 	"zofs/internal/vfs"
 )
-
-// paceWindowNS bounds how far ahead one simulated thread's clock may run
-// (see simclock.Gang).
-const paceWindowNS = 500
 
 // Workload names follow FxMark.
 type Workload string
@@ -85,46 +83,27 @@ func Run(env *Env, w Workload, threads int, targetNS int64) (Result, error) {
 	start := setup.Clk.Now()
 	deadline := start + targetNS
 
-	var wg sync.WaitGroup
+	ths := make([]*proc.Thread, threads)
 	ops := make([]int64, threads)
-	ends := make([]int64, threads)
-	errs := make([]error, threads)
-	gang := simclock.NewGang(paceWindowNS)
-	for i := 0; i < threads; i++ {
-		gang.Join(i, start)
+	for i := range ths {
+		ths[i] = env.Proc.NewThread()
+		ths[i].Clk.AdvanceTo(start)
 	}
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer gang.Leave(i)
-			th := env.Proc.NewThread()
-			th.Clk.AdvanceTo(start)
-			w := workers[i]
-			var n int64
-			for th.Clk.Now() < deadline {
-				if err := w(th, n); err != nil {
-					errs[i] = fmt.Errorf("thread %d op %d: %w", i, n, err)
-					break
-				}
-				n++
-				gang.Pace(i, th.Clk.Now())
-			}
-			ops[i] = n
-			ends[i] = th.Clk.Now()
-		}(i)
-	}
-	wg.Wait()
-	var total int64
-	var maxEnd int64
-	for i := 0; i < threads; i++ {
-		if errs[i] != nil {
-			return Result{}, errs[i]
+	clock := func(th *proc.Thread) *simclock.Clock { return th.Clk }
+	for {
+		i := simclock.Earliest(ths, clock)
+		if i < 0 || ths[i].Clk.Now() >= deadline {
+			break
 		}
+		if err := workers[i](ths[i], ops[i]); err != nil {
+			return Result{}, fmt.Errorf("thread %d op %d: %w", i, ops[i], err)
+		}
+		ops[i]++
+	}
+	var total, maxEnd int64
+	for i, th := range ths {
 		total += ops[i]
-		if ends[i] > maxEnd {
-			maxEnd = ends[i]
-		}
+		maxEnd = max(maxEnd, th.Clk.Now())
 	}
 	r := Result{Workload: w, Threads: threads, Ops: total, VirtualNS: maxEnd - start}
 	if r.VirtualNS > 0 {

@@ -124,3 +124,27 @@ func TestMWCLEnlargeKnee(t *testing.T) {
 		t.Fatalf("NOVA MWCL speedup (%.2fx) should exceed ZoFS's (%.2fx)", n, z)
 	}
 }
+
+// TestContendedCellsReproduce: a contended 4-thread cell run twice gives
+// the same Ops and VirtualNS. In both, PMFS creates and Ext4-DAX appends,
+// threads meet on the global allocator lock, so any dependence of the
+// interleaving on host scheduling shows up as a different count.
+func TestContendedCellsReproduce(t *testing.T) {
+	for _, c := range []struct {
+		sys sysfactory.System
+		w   fxmark.Workload
+	}{{sysfactory.PMFS, fxmark.MWCL}, {sysfactory.Ext4DAX, fxmark.DWAL}} {
+		var runs [2]fxmark.Result
+		for i := range runs {
+			r, err := fxmark.Run(env(t, c.sys, 512<<20), c.w, 4, quickNS)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.sys.Name, c.w, err)
+			}
+			runs[i] = r
+		}
+		if runs[0].Ops != runs[1].Ops || runs[0].VirtualNS != runs[1].VirtualNS {
+			t.Errorf("%s %s 4T: ops %d then %d, virtual ns %d then %d",
+				c.sys.Name, c.w, runs[0].Ops, runs[1].Ops, runs[0].VirtualNS, runs[1].VirtualNS)
+		}
+	}
+}

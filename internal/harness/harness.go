@@ -31,11 +31,6 @@ type Options struct {
 	Threads []int
 	// TargetNS is the virtual measurement window per thread.
 	TargetNS int64
-	// ScaleGate turns fxmark-scale into a scalability regression gate: the
-	// sweep is widened to include 64 and 512 threads and the run fails if
-	// any ZoFS metadata-write workload (DWAL/MWCL/MWRL) peaks before 64
-	// threads or retains less than half its peak throughput at 512.
-	ScaleGate bool
 }
 
 // Experiment is one entry of the evaluation: an artifact of the paper, or

@@ -9,7 +9,8 @@
 // yields throughput ceilings, lock convoys and scalability collapses in
 // virtual time at the same places they occur on real hardware, while the
 // underlying data-structure work remains real (real locks, real CAS, real
-// memory).
+// memory). Multi-thread drivers step their threads earliest clock first
+// (Earliest), so every run is a function of virtual time alone.
 package simclock
 
 import (
@@ -52,6 +53,26 @@ func (c *Clock) AdvanceTo(t int64) {
 	if t > c.now {
 		c.now = t
 	}
+}
+
+// Earliest returns the index of the earliest of xs: the one whose clock
+// reads the smallest Now(), ties going to the lowest index. clock returns
+// nil for an element that may not run. It returns -1 when none may.
+//
+// This is the one interleaving rule of every multi-thread run (FxMark,
+// Filebench, the chaos campaign): a driver keeps its simulated threads on
+// one goroutine and runs one operation at a time on the thread Earliest
+// picks, so the interleaving is a function of virtual time alone and a run
+// reproduces byte for byte.
+func Earliest[T any](xs []T, clock func(T) *Clock) int {
+	best := -1
+	var at int64
+	for i, x := range xs {
+		if c := clock(x); c != nil && (best < 0 || c.now < at) {
+			best, at = i, c.now
+		}
+	}
+	return best
 }
 
 // SetTag attaches an opaque origin tag to the clock. Since a Clock belongs

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -200,5 +201,34 @@ func TestResourceConservationProperty(t *testing.T) {
 	wg.Wait()
 	if end := probe(&r); end != sum {
 		t.Fatalf("work drains at %d, want sum of holds %d", end, sum)
+	}
+}
+
+// TestEarliestPicksSmallestClockLowestIndex: Earliest skips elements that
+// may not run, picks the smallest clock, breaks ties toward the lowest
+// index, and reports -1 when nothing may run.
+func TestEarliestPicksSmallestClockLowestIndex(t *testing.T) {
+	clks := []*Clock{NewClockAt(30), NewClockAt(10), NewClockAt(20), NewClockAt(10), nil}
+	all := func(c *Clock) *Clock { return c }
+	if got := Earliest(clks, all); got != 1 {
+		t.Fatalf("Earliest = %d, want 1 (10 ns, lower of the tied indices)", got)
+	}
+	clks[1] = nil
+	if got := Earliest(clks, all); got != 3 {
+		t.Fatalf("with 1 barred: Earliest = %d, want 3", got)
+	}
+	if got := Earliest([]*Clock{nil, nil}, all); got != -1 {
+		t.Fatalf("nothing runnable: Earliest = %d, want -1", got)
+	}
+	// Stepping the earliest repeatedly interleaves by virtual time.
+	a, b := NewClock(), NewClockAt(2)
+	var order []int
+	for range 4 {
+		i := Earliest([]*Clock{a, b}, all)
+		order = append(order, i)
+		[]*Clock{a, b}[i].Advance(4)
+	}
+	if want := []int{0, 1, 0, 1}; !slices.Equal(order, want) {
+		t.Fatalf("step order %v, want %v", order, want)
 	}
 }

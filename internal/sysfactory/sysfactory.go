@@ -75,7 +75,6 @@ var (
 	ZoFSSysEmpty = NewZoFS("ZoFS-sysempty", zofs.Options{SysEmptyPerWrite: true})
 	ZoFSKWrite   = NewZoFS("ZoFS-kwrite", zofs.Options{KernelWrite: true})
 	ZoFS1Coffer  = NewZoFS("ZoFS-1coffer", zofs.Options{OneCoffer: true})
-	ZoFSNoMPK    = NewZoFS("ZoFS-nompk", zofs.Options{NoMPK: true})
 	ZoFSInline   = NewZoFS("ZoFS-inline", zofs.Options{InlineData: true})
 
 	PMFS        = newBaseline("PMFS", func(d *nvm.Device) *baselines.Engine { return baselines.NewPMFS(d, baselines.PMFSOptions{}) })

@@ -16,7 +16,7 @@ import (
 func TestEverySystemBuildsAndRoundTrips(t *testing.T) {
 	systems := []sysfactory.System{
 		sysfactory.ZoFS, sysfactory.ZoFSSysEmpty, sysfactory.ZoFSKWrite,
-		sysfactory.ZoFS1Coffer, sysfactory.ZoFSNoMPK, sysfactory.ZoFSInline,
+		sysfactory.ZoFS1Coffer, sysfactory.ZoFSInline,
 		sysfactory.PMFS, sysfactory.PMFSNocache,
 		sysfactory.NOVA, sysfactory.NOVAi, sysfactory.NOVANoIndex, sysfactory.NOVAiNoIndex,
 		sysfactory.Strata, sysfactory.Ext4DAX,

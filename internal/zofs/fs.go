@@ -29,8 +29,6 @@ type Options struct {
 	// differ: chmod/chown become pure user-space inode updates and no
 	// coffer is ever split (ZoFS-1coffer, Table 9).
 	OneCoffer bool
-	// NoMPK disables protection-window switching entirely (ablation).
-	NoMPK bool
 	// InlineData embeds small files' contents in the inode page (§5.1's
 	// future-work optimization): no data page, no block pointer, one page
 	// per small file instead of two.
@@ -245,10 +243,10 @@ func (f *FS) evictOne(th *proc.Thread, keep coffer.ID) bool {
 // closing the returned value shuts it. Variants that model kernel-side
 // implementations skip the PKRU writes.
 func (f *FS) window(th *proc.Thread, m *mount, write bool) window {
-	if f.opts.NoMPK || f.opts.KernelWrite {
-		// Kernel-side / no-MPK variants: accesses are not MPK-mediated, so
-		// the switch is free; the register is still tracked so the memory
-		// safety checks stay meaningful.
+	if f.opts.KernelWrite {
+		// Kernel-side variant: accesses are not MPK-mediated, so the switch
+		// is free; the register is still tracked so the memory safety checks
+		// stay meaningful.
 		th.SetPKRUFree(mpk.DefaultPKRU().WithAccess(m.key, true, write && m.writable))
 		return window{th: th, free: true}
 	}

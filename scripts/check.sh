@@ -62,13 +62,17 @@ done
 
 echo "== bench identity gate =="
 # Virtual time makes the committed results bit-reproducible: a full-size
-# "wa" and "chaos" run (both self-asserting: byte conservation, flow
-# ordering; containment, byte-identical replay) must
-# regenerate BENCH_wa.json and BENCH_chaos.json byte for byte. Any drift is
-# a real change to a simulated number — refresh the file deliberately.
-bench wa chaos
+# "wa", "chaos" and "fxmark-scale" run (all self-asserting: byte
+# conservation, flow ordering; containment, byte-identical replay; profiler
+# bit-identity, lock-wait books, and the scaling gate — ZoFS MWCL/MWRL still
+# climbing at 64 threads, DWAL/MWCL/MWRL holding half their peak at 512)
+# must regenerate BENCH_wa.json, BENCH_chaos.json and BENCH_fxmark_scale.json
+# byte for byte. Any drift is a real change to a simulated number — refresh
+# the file deliberately.
+bench wa chaos fxmark-scale
 cmp BENCH_wa.json "$tracedir/BENCH_wa.json"
 cmp BENCH_chaos.json "$tracedir/BENCH_chaos.json"
+cmp BENCH_fxmark_scale.json "$tracedir/BENCH_fxmark_scale.json"
 
 echo "== e2e floors =="
 # One pass of a benchmark workload at seed 101 (read-only use; it builds
@@ -154,17 +158,6 @@ echo "== crashmc smoke =="
 "$bin/zofs-crashmc" -system ZoFS -points 35 -ops 24 -device-mb 64 \
     -min-states 200 >/dev/null
 "$bin/zofs-crashmc" -system Ext4-DAX -points 8 -ops 16 -device-mb 64 >/dev/null
-
-echo "== scalability gate =="
-# Regression gate for the kernfs.big decomposition: a quick fxmark-scale
-# sweep widened to 64 and 512 threads must show the metadata-bound ZoFS
-# workloads (MWCL/MWRL) still climbing at 64 threads, and all three gated
-# workloads (DWAL/MWCL/MWRL) holding at least half their peak throughput
-# at 512. DWAL saturates the device's write bandwidth by a few threads
-# (paper Fig. 7), so its un-collapsed signature is the plateau, not the
-# climb. A global kernel-agent mutex — or any new serial section on the
-# metadata-write path — fails this gate.
-bench -quick -scale-gate fxmark-scale
 
 echo "== size =="
 # What each CHANGES.md entry quotes before/after (ROADMAP aim 2).
