@@ -2,10 +2,15 @@ package harness_test
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"zofs/internal/harness"
+	"zofs/internal/proc"
 )
 
 // tiny returns the smallest meaningful options for integration smoke runs.
@@ -35,49 +40,68 @@ func runAndCheck(t *testing.T, name string, fn func() (*bytes.Buffer, error), wa
 	}
 }
 
-// experimentOutput is, per entry of harness.Experiments, what its tiny run
-// must print; slow marks the sweeps -short skips.
-var experimentOutput = map[string]struct {
-	want []string
-	slow bool
-}{
-	"table1":       {want: []string{"Optane DC PM", "DRAM"}},
-	"table2":       {want: []string{"append", "create", "ZoFS"}},
-	"table3":       {want: []string{"MySQL", "PostgreSQL", "DokuWiki", "Twitter"}},
-	"table4":       {want: []string{"groups", "644"}},
-	"fig7":         {want: []string{"DWOL", "MWCL", "Ext4-DAX"}, slow: true},
-	"fig8":         {want: []string{"ZoFS-sysempty", "PMFS-nocache", "NOVAi-noindex"}},
-	"fig9":         {want: []string{"fileserver", "varmail", "ZoFS-20dirwidth"}, slow: true},
-	"fig10":        {want: []string{"Fileserver", "Varmail"}},
-	"table7":       {want: []string{"Write sync.", "Read rand.", "Delete rand."}, slow: true},
-	"fig11":        {want: []string{"mixed", "NEW", "PAY"}, slow: true},
-	"table9":       {want: []string{"chmod", "rename", "ZoFS-1coffer"}},
-	"safety":       {want: []string{"PASS", "caught by MPK", "graceful errors"}},
-	"recovery":     {want: []string{"Recovery of a coffer", "kernel"}},
-	"crashmc":      {want: []string{"ZoFS", "Ext4-DAX", "inject slotless", "PASS: all crash-state and fault-injection invariants held"}},
-	"wa":           {want: []string{"append256", "wa gate: conservation and flow ordering checks passed"}},
-	"fxmark-scale": {want: []string{"gate ok: bit-identical", "wrote BENCH_fxmark_scale.json"}},
-	"chaos":        {want: []string{"containment: OK", "gate ok: byte-identical replay", "wrote BENCH_chaos.json"}},
-}
+// slow marks the sweeps -short skips.
+var slow = map[string]bool{"fig7": true, "fig9": true, "table7": true, "fig11": true}
+
+var update = flag.Bool("update", false, "rewrite the experiments' golden outputs")
 
 // TestExperiments runs every entry of the one experiment list at tiny size,
-// in a scratch directory (some record a BENCH_*.json where they run). An
-// entry without a row here fails: nothing is listed without being run.
+// in a scratch directory (some record a BENCH_*.json where they run), and
+// compares its output byte for byte with testdata/<name>.golden. Virtual
+// time makes every run print the same tables, so a moved cell fails here;
+// refresh the goldens deliberately with -update. An entry without a golden
+// file fails: nothing is listed without being run.
 func TestExperiments(t *testing.T) {
 	for _, e := range harness.Experiments {
 		t.Run(e.Name, func(t *testing.T) {
-			row, ok := experimentOutput[e.Name]
-			if !ok {
-				t.Fatalf("experiment %q has no expected output in experimentOutput", e.Name)
-			}
-			if row.slow && testing.Short() {
+			if slow[e.Name] && testing.Short() {
 				t.Skip("sweep in -short mode")
 			}
+			golden, err := filepath.Abs(filepath.Join("testdata", e.Name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
 			t.Chdir(t.TempDir())
-			runAndCheck(t, e.Name, func() (*bytes.Buffer, error) {
-				var b bytes.Buffer
-				return &b, e.Run(&b, tiny())
-			}, row.want...)
+			// Boot the simulated machine afresh, as a zofs-bench process
+			// does: allocator shards are picked by TID, so a cell must not
+			// depend on which tests ran before it.
+			proc.ResetIDs()
+			var got bytes.Buffer
+			if err := e.Run(&got, tiny()); err != nil {
+				t.Fatalf("%s: %v", e.Name, err)
+			}
+			if *update {
+				if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden output (run with -update): %v", err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Fatalf("%s output drifted from %s:\n%s", e.Name, golden, lineDiff(string(want), got.String()))
+			}
 		})
 	}
+}
+
+// lineDiff lists the lines that differ between want and got, position by
+// position, and the surplus of the longer one.
+func lineDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := range max(len(w), len(g)) {
+		var wl, gl string
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n- %s\n+ %s\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
 }

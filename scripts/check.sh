@@ -74,6 +74,28 @@ cmp BENCH_wa.json "$tracedir/BENCH_wa.json"
 cmp BENCH_chaos.json "$tracedir/BENCH_chaos.json"
 cmp BENCH_fxmark_scale.json "$tracedir/BENCH_fxmark_scale.json"
 
+echo "== results =="
+# results/ holds the outputs EXPERIMENTS.md quotes, each from the command
+# results/README.md lists. They must regenerate byte for byte but for the
+# wall-clock "---- NAME done in" lines (about 2.5 minutes on 2 vCPUs). A
+# moved cell is a model change: refresh the file deliberately.
+regen() {
+    out=$1
+    shift
+    (cd "$tracedir" && "$bin/zofs-bench" "$@") | grep -v '^---- .* done in ' >"$tracedir/$out"
+    if ! grep -v '^---- .* done in ' "results/$out" | diff - "$tracedir/$out" >&2; then
+        echo "results: results/$out differs from a fresh 'zofs-bench $*'" >&2
+        exit 1
+    fi
+}
+regen fast-experiments.txt -quick all
+regen fig7.txt fig7
+regen fig9.txt fig9
+regen fig10.txt fig10
+regen fig11.txt -quick fig11
+regen table7.txt -quick table7
+regen table9-recovery-full.txt table9 recovery
+
 echo "== e2e floors =="
 # One pass of a benchmark workload at seed 101 (read-only use; it builds
 # into .bench_build/) must verify and hold its floors. Rows are
