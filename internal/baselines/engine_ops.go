@@ -377,6 +377,7 @@ func (e *Engine) Truncate(th *proc.Thread, path string, size int64) error {
 func (e *Engine) truncateLocked(th *proc.Thread, ino *Inode, size int64) {
 	ino.mu.Lock()
 	defer ino.mu.Unlock()
+	e.zeroExposed(th, ino, size)
 	newBlocks := (size + pageSize - 1) / pageSize
 	for int64(len(ino.blocks)) > newBlocks {
 		pg := ino.blocks[len(ino.blocks)-1]
@@ -387,6 +388,21 @@ func (e *Engine) truncateLocked(th *proc.Thread, ino *Inode, size int64) {
 	}
 	ino.size = size
 	ino.mtime = th.Clk.Now()
+}
+
+// zeroExposed zeroes the mapped bytes of [size, to) before the file grows to
+// to: bytes past EOF are undefined — a shrink leaves the tail of its boundary
+// block as it was — and the operation that makes them readable zeroes them.
+// The caller holds ino.mu.
+func (e *Engine) zeroExposed(th *proc.Thread, ino *Inode, to int64) {
+	to = min(to, int64(len(ino.blocks))*pageSize)
+	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassData))
+	nvm.ForEachRun(ino.blocks, 0, ino.size, to, func(dev, from, to int64) {
+		if dev >= 0 {
+			e.dev.Zero(th.Clk, dev, to-from)
+		}
+	})
+	th.Clk.SetWriteClass(prev)
 }
 
 func (e *Engine) freeBlocks(th *proc.Thread, ino *Inode) {
@@ -460,6 +476,9 @@ func (h *bHandle) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
 	defer h.ino.Lock.Unlock(th.Clk)
 	wprev := th.Clk.SwapWriteClass(uint8(byteflow.ClassData))
 	defer th.Clk.SetWriteClass(wprev)
+	h.ino.mu.Lock()
+	h.e.zeroExposed(th, h.ino, off)
+	h.ino.mu.Unlock()
 	n := 0
 	for n < len(p) {
 		idx := (off + int64(n)) / pageSize

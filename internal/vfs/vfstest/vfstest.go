@@ -371,6 +371,53 @@ func Run(t *testing.T, factory Factory) {
 		}
 	})
 
+	// Bytes cut off by a shrink stay gone whichever way the file grows back
+	// over them: truncate up, or a write past EOF (here a zero byte, so the
+	// whole of [100, 20000) must read zeros).
+	for _, grow := range []struct {
+		name string
+		fn   func(fs vfs.FileSystem, th *proc.Thread, h vfs.Handle) error
+	}{
+		{"Truncate", func(fs vfs.FileSystem, th *proc.Thread, _ vfs.Handle) error {
+			return fs.Truncate(th, "/tr", 20000)
+		}},
+		{"WriteAt", func(_ vfs.FileSystem, th *proc.Thread, h vfs.Handle) error {
+			_, err := h.WriteAt(th, []byte{0}, 19999)
+			return err
+		}},
+	} {
+		t.Run("ShrinkThenExtendBy"+grow.name, func(t *testing.T) {
+			fs, th := factory(t)
+			h, err := fs.Create(th, "/tr", 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, 20000)
+			copy(want, bytes.Repeat([]byte{9}, 100))
+			if _, err := h.WriteAt(th, bytes.Repeat([]byte{9}, 10000), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Truncate(th, "/tr", 100); err != nil {
+				t.Fatal(err)
+			}
+			if err := grow.fn(fs, th, h); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(want)+1)
+			if n, err := h.ReadAt(th, got, 0); err != nil || n != len(want) {
+				t.Fatalf("read back %d, %v; want %d bytes", n, err, len(want))
+			}
+			for i := 100; i < len(want); i++ {
+				if got[i] != 0 {
+					t.Fatalf("byte %d reads %d after the extension, want 0", i, got[i])
+				}
+			}
+			if !bytes.Equal(got[:100], want[:100]) {
+				t.Fatal("the kept 100 bytes changed")
+			}
+		})
+	}
+
 	t.Run("ChmodChown", func(t *testing.T) {
 		fs, th := factory(t)
 		fs.Create(th, "/perm", 0o644)

@@ -138,12 +138,14 @@ func appendPtrs(dst []int64, slots []byte) []int64 {
 // which test every page of the range against the PKRU.
 //
 // With alloc set, absent blocks (and pointer pages) are allocated, so fn never
-// sees a hole; the part of a fresh page the range does not cover is zeroed
-// first (data-class grants are not scrubbed), keeping the invariant that bytes
-// of a mapped page outside anything ever written are zero. When allocation
-// fails part-way the walk stops; the result is the byte count that was mapped
-// and handed to fn, with the error only if that is zero.
-func (f *FS) forEachRun(th *proc.Thread, m *mount, ino, off int64, n int, alloc bool, fn func(dev, from, to int64)) (int, error) {
+// sees a hole; the part of a fresh page the range does not cover and the file
+// can read — below the range, or below size, the file's size before the
+// write — is zeroed first (data-class grants are not scrubbed). Bytes at or
+// past EOF are undefined: the operation that makes them readable zeroes them
+// (zeroExposed). When allocation fails part-way the walk stops; the result is
+// the byte count that was mapped and handed to fn, with the error only if
+// that is zero.
+func (f *FS) forEachRun(th *proc.Thread, m *mount, ino, off int64, n int, size int64, alloc bool, fn func(dev, from, to int64)) (int, error) {
 	var (
 		pages [ptrsPerPage]int64
 		err   error
@@ -171,7 +173,7 @@ func (f *FS) forEachRun(th *proc.Thread, m *mount, ino, off int64, n int, alloc 
 						break
 					}
 					f.storePtr(th, slot+8*int64(i), pg)
-					f.zeroUncovered(th, pg, idx+int64(i), off, end)
+					f.zeroUncovered(th, pg, idx+int64(i), off, end, size)
 				}
 				mapped[i] = pg
 			}
@@ -196,16 +198,33 @@ func (f *FS) storePtr(th *proc.Thread, slot, pg int64) {
 }
 
 // zeroUncovered zeroes what a write of file bytes [off, end) leaves unwritten
-// of the fresh page pg mapped at block blk. Only the first and the last block
-// of the range can be partly covered; full-page writes — the append fast path
-// — pay nothing.
-func (f *FS) zeroUncovered(th *proc.Thread, pg, blk, off, end int64) {
+// and readable of the fresh page pg mapped at block blk, in a file of size
+// bytes: the head before off, and the tail after end only up to size — a
+// hole fill. Only the first and the last block of the range can be partly
+// covered; full-page writes and appends pay nothing past the head.
+func (f *FS) zeroUncovered(th *proc.Thread, pg, blk, off, end, size int64) {
 	if head := off - blk*pageSize; head > 0 {
 		th.Zero(pg*pageSize, head)
 	}
-	if tail := (blk+1)*pageSize - end; tail > 0 {
-		th.Zero(pg*pageSize+pageSize-tail, tail)
+	if tail := min((blk+1)*pageSize, size) - end; tail > 0 {
+		th.Zero(pg*pageSize+end-blk*pageSize, tail)
 	}
+}
+
+// zeroExposed zeroes the mapped bytes of [size, to) before a file of size
+// bytes grows to cover them: the gap a write past EOF leaves, or the range a
+// truncate up adds. It walks the block map without allocating, so a stale
+// pointer past EOF — left by a crashed append, or by a writer whose lease was
+// stolen before it committed — is scrubbed too; holes read as zeros already.
+func (f *FS) zeroExposed(th *proc.Thread, m *mount, ino, size, to int64) {
+	if to <= size {
+		return
+	}
+	_, _ = f.forEachRun(th, m, ino, size, int(to-size), size, false, func(dev, from, to int64) {
+		if dev >= 0 {
+			th.Zero(dev, to-from)
+		}
+	})
 }
 
 // indirectPage dereferences (and optionally allocates) a pointer page.
@@ -244,7 +263,7 @@ func (f *FS) readAt(th *proc.Thread, m *mount, ino int64, p []byte, off int64) (
 		th.Read(ino*pageSize+inoInlineOff+off, p)
 		return len(p), nil
 	}
-	return f.forEachRun(th, m, ino, off, len(p), false, func(dev, from, to int64) {
+	return f.forEachRun(th, m, ino, off, len(p), size, false, func(dev, from, to int64) {
 		if dev < 0 {
 			clear(p[from-off : to-off]) // hole: reads as zeros
 		} else {
@@ -257,8 +276,9 @@ func (f *FS) readAt(th *proc.Thread, m *mount, ino int64, p []byte, off int64) (
 // does not implement atomic data updates); the caller holds the write lock
 // at the given lease epoch, which fences the metadata publish: a holder
 // whose lease was stolen mid-op (checkLease) gets vfs.ErrStaleLease
-// instead of committing over the stealer. Newly allocated, partially
-// covered pages are zeroed first (data-class grants are not scrubbed).
+// instead of committing over the stealer. A write past EOF first zeroes the
+// gap it exposes; a newly allocated page is zeroed where the write leaves it
+// readable and uncovered (data-class grants are not scrubbed).
 func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte, off int64) (int, error) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassData))
 	defer th.Clk.SetWriteClass(prev)
@@ -274,6 +294,9 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 			f.rec().Inc(telemetry.CtrZoFSInlineWrites)
 			if err := f.checkLease(th, ino, epoch); err != nil {
 				return 0, err
+			}
+			if off > size {
+				th.Zero(ino*pageSize+inoInlineOff+size, off-size)
 			}
 			th.WriteNT(ino*pageSize+inoInlineOff+off, p)
 			if !inline {
@@ -293,10 +316,11 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 		}
 	}
 	f.rec().Inc(telemetry.CtrZoFSExtentWrites)
+	f.zeroExposed(th, m, ino, size, off)
 	// A write that runs out of space part-way is a short write: n is what was
 	// mapped and stored, and it is committed below, so no block is left
 	// beyond the size where neither truncate nor unlink would find it.
-	n, err := f.forEachRun(th, m, ino, off, len(p), true, func(dev, from, to int64) {
+	n, err := f.forEachRun(th, m, ino, off, len(p), size, true, func(dev, from, to int64) {
 		th.WriteNT(dev, p[from-off:to-off])
 	})
 	if err != nil {
@@ -328,11 +352,10 @@ func (f *FS) deInline(th *proc.Thread, m *mount, ino, size int64) error {
 	f.rec().Inc(telemetry.CtrZoFSDeInline)
 	buf := make([]byte, size)
 	th.Read(ino*pageSize+inoInlineOff, buf)
-	// Map block 0 whole, so the walk zeroes nothing itself: the page is
-	// scrubbed here whether or not it is fresh.
-	_, err := f.forEachRun(th, m, ino, 0, pageSize, true, func(dev, _, _ int64) {
-		th.Zero(dev, pageSize)
-		th.WriteNT(dev, buf)
+	// The rest of block 0 lies past EOF: whatever extends the file over it
+	// zeroes it then.
+	_, err := f.forEachRun(th, m, ino, 0, len(buf), size, true, func(dev, from, to int64) {
+		th.WriteNT(dev, buf[from:to])
 	})
 	if err != nil {
 		return err
@@ -342,10 +365,11 @@ func (f *FS) deInline(th *proc.Thread, m *mount, ino, size int64) error {
 }
 
 // truncateTo shrinks or extends a file; the caller holds the write lock.
-// Shrinking scrubs the tail of the boundary block, commits the new size,
-// then frees the trimmed pages. The scrub comes first so that no crash
-// leaves the new size over stale bytes a later extension would expose; a
-// crash after the commit only leaks pages, which recovery reclaims (§5.3).
+// Extending zeroes the mapped bytes it exposes (zeroExposed), then commits
+// the new size. Shrinking scrubs the tail of the boundary block, commits the
+// new size, then frees the trimmed pages. The scrub comes first so that no
+// crash leaves the new size over stale bytes; a crash after the commit only
+// leaks pages, which recovery reclaims (§5.3).
 func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassData))
 	defer th.Clk.SetWriteClass(prev)
@@ -358,13 +382,18 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 			if err := f.deInline(th, m, ino, size); err != nil {
 				return err
 			}
-		} else if newSize < size {
-			th.Zero(ino*pageSize+inoInlineOff+newSize, inlineCap-newSize)
+		} else {
+			if inline := ino*pageSize + inoInlineOff; newSize < size {
+				th.Zero(inline+newSize, inlineCap-newSize)
+			} else if newSize > size {
+				th.Zero(inline+size, newSize-size)
+			}
+			f.setInodeSize(th, ino, newSize)
+			return nil
 		}
-		f.setInodeSize(th, ino, newSize)
-		return nil
 	}
 	if newSize >= size {
+		f.zeroExposed(th, m, ino, size, newSize)
 		f.setInodeSize(th, ino, newSize)
 		return nil
 	}
@@ -372,7 +401,7 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 	// not resurrected bytes (POSIX truncate semantics). A boundary past the
 	// end of the block map has no page to scrub.
 	firstDead := (newSize + pageSize - 1) / pageSize
-	_, _ = f.forEachRun(th, m, ino, newSize, int(firstDead*pageSize-newSize), false, func(dev, from, to int64) {
+	_, _ = f.forEachRun(th, m, ino, newSize, int(firstDead*pageSize-newSize), size, false, func(dev, from, to int64) {
 		if dev >= 0 {
 			th.Zero(dev, to-from)
 		}
