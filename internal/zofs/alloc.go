@@ -3,6 +3,7 @@ package zofs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"zofs/internal/byteflow"
@@ -112,7 +113,9 @@ func (f *FS) claimSlot(th *proc.Thread, m *mount, class int) (int32, error) {
 	return -1, vfs.ErrNoSpace
 }
 
-// debugPool enables claimSlot diagnostics in tests.
+// debugPool enables claimSlot diagnostics, double-grant and double-free
+// tracking, and the check that every metadata page handed out reads zero,
+// in tests.
 var debugPool = false
 
 // SetDebugPool toggles allocator pool diagnostics (tests only).
@@ -213,6 +216,9 @@ func (f *FS) allocPage(th *proc.Thread, m *mount, class int) (int64, error) {
 		// The free-list next pointer just consumed must be cleared before the
 		// page is used as metadata: metadata pages arrive zeroed.
 		th.Store64(page*pageSize, 0)
+		if debugPool {
+			f.mustReadZero(page)
+		}
 	}
 	return page, nil
 }
@@ -274,8 +280,21 @@ func (f *FS) popCached(th *proc.Thread, ts *threadSlots, class int) (int64, bool
 	f.rec().Inc(telemetry.CtrZoFSPagesAlloc)
 	if debugPool {
 		debugFree.Store(page, 2)
+		if class == classMeta {
+			f.mustReadZero(page)
+		}
 	}
 	return page, true
+}
+
+// mustReadZero panics unless a metadata page about to be handed out reads
+// all zero (an uncharged read, debugPool only): a scrub on free that missed
+// a byte fails at the page's next use, not as a corrupt structure later.
+func (f *FS) mustReadZero(page int64) {
+	v, _ := f.kern.Device().ReadViewNoCharge(page*pageSize, pageSize)
+	if i := slices.IndexFunc(v, func(b byte) bool { return b != 0 }); i >= 0 {
+		panic(fmt.Sprintf("zofs: metadata page %d handed out with byte %d = %#x", page, i, v[i]))
+	}
 }
 
 // freePage returns a page to the thread's free list, the volatile batch

@@ -17,6 +17,7 @@ import (
 // the epoch it remembers, the lease fence must reject it with
 // vfs.ErrStaleLease — it may not overwrite the stealers' world.
 func TestLeaseStealRace(t *testing.T) {
+	withDebugPool(t)
 	dev, k, f, th := newTestFS(t, Options{})
 	h, err := f.Create(th, "/victim", 0o644)
 	if err != nil {
