@@ -113,9 +113,8 @@ func (f *FS) claimSlot(th *proc.Thread, m *mount, class int) (int32, error) {
 	return -1, vfs.ErrNoSpace
 }
 
-// debugPool enables claimSlot diagnostics, double-grant and double-free
-// tracking, and the check that every metadata page handed out reads zero,
-// in tests.
+// debugPool enables claimSlot diagnostics, double-grant/double-free tracking
+// and the zero check of each metadata page handed out, in tests.
 var debugPool = false
 
 // SetDebugPool toggles allocator pool diagnostics (tests only).
@@ -267,8 +266,8 @@ func (f *FS) enlarge(th *proc.Thread, m *mount, class int) ([]coffer.Extent, err
 }
 
 // popCached takes the tail of the thread's volatile batch cache. Cached
-// pages are never chained through NVM, so a metadata page stays fully
-// zeroed from grant (or scrub-on-free) to use.
+// pages are never chained through NVM, so a metadata page stays zeroed from
+// grant (or scrub on free, freePage and freeInode) to use.
 func (f *FS) popCached(th *proc.Thread, ts *threadSlots, class int) (int64, bool) {
 	n := len(ts.cache[class])
 	if n == 0 {
@@ -298,12 +297,25 @@ func (f *FS) mustReadZero(page int64) {
 }
 
 // freePage returns a page to the thread's free list, the volatile batch
-// cache (one append, no NVM chain stores). Metadata pages are scrubbed on
-// free so the metadata list invariant — pages arrive zeroed — holds for
-// recycled pages exactly as for fresh kernel grants.
+// cache (one append, no NVM chain stores). Metadata pages are scrubbed whole
+// on free so the metadata list invariant — pages arrive zeroed — holds for
+// recycled pages as for fresh kernel grants (inode pages: freeInode).
 func (f *FS) freePage(th *proc.Thread, m *mount, class int, page int64) {
+	if class == classMeta {
+		f.scrub(th, page*pageSize, pageSize)
+	}
+	f.pushFree(th, m, class, page)
+}
+
+// scrub zeroes n bytes at off with non-temporal stores, as allocator bytes.
+func (f *FS) scrub(th *proc.Thread, off, n int64) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassAlloc))
-	defer th.Clk.SetWriteClass(prev)
+	th.Zero(off, n)
+	th.Clk.SetWriteClass(prev)
+}
+
+// pushFree appends an already scrubbed page to the thread's free list.
+func (f *FS) pushFree(th *proc.Thread, m *mount, class int, page int64) {
 	if debugPool {
 		if st, _ := debugFree.Load(page); st == 1 {
 			panic(fmt.Sprintf("zofs: double free of page %d (class %d)", page, class))
@@ -312,9 +324,6 @@ func (f *FS) freePage(th *proc.Thread, m *mount, class int, page int64) {
 	}
 	ts := m.threadSlotsFor(th.TID)
 	f.rec().Inc(telemetry.CtrZoFSPagesFreed)
-	if class == classMeta {
-		th.Zero(page*pageSize, pageSize)
-	}
 	th.CPU(perfmodel.CPUSmallOp)
 	ts.cache[class] = append(ts.cache[class], page)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"zofs/internal/byteflow"
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/perfmodel"
@@ -234,5 +235,70 @@ func TestReadCostPins(t *testing.T) {
 	}
 	if c := read(64<<10, 33*4096); c < 305+1680 || c > 2400 {
 		t.Fatalf("64 KiB read = %d vns, want one media access (>= 1985) and <= 2400", c)
+	}
+}
+
+// TestUnlinkScrubBytes pins the allocator bytes an unlink writes: the scrub
+// of the freed inode page over what it can hold (freeInode). An empty file
+// scrubs its header, a 3-block file its header and three direct slots, a
+// symlink its header and target, an empty directory its header. A file whose
+// lease epoch left 0 is scrubbed whole; a lease parked by another thread
+// proves that thread's hold ended, so it does not.
+func TestUnlinkScrubBytes(t *testing.T) {
+	dev, _, f, th := newTestFS(t, Options{})
+	dev.EnableAccounting()
+	const target = "/some/target/path"
+	newFile := func(path string, n int) *file {
+		h := mustCreate(t, f, th, path)
+		if n > 0 {
+			mustWrite(t, th, h, make([]byte, n), 0)
+		}
+		h.Close(th)
+		return h
+	}
+	scrubbed := func(rm func(string) error, path string) int64 {
+		t.Helper()
+		before := dev.FlowSnapshot().Issued[byteflow.ClassAlloc]
+		if err := rm(path); err != nil {
+			t.Fatal(err)
+		}
+		return dev.FlowSnapshot().Issued[byteflow.ClassAlloc] - before
+	}
+	unlink := func(p string) error { return f.Unlink(th, p) }
+
+	newFile("/empty", 0)
+	newFile("/three", 3*pageSize)
+	newFile("/parked", 0)
+	th2 := th.Proc.NewThread()
+	if err := f.Truncate(th2, "/parked", 0); err != nil { // th2 locks, then parks
+		t.Fatal(err)
+	}
+	stolen := newFile("/stolen", 0).ino
+	PlantInodeLeaseEpoch(dev, stolen, th2.TID, 0, 1)
+	if err := f.Truncate(th, "/stolen", 0); err != nil { // a steal: epoch 1
+		t.Fatal(err)
+	}
+	if err := f.Symlink(th, target, "/link"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Mkdir(th, "/dir", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		rm   func(string) error
+		path string
+		want int64
+	}{
+		{"empty file", unlink, "/empty", inoHeaderLen},
+		{"3-block file", unlink, "/three", inoHeaderLen + 3*8},
+		{"lease parked by another thread", unlink, "/parked", inoHeaderLen},
+		{"lease epoch 1", unlink, "/stolen", pageSize},
+		{"symlink", unlink, "/link", inoHeaderLen + 2 + int64(len(target))},
+		{"empty directory", func(p string) error { return f.Rmdir(th, p) }, "/dir", inoHeaderLen},
+	} {
+		if got := scrubbed(c.rm, c.path); got != c.want {
+			t.Errorf("%s: unlink wrote %d allocator bytes, want %d", c.name, got, c.want)
+		}
 	}
 }

@@ -316,6 +316,12 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 		}
 	}
 	f.rec().Inc(telemetry.CtrZoFSExtentWrites)
+	// A write past EOF maps blocks before its size commit covers them.
+	var st *inoState
+	if off+int64(len(p)) > size {
+		st = f.sh.state(ino)
+		st.pastEOF = true
+	}
 	f.zeroExposed(th, m, ino, size, off)
 	// A write that runs out of space part-way is a short write: n is what was
 	// mapped and stored, and it is committed below, so no block is left
@@ -340,6 +346,9 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 		th.Clk.SetWriteClass(uint8(byteflow.ClassInode))
 		th.Store64(ino*pageSize+inoMtimeOff, uint64(th.Clk.Now()))
 		th.Clk.SetWriteClass(uint8(byteflow.ClassData))
+	}
+	if st != nil {
+		st.pastEOF = false // every block mapped lies below the size now
 	}
 	return n, nil
 }
@@ -406,6 +415,8 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 			th.Zero(dev, to-from)
 		}
 	})
+	st := f.sh.state(ino)
+	st.pastEOF = true
 	f.setInodeSize(th, ino, newSize)
 	// Free the dead blocks a pointer array at a time, from the end of the
 	// file down: read the array's dead slots once, clear them with one
@@ -436,6 +447,7 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 		}
 		hi = lo
 	}
+	st.pastEOF = false
 	return nil
 }
 
@@ -472,30 +484,49 @@ func (f *FS) filePages(th *proc.Thread, ino int64, pages []int64) []int64 {
 	return pages
 }
 
-// freeFileContent releases all of a regular file's pages to the caller's
-// free lists (after the dentry kill has committed), last block first: the
-// free list is a stack, so the pages pop in ascending block order and the
-// next file written reuses them as the runs this one was laid out in. The
-// list is built in the thread's scratch, which keeps what it grew to.
-func (f *FS) freeFileContent(th *proc.Thread, m *mount, ino int64) {
-	pages := f.filePages(th, ino, th.Scratch.Pages[:0])
-	th.Scratch.Pages = pages
-	for i := len(pages) - 1; i >= 0; i-- {
-		f.freePage(th, m, classData, pages[i])
+// freeInode releases an unlinked inode (after the dentry kill has
+// committed): a regular file's data and pointer pages or a directory's
+// structure pages, then the inode page itself. File pages go last block
+// first: the free list is a stack, so they pop in ascending block order and
+// the next file written reuses them as the runs this one was laid out in.
+// The list is built in the thread's scratch, which keeps what it grew to.
+//
+// The inode page goes to the metadata list zeroed, but scrubbed only over
+// what it can hold: a directory's header, a symlink's header and target, a
+// file's header, the direct slots its size covers, its indirect words when
+// set and, with InlineData, its inline tail — or all of it when a pointer
+// may lie past EOF (nothingPastEOF). Pointer pages go to the data list.
+func (f *FS) freeInode(th *proc.Thread, m *mount, ino int64, typ vfs.FileType) {
+	base, n := ino*pageSize, int64(inoHeaderLen)
+	switch typ {
+	case vfs.TypeRegular:
+		pages := f.filePages(th, ino, th.Scratch.Pages[:0])
+		th.Scratch.Pages = pages
+		for i := len(pages) - 1; i >= 0; i-- {
+			f.freePage(th, m, classData, pages[i])
+		}
+		if !f.nothingPastEOF(th, ino) {
+			n = pageSize
+			break
+		}
+		n = inoDirectOff + 8*min((f.inodeSize(th, ino)+pageSize-1)/pageSize, inoDirectCnt)
+		if f.opts.InlineData {
+			f.scrub(th, base+inoIndirectOff, pageSize-inoIndirectOff)
+		} else if w := f.readViewCached(th, base+inoIndirectOff, 16); u64at(w, 0)|u64at(w, 8) != 0 {
+			f.scrub(th, base+inoIndirectOff, 16)
+		}
+	case vfs.TypeSymlink:
+		n = inoSymTgtOff + f.inodeSize(th, ino)
+	default:
+		// The directory is gone and its pages may be recycled under another
+		// identity; forget its lookup index. It must be empty.
+		f.sh.dc.drop(ino)
+		for _, pg := range f.dirPages(th, ino) {
+			f.freePage(th, m, classMeta, pg)
+		}
 	}
-	f.freePage(th, m, classMeta, ino)
-}
-
-// freeDirContent releases a directory's structure pages and its inode.
-// The directory must be empty.
-func (f *FS) freeDirContent(th *proc.Thread, m *mount, ino int64) {
-	// The directory is gone and its pages may be recycled under another
-	// identity; forget its lookup index.
-	f.sh.dc.drop(ino)
-	for _, pg := range f.dirPages(th, ino) {
-		f.freePage(th, m, classMeta, pg)
-	}
-	f.freePage(th, m, classMeta, ino)
+	f.scrub(th, base, n)
+	f.pushFree(th, m, classMeta, ino)
 }
 
 // statInode builds a FileInfo from an inode.

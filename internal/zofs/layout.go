@@ -147,7 +147,7 @@ func unpackLease(w uint64) (tid int, expiry int64) {
 
 // inoLeaseWord packs an inode lease lock value: owner tid (top 16 bits), a
 // fencing epoch (8 bits, bumped on every steal so a resurrected stale
-// holder's publishes are rejected) and the expiry virtual time in the low
+// holder's publishes are rejected, and never back to 0: nextEpoch) and the expiry virtual time in the low
 // 40 bits (~18 virtual minutes of range — campaigns run milliseconds).
 func inoLeaseWord(tid, epoch int, expiry int64) uint64 {
 	return uint64(tid&0xffff)<<48 | uint64(epoch&0xff)<<40 | uint64(expiry)&0xffffffffff

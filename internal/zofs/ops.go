@@ -55,7 +55,7 @@ func (f *FS) createInCoffer(th *proc.Thread, pos walkPos, name string, typ vfs.F
 		err = f.dirInsert(th, pos.m, pos.ino, name, uint8(typ), 0, ino)
 	}
 	if err != nil {
-		f.freePage(th, pos.m, classMeta, ino)
+		f.freeInode(th, pos.m, ino, typ)
 		return 0, err
 	}
 	return ino, nil
@@ -307,11 +307,7 @@ func (f *FS) Unlink(th *proc.Thread, path string) error {
 	if f.sh.orphan(de.inode, de.typ) {
 		return nil
 	}
-	if vfs.FileType(de.typ) == vfs.TypeRegular {
-		f.freeFileContent(th, pos.m, de.inode)
-	} else {
-		f.freePage(th, pos.m, classMeta, de.inode)
-	}
+	f.freeInode(th, pos.m, de.inode, vfs.FileType(de.typ))
 	return nil
 }
 
@@ -390,7 +386,7 @@ func (f *FS) Rmdir(th *proc.Thread, path string) error {
 	}
 	f.dirRemove(th, pos.ino, base, loc)
 	f.unlockDirBucket(th, bk)
-	f.freeDirContent(th, pos.m, de.inode)
+	f.freeInode(th, pos.m, de.inode, vfs.TypeDir)
 	return nil
 }
 
@@ -670,11 +666,7 @@ func (h *file) Close(th *proc.Thread) error {
 		return nil // lease unobtainable; recovery reclaims the orphan
 	}
 	defer h.fs.unlockInode(th, m, h.ino, ep)
-	if vfs.FileType(typ) == vfs.TypeRegular {
-		h.fs.freeFileContent(th, m, h.ino)
-	} else {
-		h.fs.freePage(th, m, classMeta, h.ino)
-	}
+	h.fs.freeInode(th, m, h.ino, vfs.FileType(typ))
 	return nil
 }
 

@@ -82,11 +82,7 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 				return err
 			}
 		} else if !f.sh.orphan(old.inode, old.typ) {
-			if vfs.FileType(old.typ) == vfs.TypeRegular {
-				f.freeFileContent(th, dst.m, old.inode)
-			} else {
-				f.freePage(th, dst.m, classMeta, old.inode)
-			}
+			f.freeInode(th, dst.m, old.inode, vfs.FileType(old.typ))
 		}
 	}
 

@@ -2,6 +2,7 @@ package zofs
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"zofs/internal/byteflow"
 	"zofs/internal/lockprof"
@@ -48,10 +49,16 @@ type inoState struct {
 	// renewal (DESIGN.md §14), 0 for none: the next lock of the inode by the
 	// same thread within the lease window reuses the word with zero NVM
 	// writes. Another thread finding a parked word steals it immediately
-	// (epoch bump) — the park is the proof the in-process hold is over. It is
-	// read and written under lock's write side; a crash drops it, leaving the
-	// word for recovery to clear, exactly like a crashed live lease.
-	parked uint64
+	// (epoch bump) — the park is the proof the in-process hold is over, which
+	// is also what lets freeInode trust a parked word's epoch without the
+	// lock. It is written under lock's write side; a crash drops it, leaving
+	// the word for recovery to clear, exactly like a crashed live lease.
+	parked atomic.Uint64
+	// pastEOF is set, under lock's write side, while the block map may hold
+	// a pointer past the committed size (writeAt past EOF, truncateTo down)
+	// until the size commit or the last dead-slot clear covers it; an unlock
+	// finding it set releases the lease word at the next epoch (freeInode).
+	pastEOF bool
 
 	// Open-handle accounting across every process of the device, so unlink
 	// can defer content reclamation until the last close (POSIX semantics).
@@ -184,7 +191,7 @@ func (f *FS) claimInodeLease(th *proc.Thread, st *inoState, ino int64) (uint8, e
 		w := th.Load64Cached(off)
 		tid, epoch, expiry := unpackInoLease(w)
 		now := th.Clk.Now()
-		if w != 0 && st.parked == w {
+		if w != 0 && st.parked.Load() == w {
 			if tid == th.TID&0xffff {
 				// Our own parked lease: the batched fast path. Reuse the
 				// word as-is — zero NVM writes per lock/unlock pair —
@@ -192,11 +199,11 @@ func (f *FS) claimInodeLease(th *proc.Thread, st *inoState, ino int64) (uint8, e
 				// allocator slot idiom), so renewals amortize to one
 				// write per lease window instead of two per op.
 				if expiry > now && expiry-now >= leaseDuration/2 && expiry <= now+leaseDuration {
-					st.parked = 0
+					st.parked.Store(0)
 					return uint8(epoch), nil
 				}
 				if th.CAS64(off, w, inoLeaseWord(th.TID, epoch, now+leaseDuration)) {
-					st.parked = 0
+					st.parked.Store(0)
 					return uint8(epoch), nil
 				}
 				continue
@@ -205,9 +212,9 @@ func (f *FS) claimInodeLease(th *proc.Thread, st *inoState, ino int64) (uint8, e
 			// in-process hold ended, so steal immediately (epoch bump
 			// fences the parker's stale word) instead of sleeping out
 			// the remaining window.
-			ne := (epoch + 1) & 0xff
+			ne := nextEpoch(epoch)
 			if th.CAS64(off, w, inoLeaseWord(th.TID, ne, now+leaseDuration)) {
-				st.parked = 0
+				st.parked.Store(0)
 				return uint8(ne), nil
 			}
 			continue
@@ -223,7 +230,7 @@ func (f *FS) claimInodeLease(th *proc.Thread, st *inoState, ino int64) (uint8, e
 			// Expired foreign lease — the holder died or stalled past its
 			// window. Steal it, bumping the epoch so the fence rejects any
 			// in-flight publish the old holder wakes up with.
-			ne := (epoch + 1) & 0xff
+			ne := nextEpoch(epoch)
 			if th.CAS64(off, w, inoLeaseWord(th.TID, ne, now+leaseDuration)) {
 				return uint8(ne), nil
 			}
@@ -240,7 +247,12 @@ func (f *FS) claimInodeLease(th *proc.Thread, st *inoState, ino int64) (uint8, e
 	}
 }
 
-// unlockInode releases the inode lease taken at the given epoch. The clear
+// nextEpoch bumps an inode lease epoch, skipping 0 when the 8-bit field
+// wraps: epoch 0 is the mark that nothing lies past the inode's EOF
+// (freeInode), and only recovery, which clears such pointers, resets it.
+func nextEpoch(ep int) int { return ep%0xff + 1 }
+
+// unlockInode releases the inode lease taken at the given epoch. The release
 // is a CAS against exactly the word we published: if the lease was stolen
 // while we ran (we stalled past expiry), the stealer's word is left intact
 // — clearing it would hand a third writer a lock the stealer still holds.
@@ -251,7 +263,10 @@ func (f *FS) claimInodeLease(th *proc.Thread, st *inoState, ino int64) (uint8, e
 // lease window per thread instead of a CAS pair per op (the DWOM hold-time
 // fix). An own lease that expired while the op ran is cleared instead: no
 // window is left to reuse, and a free word is claimed at its current epoch
-// where an expired one would be stolen with the epoch bumped.
+// where an expired one would be stolen with the epoch bumped; at a nonzero
+// epoch it is left expired, since clearing it would reset the epoch. An op
+// that unwinds with pastEOF set (a failed checkLease, an MPK fault through
+// the deferred unlock) releases the word expired at the next epoch instead.
 func (f *FS) unlockInode(th *proc.Thread, m *mount, ino int64, epoch uint8) {
 	f.window(th, m, true)
 	wprev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
@@ -260,14 +275,28 @@ func (f *FS) unlockInode(th *proc.Thread, m *mount, ino int64, epoch uint8) {
 	tid, ep, expiry := unpackInoLease(w)
 	st := f.sh.state(ino)
 	if w != 0 && tid == th.TID&0xffff && uint8(ep) == epoch {
-		if expiry > th.Clk.Now() {
-			st.parked = w
-		} else {
+		switch {
+		case st.pastEOF:
+			th.CAS64(off, w, inoLeaseWord(th.TID, nextEpoch(ep), 0))
+		case expiry > th.Clk.Now():
+			st.parked.Store(w)
+		case ep == 0:
 			th.CAS64(off, w, 0)
 		}
 	}
+	st.pastEOF = false
 	th.Clk.SetWriteClass(wprev)
 	st.lock.Unlock(th.Clk)
+}
+
+// nothingPastEOF reports whether a regular file's block map is known to hold
+// no pointer past its size: its lease word (a cached load) is at epoch 0 —
+// no steal or unwound op since recovery — and free, the caller's own, or
+// parked (the parker's hold ended normally).
+func (f *FS) nothingPastEOF(th *proc.Thread, ino int64) bool {
+	w := th.Load64Cached(ino*pageSize + inoLeaseOff)
+	tid, ep, _ := unpackInoLease(w)
+	return ep == 0 && (w == 0 || tid == th.TID&0xffff || w == f.sh.state(ino).parked.Load())
 }
 
 // checkLease is the epoch fence consulted immediately before a commit-point

@@ -702,8 +702,8 @@ func TestLeaseWordWrittenAndCleared(t *testing.T) {
 		t.Fatal("lease word not written under lock")
 	}
 	f.unlockInode(th, pos.m, pos.ino, ep)
-	if got := th.Load64(leaseOff); got != w || st.parked != w {
-		t.Fatalf("unlock inside the window: word %#x parked %#x, want both %#x", got, st.parked, w)
+	if got := th.Load64(leaseOff); got != w || st.parked.Load() != w {
+		t.Fatalf("unlock inside the window: word %#x parked %#x, want both %#x", got, st.parked.Load(), w)
 	}
 
 	ep, lerr = f.lockInode(th, pos.m, pos.ino)
@@ -715,8 +715,8 @@ func TestLeaseWordWrittenAndCleared(t *testing.T) {
 	if got := th.Load64(leaseOff); got != 0 {
 		t.Fatalf("unlock after the window elapsed left the lease word %#x, want it cleared", got)
 	}
-	if st.parked != 0 {
-		t.Fatalf("an expired lease was parked: %#x", st.parked)
+	if st.parked.Load() != 0 {
+		t.Fatalf("an expired lease was parked: %#x", st.parked.Load())
 	}
 	// The cleared word is free: the next lock claims it at the same epoch.
 	ep2, lerr := f.lockInode(th, pos.m, pos.ino)
@@ -749,7 +749,7 @@ func TestLeaseBatchParksAndReuses(t *testing.T) {
 	if w == 0 {
 		t.Fatal("batched unlock cleared the lease word instead of parking it")
 	}
-	if parked := f.sh.state(pos.ino).parked; parked != w {
+	if parked := f.sh.state(pos.ino).parked.Load(); parked != w {
 		t.Fatalf("parked word not recorded in the inode's state: %#x, want %#x", parked, w)
 	}
 	ep2, lerr := f.lockInode(th, pos.m, pos.ino)
@@ -762,7 +762,7 @@ func TestLeaseBatchParksAndReuses(t *testing.T) {
 	if w2 := th.Load64(pos.ino*pageSize + inoLeaseOff); w2 != w {
 		t.Fatalf("batched reuse rewrote the lease word inside the half-window: %#x -> %#x", w, w2)
 	}
-	if parked := f.sh.state(pos.ino).parked; parked != 0 {
+	if parked := f.sh.state(pos.ino).parked.Load(); parked != 0 {
 		t.Fatalf("parked word %#x survived a re-claim", parked)
 	}
 	// A different thread claiming a parked (released) lease must steal it
