@@ -124,8 +124,12 @@ done <<'EOF'
 # Listings come off the directory index and unlink reads an empty file's two
 # indirect words, not the 3 KB pointer area (55106 B/op scanned, 3.2 now).
 meta_churn 1 nvm_rbytes_per_op < 50
-# Each op resolves its path once and O_CREAT probes the name once (680, 929 now).
+# Each op resolves its path once and O_CREAT probes the name once (680, 929,
+# 976 now).
 meta_churn 1 sim_kops_per_vsec >= 850
+# An unlinked inode page is scrubbed over what it holds, not all 4 KiB, unless
+# a block pointer may lie past EOF (1142 with the 4 KiB scrub on free, 294 now).
+meta_churn 1 nvm_wbytes_per_op <= 400
 # Paths are sliced, not rebuilt; windows, commits and inode state cost no heap
 # object, open-file descriptions and handles are recycled, and a listing fills
 # the thread's buffer (18.2, then 0.97 with an FD entry and a handle per open,
@@ -160,8 +164,9 @@ app_tpcc 1 host_allocs_per_op <= 0.5
 # heap chunks, 831 now).
 app_tpcc 1 host_bytes_per_op <= 1000
 # The rollback journal's page-straddling appends no longer zero-fill each fresh
-# page's tail (121725 before, 80471 now).
-app_tpcc 1 nvm_wbytes_per_op <= 85000
+# page's tail, and its unlinked inode page is scrubbed over what it holds
+# (121725, then 80471, 76521 now).
+app_tpcc 1 nvm_wbytes_per_op <= 78000
 # Files open, close, change permission and move between coffers without
 # garbage: recycled descriptions and handles, symlink targets and page lists
 # in thread scratch, typed kernel-agent tables (2.65 before, 0.57 now: the
@@ -171,7 +176,8 @@ coffer_share 1 host_allocs_per_op <= 1.5
 # The same objects are all the bytes there are: chunks of device media are
 # pointers into one OS mapping per device (1055 with heap chunks, 41 now).
 coffer_share 1 host_bytes_per_op <= 100
-# Root pages update in place and emptied bucket heads stay (2603 rewriting pages, 1795 now).
+# Root pages update in place and emptied bucket heads stay; an unlinked symlink
+# scrubs its header and target (2603 rewriting pages, 1795, 1494 now).
 coffer_share 1 nvm_wbytes_per_op <= 1900
 # Smaller root-page writes; kernfs.registry held only to publish (1450 before, 1568 now).
 coffer_share 1 sim_kops_per_vsec >= 1500
