@@ -480,7 +480,7 @@ func runSlotless(p *personality, cfg Config) (*FaultReport, []Violation, error) 
 	}
 
 	// space_conserved: the three-way reconciliation (allocation table vs
-	// extent trees vs page census) must hold on the recovered image.
+	// extent sets vs page census) must hold on the recovered image.
 	f3 := zofs.New(k2, p.opts)
 	step("space_conserved", func() {
 		if err := f3.VerifySpace(); err != nil {

@@ -99,7 +99,7 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 
 	// Space conservation: after remount and fsck, the allocator's space
 	// accounting must reconcile three ways — the kernel's persistent
-	// allocation table against its volatile extent trees against a full
+	// allocation table against its volatile extent sets against a full
 	// page census — and every µFS free-list page must sit inside its
 	// coffer's grant exactly once. Recovery reclaimed any batch caches the
 	// crash stranded, so no page may be unaccounted for.

@@ -230,7 +230,7 @@ func TestCrashMidRefillLeakFree(t *testing.T) {
 		t.Fatalf("VerifySpace with batch in flight: %v", err)
 	}
 
-	// Crash: volatile state (shards, owner trees, in-flight set) evaporates;
+	// Crash: volatile state (shards, owner sets, in-flight set) evaporates;
 	// the persistent table never recorded the staged pages.
 	k2, err := Mount(dev)
 	if err != nil {

@@ -79,7 +79,7 @@ var crashScenes = []crashScene{
 
 // TestCofferMetadataCrashPoints crashes each scene's call before and after
 // every persisting store it makes. After each remount every root page
-// decodes, the path table loads, the allocation table and the extent trees
+// decodes, the path table loads, the allocation table and the extent sets
 // agree, and every coffer is at its old path or its new one — in its root
 // page and in the path table alike.
 func TestCofferMetadataCrashPoints(t *testing.T) {

@@ -1,22 +1,43 @@
 package kernfs
 
 import (
+	"cmp"
+	"slices"
+
 	"zofs/internal/coffer"
-	"zofs/internal/rbtree"
 )
 
-// extentSet is a coalescing set of page extents built on a red-black tree
-// (start page -> page count). KernFS keeps one for global free space and one
-// per coffer for allocated space (§4.1).
+// extentSet is a coalescing set of page extents kept as a slice sorted by
+// start page; no two extents overlap or abut. KernFS keeps one for each
+// free-pool shard and one per coffer for allocated space (§4.1; the paper
+// uses red-black trees, DESIGN.md §6 says why a slice does here).
 type extentSet struct {
-	t     *rbtree.Tree
+	ext   []coffer.Extent
 	pages int64
 }
 
-func newExtentSet() *extentSet { return &extentSet{t: rbtree.New()} }
+func newExtentSet() *extentSet { return &extentSet{} }
 
 // Pages returns the total number of pages in the set.
 func (s *extentSet) Pages() int64 { return s.pages }
+
+// ceil returns the index of the first extent starting at or after page.
+func (s *extentSet) ceil(page int64) int {
+	i, _ := slices.BinarySearchFunc(s.ext, page, func(e coffer.Extent, p int64) int {
+		return cmp.Compare(e.Start, p)
+	})
+	return i
+}
+
+// floor returns the index of the last extent starting at or before page, or
+// -1 when there is none.
+func (s *extentSet) floor(page int64) int {
+	i := s.ceil(page)
+	if i < len(s.ext) && s.ext[i].Start == page {
+		return i
+	}
+	return i - 1
+}
 
 // Add inserts [start, start+count), growing the adjacent extent in place
 // where there is one. Overlapping adds are a caller bug and corrupt the set;
@@ -27,20 +48,20 @@ func (s *extentSet) Add(start, count int64) {
 		return
 	}
 	s.pages += count
-	pk, pv, pred := s.t.Floor(start)
-	pred = pred && pk+pv == start
-	nk, nv, succ := s.t.Ceiling(start)
-	succ = succ && start+count == nk
+	i := s.ceil(start)
+	pred := i > 0 && s.ext[i-1].End() == start
+	succ := i < len(s.ext) && start+count == s.ext[i].Start
 	switch {
 	case pred && succ:
-		s.t.Delete(nk)
-		s.t.Insert(pk, pv+count+nv)
+		s.ext[i-1].Count += count + s.ext[i].Count
+		s.ext = slices.Delete(s.ext, i, i+1)
 	case pred:
-		s.t.Insert(pk, pv+count)
+		s.ext[i-1].Count += count
 	case succ:
-		s.t.Rekey(nk, start, count+nv)
+		s.ext[i].Start = start
+		s.ext[i].Count += count
 	default:
-		s.t.Insert(start, count)
+		s.ext = slices.Insert(s.ext, i, coffer.Extent{Start: start, Count: count})
 	}
 }
 
@@ -51,101 +72,110 @@ func (s *extentSet) Remove(start, count int64) bool {
 	if count <= 0 {
 		return true
 	}
-	k, v, ok := s.t.Floor(start)
+	i := s.floor(start)
 	end := start + count
-	if !ok || k+v < end {
+	if i < 0 || s.ext[i].End() < end {
 		return false
 	}
-	if k == start {
-		s.cutFront(k, v, count)
+	e := s.ext[i]
+	if e.Start == start {
+		s.cutFront(i, count)
 		return true
 	}
-	s.t.Insert(k, start-k)
-	if k+v > end {
-		s.t.Insert(end, k+v-end)
+	s.ext[i].Count = start - e.Start
+	if e.End() > end {
+		s.ext = slices.Insert(s.ext, i+1, coffer.Extent{Start: end, Count: e.End() - end})
 	}
 	s.pages -= count
 	return true
 }
 
-// cutFront removes the first n pages of the extent (k, v).
-func (s *extentSet) cutFront(k, v, n int64) {
-	if n == v {
-		s.t.Delete(k)
+// cutFront removes the first n pages of extent i.
+func (s *extentSet) cutFront(i int, n int64) {
+	if e := &s.ext[i]; n < e.Count {
+		e.Start += n
+		e.Count -= n
 	} else {
-		s.t.Rekey(k, k+n, v-n)
+		s.ext = slices.Delete(s.ext, i, i+1)
 	}
 	s.pages -= n
 }
 
 // Contains reports whether every page of [start, start+count) is present.
 func (s *extentSet) Contains(start, count int64) bool {
-	k, v, ok := s.t.Floor(start)
-	return ok && k+v >= start+count
+	i := s.floor(start)
+	return i >= 0 && s.ext[i].End() >= start+count
 }
 
 // TakeFirst removes and returns up to want pages as extents, first-fit in
 // address order. It returns fewer pages only if the set runs dry.
 func (s *extentSet) TakeFirst(want int64) []coffer.Extent {
 	var out []coffer.Extent
-	for want > 0 {
-		k, v, ok := s.t.Min()
-		if !ok {
+	n := 0 // extents taken whole
+	for ; n < len(s.ext) && want > 0; n++ {
+		e := &s.ext[n]
+		take := min(e.Count, want)
+		out = append(out, coffer.Extent{Start: e.Start, Count: take})
+		s.pages -= take
+		want -= take
+		if take < e.Count {
+			e.Start += take
+			e.Count -= take
 			break
 		}
-		take := min(v, want)
-		s.cutFront(k, v, take)
-		out = append(out, coffer.Extent{Start: k, Count: take})
-		want -= take
 	}
+	s.ext = slices.Delete(s.ext, 0, n)
 	return out
 }
 
 // TakeRun removes and returns want pages as a single contiguous run, or
 // ok=false (set untouched) when no extent is large enough. Best-fit: the
-// smallest sufficient extent is split, keeping large runs intact for later
-// batch grants.
+// smallest sufficient extent, the lowest on a tie, is split, keeping large
+// runs intact for later batch grants.
 func (s *extentSet) TakeRun(want int64) (coffer.Extent, bool) {
 	if want <= 0 {
 		return coffer.Extent{}, false
 	}
-	bestK, bestV := int64(-1), int64(0)
-	s.t.Ascend(func(k, v int64) bool {
-		if v >= want && (bestK < 0 || v < bestV) {
-			bestK, bestV = k, v
-			if v == want {
-				return false
+	best := -1
+	for i, e := range s.ext {
+		if e.Count >= want && (best < 0 || e.Count < s.ext[best].Count) {
+			best = i
+			if e.Count == want {
+				break
 			}
 		}
-		return true
-	})
-	if bestK < 0 {
+	}
+	if best < 0 {
 		return coffer.Extent{}, false
 	}
-	s.cutFront(bestK, bestV, want)
-	return coffer.Extent{Start: bestK, Count: want}, true
+	run := coffer.Extent{Start: s.ext[best].Start, Count: want}
+	s.cutFront(best, want)
+	return run, true
 }
 
 // Each calls fn for every extent in address order. fn must not modify the
 // set; a loop that does walks it with Next.
 func (s *extentSet) Each(fn func(start, count int64)) {
-	s.t.Ascend(func(k, v int64) bool {
-		fn(k, v)
-		return true
-	})
+	for _, e := range s.ext {
+		fn(e.Start, e.Count)
+	}
 }
 
 // Next returns the first extent starting at or after page from.
 func (s *extentSet) Next(from int64) (coffer.Extent, bool) {
-	k, v, ok := s.t.Ceiling(from)
-	return coffer.Extent{Start: k, Count: v}, ok
+	if i := s.ceil(from); i < len(s.ext) {
+		return s.ext[i], true
+	}
+	return coffer.Extent{}, false
 }
 
 // All returns every extent in address order.
 func (s *extentSet) All() []coffer.Extent {
-	out := make([]coffer.Extent, 0, s.t.Len())
-	s.Each(func(start, count int64) {
-		out = append(out, coffer.Extent{Start: start, Count: count})
-	})
-	return out
+	return append(make([]coffer.Extent, 0, len(s.ext)), s.ext...)
+}
+
+// Clear empties the set, keeping its capacity for the next owner.
+func (s *extentSet) Clear() {
+	s.ext = s.ext[:0]
+	s.pages = 0
 }

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"zofs/internal/coffer"
-	"zofs/internal/rbtree"
+	"zofs/internal/nvm"
 )
 
 // naiveSet mirrors extentSet with a plain page map.
@@ -30,18 +30,60 @@ func (n naiveSet) remove(start, count int64) bool {
 	return true
 }
 
-func (n naiveSet) equal(s *extentSet) bool {
-	if int64(len(n)) != s.Pages() {
-		return false
+// runs returns the model's maximal runs in address order: the extents an
+// extentSet holding the same pages must hold.
+func (n naiveSet) runs() []coffer.Extent {
+	pages := make([]int64, 0, len(n))
+	for p := range n {
+		pages = append(pages, p)
 	}
-	for _, e := range s.All() {
-		for p := e.Start; p < e.End(); p++ {
-			if !n[p] {
-				return false
-			}
+	slices.Sort(pages)
+	var out []coffer.Extent
+	for _, p := range pages {
+		if k := len(out) - 1; k >= 0 && out[k].End() == p {
+			out[k].Count++
+		} else {
+			out = append(out, coffer.Extent{Start: p, Count: 1})
 		}
 	}
-	return true
+	return out
+}
+
+// takeFirst removes up to want pages from the lowest runs.
+func (n naiveSet) takeFirst(want int64) []coffer.Extent {
+	var out []coffer.Extent
+	for _, r := range n.runs() {
+		if want == 0 {
+			break
+		}
+		take := min(r.Count, want)
+		n.remove(r.Start, take)
+		out = append(out, coffer.Extent{Start: r.Start, Count: take})
+		want -= take
+	}
+	return out
+}
+
+// takeRun removes want pages from the front of the smallest run that holds
+// them, the lowest run on a tie.
+func (n naiveSet) takeRun(want int64) (coffer.Extent, bool) {
+	var best coffer.Extent
+	for _, r := range n.runs() {
+		if r.Count >= want && (best.Count == 0 || r.Count < best.Count) {
+			best = r
+		}
+	}
+	if best.Count == 0 {
+		return coffer.Extent{}, false
+	}
+	n.remove(best.Start, want)
+	return coffer.Extent{Start: best.Start, Count: want}, true
+}
+
+// equal reports whether s holds exactly the model's pages, as its maximal
+// runs.
+func (n naiveSet) equal(s *extentSet) bool {
+	return s.Pages() == int64(len(n)) && slices.Equal(s.All(), n.runs())
 }
 
 func TestExtentSetBasics(t *testing.T) {
@@ -160,98 +202,18 @@ func TestExtentSetAgainstModel(t *testing.T) {
 	}
 }
 
-// refExtentSet is the extent set as it was before it edited extents in place:
-// every change deletes the old extent and inserts what is left of it. It is
-// the reference TestExtentSetMatchesReference holds the in-place set to.
-type refExtentSet struct{ t *rbtree.Tree }
-
-func (s refExtentSet) Add(start, count int64) {
-	if pk, pv, ok := s.t.Floor(start); ok && pk+pv == start {
-		s.t.Delete(pk)
-		start, count = pk, pv+count
-	}
-	if nk, nv, ok := s.t.Ceiling(start); ok && start+count == nk {
-		s.t.Delete(nk)
-		count += nv
-	}
-	s.t.Insert(start, count)
-}
-
-func (s refExtentSet) Remove(start, count int64) bool {
-	k, v, ok := s.t.Floor(start)
-	if !ok || k+v < start+count {
-		return false
-	}
-	s.t.Delete(k)
-	if k < start {
-		s.t.Insert(k, start-k)
-	}
-	if k+v > start+count {
-		s.t.Insert(start+count, k+v-(start+count))
-	}
-	return true
-}
-
-func (s refExtentSet) TakeFirst(want int64) []coffer.Extent {
-	var out []coffer.Extent
-	for want > 0 {
-		k, v, ok := s.t.Min()
-		if !ok {
-			break
-		}
-		take := min(v, want)
-		s.t.Delete(k)
-		if take < v {
-			s.t.Insert(k+take, v-take)
-		}
-		out = append(out, coffer.Extent{Start: k, Count: take})
-		want -= take
-	}
-	return out
-}
-
-func (s refExtentSet) TakeRun(want int64) (coffer.Extent, bool) {
-	bestK, bestV := int64(-1), int64(0)
-	s.t.Ascend(func(k, v int64) bool {
-		if v >= want && (bestK < 0 || v < bestV) {
-			bestK, bestV = k, v
-			if v == want {
-				return false
-			}
-		}
-		return true
-	})
-	if bestK < 0 {
-		return coffer.Extent{}, false
-	}
-	s.t.Delete(bestK)
-	if bestV > want {
-		s.t.Insert(bestK+want, bestV-want)
-	}
-	return coffer.Extent{Start: bestK, Count: want}, true
-}
-
-func (s refExtentSet) All() []coffer.Extent {
-	out := []coffer.Extent{}
-	s.t.Ascend(func(k, v int64) bool {
-		out = append(out, coffer.Extent{Start: k, Count: v})
-		return true
-	})
-	return out
-}
-
-// TestExtentSetMatchesReference drives the set and the reference through
-// 10,000 seeded steps of disjoint adds, removes of present sub-ranges,
-// TakeRun and TakeFirst. Every take must return the same extents and every
-// step must leave the same extent list — this is what pins page placement,
-// and with it every simulated number, across the in-place rewrite. Each and
-// Next must walk that same list.
+// TestExtentSetMatchesReference drives the set and the page-map model
+// through 10,000 seeded steps of disjoint adds, removes of present
+// sub-ranges, TakeRun and TakeFirst. Every take must return the same extents
+// and every step must leave the model's maximal runs as the set's extents —
+// this is what pins page placement, and with it every simulated number.
+// Each and Next must walk that same list.
 func TestExtentSetMatchesReference(t *testing.T) {
 	const space = 1024
 	rng := rand.New(rand.NewSource(2024))
-	s, ref := newExtentSet(), refExtentSet{rbtree.New()}
+	s, ref := newExtentSet(), naiveSet{}
 	for step := 0; step < 10000; step++ {
-		all := ref.All()
+		all := ref.runs()
 		switch op := rng.Intn(10); {
 		case op < 5: // add a range that overlaps nothing present; half of them abut
 			start, count := rng.Int63n(space), rng.Int63n(12)+1
@@ -270,7 +232,7 @@ func TestExtentSetMatchesReference(t *testing.T) {
 				continue
 			}
 			s.Add(start, count)
-			ref.Add(start, count)
+			ref.add(start, count)
 		case op < 7: // remove the front, the tail, the middle or all of an extent
 			if len(all) == 0 {
 				continue
@@ -281,46 +243,101 @@ func TestExtentSetMatchesReference(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				start = e.Start
 			}
-			if got, want := s.Remove(start, count), ref.Remove(start, count); got != want || !got {
+			if got, want := s.Remove(start, count), ref.remove(start, count); got != want || !got {
 				t.Fatalf("step %d: Remove(%d,%d) = %v, reference %v", step, start, count, got, want)
 			}
 		case op < 8: // a range that is not wholly present must be refused
 			start, count := rng.Int63n(space), rng.Int63n(40)+1
-			if got, want := s.Remove(start, count), ref.Remove(start, count); got != want {
+			if got, want := s.Remove(start, count), ref.remove(start, count); got != want {
 				t.Fatalf("step %d: Remove(%d,%d) = %v, reference %v", step, start, count, got, want)
 			}
 		case op < 9:
 			want := rng.Int63n(16) + 1
 			got, ok := s.TakeRun(want)
-			rgot, rok := ref.TakeRun(want)
+			rgot, rok := ref.takeRun(want)
 			if got != rgot || ok != rok {
 				t.Fatalf("step %d: TakeRun(%d) = %v,%v, reference %v,%v", step, want, got, ok, rgot, rok)
 			}
 		default:
 			want := rng.Int63n(24) + 1
-			if got, rgot := s.TakeFirst(want), ref.TakeFirst(want); !slices.Equal(got, rgot) {
+			if got, rgot := s.TakeFirst(want), ref.takeFirst(want); !slices.Equal(got, rgot) {
 				t.Fatalf("step %d: TakeFirst(%d) = %v, reference %v", step, want, got, rgot)
 			}
 		}
-		all = ref.All()
+		all = ref.runs()
 		if got := s.All(); !slices.Equal(got, all) {
 			t.Fatalf("step %d: extents %v, reference %v", step, got, all)
 		}
-		var pages int64
-		for _, e := range all {
-			pages += e.Count
-		}
-		if s.Pages() != pages {
-			t.Fatalf("step %d: Pages = %d, extents hold %d", step, s.Pages(), pages)
+		if s.Pages() != int64(len(ref)) {
+			t.Fatalf("step %d: Pages = %d, reference holds %d", step, s.Pages(), len(ref))
 		}
 		if step%100 == 0 {
-			var walked []coffer.Extent
+			var walked, each []coffer.Extent
 			for e, ok := s.Next(0); ok; e, ok = s.Next(e.End()) {
 				walked = append(walked, e)
 			}
-			if !slices.Equal(walked, all) {
-				t.Fatalf("step %d: Next walked %v, reference %v", step, walked, all)
+			s.Each(func(start, count int64) {
+				each = append(each, coffer.Extent{Start: start, Count: count})
+			})
+			if !slices.Equal(walked, all) || !slices.Equal(each, all) {
+				t.Fatalf("step %d: Next walked %v, Each %v, reference %v", step, walked, each, all)
 			}
 		}
+	}
+}
+
+// TestExtentSetSteadyStateAllocs: once a set has held its largest size, a
+// cycle of splits, merges and takes that makes its size oscillate allocates
+// nothing; and the owner set a deleted coffer leaves in spare grows back to
+// its old size without allocating.
+func TestExtentSetSteadyStateAllocs(t *testing.T) {
+	s := newExtentSet()
+	for i := int64(0); i < 64; i++ {
+		s.Add(i*8, 4)
+	}
+	cycle := func() {
+		s.Remove(9, 2) // split [8,12): 65 extents
+		run, ok := s.TakeRun(4)
+		if !ok || run != (coffer.Extent{Start: 0, Count: 4}) || !s.Contains(16, 4) {
+			panic("cycle: wrong TakeRun or Contains")
+		}
+		s.Add(9, 2) // merge back: 63
+		s.Add(run.Start, run.Count)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("split/take/merge cycle on a warm set: %v allocs, want 0", n)
+	}
+
+	dev := nvm.NewDevice(64 << 20)
+	sm := newSpaceManager(dev, nvm.PageSize, dev.Pages())
+	sm.initTable(nil, 64)
+	const a, b, c = coffer.ID(1000), coffer.ID(1001), coffer.ID(1002)
+	for i := 0; i < 40; i++ { // interleaved single pages: a holds 40 extents
+		for _, id := range []coffer.ID{a, b} {
+			if _, err := sm.allocate(nil, 1, id, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	old := sm.extentsOf(a)
+	if len(old) != 40 {
+		t.Fatalf("coffer %d holds %d extents, want 40", a, len(old))
+	}
+	sm.releaseAll(nil, a)
+	if err := sm.verify(); err != nil {
+		t.Fatalf("after releaseAll: %v", err)
+	}
+	reused := sm.ownerSet(c)
+	if reused.Pages() != 0 || len(reused.ext) != 0 || cap(reused.ext) < len(old) {
+		t.Fatalf("spare set holds %v, room for %d extents", reused.ext, cap(reused.ext))
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for _, e := range old {
+			reused.Add(e.Start, e.Count)
+		}
+		reused.Clear()
+	}); n != 0 {
+		t.Fatalf("spare set growing back to %d extents: %v allocs, want 0", len(old), n)
 	}
 }

@@ -14,7 +14,7 @@
 //
 //	kernfs.registry          publication only: a coffer's path entry and
 //	                         registry slot appear, move or go together
-//	kernfs.coffer/<id>       one per coffer: flags, mappers, owner tree
+//	kernfs.coffer/<id>       one per coffer: flags, mappers, owner set
 //	kernfs.paths             path-table write side (readers take no lock)
 //	kernfs.freeshard/<i>     free-pool shards; transient leaves
 //
@@ -130,7 +130,7 @@ type KernFS struct {
 const violationThreshold = 3
 
 // cofferInfo is the kernel's per-coffer record. mu (`kernfs.coffer/<id>`)
-// guards rp, dead and mappers plus the coffer's owner tree in the space
+// guards rp, dead and mappers plus the coffer's owner set in the space
 // manager; snap republishes rp after every change so Info and permission
 // checks read it without the lock (validated against NVM truth the same way
 // the dcache is).
@@ -488,7 +488,7 @@ func (k *KernFS) RetainedPathPages() int64 { return k.paths.retained() }
 func (k *KernFS) FreeExtents() []coffer.Extent { return k.space.freeSnapshot().All() }
 
 // VerifySpace re-reads the persistent allocation table and cross-checks it
-// against the kernel's volatile extent trees: per-slot ownership, per-owner
+// against the kernel's volatile extent sets: per-slot ownership, per-owner
 // page counts, the sharded free pool (including in-flight grant batches)
 // and the whole-device census. Uncharged (a fsck/tooling operation, not a
 // modeled syscall).
@@ -681,7 +681,7 @@ func (k *KernFS) Coffers() []coffer.ID {
 
 // ExtentsOf returns the pages owned by a coffer (kernel view). Works for
 // coffer.KernelID too — the kernel's own metadata pages have no registry
-// entry but do have an owner tree.
+// entry but do have an owner set.
 func (k *KernFS) ExtentsOf(id coffer.ID) []coffer.Extent {
 	if ci := k.lockCoffer(nil, id); ci != nil {
 		defer ci.mu.Unlock(nil)
@@ -831,7 +831,7 @@ func enlargeHint(id coffer.ID, tid int) uint64 {
 // write + PTE charge all ran under one global kernel mutex. Now the charged
 // work runs with no lock held — the staged pages are invisible until
 // publication, so scrubbing them unlocked is race-free by construction —
-// and the coffer lock covers only the volatile publish (owner tree + page
+// and the coffer lock covers only the volatile publish (owner set + page
 // tables).
 func (k *KernFS) CofferEnlarge(th *proc.Thread, id coffer.ID, npages int64, zero bool) ([]coffer.Extent, error) {
 	defer kcall(th, "coffer_enlarge")()
@@ -1488,7 +1488,7 @@ func (k *KernFS) foldLocked(th *proc.Thread, si, di *cofferInfo) error {
 			return ErrBusy
 		}
 	}
-	// Retagging takes pages out of the tree being walked, so the walk re-finds
+	// Retagging takes pages out of the set being walked, so the walk re-finds
 	// its place after every extent; all that stays behind is the root page.
 	srcRoot, own := int64(src), k.space.ownerSet(src)
 	for e, ok := own.Next(0); ok; e, ok = own.Next(e.End()) {

@@ -30,14 +30,14 @@ const numFreeShards = 16
 // own lock (`kernfs.freeshard/<i>`). Shard critical sections are transient
 // leaves in the lock hierarchy — no shard lock is ever held while acquiring
 // any other lock, and no charged work (table writes, scrubbing) happens
-// inside one, so shards serialize only the volatile tree surgery.
+// inside one, so shards serialize only the volatile set edits.
 type freeShard struct {
 	mu  lockprof.Mutex
 	set *extentSet
 }
 
 // spaceManager owns the persistent allocation table, the sharded free-space
-// pool and the per-coffer allocated-space extent trees (§4.1).
+// pool and the per-coffer allocated-space extent sets (§4.1).
 //
 // Locking: each shard guards its own free set. byOwner map structure is
 // guarded by ownMu; the per-coffer sets themselves are stable only under
@@ -53,8 +53,8 @@ type spaceManager struct {
 
 	ownMu   sync.Mutex
 	byOwner map[coffer.ID]*extentSet
-	// spare holds the emptied trees of deleted coffers; the next coffer takes
-	// one over, nodes and all, before building a new one.
+	// spare holds the emptied sets of deleted coffers; the next coffer takes
+	// one over, capacity and all, before building a new one.
 	spare []*extentSet
 
 	inflMu   sync.Mutex
@@ -127,7 +127,7 @@ func (sm *spaceManager) readSlot(clk *simclock.Clock, page int64) (coffer.ID, in
 }
 
 // slotOwner reads one page's owner without charging a clock (the violation
-// handler's attribution path; the table is the authority, no tree lock
+// handler's attribution path; the table is the authority, no set lock
 // needed).
 func (sm *spaceManager) slotOwner(page int64) coffer.ID {
 	var b [allocSlotSize]byte
@@ -164,7 +164,7 @@ func (sm *spaceManager) initTable(clk *simclock.Clock, kernPages int64) {
 	sm.addFree(clk, kernPages, sm.npages-kernPages)
 }
 
-// scan rebuilds the volatile trees from the persistent table (mount and
+// scan rebuilds the volatile sets from the persistent table (mount and
 // recovery path). Ownership authority is each slot's own coffer-ID: the
 // run-length field only accelerates in-order scans and is NOT trusted
 // across slots, because coffer_split/merge retag single pages inside older
@@ -211,7 +211,7 @@ func (sm *spaceManager) scan(clk *simclock.Clock) error {
 	return nil
 }
 
-// ownerSet returns (creating on demand) a coffer's allocated-space tree.
+// ownerSet returns (creating on demand) a coffer's allocated-space set.
 // The returned set is stable only under the coffer's lock.
 func (sm *spaceManager) ownerSet(id coffer.ID) *extentSet {
 	sm.ownMu.Lock()
@@ -228,7 +228,7 @@ func (sm *spaceManager) ownerSet(id coffer.ID) *extentSet {
 	return s
 }
 
-// peekOwner returns a coffer's tree without creating one.
+// peekOwner returns a coffer's set without creating one.
 func (sm *spaceManager) peekOwner(id coffer.ID) *extentSet {
 	sm.ownMu.Lock()
 	defer sm.ownMu.Unlock()
@@ -244,7 +244,7 @@ func (sm *spaceManager) peekOwner(id coffer.ID) *extentSet {
 // lock. Slow path (refill): sweep the other shards one lock at a time,
 // draining what each can spare, until the request is met; a shortfall returns
 // everything and ErrNoSpace — exactly when the device is genuinely out of
-// pages, same as the old global tree.
+// pages.
 func (sm *spaceManager) takeFree(clk *simclock.Clock, hint uint64, want int64, got []coffer.Extent) ([]coffer.Extent, error) {
 	if want <= 0 {
 		return nil, fmt.Errorf("%w: non-positive allocation", ErrInvalid)
@@ -308,7 +308,7 @@ func (sm *spaceManager) returnFree(clk *simclock.Clock, exts []coffer.Extent) {
 // the table updates, with the hint steering shard placement. Returns
 // ErrNoSpace without partial allocation if the pool is short. The caller
 // must hold the coffer's lock (or be the only reference holder) so the
-// owner tree is stable.
+// owner set is stable.
 func (sm *spaceManager) allocate(clk *simclock.Clock, hint uint64, id coffer.ID, want int64, got []coffer.Extent) ([]coffer.Extent, error) {
 	exts, err := sm.takeFree(clk, hint, want, got)
 	if err != nil {
@@ -334,12 +334,13 @@ func (sm *spaceManager) release(clk *simclock.Clock, id coffer.ID, start, count 
 	return nil
 }
 
-// releaseAll frees every page of a coffer and drops its owner tree, in that
-// order of visibility: the tree is unregistered before any page reaches the
+// releaseAll frees every page of a coffer and drops its owner set, in that
+// order of visibility: the set is unregistered before any page reaches the
 // free pool. A coffer ID is its root page's number, so the instant the root
 // page is free a concurrent coffer_new can mint the same ID — and must get
-// another owner tree from ownerSet, never the doomed one, which joins the
-// spares only once it is empty.
+// another owner set from ownerSet, never the doomed one, which joins the
+// spares only once it is empty. The extents are freed in one ascending pass
+// and the set is emptied after it.
 func (sm *spaceManager) releaseAll(clk *simclock.Clock, id coffer.ID) {
 	sm.ownMu.Lock()
 	s := sm.byOwner[id]
@@ -348,11 +349,11 @@ func (sm *spaceManager) releaseAll(clk *simclock.Clock, id coffer.ID) {
 	if s == nil {
 		return
 	}
-	for e, ok := s.Next(0); ok; e, ok = s.Next(e.End()) {
-		s.Remove(e.Start, e.Count)
-		sm.writeRun(clk, e.Start, e.Count, 0)
-		sm.addFree(clk, e.Start, e.Count)
-	}
+	s.Each(func(start, count int64) {
+		sm.writeRun(clk, start, count, 0)
+		sm.addFree(clk, start, count)
+	})
+	s.Clear()
 	sm.ownMu.Lock()
 	sm.spare = append(sm.spare, s)
 	sm.ownMu.Unlock()
@@ -415,13 +416,13 @@ func (sm *spaceManager) freeSnapshot() *extentSet {
 }
 
 // verify re-reads the persistent allocation table (uncharged) and checks it
-// against the volatile trees: every slot's owner must match the owning
+// against the volatile sets: every slot's owner must match the owning
 // extent set, and the per-owner page counts must agree exactly. Free pages
 // must sit in exactly one place — a shard's free set or the in-flight
 // staging set of a grant being assembled — and the census must cover the
 // device. This is the kernel side of the byte-flow space conservation check
-// — the persistent table is the authority, the volatile trees are the cache
-// under test. Owner trees require quiescence (fsck/tooling context).
+// — the persistent table is the authority, the volatile sets are the cache
+// under test. Owner sets require quiescence (fsck/tooling context).
 func (sm *spaceManager) verify() error {
 	// Snapshot the sharded free pool and the in-flight set.
 	free := sm.freeSnapshot()
@@ -451,7 +452,7 @@ func (sm *spaceManager) verify() error {
 			}
 			own := sm.peekOwner(id)
 			if own == nil || !own.Contains(pg, 1) {
-				return fmt.Errorf("kernfs: page %d owned by coffer %d on media but not in its extent tree", pg, id)
+				return fmt.Errorf("kernfs: page %d owned by coffer %d on media but not in its extent set", pg, id)
 			}
 		}
 	}
@@ -464,7 +465,7 @@ func (sm *spaceManager) verify() error {
 			continue
 		}
 		if got := sm.pagesOf(id); got != want {
-			return fmt.Errorf("kernfs: coffer %d extent tree holds %d pages, table says %d", id, got, want)
+			return fmt.Errorf("kernfs: coffer %d extent set holds %d pages, table says %d", id, got, want)
 		}
 	}
 	var total int64

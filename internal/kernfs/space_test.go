@@ -10,8 +10,8 @@ import (
 )
 
 // TestVerifySpaceAfterChurn: the three-way space check (persistent table vs
-// volatile trees vs census) must hold through coffer creation, enlargement
-// and deletion, and across a remount (which rebuilds the trees by scanning
+// volatile sets vs census) must hold through coffer creation, enlargement
+// and deletion, and across a remount (which rebuilds the sets by scanning
 // the table).
 func TestVerifySpaceAfterChurn(t *testing.T) {
 	dev, k := newFS(t)
@@ -52,7 +52,7 @@ func TestVerifySpaceAfterChurn(t *testing.T) {
 // TestSpaceCensusBruteForce: every device page must be accounted for exactly
 // once — free pool, or owned by exactly one coffer (the kernel's own
 // metadata is coffer.KernelID) — and the public counters must agree with a
-// page-by-page census of the extent trees.
+// page-by-page census of the extent sets.
 func TestSpaceCensusBruteForce(t *testing.T) {
 	_, k := newFS(t)
 	th := mountedThread(t, k, 0, 0)
@@ -89,7 +89,7 @@ func TestSpaceCensusBruteForce(t *testing.T) {
 }
 
 // TestVerifySpaceDetectsTableCorruption: the persistent table is the
-// authority; a slot retagged behind the volatile trees' back must fail the
+// authority; a slot retagged behind the volatile sets' back must fail the
 // check (this is what the crash model checker's space_conserved invariant
 // leans on).
 func TestVerifySpaceDetectsTableCorruption(t *testing.T) {

@@ -122,7 +122,7 @@ func (f *FS) WearReport() []byteflow.PageWear {
 }
 
 // VerifySpace cross-checks the space accounting three ways for every
-// coffer: the kernel's volatile extent trees against the persistent
+// coffer: the kernel's volatile extent sets against the persistent
 // allocation table (kernfs.VerifySpace), then the µFS-side split — the
 // persistent free lists and this instance's batch caches must all lie
 // inside the kernel's grant, with no page in two places.

@@ -205,7 +205,10 @@ fields() {
 obs=$(find internal/telemetry internal/pmemtrace internal/spans internal/byteflow \
     internal/lockprof internal/series internal/obsfs \
     cmd/zofs-obs cmd/zofs-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
-echo "non-test Go lines outside benchmark/: $lines; zofs.Options fields: $(fields internal/zofs/fs.go)"
+pkgs=$(go list ./... | grep -vc '^zofs/benchmark\(/\|$\)')
+echo "non-test Go lines outside benchmark/: $lines; Go packages outside benchmark/: $pkgs;" \
+    "zofs.Options fields: $(fields internal/zofs/fs.go)"
+echo "DESIGN.md lines: $(wc -l <DESIGN.md)"
 echo "CLIs: $(ls cmd | wc -l); observability set + zofs-obs + zofs-bench: $obs lines"
 echo "experiments: $(grep -c '^	{"' internal/harness/harness.go); zofs-bench flags:" \
     "$(grep -cE 'fl\.[A-Z][A-Za-z0-9]*\("' cmd/zofs-bench/main.go); harness.Options fields: $(fields internal/harness/harness.go)"
