@@ -493,6 +493,11 @@ func runSlotless(p *personality, cfg Config) (*FaultReport, []Violation, error) 
 			}
 		}
 	})
+	step("zeroed_pages_zero", func() {
+		if err := k2.VerifyZeroed(); err != nil {
+			panic(err)
+		}
+	})
 
 	// Durability: reclaiming the stranded tail must not have swallowed any
 	// published page — neither the setup workload's files nor the pages the

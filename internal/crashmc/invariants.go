@@ -115,6 +115,15 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 		}
 	})
 
+	// Grants skip scrubbing the pages the allocation table flags as never
+	// granted since mkfs, so no crash may leave that flag on a page that
+	// holds a byte.
+	step("zeroed_pages_zero", func() {
+		if err := k2.VerifyZeroed(); err != nil {
+			panic(err)
+		}
+	})
+
 	o := oracleAfter(ops, res.completed)
 	var inflight *Op
 	if res.completed < len(ops) {

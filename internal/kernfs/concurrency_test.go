@@ -212,7 +212,7 @@ func TestCrashMidRefillLeakFree(t *testing.T) {
 	dev, k := newFS(t)
 	freeBefore := k.FreePages()
 
-	exts, err := k.space.takeFree(nil, 42, 64, nil)
+	exts, _, err := k.space.takeFree(nil, 42, 64, nil, nil)
 	if err != nil {
 		t.Fatalf("takeFree: %v", err)
 	}

@@ -101,6 +101,30 @@ func (s *extentSet) cutFront(i int, n int64) {
 	s.pages -= n
 }
 
+// Carve removes whatever part of [start, start+count) the set holds and
+// appends the parts it did not hold to out, in address order.
+func (s *extentSet) Carve(start, count int64, out []coffer.Extent) []coffer.Extent {
+	end := start + count
+	for at := start; at < end; {
+		i := s.floor(at)
+		if i < 0 || s.ext[i].End() <= at {
+			i++
+		}
+		if i == len(s.ext) || s.ext[i].Start >= end {
+			return append(out, coffer.Extent{Start: at, Count: end - at})
+		}
+		e := s.ext[i]
+		if e.Start > at {
+			out = append(out, coffer.Extent{Start: at, Count: e.Start - at})
+			at = e.Start
+		}
+		hi := min(e.End(), end)
+		s.Remove(at, hi-at)
+		at = hi
+	}
+	return out
+}
+
 // Contains reports whether every page of [start, start+count) is present.
 func (s *extentSet) Contains(start, count int64) bool {
 	i := s.floor(start)

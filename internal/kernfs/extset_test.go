@@ -80,6 +80,19 @@ func (n naiveSet) takeRun(want int64) (coffer.Extent, bool) {
 	return coffer.Extent{Start: best.Start, Count: want}, true
 }
 
+// carve removes the model's pages in [start, start+count) and returns the
+// runs of the range it did not hold.
+func (n naiveSet) carve(start, count int64) []coffer.Extent {
+	gaps := naiveSet{}
+	for p := start; p < start+count; p++ {
+		if !n[p] {
+			gaps[p] = true
+		}
+		delete(n, p)
+	}
+	return gaps.runs()
+}
+
 // equal reports whether s holds exactly the model's pages, as its maximal
 // runs.
 func (n naiveSet) equal(s *extentSet) bool {
@@ -286,6 +299,35 @@ func TestExtentSetMatchesReference(t *testing.T) {
 	}
 }
 
+// TestExtentSetCarveMatchesReference: Carve over random ranges — inside one
+// extent, across several, over gaps only — removes exactly the pages the
+// model holds there and returns the model's runs of the rest, while adds of
+// whatever a range lacks keep the set fragmented.
+func TestExtentSetCarveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	s, ref := newExtentSet(), naiveSet{}
+	for step := 0; step < 5000; step++ {
+		start, count := rng.Int63n(512), rng.Int63n(40)+1
+		if rng.Intn(2) == 0 {
+			lacks := naiveSet{}
+			for p := start; p < start+count; p++ {
+				if !ref[p] {
+					lacks[p] = true
+				}
+			}
+			for _, gap := range lacks.runs() {
+				s.Add(gap.Start, gap.Count)
+				ref.add(gap.Start, gap.Count)
+			}
+		} else if got, want := s.Carve(start, count, nil), ref.carve(start, count); !slices.Equal(got, want) {
+			t.Fatalf("step %d: Carve(%d,%d) = %v, reference %v", step, start, count, got, want)
+		}
+		if !ref.equal(s) {
+			t.Fatalf("step %d: extents %v, reference %v", step, s.All(), ref.runs())
+		}
+	}
+}
+
 // TestExtentSetSteadyStateAllocs: once a set has held its largest size, a
 // cycle of splits, merges and takes that makes its size oscillate allocates
 // nothing; and the owner set a deleted coffer leaves in spare grows back to
@@ -311,7 +353,7 @@ func TestExtentSetSteadyStateAllocs(t *testing.T) {
 
 	dev := nvm.NewDevice(64 << 20)
 	sm := newSpaceManager(dev, nvm.PageSize, dev.Pages())
-	sm.initTable(nil, 64)
+	sm.initTable(nil, 64, true)
 	const a, b, c = coffer.ID(1000), coffer.ID(1001), coffer.ID(1002)
 	for i := 0; i < 40; i++ { // interleaved single pages: a holds 40 extents
 		for _, id := range []coffer.ID{a, b} {

@@ -261,7 +261,8 @@ func (ps *procState) forgetKey(id coffer.ID) {
 // Mkfs formats a device: superblock, allocation table, path table and the
 // root coffer (a ZoFS-type coffer holding "/"). Every write carries an
 // explicit byte class — mkfs runs with nil clocks, and formatting traffic
-// must not land in the ledger's residual.
+// must not land in the ledger's residual. On a blank device every free slot
+// is flagged zeroed; on any other device none is.
 func Mkfs(dev *nvm.Device, opts MkfsOptions) error {
 	if opts.RootMode == 0 {
 		opts.RootMode = 0o755
@@ -274,14 +275,15 @@ func Mkfs(dev *nvm.Device, opts MkfsOptions) error {
 		return fmt.Errorf("%w: device too small (%d pages)", ErrInvalid, npages)
 	}
 
+	blank := dev.Blank()
 	sm := newSpaceManager(dev, 1*nvm.PageSize, npages)
-	sm.initTable(nil, kernPages)
+	sm.initTable(nil, kernPages, blank)
 	pt := &pathTable{dev: dev, bucketOff: (1 + allocPages) * nvm.PageSize, sm: sm}
 	pt.init(nil)
 
 	// Root coffer: root page + root dir inode page + custom page.
-	var one [1]coffer.Extent
-	exts, err := sm.takeFree(nil, 0, 3, one[:0])
+	var one, dirty [1]coffer.Extent
+	exts, dirtied, err := sm.takeFree(nil, 0, 3, one[:0], dirty[:0])
 	if err != nil {
 		return err
 	}
@@ -298,13 +300,11 @@ func Mkfs(dev *nvm.Device, opts MkfsOptions) error {
 		UID: opts.RootUID, GID: opts.RootGID,
 		RootInode: pages[1], Custom: pages[2], Path: "/",
 	}
-	// Root pages are the coffer's super-inode; interior scrubbing is
-	// allocator overhead, same as a zeroed enlarge grant.
+	// Root pages are the coffer's super-inode.
 	var page [nvm.PageSize]byte
 	coffer.EncodeRootPage(&page, rp)
 	dev.WriteNTClass(nil, byteflow.ClassInode, pages[0]*nvm.PageSize, page[:])
-	dev.ZeroClass(nil, byteflow.ClassAlloc, pages[1]*nvm.PageSize, nvm.PageSize)
-	dev.ZeroClass(nil, byteflow.ClassAlloc, pages[2]*nvm.PageSize, nvm.PageSize)
+	scrubHead(dev, nil, pages, dirtied)
 	if err := pt.insert(nil, "/", rootID); err != nil {
 		return err
 	}
@@ -321,6 +321,20 @@ func Mkfs(dev *nvm.Device, opts MkfsOptions) error {
 	binary.LittleEndian.PutUint64(sb[sbRootOff:], uint64(rootID))
 	dev.WriteNTClass(nil, byteflow.ClassInode, 0, sb)
 	return nil
+}
+
+// scrubHead zeroes a new coffer's root-file inode page and custom page where
+// they may hold old bytes (dirty, from takeFree); its root page is written
+// whole. The scrub is allocator overhead, as a zeroed enlarge grant's is.
+func scrubHead(dev *nvm.Device, clk *simclock.Clock, pages [3]int64, dirty []coffer.Extent) {
+	for _, pg := range pages[1:] {
+		for _, e := range dirty {
+			if pg >= e.Start && pg < e.End() {
+				dev.ZeroClass(clk, byteflow.ClassAlloc, pg*nvm.PageSize, nvm.PageSize)
+				break
+			}
+		}
+	}
 }
 
 // headPages returns the first three pages of a new coffer's grant: its root
@@ -489,10 +503,15 @@ func (k *KernFS) FreeExtents() []coffer.Extent { return k.space.freeSnapshot().A
 
 // VerifySpace re-reads the persistent allocation table and cross-checks it
 // against the kernel's volatile extent sets: per-slot ownership, per-owner
-// page counts, the sharded free pool (including in-flight grant batches)
-// and the whole-device census. Uncharged (a fsck/tooling operation, not a
-// modeled syscall).
+// page counts, the sharded free pool (including in-flight grant batches),
+// the zeroed pages it need not scrub and the whole-device census. Uncharged
+// (a fsck/tooling operation, not a modeled syscall).
 func (k *KernFS) VerifySpace() error { return k.space.verify() }
+
+// VerifyZeroed checks that every page the allocation table flags as not
+// granted since mkfs reads zero, so a grant that skips its scrub hands out
+// zeros. Uncharged.
+func (k *KernFS) VerifyZeroed() error { return k.space.verifyZeroed() }
 
 // ---- fs_mount / fs_umount -------------------------------------------------
 
@@ -721,10 +740,11 @@ func (k *KernFS) CofferNew(th *proc.Thread, parent coffer.ID, path string, typ c
 		return 0, ErrExists
 	}
 
-	// Stage: take pages, tag them, scrub the metadata pages, write the root
-	// page. No lock is held; the ID is not yet discoverable.
-	var one [1]coffer.Extent
-	exts, err := k.space.takeFree(th.Clk, uint64(parent)^uint64(th.TID)<<32, npages, one[:0])
+	// Stage: take pages, tag them, scrub the metadata pages that may hold
+	// old bytes, write the root page. No lock is held; the ID is not yet
+	// discoverable.
+	var one, dirty [1]coffer.Extent
+	exts, dirtied, err := k.space.takeFree(th.Clk, uint64(parent)^uint64(th.TID)<<32, npages, one[:0], dirty[:0])
 	if err != nil {
 		return 0, err
 	}
@@ -741,10 +761,7 @@ func (k *KernFS) CofferNew(th *proc.Thread, parent coffer.ID, path string, typ c
 		RootInode: pages[1], Custom: pages[2], Path: path,
 	}
 	k.writeRootPage(th.Clk, pages[0], &rp)
-	wprev := th.Clk.SwapWriteClass(uint8(byteflow.ClassAlloc))
-	k.dev.Zero(th.Clk, pages[1]*nvm.PageSize, nvm.PageSize)
-	k.dev.Zero(th.Clk, pages[2]*nvm.PageSize, nvm.PageSize)
-	th.Clk.SetWriteClass(wprev)
+	scrubHead(k.dev, th.Clk, pages, dirtied)
 
 	// Publish: path entry and registry record become visible together.
 	k.regMu.Lock(th.Clk)
@@ -825,7 +842,8 @@ func enlargeHint(id coffer.ID, tid int) uint64 {
 // CofferEnlarge allocates npages more pages to a mapped coffer (Table 5:
 // coffer_enlarge) and maps them into every process that has the coffer
 // mapped. When zero is set the kernel scrubs the pages before granting them
-// (required for pages that will hold metadata parsed by other processes).
+// (required for pages that will hold metadata parsed by other processes) —
+// those that may hold old bytes: a page not granted since mkfs reads zero.
 //
 // This used to be the scaling cliff of Figures 7(d)/(g): scrub + table
 // write + PTE charge all ran under one global kernel mutex. Now the charged
@@ -862,17 +880,16 @@ func (k *KernFS) CofferEnlarge(th *proc.Thread, id coffer.ID, npages int64, zero
 
 	// Stage: shard extraction, grant scrubbing and the table write, all
 	// lock-free.
-	exts, err := k.space.takeFree(th.Clk, enlargeHint(id, th.TID), npages, nil)
+	var dirty [4]coffer.Extent
+	exts, dirtied, err := k.space.takeFree(th.Clk, enlargeHint(id, th.TID), npages, nil, dirty[:0])
 	if err != nil {
 		return nil, err
 	}
 	if zero {
 		// Grant scrubbing is allocator overhead in the byte-flow ledger.
-		wprev := th.Clk.SwapWriteClass(uint8(byteflow.ClassAlloc))
-		for _, e := range exts {
-			k.dev.Zero(th.Clk, e.Start*nvm.PageSize, e.Count*nvm.PageSize)
+		for _, e := range dirtied {
+			k.dev.ZeroClass(th.Clk, byteflow.ClassAlloc, e.Start*nvm.PageSize, e.Count*nvm.PageSize)
 		}
-		th.Clk.SetWriteClass(wprev)
 	}
 	for _, e := range exts {
 		k.space.writeRun(th.Clk, e.Start, e.Count, id)
@@ -1374,9 +1391,9 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 		ci.mu.Unlock(th.Clk)
 		return 0, ErrExists
 	}
-	// New root page.
-	var one [1]coffer.Extent
-	exts, err := k.space.takeFree(th.Clk, enlargeHint(old, th.TID), 1, one[:0])
+	// New root page, written whole below: nothing to scrub.
+	var one, dirty [1]coffer.Extent
+	exts, _, err := k.space.takeFree(th.Clk, enlargeHint(old, th.TID), 1, one[:0], dirty[:0])
 	if err != nil {
 		ci.mu.Unlock(th.Clk)
 		return 0, err

@@ -13,7 +13,7 @@ func newPathTable(t *testing.T) (*nvm.Device, *pathTable) {
 	t.Helper()
 	dev := nvm.NewDevice(64 << 20)
 	sm := newSpaceManager(dev, nvm.PageSize, dev.Pages())
-	sm.initTable(nil, 64)
+	sm.initTable(nil, 64, true)
 	pt := &pathTable{dev: dev, bucketOff: 40 * nvm.PageSize, sm: sm}
 	pt.init(nil)
 	return dev, pt

@@ -1,6 +1,7 @@
 package kernfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strconv"
@@ -20,6 +21,13 @@ import (
 // with coffer.KernelID.
 const allocSlotSize = 8
 
+// slotZeroed is the zeroed bit of a free slot's run-length word: the page
+// has not been granted since mkfs formatted a blank device, so it still
+// reads zero and a grant need not scrub it. Only mkfs sets it; every grant
+// and every release rewrites the slot without it, before the page can hold
+// a byte.
+const slotZeroed = 1 << 31
+
 // numFreeShards is the fixed shard count of the free-space pool. Fixed (not
 // sized to GOMAXPROCS or thread count) so allocation placement is identical
 // across runs — the replay and bit-identical-with-profiler gates depend on
@@ -30,10 +38,12 @@ const numFreeShards = 16
 // own lock (`kernfs.freeshard/<i>`). Shard critical sections are transient
 // leaves in the lock hierarchy — no shard lock is ever held while acquiring
 // any other lock, and no charged work (table writes, scrubbing) happens
-// inside one, so shards serialize only the volatile set edits.
+// inside one, so shards serialize only the volatile set edits. zeroed mirrors
+// the slots of the free set that carry slotZeroed; it is a subset of set.
 type freeShard struct {
-	mu  lockprof.Mutex
-	set *extentSet
+	mu     lockprof.Mutex
+	set    *extentSet
+	zeroed *extentSet
 }
 
 // spaceManager owns the persistent allocation table, the sharded free-space
@@ -66,6 +76,7 @@ func newSpaceManager(dev *nvm.Device, tabStart, npages int64) *spaceManager {
 	for i := range sm.shards {
 		sm.shards[i].mu.Init("kernfs.freeshard", strconv.Itoa(i))
 		sm.shards[i].set = newExtentSet()
+		sm.shards[i].zeroed = newExtentSet()
 	}
 	sm.byOwner = map[coffer.ID]*extentSet{}
 	sm.inflight = newExtentSet()
@@ -104,7 +115,13 @@ func shardHome(hint uint64) int {
 // mkfs-time runs carry no clock but are still allocator bytes. A run of up to
 // 64 slots — a retagged page, a new coffer, a metadata grant — is built on
 // the stack; only the rare large data grant takes a buffer from the heap.
+// The slots carry no slotZeroed bit.
 func (sm *spaceManager) writeRun(clk *simclock.Clock, start, count int64, id coffer.ID) {
+	sm.writeSlots(clk, start, count, id, 0)
+}
+
+// writeSlots is writeRun with flag bits or-ed into every run length.
+func (sm *spaceManager) writeSlots(clk *simclock.Clock, start, count int64, id coffer.ID, flags uint32) {
 	var small [64 * allocSlotSize]byte
 	buf := small[:]
 	if n := count * allocSlotSize; n <= int64(len(small)) {
@@ -114,16 +131,9 @@ func (sm *spaceManager) writeRun(clk *simclock.Clock, start, count int64, id cof
 	}
 	for i := int64(0); i < count; i++ {
 		binary.LittleEndian.PutUint32(buf[i*allocSlotSize:], uint32(id))
-		binary.LittleEndian.PutUint32(buf[i*allocSlotSize+4:], uint32(count-i))
+		binary.LittleEndian.PutUint32(buf[i*allocSlotSize+4:], uint32(count-i)|flags)
 	}
 	sm.dev.WriteNTClass(clk, byteflow.ClassAlloc, sm.slotOff(start), buf)
-}
-
-// readSlot reads one page's slot.
-func (sm *spaceManager) readSlot(clk *simclock.Clock, page int64) (coffer.ID, int64) {
-	var b [allocSlotSize]byte
-	sm.dev.Read(clk, sm.slotOff(page), b[:])
-	return coffer.ID(binary.LittleEndian.Uint32(b[:])), int64(binary.LittleEndian.Uint32(b[4:]))
 }
 
 // slotOwner reads one page's owner without charging a clock (the violation
@@ -135,9 +145,14 @@ func (sm *spaceManager) slotOwner(page int64) coffer.ID {
 	return coffer.ID(binary.LittleEndian.Uint32(b[:]))
 }
 
+// slotFlagged reports whether a slot image carries slotZeroed.
+func slotFlagged(slot []byte) bool {
+	return binary.LittleEndian.Uint32(slot[4:])&slotZeroed != 0
+}
+
 // addFree distributes a free range across its address-home shards, locking
-// one shard at a time.
-func (sm *spaceManager) addFree(clk *simclock.Clock, start, count int64) {
+// one shard at a time; zeroed says whether its slots carry slotZeroed.
+func (sm *spaceManager) addFree(clk *simclock.Clock, start, count int64, zeroed bool) {
 	for count > 0 {
 		i := sm.shardOf(start)
 		// End of shard i's address slice.
@@ -149,6 +164,9 @@ func (sm *spaceManager) addFree(clk *simclock.Clock, start, count int64) {
 		s := &sm.shards[i]
 		s.mu.Lock(clk)
 		s.set.Add(start, n)
+		if zeroed {
+			s.zeroed.Add(start, n)
+		}
 		s.mu.Unlock(clk)
 		start += n
 		count -= n
@@ -156,12 +174,33 @@ func (sm *spaceManager) addFree(clk *simclock.Clock, start, count int64) {
 }
 
 // initTable formats the table: kernel metadata pages [0, kernPages) owned by
-// KernelID, everything else free.
-func (sm *spaceManager) initTable(clk *simclock.Clock, kernPages int64) {
+// KernelID, everything else free — and flagged zeroed if the device is blank.
+func (sm *spaceManager) initTable(clk *simclock.Clock, kernPages int64, blank bool) {
+	var flags uint32
+	if blank {
+		flags = slotZeroed
+	}
 	sm.writeRun(clk, 0, kernPages, coffer.KernelID)
-	sm.writeRun(clk, kernPages, sm.npages-kernPages, 0)
+	sm.writeSlots(clk, kernPages, sm.npages-kernPages, 0, flags)
 	sm.ownerSet(coffer.KernelID).Add(0, kernPages)
-	sm.addFree(clk, kernPages, sm.npages-kernPages)
+	sm.addFree(clk, kernPages, sm.npages-kernPages, blank)
+}
+
+// eachSlot walks the allocation table a page of slots at a time, reading
+// each through read, and calls fn for every page's slot until fn fails.
+func (sm *spaceManager) eachSlot(read func(off int64, buf []byte), fn func(page int64, slot []byte) error) error {
+	const slotsPerRead = int64(nvm.PageSize / allocSlotSize)
+	buf := make([]byte, nvm.PageSize)
+	for page := int64(0); page < sm.npages; page += slotsPerRead {
+		n := min(slotsPerRead, sm.npages-page)
+		read(sm.slotOff(page), buf[:n*allocSlotSize])
+		for i := int64(0); i < n; i++ {
+			if err := fn(page+i, buf[i*allocSlotSize:(i+1)*allocSlotSize]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // scan rebuilds the volatile sets from the persistent table (mount and
@@ -169,44 +208,41 @@ func (sm *spaceManager) initTable(clk *simclock.Clock, kernPages int64) {
 // run-length field only accelerates in-order scans and is NOT trusted
 // across slots, because coffer_split/merge retag single pages inside older
 // runs without rewriting their predecessors (Figure 3's merged slots are a
-// write-time optimization, not an invariant).
+// write-time optimization, not an invariant). Free runs split where the
+// slotZeroed bit changes.
 func (sm *spaceManager) scan(clk *simclock.Clock) error {
 	for i := range sm.shards {
 		sm.shards[i].set = newExtentSet()
+		sm.shards[i].zeroed = newExtentSet()
 	}
 	sm.byOwner = map[coffer.ID]*extentSet{}
 	sm.inflight = newExtentSet()
-	const slotsPerRead = int64(nvm.PageSize / allocSlotSize)
-	buf := make([]byte, nvm.PageSize)
 	var runStart, runLen int64
 	var runID coffer.ID
+	var runZeroed bool
 	flush := func() {
 		if runLen == 0 {
 			return
 		}
 		if runID == 0 {
-			sm.addFree(clk, runStart, runLen)
+			sm.addFree(clk, runStart, runLen, runZeroed)
 		} else {
 			sm.ownerSet(runID).Add(runStart, runLen)
 		}
 		runLen = 0
 	}
-	for page := int64(0); page < sm.npages; page += slotsPerRead {
-		n := slotsPerRead
-		if page+n > sm.npages {
-			n = sm.npages - page
+	read := func(off int64, buf []byte) { sm.dev.Read(clk, off, buf) }
+	sm.eachSlot(read, func(page int64, slot []byte) error {
+		id := coffer.ID(binary.LittleEndian.Uint32(slot))
+		zeroed := slotFlagged(slot)
+		if runLen > 0 && id == runID && zeroed == runZeroed {
+			runLen++
+			return nil
 		}
-		sm.dev.Read(clk, sm.slotOff(page), buf[:n*allocSlotSize])
-		for i := int64(0); i < n; i++ {
-			id := coffer.ID(binary.LittleEndian.Uint32(buf[i*allocSlotSize:]))
-			if runLen > 0 && id == runID {
-				runLen++
-				continue
-			}
-			flush()
-			runStart, runLen, runID = page+i, 1, id
-		}
-	}
+		flush()
+		runStart, runLen, runID, runZeroed = page, 1, id, zeroed
+		return nil
+	})
 	flush()
 	return nil
 }
@@ -237,23 +273,27 @@ func (sm *spaceManager) peekOwner(id coffer.ID) *extentSet {
 
 // takeFree extracts want pages from the sharded pool without touching the
 // persistent table, appending them to got (a caller that keeps the grant to
-// itself passes a one-extent stack buffer: the usual grant is one run). The
-// extents are parked in the inflight set until the caller either publishes
-// them (writeRun to an owner + uninflight) or backs out (returnFree). Fast
-// path: the hint's home shard satisfies the whole request under one shard
-// lock. Slow path (refill): sweep the other shards one lock at a time,
-// draining what each can spare, until the request is met; a shortfall returns
-// everything and ErrNoSpace — exactly when the device is genuinely out of
-// pages.
-func (sm *spaceManager) takeFree(clk *simclock.Clock, hint uint64, want int64, got []coffer.Extent) ([]coffer.Extent, error) {
+// itself passes a one-extent stack buffer: the usual grant is one run). It
+// appends to dirty, in the same order, the parts of them that may hold old
+// bytes: every page but those whose slots carry slotZeroed, which leave the
+// shards' zeroed sets here. A grant that must read zero scrubs only dirty.
+// The extents are parked in the inflight set until the caller either
+// publishes them (writeRun to an owner + uninflight) or backs out
+// (returnFree). Fast path: the hint's home shard satisfies the whole request
+// under one shard lock. Slow path (refill): sweep the other shards one lock
+// at a time, draining what each can spare, until the request is met; a
+// shortfall returns everything and ErrNoSpace — exactly when the device is
+// genuinely out of pages.
+func (sm *spaceManager) takeFree(clk *simclock.Clock, hint uint64, want int64, got, dirty []coffer.Extent) ([]coffer.Extent, []coffer.Extent, error) {
 	if want <= 0 {
-		return nil, fmt.Errorf("%w: non-positive allocation", ErrInvalid)
+		return nil, nil, fmt.Errorf("%w: non-positive allocation", ErrInvalid)
 	}
 	home := shardHome(hint)
 	var have int64
 	for i := 0; i < numFreeShards && have < want; i++ {
 		s := &sm.shards[(home+i)%numFreeShards]
 		s.mu.Lock(clk)
+		n := len(got)
 		// Prefer one contiguous run: batch grants feed the µFS's per-thread
 		// page caches, where a single extent keeps the table update one
 		// streaming write and the free-run bookkeeping compact.
@@ -266,21 +306,33 @@ func (sm *spaceManager) takeFree(clk *simclock.Clock, hint uint64, want int64, g
 				have += e.Count
 			}
 		}
+		for _, e := range got[n:] {
+			dirty = s.zeroed.Carve(e.Start, e.Count, dirty)
+		}
 		s.mu.Unlock(clk)
 	}
 	if have < want {
-		// Genuine shortfall: put everything back where its address lives.
+		// Genuine shortfall: put everything back where its address lives, and
+		// what was zeroed back into zeroed — its slots still carry the bit.
+		// dirty lists each extent's pieces in the order of got.
+		d := dirty
 		for _, e := range got {
-			sm.addFree(clk, e.Start, e.Count)
+			at := e.Start
+			for ; len(d) > 0 && d[0].Start >= e.Start && d[0].Start < e.End(); d = d[1:] {
+				sm.addFree(clk, at, d[0].Start-at, true)
+				sm.addFree(clk, d[0].Start, d[0].Count, false)
+				at = d[0].End()
+			}
+			sm.addFree(clk, at, e.End()-at, true)
 		}
-		return nil, ErrNoSpace
+		return nil, nil, ErrNoSpace
 	}
 	sm.inflMu.Lock()
 	for _, e := range got {
 		sm.inflight.Add(e.Start, e.Count)
 	}
 	sm.inflMu.Unlock()
-	return got, nil
+	return got, dirty, nil
 }
 
 // uninflight clears extents from the in-transit set once they are published
@@ -300,7 +352,7 @@ func (sm *spaceManager) uninflight(exts []coffer.Extent) {
 func (sm *spaceManager) returnFree(clk *simclock.Clock, exts []coffer.Extent) {
 	sm.uninflight(exts)
 	for _, e := range exts {
-		sm.addFree(clk, e.Start, e.Count)
+		sm.addFree(clk, e.Start, e.Count, false)
 	}
 }
 
@@ -308,9 +360,10 @@ func (sm *spaceManager) returnFree(clk *simclock.Clock, exts []coffer.Extent) {
 // the table updates, with the hint steering shard placement. Returns
 // ErrNoSpace without partial allocation if the pool is short. The caller
 // must hold the coffer's lock (or be the only reference holder) so the
-// owner set is stable.
+// owner set is stable, and overwrites the pages whole: none is scrubbed.
 func (sm *spaceManager) allocate(clk *simclock.Clock, hint uint64, id coffer.ID, want int64, got []coffer.Extent) ([]coffer.Extent, error) {
-	exts, err := sm.takeFree(clk, hint, want, got)
+	var dirty [1]coffer.Extent
+	exts, _, err := sm.takeFree(clk, hint, want, got, dirty[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -330,7 +383,7 @@ func (sm *spaceManager) release(clk *simclock.Clock, id coffer.ID, start, count 
 		return fmt.Errorf("%w: pages %d+%d not owned by coffer %d", ErrInvalid, start, count, id)
 	}
 	sm.writeRun(clk, start, count, 0)
-	sm.addFree(clk, start, count)
+	sm.addFree(clk, start, count, false)
 	return nil
 }
 
@@ -351,7 +404,7 @@ func (sm *spaceManager) releaseAll(clk *simclock.Clock, id coffer.ID) {
 	}
 	s.Each(func(start, count int64) {
 		sm.writeRun(clk, start, count, 0)
-		sm.addFree(clk, start, count)
+		sm.addFree(clk, start, count, false)
 	})
 	s.Clear()
 	sm.ownMu.Lock()
@@ -420,41 +473,59 @@ func (sm *spaceManager) freeSnapshot() *extentSet {
 // extent set, and the per-owner page counts must agree exactly. Free pages
 // must sit in exactly one place — a shard's free set or the in-flight
 // staging set of a grant being assembled — and the census must cover the
-// device. This is the kernel side of the byte-flow space conservation check
+// device. Each shard's zeroed set must lie inside its free set, and a free
+// slot must carry slotZeroed exactly when its page is in a zeroed set (or in
+// flight: takeFree drops a page from zeroed before its grant rewrites the
+// slot). This is the kernel side of the byte-flow space conservation check
 // — the persistent table is the authority, the volatile sets are the cache
 // under test. Owner sets require quiescence (fsck/tooling context).
 func (sm *spaceManager) verify() error {
-	// Snapshot the sharded free pool and the in-flight set.
+	// Snapshot the sharded free pool, its zeroed pages and the in-flight set.
 	free := sm.freeSnapshot()
+	zeroed := newExtentSet()
+	for i := range sm.shards {
+		s := &sm.shards[i]
+		s.mu.Lock(nil)
+		inside := true
+		s.zeroed.Each(func(start, count int64) {
+			inside = inside && s.set.Contains(start, count)
+			zeroed.Add(start, count)
+		})
+		s.mu.Unlock(nil)
+		if !inside {
+			return fmt.Errorf("kernfs: free shard %d flags zeroed pages it does not hold", i)
+		}
+	}
 	sm.inflMu.Lock()
 	infl := newExtentSet()
 	sm.inflight.Each(infl.Add)
 	sm.inflMu.Unlock()
 
-	const slotsPerRead = int64(nvm.PageSize / allocSlotSize)
-	buf := make([]byte, nvm.PageSize)
 	counted := map[coffer.ID]int64{}
-	for page := int64(0); page < sm.npages; page += slotsPerRead {
-		n := slotsPerRead
-		if page+n > sm.npages {
-			n = sm.npages - page
-		}
-		sm.dev.ReadNoCharge(sm.slotOff(page), buf[:n*allocSlotSize])
-		for i := int64(0); i < n; i++ {
-			pg := page + i
-			id := coffer.ID(binary.LittleEndian.Uint32(buf[i*allocSlotSize:]))
-			counted[id]++
-			if id == 0 {
-				if !free.Contains(pg, 1) && !infl.Contains(pg, 1) {
-					return fmt.Errorf("kernfs: page %d free on media but in no free shard or in-flight batch", pg)
-				}
-				continue
-			}
-			own := sm.peekOwner(id)
-			if own == nil || !own.Contains(pg, 1) {
+	err := sm.eachSlot(sm.dev.ReadNoCharge, func(pg int64, slot []byte) error {
+		id := coffer.ID(binary.LittleEndian.Uint32(slot))
+		counted[id]++
+		flagged := slotFlagged(slot)
+		if id != 0 {
+			if own := sm.peekOwner(id); own == nil || !own.Contains(pg, 1) {
 				return fmt.Errorf("kernfs: page %d owned by coffer %d on media but not in its extent set", pg, id)
 			}
+			if flagged {
+				return fmt.Errorf("kernfs: page %d owned by coffer %d carries the zeroed bit", pg, id)
+			}
+			return nil
 		}
+		inFlight := infl.Contains(pg, 1)
+		if !free.Contains(pg, 1) && !inFlight {
+			return fmt.Errorf("kernfs: page %d free on media but in no free shard or in-flight batch", pg)
+		}
+		if z := zeroed.Contains(pg, 1); flagged != z && !(flagged && inFlight) {
+			return fmt.Errorf("kernfs: page %d: zeroed bit %v on media, %v in its shard", pg, flagged, z)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if got, want := free.Pages()+infl.Pages(), counted[0]; got != want {
 		return fmt.Errorf("kernfs: free shards hold %d pages (+%d in flight), table says %d free",
@@ -476,4 +547,19 @@ func (sm *spaceManager) verify() error {
 		return fmt.Errorf("kernfs: table census %d pages != device %d", total, sm.npages)
 	}
 	return nil
+}
+
+// verifyZeroed re-reads the allocation table (uncharged) and checks that
+// every page whose slot carries slotZeroed reads zero.
+func (sm *spaceManager) verifyZeroed() error {
+	var zero [nvm.PageSize]byte
+	return sm.eachSlot(sm.dev.ReadNoCharge, func(pg int64, slot []byte) error {
+		if !slotFlagged(slot) {
+			return nil
+		}
+		if v, _ := sm.dev.ReadViewNoCharge(pg*nvm.PageSize, nvm.PageSize); !bytes.Equal(v, zero[:]) {
+			return fmt.Errorf("kernfs: page %d is flagged zeroed but holds bytes", pg)
+		}
+		return nil
+	})
 }

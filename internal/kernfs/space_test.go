@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zofs/internal/coffer"
+	"zofs/internal/nvm"
 	"zofs/internal/simclock"
 )
 
@@ -105,5 +106,41 @@ func TestVerifySpaceDetectsTableCorruption(t *testing.T) {
 	dev.WriteNT(simclock.NewClock(), k.space.slotOff(pg), b[:])
 	if err := k.VerifySpace(); err == nil {
 		t.Fatal("VerifySpace accepted a corrupted allocation-table slot")
+	}
+}
+
+// TestVerifySpaceChecksZeroedFlag: a free slot must carry slotZeroed exactly
+// when its shard mirrors it as zeroed, the mirror must lie inside the free
+// set, and VerifyZeroed must catch a flagged page that holds a byte.
+func TestVerifySpaceChecksZeroedFlag(t *testing.T) {
+	dev, k := newFS(t)
+	pg := k.FreeExtents()[0].Start
+	sh := &k.space.shards[k.space.shardOf(pg)]
+	rewrite := func(flags uint32) {
+		var b [allocSlotSize]byte
+		binary.LittleEndian.PutUint32(b[4:], 1|flags)
+		dev.WriteNT(nil, k.space.slotOff(pg), b[:])
+	}
+	rewrite(0)
+	if err := k.VerifySpace(); err == nil {
+		t.Fatal("VerifySpace accepted a zeroed page whose slot lost the flag")
+	}
+	rewrite(slotZeroed)
+	sh.zeroed.Remove(pg, 1)
+	if err := k.VerifySpace(); err == nil {
+		t.Fatal("VerifySpace accepted a flagged slot its shard does not mirror")
+	}
+	sh.zeroed.Add(pg, 1)
+	sh.set.Remove(pg, 1)
+	if err := k.VerifySpace(); err == nil {
+		t.Fatal("VerifySpace accepted a zeroed page outside the free set")
+	}
+	sh.set.Add(pg, 1)
+	if err := k.VerifySpace(); err != nil {
+		t.Fatal(err)
+	}
+	dev.WriteNT(nil, pg*nvm.PageSize+100, []byte{1})
+	if err := k.VerifyZeroed(); err == nil {
+		t.Fatal("VerifyZeroed accepted a flagged page that holds a byte")
 	}
 }

@@ -230,6 +230,17 @@ func (d *Device) DropVolatile() {
 // Pages returns the device capacity in pages.
 func (d *Device) Pages() int64 { return d.size / PageSize }
 
+// Blank reports, uncharged, whether no store has ever materialized media:
+// every byte of the device still reads zero.
+func (d *Device) Blank() bool {
+	for i := range d.chunks {
+		if d.chunks[i].Load() != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // chunkFor returns the chunk containing offset off, materializing it if
 // mustAlloc is set; a nil return means the chunk is untouched (all zero).
 func (d *Device) chunkFor(off int64, mustAlloc bool) *chunk {

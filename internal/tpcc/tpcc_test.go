@@ -288,7 +288,7 @@ func TestIdenticalRunsIssueIdenticalTraffic(t *testing.T) {
 		fp.dbHash = sum.Sum64()
 		return fp
 	}
-	want := fingerprint{written: 11604576, read: 784308, clock: 3327108, dbHash: 12912034700655180875}
+	want := fingerprint{written: 11473504, read: 784308, clock: 3317652, dbHash: 10213195192558171407}
 	for i := 0; i < 3; i++ {
 		if got := run(); got != want {
 			t.Fatalf("run %d: fingerprint %+v, pinned %+v", i, got, want)

@@ -128,8 +128,10 @@ meta_churn 1 nvm_rbytes_per_op < 50
 # 976 now).
 meta_churn 1 sim_kops_per_vsec >= 850
 # An unlinked inode page is scrubbed over what it holds, not all 4 KiB, unless
-# a block pointer may lie past EOF (1142 with the 4 KiB scrub on free, 294 now).
-meta_churn 1 nvm_wbytes_per_op <= 400
+# a block pointer may lie past EOF, and a metadata grant scrubs only the pages
+# granted before: one never granted since mkfs reads zero (1142 with the 4 KiB
+# scrub on free, 294 with every grant scrubbed, 70 now).
+meta_churn 1 nvm_wbytes_per_op <= 100
 # Paths are sliced, not rebuilt; windows, commits and inode state cost no heap
 # object, open-file descriptions and handles are recycled, and a listing fills
 # the thread's buffer (18.2, then 0.97 with an FD entry and a handle per open,
