@@ -498,6 +498,11 @@ func runSlotless(p *personality, cfg Config) (*FaultReport, []Violation, error) 
 			panic(err)
 		}
 	})
+	step("path_mirror", func() {
+		if err := k2.VerifyPaths(); err != nil {
+			panic(err)
+		}
+	})
 
 	// Durability: reclaiming the stranded tail must not have swallowed any
 	// published page — neither the setup workload's files nor the pages the

@@ -115,11 +115,17 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 		}
 	})
 
-	// Grants skip scrubbing the pages the allocation table flags as never
-	// granted since mkfs, so no crash may leave that flag on a page that
-	// holds a byte.
+	// Grants skip scrubbing the pages the allocation table flags zeroed, so
+	// no crash may leave that flag on a page that holds a byte. The path
+	// mirror Mount rebuilt must match the persistent table, and no entry page
+	// may be stranded outside every bucket chain.
 	step("zeroed_pages_zero", func() {
 		if err := k2.VerifyZeroed(); err != nil {
+			panic(err)
+		}
+	})
+	step("path_mirror", func() {
+		if err := k2.VerifyPaths(); err != nil {
 			panic(err)
 		}
 	})

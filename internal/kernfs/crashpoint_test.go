@@ -75,13 +75,48 @@ var crashScenes = []crashScene{
 		return func() error { return k.CofferMerge(th, id, sid) },
 			map[coffer.ID][]string{id: {"/s"}, sid: {"/s/x"}}, nil
 	}},
+	{"CofferDelete", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+		id, _ := cofferWithPages(t, k, th, k.RootCoffer(), "/d", 4)
+		return func() error { return k.CofferDelete(th, id) },
+			map[coffer.ID][]string{id: {"/d"}}, nil
+	}},
+	// The mid-chain scenes put the coffer's path entry alone in a page that
+	// is not its bucket's head, so that removing it unlinks the page.
+	{"CofferMerge mid-chain", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+		c := collidingPaths(2, 2100)
+		id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/s", 4)
+		sid, err := k.CofferSplit(th, id, c[0], 0o755, 0, 0, pages[:3], pages[0], pages[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		z, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[1], 0)
+		return func() error { return k.CofferMerge(th, id, sid) },
+			map[coffer.ID][]string{id: {"/s"}, sid: {c[0]}, z: {c[1]}}, nil
+	}},
+	{"CofferDelete mid-chain", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+		c := collidingPaths(2, 2100)
+		id, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[0], 4)
+		z, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[1], 0)
+		return func() error { return k.CofferDelete(th, id) },
+			map[coffer.ID][]string{id: {c[0]}, z: {c[1]}}, nil
+	}},
+	{"RenameCoffer mid-chain", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+		c := collidingPaths(2, 2100)
+		id, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[0], 0)
+		z, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[1], 0)
+		return func() error { return k.RenameCoffer(th, c[0], "/r") },
+			map[coffer.ID][]string{id: {c[0], "/r"}, z: {c[1]}}, nil
+	}},
 }
 
 // TestCofferMetadataCrashPoints crashes each scene's call before and after
 // every persisting store it makes. After each remount every root page
-// decodes, the path table loads, the allocation table and the extent sets
-// agree, and every coffer is at its old path or its new one — in its root
-// page and in the path table alike.
+// decodes, the path table loads and its mirror matches the media, the
+// allocation table and the extent sets agree, every page flagged zeroed reads
+// zero, and every coffer is at its old path or its new one — in its root
+// page and in the path table alike. (It fails if unpublish flags a dead
+// root page before zeroing it, and, in the mid-chain scenes, if Mount keeps
+// the entry page a crash between its unlink and its release strands.)
 func TestCofferMetadataCrashPoints(t *testing.T) {
 	for _, sc := range crashScenes {
 		t.Run(sc.name, func(t *testing.T) {
@@ -145,8 +180,10 @@ func crashAt(t *testing.T, sc crashScene, n int64, before bool) (done bool) {
 	if err != nil {
 		t.Fatalf("%s: remount: %v", where, err)
 	}
-	if err := k2.VerifySpace(); err != nil {
-		t.Fatalf("%s: %v", where, err)
+	for _, verify := range []func() error{k2.VerifySpace, k2.VerifyZeroed, k2.VerifyPaths} {
+		if err := verify(); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
 	}
 	for _, id := range k2.Coffers() {
 		rp, _ := k2.Info(id)

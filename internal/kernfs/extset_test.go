@@ -366,7 +366,7 @@ func TestExtentSetSteadyStateAllocs(t *testing.T) {
 	if len(old) != 40 {
 		t.Fatalf("coffer %d holds %d extents, want 40", a, len(old))
 	}
-	sm.releaseAll(nil, a)
+	sm.releaseAll(nil, a, false)
 	if err := sm.verify(); err != nil {
 		t.Fatalf("after releaseAll: %v", err)
 	}

@@ -103,6 +103,51 @@ func TestRenameLeafCofferWritesLittle(t *testing.T) {
 	}
 }
 
+// bytesRead returns the bytes f pulls through the device's read channel.
+func bytesRead(dev *nvm.Device, f func()) int64 {
+	before := dev.BytesRead()
+	f()
+	return dev.BytesRead() - before
+}
+
+// TestPathTableUpdatesReadEntries: a rename, a split and a merge read the
+// path-table entries they change and the chain words that lead to them, not
+// the 4 KiB pages around them.
+func TestPathTableUpdatesReadEntries(t *testing.T) {
+	dev, k := newFS(t)
+	th := mountedThread(t, k, 0, 0)
+	id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/a", 4)
+	for _, mv := range [][2]string{{"/a", "/b"}, {"/b", "/a"}} {
+		if err := k.RenameCoffer(th, mv[0], mv[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := bytesRead(dev, func() {
+		if err := k.RenameCoffer(th, "/a", "/b"); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 128 {
+		t.Fatalf("renaming a leaf coffer read %d bytes, want at most 128", n)
+	}
+	for i := 0; i < 2; i++ {
+		var sid coffer.ID
+		split := bytesRead(dev, func() {
+			var err error
+			if sid, err = k.CofferSplit(th, id, "/b/split", 0o755, 0, 0, pages[:3], pages[0], pages[1]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		merge := bytesRead(dev, func() {
+			if err := k.CofferMerge(th, id, sid); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if split > 64 || merge > 64 {
+			t.Fatalf("cycle %d: coffer_split read %d bytes and coffer_merge %d, want at most 64 each", i, split, merge)
+		}
+	}
+}
+
 func TestRenameToShorterPathClearsTail(t *testing.T) {
 	_, k := newFS(t)
 	th := mountedThread(t, k, 0, 0)
@@ -156,11 +201,15 @@ func TestSplitMergeCyclesReuseOnePathPage(t *testing.T) {
 	}
 }
 
-// TestFreshRootPagesAreWrittenWhole: a new coffer's root page, from
-// coffer_new or coffer_split, reads zero past its path whatever the page
-// held before.
-func TestFreshRootPagesAreWrittenWhole(t *testing.T) {
+// patternedFS formats an 8 MiB device that holds a pattern in every page
+// before mkfs, so that mkfs flags no page zeroed, and mounts it.
+func patternedFS(t *testing.T) *KernFS {
+	t.Helper()
 	dev := nvm.NewDevice(8 << 20)
+	pattern := bytes.Repeat([]byte{0xa5}, nvm.PageSize)
+	for pg := int64(0); pg < dev.Pages(); pg++ {
+		dev.WriteNT(nil, pg*nvm.PageSize, pattern)
+	}
 	if err := Mkfs(dev, MkfsOptions{RootMode: 0o755}); err != nil {
 		t.Fatal(err)
 	}
@@ -168,25 +217,20 @@ func TestFreshRootPagesAreWrittenWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return k
+}
+
+// TestFreshRootPagesAreWrittenWhole: a new coffer's root page, from
+// coffer_new or coffer_split, reads zero past its path whatever the page
+// held before. The device holds a pattern before mkfs, so mkfs flags no page
+// zeroed and every grant may hold old bytes.
+func TestFreshRootPagesAreWrittenWhole(t *testing.T) {
+	k := patternedFS(t)
+	if n := zeroedSlots(k); n != 0 {
+		t.Fatalf("%d slots flagged zeroed on a used device", n)
+	}
 	th := mountedThread(t, k, 0, 0)
-	id, err := k.CofferNew(th, k.RootCoffer(), "/k", coffer.TypeZoFS, 0o755, 0, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.CofferMap(th, id, true); err != nil {
-		t.Fatal(err)
-	}
-	grant, err := k.CofferEnlarge(th, id, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pages := flatten(grant)
-	pattern := bytes.Repeat([]byte{0xa5}, nvm.PageSize)
-	for _, e := range k.FreeExtents() {
-		for pg := e.Start; pg < e.End(); pg++ {
-			dev.WriteNT(nil, pg*nvm.PageSize, pattern)
-		}
-	}
+	id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/k", 4)
 	nid, err := k.CofferNew(th, k.RootCoffer(), "/n", coffer.TypeZoFS, 0o755, 0, 0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -195,6 +239,46 @@ func TestFreshRootPagesAreWrittenWhole(t *testing.T) {
 	sid, err := k.CofferSplit(th, id, "/k/split", 0o700, 0, 0, pages[:3], pages[0], pages[1])
 	if err != nil {
 		t.Fatal(err)
+	}
+	checkRootPage(t, k, sid, "/k/split")
+}
+
+// rootPageBytes returns the bytes f writes to coffer id's root page, where
+// id is what f returns.
+func rootPageBytes(t *testing.T, dev *nvm.Device, f func() (coffer.ID, error)) (coffer.ID, int64) {
+	t.Helper()
+	dev.EnableAccounting()
+	id, err := f()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range dev.WearSnapshot() {
+		if w.Page == int64(id) {
+			return id, w.Bytes
+		}
+	}
+	return id, 0
+}
+
+// TestZeroedRootPagesAreWrittenOverThePath: a new root page taken from pages
+// flagged zeroed is written over its header and path alone, and reads zero
+// past the path.
+func TestZeroedRootPagesAreWrittenOverThePath(t *testing.T) {
+	dev, k := newFS(t)
+	th := mountedThread(t, k, 0, 0)
+	id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/k", 4)
+	nid, n := rootPageBytes(t, dev, func() (coffer.ID, error) {
+		return k.CofferNew(th, k.RootCoffer(), "/n", coffer.TypeZoFS, 0o755, 0, 0, 3)
+	})
+	if want := int64(coffer.RootPageLen(len("/n"))); n != want {
+		t.Fatalf("coffer_new wrote %d B of its zeroed root page, want %d", n, want)
+	}
+	checkRootPage(t, k, nid, "/n")
+	sid, n := rootPageBytes(t, dev, func() (coffer.ID, error) {
+		return k.CofferSplit(th, id, "/k/split", 0o755, 0, 0, pages[:3], pages[0], pages[1])
+	})
+	if want := int64(coffer.RootPageLen(len("/k/split"))); n != want {
+		t.Fatalf("coffer_split wrote %d B of its zeroed root page, want %d", n, want)
 	}
 	checkRootPage(t, k, sid, "/k/split")
 }

@@ -29,8 +29,8 @@
 //
 // Metadata is written where it changes. A live coffer's root page is updated
 // in place — its 64-byte header and its path, never the whole page; only a
-// fresh root page (coffer_new, coffer_split) is written in full, which is
-// also its scrub, since every mapper can read it.
+// fresh root page (coffer_new, coffer_split) that may hold old bytes is
+// written in full, which is also its scrub, since every mapper can read it.
 package kernfs
 
 import (
@@ -328,13 +328,20 @@ func Mkfs(dev *nvm.Device, opts MkfsOptions) error {
 // whole. The scrub is allocator overhead, as a zeroed enlarge grant's is.
 func scrubHead(dev *nvm.Device, clk *simclock.Clock, pages [3]int64, dirty []coffer.Extent) {
 	for _, pg := range pages[1:] {
-		for _, e := range dirty {
-			if pg >= e.Start && pg < e.End() {
-				dev.ZeroClass(clk, byteflow.ClassAlloc, pg*nvm.PageSize, nvm.PageSize)
-				break
-			}
+		if inExtents(pg, dirty) {
+			dev.ZeroClass(clk, byteflow.ClassAlloc, pg*nvm.PageSize, nvm.PageSize)
 		}
 	}
+}
+
+// inExtents reports whether page pg lies in one of exts.
+func inExtents(pg int64, exts []coffer.Extent) bool {
+	for _, e := range exts {
+		if pg >= e.Start && pg < e.End() {
+			return true
+		}
+	}
+	return false
 }
 
 // headPages returns the first three pages of a new coffer's grant: its root
@@ -380,6 +387,9 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 		return nil, err
 	}
 	if err := k.paths.load(nil); err != nil {
+		return nil, err
+	}
+	if err := k.paths.releaseStrays(nil); err != nil {
 		return nil, err
 	}
 	// Materialize coffer infos from root pages. A rename moves path entries
@@ -444,14 +454,19 @@ func (k *KernFS) lockCoffer(clk *simclock.Clock, id coffer.ID) *cofferInfo {
 	return ci
 }
 
-// writeRootPage persists a fresh coffer's root page, all of it: the page may
-// hold anything from its last owner, and every mapper of the coffer can read
-// it. Root pages are the coffer's super-inode, so the byte-flow ledger books
-// them inode-class.
-func (k *KernFS) writeRootPage(clk *simclock.Clock, pg int64, rp *coffer.RootPage) {
+// writeRootPage persists a fresh coffer's root page. Every mapper of the
+// coffer can read all of it, so a page that may hold bytes from its last
+// owner (in dirty, from takeFree) is written whole; one that reads zero is
+// written over its header and path. Root pages are the coffer's super-inode,
+// so the byte-flow ledger books them inode-class.
+func (k *KernFS) writeRootPage(clk *simclock.Clock, pg int64, rp *coffer.RootPage, dirty []coffer.Extent) {
 	var page [nvm.PageSize]byte
 	coffer.EncodeRootPage(&page, rp)
-	k.dev.WriteNTClass(clk, byteflow.ClassInode, pg*nvm.PageSize, page[:])
+	n := nvm.PageSize
+	if !inExtents(pg, dirty) {
+		n = coffer.RootPageLen(len(rp.Path))
+	}
+	k.dev.WriteNTClass(clk, byteflow.ClassInode, pg*nvm.PageSize, page[:n])
 }
 
 // updateRootPage rewrites a live coffer's root page in place: the header and
@@ -512,6 +527,12 @@ func (k *KernFS) VerifySpace() error { return k.space.verify() }
 // granted since mkfs reads zero, so a grant that skips its scrub hands out
 // zeros. Uncharged.
 func (k *KernFS) VerifyZeroed() error { return k.space.verifyZeroed() }
+
+// VerifyPaths re-reads the persistent path table and checks the volatile
+// mirror against it: the same live entries, each where the mirror says it
+// lies, the same live count per entry page, and no KernelID page outside the
+// fixed region that no bucket chain reaches. Quiescence required.
+func (k *KernFS) VerifyPaths() error { return k.paths.verify() }
 
 // ---- fs_mount / fs_umount -------------------------------------------------
 
@@ -760,14 +781,14 @@ func (k *KernFS) CofferNew(th *proc.Thread, parent coffer.ID, path string, typ c
 		ID: id, Type: typ, Mode: mode, UID: uid, GID: gid,
 		RootInode: pages[1], Custom: pages[2], Path: path,
 	}
-	k.writeRootPage(th.Clk, pages[0], &rp)
+	k.writeRootPage(th.Clk, pages[0], &rp, dirtied)
 	scrubHead(k.dev, th.Clk, pages, dirtied)
 
 	// Publish: path entry and registry record become visible together.
 	k.regMu.Lock(th.Clk)
 	if err := k.paths.insert(th.Clk, path, id); err != nil {
 		k.regMu.Unlock(th.Clk)
-		k.space.releaseAll(th.Clk, id) // roll back the staged allocation
+		k.space.releaseAll(th.Clk, id, false) // roll back the staged allocation
 		return 0, err
 	}
 	k.coffers.store(id, newCofferInfo(rp))
@@ -819,7 +840,10 @@ func (k *KernFS) CofferDelete(th *proc.Thread, id coffer.ID) error {
 // unpublish removes a coffer that its teardown has marked dead: its path entry
 // and registry slot under the registry lock, then its pages. The path is the
 // one the coffer is published under now — a rename may have moved it after
-// the teardown began.
+// the teardown began. The root page is zero past the path it holds (only the
+// kernel writes it, see updateRootPage), and ci.rp, which no one rewrites
+// once the coffer is dead, holds that path: zeroing its header and path
+// leaves the page reading zero, and it goes back flagged so.
 func (k *KernFS) unpublish(th *proc.Thread, ci *cofferInfo) error {
 	id := ci.rp.ID
 	k.regMu.Lock(th.Clk)
@@ -827,7 +851,8 @@ func (k *KernFS) unpublish(th *proc.Thread, ci *cofferInfo) error {
 	k.coffers.store(id, nil)
 	delete(k.violations, id)
 	k.regMu.Unlock(th.Clk)
-	k.space.releaseAll(th.Clk, id)
+	k.dev.ZeroClass(th.Clk, byteflow.ClassAlloc, int64(id)*nvm.PageSize, int64(coffer.RootPageLen(len(ci.rp.Path))))
+	k.space.releaseAll(th.Clk, id, true)
 	return err
 }
 
@@ -1391,9 +1416,9 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 		ci.mu.Unlock(th.Clk)
 		return 0, ErrExists
 	}
-	// New root page, written whole below: nothing to scrub.
+	// New root page, written below: nothing to scrub.
 	var one, dirty [1]coffer.Extent
-	exts, _, err := k.space.takeFree(th.Clk, enlargeHint(old, th.TID), 1, one[:0], dirty[:0])
+	exts, dirtied, err := k.space.takeFree(th.Clk, enlargeHint(old, th.TID), 1, one[:0], dirty[:0])
 	if err != nil {
 		ci.mu.Unlock(th.Clk)
 		return 0, err
@@ -1429,7 +1454,7 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 		ID: id, Type: typ, Mode: mode, UID: uid, GID: gid,
 		RootInode: rootInode, Custom: custom, Path: newPath,
 	}
-	k.writeRootPage(th.Clk, rootPg, &rp)
+	k.writeRootPage(th.Clk, rootPg, &rp, dirtied)
 	k.regMu.Lock(th.Clk)
 	if err = k.paths.insert(th.Clk, newPath, id); err == nil {
 		k.coffers.store(id, newCofferInfo(rp))
@@ -1462,7 +1487,7 @@ func (k *KernFS) unsplit(th *proc.Thread, ci *cofferInfo, id coffer.ID, moved []
 		}
 	}
 	ci.mu.Unlock(th.Clk)
-	k.space.releaseAll(th.Clk, id)
+	k.space.releaseAll(th.Clk, id, false)
 }
 
 // CofferMerge folds coffer src into coffer dst (Table 5: coffer_merge).

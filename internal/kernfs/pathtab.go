@@ -26,10 +26,12 @@ import (
 //	16 entries: {hash u64, cofferID u32, state u8, pathLen u16, pad u8,
 //	             path bytes, padded to 8-byte alignment}
 //
-// Deletion tombstones entries (state = entryDead), or empties a bucket's head
-// page (remove); recovery compacts them.
+// Deletion tombstones entries (state = entryDead), empties a bucket's head
+// page, or unlinks an emptied page from its chain (remove). Nothing compacts
+// the table, so an entry never moves.
 // A volatile hash table of the same shape — same hash, same bucket count —
-// mirrors the live entries for lock-free lookups.
+// mirrors the live entries for lock-free lookups, and remembers where each
+// lies on the device and how many live entries each chained page holds.
 const (
 	pathBuckets     = 4096
 	entryPageHdr    = 16
@@ -55,6 +57,11 @@ type pathTable struct {
 	// rename and a mutation costs one entry however many coffers exist.
 	vol [pathBuckets]atomic.Pointer[pathEnt]
 
+	// live counts the live entries of every entry page linked into a bucket
+	// chain, an emptied head page at zero; an unlinked page leaves it. Its
+	// keys are the chained pages. Guarded by wmu.
+	live map[int64]int32
+
 	// seq versions the mirror for readers that keep an answer across calls
 	// (resolveMemo): writers bump it to odd before a mutation and to even
 	// after, so an answer read under an unchanged even seq describes one
@@ -64,11 +71,14 @@ type pathTable struct {
 
 // pathEnt is one live mapping in the mirror, immutable but for its chain
 // link. An unlinked entry keeps its link, so a probe standing on it walks on
-// into the chain it left; entries are never reused.
+// into the chain it left; entries are never reused. at is the device byte
+// offset of the persistent entry (one word keeps the struct in the 48-byte
+// size class).
 type pathEnt struct {
 	hash uint64
 	path string
 	id   coffer.ID
+	at   int64
 	next atomic.Pointer[pathEnt]
 }
 
@@ -107,29 +117,37 @@ func entrySize(pathLen int) int64 {
 
 // find probes the mirror.
 func (pt *pathTable) find(p string) (coffer.ID, bool) {
-	h := pathHash(p)
-	for e := pt.vol[h%pathBuckets].Load(); e != nil; e = e.next.Load() {
-		if e.hash == h && e.path == p {
-			return e.id, true
-		}
+	if e := pt.entry(p); e != nil {
+		return e.id, true
 	}
 	return 0, false
 }
 
-// link pushes a mapping for p, which the caller has found absent, onto its
-// chain. It is set without the seq bracket: what load uses, on a table nobody
-// reads yet.
-func (pt *pathTable) link(p string, id coffer.ID) {
-	e := &pathEnt{hash: pathHash(p), path: p, id: id}
+// entry returns p's mirror entry, or nil.
+func (pt *pathTable) entry(p string) *pathEnt {
+	h := pathHash(p)
+	for e := pt.vol[h%pathBuckets].Load(); e != nil; e = e.next.Load() {
+		if e.hash == h && e.path == p {
+			return e
+		}
+	}
+	return nil
+}
+
+// link pushes a mapping for p, whose persistent entry lies at device offset
+// at and which the caller has found absent, onto its chain. It is set without
+// the seq bracket: what load uses, on a table nobody reads yet.
+func (pt *pathTable) link(p string, id coffer.ID, at int64) {
+	e := &pathEnt{hash: pathHash(p), path: p, id: id, at: at}
 	head := &pt.vol[e.hash%pathBuckets]
 	e.next.Store(head.Load())
 	head.Store(e)
 }
 
 // set and unset edit the mirror inside the seq odd/even bracket.
-func (pt *pathTable) set(p string, id coffer.ID) {
+func (pt *pathTable) set(p string, id coffer.ID, at int64) {
 	pt.seq.Add(1)
-	pt.link(p, id)
+	pt.link(p, id, at)
 	pt.seq.Add(1)
 }
 
@@ -150,34 +168,56 @@ func (pt *pathTable) unset(p string) {
 // structure at the Treasury layer; the explicit class keeps mkfs-era
 // formatting (nil clock) out of the ledger's residual.
 func (pt *pathTable) init(clk *simclock.Clock) {
+	pt.live = map[int64]int32{}
 	pt.dev.ZeroClass(clk, byteflow.ClassDentry, pt.bucketOff, pathTabBytes())
 }
 
-// load fills the volatile map of a fresh table by walking every bucket chain.
+// load fills the volatile map of a fresh table, entry locations and page
+// counts included, by walking every bucket chain.
 func (pt *pathTable) load(clk *simclock.Clock) error {
+	pt.live = map[int64]int32{}
+	read := func(off int64, buf []byte) { pt.dev.Read(clk, off, buf) }
+	return pt.walk(read, pt.live, func(_, at int64, _ uint64, id coffer.ID, p string) error {
+		pt.link(p, id, at)
+		return nil
+	})
+}
+
+// walk reads every bucket chain through read, counts the live entries of each
+// chained page into live and calls fn for each live entry, with its bucket,
+// device offset, stored hash and coffer, until fn fails. A page chained twice,
+// or a page or entry past its bounds, is corruption.
+func (pt *pathTable) walk(read func(off int64, buf []byte), live map[int64]int32, fn func(b, at int64, h uint64, id coffer.ID, p string) error) error {
 	page := make([]byte, nvm.PageSize)
 	for b := int64(0); b < pathBuckets; b++ {
-		for pg := pt.bucketHead(clk, b); pg != 0; {
-			pt.dev.Read(clk, pg*nvm.PageSize, page)
-			next := int64(binary.LittleEndian.Uint64(page[0:]))
+		read(pt.bucketOff+b*8, page[:8])
+		for pg := int64(binary.LittleEndian.Uint64(page)); pg != 0; {
+			if _, twice := live[pg]; twice {
+				return fmt.Errorf("kernfs: path-table page %d chained twice", pg)
+			}
+			read(pg*nvm.PageSize, page)
 			used := int64(binary.LittleEndian.Uint16(page[8:]))
 			if used > entryPageUsable {
 				return fmt.Errorf("kernfs: corrupt path-table page %d (used %d)", pg, used)
 			}
+			live[pg] = 0
 			for off := int64(entryPageHdr); off < entryPageHdr+used; {
-				id := coffer.ID(binary.LittleEndian.Uint32(page[off+8:]))
-				state := page[off+12]
-				plen := int(binary.LittleEndian.Uint16(page[off+13:]))
-				sz := entrySize(plen)
+				plen := int64(binary.LittleEndian.Uint16(page[off+13:]))
+				sz := entrySize(int(plen))
 				if off+sz > int64(nvm.PageSize) {
 					return fmt.Errorf("kernfs: corrupt path-table entry at page %d off %d", pg, off)
 				}
-				if state == entryLive {
-					pt.link(string(page[off+entryHdr:off+entryHdr+int64(plen)]), id)
+				if page[off+12] == entryLive {
+					h := binary.LittleEndian.Uint64(page[off:])
+					id := coffer.ID(binary.LittleEndian.Uint32(page[off+8:]))
+					if err := fn(b, pg*nvm.PageSize+off, h, id, string(page[off+entryHdr:off+entryHdr+plen])); err != nil {
+						return err
+					}
+					live[pg]++
 				}
 				off += sz
 			}
-			pg = next
+			pg = int64(binary.LittleEndian.Uint64(page))
 		}
 	}
 	return nil
@@ -223,7 +263,8 @@ func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) error {
 			pt.dev.WriteNTClass(clk, byteflow.ClassDentry, cur*nvm.PageSize+entryPageHdr+used, page[:sz])
 			binary.LittleEndian.PutUint16(hdr[8:], uint16(used+sz))
 			pt.dev.WriteNTClass(clk, byteflow.ClassDentry, cur*nvm.PageSize+8, hdr[8:10])
-			pt.set(p, id)
+			pt.live[cur]++
+			pt.set(p, id, cur*nvm.PageSize+entryPageHdr+used)
 			return nil
 		}
 		cur = int64(binary.LittleEndian.Uint64(hdr[0:]))
@@ -241,7 +282,8 @@ func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) error {
 	encodeEntry(page[entryPageHdr:], p, id)
 	pt.dev.WriteNTClass(clk, byteflow.ClassDentry, newPg*nvm.PageSize, page[:])
 	pt.setBucketHead(clk, b, newPg)
-	pt.set(p, id)
+	pt.live[newPg] = 1
+	pt.set(p, id, newPg*nvm.PageSize+entryPageHdr)
 	return nil
 }
 
@@ -253,96 +295,158 @@ func encodeEntry(dst []byte, p string, id coffer.ID) {
 	copy(dst[entryHdr:], p)
 }
 
-// remove deletes the entry for path p. Usually that is a tombstone. An entry
-// page left with no live entry leaves the chain, so that create/delete churn
-// does not keep one page per touched bucket forever — except the bucket's
-// head page, which stays linked with its used count reset to zero (one
-// store, which is the delete): the bucket's next insert, typically the same
-// path coming back from a split/merge or rename cycle, lands in it instead of
-// allocating, scrubbing and freeing a page per cycle. Only a head page can be
-// empty, so at most one page per bucket is retained (see retained). Any other
-// emptied page goes tombstone first, unlink second, release last: a crash
-// anywhere in the sequence leaves either a dead entry in the chain (load
-// skips it) or an unreachable KernelID page (the allocation table and owner
-// tree still agree, and recovery compaction reclaims it).
+// remove deletes the entry for path p. It reads only the entry, where the
+// mirror says it lies, and checks it is p's live entry; its page's live count
+// says what the delete is. Usually that is a tombstone. An entry page left
+// with no live entry leaves the chain, so that create/delete churn does not
+// keep one page per touched bucket forever — except the bucket's head page,
+// which stays linked with its used count reset to zero (one store, which is
+// the delete): the bucket's next insert, typically the same path coming back
+// from a split/merge or rename cycle, lands in it instead of allocating,
+// scrubbing and freeing a page per cycle. Only a head page can be empty, so
+// at most one page per bucket is retained (see retained). Any other emptied
+// page goes tombstone first, unlink second, release last: a crash anywhere in
+// the sequence leaves either a dead entry in the chain (load skips it) or an
+// unreachable KernelID page, which Mount releases (releaseStrays).
 func (pt *pathTable) remove(clk *simclock.Clock, p string) error {
 	if pt.wmu != nil {
 		pt.wmu.Lock(clk)
 		defer pt.wmu.Unlock(clk)
 	}
-	if _, ok := pt.find(p); !ok {
+	e := pt.entry(p)
+	if e == nil {
 		return ErrNotFound
 	}
-	b := pt.bucketFor(p)
-	h := pathHash(p)
-	var page [nvm.PageSize]byte
-	prev := int64(0)
-	for pg := pt.bucketHead(clk, b); pg != 0; {
-		pt.dev.Read(clk, pg*nvm.PageSize, page[:])
-		next := int64(binary.LittleEndian.Uint64(page[0:]))
-		used := int64(binary.LittleEndian.Uint16(page[8:]))
-		for off := int64(entryPageHdr); off < entryPageHdr+used; {
-			eh := binary.LittleEndian.Uint64(page[off:])
-			state := page[off+12]
-			plen := int(binary.LittleEndian.Uint16(page[off+13:]))
-			sz := entrySize(plen)
-			if state == entryLive && eh == h && string(page[off+entryHdr:off+entryHdr+int64(plen)]) == p {
-				page[off+12] = entryDead
-				empty := pageAllDead(page[:], used)
-				if empty && prev == 0 {
-					var none [2]byte
-					pt.dev.WriteNTClass(clk, byteflow.ClassDentry, pg*nvm.PageSize+8, none[:])
-				} else {
-					pt.dev.WriteNTClass(clk, byteflow.ClassDentry, pg*nvm.PageSize+off+12, []byte{entryDead})
-					if empty {
-						var nb [8]byte
-						binary.LittleEndian.PutUint64(nb[:], uint64(next))
-						pt.dev.WriteNTClass(clk, byteflow.ClassDentry, prev*nvm.PageSize, nb[:])
-						if err := pt.sm.release(clk, coffer.KernelID, pg, 1); err != nil {
-							return err
-						}
-					}
-				}
-				pt.unset(p)
-				return nil
-			}
-			off += sz
-		}
-		prev = pg
-		pg = next
+	var buf [nvm.PageSize]byte
+	ent := buf[:entrySize(len(p))]
+	pt.dev.Read(clk, e.at, ent)
+	if ent[12] != entryLive || binary.LittleEndian.Uint64(ent) != e.hash ||
+		int(binary.LittleEndian.Uint16(ent[13:])) != len(p) || string(ent[entryHdr:entryHdr+len(p)]) != p {
+		// The mirror says it lies here; the persistent entry disagrees.
+		return fmt.Errorf("kernfs: path table inconsistency for %q", p)
 	}
-	// Volatile map said it existed; persistent chain disagrees.
-	return fmt.Errorf("kernfs: path table inconsistency for %q", p)
+	pg := e.at / nvm.PageSize
+	left := pt.live[pg] - 1
+	pt.live[pg] = left
+	var head int64
+	if left == 0 {
+		head = pt.bucketHead(clk, pt.bucketFor(p))
+	}
+	if left == 0 && head == pg {
+		var none [2]byte
+		pt.dev.WriteNTClass(clk, byteflow.ClassDentry, pg*nvm.PageSize+8, none[:])
+	} else {
+		pt.dev.WriteNTClass(clk, byteflow.ClassDentry, e.at+12, []byte{entryDead})
+	}
+	pt.unset(p)
+	if left > 0 || head == pg {
+		return nil
+	}
+	return pt.unlink(clk, head, pg)
 }
 
-// retained counts the entry pages linked into bucket chains that hold no live
-// entry — emptied bucket heads (see remove). Uncharged; run at quiescence.
+// unlink takes the emptied page pg, not its chain's head, out of the chain
+// that starts at head and releases it. Its predecessor is found by reading
+// the chain's next words alone.
+func (pt *pathTable) unlink(clk *simclock.Clock, head, pg int64) error {
+	var next, w [8]byte
+	pt.dev.Read(clk, pg*nvm.PageSize, next[:])
+	prev := head
+	for {
+		pt.dev.Read(clk, prev*nvm.PageSize, w[:])
+		n := int64(binary.LittleEndian.Uint64(w[:]))
+		if n == pg {
+			break
+		}
+		if n == 0 {
+			return fmt.Errorf("kernfs: path-table page %d is not in its bucket chain", pg)
+		}
+		prev = n
+	}
+	pt.dev.WriteNTClass(clk, byteflow.ClassDentry, prev*nvm.PageSize, next[:])
+	delete(pt.live, pg)
+	return pt.sm.release(clk, coffer.KernelID, pg, 1)
+}
+
+// retained counts the chained entry pages that hold no live entry — emptied
+// bucket heads (see remove). Run at quiescence.
 func (pt *pathTable) retained() int64 {
 	var n int64
-	var page [nvm.PageSize]byte
-	for b := int64(0); b < pathBuckets; b++ {
-		pt.dev.ReadNoCharge(pt.bucketOff+b*8, page[:8])
-		for pg := int64(binary.LittleEndian.Uint64(page[:])); pg != 0; {
-			pt.dev.ReadNoCharge(pg*nvm.PageSize, page[:])
-			if pageAllDead(page[:], int64(binary.LittleEndian.Uint16(page[8:]))) {
-				n++
-			}
-			pg = int64(binary.LittleEndian.Uint64(page[0:]))
+	for _, live := range pt.live {
+		if live == 0 {
+			n++
 		}
 	}
 	return n
 }
 
-// pageAllDead reports whether an entry page holds no live entries.
-func pageAllDead(page []byte, used int64) bool {
-	for off := int64(entryPageHdr); off < entryPageHdr+used; {
-		if page[off+12] == entryLive {
-			return false
+// fixedEnd is the first page past the fixed kernel region, which ends with
+// the bucket-head array; every other KernelID page is an entry page.
+func (pt *pathTable) fixedEnd() int64 {
+	return (pt.bucketOff + pathTabBytes() + nvm.PageSize - 1) / nvm.PageSize
+}
+
+// releaseStrays frees the KernelID pages past the fixed region that no bucket
+// chain reaches: a crash between an emptied page's unlink and its release, or
+// between a fresh page's grant and its link, strands one. Mount runs it after
+// load.
+func (pt *pathTable) releaseStrays(clk *simclock.Clock) error {
+	for _, e := range pt.sm.extentsOf(coffer.KernelID) {
+		for pg := max(e.Start, pt.fixedEnd()); pg < e.End(); pg++ {
+			if _, chained := pt.live[pg]; !chained {
+				if err := pt.sm.release(clk, coffer.KernelID, pg, 1); err != nil {
+					return err
+				}
+			}
 		}
-		plen := int(binary.LittleEndian.Uint16(page[off+13:]))
-		off += entrySize(plen)
 	}
-	return true
+	return nil
+}
+
+// verify re-reads every bucket chain (uncharged) and checks the mirror
+// against it: every live entry on the media is the mirror's entry for its
+// path, at its offset, and no other is mirrored; every chained page's live
+// count equals its live entries; and the KernelID pages past the fixed region
+// are exactly the chained pages. Run at quiescence.
+func (pt *pathTable) verify() error {
+	live := map[int64]int32{}
+	var n int
+	err := pt.walk(pt.dev.ReadNoCharge, live, func(b, at int64, h uint64, id coffer.ID, p string) error {
+		if e := pt.entry(p); h != pathHash(p) || int64(h%pathBuckets) != b || e == nil || e.at != at || e.id != id {
+			return fmt.Errorf("kernfs: live path-table entry %.40q (coffer %d) at %d is not the mirror's", p, id, at)
+		}
+		n++
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for pg, c := range live {
+		if m, ok := pt.live[pg]; !ok || m != c {
+			return fmt.Errorf("kernfs: path-table page %d holds %d live entries, its count says %d (%v)", pg, c, m, ok)
+		}
+	}
+	if len(live) != len(pt.live) {
+		return fmt.Errorf("kernfs: live counts for %d path-table pages, %d chained", len(pt.live), len(live))
+	}
+	mirrored := 0
+	pt.each(func(string, coffer.ID) bool { mirrored++; return true })
+	if mirrored != n {
+		return fmt.Errorf("kernfs: the path mirror holds %d entries, the media %d live", mirrored, n)
+	}
+	pt.sm.peekOwner(coffer.KernelID).Each(func(start, count int64) {
+		for pg := max(start, pt.fixedEnd()); pg < start+count && err == nil; pg++ {
+			if _, ok := pt.live[pg]; !ok {
+				err = fmt.Errorf("kernfs: KernelID page %d is in no bucket chain", pg)
+			}
+		}
+	})
+	for pg := range pt.live {
+		if err == nil && pt.sm.slotOwner(pg) != coffer.KernelID {
+			err = fmt.Errorf("kernfs: chained path-table page %d is not the kernel's", pg)
+		}
+	}
+	return err
 }
 
 // rename atomically (in the volatile view) re-keys an entry.

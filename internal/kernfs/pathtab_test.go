@@ -2,6 +2,7 @@ package kernfs
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -14,7 +15,8 @@ func newPathTable(t *testing.T) (*nvm.Device, *pathTable) {
 	dev := nvm.NewDevice(64 << 20)
 	sm := newSpaceManager(dev, nvm.PageSize, dev.Pages())
 	sm.initTable(nil, 64, true)
-	pt := &pathTable{dev: dev, bucketOff: 40 * nvm.PageSize, sm: sm}
+	// The bucket heads end the 64 kernel pages, as mkfs lays them out.
+	pt := &pathTable{dev: dev, bucketOff: (64 - pathTabBytes()/nvm.PageSize) * nvm.PageSize, sm: sm}
 	pt.init(nil)
 	return dev, pt
 }
@@ -94,4 +96,112 @@ func TestPathTableRename(t *testing.T) {
 	if id, ok := pt.lookup(nil, "/new"); !ok || id != 7 {
 		t.Fatal("source lost after failed rename")
 	}
+}
+
+// collidingPaths returns n paths, each a little over size bytes long, that
+// hash to one bucket.
+func collidingPaths(n, size int) []string {
+	pad := "/" + strings.Repeat("p", size)
+	byBucket := map[uint64][]int{}
+	for i := 0; ; i++ {
+		b := pathHash(fmt.Sprint(pad, i)) % pathBuckets
+		byBucket[b] = append(byBucket[b], i)
+		if len(byBucket[b]) == n {
+			paths := make([]string, n)
+			for j, i := range byBucket[b] {
+				paths[j] = fmt.Sprint(pad, i)
+			}
+			return paths
+		}
+	}
+}
+
+// pathLoc is one mirror entry: its coffer and where its entry lies.
+type pathLoc struct {
+	id coffer.ID
+	at int64
+}
+
+// mirrorLocs copies the mirror out with entry locations.
+func mirrorLocs(pt *pathTable) map[string]pathLoc {
+	m := map[string]pathLoc{}
+	pt.each(func(p string, id coffer.ID) bool {
+		m[p] = pathLoc{id, pt.entry(p).at}
+		return true
+	})
+	return m
+}
+
+// TestPathTableRemoveAgainstMedia removes entries from the head, a middle and
+// the tail page of one bucket's chain, empties a middle page, the head page
+// and the tail page, and inserts into the emptied head. After every step the
+// mirror must pass verify, and a fresh load of the device must rebuild it
+// with the same entry locations and the same live count per chained page.
+// (It fails if remove tombstones the wrong byte.)
+func TestPathTableRemoveAgainstMedia(t *testing.T) {
+	_, pt := newPathTable(t)
+	// Three ~1 KiB entries fill a page: four pages, newest at the head.
+	paths := collidingPaths(13, 1000)
+	for i, p := range paths[:12] {
+		if err := pt.insert(nil, p, coffer.ID(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pageOf := func(i int) int64 { return pt.entry(paths[i]).at / nvm.PageSize }
+	head, mid, tail := pageOf(9), pageOf(3), pageOf(0)
+	if len(pt.live) != 4 || pageOf(11) != head || pageOf(5) != mid || pageOf(2) != tail {
+		t.Fatalf("chain pages %v, want four of three entries each", pt.live)
+	}
+	check := func(step string) {
+		t.Helper()
+		if err := pt.verify(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		fresh := &pathTable{dev: pt.dev, bucketOff: pt.bucketOff, sm: pt.sm}
+		if err := fresh.load(nil); err != nil {
+			t.Fatalf("%s: load: %v", step, err)
+		}
+		if got, want := mirrorLocs(fresh), mirrorLocs(pt); !maps.Equal(got, want) {
+			t.Fatalf("%s: a fresh load finds %d entries, the mirror holds %d, or at other places", step, len(got), len(want))
+		}
+		if !maps.Equal(fresh.live, pt.live) {
+			t.Fatalf("%s: a fresh load counts %v live entries per page, the mirror %v", step, fresh.live, pt.live)
+		}
+	}
+	check("insert")
+	owned := func(pg int64) bool { return pt.sm.peekOwner(coffer.KernelID).Contains(pg, 1) }
+	for _, step := range []struct {
+		name   string
+		remove []int
+	}{
+		{"from the head page", []int{10}},
+		{"from a middle page", []int{4}},
+		{"from the tail page", []int{0}},
+		{"emptying a middle page", []int{3, 5}},
+		{"emptying the head page", []int{9, 11}},
+		{"emptying the tail page", []int{1, 2}},
+	} {
+		for _, i := range step.remove {
+			if err := pt.remove(nil, paths[i]); err != nil {
+				t.Fatalf("%s: remove %d: %v", step.name, i, err)
+			}
+		}
+		check(step.name)
+	}
+	if _, chained := pt.live[mid]; chained || owned(mid) {
+		t.Fatal("the emptied middle page is still chained or the kernel's")
+	}
+	if _, chained := pt.live[tail]; chained || owned(tail) {
+		t.Fatal("the emptied tail page is still chained or the kernel's")
+	}
+	if n, chained := pt.live[head]; !chained || n != 0 {
+		t.Fatalf("the emptied head page: chained %v, %d live", chained, n)
+	}
+	if err := pt.insert(nil, paths[12], 200); err != nil {
+		t.Fatal(err)
+	}
+	if at := pt.entry(paths[12]).at; at != head*nvm.PageSize+entryPageHdr {
+		t.Fatalf("an insert after the head page emptied landed at %d, not at its start", at)
+	}
+	check("insert into the emptied head page")
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"zofs/internal/coffer"
 )
@@ -112,7 +113,7 @@ func TestPathMirrorChains(t *testing.T) {
 	const n = 3 * pathBuckets
 	path := func(i int) string { return fmt.Sprintf("/c/%05d", i) }
 	for i := 0; i < n; i++ {
-		pt.set(path(i), coffer.ID(i+1))
+		pt.set(path(i), coffer.ID(i+1), int64(i)*64)
 	}
 	for i := 0; i < n; i += 3 {
 		pt.unset(path(i))
@@ -140,5 +141,13 @@ func TestPathMirrorChains(t *testing.T) {
 	}
 	if s := pt.seq.Load(); s%2 != 0 {
 		t.Fatalf("seq left odd: %d", s)
+	}
+}
+
+// TestPathEntFitsItsSizeClass: the entry location takes the 8 bytes the
+// allocator's 48-byte size class already rounded a mirror entry up to.
+func TestPathEntFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(pathEnt{}); n > 48 {
+		t.Fatalf("pathEnt is %d bytes, past the 48-byte size class", n)
 	}
 }

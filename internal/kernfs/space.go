@@ -22,10 +22,10 @@ import (
 const allocSlotSize = 8
 
 // slotZeroed is the zeroed bit of a free slot's run-length word: the page
-// has not been granted since mkfs formatted a blank device, so it still
-// reads zero and a grant need not scrub it. Only mkfs sets it; every grant
-// and every release rewrites the slot without it, before the page can hold
-// a byte.
+// reads zero, so a grant need not scrub it. Mkfs sets it on every free page
+// of a blank device, and a release may set it on a page it has just zeroed
+// (a dead coffer's root page, see releaseAll); every grant and every other
+// release rewrites the slot without it, before the page can hold a byte.
 const slotZeroed = 1 << 31
 
 // numFreeShards is the fixed shard count of the free-space pool. Fixed (not
@@ -393,8 +393,9 @@ func (sm *spaceManager) release(clk *simclock.Clock, id coffer.ID, start, count 
 // page is free a concurrent coffer_new can mint the same ID — and must get
 // another owner set from ownerSet, never the doomed one, which joins the
 // spares only once it is empty. The extents are freed in one ascending pass
-// and the set is emptied after it.
-func (sm *spaceManager) releaseAll(clk *simclock.Clock, id coffer.ID) {
+// and the set is emptied after it. rootZeroed says the caller has zeroed the
+// root page, which is then freed flagged zeroed: its slot carries slotZeroed.
+func (sm *spaceManager) releaseAll(clk *simclock.Clock, id coffer.ID, rootZeroed bool) {
 	sm.ownMu.Lock()
 	s := sm.byOwner[id]
 	delete(sm.byOwner, id)
@@ -402,10 +403,16 @@ func (sm *spaceManager) releaseAll(clk *simclock.Clock, id coffer.ID) {
 	if s == nil {
 		return
 	}
+	root := int64(id)
+	rootZeroed = rootZeroed && s.Remove(root, 1)
 	s.Each(func(start, count int64) {
 		sm.writeRun(clk, start, count, 0)
 		sm.addFree(clk, start, count, false)
 	})
+	if rootZeroed {
+		sm.writeSlots(clk, root, 1, 0, slotZeroed)
+		sm.addFree(clk, root, 1, true)
+	}
 	s.Clear()
 	sm.ownMu.Lock()
 	sm.spare = append(sm.spare, s)

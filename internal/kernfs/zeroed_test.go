@@ -133,8 +133,9 @@ func crashZeroedAt(t *testing.T, call func(*KernFS, *proc.Thread, coffer.ID) err
 // releases them by each path that frees pages — coffer_shrink, coffer_delete,
 // recovery's reclaim and the rollback of a grant that lost its write gate —
 // then grants every free page zeroed, in the same mount and after a remount.
-// Every written page must read zero in the new grant: a released page is
-// never flagged zeroed again. (It fails if a release keeps or sets the flag.)
+// Every written page must read zero in the new grant: a page that may hold a
+// byte is never released flagged zeroed. (It fails if a release keeps or sets
+// the flag.)
 func TestReleasedPagesAreScrubbedOnRegrant(t *testing.T) {
 	releases := []struct {
 		name string
@@ -225,6 +226,50 @@ func TestReleasedPagesAreScrubbedOnRegrant(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDeadRootPagesComeBackZeroed: coffer_delete and coffer_merge zero the
+// dead coffer's root page and free it flagged zeroed. The device holds a
+// pattern before mkfs, so the root page was written whole and flagged by
+// nothing else. (It fails if unpublish frees the root page unflagged, or
+// flags it without zeroing it.)
+func TestDeadRootPagesComeBackZeroed(t *testing.T) {
+	for _, how := range []string{"CofferDelete", "CofferMerge"} {
+		t.Run(how, func(t *testing.T) {
+			k := patternedFS(t)
+			dev := k.Device()
+			th := mountedThread(t, k, 0, 0)
+			id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/a-longer-coffer-path", 4)
+			dead := id
+			var err error
+			if how == "CofferMerge" {
+				if dead, err = k.CofferSplit(th, id, "/a-longer-coffer-path/split", 0o755, 0, 0, pages[:3], pages[0], pages[1]); err != nil {
+					t.Fatal(err)
+				}
+				err = k.CofferMerge(th, id, dead)
+			} else {
+				err = k.CofferDelete(th, id)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := zeroedSlots(k); n != 1 {
+				t.Fatalf("%d slots flagged zeroed, want the dead root page's alone", n)
+			}
+			var slot [allocSlotSize]byte
+			dev.ReadNoCharge(k.space.slotOff(int64(dead)), slot[:])
+			if !slotFlagged(slot[:]) {
+				t.Fatalf("root page %d went back unflagged", dead)
+			}
+			readZero(t, dev, []int64{int64(dead)}, "dead root page")
+			if err := k.VerifySpace(); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.VerifyZeroed(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

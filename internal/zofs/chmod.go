@@ -249,12 +249,16 @@ func (f *FS) maybeMergeBack(th *proc.Thread, dir, base string, target coffer.ID)
 // mapping is gone, and its allocator pool page — retagged to the parent with
 // every other page but referenced by nothing there — goes back on the
 // parent's metadata list instead of leaking one page per split/merge cycle.
-// The caller has the window open on parent.
+// ZoFS writes a pool page only over its magic word and slots, so that much is
+// scrubbed. Whoever could write src can write parent too (a merge requires
+// identical permissions), so the page's tail exposes nothing new. The caller
+// has the window open on parent.
 func (f *FS) mergedInto(th *proc.Thread, parent, src *mount) {
 	f.forgetMount(src.id)
 	if debugPool {
 		// A coffer_new pool page was placed by the kernel, not by allocPage.
 		debugFree.Store(src.custom, 2)
 	}
-	f.freePage(th, parent, classMeta, src.custom)
+	f.scrub(th, src.custom*pageSize, poolOff+poolSlots*slotSize)
+	f.pushFree(th, parent, classMeta, src.custom)
 }

@@ -1,6 +1,7 @@
 package zofs
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -300,5 +301,45 @@ func TestUnlinkScrubBytes(t *testing.T) {
 		if got := scrubbed(c.rm, c.path); got != c.want {
 			t.Errorf("%s: unlink wrote %d allocator bytes, want %d", c.name, got, c.want)
 		}
+	}
+}
+
+// TestMergeScrubsPoolPageSlots pins what a merge-back writes to the split
+// coffer's pool page as it goes back on the parent's metadata list: zeros
+// over the magic word and the pool slots, all ZoFS ever writes there. The
+// page must then read zero, as every metadata page handed out does.
+func TestMergeScrubsPoolPageSlots(t *testing.T) {
+	withDebugPool(t)
+	dev, k, f, th := newTestFS(t, Options{})
+	h := mustCreate(t, f, th, "/f")
+	mustWrite(t, th, h, make([]byte, 3*pageSize), 0)
+	h.Close(th)
+	if err := f.Chmod(th, "/f", 0o600); err != nil {
+		t.Fatal(err)
+	}
+	id, ok := k.LookupPath(nil, "/f")
+	if !ok {
+		t.Fatal("chmod 0600 did not split")
+	}
+	rp, _ := k.Info(id)
+	dev.EnableAccounting()
+	if err := f.Chmod(th, "/f", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := k.LookupPath(nil, "/f"); ok {
+		t.Fatal("chmod 0644 did not merge back")
+	}
+	var wrote int64
+	for _, w := range dev.WearSnapshot() {
+		if w.Page == rp.Custom {
+			wrote = w.Bytes
+		}
+	}
+	if want := int64(poolOff + poolSlots*slotSize); wrote != want {
+		t.Fatalf("merge-back wrote %d B to the pool page, want %d", wrote, want)
+	}
+	v, _ := dev.ReadViewNoCharge(rp.Custom*pageSize, pageSize)
+	if !bytes.Equal(v, make([]byte, pageSize)) {
+		t.Fatal("the merged pool page does not read zero")
 	}
 }

@@ -179,8 +179,13 @@ coffer_share 1 host_allocs_per_op <= 1.5
 # pointers into one OS mapping per device (1055 with heap chunks, 41 now).
 coffer_share 1 host_bytes_per_op <= 100
 # Root pages update in place and emptied bucket heads stay; an unlinked symlink
-# scrubs its header and target (2603 rewriting pages, 1795, 1494 now).
-coffer_share 1 nvm_wbytes_per_op <= 1900
+# scrubs its header and target; a zeroed root page is written over its path, a
+# dead one zeroed over it, and a merged pool page over its slots (2603
+# rewriting pages, 1795, 1494, 1193 now).
+coffer_share 1 nvm_wbytes_per_op <= 1300
+# Path-table removes read the entry the mirror locates, not its 4 KiB page
+# (2350 before, 1944 now).
+coffer_share 1 nvm_rbytes_per_op <= 2100
 # Smaller root-page writes; kernfs.registry held only to publish (1450 before, 1568 now).
 coffer_share 1 sim_kops_per_vsec >= 1500
 EOF
