@@ -36,7 +36,7 @@ func BenchmarkExperiments(b *testing.B) {
 		b.Run(e.Name, func(b *testing.B) {
 			b.Chdir(b.TempDir())
 			for i := 0; i < b.N; i++ {
-				if err := e.Run(io.Discard, benchOpts()); err != nil {
+				if _, err := e.Run(io.Discard, benchOpts()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,7 +6,10 @@
 //	zofs-bench [-quick] [-obs dir] [-threads 1,2,4,8,12,16,20] [experiment ...]
 //
 // Experiments: the names of harness.Experiments (zofs-bench -h lists them),
-// or "all" (the default).
+// or "all" (the default). The paper cells the experiments return are scored
+// into BENCH_fidelity.json in the working directory (harness.WriteFidelity),
+// which the run reports on standard error; the committed file is the one
+// "zofs-bench table2 fig8 fig11 table9 recovery" writes.
 package main
 
 import (
@@ -140,10 +143,11 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 		}()
 	}
 
+	var cells []harness.Cell
 	for _, e := range want {
 		fmt.Fprintf(stdout, "==== %s ====\n", e.Name)
 		start := time.Now()
-		err := e.Run(stdout, opts)
+		c, err := e.Run(stdout, opts)
 		if werr := sess.WriteCells(stdout); err == nil {
 			err = werr
 		}
@@ -151,7 +155,13 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 			fail(e.Name, err)
 			return
 		}
+		cells = append(cells, c...)
 		fmt.Fprintf(stdout, "---- %s done in %v ----\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+	}
+	if len(cells) > 0 {
+		if err := harness.WriteFidelity(stderr, cells); err != nil {
+			fail("fidelity", err)
+		}
 	}
 	return
 }

@@ -19,7 +19,7 @@ func TestFailingRunKeepsItsObservation(t *testing.T) {
 	saved := harness.Experiments
 	defer func() { harness.Experiments = saved }()
 	harness.Experiments = append(saved[:len(saved):len(saved)], harness.Experiment{
-		Name: "doomed", Desc: "always fails", Run: func(io.Writer, harness.Options) error { return errors.New("doomed") }})
+		Name: "doomed", Desc: "always fails", Run: func(io.Writer, harness.Options) ([]harness.Cell, error) { return nil, errors.New("doomed") }})
 
 	dir := t.TempDir()
 	var stdout, stderr strings.Builder

@@ -23,9 +23,11 @@ import (
 //
 // A metric regresses when it moves in its bad direction — lower for
 // throughput-like names (kops, speedup), higher for latency-like names
-// (_ns, wait) — by more than max(noise floor, sig × relative standard
-// error). Names matching neither family are reported but never fail the
-// gate. Exit status: 0 clean, 3 on any significant regression, 1 on errors.
+// (_ns, wait) and for a fidelity score — by more than max(noise floor,
+// sig × relative standard error). Names matching neither family are
+// reported but never fail the gate. Between two fidelity scoreboards
+// (BENCH_fidelity.json) the table ends with the total score's delta.
+// Exit status: 0 clean, 3 on any significant regression, 1 on errors.
 //
 // -inject writes a copy of a JSON artifact with a synthetic regression of
 // the given fraction (throughput deflated, latency inflated) — the gate's
@@ -74,7 +76,7 @@ type metric struct {
 // lower-is-better, 0 neutral (informational only).
 func direction(name string) int {
 	n := strings.ToLower(name)
-	for _, bad := range []string{"_ns", "latency", "wait", "amplification", "burn", "breach"} {
+	for _, bad := range []string{"_ns", "latency", "wait", "amplification", "burn", "breach", "score"} {
 		if strings.Contains(n, bad) {
 			return -1
 		}
@@ -298,6 +300,12 @@ func diff(w, stderr io.Writer, oldPath, newPath string, noise, sig float64, asJS
 			}
 			fmt.Fprintf(w, " %s %-44s %14.3f -> %14.3f  %+7.2f%% (thr %.2f%%)\n",
 				mark, r.Metric, r.Old, r.New, r.RelDelta*100, r.Threshold*100)
+		}
+		o, okO := oldM["total_score"]
+		n, okN := newM["total_score"]
+		if okO && okN {
+			fmt.Fprintf(w, "fidelity: total score %.4f -> %.4f (%+.4f; 0 is every cell at the paper's value)\n",
+				o.Value, n.Value, n.Value-o.Value)
 		}
 	}
 	if regressions > 0 {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"zofs/internal/obsfs"
@@ -194,5 +195,30 @@ func TestInjectedRegressionIsDetected(t *testing.T) {
 		if code := run([]string{"diff", tc.old, tc.new}, io.Discard, io.Discard); code != tc.want {
 			t.Errorf("%s: exit status %d, want %d", tc.name, code, tc.want)
 		}
+	}
+}
+
+// TestFidelityDelta: between two scoreboards (BENCH_fidelity.json), a cell
+// that moves away from the paper is a regression of its score, and the
+// report ends with the total score's delta; the move back is clean.
+func TestFidelityDelta(t *testing.T) {
+	dir := t.TempDir()
+	before := write(t, filepath.Join(dir, "before.json"), []byte(`{"paper_cells": 1, "total_score": 0.1, "cells": [
+		{"name": "table2/create/1/ZoFS", "paper": 2494, "ours": 2257, "score": 0.1},
+		{"name": "fig8/ZoFS", "ours": 1.517}]}`))
+	after := write(t, filepath.Join(dir, "after.json"), []byte(`{"paper_cells": 1, "total_score": 0.9, "cells": [
+		{"name": "table2/create/1/ZoFS", "paper": 2494, "ours": 1003, "score": 0.9},
+		{"name": "fig8/ZoFS", "ours": 1.517}]}`))
+	var out strings.Builder
+	if code := run([]string{"diff", before, after}, &out, io.Discard); code != 3 {
+		t.Errorf("a cell moved away from the paper: exit status %d, want 3", code)
+	}
+	for _, want := range []string{"R cells[table2/create/1/ZoFS].score", "fidelity: total score 0.1000 -> 0.9000 (+0.8000"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, out.String())
+		}
+	}
+	if code := run([]string{"diff", after, before}, io.Discard, io.Discard); code != 0 {
+		t.Errorf("a cell moved toward the paper: exit status %d, want 0", code)
 	}
 }

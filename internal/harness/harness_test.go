@@ -67,7 +67,7 @@ func TestExperiments(t *testing.T) {
 			// depend on which tests ran before it.
 			proc.ResetIDs()
 			var got bytes.Buffer
-			if err := e.Run(&got, tiny()); err != nil {
+			if _, err := e.Run(&got, tiny()); err != nil {
 				t.Fatalf("%s: %v", e.Name, err)
 			}
 			if *update {

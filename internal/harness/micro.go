@@ -15,8 +15,8 @@ import (
 // (paper Table 2): average latency of a 4KB append to a shared file and of
 // an empty-file create in a shared directory, with one process and with
 // two processes alternating — the experiment that exposes Strata's
-// digestion cost.
-func RunTable2(w io.Writer, opts Options) error {
+// digestion cost. Every cell is scored against the paper's.
+func RunTable2(w io.Writer, opts Options) ([]Cell, error) {
 	opts.fill()
 	systems := []sysfactory.System{sysfactory.Strata, sysfactory.NOVA, sysfactory.ZoFS}
 	ops := 200
@@ -29,6 +29,8 @@ func RunTable2(w io.Writer, opts Options) error {
 		procs int
 	}
 	rows := []cell{{"append", 1}, {"append", 2}, {"create", 1}, {"create", 2}}
+	// The paper's Table 2, row by row, in the order of systems.
+	paper := [][3]float64{{1653, 2172, 1147}, {34551, 3882, 1703}, {4195, 3534, 2494}, {283972, 6167, 3459}}
 	results := map[string]map[cell]int64{}
 
 	for _, sys := range systems {
@@ -36,7 +38,7 @@ func RunTable2(w io.Writer, opts Options) error {
 		for _, c := range rows {
 			lat, err := table2Latency(sys, c.op, c.procs, ops)
 			if err != nil {
-				return fmt.Errorf("table2 %s/%s/%d: %w", sys.Name, c.op, c.procs, err)
+				return nil, fmt.Errorf("table2 %s/%s/%d: %w", sys.Name, c.op, c.procs, err)
 			}
 			results[sys.Name][c] = lat
 		}
@@ -44,11 +46,16 @@ func RunTable2(w io.Writer, opts Options) error {
 	fmt.Fprintln(w, "Table 2: Latency (ns) of operations on a file/directory shared by multiple processes")
 	t := tw(w)
 	fmt.Fprintln(t, "Operation\t# Processes\tStrata\tNOVA\tZoFS")
-	for _, c := range rows {
+	var cells []Cell
+	for i, c := range rows {
 		fmt.Fprintf(t, "%s\t%d\t%d\t%d\t%d\n", c.op, c.procs,
 			results["Strata"][c], results["NOVA"][c], results["ZoFS"][c])
+		for j, sys := range systems {
+			cells = append(cells, Cell{fmt.Sprintf("table2/%s/%d/%s", c.op, c.procs, sys.Name),
+				paper[i][j], float64(results[sys.Name][c])})
+		}
 	}
-	return t.Flush()
+	return cells, t.Flush()
 }
 
 // table2Latency measures avg ns/op for appends to one shared file or
@@ -230,7 +237,9 @@ func RunFig7(w io.Writer, opts Options) error {
 
 // RunFig8 reproduces the DWOL breakdown (paper Figure 8): ZoFS and its
 // instrumented variants against the NOVA/PMFS variants, single-threaded.
-func RunFig8(w io.Writer, opts Options) error {
+// Its bars are cells without a paper value: the repository records the
+// paper's grouping of them, not their heights.
+func RunFig8(w io.Writer, opts Options) ([]Cell, error) {
 	opts.fill()
 	systems := []sysfactory.System{
 		sysfactory.ZoFS, sysfactory.ZoFSSysEmpty,
@@ -240,16 +249,18 @@ func RunFig8(w io.Writer, opts Options) error {
 	fmt.Fprintln(w, "Figure 8: Throughput breakdown of DWOL (Mops/s, 1 thread)")
 	t := tw(w)
 	fmt.Fprintln(t, "System\tMops/s")
+	var cells []Cell
 	for _, sys := range systems {
 		in, err := sys.New(1 << 30)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		r, err := fxmarkCell(in, fxmark.DWOL, 1, opts.TargetNS)
 		if err != nil {
-			return fmt.Errorf("fig8 %s: %w", sys.Name, err)
+			return nil, fmt.Errorf("fig8 %s: %w", sys.Name, err)
 		}
 		fmt.Fprintf(t, "%s\t%.3f\n", sys.Name, r.MopsPerSec)
+		cells = append(cells, Cell{Name: "fig8/" + sys.Name, Ours: r.MopsPerSec})
 	}
-	return t.Flush()
+	return cells, t.Flush()
 }

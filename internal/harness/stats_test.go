@@ -16,7 +16,7 @@ import (
 // observed runs one experiment at tiny size inside an observation session
 // and returns what it printed followed by the session's rendering of its
 // cells, and the cell log the session left in its directory.
-func observed(t *testing.T, run func(io.Writer, Options) error) (string, []obsfs.Cell) {
+func observed(t *testing.T, run func(io.Writer, Options) ([]Cell, error)) (string, []obsfs.Cell) {
 	t.Helper()
 	dir := t.TempDir()
 	sess, err := obsfs.Start(dir)
@@ -24,7 +24,7 @@ func observed(t *testing.T, run func(io.Writer, Options) error) (string, []obsfs
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	err = run(&b, Options{Quick: true, TargetNS: 1_000_000})
+	_, err = run(&b, Options{Quick: true, TargetNS: 1_000_000})
 	if err == nil {
 		err = sess.WriteCells(&b)
 	}
@@ -90,7 +90,7 @@ func TestStatsFig8(t *testing.T) {
 // TestStatsFig10 checks the Filebench cells of Figures 9 and 10 produce the
 // same telemetry, over trees small enough to build in milliseconds.
 func TestStatsFig10(t *testing.T) {
-	out, cells := observed(t, func(_ io.Writer, opts Options) error {
+	out, cells := observed(t, unscored(func(_ io.Writer, opts Options) error {
 		opts.fill()
 		for _, p := range []filebench.Personality{filebench.Fileserver, filebench.Varmail} {
 			cfg := filebench.Default(p)
@@ -100,7 +100,7 @@ func TestStatsFig10(t *testing.T) {
 			}
 		}
 		return nil
-	})
+	}))
 	if !strings.Contains(out, "[stats ZoFS/fileserver/1]") {
 		t.Fatalf("observed output missing fileserver cell:\n%s", out)
 	}

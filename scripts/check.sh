@@ -67,12 +67,17 @@ echo "== bench identity gate =="
 # bit-identity, lock-wait books, and the scaling gate — ZoFS MWCL/MWRL still
 # climbing at 64 threads, DWAL/MWCL/MWRL holding half their peak at 512)
 # must regenerate BENCH_wa.json, BENCH_chaos.json and BENCH_fxmark_scale.json
-# byte for byte. Any drift is a real change to a simulated number — refresh
-# the file deliberately.
+# byte for byte, and so must the fidelity scoreboard, BENCH_fidelity.json:
+# the paper cells of the full-size scored experiments, each scored against
+# the paper's value, from a run of those alone (a freshly booted machine, as
+# tier-1's harness.TestFidelityHolds reruns them). Any drift is a real change
+# to a simulated number — refresh the file deliberately.
 bench wa chaos fxmark-scale
 cmp BENCH_wa.json "$tracedir/BENCH_wa.json"
 cmp BENCH_chaos.json "$tracedir/BENCH_chaos.json"
 cmp BENCH_fxmark_scale.json "$tracedir/BENCH_fxmark_scale.json"
+bench table2 fig8 fig11 table9 recovery
+cmp BENCH_fidelity.json "$tracedir/BENCH_fidelity.json"
 
 echo "== results =="
 # results/ holds the outputs EXPERIMENTS.md quotes, each from the command
