@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,8 +18,8 @@ import (
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
 	// image formats a device and saves it: bare as mkfs leaves it, or with
-	// the root directory a first mount initialises.
-	image := func(name string, mounted bool) string {
+	// the root directory a first mount initialises, and then the edit made.
+	image := func(name string, mounted bool, edit func(*nvm.Device)) string {
 		dev := nvm.NewDevice(16 << 20)
 		if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
 			t.Fatal(err)
@@ -37,6 +38,9 @@ func TestExitCodes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if edit != nil {
+			edit(dev)
+		}
 		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +51,14 @@ func TestExitCodes(t *testing.T) {
 		}
 		return f.Name()
 	}
-	img, bare := image("t.zofs", true), image("bare.zofs", false)
+	img, bare := image("t.zofs", true, nil), image("bare.zofs", false, nil)
+	// A device formatted before ZoFS inodes put their indirect words ahead
+	// of the direct slots: its superblock carries the old magic.
+	old := image("old.zofs", true, func(dev *nvm.Device) {
+		var magic [8]byte
+		binary.LittleEndian.PutUint64(magic[:], 0x5A6F46535F535550) // "ZoFS_SUP"
+		dev.WriteNT(nil, 0, magic[:])
+	})
 	garbage := filepath.Join(dir, "garbage.zofs")
 	if err := os.WriteFile(garbage, []byte("not an image"), 0o644); err != nil {
 		t.Fatal(err)
@@ -62,6 +73,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-n", img}, 0},
 		{[]string{filepath.Join(dir, "missing.zofs")}, 1},
 		{[]string{garbage}, 1},
+		{[]string{"-n", old}, 1},
 		// fsck gives the never-mounted image its root directory.
 		{[]string{"-n", bare}, 0},
 		{nil, 2},

@@ -128,7 +128,7 @@ func TestSpanAbortedOnFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Redirect the file's first direct block pointer (inode offset 64) far
+	// Redirect the file's first direct block pointer (inode offset 80) far
 	// outside the coffer: the next read dereferences it and faults on a
 	// page the thread has no protection key for.
 	var evil [8]byte
@@ -136,7 +136,7 @@ func TestSpanAbortedOnFault(t *testing.T) {
 	for i := range evil {
 		evil[i] = byte(wild >> (8 * i))
 	}
-	dev.WriteNT(nil, fi.Inode*4096+64, evil[:])
+	dev.WriteNT(nil, fi.Inode*4096+80, evil[:])
 
 	buf := make([]byte, 512)
 	if _, err := l.Pread(th, fd, buf, 0); err == nil {

@@ -47,6 +47,15 @@ var reasons = []reason{
 	// Path-table updates read and write the entry, not its 4 KiB page.
 	{"table9/chmod/ZoFS", 40, 10495, 10208, "path-table entries located by the mirror"},
 	{"table9/rename/ZoFS", 40, 10834, 10547, "path-table entries located by the mirror"},
+	// Unlink reads the indirect words and the direct slots the file's size
+	// covers, not all 392: the rollback journal's unlink reads 24 bytes of
+	// its inode instead of 3,152, a chmod split of a 64-page file 528.
+	{"table8/mixed/ZoFS/PMFS", 41, 3.3554, 3.3695, "unlink reads only the pointers the size covers"},
+	{"table8/mixed/ZoFS/NOVA", 41, 3.3587, 3.3729, "unlink reads only the pointers the size covers"},
+	{"table8/OS/ZoFS/PMFS", 41, 2.4620, 2.5590, "unlink reads only the pointers the size covers"},
+	{"table8/OS/ZoFS/NOVA", 41, 3.1730, 3.2980, "unlink reads only the pointers the size covers"},
+	{"table9/chmod/ZoFS", 41, 10208, 10141, "unlink reads only the pointers the size covers"},
+	{"table9/rename/ZoFS", 41, 10547, 10480, "unlink reads only the pointers the size covers"},
 }
 
 // excused reports whether a row of the reasons table moves the cell to

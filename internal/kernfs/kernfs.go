@@ -77,7 +77,11 @@ var (
 
 // Superblock layout (page 0).
 const (
-	sbMagic        = 0x5A6F46535F535550 // "ZoFS_SUP"
+	// sbMagic names the on-NVM format. "ZoFS_SUP" was the format whose ZoFS
+	// inodes held their direct slots before the two indirect words; Mount
+	// refuses it, as it refuses any other magic, rather than read a direct
+	// slot as an indirect pointer.
+	sbMagic        = 0x5A6F46535F534232 // "ZoFS_SB2"
 	sbMagicOff     = 0
 	sbNPagesOff    = 8
 	sbAllocPageOff = 16

@@ -1,6 +1,7 @@
 package kernfs
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -501,5 +502,18 @@ func TestMergeIgnoresExecBits(t *testing.T) {
 	}
 	if err := k.CofferMerge(th, parent, other); err == nil {
 		t.Fatal("merge across owners should fail")
+	}
+}
+
+// TestMountRefusesOldFormat: a device formatted before ZoFS inodes put their
+// indirect words ahead of the direct slots carries the old superblock magic,
+// and Mount refuses it instead of reading its pointers at the new offsets.
+func TestMountRefusesOldFormat(t *testing.T) {
+	dev, _ := newFS(t)
+	var old [8]byte
+	binary.LittleEndian.PutUint64(old[:], 0x5A6F46535F535550) // "ZoFS_SUP"
+	dev.WriteNT(nil, sbMagicOff, old[:])
+	if _, err := Mount(dev); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("Mount of an old-format device: %v, want ErrInvalid", err)
 	}
 }

@@ -241,8 +241,9 @@ func TestReadCostPins(t *testing.T) {
 
 // TestUnlinkScrubBytes pins the allocator bytes an unlink writes: the scrub
 // of the freed inode page over what it can hold (freeInode). An empty file
-// scrubs its header, a 3-block file its header and three direct slots, a
-// symlink its header and target, an empty directory its header. A file whose
+// scrubs its header, a 3-block file its header, its indirect words and three
+// direct slots in one store, a symlink its header and target, an empty
+// directory its header. A file whose
 // lease epoch left 0 is scrubbed whole; a lease parked by another thread
 // proves that thread's hold ended, so it does not.
 func TestUnlinkScrubBytes(t *testing.T) {
@@ -292,7 +293,7 @@ func TestUnlinkScrubBytes(t *testing.T) {
 		want int64
 	}{
 		{"empty file", unlink, "/empty", inoHeaderLen},
-		{"3-block file", unlink, "/three", inoHeaderLen + 3*8},
+		{"3-block file", unlink, "/three", inoDirectOff + 3*8},
 		{"lease parked by another thread", unlink, "/parked", inoHeaderLen},
 		{"lease epoch 1", unlink, "/stolen", pageSize},
 		{"symlink", unlink, "/link", inoHeaderLen + 2 + int64(len(target))},

@@ -182,3 +182,37 @@ func TestChmodMergesCofferBack(t *testing.T) {
 		t.Fatalf("mode = %o", fi.Mode)
 	}
 }
+
+// TestInlineUnlinkLeavesPageZero: the unlink of an inline file scrubs its
+// header, the indirect words and the direct slot its size covers in one
+// store and the inline flag and tail in another, so the freed inode page
+// reads zero, as every metadata page handed out must under debugPool — for
+// a short file, one that fills the tail, and one that outgrew it.
+func TestInlineUnlinkLeavesPageZero(t *testing.T) {
+	for _, n := range []int{10, inlineCap, inlineCap + 1} {
+		t.Run(fmt.Sprint(n, " bytes"), func(t *testing.T) {
+			withDebugPool(t)
+			dev, _, f, th := newTestFS(t, Options{InlineData: true})
+			h := mustCreate(t, f, th, "/f")
+			mustWrite(t, th, h, bytes.Repeat([]byte{0xA5}, n), 0)
+			h.Close(th)
+			pos, err := f.walk(th, "/f", true, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ino := pos.ino
+			pos.close()
+			if inline := dev.Load64(nil, ino*pageSize+inoInlineFlag) == 1; inline != (n <= inlineCap) {
+				t.Fatalf("inline flag %v for %d bytes", inline, n)
+			}
+			if err := f.Unlink(th, "/f"); err != nil {
+				t.Fatal(err)
+			}
+			page := make([]byte, pageSize)
+			dev.ReadNoCharge(ino*pageSize, page)
+			if i := bytes.IndexFunc(page, func(r rune) bool { return r != 0 }); i >= 0 {
+				t.Fatalf("freed inode page %d holds a byte at offset %d", ino, i)
+			}
+		})
+	}
+}

@@ -454,27 +454,21 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 // filePages appends to pages every page reachable from a regular file inode
 // (data + indirect pages), excluding the inode page itself, in ascending
 // block order (a pointer page precedes the blocks it maps). The inode's
-// pointer area is read once, as one view ending at the double-indirect word
-// and starting at the first direct slot the size covers — for an empty file
-// that is the two indirect words alone. Those are read whatever the size:
-// truncation leaves indirect pages in place until unlink.
+// pointers are read once, as one view from the indirect word to the last
+// direct slot the size covers — for an empty file the two indirect words
+// alone. Those are read whatever the size: truncation leaves indirect pages
+// in place until unlink.
 func (f *FS) filePages(th *proc.Thread, ino int64, pages []int64) []int64 {
-	size := f.inodeSize(th, ino)
-	direct := min((size+pageSize-1)/pageSize, inoDirectCnt)
-	from := int64(inoIndirectOff)
-	if direct > 0 {
-		from = inoDirectOff
-	}
-	ptrs := f.readView(th, ino*pageSize+from, inoDIndirOff+8-from)
-	pages = appendPtrs(pages, ptrs[:8*direct])
+	ptrs := f.readView(th, ino*pageSize+inoIndirectOff, f.pointerEnd(th, ino)-inoIndirectOff)
+	pages = appendPtrs(pages, ptrs[inoDirectOff-inoIndirectOff:])
 	// leaf appends a pointer page and every page its slots name.
 	leaf := func(pg int64) {
 		if pg != 0 {
 			pages = appendPtrs(append(pages, pg), f.readView(th, pg*pageSize, pageSize))
 		}
 	}
-	leaf(int64(u64at(ptrs, int(inoIndirectOff-from))))
-	if d1 := int64(u64at(ptrs, int(inoDIndirOff-from))); d1 != 0 {
+	leaf(int64(u64at(ptrs, 0)))
+	if d1 := int64(u64at(ptrs, inoDIndirOff-inoIndirectOff)); d1 != 0 {
 		pages = append(pages, d1)
 		l1 := f.readView(th, d1*pageSize, pageSize)
 		for i := 0; i < pageSize; i += 8 {
@@ -482,6 +476,13 @@ func (f *FS) filePages(th *proc.Thread, ino int64, pages []int64) []int64 {
 		}
 	}
 	return pages
+}
+
+// pointerEnd is the inode-page offset just past the last direct slot a
+// regular file's size covers: the header, both indirect words and those
+// slots are everything below it a file can have written.
+func (f *FS) pointerEnd(th *proc.Thread, ino int64) int64 {
+	return inoDirectOff + 8*min((f.inodeSize(th, ino)+pageSize-1)/pageSize, inoDirectCnt)
 }
 
 // freeInode releases an unlinked inode (after the dentry kill has
@@ -493,9 +494,10 @@ func (f *FS) filePages(th *proc.Thread, ino int64, pages []int64) []int64 {
 //
 // The inode page goes to the metadata list zeroed, but scrubbed only over
 // what it can hold: a directory's header, a symlink's header and target, a
-// file's header, the direct slots its size covers, its indirect words when
-// set and, with InlineData, its inline tail — or all of it when a pointer
-// may lie past EOF (nothingPastEOF). Pointer pages go to the data list.
+// file's header, indirect words and the direct slots its size covers (one
+// store; an empty file's indirect words only when set) and, with
+// InlineData, its inline flag and tail — or all of it when a pointer may lie
+// past EOF (nothingPastEOF). Pointer pages go to the data list.
 func (f *FS) freeInode(th *proc.Thread, m *mount, ino int64, typ vfs.FileType) {
 	base, n := ino*pageSize, int64(inoHeaderLen)
 	switch typ {
@@ -509,11 +511,15 @@ func (f *FS) freeInode(th *proc.Thread, m *mount, ino int64, typ vfs.FileType) {
 			n = pageSize
 			break
 		}
-		n = inoDirectOff + 8*min((f.inodeSize(th, ino)+pageSize-1)/pageSize, inoDirectCnt)
+		// An empty file's indirect words are set only when a truncation
+		// left pointer pages behind: scrub them then, or the header alone.
+		if n = f.pointerEnd(th, ino); n == inoDirectOff {
+			if w := f.readViewCached(th, base+inoIndirectOff, 16); u64at(w, 0)|u64at(w, 8) == 0 {
+				n = inoHeaderLen
+			}
+		}
 		if f.opts.InlineData {
-			f.scrub(th, base+inoIndirectOff, pageSize-inoIndirectOff)
-		} else if w := f.readViewCached(th, base+inoIndirectOff, 16); u64at(w, 0)|u64at(w, 8) != 0 {
-			f.scrub(th, base+inoIndirectOff, 16)
+			f.scrub(th, base+inoInlineFlag, pageSize-inoInlineFlag)
 		}
 	case vfs.TypeSymlink:
 		n = inoSymTgtOff + f.inodeSize(th, ino)

@@ -3,10 +3,11 @@
 //
 // On-NVM structures (all 4KB-page granularity, §5.1):
 //
-//   - Inodes occupy a full page: header, then 392 direct block pointers, one
-//     indirect and one double-indirect pointer (Ext4-style). Symlink targets
-//     live inside the inode page; a directory inode points to its
-//     first-level hash page.
+//   - Inodes occupy a full page: a 64-byte header, then one indirect and
+//     one double-indirect pointer, then 392 direct block pointers
+//     (Ext4-style; an unlink reads the two indirect words and the direct
+//     slots the file's size covers as one run). Symlink targets live inside the inode page; a directory
+//     inode points to its first-level hash page.
 //   - Directories are adaptive two-level hash tables: a first-level page of
 //     512 pointers to second-level pages; each second-level page holds 16
 //     inline dentries in its first half and a 256-bucket hash table in its
@@ -52,10 +53,13 @@ const (
 	inoSymTgtOff = 66 // symlink target bytes (max symMaxLen)
 	symMaxLen    = 1024
 
-	inoDirectOff   = 64   // u64 x inoDirectCnt (regular files)
-	inoDirectCnt   = 392  //
-	inoIndirectOff = 3200 // u64
-	inoDIndirOff   = 3208 // u64
+	// Regular files: the indirect and double-indirect words sit directly
+	// behind the header and the direct slots follow them, so the pointers
+	// a file's size covers are one run from the header on.
+	inoIndirectOff = 64  // u64
+	inoDIndirOff   = 72  // u64
+	inoDirectOff   = 80  // u64 x inoDirectCnt
+	inoDirectCnt   = 392 // slots end at inoInlineFlag
 
 	// Inline data (§5.1's "embedding file data in the inode page", the
 	// paper's future-work optimization, enabled by Options.InlineData):

@@ -302,17 +302,84 @@ func TestUnlinkConservesPages(t *testing.T) {
 	}
 }
 
+// TestTruncatedFileFreesPointerPages: truncation leaves a file's pointer
+// pages in place until unlink, past what its size covers. A file grown past
+// the direct slots (an indirect page) or past the indirect page too (a
+// double-indirect tree), then truncated to one page, still finds them with
+// the one pointer read — 24 bytes: both indirect words and one direct slot
+// — and its unlink hands back every page it took, leaving the kernel's
+// zeroed-page flags and the space accounting consistent.
+func TestTruncatedFileFreesPointerPages(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		last int64 // the highest block written
+		held int   // pages after the truncate: block 0 and the pointer pages
+	}{
+		{"indirect", inoDirectCnt + 8, 2},
+		{"double-indirect", inoDirectCnt + ptrsPerPage + 6, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			withDebugPool(t)
+			dev, k, f, th := newTestFS(t, Options{})
+			// Take both classes' first kernel batches and the name's
+			// directory page before the baseline, as TestUnlinkConservesPages.
+			warm := mustCreate(t, f, th, "/f")
+			mustWrite(t, th, warm, make([]byte, pageSize), 0)
+			warm.Close(th)
+			if err := f.Unlink(th, "/f"); err != nil {
+				t.Fatal(err)
+			}
+			start := idlePages(k, f)
+
+			h := mustCreate(t, f, th, "/f")
+			mustWrite(t, th, h, make([]byte, pageSize), 0)
+			mustWrite(t, th, h, make([]byte, pageSize), c.last*pageSize)
+			h.Close(th)
+			if err := f.Truncate(th, "/f", pageSize); err != nil {
+				t.Fatal(err)
+			}
+			pos, err := f.walk(th, "/f", true, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r0 := dev.BytesRead()
+			held := len(f.filePages(th, pos.ino, nil))
+			read := dev.BytesRead() - r0
+			pos.close()
+			if held != c.held {
+				t.Fatalf("filePages found %d pages, want %d", held, c.held)
+			}
+			// Each pointer page is one further 4 KiB read.
+			if want := int64(24 + (c.held-1)*pageSize); read != want {
+				t.Fatalf("filePages read %d media bytes, want %d (24 from the inode)", read, want)
+			}
+			if err := f.Unlink(th, "/f"); err != nil {
+				t.Fatal(err)
+			}
+			if got := idlePages(k, f); got != start {
+				t.Fatalf("unlink left idle pages at %d, baseline %d", got, start)
+			}
+			if err := f.VerifySpace(); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.VerifyZeroed(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestFilePagesReadsOnce pins what the pointer read costs on the media: an
 // empty file's unlink reads the two indirect words (16 bytes, one access), a
-// file with blocks reads the pointer area once, and neither makes the two
-// further uncached loads the old code did.
+// file with blocks reads them and the direct slots its size covers in the
+// same access (16 + 8 per block), and neither makes further uncached loads.
 func TestFilePagesReadsOnce(t *testing.T) {
 	for _, c := range []struct {
 		blocks int
 		bytes  int64
 	}{
 		{0, 16},
-		{2, inoDIndirOff + 8 - inoDirectOff},
+		{2, 16 + 2*8},
 	} {
 		t.Run(fmt.Sprintf("%d blocks", c.blocks), func(t *testing.T) {
 			dev, _, f, th := newTestFS(t, Options{})
