@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 )
 
 // Cell is one number the paper states as a single value, beside ours for
@@ -60,17 +58,4 @@ func WriteFidelity(w io.Writer, cells []Cell) error {
 	_, err := fmt.Fprintf(w, "wrote %s: %d cells, %d scored, total score %.4f\n",
 		FidelityFile, len(cells), doc.Scored, doc.TotalScore)
 	return err
-}
-
-// LoadFidelity reads the cells of a scoreboard WriteFidelity wrote.
-func LoadFidelity(path string) ([]Cell, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc struct{ Cells []Cell }
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return doc.Cells, nil
 }

@@ -1,8 +1,10 @@
 package harness_test
 
 import (
+	"encoding/json"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -12,9 +14,10 @@ import (
 
 // reason is one row of the reasons table: a change that moved a scored
 // cell away from the paper, from one value of full-size runs to another.
+// change is the number of that change's entry in CHANGES.md.
 type reason struct {
 	cell     string
-	pr       int
+	change   int
 	from, to float64
 	why      string
 }
@@ -69,6 +72,20 @@ func excused(cell string, ours float64) bool {
 	return false
 }
 
+// loadFidelity reads the cells of a scoreboard harness.WriteFidelity wrote.
+func loadFidelity(t *testing.T) []harness.Cell {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("..", "..", harness.FidelityFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Cells []harness.Cell }
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("%s: %v", harness.FidelityFile, err)
+	}
+	return doc.Cells
+}
+
 // heapMedia is set when device media live on the Go heap (fidelity_race_test.go).
 var heapMedia bool
 
@@ -86,14 +103,7 @@ func TestFidelityHolds(t *testing.T) {
 	if heapMedia {
 		t.Skip("the 1,000-file recovery would hold 2 GiB of device media on the Go heap")
 	}
-	path, err := filepath.Abs(filepath.Join("..", "..", harness.FidelityFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	committed, err := harness.LoadFidelity(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	committed := loadFidelity(t)
 	was := map[string]harness.Cell{}
 	for _, c := range committed {
 		was[c.Name] = c
@@ -131,12 +141,8 @@ func TestFidelityHolds(t *testing.T) {
 // of the committed scoreboard that has a paper value, and moves it away
 // from that value.
 func TestReasonsNameScoredCells(t *testing.T) {
-	cells, err := harness.LoadFidelity(filepath.Join("..", "..", harness.FidelityFile))
-	if err != nil {
-		t.Fatal(err)
-	}
 	paper := map[string]float64{}
-	for _, c := range cells {
+	for _, c := range loadFidelity(t) {
 		if c.Scored() {
 			paper[c.Name] = c.Paper
 		}
@@ -145,11 +151,11 @@ func TestReasonsNameScoredCells(t *testing.T) {
 		p, ok := paper[r.cell]
 		switch {
 		case !ok:
-			t.Errorf("reasons row (PR %d) names %q, which is not a scored cell", r.pr, r.cell)
+			t.Errorf("reasons row of change %d names %q, which is not a scored cell", r.change, r.cell)
 		case math.Abs(math.Log(r.to/p)) <= math.Abs(math.Log(r.from/p)):
-			t.Errorf("reasons row (PR %d) for %s moves it toward the paper's %g (%g -> %g)", r.pr, r.cell, p, r.from, r.to)
+			t.Errorf("reasons row of change %d for %s moves it toward the paper's %g (%g -> %g)", r.change, r.cell, p, r.from, r.to)
 		case r.why == "":
-			t.Errorf("reasons row (PR %d) for %s gives no reason", r.pr, r.cell)
+			t.Errorf("reasons row of change %d for %s gives no reason", r.change, r.cell)
 		}
 	}
 }

@@ -6,8 +6,9 @@
 //   - Inodes occupy a full page: a 64-byte header, then one indirect and
 //     one double-indirect pointer, then 392 direct block pointers
 //     (Ext4-style; an unlink reads the two indirect words and the direct
-//     slots the file's size covers as one run). Symlink targets live inside the inode page; a directory
-//     inode points to its first-level hash page.
+//     slots the file's size covers as one run). Symlink targets live
+//     inside the inode page; a directory inode points to its first-level
+//     hash page.
 //   - Directories are adaptive two-level hash tables: a first-level page of
 //     512 pointers to second-level pages; each second-level page holds 16
 //     inline dentries in its first half and a 256-bucket hash table in its

@@ -1,6 +1,7 @@
 package zofs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -342,8 +343,9 @@ func TestTruncatedFileFreesPointerPages(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ino := pos.ino
 			r0 := dev.BytesRead()
-			held := len(f.filePages(th, pos.ino, nil))
+			held := len(f.filePages(th, ino, nil))
 			read := dev.BytesRead() - r0
 			pos.close()
 			if held != c.held {
@@ -364,6 +366,12 @@ func TestTruncatedFileFreesPointerPages(t *testing.T) {
 			}
 			if err := k.VerifyZeroed(); err != nil {
 				t.Fatal(err)
+			}
+			// The freed inode page's scrub covered the indirect words.
+			page := make([]byte, pageSize)
+			dev.ReadNoCharge(ino*pageSize, page)
+			if i := bytes.IndexFunc(page, func(r rune) bool { return r != 0 }); i >= 0 {
+				t.Fatalf("freed inode page %d holds a byte at offset %d", ino, i)
 			}
 		})
 	}
