@@ -1,13 +1,15 @@
-// Command zofs-fsck runs offline recovery (paper §3.5, §5.3) over every
-// coffer in a device image: each coffer is traversed from its root inode,
-// corrupted dentries and dangling pointers are repaired, stale leases are
-// cleared, allocator pools are reset and leaked pages are reclaimed by the
-// kernel. The repaired image is written back unless -n is given. (That the
-// repairs match what the flight recorder saw lost is checked on every crash
-// state by zofs-crashmc, its cross_check invariant.)
+// Command zofs-fsck checks a device image with zofs.Check (paper §3.5,
+// §5.3): each coffer is traversed from its root inode, corrupted dentries and
+// dangling pointers are repaired, stale leases are cleared, allocator pools
+// are reset and leaked pages are reclaimed by the kernel; then every
+// registered invariant is checked. It prints one line per coffer in ascending
+// ID order and one per finding, and writes the repaired image back unless -n
+// is given. (zofs-crashmc's cross_check invariant checks on every crash state
+// that the repairs match what the flight recorder saw lost.)
 //
-// Exit codes: 0 the image was checked (and, without -n, written back); 1 it
-// could not be loaded, mounted, checked or saved; 2 usage.
+// Exit codes, as fsck(8)'s: 0 the image is clean or every finding was
+// repaired; 1 it could not be loaded, mounted or saved; 2 usage; 4 a finding
+// was left unrepaired.
 //
 // Usage:
 //
@@ -64,27 +66,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatal("fs_mount: %v", err)
 	}
 
-	stats, err := zofs.FsckAll(k, th)
-	if err != nil {
-		return fatal("fsck: %v", err)
-	}
-	var kept, reclaimed int64
-	var fixed, leases int
-	for id, st := range stats {
-		info, _ := k.Info(id)
+	found := zofs.Check(k, th)
+	var kept, reclaimed, fixed, leases int64
+	for _, c := range found.Coffers {
 		fmt.Fprintf(stdout, "coffer %d (%s): kept %d pages, reclaimed %d, fixed %d dentries, cleared %d leases (user %dµs / kernel %dµs)\n",
-			id, info.Path, st.PagesKept, st.PagesReclaimed, st.DentriesFixed, st.LeasesCleared,
-			st.UserNS/1000, st.KernelNS/1000)
-		kept += st.PagesKept
-		reclaimed += st.PagesReclaimed
-		fixed += st.DentriesFixed
-		leases += st.LeasesCleared
+			c.ID, c.Path, c.PagesKept, c.PagesReclaimed, len(c.Repairs), c.LeasesCleared,
+			c.UserNS/1000, c.KernelNS/1000)
+		kept += c.PagesKept
+		reclaimed += c.PagesReclaimed
+		fixed += int64(len(c.Repairs))
+		leases += int64(c.LeasesCleared)
+	}
+	for _, fd := range found.Findings {
+		fmt.Fprintln(stdout, fd)
 	}
 	fmt.Fprintf(stdout, "total: %d coffers, %d pages kept, %d reclaimed, %d repairs, %d stale leases\n",
-		len(stats), kept, reclaimed, fixed, leases)
+		len(found.Coffers), kept, reclaimed, fixed, leases)
+	code := 0
+	if found.Err() != nil {
+		code = 4
+	}
 
 	if *dry {
-		return 0
+		return code
 	}
 	out, err := os.Create(path)
 	if err != nil {
@@ -97,5 +101,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := out.Close(); err != nil {
 		return fatal("save: %v", err)
 	}
-	return 0
+	return code
 }

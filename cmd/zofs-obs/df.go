@@ -31,28 +31,29 @@ import (
 // -heatmap writes one JSON object per worn page (the byteflow.PageWear
 // schema: page, coffer, writes, bytes, flushes) — JSONL, ready for jq or a
 // plotting script. -validate re-checks the accounting invariants — exact
-// byte conservation across classes, no unclassified writer on a fresh
-// instance and the three-way space reconciliation (kernel table vs allocator
-// inventory vs page census) on a live one — and exits 1 on any violation.
+// byte conservation across classes and no unclassified writer on a fresh
+// instance — and, on a live one, runs zofs.Check (recovery, then the space,
+// zeroed-page and path-mirror invariants); it exits 1 on any violation.
 func cmdDF(args []string, stdout, stderr io.Writer) int {
 	fl := newFlags("df", stderr)
 	image := fl.String("image", "", "report on an existing device image instead of a fresh demo instance")
 	files := fl.Int("files", 512, "files the demo workload touches (fresh-instance mode)")
 	heatmap := fl.String("heatmap", "", "write the page-wear heatmap as JSONL to this file")
 	topN := fl.Int("top", 8, "hottest pages to print (0 = none)")
-	validate := fl.Bool("validate", false, "verify byte conservation and space accounting; exit 1 on violation")
+	validate := fl.Bool("validate", false, "verify byte conservation and run zofs.Check; exit 1 on violation")
 	if !parse(fl, args, 0, 1) {
 		return 2
 	}
 
 	var doc obsfs.Doc
 	var live *zofs.FS // nil when reporting on a published document
+	var th *proc.Thread
 	var err error
 	if fl.NArg() == 1 {
 		if doc, err = obsfs.Load(fl.Arg(0)); err == nil && doc.Flow == nil {
 			err = fmt.Errorf("%s: the document has no byte-flow panel", fl.Arg(0))
 		}
-	} else if live, err = dfInstance(*image, *files); err == nil {
+	} else if live, th, err = dfInstance(*image, *files); err == nil {
 		doc = obsfs.Collect(live)
 	}
 	if err != nil {
@@ -92,30 +93,29 @@ func cmdDF(args []string, stdout, stderr io.Writer) int {
 			doc.Flow.Issued[byteflow.ClassOther], byteflow.ClassOther))
 	}
 	if live != nil {
-		if err := live.VerifySpace(); err != nil {
-			bad = append(bad, fmt.Errorf("space: %w", err))
-		}
+		bad = append(bad, zofs.Check(live.Kern(), th).Err())
 	}
 	if err := errors.Join(bad...); err != nil {
 		return fail(stderr, err)
 	}
-	fmt.Fprintln(stdout, "\nvalidate: byte conservation and space accounting reconcile")
+	fmt.Fprintln(stdout, "\nvalidate: byte conservation reconciles and zofs.Check finds nothing")
 	return 0
 }
 
 // dfInstance mounts image, or — with no image — formats a fresh device and
-// runs the demo workload on it; either way with byte-flow accounting on.
-func dfInstance(image string, files int) (*zofs.FS, error) {
+// runs the demo workload on it; either way with byte-flow accounting on. It
+// returns the instance and its process's root thread.
+func dfInstance(image string, files int) (*zofs.FS, *proc.Thread, error) {
 	var dev *nvm.Device
 	if image != "" {
 		f, err := os.Open(image)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		dev, err = nvm.LoadImage(f)
 		f.Close()
 		if err != nil {
-			return nil, fmt.Errorf("load: %w", err)
+			return nil, nil, fmt.Errorf("load: %w", err)
 		}
 		dev.EnableAccounting()
 	} else {
@@ -125,27 +125,27 @@ func dfInstance(image string, files int) (*zofs.FS, error) {
 		// residual ("other") must reconcile to exactly zero.
 		dev.EnableAccounting()
 		if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
-			return nil, fmt.Errorf("mkfs: %w", err)
+			return nil, nil, fmt.Errorf("mkfs: %w", err)
 		}
 	}
 	k, err := kernfs.Mount(dev)
 	if err != nil {
-		return nil, fmt.Errorf("mount: %w", err)
+		return nil, nil, fmt.Errorf("mount: %w", err)
 	}
 	th := proc.NewProcess(dev, 0, 0).NewThread()
 	if err := k.FSMount(th); err != nil {
-		return nil, fmt.Errorf("fsmount: %w", err)
+		return nil, nil, fmt.Errorf("fsmount: %w", err)
 	}
 	fs := zofs.New(k, zofs.Options{})
 	if image == "" {
 		if err := fs.EnsureRootDir(th); err != nil {
-			return nil, fmt.Errorf("root: %w", err)
+			return nil, nil, fmt.Errorf("root: %w", err)
 		}
 		if err := demoWorkload(fs, th, files); err != nil {
-			return nil, fmt.Errorf("workload: %w", err)
+			return nil, nil, fmt.Errorf("workload: %w", err)
 		}
 	}
-	return fs, nil
+	return fs, th, nil
 }
 
 // demoWorkload gives the ledgers something to report: create, fill, append,

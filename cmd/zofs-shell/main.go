@@ -465,7 +465,7 @@ func (sh *shell) execute(args []string) bool {
 				return false
 			}
 			fmt.Fprintf(out, "recovered coffer %d: kept %d, reclaimed %d, fixed %d, leases %d\n",
-				id, st.PagesKept, st.PagesReclaimed, st.DentriesFixed, st.LeasesCleared)
+				id, st.PagesKept, st.PagesReclaimed, len(st.Repairs), st.LeasesCleared)
 		}
 	default:
 		fmt.Fprintln(out, "unknown command:", cmd)

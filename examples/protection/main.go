@@ -106,7 +106,7 @@ func main() {
 	st, err := rlib.ZoFS().RecoverCoffer(rth, id)
 	must(err)
 	fmt.Printf("  recovered: kept %d pages, reclaimed %d, dropped %d corrupt entries (user %dµs, kernel %dµs)\n",
-		st.PagesKept, st.PagesReclaimed, st.DentriesFixed, st.UserNS/1000, st.KernelNS/1000)
+		st.PagesKept, st.PagesReclaimed, len(st.Repairs), st.UserNS/1000, st.KernelNS/1000)
 	if _, err := l2.ReadDir(t2, "/shared"); err != nil {
 		// The first access after a foreign-initiated recovery may fault
 		// (the kernel unmapped the coffer); the library converts it into

@@ -74,21 +74,22 @@ func main() {
 	must(lib.Chmod(th, "/projects/notes.txt", 0o600))
 	fmt.Printf("chmod split the coffer: %d -> %d coffers\n", before, len(k.Coffers()))
 
-	// 6. Crash simulation: unflushed cached stores vanish, and recovery
-	//    reclaims whatever the crash leaked.
+	// 6. Crash simulation: unflushed cached stores vanish; zofs.Check's
+	//    recovery reclaims whatever the crash leaked, and its invariants
+	//    must all hold after.
 	dev.Crash()
 	zofs.ResetShared(dev)
 	k2, err := kernfs.Mount(dev)
 	must(err)
 	th2 := proc.NewProcess(dev, 0, 0).NewThread()
 	must(k2.FSMount(th2))
-	stats, err := zofs.FsckAll(k2, th2)
-	must(err)
+	found := zofs.Check(k2, th2)
+	must(found.Err())
 	var reclaimed int64
-	for _, st := range stats {
-		reclaimed += st.PagesReclaimed
+	for _, c := range found.Coffers {
+		reclaimed += c.PagesReclaimed
 	}
-	fmt.Printf("after crash: fsck checked %d coffers, reclaimed %d pages\n", len(stats), reclaimed)
+	fmt.Printf("after crash: fsck checked %d coffers, reclaimed %d pages\n", len(found.Coffers), reclaimed)
 
 	// 7. Everything is still there (a fresh process mounts and reads).
 	th3 := proc.NewProcess(dev, 0, 0).NewThread()

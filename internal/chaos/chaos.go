@@ -191,19 +191,24 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	for i := 0; i < cfg.Ops; i++ {
+	e.drive()
+	e.finish()
+	return e.rep, nil
+}
+
+// drive runs the campaign's ops, each after the faults scheduled at it.
+func (e *engine) drive() {
+	for i := 0; i < e.cfg.Ops; i++ {
 		for _, ev := range e.schedule[i] {
 			e.inject(ev)
 		}
 		c, o, ok := e.next(i)
 		if !ok {
 			e.violate("scheduler_starved", fmt.Sprintf("no runnable client at op %d", i))
-			break
+			return
 		}
 		e.execute(c, o)
 	}
-	e.finish()
-	return e.rep, nil
 }
 
 // setup builds the device, kernel, coffers and client processes. Spans and

@@ -3,6 +3,8 @@ package chaos
 import (
 	"encoding/json"
 	"testing"
+
+	"zofs/internal/nvm"
 )
 
 // TestCampaignContainment: a full campaign with every fault kind enabled
@@ -101,5 +103,31 @@ func TestSeededViolationFails(t *testing.T) {
 	}
 	if rep.Passed() || !fence {
 		t.Fatalf("a ten-op campaign passed its fence invariants: %d violations %+v", rep.ViolationCount, rep.Violations)
+	}
+}
+
+// TestPlantedZeroedByteFails: the end-of-campaign check runs every invariant
+// zofs.Check registers, so a byte planted before it in a page the allocation
+// table flags zeroed (the device's last free page, never granted since mkfs)
+// must fail the campaign as zeroed_pages_zero.
+func TestPlantedZeroedByteFails(t *testing.T) {
+	cfg := Config{Seed: 1}
+	cfg.fill()
+	e, err := setup(cfg)
+	defer e.teardown()
+	if err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	e.drive()
+	free := e.k.FreeExtents()
+	e.dev.WriteNT(nil, (free[len(free)-1].End()-1)*nvm.PageSize, []byte{1})
+	e.finish()
+	zeroed := false
+	for _, v := range e.rep.Violations {
+		zeroed = zeroed || v.Invariant == "zeroed_pages_zero"
+	}
+	if e.rep.Passed() || !zeroed {
+		t.Fatalf("a campaign passed over a flagged-zeroed page holding a byte: %d violations %+v",
+			e.rep.ViolationCount, e.rep.Violations)
 	}
 }

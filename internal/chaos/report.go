@@ -127,8 +127,8 @@ func (r *Report) Passed() bool { return r.ViolationCount == 0 }
 //     byte-identical — stray writes and the victim's corruption must not
 //     have leaked into anyone else's data;
 //  3. the offline victim answers with its typed error;
-//  4. fsck over the root and every healthy coffer repairs nothing
-//     (zero cross-coffer damage) and the space books reconcile;
+//  4. zofs.Check over the root and every healthy coffer repairs nothing
+//     (zero cross-coffer damage) and finds every invariant holding;
 //  5. span hygiene (no leaks, no double closes) and the exact-sum
 //     component attribution are checked, and the retry time extracted.
 func (e *engine) finish() {
@@ -155,29 +155,33 @@ func (e *engine) finish() {
 		}
 	}
 
-	// (4) Healthy coffers carry zero damage: fsck must repair nothing.
-	fsckPaths := []string{"/"}
-	fsckIDs := []coffer.ID{e.rootID}
+	// (4) Healthy coffers carry zero damage: zofs.Check over the root and
+	// every healthy coffer must repair nothing, and every invariant it
+	// registers must hold.
+	ids := []coffer.ID{e.rootID}
 	for _, cof := range e.coffers {
 		if cof.role == roleHealthy {
-			fsckPaths = append(fsckPaths, cof.path)
-			fsckIDs = append(fsckIDs, cof.id)
+			ids = append(ids, cof.id)
 		}
 	}
-	for i, id := range fsckIDs {
-		st, err := m.lib.ZoFS().RecoverCoffer(m.th, id)
-		if err != nil {
-			e.violate("healthy_fsck_err", fmt.Sprintf("%s: %v", fsckPaths[i], err))
-			continue
-		}
-		e.rep.HealthyFsckRepairs += len(st.Repairs)
-		if len(st.Repairs) > 0 {
+	found := zofs.Check(e.k, m.th, ids...)
+	for _, c := range found.Coffers {
+		e.rep.HealthyFsckRepairs += len(c.Repairs)
+		if len(c.Repairs) > 0 {
 			e.violate("cross_coffer_damage", fmt.Sprintf("%s: fsck made %d repairs (first: %s at %#x)",
-				fsckPaths[i], len(st.Repairs), st.Repairs[0].Kind, st.Repairs[0].Off))
+				c.Path, len(c.Repairs), c.Repairs[0].Kind, c.Repairs[0].Off))
 		}
 	}
-	if err := e.k.VerifySpace(); err != nil {
-		e.violate("space_reconcile", err.Error())
+	for _, fd := range found.Findings {
+		switch {
+		case fd.Repaired:
+		case fd.Invariant == zofs.InvariantFsck:
+			e.violate("healthy_fsck_err", fd.Detail)
+		case fd.Invariant == "space_conserved":
+			e.violate("space_reconcile", fd.Detail)
+		default:
+			e.violate(fd.Invariant, fd.Detail)
+		}
 	}
 
 	// (5) Span hygiene + exact-sum retry attribution.

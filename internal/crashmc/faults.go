@@ -7,6 +7,7 @@ import (
 
 	"zofs/internal/fslibs"
 	"zofs/internal/kernfs"
+	"zofs/internal/nvm"
 	"zofs/internal/obsfs"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
@@ -152,38 +153,16 @@ func runBitflip(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 	}
 
 	// Detection: offline recovery over the corrupt image must find it.
-	zofs.ResetShared(st.dev)
-	k2, err := kernfs.Mount(st.dev)
-	if err != nil {
-		return nil, nil, err
-	}
-	th3 := proc.NewProcess(st.dev, 0, 0).NewThread()
-	if err := k2.FSMount(th3); err != nil {
-		return nil, nil, err
-	}
-	stats, err := zofs.FsckAll(k2, th3)
-	if err != nil {
-		fail("detection", fmt.Sprintf("fsck errored on the corrupt image: %v", err))
-		return rep, viols, nil
-	}
-	for _, s := range stats {
-		rep.Repairs += len(s.Repairs)
-		rep.LeasesCleared += s.LeasesCleared
+	k2, th3, walked, err := recoverImage(st.dev, rep, fail)
+	if err != nil || !walked {
+		return rep, viols, err
 	}
 	rep.Detected = rep.Repairs > 0
 	if !rep.Detected {
 		fail("detection", fmt.Sprintf("%d injected bit flips produced zero fsck repairs", cfg.Flips))
 	}
-	stats2, err := zofs.FsckAll(k2, th3)
-	if err != nil {
+	if err := fixpoint(k2, th3); err != nil {
 		fail("fsck_fixpoint", err.Error())
-	} else {
-		for _, s := range stats2 {
-			if len(s.Repairs) > 0 {
-				fail("fsck_fixpoint", fmt.Sprintf("second fsck pass still repaired %d sites", len(s.Repairs)))
-				break
-			}
-		}
 	}
 	// The repaired file system must accept new work.
 	func() {
@@ -204,6 +183,23 @@ func runBitflip(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 		h.Close(th3)
 	}()
 	return rep, viols, nil
+}
+
+// recoverImage remounts dev as after a crash and runs zofs.Check over it,
+// adding what recovery repaired, cleared and reclaimed to rep. A coffer it
+// could not walk fails detection, and walked is false; every other finding it
+// left unrepaired fails its own invariant.
+func recoverImage(dev *nvm.Device, rep *FaultReport, fail func(string, string)) (k *kernfs.KernFS, th *proc.Thread, walked bool, err error) {
+	if k, th, err = remount(dev); err != nil {
+		return nil, nil, false, err
+	}
+	found := zofs.Check(k, th)
+	for _, c := range found.Coffers {
+		rep.Repairs += len(c.Repairs)
+		rep.LeasesCleared += c.LeasesCleared
+		rep.PagesReclaimed += c.PagesReclaimed
+	}
+	return k, th, failFindings(found, "detection", fail), nil
 }
 
 // runLease models dead lease holders (§5.2): a process dies holding an
@@ -287,23 +283,8 @@ func runLease(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 
 	// Recovery over the image clears every remaining lease, including the
 	// dead holder's inode lease.
-	zofs.ResetShared(st.dev)
-	k2, err := kernfs.Mount(st.dev)
-	if err != nil {
-		return nil, nil, err
-	}
-	th3 := proc.NewProcess(st.dev, 0, 0).NewThread()
-	if err := k2.FSMount(th3); err != nil {
-		return nil, nil, err
-	}
-	stats, err := zofs.FsckAll(k2, th3)
-	if err != nil {
-		fail("detection", fmt.Sprintf("fsck over dead leases: %v", err))
-		return rep, viols, nil
-	}
-	for _, s := range stats {
-		rep.Repairs += len(s.Repairs)
-		rep.LeasesCleared += s.LeasesCleared
+	if _, _, walked, err := recoverImage(st.dev, rep, fail); err != nil || !walked {
+		return rep, viols, err
 	}
 	rep.Detected = rep.LeasesCleared > 0
 	if rep.LeasesCleared == 0 {
@@ -441,25 +422,13 @@ func runSlotless(p *personality, cfg Config) (*FaultReport, []Violation, error) 
 	freeAtCrash := st.k.FreePages()
 
 	// The crash: both processes die (their caches evaporate), the machine
-	// reboots, and offline recovery walks every coffer.
-	zofs.ResetShared(st.dev)
-	k2, err := kernfs.Mount(st.dev)
-	if err != nil {
-		return nil, nil, err
-	}
-	th3 := proc.NewProcess(st.dev, 0, 0).NewThread()
-	if err := k2.FSMount(th3); err != nil {
-		return nil, nil, err
-	}
-	stats, err := zofs.FsckAll(k2, th3)
-	if err != nil {
-		fail("detection", fmt.Sprintf("fsck over stranded grants: %v", err))
-		return rep, viols, nil
-	}
-	for _, s := range stats {
-		rep.Repairs += len(s.Repairs)
-		rep.LeasesCleared += s.LeasesCleared
-		rep.PagesReclaimed += s.PagesReclaimed
+	// reboots, and offline recovery walks every coffer. Every invariant
+	// zofs.Check registers must hold on the recovered image: space_conserved's
+	// three-way reconciliation (allocation table vs extent sets vs page
+	// census) included.
+	k2, th3, walked, err := recoverImage(st.dev, rep, fail)
+	if err != nil || !walked {
+		return rep, viols, err
 	}
 	rep.Detected = rep.PagesReclaimed >= strandedDoomed
 
@@ -479,31 +448,7 @@ func runSlotless(p *personality, cfg Config) (*FaultReport, []Violation, error) 
 			free, freeAtCrash+rep.PagesReclaimed, freeAtCrash, rep.PagesReclaimed))
 	}
 
-	// space_conserved: the three-way reconciliation (allocation table vs
-	// extent sets vs page census) must hold on the recovered image.
 	f3 := zofs.New(k2, p.opts)
-	step("space_conserved", func() {
-		if err := f3.VerifySpace(); err != nil {
-			panic(err)
-		}
-		for _, cs := range f3.SpaceReport() {
-			if cs.Used < 0 || cs.FreeListed+cs.Cached > cs.Pages {
-				panic(fmt.Sprintf("coffer %d space rows inconsistent: pages=%d used=%d free_listed=%d cached=%d",
-					cs.ID, cs.Pages, cs.Used, cs.FreeListed, cs.Cached))
-			}
-		}
-	})
-	step("zeroed_pages_zero", func() {
-		if err := k2.VerifyZeroed(); err != nil {
-			panic(err)
-		}
-	})
-	step("path_mirror", func() {
-		if err := k2.VerifyPaths(); err != nil {
-			panic(err)
-		}
-	})
-
 	// Durability: reclaiming the stranded tail must not have swallowed any
 	// published page — neither the setup workload's files nor the pages the
 	// doomed process consumed from its grants before dying.

@@ -13,12 +13,13 @@ import (
 	"zofs/internal/zofs"
 )
 
-// checkZoFS remounts a crashed ZoFS image, runs recovery and verifies the
-// post-crash invariants: fsck converges, repairs cross-check against the
-// auditor, completed ops survive verbatim, the in-flight op left one of
-// its legal intermediate states, the tree holds no unexpected entries, and
-// the file system stays usable. Every step is panic-guarded: a panic
-// during post-crash verification is itself a violation, not a test crash.
+// checkZoFS remounts a crashed ZoFS image, runs zofs.Check and verifies the
+// post-crash invariants: fsck converges, every invariant Check registers
+// holds, repairs cross-check against the auditor, completed ops survive
+// verbatim, the in-flight op left one of its legal intermediate states, the
+// tree holds no unexpected entries, and the file system stays usable. Every
+// step is panic-guarded: a panic during post-crash verification is itself a
+// violation, not a test crash.
 func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 	audit *pmemtrace.Report, fail func(string, string), rep *Report) {
 	step := func(name string, fn func()) (ok bool) {
@@ -31,7 +32,16 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 		return true
 	}
 
-	zofs.ResetShared(dev)
+	var k2 *kernfs.KernFS
+	var th2 *proc.Thread
+	if !step("remount", func() {
+		var err error
+		if k2, th2, err = remount(dev); err != nil {
+			panic(err)
+		}
+	}) {
+		return
+	}
 	// The directory lookup cache must come up cold: a remount that carried
 	// a pre-crash index over could serve dentries the crash never
 	// persisted. Every post-crash lookup below therefore (re)builds its
@@ -41,51 +51,26 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 			panic(fmt.Sprintf("directory cache still holds %d indexes at remount", n))
 		}
 	})
-	var k2 *kernfs.KernFS
-	var th2 *proc.Thread
-	if !step("remount", func() {
-		var err error
-		k2, err = kernfs.Mount(dev)
-		if err != nil {
-			panic(err)
-		}
-		th2 = proc.NewProcess(dev, 0, 0).NewThread()
-		if err := k2.FSMount(th2); err != nil {
-			panic(err)
-		}
-	}) || k2 == nil || th2 == nil {
+
+	// zofs.Check: the recovery traversal, then every registered invariant —
+	// the space books reconcile (allocation table, extent sets, page census,
+	// µFS free lists), flagged-zeroed pages read zero, the path mirror Mount
+	// rebuilt matches the persistent table.
+	var found *zofs.Report
+	if !step(zofs.InvariantFsck, func() { found = zofs.Check(k2, th2) }) || !failFindings(found, zofs.InvariantFsck, fail) {
 		return
 	}
-
 	var repairs []pmemtrace.RepairSite
-	if !step("fsck", func() {
-		stats, err := zofs.FsckAll(k2, th2)
-		if err != nil {
-			panic(err)
+	for _, c := range found.Coffers {
+		for _, r := range c.Repairs {
+			repairs = append(repairs, pmemtrace.RepairSite{Off: r.Off, Target: r.Target, Kind: r.Kind})
+			rep.Repairs++
+			rep.RepairsByKind[r.Kind]++
 		}
-		for _, st := range stats {
-			for _, r := range st.Repairs {
-				repairs = append(repairs, pmemtrace.RepairSite{Off: r.Off, Target: r.Target, Kind: r.Kind})
-				rep.Repairs++
-				rep.RepairsByKind[r.Kind]++
-			}
-		}
-	}) {
-		return
 	}
-
-	// Fixpoint: a second recovery pass over the repaired image must find
-	// nothing left to fix.
 	step("fsck_fixpoint", func() {
-		stats, err := zofs.FsckAll(k2, th2)
-		if err != nil {
+		if err := fixpoint(k2, th2); err != nil {
 			panic(err)
-		}
-		for _, st := range stats {
-			if len(st.Repairs) > 0 || st.LeasesCleared > 0 {
-				panic(fmt.Sprintf("second fsck pass repaired %d sites and cleared %d leases",
-					len(st.Repairs), st.LeasesCleared))
-			}
 		}
 	})
 
@@ -96,39 +81,6 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 	}
 
 	f2 := zofs.New(k2, p.opts)
-
-	// Space conservation: after remount and fsck, the allocator's space
-	// accounting must reconcile three ways — the kernel's persistent
-	// allocation table against its volatile extent sets against a full
-	// page census — and every µFS free-list page must sit inside its
-	// coffer's grant exactly once. Recovery reclaimed any batch caches the
-	// crash stranded, so no page may be unaccounted for.
-	step("space_conserved", func() {
-		if err := f2.VerifySpace(); err != nil {
-			panic(err)
-		}
-		for _, cs := range f2.SpaceReport() {
-			if cs.Used < 0 || cs.FreeListed+cs.Cached > cs.Pages {
-				panic(fmt.Sprintf("coffer %d space rows inconsistent: pages=%d used=%d free_listed=%d cached=%d",
-					cs.ID, cs.Pages, cs.Used, cs.FreeListed, cs.Cached))
-			}
-		}
-	})
-
-	// Grants skip scrubbing the pages the allocation table flags zeroed, so
-	// no crash may leave that flag on a page that holds a byte. The path
-	// mirror Mount rebuilt must match the persistent table, and no entry page
-	// may be stranded outside every bucket chain.
-	step("zeroed_pages_zero", func() {
-		if err := k2.VerifyZeroed(); err != nil {
-			panic(err)
-		}
-	})
-	step("path_mirror", func() {
-		if err := k2.VerifyPaths(); err != nil {
-			panic(err)
-		}
-	})
 
 	o := oracleAfter(ops, res.completed)
 	var inflight *Op
@@ -209,6 +161,54 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 			panic(fmt.Sprintf("post-recovery unlink: %v", err))
 		}
 	})
+}
+
+// remount boots a fresh kernel over dev, its volatile state dropped as by a
+// crash, with a root process mounted on it.
+func remount(dev *nvm.Device) (*kernfs.KernFS, *proc.Thread, error) {
+	zofs.ResetShared(dev)
+	k, err := kernfs.Mount(dev)
+	if err != nil {
+		return nil, nil, err
+	}
+	th := proc.NewProcess(dev, 0, 0).NewThread()
+	return k, th, k.FSMount(th)
+}
+
+// failFindings fails every finding zofs.Check left unrepaired under its own
+// invariant, and a coffer the traversal could not walk under walk. It reports
+// whether the traversal walked every coffer.
+func failFindings(found *zofs.Report, walk string, fail func(string, string)) bool {
+	walked := true
+	for _, fd := range found.Findings {
+		switch {
+		case fd.Repaired:
+		case fd.Invariant == zofs.InvariantFsck:
+			walked = false
+			fail(walk, fd.Detail)
+		default:
+			fail(fd.Invariant, fd.Detail)
+		}
+	}
+	return walked
+}
+
+// fixpoint runs zofs.Check a second time: over a repaired image the
+// traversal must walk every coffer and find nothing to repair and no lease to
+// clear.
+func fixpoint(k *kernfs.KernFS, th *proc.Thread) error {
+	again := zofs.Check(k, th)
+	for _, fd := range again.Findings {
+		if fd.Invariant == zofs.InvariantFsck {
+			return fmt.Errorf("second fsck pass: %s", fd)
+		}
+	}
+	for _, c := range again.Coffers {
+		if c.LeasesCleared > 0 {
+			return fmt.Errorf("second fsck pass cleared %d leases in coffer %d", c.LeasesCleared, c.ID)
+		}
+	}
+	return nil
 }
 
 // checkExactFile asserts a file untouched by the in-flight op survived

@@ -77,12 +77,8 @@ func zofsPersonality(name string, opts zofs.Options) *personality {
 			if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
 				return nil, err
 			}
-			k, err := kernfs.Mount(dev)
+			k, th, err := remount(dev)
 			if err != nil {
-				return nil, err
-			}
-			th := proc.NewProcess(dev, 0, 0).NewThread()
-			if err := k.FSMount(th); err != nil {
 				return nil, err
 			}
 			f := zofs.New(k, opts)

@@ -310,7 +310,7 @@ func RunRecovery(w io.Writer, opts Options) ([]Cell, error) {
 		"recover_kernel_ns": st.KernelNS,
 		"pages_kept":        st.PagesKept,
 		"pages_reclaimed":   st.PagesReclaimed,
-		"dentries_fixed":    int64(st.DentriesFixed),
+		"dentries_fixed":    int64(len(st.Repairs)),
 		"leases_cleared":    int64(st.LeasesCleared),
 		"repairs":           int64(len(st.Repairs)),
 	})

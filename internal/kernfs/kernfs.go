@@ -538,6 +538,20 @@ func (k *KernFS) VerifyZeroed() error { return k.space.verifyZeroed() }
 // fixed region that no bucket chain reaches. Quiescence required.
 func (k *KernFS) VerifyPaths() error { return k.paths.verify() }
 
+// Inconsistency is the first broken rule a verifier finds, with the coffer
+// and the device byte offset it concerns (0 and -1 when it concerns none).
+type Inconsistency struct {
+	Coffer coffer.ID
+	Off    int64
+	What   string
+}
+
+func (e *Inconsistency) Error() string { return e.What }
+
+func inconsistent(id coffer.ID, off int64, format string, args ...any) error {
+	return &Inconsistency{id, off, fmt.Sprintf(format, args...)}
+}
+
 // ---- fs_mount / fs_umount -------------------------------------------------
 
 // FSMount registers a process's FSLibs instance (Table 5: fs_mount).

@@ -193,19 +193,19 @@ func (pt *pathTable) walk(read func(off int64, buf []byte), live map[int64]int32
 		read(pt.bucketOff+b*8, page[:8])
 		for pg := int64(binary.LittleEndian.Uint64(page)); pg != 0; {
 			if _, twice := live[pg]; twice {
-				return fmt.Errorf("kernfs: path-table page %d chained twice", pg)
+				return inconsistent(coffer.KernelID, pg*nvm.PageSize, "kernfs: path-table page %d chained twice", pg)
 			}
 			read(pg*nvm.PageSize, page)
 			used := int64(binary.LittleEndian.Uint16(page[8:]))
 			if used > entryPageUsable {
-				return fmt.Errorf("kernfs: corrupt path-table page %d (used %d)", pg, used)
+				return inconsistent(coffer.KernelID, pg*nvm.PageSize, "kernfs: corrupt path-table page %d (used %d)", pg, used)
 			}
 			live[pg] = 0
 			for off := int64(entryPageHdr); off < entryPageHdr+used; {
 				plen := int64(binary.LittleEndian.Uint16(page[off+13:]))
 				sz := entrySize(int(plen))
 				if off+sz > int64(nvm.PageSize) {
-					return fmt.Errorf("kernfs: corrupt path-table entry at page %d off %d", pg, off)
+					return inconsistent(coffer.KernelID, pg*nvm.PageSize+off, "kernfs: corrupt path-table entry at page %d off %d", pg, off)
 				}
 				if page[off+12] == entryLive {
 					h := binary.LittleEndian.Uint64(page[off:])
@@ -413,7 +413,7 @@ func (pt *pathTable) verify() error {
 	var n int
 	err := pt.walk(pt.dev.ReadNoCharge, live, func(b, at int64, h uint64, id coffer.ID, p string) error {
 		if e := pt.entry(p); h != pathHash(p) || int64(h%pathBuckets) != b || e == nil || e.at != at || e.id != id {
-			return fmt.Errorf("kernfs: live path-table entry %.40q (coffer %d) at %d is not the mirror's", p, id, at)
+			return inconsistent(id, at, "kernfs: live path-table entry %.40q (coffer %d) at %d is not the mirror's", p, id, at)
 		}
 		n++
 		return nil
@@ -423,27 +423,27 @@ func (pt *pathTable) verify() error {
 	}
 	for pg, c := range live {
 		if m, ok := pt.live[pg]; !ok || m != c {
-			return fmt.Errorf("kernfs: path-table page %d holds %d live entries, its count says %d (%v)", pg, c, m, ok)
+			return inconsistent(coffer.KernelID, pg*nvm.PageSize, "kernfs: path-table page %d holds %d live entries, its count says %d (%v)", pg, c, m, ok)
 		}
 	}
 	if len(live) != len(pt.live) {
-		return fmt.Errorf("kernfs: live counts for %d path-table pages, %d chained", len(pt.live), len(live))
+		return inconsistent(coffer.KernelID, -1, "kernfs: live counts for %d path-table pages, %d chained", len(pt.live), len(live))
 	}
 	mirrored := 0
 	pt.each(func(string, coffer.ID) bool { mirrored++; return true })
 	if mirrored != n {
-		return fmt.Errorf("kernfs: the path mirror holds %d entries, the media %d live", mirrored, n)
+		return inconsistent(coffer.KernelID, -1, "kernfs: the path mirror holds %d entries, the media %d live", mirrored, n)
 	}
 	pt.sm.peekOwner(coffer.KernelID).Each(func(start, count int64) {
 		for pg := max(start, pt.fixedEnd()); pg < start+count && err == nil; pg++ {
 			if _, ok := pt.live[pg]; !ok {
-				err = fmt.Errorf("kernfs: KernelID page %d is in no bucket chain", pg)
+				err = inconsistent(coffer.KernelID, pg*nvm.PageSize, "kernfs: KernelID page %d is in no bucket chain", pg)
 			}
 		}
 	})
 	for pg := range pt.live {
 		if err == nil && pt.sm.slotOwner(pg) != coffer.KernelID {
-			err = fmt.Errorf("kernfs: chained path-table page %d is not the kernel's", pg)
+			err = inconsistent(coffer.KernelID, pg*nvm.PageSize, "kernfs: chained path-table page %d is not the kernel's", pg)
 		}
 	}
 	return err

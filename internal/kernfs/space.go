@@ -500,7 +500,7 @@ func (sm *spaceManager) verify() error {
 		})
 		s.mu.Unlock(nil)
 		if !inside {
-			return fmt.Errorf("kernfs: free shard %d flags zeroed pages it does not hold", i)
+			return inconsistent(0, -1, "kernfs: free shard %d flags zeroed pages it does not hold", i)
 		}
 	}
 	sm.inflMu.Lock()
@@ -515,19 +515,19 @@ func (sm *spaceManager) verify() error {
 		flagged := slotFlagged(slot)
 		if id != 0 {
 			if own := sm.peekOwner(id); own == nil || !own.Contains(pg, 1) {
-				return fmt.Errorf("kernfs: page %d owned by coffer %d on media but not in its extent set", pg, id)
+				return inconsistent(id, pg*nvm.PageSize, "kernfs: page %d owned by coffer %d on media but not in its extent set", pg, id)
 			}
 			if flagged {
-				return fmt.Errorf("kernfs: page %d owned by coffer %d carries the zeroed bit", pg, id)
+				return inconsistent(id, pg*nvm.PageSize, "kernfs: page %d owned by coffer %d carries the zeroed bit", pg, id)
 			}
 			return nil
 		}
 		inFlight := infl.Contains(pg, 1)
 		if !free.Contains(pg, 1) && !inFlight {
-			return fmt.Errorf("kernfs: page %d free on media but in no free shard or in-flight batch", pg)
+			return inconsistent(0, pg*nvm.PageSize, "kernfs: page %d free on media but in no free shard or in-flight batch", pg)
 		}
 		if z := zeroed.Contains(pg, 1); flagged != z && !(flagged && inFlight) {
-			return fmt.Errorf("kernfs: page %d: zeroed bit %v on media, %v in its shard", pg, flagged, z)
+			return inconsistent(0, pg*nvm.PageSize, "kernfs: page %d: zeroed bit %v on media, %v in its shard", pg, flagged, z)
 		}
 		return nil
 	})
@@ -535,7 +535,7 @@ func (sm *spaceManager) verify() error {
 		return err
 	}
 	if got, want := free.Pages()+infl.Pages(), counted[0]; got != want {
-		return fmt.Errorf("kernfs: free shards hold %d pages (+%d in flight), table says %d free",
+		return inconsistent(0, -1, "kernfs: free shards hold %d pages (+%d in flight), table says %d free",
 			free.Pages(), infl.Pages(), want)
 	}
 	for id, want := range counted {
@@ -543,7 +543,7 @@ func (sm *spaceManager) verify() error {
 			continue
 		}
 		if got := sm.pagesOf(id); got != want {
-			return fmt.Errorf("kernfs: coffer %d extent set holds %d pages, table says %d", id, got, want)
+			return inconsistent(id, -1, "kernfs: coffer %d extent set holds %d pages, table says %d", id, got, want)
 		}
 	}
 	var total int64
@@ -551,7 +551,7 @@ func (sm *spaceManager) verify() error {
 		total += n
 	}
 	if total != sm.npages {
-		return fmt.Errorf("kernfs: table census %d pages != device %d", total, sm.npages)
+		return inconsistent(0, -1, "kernfs: table census %d pages != device %d", total, sm.npages)
 	}
 	return nil
 }
@@ -565,7 +565,7 @@ func (sm *spaceManager) verifyZeroed() error {
 			return nil
 		}
 		if v, _ := sm.dev.ReadViewNoCharge(pg*nvm.PageSize, nvm.PageSize); !bytes.Equal(v, zero[:]) {
-			return fmt.Errorf("kernfs: page %d is flagged zeroed but holds bytes", pg)
+			return inconsistent(0, pg*nvm.PageSize, "kernfs: page %d is flagged zeroed but holds bytes", pg)
 		}
 		return nil
 	})

@@ -250,7 +250,7 @@ func TestDcacheColdAfterCrash(t *testing.T) {
 	if err := k2.FSMount(th2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FsckAll(k2, th2); err != nil {
+	if err := Check(k2, th2).Err(); err != nil {
 		t.Fatal(err)
 	}
 	f2 := New(k2, Options{})
@@ -285,13 +285,13 @@ func TestBatchedGrantsReclaimedByRecovery(t *testing.T) {
 		if err := k.FSMount(th); err != nil {
 			t.Fatal(err)
 		}
-		stats, err := FsckAll(k, th)
-		if err != nil {
+		rep := Check(k, th)
+		if err := rep.Err(); err != nil {
 			t.Fatalf("cycle %d: fsck: %v", cycle, err)
 		}
 		if cycle > 0 {
 			var reclaimed int64
-			for _, st := range stats {
+			for _, st := range rep.Coffers {
 				reclaimed += st.PagesReclaimed
 			}
 			if reclaimed == 0 {
@@ -306,7 +306,7 @@ func TestBatchedGrantsReclaimedByRecovery(t *testing.T) {
 		// space accounting must reconcile exactly — table vs trees vs census
 		// on the kernel side, free inventory inside the grant on the µFS
 		// side — with nothing double-counted or leaked.
-		if err := f.VerifySpace(); err != nil {
+		if err := verifyLive(f); err != nil {
 			t.Fatalf("cycle %d: space accounting after recovery: %v", cycle, err)
 		}
 		for _, cs := range f.SpaceReport() {

@@ -147,7 +147,7 @@ func remountAfterCrash(t *testing.T, dev *nvm.Device, opts Options) (*FS, *proc.
 	if err := k.FSMount(th); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FsckAll(k, th); err != nil {
+	if err := Check(k, th).Err(); err != nil {
 		t.Fatalf("fsck: %v", err)
 	}
 	return New(k, opts), th

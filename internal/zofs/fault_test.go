@@ -98,7 +98,7 @@ func TestCrashMidAllocationClearsSlots(t *testing.T) {
 	if err := k2.FSMount(th2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FsckAll(k2, th2); err != nil {
+	if err := Check(k2, th2).Err(); err != nil {
 		t.Fatal(err)
 	}
 	rp, _ := k2.Info(k2.RootCoffer())
@@ -144,12 +144,12 @@ func TestRecoveryClearsDeadInodeLease(t *testing.T) {
 	if err := k2.FSMount(th2); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := FsckAll(k2, th2)
-	if err != nil {
+	rep := Check(k2, th2)
+	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
 	cleared := 0
-	for _, st := range stats {
+	for _, st := range rep.Coffers {
 		cleared += st.LeasesCleared
 	}
 	if cleared == 0 {
@@ -219,7 +219,7 @@ func TestRecoveryClearsStaleBlockPointers(t *testing.T) {
 		if err := k2.FSMount(th2); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := FsckAll(k2, th2); err != nil {
+		if err := Check(k2, th2).Err(); err != nil {
 			t.Fatalf("failAt=%d: fsck: %v", failAt, err)
 		}
 		f2 := New(k2, Options{})

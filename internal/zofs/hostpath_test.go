@@ -387,7 +387,7 @@ func TestOpenUnlinkCloseReclaims(t *testing.T) {
 	if err := h1.Close(th); err != nil || idlePages(k, f) != start {
 		t.Fatal("a second Close of the same handle did something")
 	}
-	if err := f.VerifySpace(); err != nil {
+	if err := verifyLive(f); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -107,7 +107,7 @@ func TestInlineSurvivesCrashAndFsck(t *testing.T) {
 	if err := k2.FSMount(th2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FsckAll(k2, th2); err != nil {
+	if err := Check(k2, th2).Err(); err != nil {
 		t.Fatal(err)
 	}
 	f2 := New(k2, Options{InlineData: true})

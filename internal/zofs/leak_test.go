@@ -46,7 +46,7 @@ func TestFailedCreatorsConservePages(t *testing.T) {
 	if got := idlePages(k, f); got != start {
 		t.Fatalf("failed creators moved idle pages from %d to %d", start, got)
 	}
-	if err := f.VerifySpace(); err != nil {
+	if err := verifyLive(f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -113,7 +113,7 @@ func TestCreatorsOnAFullDeviceConservePages(t *testing.T) {
 			t.Fatalf("a failed %s moved idle pages from %d to %d", c.name, before, got)
 		}
 	}
-	if err := f.VerifySpace(); err != nil {
+	if err := verifyLive(f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,7 +164,7 @@ func TestRefusedSplitConservesPages(t *testing.T) {
 	if _, err := f.Stat(th, "/a/f"); err != nil {
 		t.Fatalf("the file did not stay where it was: %v", err)
 	}
-	if err := f.VerifySpace(); err != nil {
+	if err := verifyLive(f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -237,7 +237,7 @@ func TestUnlinkingAMappedCofferKeepsOtherMounts(t *testing.T) {
 	if taken := start - idle(); taken > batch {
 		t.Errorf("100 unlinks took %d pages from the kernel, more than one batch (%d)", taken, batch)
 	}
-	if err := g.VerifySpace(); err != nil {
+	if err := verifyLive(g); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -217,7 +217,7 @@ func TestChmodCycleConservesPages(t *testing.T) {
 		t.Fatalf("%d chmod cycles moved idle pages from %d to %d (%+d per cycle)",
 			cycles, start, got, (got-start)/cycles)
 	}
-	if err := f.VerifySpace(); err != nil {
+	if err := verifyLive(f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -296,7 +296,7 @@ func TestUnlinkConservesPages(t *testing.T) {
 			if got := idlePages(k, f); got != start {
 				t.Fatalf("unlink left idle pages at %d, baseline %d", got, start)
 			}
-			if err := f.VerifySpace(); err != nil {
+			if err := verifyLive(f); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -361,10 +361,7 @@ func TestTruncatedFileFreesPointerPages(t *testing.T) {
 			if got := idlePages(k, f); got != start {
 				t.Fatalf("unlink left idle pages at %d, baseline %d", got, start)
 			}
-			if err := f.VerifySpace(); err != nil {
-				t.Fatal(err)
-			}
-			if err := k.VerifyZeroed(); err != nil {
+			if err := verifyLive(f); err != nil {
 				t.Fatal(err)
 			}
 			// The freed inode page's scrub covered the indirect words.

@@ -344,7 +344,7 @@ func TestCrashFuzzRecovery(t *testing.T) {
 		}
 		th2 := proc.NewProcess(dev, 0, 0).NewThread()
 		k2.FSMount(th2)
-		if _, err := zofs.FsckAll(k2, th2); err != nil {
+		if err := zofs.Check(k2, th2).Err(); err != nil {
 			t.Fatalf("round %d fsck: %v", round, err)
 		}
 		f2 := zofs.New(k2, zofs.Options{})

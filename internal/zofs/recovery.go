@@ -1,13 +1,8 @@
 package zofs
 
 import (
-	"fmt"
-
 	"zofs/internal/coffer"
-	"zofs/internal/kernfs"
-	"zofs/internal/nvm"
 	"zofs/internal/proc"
-	"zofs/internal/simclock"
 	"zofs/internal/vfs"
 )
 
@@ -30,38 +25,15 @@ type Repair struct {
 
 // RecoverStats summarizes one coffer recovery.
 type RecoverStats struct {
+	ID             coffer.ID
+	Path           string
 	UserNS         int64 // virtual time spent in user space (traversal)
 	KernelNS       int64 // virtual time spent in the kernel (fence + reclaim)
 	PagesKept      int64
 	PagesReclaimed int64
-	DentriesFixed  int // corrupted or dangling dentries dropped
 	LeasesCleared  int
-	Repairs        []Repair
+	Repairs        []Repair // one per site the traversal repaired
 }
-
-// recReader abstracts charged access for the traversal so the same code
-// runs online (through a thread and its MPK window) and offline (directly
-// against the device from the fsck tool).
-type recReader interface {
-	read(off int64, buf []byte)
-	load64(off int64) uint64
-	store64(off int64, v uint64)
-}
-
-type threadReader struct{ th *proc.Thread }
-
-func (r threadReader) read(off int64, buf []byte)  { r.th.Read(off, buf) }
-func (r threadReader) load64(off int64) uint64     { return r.th.Load64(off) }
-func (r threadReader) store64(off int64, v uint64) { r.th.Store64(off, v) }
-
-type devReader struct {
-	dev *nvm.Device
-	clk *simclock.Clock
-}
-
-func (r devReader) read(off int64, buf []byte)  { r.dev.Read(r.clk, off, buf) }
-func (r devReader) load64(off int64) uint64     { return r.dev.Load64(r.clk, off) }
-func (r devReader) store64(off int64, v uint64) { r.dev.Store64(r.clk, off, v) }
 
 // crossRef records a cross-coffer dentry found during traversal, for the
 // post-pass validation.
@@ -77,18 +49,16 @@ type crossRef struct {
 // says belong to the coffer; any pointer landing outside it is corruption
 // and is repaired by dropping the referent.
 type traversal struct {
-	r       recReader
+	th      *proc.Thread
 	valid   map[int64]bool
 	inUse   map[int64]bool
 	cross   []crossRef
-	fixed   int
 	repairs []Repair
 	leases  int
 	maxDeep int
 }
 
 func (t *traversal) repair(off, target int64, kind string) {
-	t.fixed++
 	t.repairs = append(t.repairs, Repair{Off: off, Target: target, Kind: kind})
 }
 
@@ -99,14 +69,14 @@ func (t *traversal) visitInode(ino int64, path string) bool {
 	// One streaming read of the whole inode page; pointers are validated
 	// in memory and only repairs touch NVM again.
 	page := make([]byte, pageSize)
-	t.r.read(ino*pageSize, page)
+	t.th.Read(ino*pageSize, page)
 	if u32at(page, inoMagicOff) != inoMagic {
 		return false // unrecognizable inode: skip (content is lost)
 	}
 	t.inUse[ino] = true
 	if u64at(page, inoLeaseOff) != 0 {
 		// Clear a stale lease left by a crashed holder.
-		t.r.store64(ino*pageSize+inoLeaseOff, 0)
+		t.th.Store64(ino*pageSize+inoLeaseOff, 0)
 		t.leases++
 	}
 	switch vfs.FileType(u32at(page, inoTypeOff)) {
@@ -132,7 +102,7 @@ func (t *traversal) ptrIn(page []byte, base int64, off int) int64 {
 	}
 	if !t.valid[pg] {
 		// Dangling pointer out of the coffer: clear it.
-		t.r.store64(base+int64(off), 0)
+		t.th.Store64(base+int64(off), 0)
 		t.repair(base+int64(off), pg, "dangling_ptr")
 		return 0
 	}
@@ -149,7 +119,7 @@ func (t *traversal) stalePtr(page []byte, base int64, off int) {
 	if pg == 0 {
 		return
 	}
-	t.r.store64(base+int64(off), 0)
+	t.th.Store64(base+int64(off), 0)
 	t.repair(base+int64(off), pg, "stale_ptr")
 }
 
@@ -167,7 +137,7 @@ func (t *traversal) visitFile(ino int64, page []byte, size int64) {
 	} else if ind := t.ptrIn(page, ino*pageSize, inoIndirectOff); ind != 0 {
 		t.inUse[ind] = true
 		ibuf := make([]byte, pageSize)
-		t.r.read(ind*pageSize, ibuf)
+		t.th.Read(ind*pageSize, ibuf)
 		for i := int64(0); i < ptrsPerPage; i++ {
 			if inoDirectCnt+i >= blocks {
 				t.stalePtr(ibuf, ind*pageSize, int(8*i))
@@ -181,7 +151,7 @@ func (t *traversal) visitFile(ino int64, page []byte, size int64) {
 	} else if d1 := t.ptrIn(page, ino*pageSize, inoDIndirOff); d1 != 0 {
 		t.inUse[d1] = true
 		d1buf := make([]byte, pageSize)
-		t.r.read(d1*pageSize, d1buf)
+		t.th.Read(d1*pageSize, d1buf)
 		d2buf := make([]byte, pageSize)
 		for i := int64(0); i < ptrsPerPage; i++ {
 			base := inoDirectCnt + ptrsPerPage + i*ptrsPerPage
@@ -194,7 +164,7 @@ func (t *traversal) visitFile(ino int64, page []byte, size int64) {
 				continue
 			}
 			t.inUse[d2] = true
-			t.r.read(d2*pageSize, d2buf)
+			t.th.Read(d2*pageSize, d2buf)
 			for j := int64(0); j < ptrsPerPage; j++ {
 				if base+j >= blocks {
 					t.stalePtr(d2buf, d2*pageSize, int(8*j))
@@ -213,7 +183,7 @@ func (t *traversal) visitDir(ino int64, page []byte, path string) {
 	}
 	t.inUse[l1] = true
 	l1buf := make([]byte, pageSize)
-	t.r.read(l1*pageSize, l1buf)
+	t.th.Read(l1*pageSize, l1buf)
 	for i := 0; i < dirL1Slots; i++ {
 		l2 := t.ptrIn(l1buf, l1*pageSize, i*8)
 		if l2 == 0 {
@@ -221,7 +191,7 @@ func (t *traversal) visitDir(ino int64, page []byte, path string) {
 		}
 		t.inUse[l2] = true
 		l2buf := make([]byte, pageSize)
-		t.r.read(l2*pageSize, l2buf)
+		t.th.Read(l2*pageSize, l2buf)
 		t.visitDentries(l2, l2buf[:l2BucketOff], 0, path)
 		for b := 0; b < l2Buckets; b++ {
 			pg := t.ptrIn(l2buf, l2*pageSize, l2BucketOff+b*8)
@@ -230,7 +200,7 @@ func (t *traversal) visitDir(ino int64, page []byte, path string) {
 				seen[pg] = true
 				t.inUse[pg] = true
 				chain := make([]byte, pageSize)
-				t.r.read(pg*pageSize, chain)
+				t.th.Read(pg*pageSize, chain)
 				t.visitDentries(pg, chain[chainFirstDe:], chainFirstDe, path)
 				pg = t.ptrIn(chain, pg*pageSize, chainNextOff)
 			}
@@ -243,7 +213,7 @@ func (t *traversal) visitDentries(page int64, buf []byte, base int64, path strin
 		loc := deLoc{page: page, off: off}
 		if d.name == "" || checkHash(nameHash(d.name)) != d.hash {
 			// Torn or corrupted dentry: drop it.
-			t.r.store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
+			t.th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
 			t.repair(loc.addr(), d.inode, "torn_dentry")
 			return true
 		}
@@ -257,7 +227,7 @@ func (t *traversal) visitDentries(page int64, buf []byte, base int64, path strin
 		}
 		if !t.visitInode(d.inode, child) && !t.inUse[d.inode] {
 			// The child inode is gone: the dentry dangles.
-			t.r.store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
+			t.th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
 			t.repair(loc.addr(), d.inode, "dangling_dentry")
 		}
 		return true
@@ -273,16 +243,16 @@ func joinPath(dir, name string) string {
 
 // resetPool clears every allocator slot so post-recovery allocation starts
 // fresh (the free-list pages themselves are reclaimed by the kernel).
-func resetPool(r recReader, custom int64) {
-	if r.load64(custom*pageSize+customMagicOff) != customMagic {
+func resetPool(th *proc.Thread, custom int64) {
+	if th.Load64(custom*pageSize+customMagicOff) != customMagic {
 		return
 	}
 	for idx := int64(0); idx < poolSlots; idx++ {
 		off := custom*pageSize + poolOff + idx*slotSize
-		r.store64(off+slotTIDOff, 0)
-		r.store64(off+slotLeaseOff, 0)
-		r.store64(off+slotHeadOff, 0)
-		r.store64(off+slotCountOff, 0)
+		th.Store64(off+slotTIDOff, 0)
+		th.Store64(off+slotLeaseOff, 0)
+		th.Store64(off+slotHeadOff, 0)
+		th.Store64(off+slotCountOff, 0)
 	}
 }
 
@@ -301,6 +271,7 @@ func (f *FS) RecoverCoffer(th *proc.Thread, id coffer.ID) (RecoverStats, error) 
 	st.KernelNS += th.Clk.Now() - kernStart
 
 	rp, _ := f.kern.Info(id)
+	st.ID, st.Path = id, rp.Path
 	m, err := f.ensureMapped(th, id, true)
 	if err != nil {
 		return st, err
@@ -314,10 +285,15 @@ func (f *FS) RecoverCoffer(th *proc.Thread, id coffer.ID) (RecoverStats, error) 
 			valid[pg] = true
 		}
 	}
-	t := &traversal{r: threadReader{th}, valid: valid, inUse: map[int64]bool{}}
+	t := &traversal{th: th, valid: valid, inUse: map[int64]bool{}}
 	t.inUse[m.custom] = true
-	resetPool(threadReader{th}, m.custom)
-	f.resetSlotCaches(m)
+	resetPool(th, m.custom)
+	// Drop every thread's slot handle (its NVM slot was just cleared) and
+	// batch cache (its pages are being reclaimed by the kernel).
+	m.slots.Range(func(k, _ any) bool {
+		m.slots.Delete(k)
+		return true
+	})
 	// Repair stores rewrite dentries outside the directory-cache hooks, and
 	// the reclaim may recycle directory pages: invalidate every index.
 	f.sh.dc.bump()
@@ -335,13 +311,12 @@ func (f *FS) RecoverCoffer(th *proc.Thread, id coffer.ID) (RecoverStats, error) 
 	for _, cr := range t.cross {
 		info, ok := f.kern.Info(cr.target)
 		if !ok || info.Path != joinPath(cr.parentPath, cr.name) || info.RootInode != cr.inode {
-			t.r.store64(cr.loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
+			t.th.Store64(cr.loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
 			t.repair(cr.loc.addr(), cr.inode, "cross_ref")
 		}
 	}
 	cl.close()
 	st.UserNS = th.Clk.Now() - userStart
-	st.DentriesFixed = t.fixed
 	st.LeasesCleared = t.leases
 	st.Repairs = t.repairs
 
@@ -355,7 +330,7 @@ func (f *FS) RecoverCoffer(th *proc.Thread, id coffer.ID) (RecoverStats, error) 
 	}
 	st.KernelNS += th.Clk.Now() - kernStart
 	st.PagesKept = int64(len(t.inUse)) + 1 // + root page
-	st.PagesReclaimed = sumExtents(exts) - st.PagesKept
+	st.PagesReclaimed = int64(len(valid)) - st.PagesKept
 	return st, nil
 }
 
@@ -390,39 +365,4 @@ func (f *FS) QuarantineIfDamaged(th *proc.Thread, id coffer.ID) (RecoverStats, b
 	delete(f.mounts, id)
 	f.mu.Unlock()
 	return st, true, nil
-}
-
-// resetSlotCaches drops all volatile per-thread allocator caches for a
-// mount — both the slot handles (their NVM slots were just cleared) and the
-// batched page caches (their pages are being reclaimed by the kernel).
-func (f *FS) resetSlotCaches(m *mount) {
-	m.slots.Range(func(k, _ any) bool {
-		m.slots.Delete(k)
-		return true
-	})
-}
-
-func sumExtents(exts []coffer.Extent) int64 {
-	var n int64
-	for _, e := range exts {
-		n += e.Count
-	}
-	return n
-}
-
-// FsckAll runs offline recovery over every coffer in the file system, in
-// dependency-free order (each coffer is self-contained; cross references
-// are validated against the kernel's coffer table). th must be a root
-// thread of a mounted process.
-func FsckAll(kern *kernfs.KernFS, th *proc.Thread) (map[coffer.ID]RecoverStats, error) {
-	f := New(kern, Options{})
-	out := map[coffer.ID]RecoverStats{}
-	for _, id := range kern.Coffers() {
-		st, err := f.RecoverCoffer(th, id)
-		if err != nil {
-			return out, fmt.Errorf("fsck coffer %d: %w", id, err)
-		}
-		out[id] = st
-	}
-	return out, nil
 }

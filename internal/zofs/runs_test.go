@@ -232,7 +232,7 @@ func TestRunsTable(t *testing.T) {
 					t.Fatalf("overwrite made %d streaming stores, want %d (one per fragment) + the mtime word", stores, frags)
 				}
 				check("after the overwrite")
-				if err := f.VerifySpace(); err != nil {
+				if err := verifyLive(f); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -420,7 +420,7 @@ func TestShortWriteLeavesNoBlockBeyondSize(t *testing.T) {
 			if got := idlePages(k, f); got != start {
 				t.Fatalf("idle pages %d after unlinking everything, baseline %d: %d leaked", got, start, start-got)
 			}
-			if err := f.VerifySpace(); err != nil {
+			if err := verifyLive(f); err != nil {
 				t.Fatal(err)
 			}
 		})

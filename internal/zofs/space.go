@@ -2,7 +2,6 @@ package zofs
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 
 	"zofs/internal/byteflow"
@@ -119,79 +118,4 @@ func (f *FS) WearReport() []byteflow.PageWear {
 		}
 	}
 	return wear
-}
-
-// VerifySpace cross-checks the space accounting three ways for every
-// coffer: the kernel's volatile extent sets against the persistent
-// allocation table (kernfs.VerifySpace), then the µFS-side split — the
-// persistent free lists and this instance's batch caches must all lie
-// inside the kernel's grant, with no page in two places.
-func (f *FS) VerifySpace() error {
-	if err := f.kern.VerifySpace(); err != nil {
-		return err
-	}
-	dev := f.kern.Device()
-	for _, id := range f.kern.Coffers() {
-		rp, ok := f.kern.Info(id)
-		if !ok || rp.Type != coffer.TypeZoFS {
-			continue
-		}
-		owned := map[int64]bool{}
-		for _, e := range f.kern.ExtentsOf(id) {
-			for pg := e.Start; pg < e.End(); pg++ {
-				owned[pg] = true
-			}
-		}
-		seen := map[int64]bool{}
-		for _, pg := range scanFreeLists(dev, rp.Custom) {
-			if !owned[pg] {
-				return &SpaceError{Coffer: id, Page: pg, Where: "free list", Problem: "outside the kernel grant"}
-			}
-			if seen[pg] {
-				return &SpaceError{Coffer: id, Page: pg, Where: "free list", Problem: "chained twice"}
-			}
-			seen[pg] = true
-		}
-		f.mu.Lock()
-		m := f.mounts[id]
-		f.mu.Unlock()
-		if m == nil {
-			continue
-		}
-		var cacheErr *SpaceError
-		m.slots.Range(func(_, v any) bool {
-			ts := v.(*threadSlots)
-			for class := range ts.cache {
-				for _, pg := range ts.cache[class] {
-					switch {
-					case !owned[pg]:
-						cacheErr = &SpaceError{Coffer: id, Page: pg, Where: "batch cache", Problem: "outside the kernel grant"}
-					case seen[pg]:
-						cacheErr = &SpaceError{Coffer: id, Page: pg, Where: "batch cache", Problem: "also on a free list"}
-					default:
-						seen[pg] = true
-						continue
-					}
-					return false
-				}
-			}
-			return true
-		})
-		if cacheErr != nil {
-			return cacheErr
-		}
-	}
-	return nil
-}
-
-// SpaceError reports one space-accounting inconsistency.
-type SpaceError struct {
-	Coffer  coffer.ID
-	Page    int64
-	Where   string
-	Problem string
-}
-
-func (e *SpaceError) Error() string {
-	return fmt.Sprintf("zofs: coffer %d page %d on %s %s", e.Coffer, e.Page, e.Where, e.Problem)
 }

@@ -23,12 +23,12 @@ func remountFsck(t *testing.T, dev *nvm.Device) []pmemtrace.RepairSite {
 	if err := k.FSMount(th); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := FsckAll(k, th)
-	if err != nil {
+	rep := Check(k, th)
+	if err := rep.Err(); err != nil {
 		t.Fatalf("fsck: %v", err)
 	}
 	var repairs []pmemtrace.RepairSite
-	for _, st := range stats {
+	for _, st := range rep.Coffers {
 		for _, rp := range st.Repairs {
 			repairs = append(repairs, pmemtrace.RepairSite{Off: rp.Off, Target: rp.Target, Kind: rp.Kind})
 		}

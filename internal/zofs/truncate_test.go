@@ -130,7 +130,7 @@ func TestTruncateEveryLevel(t *testing.T) {
 				if got := usedPages(f); got > start+2 {
 					t.Fatalf("%d pages in use after unlink, %d before the file existed", got, start)
 				}
-				if err := f.VerifySpace(); err != nil {
+				if err := verifyLive(f); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -213,7 +213,7 @@ func TestTruncateCrashPoints(t *testing.T) {
 				if err := k2.FSMount(th2); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := FsckAll(k2, th2); err != nil {
+				if err := Check(k2, th2).Err(); err != nil {
 					t.Fatalf("%s: fsck: %v", where, err)
 				}
 				f2 := New(k2, v.opts)
@@ -271,7 +271,7 @@ func TestTruncateCrashPoints(t *testing.T) {
 					}
 					pos.close()
 				}
-				if err := f2.VerifySpace(); err != nil {
+				if err := verifyLive(f2); err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
 			}

@@ -659,7 +659,7 @@ func TestCrashDuringCreatesThenFsck(t *testing.T) {
 		p2 := proc.NewProcess(dev, 0, 0)
 		th2 := p2.NewThread()
 		k2.FSMount(th2)
-		if _, err := FsckAll(k2, th2); err != nil {
+		if err := Check(k2, th2).Err(); err != nil {
 			t.Fatalf("fsck: %v", err)
 		}
 		f2 := New(k2, Options{})

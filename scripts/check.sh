@@ -214,6 +214,8 @@ echo "== size =="
 # What each CHANGES.md entry quotes before/after (ROADMAP aim 2).
 lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' \
     ! -path './benchmark/*' | xargs cat | wc -l)
+tests=$(find . -name '*_test.go' ! -path './.bench_build/*' ! -path './benchmark/*' |
+    xargs cat | wc -l)
 # fields FILE: exported fields of the file's "type Options struct".
 fields() {
     awk '/^type Options struct/ { f = 1; next } f && /^}/ { exit }
@@ -223,7 +225,8 @@ obs=$(find internal/telemetry internal/pmemtrace internal/spans internal/byteflo
     internal/lockprof internal/series internal/obsfs \
     cmd/zofs-obs cmd/zofs-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 pkgs=$(go list ./... | grep -vc '^zofs/benchmark\(/\|$\)')
-echo "non-test Go lines outside benchmark/: $lines; Go packages outside benchmark/: $pkgs;" \
+echo "non-test Go lines outside benchmark/: $lines; test Go lines: $tests;" \
+    "Go packages outside benchmark/: $pkgs;" \
     "zofs.Options fields: $(fields internal/zofs/fs.go)"
 echo "DESIGN.md lines: $(wc -l <DESIGN.md)"
 echo "CLIs: $(ls cmd | wc -l); observability set + zofs-obs + zofs-bench: $obs lines"
