@@ -15,6 +15,6 @@ func Example() {
 	//   P2 is still running (no SIGSEGV) and other coffers work:
 	//   created /shared2 just fine
 	// Scenario 3: online recovery of the corrupted coffer
-	//   recovered: kept 3 pages, reclaimed 544, dropped 1 corrupt entries (user 0µs, kernel 68µs)
+	//   recovered: kept 3 pages, reclaimed 5, dropped 1 corrupt entries (user 0µs, kernel 2µs)
 	//   /shared is accessible again
 }

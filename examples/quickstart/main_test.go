@@ -10,6 +10,6 @@ func Example() {
 	// coffer 137    path=/                      mode=755
 	// coffer 53248  path=/projects/secret.key   mode=600
 	// chmod split the coffer: 2 -> 3 coffers
-	// after crash: fsck checked 3 coffers, reclaimed 1044 pages
-	// post-recovery: notes.txt 44 bytes, mode 600 (coffer 686)
+	// after crash: fsck checked 3 coffers, reclaimed 6 pages
+	// post-recovery: notes.txt 44 bytes, mode 600 (coffer 159)
 }

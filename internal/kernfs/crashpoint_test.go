@@ -113,8 +113,9 @@ var crashScenes = []crashScene{
 // every persisting store it makes. After each remount every root page
 // decodes, the path table loads and its mirror matches the media, the
 // allocation table and the extent sets agree, every page flagged zeroed reads
-// zero, and every coffer is at its old path or its new one — in its root
-// page and in the path table alike. (It fails if unpublish flags a dead
+// zero, every owned page belongs to the kernel or a published coffer, and
+// every coffer is at its old path or its new one — in its root page and in
+// the path table alike. (It fails if unpublish flags a dead
 // root page before zeroing it, and, in the mid-chain scenes, if Mount keeps
 // the entry page a crash between its unlink and its release strands.)
 func TestCofferMetadataCrashPoints(t *testing.T) {
@@ -180,7 +181,7 @@ func crashAt(t *testing.T, sc crashScene, n int64, before bool) (done bool) {
 	if err != nil {
 		t.Fatalf("%s: remount: %v", where, err)
 	}
-	for _, verify := range []func() error{k2.VerifySpace, k2.VerifyZeroed, k2.VerifyPaths} {
+	for _, verify := range []func() error{k2.VerifySpace, k2.VerifyZeroed, k2.VerifyPaths, k2.VerifyOwners} {
 		if err := verify(); err != nil {
 			t.Fatalf("%s: %v", where, err)
 		}

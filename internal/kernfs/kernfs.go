@@ -431,6 +431,14 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 			return nil, err
 		}
 	}
+	// Free what the table gives an owner that is neither the kernel nor a
+	// published coffer: a crash inside unpublish, after the path entry went
+	// and before releaseAll, or inside coffer_new/split before the publish.
+	for id := range k.space.byOwner {
+		if id != coffer.KernelID && k.coffers.load(id) == nil {
+			k.space.releaseAll(nil, id, false)
+		}
+	}
 	return k, nil
 }
 
@@ -537,6 +545,17 @@ func (k *KernFS) VerifyZeroed() error { return k.space.verifyZeroed() }
 // lies, the same live count per entry page, and no KernelID page outside the
 // fixed region that no bucket chain reaches. Quiescence required.
 func (k *KernFS) VerifyPaths() error { return k.paths.verify() }
+
+// VerifyOwners checks that the allocation table gives every page it does
+// not list free to the kernel or to a published coffer. Uncharged.
+func (k *KernFS) VerifyOwners() error {
+	return k.space.eachSlot(k.dev.ReadNoCharge, func(pg int64, slot []byte) error {
+		if id := coffer.ID(binary.LittleEndian.Uint32(slot)); id != 0 && id != coffer.KernelID && k.coffers.load(id) == nil {
+			return inconsistent(id, pg*nvm.PageSize, "kernfs: page %d owned by coffer %d, which is not published", pg, id)
+		}
+		return nil
+	})
+}
 
 // Inconsistency is the first broken rule a verifier finds, with the coffer
 // and the device byte offset it concerns (0 and -1 when it concerns none).

@@ -144,3 +144,32 @@ func TestVerifySpaceChecksZeroedFlag(t *testing.T) {
 		t.Fatal("VerifyZeroed accepted a flagged page that holds a byte")
 	}
 }
+
+// TestMountFreesUnpublishedOwners: a coffer whose path entry is gone but
+// whose pages the table still gives it — a crash inside unpublish, between
+// the two — fails VerifyOwners, and the next Mount frees its pages.
+func TestMountFreesUnpublishedOwners(t *testing.T) {
+	dev, k := newFS(t)
+	th := mountedThread(t, k, 0, 0)
+	id, _ := cofferWithPages(t, k, th, k.RootCoffer(), "/z", 8)
+	if err := k.paths.remove(nil, "/z"); err != nil {
+		t.Fatal(err)
+	}
+	k.coffers.store(id, nil)
+	want := k.FreePages() + k.space.pagesOf(id)
+	if err := k.VerifyOwners(); err == nil {
+		t.Fatal("VerifyOwners accepted pages owned by an unpublished coffer")
+	}
+	k2, err := Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, verify := range []func() error{k2.VerifySpace, k2.VerifyPaths, k2.VerifyOwners} {
+		if err := verify(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := k2.FreePages(); got != want {
+		t.Fatalf("%d pages free after the remount, want %d", got, want)
+	}
+}

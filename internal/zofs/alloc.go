@@ -41,7 +41,7 @@ var allocRescanPolicy = retry.Policy{
 // their first 8 bytes, is only ever read and drained (allocPage).
 //
 // Two classes exist per thread: metadata pages (kernel-zeroed grants, small
-// batch) and data pages (unzeroed grants, large batch).
+// cap) and data pages (unzeroed grants, large cap).
 
 func slotOffset(custom int64, idx int32) int64 {
 	return custom*pageSize + poolOff + int64(idx)*slotSize
@@ -232,7 +232,7 @@ func (f *FS) allocCached(th *proc.Thread, m *mount, ts *threadSlots, class int) 
 	if page, ok := f.popCached(th, ts, class); ok {
 		return page, nil
 	}
-	exts, err := f.enlarge(th, m, class)
+	exts, err := f.enlarge(th, m, ts, class)
 	if err != nil {
 		return 0, err
 	}
@@ -251,17 +251,30 @@ func (f *FS) allocCached(th *proc.Thread, m *mount, ts *threadSlots, class int) 
 	return page, nil
 }
 
-// enlarge requests one batch of the class's configured size from KernFS.
-func (f *FS) enlarge(th *proc.Thread, m *mount, class int) ([]coffer.Extent, error) {
-	batch := f.opts.MetaEnlargeBatch
-	zero := true
+// metaFirstGrant is a thread's first metadata grant in a coffer: enough for
+// one operation, such as a create's inode and the two hash-table pages of
+// its directory's first entry, so that operation makes one coffer_enlarge
+// call rather than three.
+const metaFirstGrant = 4
+
+// enlarge requests the thread's next grant of a class from KernFS: as many
+// pages as this coffer has granted the thread in that class so far (one data
+// page or metaFirstGrant metadata pages to start), capped at the class's
+// batch size. The grants run 1, 1, 2, 4, … (4, 4, 8, …) and, for a
+// power-of-two cap, sum to exactly the cap before the first full batch, so
+// a coffer that outgrows the cap ends with the tail a fixed batch leaves,
+// and one that never does is granted less than twice the pages it took.
+func (f *FS) enlarge(th *proc.Thread, m *mount, ts *threadSlots, class int) ([]coffer.Extent, error) {
+	limit, first, zero := f.opts.MetaEnlargeBatch, int64(metaFirstGrant), true
 	if class == classData {
-		batch, zero = f.opts.DataEnlargeBatch, false
+		limit, first, zero = f.opts.DataEnlargeBatch, 1, false
 	}
+	batch := min(limit, max(first, ts.granted[class]))
 	exts, err := f.kern.CofferEnlarge(th, m.id, batch, zero)
 	if err != nil {
 		return nil, errno(err)
 	}
+	ts.granted[class] += batch
 	return exts, nil
 }
 

@@ -94,3 +94,71 @@ func TestAllocDrainsOnMediaFreeList(t *testing.T) {
 		})
 	}
 }
+
+// TestGrantsRampToTheCap: a thread's coffer_enlarge asks for as many pages as
+// the coffer has granted it in the class so far, up to the class's cap —
+// data 1, 1, 2, 4, … and metadata 4, 4, 8, …, then the cap each time. The
+// ramp sums to the cap, so past it a coffer holds the tail a fixed batch
+// would leave; below it, a coffer holding one 16 KiB file owns a few pages,
+// not two batches.
+func TestGrantsRampToTheCap(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		class      int
+		first, cap int64
+	}{
+		{"meta", classMeta, metaFirstGrant, 32},
+		{"data", classData, 1, 512},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, f, owner := newTestFS(t, Options{})
+			pos, err := f.walk(owner, "/", false, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pos.close()
+			m := pos.m
+			th := owner.Proc.NewThread()
+			defer f.window(th, m, true).close()
+			ts := m.threadSlotsFor(th.TID)
+			var grants []int64
+			for i := int64(0); i < 3*tc.cap && ts.granted[tc.class] < 3*tc.cap; i++ {
+				before := ts.granted[tc.class]
+				if _, err := f.allocPage(th, m, tc.class); err != nil {
+					t.Fatal(err)
+				}
+				if n := ts.granted[tc.class] - before; n > 0 {
+					grants = append(grants, n)
+				}
+			}
+			want := []int64{tc.first}
+			for n := tc.first; n <= tc.cap; n *= 2 {
+				want = append(want, n)
+			}
+			want = append(want, tc.cap)
+			if !slices.Equal(grants, want) {
+				t.Fatalf("grants %v, want %v", grants, want)
+			}
+		})
+	}
+	t.Run("one small file", func(t *testing.T) {
+		_, k, f, th := newTestFS(t, Options{})
+		h, err := f.Create(th, "/priv", 0o600) // its own coffer
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(t, th, h, make([]byte, 16<<10), 0)
+		h.Close(th)
+		id, ok := k.LookupPath(nil, "/priv")
+		if !ok {
+			t.Fatal("no coffer for /priv")
+		}
+		var owned int64
+		for _, e := range k.ExtentsOf(id) {
+			owned += e.Count
+		}
+		if owned > 16 {
+			t.Fatalf("a coffer holding one 16 KiB file owns %d pages, want ≤ 16", owned)
+		}
+	})
+}

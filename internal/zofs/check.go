@@ -57,6 +57,7 @@ var invariants = []struct {
 	{"space_conserved", (*FS).verifySpace},
 	{"zeroed_pages_zero", func(f *FS, _ []coffer.ID) error { return f.kern.VerifyZeroed() }},
 	{"path_mirror", func(f *FS, _ []coffer.ID) error { return f.kern.VerifyPaths() }},
+	{"owners_live", func(f *FS, _ []coffer.ID) error { return f.kern.VerifyOwners() }},
 }
 
 // Report is what Check found.

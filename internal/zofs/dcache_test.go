@@ -270,7 +270,7 @@ func TestDcacheColdAfterCrash(t *testing.T) {
 // crash leaks them — until recovery's in-use traversal returns them to the
 // kernel. Repeated crash/recover cycles on a small device must therefore
 // never run out of space, and each recovery must actually reclaim the
-// stranded batch.
+// stranded grant.
 func TestBatchedGrantsReclaimedByRecovery(t *testing.T) {
 	dev := nvm.NewDevice(64 << 20)
 	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
@@ -294,8 +294,8 @@ func TestBatchedGrantsReclaimedByRecovery(t *testing.T) {
 			for _, st := range rep.Coffers {
 				reclaimed += st.PagesReclaimed
 			}
-			if reclaimed == 0 {
-				t.Fatalf("cycle %d: recovery reclaimed nothing despite stranded batches", cycle)
+			if reclaimed < 3 {
+				t.Fatalf("cycle %d: recovery reclaimed %d pages, want the 3 stranded data pages at least", cycle, reclaimed)
 			}
 		}
 		f := New(k, Options{})
@@ -314,14 +314,15 @@ func TestBatchedGrantsReclaimedByRecovery(t *testing.T) {
 				t.Fatalf("cycle %d: coffer %d space rows inconsistent: %+v", cycle, cs.ID, cs)
 			}
 		}
-		// One create pulls a full metadata batch (and the write a data
-		// batch) into the volatile caches; the rest of both batches is
-		// stranded by the "crash" below.
+		// This instance's grants start at one page and double: the five
+		// data pages written take grants of 1, 1, 2 and 4 pages, and the
+		// "crash" below strands the last grant's three unused pages in the
+		// volatile cache.
 		h, err := f.Create(th, fmt.Sprintf("/file-%d", cycle), 0o644)
 		if err != nil {
 			t.Fatalf("cycle %d: create: %v", cycle, err)
 		}
-		if _, err := h.WriteAt(th, make([]byte, 2*pageSize), 0); err != nil {
+		if _, err := h.WriteAt(th, make([]byte, 5*pageSize), 0); err != nil {
 			t.Fatalf("cycle %d: write: %v", cycle, err)
 		}
 		h.Close(th)

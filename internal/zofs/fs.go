@@ -33,9 +33,10 @@ type Options struct {
 	// future-work optimization): no data page, no block pointer, one page
 	// per small file instead of two.
 	InlineData bool
-	// DataEnlargeBatch and MetaEnlargeBatch are the coffer_enlarge request
-	// sizes (pages) for the data and metadata per-thread free lists.
-	// Metadata grants are kernel-zeroed; data grants are not (§5.2).
+	// DataEnlargeBatch and MetaEnlargeBatch cap the coffer_enlarge request
+	// sizes (pages) for the data and metadata per-thread free lists: a
+	// thread's grants in a coffer ramp up to the cap (enlarge). Metadata
+	// grants are kernel-zeroed; data grants are not (§5.2).
 	DataEnlargeBatch int64
 	MetaEnlargeBatch int64
 }
@@ -90,6 +91,9 @@ type threadSlots struct {
 	// referenced by nothing persistent: a crash leaks them and recovery
 	// reclaims them as not-in-use (§5.3).
 	cache [2][]int64
+	// granted counts the pages coffer_enlarge has granted this thread per
+	// class; it sizes the next grant (enlarge).
+	granted [2]int64
 	// noSlotTries counts consecutive exhausted pool scans per class; it
 	// indexes the unified retry policy's backoff schedule and resets to
 	// zero once a slot is claimed.

@@ -123,55 +123,44 @@ func (t *traversal) stalePtr(page []byte, base int64, off int) {
 	t.repair(base+int64(off), pg, "stale_ptr")
 }
 
+// visitFile keeps a regular file's blocks below its size and clears the
+// block pointers past it. Pointer pages are kept wherever they lie: a
+// truncation leaves emptied ones in place until unlink (filePages), so one
+// past EOF is not stale — only the data slots inside it are.
 func (t *traversal) visitFile(ino int64, page []byte, size int64) {
 	blocks := (size + pageSize - 1) / pageSize
-	for idx := int64(0); idx < inoDirectCnt; idx++ {
+	// block checks the pointer at off in buf, which maps block idx.
+	block := func(buf []byte, base int64, off int, idx int64) {
 		if idx >= blocks {
-			t.stalePtr(page, ino*pageSize, int(inoDirectOff+8*idx))
-		} else if pg := t.ptrIn(page, ino*pageSize, int(inoDirectOff+8*idx)); pg != 0 {
+			t.stalePtr(buf, base, off)
+		} else if pg := t.ptrIn(buf, base, off); pg != 0 {
 			t.inUse[pg] = true
 		}
 	}
-	if blocks <= inoDirectCnt {
-		t.stalePtr(page, ino*pageSize, inoIndirectOff)
-	} else if ind := t.ptrIn(page, ino*pageSize, inoIndirectOff); ind != 0 {
-		t.inUse[ind] = true
-		ibuf := make([]byte, pageSize)
-		t.th.Read(ind*pageSize, ibuf)
+	for idx := int64(0); idx < inoDirectCnt; idx++ {
+		block(page, ino*pageSize, int(inoDirectOff+8*idx), idx)
+	}
+	// leaf keeps the pointer page named at off in buf and checks its slots,
+	// which map blocks first onward.
+	lbuf := make([]byte, pageSize)
+	leaf := func(buf []byte, base int64, off int, first int64) {
+		pg := t.ptrIn(buf, base, off)
+		if pg == 0 {
+			return
+		}
+		t.inUse[pg] = true
+		t.th.Read(pg*pageSize, lbuf)
 		for i := int64(0); i < ptrsPerPage; i++ {
-			if inoDirectCnt+i >= blocks {
-				t.stalePtr(ibuf, ind*pageSize, int(8*i))
-			} else if pg := t.ptrIn(ibuf, ind*pageSize, int(8*i)); pg != 0 {
-				t.inUse[pg] = true
-			}
+			block(lbuf, pg*pageSize, int(8*i), first+i)
 		}
 	}
-	if blocks <= inoDirectCnt+ptrsPerPage {
-		t.stalePtr(page, ino*pageSize, inoDIndirOff)
-	} else if d1 := t.ptrIn(page, ino*pageSize, inoDIndirOff); d1 != 0 {
+	leaf(page, ino*pageSize, inoIndirectOff, inoDirectCnt)
+	if d1 := t.ptrIn(page, ino*pageSize, inoDIndirOff); d1 != 0 {
 		t.inUse[d1] = true
 		d1buf := make([]byte, pageSize)
 		t.th.Read(d1*pageSize, d1buf)
-		d2buf := make([]byte, pageSize)
 		for i := int64(0); i < ptrsPerPage; i++ {
-			base := inoDirectCnt + ptrsPerPage + i*ptrsPerPage
-			if base >= blocks {
-				t.stalePtr(d1buf, d1*pageSize, int(8*i))
-				continue
-			}
-			d2 := t.ptrIn(d1buf, d1*pageSize, int(8*i))
-			if d2 == 0 {
-				continue
-			}
-			t.inUse[d2] = true
-			t.th.Read(d2*pageSize, d2buf)
-			for j := int64(0); j < ptrsPerPage; j++ {
-				if base+j >= blocks {
-					t.stalePtr(d2buf, d2*pageSize, int(8*j))
-				} else if pg := t.ptrIn(d2buf, d2*pageSize, int(8*j)); pg != 0 {
-					t.inUse[pg] = true
-				}
-			}
+			leaf(d1buf, d1*pageSize, int(8*i), inoDirectCnt+(1+i)*ptrsPerPage)
 		}
 	}
 }

@@ -128,6 +128,17 @@ func TestScrubAfterOwnLeaseExpired(t *testing.T) {
 // the append takes next carries a protection key the window does not grant.
 func TestScrubAfterFaultInAppend(t *testing.T) {
 	dev, f, th, h, m := scrubFixture(t)
+	// The fixture's write used all of the thread's one-page first grant:
+	// take the next grant's page and put it back, so it is the page the
+	// append takes next.
+	func() {
+		defer f.window(th, m, true).close()
+		pg, err := f.allocPage(th, m, classData)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.pushFree(th, m, classData, pg)
+	}()
 	cache := m.threadSlotsFor(th.TID).cache[classData]
 	if len(cache) == 0 {
 		t.Fatal("premise: the data batch cache is empty")

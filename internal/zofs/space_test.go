@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"zofs/internal/coffer"
+	"zofs/internal/kernfs"
+	"zofs/internal/nvm"
+	"zofs/internal/proc"
 )
 
 // verifyLive runs every invariant Check registers over a live instance, its
@@ -81,5 +84,75 @@ func TestSpaceReportReconciles(t *testing.T) {
 	after := check("after unlink")
 	if after[root] >= before[root] {
 		t.Fatalf("unlinking %d files did not shrink used pages: %d -> %d", files, before[root], after[root])
+	}
+}
+
+// TestCrashInsideCofferDeleteFreesItsPages cuts the unlink of a file that is
+// its own coffer after each persisting store it makes, then remounts and
+// runs Check. A cut inside coffer_delete between the path entry's removal and
+// the page release leaves the allocation table giving pages to an ID nothing
+// publishes: Mount must free them, so no page stays with that ID and Check
+// finds nothing left to repair. (Without Mount's release, Check reports such
+// an image under owners_live.)
+func TestCrashInsideCofferDeleteFreesItsPages(t *testing.T) {
+	cut := 0
+	for n := int64(1); ; n++ {
+		dev := nvm.NewDevice(16 << 20)
+		k, f, th := mountTestFS(t, dev, Options{})
+		h, err := f.Create(th, "/priv", 0o600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(t, th, h, make([]byte, 8*pageSize), 0)
+		h.Close(th)
+		id, ok := k.LookupPath(nil, "/priv")
+		if !ok {
+			t.Fatal("premise: /priv is not its own coffer")
+		}
+		dev.FailAfter(n)
+		crashed := func() (crashed bool) {
+			defer func() {
+				if r := recover(); r != nil {
+					if !nvm.IsInjectedCrash(r) {
+						panic(r)
+					}
+					crashed = true
+				}
+			}()
+			if err := f.Unlink(th, "/priv"); err != nil {
+				t.Fatal(err)
+			}
+			return false
+		}()
+		dev.FailAfter(0)
+		if !crashed {
+			break
+		}
+		dev.Crash()
+		ResetShared(dev)
+		if _, published := k.LookupPath(nil, "/priv"); !published {
+			if owner, _ := k.OwnerOf(int64(id)); owner == id {
+				cut++
+			}
+		}
+
+		where := fmt.Sprintf("crash after store %d", n)
+		k2, err := kernfs.Mount(dev)
+		if err != nil {
+			t.Fatalf("%s: remount: %v", where, err)
+		}
+		th2 := proc.NewProcess(dev, 0, 0).NewThread()
+		if err := k2.FSMount(th2); err != nil {
+			t.Fatal(err)
+		}
+		if err := Check(k2, th2).Err(); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if _, published := k2.Info(id); !published && len(k2.ExtentsOf(id)) > 0 {
+			t.Fatalf("%s: coffer %d is gone, and still owns %v", where, id, k2.ExtentsOf(id))
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no crash point fell between the path entry's removal and the page release")
 	}
 }

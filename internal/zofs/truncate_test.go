@@ -295,3 +295,54 @@ func TestTruncateCost(t *testing.T) {
 		t.Fatalf("truncating 16 MiB cost %d vns, want between the 4096 free-list pushes (61440) and 100000", cost)
 	}
 }
+
+// TestTruncatedImageChecksClean: a truncation leaves its emptied pointer
+// pages in place until unlink, and recovery keeps a pointer page past EOF,
+// clearing only the data slots past EOF in it. So Check on a quiescent image
+// holding truncated files — an emptied indirect page; an emptied
+// double-indirect tree; one a regrow reuses in part — repairs nothing, and
+// the files read back and grow again as before. (Recovery used to clear the
+// indirect words past EOF, two to four "stale_ptr" repairs per file.)
+func TestTruncatedImageChecksClean(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		grow, cut, regrow int64 // blocks
+	}{
+		{"indirect emptied", 1000, 0, 0},
+		{"double-indirect emptied, regrown in part", 4000, 0, 2000},
+		{"double-indirect cut, regrown into the indirect page", dblSecnd + 40, 100, indFirst + 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			withDebugPool(t)
+			_, k, f, th := newTestFS(t, Options{})
+			h := mustCreate(t, f, th, "/t")
+			mustWrite(t, th, h, patterned(int(c.grow*pageSize), 5), 0)
+			if err := f.Truncate(th, "/t", c.cut*pageSize); err != nil {
+				t.Fatal(err)
+			}
+			model := make([]byte, c.regrow*pageSize)
+			copy(model, patterned(int(c.cut*pageSize), 5))
+			copy(model[c.cut*pageSize:], patterned(len(model)-int(c.cut*pageSize), 9))
+			mustWrite(t, th, h, model[c.cut*pageSize:], c.cut*pageSize)
+			h.Close(th)
+
+			rep := Check(k, th)
+			if len(rep.Findings) != 0 {
+				t.Fatalf("Check on a quiescent image found %v", rep.Findings)
+			}
+			f2 := New(k, Options{})
+			h2, err := f2.Open(th, "/t", vfs.O_RDWR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(readAll(t, th, h2, int64(len(model))), model) {
+				t.Fatal("the file changed under Check")
+			}
+			mustWrite(t, th, h2, patterned(int(c.grow*pageSize), 7), 0)
+			h2.Close(th)
+			if err := verifyLive(f2); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

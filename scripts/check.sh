@@ -198,6 +198,10 @@ coffer_share 1 nvm_wbytes_per_op <= 1300
 coffer_share 1 nvm_rbytes_per_op <= 1900
 # Smaller root-page writes; kernfs.registry held only to publish (1450 before, 1568 now).
 coffer_share 1 sim_kops_per_vsec >= 1500
+# A thread's coffer_enlarge grants ramp from one page up to the batch cap, so
+# a coffer is granted about what it uses (1.0546 with a 512 + 32-page first
+# grant per coffer, 1.0129 now).
+coffer_share 1 space_amp <= 1.02
 EOF
 
 echo "== crashmc smoke =="
