@@ -14,7 +14,8 @@
 // persists; torn: 8-byte word subsets persist) on the selected crash
 // edges (after: the k-th persisting store completed; before: it was about
 // to start, mid-epoch). ZoFS images are remounted, recovered and checked
-// against a workload oracle; baselines are checked at the media level.
+// against the model of the workload's tree (vfs.Model); baselines are
+// checked at the media level.
 //
 // Exit codes: 0 all invariants held; 1 invariant violation; 2 usage or
 // setup error; 3 injected corruption was detected (the expected outcome

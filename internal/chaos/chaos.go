@@ -39,6 +39,7 @@ import (
 	"zofs/internal/simclock"
 	"zofs/internal/spans"
 	"zofs/internal/telemetry"
+	"zofs/internal/vfs"
 	"zofs/internal/zofs"
 )
 
@@ -102,6 +103,9 @@ const (
 	roleVictimOff = "victim_offline"  // corruption target, quarantined offline
 )
 
+// fileMode is the mode every campaign file is created with.
+const fileMode = 0o600
+
 // maxFilesPerCoffer caps namespace growth so long campaigns churn instead
 // of only growing.
 const maxFilesPerCoffer = 40
@@ -119,22 +123,16 @@ type client struct {
 	stalled bool // frozen: not scheduled until resumed
 }
 
-// fileState is the engine's oracle for one file: what a correct FS must
-// return when reading it back.
-type fileState struct {
-	path string
-	data []byte
-}
-
-// cofferState is one split coffer's role, oracle and scoreboard.
+// cofferState is one split coffer's role, model and scoreboard.
 type cofferState struct {
 	path string
 	id   coffer.ID
 	role string
 
-	files  []*fileState
-	byName map[string]*fileState
-	seq    int
+	// model is what a correct FS must return when the coffer is read back:
+	// its directory and the files the campaign's successful ops left in it.
+	model *vfs.Model
+	seq   int
 
 	readOnly bool // quarantined read-only during the campaign
 	offline  bool // quarantined offline during the campaign
@@ -282,9 +280,9 @@ func setup(cfg Config) (*engine, error) {
 		case cfg.Coffers - 1:
 			role = roleVictimOff
 		}
-		e.coffers = append(e.coffers, &cofferState{
-			path: dir, id: id, role: role, byName: map[string]*fileState{},
-		})
+		m := vfs.NewModel()
+		m.Mkdir(dir)
+		e.coffers = append(e.coffers, &cofferState{path: dir, id: id, role: role, model: m})
 	}
 
 	for i := 0; i < cfg.Clients; i++ {

@@ -102,16 +102,16 @@ func (e *engine) injectKill() {
 		return
 	}
 	hc := e.healthyCoffers()[0]
-	f := hc.files[0]
-	fi, err := e.maint.lib.Stat(e.maint.th, f.path)
+	name := hc.model.Path(0)
+	fi, err := e.maint.lib.Stat(e.maint.th, name)
 	if err != nil {
-		e.violate("inject_kill", fmt.Sprintf("stat %s: %v", f.path, err))
+		e.violate("inject_kill", fmt.Sprintf("stat %s: %v", name, err))
 		return
 	}
 	kc.dead = true
 	expiry := e.maxClock() + zofs.LeaseDurationNS()
 	zofs.PlantInodeLeaseEpoch(e.dev, fi.Inode, kc.th.TID, 0, expiry)
-	e.forceWrite(hc, f)
+	e.forceWrite(hc, name)
 	e.rep.Faults["kill"]++
 }
 
@@ -133,17 +133,17 @@ func (e *engine) injectStall() {
 	}
 	hcs := e.healthyCoffers()
 	hc := hcs[len(hcs)-1]
-	f := hc.files[len(hc.files)-1]
-	fi, err := e.maint.lib.Stat(e.maint.th, f.path)
+	name := hc.model.Path(hc.model.Len() - 1)
+	fi, err := e.maint.lib.Stat(e.maint.th, name)
 	if err != nil {
-		e.violate("inject_stall", fmt.Sprintf("stat %s: %v", f.path, err))
+		e.violate("inject_stall", fmt.Sprintf("stat %s: %v", name, err))
 		return
 	}
 	sc.stalled = true
 	expiry := e.maxClock() + zofs.LeaseDurationNS()
 	zofs.PlantInodeLeaseEpoch(e.dev, fi.Inode, sc.th.TID, 0, expiry)
 	e.stall = &stallRec{c: sc, cof: hc, ino: fi.Inode, epoch: 0}
-	e.forceWrite(hc, f)
+	e.forceWrite(hc, name)
 	e.rep.Faults["stall"]++
 }
 

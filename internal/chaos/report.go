@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"zofs/internal/coffer"
 	"zofs/internal/telemetry"
@@ -123,9 +124,10 @@ func (r *Report) Passed() bool { return r.ViolationCount == 0 }
 //
 //  1. a pending stall is resumed (and fenced) even if the campaign ended
 //     before its scheduled resume;
-//  2. every oracle file in every non-offline coffer reads back
-//     byte-identical — stray writes and the victim's corruption must not
-//     have leaked into anyone else's data;
+//  2. every non-offline coffer reads back as its model holds it, file by
+//     file and byte for byte, with no entry the model does not hold — stray
+//     writes and the victim's corruption must not have leaked into anyone
+//     else's data;
 //  3. the offline victim answers with its typed error;
 //  4. zofs.Check over the root and every healthy coffer repairs nothing
 //     (zero cross-coffer damage) and finds every invariant holding;
@@ -137,21 +139,19 @@ func (e *engine) finish() {
 	}
 	m := e.maint
 
-	// (2) Oracle read-back through a process that took no part in the
+	// (2) Model read-back through a process that took no part in the
 	// campaign traffic.
 	for _, cof := range e.coffers {
 		if cof.offline {
 			// (3) The offline victim must answer with its typed error.
-			if _, err := m.lib.Stat(m.th, cof.files[0].path); !errors.Is(err, vfs.ErrOfflineCoffer) {
-				e.violate("offline_probe", fmt.Sprintf("stat %s returned %v, want ErrOfflineCoffer",
-					cof.files[0].path, err))
+			name := cof.model.Path(0)
+			if _, err := m.lib.Stat(m.th, name); !errors.Is(err, vfs.ErrOfflineCoffer) {
+				e.violate("offline_probe", fmt.Sprintf("stat %s returned %v, want ErrOfflineCoffer", name, err))
 			}
 			continue
 		}
-		for _, f := range cof.files {
-			if err := e.verifyFile(cof, f); err != nil {
-				e.violate("post_integrity", fmt.Sprintf("%s (%s): %v", f.path, cof.role, err))
-			}
+		if err := e.checkModel(cof); err != nil {
+			e.violate("post_integrity", fmt.Sprintf("%s (%s): %v", cof.path, cof.role, err))
 		}
 	}
 
@@ -228,28 +228,19 @@ func (e *engine) finish() {
 	e.rep.Coffers = e.sortedCofferReports()
 }
 
-// verifyFile reads one oracle file back through the maintenance process and
-// compares content byte for byte.
-func (e *engine) verifyFile(cof *cofferState, f *fileState) error {
-	fd, err := e.maint.lib.Open(e.maint.th, f.path, vfs.O_RDONLY, 0)
-	if err != nil {
-		return err
-	}
-	defer e.maint.lib.Close(e.maint.th, fd)
-	buf := make([]byte, len(f.data))
-	n, err := e.maint.lib.Pread(e.maint.th, fd, buf, 0)
-	if err != nil {
-		return err
-	}
-	if n != len(f.data) {
-		return fmt.Errorf("%w: read %d bytes, want %d", errMismatch, n, len(f.data))
-	}
-	for i := range buf {
-		if buf[i] != f.data[i] {
-			return fmt.Errorf("%w: first diff at byte %d", errMismatch, i)
+// checkModel checks one coffer, and nothing outside it, against its model
+// through the maintenance process's ZoFS; a fault is an error, as in FSLibs.
+func (e *engine) checkModel(cof *cofferState) (err error) {
+	th := e.maint.th
+	defer func() {
+		if r := recover(); r != nil {
+			th.CloseWindow()
+			err = fmt.Errorf("%w: fault reading the coffer back: %v", vfs.ErrIO, r)
 		}
-	}
-	return nil
+	}()
+	return cof.model.Check(e.maint.lib.ZoFS(), th, func(p string) bool {
+		return p != cof.path && !strings.HasPrefix(p, cof.path+"/")
+	})
 }
 
 // WriteSummary renders a short human-readable scoreboard.

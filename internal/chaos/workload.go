@@ -52,9 +52,9 @@ type op struct {
 	steal bool
 }
 
-// errMismatch reports read-back content that disagrees with the oracle —
+// errMismatch reports read-back content that disagrees with the model —
 // the one error that is never acceptable anywhere.
-var errMismatch = errors.New("chaos: content disagrees with oracle")
+var errMismatch = errors.New("chaos: content disagrees with the model")
 
 // payload derives a deterministic byte string from a seed (splitmix64
 // stream, shared with the retry jitter PRNG).
@@ -85,45 +85,49 @@ func (e *engine) genCreate(cof *cofferState) op {
 // probes the availability score is about.
 func (e *engine) genOp() op {
 	cof := e.coffers[e.rng.Intn(len(e.coffers))]
+	m := cof.model
 	r := e.rng.Intn(10)
 	switch {
-	case len(cof.files) == 0 || (r < 3 && len(cof.files) < maxFilesPerCoffer):
+	case m.Len() == 0 || (r < 3 && m.Len() < maxFilesPerCoffer):
 		return e.genCreate(cof)
 	case r < 6: // covers the create-at-cap overflow too
-		f := cof.files[e.rng.Intn(len(cof.files))]
+		name := m.Path(e.rng.Intn(m.Len()))
 		return op{
 			kind:  opWrite,
 			cof:   cof,
-			name:  f.path,
-			off:   e.rng.Intn(len(f.data) + 1),
+			name:  name,
+			off:   e.rng.Intn(cof.size(name) + 1),
 			size:  64 + e.rng.Intn(1985),
 			pseed: e.rng.Int63(),
 		}
 	case r < 8:
-		f := cof.files[e.rng.Intn(len(cof.files))]
-		return op{kind: opRead, cof: cof, name: f.path}
+		return op{kind: opRead, cof: cof, name: m.Path(e.rng.Intn(m.Len()))}
 	case r == 8:
-		f := cof.files[e.rng.Intn(len(cof.files))]
-		return op{kind: opStat, cof: cof, name: f.path}
+		return op{kind: opStat, cof: cof, name: m.Path(e.rng.Intn(m.Len()))}
 	default:
-		if len(cof.files) < 2 {
-			f := cof.files[0]
-			return op{kind: opWrite, cof: cof, name: f.path, off: len(f.data),
+		if m.Len() < 2 {
+			name := m.Path(0)
+			return op{kind: opWrite, cof: cof, name: name, off: cof.size(name),
 				size: 64 + e.rng.Intn(1985), pseed: e.rng.Int63()}
 		}
-		f := cof.files[e.rng.Intn(len(cof.files))]
-		return op{kind: opUnlink, cof: cof, name: f.path}
+		return op{kind: opUnlink, cof: cof, name: m.Path(e.rng.Intn(m.Len()))}
 	}
 }
 
-// forceWrite queues a write to the given file as the very next scheduled
+// size is the model's length of a file in the coffer.
+func (cof *cofferState) size(name string) int {
+	data, _ := cof.model.Data(name)
+	return len(data)
+}
+
+// forceWrite queues an append to the given file as the very next scheduled
 // op — the survivor that must wait out a planted lease and steal it.
-func (e *engine) forceWrite(cof *cofferState, f *fileState) {
+func (e *engine) forceWrite(cof *cofferState, name string) {
 	e.forced = append(e.forced, op{
 		kind:  opWrite,
 		cof:   cof,
-		name:  f.path,
-		off:   len(f.data),
+		name:  name,
+		off:   cof.size(name),
 		size:  256,
 		pseed: e.rng.Int63(),
 		steal: true,
@@ -157,7 +161,7 @@ func (e *engine) execute(c *client, o op) {
 		if o.steal {
 			e.rep.LeaseSteals++
 		}
-		e.oracleApply(o)
+		o.record()
 	}
 	e.classify(o, err, degraded)
 }
@@ -171,11 +175,11 @@ func (e *engine) apply(c *client, o op) error {
 		if o.kind == opCreate {
 			flags = vfs.O_CREATE | vfs.O_TRUNC | vfs.O_RDWR
 		}
-		// 0o600 exec-masks equal to the coffer's 0o700, so the file lives
+		// fileMode exec-masks equal to the coffer's 0o700, so the file lives
 		// INSIDE its coffer (§5: same-permission rule) — quarantining the
 		// coffer must therefore govern every campaign file in it, which is
 		// exactly the containment the campaign asserts.
-		fd, err := c.lib.Open(th, o.name, flags, 0o600)
+		fd, err := c.lib.Open(th, o.name, flags, fileMode)
 		if err != nil {
 			return err
 		}
@@ -186,7 +190,7 @@ func (e *engine) apply(c *client, o op) error {
 		}
 		return cerr
 	case opRead:
-		want := o.cof.byName[o.name].data
+		want, _ := o.cof.model.Data(o.name)
 		fd, err := c.lib.Open(th, o.name, vfs.O_RDONLY, 0)
 		if err != nil {
 			return err
@@ -202,7 +206,7 @@ func (e *engine) apply(c *client, o op) error {
 		}
 		return cerr
 	case opStat:
-		want := o.cof.byName[o.name].data
+		want, _ := o.cof.model.Data(o.name)
 		fi, err := c.lib.Stat(th, o.name)
 		if err != nil {
 			return err
@@ -217,29 +221,17 @@ func (e *engine) apply(c *client, o op) error {
 	return fmt.Errorf("chaos: unknown op kind %d", o.kind)
 }
 
-// oracleApply folds one successful op into the engine's oracle.
-func (e *engine) oracleApply(o op) {
-	cof := o.cof
+// record applies one successful op to its coffer's model.
+func (o op) record() {
+	m := o.cof.model
 	switch o.kind {
 	case opCreate:
-		f := &fileState{path: o.name, data: payload(o.pseed, o.size)}
-		cof.files = append(cof.files, f)
-		cof.byName[o.name] = f
+		m.Create(o.name, fileMode)
+		m.Write(o.name, payload(o.pseed, o.size), 0)
 	case opWrite:
-		f := cof.byName[o.name]
-		end := o.off + o.size
-		for len(f.data) < end {
-			f.data = append(f.data, 0)
-		}
-		copy(f.data[o.off:end], payload(o.pseed, o.size))
+		m.Write(o.name, payload(o.pseed, o.size), int64(o.off))
 	case opUnlink:
-		delete(cof.byName, o.name)
-		for i, f := range cof.files {
-			if f.path == o.name {
-				cof.files = append(cof.files[:i], cof.files[i+1:]...)
-				break
-			}
-		}
+		m.Unlink(o.name)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 	"zofs/internal/zofs"
 )
 
-// TestGenWorkloadDeterministic: same seed, same script; the oracle replay
-// is consistent with the generator's own size tracking (no holes).
+// TestGenWorkloadDeterministic: same seed, same script, and the script
+// leaves files behind and uses every kind of op it is checked on.
 func TestGenWorkloadDeterministic(t *testing.T) {
 	a := GenWorkload(7, 40)
 	b := GenWorkload(7, 40)
@@ -21,8 +21,7 @@ func TestGenWorkloadDeterministic(t *testing.T) {
 			t.Fatalf("op %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
-	o := oracleAfter(a, len(a))
-	if len(o.files) == 0 {
+	if modelAfter(a, len(a)).Len() == 0 {
 		t.Fatal("workload left no files")
 	}
 	kinds := map[OpKind]int{}
@@ -175,17 +174,19 @@ func TestDetectsSeededCorruption(t *testing.T) {
 	if res := runOps(st.fs, st.th, ops); res.err != nil || res.crashed {
 		t.Fatalf("workload: err=%v crashed=%v", res.err, res.crashed)
 	}
-	o := oracleAfter(ops, len(ops))
+	m := modelAfter(ops, len(ops))
 	var target string
-	for path, c := range o.files {
-		if len(c) > 64 && (target == "" || path < target) {
-			target = path
+	var data []byte
+	for i := range m.Len() {
+		path := m.Path(i)
+		if c, _ := m.Data(path); len(c) > 64 && (target == "" || path < target) {
+			target, data = path, c
 		}
 	}
 	// Locate the file's first data block on the device by content and flip
 	// a bit under it, then run the same post-crash checks a crash state
 	// would run.
-	blk := o.files[target][:min(4096, len(o.files[target]))]
+	blk := data[:min(4096, len(data))]
 	dataPage := int64(-1)
 	buf := make([]byte, len(blk))
 	for pg := int64(0); pg < st.dev.Pages(); pg++ {

@@ -3,7 +3,7 @@ package crashmc
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"zofs/internal/fslibs"
 	"zofs/internal/kernfs"
@@ -43,9 +43,11 @@ type FaultReport struct {
 	PagesReclaimed int64 `json:"pages_reclaimed,omitempty"` // recovery's reclaim across all coffers
 }
 
-// RunFaults executes one injected-fault campaign ("bitflip" or "lease")
-// against a ZoFS personality and returns the campaign report plus any
-// violated degradation invariants.
+// RunFaults executes one injected-fault campaign ("bitflip", "lease" or
+// "slotless") against a ZoFS personality and returns the campaign report plus
+// any violated degradation invariants. Every campaign starts from the same
+// place: a fresh stack the seeded workload ran on, and the model of the tree
+// it left.
 func RunFaults(cfg Config, mode string) (*FaultReport, []Violation, error) {
 	cfg.fill()
 	p, err := lookup(cfg.System)
@@ -55,42 +57,50 @@ func RunFaults(cfg Config, mode string) (*FaultReport, []Violation, error) {
 	if !p.zofs {
 		return nil, nil, fmt.Errorf("crashmc: fault campaigns need a ZoFS personality, not %s", cfg.System)
 	}
-	switch mode {
-	case "bitflip":
-		return runBitflip(p, cfg)
-	case "lease":
-		return runLease(p, cfg)
-	case "slotless":
-		return runSlotless(p, cfg)
+	run := map[string]func(*campaign) error{"bitflip": runBitflip, "lease": runLease, "slotless": runSlotless}[mode]
+	if run == nil {
+		return nil, nil, fmt.Errorf("crashmc: unknown fault mode %q (have bitflip, lease, slotless)", mode)
 	}
-	return nil, nil, fmt.Errorf("crashmc: unknown fault mode %q (have bitflip, lease, slotless)", mode)
-}
-
-// runBitflip corrupts metadata bits in live inode pages, then asserts the
-// two halves of graceful degradation: survivors driving the damaged image
-// through FSLibs get errors — never panics — and offline recovery detects
-// and repairs the corruption, converging to a usable file system.
-func runBitflip(p *personality, cfg Config) (*FaultReport, []Violation, error) {
-	rep := &FaultReport{Mode: "bitflip", Flips: cfg.Flips}
-	var viols []Violation
-	fail := func(invariant, detail string) {
-		viols = append(viols, Violation{Model: "bitflip", Invariant: invariant, Detail: detail})
-	}
-
 	st, err := p.build(cfg.DeviceBytes)
 	if err != nil {
 		return nil, nil, err
 	}
 	ops := GenWorkload(cfg.Seed, cfg.Ops)
 	if res := runOps(st.fs, st.th, ops); res.err != nil || res.crashed {
-		return nil, nil, fmt.Errorf("crashmc: bitflip setup workload: err=%v crashed=%v", res.err, res.crashed)
+		return nil, nil, fmt.Errorf("crashmc: %s setup workload: err=%v crashed=%v", mode, res.err, res.crashed)
 	}
-	o := oracleAfter(ops, len(ops))
-	paths := make([]string, 0, len(o.files))
-	for path := range o.files {
-		paths = append(paths, path)
+	c := &campaign{p: p, cfg: cfg, st: st, m: modelAfter(ops, len(ops)), rep: &FaultReport{Mode: mode}}
+	err = run(c)
+	return c.rep, c.viols, err
+}
+
+// campaign is one fault campaign in progress.
+type campaign struct {
+	p     *personality
+	cfg   Config
+	st    *stack     // the stack the seeded workload ran on
+	m     *vfs.Model // the tree the workload left
+	rep   *FaultReport
+	viols []Violation
+}
+
+// fail records a violated degradation invariant.
+func (c *campaign) fail(invariant, detail string) {
+	c.viols = append(c.viols, Violation{Model: Model(c.rep.Mode), Invariant: invariant, Detail: detail})
+}
+
+// runBitflip corrupts metadata bits in live inode pages, then asserts the
+// two halves of graceful degradation: survivors driving the damaged image
+// through FSLibs get errors — never panics — and offline recovery detects
+// and repairs the corruption, converging to a usable file system.
+func runBitflip(c *campaign) error {
+	p, cfg, st, m, rep, fail := c.p, c.cfg, c.st, c.m, c.rep, c.fail
+	rep.Flips = cfg.Flips
+	paths := make([]string, m.Len())
+	for i := range paths {
+		paths[i] = m.Path(i)
 	}
-	sort.Strings(paths)
+	slices.Sort(paths)
 
 	// Collect the live inode pages (magic-tagged metadata) across every
 	// coffer; those are the flip targets.
@@ -105,9 +115,9 @@ func runBitflip(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 		}
 	}
 	if len(inodePages) == 0 {
-		return nil, nil, fmt.Errorf("crashmc: no inode pages found to corrupt")
+		return fmt.Errorf("crashmc: no inode pages found to corrupt")
 	}
-	sort.Slice(inodePages, func(i, j int) bool { return inodePages[i] < inodePages[j] })
+	slices.Sort(inodePages)
 
 	// Flip bits in inode headers. The first flip lands in the magic word
 	// of a file the workload actually references, guaranteeing damage the
@@ -115,7 +125,7 @@ func runBitflip(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	fi, err := st.fs.Stat(st.th, paths[0])
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	zofs.FlipBit(st.dev, fi.Inode*int64(pmemtrace.PageSize), uint(rng.Intn(8)))
 	for i := 1; i < cfg.Flips; i++ {
@@ -129,7 +139,7 @@ func runBitflip(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 	th2 := proc.NewProcess(st.dev, 0, 0).NewThread()
 	lib, err := fslibs.Mount(st.k, th2, fslibs.Options{})
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	for _, path := range paths {
 		rep.SurvivorOps++
@@ -155,7 +165,7 @@ func runBitflip(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 	// Detection: offline recovery over the corrupt image must find it.
 	k2, th3, walked, err := recoverImage(st.dev, rep, fail)
 	if err != nil || !walked {
-		return rep, viols, err
+		return err
 	}
 	rep.Detected = rep.Repairs > 0
 	if !rep.Detected {
@@ -165,24 +175,8 @@ func runBitflip(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 		fail("fsck_fixpoint", err.Error())
 	}
 	// The repaired file system must accept new work.
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				fail("usability", fmt.Sprintf("post-repair probe panicked: %v", r))
-			}
-		}()
-		f2 := zofs.New(k2, p.opts)
-		h, err := f2.Create(th3, "/crashmc.probe", 0o600)
-		if err != nil {
-			fail("usability", fmt.Sprintf("post-repair create: %v", err))
-			return
-		}
-		if _, err := h.WriteAt(th3, opData(&Op{Len: 3000, Seed: 7}), 0); err != nil {
-			fail("usability", fmt.Sprintf("post-repair write: %v", err))
-		}
-		h.Close(th3)
-	}()
-	return rep, viols, nil
+	guarded(fail, "usability", func() { usable(zofs.New(k2, p.opts), th3) })
+	return nil
 }
 
 // recoverImage remounts dev as after a crash and runs zofs.Check over it,
@@ -206,31 +200,15 @@ func recoverImage(dev *nvm.Device, rep *FaultReport, fail func(string, string)) 
 // allocator pool-slot lease and an inode lease. Survivors must steal the
 // expired slot lease via CAS and keep respecting a live foreign one, and
 // recovery must clear whatever leases remain.
-func runLease(p *personality, cfg Config) (*FaultReport, []Violation, error) {
-	rep := &FaultReport{Mode: "lease"}
-	var viols []Violation
-	fail := func(invariant, detail string) {
-		viols = append(viols, Violation{Model: "lease", Invariant: invariant, Detail: detail})
-	}
-
-	st, err := p.build(cfg.DeviceBytes)
-	if err != nil {
-		return nil, nil, err
-	}
-	ops := GenWorkload(cfg.Seed, cfg.Ops)
-	if res := runOps(st.fs, st.th, ops); res.err != nil || res.crashed {
-		return nil, nil, fmt.Errorf("crashmc: lease setup workload: err=%v crashed=%v", res.err, res.crashed)
-	}
-	o := oracleAfter(ops, len(ops))
-	var victim string
-	for path := range o.files {
-		if victim == "" || path < victim {
-			victim = path
-		}
+func runLease(c *campaign) error {
+	p, st, m, rep, fail := c.p, c.st, c.m, c.rep, c.fail
+	victim := m.Path(0)
+	for i := range m.Len() {
+		victim = min(victim, m.Path(i))
 	}
 	rp, ok := st.k.Info(st.k.RootCoffer())
 	if !ok {
-		return nil, nil, fmt.Errorf("crashmc: root coffer has no info")
+		return fmt.Errorf("crashmc: root coffer has no info")
 	}
 	now := st.th.Clk.Now()
 
@@ -243,7 +221,7 @@ func runLease(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 	zofs.PlantSlotLease(st.dev, rp.Custom, 1, deadTID+1, liveExpiry)
 	vfi, err := st.fs.Stat(st.th, victim)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	zofs.PlantInodeLease(st.dev, vfi.Inode, deadTID, liveExpiry)
 
@@ -251,7 +229,7 @@ func runLease(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 	// order, so it must steal the expired slot 0 and skip live slot 1.
 	th2 := proc.NewProcess(st.dev, 0, 0).NewThread()
 	if err := st.k.FSMount(th2); err != nil {
-		return nil, nil, err
+		return err
 	}
 	f2 := zofs.New(st.k, p.opts)
 	for i := 0; i < 4; i++ {
@@ -284,7 +262,7 @@ func runLease(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 	// Recovery over the image clears every remaining lease, including the
 	// dead holder's inode lease.
 	if _, _, walked, err := recoverImage(st.dev, rep, fail); err != nil || !walked {
-		return rep, viols, err
+		return err
 	}
 	rep.Detected = rep.LeasesCleared > 0
 	if rep.LeasesCleared == 0 {
@@ -299,7 +277,7 @@ func runLease(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 			break
 		}
 	}
-	return rep, viols, nil
+	return nil
 }
 
 // runSlotless exercises the allocator's slotless fallback (§5.2) dying at
@@ -313,42 +291,20 @@ func runLease(p *personality, cfg Config) (*FaultReport, []Violation, error) {
 // must hand every stranded page back to the kernel while keeping every page
 // the doomed process did publish, and the three-way space accounting must
 // reconcile afterwards (space_conserved).
-func runSlotless(p *personality, cfg Config) (*FaultReport, []Violation, error) {
-	rep := &FaultReport{Mode: "slotless"}
-	var viols []Violation
-	fail := func(invariant, detail string) {
-		viols = append(viols, Violation{Model: "slotless", Invariant: invariant, Detail: detail})
-	}
-	step := func(invariant string, fn func()) {
-		defer func() {
-			if r := recover(); r != nil {
-				fail(invariant, fmt.Sprint(r))
-			}
-		}()
-		fn()
-	}
-
-	st, err := p.build(cfg.DeviceBytes)
-	if err != nil {
-		return nil, nil, err
-	}
-	ops := GenWorkload(cfg.Seed, cfg.Ops)
-	if res := runOps(st.fs, st.th, ops); res.err != nil || res.crashed {
-		return nil, nil, fmt.Errorf("crashmc: slotless setup workload: err=%v crashed=%v", res.err, res.crashed)
-	}
-	o := oracleAfter(ops, len(ops))
+func runSlotless(c *campaign) error {
+	p, st, m, rep, fail := c.p, c.st, c.m, c.rep, c.fail
 	inner := st.fs
 	if w, ok := inner.(*obsfs.FS); ok { // obsfs only wraps when observability is on
 		inner = w.Unwrap()
 	}
 	setupFS, ok := inner.(*zofs.FS)
 	if !ok {
-		return nil, nil, fmt.Errorf("crashmc: slotless campaign needs a raw ZoFS stack")
+		return fmt.Errorf("crashmc: slotless campaign needs a raw ZoFS stack")
 	}
 	root := st.k.RootCoffer()
 	rp, ok := st.k.Info(root)
 	if !ok {
-		return nil, nil, fmt.Errorf("crashmc: root coffer has no info")
+		return fmt.Errorf("crashmc: root coffer has no info")
 	}
 
 	// Exhaust the pool: every slot leased to a distinct live foreign holder
@@ -364,10 +320,9 @@ func runSlotless(p *personality, cfg Config) (*FaultReport, []Violation, error) 
 	// slotless service is graceful degradation, not an error path.
 	th2 := proc.NewProcess(st.dev, 0, 0).NewThread()
 	if err := st.k.FSMount(th2); err != nil {
-		return nil, nil, err
+		return err
 	}
 	f2 := zofs.New(st.k, p.opts)
-	doomed := map[string][]byte{}
 	for i := 0; i < 4; i++ {
 		rep.SurvivorOps++
 		path := fmt.Sprintf("/slotless%d", i)
@@ -379,18 +334,20 @@ func runSlotless(p *personality, cfg Config) (*FaultReport, []Violation, error) 
 					fail("graceful", fmt.Sprintf("doomed create %s panicked: %v", path, r))
 				}
 			}()
-			h, err := f2.Create(th2, path, 0o644)
+			h, err := f2.Create(th2, path, fileMode)
 			if err != nil {
 				rep.SurvivorErrors++
 				fail("graceful", fmt.Sprintf("slotless create %s: %v", path, err))
 				return
 			}
+			m.Create(path, fileMode)
 			if _, err := h.WriteAt(th2, data, 0); err != nil {
 				rep.SurvivorErrors++
 				fail("graceful", fmt.Sprintf("slotless write %s: %v", path, err))
+			} else {
+				m.Write(path, data, 0)
 			}
 			h.Close(th2)
-			doomed[path] = data
 		}()
 	}
 
@@ -428,7 +385,7 @@ func runSlotless(p *personality, cfg Config) (*FaultReport, []Violation, error) 
 	// census) included.
 	k2, th3, walked, err := recoverImage(st.dev, rep, fail)
 	if err != nil || !walked {
-		return rep, viols, err
+		return err
 	}
 	rep.Detected = rep.PagesReclaimed >= strandedDoomed
 
@@ -448,17 +405,13 @@ func runSlotless(p *personality, cfg Config) (*FaultReport, []Violation, error) 
 			free, freeAtCrash+rep.PagesReclaimed, freeAtCrash, rep.PagesReclaimed))
 	}
 
-	f3 := zofs.New(k2, p.opts)
 	// Durability: reclaiming the stranded tail must not have swallowed any
 	// published page — neither the setup workload's files nor the pages the
 	// doomed process consumed from its grants before dying.
-	for path, want := range o.files {
-		path, want := path, want
-		step("durability", func() { checkExactFile(f3, th3, path, want) })
-	}
-	for path, want := range doomed {
-		path, want := path, want
-		step("durability", func() { checkExactFile(f3, th3, path, want) })
-	}
-	return rep, viols, nil
+	guarded(fail, "durability", func() {
+		if err := m.Check(zofs.New(k2, p.opts), th3, nil); err != nil {
+			panic(err.Error())
+		}
+	})
+	return nil
 }

@@ -2,8 +2,8 @@ package crashmc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
@@ -22,15 +22,7 @@ import (
 // violation, not a test crash.
 func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 	audit *pmemtrace.Report, fail func(string, string), rep *Report) {
-	step := func(name string, fn func()) (ok bool) {
-		defer func() {
-			if r := recover(); r != nil {
-				fail(name, fmt.Sprintf("panic during post-crash check: %v", r))
-			}
-		}()
-		fn()
-		return true
-	}
+	step := func(name string, fn func()) bool { return guarded(fail, name, fn) }
 
 	var k2 *kernfs.KernFS
 	var th2 *proc.Thread
@@ -82,85 +74,71 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 
 	f2 := zofs.New(k2, p.opts)
 
-	o := oracleAfter(ops, res.completed)
+	m := modelAfter(ops, res.completed)
 	var inflight *Op
 	if res.completed < len(ops) {
 		inflight = &ops[res.completed]
 	}
 
-	// Completed-op durability and in-flight legality.
-	for path, want := range o.files {
-		path, want := path, want
-		step("durability", func() {
-			if inflight != nil && (path == inflight.Path || path == inflight.Dst) {
-				checkInflightFile(f2, th2, path, want, inflight)
-				return
-			}
-			checkExactFile(f2, th2, path, want)
-		})
+	// Completed-op durability and tree consistency: every file and directory
+	// the completed ops left reads back as the model holds it, and a walk of
+	// the whole namespace finds no entry the model does not explain (no
+	// leaked entries) and does not trip over dangling structure. What the
+	// in-flight op may have left mid-change, any op but an fsync, is for the
+	// in-flight check to judge.
+	midOp := func(p string) bool {
+		return inflight != nil && inflight.Kind != OpFsync && (p == inflight.Path || p == inflight.Dst)
 	}
-	for dir := range o.dirs {
-		dir := dir
-		step("durability", func() {
-			fi, err := f2.Stat(th2, dir)
-			if err != nil {
-				panic(fmt.Sprintf("completed mkdir %s lost: %v", dir, err))
-			}
-			if fi.Type != vfs.TypeDir {
-				panic(fmt.Sprintf("%s is %v, want directory", dir, fi.Type))
-			}
-		})
-	}
-	if inflight != nil {
-		step("inflight", func() { checkInflightNew(f2, th2, inflight) })
-	}
-
-	// Tree consistency: walk the whole namespace; every entry must be
-	// explained by the oracle or the in-flight op (no leaked entries), and
-	// the walk itself must not trip over dangling structure.
-	step("tree_walk", func() {
-		allowed := map[string]bool{}
-		for p := range o.files {
-			allowed[p] = true
+	step("durability", func() {
+		if err := m.Check(f2, th2, midOp); err != nil {
+			panic(err.Error())
 		}
-		for p := range o.dirs {
-			allowed[p] = true
-		}
-		if inflight != nil {
-			allowed[inflight.Path] = true
-			if inflight.Dst != "" {
-				allowed[inflight.Dst] = true
-			}
-		}
-		walkTree(f2, th2, "/", func(p string, e vfs.DirEntry) {
-			if !allowed[p] {
-				panic(fmt.Sprintf("leaked namespace entry %s (%v) not explained by any op", p, e.Type))
-			}
-		})
 	})
+	// In-flight legality: what the interrupted op touched is in one of its
+	// legal intermediate states.
+	if inflight != nil {
+		step("inflight", func() { checkInflight(f2, th2, m, modelAfter(ops, res.completed+1), inflight) })
+	}
 
 	// Usability: the recovered file system must accept new work.
-	step("usability", func() {
-		const probe = "/crashmc.probe"
-		h, err := f2.Create(th2, probe, 0o600)
-		if err != nil {
-			panic(fmt.Sprintf("post-recovery create: %v", err))
+	step("usability", func() { usable(f2, th2) })
+}
+
+// guarded runs fn and fails invariant with whatever fn panics with: a panic
+// during a check is a violation, not a crash of the checker. It reports
+// whether fn returned.
+func guarded(fail func(string, string), invariant string, fn func()) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			fail(invariant, fmt.Sprint(r))
 		}
-		data := opData(&Op{Len: 5000, Seed: 0xC0FFEE})
-		if _, err := h.WriteAt(th2, data, 0); err != nil {
-			panic(fmt.Sprintf("post-recovery write: %v", err))
-		}
-		buf := make([]byte, len(data))
-		if _, err := h.ReadAt(th2, buf, 0); err != nil || !bytes.Equal(buf, data) {
-			panic(fmt.Sprintf("post-recovery read back: err=%v match=%v", err, bytes.Equal(buf, data)))
-		}
-		if err := h.Close(th2); err != nil {
-			panic(err)
-		}
-		if err := f2.Unlink(th2, probe); err != nil {
-			panic(fmt.Sprintf("post-recovery unlink: %v", err))
-		}
-	})
+	}()
+	fn()
+	return true
+}
+
+// usable panics unless a recovered file system accepts new work: a probe
+// file is created, written, read back and unlinked.
+func usable(fs vfs.FileSystem, th *proc.Thread) {
+	const probe = "/crashmc.probe"
+	h, err := fs.Create(th, probe, 0o600)
+	if err != nil {
+		panic(fmt.Sprintf("post-recovery create: %v", err))
+	}
+	data := opData(&Op{Len: 5000, Seed: 0xC0FFEE})
+	if _, err := h.WriteAt(th, data, 0); err != nil {
+		panic(fmt.Sprintf("post-recovery write: %v", err))
+	}
+	buf := make([]byte, len(data))
+	if _, err := h.ReadAt(th, buf, 0); err != nil || !bytes.Equal(buf, data) {
+		panic(fmt.Sprintf("post-recovery read back: err=%v match=%v", err, bytes.Equal(buf, data)))
+	}
+	if err := h.Close(th); err != nil {
+		panic(err)
+	}
+	if err := fs.Unlink(th, probe); err != nil {
+		panic(fmt.Sprintf("post-recovery unlink: %v", err))
+	}
 }
 
 // remount boots a fresh kernel over dev, its volatile state dropped as by a
@@ -211,63 +189,49 @@ func fixpoint(k *kernfs.KernFS, th *proc.Thread) error {
 	return nil
 }
 
-// checkExactFile asserts a file untouched by the in-flight op survived
-// the crash verbatim.
-func checkExactFile(fs vfs.FileSystem, th *proc.Thread, path string, want []byte) {
-	fi, err := fs.Stat(th, path)
-	if err != nil {
-		panic(fmt.Sprintf("completed file %s lost: %v", path, err))
+// checkInflight verifies the paths the interrupted op was touching are in
+// one of that op's legal intermediate states, between the models before and
+// after it.
+func checkInflight(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.Model, op *Op) {
+	// holds panics unless the file at path reads back as m has it.
+	holds := func(m *vfs.Model, path, state string) {
+		if err := m.Check(fs, th, func(p string) bool { return p != path }); err != nil {
+			panic(fmt.Sprintf("mid-%s %s: %v", state, path, err))
+		}
 	}
-	if fi.Type != vfs.TypeRegular {
-		panic(fmt.Sprintf("%s is %v, want regular file", path, fi.Type))
-	}
-	if fi.Size != int64(len(want)) {
-		panic(fmt.Sprintf("%s size %d, want %d", path, fi.Size, len(want)))
-	}
-	got := readAll(fs, th, path, fi.Size)
-	if !bytes.Equal(got, want) {
-		panic(fmt.Sprintf("%s content diverged at byte %d of %d", path, firstDiff(got, want), len(want)))
-	}
-}
-
-// checkInflightFile verifies a file the interrupted op was touching is in
-// one of that op's legal intermediate states.
-func checkInflightFile(fs vfs.FileSystem, th *proc.Thread, path string, want []byte, op *Op) {
+	exists := func(path string) bool { _, err := fs.Stat(th, path); return err == nil }
 	switch op.Kind {
 	case OpWrite:
-		checkInflightWrite(fs, th, path, want, op)
+		checkInflightWrite(fs, th, before, after, op, holds)
 	case OpRename:
 		// Legal states: old name only, both names (new dentry committed,
 		// old not yet cleared), new name only. Every present name must
 		// read the full pre-op content.
-		var present []string
-		for _, p := range []string{op.Path, op.Dst} {
-			fi, err := fs.Stat(th, p)
-			if err != nil {
-				continue
-			}
-			present = append(present, p)
-			if fi.Size != int64(len(want)) {
-				panic(fmt.Sprintf("mid-rename %s size %d, want %d", p, fi.Size, len(want)))
-			}
-			if got := readAll(fs, th, p, fi.Size); !bytes.Equal(got, want) {
-				panic(fmt.Sprintf("mid-rename %s content diverged at byte %d", p, firstDiff(got, want)))
-			}
+		src, dst := exists(op.Path), exists(op.Dst)
+		if src {
+			holds(before, op.Path, "rename")
 		}
-		if len(present) == 0 {
+		if dst {
+			holds(after, op.Dst, "rename")
+		}
+		if !src && !dst {
 			panic(fmt.Sprintf("mid-rename %s -> %s: file vanished under both names", op.Path, op.Dst))
 		}
 	case OpUnlink:
-		fi, err := fs.Stat(th, path)
-		if err != nil {
-			return // fully unlinked: legal
+		if exists(op.Path) { // fully unlinked is legal too
+			holds(before, op.Path, "unlink")
 		}
-		if got := readAll(fs, th, path, fi.Size); !bytes.Equal(got, want) {
-			panic(fmt.Sprintf("mid-unlink %s content diverged at byte %d", path, firstDiff(got, want)))
+	case OpCreate:
+		// The new entry may exist, as an empty regular file, or not.
+		fi, err := fs.Stat(th, op.Path)
+		if err == nil && (fi.Type != vfs.TypeRegular || fi.Size != 0) {
+			panic(fmt.Sprintf("mid-create %s: type=%v size=%d, want empty regular file", op.Path, fi.Type, fi.Size))
 		}
-	default:
-		// fsync and metadata-neutral ops: content must be intact.
-		checkExactFile(fs, th, path, want)
+	case OpMkdir:
+		fi, err := fs.Stat(th, op.Path)
+		if err == nil && fi.Type != vfs.TypeDir {
+			panic(fmt.Sprintf("mid-mkdir %s: type=%v, want directory", op.Path, fi.Type))
+		}
 	}
 }
 
@@ -276,24 +240,33 @@ func checkInflightFile(fs vfs.FileSystem, th *proc.Thread, path string, want []b
 // the full new size with the full new content, or the old size with every
 // overlapped byte holding its old or new value and everything outside the
 // write window untouched.
-func checkInflightWrite(fs vfs.FileSystem, th *proc.Thread, path string, old []byte, op *Op) {
+func checkInflightWrite(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.Model, op *Op,
+	holds func(m *vfs.Model, path, state string)) {
+	path := op.Path
+	old, _ := before.Data(path)
+	newC, _ := after.Data(path)
 	fi, err := fs.Stat(th, path)
 	if err != nil {
 		panic(fmt.Sprintf("mid-write %s lost: %v", path, err))
 	}
-	newC := applyWrite(old, op)
 	if fi.Size != int64(len(old)) && fi.Size != int64(len(newC)) {
 		panic(fmt.Sprintf("mid-write %s size %d, want %d or %d", path, fi.Size, len(old), len(newC)))
 	}
-	got := readAll(fs, th, path, fi.Size)
 	if len(newC) > len(old) && fi.Size == int64(len(newC)) {
 		// The size word is the write's commit point: once it shows the
 		// extended length, all data must be the new content.
-		if !bytes.Equal(got, newC) {
-			panic(fmt.Sprintf("mid-write %s: size committed but content diverged at byte %d",
-				path, firstDiff(got, newC)))
-		}
+		holds(after, path, "write, size committed,")
 		return
+	}
+	h, err := fs.Open(th, path, vfs.O_RDONLY)
+	if err != nil {
+		panic(fmt.Sprintf("mid-write %s: open: %v", path, err))
+	}
+	got := make([]byte, fi.Size)
+	n, err := h.ReadAt(th, got, 0)
+	h.Close(th)
+	if n != len(got) {
+		panic(fmt.Sprintf("mid-write %s: read %d of %d bytes: %v", path, n, len(got), err))
 	}
 	end := op.Off + int64(op.Len)
 	for i := int64(0); i < int64(len(got)); i++ {
@@ -307,36 +280,13 @@ func checkInflightWrite(fs vfs.FileSystem, th *proc.Thread, path string, old []b
 	}
 }
 
-// checkInflightNew verifies namespace entries the interrupted op may have
-// been creating: they are allowed to exist (empty / correct type) or not.
-func checkInflightNew(fs vfs.FileSystem, th *proc.Thread, op *Op) {
-	switch op.Kind {
-	case OpCreate:
-		fi, err := fs.Stat(th, op.Path)
-		if err != nil {
-			return
-		}
-		if fi.Type != vfs.TypeRegular || fi.Size != 0 {
-			panic(fmt.Sprintf("mid-create %s: type=%v size=%d, want empty regular file", op.Path, fi.Type, fi.Size))
-		}
-	case OpMkdir:
-		fi, err := fs.Stat(th, op.Path)
-		if err != nil {
-			return
-		}
-		if fi.Type != vfs.TypeDir {
-			panic(fmt.Sprintf("mid-mkdir %s: type=%v, want directory", op.Path, fi.Type))
-		}
-	}
-}
-
 // checkBaselineMedia verifies the baselines' durability story without a
 // remount (their namespaces are volatile): every block a completed write
 // flushed must still exist somewhere on the device image, whatever the
 // media model did to the in-flight op's dirty lines. The engine itself is
 // not reused after the crash — the panic may have unwound it mid-lock.
 func checkBaselineMedia(dev *nvm.Device, ops []Op, res runResult, fail func(string, string)) {
-	o := oracleAfter(ops, res.completed)
+	m := modelAfter(ops, res.completed)
 	var inflight *Op
 	if res.completed < len(ops) {
 		inflight = &ops[res.completed]
@@ -349,19 +299,21 @@ func checkBaselineMedia(dev *nvm.Device, ops []Op, res runResult, fail func(stri
 	buf := make([]byte, pageSize)
 	for pg := int64(0); pg < dev.Pages(); pg++ {
 		dev.ReadNoCharge(pg*pageSize, buf[:8])
-		idx[le64(buf[:8])] = append(idx[le64(buf[:8])], pg)
+		idx[binary.LittleEndian.Uint64(buf[:8])] = append(idx[binary.LittleEndian.Uint64(buf[:8])], pg)
 	}
-	for path, want := range o.files {
+	for i := range m.Len() {
+		path := m.Path(i)
 		if inflight != nil && (path == inflight.Path || path == inflight.Dst) {
 			continue // the interrupted op's own blocks have no durability claim
 		}
+		want, _ := m.Data(path)
 		for off := int64(0); off < int64(len(want)); off += pageSize {
 			blk := want[off:min(off+pageSize, int64(len(want)))]
 			if len(blk) < 8 {
 				continue // too short to identify robustly
 			}
 			found := false
-			for _, pg := range idx[le64(blk[:8])] {
+			for _, pg := range idx[binary.LittleEndian.Uint64(blk[:8])] {
 				dev.ReadNoCharge(pg*pageSize, buf[:len(blk)])
 				if bytes.Equal(buf[:len(blk)], blk) {
 					found = true
@@ -372,57 +324,6 @@ func checkBaselineMedia(dev *nvm.Device, ops []Op, res runResult, fail func(stri
 				fail("durability", fmt.Sprintf(
 					"flushed block %s[%d:%d] not found anywhere on the post-crash image", path, off, off+int64(len(blk))))
 			}
-		}
-	}
-}
-
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// readAll reads size bytes from a file, panicking (into the step guard)
-// on failure.
-func readAll(fs vfs.FileSystem, th *proc.Thread, path string, size int64) []byte {
-	if size == 0 {
-		return nil
-	}
-	h, err := fs.Open(th, path, vfs.O_RDONLY)
-	if err != nil {
-		panic(fmt.Sprintf("open %s: %v", path, err))
-	}
-	defer h.Close(th)
-	buf := make([]byte, size)
-	n, err := h.ReadAt(th, buf, 0)
-	if err != nil && n != len(buf) {
-		panic(fmt.Sprintf("read %s: n=%d err=%v", path, n, err))
-	}
-	return buf[:n]
-}
-
-func firstDiff(a, b []byte) int {
-	n := min(len(a), len(b))
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
-}
-
-// walkTree calls visit for every entry below dir, parents before children.
-// A listing is valid only until the thread's next ReadDir, so each one is
-// cloned before the walk descends; it panics on a directory it cannot list.
-func walkTree(fs vfs.FileSystem, th *proc.Thread, dir string, visit func(p string, e vfs.DirEntry)) {
-	ents, err := fs.ReadDir(th, dir)
-	if err != nil {
-		panic(fmt.Sprintf("readdir %s: %v", dir, err))
-	}
-	for _, e := range slices.Clone(ents) {
-		p := vfs.Join(dir, e.Name)
-		visit(p, e)
-		if e.Type == vfs.TypeDir {
-			walkTree(fs, th, p, visit)
 		}
 	}
 }

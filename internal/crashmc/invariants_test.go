@@ -2,7 +2,7 @@ package crashmc
 
 import (
 	"fmt"
-	"maps"
+	"strings"
 	"testing"
 
 	"zofs/internal/kernfs"
@@ -12,10 +12,12 @@ import (
 	"zofs/internal/zofs"
 )
 
-// TestWalkTreeNested: the tree walk visits every path of a three-level tree
-// exactly once. Each child directory holds fewer entries than its parent, so
-// a walk that kept ranging over a listing the next ReadDir on the same
-// thread had overwritten would visit names from the wrong level.
+// TestWalkTreeNested: the model's tree walk lists every level of a
+// three-level tree correctly. Each child directory holds fewer entries than
+// its parent, so a walk that kept ranging over a listing the next ReadDir on
+// the same thread had overwritten would meet names from the wrong level and
+// report them as entries the model does not hold. An entry planted at the
+// deepest level must be reported.
 func TestWalkTreeNested(t *testing.T) {
 	dev := nvm.NewDevice(64 << 20)
 	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
@@ -33,22 +35,22 @@ func TestWalkTreeNested(t *testing.T) {
 	if err := f.EnsureRootDir(th); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{}
+	m := vfs.NewModel()
 	mkdir := func(p string) {
 		if err := f.Mkdir(th, p, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		want[p] = 1
+		m.Mkdir(p)
 	}
 	create := func(p string) {
-		h, err := f.Create(th, p, 0o644)
+		h, err := f.Create(th, p, fileMode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := h.Close(th); err != nil {
 			t.Fatal(err)
 		}
-		want[p] = 1
+		m.Create(p, fileMode)
 	}
 	// 5 entries at the root, 3 in each of its directories, 1 below those.
 	for d := 0; d < 5; d++ {
@@ -61,10 +63,16 @@ func TestWalkTreeNested(t *testing.T) {
 			create(sub + "/leaf")
 		}
 	}
+	if err := m.Check(f, th, nil); err != nil {
+		t.Fatalf("walk of a tree the model holds: %v", err)
+	}
 
-	got := map[string]int{}
-	walkTree(f, th, "/", func(p string, e vfs.DirEntry) { got[p]++ })
-	if !maps.Equal(got, want) {
-		t.Fatalf("walk visited %d paths, want %d:\n%v", len(got), len(want), got)
+	h, err := f.Create(th, "/d4/s1/extra", fileMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Close(th)
+	if err := m.Check(f, th, nil); err == nil || !strings.Contains(err.Error(), "/d4/s1/extra") {
+		t.Fatalf("walk missed an entry the model does not hold: %v", err)
 	}
 }

@@ -4,7 +4,7 @@
 // from the device's store counter, and at sampled points materializes
 // post-crash images under three media models (drop, subset, torn), then
 // remounts, recovers and checks invariants: fsynced data survives
-// verbatim, the tree stays consistent against a workload oracle, and every
+// verbatim, the tree matches the workload's vfs.Model, and every
 // auditor-reported lost line maps to an fsck repair site. A separate
 // fault-injection mode corrupts metadata bits and plants dead-process
 // leases, asserting graceful degradation instead of crash consistency.
@@ -50,8 +50,11 @@ func (k OpKind) String() string {
 	}
 }
 
+// fileMode is the mode the workload creates every file with.
+const fileMode = 0o644
+
 // Op is one scripted workload operation. Write data is derived from Seed,
-// never stored, so an oracle can be recomputed for any op prefix.
+// never stored, so the model can be recomputed for any op prefix.
 type Op struct {
 	Kind OpKind
 	Path string
@@ -73,65 +76,51 @@ func (op Op) String() string {
 }
 
 // GenWorkload builds a deterministic create/write/fsync/rename/unlink
-// script of n ops. The generator tracks the namespace it builds so every
-// op is valid when executed in order: writes target live files at offsets
-// within the current size (no holes), renames move to fresh names,
-// unlinks keep a minimum population.
+// script of n ops. Each op is applied to a model of the namespace as it is
+// generated, so every op is valid when executed in order: writes target live
+// files at offsets within the current size (no holes), renames move to fresh
+// names, unlinks keep a minimum population. Picks index the model's creation
+// order, which is deterministic where a map's iteration is not.
 func GenWorkload(seed int64, n int) []Op {
 	rng := rand.New(rand.NewSource(seed))
-	sizes := map[string]int64{}
-	var live []string // deterministic selection order (maps iterate randomly)
-	dirs := []string{"/"}
+	m := vfs.NewModel()
 	next := 0
 	ops := make([]Op, 0, n)
 	for len(ops) < n {
-		roll := rng.Intn(100)
-		switch {
-		case roll < 30 || len(live) == 0:
+		dirs := m.Dirs()
+		var op Op
+		switch roll := rng.Intn(100); {
+		case roll < 30 || m.Len() == 0:
 			d := dirs[rng.Intn(len(dirs))]
-			p := vfs.Join(d, fmt.Sprintf("f%03d", next))
+			op = Op{Kind: OpCreate, Path: vfs.Join(d, fmt.Sprintf("f%03d", next))}
 			next++
-			ops = append(ops, Op{Kind: OpCreate, Path: p})
-			sizes[p] = 0
-			live = append(live, p)
 		case roll < 65:
-			p := live[rng.Intn(len(live))]
+			p := m.Path(rng.Intn(m.Len()))
+			data, _ := m.Data(p)
 			off := int64(0)
-			if sizes[p] > 0 {
-				off = rng.Int63n(sizes[p] + 1)
+			if len(data) > 0 {
+				off = rng.Int63n(int64(len(data)) + 1)
 			}
 			ln := 16 + rng.Intn(6000)
-			ops = append(ops, Op{Kind: OpWrite, Path: p, Off: off, Len: ln, Seed: rng.Uint32()})
-			if off+int64(ln) > sizes[p] {
-				sizes[p] = off + int64(ln)
-			}
+			op = Op{Kind: OpWrite, Path: p, Off: off, Len: ln, Seed: rng.Uint32()}
 		case roll < 75:
-			ops = append(ops, Op{Kind: OpFsync, Path: live[rng.Intn(len(live))]})
+			op = Op{Kind: OpFsync, Path: m.Path(rng.Intn(m.Len()))}
 		case roll < 82 && len(dirs) < 4:
-			p := vfs.Join("/", fmt.Sprintf("d%03d", next))
+			op = Op{Kind: OpMkdir, Path: vfs.Join("/", fmt.Sprintf("d%03d", next))}
 			next++
-			ops = append(ops, Op{Kind: OpMkdir, Path: p})
-			dirs = append(dirs, p)
 		case roll < 92:
-			i := rng.Intn(len(live))
-			p := live[i]
+			p := m.Path(rng.Intn(m.Len()))
 			d := dirs[rng.Intn(len(dirs))]
-			dst := vfs.Join(d, fmt.Sprintf("r%03d", next))
+			op = Op{Kind: OpRename, Path: p, Dst: vfs.Join(d, fmt.Sprintf("r%03d", next))}
 			next++
-			ops = append(ops, Op{Kind: OpRename, Path: p, Dst: dst})
-			sizes[dst] = sizes[p]
-			delete(sizes, p)
-			live[i] = dst
 		default:
-			if len(live) < 3 {
+			if m.Len() < 3 {
 				continue
 			}
-			i := rng.Intn(len(live))
-			p := live[i]
-			ops = append(ops, Op{Kind: OpUnlink, Path: p})
-			delete(sizes, p)
-			live = append(live[:i], live[i+1:]...)
+			op = Op{Kind: OpUnlink, Path: m.Path(rng.Intn(m.Len()))}
 		}
+		ops = append(ops, op)
+		op.applyTo(m)
 	}
 	return ops
 }
@@ -147,45 +136,31 @@ func opData(op *Op) []byte {
 	return buf
 }
 
-// oracle is the expected durable namespace and file contents after a
-// prefix of the workload.
-type oracle struct {
-	files map[string][]byte
-	dirs  map[string]bool
-}
-
-// oracleAfter replays the first n ops of the script into a fresh oracle.
-func oracleAfter(ops []Op, n int) *oracle {
-	o := &oracle{files: map[string][]byte{}, dirs: map[string]bool{"/": true}}
-	for i := 0; i < n; i++ {
-		o.apply(&ops[i])
-	}
-	return o
-}
-
-func (o *oracle) apply(op *Op) {
+// applyTo records the op in a model of the tree, as the file system must
+// once the op has completed.
+func (op *Op) applyTo(m *vfs.Model) {
 	switch op.Kind {
 	case OpCreate:
-		o.files[op.Path] = []byte{}
+		m.Create(op.Path, fileMode)
 	case OpMkdir:
-		o.dirs[op.Path] = true
+		m.Mkdir(op.Path)
 	case OpWrite:
-		o.files[op.Path] = applyWrite(o.files[op.Path], op)
+		m.Write(op.Path, opData(op), op.Off)
 	case OpRename:
-		o.files[op.Dst] = o.files[op.Path]
-		delete(o.files, op.Path)
+		m.Rename(op.Path, op.Dst)
 	case OpUnlink:
-		delete(o.files, op.Path)
+		m.Unlink(op.Path)
 	}
 }
 
-// applyWrite returns the file content after op lands on cur.
-func applyWrite(cur []byte, op *Op) []byte {
-	end := op.Off + int64(op.Len)
-	out := make([]byte, max(int64(len(cur)), end))
-	copy(out, cur)
-	copy(out[op.Off:end], opData(op))
-	return out
+// modelAfter replays the first n ops of the script into a fresh model: the
+// durable tree a crash after them must leave.
+func modelAfter(ops []Op, n int) *vfs.Model {
+	m := vfs.NewModel()
+	for i := range ops[:n] {
+		ops[i].applyTo(m)
+	}
+	return m
 }
 
 // runResult reports how far a workload replay got before the injected
@@ -223,7 +198,7 @@ func runOps(fs vfs.FileSystem, th *proc.Thread, ops []Op) (res runResult) {
 func execOp(fs vfs.FileSystem, th *proc.Thread, op *Op) error {
 	switch op.Kind {
 	case OpCreate:
-		h, err := fs.Create(th, op.Path, 0o644)
+		h, err := fs.Create(th, op.Path, fileMode)
 		if err != nil {
 			return err
 		}

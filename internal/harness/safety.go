@@ -6,7 +6,6 @@ import (
 	"io"
 	"math/rand"
 
-	"zofs/internal/coffer"
 	"zofs/internal/fslibs"
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
@@ -14,6 +13,7 @@ import (
 	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
+	"zofs/internal/zofs"
 )
 
 // RunSafety reproduces the §6.5 safety tests: two processes P1 and P2 over
@@ -198,7 +198,7 @@ func RunSafety(w io.Writer, opts Options) error {
 		return err
 	}
 	t1.OpenWindow(mi3.Key, true)
-	redirected := redirectDentry(t1, k, c3ID, "sub", uint32(c2ID), c2info.RootInode)
+	redirected := zofs.RedirectDentry(t1, k, c3ID, "sub", c2ID, c2info.RootInode)
 	t1.CloseWindow()
 	if !redirected {
 		return errors.New("safety: attack setup failed to find the dentry")
@@ -218,38 +218,6 @@ func RunSafety(w io.Writer, opts Options) error {
 		rep.Events, rep.Violations, len(rep.LostLines))
 	fmt.Fprintln(w, "  PASS: all safety properties held")
 	return nil
-}
-
-// redirectDentry scans a coffer's pages for the live dentry with the given
-// name and rewrites its cross-coffer target — the attacker's move in
-// Test 2. Returns true if a dentry was redirected.
-func redirectDentry(th *proc.Thread, k *kernfs.KernFS, id coffer.ID, name string, newCoffer uint32, newInode int64) bool {
-	for _, e := range k.ExtentsOf(id) {
-		for pg := e.Start; pg < e.End(); pg++ {
-			if pg == int64(id) {
-				continue
-			}
-			buf := make([]byte, 4096)
-			th.Read(pg*4096, buf)
-			for off := 0; off+128 <= 4096; off += 128 {
-				state := buf[off]
-				nameLen := int(buf[off+1])
-				if state != 1 || nameLen != len(name) {
-					continue
-				}
-				if string(buf[off+24:off+24+nameLen]) != name {
-					continue
-				}
-				// Rewrite the coffer-ID and inode pointer in place.
-				var le [4]byte
-				le[0], le[1], le[2], le[3] = byte(newCoffer), byte(newCoffer>>8), byte(newCoffer>>16), byte(newCoffer>>24)
-				th.WriteNT(pg*4096+int64(off)+8, le[:])
-				th.Store64(pg*4096+int64(off)+16, uint64(newInode))
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // RunRecovery reproduces the §6.5 recovery timing: a coffer holding 1,000

@@ -180,7 +180,7 @@ func (f *FS) dcacheRebuild(th *proc.Thread, idx *dirIndex, dirIno int64) {
 	idx.free = map[int64][]deLoc{}
 	idx.epoch = f.sh.dc.epoch.Load()
 	idx.complete = true
-	f.dirWalk(th, dirIno, nil, func(d dentry, loc deLoc, bkt int64) bool {
+	dirWalk(th, dirIno, nil, func(d dentry, loc deLoc, bkt int64) bool {
 		switch {
 		case d.visible():
 			idx.put(cachedDe{de: d, loc: loc, bkt: bkt})

@@ -123,7 +123,7 @@ func TestDcacheLookupMatchesScan(t *testing.T) {
 		loc deLoc
 	}
 	scan := map[string]found{}
-	f.dirWalk(th, pos.ino, nil, func(d dentry, loc deLoc, _ int64) bool {
+	dirWalk(th, pos.ino, nil, func(d dentry, loc deLoc, _ int64) bool {
 		if d.visible() {
 			scan[d.name] = found{d, loc}
 		}

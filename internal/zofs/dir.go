@@ -63,7 +63,7 @@ func scanDentries(buf []byte, baseOff int64, fn func(d dentry, off int64) bool) 
 }
 
 // dirL1Of reads the directory's first-level page pointer (hot word).
-func (f *FS) dirL1Of(th *proc.Thread, dirIno int64) int64 {
+func dirL1Of(th *proc.Thread, dirIno int64) int64 {
 	return int64(th.Load64Cached(dirIno*pageSize + inoDirL1Off))
 }
 
@@ -164,7 +164,7 @@ func (f *FS) dirInsertCached(th *proc.Thread, m *mount, idx *dirIndex, dirIno in
 	}
 	// Both free lists dry: the structure must grow. The L1/L2 pointer
 	// lines of a cache-served directory are hot.
-	l1 := f.dirL1Of(th, dirIno)
+	l1 := dirL1Of(th, dirIno)
 	if l1 == 0 {
 		pg, err := f.allocPage(th, m, classMeta)
 		if err != nil {
@@ -174,7 +174,7 @@ func (f *FS) dirInsertCached(th *proc.Thread, m *mount, idx *dirIndex, dirIno in
 			l1 = pg
 		} else {
 			f.freePage(th, m, classMeta, pg)
-			l1 = f.dirL1Of(th, dirIno)
+			l1 = dirL1Of(th, dirIno)
 		}
 	}
 	l1Slot := l1*pageSize + 8*i
@@ -217,7 +217,7 @@ func (f *FS) dirInsertCached(th *proc.Thread, m *mount, idx *dirIndex, dirIno in
 func (f *FS) dirInsertScan(th *proc.Thread, m *mount, dirIno int64, name string, typ uint8, cofferID uint32, inode int64) error {
 	h := nameHash(name)
 	th.CPU(perfmodel.CPUHashLookup)
-	l1 := f.dirL1Of(th, dirIno)
+	l1 := dirL1Of(th, dirIno)
 	if l1 == 0 {
 		// Install the first-level page with a CAS: mutations in different
 		// buckets race here (bucket locks do not serialize this install).
@@ -229,7 +229,7 @@ func (f *FS) dirInsertScan(th *proc.Thread, m *mount, dirIno int64, name string,
 			l1 = pg
 		} else {
 			f.freePage(th, m, classMeta, pg)
-			l1 = f.dirL1Of(th, dirIno)
+			l1 = dirL1Of(th, dirIno)
 		}
 	}
 	l1Slot := l1*pageSize + 8*l1Index(h)
@@ -336,7 +336,7 @@ func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deL
 // placement, and ends the walk by returning false; without it chain pages
 // are read for their next pointer only. Every read is charged as a media
 // read. Caller holds at least a read lock (or idx.mu).
-func (f *FS) dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot func(d dentry, loc deLoc, bkt int64) bool) {
+func dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot func(d dentry, loc deLoc, bkt int64) bool) {
 	if page == nil {
 		page = func(int64) {}
 	}
@@ -348,12 +348,12 @@ func (f *FS) dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot fu
 		}
 		return true
 	}
-	l1 := f.dirL1Of(th, dirIno)
+	l1 := dirL1Of(th, dirIno)
 	if l1 == 0 {
 		return
 	}
 	page(l1)
-	l1buf := f.readView(th, l1*pageSize, pageSize)
+	l1buf, _ := th.ReadView(l1*pageSize, pageSize)
 	var next [8]byte
 	for i := int64(0); i < dirL1Slots; i++ {
 		l2 := int64(u64at(l1buf, int(i*8)))
@@ -361,7 +361,7 @@ func (f *FS) dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot fu
 			continue
 		}
 		page(l2)
-		l2buf := f.readView(th, l2*pageSize, pageSize)
+		l2buf, _ := th.ReadView(l2*pageSize, pageSize)
 		if slot != nil && !slots(l2buf[:l2BucketOff], l2, 0, inlineKey(i)) {
 			return
 		}
@@ -373,7 +373,7 @@ func (f *FS) dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot fu
 					pg = int64(u64at(next[:], 0))
 					continue
 				}
-				chain := f.readView(th, pg*pageSize, pageSize)
+				chain, _ := th.ReadView(pg*pageSize, pageSize)
 				nextPg := int64(u64at(chain, chainNextOff))
 				if !slots(chain, pg, chainFirstDe, chainKey(i, b)) {
 					return
@@ -396,7 +396,7 @@ func (f *FS) dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot fu
 // is rebuilt and the NVM truth is served. Caller holds at least a read lock.
 func (f *FS) dirList(th *proc.Thread, dirIno int64, limit int, page func(pg int64), fn func(ents []cachedDe)) {
 	if page != nil {
-		f.dirWalk(th, dirIno, page, nil)
+		dirWalk(th, dirIno, page, nil)
 	}
 	th.CPU(perfmodel.CPUSmallOp)
 	idx := f.sh.dc.dir(dirIno)
@@ -424,6 +424,6 @@ func (f *FS) dirEmpty(th *proc.Thread, dirIno int64) (empty bool) {
 // dirPages collects every page used by the directory structure itself
 // (L1, L2 and chain pages), for truncation/recovery accounting.
 func (f *FS) dirPages(th *proc.Thread, dirIno int64) (pages []int64) {
-	f.dirWalk(th, dirIno, func(pg int64) { pages = append(pages, pg) }, nil)
+	dirWalk(th, dirIno, func(pg int64) { pages = append(pages, pg) }, nil)
 	return pages
 }

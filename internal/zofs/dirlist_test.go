@@ -27,7 +27,7 @@ func walkEntries(t *testing.T, f *FS, th *proc.Thread, dir string) []vfs.DirEntr
 	}
 	defer pos.close()
 	var out []vfs.DirEntry
-	f.dirWalk(th, pos.ino, nil, func(d dentry, _ deLoc, _ int64) bool {
+	dirWalk(th, pos.ino, nil, func(d dentry, _ deLoc, _ int64) bool {
 		if d.visible() {
 			out = append(out, vfs.DirEntry{Name: d.name, Type: vfs.FileType(d.typ), Inode: d.inode, Coffer: coffer.ID(d.cofferID)})
 		}

@@ -1,6 +1,7 @@
 package zofs
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -244,4 +245,69 @@ func TestRecoveryClearsStaleBlockPointers(t *testing.T) {
 		}()
 	}
 	t.Fatal("sweep never completed the write; raise the failAt ceiling")
+}
+
+// TestRedirectDentryInAChainPage: RedirectDentry walks a directory's real
+// geometry, so it finds a dentry that overflowed a second-level page's inline
+// slots into a bucket chain page, where dentries start at byte chainFirstDe,
+// not on the page's 128-byte grid. The walk through the redirected dentry is
+// refused (G3).
+func TestRedirectDentryInAChainPage(t *testing.T) {
+	_, k, f, th := newTestFS(t, Options{})
+	victim := makeCoffer(t, k, f, th, "/victim")
+	target := makeCoffer(t, k, f, th, "/target")
+	if err := f.Mkdir(th, "/victim/d", 0o700); err != nil { // same mode: in-coffer
+		t.Fatal(err)
+	}
+	// Fill the inline slots of the second-level page "sub" hashes to.
+	want := l1Index(nameHash("sub"))
+	for i, n := 0, 0; n < l2InlineCnt; i++ {
+		name := fmt.Sprintf("f%d", i)
+		if l1Index(nameHash(name)) != want {
+			continue
+		}
+		if _, err := f.Create(th, "/victim/d/"+name, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	if err := f.Mkdir(th, "/victim/d/sub", 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Create(th, "/victim/d/sub/leaf", 0o600); err != nil {
+		t.Fatal(err)
+	}
+	pos, err := f.walk(th, "/victim/d", false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at deLoc
+	dirWalk(th, pos.ino, nil, func(d dentry, loc deLoc, _ int64) bool {
+		if d.state == deStateLive && d.name == "sub" {
+			at = loc
+		}
+		return true
+	})
+	pos.close()
+	if at.off%dentrySize != chainFirstDe {
+		t.Fatalf("dentry of sub at page offset %d, want one in a chain page", at.off)
+	}
+	if _, err := f.Stat(th, "/victim/d/sub/leaf"); err != nil {
+		t.Fatalf("walk before the attack: %v", err)
+	}
+
+	info, _ := k.Info(target)
+	mi, err := k.CofferMap(th, victim, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	th.OpenWindow(mi.Key, true)
+	redirected := RedirectDentry(th, k, victim, "sub", target, info.RootInode)
+	th.CloseWindow()
+	if !redirected {
+		t.Fatal("RedirectDentry did not find the dentry in the chain page")
+	}
+	if _, err := f.Stat(th, "/victim/d/sub/leaf"); !errors.Is(err, vfs.ErrCorrupted) {
+		t.Fatalf("walk through the redirected dentry: %v, want ErrCorrupted", err)
+	}
 }

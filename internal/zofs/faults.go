@@ -1,16 +1,20 @@
 package zofs
 
 import (
+	"encoding/binary"
+
 	"zofs/internal/byteflow"
 	"zofs/internal/coffer"
+	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
+	"zofs/internal/vfs"
 )
 
 // Fault-injection hooks for crash/fault campaigns (internal/crashmc and
-// tests). They bypass thread accounting and MPK windows on purpose: the
-// injected state models damage left behind by a process that died, not an
-// access performed by a live one.
+// tests). All but RedirectDentry, a live attacker's stores, bypass thread
+// accounting and MPK windows on purpose: the injected state models damage
+// left behind by a process that died, not an access performed by a live one.
 
 // PlantInodeLease writes an inode's persistent lease word directly,
 // simulating a holder thread that died while holding the inode lock.
@@ -107,6 +111,31 @@ func (f *FS) ResumeStaleWrite(th *proc.Thread, cid coffer.ID, ino int64, epoch u
 	th.Store64(ino*pageSize+inoMtimeOff, uint64(th.Clk.Now()))
 	th.Clk.SetWriteClass(wprev)
 	return nil
+}
+
+// RedirectDentry is §6.5's malicious-metadata attack: it walks coffer id's
+// directories from its root through their real geometry (inline slots, then
+// bucket chains) to a live dentry called name and points it at newInode in
+// newCoffer with two stores as th, which holds a write window on the coffer:
+// the 4-byte coffer-ID word, then the inode word. It reports whether it did.
+func RedirectDentry(th *proc.Thread, k *kernfs.KernFS, id coffer.ID, name string, newCoffer coffer.ID, newInode int64) bool {
+	info, ok := k.Info(id)
+	found := false
+	for dirs := []int64{info.RootInode}; ok && !found && len(dirs) > 0; dirs = dirs[1:] {
+		dirWalk(th, dirs[0], nil, func(d dentry, loc deLoc, _ int64) bool {
+			switch {
+			case d.state != deStateLive:
+			case d.name == name:
+				th.WriteNT(loc.addr()+deCofferOff, binary.LittleEndian.AppendUint32(nil, uint32(newCoffer)))
+				th.Store64(loc.addr()+deInodeOff, uint64(newInode))
+				found = true
+			case d.cofferID == 0 && vfs.FileType(d.typ) == vfs.TypeDir:
+				dirs = append(dirs, d.inode)
+			}
+			return !found
+		})
+	}
+	return found
 }
 
 // FlipBit flips one bit of the device image in place, as persisted state

@@ -14,16 +14,13 @@ import (
 	"zofs/internal/zofs"
 )
 
-// modelFile mirrors one file's expected state.
-type modelFile struct {
-	data []byte
-	mode uint32
-}
-
 // TestRandomOpsAgainstModel drives ZoFS with a long random operation
-// sequence and checks every observable result against an in-memory model —
-// files' contents, sizes, directory listings and existence.
+// sequence and checks every observable result against a vfs.Model — files'
+// contents, sizes and modes, and the whole tree's listings. Files are picked
+// in the model's creation order, so a seed replays exactly; a failure names
+// the seed and the op index.
 func TestRandomOpsAgainstModel(t *testing.T) {
+	const seed = 20260706
 	dev := nvm.NewDevice(2 << 30)
 	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
 		t.Fatal(err)
@@ -43,78 +40,47 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rng := rand.New(rand.NewSource(20260706))
-	model := map[string]*modelFile{} // path -> file
-	dirs := []string{"/"}
+	rng := rand.New(rand.NewSource(seed))
+	model := vfs.NewModel()
 	for i := 0; i < 3; i++ {
 		d := fmt.Sprintf("/dir%d", i)
 		if err := f.Mkdir(th, d, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		dirs = append(dirs, d)
+		model.Mkdir(d)
 	}
+	dirs := model.Dirs()
 
-	names := func() []string {
-		out := make([]string, 0, len(model))
-		for p := range model {
-			out = append(out, p)
-		}
-		return out
-	}
 	pick := func() (string, bool) {
-		ns := names()
-		if len(ns) == 0 {
+		if model.Len() == 0 {
 			return "", false
 		}
-		return ns[rng.Intn(len(ns))], true
+		return model.Path(rng.Intn(model.Len())), true
 	}
 
-	var lastDetail string
-	verifyAll := func(i int, op int) {
-		for path, m := range model {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						for q := range model {
-							if fi, err := f.Stat(th, q); err == nil {
-								t.Logf("  %s -> inode %d coffer %d", q, fi.Inode, fi.Coffer)
-							}
-						}
-						t.Fatalf("op %d (kind %d, %s): verify of %s panicked: %v", i, op, lastDetail, path, r)
-					}
-				}()
-				h, err := f.Open(th, path, vfs.O_RDONLY)
-				if err != nil {
-					t.Fatalf("op %d (kind %d, %s): verify open %s: %v", i, op, lastDetail, path, err)
-				}
-				got := make([]byte, len(m.data)+10)
-				n, err := h.ReadAt(th, got, 0)
-				h.Close(th)
-				if err != nil || n != len(m.data) || !bytes.Equal(got[:n], m.data) {
-					t.Fatalf("op %d (kind %d, %s): %s mismatch n=%d want %d err=%v", i, op, lastDetail, path, n, len(m.data), err)
-				}
-			}()
-		}
+	i, detail := 0, "setup"
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed %d op %d (%s): %s", seed, i, detail, fmt.Sprintf(format, args...))
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			fail("panic: %v", r)
+		}
+	}()
 
 	const ops = 3000
-	for i := 0; i < ops; i++ {
-		op := rng.Intn(10)
-		switch op {
+	for ; i < ops; i++ {
+		switch rng.Intn(10) {
 		case 0, 1: // create
 			path := vfs.Join(dirs[rng.Intn(len(dirs))], fmt.Sprintf("f%04d", rng.Intn(200)))
-			mode := uint32(0o644)
-			lastDetail = "create " + path
+			detail = "create " + path
 			h, err := f.Create(th, path, 0o644)
 			if err != nil {
-				t.Fatalf("op %d create %s: %v (free pages %d, coffers %d)", i, path, err, k.FreePages(), len(k.Coffers()))
+				fail("%v (free pages %d, coffers %d)", err, k.FreePages(), len(k.Coffers()))
 			}
 			h.Close(th)
-			// creat() truncates an existing file but keeps its mode.
-			if old, ok := model[path]; ok {
-				mode = old.mode
-			}
-			model[path] = &modelFile{mode: mode}
+			model.Create(path, 0o644)
 		case 2, 3: // write at random offset
 			path, ok := pick()
 			if !ok {
@@ -122,52 +88,39 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			}
 			h, err := f.Open(th, path, vfs.O_RDWR)
 			if err != nil {
-				t.Fatalf("op %d open %s: %v", i, path, err)
+				fail("open %s: %v", path, err)
 			}
 			off := rng.Int63n(20000)
 			n := rng.Intn(9000) + 1
-			lastDetail = fmt.Sprintf("write %s off=%d n=%d", path, off, n)
+			detail = fmt.Sprintf("write %s off=%d n=%d", path, off, n)
 			buf := make([]byte, n)
 			rng.Read(buf)
 			if _, err := h.WriteAt(th, buf, off); err != nil {
-				t.Fatalf("op %d write: %v (free pages %d, coffers %d)", i, err, k.FreePages(), len(k.Coffers()))
+				fail("%v (free pages %d, coffers %d)", err, k.FreePages(), len(k.Coffers()))
 			}
 			h.Close(th)
-			m := model[path]
-			if int64(len(m.data)) < off+int64(n) {
-				grown := make([]byte, off+int64(n))
-				copy(grown, m.data)
-				m.data = grown
-			}
-			copy(m.data[off:], buf)
+			model.Write(path, buf, off)
 		case 4: // unlink
 			path, ok := pick()
 			if !ok {
 				continue
 			}
-			lastDetail = "unlink " + path
+			detail = "unlink " + path
 			if err := f.Unlink(th, path); err != nil {
-				t.Fatalf("op %d unlink %s: %v", i, path, err)
+				fail("%v", err)
 			}
-			delete(model, path)
+			model.Unlink(path)
 		case 5: // truncate
 			path, ok := pick()
 			if !ok {
 				continue
 			}
 			sz := rng.Int63n(30000)
-			lastDetail = fmt.Sprintf("truncate %s %d", path, sz)
+			detail = fmt.Sprintf("truncate %s %d", path, sz)
 			if err := f.Truncate(th, path, sz); err != nil {
-				t.Fatalf("op %d truncate: %v", i, err)
+				fail("%v", err)
 			}
-			m := model[path]
-			if int64(len(m.data)) > sz {
-				m.data = m.data[:sz]
-			} else {
-				grown := make([]byte, sz)
-				copy(grown, m.data)
-				m.data = grown
-			}
+			model.Truncate(path, sz)
 		case 6: // rename
 			src, ok := pick()
 			if !ok {
@@ -177,33 +130,29 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			if _, isDir := model[dst]; false && isDir {
-				continue
-			}
-			lastDetail = "rename " + src + "->" + dst
+			detail = "rename " + src + "->" + dst
 			if err := f.Rename(th, src, dst); err != nil {
-				t.Fatalf("op %d rename %s->%s: %v", i, src, dst, err)
+				fail("%v", err)
 			}
-			model[dst] = model[src]
-			delete(model, src)
+			model.Rename(src, dst)
 		case 7: // verify one file fully
 			path, ok := pick()
 			if !ok {
 				continue
 			}
-			m := model[path]
+			want, _ := model.Data(path)
 			h, err := f.Open(th, path, vfs.O_RDONLY)
 			if err != nil {
-				t.Fatalf("op %d verify-open %s: %v", i, path, err)
+				fail("verify-open %s: %v", path, err)
 			}
-			got := make([]byte, len(m.data)+100)
+			got := make([]byte, len(want)+100)
 			n, err := h.ReadAt(th, got, 0)
 			if err != nil {
-				t.Fatalf("op %d verify-read: %v", i, err)
+				fail("verify-read %s: %v", path, err)
 			}
 			h.Close(th)
-			if n != len(m.data) || !bytes.Equal(got[:n], m.data) {
-				t.Fatalf("op %d: %s content mismatch (%d vs %d bytes)", i, path, n, len(m.data))
+			if n != len(want) || !bytes.Equal(got[:n], want) {
+				fail("%s content mismatch (%d vs %d bytes)", path, n, len(want))
 			}
 		case 8: // stat size check
 			path, ok := pick()
@@ -212,64 +161,32 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			}
 			fi, err := f.Stat(th, path)
 			if err != nil {
-				t.Fatalf("op %d stat %s: %v", i, path, err)
+				fail("stat %s: %v", path, err)
 			}
-			if fi.Size != int64(len(model[path].data)) {
-				t.Fatalf("op %d: %s size %d want %d", i, path, fi.Size, len(model[path].data))
+			if want, _ := model.Data(path); fi.Size != int64(len(want)) {
+				fail("%s size %d want %d", path, fi.Size, len(want))
 			}
 		case 9: // chmod (split or in-place)
 			path, ok := pick()
 			if !ok {
 				continue
 			}
-			mode := []uint32{0o644, 0o600, 0o640}[rng.Intn(3)]
-			lastDetail = fmt.Sprintf("chmod %s %o", path, mode)
-			if err := f.Chmod(th, path, coffer.Mode(mode)); err != nil {
-				t.Fatalf("op %d chmod %s: %v", i, path, err)
+			mode := []coffer.Mode{0o644, 0o600, 0o640}[rng.Intn(3)]
+			detail = fmt.Sprintf("chmod %s %o", path, mode)
+			if err := f.Chmod(th, path, mode); err != nil {
+				fail("%v", err)
 			}
-			model[path].mode = mode
+			model.Chmod(path, mode)
 		}
 		if i%25 == 0 {
-			verifyAll(i, op)
-		}
-	}
-
-	// Final full verification of every surviving file.
-	for path, m := range model {
-		fi, err := f.Stat(th, path)
-		if err != nil {
-			t.Fatalf("final stat %s: %v", path, err)
-		}
-		if fi.Size != int64(len(m.data)) {
-			t.Fatalf("final %s size %d want %d", path, fi.Size, len(m.data))
-		}
-		if uint32(fi.Mode) != m.mode {
-			t.Fatalf("final %s mode %o want %o", path, fi.Mode, m.mode)
-		}
-		h, err := f.Open(th, path, vfs.O_RDONLY)
-		if err != nil {
-			t.Fatalf("final open %s: %v", path, err)
-		}
-		got := make([]byte, len(m.data))
-		if n, _ := h.ReadAt(th, got, 0); n != len(m.data) || !bytes.Equal(got, m.data) {
-			t.Fatalf("final %s content mismatch", path)
-		}
-		h.Close(th)
-	}
-	// Directory listings agree with the model.
-	for _, d := range dirs {
-		ents, err := f.ReadDir(th, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			full := vfs.Join(d, e.Name)
-			if e.Type == vfs.TypeRegular {
-				if _, ok := model[full]; !ok {
-					t.Fatalf("listing has %s not in model", full)
-				}
+			if err := model.Check(f, th, nil); err != nil {
+				fail("%v", err)
 			}
 		}
+	}
+	detail = "final check"
+	if err := model.Check(f, th, nil); err != nil {
+		fail("%v", err)
 	}
 }
 

@@ -100,6 +100,7 @@ regen fig10.txt fig10
 regen fig11.txt -quick fig11
 regen table7.txt -quick table7
 regen table9-recovery-full.txt table9 recovery
+regen crashmc.txt crashmc
 
 echo "== e2e floors =="
 # One pass of a benchmark workload at seed 101 (read-only use; it builds
