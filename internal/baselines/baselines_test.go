@@ -9,49 +9,19 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 	"zofs/internal/vfs/vfstest"
 )
 
-func factoryFor(build func(dev *nvm.Device) *baselines.Engine) vfstest.Factory {
-	return func(t *testing.T) (vfs.FileSystem, *proc.Thread) {
-		dev := nvm.New(nvm.Config{Size: 256 << 20, TrackPersistence: false})
-		p := proc.NewProcess(dev, 0, 0)
-		return build(dev), p.NewThread()
-	}
-}
-
-func TestPMFSConformance(t *testing.T) {
-	vfstest.Run(t, factoryFor(func(dev *nvm.Device) *baselines.Engine {
-		return baselines.NewPMFS(dev, baselines.PMFSOptions{})
-	}))
-}
-
-func TestPMFSNocacheConformance(t *testing.T) {
-	vfstest.Run(t, factoryFor(func(dev *nvm.Device) *baselines.Engine {
-		return baselines.NewPMFS(dev, baselines.PMFSOptions{Nocache: true})
-	}))
-}
-
-func TestNOVAConformance(t *testing.T) {
-	vfstest.Run(t, factoryFor(func(dev *nvm.Device) *baselines.Engine {
-		return baselines.NewNOVA(dev, baselines.NOVAOptions{})
-	}))
-}
-
-func TestNOVAiConformance(t *testing.T) {
-	vfstest.Run(t, factoryFor(func(dev *nvm.Device) *baselines.Engine {
-		return baselines.NewNOVA(dev, baselines.NOVAOptions{InPlace: true})
-	}))
-}
-
-func TestStrataConformance(t *testing.T) {
-	vfstest.Run(t, factoryFor(baselines.NewStrata))
-}
-
-func TestExt4DAXConformance(t *testing.T) {
-	vfstest.Run(t, factoryFor(baselines.NewExt4DAX))
-}
+// The suite runs over every system in vfstest's TestConformance; these run it
+// on each baseline, so that this package's tests cover its conformance too.
+func TestPMFSConformance(t *testing.T)        { vfstest.Run(t, vfstest.On(sysfactory.PMFS)) }
+func TestPMFSNocacheConformance(t *testing.T) { vfstest.Run(t, vfstest.On(sysfactory.PMFSNocache)) }
+func TestNOVAConformance(t *testing.T)        { vfstest.Run(t, vfstest.On(sysfactory.NOVA)) }
+func TestNOVAiConformance(t *testing.T)       { vfstest.Run(t, vfstest.On(sysfactory.NOVAi)) }
+func TestStrataConformance(t *testing.T)      { vfstest.Run(t, vfstest.On(sysfactory.Strata)) }
+func TestExt4DAXConformance(t *testing.T)     { vfstest.Run(t, vfstest.On(sysfactory.Ext4DAX)) }
 
 // TestKernelFSChargesSyscalls verifies the central cost asymmetry: kernel
 // file systems pay a syscall per op, Strata's data path does not.
@@ -206,13 +176,8 @@ func TestFig8VariantOrdering(t *testing.T) {
 // created after the unlink get other pages, so the open handle still reads
 // its own contents.
 func TestUnlinkedOpenFileKeepsItsPages(t *testing.T) {
-	for name, build := range map[string]func(*nvm.Device) *baselines.Engine{
-		"PMFS":     func(d *nvm.Device) *baselines.Engine { return baselines.NewPMFS(d, baselines.PMFSOptions{}) },
-		"NOVA":     func(d *nvm.Device) *baselines.Engine { return baselines.NewNOVA(d, baselines.NOVAOptions{}) },
-		"Strata":   baselines.NewStrata,
-		"Ext4-DAX": baselines.NewExt4DAX,
-	} {
-		fs, th := factoryFor(build)(t)
+	for _, sys := range []sysfactory.System{sysfactory.PMFS, sysfactory.NOVA, sysfactory.Strata, sysfactory.Ext4DAX} {
+		fs, th := vfstest.On(sys)(t)
 		old := bytes.Repeat([]byte{'o'}, 3*4096)
 		h, err := fs.Create(th, "/victim", 0o644)
 		if err != nil {
@@ -236,7 +201,7 @@ func TestUnlinkedOpenFileKeepsItsPages(t *testing.T) {
 		}
 		got := make([]byte, len(old))
 		if _, err := h.ReadAt(th, got, 0); err != nil || !bytes.Equal(got, old) {
-			t.Fatalf("%s: the open handle of an unlinked file reads %q… (err %v), want its own data", name, got[:8], err)
+			t.Fatalf("%s: the open handle of an unlinked file reads %q… (err %v), want its own data", sys.Name, got[:8], err)
 		}
 		h.Close(th)
 	}

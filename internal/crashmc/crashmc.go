@@ -6,6 +6,7 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/spans"
+	"zofs/internal/vfs"
 )
 
 // Edge selects which side of a persistence point the crash fires on.
@@ -206,7 +207,7 @@ func Explore(cfg Config) (*Report, error) {
 }
 
 // exploreOne materializes and checks a single crash state.
-func exploreOne(p *personality, cfg Config, ops []Op, point int64, edge Edge, model Model, rep *Report) {
+func exploreOne(p *personality, cfg Config, ops []vfs.Op, point int64, edge Edge, model Model, rep *Report) {
 	rep.States++
 	fail := func(invariant, detail string) {
 		rep.Violations = append(rep.Violations, Violation{

@@ -2,9 +2,11 @@ package crashmc
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"zofs/internal/pmemtrace"
+	"zofs/internal/vfs"
 	"zofs/internal/zofs"
 )
 
@@ -17,18 +19,18 @@ func TestGenWorkloadDeterministic(t *testing.T) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !reflect.DeepEqual(a[i], b[i]) {
 			t.Fatalf("op %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
 	if modelAfter(a, len(a)).Len() == 0 {
 		t.Fatal("workload left no files")
 	}
-	kinds := map[OpKind]int{}
+	kinds := map[vfs.OpKind]int{}
 	for _, op := range a {
 		kinds[op.Kind]++
 	}
-	for _, k := range []OpKind{OpCreate, OpWrite, OpFsync, OpRename} {
+	for _, k := range []vfs.OpKind{vfs.OpCreate, vfs.OpWrite, vfs.OpFsync, vfs.OpRename} {
 		if kinds[k] == 0 {
 			t.Fatalf("40-op workload generated no %s ops (got %v)", k, kinds)
 		}

@@ -240,7 +240,7 @@ func runLease(c *campaign) error {
 			fail("graceful", fmt.Sprintf("survivor create %d failed under dead leases: %v", i, err))
 			continue
 		}
-		if _, err := h.WriteAt(th2, opData(&Op{Len: 5000, Seed: uint32(i)}), 0); err != nil {
+		if _, err := h.WriteAt(th2, payload(uint32(i), 5000), 0); err != nil {
 			rep.SurvivorErrors++
 			fail("graceful", fmt.Sprintf("survivor write %d failed under dead leases: %v", i, err))
 		}
@@ -326,7 +326,7 @@ func runSlotless(c *campaign) error {
 	for i := 0; i < 4; i++ {
 		rep.SurvivorOps++
 		path := fmt.Sprintf("/slotless%d", i)
-		data := opData(&Op{Len: 9000, Seed: uint32(100 + i)})
+		data := payload(uint32(100+i), 9000)
 		func() {
 			defer func() {
 				if r := recover(); r != nil {

@@ -20,7 +20,7 @@ import (
 // tree holds no unexpected entries, and the file system stays usable. Every
 // step is panic-guarded: a panic during post-crash verification is itself a
 // violation, not a test crash.
-func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
+func checkZoFS(p *personality, dev *nvm.Device, ops []vfs.Op, res runResult,
 	audit *pmemtrace.Report, fail func(string, string), rep *Report) {
 	step := func(name string, fn func()) bool { return guarded(fail, name, fn) }
 
@@ -75,7 +75,7 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 	f2 := zofs.New(k2, p.opts)
 
 	m := modelAfter(ops, res.completed)
-	var inflight *Op
+	var inflight *vfs.Op
 	if res.completed < len(ops) {
 		inflight = &ops[res.completed]
 	}
@@ -87,7 +87,7 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []Op, res runResult,
 	// in-flight op may have left mid-change, any op but an fsync, is for the
 	// in-flight check to judge.
 	midOp := func(p string) bool {
-		return inflight != nil && inflight.Kind != OpFsync && (p == inflight.Path || p == inflight.Dst)
+		return inflight != nil && inflight.Kind != vfs.OpFsync && (p == inflight.Path || p == inflight.Dst)
 	}
 	step("durability", func() {
 		if err := m.Check(f2, th2, midOp); err != nil {
@@ -125,7 +125,7 @@ func usable(fs vfs.FileSystem, th *proc.Thread) {
 	if err != nil {
 		panic(fmt.Sprintf("post-recovery create: %v", err))
 	}
-	data := opData(&Op{Len: 5000, Seed: 0xC0FFEE})
+	data := payload(0xC0FFEE, 5000)
 	if _, err := h.WriteAt(th, data, 0); err != nil {
 		panic(fmt.Sprintf("post-recovery write: %v", err))
 	}
@@ -192,7 +192,7 @@ func fixpoint(k *kernfs.KernFS, th *proc.Thread) error {
 // checkInflight verifies the paths the interrupted op was touching are in
 // one of that op's legal intermediate states, between the models before and
 // after it.
-func checkInflight(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.Model, op *Op) {
+func checkInflight(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.Model, op *vfs.Op) {
 	// holds panics unless the file at path reads back as m has it.
 	holds := func(m *vfs.Model, path, state string) {
 		if err := m.Check(fs, th, func(p string) bool { return p != path }); err != nil {
@@ -201,9 +201,9 @@ func checkInflight(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.Model,
 	}
 	exists := func(path string) bool { _, err := fs.Stat(th, path); return err == nil }
 	switch op.Kind {
-	case OpWrite:
+	case vfs.OpWrite:
 		checkInflightWrite(fs, th, before, after, op, holds)
-	case OpRename:
+	case vfs.OpRename:
 		// Legal states: old name only, both names (new dentry committed,
 		// old not yet cleared), new name only. Every present name must
 		// read the full pre-op content.
@@ -217,17 +217,17 @@ func checkInflight(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.Model,
 		if !src && !dst {
 			panic(fmt.Sprintf("mid-rename %s -> %s: file vanished under both names", op.Path, op.Dst))
 		}
-	case OpUnlink:
+	case vfs.OpUnlink:
 		if exists(op.Path) { // fully unlinked is legal too
 			holds(before, op.Path, "unlink")
 		}
-	case OpCreate:
+	case vfs.OpCreate:
 		// The new entry may exist, as an empty regular file, or not.
 		fi, err := fs.Stat(th, op.Path)
 		if err == nil && (fi.Type != vfs.TypeRegular || fi.Size != 0) {
 			panic(fmt.Sprintf("mid-create %s: type=%v size=%d, want empty regular file", op.Path, fi.Type, fi.Size))
 		}
-	case OpMkdir:
+	case vfs.OpMkdir:
 		fi, err := fs.Stat(th, op.Path)
 		if err == nil && fi.Type != vfs.TypeDir {
 			panic(fmt.Sprintf("mid-mkdir %s: type=%v, want directory", op.Path, fi.Type))
@@ -240,7 +240,7 @@ func checkInflight(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.Model,
 // the full new size with the full new content, or the old size with every
 // overlapped byte holding its old or new value and everything outside the
 // write window untouched.
-func checkInflightWrite(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.Model, op *Op,
+func checkInflightWrite(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.Model, op *vfs.Op,
 	holds func(m *vfs.Model, path, state string)) {
 	path := op.Path
 	old, _ := before.Data(path)
@@ -268,7 +268,7 @@ func checkInflightWrite(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.M
 	if n != len(got) {
 		panic(fmt.Sprintf("mid-write %s: read %d of %d bytes: %v", path, n, len(got), err))
 	}
-	end := op.Off + int64(op.Len)
+	end := op.Off + int64(len(op.Data))
 	for i := int64(0); i < int64(len(got)); i++ {
 		inWindow := i >= op.Off && i < end
 		switch {
@@ -285,9 +285,9 @@ func checkInflightWrite(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.M
 // flushed must still exist somewhere on the device image, whatever the
 // media model did to the in-flight op's dirty lines. The engine itself is
 // not reused after the crash — the panic may have unwound it mid-lock.
-func checkBaselineMedia(dev *nvm.Device, ops []Op, res runResult, fail func(string, string)) {
+func checkBaselineMedia(dev *nvm.Device, ops []vfs.Op, res runResult, fail func(string, string)) {
 	m := modelAfter(ops, res.completed)
-	var inflight *Op
+	var inflight *vfs.Op
 	if res.completed < len(ops) {
 		inflight = &ops[res.completed]
 	}

@@ -281,21 +281,13 @@ func makeFlow(fs vfs.FileSystem, set *fileSet, tid int) flow {
 	panic("unreachable")
 }
 
-// open re-dispatches on symlink expansion like the FSLibs dispatcher.
+// open and stat re-dispatch on symlink expansion like the FSLibs dispatcher.
 func open(fs vfs.FileSystem, th *proc.Thread, p string, flags int) (vfs.Handle, error) {
-	h, err := fs.Open(th, p, flags)
-	if se, ok := err.(*vfs.SymlinkError); ok {
-		return open(fs, th, se.Path, flags)
-	}
-	return h, err
+	return vfs.Follow(p, func(p string) (vfs.Handle, error) { return fs.Open(th, p, flags) })
 }
 
 func stat(fs vfs.FileSystem, th *proc.Thread, p string) (vfs.FileInfo, error) {
-	fi, err := fs.Stat(th, p)
-	if se, ok := err.(*vfs.SymlinkError); ok {
-		return stat(fs, th, se.Path)
-	}
-	return fi, err
+	return vfs.Follow(p, func(p string) (vfs.FileInfo, error) { return fs.Stat(th, p) })
 }
 
 // Run prepares the file set and executes the personality with the given

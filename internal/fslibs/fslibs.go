@@ -30,12 +30,6 @@ import (
 	"zofs/internal/zofs"
 )
 
-// maxSymlinkHops bounds symlink expansion loops (ELOOP analogue).
-const maxSymlinkHops = 40
-
-// ErrLoop reports circular symlink expansion.
-var ErrLoop = errors.New("fslibs: too many levels of symbolic links")
-
 // Options configures a Lib instance.
 type Options struct {
 	// MountPath is where the Treasury namespace appears in the process's
@@ -220,8 +214,8 @@ func (l *Lib) dispatch(th *proc.Thread, path string, op func(fs vfs.FileSystem, 
 	sp := spans.FromClock(th.Clk)
 	p, inMount := l.resolve(path)
 	for hop := 0; ; hop++ {
-		if hop > maxSymlinkHops {
-			return ErrLoop
+		if hop > vfs.MaxSymlinkHops {
+			return vfs.ErrLoop
 		}
 		t0 := th.Clk.Now()
 		var fs vfs.FileSystem

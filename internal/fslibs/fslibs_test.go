@@ -174,7 +174,7 @@ func TestSymlinkRedispatch(t *testing.T) {
 	// Symlink loops are detected.
 	l.Symlink(th, "/loop2", "/loop1")
 	l.Symlink(th, "/loop1", "/loop2")
-	if _, err := l.Stat(th, "/loop1"); !errors.Is(err, ErrLoop) {
+	if _, err := l.Stat(th, "/loop1"); !errors.Is(err, vfs.ErrLoop) {
 		t.Fatalf("loop error = %v", err)
 	}
 	if tgt, err := l.Readlink(th, "/alias"); err != nil || tgt != "/real" {

@@ -4,17 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"zofs/internal/coffer"
 	"zofs/internal/proc"
 )
 
 // Model is a reference statement of what a file system's tree should hold:
-// its live files, in creation order, with their bytes and modes, and its
-// directories, in creation order with "/" first. Callers apply to it each
-// operation the file system under test completed, with the bytes they wrote,
-// and then Check the file system against it. The crash checker, the chaos
-// campaign and the ZoFS property test all state their expectations here.
+// its live files, in creation order, with their bytes, modes and any owner
+// set, its directories, in creation order with "/" first, and its symlinks'
+// targets. Callers apply to it each operation the file system under test
+// completed, with the bytes they wrote, and then Check the file system
+// against it. The conformance suite, the crash checker, the chaos campaign
+// and the ZoFS property test all state their expectations here.
 //
 // Creation order is what a seeded workload indexes to pick a file, so it is
 // kept exactly: a rename keeps the file's place, an unlink keeps the others'
@@ -22,13 +24,18 @@ import (
 type Model struct {
 	files []*file
 	dirs  []string
+	links []*link
 }
 
 type file struct {
-	path string
-	mode coffer.Mode
-	data []byte
+	path     string
+	mode     coffer.Mode
+	data     []byte
+	owned    bool // Chown set uid and gid
+	uid, gid uint32
 }
+
+type link struct{ path, target string }
 
 // NewModel returns a model of an empty tree: the root directory alone.
 func NewModel() *Model { return &Model{dirs: []string{"/"}} }
@@ -87,30 +94,63 @@ func (m *Model) Truncate(path string, size int64) {
 	f.data = append(f.data[:n], make([]byte, size-n)...)
 }
 
-// Rename records a file moved from src to dst. The file keeps its place in
-// creation order; a file dst named before is gone.
+// Rename records the file, symlink or directory src moved to dst, a
+// directory with everything below it. What moves keeps its place in creation
+// order; whatever dst named before is gone.
 func (m *Model) Rename(src, dst string) {
-	if src != dst {
-		m.Unlink(dst)
-		m.files[m.index(src)].path = dst
+	if src == dst {
+		return
+	}
+	m.Unlink(dst)
+	m.Rmdir(dst)
+	move := func(p *string) {
+		if rest, ok := strings.CutPrefix(*p, src); ok && (rest == "" || rest[0] == '/') {
+			*p = dst + rest
+		}
+	}
+	for i := range m.dirs {
+		move(&m.dirs[i])
+	}
+	for _, f := range m.files {
+		move(&f.path)
+	}
+	for _, l := range m.links {
+		move(&l.path)
 	}
 }
 
-// Unlink records a file removed; the others keep their order. Unlinking a
-// name the model does not hold records nothing.
+// Unlink records a file or symlink removed; the others keep their order.
+// Unlinking a name the model does not hold records nothing.
 func (m *Model) Unlink(path string) {
-	if i := m.index(path); i >= 0 {
-		m.files = slices.Delete(m.files, i, i+1)
-	}
+	m.files = slices.DeleteFunc(m.files, func(f *file) bool { return f.path == path })
+	m.links = slices.DeleteFunc(m.links, func(l *link) bool { return l.path == path })
+}
+
+// Rmdir records a directory removed.
+func (m *Model) Rmdir(path string) {
+	m.dirs = slices.DeleteFunc(m.dirs, func(d string) bool { return d == path })
 }
 
 // Chmod records a file's new permission bits.
 func (m *Model) Chmod(path string, mode coffer.Mode) { m.files[m.index(path)].mode = mode }
 
+// Chown records a file's new owner. Check compares the owner of a file only
+// once Chown has recorded one.
+func (m *Model) Chown(path string, uid, gid uint32) {
+	f := m.files[m.index(path)]
+	f.owned, f.uid, f.gid = true, uid, gid
+}
+
+// Symlink records a new symbolic link at path to target.
+func (m *Model) Symlink(target, path string) {
+	m.links = append(m.links, &link{path: path, target: target})
+}
+
 // Check reads fs as th and reports every way it disagrees with the model:
-// each model file must be a regular file of the model's mode, size and
-// bytes, each model directory a directory, and a walk from "/" must find no
-// entry the model does not hold. A path skip reports true for is left out:
+// each model file must be a regular file of the model's mode, owner (where
+// one was recorded), size and bytes, each model directory a directory, each
+// symlink must read back its target, and a walk from "/" must find no entry
+// the model does not hold. A path skip reports true for is left out:
 // the model's file or directory there is not compared, and the walk neither
 // reports that entry nor descends into it. skip may be nil. Check returns the
 // disagreements joined into one error, nil when there are none.
@@ -132,11 +172,22 @@ func (m *Model) Check(fs FileSystem, th *proc.Thread, skip func(path string) boo
 			errs = append(errs, fmt.Errorf("%s is a %v, want a directory", d, fi.Type))
 		}
 	}
+	for _, l := range m.links {
+		if skipped(l.path) {
+			continue
+		}
+		if target, err := fs.Readlink(th, l.path); err != nil {
+			errs = append(errs, fmt.Errorf("symlink %s: %w", l.path, err))
+		} else if target != l.target {
+			errs = append(errs, fmt.Errorf("%s links to %s, want %s", l.path, target, l.target))
+		}
+	}
 	m.walk(fs, th, "/", skipped, &errs)
 	return errors.Join(errs...)
 }
 
-// checkFile compares one file's type, mode, size and bytes with the model's.
+// checkFile compares one file's type, mode, owner, size and bytes with the
+// model's.
 func checkFile(fs FileSystem, th *proc.Thread, f *file) error {
 	fi, err := fs.Stat(th, f.path)
 	switch {
@@ -146,6 +197,8 @@ func checkFile(fs FileSystem, th *proc.Thread, f *file) error {
 		return fmt.Errorf("%s is a %v, want a regular file", f.path, fi.Type)
 	case fi.Mode != f.mode:
 		return fmt.Errorf("%s mode %o, want %o", f.path, fi.Mode, f.mode)
+	case f.owned && (fi.UID != f.uid || fi.GID != f.gid):
+		return fmt.Errorf("%s owner %d:%d, want %d:%d", f.path, fi.UID, fi.GID, f.uid, f.gid)
 	case fi.Size != int64(len(f.data)):
 		return fmt.Errorf("%s size %d, want %d", f.path, fi.Size, len(f.data))
 	}
@@ -181,7 +234,8 @@ func (m *Model) walk(fs FileSystem, th *proc.Thread, dir string, skipped func(st
 		if skipped(p) {
 			continue
 		}
-		if m.index(p) < 0 && !slices.Contains(m.dirs, p) {
+		isLink := slices.ContainsFunc(m.links, func(l *link) bool { return l.path == p })
+		if m.index(p) < 0 && !slices.Contains(m.dirs, p) && !isLink {
 			*errs = append(*errs, fmt.Errorf("%s (%v) is not in the model", p, e.Type))
 		}
 		if e.Type == TypeDir {

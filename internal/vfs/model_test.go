@@ -175,3 +175,101 @@ func TestModelCheck(t *testing.T) {
 		t.Fatalf("Check with every difference skipped: %v", err)
 	}
 }
+
+// TestModelCheckNewOps: for each op the model records beyond files' bytes
+// and modes, Check passes a file system that did the same ops, then names a
+// disagreement planted on one side.
+func TestModelCheckNewOps(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		ops   []vfs.Op
+		plant func(fs vfs.FileSystem, th *proc.Thread, m *vfs.Model) error
+		want  string
+	}{
+		{"a subtree missing after a directory rename", []vfs.Op{
+			{Kind: vfs.OpMkdir, Path: "/d", Mode: 0o755},
+			{Kind: vfs.OpMkdir, Path: "/d/sub", Mode: 0o755},
+			{Kind: vfs.OpCreate, Path: "/d/sub/f", Mode: 0o644},
+			{Kind: vfs.OpRename, Path: "/d", Dst: "/e"},
+		}, func(fs vfs.FileSystem, th *proc.Thread, _ *vfs.Model) error {
+			if err := fs.Unlink(th, "/e/sub/f"); err != nil {
+				return err
+			}
+			return fs.Rmdir(th, "/e/sub")
+		}, "directory /e/sub: " + vfs.ErrNotExist.Error()},
+		{"a wrong symlink target", []vfs.Op{
+			{Kind: vfs.OpCreate, Path: "/t", Mode: 0o644},
+			{Kind: vfs.OpSymlink, Path: "/l", Dst: "/t"},
+		}, func(fs vfs.FileSystem, th *proc.Thread, _ *vfs.Model) error {
+			if err := fs.Unlink(th, "/l"); err != nil {
+				return err
+			}
+			return fs.Symlink(th, "/other", "/l")
+		}, "/l links to /other, want /t"},
+		{"a wrong owner after Chown", []vfs.Op{
+			{Kind: vfs.OpCreate, Path: "/o", Mode: 0o644},
+			{Kind: vfs.OpChown, Path: "/o", UID: 7, GID: 8},
+		}, func(fs vfs.FileSystem, th *proc.Thread, _ *vfs.Model) error {
+			return fs.Chown(th, "/o", 7, 9)
+		}, "/o owner 7:9, want 7:8"},
+		{"a directory still present after Rmdir", []vfs.Op{
+			{Kind: vfs.OpMkdir, Path: "/r", Mode: 0o755},
+			{Kind: vfs.OpMkdir, Path: "/gone", Mode: 0o755},
+			{Kind: vfs.OpRmdir, Path: "/gone"},
+		}, func(_ vfs.FileSystem, _ *proc.Thread, m *vfs.Model) error {
+			m.Rmdir("/r")
+			return nil
+		}, "/r (dir) is not in the model"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs, th := newFS(t)
+			m := vfs.NewModel()
+			for _, op := range c.ops {
+				if err := op.Do(fs, th); err != nil {
+					t.Fatalf("%v: %v", op, err)
+				}
+				m.Apply(op)
+			}
+			if err := m.Check(fs, th, nil); err != nil {
+				t.Fatalf("a file system that did the model's ops: %v", err)
+			}
+			if err := c.plant(fs, th, m); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Check(fs, th, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Check = %v, want it to name %q", err, c.want)
+			}
+		})
+	}
+}
+
+func TestModelRenameMovesSubtree(t *testing.T) {
+	m := vfs.NewModel()
+	m.Mkdir("/d")
+	m.Mkdir("/dx")
+	m.Mkdir("/d/sub")
+	m.Create("/d/sub/f", 0o644)
+	m.Create("/dx/g", 0o644)
+	m.Symlink("/d/sub/f", "/d/l")
+	m.Rename("/d", "/e")
+	if got, want := m.Dirs(), []string{"/", "/e", "/dx", "/e/sub"}; !slices.Equal(got, want) {
+		t.Fatalf("directories %v, want %v", got, want)
+	}
+	if got, want := paths(m), []string{"/e/sub/f", "/dx/g"}; !slices.Equal(got, want) {
+		t.Fatalf("files %v, want %v", got, want)
+	}
+	fs, th := newFS(t)
+	for _, d := range []string{"/e", "/dx", "/e/sub"} {
+		if err := fs.Mkdir(th, d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	create(t, fs, th, "/e/sub/f", 0o644, nil)
+	create(t, fs, th, "/dx/g", 0o644, nil)
+	if err := fs.Symlink(th, "/d/sub/f", "/e/l"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Check(fs, th, nil); err != nil {
+		t.Fatalf("the moved link keeps its target: %v", err)
+	}
+}

@@ -83,6 +83,7 @@ var (
 	ErrCorrupted   = errors.New("vfs: file system structure corrupted")
 	ErrIO          = errors.New("vfs: input/output error")
 	ErrCrossDevice = errors.New("vfs: cross-device link")
+	ErrLoop        = errors.New("vfs: too many levels of symbolic links")
 
 	// Failure-path typed errors (graceful degradation, DESIGN.md §13).
 	// ErrLeaseTimeout: a lease acquisition exhausted its retry deadline
@@ -109,6 +110,27 @@ type SymlinkError struct {
 }
 
 func (e *SymlinkError) Error() string { return fmt.Sprintf("vfs: symlink expansion to %q", e.Path) }
+
+// MaxSymlinkHops bounds the symlink expansions one request follows (Linux's
+// ELOOP limit).
+const MaxSymlinkHops = 40
+
+// Follow calls op with path and, each time op reports a symlink expansion,
+// again with the expanded path, as the FSLibs dispatcher re-dispatches a
+// request (§4.2). After MaxSymlinkHops expansions it gives up with ErrLoop.
+func Follow[T any](path string, op func(path string) (T, error)) (T, error) {
+	for hop := 0; ; hop++ {
+		v, err := op(path)
+		se, ok := err.(*SymlinkError)
+		if !ok {
+			return v, err
+		}
+		if hop == MaxSymlinkHops {
+			return v, ErrLoop
+		}
+		path = se.Path
+	}
+}
 
 // Handle is an open file. It is dead at Close: the file system may hand the
 // value to the next open, so a caller drops every copy it holds when it calls

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,5 +152,27 @@ func TestCleanAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = Clean("/a//b/../c") }); n > 2 {
 		t.Errorf("Clean of an unclean path: %v allocs, want <= 2 (the buffer and the result)", n)
+	}
+}
+
+// TestFollow: Follow re-dispatches on each expansion and gives up with
+// ErrLoop once MaxSymlinkHops expansions are followed.
+func TestFollow(t *testing.T) {
+	got, err := Follow("/a", func(p string) (string, error) {
+		if p == "/a" {
+			return "", &SymlinkError{Path: "/b"}
+		}
+		return p, nil
+	})
+	if err != nil || got != "/b" {
+		t.Fatalf("Follow = %q, %v; want the expanded path's result", got, err)
+	}
+	calls := 0
+	_, err = Follow("/loop", func(p string) (int, error) {
+		calls++
+		return 0, &SymlinkError{Path: p}
+	})
+	if !errors.Is(err, ErrLoop) || calls != MaxSymlinkHops+1 {
+		t.Fatalf("a link to itself: %v after %d calls, want ErrLoop after %d", err, calls, MaxSymlinkHops+1)
 	}
 }

@@ -1,6 +1,11 @@
-// Package vfstest provides a conformance test suite that every file system
-// in this repository (ZoFS and the four baselines) must pass. Benchmarks
-// compare these systems, so they must agree on semantics first.
+// Package vfstest is the conformance suite every file system in this
+// repository passes: ZoFS and its variants, the baselines, and LogFS.
+// Benchmarks compare these systems, so they must agree on semantics first.
+// Each case is a script of vfs.Ops, each with the error it must return, that
+// a vfs.Model records as they succeed; the case ends in the model's Check. So
+// what a correct file system holds is stated once, in vfs.Model, for
+// conformance as for the crash checker, the chaos campaign and the ZoFS
+// property test.
 package vfstest
 
 import (
@@ -10,497 +15,235 @@ import (
 	"testing"
 
 	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 )
 
 // Factory builds a fresh file system and a root thread for one subtest.
 type Factory func(t *testing.T) (vfs.FileSystem, *proc.Thread)
 
-// resolve re-dispatches on symlink expansion like the FSLibs dispatcher.
-func resolve(fn func(p string) error, p string) error {
-	for hop := 0; hop < 40; hop++ {
-		err := fn(p)
-		var se *vfs.SymlinkError
-		if errors.As(err, &se) {
-			p = se.Path
-			continue
+// On returns a factory that builds sys on a fresh 256 MiB device.
+func On(sys sysfactory.System) Factory {
+	return func(t *testing.T) (vfs.FileSystem, *proc.Thread) {
+		in, err := sys.New(256 << 20)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return err
+		return in.FS, in.Proc.NewThread()
 	}
-	return errors.New("vfstest: symlink loop")
 }
 
-func statR(fs vfs.FileSystem, th *proc.Thread, p string) (vfs.FileInfo, error) {
-	var fi vfs.FileInfo
-	err := resolve(func(q string) error {
-		var e error
-		fi, e = fs.Stat(th, q)
-		return e
-	}, p)
-	return fi, err
+// step is one op of a script and the error it must return. A held step runs
+// through a handle the script keeps open on its path from the first held
+// step on, across the ops between.
+type step struct {
+	op   vfs.Op
+	err  error
+	held bool
 }
 
-func openR(fs vfs.FileSystem, th *proc.Thread, p string, flags int) (vfs.Handle, error) {
-	var h vfs.Handle
-	err := resolve(func(q string) error {
-		var e error
-		h, e = fs.Open(th, q, flags)
-		return e
-	}, p)
-	return h, err
+func (s step) fails(err error) step { s.err = err; return s }
+func (s step) viaHeld() step        { s.held = true; return s }
+
+// Constructors for the common shapes of step; the rest are literals.
+func do(kind vfs.OpKind, p string) step { return step{op: vfs.Op{Kind: kind, Path: p}} }
+func create(p string) step              { return step{op: vfs.Op{Kind: vfs.OpCreate, Path: p, Mode: 0o644}} }
+func mkdir(p string) step               { return step{op: vfs.Op{Kind: vfs.OpMkdir, Path: p, Mode: 0o755}} }
+func sized(kind vfs.OpKind, p string, n int64) step {
+	return step{op: vfs.Op{Kind: kind, Path: p, Size: n}}
+}
+func to(kind vfs.OpKind, p, dst string) step { return step{op: vfs.Op{Kind: kind, Path: p, Dst: dst}} }
+func at(kind vfs.OpKind, p string, off int64, data []byte) step {
+	return step{op: vfs.Op{Kind: kind, Path: p, Off: off, Data: data}}
+}
+
+// scripts lists the suite's single-threaded cases in order.
+func scripts() []struct {
+	name   string
+	script []step
+} {
+	payload, nines, x4 := []byte("conformance payload"), bytes.Repeat([]byte{9}, 10000), []byte("xxxx")
+	pattern := make([]byte, 3*4096+123)
+	for i := range pattern {
+		pattern[i] = byte(i * 7)
+	}
+	readDir := []step{mkdir("/ls")}
+	for i := range 25 {
+		readDir = append(readDir, create(fmt.Sprintf("/ls/f%02d", i)))
+	}
+	readDir = append(readDir, mkdir("/ls/sub"), do(vfs.OpUnlink, "/ls/f03"), do(vfs.OpUnlink, "/ls/f17"),
+		to(vfs.OpRename, "/ls/f05", "/ls/moved"), do(vfs.OpRmdir, "/ls/sub"))
+	shrunk := func(then ...step) []step {
+		shrink := []step{create("/tr"), at(vfs.OpWrite, "/tr", 0, nines).viaHeld(), sized(vfs.OpTruncate, "/tr", 100)}
+		return append(shrink, then...)
+	}
+	zeros := at(vfs.OpRead, "/tr", 100, make([]byte, 19900)).viaHeld()
+	return []struct {
+		name   string
+		script []step
+	}{
+		{"CreateReadWrite", []step{create("/f"), at(vfs.OpWrite, "/f", 0, payload).viaHeld(), do(vfs.OpFsync, "/f").viaHeld(),
+			at(vfs.OpRead, "/f", 0, payload).viaHeld(), sized(vfs.OpStat, "/f", int64(len(payload)))}},
+		{"OpenMissing", []step{{op: vfs.Op{Kind: vfs.OpOpen, Path: "/missing", Flags: vfs.O_RDONLY}, err: vfs.ErrNotExist},
+			sized(vfs.OpStat, "/missing", 0).fails(vfs.ErrNotExist)}},
+		{"OpenCreateTrunc", []step{create("/t"), at(vfs.OpWrite, "/t", 0, []byte("0123456789")),
+			{op: vfs.Op{Kind: vfs.OpOpen, Path: "/t", Flags: vfs.O_RDWR | vfs.O_TRUNC}}}},
+		{"AppendReturnsOffset", []step{create("/a"), at(vfs.OpAppend, "/a", 0, x4).viaHeld(),
+			at(vfs.OpAppend, "/a", 4, x4).viaHeld(), at(vfs.OpAppend, "/a", 8, x4),
+			at(vfs.OpAppend, "/a", 12, x4).viaHeld(), at(vfs.OpAppend, "/a", 16, x4)}},
+		{"ReadPastEOF", []step{create("/e"), at(vfs.OpWrite, "/e", 0, []byte("abc")),
+			{op: vfs.Op{Kind: vfs.OpRead, Path: "/e", Data: []byte("abc"), Size: 10}},
+			{op: vfs.Op{Kind: vfs.OpRead, Path: "/e", Off: 100, Size: 10}}}},
+		{"SparseHolesReadZero", []step{create("/s"), at(vfs.OpWrite, "/s", 10000, []byte("end")),
+			at(vfs.OpRead, "/s", 4096, make([]byte, 100))}},
+		{"MultiPageFile", []step{create("/big"), at(vfs.OpWrite, "/big", 0, pattern),
+			at(vfs.OpWrite, "/big", 5000, []byte("OVERWRITE"))}},
+		{"MkdirTree", []step{mkdir("/d1"), mkdir("/d1/d2"), mkdir("/d1/d2/d3"), mkdir("/d1").fails(vfs.ErrExist),
+			mkdir("/nope/x").fails(vfs.ErrNotExist), create("/d1/d2/d3/leaf")}},
+		{"ReadDir", readDir},
+		{"UnlinkRmdir", []step{mkdir("/u"), create("/u/f"), do(vfs.OpRmdir, "/u").fails(vfs.ErrNotEmpty),
+			do(vfs.OpUnlink, "/u").fails(vfs.ErrIsDir), do(vfs.OpRmdir, "/u/f").fails(vfs.ErrNotDir),
+			do(vfs.OpUnlink, "/u/f"), do(vfs.OpRmdir, "/u"), sized(vfs.OpStat, "/u", 0).fails(vfs.ErrNotExist)}},
+		{"Rename", []step{mkdir("/r1"), mkdir("/r2"), create("/r1/x"), at(vfs.OpWrite, "/r1/x", 0, []byte("move")),
+			to(vfs.OpRename, "/r1/x", "/r2/y"), create("/r2/z"), to(vfs.OpRename, "/r2/y", "/r2/z"), create("/r2/w"),
+			to(vfs.OpRename, "/r2/w", "/r1").fails(vfs.ErrExist)}},
+		{"RenameDir", []step{mkdir("/old"), mkdir("/old/sub"), create("/old/sub/kid"),
+			at(vfs.OpWrite, "/old/sub/kid", 0, payload), to(vfs.OpRename, "/old", "/new")}},
+		{"Symlink", []step{mkdir("/tgt"), create("/tgt/file"), at(vfs.OpWrite, "/tgt/file", 0, []byte("linked")),
+			to(vfs.OpSymlink, "/ln", "/tgt/file"), to(vfs.OpReadlink, "/ln", "/tgt/file"), sized(vfs.OpStat, "/ln", 6),
+			to(vfs.OpSymlink, "/dl", "/tgt"), at(vfs.OpRead, "/dl/file", 0, []byte("linked")),
+			to(vfs.OpReadlink, "/tgt/file", "").fails(vfs.ErrInvalid)}},
+		{"Truncate", shrunk(sized(vfs.OpStat, "/tr", 100), at(vfs.OpRead, "/tr", 0, nines[:100]),
+			sized(vfs.OpTruncate, "/tr", 20000), at(vfs.OpRead, "/tr", 15000, make([]byte, 50)).viaHeld())},
+		// Bytes cut off by a shrink stay gone whichever way the file grows
+		// back over them, also to a handle opened before the shrink:
+		// truncate up, or a write past EOF (here a zero byte, so the whole
+		// of [100, 20000) must read zeros).
+		{"ShrinkThenExtendByTruncate", shrunk(sized(vfs.OpTruncate, "/tr", 20000), zeros)},
+		{"ShrinkThenExtendByWriteAt", shrunk(at(vfs.OpWrite, "/tr", 19999, []byte{0}).viaHeld(), zeros)},
+		{"ChmodChown", []step{create("/perm"), {op: vfs.Op{Kind: vfs.OpChmod, Path: "/perm", Mode: 0o600}},
+			{op: vfs.Op{Kind: vfs.OpChown, Path: "/perm", UID: 7, GID: 8}}}},
+	}
+}
+
+// play runs a script on fs as th: each op must return its step's error, and
+// m records each op that succeeds.
+func play(t *testing.T, fs vfs.FileSystem, th *proc.Thread, m *vfs.Model, script []step) {
+	t.Helper()
+	held := map[string]vfs.Handle{}
+	defer func() {
+		for _, h := range held {
+			h.Close(th)
+		}
+	}()
+	for i, s := range script {
+		var err error
+		if s.held {
+			h := held[s.op.Path]
+			if h == nil {
+				if h, err = fs.Open(th, s.op.Path, vfs.O_RDWR); err != nil {
+					t.Fatalf("step %d, %v: open: %v", i, s.op, err)
+				}
+				held[s.op.Path] = h
+			}
+			err = s.op.DoOn(th, h)
+		} else {
+			err = s.op.Do(fs, th)
+		}
+		if !errors.Is(err, s.err) {
+			t.Fatalf("step %d, %v: %v, want %v", i, s.op, err, s.err)
+		}
+		if s.err == nil {
+			m.Apply(s.op)
+		}
+	}
+}
+
+func check(t *testing.T, fs vfs.FileSystem, th *proc.Thread, m *vfs.Model) {
+	t.Helper()
+	if err := m.Check(fs, th, nil); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Run executes the conformance suite against the factory.
 func Run(t *testing.T, factory Factory) {
-	t.Run("CreateReadWrite", func(t *testing.T) {
-		fs, th := factory(t)
-		h, err := fs.Create(th, "/f", 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := []byte("conformance payload")
-		if n, err := h.WriteAt(th, data, 0); err != nil || n != len(data) {
-			t.Fatalf("WriteAt = %d,%v", n, err)
-		}
-		out := make([]byte, len(data))
-		if n, err := h.ReadAt(th, out, 0); err != nil || n != len(data) || !bytes.Equal(out, data) {
-			t.Fatalf("ReadAt = %d %q %v", n, out, err)
-		}
-		fi, err := h.Stat(th)
-		if err != nil || fi.Size != int64(len(data)) {
-			t.Fatalf("Stat = %+v %v", fi, err)
-		}
-		if err := h.Sync(th); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Close(th); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("OpenMissing", func(t *testing.T) {
-		fs, th := factory(t)
-		if _, err := openR(fs, th, "/missing", vfs.O_RDONLY); !errors.Is(err, vfs.ErrNotExist) {
-			t.Fatalf("err = %v", err)
-		}
-		if _, err := statR(fs, th, "/missing"); !errors.Is(err, vfs.ErrNotExist) {
-			t.Fatalf("stat err = %v", err)
-		}
-	})
-
-	t.Run("OpenCreateTrunc", func(t *testing.T) {
-		fs, th := factory(t)
-		h, _ := fs.Create(th, "/t", 0o644)
-		h.WriteAt(th, []byte("0123456789"), 0)
-		h2, err := openR(fs, th, "/t", vfs.O_RDWR|vfs.O_TRUNC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fi, _ := h2.Stat(th)
-		if fi.Size != 0 {
-			t.Fatalf("O_TRUNC left size %d", fi.Size)
-		}
-	})
-
-	t.Run("AppendReturnsOffset", func(t *testing.T) {
-		fs, th := factory(t)
-		h, _ := fs.Create(th, "/a", 0o644)
-		for i := 0; i < 5; i++ {
-			off, err := h.Append(th, []byte("xxxx"))
-			if err != nil || off != int64(i*4) {
-				t.Fatalf("append %d: off=%d err=%v", i, off, err)
-			}
-		}
-	})
-
-	t.Run("ReadPastEOF", func(t *testing.T) {
-		fs, th := factory(t)
-		h, _ := fs.Create(th, "/e", 0o644)
-		h.WriteAt(th, []byte("abc"), 0)
-		buf := make([]byte, 10)
-		n, err := h.ReadAt(th, buf, 0)
-		if err != nil || n != 3 {
-			t.Fatalf("short read = %d,%v", n, err)
-		}
-		if n, _ := h.ReadAt(th, buf, 100); n != 0 {
-			t.Fatalf("read past EOF = %d", n)
-		}
-	})
-
-	t.Run("SparseHolesReadZero", func(t *testing.T) {
-		fs, th := factory(t)
-		h, _ := fs.Create(th, "/s", 0o644)
-		h.WriteAt(th, []byte("end"), 10000)
-		buf := make([]byte, 100)
-		n, err := h.ReadAt(th, buf, 4096)
-		if err != nil || n != 100 {
-			t.Fatalf("hole read = %d,%v", n, err)
-		}
-		for _, b := range buf {
-			if b != 0 {
-				t.Fatal("hole not zero")
-			}
-		}
-	})
-
-	t.Run("MultiPageFile", func(t *testing.T) {
-		fs, th := factory(t)
-		h, _ := fs.Create(th, "/big", 0o644)
-		pat := make([]byte, 3*4096+123)
-		for i := range pat {
-			pat[i] = byte(i * 7)
-		}
-		if n, err := h.WriteAt(th, pat, 0); err != nil || n != len(pat) {
-			t.Fatalf("big write = %d,%v", n, err)
-		}
-		out := make([]byte, len(pat))
-		if n, err := h.ReadAt(th, out, 0); err != nil || n != len(pat) {
-			t.Fatalf("big read = %d,%v", n, err)
-		}
-		if !bytes.Equal(pat, out) {
-			t.Fatal("multi-page content mismatch")
-		}
-		// Unaligned overwrite in the middle.
-		h.WriteAt(th, []byte("OVERWRITE"), 5000)
-		h.ReadAt(th, out[:9], 5000)
-		if string(out[:9]) != "OVERWRITE" {
-			t.Fatalf("overwrite readback = %q", out[:9])
-		}
-	})
-
-	t.Run("MkdirTree", func(t *testing.T) {
-		fs, th := factory(t)
-		for _, p := range []string{"/d1", "/d1/d2", "/d1/d2/d3"} {
-			if err := fs.Mkdir(th, p, 0o755); err != nil {
-				t.Fatalf("mkdir %s: %v", p, err)
-			}
-		}
-		if err := fs.Mkdir(th, "/d1", 0o755); !errors.Is(err, vfs.ErrExist) {
-			t.Fatalf("dup mkdir = %v", err)
-		}
-		if err := fs.Mkdir(th, "/nope/x", 0o755); !errors.Is(err, vfs.ErrNotExist) {
-			t.Fatalf("mkdir under missing = %v", err)
-		}
-		if _, err := fs.Create(th, "/d1/d2/d3/leaf", 0o644); err != nil {
-			t.Fatal(err)
-		}
-		fi, err := statR(fs, th, "/d1/d2")
-		if err != nil || fi.Type != vfs.TypeDir {
-			t.Fatalf("dir stat = %+v %v", fi, err)
-		}
-	})
-
-	t.Run("ReadDir", func(t *testing.T) {
-		fs, th := factory(t)
-		fs.Mkdir(th, "/ls", 0o755)
-		names := map[string]bool{}
-		for i := 0; i < 25; i++ {
-			n := fmt.Sprintf("f%02d", i)
-			names[n] = true
-			if _, err := fs.Create(th, "/ls/"+n, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fs.Mkdir(th, "/ls/sub", 0o755)
-		names["sub"] = true
-		// listed fails unless ReadDir returns exactly the current names.
-		listed := func(when string) []vfs.DirEntry {
-			t.Helper()
-			ents, err := fs.ReadDir(th, "/ls")
-			if err != nil {
-				t.Fatal(err)
-			}
-			seen := map[string]bool{}
-			for _, e := range ents {
-				if !names[e.Name] || seen[e.Name] {
-					t.Fatalf("%s: unexpected or repeated entry %q", when, e.Name)
-				}
-				seen[e.Name] = true
-			}
-			if len(seen) != len(names) {
-				t.Fatalf("%s: ReadDir = %d entries, want %d", when, len(seen), len(names))
-			}
-			return ents
-		}
-		for _, e := range listed("after create") {
-			if e.Name == "sub" && e.Type != vfs.TypeDir {
-				t.Fatal("sub must be a dir")
-			}
-		}
-		// The listing follows unlink, rename and rmdir name for name.
-		for _, n := range []string{"f03", "f17"} {
-			if err := fs.Unlink(th, "/ls/"+n); err != nil {
-				t.Fatal(err)
-			}
-			delete(names, n)
-		}
-		if err := fs.Rename(th, "/ls/f05", "/ls/moved"); err != nil {
-			t.Fatal(err)
-		}
-		delete(names, "f05")
-		names["moved"] = true
-		if err := fs.Rmdir(th, "/ls/sub"); err != nil {
-			t.Fatal(err)
-		}
-		delete(names, "sub")
-		listed("after unlink, rename and rmdir")
-	})
-
-	t.Run("UnlinkRmdir", func(t *testing.T) {
-		fs, th := factory(t)
-		fs.Mkdir(th, "/u", 0o755)
-		fs.Create(th, "/u/f", 0o644)
-		if err := fs.Rmdir(th, "/u"); !errors.Is(err, vfs.ErrNotEmpty) {
-			t.Fatalf("rmdir nonempty = %v", err)
-		}
-		if err := fs.Unlink(th, "/u"); !errors.Is(err, vfs.ErrIsDir) {
-			t.Fatalf("unlink dir = %v", err)
-		}
-		if err := fs.Rmdir(th, "/u/f"); !errors.Is(err, vfs.ErrNotDir) {
-			t.Fatalf("rmdir file = %v", err)
-		}
-		if err := fs.Unlink(th, "/u/f"); err != nil {
-			t.Fatal(err)
-		}
-		if err := fs.Rmdir(th, "/u"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := statR(fs, th, "/u"); !errors.Is(err, vfs.ErrNotExist) {
-			t.Fatal("rmdir'd dir still stats")
-		}
-	})
-
-	t.Run("Rename", func(t *testing.T) {
-		fs, th := factory(t)
-		fs.Mkdir(th, "/r1", 0o755)
-		fs.Mkdir(th, "/r2", 0o755)
-		h, _ := fs.Create(th, "/r1/x", 0o644)
-		h.WriteAt(th, []byte("move"), 0)
-		if err := fs.Rename(th, "/r1/x", "/r2/y"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := statR(fs, th, "/r1/x"); !errors.Is(err, vfs.ErrNotExist) {
-			t.Fatal("source survived rename")
-		}
-		h2, err := openR(fs, th, "/r2/y", vfs.O_RDONLY)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 4)
-		h2.ReadAt(th, buf, 0)
-		if string(buf) != "move" {
-			t.Fatalf("renamed content = %q", buf)
-		}
-		// Overwriting rename.
-		fs.Create(th, "/r2/z", 0o644)
-		if err := fs.Rename(th, "/r2/y", "/r2/z"); err != nil {
-			t.Fatal(err)
-		}
-		// Renaming onto a directory fails.
-		fs.Create(th, "/r2/w", 0o644)
-		if err := fs.Rename(th, "/r2/w", "/r1"); !errors.Is(err, vfs.ErrExist) {
-			t.Fatalf("rename onto dir = %v", err)
-		}
-	})
-
-	t.Run("RenameDir", func(t *testing.T) {
-		fs, th := factory(t)
-		fs.Mkdir(th, "/old", 0o755)
-		fs.Create(th, "/old/kid", 0o644)
-		if err := fs.Rename(th, "/old", "/new"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := statR(fs, th, "/new/kid"); err != nil {
-			t.Fatalf("child lost in dir rename: %v", err)
-		}
-	})
-
-	t.Run("Symlink", func(t *testing.T) {
-		fs, th := factory(t)
-		fs.Mkdir(th, "/tgt", 0o755)
-		h, _ := fs.Create(th, "/tgt/file", 0o644)
-		h.WriteAt(th, []byte("linked"), 0)
-		if err := fs.Symlink(th, "/tgt/file", "/ln"); err != nil {
-			t.Fatal(err)
-		}
-		if tgt, err := fs.Readlink(th, "/ln"); err != nil || tgt != "/tgt/file" {
-			t.Fatalf("Readlink = %q,%v", tgt, err)
-		}
-		fi, err := statR(fs, th, "/ln")
-		if err != nil || fi.Type != vfs.TypeRegular {
-			t.Fatalf("stat through link = %+v %v", fi, err)
-		}
-		// Dir symlink mid-path.
-		if err := fs.Symlink(th, "/tgt", "/dl"); err != nil {
-			t.Fatal(err)
-		}
-		h2, err := openR(fs, th, "/dl/file", vfs.O_RDONLY)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 6)
-		h2.ReadAt(th, buf, 0)
-		if string(buf) != "linked" {
-			t.Fatalf("through-link read = %q", buf)
-		}
-		if _, err := fs.Readlink(th, "/tgt/file"); !errors.Is(err, vfs.ErrInvalid) {
-			t.Fatalf("readlink on regular = %v", err)
-		}
-	})
-
-	t.Run("Truncate", func(t *testing.T) {
-		fs, th := factory(t)
-		h, _ := fs.Create(th, "/tr", 0o644)
-		h.WriteAt(th, bytes.Repeat([]byte{9}, 10000), 0)
-		if err := fs.Truncate(th, "/tr", 100); err != nil {
-			t.Fatal(err)
-		}
-		fi, _ := statR(fs, th, "/tr")
-		if fi.Size != 100 {
-			t.Fatalf("size = %d", fi.Size)
-		}
-		if err := fs.Truncate(th, "/tr", 20000); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 50)
-		h.ReadAt(th, buf, 15000)
-		for _, b := range buf {
-			if b != 0 {
-				t.Fatal("extended area must read zero")
-			}
-		}
-	})
-
-	// Bytes cut off by a shrink stay gone whichever way the file grows back
-	// over them: truncate up, or a write past EOF (here a zero byte, so the
-	// whole of [100, 20000) must read zeros).
-	for _, grow := range []struct {
-		name string
-		fn   func(fs vfs.FileSystem, th *proc.Thread, h vfs.Handle) error
-	}{
-		{"Truncate", func(fs vfs.FileSystem, th *proc.Thread, _ vfs.Handle) error {
-			return fs.Truncate(th, "/tr", 20000)
-		}},
-		{"WriteAt", func(_ vfs.FileSystem, th *proc.Thread, h vfs.Handle) error {
-			_, err := h.WriteAt(th, []byte{0}, 19999)
-			return err
-		}},
-	} {
-		t.Run("ShrinkThenExtendBy"+grow.name, func(t *testing.T) {
+	for _, c := range scripts() {
+		t.Run(c.name, func(t *testing.T) {
 			fs, th := factory(t)
-			h, err := fs.Create(th, "/tr", 0o644)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]byte, 20000)
-			copy(want, bytes.Repeat([]byte{9}, 100))
-			if _, err := h.WriteAt(th, bytes.Repeat([]byte{9}, 10000), 0); err != nil {
-				t.Fatal(err)
-			}
-			if err := fs.Truncate(th, "/tr", 100); err != nil {
-				t.Fatal(err)
-			}
-			if err := grow.fn(fs, th, h); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, len(want)+1)
-			if n, err := h.ReadAt(th, got, 0); err != nil || n != len(want) {
-				t.Fatalf("read back %d, %v; want %d bytes", n, err, len(want))
-			}
-			for i := 100; i < len(want); i++ {
-				if got[i] != 0 {
-					t.Fatalf("byte %d reads %d after the extension, want 0", i, got[i])
-				}
-			}
-			if !bytes.Equal(got[:100], want[:100]) {
-				t.Fatal("the kept 100 bytes changed")
-			}
+			m := vfs.NewModel()
+			play(t, fs, th, m, c.script)
+			check(t, fs, th, m)
 		})
 	}
 
-	t.Run("ChmodChown", func(t *testing.T) {
-		fs, th := factory(t)
-		fs.Create(th, "/perm", 0o644)
-		if err := fs.Chmod(th, "/perm", 0o600); err != nil {
-			t.Fatal(err)
-		}
-		fi, _ := statR(fs, th, "/perm")
-		if fi.Mode != 0o600 {
-			t.Fatalf("mode = %o", fi.Mode)
-		}
-		if err := fs.Chown(th, "/perm", 7, 8); err != nil {
-			t.Fatal(err)
-		}
-		fi, _ = statR(fs, th, "/perm")
-		if fi.UID != 7 || fi.GID != 8 {
-			t.Fatalf("owner = %d/%d", fi.UID, fi.GID)
-		}
-	})
-
+	// Four threads each create a file and append 20 pages to it.
 	t.Run("ConcurrentWritersDistinctFiles", func(t *testing.T) {
 		fs, th := factory(t)
-		const workers = 4
+		const workers, pages = 4, 20
+		perThread := make([][]step, workers)
 		done := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				wt := th.Proc.NewThread()
-				p := fmt.Sprintf("/w%d", w)
-				h, err := fs.Create(wt, p, 0o644)
-				if err != nil {
-					done <- err
-					return
-				}
-				pat := bytes.Repeat([]byte{byte(w + 1)}, 4096)
-				for i := 0; i < 20; i++ {
-					if _, err := h.Append(wt, pat); err != nil {
-						done <- err
+		for w := range perThread {
+			p, page := fmt.Sprintf("/w%d", w), bytes.Repeat([]byte{byte(w + 1)}, 4096)
+			perThread[w] = []step{create(p)}
+			for i := range pages {
+				perThread[w] = append(perThread[w], at(vfs.OpAppend, p, int64(i*len(page)), page))
+			}
+			go func(wt *proc.Thread, script []step) {
+				for _, s := range script {
+					if err := s.op.Do(fs, wt); err != nil {
+						done <- fmt.Errorf("%v: %w", s.op, err)
 						return
 					}
 				}
 				done <- nil
-			}(w)
+			}(th.Proc.NewThread(), perThread[w])
 		}
-		for w := 0; w < workers; w++ {
+		for range workers {
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
 		}
-		for w := 0; w < workers; w++ {
-			fi, err := statR(fs, th, fmt.Sprintf("/w%d", w))
-			if err != nil || fi.Size != 20*4096 {
-				t.Fatalf("worker %d: %+v %v", w, fi, err)
+		m := vfs.NewModel()
+		for _, script := range perThread {
+			for _, s := range script {
+				m.Apply(s.op)
 			}
 		}
+		check(t, fs, th, m)
 	})
 
+	// Four threads append to one shared handle; no append may be lost.
 	t.Run("ConcurrentAppendSharedFile", func(t *testing.T) {
 		fs, th := factory(t)
 		h, err := fs.Create(th, "/shared", 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const workers, per = 4, 25
+		const workers, per, size = 4, 25, 64
 		done := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				wt := th.Proc.NewThread()
-				for i := 0; i < per; i++ {
-					if _, err := h.Append(wt, make([]byte, 64)); err != nil {
+		for range workers {
+			go func(wt *proc.Thread) {
+				for range per {
+					if _, err := h.Append(wt, make([]byte, size)); err != nil {
 						done <- err
 						return
 					}
 				}
 				done <- nil
-			}()
+			}(th.Proc.NewThread())
 		}
-		for w := 0; w < workers; w++ {
+		for range workers {
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
 		}
-		fi, _ := statR(fs, th, "/shared")
-		if fi.Size != workers*per*64 {
-			t.Fatalf("interleaved appends lost data: size=%d want %d", fi.Size, workers*per*64)
+		if err := h.Close(th); err != nil {
+			t.Fatal(err)
 		}
+		m := vfs.NewModel()
+		m.Create("/shared", 0o644)
+		m.Truncate("/shared", workers*per*size)
+		check(t, fs, th, m)
 	})
 }

@@ -3,84 +3,13 @@ package zofs_test
 import (
 	"testing"
 
-	"zofs/internal/kernfs"
-	"zofs/internal/nvm"
-	"zofs/internal/proc"
-	"zofs/internal/vfs"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs/vfstest"
-	"zofs/internal/zofs"
 )
 
-// TestZoFSConformance runs the shared vfs conformance suite against ZoFS,
-// the same battery the four baselines pass.
-func TestZoFSConformance(t *testing.T) {
-	vfstest.Run(t, func(t *testing.T) (vfs.FileSystem, *proc.Thread) {
-		dev := nvm.NewDevice(256 << 20)
-		if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
-			t.Fatal(err)
-		}
-		k, err := kernfs.Mount(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := proc.NewProcess(dev, 0, 0)
-		th := p.NewThread()
-		if err := k.FSMount(th); err != nil {
-			t.Fatal(err)
-		}
-		f := zofs.New(k, zofs.Options{})
-		if err := f.EnsureRootDir(th); err != nil {
-			t.Fatal(err)
-		}
-		return f, th
-	})
-}
-
-// TestZoFSInlineConformance runs the suite with small-file inlining on.
-func TestZoFSInlineConformance(t *testing.T) {
-	vfstest.Run(t, func(t *testing.T) (vfs.FileSystem, *proc.Thread) {
-		dev := nvm.NewDevice(256 << 20)
-		if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
-			t.Fatal(err)
-		}
-		k, err := kernfs.Mount(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := proc.NewProcess(dev, 0, 0)
-		th := p.NewThread()
-		if err := k.FSMount(th); err != nil {
-			t.Fatal(err)
-		}
-		f := zofs.New(k, zofs.Options{InlineData: true})
-		if err := f.EnsureRootDir(th); err != nil {
-			t.Fatal(err)
-		}
-		return f, th
-	})
-}
-
-// TestZoFSOneCofferConformance runs the suite against the ZoFS-1coffer
-// variant used in Table 9.
-func TestZoFSOneCofferConformance(t *testing.T) {
-	vfstest.Run(t, func(t *testing.T) (vfs.FileSystem, *proc.Thread) {
-		dev := nvm.NewDevice(256 << 20)
-		if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
-			t.Fatal(err)
-		}
-		k, err := kernfs.Mount(dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := proc.NewProcess(dev, 0, 0)
-		th := p.NewThread()
-		if err := k.FSMount(th); err != nil {
-			t.Fatal(err)
-		}
-		f := zofs.New(k, zofs.Options{OneCoffer: true})
-		if err := f.EnsureRootDir(th); err != nil {
-			t.Fatal(err)
-		}
-		return f, th
-	})
-}
+// The suite runs over every system in vfstest's TestConformance; these run it
+// on ZoFS, small-file inlining and the one-coffer variant of Table 9, so that
+// this package's tests cover its conformance too.
+func TestZoFSConformance(t *testing.T)          { vfstest.Run(t, vfstest.On(sysfactory.ZoFS)) }
+func TestZoFSInlineConformance(t *testing.T)    { vfstest.Run(t, vfstest.On(sysfactory.ZoFSInline)) }
+func TestZoFSOneCofferConformance(t *testing.T) { vfstest.Run(t, vfstest.On(sysfactory.ZoFS1Coffer)) }

@@ -14,8 +14,8 @@ import (
 	"zofs/internal/zofs"
 )
 
-// TestRandomOpsAgainstModel drives ZoFS with a long random operation
-// sequence and checks every observable result against a vfs.Model — files'
+// TestRandomOpsAgainstModel drives ZoFS with a long random sequence of
+// vfs.Ops and checks every observable result against a vfs.Model — files'
 // contents, sizes and modes, and the whole tree's listings. Files are picked
 // in the model's creation order, so a seed replays exactly; a failure names
 // the seed and the op index.
@@ -71,57 +71,33 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 
 	const ops = 3000
 	for ; i < ops; i++ {
+		var op vfs.Op
 		switch rng.Intn(10) {
-		case 0, 1: // create
+		case 0, 1:
 			path := vfs.Join(dirs[rng.Intn(len(dirs))], fmt.Sprintf("f%04d", rng.Intn(200)))
-			detail = "create " + path
-			h, err := f.Create(th, path, 0o644)
-			if err != nil {
-				fail("%v (free pages %d, coffers %d)", err, k.FreePages(), len(k.Coffers()))
-			}
-			h.Close(th)
-			model.Create(path, 0o644)
-		case 2, 3: // write at random offset
+			op = vfs.Op{Kind: vfs.OpCreate, Path: path, Mode: 0o644}
+		case 2, 3: // write at a random offset
 			path, ok := pick()
 			if !ok {
 				continue
-			}
-			h, err := f.Open(th, path, vfs.O_RDWR)
-			if err != nil {
-				fail("open %s: %v", path, err)
 			}
 			off := rng.Int63n(20000)
-			n := rng.Intn(9000) + 1
-			detail = fmt.Sprintf("write %s off=%d n=%d", path, off, n)
-			buf := make([]byte, n)
+			buf := make([]byte, rng.Intn(9000)+1)
 			rng.Read(buf)
-			if _, err := h.WriteAt(th, buf, off); err != nil {
-				fail("%v (free pages %d, coffers %d)", err, k.FreePages(), len(k.Coffers()))
-			}
-			h.Close(th)
-			model.Write(path, buf, off)
-		case 4: // unlink
+			op = vfs.Op{Kind: vfs.OpWrite, Path: path, Off: off, Data: buf}
+		case 4:
 			path, ok := pick()
 			if !ok {
 				continue
 			}
-			detail = "unlink " + path
-			if err := f.Unlink(th, path); err != nil {
-				fail("%v", err)
-			}
-			model.Unlink(path)
-		case 5: // truncate
+			op = vfs.Op{Kind: vfs.OpUnlink, Path: path}
+		case 5:
 			path, ok := pick()
 			if !ok {
 				continue
 			}
-			sz := rng.Int63n(30000)
-			detail = fmt.Sprintf("truncate %s %d", path, sz)
-			if err := f.Truncate(th, path, sz); err != nil {
-				fail("%v", err)
-			}
-			model.Truncate(path, sz)
-		case 6: // rename
+			op = vfs.Op{Kind: vfs.OpTruncate, Path: path, Size: rng.Int63n(30000)}
+		case 6:
 			src, ok := pick()
 			if !ok {
 				continue
@@ -130,54 +106,33 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			detail = "rename " + src + "->" + dst
-			if err := f.Rename(th, src, dst); err != nil {
-				fail("%v", err)
-			}
-			model.Rename(src, dst)
-		case 7: // verify one file fully
+			op = vfs.Op{Kind: vfs.OpRename, Path: src, Dst: dst}
+		case 7: // read one file whole
 			path, ok := pick()
 			if !ok {
 				continue
 			}
 			want, _ := model.Data(path)
-			h, err := f.Open(th, path, vfs.O_RDONLY)
-			if err != nil {
-				fail("verify-open %s: %v", path, err)
-			}
-			got := make([]byte, len(want)+100)
-			n, err := h.ReadAt(th, got, 0)
-			if err != nil {
-				fail("verify-read %s: %v", path, err)
-			}
-			h.Close(th)
-			if n != len(want) || !bytes.Equal(got[:n], want) {
-				fail("%s content mismatch (%d vs %d bytes)", path, n, len(want))
-			}
-		case 8: // stat size check
+			op = vfs.Op{Kind: vfs.OpRead, Path: path, Data: want, Size: int64(len(want)) + 100}
+		case 8:
 			path, ok := pick()
 			if !ok {
 				continue
 			}
-			fi, err := f.Stat(th, path)
-			if err != nil {
-				fail("stat %s: %v", path, err)
-			}
-			if want, _ := model.Data(path); fi.Size != int64(len(want)) {
-				fail("%s size %d want %d", path, fi.Size, len(want))
-			}
+			want, _ := model.Data(path)
+			op = vfs.Op{Kind: vfs.OpStat, Path: path, Size: int64(len(want))}
 		case 9: // chmod (split or in-place)
 			path, ok := pick()
 			if !ok {
 				continue
 			}
-			mode := []coffer.Mode{0o644, 0o600, 0o640}[rng.Intn(3)]
-			detail = fmt.Sprintf("chmod %s %o", path, mode)
-			if err := f.Chmod(th, path, mode); err != nil {
-				fail("%v", err)
-			}
-			model.Chmod(path, mode)
+			op = vfs.Op{Kind: vfs.OpChmod, Path: path, Mode: []coffer.Mode{0o644, 0o600, 0o640}[rng.Intn(3)]}
 		}
+		detail = op.String()
+		if err := op.Do(f, th); err != nil {
+			fail("%v (free pages %d, coffers %d)", err, k.FreePages(), len(k.Coffers()))
+		}
+		model.Apply(op)
 		if i%25 == 0 {
 			if err := model.Check(f, th, nil); err != nil {
 				fail("%v", err)

@@ -20,6 +20,17 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== every package has a test =="
+# A Go package outside benchmark/ with no _test.go file has nothing checking
+# it; == size == reports the count.
+untested=$(go list -f '{{if and (not .TestGoFiles) (not .XTestGoFiles)}}{{.ImportPath}}{{end}}' ./... |
+    grep -v -e '^$' -e '^zofs/benchmark\(/\|$\)' || true)
+if [ -n "$untested" ]; then
+    echo "packages without a test:" >&2
+    echo "$untested" >&2
+    exit 1
+fi
+
 echo "== go test -race =="
 go test -race ./...
 
@@ -231,7 +242,7 @@ obs=$(find internal/telemetry internal/pmemtrace internal/spans internal/byteflo
     cmd/zofs-obs cmd/zofs-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 pkgs=$(go list ./... | grep -vc '^zofs/benchmark\(/\|$\)')
 echo "non-test Go lines outside benchmark/: $lines; test Go lines: $tests;" \
-    "Go packages outside benchmark/: $pkgs;" \
+    "Go packages outside benchmark/: $pkgs (without a test: $(printf '%s' "$untested" | grep -c .));" \
     "zofs.Options fields: $(fields internal/zofs/fs.go)"
 echo "DESIGN.md lines: $(wc -l <DESIGN.md)"
 echo "CLIs: $(ls cmd | wc -l); observability set + zofs-obs + zofs-bench: $obs lines"
