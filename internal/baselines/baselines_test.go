@@ -14,14 +14,16 @@ import (
 	"zofs/internal/vfs/vfstest"
 )
 
-// The suite runs over every system in vfstest's TestConformance; these run it
-// on each baseline, so that this package's tests cover its conformance too.
-func TestPMFSConformance(t *testing.T)        { vfstest.Run(t, vfstest.On(sysfactory.PMFS)) }
-func TestPMFSNocacheConformance(t *testing.T) { vfstest.Run(t, vfstest.On(sysfactory.PMFSNocache)) }
-func TestNOVAConformance(t *testing.T)        { vfstest.Run(t, vfstest.On(sysfactory.NOVA)) }
-func TestNOVAiConformance(t *testing.T)       { vfstest.Run(t, vfstest.On(sysfactory.NOVAi)) }
-func TestStrataConformance(t *testing.T)      { vfstest.Run(t, vfstest.On(sysfactory.Strata)) }
-func TestExt4DAXConformance(t *testing.T)     { vfstest.Run(t, vfstest.On(sysfactory.Ext4DAX)) }
+// The conformance suite on each baseline of sysfactory, also the Fig. 8 NOVA
+// variants that skip the DRAM index update of each write.
+func TestPMFSConformance(t *testing.T)         { vfstest.Run(t, vfstest.On(sysfactory.PMFS)) }
+func TestPMFSNocacheConformance(t *testing.T)  { vfstest.Run(t, vfstest.On(sysfactory.PMFSNocache)) }
+func TestNOVAConformance(t *testing.T)         { vfstest.Run(t, vfstest.On(sysfactory.NOVA)) }
+func TestNOVAiConformance(t *testing.T)        { vfstest.Run(t, vfstest.On(sysfactory.NOVAi)) }
+func TestNOVANoIndexConformance(t *testing.T)  { vfstest.Run(t, vfstest.On(sysfactory.NOVANoIndex)) }
+func TestNOVAiNoIndexConformance(t *testing.T) { vfstest.Run(t, vfstest.On(sysfactory.NOVAiNoIndex)) }
+func TestStrataConformance(t *testing.T)       { vfstest.Run(t, vfstest.On(sysfactory.Strata)) }
+func TestExt4DAXConformance(t *testing.T)      { vfstest.Run(t, vfstest.On(sysfactory.Ext4DAX)) }
 
 // TestKernelFSChargesSyscalls verifies the central cost asymmetry: kernel
 // file systems pay a syscall per op, Strata's data path does not.

@@ -213,52 +213,24 @@ func (l *Lib) fsFor(th *proc.Thread, path string) (vfs.FileSystem, error) {
 func (l *Lib) dispatch(th *proc.Thread, path string, op func(fs vfs.FileSystem, p string) error) error {
 	sp := spans.FromClock(th.Clk)
 	p, inMount := l.resolve(path)
-	for hop := 0; ; hop++ {
-		if hop > vfs.MaxSymlinkHops {
-			return vfs.ErrLoop
-		}
+	_, err := vfs.Follow(p, func(p string) (struct{}, error) {
 		t0 := th.Clk.Now()
-		var fs vfs.FileSystem
+		fs := l.opts.Fallback
 		if inMount {
 			var err error
 			if fs, err = l.fsFor(th, p); err != nil {
-				return err
+				return struct{}{}, err
 			}
-		} else {
-			if l.opts.Fallback == nil {
-				return vfs.ErrNotExist
-			}
-			fs = l.opts.Fallback
+		} else if fs == nil {
+			return struct{}{}, vfs.ErrNotExist
 		}
 		// Coffer-type routing (resolve + ResolveLongest) is the dispatcher's
 		// own cost; record it as a child span per hop so symlink re-dispatch
 		// shows up as repeated dispatch segments on the timeline.
 		sp.Child("fslib.dispatch", t0, th.Clk.Now()-t0)
-		err := op(fs, p)
-		se := symlinkError(err)
-		if se == nil {
-			return err
-		}
-		p = se.Path
-	}
-}
-
-// symlinkError finds the *vfs.SymlinkError in err's Unwrap chain, nil if there
-// is none. It is errors.As for that one type, spelled out because errors.As
-// needs a pointer to its target in an interface, which costs every dispatched
-// op — the successful ones too — a heap allocation.
-func symlinkError(err error) *vfs.SymlinkError {
-	for err != nil {
-		switch e := err.(type) {
-		case *vfs.SymlinkError:
-			return e
-		case interface{ Unwrap() error }:
-			err = e.Unwrap()
-		default:
-			return nil
-		}
-	}
-	return nil
+		return struct{}{}, op(fs, p)
+	})
+	return err
 }
 
 // ---- FD table ----------------------------------------------------------------

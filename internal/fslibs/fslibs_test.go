@@ -466,10 +466,8 @@ func TestDispatchUnwrapsSymlinkError(t *testing.T) {
 	if fi, err := l.Stat(th, "/link"); err != nil || fi.Size != 42 {
 		t.Fatalf("Stat through a wrapped symlink expansion = %+v, %v", fi, err)
 	}
-	if _, err := l.Stat(th, "/nothing"); !errors.Is(err, vfs.ErrNotExist) || symlinkError(err) != nil {
+	var se *vfs.SymlinkError
+	if _, err := l.Stat(th, "/nothing"); !errors.Is(err, vfs.ErrNotExist) || errors.As(err, &se) {
 		t.Fatalf("Stat of a missing path = %v", err)
-	}
-	if se := symlinkError(&vfs.SymlinkError{Path: "/bare"}); se == nil || se.Path != "/bare" {
-		t.Fatal("an unwrapped SymlinkError was not recognised")
 	}
 }

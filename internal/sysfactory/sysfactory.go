@@ -95,11 +95,5 @@ var (
 	Ext4DAX = newBaseline("Ext4-DAX", baselines.NewExt4DAX)
 )
 
-// All lists every system above, each under its own name.
-var All = []System{
-	ZoFS, ZoFSSysEmpty, ZoFSKWrite, ZoFS1Coffer, ZoFSInline,
-	PMFS, PMFSNocache, NOVA, NOVAi, NOVANoIndex, NOVAiNoIndex, Strata, Ext4DAX,
-}
-
 // Comparison is the default system set of Figures 7 and 9.
 var Comparison = []System{Ext4DAX, PMFS, Strata, NOVA, ZoFS}

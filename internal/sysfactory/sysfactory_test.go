@@ -9,13 +9,20 @@ import (
 	"zofs/internal/vfs"
 )
 
-// TestEverySystemBuildsAndRoundTrips: each System in All builds on a fresh
+// TestEverySystemBuildsAndRoundTrips: each exported System builds on a fresh
 // device under a name no other uses — the harnesses key tables, cell labels and
 // BENCH cells by it — and carries a file through mkdir, create, write, read,
 // stat and unlink.
 func TestEverySystemBuildsAndRoundTrips(t *testing.T) {
+	systems := []sysfactory.System{
+		sysfactory.ZoFS, sysfactory.ZoFSSysEmpty, sysfactory.ZoFSKWrite,
+		sysfactory.ZoFS1Coffer, sysfactory.ZoFSInline,
+		sysfactory.PMFS, sysfactory.PMFSNocache,
+		sysfactory.NOVA, sysfactory.NOVAi, sysfactory.NOVANoIndex, sysfactory.NOVAiNoIndex,
+		sysfactory.Strata, sysfactory.Ext4DAX,
+	}
 	seen := map[string]bool{}
-	for _, sys := range sysfactory.All {
+	for _, sys := range systems {
 		if sys.Name == "" || seen[sys.Name] {
 			t.Errorf("system name %q is empty or used twice", sys.Name)
 		}
@@ -61,7 +68,7 @@ func TestEverySystemBuildsAndRoundTrips(t *testing.T) {
 	}
 	for _, sys := range sysfactory.Comparison {
 		if !seen[sys.Name] {
-			t.Errorf("Comparison holds %q, which All does not", sys.Name)
+			t.Errorf("Comparison holds %q, which is not an exported System", sys.Name)
 		}
 	}
 }

@@ -149,10 +149,11 @@ func (m *Model) Symlink(target, path string) {
 // Check reads fs as th and reports every way it disagrees with the model:
 // each model file must be a regular file of the model's mode, owner (where
 // one was recorded), size and bytes, each model directory a directory, each
-// symlink must read back its target, and a walk from "/" must find no entry
-// the model does not hold. A path skip reports true for is left out:
-// the model's file or directory there is not compared, and the walk neither
-// reports that entry nor descends into it. skip may be nil. Check returns the
+// symlink must read back its target, and a walk from "/" must list in each
+// directory every entry the model holds there once, with its type, and no
+// other. A path skip reports true for is left out: the model's file or
+// directory there is not compared, and the walk neither reports that entry,
+// listed or missing, nor descends into it. skip may be nil. Check returns the
 // disagreements joined into one error, nil when there are none.
 func (m *Model) Check(fs FileSystem, th *proc.Thread, skip func(path string) bool) error {
 	skipped := func(p string) bool { return skip != nil && skip(p) }
@@ -182,7 +183,7 @@ func (m *Model) Check(fs FileSystem, th *proc.Thread, skip func(path string) boo
 			errs = append(errs, fmt.Errorf("%s links to %s, want %s", l.path, target, l.target))
 		}
 	}
-	m.walk(fs, th, "/", skipped, &errs)
+	m.walk(fs, th, "/", m.children(), skipped, &errs)
 	return errors.Join(errs...)
 }
 
@@ -220,26 +221,75 @@ func checkFile(fs FileSystem, th *proc.Thread, f *file) error {
 	return nil
 }
 
+// children maps each directory of the model to the type of every entry the
+// model holds in it.
+func (m *Model) children() map[string]map[string]FileType {
+	kids := map[string]map[string]FileType{}
+	add := func(p string, t FileType) {
+		if p == "/" {
+			return
+		}
+		dir, base := SplitPath(p)
+		if kids[dir] == nil {
+			kids[dir] = map[string]FileType{}
+		}
+		kids[dir][base] = t
+	}
+	for _, d := range m.dirs {
+		add(d, TypeDir)
+	}
+	for _, f := range m.files {
+		add(f.path, TypeRegular)
+	}
+	for _, l := range m.links {
+		add(l.path, TypeSymlink)
+	}
+	return kids
+}
+
 // walk lists dir and everything below it, parents before children, adding an
-// error for each entry the model does not hold. A listing is valid only until
-// th's next ReadDir, so each one is cloned before the walk descends.
-func (m *Model) walk(fs FileSystem, th *proc.Thread, dir string, skipped func(string) bool, errs *[]error) {
+// error for each way a listing differs from kids, the model's entries of each
+// directory: an entry listed twice, one the model does not hold, one of
+// another type, and one the model holds that the listing leaves out. A listing
+// is valid only until th's next ReadDir, so each one is cloned before the walk
+// descends.
+func (m *Model) walk(fs FileSystem, th *proc.Thread, dir string, kids map[string]map[string]FileType,
+	skipped func(string) bool, errs *[]error) {
 	ents, err := fs.ReadDir(th, dir)
 	if err != nil {
 		*errs = append(*errs, fmt.Errorf("readdir %s: %w", dir, err))
 		return
 	}
+	want := kids[dir]
+	seen := make(map[string]bool, len(ents))
 	for _, e := range slices.Clone(ents) {
 		p := Join(dir, e.Name)
 		if skipped(p) {
 			continue
 		}
-		isLink := slices.ContainsFunc(m.links, func(l *link) bool { return l.path == p })
-		if m.index(p) < 0 && !slices.Contains(m.dirs, p) && !isLink {
+		t, held := want[e.Name]
+		switch {
+		case seen[e.Name]:
+			*errs = append(*errs, fmt.Errorf("%s is listed twice in %s", e.Name, dir))
+			continue
+		case !held:
 			*errs = append(*errs, fmt.Errorf("%s (%v) is not in the model", p, e.Type))
+		case e.Type != t:
+			*errs = append(*errs, fmt.Errorf("%s is listed as a %v, want a %v", p, e.Type, t))
 		}
+		seen[e.Name] = true
 		if e.Type == TypeDir {
-			m.walk(fs, th, p, skipped, errs)
+			m.walk(fs, th, p, kids, skipped, errs)
 		}
+	}
+	var missing []string
+	for name := range want {
+		if !seen[name] && !skipped(Join(dir, name)) {
+			missing = append(missing, name)
+		}
+	}
+	slices.Sort(missing)
+	for _, name := range missing {
+		*errs = append(*errs, fmt.Errorf("%s (%v) is missing from the listing of %s", Join(dir, name), want[name], dir))
 	}
 }

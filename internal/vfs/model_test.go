@@ -158,13 +158,14 @@ func TestModelCheck(t *testing.T) {
 		"/short size 3, want 7",
 		"/wrong differs from the model at byte 3 of 7",
 		"/g mode 600, want 644",
+		"/missing (file) is missing from the listing of /",
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("Check's report lacks %q:\n%v", want, err)
 		}
 	}
-	if n := strings.Count(err.Error(), "\n") + 1; n != 5 {
-		t.Errorf("Check reported %d disagreements, want 5:\n%v", n, err)
+	if n := strings.Count(err.Error(), "\n") + 1; n != 6 {
+		t.Errorf("Check reported %d disagreements, want 6:\n%v", n, err)
 	}
 
 	// Skipped paths are neither compared nor walked.
@@ -173,6 +174,64 @@ func TestModelCheck(t *testing.T) {
 	}
 	if err := m.Check(fs, th, skip); err != nil {
 		t.Fatalf("Check with every difference skipped: %v", err)
+	}
+}
+
+// listing is a file system whose ReadDir of /d passes through edit.
+type listing struct {
+	vfs.FileSystem
+	edit func([]vfs.DirEntry) []vfs.DirEntry
+}
+
+func (l listing) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
+	ents, err := l.FileSystem.ReadDir(th, path)
+	if err != nil || path != "/d" {
+		return ents, err
+	}
+	return l.edit(slices.Clone(ents)), nil
+}
+
+// TestModelCheckListings: Check compares each directory's listing with the
+// model's entries there: one left out, listed twice or listed with another
+// type is named, though every path still stats as the model has it.
+func TestModelCheckListings(t *testing.T) {
+	fs, th := newFS(t)
+	m := vfs.NewModel()
+	for _, op := range []vfs.Op{
+		{Kind: vfs.OpMkdir, Path: "/d", Mode: 0o755},
+		{Kind: vfs.OpCreate, Path: "/d/f", Mode: 0o644},
+		{Kind: vfs.OpMkdir, Path: "/d/sub", Mode: 0o755},
+		{Kind: vfs.OpSymlink, Path: "/d/l", Dst: "/d/f"},
+	} {
+		if err := op.Do(fs, th); err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		m.Apply(op)
+	}
+	named := func(ents []vfs.DirEntry, name string) int {
+		return slices.IndexFunc(ents, func(e vfs.DirEntry) bool { return e.Name == name })
+	}
+	for _, c := range []struct {
+		name string
+		edit func([]vfs.DirEntry) []vfs.DirEntry
+		want string
+	}{
+		{"as it is", func(e []vfs.DirEntry) []vfs.DirEntry { return e }, ""},
+		{"an entry left out", func(e []vfs.DirEntry) []vfs.DirEntry {
+			return slices.Delete(e, named(e, "f"), named(e, "f")+1)
+		}, "/d/f (file) is missing from the listing of /d"},
+		{"an entry listed twice", func(e []vfs.DirEntry) []vfs.DirEntry {
+			return append(e, e[named(e, "sub")])
+		}, "sub is listed twice in /d"},
+		{"a symlink listed as a file", func(e []vfs.DirEntry) []vfs.DirEntry {
+			e[named(e, "l")].Type = vfs.TypeRegular
+			return e
+		}, "/d/l is listed as a file, want a symlink"},
+	} {
+		err := m.Check(listing{fs, c.edit}, th, nil)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: Check = %v, want it to name %q", c.name, err, c.want)
+		}
 	}
 }
 

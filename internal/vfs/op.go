@@ -21,7 +21,7 @@ const (
 	OpFsync                  // sync Path
 	OpTruncate               // cut or zero-extend Path to Size bytes
 	OpOpen                   // open Path with Flags and close it
-	OpRead                   // read max(Size, len(Data)) bytes of Path at Off: exactly Data
+	OpRead                   // read Path at Off into a buffer of Size bytes, or len(Data) if more: exactly Data
 	OpStat                   // Path is a regular file of Size bytes
 	OpReadlink               // Path is a symlink to Dst
 	OpRename                 // move Path, and all below it, to Dst
@@ -44,7 +44,8 @@ func (k OpKind) String() string {
 
 // Op is one operation on a file system: the fields its kind names, the rest
 // zero. Opens, reads and stats follow symlinks, as the dispatcher does; the
-// other kinds act on Path itself.
+// other kinds act on Path itself. A read whose Size exceeds len(Data) states
+// where the file ends: the read must come back short, with Data alone.
 type Op struct {
 	Kind     OpKind
 	Path     string
@@ -93,11 +94,7 @@ func (op Op) Do(fs FileSystem, th *proc.Thread) error {
 	case OpTruncate:
 		return fs.Truncate(th, op.Path, op.Size)
 	case OpStat:
-		fi, err := Follow(op.Path, func(p string) (FileInfo, error) { return fs.Stat(th, p) })
-		if err == nil && (fi.Type != TypeRegular || fi.Size != op.Size) {
-			return fmt.Errorf("%v: a %v of %d bytes", op, fi.Type, fi.Size)
-		}
-		return err
+		return op.statIs(Follow(op.Path, func(p string) (FileInfo, error) { return fs.Stat(th, p) }))
 	case OpReadlink:
 		target, err := fs.Readlink(th, op.Path)
 		if err == nil && target != op.Dst {
@@ -136,14 +133,17 @@ func (op Op) Do(fs FileSystem, th *proc.Thread) error {
 	return h.Close(th)
 }
 
-// DoOn runs a write, append, fsync, read or open op through h, a handle open
-// on op.Path, as Do does through a handle it opens and closes itself. A
-// caller holding h across other ops checks what a handle opened before them
-// sees.
+// DoOn runs a write, append, fsync, read, stat or open op through h, a
+// handle open on op.Path, as Do does through a handle it opens and closes
+// itself (a stat through h, Do through the path). A caller holding h across
+// other ops checks what a handle opened before them sees.
 func (op Op) DoOn(th *proc.Thread, h Handle) error {
 	switch op.Kind {
 	case OpWrite:
-		_, err := h.WriteAt(th, op.Data, op.Off)
+		n, err := h.WriteAt(th, op.Data, op.Off)
+		if err == nil && n != len(op.Data) {
+			return fmt.Errorf("%v: wrote %d bytes", op, n)
+		}
 		return err
 	case OpAppend:
 		off, err := h.Append(th, op.Data)
@@ -160,10 +160,21 @@ func (op Op) DoOn(th *proc.Thread, h Handle) error {
 			return fmt.Errorf("%v: read %d bytes that differ", op, n)
 		}
 		return err
+	case OpStat:
+		return op.statIs(h.Stat(th))
 	case OpOpen:
 		return nil
 	}
 	return fmt.Errorf("vfs: unknown op kind %d", op.Kind)
+}
+
+// statIs returns a stat's error, or one of its own when fi is not a regular
+// file of op.Size bytes.
+func (op Op) statIs(fi FileInfo, err error) error {
+	if err == nil && (fi.Type != TypeRegular || fi.Size != op.Size) {
+		return fmt.Errorf("%v: a %v of %d bytes", op, fi.Type, fi.Size)
+	}
+	return err
 }
 
 // Apply records an op the file system completed. Fsync, read, stat and

@@ -115,14 +115,15 @@ func (e *SymlinkError) Error() string { return fmt.Sprintf("vfs: symlink expansi
 // ELOOP limit).
 const MaxSymlinkHops = 40
 
-// Follow calls op with path and, each time op reports a symlink expansion,
-// again with the expanded path, as the FSLibs dispatcher re-dispatches a
-// request (§4.2). After MaxSymlinkHops expansions it gives up with ErrLoop.
+// Follow calls op with path and, each time op reports a symlink expansion
+// (a SymlinkError anywhere in the error's Unwrap chain), again with the
+// expanded path, as the FSLibs dispatcher re-dispatches a request (§4.2).
+// After MaxSymlinkHops expansions it gives up with ErrLoop.
 func Follow[T any](path string, op func(path string) (T, error)) (T, error) {
 	for hop := 0; ; hop++ {
 		v, err := op(path)
-		se, ok := err.(*SymlinkError)
-		if !ok {
+		se := asSymlinkError(err)
+		if se == nil {
 			return v, err
 		}
 		if hop == MaxSymlinkHops {
@@ -130,6 +131,24 @@ func Follow[T any](path string, op func(path string) (T, error)) (T, error) {
 		}
 		path = se.Path
 	}
+}
+
+// asSymlinkError finds the *SymlinkError in err's Unwrap chain, nil if there
+// is none. It is errors.As for that one type, spelled out because errors.As
+// needs a pointer to its target in an interface, which costs every dispatched
+// op — the successful ones too — a heap allocation.
+func asSymlinkError(err error) *SymlinkError {
+	for err != nil {
+		switch e := err.(type) {
+		case *SymlinkError:
+			return e
+		case interface{ Unwrap() error }:
+			err = e.Unwrap()
+		default:
+			return nil
+		}
+	}
+	return nil
 }
 
 // Handle is an open file. It is dead at Close: the file system may hand the

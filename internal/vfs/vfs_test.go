@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,17 +156,23 @@ func TestCleanAllocs(t *testing.T) {
 	}
 }
 
-// TestFollow: Follow re-dispatches on each expansion and gives up with
-// ErrLoop once MaxSymlinkHops expansions are followed.
+// TestFollow: Follow re-dispatches on each expansion, bare or wrapped, and
+// gives up with ErrLoop once MaxSymlinkHops expansions are followed.
 func TestFollow(t *testing.T) {
 	got, err := Follow("/a", func(p string) (string, error) {
-		if p == "/a" {
+		switch p {
+		case "/a":
 			return "", &SymlinkError{Path: "/b"}
+		case "/b":
+			return "", fmt.Errorf("walking %s: %w", p, &SymlinkError{Path: "/c"})
 		}
 		return p, nil
 	})
-	if err != nil || got != "/b" {
-		t.Fatalf("Follow = %q, %v; want the expanded path's result", got, err)
+	if err != nil || got != "/c" {
+		t.Fatalf("Follow = %q, %v; want the twice-expanded path's result", got, err)
+	}
+	if _, err := Follow("/x", func(string) (int, error) { return 0, fmt.Errorf("x: %w", ErrNotExist) }); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("Follow of a wrapped error other than an expansion = %v", err)
 	}
 	calls := 0
 	_, err = Follow("/loop", func(p string) (int, error) {
