@@ -41,8 +41,6 @@ type Config struct {
 	Name string
 	// UserSpace skips the per-operation syscall (Strata's common paths).
 	UserSpace bool
-	// ReadInUserSpace skips the syscall for reads only.
-	ReadInUserSpace bool
 	// VFS is extra per-operation CPU (generic VFS dispatch, Ext4).
 	VFS int64
 	// GlobalAlloc serializes page allocation on one lock (PMFS, Ext4);
@@ -173,8 +171,8 @@ func (e *Engine) newInode(typ vfs.FileType, mode coffer.Mode, uid, gid uint32) *
 }
 
 // enter charges the per-operation entry cost.
-func (e *Engine) enter(th *proc.Thread, read bool) {
-	if !e.cfg.UserSpace && !(read && e.cfg.ReadInUserSpace) {
+func (e *Engine) enter(th *proc.Thread) {
+	if !e.cfg.UserSpace {
 		th.Syscall()
 	}
 	th.CPU(e.cfg.VFS)

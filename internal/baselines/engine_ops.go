@@ -22,7 +22,7 @@ func permCheck(th *proc.Thread, ino *Inode, write bool) error {
 
 // Create makes (or truncates) a regular file.
 func (e *Engine) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle, error) {
-	e.enter(th, false)
+	e.enter(th)
 	parent, base, err := e.lookupParent(th, path)
 	if err != nil {
 		return nil, err
@@ -56,7 +56,7 @@ func (e *Engine) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Han
 
 // Open opens an existing file.
 func (e *Engine) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
-	e.enter(th, flags&vfs.O_ACCESS == vfs.O_RDONLY)
+	e.enter(th)
 	write := flags&vfs.O_ACCESS != vfs.O_RDONLY
 	ino, err := e.lookup(th, path)
 	if err != nil {
@@ -89,7 +89,7 @@ func (e *Engine) Open(th *proc.Thread, path string, flags int) (vfs.Handle, erro
 
 // Mkdir creates a directory.
 func (e *Engine) Mkdir(th *proc.Thread, path string, mode coffer.Mode) error {
-	e.enter(th, false)
+	e.enter(th)
 	parent, base, err := e.lookupParent(th, path)
 	if err != nil {
 		return err
@@ -112,7 +112,7 @@ func (e *Engine) Mkdir(th *proc.Thread, path string, mode coffer.Mode) error {
 
 // Unlink removes a file or symlink.
 func (e *Engine) Unlink(th *proc.Thread, path string) error {
-	e.enter(th, false)
+	e.enter(th)
 	parent, base, err := e.lookupParent(th, path)
 	if err != nil {
 		return err
@@ -160,7 +160,7 @@ func (e *Engine) freeInode(th *proc.Thread, ino *Inode) {
 
 // Rmdir removes an empty directory.
 func (e *Engine) Rmdir(th *proc.Thread, path string) error {
-	e.enter(th, false)
+	e.enter(th)
 	parent, base, err := e.lookupParent(th, path)
 	if err != nil {
 		return err
@@ -187,7 +187,7 @@ func (e *Engine) Rmdir(th *proc.Thread, path string) error {
 
 // Rename moves a file or directory.
 func (e *Engine) Rename(th *proc.Thread, oldPath, newPath string) error {
-	e.enter(th, false)
+	e.enter(th)
 	if oldPath == newPath {
 		return nil
 	}
@@ -242,7 +242,7 @@ func unlockPair(th *proc.Thread, a, b *Inode) {
 
 // Stat returns file metadata.
 func (e *Engine) Stat(th *proc.Thread, path string) (vfs.FileInfo, error) {
-	e.enter(th, true)
+	e.enter(th)
 	ino, err := e.lookup(th, path)
 	if err != nil {
 		return vfs.FileInfo{}, err
@@ -261,7 +261,7 @@ func (e *Engine) Stat(th *proc.Thread, path string) (vfs.FileInfo, error) {
 
 // Chmod changes permission bits (kernel call, Table 9's NOVA row).
 func (e *Engine) Chmod(th *proc.Thread, path string, mode coffer.Mode) error {
-	e.enter(th, false)
+	e.enter(th)
 	ino, err := e.lookup(th, path)
 	if err != nil {
 		return err
@@ -278,7 +278,7 @@ func (e *Engine) Chmod(th *proc.Thread, path string, mode coffer.Mode) error {
 
 // Chown changes ownership.
 func (e *Engine) Chown(th *proc.Thread, path string, uid, gid uint32) error {
-	e.enter(th, false)
+	e.enter(th)
 	ino, err := e.lookup(th, path)
 	if err != nil {
 		return err
@@ -296,7 +296,7 @@ func (e *Engine) Chown(th *proc.Thread, path string, uid, gid uint32) error {
 
 // Symlink creates a symbolic link.
 func (e *Engine) Symlink(th *proc.Thread, target, link string) error {
-	e.enter(th, false)
+	e.enter(th)
 	parent, base, err := e.lookupParent(th, link)
 	if err != nil {
 		return err
@@ -317,7 +317,7 @@ func (e *Engine) Symlink(th *proc.Thread, target, link string) error {
 
 // Readlink reads a symlink target.
 func (e *Engine) Readlink(th *proc.Thread, path string) (string, error) {
-	e.enter(th, true)
+	e.enter(th)
 	ino, err := e.lookup(th, path)
 	if err != nil {
 		return "", err
@@ -332,7 +332,7 @@ func (e *Engine) Readlink(th *proc.Thread, path string) (string, error) {
 
 // ReadDir lists a directory.
 func (e *Engine) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
-	e.enter(th, true)
+	e.enter(th)
 	ino, err := e.lookup(th, path)
 	if err != nil {
 		return nil, err
@@ -355,7 +355,7 @@ func (e *Engine) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
 
 // Truncate resizes a file.
 func (e *Engine) Truncate(th *proc.Thread, path string, size int64) error {
-	e.enter(th, false)
+	e.enter(th)
 	ino, err := e.lookup(th, path)
 	if err != nil {
 		return err
@@ -438,7 +438,7 @@ func (h *bHandle) writable() bool { return h.flags&vfs.O_ACCESS != vfs.O_RDONLY 
 // ReadAt reads under the file's read lock: a charged syscall (for kernel
 // FSs) plus media reads.
 func (h *bHandle) ReadAt(th *proc.Thread, p []byte, off int64) (int, error) {
-	h.e.enter(th, true)
+	h.e.enter(th)
 	h.e.access(th, h.ino, false)
 	h.ino.Lock.RLock(th.Clk)
 	defer h.ino.Lock.RUnlock(th.Clk)
@@ -470,7 +470,7 @@ func (h *bHandle) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
 	if !h.writable() {
 		return 0, vfs.ErrBadFD
 	}
-	h.e.enter(th, false)
+	h.e.enter(th)
 	h.e.access(th, h.ino, true)
 	h.ino.Lock.Lock(th.Clk)
 	defer h.ino.Lock.Unlock(th.Clk)
@@ -507,7 +507,7 @@ func (h *bHandle) Append(th *proc.Thread, p []byte) (int64, error) {
 	if !h.writable() {
 		return 0, vfs.ErrBadFD
 	}
-	h.e.enter(th, false)
+	h.e.enter(th)
 	h.e.access(th, h.ino, true)
 	h.ino.Lock.Lock(th.Clk)
 	defer h.ino.Lock.Unlock(th.Clk)
@@ -539,7 +539,7 @@ func (h *bHandle) Append(th *proc.Thread, p []byte) (int64, error) {
 
 // Stat returns current metadata.
 func (h *bHandle) Stat(th *proc.Thread) (vfs.FileInfo, error) {
-	h.e.enter(th, true)
+	h.e.enter(th)
 	h.ino.mu.Lock()
 	defer h.ino.mu.Unlock()
 	return vfs.FileInfo{

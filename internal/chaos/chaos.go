@@ -103,7 +103,11 @@ const (
 	roleVictimOff = "victim_offline"  // corruption target, quarantined offline
 )
 
-// fileMode is the mode every campaign file is created with.
+// fileMode is the mode every campaign file is created with. It exec-masks
+// equal to the coffer's 0o700, so the file lives INSIDE its coffer (§5:
+// same-permission rule) — quarantining the coffer must therefore govern
+// every campaign file in it, which is exactly the containment the campaign
+// asserts.
 const fileMode = 0o600
 
 // maxFilesPerCoffer caps namespace growth so long campaigns churn instead

@@ -229,16 +229,10 @@ func (e *engine) finish() {
 }
 
 // checkModel checks one coffer, and nothing outside it, against its model
-// through the maintenance process's ZoFS; a fault is an error, as in FSLibs.
-func (e *engine) checkModel(cof *cofferState) (err error) {
-	th := e.maint.th
-	defer func() {
-		if r := recover(); r != nil {
-			th.CloseWindow()
-			err = fmt.Errorf("%w: fault reading the coffer back: %v", vfs.ErrIO, r)
-		}
-	}()
-	return cof.model.Check(e.maint.lib.ZoFS(), th, func(p string) bool {
+// through the maintenance process's dispatcher, whose guard makes a fault an
+// ErrIO.
+func (e *engine) checkModel(cof *cofferState) error {
+	return cof.model.Check(e.maint.lib.FS(), e.maint.th, func(p string) bool {
 		return p != cof.path && !strings.HasPrefix(p, cof.path+"/")
 	})
 }

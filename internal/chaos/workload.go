@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -10,51 +9,16 @@ import (
 	"zofs/internal/zofs"
 )
 
-// opKind enumerates the client operations the campaign mixes.
-type opKind int
-
-const (
-	opCreate opKind = iota
-	opWrite
-	opRead
-	opStat
-	opUnlink
-)
-
-func (k opKind) String() string {
-	switch k {
-	case opCreate:
-		return "create"
-	case opWrite:
-		return "write"
-	case opRead:
-		return "read"
-	case opStat:
-		return "stat"
-	case opUnlink:
-		return "unlink"
-	}
-	return "?"
-}
-
-// op is one scheduled client operation. All random draws happen at
-// generation time so execution is a pure function of the op and the
-// device state.
+// op is one scheduled client operation: a vfs.Op in a coffer. Every random
+// draw, the payload and what a read or stat must return happen at generation
+// time, so execution is a pure function of the op and the device state.
 type op struct {
-	kind  opKind
-	cof   *cofferState
-	name  string
-	off   int
-	size  int
-	pseed int64
+	vfs.Op
+	cof *cofferState
 	// steal marks the forced write that must wait out a planted lease and
 	// steal it — its success is the lease-steal proof.
 	steal bool
 }
-
-// errMismatch reports read-back content that disagrees with the model —
-// the one error that is never acceptable anywhere.
-var errMismatch = errors.New("chaos: content disagrees with the model")
 
 // payload derives a deterministic byte string from a seed (splitmix64
 // stream, shared with the retry jitter PRNG).
@@ -68,16 +32,19 @@ func payload(seed int64, n int) []byte {
 	return b
 }
 
-// genCreate generates a create op in the given coffer.
+// draw returns a payload whose size it draws from [least, least+span), then
+// its seed.
+func (e *engine) draw(least, span int) []byte {
+	n := least + e.rng.Intn(span)
+	return payload(e.rng.Int63(), n)
+}
+
+// genCreate generates a create op in the given coffer; Data is what its one
+// open writes at offset 0.
 func (e *engine) genCreate(cof *cofferState) op {
 	cof.seq++
-	return op{
-		kind:  opCreate,
-		cof:   cof,
-		name:  fmt.Sprintf("%s/f%04d", cof.path, cof.seq),
-		size:  128 + e.rng.Intn(897),
-		pseed: e.rng.Int63(),
-	}
+	name := fmt.Sprintf("%s/f%04d", cof.path, cof.seq)
+	return op{Op: vfs.Op{Kind: vfs.OpCreate, Path: name, Mode: fileMode, Data: e.draw(128, 897)}, cof: cof}
 }
 
 // genOp draws one operation from the seeded mix. Victim coffers stay in the
@@ -92,25 +59,21 @@ func (e *engine) genOp() op {
 		return e.genCreate(cof)
 	case r < 6: // covers the create-at-cap overflow too
 		name := m.Path(e.rng.Intn(m.Len()))
-		return op{
-			kind:  opWrite,
-			cof:   cof,
-			name:  name,
-			off:   e.rng.Intn(cof.size(name) + 1),
-			size:  64 + e.rng.Intn(1985),
-			pseed: e.rng.Int63(),
-		}
+		off := e.rng.Intn(cof.size(name) + 1)
+		return cof.write(name, off, e.draw(64, 1985))
 	case r < 8:
-		return op{kind: opRead, cof: cof, name: m.Path(e.rng.Intn(m.Len()))}
+		name := m.Path(e.rng.Intn(m.Len()))
+		data, _ := m.Data(name)
+		return op{Op: vfs.Op{Kind: vfs.OpRead, Path: name, Data: data}, cof: cof}
 	case r == 8:
-		return op{kind: opStat, cof: cof, name: m.Path(e.rng.Intn(m.Len()))}
+		name := m.Path(e.rng.Intn(m.Len()))
+		return op{Op: vfs.Op{Kind: vfs.OpStat, Path: name, Size: int64(cof.size(name))}, cof: cof}
 	default:
 		if m.Len() < 2 {
 			name := m.Path(0)
-			return op{kind: opWrite, cof: cof, name: name, off: cof.size(name),
-				size: 64 + e.rng.Intn(1985), pseed: e.rng.Int63()}
+			return cof.write(name, cof.size(name), e.draw(64, 1985))
 		}
-		return op{kind: opUnlink, cof: cof, name: m.Path(e.rng.Intn(m.Len()))}
+		return op{Op: vfs.Op{Kind: vfs.OpUnlink, Path: m.Path(e.rng.Intn(m.Len()))}, cof: cof}
 	}
 }
 
@@ -120,18 +83,17 @@ func (cof *cofferState) size(name string) int {
 	return len(data)
 }
 
+// write is the op that writes data at off into the coffer's file name.
+func (cof *cofferState) write(name string, off int, data []byte) op {
+	return op{Op: vfs.Op{Kind: vfs.OpWrite, Path: name, Off: int64(off), Data: data}, cof: cof}
+}
+
 // forceWrite queues an append to the given file as the very next scheduled
 // op — the survivor that must wait out a planted lease and steal it.
 func (e *engine) forceWrite(cof *cofferState, name string) {
-	e.forced = append(e.forced, op{
-		kind:  opWrite,
-		cof:   cof,
-		name:  name,
-		off:   cof.size(name),
-		size:  256,
-		pseed: e.rng.Int63(),
-		steal: true,
-	})
+	o := cof.write(name, cof.size(name), payload(e.rng.Int63(), 256))
+	o.steal = true
+	e.forced = append(e.forced, o)
 }
 
 // execute runs one op on one client, with the dispatcher-level re-dispatch
@@ -139,14 +101,14 @@ func (e *engine) forceWrite(cof *cofferState, name string) {
 // outcome and checks the bounded-wait invariant.
 func (e *engine) execute(c *client, o op) {
 	start := c.th.Clk.Now()
-	err := e.apply(c, o)
+	err := o.apply(c)
 	retried := false
 	if err != nil && errors.Is(err, vfs.ErrIO) {
 		// The guard converted a fault into ErrIO and invalidated the stale
 		// mounts; one re-dispatch either succeeds (healthy coffer) or
 		// surfaces the typed quarantine error (victim coffer).
 		retried = true
-		err = e.apply(c, o)
+		err = o.apply(c)
 	}
 	dur := c.th.Clk.Now() - start
 	if dur > e.rep.MaxOpNS {
@@ -154,7 +116,7 @@ func (e *engine) execute(c *client, o op) {
 	}
 	if bound := zofs.LeaseBudget() + leaseSlackNS(); dur > bound {
 		e.violate("bounded_wait", fmt.Sprintf("%s %s took %dns > budget+slack %dns",
-			o.kind, o.name, dur, bound))
+			o.Kind, o.Path, dur, bound))
 	}
 	degraded := (retried && err == nil) || dur >= zofs.LeaseDurationNS()/2
 	if err == nil {
@@ -166,78 +128,41 @@ func (e *engine) execute(c *client, o op) {
 	e.classify(o, err, degraded)
 }
 
-// apply performs the operation through the client's FSLibs dispatcher.
-func (e *engine) apply(c *client, o op) error {
-	th := c.th
-	switch o.kind {
-	case opCreate, opWrite:
-		flags := vfs.O_WRONLY
-		if o.kind == opCreate {
-			flags = vfs.O_CREATE | vfs.O_TRUNC | vfs.O_RDWR
-		}
-		// fileMode exec-masks equal to the coffer's 0o700, so the file lives
-		// INSIDE its coffer (§5: same-permission rule) — quarantining the
-		// coffer must therefore govern every campaign file in it, which is
-		// exactly the containment the campaign asserts.
-		fd, err := c.lib.Open(th, o.name, flags, fileMode)
-		if err != nil {
-			return err
-		}
-		_, werr := c.lib.Pwrite(th, fd, payload(o.pseed, o.size), int64(o.off))
-		cerr := c.lib.Close(th, fd)
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	case opRead:
-		want, _ := o.cof.model.Data(o.name)
-		fd, err := c.lib.Open(th, o.name, vfs.O_RDONLY, 0)
-		if err != nil {
-			return err
-		}
-		buf := make([]byte, len(want))
-		n, rerr := c.lib.Pread(th, fd, buf, 0)
-		cerr := c.lib.Close(th, fd)
-		if rerr != nil {
-			return rerr
-		}
-		if n != len(want) || !bytes.Equal(buf[:n], want) {
-			return errMismatch
-		}
-		return cerr
-	case opStat:
-		want, _ := o.cof.model.Data(o.name)
-		fi, err := c.lib.Stat(th, o.name)
-		if err != nil {
-			return err
-		}
-		if fi.Size != int64(len(want)) {
-			return errMismatch
-		}
-		return nil
-	case opUnlink:
-		return c.lib.Unlink(th, o.name)
+// apply performs the op through the client's FSLibs dispatcher. A create
+// writes its payload through the descriptor it opened: one open, as an
+// application's creat(2) and write(2).
+func (o op) apply(c *client) error {
+	fs := c.lib.FS()
+	if o.Kind != vfs.OpCreate {
+		return o.Do(fs, c.th)
 	}
-	return fmt.Errorf("chaos: unknown op kind %d", o.kind)
+	h, err := fs.Create(c.th, o.Path, o.Mode)
+	if err != nil {
+		return err
+	}
+	if err := o.firstWrite().DoOn(c.th, h); err != nil {
+		h.Close(c.th)
+		return err
+	}
+	return h.Close(c.th)
+}
+
+// firstWrite is the write a create op makes through the descriptor it opened.
+func (o op) firstWrite() vfs.Op {
+	return vfs.Op{Kind: vfs.OpWrite, Path: o.Path, Data: o.Data}
 }
 
 // record applies one successful op to its coffer's model.
 func (o op) record() {
-	m := o.cof.model
-	switch o.kind {
-	case opCreate:
-		m.Create(o.name, fileMode)
-		m.Write(o.name, payload(o.pseed, o.size), 0)
-	case opWrite:
-		m.Write(o.name, payload(o.pseed, o.size), int64(o.off))
-	case opUnlink:
-		m.Unlink(o.name)
+	o.cof.model.Apply(o.Op)
+	if o.Kind == vfs.OpCreate {
+		o.cof.model.Apply(o.firstWrite())
 	}
 }
 
 // mutates reports whether the op kind writes.
 func (o op) mutates() bool {
-	return o.kind == opCreate || o.kind == opWrite || o.kind == opUnlink
+	return o.Kind == vfs.OpCreate || o.Kind == vfs.OpWrite || o.Kind == vfs.OpUnlink
 }
 
 // classify scores one completed op against the containment invariants and
@@ -248,10 +173,10 @@ func (e *engine) classify(o op, err error, degraded bool) {
 	switch {
 	case err == nil && cof.offline:
 		// Nothing may succeed against an offline coffer.
-		e.violate("offline_leak", fmt.Sprintf("%s %s succeeded on offline coffer", o.kind, o.name))
+		e.violate("offline_leak", fmt.Sprintf("%s %s succeeded on offline coffer", o.Kind, o.Path))
 		out = outFailed
 	case err == nil && cof.readOnly && o.mutates():
-		e.violate("readonly_leak", fmt.Sprintf("%s %s mutated read-only coffer", o.kind, o.name))
+		e.violate("readonly_leak", fmt.Sprintf("%s %s mutated read-only coffer", o.Kind, o.Path))
 		out = outFailed
 	case err == nil && degraded:
 		out = outDegraded
@@ -262,7 +187,7 @@ func (e *engine) classify(o op, err error, degraded bool) {
 			out = outCorrectFail
 		} else {
 			e.violate("victim_unexpected_error",
-				fmt.Sprintf("%s %s on offline coffer: %v", o.kind, o.name, err))
+				fmt.Sprintf("%s %s on offline coffer: %v", o.Kind, o.Path, err))
 			out = outFailed
 		}
 	case cof.readOnly && o.mutates():
@@ -270,18 +195,18 @@ func (e *engine) classify(o op, err error, degraded bool) {
 			out = outCorrectFail
 		} else {
 			e.violate("victim_unexpected_error",
-				fmt.Sprintf("%s %s on read-only coffer: %v", o.kind, o.name, err))
+				fmt.Sprintf("%s %s on read-only coffer: %v", o.Kind, o.Path, err))
 			out = outFailed
 		}
 	default:
 		// Healthy coffer (or a read on a read-only one, which the
 		// quarantine is required to keep serving): any error is a
 		// containment violation.
-		e.violate("healthy_op_failed", fmt.Sprintf("%s %s (%s): %v", o.kind, o.name, cof.role, err))
+		e.violate("healthy_op_failed", fmt.Sprintf("%s %s (%s): %v", o.Kind, o.Path, cof.role, err))
 		out = outFailed
 	}
 
-	e.rep.OpsByKind[o.kind.String()]++
+	e.rep.OpsByKind[o.Kind.String()]++
 	cof.overall.add(out)
 	if e.quarActive {
 		cof.durQuar.add(out)

@@ -113,7 +113,7 @@ func TestAllocBudget(t *testing.T) {
 		max  float64
 		f    func()
 	}{
-		{"Clean of a clean absolute path", 0, func() { _ = Clean("/dir/sub/file") }},
+		{"Clean of a clean absolute path", 0, func() { _ = vfs.Clean("/dir/sub/file") }},
 		{"Stat hit", 0, func() {
 			if _, err := l.Stat(th, "/dir/sub/file"); err != nil {
 				t.Fatal(err)

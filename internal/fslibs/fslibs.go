@@ -171,7 +171,7 @@ func (l *Lib) resolve(path string) (string, bool) {
 		path = l.cwd + "/" + path
 		l.mu.Unlock()
 	}
-	path = Clean(path)
+	path = vfs.Clean(path)
 	mp := l.opts.MountPath
 	if mp == "/" {
 		return path, true
@@ -184,9 +184,6 @@ func (l *Lib) resolve(path string) (string, bool) {
 	}
 	return path, false
 }
-
-// Clean lexically normalizes an absolute or relative path.
-func Clean(p string) string { return vfs.Clean(p) }
 
 // fsFor picks the µFS for a path by the enclosing coffer's type (§4.2:
 // "dispatch the system calls to the corresponding µFS according to the
@@ -726,6 +723,71 @@ func (l *Lib) Getcwd() string {
 	defer l.mu.Unlock()
 	return l.cwd
 }
+
+// ---- vfs.FileSystem view ---------------------------------------------------------
+
+// FS returns the process's dispatcher as a vfs.FileSystem, so what drives a
+// µFS — the conformance suite, vfs.Op, vfs.Model.Check — drives FSLibs too,
+// through the same resolution, guard and tracing as an application. Path
+// operations are the Lib's own; a handle is a descriptor.
+func (l *Lib) FS() vfs.FileSystem { return libFS{l} }
+
+// libFS's promoted Lib methods are its path operations; Create and Open
+// return descriptors wrapped as handles.
+type libFS struct{ *Lib }
+
+func (libFS) Name() string { return "FSLibs" }
+
+func (f libFS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle, error) {
+	return f.handle(f.Lib.Create(th, path, mode))
+}
+
+// Open creates with mode 0o644 under O_CREATE, as the µFSs' Open does.
+func (f libFS) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
+	return f.handle(f.Lib.Open(th, path, flags, 0o644))
+}
+
+func (f libFS) handle(fd int, err error) (vfs.Handle, error) {
+	if err != nil {
+		return nil, err
+	}
+	return fdHandle{f.Lib, fd}, nil
+}
+
+// fdHandle is a descriptor as a vfs.Handle: each call is the Lib's positional
+// call on it, and Close closes the descriptor.
+type fdHandle struct {
+	l  *Lib
+	fd int
+}
+
+func (h fdHandle) ReadAt(th *proc.Thread, p []byte, off int64) (int, error) {
+	return h.l.Pread(th, h.fd, p, off)
+}
+
+func (h fdHandle) WriteAt(th *proc.Thread, p []byte, off int64) (int, error) {
+	return h.l.Pwrite(th, h.fd, p, off)
+}
+
+// Append appends through the description's µFS handle, which reports where
+// the bytes landed; Write on an O_APPEND descriptor does not.
+func (h fdHandle) Append(th *proc.Thread, p []byte) (off int64, err error) {
+	defer h.l.trace(th, telemetry.OpWrite)()
+	defer h.l.guard(th, &err)
+	e, err := h.l.pin(h.fd)
+	if err != nil {
+		return 0, err
+	}
+	defer h.l.unref(th, e)
+	if off, err = e.h.Append(th, p); err == nil {
+		h.l.kern.Device().AddAppBytes(int64(len(p)))
+	}
+	return off, err
+}
+
+func (h fdHandle) Stat(th *proc.Thread) (vfs.FileInfo, error) { return h.l.Fstat(th, h.fd) }
+func (h fdHandle) Sync(th *proc.Thread) error                 { return h.l.Fsync(th, h.fd) }
+func (h fdHandle) Close(th *proc.Thread) error                { return h.l.Close(th, h.fd) }
 
 // ---- exec FD-table serialization -------------------------------------------------
 

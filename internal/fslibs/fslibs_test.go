@@ -10,6 +10,7 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
+	"zofs/internal/vfs/vfstest"
 	"zofs/internal/zofs"
 )
 
@@ -39,6 +40,12 @@ func newLibWith(t *testing.T, opts Options) (*nvm.Device, *kernfs.KernFS, *Lib, 
 		t.Fatal(err)
 	}
 	return dev, k, l, th
+}
+
+// TestFSLibsConformance runs the conformance suite through the dispatcher,
+// as an application's calls reach the µFS.
+func TestFSLibsConformance(t *testing.T) {
+	vfstest.Run(t, func(t *testing.T) (vfs.FileSystem, *proc.Thread) { _, _, l, th := newLib(t); return l.FS(), th })
 }
 
 func TestOpenReadWriteSeek(t *testing.T) {
@@ -290,24 +297,6 @@ func TestManyFilesManyFDs(t *testing.T) {
 	ents, _ := l.ReadDir(th, "/")
 	if len(ents) != 100 {
 		t.Fatalf("ReadDir = %d", len(ents))
-	}
-}
-
-func TestRenameAndUnlinkThroughLib(t *testing.T) {
-	_, _, l, th := newLib(t)
-	fd, _ := l.Open(th, "/old", vfs.O_CREATE|vfs.O_RDWR, 0o644)
-	l.Write(th, fd, []byte("data"))
-	if err := l.Rename(th, "/old", "/new"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Stat(th, "/new"); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Unlink(th, "/new"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Stat(th, "/new"); !errors.Is(err, vfs.ErrNotExist) {
-		t.Fatal("unlink through lib failed")
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 )
 
 // OpKind names one operation of the vocabulary every checker shares: the
-// conformance scripts, the crash checker's workload and the ZoFS property
-// test each run Ops on a file system (Do) and record them in a Model (Apply).
+// conformance scripts, the crash checker's workload, the chaos campaign and
+// the ZoFS property test each run Ops on a file system (Do) and record them
+// in a Model (Apply). Chaos and one conformance run reach ZoFS through the
+// FSLibs dispatcher's vfs.FileSystem view.
 type OpKind uint8
 
 const (

@@ -1,8 +1,9 @@
 // Package vfstest is the conformance suite every file system in this
-// repository passes: ZoFS and its variants, the baselines, and LogFS.
-// Benchmarks compare these systems, so they must agree on semantics first.
-// Each case plays vfs.Ops, each with the error it must return, into a
-// vfs.Model and ends in its Check, the crash checker's and chaos's statement.
+// repository passes: ZoFS and its variants, the baselines, LogFS, and the
+// FSLibs dispatcher in front of ZoFS. Benchmarks compare these systems, so
+// they must agree on semantics first. Each case plays vfs.Ops, each with the
+// error it must return, into a vfs.Model and ends in its Check, the crash
+// checker's and chaos's statement; chaos runs its Ops through FSLibs too.
 package vfstest
 
 import (
