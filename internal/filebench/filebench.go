@@ -17,7 +17,6 @@ import (
 	"math/rand"
 
 	"zofs/internal/proc"
-	"zofs/internal/simclock"
 	"zofs/internal/vfs"
 )
 
@@ -298,40 +297,29 @@ func Run(fs vfs.FileSystem, p *proc.Process, cfg Config, threads int, targetNS i
 	if err != nil {
 		return Result{}, fmt.Errorf("filebench %s setup: %w", cfg.Personality, err)
 	}
-	start := setup.Clk.Now()
-	deadline := start + targetNS
-
 	// The threads run one flow at a time on this goroutine, the earliest
-	// clock first (simclock.Earliest), until every clock passes the deadline.
-	ths := make([]*proc.Thread, threads)
+	// clock first, until every clock passes the deadline.
 	flows := make([]flow, threads)
 	rngs := make([]*rand.Rand, threads)
 	seqs := make([]int64, threads)
-	for i := range ths {
-		ths[i] = p.NewThread()
-		ths[i].Clk.AdvanceTo(start)
+	for i := range flows {
 		flows[i] = makeFlow(fs, set, i)
 		rngs[i] = rand.New(rand.NewSource(int64(i)*2654435761 + 1))
 	}
-	clock := func(th *proc.Thread) *simclock.Clock { return th.Clk }
 	var total int64
-	for {
-		i := simclock.Earliest(ths, clock)
-		if i < 0 || ths[i].Clk.Now() >= deadline {
-			break
-		}
-		k, err := flows[i](ths[i], rngs[i], seqs[i])
+	vns, err := p.RunThreads(setup, threads, targetNS, func(i int, th *proc.Thread) error {
+		k, err := flows[i](th, rngs[i], seqs[i])
 		if err != nil {
-			return Result{}, fmt.Errorf("%s thread %d: %w", cfg.Personality, i, err)
+			return fmt.Errorf("%s thread %d: %w", cfg.Personality, i, err)
 		}
 		seqs[i]++
 		total += k
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	var maxEnd int64
-	for _, th := range ths {
-		maxEnd = max(maxEnd, th.Clk.Now())
-	}
-	r := Result{Personality: cfg.Personality, Threads: threads, Ops: total, VirtualNS: maxEnd - start}
+	r := Result{Personality: cfg.Personality, Threads: threads, Ops: total, VirtualNS: vns}
 	if r.VirtualNS > 0 {
 		r.KopsPerSec = float64(total) / (float64(r.VirtualNS) / 1e9) / 1e3
 	}

@@ -6,8 +6,8 @@
 //
 // Each simulated thread has its own virtual clock. A run steps the threads
 // on the calling goroutine, one operation at a time on the thread with the
-// earliest clock (simclock.Earliest), until every clock passes the target
-// virtual duration; throughput is total operations divided by the slowest
+// earliest clock (proc.Process.RunThreads), until every clock passes the
+// target virtual duration; throughput is total operations divided by the slowest
 // thread's virtual time — exactly how wall-clock throughput behaves. The
 // interleaving is a function of virtual time alone, so every cell
 // reproduces exactly.
@@ -18,7 +18,6 @@ import (
 	"math/rand"
 
 	"zofs/internal/proc"
-	"zofs/internal/simclock"
 	"zofs/internal/vfs"
 )
 
@@ -80,32 +79,20 @@ func Run(env *Env, w Workload, threads int, targetNS int64) (Result, error) {
 	// Workers start once the file-set preparation has fully drained in
 	// virtual time, so setup transients (bandwidth queues, lock release
 	// times) do not bleed into the measurement window.
-	start := setup.Clk.Now()
-	deadline := start + targetNS
-
-	ths := make([]*proc.Thread, threads)
 	ops := make([]int64, threads)
-	for i := range ths {
-		ths[i] = env.Proc.NewThread()
-		ths[i].Clk.AdvanceTo(start)
-	}
-	clock := func(th *proc.Thread) *simclock.Clock { return th.Clk }
-	for {
-		i := simclock.Earliest(ths, clock)
-		if i < 0 || ths[i].Clk.Now() >= deadline {
-			break
-		}
-		if err := workers[i](ths[i], ops[i]); err != nil {
-			return Result{}, fmt.Errorf("thread %d op %d: %w", i, ops[i], err)
+	var total int64
+	vns, err := env.Proc.RunThreads(setup, threads, targetNS, func(i int, th *proc.Thread) error {
+		if err := workers[i](th, ops[i]); err != nil {
+			return fmt.Errorf("thread %d op %d: %w", i, ops[i], err)
 		}
 		ops[i]++
+		total++
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	var total, maxEnd int64
-	for i, th := range ths {
-		total += ops[i]
-		maxEnd = max(maxEnd, th.Clk.Now())
-	}
-	r := Result{Workload: w, Threads: threads, Ops: total, VirtualNS: maxEnd - start}
+	r := Result{Workload: w, Threads: threads, Ops: total, VirtualNS: vns}
 	if r.VirtualNS > 0 {
 		r.MopsPerSec = float64(total) / (float64(r.VirtualNS) / 1e9) / 1e6
 	}

@@ -170,8 +170,9 @@ func round3(f float64) float64 { return math.Round(f*1000) / 1000 }
 //     earliest-clock stepping makes every cell deterministic.
 //  2. Cross-check invariant: the spans layer's aggregate lock_wait counter
 //     and the lock profiler's per-lock wait sum are two views of the same
-//     Clock.drainTo calls, so on a contended cell they must be EQUAL to the
-//     nanosecond, and nonzero.
+//     Clock.WaitUntil calls, the one lock-wait path of lockprof's Mutex and
+//     RWMutex, so on a contended cell they must be EQUAL to the nanosecond,
+//     and nonzero.
 //  3. Scaling, when the sweep reaches 64 and 512 threads (the full sweep
 //     does): see below.
 //

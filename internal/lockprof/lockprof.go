@@ -1,11 +1,14 @@
-// Package lockprof is the named-lock contention profiler: a process-wide
-// registry of lock classes and instances (kernfs.big, zofs.inode/<page>,
-// nvm.stripe/<i>, ...) whose wrappers around simclock.Mutex/RWMutex record,
-// for every acquisition, the virtual wait, the hold, the acquiring thread and
-// the blocking holder. From those it derives per-lock log-bucket histograms
-// and a hold-while-waiting wait-for edge table with lock-order-inversion
-// detection; each contended wait also goes into the run's event log
-// (pmemtrace, kind lock_wait), where the Chrome trace draws it.
+// Package lockprof holds the repository's virtual-time locks and their
+// contention profiler. Mutex and RWMutex are real locks that also serialize
+// in virtual time: an acquirer's clock waits past the previous holder's
+// release stamp (simclock.Clock.WaitUntil). Each lock carries a name
+// (kernfs.registry, zofs.inode/<page>, nvm.stripe/<i>, ...) in a
+// process-wide registry which records, for every acquisition, the virtual
+// wait, the hold, the acquiring thread and the blocking holder. From those
+// it derives per-lock log-bucket histograms and a hold-while-waiting
+// wait-for edge table with lock-order-inversion detection; each contended
+// wait also goes into the run's event log (pmemtrace, kind lock_wait), where
+// the Chrome trace draws it.
 //
 // Like spans and byteflow, the profiler observes virtual clocks but never
 // advances them: enabled-mode virtual time is bit-identical to a profiler-
@@ -13,9 +16,9 @@
 // is one atomic load and a branch per acquire.
 //
 // Threads opt in via a ThreadState riding the clock's LockState slot
-// (attached by proc.NewThread when a registry is active). Lock sites with a
-// nil clock or an unattached thread take the uninstrumented path, so setup
-// code costs nothing and sees nothing.
+// (attached by proc.NewThread when a registry is active). Lock sites with an
+// unattached thread wait in virtual time but record nothing; a nil clock
+// takes the real lock only, so setup code costs nothing and sees nothing.
 package lockprof
 
 import (
@@ -44,7 +47,7 @@ const (
 type Config struct{}
 
 // Registry is one profiling domain. Reset swaps in a fresh generation; stale
-// wrapper caches re-resolve lazily, so per-cell sweeps reuse one registry
+// lock name caches re-resolve lazily, so per-cell sweeps reuse one registry
 // without accumulating dead entries.
 type Registry struct {
 	state atomic.Pointer[regState]
@@ -89,7 +92,7 @@ type entry struct {
 	rs    *regState // owning generation; totals bill here for conservation
 	class string
 	name  string // class/label, or class alone when unlabelled
-	real  bool   // real-nanosecond lock (sync.Mutex wrapper), outside virtual conservation
+	real  bool   // real-nanosecond lock (RealMutex), outside virtual conservation
 	other bool   // per-class overflow aggregate row
 
 	acquires   atomic.Int64
@@ -189,7 +192,7 @@ func Disable() { active.Store(nil) }
 func Active() *Registry { return active.Load() }
 
 // Reset discards all collected data by swapping in a fresh generation.
-// Wrapper entry caches and thread records re-resolve against the new
+// Lock name caches and thread records re-resolve against the new
 // generation on their next acquisition; a remount plus Reset leaves no trace
 // of the previous instance's locks (asserted by the remount test).
 func (r *Registry) Reset() {
@@ -212,10 +215,18 @@ func (r *Registry) HeldNow() int64 { return r.heldNow.Load() }
 // this equals the span collector's LockWaitNS exactly.
 func (r *Registry) WaitNS() int64 { return r.state.Load().waitNS.Load() }
 
-// stateOf extracts a ThreadState attached to c, or nil.
-func stateOf(c *simclock.Clock) *ThreadState {
-	st, _ := c.LockState().(*ThreadState)
-	return st
+// profiled returns the state of c's thread when the active registry profiles
+// it, or nil: no registry is active (one atomic load and a branch), c is nil
+// or unattached, or its state belongs to an earlier registry.
+func profiled(c *simclock.Clock) *ThreadState {
+	reg := active.Load()
+	if reg == nil {
+		return nil
+	}
+	if st, _ := c.LockState().(*ThreadState); st != nil && st.reg == reg {
+		return st
+	}
+	return nil
 }
 
 // recFor returns the thread's totals record in generation rs, re-attaching
@@ -384,20 +395,75 @@ func (rs *regState) addInversion(a, b string, fwd, back OrderEvidence) {
 	rs.invs = append(rs.invs, Inversion{A: a, B: b, Forward: fwd, Backward: back})
 }
 
-// Mutex is a named simclock.Mutex. The zero value works uninstrumented;
-// Init (or NewMutex) names it. Lock/Unlock signatures match simclock.Mutex
-// so call sites change only in the field's type.
-type Mutex struct {
+// name is a lock's registry name and the entry the active generation gives
+// it. Every lock type embeds one; the zero value is unnamed, so the lock
+// works but is never profiled.
+type name struct {
 	class, label string
 	key          int64 // the label as a number, when keyed (see InitKeyed)
 	keyed        bool
-	mu           simclock.Mutex
 	ent          atomic.Pointer[entry]
-	// lastEnd/lastTID mirror the inner lock's release stamp and releaser for
-	// blocking-holder blame. Plain fields: written before the inner Unlock,
-	// read after the inner Lock, so the real mutex orders them.
-	lastEnd int64
-	lastTID int
+}
+
+// Init names a zero-value lock in place (for embedded fields). Call before
+// first use.
+func (n *name) Init(class, label string) { n.class, n.label = class, label }
+
+// InitKeyed names a zero-value lock whose label is a number, such as an inode
+// page or a coffer ID. The decimal string is built when a registry first
+// resolves the lock, so a table holding one lock per page pays for no label
+// until somebody profiles it.
+func (n *name) InitKeyed(class string, key int64) { n.class, n.key, n.keyed = class, key, true }
+
+// resolve returns reg's current-generation entry for the lock, refreshing the
+// cache after Enable/Reset, or nil when the lock is unnamed. Concurrent
+// readers of an RWMutex may race on the store; all of them resolved the same
+// entry from the same generation, so any winner is correct.
+func (n *name) resolve(reg *Registry, real bool) *entry {
+	rs := reg.state.Load()
+	if e := n.ent.Load(); e != nil && e.rs == rs {
+		return e
+	}
+	if n.class == "" {
+		return nil
+	}
+	label := n.label
+	if n.keyed {
+		label = strconv.FormatInt(n.key, 10)
+	}
+	e := rs.entryFor(n.class, label, real)
+	n.ent.Store(e)
+	return e
+}
+
+// acquired records an acquisition by st's thread that waited wait virtual ns
+// and ends at now, blaming holder.
+func (n *name) acquired(st *ThreadState, wait, now int64, read bool, holder int) {
+	if e := n.resolve(st.reg, false); e != nil {
+		st.acquired(e, wait, now, read, holder)
+	}
+}
+
+// released records st's thread releasing the lock at now.
+func (n *name) released(st *ThreadState, now int64) {
+	if e := n.ent.Load(); e != nil {
+		st.released(e, now)
+	}
+}
+
+// Mutex is a named virtual-time mutex. It couples a real sync.Mutex with the
+// virtual release stamp of its last holder: Lock blocks for real and then
+// advances the caller's clock past that stamp (Clock.WaitUntil, which bills
+// the wait), and Unlock stamps the release. Critical sections therefore
+// serialize in both real time (protecting the shared Go data) and virtual
+// time, with the virtual hold equal to what the holder charged its clock.
+// A nil clock takes real mutual exclusion only (one-time setup code). The
+// zero value works unprofiled; Init (or NewMutex) names it.
+type Mutex struct {
+	name
+	mu        sync.Mutex
+	busyUntil int64 // latest virtual release stamp
+	lastTID   int   // TID of the last profiled releaser, blamed by waiters
 }
 
 // NewMutex returns a named mutex.
@@ -407,181 +473,106 @@ func NewMutex(class, label string) *Mutex {
 	return m
 }
 
-// Init names a zero-value Mutex in place (for embedded fields). Call before
-// first use.
-func (m *Mutex) Init(class, label string) { m.class, m.label = class, label }
-
-// InitKeyed names a zero-value Mutex whose label is a number, such as a coffer
-// ID; like RWMutex.InitKeyed, it formats the label only when a registry first
-// resolves the lock.
-func (m *Mutex) InitKeyed(class string, key int64) { m.class, m.key, m.keyed = class, key, true }
-
-// resolve returns the current generation's entry for this lock, refreshing
-// the wrapper cache after Enable/Reset. Must be called while holding the
-// inner lock (the cache write races only with other holders, of which there
-// are none).
-func (m *Mutex) resolve(reg *Registry) *entry {
-	rs := reg.state.Load()
-	if e := m.ent.Load(); e != nil && e.rs == rs {
-		return e
-	}
-	if m.class == "" {
-		return nil
-	}
-	label := m.label
-	if m.keyed {
-		label = strconv.FormatInt(m.key, 10)
-	}
-	e := rs.entryFor(m.class, label, false)
-	m.ent.Store(e)
-	return e
-}
-
-// Lock acquires the mutex, draining virtual wait exactly as simclock.Mutex
-// does; when profiling is active for this thread the wait, blamed holder and
-// held-stack effects are recorded. Profiling never advances the clock.
+// Lock acquires the mutex and advances c past the last release; when c's
+// thread is profiled the wait, blamed holder and held-stack effects are
+// recorded. Profiling never advances the clock.
 func (m *Mutex) Lock(c *simclock.Clock) {
-	reg := active.Load()
-	if reg == nil || c == nil {
-		m.mu.Lock(c)
+	m.mu.Lock()
+	if c == nil {
 		return
 	}
-	st := stateOf(c)
-	if st == nil || st.reg != reg {
-		m.mu.Lock(c)
-		return
-	}
-	t0 := c.Now()
-	m.mu.Lock(c)
-	if e := m.resolve(reg); e != nil {
-		st.acquired(e, c.Now()-t0, c.Now(), false, m.lastTID)
+	wait := c.WaitUntil(m.busyUntil)
+	if st := profiled(c); st != nil {
+		m.acquired(st, wait, c.Now(), false, m.lastTID)
 	}
 }
 
-// Unlock stamps the release and releases the mutex.
+// Unlock stamps the virtual release time and releases the mutex.
 func (m *Mutex) Unlock(c *simclock.Clock) {
-	if reg := active.Load(); reg != nil && c != nil {
-		if st := stateOf(c); st != nil && st.reg == reg {
-			if e := m.ent.Load(); e != nil {
-				st.released(e, c.Now())
-			}
-			m.lastEnd = c.Now()
+	if c != nil {
+		m.busyUntil = max(m.busyUntil, c.Now())
+		if st := profiled(c); st != nil {
+			m.released(st, c.Now())
 			m.lastTID = st.tid
 		}
 	}
-	m.mu.Unlock(c)
+	m.mu.Unlock()
 }
 
-// RWMutex is a named simclock.RWMutex.
+// RWMutex is the readers-writer analogue of Mutex: real sync.RWMutex
+// semantics for the protected Go data plus virtual time in which readers
+// overlap and writers serialize. It models the per-file readers-writer locks
+// that let data reads scale in FxMark (§6.1).
+//
+// The write side's stamp and releaser are written only under the write lock
+// and read after the real Lock/RLock, which orders them. Readers release
+// concurrently, so their stamp and releaser are guarded by vmu; a writer
+// reads them after its real Lock, which every reader's RUnlock precedes.
 type RWMutex struct {
-	class, label string
-	key          int64 // the label as a number, when keyed (see InitKeyed)
-	keyed        bool
-	mu           simclock.RWMutex
-	ent          atomic.Pointer[entry]
-	// Writer release mirror: plain fields guarded by the write lock.
-	wEnd int64
-	wTID int
-	// Reader release mirror: atomics, since readers release concurrently.
-	rEnd atomic.Int64
-	rTID atomic.Int64
+	name
+	mu            sync.RWMutex
+	vmu           sync.Mutex
+	writeBusy     int64 // latest writer release stamp
+	lastReaderEnd int64 // latest reader release stamp
+	wTID, rTID    int   // TIDs of the last profiled writer and reader releasers
 }
 
-// Init names a zero-value RWMutex in place. Call before first use.
-func (m *RWMutex) Init(class, label string) { m.class, m.label = class, label }
-
-// InitKeyed names a zero-value RWMutex whose label is a number, such as an
-// inode page. The decimal string is built when a registry first resolves the
-// lock, so a table holding one lock per page pays for no label until somebody
-// profiles it.
-func (m *RWMutex) InitKeyed(class string, key int64) { m.class, m.key, m.keyed = class, key, true }
-
-func (m *RWMutex) resolve(reg *Registry) *entry {
-	rs := reg.state.Load()
-	if e := m.ent.Load(); e != nil && e.rs == rs {
-		return e
-	}
-	if m.class == "" {
-		return nil
-	}
-	label := m.label
-	if m.keyed {
-		label = strconv.FormatInt(m.key, 10)
-	}
-	e := rs.entryFor(m.class, label, false)
-	// Racy store among concurrent readers; all of them resolved the same
-	// entry from the same generation, so any winner is correct.
-	m.ent.Store(e)
-	return e
-}
-
-// Lock acquires the write side. The blamed holder is whichever of the writer
-// and reader release mirrors stamped later.
+// Lock acquires the write side, waiting (virtually) for all prior writers and
+// then all prior readers; the two waits bill separately and sum to the total.
+// The blamed holder is whichever side released later.
 func (m *RWMutex) Lock(c *simclock.Clock) {
-	reg := active.Load()
-	if reg == nil || c == nil {
-		m.mu.Lock(c)
+	m.mu.Lock()
+	if c == nil {
 		return
 	}
-	st := stateOf(c)
-	if st == nil || st.reg != reg {
-		m.mu.Lock(c)
-		return
-	}
-	t0 := c.Now()
-	m.mu.Lock(c)
-	holder := m.wTID
-	if m.rEnd.Load() > m.wEnd {
-		holder = int(m.rTID.Load())
-	}
-	if e := m.resolve(reg); e != nil {
-		st.acquired(e, c.Now()-t0, c.Now(), false, holder)
+	wait := c.WaitUntil(m.writeBusy) + c.WaitUntil(m.lastReaderEnd)
+	if st := profiled(c); st != nil {
+		holder := m.wTID
+		if m.lastReaderEnd > m.writeBusy {
+			holder = m.rTID
+		}
+		m.acquired(st, wait, c.Now(), false, holder)
 	}
 }
 
-// Unlock releases the write side.
+// Unlock stamps the writer's release and releases the write side.
 func (m *RWMutex) Unlock(c *simclock.Clock) {
-	if reg := active.Load(); reg != nil && c != nil {
-		if st := stateOf(c); st != nil && st.reg == reg {
-			if e := m.ent.Load(); e != nil {
-				st.released(e, c.Now())
-			}
-			m.wEnd = c.Now()
+	if c != nil {
+		m.writeBusy = max(m.writeBusy, c.Now())
+		if st := profiled(c); st != nil {
+			m.released(st, c.Now())
 			m.wTID = st.tid
 		}
 	}
-	m.mu.Unlock(c)
+	m.mu.Unlock()
 }
 
-// RLock acquires the read side; a contended reader blames the last writer.
+// RLock acquires the read side, waiting (virtually) only for prior writers;
+// a contended reader blames the last writer.
 func (m *RWMutex) RLock(c *simclock.Clock) {
-	reg := active.Load()
-	if reg == nil || c == nil {
-		m.mu.RLock(c)
+	m.mu.RLock()
+	if c == nil {
 		return
 	}
-	st := stateOf(c)
-	if st == nil || st.reg != reg {
-		m.mu.RLock(c)
-		return
-	}
-	t0 := c.Now()
-	m.mu.RLock(c)
-	if e := m.resolve(reg); e != nil {
-		st.acquired(e, c.Now()-t0, c.Now(), true, m.wTID)
+	wait := c.WaitUntil(m.writeBusy)
+	if st := profiled(c); st != nil {
+		m.acquired(st, wait, c.Now(), true, m.wTID)
 	}
 }
 
-// RUnlock releases the read side.
+// RUnlock records the latest reader release and releases the read side.
 func (m *RWMutex) RUnlock(c *simclock.Clock) {
-	if reg := active.Load(); reg != nil && c != nil {
-		if st := stateOf(c); st != nil && st.reg == reg {
-			if e := m.ent.Load(); e != nil {
-				st.released(e, c.Now())
-			}
-			atomicMax(&m.rEnd, c.Now())
-			m.rTID.Store(int64(st.tid))
+	if c != nil {
+		st := profiled(c)
+		m.vmu.Lock()
+		m.lastReaderEnd = max(m.lastReaderEnd, c.Now())
+		if st != nil {
+			m.rTID = st.tid
+		}
+		m.vmu.Unlock()
+		if st != nil {
+			m.released(st, c.Now())
 		}
 	}
-	m.mu.RUnlock(c)
+	m.mu.RUnlock()
 }

@@ -66,6 +66,79 @@ func TestWaitAndHoldRecorded(t *testing.T) {
 	}
 }
 
+// TestRWMutexWaitHoldAndBlame pins the readers-writer lock's profile: a
+// reader waits behind a writer and blames it; a writer waits behind a writer
+// and then a reader that released later, and blames the reader; a writer
+// whose predecessor writer released after the last reader blames that
+// writer.
+func TestRWMutexWaitHoldAndBlame(t *testing.T) {
+	reg := lockprof.Enable(lockprof.Config{})
+	defer lockprof.Disable()
+	defer pmemtrace.Install(pmemtrace.Active())
+	tr := pmemtrace.Enable(pmemtrace.Config{})
+
+	var m lockprof.RWMutex
+	m.Init("test.rw", "a")
+	w1, r, w2, w3 := thread(reg, 1), thread(reg, 2), thread(reg, 3), thread(reg, 4)
+
+	m.Lock(w1)
+	w1.Advance(100)
+	m.Unlock(w1) // writer released at 100
+
+	m.RLock(r) // r at 0 drains behind w1's release
+	if r.Now() != 100 {
+		t.Fatalf("reader clock = %d, want 100", r.Now())
+	}
+	r.Advance(80)
+	m.RUnlock(r) // reader released at 180
+
+	m.Lock(w2) // drains behind the writer (100), then the reader (180)
+	if w2.Now() != 180 {
+		t.Fatalf("second writer clock = %d, want 180", w2.Now())
+	}
+	w2.Advance(20)
+	m.Unlock(w2) // writer released at 200, after the reader
+
+	m.Lock(w3)
+	if w3.Now() != 200 {
+		t.Fatalf("third writer clock = %d, want 200", w3.Now())
+	}
+	w3.Advance(10)
+	m.Unlock(w3)
+
+	rep := reg.Snapshot()
+	if rep.Acquires != 4 || rep.Contended != 3 {
+		t.Fatalf("acquires/contended = %d/%d, want 4/3", rep.Acquires, rep.Contended)
+	}
+	if rep.WaitNS != 100+180+200 {
+		t.Fatalf("wait = %d, want 480", rep.WaitNS)
+	}
+	if rep.HoldNS != 100+80+20+10 {
+		t.Fatalf("hold = %d, want 210", rep.HoldNS)
+	}
+	if len(rep.Locks) != 1 || rep.Locks[0].Reads != 1 || rep.Locks[0].LastTID != 4 {
+		t.Fatalf("lock rows = %+v, want one with 1 read, last holder 4", rep.Locks)
+	}
+	if reg.HeldNow() != 0 {
+		t.Fatalf("held now = %d, want 0", reg.HeldNow())
+	}
+	// Off is the blamed holder's TID.
+	want := []pmemtrace.Event{
+		{Seq: 1, Kind: pmemtrace.KindLockWait, Off: 1, Len: 100, TID: 2, Key: -1, Cause: "test.rw/a"},
+		{Seq: 2, Kind: pmemtrace.KindLockWait, Off: 2, Len: 180, TID: 3, Key: -1, Cause: "test.rw/a"},
+		{Seq: 3, Kind: pmemtrace.KindLockWait, Off: 3, Len: 200, TID: 4, Key: -1, Cause: "test.rw/a"},
+	}
+	evs := tr.Events()
+	if len(evs) != len(want) {
+		t.Fatalf("events = %+v, want %+v", evs, want)
+	}
+	for i := range want {
+		if evs[i] != want[i] {
+			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
+		}
+	}
+}
+
 // TestContendedLockAllocatesNothing: recording a wait costs no heap object —
 // the lock's name is built once, when the registry resolves it, and the
 // event lands in the recorder's ring by value.

@@ -1,15 +1,20 @@
-package simclock
+package lockprof_test
 
-import "testing"
+import (
+	"testing"
 
-// waitSink records billLockWait calls (the lockWaitBiller contract).
+	"zofs/internal/lockprof"
+	"zofs/internal/simclock"
+)
+
+// waitSink is a clock's cost sink that sums the lock waits billed to it.
 type waitSink struct{ total int64 }
 
 func (s *waitSink) BillLockWait(ns int64) { s.total += ns }
 
 func TestMutexBillsWait(t *testing.T) {
-	var m Mutex
-	a, b := NewClock(), NewClock()
+	var m lockprof.Mutex
+	a, b := simclock.NewClock(), simclock.NewClock()
 	sink := &waitSink{}
 	b.SetBill(sink)
 
@@ -32,8 +37,8 @@ func TestMutexBillsWait(t *testing.T) {
 // clock trails a prior writer's release stamp drains behind writeBusy and
 // must bill that wait, exactly like the write side.
 func TestRLockBillsWriterDrain(t *testing.T) {
-	var m RWMutex
-	w, r := NewClock(), NewClock()
+	var m lockprof.RWMutex
+	w, r := simclock.NewClock(), simclock.NewClock()
 	sink := &waitSink{}
 	r.SetBill(sink)
 
@@ -54,8 +59,8 @@ func TestRLockBillsWriterDrain(t *testing.T) {
 // TestWriteLockBillsBothDrains checks the write side bills the full wait
 // when it drains behind both a prior writer and a later-ending reader.
 func TestWriteLockBillsBothDrains(t *testing.T) {
-	var m RWMutex
-	w1, r, w2 := NewClock(), NewClock(), NewClock()
+	var m lockprof.RWMutex
+	w1, r, w2 := simclock.NewClock(), simclock.NewClock(), simclock.NewClock()
 	sink := &waitSink{}
 	w2.SetBill(sink)
 
@@ -78,10 +83,10 @@ func TestWriteLockBillsBothDrains(t *testing.T) {
 }
 
 func TestLockNilClock(t *testing.T) {
-	var m Mutex
+	var m lockprof.Mutex
 	m.Lock(nil) // setup paths lock with no clock; must not panic
 	m.Unlock(nil)
-	var rw RWMutex
+	var rw lockprof.RWMutex
 	rw.Lock(nil)
 	rw.Unlock(nil)
 	rw.RLock(nil)

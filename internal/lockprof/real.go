@@ -2,7 +2,6 @@ package lockprof
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -15,9 +14,8 @@ import (
 // a clock). The blocked path measures with time.Now; the fast path is an
 // atomic load, a counter bump and a TryLock.
 type RealMutex struct {
-	class, label string
-	mu           sync.Mutex
-	ent          atomic.Pointer[entry]
+	name
+	mu sync.Mutex
 }
 
 // NewRealMutex returns a named real-time mutex.
@@ -25,22 +23,6 @@ func NewRealMutex(class, label string) *RealMutex {
 	m := &RealMutex{}
 	m.Init(class, label)
 	return m
-}
-
-// Init names a zero-value RealMutex in place. Call before first use.
-func (m *RealMutex) Init(class, label string) { m.class, m.label = class, label }
-
-func (m *RealMutex) resolve(reg *Registry) *entry {
-	rs := reg.state.Load()
-	if e := m.ent.Load(); e != nil && e.rs == rs {
-		return e
-	}
-	if m.class == "" {
-		return nil
-	}
-	e := rs.entryFor(m.class, m.label, true)
-	m.ent.Store(e)
-	return e
 }
 
 // Lock acquires the mutex; when profiling is active the acquisition is
@@ -51,7 +33,7 @@ func (m *RealMutex) Lock() {
 		m.mu.Lock()
 		return
 	}
-	e := m.resolve(reg)
+	e := m.resolve(reg, true)
 	if e == nil {
 		m.mu.Lock()
 		return

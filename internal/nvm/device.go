@@ -198,10 +198,6 @@ func (d *Device) Recorder() *telemetry.Recorder { return d.rec }
 // load images attach after construction; nil detaches).
 func (d *Device) SetRecorder(r *telemetry.Recorder) { d.rec = r }
 
-// Tracer returns the device's persistence flight recorder; nil means event
-// tracing is off.
-func (d *Device) Tracer() *pmemtrace.Recorder { return d.tr }
-
 // UID returns a process-unique identity for this device; the flight
 // recorder stamps it on every event.
 func (d *Device) UID() uint64 { return d.uid }

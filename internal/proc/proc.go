@@ -111,12 +111,43 @@ func (p *Process) NewThread() *Thread {
 	if col := spans.Active(); col != nil {
 		t.Clk.SetBill(spans.NewThreadCtx(col, t.TID))
 	}
-	// And the lock-profiler state: named-lock wrappers record waits against
-	// it when the registry that issued it is still the active one.
+	// And the lock-profiler state: named locks record waits against it when
+	// the registry that issued it is still the active one.
 	if reg := lockprof.Active(); reg != nil {
 		t.Clk.SetLockState(reg.NewThreadState(t.TID))
 	}
 	return t
+}
+
+// RunThreads is the deadline stepper of the multi-thread benchmarks (FxMark,
+// Filebench). It starts n new threads at from's clock and, on the calling
+// goroutine, runs step(i, th) — one operation on thread i — on the thread
+// with the earliest clock (simclock.Earliest) until that clock reaches the
+// start plus targetNS, so every run is a function of virtual time alone. It
+// returns the virtual time from the start to the slowest thread's clock, or
+// the first error step returns.
+func (p *Process) RunThreads(from *Thread, n int, targetNS int64, step func(i int, th *Thread) error) (int64, error) {
+	start := from.Clk.Now()
+	ths := make([]*Thread, n)
+	for i := range ths {
+		ths[i] = p.NewThread()
+		ths[i].Clk.AdvanceTo(start)
+	}
+	clock := func(th *Thread) *simclock.Clock { return th.Clk }
+	for {
+		i := simclock.Earliest(ths, clock)
+		if i < 0 || ths[i].Clk.Now() >= start+targetNS {
+			break
+		}
+		if err := step(i, ths[i]); err != nil {
+			return 0, err
+		}
+	}
+	var end int64
+	for _, th := range ths {
+		end = max(end, th.Clk.Now())
+	}
+	return end - start, nil
 }
 
 // Thread is a simulated thread: the unit of virtual-time accounting and of

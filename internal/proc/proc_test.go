@@ -1,6 +1,8 @@
 package proc
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -193,5 +195,43 @@ func TestAtomicsChecked(t *testing.T) {
 	th.Zero(0, 64)
 	if th.Load64(8) != 0 {
 		t.Fatal("zeroed word should read 0")
+	}
+}
+
+// TestRunThreadsStepsEarliestToDeadline: threads start at the setup
+// thread's clock, the earliest clock runs next (ties to the lower index),
+// the run stops once the earliest clock reaches the deadline, and the
+// reported span ends at the slowest clock.
+func TestRunThreadsStepsEarliestToDeadline(t *testing.T) {
+	p := newProc(t)
+	setup := p.NewThread()
+	setup.CPU(1000)
+	cost := []int64{30, 50}
+	var order []int
+	vns, err := p.RunThreads(setup, 2, 100, func(i int, th *Thread) error {
+		order = append(order, i)
+		th.CPU(cost[i])
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Clocks after each step: 1030/1000, 1030/1050, 1060/1050, 1060/1100,
+	// 1090/1100, 1120/1100; then the earliest (1100) is at the deadline.
+	if want := []int{0, 1, 0, 1, 0, 0}; !slices.Equal(order, want) {
+		t.Fatalf("step order = %v, want %v", order, want)
+	}
+	if vns != 120 {
+		t.Fatalf("virtual span = %d, want 120", vns)
+	}
+	boom := errors.New("boom")
+	n := 0
+	if _, err := p.RunThreads(setup, 2, 100, func(int, *Thread) error {
+		if n++; n == 3 {
+			return boom
+		}
+		return nil
+	}); err != boom || n != 3 {
+		t.Fatalf("err = %v after %d steps, want boom after 3", err, n)
 	}
 }

@@ -4,13 +4,16 @@
 // All file system code runs as ordinary Go code on ordinary goroutines, but
 // performance is accounted in virtual nanoseconds: each simulated thread owns
 // a Clock, every modeled action (an NVM access, a syscall, a WRPKRU, a lock
-// hold) advances that clock, and shared hardware/software resources are
-// modeled as Resources whose grant time is max(arrival, busyUntil). This
-// yields throughput ceilings, lock convoys and scalability collapses in
-// virtual time at the same places they occur on real hardware, while the
-// underlying data-structure work remains real (real locks, real CAS, real
-// memory). Multi-thread drivers step their threads earliest clock first
-// (Earliest), so every run is a function of virtual time alone.
+// hold) advances that clock, and shared hardware resources are modeled as
+// Resources whose grant time is max(arrival, busyUntil). The virtual-time
+// locks (lockprof.Mutex, lockprof.RWMutex) work the same way: an acquirer
+// waits past the last holder's release stamp through Clock.WaitUntil, the
+// one lock-wait method. This yields throughput ceilings, lock convoys and
+// scalability collapses in virtual time at the same places they occur on
+// real hardware, while the underlying data-structure work remains real
+// (real locks, real CAS, real memory). Multi-thread drivers step their
+// threads earliest clock first (Earliest), so every run is a function of
+// virtual time alone.
 package simclock
 
 import (
@@ -155,7 +158,7 @@ func (c *Clock) SetPathMemo(m any) { c.pathMemo = m }
 func (c *Clock) PathMemo() any { return c.pathMemo }
 
 // lockWaitBiller is implemented by cost sinks that want virtual lock-wait
-// time attributed to them (see Mutex/RWMutex).
+// time attributed to them (see WaitUntil).
 type lockWaitBiller interface{ BillLockWait(ns int64) }
 
 // billLockWait hands ns of lock-wait time to the attached sink, if any.
@@ -168,14 +171,14 @@ func (c *Clock) billLockWait(ns int64) {
 	}
 }
 
-// drainTo is the single wait path shared by Mutex and RWMutex: it advances
-// the clock past a holder's virtual release stamp, bills the elapsed wait to
-// the attached cost sink, and returns it. Every virtual lock wait in the
-// process flows through here — with no other billLockWait caller, the span
-// layer's lock_wait total and the lock profiler's per-lock wait sums are
-// measurements of the same quantity and must agree exactly (the equality the
-// fxmark-scale cross-check gate asserts).
-func (c *Clock) drainTo(stamp int64) int64 {
+// WaitUntil is the one lock-wait path: a virtual-time lock (lockprof.Mutex,
+// lockprof.RWMutex) calls it with a holder's release stamp, and it advances
+// the clock past the stamp, bills the elapsed wait to the attached cost sink
+// and returns it. It is billLockWait's only caller, so the span layer's
+// lock_wait total and the lock profiler's per-lock wait sums measure the same
+// quantity and must agree exactly (the equality the fxmark-scale cross-check
+// gate asserts).
+func (c *Clock) WaitUntil(stamp int64) int64 {
 	wait := stamp - c.now
 	if wait <= 0 {
 		return 0
