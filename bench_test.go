@@ -49,7 +49,7 @@ func BenchmarkExperiments(b *testing.B) {
 // microFS builds a ZoFS instance for op benchmarks.
 func microFS(b *testing.B, opts zofs.Options) (*sysfactory.Instance, func() *instThread) {
 	b.Helper()
-	in, err := sysfactory.NewZoFS("ZoFS", opts).New(4 << 30)
+	in, err := sysfactory.NewZoFS("ZoFS", opts).New(4<<30, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func BenchmarkAblationEnlargeBatch(b *testing.B) {
 			sys := sysfactory.NewZoFS("ZoFS", zofs.Options{MetaEnlargeBatch: batch})
 			var v float64
 			for i := 0; i < b.N; i++ {
-				in, err := sys.New(2 << 30)
+				in, err := sys.New(2<<30, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -242,7 +242,7 @@ func BenchmarkAblationInlineData(b *testing.B) {
 	for _, sys := range []sysfactory.System{sysfactory.ZoFS, sysfactory.ZoFSInline} {
 		sys := sys
 		b.Run(sys.Name, func(b *testing.B) {
-			in, err := sys.New(4 << 30)
+			in, err := sys.New(4<<30, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -275,7 +275,7 @@ func BenchmarkAblationAllocatorSharing(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			var v float64
 			for i := 0; i < b.N; i++ {
-				in, err := sysfactory.ZoFS.New(4 << 30)
+				in, err := sysfactory.ZoFS.New(4<<30, false)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -294,7 +294,7 @@ func BenchmarkAblationAllocatorSharing(b *testing.B) {
 // ---- application-level composite benchmarks -------------------------------------
 
 func BenchmarkLevelDBFillSeqZoFS(b *testing.B) {
-	in, err := sysfactory.ZoFS.New(2 << 30)
+	in, err := sysfactory.ZoFS.New(2<<30, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func BenchmarkLevelDBFillSeqZoFS(b *testing.B) {
 }
 
 func BenchmarkTPCCNewOrderZoFS(b *testing.B) {
-	in, err := sysfactory.ZoFS.New(2 << 30)
+	in, err := sysfactory.ZoFS.New(2<<30, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func BenchmarkTPCCNewOrderZoFS(b *testing.B) {
 func BenchmarkFilebenchVarmailZoFS(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		in, err := sysfactory.ZoFS.New(2 << 30)
+		in, err := sysfactory.ZoFS.New(2<<30, false)
 		if err != nil {
 			b.Fatal(err)
 		}

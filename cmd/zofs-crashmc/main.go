@@ -13,9 +13,12 @@
 // (drop: all dirty cachelines revert; subset: a pseudo-random subset
 // persists; torn: 8-byte word subsets persist) on the selected crash
 // edges (after: the k-th persisting store completed; before: it was about
-// to start, mid-epoch). ZoFS images are remounted, recovered and checked
-// against the model of the workload's tree (vfs.Model); baselines are
-// checked at the media level.
+// to start, mid-epoch). -system takes any system the repository builds, and
+// each is held to what it guarantees, printed with the run: ZoFS images are
+// remounted, recovered and checked against the model of the workload's tree
+// (vfs.Model), LogFS images are remounted, replayed and checked against it,
+// and the baselines, whose namespaces are volatile, are checked at the media
+// level.
 //
 // Exit codes: 0 all invariants held; 1 invariant violation; 2 usage or
 // setup error; 3 injected corruption was detected (the expected outcome
@@ -94,6 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		viols = r.Violations
 		fmt.Fprintf(stdout, "%s: explored %d crash states (%d sampled points of %d, edges=%s, model=%s)\n",
 			cfg.System, r.States, len(r.Points), r.WorkloadPoints, *edges, *model)
+		fmt.Fprintf(stdout, "  guarantee: %s\n", r.Guarantee)
 		fmt.Fprintf(stdout, "  dirty states %d (max %d lines); lines reverted %d persisted %d torn %d; fsck repairs %d\n",
 			r.DirtyStates, r.MaxDirtyLines, r.LinesReverted, r.LinesPersisted, r.LinesTorn, r.Repairs)
 		for kind, n := range r.RepairsByKind {

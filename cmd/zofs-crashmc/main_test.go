@@ -16,6 +16,9 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"-system ZoFS -points 4 -ops 12", 0},
 		{"-system Ext4-DAX -points 3 -ops 8 -model drop -edges after", 0},
+		{"-system LogFS -points 3 -ops 8", 0},
+		{"-system NOVA -points 3 -ops 8 -model torn -edges before", 0},
+		{"-system NOVA -inject lease", 2},
 		{"-points 2 -ops 8 -min-states 100000", 1},
 		{"stray-operand", 2},
 		{"-no-such-flag", 2},

@@ -25,7 +25,7 @@ func observe(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := sysfactory.ZoFS.New(64 << 20)
+	in, err := sysfactory.ZoFS.New(64<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}

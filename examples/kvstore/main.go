@@ -23,7 +23,7 @@ func main() {
 	}
 
 	// Durability: the WAL survives an unclean shutdown.
-	in, err := sysfactory.ZoFS.New(1 << 30)
+	in, err := sysfactory.ZoFS.New(1<<30, false)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func main() {
 }
 
 func run(sys sysfactory.System, op lsmdb.BenchOp, n int) float64 {
-	in, err := sys.New(4 << 30)
+	in, err := sys.New(4<<30, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,10 +2,15 @@ package crashmc
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"zofs/internal/nvm"
+	"zofs/internal/obsfs"
 	"zofs/internal/pmemtrace"
+	"zofs/internal/proc"
 	"zofs/internal/spans"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 )
 
@@ -40,7 +45,7 @@ const (
 
 // Config parameterizes one model-checking run.
 type Config struct {
-	System      string  `json:"system"`
+	System      string  `json:"system"` // a sysfactory system (Systems)
 	Seed        int64   `json:"seed"`
 	Ops         int     `json:"ops"`    // workload length
 	Points      int     `json:"points"` // crash points to sample (0 = all)
@@ -87,6 +92,7 @@ func (v Violation) String() string {
 // Report is the model checker's verdict over one configuration.
 type Report struct {
 	Config         Config           `json:"config"`
+	Guarantee      string           `json:"guarantee"`       // what each crash state is held to
 	WorkloadPoints int64            `json:"workload_points"` // persisting stores in the workload window
 	Points         []int64          `json:"points"`          // sampled crash points
 	States         int              `json:"states"`          // crash states explored
@@ -159,17 +165,48 @@ func samplePoints(total int64, want int) []int64 {
 	return pts
 }
 
+// Systems lists the system names Config.System accepts, every system
+// sysfactory builds, comma-separated, for error messages and command-line
+// help.
+func Systems() string {
+	names := make([]string, len(sysfactory.All))
+	for i, sys := range sysfactory.All {
+		names[i] = sys.Name
+	}
+	return strings.Join(names, ", ")
+}
+
+// stack is one system under test, built by sysfactory on a
+// persistence-tracked device, and the thread that drives it.
+type stack struct {
+	*sysfactory.Instance
+	// fs is Instance.FS; with span collection on, it is wrapped so that each
+	// workload op opens a root span, letting the model checker assert span
+	// hygiene (no leaks, no double-closes) across injected crashes.
+	fs vfs.FileSystem
+	th *proc.Thread
+}
+
+// build resolves cfg.System and builds a fresh stack of it.
+func build(cfg Config) (*stack, error) {
+	i := slices.IndexFunc(sysfactory.All, func(sys sysfactory.System) bool { return sys.Name == cfg.System })
+	if i < 0 {
+		return nil, fmt.Errorf("crashmc: unknown system %q (have %s)", cfg.System, Systems())
+	}
+	in, err := sysfactory.All[i].New(cfg.DeviceBytes, true)
+	if err != nil {
+		return nil, fmt.Errorf("crashmc: build %s: %w", cfg.System, err)
+	}
+	return &stack{Instance: in, fs: obsfs.Wrap(in.FS, nil), th: in.Proc.NewThread()}, nil
+}
+
 // Explore runs the full campaign: enumerate the workload's persistence
 // points, then for every sampled (point, edge, model) triple build a fresh
-// stack, crash it there, materialize the post-crash image and check the
-// personality's invariants. It installs a fresh pmemtrace recorder per state
-// and puts back the caller's on return.
+// stack, crash it there, materialize the post-crash image and check it
+// against what the system guarantees (postCrash). It installs a fresh
+// pmemtrace recorder per state and puts back the caller's on return.
 func Explore(cfg Config) (*Report, error) {
 	cfg.fill()
-	p, err := lookup(cfg.System)
-	if err != nil {
-		return nil, err
-	}
 	ops := GenWorkload(cfg.Seed, cfg.Ops)
 	rep := &Report{Config: cfg, RepairsByKind: map[string]int64{}}
 	defer pmemtrace.Install(pmemtrace.Active())
@@ -178,11 +215,12 @@ func Explore(cfg Config) (*Report, error) {
 	// stores. FailAfter/FailAtStart reset the device's store counter when
 	// armed, so a point k in [1, N] lands on the same store every replay.
 	pmemtrace.Enable(pmemtrace.Config{RingCap: 1 << 18})
-	st, err := p.build(cfg.DeviceBytes)
+	st, err := build(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("crashmc: build %s: %w", cfg.System, err)
+		return nil, err
 	}
-	base := st.dev.WriteCount()
+	rep.Guarantee, _ = postCrash(st.FS)
+	base := st.Dev.WriteCount()
 	res := runOps(st.fs, st.th, ops)
 	if res.err != nil {
 		return nil, fmt.Errorf("crashmc: enumeration run: %w", res.err)
@@ -190,7 +228,7 @@ func Explore(cfg Config) (*Report, error) {
 	if res.crashed {
 		return nil, fmt.Errorf("crashmc: enumeration run crashed with no fault armed")
 	}
-	rep.WorkloadPoints = st.dev.WriteCount() - base
+	rep.WorkloadPoints = st.Dev.WriteCount() - base
 	if rep.WorkloadPoints < 2 {
 		return nil, fmt.Errorf("crashmc: workload performed only %d persisting stores", rep.WorkloadPoints)
 	}
@@ -199,7 +237,7 @@ func Explore(cfg Config) (*Report, error) {
 	for _, k := range rep.Points {
 		for _, edge := range cfg.Edges {
 			for _, model := range cfg.Models {
-				exploreOne(p, cfg, ops, k, edge, model, rep)
+				exploreOne(cfg, ops, k, edge, model, rep)
 			}
 		}
 	}
@@ -207,25 +245,25 @@ func Explore(cfg Config) (*Report, error) {
 }
 
 // exploreOne materializes and checks a single crash state.
-func exploreOne(p *personality, cfg Config, ops []vfs.Op, point int64, edge Edge, model Model, rep *Report) {
+func exploreOne(cfg Config, ops []vfs.Op, point int64, edge Edge, model Model, rep *Report) {
 	rep.States++
 	fail := func(invariant, detail string) {
 		rep.Violations = append(rep.Violations, Violation{
 			Point: point, Edge: edge, Model: model, Invariant: invariant, Detail: detail})
 	}
 	rec := pmemtrace.Enable(pmemtrace.Config{RingCap: 1 << 18})
-	st, err := p.build(cfg.DeviceBytes)
+	st, err := build(cfg)
 	if err != nil {
 		fail("setup", err.Error())
 		return
 	}
 	if edge == EdgeBefore {
-		st.dev.FailAtStart(point)
+		st.Dev.FailAtStart(point)
 	} else {
-		st.dev.FailAfter(point)
+		st.Dev.FailAfter(point)
 	}
 	res := runOps(st.fs, st.th, ops)
-	st.dev.FailAfter(0)
+	st.Dev.FailAfter(0)
 	if res.err != nil {
 		fail("workload", res.err.Error())
 		return
@@ -248,7 +286,7 @@ func exploreOne(p *personality, cfg Config, ops []vfs.Op, point int64, edge Edge
 		}
 	}
 
-	outcome := st.dev.CrashMediated(fateFor(model, cfg.Seed, point))
+	outcome := st.Dev.CrashMediated(fateFor(model, cfg.Seed, point))
 	dirty := len(outcome.Reverted) + len(outcome.Persisted) + len(outcome.Torn)
 	if dirty > 0 {
 		rep.DirtyStates++
@@ -259,9 +297,6 @@ func exploreOne(p *personality, cfg Config, ops []vfs.Op, point int64, edge Edge
 	rep.LinesReverted += int64(len(outcome.Reverted))
 	rep.LinesPersisted += int64(len(outcome.Persisted))
 	rep.LinesTorn += int64(len(outcome.Torn))
-	if p.allNT && dirty != 0 {
-		fail("all_nt", fmt.Sprintf("%d dirty cachelines at crash on an all-NT system", dirty))
-	}
 
 	// Auditor fidelity: the flight recorder's replay of its own event
 	// stream must see exactly the dirty lines the device reverted or
@@ -294,9 +329,6 @@ func exploreOne(p *personality, cfg Config, ops []vfs.Op, point int64, edge Edge
 		}
 	}
 
-	if p.zofs {
-		checkZoFS(p, st.dev, ops, res, audit, fail, rep)
-	} else {
-		checkBaselineMedia(st.dev, ops, res, fail)
-	}
+	_, check := postCrash(st.FS)
+	check(&crashState{dev: st.Dev, ops: ops, res: res, dirty: dirty, audit: audit, fail: fail, rep: rep})
 }

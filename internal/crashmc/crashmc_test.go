@@ -3,9 +3,11 @@ package crashmc
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"zofs/internal/pmemtrace"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 	"zofs/internal/zofs"
 )
@@ -81,6 +83,34 @@ func TestExploreBaseline(t *testing.T) {
 	}
 	if rep.DirtyStates == 0 {
 		t.Error("Ext4-DAX sweep saw no dirty-at-crash states; the before edge is not biting")
+	}
+}
+
+// TestExploreEverySystem: every system sysfactory builds, crash-checked at
+// one seed under every media model on both edges, holds what it guarantees
+// — the ZoFS systems remounted and fscked with no dirty line at any crash,
+// LogFS remounted and replayed, the baselines' flushed blocks on the media.
+func TestExploreEverySystem(t *testing.T) {
+	for _, sys := range sysfactory.All {
+		t.Run(sys.Name, func(t *testing.T) {
+			rep, err := Explore(Config{System: sys.Name, Seed: 2, Ops: 14, Points: 5, DeviceBytes: 16 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := "baseline"
+			if name, _, _ := strings.Cut(sys.Name, "-"); name == "ZoFS" || name == "LogFS" {
+				want = name
+			}
+			if !strings.HasPrefix(rep.Guarantee, want+",") {
+				t.Errorf("%s is held to %q, want the %s guarantee", sys.Name, rep.Guarantee, want)
+			}
+			if rep.States < 5*2*3 {
+				t.Errorf("explored only %d states", rep.States)
+			}
+			for _, v := range rep.Violations {
+				t.Errorf("violation: %s", v)
+			}
+		})
 	}
 }
 
@@ -162,14 +192,10 @@ func TestSlotlessCampaign(t *testing.T) {
 // behind its back — the durability invariant must fire. This guards
 // against the checker silently passing everything.
 func TestDetectsSeededCorruption(t *testing.T) {
-	p, err := lookup("ZoFS")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := Config{System: "ZoFS", Seed: 3, Ops: 16}
 	cfg.fill()
 	ops := GenWorkload(cfg.Seed, cfg.Ops)
-	st, err := p.build(cfg.DeviceBytes)
+	st, err := build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +217,8 @@ func TestDetectsSeededCorruption(t *testing.T) {
 	blk := data[:min(4096, len(data))]
 	dataPage := int64(-1)
 	buf := make([]byte, len(blk))
-	for pg := int64(0); pg < st.dev.Pages(); pg++ {
-		st.dev.ReadNoCharge(pg*4096, buf)
+	for pg := int64(0); pg < st.Dev.Pages(); pg++ {
+		st.Dev.ReadNoCharge(pg*4096, buf)
 		if bytes.Equal(buf, blk) {
 			dataPage = pg
 			break
@@ -201,15 +227,15 @@ func TestDetectsSeededCorruption(t *testing.T) {
 	if dataPage < 0 {
 		t.Fatalf("data block of %s not found on device", target)
 	}
-	zofs.FlipBit(st.dev, dataPage*4096+20, 3)
+	zofs.FlipBit(st.Dev, dataPage*4096+20, 3)
 
 	var viols []Violation
 	fail := func(invariant, detail string) {
 		viols = append(viols, Violation{Invariant: invariant, Detail: detail})
 	}
-	rep := &Report{RepairsByKind: map[string]int64{}}
-	checkZoFS(p, st.dev, ops, runResult{completed: len(ops), crashed: true},
-		&pmemtrace.Report{}, fail, rep)
+	_, check := postCrash(st.FS)
+	check(&crashState{dev: st.Dev, ops: ops, res: runResult{completed: len(ops), crashed: true},
+		audit: &pmemtrace.Report{}, fail: fail, rep: &Report{RepairsByKind: map[string]int64{}}})
 	found := false
 	for _, v := range viols {
 		if v.Invariant == "durability" {

@@ -8,7 +8,6 @@ import (
 	"zofs/internal/fslibs"
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
-	"zofs/internal/obsfs"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
@@ -44,39 +43,36 @@ type FaultReport struct {
 }
 
 // RunFaults executes one injected-fault campaign ("bitflip", "lease" or
-// "slotless") against a ZoFS personality and returns the campaign report plus
-// any violated degradation invariants. Every campaign starts from the same
-// place: a fresh stack the seeded workload ran on, and the model of the tree
-// it left.
+// "slotless") against a ZoFS system and returns the campaign report plus any
+// violated degradation invariants. Every campaign starts from the same place:
+// a fresh stack the seeded workload ran on, and the model of the tree it
+// left.
 func RunFaults(cfg Config, mode string) (*FaultReport, []Violation, error) {
 	cfg.fill()
-	p, err := lookup(cfg.System)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !p.zofs {
-		return nil, nil, fmt.Errorf("crashmc: fault campaigns need a ZoFS personality, not %s", cfg.System)
-	}
 	run := map[string]func(*campaign) error{"bitflip": runBitflip, "lease": runLease, "slotless": runSlotless}[mode]
 	if run == nil {
 		return nil, nil, fmt.Errorf("crashmc: unknown fault mode %q (have bitflip, lease, slotless)", mode)
 	}
-	st, err := p.build(cfg.DeviceBytes)
+	st, err := build(cfg)
 	if err != nil {
 		return nil, nil, err
+	}
+	f, ok := st.FS.(*zofs.FS)
+	if !ok {
+		return nil, nil, fmt.Errorf("crashmc: fault campaigns need a ZoFS system, not %s", cfg.System)
 	}
 	ops := GenWorkload(cfg.Seed, cfg.Ops)
 	if res := runOps(st.fs, st.th, ops); res.err != nil || res.crashed {
 		return nil, nil, fmt.Errorf("crashmc: %s setup workload: err=%v crashed=%v", mode, res.err, res.crashed)
 	}
-	c := &campaign{p: p, cfg: cfg, st: st, m: modelAfter(ops, len(ops)), rep: &FaultReport{Mode: mode}}
+	c := &campaign{setup: f, cfg: cfg, st: st, m: modelAfter(ops, len(ops)), rep: &FaultReport{Mode: mode}}
 	err = run(c)
 	return c.rep, c.viols, err
 }
 
 // campaign is one fault campaign in progress.
 type campaign struct {
-	p     *personality
+	setup *zofs.FS // the µFS the seeded workload ran on
 	cfg   Config
 	st    *stack     // the stack the seeded workload ran on
 	m     *vfs.Model // the tree the workload left
@@ -94,7 +90,7 @@ func (c *campaign) fail(invariant, detail string) {
 // through FSLibs get errors — never panics — and offline recovery detects
 // and repairs the corruption, converging to a usable file system.
 func runBitflip(c *campaign) error {
-	p, cfg, st, m, rep, fail := c.p, c.cfg, c.st, c.m, c.rep, c.fail
+	cfg, st, m, rep, fail := c.cfg, c.st, c.m, c.rep, c.fail
 	rep.Flips = cfg.Flips
 	paths := make([]string, m.Len())
 	for i := range paths {
@@ -105,10 +101,10 @@ func runBitflip(c *campaign) error {
 	// Collect the live inode pages (magic-tagged metadata) across every
 	// coffer; those are the flip targets.
 	var inodePages []int64
-	for _, id := range st.k.Coffers() {
-		for _, e := range st.k.ExtentsOf(id) {
+	for _, id := range st.Kern.Coffers() {
+		for _, e := range st.Kern.ExtentsOf(id) {
 			for pg := e.Start; pg < e.End(); pg++ {
-				if pg != int64(id) && zofs.IsInodePage(st.dev, pg) {
+				if pg != int64(id) && zofs.IsInodePage(st.Dev, pg) {
 					inodePages = append(inodePages, pg)
 				}
 			}
@@ -127,17 +123,17 @@ func runBitflip(c *campaign) error {
 	if err != nil {
 		return err
 	}
-	zofs.FlipBit(st.dev, fi.Inode*int64(pmemtrace.PageSize), uint(rng.Intn(8)))
+	zofs.FlipBit(st.Dev, fi.Inode*int64(pmemtrace.PageSize), uint(rng.Intn(8)))
 	for i := 1; i < cfg.Flips; i++ {
 		pg := inodePages[rng.Intn(len(inodePages))]
 		off := int64(rng.Intn(zofs.InodeHeaderLen))
-		zofs.FlipBit(st.dev, pg*int64(pmemtrace.PageSize)+off, uint(rng.Intn(8)))
+		zofs.FlipBit(st.Dev, pg*int64(pmemtrace.PageSize)+off, uint(rng.Intn(8)))
 	}
 
 	// Survivors: a fresh process drives the damaged image through FSLibs,
 	// whose guard layer must turn MPK/media faults into errors.
-	th2 := proc.NewProcess(st.dev, 0, 0).NewThread()
-	lib, err := fslibs.Mount(st.k, th2, fslibs.Options{})
+	th2 := proc.NewProcess(st.Dev, 0, 0).NewThread()
+	lib, err := fslibs.Mount(st.Kern, th2, fslibs.Options{})
 	if err != nil {
 		return err
 	}
@@ -163,7 +159,7 @@ func runBitflip(c *campaign) error {
 	}
 
 	// Detection: offline recovery over the corrupt image must find it.
-	k2, th3, walked, err := recoverImage(st.dev, rep, fail)
+	k2, th3, walked, err := recoverImage(st.Dev, rep, fail)
 	if err != nil || !walked {
 		return err
 	}
@@ -175,7 +171,7 @@ func runBitflip(c *campaign) error {
 		fail("fsck_fixpoint", err.Error())
 	}
 	// The repaired file system must accept new work.
-	guarded(fail, "usability", func() { usable(zofs.New(k2, p.opts), th3) })
+	guarded(fail, "usability", func() { usable(zofs.New(k2, c.setup.Options()), th3) })
 	return nil
 }
 
@@ -201,12 +197,12 @@ func recoverImage(dev *nvm.Device, rep *FaultReport, fail func(string, string)) 
 // expired slot lease via CAS and keep respecting a live foreign one, and
 // recovery must clear whatever leases remain.
 func runLease(c *campaign) error {
-	p, st, m, rep, fail := c.p, c.st, c.m, c.rep, c.fail
+	st, m, rep, fail := c.st, c.m, c.rep, c.fail
 	victim := m.Path(0)
 	for i := range m.Len() {
 		victim = min(victim, m.Path(i))
 	}
-	rp, ok := st.k.Info(st.k.RootCoffer())
+	rp, ok := st.Kern.Info(st.Kern.RootCoffer())
 	if !ok {
 		return fmt.Errorf("crashmc: root coffer has no info")
 	}
@@ -216,22 +212,22 @@ func runLease(c *campaign) error {
 	// foreign lease on slot 1 (must be respected), and an inode lease on a
 	// workload file (recovery must clear it).
 	const deadTID = 4093
-	zofs.PlantSlotLease(st.dev, rp.Custom, 0, deadTID, 1)
+	zofs.PlantSlotLease(st.Dev, rp.Custom, 0, deadTID, 1)
 	liveExpiry := now + 1_000_000_000_000 // far beyond any survivor's clock
-	zofs.PlantSlotLease(st.dev, rp.Custom, 1, deadTID+1, liveExpiry)
+	zofs.PlantSlotLease(st.Dev, rp.Custom, 1, deadTID+1, liveExpiry)
 	vfi, err := st.fs.Stat(st.th, victim)
 	if err != nil {
 		return err
 	}
-	zofs.PlantInodeLease(st.dev, vfi.Inode, deadTID, liveExpiry)
+	zofs.PlantInodeLease(st.Dev, vfi.Inode, deadTID, liveExpiry)
 
 	// Survivor: a fresh process allocates; claiming walks the pool in slot
 	// order, so it must steal the expired slot 0 and skip live slot 1.
-	th2 := proc.NewProcess(st.dev, 0, 0).NewThread()
-	if err := st.k.FSMount(th2); err != nil {
+	th2 := proc.NewProcess(st.Dev, 0, 0).NewThread()
+	if err := st.Kern.FSMount(th2); err != nil {
 		return err
 	}
-	f2 := zofs.New(st.k, p.opts)
+	f2 := zofs.New(st.Kern, c.setup.Options())
 	for i := 0; i < 4; i++ {
 		rep.SurvivorOps++
 		h, err := f2.Create(th2, fmt.Sprintf("/lease%d", i), 0o644)
@@ -246,13 +242,13 @@ func runLease(c *campaign) error {
 		}
 		h.Close(th2)
 	}
-	if tid, _ := zofs.SlotLease(st.dev, rp.Custom, 0); tid == th2.TID&0xffff {
+	if tid, _ := zofs.SlotLease(st.Dev, rp.Custom, 0); tid == th2.TID&0xffff {
 		rep.LeaseStolen = true
 	} else {
 		fail("lease_steal", fmt.Sprintf("expired slot 0 lease not stolen by survivor tid %d (held by %d)",
 			th2.TID&0xffff, tid))
 	}
-	if tid, expiry := zofs.SlotLease(st.dev, rp.Custom, 1); tid == deadTID+1 && expiry == liveExpiry {
+	if tid, expiry := zofs.SlotLease(st.Dev, rp.Custom, 1); tid == deadTID+1 && expiry == liveExpiry {
 		rep.LiveLeaseRespected = true
 	} else {
 		fail("lease_respect", fmt.Sprintf("live foreign lease on slot 1 was overwritten (tid=%d expiry=%d)",
@@ -261,18 +257,18 @@ func runLease(c *campaign) error {
 
 	// Recovery over the image clears every remaining lease, including the
 	// dead holder's inode lease.
-	if _, _, walked, err := recoverImage(st.dev, rep, fail); err != nil || !walked {
+	if _, _, walked, err := recoverImage(st.Dev, rep, fail); err != nil || !walked {
 		return err
 	}
 	rep.Detected = rep.LeasesCleared > 0
 	if rep.LeasesCleared == 0 {
 		fail("lease_clear", "recovery cleared no leases despite planted dead holders")
 	}
-	if tid, expiry := zofs.InodeLease(st.dev, vfi.Inode); tid != 0 || expiry != 0 {
+	if tid, expiry := zofs.InodeLease(st.Dev, vfi.Inode); tid != 0 || expiry != 0 {
 		fail("lease_clear", fmt.Sprintf("dead holder's inode lease survived recovery (tid=%d expiry=%d)", tid, expiry))
 	}
 	for slot := 0; slot < zofs.PoolSlots(); slot++ {
-		if tid, expiry := zofs.SlotLease(st.dev, rp.Custom, slot); tid != 0 || expiry != 0 {
+		if tid, expiry := zofs.SlotLease(st.Dev, rp.Custom, slot); tid != 0 || expiry != 0 {
 			fail("lease_clear", fmt.Sprintf("slot %d lease survived recovery (tid=%d expiry=%d)", slot, tid, expiry))
 			break
 		}
@@ -292,17 +288,9 @@ func runLease(c *campaign) error {
 // the doomed process did publish, and the three-way space accounting must
 // reconcile afterwards (space_conserved).
 func runSlotless(c *campaign) error {
-	p, st, m, rep, fail := c.p, c.st, c.m, c.rep, c.fail
-	inner := st.fs
-	if w, ok := inner.(*obsfs.FS); ok { // obsfs only wraps when observability is on
-		inner = w.Unwrap()
-	}
-	setupFS, ok := inner.(*zofs.FS)
-	if !ok {
-		return fmt.Errorf("crashmc: slotless campaign needs a raw ZoFS stack")
-	}
-	root := st.k.RootCoffer()
-	rp, ok := st.k.Info(root)
+	st, m, rep, fail := c.st, c.m, c.rep, c.fail
+	root := st.Kern.RootCoffer()
+	rp, ok := st.Kern.Info(root)
 	if !ok {
 		return fmt.Errorf("crashmc: root coffer has no info")
 	}
@@ -313,16 +301,16 @@ func runSlotless(c *campaign) error {
 	const foreignBase = 4001
 	liveExpiry := st.th.Clk.Now() + 1_000_000_000_000
 	for slot := 0; slot < zofs.PoolSlots(); slot++ {
-		zofs.PlantSlotLease(st.dev, rp.Custom, slot, foreignBase+slot, liveExpiry)
+		zofs.PlantSlotLease(st.Dev, rp.Custom, slot, foreignBase+slot, liveExpiry)
 	}
 
 	// Doomed process: created files must succeed with zero free slots —
 	// slotless service is graceful degradation, not an error path.
-	th2 := proc.NewProcess(st.dev, 0, 0).NewThread()
-	if err := st.k.FSMount(th2); err != nil {
+	th2 := proc.NewProcess(st.Dev, 0, 0).NewThread()
+	if err := st.Kern.FSMount(th2); err != nil {
 		return err
 	}
-	f2 := zofs.New(st.k, p.opts)
+	f2 := zofs.New(st.Kern, c.setup.Options())
 	for i := 0; i < 4; i++ {
 		rep.SurvivorOps++
 		path := fmt.Sprintf("/slotless%d", i)
@@ -354,7 +342,7 @@ func runSlotless(c *campaign) error {
 	// The fallback must not have touched the pool: every slot still carries
 	// the planted foreign lease, untouched by the doomed thread.
 	for slot := 0; slot < zofs.PoolSlots(); slot++ {
-		if tid, _ := zofs.SlotLease(st.dev, rp.Custom, slot); tid != foreignBase+slot {
+		if tid, _ := zofs.SlotLease(st.Dev, rp.Custom, slot); tid != foreignBase+slot {
 			fail("slotless_bypass", fmt.Sprintf(
 				"slot %d lease changed to tid %d: doomed thread claimed a slot instead of going slotless", slot, tid))
 			break
@@ -369,21 +357,21 @@ func runSlotless(c *campaign) error {
 		strandedDoomed += cs.Cached
 		freeListed += cs.FreeListed
 	}
-	for _, cs := range setupFS.SpaceReport() {
+	for _, cs := range c.setup.SpaceReport() {
 		strandedSetup += cs.Cached
 	}
 	rep.StrandedPages = strandedDoomed
 	if strandedDoomed == 0 {
 		fail("slotless_setup", "doomed process crashed with no stranded batch pages — the campaign tested nothing")
 	}
-	freeAtCrash := st.k.FreePages()
+	freeAtCrash := st.Kern.FreePages()
 
 	// The crash: both processes die (their caches evaporate), the machine
 	// reboots, and offline recovery walks every coffer. Every invariant
 	// zofs.Check registers must hold on the recovered image: space_conserved's
 	// three-way reconciliation (allocation table vs extent sets vs page
 	// census) included.
-	k2, th3, walked, err := recoverImage(st.dev, rep, fail)
+	k2, th3, walked, err := recoverImage(st.Dev, rep, fail)
 	if err != nil || !walked {
 		return err
 	}
@@ -409,7 +397,7 @@ func runSlotless(c *campaign) error {
 	// published page — neither the setup workload's files nor the pages the
 	// doomed process consumed from its grants before dying.
 	guarded(fail, "durability", func() {
-		if err := m.Check(zofs.New(k2, p.opts), th3, nil); err != nil {
+		if err := m.Check(zofs.New(k2, c.setup.Options()), th3, nil); err != nil {
 			panic(err.Error())
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"zofs/internal/kernfs"
+	"zofs/internal/logfs"
 	"zofs/internal/nvm"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
@@ -13,25 +14,58 @@ import (
 	"zofs/internal/zofs"
 )
 
-// checkZoFS remounts a crashed ZoFS image, runs zofs.Check and verifies the
-// post-crash invariants: fsck converges, every invariant Check registers
-// holds, repairs cross-check against the auditor, completed ops survive
-// verbatim, the in-flight op left one of its legal intermediate states, the
-// tree holds no unexpected entries, and the file system stays usable. Every
-// step is panic-guarded: a panic during post-crash verification is itself a
-// violation, not a test crash.
-func checkZoFS(p *personality, dev *nvm.Device, ops []vfs.Op, res runResult,
-	audit *pmemtrace.Report, fail func(string, string), rep *Report) {
-	step := func(name string, fn func()) bool { return guarded(fail, name, fn) }
+// crashState is one materialized post-crash image, what led to it, and where
+// its findings go.
+type crashState struct {
+	dev   *nvm.Device
+	ops   []vfs.Op
+	res   runResult
+	dirty int // dirty cachelines the media model decided at the crash
+	audit *pmemtrace.Report
+	fail  func(invariant, detail string)
+	rep   *Report
+}
 
-	var k2 *kernfs.KernFS
-	var th2 *proc.Thread
-	if !step("remount", func() {
+// postCrash states what a system guarantees across a crash, read off the
+// file system its instance built, and returns the check of one crash state
+// against it. Every step of a check is panic-guarded: a panic during
+// post-crash verification is itself a violation, not a test crash.
+func postCrash(fs vfs.FileSystem) (guarantee string, check func(*crashState)) {
+	switch f := fs.(type) {
+	case *zofs.FS:
+		return "ZoFS, remounted and fscked: completed ops durable, the in-flight op legal, every repair " +
+			"explained by a lost line, no dirty cacheline (all stores non-temporal)", func(c *crashState) { c.checkZoFS(f.Options()) }
+	case *logfs.FS:
+		return "LogFS, remounted and its log replayed: completed ops durable, the in-flight op legal", (*crashState).checkLogFS
+	default:
+		return "baseline, namespace volatile: every block a completed write flushed is on the media", (*crashState).checkBaselineMedia
+	}
+}
+
+// remounted remounts the crashed image, reporting a failure as remount.
+func (c *crashState) remounted() (k *kernfs.KernFS, th *proc.Thread, ok bool) {
+	ok = guarded(c.fail, "remount", func() {
 		var err error
-		if k2, th2, err = remount(dev); err != nil {
+		if k, th, err = remount(c.dev); err != nil {
 			panic(err)
 		}
-	}) {
+	})
+	return k, th, ok
+}
+
+// checkZoFS remounts a crashed ZoFS image, runs zofs.Check and verifies the
+// post-crash invariants: no dirty cacheline at the crash, fsck converges,
+// every invariant Check registers holds, repairs cross-check against the
+// auditor, and the model and usability invariants (checkModel) hold over the
+// µFS remounted with opts.
+func (c *crashState) checkZoFS(opts zofs.Options) {
+	fail, rep := c.fail, c.rep
+	step := func(name string, fn func()) bool { return guarded(fail, name, fn) }
+	if c.dirty != 0 {
+		fail("all_nt", fmt.Sprintf("%d dirty cachelines at crash on an all-NT system", c.dirty))
+	}
+	k2, th2, ok := c.remounted()
+	if !ok {
 		return
 	}
 	// The directory lookup cache must come up cold: a remount that carried
@@ -39,7 +73,7 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []vfs.Op, res runResult,
 	// persisted. Every post-crash lookup below therefore (re)builds its
 	// index from the on-NVM truth.
 	step("dcache_cold", func() {
-		if n := zofs.DirCacheDirs(dev); n != 0 {
+		if n := zofs.DirCacheDirs(c.dev); n != 0 {
 			panic(fmt.Sprintf("directory cache still holds %d indexes at remount", n))
 		}
 	})
@@ -68,12 +102,28 @@ func checkZoFS(p *personality, dev *nvm.Device, ops []vfs.Op, res runResult,
 
 	// Auditor cross-check: every repair must map to a lost line (or be
 	// sequence damage the crash event itself explains).
-	for _, d := range pmemtrace.CrossCheck(audit, repairs) {
+	for _, d := range pmemtrace.CrossCheck(c.audit, repairs) {
 		fail("cross_check", d)
 	}
+	c.checkModel(zofs.New(k2, opts), th2)
+}
 
-	f2 := zofs.New(k2, p.opts)
+// checkLogFS remounts a crashed LogFS image, whose replay rebuilds each
+// coffer's index from its log, and holds it to the model and usability
+// invariants (checkModel).
+func (c *crashState) checkLogFS() {
+	if k2, th2, ok := c.remounted(); ok {
+		c.checkModel(logfs.New(k2), th2)
+	}
+}
 
+// checkModel holds a recovered file system to the workload's model:
+// completed ops survive verbatim, the in-flight op left one of its legal
+// intermediate states, the tree holds no unexpected entries, and the file
+// system accepts new work.
+func (c *crashState) checkModel(f2 vfs.FileSystem, th2 *proc.Thread) {
+	ops, res := c.ops, c.res
+	step := func(name string, fn func()) bool { return guarded(c.fail, name, fn) }
 	m := modelAfter(ops, res.completed)
 	var inflight *vfs.Op
 	if res.completed < len(ops) {
@@ -285,7 +335,8 @@ func checkInflightWrite(fs vfs.FileSystem, th *proc.Thread, before, after *vfs.M
 // flushed must still exist somewhere on the device image, whatever the
 // media model did to the in-flight op's dirty lines. The engine itself is
 // not reused after the crash — the panic may have unwound it mid-lock.
-func checkBaselineMedia(dev *nvm.Device, ops []vfs.Op, res runResult, fail func(string, string)) {
+func (c *crashState) checkBaselineMedia() {
+	dev, ops, res, fail := c.dev, c.ops, c.res, c.fail
 	m := modelAfter(ops, res.completed)
 	var inflight *vfs.Op
 	if res.completed < len(ops) {

@@ -22,7 +22,7 @@ func TestFlowsOnRealGoroutines(t *testing.T) {
 	for _, sys := range systems {
 		for _, p := range All {
 			t.Run(sys.Name+"/"+string(p), func(t *testing.T) {
-				in, err := sys.New(1 << 30)
+				in, err := sys.New(1<<30, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -13,7 +13,7 @@ func TestAllPersonalitiesOnZoFS(t *testing.T) {
 	for _, p := range filebench.All {
 		p := p
 		t.Run(string(p), func(t *testing.T) {
-			in, err := sysfactory.ZoFS.New(4 << 30)
+			in, err := sysfactory.ZoFS.New(4<<30, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,7 +33,7 @@ func TestAllPersonalitiesOnBaselines(t *testing.T) {
 		sys := sys
 		t.Run(sys.Name, func(t *testing.T) {
 			for _, p := range filebench.All {
-				in, err := sys.New(4 << 30)
+				in, err := sys.New(4<<30, false)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,7 +57,7 @@ func TestDirWidthEffectOnZoFS(t *testing.T) {
 	// a few percent (the paper's scan-based lookups lose more: EXPERIMENTS.md
 	// deviation 3).
 	run := func(width int) float64 {
-		in, err := sysfactory.ZoFS.New(2 << 30)
+		in, err := sysfactory.ZoFS.New(2<<30, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestStrataDeepVarmailReproduces(t *testing.T) {
 	cfg.DirWidth = 20
 	var runs [2]filebench.Result
 	for i := range runs {
-		in, err := sysfactory.Strata.New(4 << 30)
+		in, err := sysfactory.Strata.New(4<<30, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ func TestWorkersOnRealGoroutines(t *testing.T) {
 	for _, sys := range systems {
 		for _, w := range All {
 			t.Run(sys.Name+"/"+string(w), func(t *testing.T) {
-				in, err := sys.New(256 << 20)
+				in, err := sys.New(256<<20, false)
 				if err != nil {
 					t.Fatal(err)
 				}

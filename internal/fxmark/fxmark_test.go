@@ -9,7 +9,7 @@ import (
 
 func env(t *testing.T, sys sysfactory.System, size int64) *fxmark.Env {
 	t.Helper()
-	in, err := sys.New(size)
+	in, err := sys.New(size, false)
 	if err != nil {
 		t.Fatal(err)
 	}

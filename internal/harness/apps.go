@@ -33,7 +33,7 @@ func RunTable7(w io.Writer, opts Options) error {
 	for _, op := range lsmdb.BenchOps {
 		fmt.Fprintf(t, "%s", op)
 		for _, sys := range appSystems() {
-			in, err := sys.New(opts.DeviceBytes)
+			in, err := sys.New(opts.DeviceBytes, false)
 			if err != nil {
 				return err
 			}
@@ -68,7 +68,7 @@ func RunFig11(w io.Writer, opts Options) ([]Cell, error) {
 	for _, sys := range appSystems() {
 		fmt.Fprintf(t, "%s", sys.Name)
 		for _, wl := range []string{"mixed", "NEW", "OS", "PAY"} {
-			in, err := sys.New(opts.DeviceBytes)
+			in, err := sys.New(opts.DeviceBytes, false)
 			if err != nil {
 				return nil, err
 			}

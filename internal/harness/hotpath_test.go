@@ -21,7 +21,7 @@ import (
 func TestCollectorsObserveOnly(t *testing.T) {
 	const n = 1024
 	fresh := func() *sysfactory.Instance {
-		in, err := sysfactory.ZoFS.New(2 << 30)
+		in, err := sysfactory.ZoFS.New(2<<30, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 // runFilebenchCell builds a fresh instance and runs one personality cell,
 // observed the way fxmarkCell's is.
 func runFilebenchCell(sys sysfactory.System, cfg filebench.Config, threads int, opts Options) (filebench.Result, error) {
-	in, err := sys.New(opts.DeviceBytes)
+	in, err := sys.New(opts.DeviceBytes, false)
 	if err != nil {
 		return filebench.Result{}, err
 	}

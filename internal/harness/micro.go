@@ -61,7 +61,7 @@ func RunTable2(w io.Writer, opts Options) ([]Cell, error) {
 // table2Latency measures avg ns/op for appends to one shared file or
 // creates in one shared directory, by nProcs processes taking turns.
 func table2Latency(sys sysfactory.System, op string, nProcs, ops int) (int64, error) {
-	in, err := sys.New(2 << 30)
+	in, err := sys.New(2<<30, false)
 	if err != nil {
 		return 0, err
 	}
@@ -216,7 +216,7 @@ func RunFig7(w io.Writer, opts Options) error {
 		for _, th := range opts.Threads {
 			fmt.Fprintf(t, "%d", th)
 			for _, sys := range comparisonSystems() {
-				in, err := sys.New(opts.DeviceBytes)
+				in, err := sys.New(opts.DeviceBytes, false)
 				if err != nil {
 					return err
 				}
@@ -251,7 +251,7 @@ func RunFig8(w io.Writer, opts Options) ([]Cell, error) {
 	fmt.Fprintln(t, "System\tMops/s")
 	var cells []Cell
 	for _, sys := range systems {
-		in, err := sys.New(1 << 30)
+		in, err := sys.New(1<<30, false)
 		if err != nil {
 			return nil, err
 		}

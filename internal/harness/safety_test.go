@@ -27,7 +27,7 @@ func TestSafetyIgnoresObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := pmemtrace.Active()
-	in, err := sysfactory.ZoFS.New(64 << 20)
+	in, err := sysfactory.ZoFS.New(64<<20, false)
 	if err == nil {
 		err = in.FS.Mkdir(in.Proc.NewThread(), "/d", 0o755)
 	}

@@ -86,7 +86,7 @@ type ScaleReport struct {
 // experiments precede it.
 func scaleCell(sys sysfactory.System, w fxmark.Workload, threads int, targetNS, devBytes int64) (fxmark.Result, error) {
 	proc.ResetIDs()
-	in, err := sys.New(devBytes)
+	in, err := sys.New(devBytes, false)
 	if err != nil {
 		return fxmark.Result{}, err
 	}

@@ -215,7 +215,7 @@ func waWriteFiles(size int) func(fs vfs.FileSystem, th *proc.Thread, names []str
 // waCell builds a fresh accounting-enabled instance, runs setup, zeroes the
 // ledger and returns the measured phase's flow.
 func waCell(sys sysfactory.System, opts Options, wl waWorkload, n int) (*byteflow.Flow, error) {
-	in, err := sys.New(opts.DeviceBytes)
+	in, err := sys.New(opts.DeviceBytes, false)
 	if err != nil {
 		return nil, err
 	}

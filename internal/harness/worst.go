@@ -54,7 +54,7 @@ func RunTable9(w io.Writer, opts Options) ([]Cell, error) {
 // table9Chmod stores files in one coffer and then changes random files'
 // permissions; in stock ZoFS every chmod splits the coffer.
 func table9Chmod(sys sysfactory.System, files, filePages int) (int64, error) {
-	in, err := sys.New(4 << 30)
+	in, err := sys.New(4<<30, false)
 	if err != nil {
 		return 0, err
 	}
@@ -85,7 +85,7 @@ func table9Chmod(sys sysfactory.System, files, filePages int) (int64, error) {
 // table9Rename stores files evenly in two coffers (directories with
 // different permissions for ZoFS) and renames random files to the other.
 func table9Rename(sys sysfactory.System, files, filePages int) (int64, error) {
-	in, err := sys.New(4 << 30)
+	in, err := sys.New(4<<30, false)
 	if err != nil {
 		return 0, err
 	}

@@ -514,7 +514,8 @@ type RWMutex struct {
 	vmu           sync.Mutex
 	writeBusy     int64 // latest writer release stamp
 	lastReaderEnd int64 // latest reader release stamp
-	wTID, rTID    int   // TIDs of the last profiled writer and reader releasers
+	wTID          int   // TID of the last profiled writer releaser
+	rTID          int   // TID of the profiled reader whose release set lastReaderEnd
 }
 
 // Lock acquires the write side, waiting (virtually) for all prior writers and
@@ -560,14 +561,17 @@ func (m *RWMutex) RLock(c *simclock.Clock) {
 	}
 }
 
-// RUnlock records the latest reader release and releases the read side.
+// RUnlock records the latest reader release, and its releaser when the
+// release stamp rises, and releases the read side.
 func (m *RWMutex) RUnlock(c *simclock.Clock) {
 	if c != nil {
 		st := profiled(c)
 		m.vmu.Lock()
-		m.lastReaderEnd = max(m.lastReaderEnd, c.Now())
-		if st != nil {
-			m.rTID = st.tid
+		if now := c.Now(); now > m.lastReaderEnd {
+			m.lastReaderEnd = now
+			if st != nil {
+				m.rTID = st.tid
+			}
 		}
 		m.vmu.Unlock()
 		if st != nil {

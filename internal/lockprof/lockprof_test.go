@@ -137,6 +137,25 @@ func TestRWMutexWaitHoldAndBlame(t *testing.T) {
 			t.Fatalf("event %d = %+v, want %+v", i, evs[i], want[i])
 		}
 	}
+
+	// A writer behind two readers blames the one that released last in
+	// virtual time, not the last to call RUnlock.
+	var m2 lockprof.RWMutex
+	m2.Init("test.rw", "b")
+	r1, r2, w := thread(reg, 1), thread(reg, 2), thread(reg, 3)
+	m2.RLock(r1)
+	m2.RLock(r2)
+	r1.Advance(180)
+	r2.Advance(150)
+	m2.RUnlock(r1) // released at 180
+	m2.RUnlock(r2) // released at 150, later in call order
+	m2.Lock(w)
+	m2.Unlock(w)
+	evs = tr.Events()
+	blame := pmemtrace.Event{Seq: 4, Kind: pmemtrace.KindLockWait, Off: 1, Len: 180, TID: 3, Key: -1, Cause: "test.rw/b"}
+	if got := evs[len(evs)-1]; len(evs) != 4 || got != blame {
+		t.Fatalf("events = %+v, want the writer's wait last: %+v", evs, blame)
+	}
 }
 
 // TestContendedLockAllocatesNothing: recording a wait costs no heap object —
@@ -372,7 +391,7 @@ func TestResetAcrossRemount(t *testing.T) {
 	defer lockprof.Disable()
 
 	run := func() {
-		in, err := sysfactory.ZoFS.New(64 << 20)
+		in, err := sysfactory.ZoFS.New(64<<20, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,57 +11,27 @@ import (
 	"zofs/internal/logfs"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 	"zofs/internal/vfs/vfstest"
 )
 
-// newLogFS builds a device with a LogFS coffer at "/" — the conformance
-// suite then drives it through absolute paths exactly like the other FSs.
-func newLogFS(t *testing.T) (*nvm.Device, *kernfs.KernFS, *logfs.FS, *proc.Thread) {
+// newLogFS builds sysfactory's LogFS on a persistence-tracked device and a
+// thread of its root process to drive it.
+func newLogFS(t *testing.T) (*sysfactory.Instance, *logfs.FS, *proc.Thread) {
 	t.Helper()
-	dev := nvm.NewDevice(512 << 20)
-	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
-		t.Fatal(err)
-	}
-	k, err := kernfs.Mount(dev)
+	in, err := sysfactory.LogFS.New(512<<20, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := proc.NewProcess(dev, 0, 0)
-	th := p.NewThread()
-	if err := k.FSMount(th); err != nil {
-		t.Fatal(err)
-	}
-	// Re-type the ROOT coffer as LogFS: the root coffer exists from mkfs
-	// (ZoFS-typed); for a pure-LogFS device we re-tag it. Production
-	// setups would CofferNew with TypeLogFS instead (see the mixed test).
-	f := logfs.New(k)
-	if err := retypeRoot(k, th); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Format(th, k.RootCoffer()); err != nil {
-		t.Fatal(err)
-	}
-	return dev, k, f, th
+	return in, in.FS.(*logfs.FS), in.Proc.NewThread()
 }
 
-// retypeRoot rewrites the root coffer's type for test setups.
-func retypeRoot(k *kernfs.KernFS, th *proc.Thread) error {
-	rp, _ := k.Info(k.RootCoffer())
-	// SetCofferMeta keeps mode/owner; the type lives in the root page, so
-	// rewrite it via the same kernel facility used by mkfs: re-encode.
-	return k.SetCofferType(th, k.RootCoffer(), logfs.TypeLogFS, rp.Mode)
-}
-
-func TestLogFSConformance(t *testing.T) {
-	vfstest.Run(t, func(t *testing.T) (vfs.FileSystem, *proc.Thread) {
-		_, _, f, th := newLogFS(t)
-		return f, th
-	})
-}
+func TestLogFSConformance(t *testing.T) { vfstest.Run(t, vfstest.On(sysfactory.LogFS)) }
 
 func TestLogReplayAfterCrash(t *testing.T) {
-	dev, k, f, th := newLogFS(t)
+	in, f, th := newLogFS(t)
+	dev := in.Dev
 	h, err := f.Create(th, "/persist", 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +43,6 @@ func TestLogReplayAfterCrash(t *testing.T) {
 	f.Mkdir(th, "/d", 0o755)
 	f.Symlink(th, "/persist", "/d/link")
 	f.Unlink(th, "/persist2") // no-op
-	_ = k
 
 	// Crash: volatile index gone; remount and replay the log.
 	dev.Crash()
@@ -119,7 +88,8 @@ func TestLogReplayAfterCrash(t *testing.T) {
 }
 
 func TestCompactionReclaimsSpace(t *testing.T) {
-	_, k, f, th := newLogFS(t)
+	in, f, th := newLogFS(t)
+	k := in.Kern
 	h, _ := f.Create(th, "/churn", 0o644)
 	buf := make([]byte, 64<<10)
 	// Overwrite repeatedly: CoW burns pages.
@@ -181,7 +151,7 @@ func TestMixedMicroFSDispatch(t *testing.T) {
 }
 
 func TestManyFilesFlatNamespace(t *testing.T) {
-	_, _, f, th := newLogFS(t)
+	_, f, th := newLogFS(t)
 	f.Mkdir(th, "/flat", 0o755)
 	for i := 0; i < 500; i++ {
 		h, err := f.Create(th, fmt.Sprintf("/flat/f%04d", i), 0o644)

@@ -12,7 +12,7 @@ import (
 
 func newDB(t *testing.T, opts lsmdb.Options) (*lsmdb.DB, *proc.Thread) {
 	t.Helper()
-	in, err := sysfactory.ZoFS.New(2 << 30)
+	in, err := sysfactory.ZoFS.New(2<<30, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestScanOrderedAndShadowed(t *testing.T) {
 }
 
 func TestWALSurvivesReopen(t *testing.T) {
-	in, err := sysfactory.ZoFS.New(1 << 30)
+	in, err := sysfactory.ZoFS.New(1<<30, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestDbBenchOpsRun(t *testing.T) {
 	for _, op := range lsmdb.BenchOps {
 		op := op
 		t.Run(string(op), func(t *testing.T) {
-			in, err := sysfactory.ZoFS.New(2 << 30)
+			in, err := sysfactory.ZoFS.New(2<<30, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func TestTable7Ordering(t *testing.T) {
 	// Key shape of Table 7: ZoFS has lower latency than Ext4-DAX on every
 	// operation, and reads are much cheaper than sync writes.
 	lat := func(sys sysfactory.System, op lsmdb.BenchOp) float64 {
-		in, err := sys.New(2 << 30)
+		in, err := sys.New(2<<30, false)
 		if err != nil {
 			t.Fatal(err)
 		}

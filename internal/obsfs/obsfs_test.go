@@ -216,7 +216,7 @@ func TestWrapIsIdentityWhenOff(t *testing.T) {
 	defer func() { spans.Install(prevSpans); series.Install(prevSeries) }()
 	spans.Disable()
 	series.Disable()
-	in, err := sysfactory.ZoFS.New(64 << 20)
+	in, err := sysfactory.ZoFS.New(64<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestFinalDocumentCarriesEveryPanel(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := spans.Active()
-	in, err := sysfactory.ZoFS.New(256 << 20)
+	in, err := sysfactory.ZoFS.New(256<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestFinalDocumentCarriesEveryPanel(t *testing.T) {
 func TestCellsAreCutPerInterval(t *testing.T) {
 	work := func() {
 		t.Helper()
-		in, err := sysfactory.ZoFS.New(64 << 20)
+		in, err := sysfactory.ZoFS.New(64<<20, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -116,11 +116,11 @@ const (
 	JournalEntry = 40
 )
 
-// Kernel page-grant costs inside coffer_enlarge (charged under the kernel
-// lock, hence serialized — the source of the Fig. 7(d)/(g) scalability
-// knees). Metadata grants are zeroed by the kernel before they become
-// visible (their pages hold structures parsed by other processes); bulk
-// data grants are not.
+// Kernel page-grant costs inside coffer_enlarge, charged while the grant is
+// staged, before the coffer lock is taken: grants to one coffer overlap in
+// virtual time, and only their publication serializes. Metadata grants are
+// zeroed by the kernel before they become visible (their pages hold
+// structures parsed by other processes); bulk data grants are not.
 const (
 	// PTEUpdate is the per-page cost of installing a page-table entry in
 	// one process (ns).

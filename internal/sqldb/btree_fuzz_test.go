@@ -121,7 +121,7 @@ func (d *differ) begin() {
 // number (u16) and value length (u16; the low byte also fills the value) —
 // and returns what the stream made the tree do.
 func runDifferential(t testing.TB, data []byte) refStats {
-	in, err := sysfactory.ZoFS.New(256 << 20)
+	in, err := sysfactory.ZoFS.New(256<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ type slotTree struct {
 }
 
 func newSlotTree(t *testing.T) *slotTree {
-	in, err := sysfactory.ZoFS.New(64 << 20)
+	in, err := sysfactory.ZoFS.New(64<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRollbackRecyclesPages(t *testing.T) {
 // back. The table's handle survives, the same *btree, and the next use finds
 // the root the catalog holds again.
 func TestRollbackKeepsTableHandle(t *testing.T) {
-	in, err := sysfactory.ZoFS.New(64 << 20)
+	in, err := sysfactory.ZoFS.New(64<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -167,7 +167,7 @@ func TestFaultAtEveryCall(t *testing.T) {
 		return tx.Commit()
 	}
 	for n := 1; ; n++ {
-		in, err := sysfactory.ZoFS.New(256 << 20)
+		in, err := sysfactory.ZoFS.New(256<<20, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestFaultAtEveryCall(t *testing.T) {
 func TestOpenFaultLeaksNoHandle(t *testing.T) {
 	for _, hot := range []bool{false, true} {
 		for n := 1; ; n++ {
-			in, err := sysfactory.ZoFS.New(256 << 20)
+			in, err := sysfactory.ZoFS.New(256<<20, false)
 			if err != nil {
 				t.Fatal(err)
 			}

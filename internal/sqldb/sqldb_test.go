@@ -15,7 +15,7 @@ import (
 
 func newDB(t *testing.T) (*sqldb.DB, vfs.FileSystem, *proc.Thread) {
 	t.Helper()
-	in, err := sysfactory.ZoFS.New(2 << 30)
+	in, err := sysfactory.ZoFS.New(2<<30, false)
 	if err != nil {
 		t.Fatal(err)
 	}

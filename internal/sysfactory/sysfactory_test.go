@@ -5,35 +5,33 @@ import (
 	"errors"
 	"testing"
 
+	"zofs/internal/baselines"
 	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 )
 
-// TestEverySystemBuildsAndRoundTrips: each exported System builds on a fresh
+// TestEverySystemBuildsAndRoundTrips: each System in All builds on a fresh
 // device under a name no other uses — the harnesses key tables, cell labels and
-// BENCH cells by it — and carries a file through mkdir, create, write, read,
-// stat and unlink.
+// BENCH cells by it, and crashmc resolves it — exposes its kernel if it runs
+// on one, and carries a file through mkdir, create, write, read, stat and
+// unlink.
 func TestEverySystemBuildsAndRoundTrips(t *testing.T) {
-	systems := []sysfactory.System{
-		sysfactory.ZoFS, sysfactory.ZoFSSysEmpty, sysfactory.ZoFSKWrite,
-		sysfactory.ZoFS1Coffer, sysfactory.ZoFSInline,
-		sysfactory.PMFS, sysfactory.PMFSNocache,
-		sysfactory.NOVA, sysfactory.NOVAi, sysfactory.NOVANoIndex, sysfactory.NOVAiNoIndex,
-		sysfactory.Strata, sysfactory.Ext4DAX,
-	}
 	seen := map[string]bool{}
-	for _, sys := range systems {
+	for _, sys := range sysfactory.All {
 		if sys.Name == "" || seen[sys.Name] {
 			t.Errorf("system name %q is empty or used twice", sys.Name)
 		}
 		seen[sys.Name] = true
 		t.Run(sys.Name, func(t *testing.T) {
-			in, err := sys.New(64 << 20)
+			in, err := sys.New(64<<20, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if in.Name != sys.Name || in.FS == nil || in.Proc == nil || in.Dev == nil {
 				t.Fatalf("instance %+v of system %q", in, sys.Name)
+			}
+			if _, baseline := in.FS.(*baselines.Engine); baseline != (in.Kern == nil) {
+				t.Fatalf("%s: kernel %v on a baseline: %v", sys.Name, in.Kern, baseline)
 			}
 			fs, th := in.FS, in.Proc.NewThread()
 			if err := fs.Mkdir(th, "/d", 0o755); err != nil {
@@ -68,7 +66,7 @@ func TestEverySystemBuildsAndRoundTrips(t *testing.T) {
 	}
 	for _, sys := range sysfactory.Comparison {
 		if !seen[sys.Name] {
-			t.Errorf("Comparison holds %q, which is not an exported System", sys.Name)
+			t.Errorf("Comparison holds %q, which is not in All", sys.Name)
 		}
 	}
 }

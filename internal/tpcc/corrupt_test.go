@@ -11,7 +11,7 @@ import (
 // met inside Stock-Level's scan, and a name-index key without its customer
 // number, fail the transaction; neither is skipped or read as customer 0.
 func TestCorruptRowsFailTheTransaction(t *testing.T) {
-	in, err := sysfactory.ZoFS.New(256 << 20)
+	in, err := sysfactory.ZoFS.New(256<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}

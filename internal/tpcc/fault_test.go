@@ -47,7 +47,7 @@ func (h *readFaultHandle) ReadAt(th *proc.Thread, p []byte, off int64) (int, err
 // inside its scan — the transaction fails; it does not read the fault as
 // "nothing there" and commit.
 func TestReadFaultFailsTheTransaction(t *testing.T) {
-	in, err := sysfactory.ZoFS.New(2 << 30)
+	in, err := sysfactory.ZoFS.New(2<<30, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func smallCfg() tpcc.Config {
 
 func setup(t *testing.T) (*sqldb.DB, *proc.Process) {
 	t.Helper()
-	in, err := sysfactory.ZoFS.New(2 << 30)
+	in, err := sysfactory.ZoFS.New(2<<30, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestIdenticalRunsIssueIdenticalTraffic(t *testing.T) {
 		dbHash        uint64 // FNV-1a of /tpcc.db
 	}
 	run := func() fingerprint {
-		in, err := sysfactory.ZoFS.New(2 << 30)
+		in, err := sysfactory.ZoFS.New(2<<30, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ type Factory func(t *testing.T) (vfs.FileSystem, *proc.Thread)
 // On returns a factory that builds sys on a fresh 256 MiB device.
 func On(sys sysfactory.System) Factory {
 	return func(t *testing.T) (vfs.FileSystem, *proc.Thread) {
-		in, err := sys.New(256 << 20)
+		in, err := sys.New(256<<20, false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -144,7 +144,7 @@ func TestCasesCatchFaults(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var failed []string
 			for _, k := range vfstest.Cases() {
-				in, err := sysfactory.Ext4DAX.New(64 << 20)
+				in, err := sysfactory.Ext4DAX.New(64<<20, false)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -117,7 +117,8 @@ func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid ui
 	// In-coffer target.
 	rp, _ := f.kern.Info(pos.m.id)
 	hdr := f.readInodeHeader(th, de.inode)
-	newMode, newUID, newGID := modeOf(hdr), u32at(hdr, inoUIDOff), u32at(hdr, inoGIDOff)
+	oldMode, oldUID, oldGID := modeOf(hdr), u32at(hdr, inoUIDOff), u32at(hdr, inoGIDOff)
+	newMode, newUID, newGID := oldMode, oldUID, oldGID
 	if chown {
 		newUID, newGID = uid, gid
 	} else {
@@ -128,13 +129,13 @@ func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid ui
 		return vfs.ErrPerm
 	}
 
-	writeInodePerm := func() {
+	writeInodePerm := func(mode coffer.Mode, uid, gid uint32) {
 		prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
 		defer th.Clk.SetWriteClass(prev)
 		b := make([]byte, 12)
-		putU32(b, 0, uint32(newMode))
-		putU32(b, 4, newUID)
-		putU32(b, 8, newGID)
+		putU32(b, 0, uint32(mode))
+		putU32(b, 4, uid)
+		putU32(b, 8, gid)
 		th.WriteNT(de.inode*pageSize+inoModeOff, b)
 		th.Fence()
 	}
@@ -142,7 +143,7 @@ func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid ui
 	if f.opts.OneCoffer || f.sameCofferPerm(rp, newMode, newUID, newGID) {
 		// Still the coffer's permission class (or the single-coffer
 		// variant): a pure user-space inode update.
-		writeInodePerm()
+		writeInodePerm(newMode, newUID, newGID)
 		return nil
 	}
 
@@ -154,9 +155,16 @@ func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid ui
 	}
 	pages = append(pages, custom)
 	th.Scratch.Pages = pages
-	writeInodePerm()
+	writeInodePerm(newMode, newUID, newGID)
 	newID, err := f.kern.CofferSplit(th, pos.m.id, path, newMode, newUID, newGID, pages, de.inode, custom)
 	if err != nil {
+		// A refused split (no page for the new root, the path taken) moved
+		// nothing: the inode takes its old permission back and the pool
+		// page goes back, as in rename.
+		writeInodePerm(oldMode, oldUID, oldGID)
+		if owner, _ := f.kern.OwnerOf(custom); owner == pos.m.id {
+			f.freePage(th, pos.m, classMeta, custom)
+		}
 		return errno(err)
 	}
 	f.dirUpdateCoffer(th, pos.ino, base, loc, uint32(newID), de.inode)

@@ -132,6 +132,10 @@ func (f *FS) Name() string { return "ZoFS" }
 // Kern exposes the kernel module (tooling, tests).
 func (f *FS) Kern() *kernfs.KernFS { return f.kern }
 
+// Options returns the options the instance runs with, defaults filled in
+// (a remount after a crash takes the same ones).
+func (f *FS) Options() Options { return f.opts }
+
 // Device returns the backing NVM device (byte-flow accounting, tooling).
 func (f *FS) Device() *nvm.Device { return f.kern.Device() }
 

@@ -241,3 +241,53 @@ func TestUnlinkingAMappedCofferKeepsOtherMounts(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChmodOnAFullDeviceKeepsTheMode fills a small device with 60,000-byte
+// files and then chmods each to 0600, which splits it into a coffer of its
+// own. A split the device has no room for fails with ENOSPC, and a failed
+// chmod must change nothing: the file keeps mode 0644 and the page taken for
+// the new coffer's root comes back. (The new mode used to stay behind, with
+// the page held until fsck.)
+func TestChmodOnAFullDeviceKeepsTheMode(t *testing.T) {
+	withDebugPool(t)
+	k, f, th := mountTestFS(t, nvm.NewDevice(8<<20), Options{})
+	data := make([]byte, 60000)
+	var files []string
+	for {
+		path := fmt.Sprintf("/f%03d", len(files))
+		h, err := f.Create(th, path, 0o644)
+		if err != nil {
+			break
+		}
+		_, err = h.WriteAt(th, data, 0)
+		h.Close(th)
+		if err != nil {
+			break
+		}
+		files = append(files, path)
+	}
+	failed := 0
+	for _, path := range files {
+		before := idlePages(k, f)
+		err := f.Chmod(th, path, 0o600)
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, vfs.ErrNoSpace) {
+			t.Fatalf("chmod %s: %v", path, err)
+		}
+		failed++
+		if fi, err := f.Stat(th, path); err != nil || fi.Mode != 0o644 {
+			t.Fatalf("%s after a failed chmod: mode %o, %v; want 644", path, fi.Mode, err)
+		}
+		if got := idlePages(k, f); got != before {
+			t.Fatalf("a failed chmod of %s moved idle pages from %d to %d", path, before, got)
+		}
+	}
+	if failed == 0 {
+		t.Fatalf("all %d chmods split their file: the device never filled", len(files))
+	}
+	if err := Check(k, th).Err(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -218,13 +218,15 @@ EOF
 
 echo "== crashmc smoke =="
 # Crash-state model checker gates: a dense ZoFS sweep (>=200 states under
-# all media models on both crash edges) and one baseline must hold every
-# invariant. (The detection contracts — injected faults caught by the
+# all media models on both crash edges), LogFS and two baselines must hold
+# what each guarantees. (The detection contracts — injected faults caught by the
 # checker, a seeded chaos violation failing its campaign — are tier-1 tests:
 # zofs-crashmc's TestExitCodes and chaos.TestSeededViolationFails.)
 "$bin/zofs-crashmc" -system ZoFS -points 35 -ops 24 -device-mb 64 \
     -min-states 200 >/dev/null
 "$bin/zofs-crashmc" -system Ext4-DAX -points 8 -ops 16 -device-mb 64 >/dev/null
+"$bin/zofs-crashmc" -system LogFS -points 8 -ops 16 -device-mb 64 >/dev/null
+"$bin/zofs-crashmc" -system NOVA -points 8 -ops 16 -device-mb 64 >/dev/null
 
 echo "== size =="
 # What each CHANGES.md entry quotes before/after (ROADMAP aim 2).
@@ -240,12 +242,14 @@ fields() {
 obs=$(find internal/telemetry internal/pmemtrace internal/spans internal/byteflow \
     internal/lockprof internal/series internal/obsfs \
     cmd/zofs-obs cmd/zofs-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+crash=$(find internal/crashmc internal/sysfactory internal/logfs -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 pkgs=$(go list ./... | grep -vc '^zofs/benchmark\(/\|$\)')
 echo "non-test Go lines outside benchmark/: $lines; test Go lines: $tests;" \
     "Go packages outside benchmark/: $pkgs (without a test: $(printf '%s' "$untested" | grep -c .));" \
     "zofs.Options fields: $(fields internal/zofs/fs.go)"
 echo "DESIGN.md lines: $(wc -l <DESIGN.md)"
-echo "CLIs: $(ls cmd | wc -l); observability set + zofs-obs + zofs-bench: $obs lines"
+echo "CLIs: $(ls cmd | wc -l); observability set + zofs-obs + zofs-bench: $obs lines;" \
+    "crash checker + sysfactory + logfs: $crash lines"
 echo "experiments: $(grep -c '^	{"' internal/harness/harness.go); zofs-bench flags:" \
     "$(grep -cE 'fl\.[A-Z][A-Za-z0-9]*\("' cmd/zofs-bench/main.go); harness.Options fields: $(fields internal/harness/harness.go)"
 
