@@ -13,10 +13,7 @@ import (
 	"os"
 	"sync"
 
-	"zofs/internal/fslibs"
-	"zofs/internal/kernfs"
-	"zofs/internal/nvm"
-	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 )
 
@@ -31,17 +28,10 @@ func main() { run(os.Stdout) }
 
 // run serves the demo and writes its narrative to w.
 func run(w io.Writer) {
-	dev := nvm.New(nvm.Config{Size: 2 << 30, TrackPersistence: false})
-	must(kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}))
-	k, err := kernfs.Mount(dev)
+	// The publisher, the machine's root process, owns the document tree.
+	pub, err := sysfactory.ZoFS.New(2<<30, false)
 	must(err)
-
-	// The publisher process owns the document tree.
-	pub := proc.NewProcess(dev, 0, 0)
-	pth := pub.NewThread()
-	plib, err := fslibs.Mount(k, pth, fslibs.Options{})
-	must(err)
-	must(plib.ZoFS().EnsureRootDir(pth))
+	plib, pth := pub.Lib, pub.Thread
 	must(plib.Mkdir(pth, "/www", 0o755))
 	must(plib.Mkdir(pth, "/www/docs", 0o755))
 	must(plib.Mkdir(pth, "/www/logs", 0o755))
@@ -68,10 +58,9 @@ func run(w io.Writer) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			p := proc.NewProcess(dev, 0, 0)
-			th := p.NewThread()
-			lib, err := fslibs.Mount(k, th, fslibs.Options{})
+			rd, err := pub.Spawn(0, 0)
 			must(err)
+			lib, th := rd.Lib, rd.Thread
 			must(lib.Chdir(th, "/www/docs")) // relative paths via the cwd
 			logFD, err := lib.Open(th, fmt.Sprintf("/www/logs/access-%d.log", r),
 				vfs.O_CREATE|vfs.O_WRONLY|vfs.O_APPEND, 0o644)

@@ -22,8 +22,9 @@
 //
 // Everything is virtual-time and seeded: two runs with the same Config
 // produce byte-identical reports. There is no real concurrency — clients
-// are interleaved by a min-virtual-clock scheduler, which makes every
-// interleaving decision (and therefore every fault outcome) reproducible.
+// are interleaved by proc.Run, the min-virtual-clock stepper every
+// multi-thread run uses, which makes every interleaving decision (and
+// therefore every fault outcome) reproducible.
 package chaos
 
 import (
@@ -36,8 +37,8 @@ import (
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
-	"zofs/internal/simclock"
 	"zofs/internal/spans"
+	"zofs/internal/sysfactory"
 	"zofs/internal/telemetry"
 	"zofs/internal/vfs"
 	"zofs/internal/zofs"
@@ -171,6 +172,7 @@ type engine struct {
 	prevRec   *telemetry.Recorder
 
 	clients []*client
+	threads []*proc.Thread // clients[i].th, the stepper's view
 	coffers []*cofferState
 	rootID  coffer.ID
 
@@ -198,22 +200,32 @@ func Run(cfg Config) (*Report, error) {
 	return e.rep, nil
 }
 
-// drive runs the campaign's ops, each after the faults scheduled at it.
+// drive runs the campaign's ops on proc.Run: op n goes to the runnable
+// client with the earliest clock, after the faults scheduled at n.
 func (e *engine) drive() {
-	for i := 0; i < e.cfg.Ops; i++ {
-		for _, ev := range e.schedule[i] {
+	op := 0
+	ran, _ := proc.Run(e.threads, func(i int) bool { return op < e.cfg.Ops && e.runnable(i) }, func(n int) {
+		op = n
+		for _, ev := range e.schedule[n] {
 			e.inject(ev)
 		}
-		c, o, ok := e.next(i)
-		if !ok {
-			e.violate("scheduler_starved", fmt.Sprintf("no runnable client at op %d", i))
-			return
-		}
-		e.execute(c, o)
+	}, func(i int, _ *proc.Thread) error {
+		e.execute(e.clients[i], e.next(op))
+		return nil
+	})
+	if ran < e.cfg.Ops {
+		e.violate("scheduler_starved", fmt.Sprintf("no runnable client at op %d", ran))
 	}
 }
 
-// setup builds the device, kernel, coffers and client processes. Spans and
+// machine is the campaign's Treasury: ZoFS with small enlarge batches — the
+// default 512-page data grant is sized for one hot process, not Clients+1
+// processes × Coffers coffers × two classes hoarding per-thread free lists on
+// a small device.
+var machine = sysfactory.NewZoFS("ZoFS", zofs.Options{DataEnlargeBatch: 64, MetaEnlargeBatch: 16})
+
+// setup boots the machine — its root process is the maintenance process —
+// then builds the coffers and spawns the client processes. Spans and
 // telemetry are enabled before any thread exists so every client attaches.
 func setup(cfg Config) (*engine, error) {
 	e := &engine{
@@ -230,32 +242,13 @@ func setup(cfg Config) (*engine, error) {
 	e.col = spans.Enable(spans.Config{})
 	telemetry.Enable()
 
-	e.dev = nvm.New(nvm.Config{Size: cfg.DeviceBytes, TrackPersistence: true})
-	e.rec = e.dev.Recorder()
-	if err := kernfs.Mkfs(e.dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
-		return e, err
-	}
-	k, err := kernfs.Mount(e.dev)
+	in, err := machine.New(cfg.DeviceBytes, true)
 	if err != nil {
 		return e, err
 	}
-	e.k = k
-
-	// Small enlarge batches: the default 512-page data grant is sized for
-	// one hot process, not Clients+1 processes × Coffers coffers × two
-	// classes hoarding per-thread free lists on a small device.
-	fsOpts := fslibs.Options{ZoFS: zofs.Options{DataEnlargeBatch: 64, MetaEnlargeBatch: 16}}
-
-	// Maintenance process: builds the namespace, later runs fsck/quarantine.
-	mth := proc.NewProcess(e.dev, 0, 0).NewThread()
-	mlib, err := fslibs.Mount(k, mth, fsOpts)
-	if err != nil {
-		return e, err
-	}
+	e.dev, e.k, e.rec = in.Dev, in.Kern, in.Dev.Recorder()
+	k, mth, mlib := in.Kern, in.Thread, in.Lib
 	e.maint = &client{idx: -1, th: mth, lib: mlib}
-	if err := mlib.ZoFS().EnsureRootDir(mth); err != nil {
-		return e, err
-	}
 	rootID, ok := k.LookupPath(mth.Clk, "/")
 	if !ok {
 		return e, fmt.Errorf("chaos: root coffer not found")
@@ -290,12 +283,12 @@ func setup(cfg Config) (*engine, error) {
 	}
 
 	for i := 0; i < cfg.Clients; i++ {
-		th := proc.NewProcess(e.dev, 0, 0).NewThread()
-		lib, err := fslibs.Mount(k, th, fsOpts)
+		sp, err := in.Spawn(0, 0)
 		if err != nil {
 			return e, err
 		}
-		e.clients = append(e.clients, &client{idx: i, th: th, lib: lib})
+		e.clients = append(e.clients, &client{idx: i, th: sp.Thread, lib: sp.Lib})
+		e.threads = append(e.threads, sp.Thread)
 	}
 	return e, nil
 }
@@ -305,39 +298,23 @@ func (e *engine) teardown() {
 	telemetry.Install(e.prevRec)
 }
 
-// pick returns the runnable client with the smallest virtual clock (ties to
-// the lowest index) — simclock.Earliest, the deterministic interleaving
-// policy FxMark and Filebench share.
-func (e *engine) pick() *client {
-	i := simclock.Earliest(e.clients, func(c *client) *simclock.Clock {
-		if c.dead || c.stalled {
-			return nil
-		}
-		return c.th.Clk
-	})
-	if i < 0 {
-		return nil
-	}
-	return e.clients[i]
-}
+// runnable reports whether client i may be scheduled: neither killed nor
+// stalled.
+func (e *engine) runnable(i int) bool { return !e.clients[i].dead && !e.clients[i].stalled }
 
-// next selects the client and operation for scheduling slot i: a queued
-// forced op first, then seed creates (two files per coffer so every fault
-// has a target), then the seeded random mix.
-func (e *engine) next(i int) (*client, op, bool) {
-	c := e.pick()
-	if c == nil {
-		return nil, op{}, false
-	}
+// next returns the operation for scheduling slot i: a queued forced op
+// first, then seed creates (two files per coffer so every fault has a
+// target), then the seeded random mix.
+func (e *engine) next(i int) op {
 	if len(e.forced) > 0 {
 		o := e.forced[0]
 		e.forced = e.forced[1:]
-		return c, o, true
+		return o
 	}
 	if i < 2*len(e.coffers) {
-		return c, e.genCreate(e.coffers[i%len(e.coffers)]), true
+		return e.genCreate(e.coffers[i%len(e.coffers)])
 	}
-	return c, e.genOp(), true
+	return e.genOp()
 }
 
 // alive counts schedulable clients.

@@ -6,6 +6,7 @@ import (
 
 	"zofs/internal/mpk"
 	"zofs/internal/nvm"
+	"zofs/internal/proc"
 	"zofs/internal/vfs"
 	"zofs/internal/zofs"
 )
@@ -82,11 +83,11 @@ func (e *engine) inject(kind string) {
 // does not trip the bounded-wait check (the kernel being slow is not a
 // retry-policy failure).
 func (e *engine) injectKDelay() {
-	c := e.pick()
-	if c == nil {
+	i := proc.Next(e.threads, e.runnable)
+	if i < 0 {
 		return
 	}
-	c.th.Clk.Advance(kdelayNS)
+	e.threads[i].Clk.Advance(kdelayNS)
 	e.rep.Faults["kdelay"]++
 }
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 
-	"zofs/internal/fslibs"
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/pmemtrace"
@@ -132,11 +131,11 @@ func runBitflip(c *campaign) error {
 
 	// Survivors: a fresh process drives the damaged image through FSLibs,
 	// whose guard layer must turn MPK/media faults into errors.
-	th2 := proc.NewProcess(st.Dev, 0, 0).NewThread()
-	lib, err := fslibs.Mount(st.Kern, th2, fslibs.Options{})
+	sv, err := st.Spawn(0, 0)
 	if err != nil {
 		return err
 	}
+	lib, th2 := sv.Lib, sv.Thread
 	for _, path := range paths {
 		rep.SurvivorOps++
 		func() {
@@ -223,11 +222,11 @@ func runLease(c *campaign) error {
 
 	// Survivor: a fresh process allocates; claiming walks the pool in slot
 	// order, so it must steal the expired slot 0 and skip live slot 1.
-	th2 := proc.NewProcess(st.Dev, 0, 0).NewThread()
-	if err := st.Kern.FSMount(th2); err != nil {
+	sv, err := st.Spawn(0, 0)
+	if err != nil {
 		return err
 	}
-	f2 := zofs.New(st.Kern, c.setup.Options())
+	f2, th2 := sv.FS, sv.Thread
 	for i := 0; i < 4; i++ {
 		rep.SurvivorOps++
 		h, err := f2.Create(th2, fmt.Sprintf("/lease%d", i), 0o644)
@@ -306,11 +305,11 @@ func runSlotless(c *campaign) error {
 
 	// Doomed process: created files must succeed with zero free slots —
 	// slotless service is graceful degradation, not an error path.
-	th2 := proc.NewProcess(st.Dev, 0, 0).NewThread()
-	if err := st.Kern.FSMount(th2); err != nil {
+	sv, err := st.Spawn(0, 0)
+	if err != nil {
 		return err
 	}
-	f2 := zofs.New(st.Kern, c.setup.Options())
+	f2, th2 := sv.Lib.ZoFS(), sv.Thread
 	for i := 0; i < 4; i++ {
 		rep.SurvivorOps++
 		path := fmt.Sprintf("/slotless%d", i)

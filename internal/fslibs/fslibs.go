@@ -103,8 +103,11 @@ func Mount(kern *kernfs.KernFS, th *proc.Thread, opts Options) (*Lib, error) {
 // µFS implementations side by side, §3.2).
 func (l *Lib) RegisterFS(typ coffer.Type, fs vfs.FileSystem) { l.byTyp[typ] = fs }
 
+// MicroFS returns the µFS the dispatcher routes coffers of type typ to.
+func (l *Lib) MicroFS(typ coffer.Type) vfs.FileSystem { return l.byTyp[typ] }
+
 // ZoFS returns the attached ZoFS instance (tooling, recovery).
-func (l *Lib) ZoFS() *zofs.FS { return l.byTyp[coffer.TypeZoFS].(*zofs.FS) }
+func (l *Lib) ZoFS() *zofs.FS { return l.MicroFS(coffer.TypeZoFS).(*zofs.FS) }
 
 // guard is the graceful-error-return mechanism: panics raised by MPK
 // violations or wild device accesses inside µFS code are converted into a

@@ -10,7 +10,6 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
-	"zofs/internal/vfs/vfstest"
 	"zofs/internal/zofs"
 )
 
@@ -40,12 +39,6 @@ func newLibWith(t *testing.T, opts Options) (*nvm.Device, *kernfs.KernFS, *Lib, 
 		t.Fatal(err)
 	}
 	return dev, k, l, th
-}
-
-// TestFSLibsConformance runs the conformance suite through the dispatcher,
-// as an application's calls reach the µFS.
-func TestFSLibsConformance(t *testing.T) {
-	vfstest.Run(t, func(t *testing.T) (vfs.FileSystem, *proc.Thread) { _, _, l, th := newLib(t); return l.FS(), th })
 }
 
 func TestOpenReadWriteSeek(t *testing.T) {

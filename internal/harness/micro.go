@@ -67,8 +67,8 @@ func table2Latency(sys sysfactory.System, op string, nProcs, ops int) (int64, er
 	}
 	setup := in.Proc.NewThread()
 
-	// Every process gets its own FSLibs-style view. For ZoFS, a second
-	// process means a second µFS instance over the same kernel.
+	// Every process gets its own view: for ZoFS, a spawned process's own
+	// µFS instance over the same kernel.
 	type actor struct {
 		th *proc.Thread
 		fs vfs.FileSystem
@@ -77,11 +77,11 @@ func table2Latency(sys sysfactory.System, op string, nProcs, ops int) (int64, er
 	actors := make([]*actor, nProcs)
 	actors[0] = &actor{th: in.Proc.NewThread(), fs: in.FS}
 	for i := 1; i < nProcs; i++ {
-		fs2, p2, err := secondProcess(sys, in)
+		sp, err := in.Spawn(0, 0)
 		if err != nil {
 			return 0, err
 		}
-		actors[i] = &actor{th: p2.NewThread(), fs: fs2}
+		actors[i] = &actor{th: sp.Proc.NewThread(), fs: sp.FS}
 	}
 
 	if err := in.FS.Mkdir(setup, "/shared", 0o777); err != nil {
@@ -167,24 +167,6 @@ func table2Latency(sys sysfactory.System, op string, nProcs, ops int) (int64, er
 		}
 	}
 	return total / int64(count), nil
-}
-
-// secondProcess attaches another process to an existing instance.
-func secondProcess(sys sysfactory.System, in *sysfactory.Instance) (vfs.FileSystem, *proc.Process, error) {
-	p2 := proc.NewProcess(in.Dev, 0, 0)
-	switch fs := in.FS.(type) {
-	case secondMounter:
-		f2, err := fs.SecondMount(p2)
-		return f2, p2, err
-	default:
-		// Kernel FSs: the same engine serves every process.
-		return in.FS, p2, nil
-	}
-}
-
-// secondMounter lets a file system produce a per-process instance.
-type secondMounter interface {
-	SecondMount(p *proc.Process) (vfs.FileSystem, error)
 }
 
 // fxmarkCell runs one FxMark cell on a fresh instance. Benchmarks drive the

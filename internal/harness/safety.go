@@ -12,6 +12,7 @@ import (
 	"zofs/internal/obsfs"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 	"zofs/internal/zofs"
 )
@@ -229,23 +230,11 @@ func RunRecovery(w io.Writer, opts Options) ([]Cell, error) {
 	if opts.Quick {
 		files = 100
 	}
-	dev := nvm.New(nvm.Config{Size: int64(files)*fileBytes + (512 << 20), TrackPersistence: false})
-	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
-		return nil, err
-	}
-	k, err := kernfs.Mount(dev)
+	in, err := sysfactory.ZoFS.New(int64(files)*fileBytes+(512<<20), false)
 	if err != nil {
 		return nil, err
 	}
-	p := proc.NewProcess(dev, 0, 0)
-	th := p.NewThread()
-	l, err := fslibs.Mount(k, th, fslibs.Options{})
-	if err != nil {
-		return nil, err
-	}
-	if err := l.ZoFS().EnsureRootDir(th); err != nil {
-		return nil, err
-	}
+	k, l, th := in.Kern, in.Lib, in.Thread
 	if err := l.Mkdir(th, "/data", 0o700); err != nil { // its own coffer
 		return nil, err
 	}

@@ -120,12 +120,11 @@ func (p *Process) NewThread() *Thread {
 }
 
 // RunThreads is the deadline stepper of the multi-thread benchmarks (FxMark,
-// Filebench). It starts n new threads at from's clock and, on the calling
-// goroutine, runs step(i, th) — one operation on thread i — on the thread
-// with the earliest clock (simclock.Earliest) until that clock reaches the
-// start plus targetNS, so every run is a function of virtual time alone. It
-// returns the virtual time from the start to the slowest thread's clock, or
-// the first error step returns.
+// Filebench). It starts n new threads at from's clock and runs step(i, th) —
+// one operation on thread i — through Run, a thread runnable while its clock
+// is short of the start plus targetNS, so every run is a function of virtual
+// time alone. It returns the virtual time from the start to the slowest
+// thread's clock, or the first error step returns.
 func (p *Process) RunThreads(from *Thread, n int, targetNS int64, step func(i int, th *Thread) error) (int64, error) {
 	start := from.Clk.Now()
 	ths := make([]*Thread, n)
@@ -133,21 +132,48 @@ func (p *Process) RunThreads(from *Thread, n int, targetNS int64, step func(i in
 		ths[i] = p.NewThread()
 		ths[i].Clk.AdvanceTo(start)
 	}
-	clock := func(th *Thread) *simclock.Clock { return th.Clk }
-	for {
-		i := simclock.Earliest(ths, clock)
-		if i < 0 || ths[i].Clk.Now() >= start+targetNS {
-			break
-		}
-		if err := step(i, ths[i]); err != nil {
-			return 0, err
-		}
+	runnable := func(i int) bool { return ths[i].Clk.Now() < start+targetNS }
+	if _, err := Run(ths, runnable, nil, step); err != nil {
+		return 0, err
 	}
 	var end int64
 	for _, th := range ths {
 		end = max(end, th.Clk.Now())
 	}
 	return end - start, nil
+}
+
+// Run is the one stepper of every multi-thread run: on the calling
+// goroutine it calls before(n), n the steps run so far, then runs step on
+// the thread Next picks, until Next finds none runnable. before may be nil;
+// it may change what runnable admits (the chaos campaign kills and stalls
+// clients there). Run returns the number of steps run, or that number and
+// the first error step returns.
+func Run(ths []*Thread, runnable func(i int) bool, before func(n int), step func(i int, th *Thread) error) (int, error) {
+	for n := 0; ; n++ {
+		if before != nil {
+			before(n)
+		}
+		i := Next(ths, runnable)
+		if i < 0 {
+			return n, nil
+		}
+		if err := step(i, ths[i]); err != nil {
+			return n, err
+		}
+	}
+}
+
+// Next returns the index of the thread Run steps next: of the threads
+// runnable admits, the one whose clock reads earliest, ties to the lowest
+// index (simclock.Earliest); -1 when it admits none.
+func Next(ths []*Thread, runnable func(i int) bool) int {
+	return simclock.Earliest(len(ths), func(i int) *simclock.Clock {
+		if !runnable(i) {
+			return nil
+		}
+		return ths[i].Clk
+	})
 }
 
 // Thread is a simulated thread: the unit of virtual-time accounting and of

@@ -235,3 +235,44 @@ func TestRunThreadsStepsEarliestToDeadline(t *testing.T) {
 		t.Fatalf("err = %v after %d steps, want boom after 3", err, n)
 	}
 }
+
+// TestRunStepsWhatRunnableAdmits: Run never steps a thread the predicate rules
+// out, calls the hook before every pick — so a hook that changes what the
+// predicate admits governs the very next pick — breaks clock ties toward the
+// lowest index, and returns the steps it ran once nothing is runnable.
+func TestRunStepsWhatRunnableAdmits(t *testing.T) {
+	p := newProc(t)
+	ths := []*Thread{p.NewThread(), p.NewThread(), p.NewThread()}
+	barred := []bool{false, false, true} // thread 2 never runs
+	var hooked, order []int
+	ran, err := Run(ths, func(i int) bool { return !barred[i] }, func(n int) {
+		hooked = append(hooked, n)
+		switch n {
+		case 2: // thread 1 (clock 0) would be next; bar it
+			barred[1] = true
+		case 5:
+			barred[0] = true
+		}
+	}, func(i int, th *Thread) error {
+		order = append(order, i)
+		th.CPU(10)
+		return nil
+	})
+	if err != nil || ran != 5 {
+		t.Fatalf("Run = %d, %v; want 5 steps", ran, err)
+	}
+	// Clocks all 0: the tie goes to 0, then 1 (0 < 10); from step 2 on only
+	// thread 0 is admitted.
+	if want := []int{0, 1, 0, 0, 0}; !slices.Equal(order, want) {
+		t.Fatalf("step order = %v, want %v", order, want)
+	}
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(hooked, want) {
+		t.Fatalf("hook ran at %v, want before each of the 5 steps and the final pick", hooked)
+	}
+	if ths[2].Clk.Now() != 0 {
+		t.Fatalf("barred thread 2 ran: clock %d", ths[2].Clk.Now())
+	}
+	if got := Next(ths, func(int) bool { return true }); got != 2 {
+		t.Fatalf("Next = %d, want 2, the earliest clock", got)
+	}
+}

@@ -12,8 +12,8 @@
 // scalability collapses in virtual time at the same places they occur on
 // real hardware, while the underlying data-structure work remains real
 // (real locks, real CAS, real memory). Multi-thread drivers step their
-// threads earliest clock first (Earliest), so every run is a function of
-// virtual time alone.
+// threads earliest clock first (Earliest, through proc.Run, the one
+// stepper), so every run is a function of virtual time alone.
 package simclock
 
 import (
@@ -58,20 +58,20 @@ func (c *Clock) AdvanceTo(t int64) {
 	}
 }
 
-// Earliest returns the index of the earliest of xs: the one whose clock
-// reads the smallest Now(), ties going to the lowest index. clock returns
-// nil for an element that may not run. It returns -1 when none may.
+// Earliest returns the index i in [0, n) whose clock(i) reads the smallest
+// Now(), ties going to the lowest index. clock returns nil for an index that
+// may not run. It returns -1 when none may.
 //
-// This is the one interleaving rule of every multi-thread run (FxMark,
-// Filebench, the chaos campaign): a driver keeps its simulated threads on
-// one goroutine and runs one operation at a time on the thread Earliest
-// picks, so the interleaving is a function of virtual time alone and a run
-// reproduces byte for byte.
-func Earliest[T any](xs []T, clock func(T) *Clock) int {
+// This is the one interleaving rule of every multi-thread run: proc.Run, the
+// stepper FxMark, Filebench and the chaos campaign share, keeps the simulated
+// threads on one goroutine and runs one operation at a time on the thread
+// Earliest picks, so the interleaving is a function of virtual time alone and
+// a run reproduces byte for byte.
+func Earliest(n int, clock func(i int) *Clock) int {
 	best := -1
 	var at int64
-	for i, x := range xs {
-		if c := clock(x); c != nil && (best < 0 || c.now < at) {
+	for i := range n {
+		if c := clock(i); c != nil && (best < 0 || c.now < at) {
 			best, at = i, c.now
 		}
 	}

@@ -209,22 +209,22 @@ func TestResourceConservationProperty(t *testing.T) {
 // index, and reports -1 when nothing may run.
 func TestEarliestPicksSmallestClockLowestIndex(t *testing.T) {
 	clks := []*Clock{NewClockAt(30), NewClockAt(10), NewClockAt(20), NewClockAt(10), nil}
-	all := func(c *Clock) *Clock { return c }
-	if got := Earliest(clks, all); got != 1 {
+	earliest := func(clks []*Clock) int { return Earliest(len(clks), func(i int) *Clock { return clks[i] }) }
+	if got := earliest(clks); got != 1 {
 		t.Fatalf("Earliest = %d, want 1 (10 ns, lower of the tied indices)", got)
 	}
 	clks[1] = nil
-	if got := Earliest(clks, all); got != 3 {
+	if got := earliest(clks); got != 3 {
 		t.Fatalf("with 1 barred: Earliest = %d, want 3", got)
 	}
-	if got := Earliest([]*Clock{nil, nil}, all); got != -1 {
+	if got := earliest([]*Clock{nil, nil}); got != -1 {
 		t.Fatalf("nothing runnable: Earliest = %d, want -1", got)
 	}
 	// Stepping the earliest repeatedly interleaves by virtual time.
 	a, b := NewClock(), NewClockAt(2)
 	var order []int
 	for range 4 {
-		i := Earliest([]*Clock{a, b}, all)
+		i := earliest([]*Clock{a, b})
 		order = append(order, i)
 		[]*Clock{a, b}[i].Advance(4)
 	}

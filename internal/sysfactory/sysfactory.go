@@ -1,10 +1,14 @@
-// Package sysfactory builds fresh instances of every file system under
+// Package sysfactory builds fresh machines running every file system under
 // test — ZoFS (and its variants), LogFS and the four baselines — over fresh
-// simulated devices, for the benchmark harnesses and the crash checker.
+// simulated devices, for the benchmark harnesses, the crash checker, the
+// chaos campaign and the examples. New boots a machine with one root
+// process on it; Instance.Spawn adds another process to that machine, the
+// one way any harness, checker or example adds one.
 package sysfactory
 
 import (
 	"zofs/internal/baselines"
+	"zofs/internal/fslibs"
 	"zofs/internal/kernfs"
 	"zofs/internal/logfs"
 	"zofs/internal/nvm"
@@ -13,17 +17,44 @@ import (
 	"zofs/internal/zofs"
 )
 
-// Instance is a ready-to-use file system under test.
+// Instance is one process on a machine running a file system under test.
 type Instance struct {
 	Name string
-	FS   vfs.FileSystem
+	FS   vfs.FileSystem // the µFS Lib dispatches to, or the baseline engine
 	Proc *proc.Process
 	Dev  *nvm.Device
 	Kern *kernfs.KernFS // the Treasury kernel under a µFS; nil for the baselines
+	// Lib is the process's FSLibs dispatcher and Thread the thread that
+	// mounted it; both nil for the baselines.
+	Lib    *fslibs.Lib
+	Thread *proc.Thread
 }
 
 // SetConcurrency informs the device's write-bandwidth model.
 func (in *Instance) SetConcurrency(n int) { in.Dev.SetConcurrency(n) }
+
+// Spawn returns another process on the instance's machine, with the given
+// identity. Under a µFS its first thread mounts FSLibs with the instance's
+// options, and its FS is the µFS its Lib routes the root coffer to; under a
+// baseline it shares the instance's engine. Safe for concurrent use.
+func (in *Instance) Spawn(uid, gid uint32) (*Instance, error) {
+	p := proc.NewProcess(in.Dev, uid, gid)
+	if in.Lib == nil {
+		return &Instance{Name: in.Name, FS: in.FS, Proc: p, Dev: in.Dev}, nil
+	}
+	return mount(in.Name, in.Kern, p, in.Lib.ZoFS().Options())
+}
+
+// mount has p's first thread mount FSLibs over k.
+func mount(name string, k *kernfs.KernFS, p *proc.Process, opts zofs.Options) (*Instance, error) {
+	th := p.NewThread()
+	l, err := fslibs.Mount(k, th, fslibs.Options{ZoFS: opts})
+	if err != nil {
+		return nil, err
+	}
+	root, _ := k.Info(k.RootCoffer())
+	return &Instance{Name: name, FS: l.MicroFS(root.Type), Proc: p, Dev: k.Device(), Kern: k, Lib: l, Thread: th}, nil
+}
 
 // System names a buildable file system configuration.
 type System struct {
@@ -34,8 +65,8 @@ type System struct {
 }
 
 // newMicroFS formats a device, mounts the kernel over it and a root process
-// on that, then has setup put a µFS over the kernel.
-func newMicroFS(name string, setup func(k *kernfs.KernFS, th *proc.Thread) (vfs.FileSystem, error)) System {
+// on that, then has setup prepare the root coffer for the µFS.
+func newMicroFS(name string, opts zofs.Options, setup func(in *Instance) error) System {
 	return System{Name: name, New: func(size int64, tracked bool) (*Instance, error) {
 		dev := nvm.New(nvm.Config{Size: size, TrackPersistence: tracked})
 		if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
@@ -45,26 +76,21 @@ func newMicroFS(name string, setup func(k *kernfs.KernFS, th *proc.Thread) (vfs.
 		if err != nil {
 			return nil, err
 		}
-		p := proc.NewProcess(dev, 0, 0)
-		th := p.NewThread()
-		if err := k.FSMount(th); err != nil {
-			return nil, err
-		}
-		fs, err := setup(k, th)
+		in, err := mount(name, k, proc.NewProcess(dev, 0, 0), opts)
 		if err != nil {
 			return nil, err
 		}
-		return &Instance{Name: name, FS: fs, Proc: p, Dev: dev, Kern: k}, nil
+		if err := setup(in); err != nil {
+			return nil, err
+		}
+		return in, nil
 	}}
 }
 
 // NewZoFS builds a ZoFS instance (mkfs + mount + root process) with the
 // given µFS options.
 func NewZoFS(name string, opts zofs.Options) System {
-	return newMicroFS(name, func(k *kernfs.KernFS, th *proc.Thread) (vfs.FileSystem, error) {
-		f := zofs.New(k, opts)
-		return f, f.EnsureRootDir(th)
-	})
+	return newMicroFS(name, opts, func(in *Instance) error { return in.Lib.ZoFS().EnsureRootDir(in.Thread) })
 }
 
 func newBaseline(name string, build func(dev *nvm.Device) *baselines.Engine) System {
@@ -103,13 +129,15 @@ var (
 
 // LogFS is the second µFS (§5.3) alone on a device: mkfs makes the root
 // coffer ZoFS-typed, so it is re-typed and formatted as a LogFS coffer.
-var LogFS = newMicroFS("LogFS", func(k *kernfs.KernFS, th *proc.Thread) (vfs.FileSystem, error) {
+var LogFS = newMicroFS("LogFS", zofs.Options{}, func(in *Instance) error {
+	k, th := in.Kern, in.Thread
 	rp, _ := k.Info(k.RootCoffer())
 	if err := k.SetCofferType(th, k.RootCoffer(), logfs.TypeLogFS, rp.Mode); err != nil {
-		return nil, err
+		return err
 	}
-	f := logfs.New(k)
-	return f, f.Format(th, k.RootCoffer())
+	f := in.Lib.MicroFS(logfs.TypeLogFS).(*logfs.FS)
+	in.FS = f
+	return f.Format(th, k.RootCoffer())
 })
 
 // Comparison is the default system set of Figures 7 and 9.

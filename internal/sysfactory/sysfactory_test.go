@@ -70,3 +70,81 @@ func TestEverySystemBuildsAndRoundTrips(t *testing.T) {
 		}
 	}
 }
+
+// TestSpawn: a spawned process carries the identity it was given and shares
+// its machine's file system both ways — a process of another uid reads back
+// byte-equal what the root process wrote and closed, and the root process
+// stats what a spawned root process creates (a non-root creator is refused
+// by ZoFS-1coffer, whose one coffer is root's). LogFS is left out: each
+// LogFS instance caches a coffer's log tail, so a second process writing the
+// same coffer appends over the first's records.
+func TestSpawn(t *testing.T) {
+	for _, sys := range sysfactory.All {
+		if sys.Name == sysfactory.LogFS.Name {
+			continue
+		}
+		t.Run(sys.Name, func(t *testing.T) {
+			in, err := sys.New(64<<20, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			th := in.Proc.NewThread()
+			if err := in.FS.Mkdir(th, "/d", 0o777); err != nil {
+				t.Fatal(err)
+			}
+			want := bytes.Repeat([]byte("root"), 1500)
+			h, err := in.FS.Create(th, "/d/f", 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.WriteAt(th, want, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Close(th); err != nil {
+				t.Fatal(err)
+			}
+
+			user := spawn(t, in, 1000, 1001)
+			uth := user.Proc.NewThread()
+			h, err = user.FS.Open(uth, "/d/f", vfs.O_RDONLY)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(want))
+			if n, err := h.ReadAt(uth, got, 0); n != len(want) || !bytes.Equal(got, want) {
+				t.Fatalf("spawned ReadAt = %d, %v; content equal: %v", n, err, bytes.Equal(got, want))
+			}
+			h.Close(uth)
+
+			root := spawn(t, in, 0, 0)
+			rth := root.Proc.NewThread()
+			h, err = root.FS.Create(rth, "/d/g", 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.WriteAt(rth, []byte("spawned"), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Close(rth); err != nil {
+				t.Fatal(err)
+			}
+			if fi, err := in.FS.Stat(th, "/d/g"); err != nil || fi.Size != 7 {
+				t.Fatalf("root Stat of the spawned file = %+v, %v", fi, err)
+			}
+		})
+	}
+}
+
+// spawn spawns a process of in's machine and checks what it shares with in.
+func spawn(t *testing.T, in *sysfactory.Instance, uid, gid uint32) *sysfactory.Instance {
+	t.Helper()
+	sp, err := in.Spawn(uid, gid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Proc == in.Proc || sp.Proc.UID() != uid || sp.Proc.GID() != gid ||
+		sp.Name != in.Name || sp.Dev != in.Dev || sp.Kern != in.Kern || (sp.Lib == nil) != (in.Lib == nil) {
+		t.Fatalf("spawned %+v from %+v", sp, in)
+	}
+	return sp
+}

@@ -139,16 +139,6 @@ func (f *FS) Options() Options { return f.opts }
 // Device returns the backing NVM device (byte-flow accounting, tooling).
 func (f *FS) Device() *nvm.Device { return f.kern.Device() }
 
-// SecondMount registers another process with the kernel and returns a µFS
-// instance for it — the multi-process sharing setup of Tables 2 and §6.5.
-func (f *FS) SecondMount(p *proc.Process) (vfs.FileSystem, error) {
-	th := p.NewThread()
-	if err := f.kern.FSMount(th); err != nil {
-		return nil, err
-	}
-	return New(f.kern, f.opts), nil
-}
-
 // errno translates kernel errors into vfs errors.
 func errno(err error) error {
 	switch {

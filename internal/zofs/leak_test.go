@@ -124,7 +124,7 @@ func TestCreatorsOnAFullDeviceConservePages(t *testing.T) {
 // write both coffers and owns neither — the page goes back.
 func TestRefusedSplitConservesPages(t *testing.T) {
 	withDebugPool(t)
-	dev, k, f, th := newTestFS(t, Options{})
+	_, k, f, th := newTestFS(t, Options{})
 	for _, d := range []string{"/a", "/b"} {
 		if err := f.Mkdir(th, d, 0o777); err != nil {
 			t.Fatal(err)
@@ -142,12 +142,7 @@ func TestRefusedSplitConservesPages(t *testing.T) {
 	}
 	h.Close(th)
 
-	guest := proc.NewProcess(dev, 1000, 1000)
-	gfs, err := f.SecondMount(guest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gth, g := guest.NewThread(), gfs.(*FS)
+	g, gth := mountAs(t, f, 1000)
 	if err := g.Rename(gth, "/a/f", "/b/warm"); err == nil { // takes the guest's metadata batch
 		t.Fatal("a guest split a coffer it does not own")
 	}
@@ -177,16 +172,11 @@ func TestRefusedSplitConservesPages(t *testing.T) {
 // batches: 32–544 pages per unlink, owned by their coffers and used by
 // nothing until the next recovery.)
 func TestUnlinkingAMappedCofferKeepsOtherMounts(t *testing.T) {
-	dev, k, f, th := newTestFS(t, Options{})
+	_, k, f, th := newTestFS(t, Options{})
 	if err := f.Mkdir(th, "/d", 0o777); err != nil {
 		t.Fatal(err)
 	}
-	user := proc.NewProcess(dev, 1000, 1000)
-	ufs, err := f.SecondMount(user)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, uth := ufs.(*FS), user.NewThread()
+	g, uth := mountAs(t, f, 1000)
 	log, err := g.Create(uth, "/d/log", 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -290,4 +280,15 @@ func TestChmodOnAFullDeviceKeepsTheMode(t *testing.T) {
 	if err := Check(k, th).Err(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mountAs registers a process of the given uid (and gid) with f's kernel and
+// returns its own µFS instance and a thread of it.
+func mountAs(t *testing.T, f *FS, uid uint32) (*FS, *proc.Thread) {
+	t.Helper()
+	p := proc.NewProcess(f.Device(), uid, uid)
+	if err := f.kern.FSMount(p.NewThread()); err != nil {
+		t.Fatal(err)
+	}
+	return New(f.kern, f.opts), p.NewThread()
 }

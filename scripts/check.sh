@@ -250,6 +250,10 @@ echo "non-test Go lines outside benchmark/: $lines; test Go lines: $tests;" \
 echo "DESIGN.md lines: $(wc -l <DESIGN.md)"
 echo "CLIs: $(ls cmd | wc -l); observability set + zofs-obs + zofs-bench: $obs lines;" \
     "crash checker + sysfactory + logfs: $crash lines"
+# hand-built machines: non-test Go files outside sysfactory that boot their
+# own (call kernfs.Mkfs) instead of sysfactory's New and Instance.Spawn.
+echo "hand-built machines: $(grep -rl --include='*.go' --exclude='*_test.go' 'kernfs\.Mkfs(' . |
+    grep -vc -e '^\./internal/sysfactory/' -e '^\./\.bench_build/')"
 echo "experiments: $(grep -c '^	{"' internal/harness/harness.go); zofs-bench flags:" \
     "$(grep -cE 'fl\.[A-Z][A-Za-z0-9]*\("' cmd/zofs-bench/main.go); harness.Options fields: $(fields internal/harness/harness.go)"
 
