@@ -22,9 +22,8 @@ import (
 	"io"
 	"os"
 
-	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
-	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/zofs"
 )
 
@@ -57,16 +56,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatal("load: %v", err)
 	}
 
-	k, err := kernfs.Mount(dev)
+	in, err := sysfactory.Boot(dev, zofs.Options{})
 	if err != nil {
 		return fatal("mount: %v", err)
 	}
-	th := proc.NewProcess(dev, 0, 0).NewThread()
-	if err := k.FSMount(th); err != nil {
-		return fatal("fs_mount: %v", err)
-	}
 
-	found := zofs.Check(k, th)
+	found := zofs.Check(in.Kern, in.Thread)
 	var kept, reclaimed, fixed, leases int64
 	for _, c := range found.Coffers {
 		fmt.Fprintf(stdout, "coffer %d (%s): kept %d pages, reclaimed %d, fixed %d dentries, cleared %d leases (user %dµs / kernel %dµs)\n",

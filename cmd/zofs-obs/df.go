@@ -11,6 +11,7 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/obsfs"
 	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 	"zofs/internal/zofs"
 )
@@ -128,15 +129,11 @@ func dfInstance(image string, files int) (*zofs.FS, *proc.Thread, error) {
 			return nil, nil, fmt.Errorf("mkfs: %w", err)
 		}
 	}
-	k, err := kernfs.Mount(dev)
+	in, err := sysfactory.Boot(dev, zofs.Options{})
 	if err != nil {
 		return nil, nil, fmt.Errorf("mount: %w", err)
 	}
-	th := proc.NewProcess(dev, 0, 0).NewThread()
-	if err := k.FSMount(th); err != nil {
-		return nil, nil, fmt.Errorf("fsmount: %w", err)
-	}
-	fs := zofs.New(k, zofs.Options{})
+	fs, th := in.Lib.ZoFS(), in.Thread
 	if image == "" {
 		if err := fs.EnsureRootDir(th); err != nil {
 			return nil, nil, fmt.Errorf("root: %w", err)

@@ -53,8 +53,10 @@ import (
 	"zofs/internal/proc"
 	"zofs/internal/series"
 	"zofs/internal/spans"
+	"zofs/internal/sysfactory"
 	"zofs/internal/telemetry"
 	"zofs/internal/vfs"
+	"zofs/internal/zofs"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
@@ -95,19 +97,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	// Exemplar rings ride along so "tail" can show the worst ops.
 	spans.Enable(spans.Config{ExemplarK: spans.DefaultExemplarK})
 	series.Enable(series.Config{})
-	k, err := kernfs.Mount(dev)
+	in, err := sysfactory.Boot(dev, zofs.Options{})
 	if err != nil {
 		return fatal("mount: %v", err)
 	}
-	th := proc.NewProcess(dev, 0, 0).NewThread()
-	lib, err := fslibs.Mount(k, th, fslibs.Options{})
-	if err != nil {
-		return fatal("fslibs: %v", err)
-	}
+	lib, th := in.Lib, in.Thread
 	if err := lib.ZoFS().EnsureRootDir(th); err != nil {
 		return fatal("root: %v", err)
 	}
-	sh := &shell{lib: lib, k: k, th: th, out: stdout, image: path}
+	sh := &shell{lib: lib, k: in.Kern, th: th, out: stdout, image: path}
 
 	sc := bufio.NewScanner(stdin)
 	fmt.Fprintln(stdout, "zofs-shell: Treasury/ZoFS over", path, "- type 'help'")

@@ -14,12 +14,10 @@ import (
 	"fmt"
 	"log"
 
-	"zofs/internal/fslibs"
-	"zofs/internal/kernfs"
 	"zofs/internal/logfs"
-	"zofs/internal/nvm"
-	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
+	"zofs/internal/zofs"
 )
 
 const (
@@ -29,18 +27,12 @@ const (
 )
 
 func main() {
-	// TrackPersistence must be on for the crash below to actually drop
-	// unflushed stores; the device refuses to Crash() untracked.
-	dev := nvm.New(nvm.Config{Size: 1 << 30, TrackPersistence: true})
-	must(kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}))
-	k, err := kernfs.Mount(dev)
+	// A ZoFS machine on a persistence-tracked device: tracking must be on
+	// for the crash below to actually drop unflushed stores; the device
+	// refuses to Crash() untracked.
+	in, err := sysfactory.ZoFS.New(1<<30, true)
 	must(err)
-
-	p := proc.NewProcess(dev, 0, 0)
-	th := p.NewThread()
-	lib, err := fslibs.Mount(k, th, fslibs.Options{})
-	must(err)
-	must(lib.ZoFS().EnsureRootDir(th))
+	dev, k, lib, th := in.Dev, in.Kern, in.Lib, in.Thread
 
 	// Carve out a LogFS coffer: the kernel tags it TypeLogFS and the
 	// dispatcher hands every path under /events to the log-structured µFS.
@@ -82,14 +74,11 @@ func main() {
 	fmt.Println("\n== crash (unflushed stores dropped, volatile index lost) ==")
 	dev.Crash()
 
-	// Remount: LogFS rebuilds its namespace by replaying the record log up
+	// Reboot: LogFS rebuilds its namespace by replaying the record log up
 	// to the last committed tail pointer.
-	k2, err := kernfs.Mount(dev)
+	in2, err := sysfactory.Boot(dev, zofs.Options{})
 	must(err)
-	p2 := proc.NewProcess(dev, 0, 0)
-	th2 := p2.NewThread()
-	lib2, err := fslibs.Mount(k2, th2, fslibs.Options{})
-	must(err)
+	lib2, th2 := in2.Lib, in2.Thread
 
 	fi, err := lib2.Stat(th2, "/manifest.json")
 	must(err)

@@ -12,7 +12,7 @@ import (
 	"zofs/internal/fslibs"
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
-	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 	"zofs/internal/zofs"
 )
@@ -24,19 +24,14 @@ func main() {
 	if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
 		log.Fatal(err)
 	}
-	k, err := kernfs.Mount(dev)
-	if err != nil {
-		log.Fatal(err)
-	}
 
-	// 2. A process mounts FSLibs (the user-space library an application
-	//    would get via LD_PRELOAD).
-	p := proc.NewProcess(dev, 0, 0)
-	th := p.NewThread()
-	lib, err := fslibs.Mount(k, th, fslibs.Options{})
+	// 2. Boot: KernFS mounts the image, and a root process mounts FSLibs
+	//    (the user-space library an application would get via LD_PRELOAD).
+	in, err := sysfactory.Boot(dev, zofs.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	k, lib, th := in.Kern, in.Lib, in.Thread
 	if err := lib.ZoFS().EnsureRootDir(th); err != nil {
 		log.Fatal(err)
 	}
@@ -74,16 +69,13 @@ func main() {
 	must(lib.Chmod(th, "/projects/notes.txt", 0o600))
 	fmt.Printf("chmod split the coffer: %d -> %d coffers\n", before, len(k.Coffers()))
 
-	// 6. Crash simulation: unflushed cached stores vanish; zofs.Check's
-	//    recovery reclaims whatever the crash leaked, and its invariants
-	//    must all hold after.
+	// 6. Crash simulation: unflushed cached stores vanish, and so does
+	//    DRAM; the machine boots again, zofs.Check's recovery reclaims
+	//    whatever the crash leaked, and its invariants must all hold after.
 	dev.Crash()
-	zofs.ResetShared(dev)
-	k2, err := kernfs.Mount(dev)
+	in2, err := sysfactory.Boot(dev, zofs.Options{})
 	must(err)
-	th2 := proc.NewProcess(dev, 0, 0).NewThread()
-	must(k2.FSMount(th2))
-	found := zofs.Check(k2, th2)
+	found := zofs.Check(in2.Kern, in2.Thread)
 	must(found.Err())
 	var reclaimed int64
 	for _, c := range found.Coffers {
@@ -92,10 +84,9 @@ func main() {
 	fmt.Printf("after crash: fsck checked %d coffers, reclaimed %d pages\n", len(found.Coffers), reclaimed)
 
 	// 7. Everything is still there (a fresh process mounts and reads).
-	th3 := proc.NewProcess(dev, 0, 0).NewThread()
-	lib2, err := fslibs.Mount(k2, th3, fslibs.Options{})
+	reader, err := in2.Spawn(0, 0)
 	must(err)
-	fi2, err := lib2.Stat(th3, "/projects/notes.txt")
+	fi2, err := reader.Lib.Stat(reader.Thread, "/projects/notes.txt")
 	must(err)
 	fmt.Printf("post-recovery: notes.txt %d bytes, mode %o (coffer %d)\n", fi2.Size, fi2.Mode, fi2.Coffer)
 	_ = coffer.Mode(0)

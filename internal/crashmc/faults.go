@@ -5,10 +5,9 @@ import (
 	"math/rand"
 	"slices"
 
-	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/pmemtrace"
-	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 	"zofs/internal/zofs"
 )
@@ -158,7 +157,7 @@ func runBitflip(c *campaign) error {
 	}
 
 	// Detection: offline recovery over the corrupt image must find it.
-	k2, th3, walked, err := recoverImage(st.Dev, rep, fail)
+	in, walked, err := recoverImage(st.Dev, c.setup.Options(), rep, fail)
 	if err != nil || !walked {
 		return err
 	}
@@ -166,29 +165,29 @@ func runBitflip(c *campaign) error {
 	if !rep.Detected {
 		fail("detection", fmt.Sprintf("%d injected bit flips produced zero fsck repairs", cfg.Flips))
 	}
-	if err := fixpoint(k2, th3); err != nil {
+	if err := fixpoint(in.Kern, in.Thread); err != nil {
 		fail("fsck_fixpoint", err.Error())
 	}
 	// The repaired file system must accept new work.
-	guarded(fail, "usability", func() { usable(zofs.New(k2, c.setup.Options()), th3) })
+	guarded(fail, "usability", func() { usable(in.FS, in.Thread) })
 	return nil
 }
 
-// recoverImage remounts dev as after a crash and runs zofs.Check over it,
-// adding what recovery repaired, cleared and reclaimed to rep. A coffer it
-// could not walk fails detection, and walked is false; every other finding it
-// left unrepaired fails its own invariant.
-func recoverImage(dev *nvm.Device, rep *FaultReport, fail func(string, string)) (k *kernfs.KernFS, th *proc.Thread, walked bool, err error) {
-	if k, th, err = remount(dev); err != nil {
-		return nil, nil, false, err
+// recoverImage boots dev with µFS options opts (sysfactory.Boot) and runs
+// zofs.Check over it, adding what recovery repaired, cleared and reclaimed to
+// rep. A coffer it could not walk fails detection, and walked is false; every
+// other finding it left unrepaired fails its own invariant.
+func recoverImage(dev *nvm.Device, opts zofs.Options, rep *FaultReport, fail func(string, string)) (in *sysfactory.Instance, walked bool, err error) {
+	if in, err = sysfactory.Boot(dev, opts); err != nil {
+		return nil, false, err
 	}
-	found := zofs.Check(k, th)
+	found := zofs.Check(in.Kern, in.Thread)
 	for _, c := range found.Coffers {
 		rep.Repairs += len(c.Repairs)
 		rep.LeasesCleared += c.LeasesCleared
 		rep.PagesReclaimed += c.PagesReclaimed
 	}
-	return k, th, failFindings(found, "detection", fail), nil
+	return in, failFindings(found, "detection", fail), nil
 }
 
 // runLease models dead lease holders (§5.2): a process dies holding an
@@ -256,7 +255,7 @@ func runLease(c *campaign) error {
 
 	// Recovery over the image clears every remaining lease, including the
 	// dead holder's inode lease.
-	if _, _, walked, err := recoverImage(st.Dev, rep, fail); err != nil || !walked {
+	if _, walked, err := recoverImage(st.Dev, c.setup.Options(), rep, fail); err != nil || !walked {
 		return err
 	}
 	rep.Detected = rep.LeasesCleared > 0
@@ -370,7 +369,7 @@ func runSlotless(c *campaign) error {
 	// zofs.Check registers must hold on the recovered image: space_conserved's
 	// three-way reconciliation (allocation table vs extent sets vs page
 	// census) included.
-	k2, th3, walked, err := recoverImage(st.Dev, rep, fail)
+	in, walked, err := recoverImage(st.Dev, c.setup.Options(), rep, fail)
 	if err != nil || !walked {
 		return err
 	}
@@ -386,7 +385,7 @@ func runSlotless(c *campaign) error {
 			"recovery reclaimed %d pages, want %d (doomed cache %d + setup cache %d + free-listed %d)",
 			rep.PagesReclaimed, want, strandedDoomed, strandedSetup, freeListed))
 	}
-	if free := k2.FreePages(); free != freeAtCrash+rep.PagesReclaimed {
+	if free := in.Kern.FreePages(); free != freeAtCrash+rep.PagesReclaimed {
 		fail("free_conserved", fmt.Sprintf(
 			"kernel free pages %d after recovery, want %d (%d at crash + %d reclaimed)",
 			free, freeAtCrash+rep.PagesReclaimed, freeAtCrash, rep.PagesReclaimed))
@@ -396,7 +395,7 @@ func runSlotless(c *campaign) error {
 	// published page — neither the setup workload's files nor the pages the
 	// doomed process consumed from its grants before dying.
 	guarded(fail, "durability", func() {
-		if err := m.Check(zofs.New(k2, c.setup.Options()), th3, nil); err != nil {
+		if err := m.Check(in.FS, in.Thread, nil); err != nil {
 			panic(err.Error())
 		}
 	})

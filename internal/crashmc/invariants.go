@@ -10,6 +10,7 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
+	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
 	"zofs/internal/zofs"
 )
@@ -42,32 +43,34 @@ func postCrash(fs vfs.FileSystem) (guarantee string, check func(*crashState)) {
 	}
 }
 
-// remounted remounts the crashed image, reporting a failure as remount.
-func (c *crashState) remounted() (k *kernfs.KernFS, th *proc.Thread, ok bool) {
+// booted boots the crashed image with µFS options opts (sysfactory.Boot),
+// reporting a failure as remount.
+func (c *crashState) booted(opts zofs.Options) (in *sysfactory.Instance, ok bool) {
 	ok = guarded(c.fail, "remount", func() {
 		var err error
-		if k, th, err = remount(c.dev); err != nil {
+		if in, err = sysfactory.Boot(c.dev, opts); err != nil {
 			panic(err)
 		}
 	})
-	return k, th, ok
+	return in, ok
 }
 
 // checkZoFS remounts a crashed ZoFS image, runs zofs.Check and verifies the
 // post-crash invariants: no dirty cacheline at the crash, fsck converges,
 // every invariant Check registers holds, repairs cross-check against the
 // auditor, and the model and usability invariants (checkModel) hold over the
-// µFS remounted with opts.
+// µFS booted with opts.
 func (c *crashState) checkZoFS(opts zofs.Options) {
 	fail, rep := c.fail, c.rep
 	step := func(name string, fn func()) bool { return guarded(fail, name, fn) }
 	if c.dirty != 0 {
 		fail("all_nt", fmt.Sprintf("%d dirty cachelines at crash on an all-NT system", c.dirty))
 	}
-	k2, th2, ok := c.remounted()
+	in, ok := c.booted(opts)
 	if !ok {
 		return
 	}
+	k2, th2 := in.Kern, in.Thread
 	// The directory lookup cache must come up cold: a remount that carried
 	// a pre-crash index over could serve dentries the crash never
 	// persisted. Every post-crash lookup below therefore (re)builds its
@@ -105,15 +108,15 @@ func (c *crashState) checkZoFS(opts zofs.Options) {
 	for _, d := range pmemtrace.CrossCheck(c.audit, repairs) {
 		fail("cross_check", d)
 	}
-	c.checkModel(zofs.New(k2, opts), th2)
+	c.checkModel(in.FS, th2)
 }
 
-// checkLogFS remounts a crashed LogFS image, whose replay rebuilds each
+// checkLogFS boots a crashed LogFS image, whose replay rebuilds each
 // coffer's index from its log, and holds it to the model and usability
 // invariants (checkModel).
 func (c *crashState) checkLogFS() {
-	if k2, th2, ok := c.remounted(); ok {
-		c.checkModel(logfs.New(k2), th2)
+	if in, ok := c.booted(zofs.Options{}); ok {
+		c.checkModel(in.FS, in.Thread)
 	}
 }
 
@@ -189,18 +192,6 @@ func usable(fs vfs.FileSystem, th *proc.Thread) {
 	if err := fs.Unlink(th, probe); err != nil {
 		panic(fmt.Sprintf("post-recovery unlink: %v", err))
 	}
-}
-
-// remount boots a fresh kernel over dev, its volatile state dropped as by a
-// crash, with a root process mounted on it.
-func remount(dev *nvm.Device) (*kernfs.KernFS, *proc.Thread, error) {
-	zofs.ResetShared(dev)
-	k, err := kernfs.Mount(dev)
-	if err != nil {
-		return nil, nil, err
-	}
-	th := proc.NewProcess(dev, 0, 0).NewThread()
-	return k, th, k.FSMount(th)
 }
 
 // failFindings fails every finding zofs.Check left unrepaired under its own

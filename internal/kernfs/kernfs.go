@@ -1015,18 +1015,30 @@ func (k *KernFS) MovePages(th *proc.Thread, src, dst coffer.ID, pages []int64) e
 		if pg == int64(src) {
 			return fmt.Errorf("%w: cannot move the root page", ErrInvalid)
 		}
-		if err := k.space.retag(th.Clk, src, dst, pg, 1); err != nil {
+		if err := k.movePage(th, pg, src, dst, si.mappers, di.mappers); err != nil {
 			return err
 		}
-		for _, m := range si.mappers {
-			m.p.Mem.Unmap(pg, 1)
-		}
-		for _, m := range di.mappers {
-			key, w := m.access(dst)
-			m.p.Mem.Map(pg, 1, key, w)
-		}
-		th.CPU(perfmodel.CPUSmallOp)
 	}
+	return nil
+}
+
+// movePage is the one per-page step of every page move (move_pages,
+// coffer_split and its rollback, coffer_merge): it retags page pg from
+// coffer src to dst, unmaps it from the processes in unmap, maps it into
+// those in mapIn under their keys for dst, and charges the per-page cost.
+// Either process set may be nil. The caller holds the coffer locks.
+func (k *KernFS) movePage(th *proc.Thread, pg int64, src, dst coffer.ID, unmap, mapIn map[int]*procState) error {
+	if err := k.space.retag(th.Clk, src, dst, pg, 1); err != nil {
+		return err
+	}
+	for _, m := range unmap {
+		m.p.Mem.Unmap(pg, 1)
+	}
+	for _, m := range mapIn {
+		key, w := m.access(dst)
+		m.p.Mem.Map(pg, 1, key, w)
+	}
+	th.CPU(perfmodel.CPUSmallOp)
 	return nil
 }
 
@@ -1466,18 +1478,14 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 	k.space.ownerSet(id).Add(rootPg, 1)
 	k.space.uninflight(exts)
 
-	// Move pages one at a time (the expensive part).
+	// Move pages one at a time (the expensive part), unmapping each from
+	// every process mapping the old coffer: they now belong to a coffer with
+	// a different permission.
 	moved := 0
 	for _, pg := range pages {
-		if err = k.space.retag(th.Clk, old, id, pg, 1); err != nil {
+		if err = k.movePage(th, pg, old, id, ci.mappers, nil); err != nil {
 			break
 		}
-		// Unmap moved pages from every process mapping the old coffer:
-		// they now belong to a coffer with a different permission.
-		for _, m := range ci.mappers {
-			m.p.Mem.Unmap(pg, 1)
-		}
-		th.CPU(perfmodel.CPUSmallOp)
 		moved++
 	}
 	typ := ci.rp.Type
@@ -1511,16 +1519,8 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 func (k *KernFS) unsplit(th *proc.Thread, ci *cofferInfo, id coffer.ID, moved []int64) {
 	ci.mu.Lock(th.Clk)
 	if !ci.dead {
-		old := ci.rp.ID
 		for _, pg := range moved {
-			if k.space.retag(th.Clk, id, old, pg, 1) != nil {
-				continue
-			}
-			for _, m := range ci.mappers {
-				key, w := m.access(old)
-				m.p.Mem.Map(pg, 1, key, w)
-			}
-			th.CPU(perfmodel.CPUSmallOp)
+			_ = k.movePage(th, pg, id, ci.rp.ID, nil, ci.mappers) // a page that will not retag is skipped
 		}
 	}
 	ci.mu.Unlock(th.Clk)
@@ -1575,15 +1575,11 @@ func (k *KernFS) foldLocked(th *proc.Thread, si, di *cofferInfo) error {
 			if pg == srcRoot {
 				continue
 			}
-			if err := k.space.retag(th.Clk, src, dst, pg, 1); err != nil {
+			// Remap under dst's key for every dst mapper; si's mappers
+			// are unmapped whole below.
+			if err := k.movePage(th, pg, src, dst, nil, di.mappers); err != nil {
 				return err
 			}
-			// Remap under dst's key for every dst mapper.
-			for _, m := range di.mappers {
-				key, w := m.access(dst)
-				m.p.Mem.Map(pg, 1, key, w)
-			}
-			th.CPU(perfmodel.CPUSmallOp)
 		}
 	}
 	for _, m := range si.mappers {

@@ -10,7 +10,6 @@ import (
 	"zofs/internal/pmemtrace"
 	"zofs/internal/simclock"
 	"zofs/internal/sysfactory"
-	"zofs/internal/zofs"
 )
 
 // thread builds a clock with an attached profiler state.
@@ -384,7 +383,7 @@ func TestRealMutexCountsContention(t *testing.T) {
 }
 
 // TestResetAcrossRemount is the crashmc-style assertion: after a ZoFS
-// workload, ResetShared plus Registry.Reset must leave no trace of the old
+// workload, DropVolatile plus Registry.Reset must leave no trace of the old
 // instance's locks, and a fresh mount repopulates cleanly.
 func TestResetAcrossRemount(t *testing.T) {
 	reg := lockprof.Enable(lockprof.Config{})
@@ -408,7 +407,7 @@ func TestResetAcrossRemount(t *testing.T) {
 		}
 		// Simulate the crash edge crash tests use: all volatile shared
 		// state (including the shared lock table) dies with the processes.
-		zofs.ResetShared(in.Dev)
+		in.Dev.DropVolatile()
 	}
 
 	run()

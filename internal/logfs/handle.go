@@ -2,6 +2,7 @@ package logfs
 
 import (
 	"zofs/internal/coffer"
+	"zofs/internal/mpk"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
@@ -13,6 +14,7 @@ import (
 type handle struct {
 	fs    *FS
 	lc    *logCoffer
+	key   mpk.Key // the process's key for lc's coffer
 	rel   string
 	flags int
 }
@@ -37,7 +39,7 @@ func (h *handle) ReadAt(th *proc.Thread, p []byte, off int64) (int, error) {
 	if off+int64(len(p)) > size {
 		p = p[:size-off]
 	}
-	cl := h.fs.window(th, h.lc, false)
+	cl := openWindow(th, h.key, false)
 	defer cl.close()
 	nvm.ForEachRun(blocks, 0, off, off+int64(len(p)), func(dev, from, to int64) {
 		if dev < 0 {
@@ -69,7 +71,7 @@ func (h *handle) writeLocked(th *proc.Thread, p []byte, off int64) (int, error) 
 	if !ok {
 		return 0, vfs.ErrNotExist
 	}
-	cl := h.fs.window(th, h.lc, true)
+	cl := openWindow(th, h.key, true)
 	defer cl.close()
 
 	nm := *m
@@ -170,13 +172,13 @@ func (f *FS) maybeCompact(th *proc.Thread, lc *logCoffer) {
 
 // Compact forces a cleaning pass (exported for tests and tools).
 func (f *FS) Compact(th *proc.Thread, id coffer.ID) error {
-	lc, err := f.attach(th, id)
+	lc, key, err := f.attach(th, id, true)
 	if err != nil {
 		return err
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	cl := f.window(th, lc, true)
+	cl := openWindow(th, key, true)
 	defer cl.close()
 	f.compactLocked(th, lc)
 	return nil
@@ -186,17 +188,10 @@ func (f *FS) Compact(th *proc.Thread, id coffer.ID) error {
 // every page outside the new live set to the kernel (coffer_shrink) — the
 // log-structured cleaner, expressed in Treasury's coffer protocol.
 func (f *FS) compactLocked(th *proc.Thread, lc *logCoffer) {
-	// Fresh first segment.
-	seg, err := f.newPages(th, lc, 1)
-	if err != nil {
+	oldSegs := lc.segs
+	if f.startLog(th, lc) != nil {
 		return // no space to clean into; leave the log as is
 	}
-	oldSegs := lc.segs
-	th.Store64(seg[0]*pageSize+segNextOff, 0)
-	lc.segs = []int64{seg[0]}
-	lc.tailSeg, lc.tailOff = seg[0], segFirstRec
-	th.Store64(lc.custom*pageSize+lsTailSeg, uint64(lc.tailSeg))
-	th.Store64(lc.custom*pageSize+lsTailOff, uint64(lc.tailOff))
 	for rel, m := range lc.index {
 		if err := f.appendRecord(th, lc, encodeRecord(rel, m, false)); err != nil {
 			return

@@ -19,6 +19,11 @@
 //     atomic commit. Crash recovery replays the log up to the committed
 //     tail; superseded records and orphaned data pages are reclaimed by
 //     compaction (the log cleaner).
+//   - Each coffer's volatile state — index, segment list, committed tail,
+//     free data pages — exists once per machine, attached to the device and
+//     shared by every process, as KernFS's services are: every append lands
+//     at the one committed tail. A crash or reboot drops it, and the first
+//     process to reach the coffer afterwards replays the log.
 package logfs
 
 import (
@@ -56,13 +61,15 @@ const (
 
 // Record layout.
 const (
-	recHdr     = 24 // len u32, crc u32, typ u8, pad u8, pathLen u16, mode u32, size u64
+	recHdr     = 32 // len u32, crc u32, typ u8, pad u8, pathLen u16, mode u32, size u64, uid u32, gid u32
 	recLenOff  = 0
 	recCRCOff  = 4
 	recTypOff  = 8
 	recPathLen = 10
 	recModeOff = 12
 	recSizeOff = 16
+	recUIDOff  = 24
+	recGIDOff  = 28
 	// path bytes follow the header, then nBlocks u64 block pointers.
 
 	recDead = 0xff // record type marking a deletion (tombstone)
@@ -87,19 +94,29 @@ type meta struct {
 	mtime  int64
 }
 
-// FS is a LogFS instance for one process. One instance manages every
-// LogFS-type coffer it encounters (each coffer has its own log and index).
+// FS is one process's LogFS. The logs it manages are the machine's (logs);
+// the process keeps only the MPK key its own coffer_map returned for each
+// coffer.
 type FS struct {
 	kern *kernfs.KernFS
-
-	mu      sync.Mutex
-	coffers map[coffer.ID]*logCoffer
+	logs *logs
+	maps map[coffer.ID]kernfs.MapInfo // what coffer_map returned; under logs.mu
 }
+
+// logs is the machine's LogFS state, one log per coffer. It hangs off the
+// device (nvm.Device.Volatile), so every process of the device shares it and
+// a crash or reboot drops it.
+type logs struct {
+	mu sync.Mutex
+	m  map[coffer.ID]*logCoffer
+}
+
+// logsKey is the owner of LogFS's attachment on a device.
+type logsKey struct{}
 
 // logCoffer is the per-coffer state.
 type logCoffer struct {
 	id     coffer.ID
-	key    mpk.Key
 	custom int64
 	path   string // coffer path prefix
 
@@ -113,9 +130,10 @@ type logCoffer struct {
 	total    int64   // pages ever allocated to data/segments
 }
 
-// New creates a LogFS instance over a mounted KernFS.
+// New creates a process's LogFS instance over a mounted KernFS.
 func New(kern *kernfs.KernFS) *FS {
-	return &FS{kern: kern, coffers: map[coffer.ID]*logCoffer{}}
+	l := kern.Device().Volatile(logsKey{}, func() any { return &logs{m: map[coffer.ID]*logCoffer{}} }).(*logs)
+	return &FS{kern: kern, logs: l, maps: map[coffer.ID]kernfs.MapInfo{}}
 }
 
 // Name implements vfs.FileSystem.
@@ -126,60 +144,87 @@ var _ vfs.FileSystem = (*FS)(nil)
 // Format initializes a fresh LogFS coffer (idempotent): writes the log
 // superblock into the custom page. The caller must have write access.
 func (f *FS) Format(th *proc.Thread, id coffer.ID) error {
-	lc, err := f.attach(th, id)
-	if err != nil {
-		return err
-	}
-	_ = lc
-	return nil
+	_, _, err := f.attach(th, id, true)
+	return err
 }
 
-// attach maps a coffer and loads (or initializes) its log.
-func (f *FS) attach(th *proc.Thread, id coffer.ID) (*logCoffer, error) {
-	f.mu.Lock()
-	if lc, ok := f.coffers[id]; ok {
-		f.mu.Unlock()
+// attach returns a coffer's log and this process's key for it, mapping the
+// coffer and loading its log on first use; write refuses a process the
+// kernel let map the coffer read-only.
+func (f *FS) attach(th *proc.Thread, id coffer.ID, write bool) (*logCoffer, mpk.Key, error) {
+	f.logs.mu.Lock()
+	defer f.logs.mu.Unlock()
+	mi, ok := f.maps[id]
+	if !ok {
+		// Writable where the kernel allows it — the first process to reach
+		// a fresh coffer starts its log — and read-only otherwise.
+		var err error
+		mi, err = f.kern.CofferMap(th, id, true)
+		if errors.Is(err, kernfs.ErrPerm) || errors.Is(err, kernfs.ErrCofferReadOnly) {
+			mi, err = f.kern.CofferMap(th, id, false)
+		}
+		if err != nil {
+			return nil, 0, errnoK(err)
+		}
+		f.maps[id] = mi
+	}
+	if write && !mi.Writable {
+		return nil, 0, vfs.ErrPerm
+	}
+	lc := f.logs.m[id]
+	if lc == nil {
+		var err error
+		if lc, err = f.load(th, mi); err != nil {
+			return nil, 0, err
+		}
+		f.logs.m[id] = lc
+	}
+	return lc, mi.Key, nil
+}
+
+// load builds a coffer's log state, once per boot: it replays the log up to
+// the committed tail or, on a fresh coffer, starts an empty log and commits
+// it, which takes a writable mapping.
+func (f *FS) load(th *proc.Thread, mi kernfs.MapInfo) (*logCoffer, error) {
+	lc := &logCoffer{id: mi.Root.ID, custom: mi.Root.Custom, path: mi.Root.Path, index: map[string]*meta{}}
+	cl := openWindow(th, mi.Key, mi.Writable)
+	defer cl.close()
+	if th.Load64(lc.custom*pageSize+lsMagicOff) == lsMagic {
+		f.replay(th, lc)
 		return lc, nil
 	}
-	f.mu.Unlock()
-
-	mi, err := f.kern.CofferMap(th, id, true)
-	if err != nil {
-		return nil, errnoK(err)
+	if !mi.Writable {
+		return nil, vfs.ErrPerm
 	}
-	lc := &logCoffer{
-		id: id, key: mi.Key, custom: mi.Root.Custom, path: mi.Root.Path,
-		index: map[string]*meta{},
-	}
-	cl := f.window(th, lc, true)
-	defer cl.close()
-	if th.Load64(lc.custom*pageSize+lsMagicOff) != lsMagic {
-		// Fresh coffer: allocate the first segment and commit an empty log.
-		seg, err := f.newPages(th, lc, 1)
-		if err != nil {
-			return nil, err
-		}
-		th.Store64(seg[0]*pageSize+segNextOff, 0)
-		th.Store64(lc.custom*pageSize+lsSegHead, uint64(seg[0]))
-		th.Store64(lc.custom*pageSize+lsTailSeg, uint64(seg[0]))
-		th.Store64(lc.custom*pageSize+lsTailOff, segFirstRec)
-		th.Store64(lc.custom*pageSize+lsMagicOff, lsMagic)
-		lc.segs = []int64{seg[0]}
-		lc.tailSeg, lc.tailOff = seg[0], segFirstRec
-	} else if err := f.replay(th, lc); err != nil {
+	if err := f.startLog(th, lc); err != nil {
 		return nil, err
 	}
-	f.mu.Lock()
-	f.coffers[id] = lc
-	f.mu.Unlock()
+	th.Store64(lc.custom*pageSize+lsSegHead, uint64(lc.segs[0]))
+	th.Store64(lc.custom*pageSize+lsMagicOff, lsMagic)
 	return lc, nil
 }
 
-// window opens the MPK window (G1/G2 hold for LogFS exactly as for ZoFS);
-// closing the returned value shuts it. A value, not th.CloseWindow: a method
-// value is a heap object per op.
-func (f *FS) window(th *proc.Thread, lc *logCoffer, write bool) window {
-	th.OpenWindow(lc.key, write)
+// startLog begins an empty log in a fresh segment and commits its tail; the
+// caller publishes the segment as the log head. Caller holds the write
+// window.
+func (f *FS) startLog(th *proc.Thread, lc *logCoffer) error {
+	seg, err := f.newPages(th, lc, 1)
+	if err != nil {
+		return err
+	}
+	th.Store64(seg[0]*pageSize+segNextOff, 0)
+	lc.segs = []int64{seg[0]}
+	lc.tailSeg, lc.tailOff = seg[0], segFirstRec
+	th.Store64(lc.custom*pageSize+lsTailSeg, uint64(lc.tailSeg))
+	th.Store64(lc.custom*pageSize+lsTailOff, uint64(lc.tailOff))
+	return nil
+}
+
+// openWindow opens the MPK window on a coffer's key (G1/G2 hold for LogFS
+// exactly as for ZoFS); closing the returned value shuts it. A value, not
+// th.CloseWindow: a method value is a heap object per op.
+func openWindow(th *proc.Thread, key mpk.Key, write bool) window {
+	th.OpenWindow(key, write)
 	return window{th}
 }
 
@@ -247,6 +292,8 @@ func encodeRecord(rel string, m *meta, dead bool) []byte {
 	if m != nil {
 		binary.LittleEndian.PutUint32(buf[recModeOff:], uint32(m.mode))
 		binary.LittleEndian.PutUint64(buf[recSizeOff:], uint64(m.size))
+		binary.LittleEndian.PutUint32(buf[recUIDOff:], m.uid)
+		binary.LittleEndian.PutUint32(buf[recGIDOff:], m.gid)
 	}
 	off := recHdr
 	copy(buf[off:], rel)
@@ -294,6 +341,8 @@ func decodeRecord(buf []byte) (string, *meta, int, error) {
 		typ:  vfs.FileType(buf[recTypOff]),
 		mode: coffer.Mode(binary.LittleEndian.Uint32(buf[recModeOff:])),
 		size: int64(binary.LittleEndian.Uint64(buf[recSizeOff:])),
+		uid:  binary.LittleEndian.Uint32(buf[recUIDOff:]),
+		gid:  binary.LittleEndian.Uint32(buf[recGIDOff:]),
 	}
 	off := recHdr + pl
 	nBlocks := (int64(m.size) + pageSize - 1) / pageSize
@@ -335,8 +384,8 @@ func (f *FS) appendRecord(th *proc.Thread, lc *logCoffer, rec []byte) error {
 }
 
 // replay rebuilds the volatile index by scanning the log up to the
-// committed tail (mount/recovery).
-func (f *FS) replay(th *proc.Thread, lc *logCoffer) error {
+// committed tail (the first attach after a boot).
+func (f *FS) replay(th *proc.Thread, lc *logCoffer) {
 	head := int64(th.Load64(lc.custom*pageSize + lsSegHead))
 	tailSeg := int64(th.Load64(lc.custom*pageSize + lsTailSeg))
 	tailOff := int64(th.Load64(lc.custom*pageSize + lsTailOff))
@@ -359,7 +408,6 @@ func (f *FS) replay(th *proc.Thread, lc *logCoffer) error {
 			if m == nil {
 				delete(lc.index, rel)
 			} else {
-				m.uid, m.gid = 0, 0
 				lc.index[rel] = m
 			}
 			off += int64(l)
@@ -374,34 +422,29 @@ func (f *FS) replay(th *proc.Thread, lc *logCoffer) error {
 	for _, m := range lc.index {
 		lc.liveData += int64(len(m.blocks))
 	}
-	lc.total = f.kernPages(lc)
-	return nil
-}
-
-func (f *FS) kernPages(lc *logCoffer) int64 {
-	var n int64
+	lc.total = 0
 	for _, e := range f.kern.ExtentsOf(lc.id) {
-		n += e.Count
+		lc.total += e.Count
 	}
-	return n
 }
 
-// resolve finds the LogFS coffer for a path and the coffer-relative key.
-func (f *FS) resolve(th *proc.Thread, path string) (*logCoffer, string, error) {
+// resolve finds the LogFS coffer for a path, this process's key for it and
+// the coffer-relative key; write refuses a read-only mapping.
+func (f *FS) resolve(th *proc.Thread, path string, write bool) (*logCoffer, mpk.Key, string, error) {
 	id, prefix, ok := f.kern.ResolveLongest(th.Clk, path)
 	if !ok {
-		return nil, "", vfs.ErrNotExist
+		return nil, 0, "", vfs.ErrNotExist
 	}
 	info, ok := f.kern.Info(id)
 	if !ok || info.Type != TypeLogFS {
-		return nil, "", vfs.ErrInvalid
+		return nil, 0, "", vfs.ErrInvalid
 	}
-	lc, err := f.attach(th, id)
+	lc, key, err := f.attach(th, id, write)
 	if err != nil {
-		return nil, "", err
+		return nil, 0, "", err
 	}
 	rel := strings.TrimPrefix(strings.TrimPrefix(path, prefix), "/")
-	return lc, rel, nil
+	return lc, key, rel, nil
 }
 
 // TypeLogFS is the coffer type LogFS registers for.
@@ -426,24 +469,10 @@ func (lc *logCoffer) linkInPrefix(rel string) error {
 		}
 		prefix := rel[:i]
 		if m, ok := lc.index[prefix]; ok && m.typ == vfs.TypeSymlink {
-			return &vfs.SymlinkError{Path: expandLink(lc.path, prefix, m.target) + "/" + rel[i+1:]}
+			return &vfs.SymlinkError{Path: expand(lc.path, prefix, m.target) + "/" + rel[i+1:]}
 		}
 	}
 	return nil
-}
-
-// expandLink resolves a symlink target against its location (absolute
-// cleaned path of the link's expansion).
-func expandLink(cofferPath, rel, target string) string {
-	if strings.HasPrefix(target, "/") {
-		return vfs.Clean(target)
-	}
-	dir := parentOf(rel)
-	base := cofferPath
-	if dir != "" {
-		base = cofferPath + "/" + dir
-	}
-	return vfs.Clean(base + "/" + target)
 }
 
 // checkParent verifies the parent exists and is a directory. Caller holds

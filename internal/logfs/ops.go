@@ -18,7 +18,7 @@ func blocksFor(size int64) int { return int((size + pageSize - 1) / pageSize) }
 
 // Create makes (or truncates) a regular file.
 func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle, error) {
-	lc, rel, err := f.resolve(th, path)
+	lc, key, rel, err := f.resolve(th, path, true)
 	if err != nil {
 		return nil, err
 	}
@@ -27,27 +27,29 @@ func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle,
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	cl := f.window(th, lc, true)
+	cl := openWindow(th, key, true)
 	defer cl.close()
 	if err := lc.checkParent(rel); err != nil {
 		return nil, err
 	}
+	m := created(th, vfs.TypeRegular, mode)
 	if old, ok := lc.index[rel]; ok {
 		if old.typ == vfs.TypeDir {
 			return nil, vfs.ErrIsDir
 		}
-		// Truncate in place: new record with no blocks.
-		m := &meta{typ: vfs.TypeRegular, mode: old.mode, mtime: th.Clk.Now()}
-		if err := f.commitMeta(th, lc, rel, m); err != nil {
-			return nil, err
-		}
-		return &handle{fs: f, lc: lc, rel: rel, flags: vfs.O_RDWR}, nil
+		// Truncate in place: a new record with no blocks, same mode and owner.
+		m.mode, m.uid, m.gid = old.mode, old.uid, old.gid
 	}
-	m := &meta{typ: vfs.TypeRegular, mode: mode, mtime: th.Clk.Now()}
 	if err := f.commitMeta(th, lc, rel, m); err != nil {
 		return nil, err
 	}
-	return &handle{fs: f, lc: lc, rel: rel, flags: vfs.O_RDWR}, nil
+	return &handle{fs: f, lc: lc, key: key, rel: rel, flags: vfs.O_RDWR}, nil
+}
+
+// created is the meta of a new file, owned by the creating process's
+// identity as ZoFS's inodes are.
+func created(th *proc.Thread, typ vfs.FileType, mode coffer.Mode) *meta {
+	return &meta{typ: typ, mode: mode, uid: th.Proc.UID(), gid: th.Proc.GID(), mtime: th.Clk.Now()}
 }
 
 // commitMeta appends a record and updates the index. Caller holds lc.mu and
@@ -96,7 +98,7 @@ func (f *FS) commitDead(th *proc.Thread, lc *logCoffer, rel string) error {
 
 // Open opens an existing file.
 func (f *FS) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
-	lc, rel, err := f.resolve(th, path)
+	lc, key, rel, err := f.resolve(th, path, flags&vfs.O_ACCESS != vfs.O_RDONLY || flags&(vfs.O_CREATE|vfs.O_TRUNC) != 0)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +120,7 @@ func (f *FS) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
 		if flags&vfs.O_ACCESS != vfs.O_RDONLY {
 			return nil, vfs.ErrIsDir
 		}
-		return &handle{fs: f, lc: lc, rel: rel, flags: flags}, nil
+		return &handle{fs: f, lc: lc, key: key, rel: rel, flags: flags}, nil
 	}
 	if m.typ == vfs.TypeSymlink {
 		return nil, &vfs.SymlinkError{Path: expand(lc.path, rel, m.target)}
@@ -128,8 +130,8 @@ func (f *FS) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
 	}
 	if flags&vfs.O_TRUNC != 0 {
 		lc.mu.Lock()
-		cl := f.window(th, lc, true)
-		nm := &meta{typ: vfs.TypeRegular, mode: m.mode, mtime: th.Clk.Now()}
+		cl := openWindow(th, key, true)
+		nm := &meta{typ: vfs.TypeRegular, mode: m.mode, uid: m.uid, gid: m.gid, mtime: th.Clk.Now()}
 		err := f.commitMeta(th, lc, rel, nm)
 		cl.close()
 		lc.mu.Unlock()
@@ -137,7 +139,7 @@ func (f *FS) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
 			return nil, err
 		}
 	}
-	return &handle{fs: f, lc: lc, rel: rel, flags: flags}, nil
+	return &handle{fs: f, lc: lc, key: key, rel: rel, flags: flags}, nil
 }
 
 // expand resolves a symlink target against its location.
@@ -155,7 +157,7 @@ func expand(cofferPath, rel, target string) string {
 
 // Mkdir creates a directory record.
 func (f *FS) Mkdir(th *proc.Thread, path string, mode coffer.Mode) error {
-	lc, rel, err := f.resolve(th, path)
+	lc, key, rel, err := f.resolve(th, path, true)
 	if err != nil {
 		return err
 	}
@@ -164,7 +166,7 @@ func (f *FS) Mkdir(th *proc.Thread, path string, mode coffer.Mode) error {
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	cl := f.window(th, lc, true)
+	cl := openWindow(th, key, true)
 	defer cl.close()
 	if err := lc.checkParent(rel); err != nil {
 		return err
@@ -172,12 +174,12 @@ func (f *FS) Mkdir(th *proc.Thread, path string, mode coffer.Mode) error {
 	if _, ok := lc.index[rel]; ok {
 		return vfs.ErrExist
 	}
-	return f.commitMeta(th, lc, rel, &meta{typ: vfs.TypeDir, mode: mode, mtime: th.Clk.Now()})
+	return f.commitMeta(th, lc, rel, created(th, vfs.TypeDir, mode))
 }
 
 // Unlink removes a file or symlink.
 func (f *FS) Unlink(th *proc.Thread, path string) error {
-	lc, rel, err := f.resolve(th, path)
+	lc, key, rel, err := f.resolve(th, path, true)
 	if err != nil {
 		return err
 	}
@@ -193,7 +195,7 @@ func (f *FS) Unlink(th *proc.Thread, path string) error {
 	if m.typ == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	cl := f.window(th, lc, true)
+	cl := openWindow(th, key, true)
 	defer cl.close()
 	if err := f.commitDead(th, lc, rel); err != nil {
 		return err
@@ -204,7 +206,7 @@ func (f *FS) Unlink(th *proc.Thread, path string) error {
 
 // Rmdir removes an empty directory.
 func (f *FS) Rmdir(th *proc.Thread, path string) error {
-	lc, rel, err := f.resolve(th, path)
+	lc, key, rel, err := f.resolve(th, path, true)
 	if err != nil {
 		return err
 	}
@@ -223,7 +225,7 @@ func (f *FS) Rmdir(th *proc.Thread, path string) error {
 			return vfs.ErrNotEmpty
 		}
 	}
-	cl := f.window(th, lc, true)
+	cl := openWindow(th, key, true)
 	defer cl.close()
 	return f.commitDead(th, lc, rel)
 }
@@ -231,11 +233,11 @@ func (f *FS) Rmdir(th *proc.Thread, path string) error {
 // Rename rewrites records under the new key (directories rename their whole
 // prefix — cheap here: the namespace is the index).
 func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
-	lc, oldRel, err := f.resolve(th, oldPath)
+	lc, key, oldRel, err := f.resolve(th, oldPath, true)
 	if err != nil {
 		return err
 	}
-	lc2, newRel, err := f.resolve(th, newPath)
+	lc2, _, newRel, err := f.resolve(th, newPath, true)
 	if err != nil {
 		return err
 	}
@@ -254,7 +256,7 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 	if err := lc.checkParent(newRel); err != nil {
 		return err
 	}
-	cl := f.window(th, lc, true)
+	cl := openWindow(th, key, true)
 	defer cl.close()
 	if dst, exists := lc.index[newRel]; exists {
 		if dst.typ == vfs.TypeDir {
@@ -298,7 +300,7 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 
 // Stat returns metadata; the coffer root reports the kernel's root page.
 func (f *FS) Stat(th *proc.Thread, path string) (vfs.FileInfo, error) {
-	lc, rel, err := f.resolve(th, path)
+	lc, _, rel, err := f.resolve(th, path, false)
 	if err != nil {
 		return vfs.FileInfo{}, err
 	}
@@ -338,7 +340,7 @@ func (f *FS) Chown(th *proc.Thread, path string, uid, gid uint32) error {
 }
 
 func (f *FS) setAttr(th *proc.Thread, path string, mut func(*meta)) error {
-	lc, rel, err := f.resolve(th, path)
+	lc, key, rel, err := f.resolve(th, path, true)
 	if err != nil {
 		return err
 	}
@@ -353,20 +355,20 @@ func (f *FS) setAttr(th *proc.Thread, path string, mut func(*meta)) error {
 	}
 	nm := *m
 	mut(&nm)
-	cl := f.window(th, lc, true)
+	cl := openWindow(th, key, true)
 	defer cl.close()
 	return f.commitMeta(th, lc, rel, &nm)
 }
 
 // Symlink creates a link record.
 func (f *FS) Symlink(th *proc.Thread, target, link string) error {
-	lc, rel, err := f.resolve(th, link)
+	lc, key, rel, err := f.resolve(th, link, true)
 	if err != nil {
 		return err
 	}
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
-	cl := f.window(th, lc, true)
+	cl := openWindow(th, key, true)
 	defer cl.close()
 	if err := lc.checkParent(rel); err != nil {
 		return err
@@ -374,15 +376,14 @@ func (f *FS) Symlink(th *proc.Thread, target, link string) error {
 	if _, ok := lc.index[rel]; ok {
 		return vfs.ErrExist
 	}
-	return f.commitMeta(th, lc, rel, &meta{
-		typ: vfs.TypeSymlink, mode: 0o777, target: target,
-		size: int64(len(target)), mtime: th.Clk.Now(),
-	})
+	m := created(th, vfs.TypeSymlink, 0o777)
+	m.target, m.size = target, int64(len(target))
+	return f.commitMeta(th, lc, rel, m)
 }
 
 // Readlink reads a link target.
 func (f *FS) Readlink(th *proc.Thread, path string) (string, error) {
-	lc, rel, err := f.resolve(th, path)
+	lc, _, rel, err := f.resolve(th, path, false)
 	if err != nil {
 		return "", err
 	}
@@ -401,7 +402,7 @@ func (f *FS) Readlink(th *proc.Thread, path string) (string, error) {
 // ReadDir lists the immediate children of a directory (index prefix scan —
 // the flat namespace in action).
 func (f *FS) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
-	lc, rel, err := f.resolve(th, path)
+	lc, _, rel, err := f.resolve(th, path, false)
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +437,7 @@ func (f *FS) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
 
 // Truncate resizes a file via a superseding record.
 func (f *FS) Truncate(th *proc.Thread, path string, size int64) error {
-	lc, rel, err := f.resolve(th, path)
+	lc, key, rel, err := f.resolve(th, path, true)
 	if err != nil {
 		return err
 	}
@@ -455,7 +456,7 @@ func (f *FS) Truncate(th *proc.Thread, path string, size int64) error {
 	nm.blocks = make([]int64, nb)
 	copy(nm.blocks, m.blocks)
 	nm.mtime = th.Clk.Now()
-	cl := f.window(th, lc, true)
+	cl := openWindow(th, key, true)
 	defer cl.close()
 	// Zero the boundary tail so extension reads zeros (the page is about to
 	// be shared between the old content and the new hole).

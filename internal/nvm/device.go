@@ -118,10 +118,11 @@ type Device struct {
 
 	uid uint64 // process-unique identity; see UID
 
-	// vol is DRAM-only state a layer above keeps about this device (see
-	// Volatile). It hangs here so that it dies with the device.
+	// vol is the DRAM-only state the layers above keep about this device,
+	// one attachment per owner (see Volatile). It hangs here so that it dies
+	// with the device.
 	volMu sync.Mutex
-	vol   any
+	vol   map[any]any
 }
 
 var nextDeviceUID atomic.Uint64
@@ -202,21 +203,28 @@ func (d *Device) SetRecorder(r *telemetry.Recorder) { d.rec = r }
 // recorder stamps it on every event.
 func (d *Device) UID() uint64 { return d.uid }
 
-// Volatile returns the device's volatile attachment: state that describes the
+// Volatile returns owner's volatile attachment: state that describes the
 // device but lives in DRAM, such as ZoFS's cross-process lock and directory
-// tables. With none attached, mk (when non-nil) builds one. Keeping it on the
-// device rather than in a registry keyed by device means a discarded device
-// takes it along to the collector.
-func (d *Device) Volatile(mk func() any) any {
+// tables or LogFS's logs. owner is a key of the attaching package's own type,
+// so attachments never collide. With none attached, mk (when non-nil) builds
+// one. Keeping it on the device rather than in a registry keyed by device
+// means a discarded device takes it along to the collector.
+func (d *Device) Volatile(owner any, mk func() any) any {
 	d.volMu.Lock()
 	defer d.volMu.Unlock()
-	if d.vol == nil && mk != nil {
-		d.vol = mk()
+	v := d.vol[owner]
+	if v == nil && mk != nil {
+		if d.vol == nil {
+			d.vol = map[any]any{}
+		}
+		v = mk()
+		d.vol[owner] = v
 	}
-	return d.vol
+	return v
 }
 
-// DropVolatile discards the attachment, as a power failure discards DRAM.
+// DropVolatile discards every attachment, as a power failure empties DRAM.
+// Crash and CrashMediated call it.
 func (d *Device) DropVolatile() {
 	d.volMu.Lock()
 	d.vol = nil
@@ -799,10 +807,10 @@ type CrashOutcome struct {
 }
 
 // Crash simulates a power failure: every dirty (unflushed) line reverts to
-// its last persisted content. Volatile caller state must be discarded by
-// the caller; the device image afterwards is exactly what a real NVM DIMM
-// would hold after the crash. Panics on a device built with
-// TrackPersistence off — see CrashMediated.
+// its last persisted content, and every volatile attachment is dropped; the
+// device image afterwards is exactly what a real NVM DIMM would hold after
+// the crash. Panics on a device built with TrackPersistence off — see
+// CrashMediated.
 func (d *Device) Crash() {
 	d.CrashMediated(nil)
 }
@@ -812,7 +820,8 @@ func (d *Device) Crash() {
 // reverts, survives (opportunistic writeback before power was lost), or
 // tears at 8-byte granularity. A nil fate reverts every line — the
 // all-dirty-lines-dropped model of Crash. The fate function must be
-// deterministic in the line offset: stripe iteration order is not.
+// deterministic in the line offset: stripe iteration order is not. Every
+// volatile attachment is dropped (DropVolatile).
 //
 // Panics if the device was created with TrackPersistence off: such a device
 // cannot tell persisted from cached content, so a "crash" would silently
@@ -823,6 +832,7 @@ func (d *Device) CrashMediated(fate func(line int64) LineFate) CrashOutcome {
 		panic("nvm: Crash on a device with TrackPersistence off would silently keep unflushed stores; create crash-test devices with TrackPersistence: true")
 	}
 	d.tr.Record(d.uid, nil, pmemtrace.KindCrash, 0, d.dirtyCount.Load())
+	d.DropVolatile()
 	var out CrashOutcome
 	buf := make([]byte, LineSize)
 	for i := range d.dirty {

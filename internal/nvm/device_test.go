@@ -425,3 +425,24 @@ func TestDeviceUIDsUnique(t *testing.T) {
 		seen[d.UID()] = true
 	}
 }
+
+// TestVolatileAttachmentsPerOwner: each owner gets its own attachment, built
+// once, and a crash drops every one of them as a power failure empties DRAM.
+func TestVolatileAttachmentsPerOwner(t *testing.T) {
+	type ownerA struct{}
+	type ownerB struct{}
+	d := NewDevice(PageSize)
+	built := 0
+	mk := func() any { built++; return new(int) }
+	a, b := d.Volatile(ownerA{}, mk), d.Volatile(ownerB{}, mk)
+	if a == b || d.Volatile(ownerA{}, mk) != a || built != 2 {
+		t.Fatalf("attachments a=%p b=%p, %d built; want two distinct, each built once", a, b, built)
+	}
+	d.Crash()
+	if d.Volatile(ownerA{}, nil) != nil || d.Volatile(ownerB{}, nil) != nil {
+		t.Fatal("an attachment survived the crash")
+	}
+	if d.Volatile(ownerA{}, mk) == a {
+		t.Fatal("the attachment built after the crash is the old one")
+	}
+}

@@ -1,9 +1,10 @@
 // Package sysfactory builds fresh machines running every file system under
 // test — ZoFS (and its variants), LogFS and the four baselines — over fresh
 // simulated devices, for the benchmark harnesses, the crash checker, the
-// chaos campaign and the examples. New boots a machine with one root
-// process on it; Instance.Spawn adds another process to that machine, the
-// one way any harness, checker or example adds one.
+// chaos campaign, the tools and the examples. System.New boots a fresh
+// machine with one root process on it; Instance.Spawn adds another process
+// to a machine; Boot brings a formatted, saved or crashed device back up.
+// Each is the one way any harness, checker, tool or example does that.
 package sysfactory
 
 import (
@@ -45,6 +46,19 @@ func (in *Instance) Spawn(uid, gid uint32) (*Instance, error) {
 	return mount(in.Name, in.Kern, p, in.Lib.ZoFS().Options())
 }
 
+// Boot brings a device up as a power cycle would: its volatile attachments
+// are dropped (DRAM is empty), the kernel mounts over its image, and a root
+// process mounts FSLibs with the given µFS options. The instance's FS is the
+// µFS the root coffer's type routes to, and its Name is empty.
+func Boot(dev *nvm.Device, opts zofs.Options) (*Instance, error) {
+	dev.DropVolatile()
+	k, err := kernfs.Mount(dev)
+	if err != nil {
+		return nil, err
+	}
+	return mount("", k, proc.NewProcess(dev, 0, 0), opts)
+}
+
 // mount has p's first thread mount FSLibs over k.
 func mount(name string, k *kernfs.KernFS, p *proc.Process, opts zofs.Options) (*Instance, error) {
 	th := p.NewThread()
@@ -64,26 +78,20 @@ type System struct {
 	New func(size int64, tracked bool) (*Instance, error)
 }
 
-// newMicroFS formats a device, mounts the kernel over it and a root process
-// on that, then has setup prepare the root coffer for the µFS.
+// newMicroFS formats a device and boots it, then has setup prepare the root
+// coffer for the µFS.
 func newMicroFS(name string, opts zofs.Options, setup func(in *Instance) error) System {
 	return System{Name: name, New: func(size int64, tracked bool) (*Instance, error) {
 		dev := nvm.New(nvm.Config{Size: size, TrackPersistence: tracked})
 		if err := kernfs.Mkfs(dev, kernfs.MkfsOptions{RootMode: 0o755}); err != nil {
 			return nil, err
 		}
-		k, err := kernfs.Mount(dev)
+		in, err := Boot(dev, opts)
 		if err != nil {
 			return nil, err
 		}
-		in, err := mount(name, k, proc.NewProcess(dev, 0, 0), opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := setup(in); err != nil {
-			return nil, err
-		}
-		return in, nil
+		in.Name = name
+		return in, setup(in)
 	}}
 }
 

@@ -8,6 +8,7 @@ import (
 	"zofs/internal/baselines"
 	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
+	"zofs/internal/zofs"
 )
 
 // TestEverySystemBuildsAndRoundTrips: each System in All builds on a fresh
@@ -75,14 +76,9 @@ func TestEverySystemBuildsAndRoundTrips(t *testing.T) {
 // its machine's file system both ways — a process of another uid reads back
 // byte-equal what the root process wrote and closed, and the root process
 // stats what a spawned root process creates (a non-root creator is refused
-// by ZoFS-1coffer, whose one coffer is root's). LogFS is left out: each
-// LogFS instance caches a coffer's log tail, so a second process writing the
-// same coffer appends over the first's records.
+// by ZoFS-1coffer, whose one coffer is root's).
 func TestSpawn(t *testing.T) {
 	for _, sys := range sysfactory.All {
-		if sys.Name == sysfactory.LogFS.Name {
-			continue
-		}
 		t.Run(sys.Name, func(t *testing.T) {
 			in, err := sys.New(64<<20, false)
 			if err != nil {
@@ -130,6 +126,48 @@ func TestSpawn(t *testing.T) {
 			}
 			if fi, err := in.FS.Stat(th, "/d/g"); err != nil || fi.Size != 7 {
 				t.Fatalf("root Stat of the spawned file = %+v, %v", fi, err)
+			}
+		})
+	}
+}
+
+// TestBoot: Boot brings every µFS machine's device back after a crash with
+// what the crash left, a root process running the µFS the root coffer's type
+// routes to, and no volatile state from before — even with no crash, ZoFS's
+// directory cache comes up cold.
+func TestBoot(t *testing.T) {
+	for _, sys := range sysfactory.All {
+		in, err := sys.New(64<<20, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Lib == nil {
+			continue // the baselines' namespaces are volatile
+		}
+		t.Run(sys.Name, func(t *testing.T) {
+			th := in.Proc.NewThread()
+			if err := in.FS.Mkdir(th, "/d", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := in.FS.Stat(th, "/d"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sysfactory.Boot(in.Dev, in.Lib.ZoFS().Options()); err != nil {
+				t.Fatal(err)
+			}
+			if n := zofs.DirCacheDirs(in.Dev); n != 0 {
+				t.Fatalf("directory cache holds %d indexes after Boot", n)
+			}
+			in.Dev.Crash()
+			b, err := sysfactory.Boot(in.Dev, in.Lib.ZoFS().Options())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Kern == in.Kern || b.Proc.UID() != 0 || b.Thread == nil || b.FS.Name() != in.FS.Name() {
+				t.Fatalf("booted %+v from %+v", b, in)
+			}
+			if fi, err := b.FS.Stat(b.Thread, "/d"); err != nil || fi.Type != vfs.TypeDir {
+				t.Fatalf("Stat after Boot = %+v, %v", fi, err)
 			}
 		})
 	}

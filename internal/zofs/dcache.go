@@ -25,9 +25,9 @@ import (
 // It lives in the per-device `shared` state: in the simulation every
 // process of a device shares it, standing in for the shared-DRAM index a
 // multi-process deployment would coordinate through lease words (the
-// KucoFS-style index the paper cites as future work). ResetShared — the
-// crash analogue — drops it wholesale, so a post-crash remount always
-// starts cold and can never serve a pre-crash dentry.
+// KucoFS-style index the paper cites as future work). A crash or a reboot
+// (nvm.Device.Crash, sysfactory.Boot) drops it wholesale, so a post-crash
+// remount always starts cold and can never serve a pre-crash dentry.
 //
 // Coherence protocol:
 //   - Every dentry mutation (dirInsert, dirRemove, dirUpdateCoffer — rename

@@ -219,7 +219,7 @@ func TestDcacheConcurrency(t *testing.T) {
 }
 
 // TestDcacheColdAfterCrash: a post-crash remount must never serve a
-// pre-crash cached dentry — ResetShared (the crash analogue) drops the
+// pre-crash cached dentry — DropVolatile (the crash analogue) drops the
 // whole cache, and recovery bumps the epoch for survivors.
 func TestDcacheColdAfterCrash(t *testing.T) {
 	dev, _, f, th := newTestFS(t, Options{})
@@ -238,7 +238,7 @@ func TestDcacheColdAfterCrash(t *testing.T) {
 		t.Fatal("cache should be warm before the crash")
 	}
 	dev.Crash()
-	ResetShared(dev)
+	dev.DropVolatile()
 	if got := DirCacheDirs(dev); got != 0 {
 		t.Fatalf("cache holds %d directory indexes after crash+reset", got)
 	}
@@ -327,7 +327,7 @@ func TestBatchedGrantsReclaimedByRecovery(t *testing.T) {
 		}
 		h.Close(th)
 		dev.Crash()
-		ResetShared(dev)
+		dev.DropVolatile()
 	}
 }
 

@@ -261,7 +261,7 @@ func TestDirListNeverServesStaleDentry(t *testing.T) {
 	}
 }
 
-// TestDirListColdAfterReset: after ResetShared the first listing pays one
+// TestDirListColdAfterReset: after DropVolatile the first listing pays one
 // rebuild walk (media reads, more virtual time) and equals the walk; the
 // second is served from the index and reads no media at all.
 func TestDirListColdAfterReset(t *testing.T) {
@@ -274,7 +274,7 @@ func TestDirListColdAfterReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ResetShared(dev)
+	dev.DropVolatile()
 	if got := DirCacheDirs(dev); got != 0 {
 		t.Fatalf("cache holds %d indexes after reset", got)
 	}

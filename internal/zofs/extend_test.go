@@ -110,7 +110,7 @@ func TestLostAppendStaysLost(t *testing.T) {
 						}
 						dev.FailAfter(0)
 						dev.Crash()
-						ResetShared(dev)
+						dev.DropVolatile()
 						f2, th2 := remountAfterCrash(t, dev, v.opts)
 						if mustStat(t, f2, th2, "/f").Size != size {
 							continue // the append committed

@@ -89,7 +89,7 @@ func TestCrashMidAllocationClearsSlots(t *testing.T) {
 	}()
 	dev.FailAfter(0)
 	dev.Crash()
-	ResetShared(dev)
+	dev.DropVolatile()
 
 	k2, err := kernfs.Mount(dev)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestRecoveryClearsDeadInodeLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	PlantInodeLease(dev, fi.Inode, 4093, th.Clk.Now()+10*leaseDuration)
-	ResetShared(dev)
+	dev.DropVolatile()
 
 	k2, err := kernfs.Mount(dev)
 	if err != nil {
@@ -210,7 +210,7 @@ func TestRecoveryClearsStaleBlockPointers(t *testing.T) {
 			return // swept past the whole operation
 		}
 		dev.Crash()
-		ResetShared(dev)
+		dev.DropVolatile()
 
 		k2, err := kernfs.Mount(dev)
 		if err != nil {

@@ -475,8 +475,9 @@ func TestSharedStateDiesWithDevice(t *testing.T) {
 	}
 }
 
-// TestResetSharedDropsState: the crash analogue still empties every table,
-// and a mount after it starts from new state.
+// TestResetSharedDropsState: dropping the device's attachments, as a crash
+// or a reboot does, empties every table, and a mount after it starts from new
+// state.
 func TestResetSharedDropsState(t *testing.T) {
 	dev, _, f, th := newTestFS(t, Options{})
 	h, err := f.Create(th, "/f", 0o644)
@@ -488,11 +489,11 @@ func TestResetSharedDropsState(t *testing.T) {
 	if old != f.sh || old.state(fi.Inode).opens != 1 || DirCacheDirs(dev) == 0 {
 		t.Fatal("the open handle is not in the device's shared state")
 	}
-	ResetShared(dev)
-	if dev.Volatile(nil) != nil {
-		t.Fatal("ResetShared left state on the device")
+	dev.DropVolatile()
+	if dev.Volatile(sharedKey{}, nil) != nil {
+		t.Fatal("DropVolatile left state on the device")
 	}
 	if fresh := sharedFor(dev); fresh == old || fresh.state(fi.Inode).opens != 0 || DirCacheDirs(dev) != 0 {
-		t.Fatal("state after ResetShared is not fresh")
+		t.Fatal("state after DropVolatile is not fresh")
 	}
 }

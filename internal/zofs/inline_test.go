@@ -97,7 +97,7 @@ func TestInlineSurvivesCrashAndFsck(t *testing.T) {
 	h, _ := f.Create(th, "/cfg", 0o644)
 	h.WriteAt(th, []byte("persist-me"), 0)
 	dev.Crash()
-	ResetShared(dev)
+	dev.DropVolatile()
 	_ = k
 	k2, err := kernfs.Mount(dev)
 	if err != nil {

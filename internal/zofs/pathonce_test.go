@@ -137,7 +137,7 @@ func TestMemoAcrossRemount(t *testing.T) {
 	h.Close(th)
 	want := mustStat(t, f, th, "/p/f")
 
-	ResetShared(dev)
+	dev.DropVolatile()
 	k2, err := kernfs.Mount(dev)
 	if err != nil {
 		t.Fatal(err)

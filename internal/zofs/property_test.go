@@ -207,7 +207,7 @@ func TestCrashFuzzRecovery(t *testing.T) {
 		}()
 		dev.FailAfter(0)
 		dev.Crash()
-		zofs.ResetShared(dev)
+		dev.DropVolatile()
 
 		// Remount and recover.
 		k2, err := kernfs.Mount(dev)

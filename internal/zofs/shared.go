@@ -19,8 +19,8 @@ import (
 // maintained (recovery inspects and clears them) while the blocking/waiting
 // behaviour is modeled by per-inode virtual-time readers-writer locks,
 // shared by every process of the same device. It is volatile and hangs off
-// the device it describes (nvm.Device.Volatile): a crash drops it
-// (ResetShared), and it is collected with the device.
+// the device it describes (nvm.Device.Volatile): a crash or a reboot drops
+// it, and it is collected with the device.
 type shared struct {
 	// states is the per-inode volatile state table, sharded by key so that
 	// threads working on different inodes rarely meet on a shard mutex.
@@ -109,7 +109,7 @@ func (s *shared) release(ino int64) (reclaim bool, typ uint8) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.opens == 0 {
-		return false, 0 // opened before a ResetShared
+		return false, 0 // opened before a crash or reboot dropped the state
 	}
 	if st.opens--; st.opens == 0 {
 		reclaim, typ = st.orphaned, st.typ
@@ -131,15 +131,12 @@ func (s *shared) orphan(ino int64, typ uint8) bool {
 	return true
 }
 
-// ResetShared discards all volatile cross-process coordination state for a
-// device — the analogue of every process dying in a power failure. Crash
-// tests call it right after nvm.Device.Crash, before remounting; persistent
-// lease words remain on the device for recovery to clear.
-func ResetShared(dev *nvm.Device) { dev.DropVolatile() }
+// sharedKey is the owner of ZoFS's attachment on a device.
+type sharedKey struct{}
 
 // sharedFor returns the device's shared state, creating it on first use.
 func sharedFor(dev *nvm.Device) *shared {
-	return dev.Volatile(func() any { return new(shared) }).(*shared)
+	return dev.Volatile(sharedKey{}, func() any { return new(shared) }).(*shared)
 }
 
 // leaseAcquirePolicy bounds how long an op may wait behind a live foreign

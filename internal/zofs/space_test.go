@@ -129,7 +129,7 @@ func TestCrashInsideCofferDeleteFreesItsPages(t *testing.T) {
 			break
 		}
 		dev.Crash()
-		ResetShared(dev)
+		dev.DropVolatile()
 		if _, published := k.LookupPath(nil, "/priv"); !published {
 			if owner, _ := k.OwnerOf(int64(id)); owner == id {
 				cut++

@@ -71,7 +71,7 @@ func TestAuditorFlagsSkippedFlush(t *testing.T) {
 	pos.close()
 
 	dev.Crash()
-	ResetShared(dev)
+	dev.DropVolatile()
 
 	rep := pmemtrace.Audit(rec.Events(), nil)
 	if len(rep.LostLines) != 1 {
@@ -128,7 +128,7 @@ func TestFailAfterSweepAuditMatchesDevice(t *testing.T) {
 			t.Fatalf("failAt=%d: device reports %d dirty lines before crash; ZoFS must persist via NT stores only", failAt, dirty)
 		}
 		dev.Crash()
-		ResetShared(dev)
+		dev.DropVolatile()
 
 		rep := pmemtrace.Audit(rec.Events(), nil)
 		if len(rep.LostLines) != 0 {

@@ -202,7 +202,7 @@ func TestTruncateCrashPoints(t *testing.T) {
 				}
 				dev.FailAfter(0)
 				dev.Crash()
-				ResetShared(dev)
+				dev.DropVolatile()
 				where := fmt.Sprintf("crash after store %d of %d", k, points)
 
 				k2, err := kernfs.Mount(dev)

@@ -604,7 +604,7 @@ func TestRecoveryReclaimsLeaks(t *testing.T) {
 	f.dirRemove(th, pos.ino, "leaky", loc)
 	pos.close()
 	dev.Crash()
-	ResetShared(dev)
+	dev.DropVolatile()
 	f.sh = sharedFor(dev)
 
 	rootID := k.RootCoffer()
@@ -649,7 +649,7 @@ func TestCrashDuringCreatesThenFsck(t *testing.T) {
 		}()
 		dev.FailAfter(0)
 		dev.Crash()
-		ResetShared(dev)
+		dev.DropVolatile()
 
 		// Fresh everything (volatile state is gone after a crash).
 		k2, err := kernfs.Mount(dev)

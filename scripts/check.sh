@@ -254,6 +254,10 @@ echo "CLIs: $(ls cmd | wc -l); observability set + zofs-obs + zofs-bench: $obs l
 # own (call kernfs.Mkfs) instead of sysfactory's New and Instance.Spawn.
 echo "hand-built machines: $(grep -rl --include='*.go' --exclude='*_test.go' 'kernfs\.Mkfs(' . |
     grep -vc -e '^\./internal/sysfactory/' -e '^\./\.bench_build/')"
+# kernel mounts outside sysfactory: non-test Go files that mount KernFS
+# themselves (call kernfs.Mount) instead of booting through sysfactory.Boot.
+echo "kernel mounts outside sysfactory: $(grep -rl --include='*.go' --exclude='*_test.go' 'kernfs\.Mount(' . |
+    grep -vc -e '^\./internal/sysfactory/' -e '^\./\.bench_build/')"
 echo "experiments: $(grep -c '^	{"' internal/harness/harness.go); zofs-bench flags:" \
     "$(grep -cE 'fl\.[A-Z][A-Za-z0-9]*\("' cmd/zofs-bench/main.go); harness.Options fields: $(fields internal/harness/harness.go)"
 
