@@ -110,6 +110,12 @@ const (
 	// keep serving — the paper's containment claim made operational.
 	FlagOffline = 1 << 2
 
+	// FlagSplit marks a root page coffer_split wrote before moving any page
+	// into it. Mount gives the pages of such a coffer that a crash left
+	// unpublished back to the coffer holding its path, which still names
+	// them.
+	FlagSplit = 1 << 3
+
 	// MaxPathLen bounds coffer paths so they fit in the root page.
 	MaxPathLen = nvm.PageSize - rpPathOff
 )

@@ -11,9 +11,7 @@ import (
 
 // appSystems is the Table 7/Figure 11 comparison set (Strata could not run
 // the application experiments in the paper either).
-func appSystems() []sysfactory.System {
-	return []sysfactory.System{sysfactory.Ext4DAX, sysfactory.PMFS, sysfactory.NOVA, sysfactory.ZoFS}
-}
+var appSystems = []sysfactory.System{sysfactory.Ext4DAX, sysfactory.PMFS, sysfactory.NOVA, sysfactory.ZoFS}
 
 // RunTable7 runs the LevelDB-style db_bench rows on every system (paper
 // Table 7), reporting µs/op.
@@ -23,29 +21,12 @@ func RunTable7(w io.Writer, opts Options) error {
 	if opts.Quick {
 		n = 5000
 	}
-	fmt.Fprintln(w, "Table 7: Latency of LevelDB db_bench (µs/op)")
-	t := tw(w)
-	fmt.Fprint(t, "Latency/µs")
-	for _, sys := range appSystems() {
-		fmt.Fprintf(t, "\t%s", sys.Name)
-	}
-	fmt.Fprintln(t)
-	for _, op := range lsmdb.BenchOps {
-		fmt.Fprintf(t, "%s", op)
-		for _, sys := range appSystems() {
-			in, err := sys.New(opts.DeviceBytes, false)
-			if err != nil {
-				return err
-			}
-			r, err := lsmdb.RunBench(in.FS, in.Proc, op, n)
-			if err != nil {
-				return fmt.Errorf("table7 %s/%s: %w", sys.Name, op, err)
-			}
-			fmt.Fprintf(t, "\t%.3f", r.MicrosPerOp)
-		}
-		fmt.Fprintln(t)
-	}
-	return t.Flush()
+	return table(w, "Table 7: Latency of LevelDB db_bench (µs/op)", "Latency/µs", names(appSystems), strs(lsmdb.BenchOps), "%.3f", func(r, c int) (float64, error) {
+		return observedCell(appSystems[c], string(lsmdb.BenchOps[r]), 1, opts.DeviceBytes, func(in *sysfactory.Instance) (float64, error) {
+			res, err := lsmdb.RunBench(in.FS, in.Proc, lsmdb.BenchOps[r], n)
+			return res.MicrosPerOp, err
+		})
+	})
 }
 
 // RunFig11 runs TPC-C on the SQLite-like engine for the four workloads of
@@ -61,31 +42,21 @@ func RunFig11(w io.Writer, opts Options) ([]Cell, error) {
 		cfg = tpcc.Config{Warehouses: 1, Districts: 10, CustomersPerDistrict: 300, Items: 2000}
 		n = 300
 	}
-	fmt.Fprintf(w, "Figure 11: TPC-C SQLite throughput (tx/s); mix NEW/PAY/OS/DLY/SL = 44/44/4/4/4 (Table 8)\n")
-	t := tw(w)
-	fmt.Fprintln(t, "System\tmixed\tNEW\tOS\tPAY")
+	systems, workloads := appSystems, []string{"mixed", "NEW", "OS", "PAY"}
 	tps := map[string]float64{}
-	for _, sys := range appSystems() {
-		fmt.Fprintf(t, "%s", sys.Name)
-		for _, wl := range []string{"mixed", "NEW", "OS", "PAY"} {
-			in, err := sys.New(opts.DeviceBytes, false)
+	err := table(w, "Figure 11: TPC-C SQLite throughput (tx/s); mix NEW/PAY/OS/DLY/SL = 44/44/4/4/4 (Table 8)", "System", workloads, names(systems), "%.0f", func(r, c int) (float64, error) {
+		sys, wl := systems[r], workloads[c]
+		v, err := observedCell(sys, wl, 1, opts.DeviceBytes, func(in *sysfactory.Instance) (float64, error) {
+			db, err := tpcc.Setup(in.FS, in.Proc.NewThread(), cfg)
 			if err != nil {
-				return nil, err
+				return 0, fmt.Errorf("setup: %w", err)
 			}
-			th := in.Proc.NewThread()
-			db, err := tpcc.Setup(in.FS, th, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("fig11 %s setup: %w", sys.Name, err)
-			}
-			r, err := tpcc.RunWorkload(db, in.Proc, cfg, wl, n)
-			if err != nil {
-				return nil, fmt.Errorf("fig11 %s/%s: %w", sys.Name, wl, err)
-			}
-			fmt.Fprintf(t, "\t%.0f", r.TxPerSec)
-			tps[sys.Name+"/"+wl] = r.TxPerSec
-		}
-		fmt.Fprintln(t)
-	}
+			res, err := tpcc.RunWorkload(db, in.Proc, cfg, wl, n)
+			return res.TxPerSec, err
+		})
+		tps[sys.Name+"/"+wl] = v
+		return v, err
+	})
 	// Table 8: ZoFS +9 % over PMFS and +31 % over NOVA on mixed, +7 % and
 	// +11 % on OS.
 	var cells []Cell
@@ -95,5 +66,5 @@ func RunFig11(w io.Writer, opts Options) ([]Cell, error) {
 	}{{"mixed", "PMFS", 1.09}, {"mixed", "NOVA", 1.31}, {"OS", "PMFS", 1.07}, {"OS", "NOVA", 1.11}} {
 		cells = append(cells, Cell{"table8/" + c.wl + "/ZoFS/" + c.sys, c.lead, tps["ZoFS/"+c.wl] / tps[c.sys+"/"+c.wl]})
 	}
-	return cells, t.Flush()
+	return cells, err
 }

@@ -1,10 +1,10 @@
-// Package harness drives every experiment of the paper's evaluation (§6)
-// and prints the corresponding table or figure series. Each Run* function
-// regenerates one artifact; Experiments is the one list of them, which
-// cmd/zofs-bench exposes on the command line, bench_test.go wraps as Go
-// benchmarks and the package's test runs entry by entry. Experiments
-// measure: what a collector must not disturb is asserted by the tests, and
-// an observed run (obsfs.Start) is recorded by the session, cell by cell.
+// Package harness drives every experiment of the paper's evaluation (§6).
+// Each Run* function regenerates one artifact; Experiments is the one list of
+// them, which cmd/zofs-bench runs, bench_test.go wraps as Go benchmarks and
+// the package's test runs entry by entry. One printer, table, lays out every
+// sweep's table, and one helper, observedCell, runs every Fig. 7–11 and Table
+// 7 cell on a fresh instance seen through obsfs, so an observed run
+// (obsfs.Start) records it in the session's cell log.
 package harness
 
 import (
@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"text/tabwriter"
 
 	"zofs/internal/nvm"
+	"zofs/internal/obsfs"
 	"zofs/internal/perfmodel"
 	"zofs/internal/simclock"
 	"zofs/internal/sysfactory"
@@ -90,6 +92,66 @@ func (o *Options) fill() {
 
 func tw(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+}
+
+// table prints one table of the evaluation under its title line: corner
+// heads the label column, cols the value columns, and each row is its label
+// followed by cell(r, c) for every column, formatted with verb. Cells are
+// asked for row by row, so a table whose rows are systems runs system by
+// system.
+func table(w io.Writer, title, corner string, cols, rows []string, verb string, cell func(r, c int) (float64, error)) error {
+	fmt.Fprintln(w, title)
+	t := tw(w)
+	fmt.Fprintln(t, corner+"\t"+strings.Join(cols, "\t"))
+	for r, row := range rows {
+		fmt.Fprint(t, row)
+		for c := range cols {
+			v, err := cell(r, c)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(t, "\t"+verb, v)
+		}
+		fmt.Fprintln(t)
+	}
+	return t.Flush()
+}
+
+// observedCell runs one benchmark cell, workload at threads, on a fresh
+// instance of sys with devBytes of NVM, and returns the figure run reports.
+// The workloads drive the vfs interface directly, bypassing FSLibs, so run
+// sees the instance's file system through the obsfs wrapper, and the cell
+// closes in the session's log as sys/workload/threads; with nothing
+// collecting, both do nothing.
+func observedCell(sys sysfactory.System, workload string, threads int, devBytes int64, run func(*sysfactory.Instance) (float64, error)) (v float64, err error) {
+	label := fmt.Sprintf("%s/%s/%d", sys.Name, workload, threads)
+	in, err := sys.New(devBytes, false)
+	if err == nil {
+		in.FS = obsfs.Wrap(in.FS, nil)
+		if v, err = run(in); err == nil {
+			obsfs.EndCell(label, nil)
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("%s: %w", label, err)
+}
+
+// names returns the systems' names, in order.
+func names(systems []sysfactory.System) []string {
+	s := make([]string, len(systems))
+	for i, sys := range systems {
+		s[i] = sys.Name
+	}
+	return s
+}
+
+// strs returns xs printed one by one: a table's row labels.
+func strs[T any](xs []T) []string {
+	s := make([]string, len(xs))
+	for i, x := range xs {
+		s[i] = fmt.Sprint(x)
+	}
+	return s
 }
 
 // writeBench records an experiment's result document in the working
@@ -192,6 +254,3 @@ func human(b int64) string {
 		return fmt.Sprintf("%dB", b)
 	}
 }
-
-// comparisonSystems returns the Figure 7/9 system set.
-func comparisonSystems() []sysfactory.System { return sysfactory.Comparison }

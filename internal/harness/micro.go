@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"zofs/internal/fxmark"
-	"zofs/internal/obsfs"
 	"zofs/internal/proc"
 	"zofs/internal/sysfactory"
 	"zofs/internal/vfs"
@@ -24,38 +23,30 @@ func RunTable2(w io.Writer, opts Options) ([]Cell, error) {
 		ops = 60
 	}
 
-	type cell struct {
+	rows := []struct {
 		op    string
 		procs int
-	}
-	rows := []cell{{"append", 1}, {"append", 2}, {"create", 1}, {"create", 2}}
+	}{{"append", 1}, {"append", 2}, {"create", 1}, {"create", 2}}
 	// The paper's Table 2, row by row, in the order of systems.
 	paper := [][3]float64{{1653, 2172, 1147}, {34551, 3882, 1703}, {4195, 3534, 2494}, {283972, 6167, 3459}}
-	results := map[string]map[cell]int64{}
-
-	for _, sys := range systems {
-		results[sys.Name] = map[cell]int64{}
-		for _, c := range rows {
-			lat, err := table2Latency(sys, c.op, c.procs, ops)
+	labels := make([]string, len(rows))
+	lat := make([][3]float64, len(rows)) // by row, then system
+	for j, sys := range systems {
+		for i, c := range rows {
+			labels[i] = fmt.Sprintf("%s\t%d", c.op, c.procs)
+			ns, err := table2Latency(sys, c.op, c.procs, ops)
 			if err != nil {
-				return nil, fmt.Errorf("table2 %s/%s/%d: %w", sys.Name, c.op, c.procs, err)
+				return nil, fmt.Errorf("%s/%s/%d: %w", sys.Name, c.op, c.procs, err)
 			}
-			results[sys.Name][c] = lat
+			lat[i][j] = float64(ns)
 		}
 	}
-	fmt.Fprintln(w, "Table 2: Latency (ns) of operations on a file/directory shared by multiple processes")
-	t := tw(w)
-	fmt.Fprintln(t, "Operation\t# Processes\tStrata\tNOVA\tZoFS")
 	var cells []Cell
-	for i, c := range rows {
-		fmt.Fprintf(t, "%s\t%d\t%d\t%d\t%d\n", c.op, c.procs,
-			results["Strata"][c], results["NOVA"][c], results["ZoFS"][c])
-		for j, sys := range systems {
-			cells = append(cells, Cell{fmt.Sprintf("table2/%s/%d/%s", c.op, c.procs, sys.Name),
-				paper[i][j], float64(results[sys.Name][c])})
-		}
-	}
-	return cells, t.Flush()
+	err := table(w, "Table 2: Latency (ns) of operations on a file/directory shared by multiple processes", "Operation\t# Processes", names(systems), labels, "%.0f", func(r, c int) (float64, error) {
+		cells = append(cells, Cell{fmt.Sprintf("table2/%s/%d/%s", rows[r].op, rows[r].procs, systems[c].Name), paper[r][c], lat[r][c]})
+		return lat[r][c], nil
+	})
+	return cells, err
 }
 
 // table2Latency measures avg ns/op for appends to one shared file or
@@ -169,17 +160,12 @@ func table2Latency(sys sysfactory.System, op string, nProcs, ops int) (int64, er
 	return total / int64(count), nil
 }
 
-// fxmarkCell runs one FxMark cell on a fresh instance. Benchmarks drive the
-// vfs interface directly (bypassing FSLibs), so a run under observation sees
-// its ops through the obsfs wrapper and closes its cell of the session's
-// log; with nothing collecting, both calls do nothing.
-func fxmarkCell(in *sysfactory.Instance, wl fxmark.Workload, threads int, targetNS int64) (fxmark.Result, error) {
-	env := &fxmark.Env{FS: obsfs.Wrap(in.FS, nil), Proc: in.Proc, SetConcurrency: in.SetConcurrency}
-	r, err := fxmark.Run(env, wl, threads, targetNS)
-	if err == nil {
-		obsfs.EndCell(fmt.Sprintf("%s/%s/%d", in.Name, wl, threads), nil)
+// fxmarkMops is the observedCell run of one FxMark cell: its throughput.
+func fxmarkMops(wl fxmark.Workload, threads int, targetNS int64) func(*sysfactory.Instance) (float64, error) {
+	return func(in *sysfactory.Instance) (float64, error) {
+		r, err := fxmark.Run(&fxmark.Env{FS: in.FS, Proc: in.Proc, SetConcurrency: in.SetConcurrency}, wl, threads, targetNS)
+		return r.MopsPerSec, err
 	}
-	return r, err
 }
 
 // RunFig7 sweeps the FxMark workloads over the thread counts for every
@@ -187,30 +173,12 @@ func fxmarkCell(in *sysfactory.Instance, wl fxmark.Workload, threads int, target
 func RunFig7(w io.Writer, opts Options) error {
 	opts.fill()
 	fmt.Fprintln(w, "Figure 7: FxMark throughput (Mops/s), 4KB units")
+	systems := sysfactory.Comparison
 	for _, wl := range fxmark.All {
-		fmt.Fprintf(w, "\n(%s)\n", wl)
-		t := tw(w)
-		fmt.Fprint(t, "threads")
-		for _, sys := range comparisonSystems() {
-			fmt.Fprintf(t, "\t%s", sys.Name)
-		}
-		fmt.Fprintln(t)
-		for _, th := range opts.Threads {
-			fmt.Fprintf(t, "%d", th)
-			for _, sys := range comparisonSystems() {
-				in, err := sys.New(opts.DeviceBytes, false)
-				if err != nil {
-					return err
-				}
-				r, err := fxmarkCell(in, wl, th, opts.TargetNS)
-				if err != nil {
-					return fmt.Errorf("fig7 %s/%s/%d: %w", sys.Name, wl, th, err)
-				}
-				fmt.Fprintf(t, "\t%.3f", r.MopsPerSec)
-			}
-			fmt.Fprintln(t)
-		}
-		if err := t.Flush(); err != nil {
+		err := table(w, "\n("+string(wl)+")", "threads", names(systems), strs(opts.Threads), "%.3f", func(r, c int) (float64, error) {
+			return observedCell(systems[c], string(wl), opts.Threads[r], opts.DeviceBytes, fxmarkMops(wl, opts.Threads[r], opts.TargetNS))
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -228,21 +196,11 @@ func RunFig8(w io.Writer, opts Options) ([]Cell, error) {
 		sysfactory.NOVANoIndex, sysfactory.PMFSNocache, sysfactory.ZoFSKWrite, sysfactory.NOVAiNoIndex,
 		sysfactory.PMFS, sysfactory.NOVA, sysfactory.NOVAi,
 	}
-	fmt.Fprintln(w, "Figure 8: Throughput breakdown of DWOL (Mops/s, 1 thread)")
-	t := tw(w)
-	fmt.Fprintln(t, "System\tMops/s")
 	var cells []Cell
-	for _, sys := range systems {
-		in, err := sys.New(1<<30, false)
-		if err != nil {
-			return nil, err
-		}
-		r, err := fxmarkCell(in, fxmark.DWOL, 1, opts.TargetNS)
-		if err != nil {
-			return nil, fmt.Errorf("fig8 %s: %w", sys.Name, err)
-		}
-		fmt.Fprintf(t, "%s\t%.3f\n", sys.Name, r.MopsPerSec)
-		cells = append(cells, Cell{Name: "fig8/" + sys.Name, Ours: r.MopsPerSec})
-	}
-	return cells, t.Flush()
+	err := table(w, "Figure 8: Throughput breakdown of DWOL (Mops/s, 1 thread)", "System", []string{"Mops/s"}, names(systems), "%.3f", func(r, _ int) (float64, error) {
+		mops, err := observedCell(systems[r], string(fxmark.DWOL), 1, 1<<30, fxmarkMops(fxmark.DWOL, 1, opts.TargetNS))
+		cells = append(cells, Cell{Name: "fig8/" + systems[r].Name, Ours: mops})
+		return mops, err
+	})
+	return cells, err
 }

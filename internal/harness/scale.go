@@ -15,13 +15,12 @@ import (
 	"zofs/internal/sysfactory"
 )
 
-// The FxMark scalability matrix (tentpole of the concurrency observatory):
-// every workload personality swept across thread counts on every system,
-// each cell attributed to its top contended locks by the lock profiler, and
-// each (system, workload) curve fitted with Amdahl's law and the Universal
-// Scalability Law to extract a serial fraction. The committed artifact,
-// BENCH_fxmark_scale.json, is the data ROADMAP item 2 (namespace sharding)
-// selects its targets from.
+// The FxMark scalability matrix: every workload personality swept across
+// thread counts on every system, each cell attributed to its top contended
+// locks by the lock profiler, and each (system, workload) curve fitted with
+// Amdahl's law and the Universal Scalability Law to extract a serial
+// fraction. The committed artifact, BENCH_fxmark_scale.json, names the locks
+// a scaling fix would target.
 
 // ScaleLock is one contended lock attributed to a cell.
 type ScaleLock struct {
@@ -57,7 +56,7 @@ type ScaleFit struct {
 	// PeakThreads is the thread count with the highest measured throughput.
 	PeakThreads int `json:"peak_threads"`
 	// AntiScaling marks curves that lose >5% of peak throughput by the
-	// widest sweep point — the cells ROADMAP item 2 cares about.
+	// widest sweep point: the table names their worst cell's top locks.
 	AntiScaling bool `json:"anti_scaling"`
 }
 
@@ -206,7 +205,7 @@ func RunFxmarkScale(w io.Writer, opts Options) error {
 		}
 	}
 
-	systems := comparisonSystems()
+	systems := sysfactory.Comparison
 	workloads := fxmark.All
 	if opts.Quick {
 		systems = []sysfactory.System{sysfactory.ZoFS, sysfactory.PMFS}

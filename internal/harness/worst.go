@@ -22,33 +22,26 @@ func RunTable9(w io.Writer, opts Options) ([]Cell, error) {
 	}
 	systems := []sysfactory.System{sysfactory.NOVA, sysfactory.ZoFS, sysfactory.ZoFS1Coffer}
 
-	results := map[string]map[string]int64{}
-	for _, sys := range systems {
-		chmodNS, err := table9Chmod(sys, files, filePages)
-		if err != nil {
-			return nil, fmt.Errorf("table9 chmod %s: %w", sys.Name, err)
+	ops := []string{"chmod", "rename"}
+	ns := make([][3]float64, len(ops)) // by op, then system
+	for j, sys := range systems {
+		for i, measure := range []func(sysfactory.System, int, int) (int64, error){table9Chmod, table9Rename} {
+			v, err := measure(sys, files, filePages)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", ops[i], sys.Name, err)
+			}
+			ns[i][j] = float64(v)
 		}
-		renameNS, err := table9Rename(sys, files, filePages)
-		if err != nil {
-			return nil, fmt.Errorf("table9 rename %s: %w", sys.Name, err)
-		}
-		results[sys.Name] = map[string]int64{"chmod": chmodNS, "rename": renameNS}
 	}
 
-	fmt.Fprintln(w, "Table 9: Worst case performance tests (ns/op)")
-	t := tw(w)
-	fmt.Fprintln(t, "Latency/ns\tNOVA\tZoFS\tZoFS-1coffer")
-	// The paper's Table 9, in the order of systems.
-	paper := map[string][3]float64{"chmod": {1830, 23342, 675}, "rename": {6261, 28264, 1681}}
+	// The paper's Table 9, row by row, in the order of systems.
+	paper := [2][3]float64{{1830, 23342, 675}, {6261, 28264, 1681}}
 	var cells []Cell
-	for _, op := range []string{"chmod", "rename"} {
-		fmt.Fprintf(t, "%s\t%d\t%d\t%d\n", op,
-			results["NOVA"][op], results["ZoFS"][op], results["ZoFS-1coffer"][op])
-		for i, sys := range systems {
-			cells = append(cells, Cell{"table9/" + op + "/" + sys.Name, paper[op][i], float64(results[sys.Name][op])})
-		}
-	}
-	return cells, t.Flush()
+	err := table(w, "Table 9: Worst case performance tests (ns/op)", "Latency/ns", names(systems), ops, "%.0f", func(r, c int) (float64, error) {
+		cells = append(cells, Cell{"table9/" + ops[r] + "/" + systems[c].Name, paper[r][c], ns[r][c]})
+		return ns[r][c], nil
+	})
+	return cells, err
 }
 
 // table9Chmod stores files in one coffer and then changes random files'

@@ -434,12 +434,36 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 	// Free what the table gives an owner that is neither the kernel nor a
 	// published coffer: a crash inside unpublish, after the path entry went
 	// and before releaseAll, or inside coffer_new/split before the publish.
+	// A split's pages go back first.
 	for id := range k.space.byOwner {
 		if id != coffer.KernelID && k.coffers.load(id) == nil {
+			k.returnSplit(id, buf)
 			k.space.releaseAll(nil, id, false)
 		}
 	}
 	return k, nil
+}
+
+// returnSplit gives the pages an unpublished coffer took in a coffer_split
+// back to the coffer its path resolves into, whose directory still names
+// them, when its root page says a split wrote it. The root page itself stays.
+func (k *KernFS) returnSplit(id coffer.ID, buf []byte) {
+	k.dev.ReadNoCharge(int64(id)*nvm.PageSize, buf)
+	rp, err := coffer.DecodeRootPage(buf)
+	if err != nil || rp.ID != id || rp.Flags&coffer.FlagSplit == 0 {
+		return
+	}
+	src, _, ok := k.ResolveLongest(nil, rp.Path)
+	if !ok || src == id {
+		return
+	}
+	for _, e := range k.space.extentsOf(id) {
+		for pg := e.Start; pg < e.End(); pg++ {
+			if pg != int64(id) {
+				_ = k.space.retag(nil, id, src, pg, 1) // id owns every page of its extents
+			}
+		}
+	}
 }
 
 // Device returns the underlying NVM device.
@@ -1477,6 +1501,13 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 	k.space.writeRun(th.Clk, rootPg, 1, id)
 	k.space.ownerSet(id).Add(rootPg, 1)
 	k.space.uninflight(exts)
+	// The root page goes first, flagged, so Mount can undo a split that a
+	// crash cuts before its publish.
+	rp := coffer.RootPage{
+		ID: id, Type: ci.rp.Type, Mode: mode, UID: uid, GID: gid, Flags: coffer.FlagSplit,
+		RootInode: rootInode, Custom: custom, Path: newPath,
+	}
+	k.writeRootPage(th.Clk, rootPg, &rp, dirtied)
 
 	// Move pages one at a time (the expensive part), unmapping each from
 	// every process mapping the old coffer: they now belong to a coffer with
@@ -1488,18 +1519,12 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 		}
 		moved++
 	}
-	typ := ci.rp.Type
 	ci.mu.Unlock(th.Clk)
 	if err != nil {
 		k.unsplit(th, ci, id, pages[:moved])
 		return 0, err
 	}
 
-	rp := coffer.RootPage{
-		ID: id, Type: typ, Mode: mode, UID: uid, GID: gid,
-		RootInode: rootInode, Custom: custom, Path: newPath,
-	}
-	k.writeRootPage(th.Clk, rootPg, &rp, dirtied)
 	k.regMu.Lock(th.Clk)
 	if err = k.paths.insert(th.Clk, newPath, id); err == nil {
 		k.coffers.store(id, newCofferInfo(rp))

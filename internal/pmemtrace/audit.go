@@ -327,13 +327,14 @@ type RepairSite struct {
 // which is a lost update, not structural damage.
 //
 // "stale_ptr" repairs undo block pointers a crash interrupted between
-// publish and size commit — sequence damage the stream explains by the
-// crash event itself, not by lost lines — so they are exempt whenever the
-// stream actually recorded a crash.
+// publish and size commit, and "split_dentry" repairs finish a chmod split
+// a crash cut between the new coffer's publish and its dentry update —
+// sequence damage the stream explains by the crash event itself, not by lost
+// lines — so they are exempt whenever the stream actually recorded a crash.
 func CrossCheck(rep *Report, repairs []RepairSite) []string {
 	var disagreements []string
 	seqExplained := func(rp RepairSite) bool {
-		return rp.Kind == "stale_ptr" && (rep.Crashes > 0 || rep.Injected > 0)
+		return (rp.Kind == "stale_ptr" || rp.Kind == "split_dentry") && (rep.Crashes > 0 || rep.Injected > 0)
 	}
 	structural := 0
 	for _, rp := range repairs {

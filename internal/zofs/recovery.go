@@ -2,6 +2,7 @@ package zofs
 
 import (
 	"zofs/internal/coffer"
+	"zofs/internal/kernfs"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
 )
@@ -20,7 +21,7 @@ import (
 type Repair struct {
 	Off    int64
 	Target int64
-	Kind   string // dangling_ptr | stale_ptr | torn_dentry | dangling_dentry | cross_ref | root_reinit
+	Kind   string // dangling_ptr | stale_ptr | torn_dentry | dangling_dentry | split_dentry | cross_ref | root_reinit
 }
 
 // RecoverStats summarizes one coffer recovery.
@@ -50,6 +51,7 @@ type crossRef struct {
 // and is repaired by dropping the referent.
 type traversal struct {
 	th      *proc.Thread
+	kern    *kernfs.KernFS
 	valid   map[int64]bool
 	inUse   map[int64]bool
 	cross   []crossRef
@@ -215,6 +217,18 @@ func (t *traversal) visitDentries(page int64, buf []byte, base int64, path strin
 			return true
 		}
 		if !t.visitInode(d.inode, child) && !t.inUse[d.inode] {
+			if id, ok := t.kern.LookupPath(nil, child); ok {
+				if rp, _ := t.kern.Info(id); rp.RootInode == d.inode {
+					// A chmod split cut between its publish and this
+					// dentry's update: the child is that coffer's root now.
+					var b [4]byte
+					putU32(b[:], 0, uint32(id))
+					t.th.WriteNT(loc.addr()+deCofferOff, b[:])
+					t.th.Fence()
+					t.repair(loc.addr(), d.inode, "split_dentry")
+					return true
+				}
+			}
 			// The child inode is gone: the dentry dangles.
 			t.th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
 			t.repair(loc.addr(), d.inode, "dangling_dentry")
@@ -274,7 +288,7 @@ func (f *FS) RecoverCoffer(th *proc.Thread, id coffer.ID) (RecoverStats, error) 
 			valid[pg] = true
 		}
 	}
-	t := &traversal{th: th, valid: valid, inUse: map[int64]bool{}}
+	t := &traversal{th: th, kern: f.kern, valid: valid, inUse: map[int64]bool{}}
 	t.inUse[m.custom] = true
 	resetPool(th, m.custom)
 	// Drop every thread's slot handle (its NVM slot was just cleared) and

@@ -1,6 +1,7 @@
 package zofs
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
+	"zofs/internal/vfs"
 )
 
 // verifyLive runs every invariant Check registers over a live instance, its
@@ -84,6 +86,73 @@ func TestSpaceReportReconciles(t *testing.T) {
 	after := check("after unlink")
 	if after[root] >= before[root] {
 		t.Fatalf("unlinking %d files did not shrink used pages: %d -> %d", files, before[root], after[root])
+	}
+}
+
+// TestCrashInsideChmodSplitKeepsTheFile cuts a chmod that splits a file of
+// the root coffer into a coffer of its own after each persisting store it
+// makes, then remounts and runs Check. Wherever the cut falls, the file is
+// still listed in its directory with its bytes and the old or the new mode,
+// and a second Check finds nothing. A cut inside coffer_split leaves the file's
+// pages with an unpublished coffer, which Mount must give back; a cut between
+// the split's publish and the parent dentry's update leaves an in-coffer
+// dentry naming the new coffer's root inode, which recovery must not free.
+func TestCrashInsideChmodSplitKeepsTheFile(t *testing.T) {
+	data := patterned(8*pageSize, 1)
+	for n := int64(1); ; n++ {
+		dev := nvm.NewDevice(16 << 20)
+		k, f, th := mountTestFS(t, dev, Options{})
+		h := mustCreate(t, f, th, "/f")
+		mustWrite(t, th, h, data, 0)
+		h.Close(th)
+		dev.FailAfter(n)
+		crashed := func() (crashed bool) {
+			defer func() {
+				if r := recover(); r != nil {
+					if !nvm.IsInjectedCrash(r) {
+						panic(r)
+					}
+					crashed = true
+				}
+			}()
+			if err := f.Chmod(th, "/f", 0o600); err != nil {
+				t.Fatal(err)
+			}
+			return false
+		}()
+		dev.FailAfter(0)
+		if !crashed {
+			if _, split := k.LookupPath(nil, "/f"); !split {
+				t.Fatal("premise: the chmod did not split /f")
+			}
+			break
+		}
+		dev.Crash()
+		dev.DropVolatile()
+
+		where := fmt.Sprintf("crash after store %d", n)
+		f2, th2 := remountAfterCrash(t, dev, Options{})
+		fi, err := f2.Stat(th2, "/f")
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if fi.Size != int64(len(data)) || (fi.Mode != 0o644 && fi.Mode != 0o600) {
+			t.Fatalf("%s: size %d mode %o, want %d bytes, mode 644 or 600", where, fi.Size, fi.Mode, len(data))
+		}
+		h2, err := f2.Open(th2, "/f", vfs.O_RDONLY)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if !bytes.Equal(readAll(t, th2, h2, int64(len(data))), data) {
+			t.Fatalf("%s: the file's bytes changed", where)
+		}
+		h2.Close(th2)
+		if ents, err := f2.ReadDir(th2, "/"); err != nil || len(ents) != 1 || ents[0].Name != "f" {
+			t.Fatalf("%s: / lists %v (%v), want f", where, ents, err)
+		}
+		if rep := Check(f2.kern, th2); len(rep.Findings) != 0 {
+			t.Fatalf("%s: a second Check found %v", where, rep.Findings)
+		}
 	}
 }
 

@@ -243,13 +243,15 @@ obs=$(find internal/telemetry internal/pmemtrace internal/spans internal/byteflo
     internal/lockprof internal/series internal/obsfs \
     cmd/zofs-obs cmd/zofs-bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 crash=$(find internal/crashmc internal/sysfactory internal/logfs -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+# ROADMAP item 11(a): the experiments as one table and one observed cell.
+harness=$(find internal/harness -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 pkgs=$(go list ./... | grep -vc '^zofs/benchmark\(/\|$\)')
 echo "non-test Go lines outside benchmark/: $lines; test Go lines: $tests;" \
     "Go packages outside benchmark/: $pkgs (without a test: $(printf '%s' "$untested" | grep -c .));" \
     "zofs.Options fields: $(fields internal/zofs/fs.go)"
 echo "DESIGN.md lines: $(wc -l <DESIGN.md)"
 echo "CLIs: $(ls cmd | wc -l); observability set + zofs-obs + zofs-bench: $obs lines;" \
-    "crash checker + sysfactory + logfs: $crash lines"
+    "crash checker + sysfactory + logfs: $crash lines; harness lines: $harness"
 # hand-built machines: non-test Go files outside sysfactory that boot their
 # own (call kernfs.Mkfs) instead of sysfactory's New and Instance.Spawn.
 echo "hand-built machines: $(grep -rl --include='*.go' --exclude='*_test.go' 'kernfs\.Mkfs(' . |
