@@ -90,6 +90,7 @@ const (
 	rpCustomOff    = 40 // u64 page number of the per-coffer custom page
 	rpLeaseOff     = 48 // u64 recovery lease expiry (virtual ns)
 	rpPathLenOff   = 56 // u16
+	rpSplitFromOff = 60 // u32 coffer a split took the pages from, or 0
 	rpPathOff      = 64 // path bytes
 
 	// RootPageMagic identifies a valid coffer root page.
@@ -110,12 +111,6 @@ const (
 	// keep serving — the paper's containment claim made operational.
 	FlagOffline = 1 << 2
 
-	// FlagSplit marks a root page coffer_split wrote before moving any page
-	// into it. Mount gives the pages of such a coffer that a crash left
-	// unpublished back to the coffer holding its path, which still names
-	// them.
-	FlagSplit = 1 << 3
-
 	// MaxPathLen bounds coffer paths so they fit in the root page.
 	MaxPathLen = nvm.PageSize - rpPathOff
 )
@@ -130,6 +125,11 @@ type RootPage struct {
 	RootInode int64 // page number
 	Custom    int64 // page number
 	Lease     uint64
+	// SplitFrom is the coffer coffer_split took this coffer's pages from,
+	// which still names them until the split publishes; coffer_delete
+	// clears it. Mount gives the pages of an unpublished coffer back to it.
+	// Zero (no coffer's ID: page 0 is the superblock) otherwise.
+	SplitFrom ID
 	Path      string
 }
 
@@ -151,6 +151,7 @@ func EncodeRootPage(buf *[nvm.PageSize]byte, rp *RootPage) {
 	binary.LittleEndian.PutUint64(buf[rpCustomOff:], uint64(rp.Custom))
 	binary.LittleEndian.PutUint64(buf[rpLeaseOff:], rp.Lease)
 	binary.LittleEndian.PutUint16(buf[rpPathLenOff:], uint16(len(rp.Path)))
+	binary.LittleEndian.PutUint32(buf[rpSplitFromOff:], uint32(rp.SplitFrom))
 	copy(buf[rpPathOff:], rp.Path)
 }
 
@@ -182,6 +183,7 @@ func DecodeRootPage(buf []byte) (*RootPage, error) {
 		RootInode: int64(binary.LittleEndian.Uint64(buf[rpRootInodeOff:])),
 		Custom:    int64(binary.LittleEndian.Uint64(buf[rpCustomOff:])),
 		Lease:     binary.LittleEndian.Uint64(buf[rpLeaseOff:]),
+		SplitFrom: ID(binary.LittleEndian.Uint32(buf[rpSplitFromOff:])),
 		Path:      string(buf[rpPathOff : rpPathOff+pl]),
 	}, nil
 }

@@ -66,7 +66,7 @@ func TestRootPageRoundTrip(t *testing.T) {
 	rp := &RootPage{
 		ID: 1234, Type: TypeZoFS, Mode: 0o640, UID: 7, GID: 8,
 		Flags: FlagInRecovery, RootInode: 999, Custom: 1000,
-		Lease: 0xabcdef, Path: "/home/user/data",
+		Lease: 0xabcdef, SplitFrom: 4321, Path: "/home/user/data",
 	}
 	buf := encode(rp)
 	got, err := DecodeRootPage(buf)

@@ -30,10 +30,12 @@ func RunTable2(w io.Writer, opts Options) ([]Cell, error) {
 	// The paper's Table 2, row by row, in the order of systems.
 	paper := [][3]float64{{1653, 2172, 1147}, {34551, 3882, 1703}, {4195, 3534, 2494}, {283972, 6167, 3459}}
 	labels := make([]string, len(rows))
+	for i, c := range rows {
+		labels[i] = fmt.Sprintf("%s\t%d", c.op, c.procs)
+	}
 	lat := make([][3]float64, len(rows)) // by row, then system
 	for j, sys := range systems {
 		for i, c := range rows {
-			labels[i] = fmt.Sprintf("%s\t%d", c.op, c.procs)
 			ns, err := table2Latency(sys, c.op, c.procs, ops)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s/%d: %w", sys.Name, c.op, c.procs, err)
@@ -120,9 +122,7 @@ func table2Latency(sys sysfactory.System, op string, nProcs, ops int) (int64, er
 	// round, so measured latency includes contention.
 	start := setup.Clk.Now()
 	for _, a := range actors {
-		if a.th.Clk.Now() > start {
-			start = a.th.Clk.Now()
-		}
+		start = max(start, a.th.Clk.Now())
 	}
 	for _, a := range actors {
 		a.th.Clk.AdvanceTo(start)
@@ -134,9 +134,7 @@ func table2Latency(sys sysfactory.System, op string, nProcs, ops int) (int64, er
 	for i := 0; i < ops; i++ {
 		roundStart := int64(0)
 		for _, a := range actors {
-			if a.th.Clk.Now() > roundStart {
-				roundStart = a.th.Clk.Now()
-			}
+			roundStart = max(roundStart, a.th.Clk.Now())
 		}
 		for ai, a := range actors {
 			a.th.Clk.AdvanceTo(roundStart)

@@ -445,22 +445,18 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 }
 
 // returnSplit gives the pages an unpublished coffer took in a coffer_split
-// back to the coffer its path resolves into, whose directory still names
-// them, when its root page says a split wrote it. The root page itself stays.
+// back to the coffer its root page says they came from, whose directory still
+// names them, if that coffer is published. The root page itself stays.
 func (k *KernFS) returnSplit(id coffer.ID, buf []byte) {
 	k.dev.ReadNoCharge(int64(id)*nvm.PageSize, buf)
 	rp, err := coffer.DecodeRootPage(buf)
-	if err != nil || rp.ID != id || rp.Flags&coffer.FlagSplit == 0 {
-		return
-	}
-	src, _, ok := k.ResolveLongest(nil, rp.Path)
-	if !ok || src == id {
+	if err != nil || rp.ID != id || rp.SplitFrom == 0 || k.coffers.load(rp.SplitFrom) == nil {
 		return
 	}
 	for _, e := range k.space.extentsOf(id) {
 		for pg := e.Start; pg < e.End(); pg++ {
 			if pg != int64(id) {
-				_ = k.space.retag(nil, id, src, pg, 1) // id owns every page of its extents
+				_ = k.space.retag(nil, id, rp.SplitFrom, pg, 1) // id owns every page of its extents
 			}
 		}
 	}
@@ -892,6 +888,12 @@ func (k *KernFS) CofferDelete(th *proc.Thread, id coffer.ID) error {
 	}
 	for _, ps := range ci.mappers {
 		k.revokeLocked(ci, ps)
+	}
+	if ci.rp.SplitFrom != 0 {
+		// Before the path entry goes: Mount frees a deleted coffer's
+		// pages, it does not give them back to the coffer it split from.
+		ci.rp.SplitFrom = 0
+		k.updateRootPage(th.Clk, &ci.rp, 0)
 	}
 	ci.dead = true
 	ci.mu.Unlock(th.Clk)
@@ -1468,11 +1470,12 @@ func (k *KernFS) movePaths(th *proc.Thread, oldPath, newPath string, exact bool,
 // takes a long time" (Table 9). rootInode/custom are the new coffer's entry
 // points (chosen by the µFS from among the moved pages).
 //
-// The new coffer is staged like coffer_new's: its root page is taken and the
-// pages retagged under the old coffer's lock, its root page written after
-// it, and only the publish — path entry and registry slot — runs under the
-// registry lock. A publish that loses the path to a racing create or split
-// rolls the split back (unsplit).
+// The new coffer is staged like coffer_new's, under the old coffer's lock:
+// its root page is taken and written first, naming the old coffer in
+// SplitFrom, so that Mount gives the pages back if a crash cuts the split
+// before it publishes; then the pages are retagged. Only the publish — path
+// entry and registry slot — runs under the registry lock. A publish that
+// loses the path to a racing create or split rolls the split back (unsplit).
 func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mode coffer.Mode, uid, gid uint32, pages []int64, rootInode, custom int64) (coffer.ID, error) {
 	defer kcall(th, "coffer_split")()
 	th.Syscall()
@@ -1501,11 +1504,9 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 	k.space.writeRun(th.Clk, rootPg, 1, id)
 	k.space.ownerSet(id).Add(rootPg, 1)
 	k.space.uninflight(exts)
-	// The root page goes first, flagged, so Mount can undo a split that a
-	// crash cuts before its publish.
 	rp := coffer.RootPage{
-		ID: id, Type: ci.rp.Type, Mode: mode, UID: uid, GID: gid, Flags: coffer.FlagSplit,
-		RootInode: rootInode, Custom: custom, Path: newPath,
+		ID: id, Type: ci.rp.Type, Mode: mode, UID: uid, GID: gid,
+		RootInode: rootInode, Custom: custom, SplitFrom: old, Path: newPath,
 	}
 	k.writeRootPage(th.Clk, rootPg, &rp, dirtied)
 
