@@ -1,8 +1,6 @@
 package zofs
 
 import (
-	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"zofs/internal/lockprof"
@@ -22,12 +20,14 @@ import (
 // emptiness check of Rmdir, chmod-split's child discovery) walks the
 // indexed entries instead of the whole hash table.
 //
-// It lives in the per-device `shared` state: in the simulation every
-// process of a device shares it, standing in for the shared-DRAM index a
-// multi-process deployment would coordinate through lease words (the
-// KucoFS-style index the paper cites as future work). A crash or a reboot
-// (nvm.Device.Crash, sysfactory.Boot) drops it wholesale, so a post-crash
-// remount always starts cold and can never serve a pre-crash dentry.
+// The indexes live in the per-device `shared` state table, one per
+// directory inode page beside that page's lock and handle counts: in the
+// simulation every process of a device shares them, standing in for the
+// shared-DRAM index a multi-process deployment would coordinate through
+// lease words (the KucoFS-style index the paper cites as future work). A
+// crash or a reboot (nvm.Device.Crash, sysfactory.Boot) drops the table
+// wholesale, so a post-crash remount always starts cold and can never serve
+// a pre-crash dentry.
 //
 // Coherence protocol:
 //   - Every dentry mutation (dirInsert, dirRemove, dirUpdateCoffer — rename
@@ -37,8 +37,8 @@ import (
 //     matches the device epoch. Anything that rewrites dentries outside the
 //     hooks (recovery's repair stores) or recycles directory pages outside
 //     the µFS (coffer_delete) bumps the device epoch, invalidating every
-//     index at once; InvalidateAll does the same. Rmdir drops the removed
-//     directory's index directly.
+//     index at once; InvalidateAll does the same. Rmdir resets the removed
+//     directory's index in place (shared.resetDir).
 //   - A non-authoritative index is rebuilt under its mutex by one full
 //     charged scan; mutators that find the index non-authoritative fall
 //     back to the on-NVM scan path and leave the index reset.
@@ -50,26 +50,10 @@ import (
 // the name.
 type dcache struct {
 	epoch atomic.Uint64
-	dirs  sync.Map // directory inode page (int64) -> *dirIndex
-}
-
-// dir returns (creating if needed) the index shell for a directory.
-func (c *dcache) dir(ino int64) *dirIndex {
-	if v, ok := c.dirs.Load(ino); ok {
-		return v.(*dirIndex)
-	}
-	nidx := &dirIndex{}
-	nidx.mu.Init("zofs.dcache", strconv.FormatInt(ino, 10))
-	v, _ := c.dirs.LoadOrStore(ino, nidx)
-	return v.(*dirIndex)
 }
 
 // bump invalidates every directory index on the device.
 func (c *dcache) bump() { c.epoch.Add(1) }
-
-// drop forgets one directory's index (the directory was removed and its
-// pages may be recycled under a different identity).
-func (c *dcache) drop(ino int64) { c.dirs.Delete(ino) }
 
 // cachedDe is one indexed dentry: the decoded entry, where it lives on NVM,
 // and which free list its slot returns to when removed.
@@ -90,13 +74,64 @@ type cachedDe struct {
 // lookups probe the map, enumeration walks the slice. Inserts append and
 // removals move the last entry into the hole, so listing order is a
 // function of the op history alone, never of Go's map iteration order.
+// In steady state an index allocates nothing: its maps are made on first
+// use and cleared, never replaced, and its free-list blocks are recycled.
 type dirIndex struct {
 	mu       lockprof.RealMutex
 	epoch    uint64 // device epoch the index was built under
 	complete bool   // ents holds every live dentry of the directory
 	ents     []cachedDe
-	pos      map[string]int    // name -> position in ents
-	free     map[int64][]deLoc // free dentry slots by placement key
+	pos      map[string]int       // name -> position in ents
+	free     map[int64]*slotBlock // free dentry slots by placement key
+	spare    *slotBlock           // blocks no stack uses, for the next push
+	blocks   slab[slotBlock]
+}
+
+// slotBlock is the top of one placement key's free dentry slots, a LIFO
+// stack threaded through blocks that never move: locs[:n] are the newest
+// slots, and every block below is full. The slot pushed last is popped
+// first, on which the slot choice, and with it every later page allocation,
+// depends.
+type slotBlock struct {
+	locs [slotBlockLen]deLoc
+	n    int
+	next *slotBlock // the full block below, or the next spare
+}
+
+const slotBlockLen = l2InlineCnt // a fresh second-level page's slots fit one
+
+// push adds a free slot under key k.
+func (idx *dirIndex) push(k int64, loc deLoc) {
+	top := idx.free[k]
+	if top == nil || top.n == slotBlockLen {
+		b := idx.spare
+		if b != nil {
+			idx.spare = b.next
+		} else {
+			b = idx.blocks.carve()
+		}
+		b.next, b.n, top = top, 0, b
+		if idx.free == nil {
+			idx.free = map[int64]*slotBlock{}
+		}
+		idx.free[k] = top
+	}
+	top.locs[top.n] = loc
+	top.n++
+}
+
+// pop takes the slot pushed last under key k, if there is one.
+func (idx *dirIndex) pop(k int64) (deLoc, bool) {
+	top := idx.free[k]
+	if top == nil {
+		return deLoc{}, false
+	}
+	top.n--
+	if top.n == 0 {
+		idx.free[k] = top.next
+		top.next, idx.spare = idx.spare, top
+	}
+	return top.locs[top.n], true
 }
 
 // authoritative reports whether the index may answer lookups and absorb
@@ -105,12 +140,21 @@ func (idx *dirIndex) authoritative(epoch uint64) bool {
 	return idx.complete && idx.epoch == epoch
 }
 
-// reset discards the index contents; the next lookup rebuilds.
+// reset discards the index contents, keeping their capacity; the next lookup
+// rebuilds.
 func (idx *dirIndex) reset() {
 	idx.complete = false
-	idx.ents = nil
-	idx.pos = nil
-	idx.free = nil
+	clear(idx.ents) // let the names go
+	idx.ents = idx.ents[:0]
+	clear(idx.pos)
+	for _, b := range idx.free {
+		for b != nil {
+			next := b.next
+			b.next, idx.spare = idx.spare, b
+			b = next
+		}
+	}
+	clear(idx.free)
 }
 
 // get returns the entry indexed under name, nil if there is none. The
@@ -127,6 +171,9 @@ func (idx *dirIndex) put(c cachedDe) {
 	if old := idx.get(c.de.name); old != nil {
 		*old = c
 		return
+	}
+	if idx.pos == nil {
+		idx.pos = map[string]int{}
 	}
 	idx.pos[c.de.name] = len(idx.ents)
 	idx.ents = append(idx.ents, c)
@@ -175,9 +222,7 @@ func (f *FS) dcacheRebuild(th *proc.Thread, idx *dirIndex, dirIno int64) {
 	sp := spans.FromClock(th.Clk)
 	sp.DCacheMiss()
 	t0 := th.Clk.Now()
-	idx.ents = nil
-	idx.pos = map[string]int{}
-	idx.free = map[int64][]deLoc{}
+	idx.reset()
 	idx.epoch = f.sh.dc.epoch.Load()
 	idx.complete = true
 	dirWalk(th, dirIno, nil, func(d dentry, loc deLoc, bkt int64) bool {
@@ -185,7 +230,7 @@ func (f *FS) dcacheRebuild(th *proc.Thread, idx *dirIndex, dirIno int64) {
 		case d.visible():
 			idx.put(cachedDe{de: d, loc: loc, bkt: bkt})
 		case d.state != deStateLive:
-			idx.free[bkt] = append(idx.free[bkt], loc)
+			idx.push(bkt, loc)
 		}
 		return true
 	})
@@ -208,11 +253,15 @@ func (f *FS) dcacheTrusted(th *proc.Thread, c *cachedDe) bool {
 		u64at(hdr, deInodeOff) == uint64(c.de.inode)
 }
 
-// DirCacheDirs reports how many directory indexes the device's shared cache
-// currently holds (tests and the crash checker assert a cold cache after
+// DirCacheDirs reports how many directory indexes the device's shared state
+// table has carved (tests and the crash checker assert a cold cache after
 // remount).
 func DirCacheDirs(dev *nvm.Device) int {
-	n := 0
-	sharedFor(dev).dc.dirs.Range(func(any, any) bool { n++; return true })
+	n, s := 0, sharedFor(dev)
+	for i := range s.states {
+		s.states[i].mu.Lock()
+		n += s.states[i].dirs.n
+		s.states[i].mu.Unlock()
+	}
 	return n
 }

@@ -67,12 +67,30 @@ func dirL1Of(th *proc.Thread, dirIno int64) int64 {
 	return int64(th.Load64Cached(dirIno*pageSize + inoDirL1Off))
 }
 
+// dirL1 returns the directory's first-level page, installing a fresh one
+// with a CAS: mutations in different buckets race here (bucket locks do not
+// serialize this install).
+func (f *FS) dirL1(th *proc.Thread, m *mount, dirIno int64) (int64, error) {
+	if l1 := dirL1Of(th, dirIno); l1 != 0 {
+		return l1, nil
+	}
+	pg, err := f.allocPage(th, m, classMeta)
+	if err != nil {
+		return 0, err
+	}
+	if th.CAS64(dirIno*pageSize+inoDirL1Off, 0, uint64(pg)) {
+		return pg, nil
+	}
+	f.freePage(th, m, classMeta, pg)
+	return dirL1Of(th, dirIno), nil
+}
+
 // dirLookup finds a name in a directory. Caller holds at least a read lock.
 // A hit costs one hash probe of the directory index plus the cache-charged
 // dcacheTrusted check; the on-NVM walk runs only to (re)build the index.
 func (f *FS) dirLookup(th *proc.Thread, dirIno int64, name string) (dentry, deLoc, error) {
 	th.CPU(perfmodel.CPUHashLookup)
-	idx := f.sh.dc.dir(dirIno)
+	idx := f.sh.dir(dirIno)
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	f.dcacheFresh(th, idx, dirIno)
@@ -116,7 +134,7 @@ func (f *FS) dirInsert(th *proc.Thread, m *mount, dirIno int64, name string, typ
 	if len(name) > MaxNameLen {
 		return vfs.ErrNameTooLong
 	}
-	idx := f.sh.dc.dir(dirIno)
+	idx := f.sh.dir(dirIno)
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	if idx.authoritative(f.sh.dc.epoch.Load()) {
@@ -144,38 +162,20 @@ func (f *FS) dirInsertCached(th *proc.Thread, m *mount, idx *dirIndex, dirIno in
 	}
 	// Inline area first (§5.1), then this bucket's chain slots — both from
 	// the cached free lists, with no on-NVM structure walk at all.
-	i := l1Index(h)
-	ik := inlineKey(i)
-	if n := len(idx.free[ik]); n > 0 {
-		loc := idx.free[ik][n-1]
-		idx.free[ik] = idx.free[ik][:n-1]
-		th.CPU(perfmodel.CPUSmallOp)
-		commit(loc, ik)
-		return nil
-	}
-	b := l2Bucket(h)
-	ck := chainKey(i, b)
-	if n := len(idx.free[ck]); n > 0 {
-		loc := idx.free[ck][n-1]
-		idx.free[ck] = idx.free[ck][:n-1]
-		th.CPU(perfmodel.CPUSmallOp)
-		commit(loc, ck)
-		return nil
+	i, b := l1Index(h), l2Bucket(h)
+	ik, ck := inlineKey(i), chainKey(i, b)
+	for _, k := range [...]int64{ik, ck} {
+		if loc, ok := idx.pop(k); ok {
+			th.CPU(perfmodel.CPUSmallOp)
+			commit(loc, k)
+			return nil
+		}
 	}
 	// Both free lists dry: the structure must grow. The L1/L2 pointer
 	// lines of a cache-served directory are hot.
-	l1 := dirL1Of(th, dirIno)
-	if l1 == 0 {
-		pg, err := f.allocPage(th, m, classMeta)
-		if err != nil {
-			return err
-		}
-		if th.CAS64(dirIno*pageSize+inoDirL1Off, 0, uint64(pg)) {
-			l1 = pg
-		} else {
-			f.freePage(th, m, classMeta, pg)
-			l1 = dirL1Of(th, dirIno)
-		}
+	l1, err := f.dirL1(th, m, dirIno)
+	if err != nil {
+		return err
 	}
 	l1Slot := l1*pageSize + 8*i
 	l2 := int64(th.Load64Cached(l1Slot))
@@ -190,7 +190,7 @@ func (f *FS) dirInsertCached(th *proc.Thread, m *mount, idx *dirIndex, dirIno in
 		// this dentry, the rest go on the free list.
 		commit(deLoc{page: l2, off: 0}, ik)
 		for o := int64(dentrySize); o+dentrySize <= l2BucketOff; o += dentrySize {
-			idx.free[ik] = append(idx.free[ik], deLoc{page: l2, off: o})
+			idx.push(ik, deLoc{page: l2, off: o})
 		}
 		return nil
 	}
@@ -206,7 +206,7 @@ func (f *FS) dirInsertCached(th *proc.Thread, m *mount, idx *dirIndex, dirIno in
 	commit(deLoc{page: pg, off: chainFirstDe}, ck)
 	th.Store64(bucketAddr, uint64(pg))
 	for o := int64(chainFirstDe + dentrySize); o+dentrySize <= pageSize; o += dentrySize {
-		idx.free[ck] = append(idx.free[ck], deLoc{page: pg, off: o})
+		idx.push(ck, deLoc{page: pg, off: o})
 	}
 	return nil
 }
@@ -217,20 +217,9 @@ func (f *FS) dirInsertCached(th *proc.Thread, m *mount, idx *dirIndex, dirIno in
 func (f *FS) dirInsertScan(th *proc.Thread, m *mount, dirIno int64, name string, typ uint8, cofferID uint32, inode int64) error {
 	h := nameHash(name)
 	th.CPU(perfmodel.CPUHashLookup)
-	l1 := dirL1Of(th, dirIno)
-	if l1 == 0 {
-		// Install the first-level page with a CAS: mutations in different
-		// buckets race here (bucket locks do not serialize this install).
-		pg, err := f.allocPage(th, m, classMeta)
-		if err != nil {
-			return err
-		}
-		if th.CAS64(dirIno*pageSize+inoDirL1Off, 0, uint64(pg)) {
-			l1 = pg
-		} else {
-			f.freePage(th, m, classMeta, pg)
-			l1 = dirL1Of(th, dirIno)
-		}
+	l1, err := f.dirL1(th, m, dirIno)
+	if err != nil {
+		return err
 	}
 	l1Slot := l1*pageSize + 8*l1Index(h)
 	l2 := int64(th.Load64(l1Slot))
@@ -286,12 +275,12 @@ func (f *FS) dirInsertScan(th *proc.Thread, m *mount, dirIno int64, name string,
 func (f *FS) dirRemove(th *proc.Thread, dirIno int64, name string, loc deLoc) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassDentry))
 	defer th.Clk.SetWriteClass(prev)
-	idx := f.sh.dc.dir(dirIno)
+	idx := f.sh.dir(dirIno)
 	idx.mu.Lock()
 	th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
 	if idx.authoritative(f.sh.dc.epoch.Load()) {
 		if c := idx.get(name); c != nil && c.loc == loc {
-			idx.free[c.bkt] = append(idx.free[c.bkt], loc)
+			idx.push(c.bkt, loc)
 			idx.del(name)
 		} else {
 			idx.reset()
@@ -306,7 +295,7 @@ func (f *FS) dirRemove(th *proc.Thread, dirIno int64, name string, loc deLoc) {
 func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deLoc, cofferID uint32, inode int64) {
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassDentry))
 	defer th.Clk.SetWriteClass(prev)
-	idx := f.sh.dc.dir(dirIno)
+	idx := f.sh.dir(dirIno)
 	idx.mu.Lock()
 	var b [4]byte
 	putU32(b[:], 0, cofferID)
@@ -399,7 +388,7 @@ func (f *FS) dirList(th *proc.Thread, dirIno int64, limit int, page func(pg int6
 		dirWalk(th, dirIno, page, nil)
 	}
 	th.CPU(perfmodel.CPUSmallOp)
-	idx := f.sh.dc.dir(dirIno)
+	idx := f.sh.dir(dirIno)
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
 	f.dcacheFresh(th, idx, dirIno)

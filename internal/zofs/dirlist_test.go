@@ -211,7 +211,7 @@ func TestDirListNeverServesStaleDentry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		idx := f.sh.dc.dir(fi.Inode)
+		idx := f.sh.dir(fi.Inode)
 		idx.mu.Lock()
 		defer idx.mu.Unlock()
 		if c := idx.get(name); c != nil {

@@ -31,7 +31,10 @@ import (
 // page list is built in the thread's scratch, and an inode's volatile state
 // and dentry slot are found where the last file left them. Create, rename and
 // unlink are measured on a stationary tree, after one lap of the same cycle;
-// a listing is written into the thread's buffer.
+// a listing is written into the thread's buffer. A first-seen inode page or
+// bucket carves its state entry from a slab, a fresh second-level page's free
+// slots fill a carved block, and a removed directory's index is reset in
+// place: fewer than one object an op.
 func TestAllocBudget(t *testing.T) {
 	if telemetry.Active() != nil || spans.Active() != nil || series.Active() != nil ||
 		lockprof.Active() != nil || pmemtrace.Active() != nil {
@@ -74,6 +77,33 @@ func TestAllocBudget(t *testing.T) {
 	for j := 0; j < 256; j++ {
 		create(fmt.Sprintf("/list/e%03d", j))
 	}
+	// /grow gets one name per first-level slot, each growing a second-level
+	// page; /fresh's names were renamed away, so their slots are free and
+	// their creates take inode pages never used before.
+	must(f.Mkdir(th, "/grow", 0o755))
+	must(f.Mkdir(th, "/fresh", 0o755))
+	must(f.Mkdir(th, "/parked", 0o755))
+	must(f.Mkdir(th, "/empty", 0o755))
+	var grow []string
+	taken := map[int64]bool{}
+	for j := 0; len(grow) <= runs; j++ {
+		if n := fmt.Sprintf("g%05d", j); !taken[l1Index(nameHash(n))] {
+			taken[l1Index(nameHash(n))] = true
+			grow = append(grow, "/grow/"+n)
+		}
+	}
+	fresh := names("/fresh/n%03d")
+	for _, n := range fresh {
+		create(n)
+		must(f.Rename(th, n, "/parked/"+n[len("/fresh/"):]))
+	}
+	for _, d := range []string{"/grow", "/empty"} {
+		if _, err := f.Stat(th, d+"/absent"); err != vfs.ErrNotExist {
+			t.Fatal(err)
+		}
+	}
+	empty, err := f.Stat(th, "/empty")
+	must(err)
 	for _, n := range created {
 		create(n)
 	}
@@ -125,6 +155,21 @@ func TestAllocBudget(t *testing.T) {
 		// The inode page is a recycled one, so its state entry, its dentry
 		// slot and its place in the index are all there already.
 		{"Create+Close", 0, func() { create(next(created)) }},
+		// The recycled inode pages are all taken now: the creates below take
+		// fresh ones, whose state entries they carve.
+		{"Create+Close on a new inode page", 0, func() { create(next(fresh)) }},
+		{"Create+Close growing a second-level page", 0, func() { create(next(grow)) }},
+		// The inode page comes back, and with it the index rmdir reset.
+		{"Mkdir+Rmdir of an empty directory", 0, func() {
+			must(f.Mkdir(th, "/dir/empty", 0o755))
+			must(f.Rmdir(th, "/dir/empty"))
+		}},
+		{"Stat miss rebuilding a reset index", 0, func() {
+			f.sh.resetDir(empty.Inode)
+			if _, err := f.Stat(th, "/empty/absent"); err != vfs.ErrNotExist {
+				t.Fatal(err)
+			}
+		}},
 		// A database journal's life: sixteen blocks taken from and returned
 		// to the thread's cache, their list at unlink built in its scratch.
 		{"Create + 64 KiB write + Close + Unlink", 0, func() {
@@ -394,12 +439,14 @@ func TestOpenUnlinkCloseReclaims(t *testing.T) {
 
 // TestInodeStateTableConcurrent hammers the state table from real goroutines
 // (run under -race): many threads looking up overlapping keys must agree on
-// one entry per key, and the open counts must balance.
+// one entry per key, and on one directory index per inode key however often
+// it is reset, and the open counts must balance.
 func TestInodeStateTableConcurrent(t *testing.T) {
 	var s shared
 	const workers, keys, laps = 8, 257, 50
 	var wg sync.WaitGroup
 	seen := make([][keys]*inoState, workers)
+	dirs := make([][keys]*dirIndex, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -410,6 +457,10 @@ func TestInodeStateTableConcurrent(t *testing.T) {
 					seen[w][k] = s.state(key)
 					s.retain(key)
 					s.release(key)
+					if key >= 0 {
+						dirs[w][k] = s.dir(key)
+						s.resetDir(key)
+					}
 				}
 			}
 		}(w)
@@ -418,7 +469,7 @@ func TestInodeStateTableConcurrent(t *testing.T) {
 	for k := 0; k < keys; k++ {
 		st := s.state(int64(k - keys/2))
 		for w := range seen {
-			if seen[w][k] != st {
+			if seen[w][k] != st || dirs[w][k] != st.dir {
 				t.Fatalf("key %d: worker %d saw a different entry", k-keys/2, w)
 			}
 		}

@@ -525,8 +525,8 @@ func (f *FS) freeInode(th *proc.Thread, m *mount, ino int64, typ vfs.FileType) {
 		n = inoSymTgtOff + f.inodeSize(th, ino)
 	default:
 		// The directory is gone and its pages may be recycled under another
-		// identity; forget its lookup index. It must be empty.
-		f.sh.dc.drop(ino)
+		// identity; reset its lookup index. It must be empty.
+		f.sh.resetDir(ino)
 		for _, pg := range f.dirPages(th, ino) {
 			f.freePage(th, m, classMeta, pg)
 		}

@@ -376,7 +376,7 @@ func (f *FS) Rmdir(th *proc.Thread, path string) error {
 		}
 		f.dirRemove(th, pos.ino, base, loc)
 		f.unlockDirBucket(th, bk)
-		f.sh.dc.drop(nm.root)
+		f.sh.resetDir(nm.root)
 		f.sh.dc.bump() // deleted coffer's pages may be re-granted
 		return nil
 	}

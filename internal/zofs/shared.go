@@ -24,19 +24,44 @@ import (
 type shared struct {
 	// states is the per-inode volatile state table, sharded by key so that
 	// threads working on different inodes rarely meet on a shard mutex.
-	// Entries are created on first use and live as long as the table: the
+	// Entries are carved on first use and live as long as the table: the
 	// lock in one must outlast every thread that may still be queued on it.
-	states [stateShards]struct {
-		mu sync.Mutex
-		m  map[int64]*inoState
-	}
-	// dc is the volatile directory lookup index (see dcache.go). Dropping
-	// the shared state on crash drops it too, so recovery can never observe
-	// pre-crash cached dentries.
+	states [stateShards]stateShard
+	// dc is the device epoch of the directory indexes the table's entries
+	// carry (see dcache.go). Dropping the shared state on crash drops every
+	// index too, so recovery can never observe pre-crash cached dentries.
 	dc dcache
 }
 
 const stateShards = 64
+
+// stateShard is one shard of the state table; a key seen for the first time
+// costs a heap object only when its shard's slab runs out.
+type stateShard struct {
+	mu   sync.Mutex
+	m    map[int64]*inoState
+	slab slab[inoState]
+	dirs slab[dirIndex]
+}
+
+// slab hands out pointers into chunks of T that never move: each chunk is as
+// large as everything carved before it, from slabMin up to slabMax.
+type slab[T any] struct {
+	free []T
+	n    int
+}
+
+const slabMin, slabMax = 4, 128
+
+func (s *slab[T]) carve() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, min(max(s.n, slabMin), slabMax))
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	s.n++
+	return p
+}
 
 // inoState is what the processes of a device share, in DRAM, about one inode
 // page — or, under a negative key, one directory hash bucket, which uses the
@@ -59,6 +84,9 @@ type inoState struct {
 	// until the size commit or the last dead-slot clear covers it; an unlock
 	// finding it set releases the lease word at the next epoch (freeInode).
 	pastEOF bool
+	// dir is the page's directory index, carved under the shard mutex on the
+	// page's first use as a directory and reset in place by its removal.
+	dir *dirIndex
 
 	// Open-handle accounting across every process of the device, so unlink
 	// can defer content reclamation until the last close (POSIX semantics).
@@ -69,14 +97,12 @@ type inoState struct {
 	typ      uint8 // vfs.FileType of the orphan, for reclamation
 }
 
-// state returns the entry for an inode page (non-negative keys) or a
-// directory hash bucket (negative keys), creating it on first use.
-func (s *shared) state(key int64) *inoState {
-	sh := &s.states[uint64(key)%stateShards]
-	sh.mu.Lock()
+// entry returns the shard's entry for key, carving it on first use. Caller
+// holds sh.mu.
+func (sh *stateShard) entry(key int64) *inoState {
 	st := sh.m[key]
 	if st == nil {
-		st = new(inoState)
+		st = sh.slab.carve()
 		if key < 0 {
 			st.lock.InitKeyed("zofs.dirbucket", -key)
 		} else {
@@ -87,8 +113,39 @@ func (s *shared) state(key int64) *inoState {
 		}
 		sh.m[key] = st
 	}
-	sh.mu.Unlock()
 	return st
+}
+
+// state returns the entry for an inode page (non-negative keys) or a
+// directory hash bucket (negative keys), creating it on first use.
+func (s *shared) state(key int64) *inoState {
+	sh := &s.states[uint64(key)%stateShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.entry(key)
+}
+
+// dir returns the index of the directory at inode page ino, carving it on
+// first use.
+func (s *shared) dir(ino int64) *dirIndex {
+	sh := &s.states[uint64(ino)%stateShards]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	st := sh.entry(ino)
+	if st.dir == nil {
+		st.dir = sh.dirs.carve()
+		st.dir.mu.InitKeyed("zofs.dcache", ino)
+	}
+	return st.dir
+}
+
+// resetDir empties a removed directory's index in place, for its recycled
+// page to reuse.
+func (s *shared) resetDir(ino int64) {
+	idx := s.dir(ino)
+	idx.mu.Lock()
+	idx.reset()
+	idx.mu.Unlock()
 }
 
 // lockOf returns the shared lock for an inode page or directory hash bucket.

@@ -150,15 +150,17 @@ meta_churn 1 sim_kops_per_vsec >= 850
 # scrub on free, 294 with every grant scrubbed, 70 now).
 meta_churn 1 nvm_wbytes_per_op <= 100
 # Paths are sliced, not rebuilt; windows, commits and inode state cost no heap
-# object, open-file descriptions and handles are recycled, and a listing fills
-# the thread's buffer (18.2, then 0.97 with an FD entry and a handle per open,
-# 0.46 with a slice per listing, 0.42 now: directory-index inserts and device
-# chunks).
-meta_churn 1 host_allocs_per_op <= 1
-# ReadDir returns the thread's listing buffer, as readdir(3) does, and device
-# chunks materialize in an OS mapping, not on the Go heap (690 with a fresh
-# 256-entry slice per listing, 256 with heap chunks, 47 now).
-meta_churn 1 host_bytes_per_op <= 100
+# object, open-file descriptions and handles are recycled, a listing fills
+# the thread's buffer, and inode states, directory indexes and free-slot
+# blocks are carved from slabs (18.2, then 0.97 with an FD entry and a handle
+# per open, 0.46 with a slice per listing, 0.42 with a free-slot append per
+# slot and an object per first-seen inode, 0.004 now).
+meta_churn 1 host_allocs_per_op <= 0.05
+# ReadDir returns the thread's listing buffer, as readdir(3) does, device
+# chunks materialize in an OS mapping, not on the Go heap, and directory
+# indexes are reset in place (690 with a fresh 256-entry slice per listing,
+# 256 with heap chunks, 47 with slices grown per free slot, 23 now).
+meta_churn 1 host_bytes_per_op <= 30
 # A 64 KiB pread of a file written front to back is one device access, not
 # sixteen (895 a block at a time, 1513 now).
 data_read 3 sim_kops_per_vsec >= 1350
