@@ -13,10 +13,52 @@ import (
 // crashScene is one coffer-metadata call to crash at every persisting store:
 // setup builds the state before it and returns the call, the paths each
 // existing coffer may have after a crash, and the paths a coffer the call
-// creates may have.
+// creates may have. verify, when set, checks the remounted kernel further.
 type crashScene struct {
-	name  string
-	setup func(t *testing.T, k *KernFS, th *proc.Thread) (call func() error, paths map[coffer.ID][]string, fresh []string)
+	name   string
+	setup  func(t *testing.T, k *KernFS, th *proc.Thread) (call func() error, paths map[coffer.ID][]string, fresh []string)
+	verify func(k *KernFS) error
+}
+
+// mergeScene folds a coffer split from /s back into it; with collide, the
+// split coffer's path entry sits alone in a page that is not its bucket's
+// head. After every cut the split coffer's pages are whole: either it is
+// still published and owns all of them, or it is gone and /s owns them all.
+func mergeScene(name string, collide bool) crashScene {
+	var src, dst coffer.ID
+	var moved []int64
+	return crashScene{name: name,
+		setup: func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+			c := []string{"/s/x"}
+			if collide {
+				c = collidingPaths(2, 2100)
+			}
+			id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/s", 4)
+			sid, err := k.CofferSplit(th, id, c[0], 0o755, 0, 0, pages[:3], pages[0], pages[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, dst, moved = sid, id, pages[:3]
+			paths := map[coffer.ID][]string{id: {"/s"}, sid: {c[0]}}
+			if collide {
+				z, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[1], 0)
+				paths[z] = c[1:]
+			}
+			return func() error { return k.CofferMerge(th, id, sid) }, paths, nil
+		},
+		verify: func(k *KernFS) error {
+			owner := dst
+			if _, published := k.Info(src); published {
+				owner = src
+			}
+			for _, pg := range moved {
+				if got, _ := k.OwnerOf(pg); got != owner {
+					return fmt.Errorf("page %d of the merged coffer %d is coffer %d's, want all of them %d's", pg, src, got, owner)
+				}
+			}
+			return nil
+		},
+	}
 }
 
 // cofferWithPages creates a coffer at path, write-mapped by th, with n pages
@@ -42,23 +84,23 @@ func cofferWithPages(t *testing.T, k *KernFS, th *proc.Thread, parent coffer.ID,
 }
 
 var crashScenes = []crashScene{
-	{"SetCofferMeta", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+	{name: "SetCofferMeta", setup: func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
 		id, _ := cofferWithPages(t, k, th, k.RootCoffer(), "/m", 0)
 		return func() error { return k.SetCofferMeta(th, id, 0o700, 7, 7) },
 			map[coffer.ID][]string{id: {"/m"}}, nil
 	}},
-	{"RenameCoffer leaf", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+	{name: "RenameCoffer leaf", setup: func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
 		id, _ := cofferWithPages(t, k, th, k.RootCoffer(), "/a-longer-name", 0)
 		return func() error { return k.RenameCoffer(th, "/a-longer-name", "/z") },
 			map[coffer.ID][]string{id: {"/a-longer-name", "/z"}}, nil
 	}},
-	{"RenameCoffer tree", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+	{name: "RenameCoffer tree", setup: func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
 		p, _ := cofferWithPages(t, k, th, k.RootCoffer(), "/p", 0)
 		c, _ := cofferWithPages(t, k, th, p, "/p/c", 0)
 		return func() error { return k.RenameCoffer(th, "/p", "/q") },
 			map[coffer.ID][]string{p: {"/p", "/q"}, c: {"/p/c", "/q/c"}}, nil
 	}},
-	{"CofferSplit", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+	{name: "CofferSplit", setup: func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
 		id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/s", 4)
 		return func() error {
 				_, err := k.CofferSplit(th, id, "/s/x", 0o700, 0, 0, pages[:3], pages[0], pages[1])
@@ -66,41 +108,23 @@ var crashScenes = []crashScene{
 			},
 			map[coffer.ID][]string{id: {"/s"}}, []string{"/s/x"}
 	}},
-	{"CofferMerge", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
-		id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/s", 4)
-		sid, err := k.CofferSplit(th, id, "/s/x", 0o755, 0, 0, pages[:3], pages[0], pages[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return func() error { return k.CofferMerge(th, id, sid) },
-			map[coffer.ID][]string{id: {"/s"}, sid: {"/s/x"}}, nil
-	}},
-	{"CofferDelete", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+	mergeScene("CofferMerge", false),
+	{name: "CofferDelete", setup: func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
 		id, _ := cofferWithPages(t, k, th, k.RootCoffer(), "/d", 4)
 		return func() error { return k.CofferDelete(th, id) },
 			map[coffer.ID][]string{id: {"/d"}}, nil
 	}},
 	// The mid-chain scenes put the coffer's path entry alone in a page that
 	// is not its bucket's head, so that removing it unlinks the page.
-	{"CofferMerge mid-chain", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
-		c := collidingPaths(2, 2100)
-		id, pages := cofferWithPages(t, k, th, k.RootCoffer(), "/s", 4)
-		sid, err := k.CofferSplit(th, id, c[0], 0o755, 0, 0, pages[:3], pages[0], pages[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		z, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[1], 0)
-		return func() error { return k.CofferMerge(th, id, sid) },
-			map[coffer.ID][]string{id: {"/s"}, sid: {c[0]}, z: {c[1]}}, nil
-	}},
-	{"CofferDelete mid-chain", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+	mergeScene("CofferMerge mid-chain", true),
+	{name: "CofferDelete mid-chain", setup: func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
 		c := collidingPaths(2, 2100)
 		id, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[0], 4)
 		z, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[1], 0)
 		return func() error { return k.CofferDelete(th, id) },
 			map[coffer.ID][]string{id: {c[0]}, z: {c[1]}}, nil
 	}},
-	{"RenameCoffer mid-chain", func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
+	{name: "RenameCoffer mid-chain", setup: func(t *testing.T, k *KernFS, th *proc.Thread) (func() error, map[coffer.ID][]string, []string) {
 		c := collidingPaths(2, 2100)
 		id, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[0], 0)
 		z, _ := cofferWithPages(t, k, th, k.RootCoffer(), c[1], 0)
@@ -183,6 +207,11 @@ func crashAt(t *testing.T, sc crashScene, n int64, before bool) (done bool) {
 	}
 	for _, verify := range []func() error{k2.VerifySpace, k2.VerifyZeroed, k2.VerifyPaths, k2.VerifyOwners} {
 		if err := verify(); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+	}
+	if sc.verify != nil {
+		if err := sc.verify(k2); err != nil {
 			t.Fatalf("%s: %v", where, err)
 		}
 	}

@@ -404,6 +404,7 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 	buf := make([]byte, nvm.PageSize)
 	var bad error
 	var stale []string
+	var merging [][2]coffer.ID // coffer, owner of its root inode page
 	k.paths.each(func(path string, id coffer.ID) bool {
 		dev.ReadNoCharge(int64(id)*nvm.PageSize, buf)
 		rp, err := coffer.DecodeRootPage(buf)
@@ -420,6 +421,9 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 			rp.Path = path
 			k.updateRootPage(nil, rp, old)
 		}
+		if owner := k.space.slotOwner(rp.RootInode); owner != id {
+			merging = append(merging, [2]coffer.ID{id, owner})
+		}
 		k.coffers.store(id, newCofferInfo(*rp))
 		return true
 	})
@@ -431,32 +435,52 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 			return nil, err
 		}
 	}
+	// A coffer belongs where its root inode page is. coffer_merge moves that
+	// page first, so a published coffer whose root inode page another
+	// published coffer owns is a merge cut inside its page moves: it is
+	// unpublished here, and its pages go on to that coffer below.
+	into := map[coffer.ID]coffer.ID{}
+	for _, m := range merging {
+		if ci := k.coffers.load(m[0]); ci != nil && k.coffers.load(m[1]) != nil {
+			if err := k.paths.remove(nil, ci.rp.Path); err != nil {
+				return nil, err
+			}
+			k.coffers.store(m[0], nil)
+			into[m[0]] = m[1]
+		}
+	}
 	// Free what the table gives an owner that is neither the kernel nor a
 	// published coffer: a crash inside unpublish, after the path entry went
 	// and before releaseAll, or inside coffer_new/split before the publish.
-	// A split's pages go back first.
+	// This is the one place a cut page move is finished: a merge's pages go
+	// on to the coffer it was folding into, a split's back to the coffer its
+	// root page names in SplitFrom, whose directory still names them.
 	for id := range k.space.byOwner {
 		if id != coffer.KernelID && k.coffers.load(id) == nil {
-			k.returnSplit(id, buf)
+			to, ok := into[id]
+			if !ok {
+				dev.ReadNoCharge(int64(id)*nvm.PageSize, buf)
+				if rp, err := coffer.DecodeRootPage(buf); err == nil && rp.ID == id {
+					to = rp.SplitFrom
+				}
+			}
+			k.finishMove(id, to)
 			k.space.releaseAll(nil, id, false)
 		}
 	}
 	return k, nil
 }
 
-// returnSplit gives the pages an unpublished coffer took in a coffer_split
-// back to the coffer its root page says they came from, whose directory still
-// names them, if that coffer is published. The root page itself stays.
-func (k *KernFS) returnSplit(id coffer.ID, buf []byte) {
-	k.dev.ReadNoCharge(int64(id)*nvm.PageSize, buf)
-	rp, err := coffer.DecodeRootPage(buf)
-	if err != nil || rp.ID != id || rp.SplitFrom == 0 || k.coffers.load(rp.SplitFrom) == nil {
+// finishMove gives every page of the unpublished coffer id but its root page
+// to coffer to, if that coffer is published.
+func (k *KernFS) finishMove(id, to coffer.ID) {
+	if to == 0 || k.coffers.load(to) == nil {
 		return
 	}
 	for _, e := range k.space.extentsOf(id) {
 		for pg := e.Start; pg < e.End(); pg++ {
 			if pg != int64(id) {
-				_ = k.space.retag(nil, id, rp.SplitFrom, pg, 1) // id owns every page of its extents
+				_ = k.space.retag(nil, id, to, pg, 1) // id owns every page of its extents
 			}
 		}
 	}
@@ -1554,9 +1578,11 @@ func (k *KernFS) unsplit(th *proc.Thread, ci *cofferInfo, id coffer.ID, moved []
 }
 
 // CofferMerge folds coffer src into coffer dst (Table 5: coffer_merge).
-// Both must carry identical permissions; src's pages are retagged one by one
-// with both coffers locked in ascending ID order, and src, marked dead, is
-// then unpublished and its root page freed.
+// Both must carry identical permissions; src's pages are retagged one by one,
+// its root inode page first, with both coffers locked in ascending ID order,
+// and src, marked dead, is then unpublished and its root page freed. A crash
+// after the first retag leaves src published with its root inode page in
+// dst, which Mount reads as a cut merge and finishes.
 func (k *KernFS) CofferMerge(th *proc.Thread, dst, src coffer.ID) error {
 	defer kcall(th, "coffer_merge")()
 	th.Syscall()
@@ -1592,6 +1618,11 @@ func (k *KernFS) foldLocked(th *proc.Thread, si, di *cofferInfo) error {
 		if _, alsoDst := di.mappers[pid]; !alsoDst {
 			return ErrBusy
 		}
+	}
+	// The root inode page moves first: from then on, Mount finishes a merge
+	// that a crash cuts (a coffer belongs where its root inode page is).
+	if err := k.movePage(th, si.rp.RootInode, src, dst, nil, di.mappers); err != nil {
+		return err
 	}
 	// Retagging takes pages out of the set being walked, so the walk re-finds
 	// its place after every extent; all that stays behind is the root page.

@@ -326,15 +326,26 @@ type RepairSite struct {
 // unflushed line reverts to its last persisted — self-consistent — content,
 // which is a lost update, not structural damage.
 //
-// "stale_ptr" repairs undo block pointers a crash interrupted between
-// publish and size commit, and "split_dentry" repairs finish a chmod split
-// a crash cut between the new coffer's publish and its dentry update —
-// sequence damage the stream explains by the crash event itself, not by lost
-// lines — so they are exempt whenever the stream actually recorded a crash.
+// Three repair kinds finish an op the crash cut between two persisted steps
+// — sequence damage the stream explains by the crash event itself, not by
+// lost lines — so they are exempt whenever the stream recorded a crash:
+//
+//   - "stale_ptr" undoes a block pointer published before its size commit;
+//   - "coffer_ref" is the naming rule's: it sets a dentry's coffer field from
+//     who owns its inode page (a split or merge cut before its dentry
+//     update), or gives a published coffer its missing dentry (a create,
+//     mkdir or rename cut before that dentry landed);
+//   - "cross_ref" drops a dentry naming a coffer that is gone: an unlink or
+//     rmdir of a coffer deletes the coffer in the kernel before it frees the
+//     dentry, so a cut between the two leaves that dentry.
 func CrossCheck(rep *Report, repairs []RepairSite) []string {
 	var disagreements []string
 	seqExplained := func(rp RepairSite) bool {
-		return (rp.Kind == "stale_ptr" || rp.Kind == "split_dentry") && (rep.Crashes > 0 || rep.Injected > 0)
+		switch rp.Kind {
+		case "stale_ptr", "coffer_ref", "cross_ref":
+			return rep.Crashes > 0 || rep.Injected > 0
+		}
+		return false
 	}
 	structural := 0
 	for _, rp := range repairs {

@@ -210,3 +210,27 @@ func TestNilRecorderSafe(t *testing.T) {
 		t.Fatal("nil recorder must be inert")
 	}
 }
+
+// TestCrossCheckSequenceRepairs: a repair that finishes an op the crash cut
+// between two persisted steps is explained by the crash itself, with no lost
+// line; without a crash in the stream, or of another kind, it is not.
+func TestCrossCheckSequenceRepairs(t *testing.T) {
+	crashed := &pmemtrace.Report{Crashes: 1, LostLines: []pmemtrace.LostLine{{Line: commitOff}}}
+	for _, c := range []struct {
+		kind      string
+		explained bool
+	}{
+		{"stale_ptr", true},
+		{"coffer_ref", true}, // a split or merge cut before its dentry update
+		{"cross_ref", true},  // a coffer unlink or rmdir cut after the kernel delete
+		{"dangling_ptr", false},
+	} {
+		site := []pmemtrace.RepairSite{{Off: 1 << 19, Kind: c.kind}}
+		if dis := pmemtrace.CrossCheck(crashed, site); (len(dis) == 0) != c.explained {
+			t.Errorf("%s after a crash: disagreements %v, want explained %v", c.kind, dis, c.explained)
+		}
+		if dis := pmemtrace.CrossCheck(&pmemtrace.Report{}, site); len(dis) == 0 {
+			t.Errorf("%s with no crash in the stream: explained", c.kind)
+		}
+	}
+}

@@ -3,11 +3,14 @@ package zofs
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"zofs/internal/coffer"
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
+	"zofs/internal/vfs"
 )
 
 // Check is the one way to verify an image (paper §3.5, §5.3; §6.5: a damaged
@@ -28,8 +31,11 @@ func Check(kern *kernfs.KernFS, th *proc.Thread, ids ...coffer.ID) *Report {
 			continue
 		}
 		rep.Coffers = append(rep.Coffers, st)
+	}
+	f.nameCoffers(th, rep)
+	for _, st := range rep.Coffers {
 		for _, r := range st.Repairs {
-			rep.Findings = append(rep.Findings, Finding{InvariantFsck, id, r.Off, true, r.Kind})
+			rep.Findings = append(rep.Findings, Finding{InvariantFsck, st.ID, r.Off, true, r.Kind})
 		}
 	}
 	for _, inv := range invariants {
@@ -58,6 +64,7 @@ var invariants = []struct {
 	{"zeroed_pages_zero", func(f *FS, _ []coffer.ID) error { return f.kern.VerifyZeroed() }},
 	{"path_mirror", func(f *FS, _ []coffer.ID) error { return f.kern.VerifyPaths() }},
 	{"owners_live", func(f *FS, _ []coffer.ID) error { return f.kern.VerifyOwners() }},
+	{"coffers_named", (*FS).verifyNamed},
 }
 
 // Report is what Check found.
@@ -161,4 +168,141 @@ func (f *FS) verifySpace(ids []coffer.ID) error {
 func spaceErr(id coffer.ID, pg int64, where, problem string) error {
 	return &kernfs.Inconsistency{Coffer: id, Off: pg * nvm.PageSize,
 		What: fmt.Sprintf("zofs: coffer %d page %d (%s) %s", id, pg, where, problem)}
+}
+
+// nameCoffers is Check's naming pass, after the traversals. A published
+// coffer that no dentry names, whose directory the traversal walked, gets its
+// cross-coffer dentry at its path when the name is free: a coffer_new, or a
+// rename's split, cut before that dentry landed. If its root inode had to be
+// re-initialised, nothing it held is left for a dentry to name — a coffer_new
+// cut before the µFS initialised its root — and it is deleted instead. A
+// taken name is left for coffers_named to report. The repair (coffer_ref) is
+// booked to the coffer named.
+func (f *FS) nameCoffers(th *proc.Thread, rep *Report) {
+	walked := func(id coffer.ID) bool {
+		return slices.ContainsFunc(rep.Coffers, func(st RecoverStats) bool { return st.ID == id })
+	}
+	for i := range rep.Coffers {
+		st := &rep.Coffers[i]
+		rp, ok := f.kern.Info(st.ID)
+		if !ok || st.ID == f.kern.RootCoffer() {
+			continue
+		}
+		p, dirIno, de, ok := f.nameOf(rp)
+		if !ok || de.name != "" || p == 0 || !walked(p) {
+			continue
+		}
+		if slices.ContainsFunc(st.Repairs, func(r Repair) bool { return r.Kind == "root_reinit" }) {
+			f.forgetMount(st.ID)
+			err := f.kern.CofferDelete(th, st.ID)
+			f.sh.dc.bump() // the deleted coffer's pages may be re-granted
+			if err != nil {
+				continue
+			}
+		} else {
+			m, err := f.ensureMapped(th, p, true)
+			if err != nil {
+				continue
+			}
+			var typ [4]byte
+			f.kern.Device().ReadNoCharge(rp.RootInode*pageSize+inoTypeOff, typ[:])
+			cl := f.window(th, m, true)
+			_, base := vfs.SplitPath(rp.Path)
+			err = f.dirInsert(th, m, dirIno, base, uint8(u32at(typ[:], 0)), uint32(st.ID), rp.RootInode)
+			cl.close()
+			if err != nil {
+				continue
+			}
+		}
+		st.Repairs = append(st.Repairs, Repair{Off: int64(st.ID) * pageSize, Target: rp.RootInode, Kind: "coffer_ref"})
+	}
+}
+
+// verifyNamed is the coffers_named invariant over the coffers ids (nil: every
+// coffer): each published coffer but the root whose directory lies in one of
+// them is named there by a dentry that gives its ID and root inode. It reads
+// the media uncharged.
+func (f *FS) verifyNamed(ids []coffer.ID) error {
+	for _, id := range f.kern.Coffers() {
+		if id == f.kern.RootCoffer() {
+			continue
+		}
+		rp, _ := f.kern.Info(id)
+		p, _, de, ok := f.nameOf(rp)
+		if p == 0 || ids != nil && !slices.Contains(ids, p) {
+			continue
+		}
+		if !ok || de.cofferID != uint32(id) || de.inode != rp.RootInode {
+			return &kernfs.Inconsistency{Coffer: id, Off: int64(id) * pageSize,
+				What: fmt.Sprintf("zofs: coffer %d at %s is not named by its directory (dentry %q names coffer %d inode %d)",
+					id, rp.Path, de.name, de.cofferID, de.inode)}
+		}
+	}
+	return nil
+}
+
+// nameOf finds where a coffer's dentry belongs, reading the media uncharged:
+// p is the coffer that holds the directory its path names (0 when that is
+// not a ZoFS coffer), dirIno that directory's inode, and de what the
+// directory holds under the coffer's name (zero when nothing). ok is false
+// when the directory is not there.
+func (f *FS) nameOf(rp coffer.RootPage) (p coffer.ID, dirIno int64, de dentry, ok bool) {
+	dir, base := vfs.SplitPath(rp.Path)
+	p, prefix, _ := f.kern.ResolveLongest(nil, dir)
+	prp, _ := f.kern.Info(p)
+	if prp.Type != coffer.TypeZoFS {
+		return 0, 0, dentry{}, false
+	}
+	dirIno = prp.RootInode
+	dev := f.kern.Device()
+	for _, name := range strings.Split(strings.Trim(dir[len(prefix):], "/"), "/") {
+		if name == "" {
+			continue
+		}
+		d := peekDentry(dev, dirIno, name)
+		if d.name == "" || d.cofferID != 0 || vfs.FileType(d.typ) != vfs.TypeDir {
+			return p, 0, dentry{}, false
+		}
+		dirIno = d.inode
+	}
+	return p, dirIno, peekDentry(dev, dirIno, base), true
+}
+
+// peekDentry finds name in directory ino, reading the media uncharged: the
+// second-level page the name's first-level slot points at, its inline area
+// first, then its bucket's chain (§5.1). It returns a zero dentry when the
+// name is not there.
+func peekDentry(dev *nvm.Device, ino int64, name string) (found dentry) {
+	h := nameHash(name)
+	buf := make([]byte, pageSize)
+	word := func(off int64) int64 {
+		dev.ReadNoCharge(off, buf[:8])
+		return int64(u64at(buf, 0))
+	}
+	l1 := word(ino*pageSize + inoDirL1Off)
+	if l1 == 0 {
+		return
+	}
+	l2 := word(l1*pageSize + 8*l1Index(h))
+	if l2 == 0 {
+		return
+	}
+	match := func(d dentry, _ int64) bool {
+		if d.name == name {
+			found = d
+		}
+		return d.name != name
+	}
+	dev.ReadNoCharge(l2*pageSize, buf)
+	if !scanDentries(buf[:l2BucketOff], 0, match) {
+		return
+	}
+	for pg, hops := int64(u64at(buf, int(l2BucketOff+8*l2Bucket(h)))), int64(0); pg != 0 && hops < dev.Pages(); hops++ {
+		dev.ReadNoCharge(pg*pageSize, buf)
+		if !scanDentries(buf[chainFirstDe:], 0, match) {
+			return
+		}
+		pg = int64(u64at(buf, chainNextOff))
+	}
+	return
 }

@@ -3,6 +3,7 @@ package zofs
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"zofs/internal/kernfs"
@@ -310,4 +311,39 @@ func TestRedirectDentryInAChainPage(t *testing.T) {
 	if _, err := f.Stat(th, "/victim/d/sub/leaf"); !errors.Is(err, vfs.ErrCorrupted) {
 		t.Fatalf("walk through the redirected dentry: %v, want ErrCorrupted", err)
 	}
+}
+
+// TestCheckReportsForeignRootInode moves a coffer's root inode page into the
+// root coffer, as a merge's page moves do one page at a time, then runs
+// Check. Recovery must not write the page through the coffer's own key, which
+// faults, but report the coffer and leave it unrepaired (§6.5: a damaged
+// coffer yields errors, not crashes).
+func TestCheckReportsForeignRootInode(t *testing.T) {
+	_, k, f, th := newTestFS(t, Options{})
+	h, err := f.Create(th, "/c", 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Close(th)
+	id, ok := k.LookupPath(nil, "/c")
+	if !ok {
+		t.Fatal("premise: /c is not its own coffer")
+	}
+	if err := k.SetCofferMeta(th, id, 0o755, 0, 0); err != nil { // move_pages wants equal permissions
+		t.Fatal(err)
+	}
+	rp, _ := k.Info(id)
+	if err := k.MovePages(th, id, k.RootCoffer(), []int64{rp.RootInode}); err != nil {
+		t.Fatal(err)
+	}
+	var rep *Report
+	if p := panicOf(func() { rep = Check(k, th) }); p != nil {
+		t.Fatalf("Check panicked: %v", p)
+	}
+	for _, fd := range rep.Findings {
+		if fd.Coffer == id && !fd.Repaired && strings.Contains(fd.Detail, "root inode") {
+			return
+		}
+	}
+	t.Fatalf("Check found %v, want coffer %d's root inode reported", rep.Findings, id)
 }

@@ -1,6 +1,8 @@
 package zofs
 
 import (
+	"fmt"
+
 	"zofs/internal/coffer"
 	"zofs/internal/kernfs"
 	"zofs/internal/proc"
@@ -12,7 +14,8 @@ import (
 // in-use pages and repairing what it can — skipping corrupted files and
 // dentries, clearing stale leases, resetting the allocator pool — then
 // reports the in-use set so KernFS reclaims everything else (EndRecover).
-// Cross-coffer references are validated after the in-coffer pass.
+// Who owns a dentry's inode page decides what the dentry is (visitDentries);
+// Check's naming pass then gives an unnamed coffer its dentry (nameCoffers).
 
 // Repair is one corruption the traversal fixed, in device coordinates: Off
 // is the byte address of the repaired word/record, Target the page number
@@ -21,7 +24,7 @@ import (
 type Repair struct {
 	Off    int64
 	Target int64
-	Kind   string // dangling_ptr | stale_ptr | torn_dentry | dangling_dentry | split_dentry | cross_ref | root_reinit
+	Kind   string // dangling_ptr | stale_ptr | torn_dentry | dangling_dentry | cross_ref | coffer_ref | root_reinit
 }
 
 // RecoverStats summarizes one coffer recovery.
@@ -33,17 +36,7 @@ type RecoverStats struct {
 	PagesKept      int64
 	PagesReclaimed int64
 	LeasesCleared  int
-	Repairs        []Repair // one per site the traversal repaired
-}
-
-// crossRef records a cross-coffer dentry found during traversal, for the
-// post-pass validation.
-type crossRef struct {
-	parentPath string
-	name       string
-	target     coffer.ID
-	inode      int64
-	loc        deLoc
+	Repairs        []Repair // one per site the traversal or Check's naming pass repaired
 }
 
 // traverse walks one coffer's interior. valid holds the pages the kernel
@@ -54,7 +47,6 @@ type traversal struct {
 	kern    *kernfs.KernFS
 	valid   map[int64]bool
 	inUse   map[int64]bool
-	cross   []crossRef
 	repairs []Repair
 	leases  int
 	maxDeep int
@@ -199,6 +191,15 @@ func (t *traversal) visitDir(ino int64, page []byte, path string) {
 	}
 }
 
+// visitDentries checks each dentry of a directory page. Who owns the
+// dentry's inode page decides what the dentry is, whatever its coffer field
+// says (the naming rule, DESIGN.md §8): if this coffer owns it, the dentry is
+// in-coffer — a merge cut before its dentry update left the field set; if the
+// inode is the root inode of the coffer published at the dentry's path, the
+// dentry is that coffer's cross-coffer reference — a split cut before its
+// dentry update left the field clear. Either field is rewritten (coffer_ref).
+// Any other dentry names nothing and is dropped: a cut unlink or rmdir, whose
+// kernel delete lands before the dentry goes, leaves one (cross_ref).
 func (t *traversal) visitDentries(page int64, buf []byte, base int64, path string) {
 	scanDentries(buf, base, func(d dentry, off int64) bool {
 		loc := deLoc{page: page, off: off}
@@ -209,32 +210,38 @@ func (t *traversal) visitDentries(page int64, buf []byte, base int64, path strin
 			return true
 		}
 		child := joinPath(path, d.name)
-		if d.cofferID != 0 {
-			t.cross = append(t.cross, crossRef{
-				parentPath: path, name: d.name,
-				target: coffer.ID(d.cofferID), inode: d.inode, loc: loc,
-			})
-			return true
-		}
-		if !t.visitInode(d.inode, child) && !t.inUse[d.inode] {
-			if id, ok := t.kern.LookupPath(nil, child); ok {
-				if rp, _ := t.kern.Info(id); rp.RootInode == d.inode {
-					// A chmod split cut between its publish and this
-					// dentry's update: the child is that coffer's root now.
-					var b [4]byte
-					putU32(b[:], 0, uint32(id))
-					t.th.WriteNT(loc.addr()+deCofferOff, b[:])
-					t.th.Fence()
-					t.repair(loc.addr(), d.inode, "split_dentry")
-					return true
-				}
+		if t.valid[d.inode] {
+			if d.cofferID != 0 {
+				t.setCoffer(loc, 0, d.inode)
 			}
-			// The child inode is gone: the dentry dangles.
-			t.th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
-			t.repair(loc.addr(), d.inode, "dangling_dentry")
+			if t.visitInode(d.inode, child) || t.inUse[d.inode] {
+				return true
+			}
+		} else if id, ok := t.kern.LookupPath(nil, child); ok {
+			if rp, _ := t.kern.Info(id); rp.RootInode == d.inode {
+				if d.cofferID != uint32(id) {
+					t.setCoffer(loc, uint32(id), d.inode)
+				}
+				return true
+			}
 		}
+		kind := "dangling_dentry"
+		if d.cofferID != 0 {
+			kind = "cross_ref"
+		}
+		t.th.Store64(loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
+		t.repair(loc.addr(), d.inode, kind)
 		return true
 	})
+}
+
+// setCoffer rewrites a dentry's coffer field to what owns its inode page.
+func (t *traversal) setCoffer(loc deLoc, id uint32, inode int64) {
+	var b [4]byte
+	putU32(b[:], 0, id)
+	t.th.WriteNT(loc.addr()+deCofferOff, b[:])
+	t.th.Fence()
+	t.repair(loc.addr(), inode, "coffer_ref")
 }
 
 func joinPath(dir, name string) string {
@@ -300,24 +307,25 @@ func (f *FS) RecoverCoffer(th *proc.Thread, id coffer.ID) (RecoverStats, error) 
 	// Repair stores rewrite dentries outside the directory-cache hooks, and
 	// the reclaim may recycle directory pages: invalidate every index.
 	f.sh.dc.bump()
-	rootOK := t.visitInode(m.root, rp.Path)
-	t.inUse[m.root] = true // keep the root inode page even if unrecognizable
-	if !rootOK {
+	var walkErr error
+	switch {
+	case !valid[m.root]:
+		// The root inode page is another coffer's: there is nothing to walk
+		// from, and writing the page would fault (§6.5: a damaged coffer
+		// yields errors, not crashes). Keep every page and report it.
+		owner, _ := f.kern.OwnerOf(m.root)
+		walkErr = fmt.Errorf("%w: root inode page %d belongs to coffer %d", vfs.ErrCorrupted, m.root, owner)
+		for pg := range valid {
+			t.inUse[pg] = true
+		}
+	case !t.visitInode(m.root, rp.Path):
 		// The root file inode itself was destroyed: its content is lost,
 		// but the coffer must stay usable — re-initialize it as an empty
 		// directory with the coffer's permission.
 		f.initInode(th, m.root, vfs.TypeDir, uint32(rp.Mode), rp.UID, rp.GID)
 		t.repair(m.root*pageSize, m.root, "root_reinit")
 	}
-
-	// Validate cross-coffer references (G3 batch pass).
-	for _, cr := range t.cross {
-		info, ok := f.kern.Info(cr.target)
-		if !ok || info.Path != joinPath(cr.parentPath, cr.name) || info.RootInode != cr.inode {
-			t.th.Store64(cr.loc.addr(), dentryCommit(deStateFree, 0, 0, 0))
-			t.repair(cr.loc.addr(), cr.inode, "cross_ref")
-		}
-	}
+	t.inUse[m.root] = true // keep the root inode page even if unrecognizable
 	cl.close()
 	st.UserNS = th.Clk.Now() - userStart
 	st.LeasesCleared = t.leases
@@ -334,7 +342,7 @@ func (f *FS) RecoverCoffer(th *proc.Thread, id coffer.ID) (RecoverStats, error) 
 	st.KernelNS += th.Clk.Now() - kernStart
 	st.PagesKept = int64(len(t.inUse)) + 1 // + root page
 	st.PagesReclaimed = int64(len(valid)) - st.PagesKept
-	return st, nil
+	return st, walkErr
 }
 
 // QuarantineIfDamaged runs coffer recovery and, when the damage proved

@@ -262,6 +262,9 @@ echo "hand-built machines: $(grep -rl --include='*.go' --exclude='*_test.go' 'ke
 # themselves (call kernfs.Mount) instead of booting through sysfactory.Boot.
 echo "kernel mounts outside sysfactory: $(grep -rl --include='*.go' --exclude='*_test.go' 'kernfs\.Mount(' . |
     grep -vc -e '^\./internal/sysfactory/' -e '^\./\.bench_build/')"
+# ROADMAP item 27: one crash driver over the coffer protocol, no longer than
+# the three bespoke crash tests it replaced (265 lines).
+echo "coffer crash driver test lines: $(wc -l <internal/zofs/coffercrash_test.go) (replaced: 265)"
 echo "experiments: $(grep -c '^	{"' internal/harness/harness.go); zofs-bench flags:" \
     "$(grep -cE 'fl\.[A-Z][A-Za-z0-9]*\("' cmd/zofs-bench/main.go); harness.Options fields: $(fields internal/harness/harness.go)"
 
