@@ -40,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	quick := fl.Bool("quick", false, "smaller, faster runs")
 	threads := fl.String("threads", "", "comma-separated thread sweep (default 1,2,4,8,12,16,20)")
 	devGB := fl.Int64("device-gb", 8, "simulated device size in GiB")
-	obsDir := fl.String("obs", "", "observe the whole run — telemetry, causal spans, the event log (device events, MPK faults, lock waits), windowed series, lock profile: print each benchmark cell's counter, latency and span tables, and publish obs.json, the cell log and the raw logs into this directory (watch live with zofs-obs top, audit with zofs-obs trace audit)")
+	obsDir := fl.String("obs", "", "observe the whole run — telemetry, causal spans, the event log (device events, MPK faults, lock waits), windowed series, lock profile: print each benchmark cell's counter, latency and span tables, and publish obs.json, the cell log and the span and event record logs into this directory (watch live with zofs-obs top, audit with zofs-obs trace audit)")
 	cpuProfile := fl.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := fl.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	fl.Usage = func() {

@@ -10,7 +10,7 @@ import (
 	"strings"
 
 	"zofs/internal/obsfs"
-	"zofs/internal/series"
+	"zofs/internal/spans"
 )
 
 // cmdDiff compares two performance artifacts and fails on statistically
@@ -18,8 +18,8 @@ import (
 //
 // OLD and NEW are each either a metrics/BENCH JSON document (any shape: the
 // differ flattens numeric leaves into labelled metrics) or an observation
-// directory (its series.jsonl), which additionally yields a noise model from
-// window-to-window variance.
+// directory (its span log, folded into series windows), which additionally
+// yields a noise model from window-to-window variance.
 //
 // A metric regresses when it moves in its bad direction — lower for
 // throughput-like names (kops, speedup), higher for latency-like names
@@ -76,7 +76,7 @@ type metric struct {
 // lower-is-better, 0 neutral (informational only).
 func direction(name string) int {
 	n := strings.ToLower(name)
-	for _, bad := range []string{"_ns", "latency", "wait", "amplification", "burn", "breach", "score"} {
+	for _, bad := range []string{"_ns", "latency", "wait", "amplification", "score"} {
 		if strings.Contains(n, bad) {
 			return -1
 		}
@@ -165,22 +165,20 @@ func load(path string) (map[string]metric, error) {
 // of the per-window mean latency estimates how much a run's own timeline
 // wobbles, which is the natural yardstick for judging a cross-run delta.
 func loadSeriesDir(dir string) (map[string]metric, error) {
-	wins, err := readLog[series.Window](dir, obsfs.SeriesLog, false)
+	roots, err := readLog(dir, obsfs.SpansLog, false, spans.ReadRoots)
 	if err != nil {
 		return nil, err
 	}
-	if len(wins) == 0 {
-		return nil, fmt.Errorf("%s: %s holds no windows", dir, obsfs.SeriesLog)
+	if len(roots) == 0 {
+		return nil, fmt.Errorf("%s: %s holds no roots", dir, obsfs.SpansLog)
 	}
 	type acc struct {
-		count, sum          int64
-		p99Max              int64
-		means               []float64 // per-window mean latency
-		sloTotal, sloBad    int64
-		windows, lastWindow int64
+		count, sum int64
+		p99Max     int64
+		means      []float64 // per-window mean latency
 	}
 	ops := map[string]*acc{}
-	for _, w := range wins {
+	for _, w := range windows(roots) {
 		for name, ow := range w.Ops {
 			a := ops[name]
 			if a == nil {
@@ -195,10 +193,6 @@ func loadSeriesDir(dir string) (map[string]metric, error) {
 			if ow.Count > 0 {
 				a.means = append(a.means, float64(ow.SumNS)/float64(ow.Count))
 			}
-			a.sloTotal += ow.SLOTotal
-			a.sloBad += ow.SLOBad
-			a.windows++
-			a.lastWindow = w.Index
 		}
 	}
 	m := map[string]metric{}
@@ -219,9 +213,6 @@ func loadSeriesDir(dir string) (map[string]metric, error) {
 		m["["+name+"].mean_ns"] = metric{Value: mean, RelSE: relSE}
 		m["["+name+"].p99_max_ns"] = metric{Value: float64(a.p99Max), RelSE: relSE}
 		m["["+name+"].ops_count"] = metric{Value: float64(a.count)}
-		if a.sloTotal > 0 {
-			m["["+name+"].slo_bad_fraction"] = metric{Value: float64(a.sloBad) / float64(a.sloTotal)}
-		}
 	}
 	return m, nil
 }

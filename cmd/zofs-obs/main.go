@@ -1,13 +1,15 @@
 // Command zofs-obs is the one front end to an observation directory — what
-// `zofs-bench -obs DIR` publishes: the document (obs.json) and the
-// collectors' raw logs (spans.jsonl, events.jsonl, series.jsonl,
-// exemplars.jsonl, cells.jsonl).
+// `zofs-bench -obs DIR` publishes: the document (obs.json), the cell log
+// (cells.jsonl) and the two record logs (spans.rec, one binary record per
+// root span; events.rec, one per device event). Every per-op view — the
+// Chrome trace, the persistence audit, the worst ops, the windows diff
+// compares — is decoded from the record logs here.
 //
 // Usage:
 //
 //	zofs-obs top      [-dir results] [-interval 1s] [-once | -json | -dot waitfor.dot]
 //	zofs-obs df       [-image f.zofs] [-files n] [-heatmap wear.jsonl] [-top n] [-validate] [DIR]
-//	zofs-obs trace    audit [-max-lost N] DIR | export [-o chrome.json] DIR
+//	zofs-obs trace    audit [-max-lost N] DIR | export [-o chrome.json] DIR | worst DIR
 //	zofs-obs diff     [-noise 0.05] [-sig 3] [-json] OLD NEW
 //	zofs-obs diff     -inject 0.2 -o out.json in.json
 //	zofs-obs validate PATH...
@@ -37,7 +39,7 @@ type command struct {
 var commands = []command{
 	{"top", "render an observation directory's document: live, once, as JSON, or its wait-for graph", cmdTop},
 	{"df", "byte flow, coffer space and page wear of a demo instance, an image or an observation directory", cmdDF},
-	{"trace", "audit a directory's event log, or draw the directory as a Chrome trace (audit | export)", cmdTrace},
+	{"trace", "audit a directory's event log, draw it as a Chrome trace, or list its worst ops (audit | export | worst)", cmdTrace},
 	{"diff", "compare two performance artifacts; exit 3 on a significant regression", cmdDiff},
 	{"validate", "check obs.json files (or the directories holding one) against every panel's invariants", cmdValidate},
 }
@@ -91,20 +93,20 @@ func fail(stderr io.Writer, err error) int {
 	return 1
 }
 
-// readLog parses one of an observation directory's raw logs. A missing
-// optional log is empty, not an error.
-func readLog[T any](dir, name string, optional bool) ([]T, error) {
-	f, err := os.Open(filepath.Join(dir, name))
+// readLog decodes one of an observation directory's record logs with read.
+// A missing optional log is empty, not an error.
+func readLog[T any](dir, name string, optional bool, read func([]byte) ([]T, error)) ([]T, error) {
+	path := filepath.Join(dir, name)
+	log, err := os.ReadFile(path)
 	if err != nil {
 		if optional && errors.Is(err, fs.ErrNotExist) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	defer f.Close()
-	out, err := obsfs.ReadJSONL[T](f)
+	out, err := read(log)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", f.Name(), err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return out, nil
 }

@@ -7,12 +7,17 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"zofs/internal/obsfs"
 	"zofs/internal/pmemtrace"
+	"zofs/internal/series"
+	"zofs/internal/simclock"
+	"zofs/internal/spans"
 	"zofs/internal/sysfactory"
+	"zofs/internal/telemetry"
 )
 
 // observe publishes a small observed run — spans, series, lock profile and,
@@ -92,10 +97,10 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var log bytes.Buffer
-	if err := obsfs.WriteJSONL(&log, []pmemtrace.Event{
-		{Seq: 1, TS: 100, Kind: pmemtrace.KindStore, Off: 4096, Len: 64, TID: 1, Key: -1},
-		{Seq: 2, TS: 200, Kind: pmemtrace.KindCrash, TID: -1, Key: -1},
-	}); err != nil {
+	rec := pmemtrace.New(pmemtrace.Config{Spill: &log})
+	rec.Record(1, simclock.NewClock(), pmemtrace.KindStore, 4096, 64)
+	rec.Record(1, nil, pmemtrace.KindCrash, 0, 0)
+	if err := rec.FlushSpill(); err != nil {
 		t.Fatal(err)
 	}
 	write(t, filepath.Join(lossy, obsfs.EventsLog), log.Bytes())
@@ -135,6 +140,9 @@ func TestExitCodes(t *testing.T) {
 		{"trace export", []string{"trace", "export", "-o", chrome, good}, 0},
 		{"trace export of an empty directory", []string{"trace", "export", "-o", chrome, tmp}, 1},
 		{"trace export of nothing", []string{"trace", "export", "-o", chrome}, 2},
+		{"trace worst", []string{"trace", "worst", good}, 0},
+		{"trace worst of a directory without spans", []string{"trace", "worst", lossy}, 1},
+		{"trace worst of nothing", []string{"trace", "worst"}, 2},
 		{"trace record", []string{"trace", "record"}, 2},
 
 		{"diff of one artifact", []string{"diff", truncated}, 2},
@@ -220,5 +228,109 @@ func TestFidelityDelta(t *testing.T) {
 	}
 	if code := run([]string{"diff", after, before}, io.Discard, io.Discard); code != 0 {
 		t.Errorf("a cell moved toward the paper: exit status %d, want 0", code)
+	}
+}
+
+// TestExportIsTheInMemoryTimeline: a recorded session's directory exports
+// byte for byte the Chrome trace of the same run drawn from the collectors'
+// memory — the span ring, the event ring and the series windows — so the
+// record logs lose nothing the collectors kept.
+func TestExportIsTheInMemoryTimeline(t *testing.T) {
+	dir := t.TempDir()
+	sess, err := obsfs.Start(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, tr, sc := spans.Active(), pmemtrace.Active(), series.Active()
+	in, err := sysfactory.ZoFS.New(64<<20, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, th := obsfs.Wrap(in.FS, nil), in.Proc.NewThread()
+	for _, name := range []string{"/a", "/b", "/c", "/d"} {
+		h, err := fs.Create(th, name, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.Append(th, make([]byte, 6000)); err != nil {
+			t.Fatal(err)
+		}
+		h.Close(th)
+	}
+	if err := fs.Rename(th, "/a", "/e"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	roots, events := col.Roots(), tr.Events()
+	if len(roots) == 0 || len(events) == 0 || tr.Dropped() != 0 || int64(len(roots)) != col.Finished() {
+		t.Fatalf("the rings hold %d roots of %d and %d events (%d dropped)", len(roots), col.Finished(), len(events), tr.Dropped())
+	}
+	var want bytes.Buffer
+	if err := spans.WriteChromeTrace(&want, spans.Timeline{Roots: roots, Events: events, Windows: sc.Windows()}); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "chrome.json")
+	if code := run([]string{"trace", "export", "-o", out, dir}, io.Discard, io.Discard); code != 0 {
+		t.Fatalf("trace export exits %d", code)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("the export (%d bytes) differs from the in-memory timeline (%d bytes)", len(got), want.Len())
+	}
+}
+
+// TestWorstK: the worst ops are each op kind's K longest roots, op kinds in
+// dispatch order and the longest first, the first recorded winning a tie;
+// each carries every event, of any thread, that fell inside it, and its
+// components sum to its duration.
+func TestWorstK(t *testing.T) {
+	col := spans.NewCollector(spans.Config{RingCap: 64})
+	c := spans.NewThreadCtx(col, 1)
+	op := func(o telemetry.Op, start, dur, media int64) {
+		c.Begin(o, 0, start)
+		c.Bill(spans.CompMedia, media)
+		c.End(start + dur)
+	}
+	op(telemetry.OpWrite, 0, 500, 100)    // w0
+	op(telemetry.OpRead, 1000, 300, 50)   // r0: a tie with r1, recorded first
+	op(telemetry.OpRead, 2000, 300, 60)   // r1
+	op(telemetry.OpRead, 3000, 900, 200)  // r2: the longest read
+	op(telemetry.OpRead, 5000, 100, 10)   // r3: too short for K = 2
+	op(telemetry.OpWrite, 6000, 700, 300) // w1
+	events := []pmemtrace.Event{
+		{Seq: 1, TS: 3000, Kind: pmemtrace.KindStore, TID: 1},
+		{Seq: 2, TS: 3500, Kind: pmemtrace.KindLockWait, TID: 2, Len: 40, Cause: "zofs.inode/7"},
+		{Seq: 3, TS: 3900, Kind: pmemtrace.KindFence, TID: 3},
+		{Seq: 4, TS: 3901, Kind: pmemtrace.KindFence, TID: 1},
+		{Seq: 5, TS: 1200, Kind: pmemtrace.KindFlush, TID: 1},
+	}
+	got := worst(col.Roots(), events, 2)
+	type pick struct {
+		op     string
+		start  int64
+		events int
+	}
+	var picks []pick
+	for _, e := range got {
+		picks = append(picks, pick{e.root.Op, e.root.Start, len(e.events)})
+		var sum int64
+		for _, v := range e.root.Comp {
+			sum += v
+		}
+		if sum != e.root.Dur {
+			t.Errorf("%s@%d: components sum to %d ns, duration %d ns", e.root.Op, e.root.Start, sum, e.root.Dur)
+		}
+	}
+	want := []pick{{"read", 3000, 3}, {"read", 1000, 1}, {"write", 6000, 0}, {"write", 0, 0}}
+	if !reflect.DeepEqual(picks, want) {
+		t.Fatalf("worst = %+v, want %+v", picks, want)
+	}
+	if ev := got[0].events[1]; ev.TID != 2 || ev.Cause != "zofs.inode/7" {
+		t.Errorf("the longest read's lock wait = %+v", ev)
 	}
 }

@@ -10,7 +10,7 @@
 // <text...>, mkdir <dir>, rm <file>, rmdir <dir>, mv <old> <new>,
 // ln -s <target> <link>, chmod <octal> <path>, chown <uid> <gid> <path>,
 // stat <path>, cd <dir>, pwd, df, wear [n], coffers, recover <path>,
-// stats [reset], spans [reset], tail [n], slo [...], sync, quit.
+// stats [reset], spans [reset], tail [n], sync, quit.
 //
 // "stats" dumps the per-layer telemetry counters accumulated since the shell
 // started (or since the last "stats reset"): NVM media traffic, PKRU
@@ -28,9 +28,7 @@
 // the span collector.
 //
 // "tail" shows the virtual-time windowed view of the session: the latest
-// windows with per-op counts and tail quantiles, plus the captured worst-op
-// exemplars. "slo <op> <threshold_ns> <target>" installs a latency objective
-// ("slo" alone reports burn; "slo clear <op>" removes one).
+// windows with per-op counts and tail quantiles.
 package main
 
 import (
@@ -94,8 +92,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	dev.EnableAccounting()
 	// Span collection must be on before the shell thread is created so the
 	// thread picks up a span context; every command then gets attributed.
-	// Exemplar rings ride along so "tail" can show the worst ops.
-	spans.Enable(spans.Config{ExemplarK: spans.DefaultExemplarK})
+	spans.Enable(spans.Config{})
 	series.Enable(series.Config{})
 	in, err := sysfactory.Boot(dev, zofs.Options{})
 	if err != nil {
@@ -158,11 +155,10 @@ func (sh *shell) execute(args []string) bool {
 	fail := func(err error) { fmt.Fprintln(out, cmd+":", err) }
 	switch cmd {
 	case "help":
-		fmt.Fprintln(out, "ls cat write append mkdir rm rmdir mv ln chmod chown stat cd pwd df wear coffers recover stats spans tail slo sync quit")
+		fmt.Fprintln(out, "ls cat write append mkdir rm rmdir mv ln chmod chown stat cd pwd df wear coffers recover stats spans tail sync quit")
 		fmt.Fprintln(out, "stats [reset]: dump (or zero) per-layer telemetry counters")
 		fmt.Fprintln(out, "spans [reset]: dump (or zero) per-op latencies and their causal-span attribution")
-		fmt.Fprintln(out, "tail [n]: latest n virtual-time windows (default 10) and worst-op exemplars")
-		fmt.Fprintln(out, "slo [<op> <threshold_ns> <target> | clear <op>]: report, install or remove latency objectives")
+		fmt.Fprintln(out, "tail [n]: latest n virtual-time windows (default 10)")
 		fmt.Fprintln(out, "df: byte-flow reconciliation and per-coffer space table")
 		fmt.Fprintln(out, "wear [n]: n hottest pages of the wear heatmap (default 10)")
 	case "quit", "exit":
@@ -347,7 +343,7 @@ func (sh *shell) execute(args []string) bool {
 			wins = wins[len(wins)-n:]
 		}
 		t := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(t, "window\tstart ms\top\tcount\tmean ns\tp50\tp99\tp999\tburn")
+		fmt.Fprintln(t, "window\tstart ms\top\tcount\tmean ns\tp50\tp99\tp999")
 		for _, win := range wins {
 			names := make([]string, 0, len(win.Ops))
 			for name := range win.Ops {
@@ -356,79 +352,12 @@ func (sh *shell) execute(args []string) bool {
 			sort.Strings(names)
 			for _, name := range names {
 				ow := win.Ops[name]
-				fmt.Fprintf(t, "%d\t%.3f\t%s\t%d\t%d\t%d\t%d\t%d\t%.2f\n",
+				fmt.Fprintf(t, "%d\t%.3f\t%s\t%d\t%d\t%d\t%d\t%d\n",
 					win.Index, float64(win.StartNS)/1e6, name,
-					ow.Count, ow.MeanNS, ow.P50NS, ow.P99NS, ow.P999NS, ow.SLOBurn)
+					ow.Count, ow.MeanNS, ow.P50NS, ow.P99NS, ow.P999NS)
 			}
 		}
 		t.Flush()
-		if exs := spans.Active().Exemplars(); len(exs) > 0 {
-			fmt.Fprintf(out, "worst-op exemplars (%d captured):\n", spans.Active().ExemplarsCaptured())
-			t = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-			fmt.Fprintln(t, "op\tdur ns\tstart ms\tevents")
-			for _, ex := range exs {
-				fmt.Fprintf(t, "%s\t%d\t%.3f\t%d\n",
-					ex.Root.Op, ex.Root.Dur, float64(ex.Root.Start)/1e6, len(ex.Events))
-			}
-			t.Flush()
-		}
-	case "slo":
-		sc := series.Active()
-		if sc == nil {
-			fmt.Fprintln(out, "slo: series collection is off")
-			return false
-		}
-		opByName := func(name string) (telemetry.Op, bool) {
-			for i := 0; i < int(telemetry.NumOps); i++ {
-				if telemetry.Op(i).Name() == name {
-					return telemetry.Op(i), true
-				}
-			}
-			return 0, false
-		}
-		switch {
-		case len(args) == 1:
-			slos := sc.SLOs()
-			if len(slos) == 0 {
-				fmt.Fprintln(out, "slo: no objectives installed (slo <op> <threshold_ns> <target>)")
-				return false
-			}
-			t := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-			fmt.Fprintln(t, "op\tthreshold ns\ttarget\ttotal\tbad\tburn\tlast burn")
-			for _, s := range slos {
-				fmt.Fprintf(t, "%s\t%d\t%.6f\t%d\t%d\t%.3f\t%.3f\n",
-					s.Op, s.ThresholdNS, s.Target, s.Total, s.Bad, s.Burn, s.LastBurn)
-			}
-			t.Flush()
-		case len(args) == 3 && args[1] == "clear":
-			op, ok := opByName(args[2])
-			if !ok {
-				fail(fmt.Errorf("unknown op %q", args[2]))
-				return false
-			}
-			sc.SetSLO(op, 0, 0)
-			fmt.Fprintf(out, "slo cleared for %s\n", args[2])
-		case len(args) == 4:
-			op, ok := opByName(args[1])
-			if !ok {
-				fail(fmt.Errorf("unknown op %q", args[1]))
-				return false
-			}
-			thr, err := strconv.ParseInt(args[2], 10, 64)
-			if err != nil || thr <= 0 {
-				fail(fmt.Errorf("bad threshold %q", args[2]))
-				return false
-			}
-			target, err := strconv.ParseFloat(args[3], 64)
-			if err != nil || target < 0 || target >= 1 {
-				fail(fmt.Errorf("bad target %q (want [0,1))", args[3]))
-				return false
-			}
-			sc.SetSLO(op, thr, target)
-			fmt.Fprintf(out, "slo set: %s within %d ns for %.6f of ops\n", args[1], thr, target)
-		default:
-			fail(fmt.Errorf("usage: slo [<op> <threshold_ns> <target> | clear <op>]"))
-		}
 	case "df":
 		fmt.Fprintf(out, "%d free pages of %d\n", k.FreePages(), k.Device().Pages())
 		doc := obsfs.Collect(lib.ZoFS())

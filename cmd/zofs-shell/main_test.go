@@ -43,11 +43,12 @@ func session(t *testing.T, img, script string) (int, string) {
 
 // TestScriptedSession drives a session the way a piped script does: every
 // command answers on stdout, an unknown one is reported and the session goes
-// on, and what it wrote is in the image at the end.
+// on, and what it wrote is in the image at the end. tail prints windows
+// without a burn column, and slo is no command.
 func TestScriptedSession(t *testing.T) {
 	img := image(t)
 	code, out := session(t, img, strings.Join([]string{
-		"mkdir /d", "write /d/f hello shell", "cat /d/f", "ls /d", "df", "stats", "spans", "tail", "bogus", "exit",
+		"mkdir /d", "write /d/f hello shell", "cat /d/f", "ls /d", "df", "stats", "spans", "tail", "slo", "bogus", "exit",
 	}, "\n"))
 	if code != 0 {
 		t.Fatalf("exit %d\n%s", code, out)
@@ -60,11 +61,16 @@ func TestScriptedSession(t *testing.T) {
 		"bytes_written",          // stats
 		"p99",                    // spans
 		"tail: ",                 // tail
+		"p999\n",                 // tail's last column
+		"unknown command: slo",   // the objectives are gone
 		"unknown command: bogus", // the session went on past it
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "burn") {
+		t.Errorf("output has a burn column:\n%s", out)
 	}
 	// EOF ends a session as exit does, and the image kept the first one's file.
 	if code, out := session(t, img, "cat /d/f\n"); code != 0 || !strings.Contains(out, "hello shell\n") {

@@ -16,8 +16,8 @@ import (
 // TestCollectorsObserveOnly is the one place the collectors' promises are
 // asserted over a real workload: the seven hot-path cells on ZoFS, dark,
 // then with everything on at once — an observation session (telemetry,
-// spans with exemplar rings, the flight recorder, series, lock profile),
-// three designed SLOs and byte-flow accounting.
+// spans and the flight recorder writing their record logs, series, lock
+// profile) and byte-flow accounting.
 func TestCollectorsObserveOnly(t *testing.T) {
 	const n = 1024
 	fresh := func() *sysfactory.Instance {
@@ -37,14 +37,7 @@ func TestCollectorsObserveOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	col, tracer := spans.Active(), pmemtrace.Active()
-	sc := series.Enable(series.Config{
-		WindowNS: 100_000, // tens of windows across the run
-		SLOs: []series.SLO{
-			{Op: telemetry.OpCreate, ThresholdNS: 1, Target: 0.5},        // always breached
-			{Op: telemetry.OpStat, ThresholdNS: 1 << 40, Target: 0.999},  // never breached
-			{Op: telemetry.OpOpen, ThresholdNS: 2_000, Target: 0.999999}, // realistic mixed
-		},
-	})
+	sc := series.Enable(series.Config{WindowNS: 100_000}) // tens of windows across the run
 	in := fresh()
 	in.Dev.EnableAccounting()
 	lit, err := hotpathRunOn(in, n)
@@ -118,30 +111,6 @@ func TestCollectorsObserveOnly(t *testing.T) {
 				t.Errorf("op %s: bucket %d merged %d, spans %d", op, i, m.Buckets[i], b)
 				break
 			}
-		}
-	}
-
-	// Exemplars: captured, each one's components summing to its duration.
-	exes := col.Exemplars()
-	if len(exes) == 0 {
-		t.Error("no worst-op exemplars captured")
-	}
-	for _, e := range exes {
-		var sum int64
-		for _, v := range e.Root.Comp {
-			sum += v
-		}
-		if sum != e.Root.Dur {
-			t.Errorf("exemplar %s@%d: components sum to %d ns, duration %d ns", e.Root.Op, e.Root.Start, sum, e.Root.Dur)
-		}
-	}
-
-	// SLO burn: every op of the kind is evaluated; a 1 ns objective counts
-	// them all bad, a 2^40 ns one none.
-	for _, s := range sc.SLOs() {
-		if s.Total != span[s.Op].Count || s.Bad > s.Total ||
-			(s.ThresholdNS == 1 && s.Bad != s.Total) || (s.ThresholdNS == 1<<40 && s.Bad != 0) {
-			t.Errorf("slo %s (threshold %d ns): %d bad of %d, %d ops", s.Op, s.ThresholdNS, s.Bad, s.Total, span[s.Op].Count)
 		}
 	}
 

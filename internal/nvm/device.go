@@ -512,6 +512,9 @@ func (d *Device) clearDirty(off, n int64) {
 // mid-epoch state in which the interrupted epoch's cached lines are still
 // dirty. The store that trips persistDone has already emitted its own trace
 // event, so the injected-crash marker lands right after it in the stream.
+// Every store after the tripping one crashes at its start, so a deferred
+// cleanup that runs while the injected crash unwinds cannot add a store to
+// the image.
 func (d *Device) persistPoint(clk *simclock.Clock) int64 {
 	n := d.writeCount.Add(1)
 	if d.armed(n, true) {
@@ -526,9 +529,16 @@ func (d *Device) persistDone(clk *simclock.Clock, n int64) {
 	}
 }
 
+// armed reports whether persisting store n crashes at this edge (before: at
+// its start, else once it has landed). Under FailAtStart every store from the
+// n-th on crashes at its start; under FailAfter the n-th crashes once it has
+// landed and every later one at its start.
 func (d *Device) armed(n int64, before bool) bool {
 	fa := d.failAfter.Load()
-	return fa > 0 && n >= fa && d.failBefore.Load() == before
+	if fa <= 0 || n < fa {
+		return false
+	}
+	return before == (d.failBefore.Load() || n > fa)
 }
 
 func (d *Device) injectCrash(clk *simclock.Clock, n int64) {
@@ -888,7 +898,8 @@ func (d *Device) DirtyLines() int {
 // FailAfter arms crash injection: the n-th persisting store from now will
 // panic with an injected-crash sentinel (recover with IsInjectedCrash, then
 // call Crash and run recovery). The tripping store has landed when the
-// panic unwinds. n <= 0 disarms.
+// panic unwinds; every persisting store after it panics before it has any
+// effect. n <= 0 disarms.
 func (d *Device) FailAfter(n int64) {
 	if n <= 0 {
 		d.failAfter.Store(0)

@@ -340,6 +340,39 @@ func TestCrashMediatedFates(t *testing.T) {
 	}
 }
 
+// TestFailAfterStopsLaterStores: once FailAfter has tripped, a store issued
+// while the crash unwinds (a deferred cleanup) panics before it lands, so the
+// crash image holds the tripping store and nothing after it.
+func TestFailAfterStopsLaterStores(t *testing.T) {
+	d := NewDevice(1 << 16)
+	d.FailAfter(1)
+	crash := func(f func()) {
+		t.Helper()
+		defer func() {
+			if !IsInjectedCrash(recover()) {
+				t.Fatal("expected injected crash")
+			}
+		}()
+		f()
+	}
+	crash(func() { d.Store64(nil, 0, 1) }) // store 1: lands, then trips
+	crash(func() { d.Store64(nil, 8, 2) }) // store 2: must not land
+	crash(func() { d.WriteNT(nil, 64, []byte("late")) })
+	d.FailAfter(0)
+	d.Crash()
+	if got := d.Load64(nil, 0); got != 1 {
+		t.Fatalf("tripping store: word = %d, want 1", got)
+	}
+	if got := d.Load64(nil, 8); got != 0 {
+		t.Fatalf("store after the trip leaked into the image: word = %d, want 0", got)
+	}
+	got := make([]byte, 4)
+	d.ReadNoCharge(64, got)
+	if !bytes.Equal(got, make([]byte, 4)) {
+		t.Fatalf("nt-store after the trip leaked into the image: %q", got)
+	}
+}
+
 func TestFailAtStartLeavesStoreUnapplied(t *testing.T) {
 	d := NewDevice(1 << 16)
 	d.Store64(nil, 0, 1) // persisted baseline

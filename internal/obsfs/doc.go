@@ -22,16 +22,17 @@ import (
 	"zofs/internal/vfs"
 )
 
-// The files of an observation directory. The first is the document —
-// rewritten whole, through a temp file and a rename, on every publish — the
-// rest are the collectors' raw logs.
+// The files of an observation directory. The document and the cell log are
+// rewritten whole, through a temp file and a rename, on every publish; the
+// two record logs are streamed, one binary record per root span
+// (spans.ReadRoots) and per device event (pmemtrace.ReadEvents), and every
+// other per-op view — the Chrome trace, the audit, the worst ops, the
+// windows — is decoded from them by zofs-obs.
 const (
-	DocFile      = "obs.json"        // the Doc
-	SpansLog     = "spans.jsonl"     // every finished root span (streamed)
-	EventsLog    = "events.jsonl"    // the run's pmemtrace event log (streamed)
-	SeriesLog    = "series.jsonl"    // every retained series window
-	ExemplarsLog = "exemplars.jsonl" // the worst-op exemplars
-	CellsLog     = "cells.jsonl"     // a session's document cut per benchmark cell
+	DocFile   = "obs.json"    // the Doc
+	SpansLog  = "spans.rec"   // every finished root span
+	EventsLog = "events.rec"  // the run's pmemtrace event log
+	CellsLog  = "cells.jsonl" // a session's document cut per benchmark cell, one JSON object a line
 )
 
 // Doc is the observation document: one panel per collector that was active
@@ -48,7 +49,7 @@ type Doc struct {
 	Space byteflow.Space `json:"space,omitempty"`
 	// Locks is the named-lock contention report.
 	Locks *lockprof.Report `json:"locks,omitempty"`
-	// Series is the windowed tail view and SLO burn.
+	// Series is the windowed tail view.
 	Series *series.Snapshot `json:"series,omitempty"`
 }
 
@@ -151,42 +152,21 @@ func (d Doc) Validate() error {
 }
 
 // Publish collects the document and writes it into dir as DocFile, and
-// beside it the raw logs that are rewritten whole: the series windows and
-// the exemplars of whichever collectors are active, and a live session's
-// cells. Every file goes through a temp file and a rename, so a reader never
-// observes a half-written one.
+// beside it a live session's cells. Both go through a temp file and a
+// rename, so a reader never observes a half-written one.
 func Publish(dir string, fs vfs.FileSystem) (Doc, error) {
 	d := Collect(fs)
-	type file struct {
-		name  string
-		write func(io.Writer) error
+	raw, err := json.MarshalIndent(&d, "", "  ")
+	if err == nil {
+		err = writeAtomic(filepath.Join(dir, DocFile), append(raw, '\n'))
 	}
-	files := []file{
-		{DocFile, func(w io.Writer) error {
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			return enc.Encode(&d)
-		}},
-	}
-	if c := series.Active(); c != nil {
-		files = append(files, file{SeriesLog, func(w io.Writer) error { return WriteJSONL(w, c.Windows()) }})
-	}
-	if c := spans.Active(); c != nil {
-		files = append(files, file{ExemplarsLog, func(w io.Writer) error { return WriteJSONL(w, c.Exemplars()) }})
-	}
-	if s := session.Load(); s != nil {
-		files = append(files, file{CellsLog, func(w io.Writer) error { return WriteJSONL(w, s.Cells()) }})
-	}
-	for _, f := range files {
+	if s := session.Load(); s != nil && err == nil {
 		var buf bytes.Buffer
-		if err := f.write(&buf); err != nil {
-			return d, fmt.Errorf("%s: %w", f.name, err)
-		}
-		if err := writeAtomic(filepath.Join(dir, f.name), buf.Bytes()); err != nil {
-			return d, err
+		if err = WriteJSONL(&buf, s.Cells()); err == nil {
+			err = writeAtomic(filepath.Join(dir, CellsLog), buf.Bytes())
 		}
 	}
-	return d, nil
+	return d, err
 }
 
 // Load reads a published document: path names the document's file or the
@@ -237,11 +217,11 @@ var (
 )
 
 // Start switches on the run-wide collectors — telemetry, causal spans
-// (streaming every root into dir's SpansLog, with worst-op exemplar rings),
-// the flight recorder (streaming every event into dir's EventsLog), the
-// windowed series and the lock profiler — for devices and threads created
-// from now on, and republishes the document into dir twice a second until
-// Stop. None of them moves a simulated number.
+// (recording every root into dir's SpansLog), the flight recorder
+// (recording every event into dir's EventsLog), the windowed series and the
+// lock profiler — for devices and threads created from now on, and
+// republishes the document into dir twice a second until Stop. None of them
+// moves a simulated number.
 func Start(dir string) (*Session, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -256,7 +236,7 @@ func Start(dir string) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{dir: dir, sink: sink, events: events, rec: telemetry.Enable()}
-	s.col = spans.Enable(spans.Config{JSONL: sink, ExemplarK: spans.DefaultExemplarK})
+	s.col = spans.Enable(spans.Config{Sink: sink})
 	s.tr = pmemtrace.Enable(pmemtrace.Config{Spill: events})
 	series.Enable(series.Config{})
 	lockprof.Enable(lockprof.Config{})
@@ -272,7 +252,7 @@ func Start(dir string) (*Session, error) {
 // publisher goroutine exits, the final document and logs are written while
 // every collector is still installed (so the last obs.json carries every
 // panel, the live instance's coffer space included), then the collectors are
-// switched off and the span and event logs are drained. It returns that
+// switched off and the span and event record logs are drained. It returns that
 // final document and the first error met; the later steps run regardless.
 func (s *Session) Stop() (Doc, error) {
 	s.stop()

@@ -299,18 +299,20 @@ func TestFinalDocumentCarriesEveryPanel(t *testing.T) {
 			t.Errorf("a tampered %s panel validates", name)
 		}
 	}
-	for _, name := range []string{obsfs.SpansLog, obsfs.EventsLog, obsfs.SeriesLog, obsfs.ExemplarsLog} {
-		if st, err := os.Stat(filepath.Join(dir, name)); err != nil || st.Size() == 0 {
-			t.Errorf("%s: missing or empty (%v)", name, err)
-		}
-	}
-	// The event log carries every wait the lock panel counted.
-	f, err := os.Open(filepath.Join(dir, obsfs.EventsLog))
+	// The span log holds every root the panel counted, and the event log
+	// every wait the lock panel counted.
+	log, err := os.ReadFile(filepath.Join(dir, obsfs.SpansLog))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	events, err := obsfs.ReadJSONL[pmemtrace.Event](f)
+	roots, err := spans.ReadRoots(log)
+	if err != nil || int64(len(roots)) != doc.Spans.Finished {
+		t.Errorf("%s: %d roots (%v), the span panel finished %d", obsfs.SpansLog, len(roots), err, doc.Spans.Finished)
+	}
+	if log, err = os.ReadFile(filepath.Join(dir, obsfs.EventsLog)); err != nil {
+		t.Fatal(err)
+	}
+	events, err := pmemtrace.ReadEvents(log)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,9 +48,8 @@ func publishEvery(every time.Duration, publish func() error) (stop func()) {
 	}
 }
 
-// The raw logs beside the document (spans.jsonl, events.jsonl,
-// series.jsonl, exemplars.jsonl, cells.jsonl) are JSON lines: one
-// self-describing object per line, whatever the record type.
+// The cell log beside the document (cells.jsonl) is JSON lines: one
+// self-describing object per line.
 
 // WriteJSONL renders items one JSON object per line.
 func WriteJSONL[T any](w io.Writer, items []T) error {

@@ -11,16 +11,13 @@
 // with the nil *Recorder a valid no-op sink. Disabled, the device hot path
 // pays one pointer load and a predicted branch; no allocation, no lock.
 //
-// An Event has one encoding, its JSON form (kinds by name): the spill an
-// observation session writes as events.jsonl and an exemplar's event window
-// both use it. On top of the stream sit a pmemcheck/Yat-style
-// crash-consistency auditor (audit.go) and the merged Chrome trace-event
-// exporter in internal/spans.
+// An Event has one encoding, a binary record (record.go): the spill an
+// observation session writes as its event log, which ReadEvents decodes. On
+// top of the stream sit a pmemcheck/Yat-style crash-consistency auditor
+// (audit.go) and the merged Chrome trace-event exporter in internal/spans.
 package pmemtrace
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -90,20 +87,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// MarshalText encodes the kind as its name.
-func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// UnmarshalText inverts MarshalText.
-func (k *Kind) UnmarshalText(b []byte) error {
-	for i, name := range kindNames {
-		if name == string(b) {
-			*k = Kind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("pmemtrace: unknown event kind %q", b)
-}
-
 // Persists reports whether the event makes its range durable on its own
 // (the device folds the fence into these operations).
 func (k Kind) Persists() bool {
@@ -123,18 +106,53 @@ func (k Kind) Fences() bool {
 // attribution carried on the issuing thread's clock tag: -1 means unknown
 // (kernel-side access, or an access outside any mapped coffer region).
 type Event struct {
-	Seq uint64 `json:"seq"` // 1-based position in the full stream (ring drops keep Seq)
-	TS  int64  `json:"ts"`  // virtual nanoseconds (simclock)
+	Seq uint64 // 1-based position in the full stream (ring drops keep Seq)
+	TS  int64  // virtual nanoseconds (simclock)
 	// Dev is the device UID: benchmark sweeps trace several devices whose
 	// address ranges overlap, so the auditor partitions state per device.
-	Dev  uint64 `json:"dev,omitempty"`
-	Kind Kind   `json:"kind"`
-	Off  int64  `json:"off,omitempty"` // byte offset (page for KindViolation, holder TID for KindLockWait)
-	Len  int64  `json:"len,omitempty"` // byte length (dirty lines for KindCrash, wait for KindLockWait; 0 for fences)
-	TID  int32  `json:"tid"`           // issuing simulated thread, -1 unknown
-	Key  int16  `json:"key"`           // MPK key of the accessed page, -1 unknown
+	Dev  uint64
+	Kind Kind
+	Off  int64 // byte offset (page for KindViolation, holder TID for KindLockWait)
+	Len  int64 // byte length (dirty lines for KindCrash, wait for KindLockWait; 0 for fences)
+	TID  int32 // issuing simulated thread, -1 unknown
+	Key  int16 // MPK key of the accessed page, -1 unknown
 	// Cause is set on KindViolation (the fault) and KindLockWait (the lock).
-	Cause string `json:"cause,omitempty"`
+	Cause string
+}
+
+// eventsMagic heads an event log.
+const eventsMagic = "zofs events v1\n"
+
+// put writes the event as one record.
+func (e *Event) put(l *LogWriter) {
+	l.Uint(e.Seq)
+	l.Uint(uint64(e.Kind))
+	l.Int(e.TS)
+	l.Uint(e.Dev)
+	l.Int(e.Off)
+	l.Int(e.Len)
+	l.Int(int64(e.TID))
+	l.Int(int64(e.Key))
+	l.Str(e.Cause)
+	l.End()
+}
+
+// ReadEvents decodes an event log, a Recorder's spill, in stream order.
+func ReadEvents(log []byte) ([]Event, error) {
+	l, err := NewLogReader(log, eventsMagic)
+	if err != nil {
+		return nil, err
+	}
+	var out []Event
+	for l.Next() {
+		seq, kind := l.Uint(), l.Uint()
+		if kind >= uint64(numKinds) {
+			return nil, fmt.Errorf("pmemtrace: event %d: unknown kind %d", seq, kind)
+		}
+		out = append(out, Event{Seq: seq, Kind: Kind(kind), TS: l.Int(), Dev: l.Uint(), Off: l.Int(), Len: l.Int(),
+			TID: int32(l.Int()), Key: int16(l.Int()), Cause: l.Str()})
+	}
+	return out, l.Err()
 }
 
 // Config controls a recorder.
@@ -143,8 +161,8 @@ type Config struct {
 	// When the ring overflows, the oldest events are dropped (their Seq
 	// numbers are never reused, so consumers can detect the gap).
 	RingCap int
-	// Spill, when non-nil, receives every event as one JSON line in stream
-	// order, regardless of ring drops.
+	// Spill, when non-nil, receives every event as one binary record in
+	// stream order, regardless of ring drops (ReadEvents decodes it).
 	Spill io.Writer
 }
 
@@ -154,12 +172,10 @@ const DefaultRingCap = 1 << 16
 // Recorder is one flight-recorder sink. The nil *Recorder is a valid no-op
 // sink: every method nil-checks its receiver.
 type Recorder struct {
-	mu       sync.Mutex
-	buf      []Event // ring storage, len == cap
-	total    uint64  // events ever recorded; buf[(total-1)%cap] is newest
-	spill    *bufio.Writer
-	enc      *json.Encoder // writes to spill
-	spillErr error
+	mu    sync.Mutex
+	buf   []Event // ring storage, len == cap
+	total uint64  // events ever recorded; buf[(total-1)%cap] is newest
+	spill *LogWriter
 }
 
 // New returns an empty recorder.
@@ -170,8 +186,7 @@ func New(cfg Config) *Recorder {
 	}
 	r := &Recorder{buf: make([]Event, cap)}
 	if cfg.Spill != nil {
-		r.spill = bufio.NewWriter(cfg.Spill)
-		r.enc = json.NewEncoder(r.spill)
+		r.spill = NewLogWriter(cfg.Spill, eventsMagic)
 	}
 	return r
 }
@@ -255,8 +270,8 @@ func (r *Recorder) append(ev Event) {
 	ev.Seq = r.total
 	slot := &r.buf[(r.total-1)%uint64(len(r.buf))]
 	*slot = ev
-	if r.spill != nil && r.spillErr == nil {
-		r.spillErr = r.enc.Encode(slot) // from the ring, so ev stays on the stack
+	if r.spill != nil {
+		slot.put(r.spill) // from the ring, so ev stays on the stack
 	}
 	r.mu.Unlock()
 }
@@ -282,35 +297,6 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, n)
 	copy(out, r.buf[:n])
 	return out
-}
-
-// EventsBetween returns retained events with TS in [t0, t1] in stream order,
-// at most max of them; truncated reports whether the cap cut the window
-// short. The spans layer attaches this window to worst-op exemplars so the
-// device traffic around a tail operation (all threads) travels with it.
-func (r *Recorder) EventsBetween(t0, t1 int64, max int) (out []Event, truncated bool) {
-	if r == nil || max <= 0 {
-		return nil, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cap := uint64(len(r.buf))
-	n := r.total
-	count, start := n, uint64(0)
-	if n > cap {
-		count, start = cap, n
-	}
-	for i := uint64(0); i < count; i++ {
-		ev := r.buf[(start+i)%cap]
-		if ev.TS < t0 || ev.TS > t1 {
-			continue
-		}
-		if len(out) == max {
-			return out, true
-		}
-		out = append(out, ev)
-	}
-	return out, false
 }
 
 // Total returns the number of events ever recorded.
@@ -340,15 +326,10 @@ func (r *Recorder) Dropped() uint64 {
 // FlushSpill drains the buffered spill writer and returns the first spill
 // error encountered, if any.
 func (r *Recorder) FlushSpill() error {
-	if r == nil {
+	if r == nil || r.spill == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.spill != nil {
-		if err := r.spill.Flush(); err != nil && r.spillErr == nil {
-			r.spillErr = err
-		}
-	}
-	return r.spillErr
+	return r.spill.Flush()
 }

@@ -7,14 +7,13 @@ import (
 	"text/tabwriter"
 )
 
-// The windowed view leaves the process two ways: series.jsonl is the raw log
-// (one Window per line, self-describing — every line carries the window
-// index, start and width), and Snapshot is the panel the observation
-// document carries — the latest windows and SLO burn — with its text
-// rendering and its checks.
+// The windowed view leaves the process as Snapshot, the panel the
+// observation document carries — the latest windows — with its text
+// rendering and its checks. Every window of a session is rebuilt from its
+// span log (zofs-obs).
 
 // RecentWindows bounds the windows a Snapshot carries (and the timeline
-// panel shows) to the latest few; series.jsonl holds them all.
+// panel shows) to the latest few; the span log holds them all.
 const RecentWindows = 12
 
 // Snapshot is a point-in-time summary of a Collector.
@@ -28,8 +27,7 @@ type Snapshot struct {
 	Retained     int64 `json:"retained_observations"`
 	Evicted      int64 `json:"evicted_observations"`
 	// Recent is the latest RecentWindows windows, ascending.
-	Recent []Window    `json:"recent,omitempty"`
-	SLOs   []SLOStatus `json:"slos,omitempty"`
+	Recent []Window `json:"recent,omitempty"`
 }
 
 // Snapshot summarizes the collector's current state, under one lock, so a
@@ -44,7 +42,6 @@ func (c *Collector) Snapshot() Snapshot {
 		Observations: c.total,
 		Evicted:      c.evicted,
 		Recent:       c.latestLocked(RecentWindows),
-		SLOs:         c.slosLocked(),
 	}
 	for _, w := range c.win {
 		for _, ow := range w.ops {
@@ -65,31 +62,27 @@ func sortedOps(m map[string]OpWindow) []string {
 	return names
 }
 
-// WriteText renders the timeline panel: per recent window the op volume, the
-// slowest op kind by p99, and the worst windowed SLO burn.
+// WriteText renders the timeline panel: per recent window the op volume and
+// the slowest op kind by p99.
 func (s Snapshot) WriteText(w io.Writer) error {
 	if s.Windows == 0 {
 		return nil
 	}
 	fmt.Fprintf(w, "\ntimeline (virtual time, %d windows total)\n", s.Windows)
 	t := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(t, "window\tstart ms\tops\tworst op\tp99 ns\tmax burn")
+	fmt.Fprintln(t, "window\tstart ms\tops\tworst op\tp99 ns")
 	for _, win := range s.Recent {
 		var total int64
 		worstOp, worstP99 := "-", int64(0)
-		var maxBurn float64
 		for _, name := range sortedOps(win.Ops) {
 			ow := win.Ops[name]
 			total += ow.Count
 			if ow.P99NS > worstP99 {
 				worstOp, worstP99 = name, ow.P99NS
 			}
-			if ow.SLOBurn > maxBurn {
-				maxBurn = ow.SLOBurn
-			}
 		}
-		fmt.Fprintf(t, "%d\t%.3f\t%d\t%s\t%d\t%.2f\n",
-			win.Index, float64(win.StartNS)/1e6, total, worstOp, worstP99, maxBurn)
+		fmt.Fprintf(t, "%d\t%.3f\t%d\t%s\t%d\n",
+			win.Index, float64(win.StartNS)/1e6, total, worstOp, worstP99)
 	}
 	return t.Flush()
 }
@@ -101,8 +94,7 @@ func (s Snapshot) WriteText(w io.Writer) error {
 //     retained ones;
 //   - each recent window's op summary is of its op total: its mean is
 //     sum/count and, where the bucket vector is carried (in process), the
-//     buckets sum to the count;
-//   - SLO sanity: breaches never exceed evaluated events.
+//     buckets sum to the count.
 func (s Snapshot) Check() error {
 	if s.Retained+s.Evicted != s.Observations {
 		return fmt.Errorf("series: %d retained + %d evicted observations, want %d", s.Retained, s.Evicted, s.Observations)
@@ -130,11 +122,6 @@ func (s Snapshot) Check() error {
 	}
 	if recent > s.Retained {
 		return fmt.Errorf("series: recent windows hold %d observations, retained %d", recent, s.Retained)
-	}
-	for _, o := range s.SLOs {
-		if o.Bad > o.Total {
-			return fmt.Errorf("series: slo %q: breaches %d > events %d", o.Op, o.Bad, o.Total)
-		}
 	}
 	return nil
 }

@@ -134,9 +134,7 @@ func TestEvictionKeepsMergeExact(t *testing.T) {
 // observing is built under one lock, so it passes the same check a final
 // one does.
 func TestLiveSnapshotPassesCheck(t *testing.T) {
-	c := NewCollector(Config{WindowNS: 1000, MaxWindows: 8, SLOs: []SLO{
-		{Op: telemetry.OpRead, ThresholdNS: 2000, Target: 0.99},
-	}})
+	c := NewCollector(Config{WindowNS: 1000, MaxWindows: 8})
 	obs, done := stream(3000), make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -156,44 +154,6 @@ func TestLiveSnapshotPassesCheck(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		if err := c.Snapshot().Check(); err != nil {
 			t.Fatalf("live snapshot %d: %v", i, err)
-		}
-	}
-}
-
-func TestSLOBurn(t *testing.T) {
-	c := NewCollector(Config{WindowNS: 1000, SLOs: []SLO{
-		{Op: telemetry.OpRead, ThresholdNS: 100, Target: 0.9},
-	}})
-	// Window 0: 8 good, 2 bad -> burn = (2/10)/(0.1) = 2.0.
-	for i := 0; i < 8; i++ {
-		c.Observe(telemetry.OpRead, 0, 50)
-	}
-	c.Observe(telemetry.OpRead, 10, 200)
-	c.Observe(telemetry.OpRead, 20, 300)
-	// Window 1: 10 good -> last-window burn 0.
-	for i := 0; i < 10; i++ {
-		c.Observe(telemetry.OpRead, 1500, 50)
-	}
-	slos := c.SLOs()
-	if len(slos) != 1 {
-		t.Fatalf("want 1 SLO, got %d", len(slos))
-	}
-	s := slos[0]
-	if s.Op != "read" || s.Total != 20 || s.Bad != 2 {
-		t.Fatalf("unexpected accounting: %+v", s)
-	}
-	want := (2.0 / 20.0) / 0.1
-	if diff := s.Burn - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("burn %v, want %v", s.Burn, want)
-	}
-	if s.LastBurn != 0 {
-		t.Fatalf("last-window burn %v, want 0", s.LastBurn)
-	}
-	// Ops without an objective carry no SLO fields.
-	c.Observe(telemetry.OpWrite, 0, 1e6)
-	for _, w := range c.Windows() {
-		if ow, ok := w.Ops["write"]; ok && ow.SLOTotal != 0 {
-			t.Fatal("write has SLO accounting without an objective")
 		}
 	}
 }
@@ -238,12 +198,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 
 // TestCheck: a collector's snapshot passes its check, and one tampered
 // value — an observation total, a retained total, a window's op count or
-// histogram bucket, an SLO breach count — fails it.
+// histogram bucket — fails it.
 func TestCheck(t *testing.T) {
 	snap := func() Snapshot {
-		c := NewCollector(Config{WindowNS: 1000, SLOs: []SLO{
-			{Op: telemetry.OpRead, ThresholdNS: 2000, Target: 0.99},
-		}})
+		c := NewCollector(Config{WindowNS: 1000})
 		for _, s := range stream(500) {
 			c.Observe(s.op, s.start, s.dur)
 		}
@@ -260,29 +218,12 @@ func TestCheck(t *testing.T) {
 			o.Count++
 			s.Recent[0].Ops["read"] = o
 		},
-		"bucket":     func(s *Snapshot) { s.Recent[0].Ops["read"].Buckets[0]++ },
-		"slo breach": func(s *Snapshot) { s.SLOs[0].Bad = s.SLOs[0].Total + 1 },
+		"bucket": func(s *Snapshot) { s.Recent[0].Ops["read"].Buckets[0]++ },
 	} {
 		s := snap()
 		tamper(&s)
 		if err := s.Check(); err == nil {
 			t.Errorf("%s: the check passed", name)
 		}
-	}
-}
-
-func TestResetKeepsObjectives(t *testing.T) {
-	c := NewCollector(Config{WindowNS: 1000, SLOs: []SLO{
-		{Op: telemetry.OpRead, ThresholdNS: 100, Target: 0.9},
-	}})
-	c.Observe(telemetry.OpRead, 0, 500)
-	c.Reset()
-	if c.Snapshot().Observations != 0 || len(c.Windows()) != 0 {
-		t.Fatal("reset left observations behind")
-	}
-	c.Observe(telemetry.OpRead, 0, 500)
-	slos := c.SLOs()
-	if len(slos) != 1 || slos[0].Bad != 1 {
-		t.Fatalf("objective lost across reset: %+v", slos)
 	}
 }

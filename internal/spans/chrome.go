@@ -88,14 +88,11 @@ func compArgs(b Breakdown) map[string]int64 {
 // Timeline is everything the merged export can draw on one virtual-time
 // axis; any field may be empty. Lock-wait events render as "lockwait" slices
 // named wait:<lock> on the blocked thread's track (the blamed holder one
-// click away), series windows as global instants on the device track,
-// Exemplars as "exemplar" slices that stand out against the ordinary fsop
-// lane.
+// click away), and series windows as global instants on the device track.
 type Timeline struct {
-	Roots     []Root
-	Events    []pmemtrace.Event
-	Windows   []series.Window
-	Exemplars []Exemplar
+	Roots   []Root
+	Events  []pmemtrace.Event
+	Windows []series.Window
 }
 
 // WriteChromeTrace renders the timeline as Chrome trace-event JSON.
@@ -173,17 +170,6 @@ func WriteChromeTrace(w io.Writer, tl Timeline) error {
 			Name: fmt.Sprintf("window %d", m.Index), Cat: "series", Ph: "i",
 			TS: usec(m.StartNS), PID: chromePID, TID: 0, S: "g",
 			Args: &chromeArgs{Detail: fmt.Sprintf("%d ops", ops)},
-		}); err != nil {
-			return err
-		}
-	}
-	for _, e := range byStart(tl.Exemplars, func(e *Exemplar) (int64, int) { return e.Root.Start, e.Root.TID }) {
-		d := usec(e.Root.Dur)
-		args := &chromeArgs{Comp: compArgs(e.Root.Comp), Detail: fmt.Sprintf("%d events", len(e.Events))}
-		if err := emit(chromeEvent{
-			Name: "worst:" + e.Root.Op, Cat: "exemplar", Ph: "X",
-			TS: usec(e.Root.Start), Dur: &d,
-			PID: chromePID, TID: int32(e.Root.TID), Args: args,
 		}); err != nil {
 			return err
 		}

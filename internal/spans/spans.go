@@ -5,8 +5,9 @@
 // span through a per-thread span context riding on the thread's simclock
 // (Clock.SetBill). Finished spans fold into per-op-kind latency breakdowns
 // (media vs. flush/fence vs. lock wait vs. PKRU vs. memcpy), an optional
-// JSONL sink and a bounded ring for timeline export — the instrument behind the paper's "where does the time go"
-// decompositions (§6, Figures 7–11).
+// sink that writes every root once as a binary record (ReadRoots decodes it)
+// and a bounded ring of recent roots — the instrument behind the paper's
+// "where does the time go" decompositions (§6, Figures 7–11).
 //
 // Attribution never advances any clock: with spans enabled or disabled the
 // virtual timeline of a workload is bit-identical, so the disabled-overhead
@@ -15,13 +16,12 @@
 package spans
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
 	"sync"
 	"sync/atomic"
 
 	"zofs/internal/mpk"
+	"zofs/internal/pmemtrace"
 	"zofs/internal/simclock"
 	"zofs/internal/telemetry"
 )
@@ -46,7 +46,7 @@ const (
 	CompPKRU
 	// CompMemcpy is data staging through a DRAM bounce buffer. Nothing bills
 	// it while ZoFS moves data and metadata through borrowed device views; it
-	// stays because the component set is the export schema (spans.jsonl,
+	// stays because the component set is the export schema (the span log,
 	// obs.json, zofs-obs top, the benchmark's span shares).
 	CompMemcpy
 	// CompKernel is kernel-crossing time: syscall entry/exit charges.
@@ -80,56 +80,84 @@ var compNames = [NumComponents]string{
 // Name returns the component's short name.
 func (c Component) Name() string { return compNames[c] }
 
-// Breakdown is a span's per-component virtual-nanosecond attribution. It
-// marshals as a name→ns JSON object so JSONL spans are self-describing.
+// Breakdown is a span's per-component virtual-nanosecond attribution.
 type Breakdown [NumComponents]int64
-
-// MarshalJSON renders the breakdown as {"media": ns, ...}.
-func (b Breakdown) MarshalJSON() ([]byte, error) {
-	m := make(map[string]int64, NumComponents)
-	for i, v := range b {
-		m[compNames[i]] = v
-	}
-	return json.Marshal(m)
-}
-
-// UnmarshalJSON parses the name→ns object form; unknown names are ignored.
-func (b *Breakdown) UnmarshalJSON(data []byte) error {
-	var m map[string]int64
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	for i := range compNames {
-		b[i] = m[compNames[i]]
-	}
-	return nil
-}
 
 // Child is one layer-boundary event inside a root span. Start is virtual
 // time; a negative Start marks an unplaced annotation (e.g. the MPK
 // violation that aborted the op).
 type Child struct {
-	Name   string `json:"name"`
-	Start  int64  `json:"start_ns"`
-	Dur    int64  `json:"dur_ns"`
-	Detail string `json:"detail,omitempty"`
+	Name   string
+	Start  int64
+	Dur    int64
+	Detail string
 }
 
 // Root is one finished VFS-level operation span.
 type Root struct {
-	Op           string    `json:"op"`
-	TID          int       `json:"tid"`
-	PathHash     uint64    `json:"path_hash,omitempty"`
-	PKey         int16     `json:"pkey"` // last coffer key opened; -1 = none
-	Start        int64     `json:"start_ns"`
-	Dur          int64     `json:"dur_ns"`
-	Comp         Breakdown `json:"comp"`
-	BytesRead    int64     `json:"nvm_bytes_read,omitempty"`
-	BytesWritten int64     `json:"nvm_bytes_written,omitempty"`
-	Flushes      int64     `json:"flushes,omitempty"`
-	Fences       int64     `json:"fences,omitempty"`
-	Aborted      bool      `json:"aborted,omitempty"`
-	Children     []Child   `json:"children,omitempty"`
+	Op           string
+	TID          int
+	PathHash     uint64
+	PKey         int16 // last coffer key opened; -1 = none
+	Start        int64
+	Dur          int64
+	Comp         Breakdown
+	BytesRead    int64
+	BytesWritten int64
+	Flushes      int64
+	Fences       int64
+	Aborted      bool
+	Children     []Child
+}
+
+// rootsMagic heads a span log.
+const rootsMagic = "zofs spans v1\n"
+
+// put writes r with its children as one record.
+func (r *Root) put(l *pmemtrace.LogWriter, children []Child) {
+	l.Str(r.Op)
+	l.Uint(r.PathHash)
+	for _, v := range r.Comp {
+		l.Int(v)
+	}
+	aborted := int64(0)
+	if r.Aborted {
+		aborted = 1
+	}
+	for _, v := range [...]int64{int64(r.TID), int64(r.PKey), r.Start, r.Dur,
+		r.BytesRead, r.BytesWritten, r.Flushes, r.Fences, aborted, int64(len(children))} {
+		l.Int(v)
+	}
+	for i := range children {
+		l.Str(children[i].Name)
+		l.Str(children[i].Detail)
+		l.Int(children[i].Start)
+		l.Int(children[i].Dur)
+	}
+	l.End()
+}
+
+// ReadRoots decodes a span log, a Collector's sink, in fold order.
+func ReadRoots(log []byte) ([]Root, error) {
+	l, err := pmemtrace.NewLogReader(log, rootsMagic)
+	if err != nil {
+		return nil, err
+	}
+	var out []Root
+	for l.Next() {
+		r := Root{Op: l.Str(), PathHash: l.Uint()}
+		for i := range r.Comp {
+			r.Comp[i] = l.Int()
+		}
+		r.TID, r.PKey, r.Start, r.Dur = int(l.Int()), int16(l.Int()), l.Int(), l.Int()
+		r.BytesRead, r.BytesWritten, r.Flushes, r.Fences = l.Int(), l.Int(), l.Int(), l.Int()
+		r.Aborted = l.Int() != 0
+		for n := l.Int(); n > 0 && l.Err() == nil; n-- {
+			r.Children = append(r.Children, Child{Name: l.Str(), Detail: l.Str(), Start: l.Int(), Dur: l.Int()})
+		}
+		out = append(out, r)
+	}
+	return out, l.Err()
 }
 
 // maxChildren bounds per-span child annotations; overflow is counted, not
@@ -347,16 +375,13 @@ type opAgg struct {
 
 // Config parameterizes a Collector.
 type Config struct {
-	// RingCap bounds the finished-root ring kept for timeline export
-	// (default 4096; negative disables the ring).
+	// RingCap bounds the ring of recent finished roots (default 4096;
+	// negative disables the ring).
 	RingCap int
-	// JSONL, when non-nil, receives every finished root span as one JSON
-	// line. The caller owns the writer; Collector.FlushSink drains buffers.
-	JSONL io.Writer
-	// ExemplarK, when positive, retains the K slowest finished roots per op
-	// kind as exemplars (full span tree + blamed locks + pmemtrace window).
-	// Zero disables exemplar capture entirely.
-	ExemplarK int
+	// Sink, when non-nil, receives every finished root span as one binary
+	// record (ReadRoots decodes it). The caller owns the writer;
+	// Collector.FlushSink drains buffers.
+	Sink io.Writer
 }
 
 // Collector aggregates finished spans process-wide. It is safe for
@@ -377,18 +402,12 @@ type Collector struct {
 
 	ops [telemetry.NumOps]opAgg
 
-	ringMu  sync.Mutex
+	// mu orders the ring and the sink: both keep fold order.
+	mu      sync.Mutex
 	ring    []Root
 	ringPos int
 	ringCap int
-
-	sinkMu  sync.Mutex
-	sink    *bufio.Writer
-	sinkErr error
-
-	// ex holds the worst-op exemplar state; nil when Config.ExemplarK == 0,
-	// which keeps the capture check in fold to one pointer load.
-	ex *exemplars
+	sink    *pmemtrace.LogWriter
 }
 
 // NewCollector returns an empty collector.
@@ -401,11 +420,8 @@ func NewCollector(cfg Config) *Collector {
 		cap = 0
 	}
 	c := &Collector{ringCap: cap}
-	if cfg.JSONL != nil {
-		c.sink = bufio.NewWriterSize(cfg.JSONL, 64<<10)
-	}
-	if cfg.ExemplarK > 0 {
-		c.ex = &exemplars{k: cfg.ExemplarK}
+	if cfg.Sink != nil {
+		c.sink = pmemtrace.NewLogWriter(cfg.Sink, rootsMagic)
 	}
 	return c
 }
@@ -435,7 +451,7 @@ func Active() *Collector { return active.Load() }
 
 // fold finalizes one root: the unbilled residual becomes CompOther (so the
 // components sum to exactly the measured duration) and the span lands in the
-// per-op aggregates, the ring and the JSONL sink.
+// per-op aggregates, the ring and the sink.
 func (c *Collector) fold(op telemetry.Op, r *Root, children []Child) {
 	var billed int64
 	for i := Component(0); i < CompOther; i++ {
@@ -468,55 +484,35 @@ func (c *Collector) fold(op telemetry.Op, r *Root, children []Child) {
 	a.fences.Add(r.Fences)
 	c.finished.Add(1)
 
-	if len(children) > 0 {
-		r.Children = append([]Child(nil), children...)
-	} else {
-		r.Children = nil
-	}
-	if c.ex != nil {
-		c.maybeCapture(op, r)
-	}
-	if c.ringCap > 0 {
-		c.ringMu.Lock()
-		if len(c.ring) < c.ringCap {
-			c.ring = append(c.ring, *r)
-		} else {
-			c.ring[c.ringPos] = *r
-			c.ringPos = (c.ringPos + 1) % c.ringCap
-		}
-		c.ringMu.Unlock()
-	}
-	if c.sink != nil {
-		c.writeSink(r)
-	}
-}
-
-func (c *Collector) writeSink(r *Root) {
-	c.sinkMu.Lock()
-	defer c.sinkMu.Unlock()
-	if c.sinkErr != nil {
+	if c.sink == nil && c.ringCap == 0 {
 		return
 	}
-	b, err := json.Marshal(r)
-	if err == nil {
-		_, err = c.sink.Write(append(b, '\n'))
+	if c.ringCap > 0 && len(children) > 0 {
+		r.Children = append([]Child(nil), children...)
 	}
-	if err != nil {
-		c.sinkErr = err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.sink != nil {
+		r.put(c.sink, children)
+	}
+	switch {
+	case c.ringCap == 0:
+	case len(c.ring) < c.ringCap:
+		c.ring = append(c.ring, *r)
+	default:
+		c.ring[c.ringPos] = *r
+		c.ringPos = (c.ringPos + 1) % c.ringCap
 	}
 }
 
-// FlushSink drains the JSONL sink's buffer and reports any write error.
+// FlushSink drains the sink's buffer and reports its first write error.
 func (c *Collector) FlushSink() error {
 	if c == nil || c.sink == nil {
 		return nil
 	}
-	c.sinkMu.Lock()
-	defer c.sinkMu.Unlock()
-	if err := c.sink.Flush(); err != nil && c.sinkErr == nil {
-		c.sinkErr = err
-	}
-	return c.sinkErr
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sink.Flush()
 }
 
 // Roots copies out the finished-root ring in fold order (oldest first).
@@ -524,8 +520,8 @@ func (c *Collector) Roots() []Root {
 	if c == nil {
 		return nil
 	}
-	c.ringMu.Lock()
-	defer c.ringMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	out := make([]Root, 0, len(c.ring))
 	if len(c.ring) == c.ringCap { // wrapped: oldest entry is at ringPos
 		out = append(out, c.ring[c.ringPos:]...)
@@ -572,7 +568,7 @@ func (c *Collector) LockWaitNS() int64 {
 }
 
 // Reset zeroes every aggregate, the ring and the lifecycle counters (the
-// JSONL sink is untouched).
+// sink is untouched).
 func (c *Collector) Reset() {
 	if c == nil {
 		return
@@ -600,9 +596,8 @@ func (c *Collector) Reset() {
 		a.flushes.Store(0)
 		a.fences.Store(0)
 	}
-	c.ringMu.Lock()
+	c.mu.Lock()
 	c.ring = c.ring[:0]
 	c.ringPos = 0
-	c.ringMu.Unlock()
-	c.resetExemplars()
+	c.mu.Unlock()
 }

@@ -2,8 +2,7 @@ package spans
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
+	"reflect"
 	"testing"
 
 	"zofs/internal/mpk"
@@ -151,49 +150,56 @@ func TestViolationAborts(t *testing.T) {
 	}
 }
 
-// readJSONL decodes a stream of JSON objects, one per line.
-func readJSONL[T any](t *testing.T, r io.Reader) []T {
-	t.Helper()
-	var out []T
-	for dec := json.NewDecoder(r); dec.More(); {
-		var item T
-		if err := dec.Decode(&item); err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, item)
-	}
-	return out
-}
-
-// TestJSONLRoundTrip: every folded root reaches the sink and reloads
-// identically, including the self-describing component map.
-func TestJSONLRoundTrip(t *testing.T) {
+// TestRecordRoundTrip: every folded root reaches the sink as one record and
+// decodes to exactly what the ring kept — edge values included: a thread and
+// a key of -1, an aborted root whose violation child is unplaced (Start -1)
+// and carries a Detail, a path hash with the top bit set, a root without
+// children, and strings the log's table already holds.
+func TestRecordRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	col := NewCollector(Config{JSONL: &buf})
-	c := NewThreadCtx(col, 2)
+	col := NewCollector(Config{Sink: &buf})
+	c, anon := NewThreadCtx(col, 2), NewThreadCtx(col, -1)
 	c.Begin(telemetry.OpCreate, PathHash("/f"), 100)
+	c.SetKey(3)
 	c.Bill(CompMedia, 40)
+	c.billNVM(CompFlush, 7, 64, 4096, 2, 1)
 	c.Child("fslib.dispatch", 110, 20)
+	c.Child("kernfs.coffer_enlarge", 130, 50)
 	c.End(200)
-	c.Begin(telemetry.OpStat, 0, 300)
-	c.End(350)
+	anon.Begin(telemetry.OpWrite, 1<<63|5, 300)
+	anon.ObserveViolation(mpk.Violation{Cause: "PKRU write-disable"})
+	anon.End(380)
+	c.Begin(telemetry.OpStat, 0, 400)
+	c.End(450)
+	c.Begin(telemetry.OpCreate, PathHash("/g"), 500)
+	c.Child("fslib.dispatch", 505, 10)
+	c.End(520)
 	if err := col.FlushSink(); err != nil {
 		t.Fatal(err)
 	}
 
-	roots := readJSONL[Root](t, &buf)
-	if len(roots) != 2 {
-		t.Fatalf("reloaded %d roots, want 2", len(roots))
+	got, err := ReadRoots(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := roots[0]
-	if r.Op != "create" || r.Dur != 100 || r.Comp[CompMedia] != 40 || r.Comp[CompOther] != 60 {
-		t.Fatalf("root 0 = %+v", r)
+	want := col.Roots()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded roots differ from the ring:\ngot  %+v\nwant %+v", got, want)
 	}
-	if len(r.Children) != 1 || r.Children[0].Name != "fslib.dispatch" {
-		t.Fatalf("root 0 children = %+v", r.Children)
+	if r := got[1]; r.TID != -1 || r.PKey != -1 || !r.Aborted || r.Children[0].Start != -1 ||
+		r.Children[0].Detail != "PKRU write-disable" {
+		t.Fatalf("edge root = %+v", r)
 	}
-	if roots[1].Op != "stat" || roots[1].PathHash != 0 {
-		t.Fatalf("root 1 = %+v", roots[1])
+	if got[0].Comp[CompOther] != 100-40-7 || got[0].BytesWritten != 4096 || got[0].Fences != 1 {
+		t.Fatalf("root 0 = %+v", got[0])
+	}
+
+	// A cut log fails the read rather than yielding a short root.
+	if _, err := ReadRoots(buf.Bytes()[:buf.Len()-1]); err == nil {
+		t.Error("a truncated span log decoded")
+	}
+	if _, err := ReadRoots([]byte("zofs events v1\n")); err == nil {
+		t.Error("an event log decoded as a span log")
 	}
 }
 

@@ -49,16 +49,18 @@ echo "== obs smoke =="
 # spans, the event log, series and lock profile together — must publish one
 # document, obs.json, that every panel's check accepts (share sums, wait/hold
 # conservation, edge bounds, per-op count conservation), and beside it only
-# JSON-lines logs: a cell log and raw logs the Chrome export can draw. The
-# auditor must find no lost line in the crash-free run's event log, top must
-# render the document as text and JSON, and df must reconcile flow and space
-# accounting on a live instance (-validate exits 1 on violation).
+# the cell log (cells.jsonl) and the two record logs every per-op view is
+# decoded from (spans.rec, events.rec). The auditor must find no lost line
+# in the crash-free run's event log, top must render the document as text
+# and JSON, the Chrome export and the worst-op listing must decode the
+# record logs, and df must reconcile flow and space accounting on a live
+# instance (-validate exits 1 on violation).
 bench -quick -obs "$tracedir/obs" fig8
 test -s "$tracedir/obs/cells.jsonl"
 "$bin/zofs-obs" validate "$tracedir/obs" >/dev/null
 for f in "$tracedir"/obs/*; do
     case "${f##*/}" in
-    obs.json | *.jsonl) ;;
+    obs.json | cells.jsonl | spans.rec | events.rec) ;;
     *)
         echo "obs smoke: $f published beside obs.json and the logs" >&2
         exit 1
@@ -68,8 +70,33 @@ done
 "$bin/zofs-obs" trace audit -max-lost 0 "$tracedir/obs" >/dev/null
 "$bin/zofs-obs" top -once -dir "$tracedir/obs" >/dev/null
 "$bin/zofs-obs" top -json -dir "$tracedir/obs" >/dev/null
-"$bin/zofs-obs" trace export -o "$tracedir/obs/chrome.json" "$tracedir/obs" >/dev/null
+"$bin/zofs-obs" trace export -o "$tracedir/chrome.json" "$tracedir/obs" >/dev/null
+"$bin/zofs-obs" trace worst "$tracedir/obs" >/dev/null
 "$bin/zofs-obs" df -files 128 -validate >/dev/null
+# The price of observation: -quick table7 dark, then observed. The record
+# logs of a stepped run are deterministic, so their bytes per root span and
+# per device event are bounded tightly (29.0 and 17.8 when the bounds were
+# set; 206 and 91 as JSON lines). The host-time ratio is bounded loosely: a
+# shared 2-vCPU VM drifts 20-45 % for minutes (1.7 when the bound was set,
+# about 5 with JSON lines).
+now() { date +%s.%N; }
+t0=$(now)
+bench -quick table7
+t1=$(now)
+bench -quick -obs "$tracedir/t7" table7
+t2=$(now)
+roots=$(sed -n 's/^ *"finished": \([0-9]*\),*$/\1/p' "$tracedir/t7/obs.json" | head -n 1)
+events=$("$bin/zofs-obs" trace audit -max-lost 0 "$tracedir/t7" | sed -n 's/^events: \([0-9]*\) .*/\1/p')
+awk -v t0="$t0" -v t1="$t1" -v t2="$t2" -v r="$roots" -v e="$events" \
+    -v rb="$(wc -c <"$tracedir/t7/spans.rec")" -v eb="$(wc -c <"$tracedir/t7/events.rec")" 'BEGIN {
+    dark = t1 - t0; obs = t2 - t1
+    printf "table7 -quick: %.2f s dark, %.2f s observed (ratio %.2f); %d roots at %.1f B, %d events at %.1f B\n",
+        dark, obs, obs / dark, r, rb / r, e, eb / e
+    if (r <= 0 || e <= 0 || rb / r > 32 || eb / e > 20 || obs / dark > 3) {
+        print "obs smoke: observation costs more than its bounds (32 B a root, 20 B an event, 3x the dark run)" > "/dev/stderr"
+        exit 1
+    }
+}'
 
 echo "== bench identity gate =="
 # Virtual time makes the committed results bit-reproducible: a full-size
