@@ -236,35 +236,6 @@ func BenchmarkAblationDirectoryScale(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationInlineData measures §5.1's future-work optimization:
-// small-file create+write with data embedded in the inode page vs paged.
-func BenchmarkAblationInlineData(b *testing.B) {
-	for _, sys := range []sysfactory.System{sysfactory.ZoFS, sysfactory.ZoFSInline} {
-		sys := sys
-		b.Run(sys.Name, func(b *testing.B) {
-			in, err := sys.New(4<<30, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			th := in.Proc.NewThread()
-			buf := make([]byte, 256)
-			start := th.Clk.Now()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h, err := in.FS.Create(th, fmt.Sprintf("/s%09d", i), 0o644)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := h.WriteAt(th, buf, 0); err != nil {
-					b.Fatal(err)
-				}
-				h.Close(th)
-			}
-			b.ReportMetric(float64(th.Clk.Now()-start)/float64(b.N), "vns/op")
-		})
-	}
-}
-
 // BenchmarkAblationAllocatorSharing contrasts the leased per-thread
 // allocator against forced cross-thread slot churn (tiny lease pools are
 // not configurable, so this compares 1-thread vs 8-thread DWAL allocation

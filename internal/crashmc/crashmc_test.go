@@ -58,18 +58,6 @@ func TestExploreZoFSClean(t *testing.T) {
 	}
 }
 
-// TestExploreZoFSInlineClean covers the inline-data variant's distinct
-// write path through the same sweep.
-func TestExploreZoFSInlineClean(t *testing.T) {
-	rep, err := Explore(Config{System: "ZoFS-inline", Seed: 5, Ops: 14, Points: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range rep.Violations {
-		t.Errorf("violation: %s", v)
-	}
-}
-
 // TestExploreBaseline: Ext4-DAX caches data writes before flushing, so
 // the before-edge states must expose dirty lines (the subset/torn models'
 // reason to exist) while flushed blocks stay findable on the image.

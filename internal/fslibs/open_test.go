@@ -12,7 +12,6 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
-	"zofs/internal/zofs"
 )
 
 // countingFS interposes on a file system the way the benchmark's traced FS
@@ -77,12 +76,6 @@ func openTargets() map[string]func(t *testing.T) (l *Lib, th *proc.Thread, fs *c
 	return map[string]build{
 		"ZoFS": func(t *testing.T) (*Lib, *proc.Thread, *countingFS, string) {
 			_, l, th := treasury(t, Options{})
-			fs := &countingFS{FileSystem: l.ZoFS()}
-			l.RegisterFS(coffer.TypeZoFS, fs)
-			return l, th, fs, "/"
-		},
-		"ZoFS-inline": func(t *testing.T) (*Lib, *proc.Thread, *countingFS, string) {
-			_, l, th := treasury(t, Options{ZoFS: zofs.Options{InlineData: true}})
 			fs := &countingFS{FileSystem: l.ZoFS()}
 			l.RegisterFS(coffer.TypeZoFS, fs)
 			return l, th, fs, "/"

@@ -115,7 +115,6 @@ var (
 	ZoFSSysEmpty = NewZoFS("ZoFS-sysempty", zofs.Options{SysEmptyPerWrite: true})
 	ZoFSKWrite   = NewZoFS("ZoFS-kwrite", zofs.Options{KernelWrite: true})
 	ZoFS1Coffer  = NewZoFS("ZoFS-1coffer", zofs.Options{OneCoffer: true})
-	ZoFSInline   = NewZoFS("ZoFS-inline", zofs.Options{InlineData: true})
 
 	PMFS        = newBaseline("PMFS", func(d *nvm.Device) *baselines.Engine { return baselines.NewPMFS(d, baselines.PMFSOptions{}) })
 	PMFSNocache = newBaseline("PMFS-nocache", func(d *nvm.Device) *baselines.Engine {
@@ -153,7 +152,7 @@ var Comparison = []System{Ext4DAX, PMFS, Strata, NOVA, ZoFS}
 
 // All is every system this package builds, each once.
 var All = []System{
-	ZoFS, ZoFSSysEmpty, ZoFSKWrite, ZoFS1Coffer, ZoFSInline,
+	ZoFS, ZoFSSysEmpty, ZoFSKWrite, ZoFS1Coffer,
 	PMFS, PMFSNocache, NOVA, NOVAi, NOVANoIndex, NOVAiNoIndex, Strata, Ext4DAX,
 	LogFS,
 }

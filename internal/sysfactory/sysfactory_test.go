@@ -42,7 +42,7 @@ func TestEverySystemBuildsAndRoundTrips(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Past one block, and past ZoFS-inline's in-inode capacity.
+			// Past one block.
 			want := bytes.Repeat([]byte("zofs"), 1500)
 			if n, err := h.WriteAt(th, want, 0); err != nil || n != len(want) {
 				t.Fatalf("WriteAt = %d, %v", n, err)

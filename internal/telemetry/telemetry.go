@@ -61,9 +61,7 @@ const (
 	// zofs µFS decisions.
 	CtrZoFSPagesAlloc
 	CtrZoFSPagesFreed
-	CtrZoFSInlineWrites
 	CtrZoFSExtentWrites
-	CtrZoFSDeInline
 
 	numCounters
 )
@@ -104,9 +102,7 @@ var counterNames = [numCounters]string{
 
 	CtrZoFSPagesAlloc:   "zofs.pages_alloc",
 	CtrZoFSPagesFreed:   "zofs.pages_freed",
-	CtrZoFSInlineWrites: "zofs.inline_writes",
 	CtrZoFSExtentWrites: "zofs.extent_writes",
-	CtrZoFSDeInline:     "zofs.deinline_migrations",
 }
 
 // Name returns the counter's "<layer>.<metric>" name.

@@ -193,10 +193,7 @@ func (f *FS) nameCoffers(th *proc.Thread, rep *Report) {
 			continue
 		}
 		if slices.ContainsFunc(st.Repairs, func(r Repair) bool { return r.Kind == "root_reinit" }) {
-			f.forgetMount(st.ID)
-			err := f.kern.CofferDelete(th, st.ID)
-			f.sh.dc.bump() // the deleted coffer's pages may be re-granted
-			if err != nil {
+			if f.deleteCoffer(th, st.ID) != nil {
 				continue
 			}
 		} else {
@@ -270,8 +267,8 @@ func (f *FS) nameOf(rp coffer.RootPage) (p coffer.ID, dirIno int64, de dentry, o
 
 // peekDentry finds name in directory ino, reading the media uncharged: the
 // second-level page the name's first-level slot points at, its inline area
-// first, then its bucket's chain (§5.1). It returns a zero dentry when the
-// name is not there.
+// first, then its bucket's chain (§5.1), up to a loop. It returns a zero
+// dentry when the name is not there.
 func peekDentry(dev *nvm.Device, ino int64, name string) (found dentry) {
 	h := nameHash(name)
 	buf := make([]byte, pageSize)
@@ -297,7 +294,8 @@ func peekDentry(dev *nvm.Device, ino int64, name string) (found dentry) {
 	if !scanDentries(buf[:l2BucketOff], 0, match) {
 		return
 	}
-	for pg, hops := int64(u64at(buf, int(l2BucketOff+8*l2Bucket(h)))), int64(0); pg != 0 && hops < dev.Pages(); hops++ {
+	var loop chainLoop
+	for pg := int64(u64at(buf, int(l2BucketOff+8*l2Bucket(h)))); pg != 0 && !loop.closes(pg); {
 		dev.ReadNoCharge(pg*pageSize, buf)
 		if !scanDentries(buf[chainFirstDe:], 0, match) {
 			return

@@ -23,9 +23,10 @@ import (
 // at ino (the inode page itself, data and indirect pages, directory structure
 // pages, and in-coffer descendants; cross-coffer children are untouched). One
 // list is passed down the recursion: callers start it from the thread's
-// scratch and store back what it grew to. The caller holds the window open on
-// the owning coffer.
-func (f *FS) collectTreePages(th *proc.Thread, ino int64, typ vfs.FileType, pages []int64) []int64 {
+// scratch and store back what it grew to. A looping directory chain ends the
+// collection with its error. The caller holds the window open on the owning
+// coffer.
+func (f *FS) collectTreePages(th *proc.Thread, ino int64, typ vfs.FileType, pages []int64) ([]int64, error) {
 	pages = append(pages, ino)
 	switch typ {
 	case vfs.TypeRegular:
@@ -34,40 +35,63 @@ func (f *FS) collectTreePages(th *proc.Thread, ino int64, typ vfs.FileType, page
 		// One walk for the structure pages; the children to descend into
 		// come off the index (without it, off that same walk).
 		var children []dentry
-		f.dirList(th, ino, math.MaxInt, func(pg int64) { pages = append(pages, pg) }, func(ents []cachedDe) {
+		err := f.dirList(th, ino, math.MaxInt, func(pg int64) { pages = append(pages, pg) }, func(ents []cachedDe) {
 			for i := range ents {
 				if ents[i].de.cofferID == 0 {
 					children = append(children, ents[i].de)
 				}
 			}
 		})
-		for _, c := range children {
-			pages = f.collectTreePages(th, c.inode, vfs.FileType(c.typ), pages)
+		for i := 0; err == nil && i < len(children); i++ {
+			pages, err = f.collectTreePages(th, children[i].inode, vfs.FileType(children[i].typ), pages)
 		}
+		return pages, err
 	}
-	return pages
+	return pages, nil
 }
 
-// setPerm implements chmod and chown.
-func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid uint32, chown bool) error {
-	dir, base := vfs.SplitPath(path)
+// perm is a permission: the mode and the owning user and group.
+type perm struct {
+	mode     coffer.Mode
+	uid, gid uint32
+}
 
-	// Coffer root (including "/"): one kernel metadata update.
+// changed is p after a chmod to mode, or with chown a chown to uid and gid.
+func (p perm) changed(mode coffer.Mode, uid, gid uint32, chown bool) perm {
+	if chown {
+		p.uid, p.gid = uid, gid
+	} else {
+		p.mode = mode
+	}
+	return p
+}
+
+// writeInodePerm persists an inode's permission words, the ones stat reads
+// for a file that is not a coffer root.
+func (f *FS) writeInodePerm(th *proc.Thread, ino int64, p perm) {
+	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
+	defer th.Clk.SetWriteClass(prev)
+	var b [12]byte
+	putU32(b[:], 0, uint32(p.mode))
+	putU32(b[:], 4, p.uid)
+	putU32(b[:], 8, p.gid)
+	th.WriteNT(ino*pageSize+inoModeOff, b[:])
+	th.Fence()
+}
+
+// setPerm implements chmod and chown. A coffer root, found by its path or
+// by its parent's cross-coffer dentry, changes in the kernel (chmodCoffer).
+// A file inside a coffer changes its inode's words while it stays in the
+// coffer's permission class, and is split into a coffer of its own when it
+// leaves it.
+func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid uint32, chown bool) error {
 	if id, ok := f.kern.LookupPath(th.Clk, path); ok {
 		rp, _ := f.kern.Info(id)
-		newMode, newUID, newGID := rp.Mode, rp.UID, rp.GID
-		if chown {
-			newUID, newGID = uid, gid
-		} else {
-			newMode = mode
-		}
-		if err := errno(f.kern.SetCofferMeta(th, id, newMode, newUID, newGID)); err != nil || path == "/" {
-			return err
-		}
-		f.maybeMergeBack(th, dir, base, id)
-		return nil
+		p := perm{rp.Mode, rp.UID, rp.GID}.changed(mode, uid, gid, chown)
+		return f.chmodCoffer(th, path, id, p, nil, dentry{}, deLoc{})
 	}
 
+	dir, base := vfs.SplitPath(path)
 	pos, err := f.walk(th, dir, true, true)
 	if err != nil {
 		return err
@@ -83,91 +107,120 @@ func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid ui
 		return err
 	}
 	if de.cofferID != 0 {
-		// Cross-coffer child: root-page update.
-		target := coffer.ID(de.cofferID)
-		rp, ok := f.kern.Info(target)
+		id := coffer.ID(de.cofferID)
+		rp, ok := f.kern.Info(id)
 		if !ok {
 			return vfs.ErrCorrupted
 		}
-		newMode, newUID, newGID := rp.Mode, rp.UID, rp.GID
-		if chown {
-			newUID, newGID = uid, gid
-		} else {
-			newMode = mode
-		}
-		if err := errno(f.kern.SetCofferMeta(th, target, newMode, newUID, newGID)); err != nil {
-			return err
-		}
-		// If the child re-entered its parent's permission class, fold it
-		// back: coffer_merge retags its pages into the parent and the
-		// dentry becomes an ordinary in-coffer reference (Table 5).
-		parentRP, _ := f.kern.Info(pos.m.id)
-		if !f.opts.OneCoffer && f.sameCofferPerm(parentRP, newMode, newUID, newGID) {
-			if tm, err := f.ensureMapped(th, target, true); err == nil {
-				if f.kern.CofferMerge(th, pos.m.id, target) == nil {
-					f.window(th, pos.m, true)
-					f.dirUpdateCoffer(th, pos.ino, base, loc, 0, de.inode)
-					f.mergedInto(th, pos.m, tm)
-				}
-			}
-		}
-		return nil
+		p := perm{rp.Mode, rp.UID, rp.GID}.changed(mode, uid, gid, chown)
+		return f.chmodCoffer(th, path, id, p, &pos, de, loc)
 	}
 
 	// In-coffer target.
 	rp, _ := f.kern.Info(pos.m.id)
 	hdr := f.readInodeHeader(th, de.inode)
-	oldMode, oldUID, oldGID := modeOf(hdr), u32at(hdr, inoUIDOff), u32at(hdr, inoGIDOff)
-	newMode, newUID, newGID := oldMode, oldUID, oldGID
-	if chown {
-		newUID, newGID = uid, gid
-	} else {
-		newMode = mode
-	}
+	old := perm{modeOf(hdr), u32at(hdr, inoUIDOff), u32at(hdr, inoGIDOff)}
+	p := old.changed(mode, uid, gid, chown)
 	// Only the owner (or root) may change permissions.
 	if u := th.Proc.UID(); u != 0 && u != rp.UID {
 		return vfs.ErrPerm
 	}
-
-	writeInodePerm := func(mode coffer.Mode, uid, gid uint32) {
-		prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
-		defer th.Clk.SetWriteClass(prev)
-		b := make([]byte, 12)
-		putU32(b, 0, uint32(mode))
-		putU32(b, 4, uid)
-		putU32(b, 8, gid)
-		th.WriteNT(de.inode*pageSize+inoModeOff, b)
-		th.Fence()
-	}
-
-	if f.opts.OneCoffer || f.sameCofferPerm(rp, newMode, newUID, newGID) {
+	if f.opts.OneCoffer || f.sameCofferPerm(rp, p.mode, p.uid, p.gid) {
 		// Still the coffer's permission class (or the single-coffer
 		// variant): a pure user-space inode update.
-		writeInodePerm(newMode, newUID, newGID)
+		f.writeInodePerm(th, de.inode, p)
 		return nil
 	}
-
 	// The expensive path: split the subtree into its own coffer.
-	pages := f.collectTreePages(th, de.inode, vfs.FileType(de.typ), th.Scratch.Pages[:0])
-	custom, err := f.allocPage(th, pos.m, classMeta)
+	pages, err := f.collectTreePages(th, de.inode, vfs.FileType(de.typ), th.Scratch.Pages[:0])
 	if err != nil {
 		return err
 	}
-	pages = append(pages, custom)
-	th.Scratch.Pages = pages
-	writeInodePerm(newMode, newUID, newGID)
-	newID, err := f.kern.CofferSplit(th, pos.m.id, path, newMode, newUID, newGID, pages, de.inode, custom)
+	newID, err := f.split(th, pos.m, path, pages, de.inode, p, &old)
 	if err != nil {
-		// A refused split (no page for the new root, the path taken) moved
-		// nothing: the inode takes its old permission back and the pool
-		// page goes back, as in rename.
-		writeInodePerm(oldMode, oldUID, oldGID)
-		if owner, _ := f.kern.OwnerOf(custom); owner == pos.m.id {
-			f.freePage(th, pos.m, classMeta, custom)
-		}
-		return errno(err)
+		return err
 	}
 	f.dirUpdateCoffer(th, pos.ino, base, loc, uint32(newID), de.inode)
+	return nil
+}
+
+// split is the one coffer_split: the subtree rooted at inode root, whose
+// pages the caller collected into the thread's scratch, leaves coffer m for
+// a new coffer at path with permission p. The new coffer's allocator pool
+// page comes off m's metadata list. With old set (a chmod), the root inode's
+// permission words take p before the kernel call; a crash between the two
+// leaves them saying p inside the old coffer. A refused split (not the
+// owner, the path taken, no page for the new root) moved nothing: the words
+// take old back and the pool page, still m's, goes back too.
+func (f *FS) split(th *proc.Thread, m *mount, path string, pages []int64, root int64, p perm, old *perm) (coffer.ID, error) {
+	custom, err := f.allocPage(th, m, classMeta)
+	if err != nil {
+		return 0, err
+	}
+	pages = append(pages, custom)
+	th.Scratch.Pages = pages
+	if old != nil {
+		f.writeInodePerm(th, root, p)
+	}
+	id, err := f.kern.CofferSplit(th, m.id, path, p.mode, p.uid, p.gid, pages, root, custom)
+	if err != nil {
+		if old != nil {
+			f.writeInodePerm(th, root, *old)
+		}
+		if owner, _ := f.kern.OwnerOf(custom); owner == m.id {
+			f.freePage(th, m, classMeta, custom)
+		}
+		return 0, errno(err)
+	}
+	return id, nil
+}
+
+// chmodCoffer is the one permission change of a coffer root: coffer id's
+// root page takes p, and if p re-entered the permission class of the coffer
+// holding the root's dentry, the coffer folds back into that one (Table 5:
+// coffer_merge), its dentry becomes an ordinary in-coffer reference, the
+// root inode's own permission words take p — stat reads them once the root
+// page is gone — and the pool page goes back (mergedInto). parent is that
+// dentry's directory, walked and bucket-locked by the caller, which found
+// the dentry de at loc; nil when the coffer was found by its path, and the
+// merge-back walks to the dentry itself. The merge-back is best-effort: any
+// failure leaves the split coffer in place, which is always a correct state.
+func (f *FS) chmodCoffer(th *proc.Thread, path string, id coffer.ID, p perm, parent *walkPos, de dentry, loc deLoc) error {
+	if err := errno(f.kern.SetCofferMeta(th, id, p.mode, p.uid, p.gid)); err != nil || path == "/" || f.opts.OneCoffer {
+		return err
+	}
+	dir, base := vfs.SplitPath(path)
+	byPath := parent == nil
+	if byPath {
+		pos, err := f.walk(th, dir, true, true)
+		if err != nil {
+			return nil
+		}
+		defer pos.close()
+		if pos.typ != vfs.TypeDir {
+			return nil
+		}
+		parent = &pos
+	}
+	if prp, ok := f.kern.Info(parent.m.id); !ok || !f.sameCofferPerm(prp, p.mode, p.uid, p.gid) {
+		return nil
+	}
+	if byPath {
+		bk := f.lockDirBucket(th, parent.ino, base)
+		defer f.unlockDirBucket(th, bk)
+		var err error
+		if de, loc, err = f.dirLookup(th, parent.ino, base); err != nil || coffer.ID(de.cofferID) != id {
+			return nil
+		}
+	}
+	tm, err := f.ensureMapped(th, id, true)
+	if err != nil || f.kern.CofferMerge(th, parent.m.id, id) != nil {
+		return nil
+	}
+	f.window(th, parent.m, true)
+	f.dirUpdateCoffer(th, parent.ino, base, loc, 0, de.inode)
+	f.writeInodePerm(th, de.inode, p)
+	f.mergedInto(th, parent.m, tm)
 	return nil
 }
 
@@ -198,59 +251,6 @@ func (f *FS) EnsureRootDir(th *proc.Thread) error {
 		f.initInode(th, m.root, vfs.TypeDir, uint32(rp.Mode), rp.UID, rp.GID)
 	}
 	return nil
-}
-
-// maybeMergeBack folds a coffer whose root permission re-entered its
-// parent's class back into the parent coffer (Table 5: coffer_merge) and
-// rewrites the parent dentry to an ordinary in-coffer reference.
-// Best-effort: any failure leaves the split coffer in place, which is
-// always a correct state — merging is an optimization, not an invariant.
-func (f *FS) maybeMergeBack(th *proc.Thread, dir, base string, target coffer.ID) {
-	if f.opts.OneCoffer {
-		return
-	}
-	rp, ok := f.kern.Info(target)
-	if !ok {
-		return
-	}
-	pos, err := f.walk(th, dir, true, true)
-	if err != nil {
-		return
-	}
-	defer pos.close()
-	if pos.typ != vfs.TypeDir {
-		return
-	}
-	parentRP, ok := f.kern.Info(pos.m.id)
-	if !ok || !f.sameCofferPerm(parentRP, rp.Mode, rp.UID, rp.GID) {
-		return
-	}
-	bk := f.lockDirBucket(th, pos.ino, base)
-	defer f.unlockDirBucket(th, bk)
-	de, loc, err := f.dirLookup(th, pos.ino, base)
-	if err != nil || coffer.ID(de.cofferID) != target {
-		return
-	}
-	tm, err := f.ensureMapped(th, target, true)
-	if err != nil {
-		return
-	}
-	if f.kern.CofferMerge(th, pos.m.id, target) != nil {
-		return
-	}
-	f.window(th, pos.m, true)
-	f.dirUpdateCoffer(th, pos.ino, base, loc, 0, de.inode)
-	// Back in-coffer, stat reads the inode's own permission words (the
-	// root page is gone) — sync them with what the root page said.
-	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassInode))
-	defer th.Clk.SetWriteClass(prev)
-	b := make([]byte, 12)
-	putU32(b, 0, uint32(rp.Mode))
-	putU32(b, 4, rp.UID)
-	putU32(b, 8, rp.GID)
-	th.WriteNT(de.inode*pageSize+inoModeOff, b)
-	th.Fence()
-	f.mergedInto(th, pos.m, tm)
 }
 
 // mergedInto finishes a successful coffer_merge of src into parent: src's

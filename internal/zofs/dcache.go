@@ -205,27 +205,28 @@ func chainKey(l1Idx, bucket int64) int64 { return 1<<32 | l1Idx<<8 | bucket }
 // one is rebuilt from NVM. Caller holds idx.mu — by defer, since a read of a
 // coffer the kernel unmapped behind the library's back faults out of here —
 // and the coffer's MPK window.
-func (f *FS) dcacheFresh(th *proc.Thread, idx *dirIndex, dirIno int64) {
+func (f *FS) dcacheFresh(th *proc.Thread, idx *dirIndex, dirIno int64) error {
 	if idx.authoritative(f.sh.dc.epoch.Load()) {
 		spans.FromClock(th.Clk).DCacheHit()
-	} else {
-		f.dcacheRebuild(th, idx, dirIno)
+		return nil
 	}
+	return f.dcacheRebuild(th, idx, dirIno)
 }
 
 // dcacheRebuild discards the index and rebuilds it with one full charged
 // walk of the on-NVM structure. Live entries index by name, free slots join
 // their placement free list; a live-but-undecodable dentry (torn commit
 // word) is neither — it is invisible to lookups and its slot is left for
-// recovery to reclaim. Caller holds idx.mu.
-func (f *FS) dcacheRebuild(th *proc.Thread, idx *dirIndex, dirIno int64) {
+// recovery to reclaim. A walk that ends at a looping chain leaves the index
+// reset and returns its error. Caller holds idx.mu.
+func (f *FS) dcacheRebuild(th *proc.Thread, idx *dirIndex, dirIno int64) error {
 	sp := spans.FromClock(th.Clk)
 	sp.DCacheMiss()
 	t0 := th.Clk.Now()
 	idx.reset()
 	idx.epoch = f.sh.dc.epoch.Load()
 	idx.complete = true
-	dirWalk(th, dirIno, nil, func(d dentry, loc deLoc, bkt int64) bool {
+	err := dirWalk(th, dirIno, nil, func(d dentry, loc deLoc, bkt int64) bool {
 		switch {
 		case d.visible():
 			idx.put(cachedDe{de: d, loc: loc, bkt: bkt})
@@ -234,7 +235,11 @@ func (f *FS) dcacheRebuild(th *proc.Thread, idx *dirIndex, dirIno int64) {
 		}
 		return true
 	})
+	if err != nil {
+		idx.reset()
+	}
 	sp.Child("dcache.rebuild", t0, th.Clk.Now()-t0)
+	return err
 }
 
 // dcacheTrusted is the one statement of when a cached dentry may be served

@@ -405,8 +405,8 @@ func TestInsertBehindStaleIndexScansNVM(t *testing.T) {
 		insert(name)
 	}
 	// L1, one L2, and the one chain page the bucket's 31 names fill.
-	if pages := f.dirPages(th, pos.ino); len(pages) != 3 {
-		t.Fatalf("directory structure is %d pages, want 3: %v", len(pages), pages)
+	if pages, err := f.dirPages(th, pos.ino); err != nil || len(pages) != 3 {
+		t.Fatalf("directory structure is %d pages (%v), want 3: %v", len(pages), err, pages)
 	}
 	// Free a slot in the full chain page: the scan must find it for the next
 	// name of the bucket rather than grow the chain.
@@ -421,8 +421,8 @@ func TestInsertBehindStaleIndexScansNVM(t *testing.T) {
 	}
 	// Full again: one more name opens a second chain page at the head.
 	insert(extra)
-	if pages := f.dirPages(th, pos.ino); len(pages) != 4 {
-		t.Fatalf("directory structure is %d pages, want 4: %v", len(pages), pages)
+	if pages, err := f.dirPages(th, pos.ino); err != nil || len(pages) != 4 {
+		t.Fatalf("directory structure is %d pages (%v), want 4: %v", len(pages), err, pages)
 	}
 
 	want := append(append([]string{}, inline...), chained[1:]...)

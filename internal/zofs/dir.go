@@ -1,6 +1,8 @@
 package zofs
 
 import (
+	"fmt"
+
 	"zofs/internal/byteflow"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
@@ -93,10 +95,14 @@ func (f *FS) dirLookup(th *proc.Thread, dirIno int64, name string) (dentry, deLo
 	idx := f.sh.dir(dirIno)
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	f.dcacheFresh(th, idx, dirIno)
+	if err := f.dcacheFresh(th, idx, dirIno); err != nil {
+		return dentry{}, deLoc{}, err
+	}
 	c := idx.get(name)
 	if c != nil && !f.dcacheTrusted(th, c) {
-		f.dcacheRebuild(th, idx, dirIno)
+		if err := f.dcacheRebuild(th, idx, dirIno); err != nil {
+			return dentry{}, deLoc{}, err
+		}
 		c = idx.get(name)
 	}
 	if c == nil {
@@ -245,7 +251,11 @@ func (f *FS) dirInsertScan(th *proc.Thread, m *mount, dirIno int64, name string,
 	// Walk the bucket chain for a free slot.
 	bucketAddr := l2*pageSize + l2BucketOff + 8*l2Bucket(h)
 	head := int64(th.Load64(bucketAddr))
+	var loop chainLoop
 	for pg := head; pg != 0; {
+		if loop.closes(pg) {
+			return errChainLoop
+		}
 		page := f.readView(th, pg*pageSize, pageSize)
 		th.CPU(perfmodel.CPUDentryScan * ((pageSize - chainFirstDe) / dentrySize))
 		next := int64(u64at(page, chainNextOff))
@@ -313,6 +323,50 @@ func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deL
 	idx.mu.Unlock()
 }
 
+// chainLoop is the one loop rule of every bucket-chain walk: closes is told
+// each chain page in walk order and reports the walk's return to a page it
+// passed before. It is Brent's cycle check: two words and a compare a page,
+// so a healthy chain costs no allocation and no charge. A loop of λ pages
+// entered μ pages down the chain is reported before the walk has passed
+// 3(μ+λ) pages, some of them more than once; n is then λ.
+type chainLoop struct {
+	mark   int64
+	n, lim int
+}
+
+func (c *chainLoop) closes(pg int64) bool {
+	if pg == c.mark {
+		return true
+	}
+	if c.n == c.lim {
+		c.mark, c.n, c.lim = pg, 0, max(1, 2*c.lim)
+	}
+	c.n++
+	return false
+}
+
+// closer finds the chain page whose next pointer closes the loop closes
+// reported, on the chain from head: the loop's first page is where a
+// pointer λ pages ahead meets one from the head, and the page λ−1 past it
+// points back at it.
+func (c *chainLoop) closer(head int64, next func(pg int64) int64) int64 {
+	ahead := head
+	for range c.n {
+		ahead = next(ahead)
+	}
+	for head != ahead {
+		head, ahead = next(head), next(ahead)
+	}
+	for range c.n - 1 {
+		head = next(head)
+	}
+	return head
+}
+
+// errChainLoop is what a live walk returns at a looping bucket chain (§6.5:
+// a damaged coffer yields errors, not hangs); recovery cuts the loop.
+var errChainLoop = fmt.Errorf("%w: directory bucket chain loops", vfs.ErrCorrupted)
+
 // dirWalk is the one full traversal of the two-level hash table (§5.1):
 // first-level page, each second-level page's inline area, then each of its
 // 256 bucket chains. It is what the index is rebuilt from (dcacheRebuild),
@@ -324,8 +378,10 @@ func (f *FS) dirUpdateCoffer(th *proc.Thread, dirIno int64, name string, loc deL
 // sees every dentry slot, live or not, with the free-list key of its
 // placement, and ends the walk by returning false; without it chain pages
 // are read for their next pointer only. Every read is charged as a media
-// read. Caller holds at least a read lock (or idx.mu).
-func dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot func(d dentry, loc deLoc, bkt int64) bool) {
+// read. A looping chain ends the walk with errChainLoop, after the hooks
+// may have seen some of its pages more than once. Caller holds at least a read lock
+// (or idx.mu).
+func dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot func(d dentry, loc deLoc, bkt int64) bool) error {
 	if page == nil {
 		page = func(int64) {}
 	}
@@ -339,7 +395,7 @@ func dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot func(d den
 	}
 	l1 := dirL1Of(th, dirIno)
 	if l1 == 0 {
-		return
+		return nil
 	}
 	page(l1)
 	l1buf, _ := th.ReadView(l1*pageSize, pageSize)
@@ -352,10 +408,14 @@ func dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot func(d den
 		page(l2)
 		l2buf, _ := th.ReadView(l2*pageSize, pageSize)
 		if slot != nil && !slots(l2buf[:l2BucketOff], l2, 0, inlineKey(i)) {
-			return
+			return nil
 		}
 		for b := int64(0); b < l2Buckets; b++ {
+			var loop chainLoop
 			for pg := int64(u64at(l2buf, int(l2BucketOff+b*8))); pg != 0; {
+				if loop.closes(pg) {
+					return errChainLoop
+				}
 				page(pg)
 				if slot == nil {
 					th.Read(pg*pageSize+chainNextOff, next[:])
@@ -365,12 +425,13 @@ func dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot func(d den
 				chain, _ := th.ReadView(pg*pageSize, pageSize)
 				nextPg := int64(u64at(chain, chainNextOff))
 				if !slots(chain, pg, chainFirstDe, chainKey(i, b)) {
-					return
+					return nil
 				}
 				pg = nextPg
 			}
 		}
 	}
+	return nil
 }
 
 // dirList enumerates a directory: fn receives up to limit of its visible
@@ -383,36 +444,46 @@ func dirWalk(th *proc.Thread, dirIno int64, page func(pg int64), slot func(d den
 // dcacheTrusted check, so listing n names reads n hot cache lines instead of
 // every page of the hash table. One mismatch distrusts the whole index: it
 // is rebuilt and the NVM truth is served. Caller holds at least a read lock.
-func (f *FS) dirList(th *proc.Thread, dirIno int64, limit int, page func(pg int64), fn func(ents []cachedDe)) {
+func (f *FS) dirList(th *proc.Thread, dirIno int64, limit int, page func(pg int64), fn func(ents []cachedDe)) error {
 	if page != nil {
-		dirWalk(th, dirIno, page, nil)
+		if err := dirWalk(th, dirIno, page, nil); err != nil {
+			return err
+		}
 	}
 	th.CPU(perfmodel.CPUSmallOp)
 	idx := f.sh.dir(dirIno)
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	f.dcacheFresh(th, idx, dirIno)
+	if err := f.dcacheFresh(th, idx, dirIno); err != nil {
+		return err
+	}
 	n := min(limit, len(idx.ents))
 	for i := 0; i < n; i++ {
 		th.CPU(perfmodel.CPUDentryScan)
 		if !f.dcacheTrusted(th, &idx.ents[i]) {
-			f.dcacheRebuild(th, idx, dirIno)
+			if err := f.dcacheRebuild(th, idx, dirIno); err != nil {
+				return err
+			}
 			n = min(limit, len(idx.ents))
 			break
 		}
 	}
 	fn(idx.ents[:n])
+	return nil
 }
 
-// dirEmpty reports whether a directory has no live entries.
-func (f *FS) dirEmpty(th *proc.Thread, dirIno int64) (empty bool) {
-	f.dirList(th, dirIno, 1, nil, func(ents []cachedDe) { empty = len(ents) == 0 })
-	return empty
+// dirEmpty returns ErrNotEmpty unless a directory has no live entries.
+func (f *FS) dirEmpty(th *proc.Thread, dirIno int64) error {
+	empty := false
+	if err := f.dirList(th, dirIno, 1, nil, func(ents []cachedDe) { empty = len(ents) == 0 }); err != nil || empty {
+		return err
+	}
+	return vfs.ErrNotEmpty
 }
 
 // dirPages collects every page used by the directory structure itself
 // (L1, L2 and chain pages), for truncation/recovery accounting.
-func (f *FS) dirPages(th *proc.Thread, dirIno int64) (pages []int64) {
-	dirWalk(th, dirIno, func(pg int64) { pages = append(pages, pg) }, nil)
-	return pages
+func (f *FS) dirPages(th *proc.Thread, dirIno int64) (pages []int64, err error) {
+	err = dirWalk(th, dirIno, func(pg int64) { pages = append(pages, pg) }, nil)
+	return pages, err
 }

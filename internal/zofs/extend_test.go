@@ -58,8 +58,7 @@ func checkExtended(t *testing.T, th *proc.Thread, h vfs.Handle, want []byte, to 
 // after each of its persisting stores. Wherever recovery comes back with the
 // old size, the appended bytes may still sit on the device past EOF;
 // extending the file over them must read zeros, not the lost bytes. The file
-// grows within its first block, and past it (out of the inline area, with
-// InlineData).
+// grows within its first block, and past it.
 func TestLostAppendStaysLost(t *testing.T) {
 	const size = 100
 	committed := bytes.Repeat([]byte{'A'}, size)

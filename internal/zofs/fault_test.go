@@ -3,8 +3,10 @@ package zofs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"zofs/internal/kernfs"
 	"zofs/internal/nvm"
@@ -346,4 +348,110 @@ func TestCheckReportsForeignRootInode(t *testing.T) {
 		}
 	}
 	t.Fatalf("Check found %v, want coffer %d's root inode reported", rep.Findings, id)
+}
+
+// TestChainLoopIsAnError plants a self-loop in a bucket chain page: the
+// page's next pointer names the page itself. §6.5 asks a damaged coffer to
+// give errors, not hangs: a lookup that rebuilds the directory's index must
+// fail with ErrCorrupted, and Check must clear the pointer that closes the
+// loop and report it, after which the directory serves lookups again. Each
+// lookup runs under a deadline, so a walk that spins fails the test instead
+// of hanging it.
+func TestChainLoopIsAnError(t *testing.T) {
+	dev, k, f, th := newTestFS(t, Options{})
+	if err := f.Mkdir(th, "/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// Sixteen names of one first-level slot fill its inline area; the
+	// seventeenth heads a bucket chain.
+	var names []string
+	for i := 0; len(names) <= l2InlineCnt; i++ {
+		if n := fmt.Sprintf("n%d", i); l1Index(nameHash(n)) == l1Index(nameHash("n0")) {
+			names = append(names, n)
+			h, err := f.Create(th, "/d/"+n, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Close(th)
+		}
+	}
+	pos, err := f.walk(th, "/d", false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, at, err := f.dirLookup(th, pos.ino, names[l2InlineCnt])
+	pos.close()
+	if err != nil || at.off%dentrySize != chainFirstDe {
+		t.Fatalf("last name at page offset %d (%v), want one in a chain page", at.off, err)
+	}
+	next := at.page*pageSize + chainNextOff
+	dev.Store64(nil, next, uint64(at.page))
+
+	stat := func(name string) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := f.Stat(th, "/d/"+name)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Stat of /d/%s spins on the looping chain", name)
+			return nil
+		}
+	}
+	f.InvalidateAll() // the next lookup rebuilds the index from NVM
+	if err := stat(names[0]); !errors.Is(err, vfs.ErrCorrupted) {
+		t.Fatalf("lookup over a looping chain: %v, want ErrCorrupted", err)
+	}
+	rep := Check(k, th)
+	if err := rep.Err(); err != nil {
+		t.Fatalf("Check left findings: %v", err)
+	}
+	if !slices.ContainsFunc(rep.Findings, func(fd Finding) bool { return fd.Off == next && fd.Detail == "chain_loop" }) {
+		t.Fatalf("Check found %v, want the loop's pointer at %#x cleared", rep.Findings, next)
+	}
+	if w := dev.Load64(nil, next); w != 0 {
+		t.Fatalf("the loop's pointer reads %d after Check, want 0", w)
+	}
+	for _, n := range names {
+		if err := stat(n); err != nil {
+			t.Fatalf("lookup of %s after Check: %v", n, err)
+		}
+	}
+}
+
+// TestChainLoopFindsTheCloser drives the chain loop rule over every chain of
+// up to 40 pages whose last page points back at one of them, or ends it: a
+// loop is reported exactly when there is one, within three passes of the
+// chain, and closer names the last page as the one that closes it.
+func TestChainLoopFindsTheCloser(t *testing.T) {
+	for n := int64(1); n <= 40; n++ {
+		for back := int64(0); back <= n; back++ { // 0: no loop
+			next := func(pg int64) int64 {
+				if pg < n {
+					return pg + 1
+				}
+				return back
+			}
+			var loop chainLoop
+			looped, steps := false, int64(0)
+			for pg := int64(1); pg != 0 && !looped; pg = next(pg) {
+				if looped = loop.closes(pg); steps > 3*n {
+					t.Fatalf("%d pages back to %d: no loop reported after %d steps", n, back, steps)
+				}
+				steps++
+			}
+			if looped != (back != 0) {
+				t.Fatalf("%d pages back to %d: loop reported %v", n, back, looped)
+			}
+			if looped {
+				if c := loop.closer(1, next); c != n {
+					t.Fatalf("%d pages back to %d: closer %d, want %d", n, back, c, n)
+				}
+			}
+		}
+	}
 }

@@ -29,10 +29,6 @@ type Options struct {
 	// differ: chmod/chown become pure user-space inode updates and no
 	// coffer is ever split (ZoFS-1coffer, Table 9).
 	OneCoffer bool
-	// InlineData embeds small files' contents in the inode page (§5.1's
-	// future-work optimization): no data page, no block pointer, one page
-	// per small file instead of two.
-	InlineData bool
 	// DataEnlargeBatch and MetaEnlargeBatch cap the coffer_enlarge request
 	// sizes (pages) for the data and metadata per-thread free lists: a
 	// thread's grants in a coffer ramp up to the cap (enlarge). Metadata

@@ -34,7 +34,10 @@ import (
 // a listing is written into the thread's buffer. A first-seen inode page or
 // bucket carves its state entry from a slab, a fresh second-level page's free
 // slots fill a carved block, and a removed directory's index is reset in
-// place: fewer than one object an op.
+// place: fewer than one object an op. A coffer's life costs objects in the
+// kernel (its record, its path entry, its mapper table) and a mount here;
+// those rows are pinned at what they cost, so a coffer step that gains an
+// object shows.
 func TestAllocBudget(t *testing.T) {
 	if telemetry.Active() != nil || spans.Active() != nil || series.Active() != nil ||
 		lockprof.Active() != nil || pmemtrace.Active() != nil {
@@ -68,14 +71,14 @@ func TestAllocBudget(t *testing.T) {
 		return s
 	}
 	created, renamed := names("/dir/sub/c%03d"), names("/dir/sub/r%03d")
-	create := func(name string) {
-		h, err := f.Create(th, name, 0o644)
+	create := func(name string, mode coffer.Mode) {
+		h, err := f.Create(th, name, mode)
 		must(err)
 		must(h.Close(th))
 	}
 	must(f.Mkdir(th, "/list", 0o755))
 	for j := 0; j < 256; j++ {
-		create(fmt.Sprintf("/list/e%03d", j))
+		create(fmt.Sprintf("/list/e%03d", j), 0o644)
 	}
 	// /grow gets one name per first-level slot, each growing a second-level
 	// page; /fresh's names were renamed away, so their slots are free and
@@ -94,7 +97,7 @@ func TestAllocBudget(t *testing.T) {
 	}
 	fresh := names("/fresh/n%03d")
 	for _, n := range fresh {
-		create(n)
+		create(n, 0o644)
 		must(f.Rename(th, n, "/parked/"+n[len("/fresh/"):]))
 	}
 	for _, d := range []string{"/grow", "/empty"} {
@@ -105,7 +108,7 @@ func TestAllocBudget(t *testing.T) {
 	empty, err := f.Stat(th, "/empty")
 	must(err)
 	for _, n := range created {
-		create(n)
+		create(n, 0o644)
 	}
 	for j, n := range created {
 		must(f.Rename(th, n, renamed[j]))
@@ -154,11 +157,11 @@ func TestAllocBudget(t *testing.T) {
 		}},
 		// The inode page is a recycled one, so its state entry, its dentry
 		// slot and its place in the index are all there already.
-		{"Create+Close", 0, func() { create(next(created)) }},
+		{"Create+Close", 0, func() { create(next(created), 0o644) }},
 		// The recycled inode pages are all taken now: the creates below take
 		// fresh ones, whose state entries they carve.
-		{"Create+Close on a new inode page", 0, func() { create(next(fresh)) }},
-		{"Create+Close growing a second-level page", 0, func() { create(next(grow)) }},
+		{"Create+Close on a new inode page", 0, func() { create(next(fresh), 0o644) }},
+		{"Create+Close growing a second-level page", 0, func() { create(next(grow), 0o644) }},
 		// The inode page comes back, and with it the index rmdir reset.
 		{"Mkdir+Rmdir of an empty directory", 0, func() {
 			must(f.Mkdir(th, "/dir/empty", 0o755))
@@ -186,6 +189,24 @@ func TestAllocBudget(t *testing.T) {
 			must(f.Rename(th, from, renamed[(i-1)%len(renamed)]))
 		}},
 		{"Unlink", 0, func() { must(f.Unlink(th, next(renamed))) }},
+		{"Symlink+Unlink", 0, func() {
+			must(f.Symlink(th, "/some/target", "/dir/sub/link"))
+			must(f.Unlink(th, "/dir/sub/link"))
+		}},
+		// A coffer root: coffer_new, then coffer_delete.
+		{"Create+Close+Unlink of a coffer root", 13, func() {
+			create("/dir/sub/private", 0o600)
+			must(f.Unlink(th, "/dir/sub/private"))
+		}},
+		{"Mkdir+Rmdir of a coffer root", 12, func() {
+			must(f.Mkdir(th, "/dir/private", 0o700))
+			must(f.Rmdir(th, "/dir/private"))
+		}},
+		// coffer_split, then coffer_merge.
+		{"Chmod split+merge-back", 5, func() {
+			must(f.Chmod(th, "/dir/sub/file", 0o600))
+			must(f.Chmod(th, "/dir/sub/file", 0o644))
+		}},
 		// The listing fills the thread's buffer, which the first run sized.
 		{"ReadDir of 256 entries", 0, func() {
 			if ents, err := f.ReadDir(th, "/list"); err != nil || len(ents) != 256 {

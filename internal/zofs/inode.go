@@ -241,11 +241,6 @@ func (f *FS) indirectPage(th *proc.Thread, m *mount, slot int64, alloc bool) (in
 	return pg, nil
 }
 
-// isInline reports whether the file's data lives in the inode page.
-func (f *FS) isInline(th *proc.Thread, ino int64) bool {
-	return f.opts.InlineData && th.Load64Cached(ino*pageSize+inoInlineFlag) == 1
-}
-
 // readAt reads file data straight from the mapped device into the caller's
 // buffer; the caller holds at least a read lock on ino.
 func (f *FS) readAt(th *proc.Thread, m *mount, ino int64, p []byte, off int64) (int, error) {
@@ -258,10 +253,6 @@ func (f *FS) readAt(th *proc.Thread, m *mount, ino int64, p []byte, off int64) (
 	}
 	if off+int64(len(p)) > size {
 		p = p[:size-off]
-	}
-	if f.isInline(th, ino) {
-		th.Read(ino*pageSize+inoInlineOff+off, p)
-		return len(p), nil
 	}
 	return f.forEachRun(th, m, ino, off, len(p), size, false, func(dev, from, to int64) {
 		if dev < 0 {
@@ -286,35 +277,6 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 		return 0, vfs.ErrInvalid
 	}
 	size := f.inodeSize(th, ino)
-	if f.opts.InlineData {
-		inline := f.isInline(th, ino)
-		if (inline || size == 0) && off+int64(len(p)) <= inlineCap {
-			// The whole write fits in the inode page: one store, no
-			// allocation, no block pointer.
-			f.rec().Inc(telemetry.CtrZoFSInlineWrites)
-			if err := f.checkLease(th, ino, epoch); err != nil {
-				return 0, err
-			}
-			if off > size {
-				th.Zero(ino*pageSize+inoInlineOff+size, off-size)
-			}
-			th.WriteNT(ino*pageSize+inoInlineOff+off, p)
-			if !inline {
-				th.Store64(ino*pageSize+inoInlineFlag, 1)
-			}
-			if end := off + int64(len(p)); end > size {
-				f.setInodeSize(th, ino, end)
-			} else {
-				th.Store64(ino*pageSize+inoMtimeOff, uint64(th.Clk.Now()))
-			}
-			return len(p), nil
-		}
-		if inline {
-			if err := f.deInline(th, m, ino, size); err != nil {
-				return 0, err
-			}
-		}
-	}
 	f.rec().Inc(telemetry.CtrZoFSExtentWrites)
 	// A write past EOF maps blocks before its size commit covers them.
 	var st *inoState
@@ -353,26 +315,6 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 	return n, nil
 }
 
-// deInline migrates inline content to a real data page (the file outgrew
-// the inode's tail).
-func (f *FS) deInline(th *proc.Thread, m *mount, ino, size int64) error {
-	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassData))
-	defer th.Clk.SetWriteClass(prev)
-	f.rec().Inc(telemetry.CtrZoFSDeInline)
-	buf := make([]byte, size)
-	th.Read(ino*pageSize+inoInlineOff, buf)
-	// The rest of block 0 lies past EOF: whatever extends the file over it
-	// zeroes it then.
-	_, err := f.forEachRun(th, m, ino, 0, len(buf), size, true, func(dev, from, to int64) {
-		th.WriteNT(dev, buf[from:to])
-	})
-	if err != nil {
-		return err
-	}
-	th.Store64(ino*pageSize+inoInlineFlag, 0)
-	return nil
-}
-
 // truncateTo shrinks or extends a file; the caller holds the write lock.
 // Extending zeroes the mapped bytes it exposes (zeroExposed), then commits
 // the new size. Shrinking scrubs the tail of the boundary block, commits the
@@ -386,21 +328,6 @@ func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
 		return vfs.ErrInvalid
 	}
 	size := f.inodeSize(th, ino)
-	if f.isInline(th, ino) {
-		if newSize > inlineCap {
-			if err := f.deInline(th, m, ino, size); err != nil {
-				return err
-			}
-		} else {
-			if inline := ino*pageSize + inoInlineOff; newSize < size {
-				th.Zero(inline+newSize, inlineCap-newSize)
-			} else if newSize > size {
-				th.Zero(inline+size, newSize-size)
-			}
-			f.setInodeSize(th, ino, newSize)
-			return nil
-		}
-	}
 	if newSize >= size {
 		f.zeroExposed(th, m, ino, size, newSize)
 		f.setInodeSize(th, ino, newSize)
@@ -495,9 +422,8 @@ func (f *FS) pointerEnd(th *proc.Thread, ino int64) int64 {
 // The inode page goes to the metadata list zeroed, but scrubbed only over
 // what it can hold: a directory's header, a symlink's header and target, a
 // file's header, indirect words and the direct slots its size covers (one
-// store; an empty file's indirect words only when set) and, with
-// InlineData, its inline flag and tail — or all of it when a pointer may lie
-// past EOF (nothingPastEOF). Pointer pages go to the data list.
+// store; an empty file's indirect words only when set) — or all of it when a
+// pointer may lie past EOF (nothingPastEOF). Pointer pages go to the data list.
 func (f *FS) freeInode(th *proc.Thread, m *mount, ino int64, typ vfs.FileType) {
 	base, n := ino*pageSize, int64(inoHeaderLen)
 	switch typ {
@@ -518,17 +444,17 @@ func (f *FS) freeInode(th *proc.Thread, m *mount, ino int64, typ vfs.FileType) {
 				n = inoHeaderLen
 			}
 		}
-		if f.opts.InlineData {
-			f.scrub(th, base+inoInlineFlag, pageSize-inoInlineFlag)
-		}
 	case vfs.TypeSymlink:
 		n = inoSymTgtOff + f.inodeSize(th, ino)
 	default:
 		// The directory is gone and its pages may be recycled under another
 		// identity; reset its lookup index. It must be empty.
 		f.sh.resetDir(ino)
-		for _, pg := range f.dirPages(th, ino) {
-			f.freePage(th, m, classMeta, pg)
+		// A looping chain lists pages twice: they leak, for recovery.
+		if pages, err := f.dirPages(th, ino); err == nil {
+			for _, pg := range pages {
+				f.freePage(th, m, classMeta, pg)
+			}
 		}
 	}
 	f.scrub(th, base, n)

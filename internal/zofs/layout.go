@@ -60,14 +60,7 @@ const (
 	inoIndirectOff = 64  // u64
 	inoDIndirOff   = 72  // u64
 	inoDirectOff   = 80  // u64 x inoDirectCnt
-	inoDirectCnt   = 392 // slots end at inoInlineFlag
-
-	// Inline data (§5.1's "embedding file data in the inode page", the
-	// paper's future-work optimization, enabled by Options.InlineData):
-	// small files live entirely in the tail of their inode page.
-	inoInlineFlag = 3216 // u64: 1 = data is inline
-	inoInlineOff  = 3224
-	inlineCap     = nvm.PageSize - inoInlineOff // 872 bytes
+	inoDirectCnt   = 392 // slots end at byte 3216; 3216–4095 are reserved
 
 	ptrsPerPage = nvm.PageSize / 8 // 512
 )

@@ -36,35 +36,15 @@ func (f *FS) sameCofferPerm(rp coffer.RootPage, mode coffer.Mode, uid, gid uint3
 
 var _ vfs.FileSystem = (*FS)(nil)
 
-// createInCoffer gives directory pos a child of its own coffer under name: it
-// takes an inode page, initialises it (a symlink's target included) and
-// inserts the dentry, and on any failure after the allocation hands the page
-// back. The caller holds the name's bucket lock, has found the name absent
-// and has checked its length, so no page is taken for a name that cannot be
-// inserted.
-func (f *FS) createInCoffer(th *proc.Thread, pos walkPos, name string, typ vfs.FileType, mode coffer.Mode, target string) (int64, error) {
-	ino, err := f.allocPage(th, pos.m, classMeta)
-	if err != nil {
-		return 0, err
-	}
-	f.initInode(th, ino, typ, uint32(mode), th.Proc.UID(), th.Proc.GID())
-	if typ == vfs.TypeSymlink {
-		err = f.writeSymlinkTarget(th, ino, target)
-	}
-	if err == nil {
-		err = f.dirInsert(th, pos.m, pos.ino, name, uint8(typ), 0, ino)
-	}
-	if err != nil {
-		f.freeInode(th, pos.m, ino, typ)
-		return 0, err
-	}
-	return ino, nil
-}
-
-// Create makes (or truncates) a regular file. A file whose permission
-// differs from its parent coffer's becomes the root file of a fresh coffer,
-// referenced by a cross-coffer dentry (§3.1).
-func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle, error) {
+// create is the one way a name comes into being: Create, Mkdir and Symlink
+// walk to the parent directory, take the name's bucket lock and find the
+// name absent — Create opens an existing file instead, truncating it (creat
+// semantics) — then make the child. A child whose permission matches the
+// parent coffer's (a symlink always does: it carries its parent's) gets an
+// inode page of that coffer, initialised before its dentry goes in. Any
+// other becomes the root of a fresh coffer, referenced by a cross-coffer
+// dentry (§3.1). It returns a handle on a regular file, nil otherwise.
+func (f *FS) create(th *proc.Thread, path string, typ vfs.FileType, mode coffer.Mode, target string) (vfs.Handle, error) {
 	dir, base := vfs.SplitPath(path)
 	if base == "" {
 		return nil, vfs.ErrExist
@@ -80,54 +60,71 @@ func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle,
 	if pos.typ != vfs.TypeDir {
 		return nil, vfs.ErrNotDir
 	}
-
 	bk := f.lockDirBucket(th, pos.ino, base)
 	defer f.unlockDirBucket(th, bk)
-
 	if de, _, err := f.dirLookup(th, pos.ino, base); err == nil {
-		// Exists: truncate (creat semantics).
+		if typ != vfs.TypeRegular {
+			return nil, vfs.ErrExist
+		}
 		return f.openExisting(th, pos, de, vfs.O_RDWR|vfs.O_TRUNC, path)
 	}
 
-	rp, _ := f.kern.Info(pos.m.id)
+	m, ino := pos.m, int64(0)
 	uid, gid := th.Proc.UID(), th.Proc.GID()
-	if f.sameCofferPerm(rp, mode, uid, gid) {
-		ino, err := f.createInCoffer(th, pos, base, vfs.TypeRegular, mode, "")
-		if err != nil {
+	if rp, _ := f.kern.Info(pos.m.id); typ == vfs.TypeSymlink || f.sameCofferPerm(rp, mode, uid, gid) {
+		// The inode page goes back on any failure after its allocation.
+		if ino, err = f.allocPage(th, pos.m, classMeta); err != nil {
 			return nil, err
 		}
-		return f.newHandle(pos.m, ino, path, vfs.O_RDWR), nil
-	}
-
-	// Different permission: the file gets its own coffer.
-	newID, err := f.kern.CofferNew(th, pos.m.id, path, coffer.TypeZoFS, mode, uid, gid, 3)
-	if err != nil {
-		return nil, errno(err)
-	}
-	// coffer_new already published the path in the kernel registry. Until
-	// the root inode is initialized and the dentry is in place, any exit —
-	// error return or MPK fault unwinding through here — must delete the
-	// coffer again, or the path resolves forever to an uninitialized root.
-	published := false
-	defer func() {
-		if !published {
-			f.kern.CofferDelete(th, newID)
-			f.sh.dc.bump() // deleted coffer's pages may be re-granted
+		f.initInode(th, ino, typ, uint32(mode), uid, gid)
+		if typ == vfs.TypeSymlink {
+			err = f.writeSymlinkTarget(th, ino, target)
 		}
-	}()
-	nm, err := f.ensureMapped(th, newID, true)
-	if err != nil {
-		return nil, err
+		if err == nil {
+			err = f.dirInsert(th, pos.m, pos.ino, base, uint8(typ), 0, ino)
+		}
+		if err != nil {
+			f.freeInode(th, pos.m, ino, typ)
+			return nil, err
+		}
+	} else {
+		newID, err := f.kern.CofferNew(th, pos.m.id, path, coffer.TypeZoFS, mode, uid, gid, 3)
+		if err != nil {
+			return nil, errno(err)
+		}
+		// coffer_new already published the path in the kernel registry.
+		// Until the root inode is initialized and the dentry is in place,
+		// any exit — error return or MPK fault unwinding through here — must
+		// delete the coffer again, or the path resolves forever to an
+		// uninitialized root.
+		published := false
+		defer func() {
+			if !published {
+				f.deleteCoffer(th, newID)
+			}
+		}()
+		if m, err = f.ensureMapped(th, newID, true); err != nil {
+			return nil, err
+		}
+		ino = m.root
+		f.window(th, m, true)
+		f.initInode(th, ino, typ, uint32(mode), uid, gid)
+		// Back to the parent coffer to publish the cross-coffer dentry.
+		f.window(th, pos.m, true)
+		if err := f.dirInsert(th, pos.m, pos.ino, base, uint8(typ), uint32(newID), ino); err != nil {
+			return nil, err
+		}
+		published = true
 	}
-	f.window(th, nm, true)
-	f.initInode(th, nm.root, vfs.TypeRegular, uint32(mode), uid, gid)
-	// Back to the parent coffer to publish the cross-coffer dentry.
-	f.window(th, pos.m, true)
-	if err := f.dirInsert(th, pos.m, pos.ino, base, uint8(vfs.TypeRegular), uint32(newID), nm.root); err != nil {
-		return nil, err
+	if typ != vfs.TypeRegular {
+		return nil, nil
 	}
-	published = true
-	return f.newHandle(nm, nm.root, path, vfs.O_RDWR), nil
+	return f.newHandle(m, ino, path, vfs.O_RDWR), nil
+}
+
+// Create makes (or truncates) a regular file.
+func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle, error) {
+	return f.create(th, path, vfs.TypeRegular, mode, "")
 }
 
 // openExisting opens a file found in a directory under the parent's lock.
@@ -205,68 +202,30 @@ func (f *FS) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
 // Mkdir creates a directory, in-coffer when the permission matches the
 // parent coffer, otherwise as a new coffer.
 func (f *FS) Mkdir(th *proc.Thread, path string, mode coffer.Mode) error {
-	dir, base := vfs.SplitPath(path)
-	if base == "" {
-		return vfs.ErrExist
-	}
-	if len(base) > MaxNameLen {
-		return vfs.ErrNameTooLong
-	}
-	pos, err := f.walk(th, dir, true, true)
-	if err != nil {
-		return err
-	}
-	defer pos.close()
-	if pos.typ != vfs.TypeDir {
-		return vfs.ErrNotDir
-	}
-	bk := f.lockDirBucket(th, pos.ino, base)
-	defer f.unlockDirBucket(th, bk)
-	if _, _, err := f.dirLookup(th, pos.ino, base); err == nil {
-		return vfs.ErrExist
-	}
-	rp, _ := f.kern.Info(pos.m.id)
-	uid, gid := th.Proc.UID(), th.Proc.GID()
-	if f.sameCofferPerm(rp, mode, uid, gid) {
-		_, err := f.createInCoffer(th, pos, base, vfs.TypeDir, mode, "")
-		return err
-	}
-	newID, err := f.kern.CofferNew(th, pos.m.id, path, coffer.TypeZoFS, mode, uid, gid, 3)
-	if err != nil {
-		return errno(err)
-	}
-	// Same unwind discipline as Create: the registry entry must not outlive
-	// a failed or faulted init.
-	published := false
-	defer func() {
-		if !published {
-			f.kern.CofferDelete(th, newID)
-			f.sh.dc.bump() // deleted coffer's pages may be re-granted
-		}
-	}()
-	nm, err := f.ensureMapped(th, newID, true)
-	if err != nil {
-		return err
-	}
-	f.window(th, nm, true)
-	f.initInode(th, nm.root, vfs.TypeDir, uint32(mode), uid, gid)
-	f.window(th, pos.m, true)
-	if err := f.dirInsert(th, pos.m, pos.ino, base, uint8(vfs.TypeDir), uint32(newID), nm.root); err != nil {
-		return err
-	}
-	published = true
-	return nil
+	_, err := f.create(th, path, vfs.TypeDir, mode, "")
+	return err
 }
 
-// Unlink removes a file or symlink: the dentry kill is the atomic commit;
-// the content is freed afterwards (a crash in between leaks pages that
-// recovery reclaims — §5.3).
-func (f *FS) Unlink(th *proc.Thread, path string) error {
-	dir, base := vfs.SplitPath(path)
+// Unlink removes a file or symlink.
+func (f *FS) Unlink(th *proc.Thread, path string) error { return f.remove(th, path, false) }
+
+// Rmdir removes an empty directory.
+func (f *FS) Rmdir(th *proc.Thread, path string) error { return f.remove(th, path, true) }
+
+// remove is the one way a name goes, behind Unlink and Rmdir (dir): the
+// dentry kill is the atomic commit and the content is freed afterwards (a
+// crash in between leaks pages that recovery reclaims — §5.3). A coffer
+// root goes with its coffer, deleted before the name is unpublished, so a
+// failed kernel call never strands a live coffer behind a missing dentry.
+func (f *FS) remove(th *proc.Thread, path string, dir bool) error {
+	parent, base := vfs.SplitPath(path)
 	if base == "" {
+		if dir {
+			return vfs.ErrInvalid // cannot remove "/"
+		}
 		return vfs.ErrIsDir
 	}
-	pos, err := f.walk(th, dir, true, true)
+	pos, err := f.walk(th, parent, true, true)
 	if err != nil {
 		return err
 	}
@@ -276,39 +235,70 @@ func (f *FS) Unlink(th *proc.Thread, path string) error {
 	}
 	bk := f.lockDirBucket(th, pos.ino, base)
 	de, loc, err := f.dirLookup(th, pos.ino, base)
+	var root int64 // a directory's inode page, in its own coffer
+	switch {
+	case err != nil:
+	case dir != (vfs.FileType(de.typ) == vfs.TypeDir):
+		err = vfs.ErrIsDir
+		if dir {
+			err = vfs.ErrNotDir
+		}
+	case dir:
+		root, err = f.emptyDir(th, pos, de)
+	}
+	if err == nil && de.cofferID != 0 {
+		err = f.deleteCoffer(th, coffer.ID(de.cofferID))
+	}
 	if err != nil {
 		f.unlockDirBucket(th, bk)
 		return err
 	}
-	if vfs.FileType(de.typ) == vfs.TypeDir {
-		f.unlockDirBucket(th, bk)
-		return vfs.ErrIsDir
-	}
-	if de.cofferID != 0 {
-		// The file is a coffer root: killing the coffer frees everything.
-		// Delete before unpublishing the name — a failed kernel call must
-		// not strand a live coffer behind a missing dentry.
-		target := coffer.ID(de.cofferID)
-		f.forgetMount(target)
-		if err := errno(f.kern.CofferDelete(th, target)); err != nil {
-			f.unlockDirBucket(th, bk)
-			return err
-		}
-		f.dirRemove(th, pos.ino, base, loc)
-		f.unlockDirBucket(th, bk)
-		f.sh.dc.bump() // deleted coffer's pages may be re-granted
-		return nil
-	}
 	f.dirRemove(th, pos.ino, base, loc)
 	// The dentry kill committed; content is freed outside the bucket lock
 	// so concurrent mutations in the directory proceed. If any process
-	// still holds the file open, reclamation waits for the last close.
+	// still holds a file open, reclamation waits for the last close.
 	f.unlockDirBucket(th, bk)
-	if f.sh.orphan(de.inode, de.typ) {
-		return nil
+	switch {
+	case de.cofferID != 0:
+		if dir {
+			f.sh.resetDir(root)
+		}
+	case dir || !f.sh.orphan(de.inode, de.typ):
+		f.freeInode(th, pos.m, de.inode, vfs.FileType(de.typ))
 	}
-	f.freeInode(th, pos.m, de.inode, vfs.FileType(de.typ))
 	return nil
+}
+
+// emptyDir returns the inode page of directory de, found in pos, or
+// ErrNotEmpty. A coffer root is read through its own coffer's read window,
+// after which pos's write window is back.
+func (f *FS) emptyDir(th *proc.Thread, pos walkPos, de dentry) (int64, error) {
+	ino := de.inode
+	if de.cofferID != 0 {
+		nm, err := f.ensureMapped(th, coffer.ID(de.cofferID), false)
+		if err != nil {
+			return 0, err
+		}
+		f.window(th, nm, false)
+		ino = nm.root
+	}
+	err := f.dirEmpty(th, ino)
+	if de.cofferID != 0 {
+		f.window(th, pos.m, true)
+	}
+	return ino, err
+}
+
+// deleteCoffer is the one coffer delete: the cached mapping goes, then
+// coffer_delete, and once the coffer is gone every directory index on the
+// device is distrusted, since its pages may be re-granted.
+func (f *FS) deleteCoffer(th *proc.Thread, id coffer.ID) error {
+	f.forgetMount(id)
+	err := errno(f.kern.CofferDelete(th, id))
+	if err == nil {
+		f.sh.dc.bump()
+	}
+	return err
 }
 
 // forgetMount drops a cached mapping (after the coffer is deleted).
@@ -329,65 +319,6 @@ func (f *FS) InvalidateAll() {
 	// The kernel may have recovered (and rewritten) coffers behind our back:
 	// distrust every cached directory index.
 	f.sh.dc.bump()
-}
-
-// Rmdir removes an empty directory.
-func (f *FS) Rmdir(th *proc.Thread, path string) error {
-	dir, base := vfs.SplitPath(path)
-	if base == "" {
-		return vfs.ErrInvalid // cannot remove "/"
-	}
-	pos, err := f.walk(th, dir, true, true)
-	if err != nil {
-		return err
-	}
-	defer pos.close()
-	if pos.typ != vfs.TypeDir {
-		return vfs.ErrNotDir
-	}
-	bk := f.lockDirBucket(th, pos.ino, base)
-	de, loc, err := f.dirLookup(th, pos.ino, base)
-	if err != nil {
-		f.unlockDirBucket(th, bk)
-		return err
-	}
-	if vfs.FileType(de.typ) != vfs.TypeDir {
-		f.unlockDirBucket(th, bk)
-		return vfs.ErrNotDir
-	}
-	if de.cofferID != 0 {
-		target := coffer.ID(de.cofferID)
-		nm, err := f.ensureMapped(th, target, false)
-		if err != nil {
-			f.unlockDirBucket(th, bk)
-			return err
-		}
-		f.window(th, nm, false)
-		empty := f.dirEmpty(th, nm.root)
-		f.window(th, pos.m, true)
-		if !empty {
-			f.unlockDirBucket(th, bk)
-			return vfs.ErrNotEmpty
-		}
-		f.forgetMount(target)
-		if err := errno(f.kern.CofferDelete(th, target)); err != nil {
-			f.unlockDirBucket(th, bk)
-			return err
-		}
-		f.dirRemove(th, pos.ino, base, loc)
-		f.unlockDirBucket(th, bk)
-		f.sh.resetDir(nm.root)
-		f.sh.dc.bump() // deleted coffer's pages may be re-granted
-		return nil
-	}
-	if !f.dirEmpty(th, de.inode) {
-		f.unlockDirBucket(th, bk)
-		return vfs.ErrNotEmpty
-	}
-	f.dirRemove(th, pos.ino, base, loc)
-	f.unlockDirBucket(th, bk)
-	f.freeInode(th, pos.m, de.inode, vfs.TypeDir)
-	return nil
 }
 
 // Stat returns file metadata; for coffer roots the authoritative
@@ -428,7 +359,7 @@ func (f *FS) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
 		buf = new([]vfs.DirEntry)
 		th.Scratch.Dir = buf
 	}
-	f.dirList(th, pos.ino, math.MaxInt, nil, func(ents []cachedDe) {
+	err = f.dirList(th, pos.ino, math.MaxInt, nil, func(ents []cachedDe) {
 		out := slices.Grow((*buf)[:0], len(ents))
 		for i := range ents {
 			d := &ents[i].de
@@ -441,33 +372,16 @@ func (f *FS) ReadDir(th *proc.Thread, path string) ([]vfs.DirEntry, error) {
 		}
 		*buf = out
 	})
+	if err != nil {
+		return nil, err
+	}
 	return *buf, nil
 }
 
 // Symlink creates a symbolic link (always in-coffer; links carry their
 // parent coffer's permission).
 func (f *FS) Symlink(th *proc.Thread, target, link string) error {
-	dir, base := vfs.SplitPath(link)
-	if base == "" {
-		return vfs.ErrExist
-	}
-	if len(base) > MaxNameLen {
-		return vfs.ErrNameTooLong
-	}
-	pos, err := f.walk(th, dir, true, true)
-	if err != nil {
-		return err
-	}
-	defer pos.close()
-	if pos.typ != vfs.TypeDir {
-		return vfs.ErrNotDir
-	}
-	bk := f.lockDirBucket(th, pos.ino, base)
-	defer f.unlockDirBucket(th, bk)
-	if _, _, err := f.dirLookup(th, pos.ino, base); err == nil {
-		return vfs.ErrExist
-	}
-	_, err = f.createInCoffer(th, pos, base, vfs.TypeSymlink, 0o777, target)
+	_, err := f.create(th, link, vfs.TypeSymlink, 0o777, target)
 	return err
 }
 

@@ -24,7 +24,7 @@ import (
 type Repair struct {
 	Off    int64
 	Target int64
-	Kind   string // dangling_ptr | stale_ptr | torn_dentry | dangling_dentry | cross_ref | coffer_ref | root_reinit
+	Kind   string // dangling_ptr | stale_ptr | torn_dentry | dangling_dentry | cross_ref | coffer_ref | root_reinit | chain_loop
 }
 
 // RecoverStats summarizes one coffer recovery.
@@ -177,10 +177,13 @@ func (t *traversal) visitDir(ino int64, page []byte, path string) {
 		t.th.Read(l2*pageSize, l2buf)
 		t.visitDentries(l2, l2buf[:l2BucketOff], 0, path)
 		for b := 0; b < l2Buckets; b++ {
-			pg := t.ptrIn(l2buf, l2*pageSize, l2BucketOff+b*8)
-			seen := map[int64]bool{}
-			for pg != 0 && !seen[pg] {
-				seen[pg] = true
+			head := t.ptrIn(l2buf, l2*pageSize, l2BucketOff+b*8)
+			var loop chainLoop
+			for pg := head; pg != 0; {
+				if loop.closes(pg) {
+					t.cutLoop(head, &loop)
+					break
+				}
 				t.inUse[pg] = true
 				chain := make([]byte, pageSize)
 				t.th.Read(pg*pageSize, chain)
@@ -189,6 +192,16 @@ func (t *traversal) visitDir(ino int64, page []byte, path string) {
 			}
 		}
 	}
+}
+
+// cutLoop clears the next pointer that closes the loop a bucket chain from
+// head was found to make (chain_loop): the chain keeps every page, once.
+func (t *traversal) cutLoop(head int64, loop *chainLoop) {
+	last := loop.closer(head, func(pg int64) int64 { return int64(t.th.Load64(pg*pageSize + chainNextOff)) })
+	off := last*pageSize + chainNextOff
+	target := int64(t.th.Load64(off))
+	t.th.Store64(off, 0)
+	t.repair(off, target, "chain_loop")
 }
 
 // visitDentries checks each dentry of a directory page. Who owns the

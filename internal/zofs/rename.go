@@ -75,10 +75,7 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 		}
 		f.dirRemove(th, dst.ino, newBase, oldLoc)
 		if old.cofferID != 0 {
-			f.forgetMount(coffer.ID(old.cofferID))
-			err := errno(f.kern.CofferDelete(th, coffer.ID(old.cofferID)))
-			f.sh.dc.bump() // deleted coffer's pages may be re-granted
-			if err != nil {
+			if err := f.deleteCoffer(th, coffer.ID(old.cofferID)); err != nil {
 				return err
 			}
 		} else if !f.sh.orphan(old.inode, old.typ) {
@@ -120,7 +117,7 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 		rpSrc, _ := f.kern.Info(src.m.id)
 		rpDst, _ := f.kern.Info(dst.m.id)
 		f.window(th, src.m, true)
-		pages := f.collectTreePages(th, de.inode, vfs.FileType(de.typ), th.Scratch.Pages[:0])
+		pages, _ := f.collectTreePages(th, de.inode, vfs.FileType(de.typ), th.Scratch.Pages[:0]) // a file's: no walk to fail
 		th.Scratch.Pages = pages
 		if execMask(rpSrc.Mode) == execMask(rpDst.Mode) && rpSrc.UID == rpDst.UID && rpSrc.GID == rpDst.GID {
 			// Same permission: retag the pages into the destination coffer.
@@ -137,21 +134,9 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 		}
 		// Different permission: the file becomes its own coffer at the new
 		// path (split), referenced by a cross-coffer dentry.
-		custom, err := f.allocPage(th, src.m, classMeta)
+		newID, err := f.split(th, src.m, newPath, pages, de.inode, perm{rpSrc.Mode, rpSrc.UID, rpSrc.GID}, nil)
 		if err != nil {
 			return err
-		}
-		pages = append(pages, custom)
-		th.Scratch.Pages = pages
-		newID, err := f.kern.CofferSplit(th, src.m.id, newPath, rpSrc.Mode, rpSrc.UID, rpSrc.GID, pages, de.inode, custom)
-		if err != nil {
-			// A refused split (not the owner, the path taken, no page for
-			// the new root) moved nothing: the pool page is still this
-			// coffer's and goes back.
-			if owner, _ := f.kern.OwnerOf(custom); owner == src.m.id {
-				f.freePage(th, src.m, classMeta, custom)
-			}
-			return errno(err)
 		}
 		f.window(th, dst.m, true)
 		if err := f.dirInsert(th, dst.m, dst.ino, newBase, de.typ, uint32(newID), de.inode); err != nil {

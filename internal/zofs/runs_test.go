@@ -21,7 +21,6 @@ var runVariants = []struct {
 	opts Options
 }{
 	{"default", Options{}},
-	{"InlineData", Options{InlineData: true}},
 }
 
 // newCountedFS is newTestFS with a telemetry recorder on the device.
@@ -184,7 +183,7 @@ func TestRunsTable(t *testing.T) {
 		{"grown from a small first write", false, func(t *testing.T, f *FS, th *proc.Thread) *built {
 			b := &built{h: mustCreate(t, f, th, "/a")}
 			p := patterned(100, 9)
-			mustWrite(t, th, b.h, p, 0) // inline under InlineData
+			mustWrite(t, th, b.h, p, 0)
 			b.model = append(b.model, p...)
 			p = patterned(3*pageSize, 4)
 			mustWrite(t, th, b.h, p, 100) // straddles four blocks

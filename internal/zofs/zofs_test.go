@@ -425,6 +425,84 @@ func TestChownSplit(t *testing.T) {
 	}
 }
 
+func TestChmodMergesCofferBack(t *testing.T) {
+	_, k, f, th := newTestFS(t, Options{})
+	h, err := f.Create(th, "/sec", 0o600) // own coffer (root is 0755)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.WriteAt(th, bytes.Repeat([]byte{3}, 3*4096), 0)
+	h.Close(th)
+	if _, ok := k.LookupPath(nil, "/sec"); !ok {
+		t.Fatal("setup: /sec should be its own coffer")
+	}
+	before := len(k.Coffers())
+	// Restoring the parent's permission class merges the coffer back.
+	if err := f.Chmod(th, "/sec", 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := k.LookupPath(nil, "/sec"); ok {
+		t.Fatal("coffer survived merge-back")
+	}
+	if got := len(k.Coffers()); got != before-1 {
+		t.Fatalf("coffer count %d, want %d", got, before-1)
+	}
+	// Content intact through the merge.
+	h2, err := f.Open(th, "/sec", vfs.O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, 3*4096)
+	if n, err := h2.ReadAt(th, out, 0); err != nil || n != len(out) || out[0] != 3 || out[len(out)-1] != 3 {
+		t.Fatalf("post-merge read: n=%d err=%v", n, err)
+	}
+	fi, _ := f.Stat(th, "/sec")
+	if fi.Mode != 0o644 {
+		t.Fatalf("mode = %o", fi.Mode)
+	}
+}
+
+// TestMergeBackSyncsInodePerm: a chmod that folds a split file back into
+// its parent coffer leaves the inode's own permission words saying what the
+// root page said, since stat reads them once the root page is gone. Both ways
+// a chmod reaches a coffer root do: by its registered path, and by a path the
+// kernel's registry no longer holds — a coffer rename cut after its dentry
+// moved leaves one — where only the parent's dentry knows the coffer.
+func TestMergeBackSyncsInodePerm(t *testing.T) {
+	_, k, f, th := newTestFS(t, Options{})
+	if err := f.Mkdir(th, "/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, registered := range []string{"/d/f", "/d/g"} {
+		h := mustCreate(t, f, th, "/d/f")
+		h.Close(th)
+		if err := f.Chmod(th, "/d/f", 0o600); err != nil {
+			t.Fatal(err)
+		}
+		id, ok := k.LookupPath(nil, "/d/f")
+		if !ok {
+			t.Fatal("chmod 0600 did not split")
+		}
+		if registered != "/d/f" {
+			if err := k.RenameCoffer(th, "/d/f", registered); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := f.Chmod(th, "/d/f", 0o744); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := k.Info(id); ok {
+			t.Fatalf("registered at %s: chmod 0744 did not merge back", registered)
+		}
+		if fi, err := f.Stat(th, "/d/f"); err != nil || fi.Mode != 0o744 {
+			t.Fatalf("registered at %s: mode %o (%v) after the merge-back, want 744", registered, fi.Mode, err)
+		}
+		if err := f.Unlink(th, "/d/f"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRenameSameDir(t *testing.T) {
 	_, _, f, th := newTestFS(t, Options{})
 	h, _ := f.Create(th, "/old", 0o644)

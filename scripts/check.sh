@@ -292,6 +292,14 @@ echo "kernel mounts outside sysfactory: $(grep -rl --include='*.go' --exclude='*
 # ROADMAP item 27: one crash driver over the coffer protocol, no longer than
 # the three bespoke crash tests it replaced (265 lines).
 echo "coffer crash driver test lines: $(wc -l <internal/zofs/coffercrash_test.go) (replaced: 265)"
+# One implementation per coffer step: the systems sysfactory builds, and the
+# non-test call sites of the Table-5 calls the ZoFS µFS makes (one each).
+systems=$(awk '/^var All = \[\]System\{/ { f = 1; next } f && /^}/ { exit }
+    f { gsub(/[ \t]/, ""); n += split($0, a, ",") - 1 } END { print n }' internal/sysfactory/sysfactory.go)
+coffercalls=$(find internal/zofs -name '*.go' ! -name '*_test.go' | xargs grep -oE \
+    'kern\.(CofferNew|CofferDelete|CofferSplit|CofferMerge|SetCofferMeta)\(' | wc -l)
+echo "sysfactory.All systems: $systems; zofs coffer-call sites (CofferNew, CofferDelete," \
+    "CofferSplit, CofferMerge, SetCofferMeta): $coffercalls"
 echo "experiments: $(grep -c '^	{"' internal/harness/harness.go); zofs-bench flags:" \
     "$(grep -cE 'fl\.[A-Z][A-Za-z0-9]*\("' cmd/zofs-bench/main.go); harness.Options fields: $(fields internal/harness/harness.go)"
 
