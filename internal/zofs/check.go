@@ -217,8 +217,8 @@ func (f *FS) nameCoffers(th *proc.Thread, rep *Report) {
 
 // verifyNamed is the coffers_named invariant over the coffers ids (nil: every
 // coffer): each published coffer but the root whose directory lies in one of
-// them is named there by a dentry that gives its ID and root inode. It reads
-// the media uncharged.
+// them is named there by a dentry that names it (target). It reads the media
+// uncharged.
 func (f *FS) verifyNamed(ids []coffer.ID) error {
 	for _, id := range f.kern.Coffers() {
 		if id == f.kern.RootCoffer() {
@@ -229,7 +229,7 @@ func (f *FS) verifyNamed(ids []coffer.ID) error {
 		if p == 0 || ids != nil && !slices.Contains(ids, p) {
 			continue
 		}
-		if !ok || de.cofferID != uint32(id) || de.inode != rp.RootInode {
+		if named, err := f.target(de, rp.Path); !ok || err != nil || named != id {
 			return &kernfs.Inconsistency{Coffer: id, Off: int64(id) * pageSize,
 				What: fmt.Sprintf("zofs: coffer %d at %s is not named by its directory (dentry %q names coffer %d inode %d)",
 					id, rp.Path, de.name, de.cofferID, de.inode)}

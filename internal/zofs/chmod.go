@@ -106,12 +106,12 @@ func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid ui
 	if err != nil {
 		return err
 	}
-	if de.cofferID != 0 {
-		id := coffer.ID(de.cofferID)
-		rp, ok := f.kern.Info(id)
-		if !ok {
-			return vfs.ErrCorrupted
-		}
+	id, err := f.target(de, path)
+	if err != nil {
+		return err
+	}
+	if id != 0 {
+		rp, _ := f.kern.Info(id)
 		p := perm{rp.Mode, rp.UID, rp.GID}.changed(mode, uid, gid, chown)
 		return f.chmodCoffer(th, path, id, p, &pos, de, loc)
 	}
@@ -209,7 +209,10 @@ func (f *FS) chmodCoffer(th *proc.Thread, path string, id coffer.ID, p perm, par
 		bk := f.lockDirBucket(th, parent.ino, base)
 		defer f.unlockDirBucket(th, bk)
 		var err error
-		if de, loc, err = f.dirLookup(th, parent.ino, base); err != nil || coffer.ID(de.cofferID) != id {
+		if de, loc, err = f.dirLookup(th, parent.ino, base); err != nil {
+			return nil
+		}
+		if named, err := f.target(de, path); err != nil || named != id {
 			return nil
 		}
 	}

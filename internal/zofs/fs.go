@@ -276,13 +276,34 @@ type walkPos struct {
 
 func (p walkPos) close() { p.win.close() }
 
+// names is the naming rule (G3): a dentry at path with inode ino names coffer
+// id only if id is published at path with ino as its root inode. It reads the
+// kernel's lock-free snapshot: no charge, no lock, no allocation.
+func names(k *kernfs.KernFS, id coffer.ID, path string, ino int64) bool {
+	rp, ok := k.Info(id)
+	return ok && rp.Path == path && rp.RootInode == ino
+}
+
+// target is the coffer dentry de, at path, leads into (0: in-coffer), or
+// ErrCorrupted, before the op changes anything, when it names none (names).
+func (f *FS) target(de dentry, path string) (coffer.ID, error) {
+	id := coffer.ID(de.cofferID)
+	if id == 0 || names(f.kern, id, path, de.inode) {
+		return id, nil
+	}
+	rp, ok := f.kern.Info(id)
+	return 0, fmt.Errorf("%w: cross-coffer dentry %q names coffer %d (known=%v path %q root %d, dentry inode %d)",
+		vfs.ErrCorrupted, path, id, ok, rp.Path, rp.RootInode, de.inode)
+}
+
 // walk resolves an absolute, cleaned path to an inode.
 //
 // Per §5 it first finds the nearest enclosing coffer by backwards path
 // parsing (longest prefix first), maps it, then walks the remaining
-// components inside the coffer. A validated cross-coffer dentry switches
-// the window to the target coffer (guidelines G2/G3). Symlink expansion is
-// reported to the dispatcher via *vfs.SymlinkError (§4.2, expandSymlink).
+// components inside the coffer. A cross-coffer dentry the naming rule
+// accepts (target) switches the window to the target coffer (guidelines
+// G2/G3). Symlink expansion is reported to the dispatcher via
+// *vfs.SymlinkError (§4.2, expandSymlink).
 //
 // followFinal controls whether a symlink at the final component is
 // expanded. write requests a writable mapping/window on the final coffer.
@@ -302,19 +323,6 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 	// cofferPath is path's longest coffer root, component-wise: path[:end].
 	end := len(cofferPath)
 	pos := walkPos{m: m, ino: m.root, path: path[:end], win: f.window(th, m, write)}
-	if end == len(path) {
-		hdr := f.readInodeHeader(th, pos.ino)
-		if u32at(hdr, inoMagicOff) != inoMagic {
-			pos.close()
-			return walkPos{}, fmt.Errorf("%w: bad root inode magic at %q ino %d", vfs.ErrCorrupted, pos.path, pos.ino)
-		}
-		pos.typ = vfs.FileType(u32at(hdr, inoTypeOff))
-		if pos.typ == vfs.TypeSymlink && followFinal {
-			return walkPos{}, f.expandSymlink(th, pos, "")
-		}
-		return pos, nil
-	}
-
 	start := end + 1 // past the separator after the coffer root
 	if end == 1 {
 		start = 1 // the root coffer's path is the separator
@@ -348,18 +356,14 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 			pos.close()
 			return walkPos{}, err
 		}
-		if de.cofferID != 0 {
-			// Cross-coffer reference: validate per G3 before making the
-			// target accessible.
-			target := coffer.ID(de.cofferID)
-			info, ok := f.kern.Info(target)
-			if !ok || info.Path != childPath || info.RootInode != de.inode {
-				pos.close()
-				return walkPos{}, fmt.Errorf("%w: cross-coffer dentry %q names coffer %d (known=%v path %q root %d, dentry inode %d)",
-					vfs.ErrCorrupted, childPath, target, ok, info.Path, info.RootInode, de.inode)
-			}
+		id, err := f.target(de, childPath)
+		if err != nil {
 			pos.close()
-			nm, err := f.ensureMapped(th, target, write)
+			return walkPos{}, err
+		}
+		if id != 0 {
+			pos.close()
+			nm, err := f.ensureMapped(th, id, write)
 			if err != nil {
 				return walkPos{}, err
 			}
@@ -368,18 +372,16 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 		}
 		pos.ino = de.inode
 		pos.path = childPath
-		if end == len(path) {
-			hdr := f.readInodeHeader(th, pos.ino)
-			if u32at(hdr, inoMagicOff) != inoMagic {
-				pos.close()
-				return walkPos{}, fmt.Errorf("%w: bad final inode magic at %q ino %d", vfs.ErrCorrupted, pos.path, pos.ino)
-			}
-			pos.typ = vfs.FileType(u32at(hdr, inoTypeOff))
-			if pos.typ == vfs.TypeSymlink && followFinal {
-				return walkPos{}, f.expandSymlink(th, pos, "")
-			}
-		}
 		start = end + 1
+	}
+	hdr := f.readInodeHeader(th, pos.ino)
+	if u32at(hdr, inoMagicOff) != inoMagic {
+		pos.close()
+		return walkPos{}, fmt.Errorf("%w: bad inode magic at %q ino %d", vfs.ErrCorrupted, pos.path, pos.ino)
+	}
+	pos.typ = vfs.FileType(u32at(hdr, inoTypeOff))
+	if pos.typ == vfs.TypeSymlink && followFinal {
+		return walkPos{}, f.expandSymlink(th, pos, "")
 	}
 	return pos, nil
 }

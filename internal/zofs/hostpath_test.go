@@ -307,36 +307,6 @@ func TestWalkFromRootCoffer(t *testing.T) {
 	}
 }
 
-// TestWalkRejectsMisplacedCofferDentry: guideline G3 — a cross-coffer dentry
-// is followed only if the kernel says the coffer it names lives at exactly
-// the path being walked. A dentry that points /alias at the coffer rooted at
-// /real (what a malicious writer to the shared parent could plant) is refused.
-func TestWalkRejectsMisplacedCofferDentry(t *testing.T) {
-	_, k, f, th := newTestFS(t, Options{})
-	real := makeCoffer(t, k, f, th, "/real")
-	info, _ := k.Info(real)
-	pos, err := f.walk(th, "/", true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bk := f.lockDirBucket(th, pos.ino, "alias")
-	err = f.dirInsert(th, pos.m, pos.ino, "alias", uint8(vfs.TypeDir), uint32(real), info.RootInode)
-	f.unlockDirBucket(th, bk)
-	pos.close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Stat(th, "/alias"); !errors.Is(err, vfs.ErrCorrupted) {
-		t.Fatalf("Stat through a dentry naming a coffer at another path: %v, want ErrCorrupted", err)
-	}
-	if _, err := f.Stat(th, "/alias/below"); !errors.Is(err, vfs.ErrCorrupted) {
-		t.Fatalf("walk through it: %v, want ErrCorrupted", err)
-	}
-	if _, err := f.Stat(th, "/real"); err != nil {
-		t.Fatalf("the coffer at its own path: %v", err)
-	}
-}
-
 // TestWalkMidSymlinkRemainder: a symlink met before the last component hands
 // the dispatcher the target joined with everything not yet walked, cleaned.
 func TestWalkMidSymlinkRemainder(t *testing.T) {

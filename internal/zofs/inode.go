@@ -315,13 +315,18 @@ func (f *FS) writeAt(th *proc.Thread, m *mount, ino int64, epoch uint8, p []byte
 	return n, nil
 }
 
-// truncateTo shrinks or extends a file; the caller holds the write lock.
+// truncateTo shrinks or extends a file under its write lock.
 // Extending zeroes the mapped bytes it exposes (zeroExposed), then commits
 // the new size. Shrinking scrubs the tail of the boundary block, commits the
 // new size, then frees the trimmed pages. The scrub comes first so that no
 // crash leaves the new size over stale bytes; a crash after the commit only
 // leaks pages, which recovery reclaims (§5.3).
 func (f *FS) truncateTo(th *proc.Thread, m *mount, ino, newSize int64) error {
+	ep, err := f.lockInode(th, m, ino)
+	if err != nil {
+		return err
+	}
+	defer f.unlockInode(th, m, ino, ep)
 	prev := th.Clk.SwapWriteClass(uint8(byteflow.ClassData))
 	defer th.Clk.SetWriteClass(prev)
 	if newSize < 0 {

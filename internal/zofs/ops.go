@@ -1,7 +1,6 @@
 package zofs
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -66,7 +65,7 @@ func (f *FS) create(th *proc.Thread, path string, typ vfs.FileType, mode coffer.
 		if typ != vfs.TypeRegular {
 			return nil, vfs.ErrExist
 		}
-		return f.openExisting(th, pos, de, vfs.O_RDWR|vfs.O_TRUNC, path)
+		return f.openExisting(th, pos, de, path)
 	}
 
 	m, ino := pos.m, int64(0)
@@ -127,45 +126,24 @@ func (f *FS) Create(th *proc.Thread, path string, mode coffer.Mode) (vfs.Handle,
 	return f.create(th, path, vfs.TypeRegular, mode, "")
 }
 
-// openExisting opens a file found in a directory under the parent's lock.
-func (f *FS) openExisting(th *proc.Thread, pos walkPos, de dentry, flags int, path string) (vfs.Handle, error) {
-	m := pos.m
-	ino := de.inode
-	if de.cofferID != 0 {
-		target := coffer.ID(de.cofferID)
-		info, ok := f.kern.Info(target)
-		if !ok || info.RootInode != de.inode {
-			return nil, fmt.Errorf("%w: cross-coffer dentry %q names coffer %d (known=%v root %d, dentry inode %d)",
-				vfs.ErrCorrupted, path, target, ok, info.RootInode, de.inode)
-		}
-		nm, err := f.ensureMapped(th, target, flags&vfs.O_ACCESS != vfs.O_RDONLY)
-		if err != nil {
+// openExisting is creat(2) on a name found in a directory under the
+// bucket lock: the file it leads to opens read-write, truncated.
+func (f *FS) openExisting(th *proc.Thread, pos walkPos, de dentry, path string) (vfs.Handle, error) {
+	id, err := f.target(de, path)
+	if err != nil {
+		return nil, err
+	}
+	m, ino := pos.m, de.inode
+	if id != 0 {
+		if m, err = f.ensureMapped(th, id, true); err != nil {
 			return nil, err
 		}
-		m, ino = nm, nm.root
+		ino = m.root
 	}
 	cl := f.window(th, m, true)
-	hdr := f.readInodeHeader(th, ino)
-	typ := vfs.FileType(u32at(hdr, inoTypeOff))
-	if typ == vfs.TypeDir && flags&vfs.O_ACCESS != vfs.O_RDONLY {
-		cl.close()
-		return nil, vfs.ErrIsDir
-	}
-	if flags&vfs.O_TRUNC != 0 && typ == vfs.TypeRegular {
-		ep, lerr := f.lockInode(th, m, ino)
-		if lerr != nil {
-			cl.close()
-			return nil, lerr
-		}
-		err := f.truncateTo(th, m, ino, 0)
-		f.unlockInode(th, m, ino, ep)
-		if err != nil {
-			cl.close()
-			return nil, err
-		}
-	}
-	cl.close()
-	return f.newHandle(m, ino, path, flags), nil
+	defer cl.close()
+	typ := vfs.FileType(u32at(f.readInodeHeader(th, ino), inoTypeOff))
+	return f.openInode(th, m, ino, typ, path, vfs.O_RDWR|vfs.O_TRUNC)
 }
 
 // Open opens an existing file (or creates one with O_CREATE).
@@ -182,21 +160,21 @@ func (f *FS) Open(th *proc.Thread, path string, flags int) (vfs.Handle, error) {
 	if flags&vfs.O_CREATE != 0 && flags&vfs.O_EXCL != 0 {
 		return nil, vfs.ErrExist
 	}
-	if pos.typ == vfs.TypeDir && write {
+	return f.openInode(th, pos.m, pos.ino, pos.typ, path, flags)
+}
+
+// openInode opens inode ino, a typ in coffer m found at path: a directory
+// only read-only, and with O_TRUNC a regular file truncated first.
+func (f *FS) openInode(th *proc.Thread, m *mount, ino int64, typ vfs.FileType, path string, flags int) (vfs.Handle, error) {
+	if typ == vfs.TypeDir && flags&vfs.O_ACCESS != vfs.O_RDONLY {
 		return nil, vfs.ErrIsDir
 	}
-	if flags&vfs.O_TRUNC != 0 && pos.typ == vfs.TypeRegular {
-		ep, lerr := f.lockInode(th, pos.m, pos.ino)
-		if lerr != nil {
-			return nil, lerr
-		}
-		err := f.truncateTo(th, pos.m, pos.ino, 0)
-		f.unlockInode(th, pos.m, pos.ino, ep)
-		if err != nil {
+	if flags&vfs.O_TRUNC != 0 && typ == vfs.TypeRegular {
+		if err := f.truncateTo(th, m, ino, 0); err != nil {
 			return nil, err
 		}
 	}
-	return f.newHandle(pos.m, pos.ino, path, flags), nil
+	return f.newHandle(m, ino, path, flags), nil
 }
 
 // Mkdir creates a directory, in-coffer when the permission matches the
@@ -213,10 +191,9 @@ func (f *FS) Unlink(th *proc.Thread, path string) error { return f.remove(th, pa
 func (f *FS) Rmdir(th *proc.Thread, path string) error { return f.remove(th, path, true) }
 
 // remove is the one way a name goes, behind Unlink and Rmdir (dir): the
-// dentry kill is the atomic commit and the content is freed afterwards (a
-// crash in between leaks pages that recovery reclaims — §5.3). A coffer
-// root goes with its coffer, deleted before the name is unpublished, so a
-// failed kernel call never strands a live coffer behind a missing dentry.
+// name is taken out under its bucket lock (unname), and what it led to is
+// freed after the lock is dropped, so concurrent mutations in the directory
+// proceed.
 func (f *FS) remove(th *proc.Thread, path string, dir bool) error {
 	parent, base := vfs.SplitPath(path)
 	if base == "" {
@@ -235,47 +212,70 @@ func (f *FS) remove(th *proc.Thread, path string, dir bool) error {
 	}
 	bk := f.lockDirBucket(th, pos.ino, base)
 	de, loc, err := f.dirLookup(th, pos.ino, base)
-	var root int64 // a directory's inode page, in its own coffer
-	switch {
-	case err != nil:
-	case dir != (vfs.FileType(de.typ) == vfs.TypeDir):
-		err = vfs.ErrIsDir
-		if dir {
-			err = vfs.ErrNotDir
-		}
-	case dir:
-		root, err = f.emptyDir(th, pos, de)
+	var root int64
+	if err == nil {
+		root, err = f.unname(th, pos, path, de, loc, dir)
 	}
-	if err == nil && de.cofferID != 0 {
-		err = f.deleteCoffer(th, coffer.ID(de.cofferID))
-	}
-	if err != nil {
-		f.unlockDirBucket(th, bk)
-		return err
-	}
-	f.dirRemove(th, pos.ino, base, loc)
-	// The dentry kill committed; content is freed outside the bucket lock
-	// so concurrent mutations in the directory proceed. If any process
-	// still holds a file open, reclamation waits for the last close.
 	f.unlockDirBucket(th, bk)
+	if err == nil {
+		f.reclaim(th, pos.m, de, root)
+	}
+	return err
+}
+
+// unname kills dentry de, at path and loc in pos, under its bucket lock once
+// it names what it leads to (target), is a directory exactly when dir says,
+// and an empty one. A coffer root's coffer is deleted first, so a refused
+// kernel call never strands a live coffer behind a missing name. It returns
+// a directory's inode page, for reclaim.
+func (f *FS) unname(th *proc.Thread, pos walkPos, path string, de dentry, loc deLoc, dir bool) (int64, error) {
+	id, err := f.target(de, path)
+	if err != nil {
+		return 0, err
+	}
+	var root int64
+	switch {
+	case dir != (vfs.FileType(de.typ) == vfs.TypeDir):
+		if dir {
+			return 0, vfs.ErrNotDir
+		}
+		return 0, vfs.ErrIsDir
+	case dir:
+		if root, err = f.emptyDir(th, pos, id, de.inode); err != nil {
+			return 0, err
+		}
+	}
+	if id != 0 {
+		if err := f.deleteCoffer(th, id); err != nil {
+			return 0, err
+		}
+	}
+	_, base := vfs.SplitPath(path)
+	f.dirRemove(th, pos.ino, base, loc)
+	return root, nil
+}
+
+// reclaim frees what an unnamed dentry de led to (a crash first leaks it to
+// recovery, §5.3): an in-coffer inode, at its last close if still open, or a
+// coffer root directory's index (its pages went with the coffer).
+func (f *FS) reclaim(th *proc.Thread, m *mount, de dentry, root int64) {
+	dir := vfs.FileType(de.typ) == vfs.TypeDir
 	switch {
 	case de.cofferID != 0:
 		if dir {
 			f.sh.resetDir(root)
 		}
 	case dir || !f.sh.orphan(de.inode, de.typ):
-		f.freeInode(th, pos.m, de.inode, vfs.FileType(de.typ))
+		f.freeInode(th, m, de.inode, vfs.FileType(de.typ))
 	}
-	return nil
 }
 
-// emptyDir returns the inode page of directory de, found in pos, or
-// ErrNotEmpty. A coffer root is read through its own coffer's read window,
-// after which pos's write window is back.
-func (f *FS) emptyDir(th *proc.Thread, pos walkPos, de dentry) (int64, error) {
-	ino := de.inode
-	if de.cofferID != 0 {
-		nm, err := f.ensureMapped(th, coffer.ID(de.cofferID), false)
+// emptyDir returns the inode page of directory ino, found in pos and rooting
+// coffer id when id is not 0, or ErrNotEmpty. A coffer root is read through
+// its own coffer's read window, after which pos's write window is back.
+func (f *FS) emptyDir(th *proc.Thread, pos walkPos, id coffer.ID, ino int64) (int64, error) {
+	if id != 0 {
+		nm, err := f.ensureMapped(th, id, false)
 		if err != nil {
 			return 0, err
 		}
@@ -283,7 +283,7 @@ func (f *FS) emptyDir(th *proc.Thread, pos walkPos, de dentry) (int64, error) {
 		ino = nm.root
 	}
 	err := f.dirEmpty(th, ino)
-	if de.cofferID != 0 {
+	if id != 0 {
 		f.window(th, pos.m, true)
 	}
 	return ino, err
@@ -408,11 +408,6 @@ func (f *FS) Truncate(th *proc.Thread, path string, size int64) error {
 	if pos.typ != vfs.TypeRegular {
 		return vfs.ErrIsDir
 	}
-	ep, lerr := f.lockInode(th, pos.m, pos.ino)
-	if lerr != nil {
-		return lerr
-	}
-	defer f.unlockInode(th, pos.m, pos.ino, ep)
 	return f.truncateTo(th, pos.m, pos.ino, size)
 }
 

@@ -206,11 +206,11 @@ func (t *traversal) cutLoop(head int64, loop *chainLoop) {
 
 // visitDentries checks each dentry of a directory page. Who owns the
 // dentry's inode page decides what the dentry is, whatever its coffer field
-// says (the naming rule, DESIGN.md §8): if this coffer owns it, the dentry is
-// in-coffer — a merge cut before its dentry update left the field set; if the
-// inode is the root inode of the coffer published at the dentry's path, the
-// dentry is that coffer's cross-coffer reference — a split cut before its
-// dentry update left the field clear. Either field is rewritten (coffer_ref).
+// says (DESIGN.md §8): if this coffer owns it, the dentry is in-coffer — a
+// merge cut before its dentry update left the field set; if it names the
+// coffer published at the dentry's path (names), the dentry is that coffer's
+// cross-coffer reference — a split cut before its dentry update left the
+// field clear. Either field is rewritten (coffer_ref).
 // Any other dentry names nothing and is dropped: a cut unlink or rmdir, whose
 // kernel delete lands before the dentry goes, leaves one (cross_ref).
 func (t *traversal) visitDentries(page int64, buf []byte, base int64, path string) {
@@ -230,13 +230,11 @@ func (t *traversal) visitDentries(page int64, buf []byte, base int64, path strin
 			if t.visitInode(d.inode, child) || t.inUse[d.inode] {
 				return true
 			}
-		} else if id, ok := t.kern.LookupPath(nil, child); ok {
-			if rp, _ := t.kern.Info(id); rp.RootInode == d.inode {
-				if d.cofferID != uint32(id) {
-					t.setCoffer(loc, uint32(id), d.inode)
-				}
-				return true
+		} else if id, ok := t.kern.LookupPath(nil, child); ok && names(t.kern, id, child, d.inode) {
+			if d.cofferID != uint32(id) {
+				t.setCoffer(loc, uint32(id), d.inode)
 			}
+			return true
 		}
 		kind := "dangling_dentry"
 		if d.cofferID != 0 {

@@ -1,7 +1,6 @@
 package zofs
 
 import (
-	"zofs/internal/coffer"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
@@ -10,7 +9,8 @@ import (
 // Rename moves a file or directory. Renames within one coffer are pure
 // user-space dentry moves; renames that cross coffers must move every page
 // of the file through the kernel (MovePages / coffer_split), which is the
-// worst case measured in Table 9.
+// worst case measured in Table 9. A replaced file goes as remove takes a
+// name (unname); both names' dentries must pass the naming rule (target).
 func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 	oldDir, oldBase := vfs.SplitPath(oldPath)
 	newDir, newBase := vfs.SplitPath(newPath)
@@ -42,22 +42,15 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 	}
 
 	// Lock both name buckets in key order (one lock if they coincide).
-	kSrc := bucketKey(src.ino, oldBase)
-	kDst := bucketKey(dst.ino, newBase)
-	switch {
-	case kSrc == kDst:
-		f.sh.lockOf(kSrc).Lock(th.Clk)
-		defer f.sh.lockOf(kSrc).Unlock(th.Clk)
-	case kSrc < kDst:
-		f.sh.lockOf(kSrc).Lock(th.Clk)
-		defer f.sh.lockOf(kSrc).Unlock(th.Clk)
-		f.sh.lockOf(kDst).Lock(th.Clk)
-		defer f.sh.lockOf(kDst).Unlock(th.Clk)
-	default:
-		f.sh.lockOf(kDst).Lock(th.Clk)
-		defer f.sh.lockOf(kDst).Unlock(th.Clk)
-		f.sh.lockOf(kSrc).Lock(th.Clk)
-		defer f.sh.lockOf(kSrc).Unlock(th.Clk)
+	lo, hi := bucketKey(src.ino, oldBase), bucketKey(dst.ino, newBase)
+	if hi < lo {
+		lo, hi = hi, lo
+	}
+	f.sh.lockOf(lo).Lock(th.Clk)
+	defer f.sh.lockOf(lo).Unlock(th.Clk)
+	if hi != lo {
+		f.sh.lockOf(hi).Lock(th.Clk)
+		defer f.sh.lockOf(hi).Unlock(th.Clk)
 	}
 	th.CPU(4 * perfmodel.CPULockAcquire) // bucket lease acquisitions
 
@@ -66,84 +59,76 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
+	id, err := f.target(de, oldPath)
+	if err != nil {
+		return err
+	}
+	crosses := id == 0 && src.m.id != dst.m.id // an in-coffer child changes coffer
+	if crosses && vfs.FileType(de.typ) == vfs.TypeDir {
+		// Moving a plain directory between coffers would require moving an
+		// arbitrary subtree through the kernel; like a cross-device rename,
+		// callers must copy instead.
+		return vfs.ErrCrossDevice
+	}
 
-	// Clear the destination name if it exists (files only).
+	// A file at the destination goes first, the way remove takes a name.
 	f.window(th, dst.m, true)
 	if old, oldLoc, err := f.dirLookup(th, dst.ino, newBase); err == nil {
 		if vfs.FileType(old.typ) == vfs.TypeDir {
 			return vfs.ErrExist
 		}
-		f.dirRemove(th, dst.ino, newBase, oldLoc)
-		if old.cofferID != 0 {
-			if err := f.deleteCoffer(th, coffer.ID(old.cofferID)); err != nil {
-				return err
-			}
-		} else if !f.sh.orphan(old.inode, old.typ) {
-			f.freeInode(th, dst.m, old.inode, vfs.FileType(old.typ))
+		if _, err := f.unname(th, dst, newPath, old, oldLoc, false); err != nil {
+			return err
 		}
+		f.reclaim(th, dst.m, old, 0)
 	}
 
-	switch {
-	case de.cofferID != 0:
-		// The child is a coffer root: move the dentry and let the kernel
-		// rewrite the coffer path tree.
-		if err := f.dirInsert(th, dst.m, dst.ino, newBase, de.typ, de.cofferID, de.inode); err != nil {
-			return err
-		}
-		f.window(th, src.m, true)
-		f.dirRemove(th, src.ino, oldBase, srcLoc)
-		return errno(f.kern.RenameCoffer(th, oldPath, newPath))
-
-	case src.m.id == dst.m.id:
-		// Pure in-coffer move: two atomic dentry updates.
-		if err := f.dirInsert(th, dst.m, dst.ino, newBase, de.typ, 0, de.inode); err != nil {
-			return err
-		}
-		f.dirRemove(th, src.ino, oldBase, srcLoc)
-		if vfs.FileType(de.typ) == vfs.TypeDir {
-			// Keep descendant coffer paths consistent.
-			return errno(f.kern.RenamePrefix(th, oldPath, newPath))
-		}
-		return nil
-
-	case vfs.FileType(de.typ) == vfs.TypeDir:
-		// Moving a plain directory between coffers would require moving an
-		// arbitrary subtree through the kernel; like a cross-device rename,
-		// callers must copy instead.
-		return vfs.ErrCrossDevice
-
-	default:
-		// Regular file or symlink moving between two coffers.
+	cid := uint32(id)
+	if crosses {
+		// A file or symlink changes coffer: its pages are retagged into the
+		// destination's, or with another permission split into their own.
 		rpSrc, _ := f.kern.Info(src.m.id)
 		rpDst, _ := f.kern.Info(dst.m.id)
 		f.window(th, src.m, true)
 		pages, _ := f.collectTreePages(th, de.inode, vfs.FileType(de.typ), th.Scratch.Pages[:0]) // a file's: no walk to fail
 		th.Scratch.Pages = pages
 		if execMask(rpSrc.Mode) == execMask(rpDst.Mode) && rpSrc.UID == rpDst.UID && rpSrc.GID == rpDst.GID {
-			// Same permission: retag the pages into the destination coffer.
 			if err := errno(f.kern.MovePages(th, src.m.id, dst.m.id, pages)); err != nil {
 				return err
 			}
-			f.window(th, dst.m, true)
-			if err := f.dirInsert(th, dst.m, dst.ino, newBase, de.typ, 0, de.inode); err != nil {
+		} else {
+			newID, err := f.split(th, src.m, newPath, pages, de.inode, perm{rpSrc.Mode, rpSrc.UID, rpSrc.GID}, nil)
+			if err != nil {
 				return err
 			}
-			f.window(th, src.m, true)
-			f.dirRemove(th, src.ino, oldBase, srcLoc)
-			return nil
-		}
-		// Different permission: the file becomes its own coffer at the new
-		// path (split), referenced by a cross-coffer dentry.
-		newID, err := f.split(th, src.m, newPath, pages, de.inode, perm{rpSrc.Mode, rpSrc.UID, rpSrc.GID}, nil)
-		if err != nil {
-			return err
+			cid = uint32(newID)
 		}
 		f.window(th, dst.m, true)
-		if err := f.dirInsert(th, dst.m, dst.ino, newBase, de.typ, uint32(newID), de.inode); err != nil {
-			return err
-		}
-		f.window(th, src.m, true)
-		f.dirRemove(th, src.ino, oldBase, srcLoc)
-		return nil
 	}
+
+	// The name moves: inserted at the destination, then killed at the source.
+	if err := f.dirInsert(th, dst.m, dst.ino, newBase, de.typ, cid, de.inode); err != nil {
+		return err
+	}
+	if id != 0 || crosses {
+		f.window(th, src.m, true)
+	}
+	f.dirRemove(th, src.ino, oldBase, srcLoc)
+	switch {
+	case id != 0:
+		// The kernel moves the coffer's path tree. If it refuses (not the
+		// owner), the name goes back: in at the source, out at the destination.
+		err := errno(f.kern.RenameCoffer(th, oldPath, newPath))
+		if err != nil && f.dirInsert(th, src.m, src.ino, oldBase, de.typ, cid, de.inode) == nil {
+			f.window(th, dst.m, true)
+			if _, loc, lerr := f.dirLookup(th, dst.ino, newBase); lerr == nil {
+				f.dirRemove(th, dst.ino, newBase, loc)
+			}
+		}
+		return err
+	case vfs.FileType(de.typ) == vfs.TypeDir:
+		// Keep descendant coffer paths consistent.
+		return errno(f.kern.RenamePrefix(th, oldPath, newPath))
+	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"zofs/internal/coffer"
@@ -465,15 +466,15 @@ func TestChmodMergesCofferBack(t *testing.T) {
 // TestMergeBackSyncsInodePerm: a chmod that folds a split file back into
 // its parent coffer leaves the inode's own permission words saying what the
 // root page said, since stat reads them once the root page is gone. Both ways
-// a chmod reaches a coffer root do: by its registered path, and by a path the
-// kernel's registry no longer holds — a coffer rename cut after its dentry
-// moved leaves one — where only the parent's dentry knows the coffer.
+// a chmod reaches a coffer root do: by its registered path, and by its
+// parent's dentry, under that name's bucket lock (setPerm takes it when the
+// coffer is published at the path only after the chmod looked the path up).
 func TestMergeBackSyncsInodePerm(t *testing.T) {
 	_, k, f, th := newTestFS(t, Options{})
 	if err := f.Mkdir(th, "/d", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, registered := range []string{"/d/f", "/d/g"} {
+	for _, way := range []string{"path", "dentry"} {
 		h := mustCreate(t, f, th, "/d/f")
 		h.Close(th)
 		if err := f.Chmod(th, "/d/f", 0o600); err != nil {
@@ -483,19 +484,31 @@ func TestMergeBackSyncsInodePerm(t *testing.T) {
 		if !ok {
 			t.Fatal("chmod 0600 did not split")
 		}
-		if registered != "/d/f" {
-			if err := k.RenameCoffer(th, "/d/f", registered); err != nil {
+		if way == "path" {
+			if err := f.Chmod(th, "/d/f", 0o744); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			pos, err := f.walk(th, "/d", true, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bk := f.lockDirBucket(th, pos.ino, "f")
+			de, loc, err := f.dirLookup(th, pos.ino, "f")
+			if err == nil {
+				err = f.chmodCoffer(th, "/d/f", id, perm{0o744, 0, 0}, &pos, de, loc)
+			}
+			f.unlockDirBucket(th, bk)
+			pos.close()
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := f.Chmod(th, "/d/f", 0o744); err != nil {
-			t.Fatal(err)
-		}
 		if _, ok := k.Info(id); ok {
-			t.Fatalf("registered at %s: chmod 0744 did not merge back", registered)
+			t.Fatalf("by %s: chmod 0744 did not merge back", way)
 		}
 		if fi, err := f.Stat(th, "/d/f"); err != nil || fi.Mode != 0o744 {
-			t.Fatalf("registered at %s: mode %o (%v) after the merge-back, want 744", registered, fi.Mode, err)
+			t.Fatalf("by %s: mode %o (%v) after the merge-back, want 744", way, fi.Mode, err)
 		}
 		if err := f.Unlink(th, "/d/f"); err != nil {
 			t.Fatal(err)
@@ -571,6 +584,82 @@ func TestRenameCofferRoot(t *testing.T) {
 	if _, err := f.Stat(th, "/moved/inner"); err != nil {
 		t.Fatalf("stat through renamed coffer: %v", err)
 	}
+}
+
+// A refused rename changes nothing: both names stay where they were, each
+// still naming its coffer, and Check finds nothing to repair.
+func requireNames(t *testing.T, k *kernfs.KernFS, f *FS, th *proc.Thread, dir string, want ...string) {
+	t.Helper()
+	ents, err := f.ReadDir(th, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Errorf("%s lists %v, want %v", dir, got, want)
+	}
+	for _, name := range want {
+		if _, err := f.Stat(th, dir+"/"+name); err != nil {
+			t.Errorf("Stat %s/%s: %v", dir, name, err)
+		}
+	}
+	if rep := Check(k, th); len(rep.Findings) != 0 {
+		t.Errorf("Check after the refused rename: %v", rep.Findings)
+	}
+}
+
+// TestRenameOverRefusedCofferRoot: a rename over a coffer root deletes the
+// coffer before it kills the name, as unlink does, so a delete the kernel
+// refuses (uid 2000 renaming over uid 1000's coffer in a directory both may
+// write) leaves the destination named.
+func TestRenameOverRefusedCofferRoot(t *testing.T) {
+	_, k, f, th := newTestFS(t, Options{})
+	if err := f.Mkdir(th, "/d", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		uid  uint32
+		path string
+	}{{1000, "/d/t"}, {2000, "/d/u"}} {
+		fu, thu := mountAs(t, f, c.uid)
+		h, err := fu.Create(thu, c.path, 0o600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Close(thu)
+	}
+	f2, th2 := mountAs(t, f, 2000)
+	if err := f2.Rename(th2, "/d/u", "/d/t"); !errors.Is(err, vfs.ErrPerm) {
+		t.Fatalf("rename over another user's coffer root: %v, want ErrPerm", err)
+	}
+	requireNames(t, k, f, th, "/d", "t", "u")
+}
+
+// TestRefusedCofferRenamePutsNamesBack: the kernel refuses to move a coffer
+// the caller does not own after the dentry moved (uid 1000 renaming root's
+// 0600 file coffer inside a 0777 directory), and the name goes back.
+func TestRefusedCofferRenamePutsNamesBack(t *testing.T) {
+	_, k, f, th := newTestFS(t, Options{})
+	if err := f.Mkdir(th, "/shared", 0o777); err != nil {
+		t.Fatal(err)
+	}
+	h, err := f.Create(th, "/shared/r", 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Close(th)
+	f1, th1 := mountAs(t, f, 1000)
+	if err := f1.Rename(th1, "/shared/r", "/shared/s"); !errors.Is(err, vfs.ErrPerm) {
+		t.Fatalf("rename of another user's coffer root: %v, want ErrPerm", err)
+	}
+	if _, err := f.Stat(th, "/shared/s"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Errorf("Stat /shared/s: %v, want ErrNotExist", err)
+	}
+	requireNames(t, k, f, th, "/shared", "r")
 }
 
 func TestRenameCrossCofferFile(t *testing.T) {

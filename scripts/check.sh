@@ -300,6 +300,13 @@ coffercalls=$(find internal/zofs -name '*.go' ! -name '*_test.go' | xargs grep -
     'kern\.(CofferNew|CofferDelete|CofferSplit|CofferMerge|SetCofferMeta)\(' | wc -l)
 echo "sysfactory.All systems: $systems; zofs coffer-call sites (CofferNew, CofferDelete," \
     "CofferSplit, CofferMerge, SetCofferMeta): $coffercalls"
+# One naming rule (G3): the non-test places in internal/zofs that turn a
+# dentry's coffer field into a coffer ID — the rule's dentry form (target) and
+# ReadDir's listing, 2 when it was set; another is a cross-coffer dentry used
+# unchecked.
+dentrycoffers=$(find internal/zofs -name '*.go' ! -name '*_test.go' | xargs grep -oE \
+    'coffer\.ID\([a-z]+\.cofferID\)' | wc -l)
+echo "zofs dentry-to-coffer conversions (naming rule, ReadDir): $dentrycoffers"
 echo "experiments: $(grep -c '^	{"' internal/harness/harness.go); zofs-bench flags:" \
     "$(grep -cE 'fl\.[A-Z][A-Za-z0-9]*\("' cmd/zofs-bench/main.go); harness.Options fields: $(fields internal/harness/harness.go)"
 
