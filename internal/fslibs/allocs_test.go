@@ -17,12 +17,11 @@ import (
 
 // TestAllocBudget pins the heap allocations of the hot FSLibs → ZoFS ops with
 // every collector off, on a device without persistence tracking (the set-up
-// the end-to-end benchmark measures). Opening and closing a file allocates
-// nothing: the open-file description and the µFS handle are ones an earlier
-// close left behind. What an op may allocate is what outlives it — the path a
-// symlink expands to, the kernel's record of a coffer that did not exist
-// before — and nothing for path handling, dispatch, MPK windows, inode locks,
-// page lists, symlink targets or directory listings.
+// the end-to-end benchmark measures): none. The open-file description and the
+// µFS handle are ones an earlier close left behind; paths, dispatch, MPK
+// windows, inode locks, page lists, symlink targets and listings live in the
+// thread's scratch; what a coffer call keeps — the kernel's record and path
+// entry, the µFS's mount — is carved from slabs, fewer than one object an op.
 func TestAllocBudget(t *testing.T) {
 	if telemetry.Active() != nil || spans.Active() != nil || series.Active() != nil ||
 		lockprof.Active() != nil || pmemtrace.Active() != nil {
@@ -142,10 +141,9 @@ func TestAllocBudget(t *testing.T) {
 			}
 			must(l.Close(th, fd))
 		}},
-		// The path the link expands to, which the description keeps. The
-		// target is read into the thread's scratch and the expansion is
-		// reported in the thread's own error.
-		{"Open through a symlink into another coffer + Close", 1, func() {
+		// The path the link expands to, which the description keeps, is the
+		// one the thread's memo holds from the first run.
+		{"Open through a symlink into another coffer + Close", 0, func() {
 			fd, err := l.Open(th, "/dir/sub/ln", vfs.O_RDONLY, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -180,17 +178,11 @@ func TestAllocBudget(t *testing.T) {
 			must(l.Symlink(th, "/dir/sub/file", "/dir/sub/tmpln"))
 			must(l.Unlink(th, "/dir/sub/tmpln"))
 		}},
-		// What the split makes and the merge drops: the kernel's coffer
-		// record and path-mirror entry, its mapper table (a map: two objects)
-		// once the merge maps it, and the µFS's mount. The page list is built
-		// in the thread's scratch.
-		{"Chmod 0600 + Chmod back (split + merge)", 5, func() {
+		{"Chmod 0600 + Chmod back (split + merge)", 0, func() {
 			must(l.Chmod(th, "/dir/sub/chm", 0o600))
 			must(l.Chmod(th, "/dir/sub/chm", 0o644))
 		}},
-		// The path mirror's entry for the new path and the box the coffer's
-		// published root page keeps it in.
-		{"Rename between two coffers", 2, func() {
+		{"Rename between two coffers", 0, func() {
 			must(l.Rename(th, moveFrom, moveTo))
 			moveFrom, moveTo = moveTo, moveFrom
 		}},

@@ -11,6 +11,7 @@ import (
 	"zofs/internal/pmemtrace"
 	"zofs/internal/proc"
 	"zofs/internal/series"
+	"zofs/internal/slab"
 	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 )
@@ -55,10 +56,11 @@ func newDelete(tb testing.TB, k *KernFS, th *proc.Thread, parent coffer.ID) {
 }
 
 // TestAllocBudget pins the kernel agent's own heap allocations per call with
-// every collector off. What remains is what a call creates and keeps — a
-// coffer's record, a path's entry in the mirror; nothing is allocated to look
-// a coffer up, to walk its extents, to build a persistent image, to box a key
-// or a value for a table, to publish a root page or to label a lock.
+// every collector off: none but the extents an enlarge hands its caller.
+// Nothing is allocated to look a coffer up, to walk its extents, to build a
+// persistent image, to box a key or a value for a table, to publish a root
+// page or a path, or to label a lock; a coffer's record and its path-mirror
+// entry are carved from slabs, and its mappers fit in the record.
 func TestAllocBudget(t *testing.T) {
 	if telemetry.Active() != nil || spans.Active() != nil || series.Active() != nil ||
 		lockprof.Active() != nil || pmemtrace.Active() != nil {
@@ -99,19 +101,14 @@ func TestAllocBudget(t *testing.T) {
 			must(err)
 			must(k.CofferUnmap(th, id))
 		}},
-		// The cofferInfo (root-page snapshot and first path inside it; the
-		// mapper table waits for a coffer_map, the lock label for a profiler)
-		// and the path mirror's entry. The registry slot is there already.
-		{"CofferNew+CofferDelete", 2, func() { newDelete(t, k, th, id) }},
-		// As CofferNew.
-		{"CofferSplit+CofferMerge", 2, func() {
+		{"CofferNew+CofferDelete", 0, func() { newDelete(t, k, th, id) }},
+		{"CofferSplit+CofferMerge", 0, func() {
 			sid, err := k.CofferSplit(th, id, "/k/split", 0o600, 0, 0, pages[:3], pages[0], pages[1])
 			must(err)
 			must(k.CofferMerge(th, id, sid))
 		}},
-		// The path mirror's entry for the new path and the box the snapshot
-		// publishes it in. The renamed path string is the caller's.
-		{"RenameCoffer", 2, func() {
+		// The renamed path string is the caller's.
+		{"RenameCoffer", 0, func() {
 			must(k.RenameCoffer(th, from, to))
 			from, to = to, from
 		}},
@@ -127,13 +124,18 @@ func TestAllocBudget(t *testing.T) {
 
 // TestCofferNewCostIndependentOfTableSize: creating and deleting a coffer
 // allocates the same whether 10 or 2,000 other coffers exist — the path mirror
-// is edited in place, never copied. Other goroutines of the test binary can
-// only add to a window's count, so the smallest of five windows is taken.
+// is edited in place, never copied. A coffer's record and path entry come
+// from slabs, so a window is a whole number of full-size slab chunks: it
+// starts once the chunks have grown to slab.Max and spans as many ops. Other
+// goroutines of the test binary can only add to a window's count, so the
+// smallest of five windows is taken.
 func TestCofferNewCostIndependentOfTableSize(t *testing.T) {
 	measure := func(others int) (allocs, bytes uint64) {
 		k, th, id := hostFS(t, others)
-		newDelete(t, k, th, id)
-		const runs = 100
+		for i := 0; i < 2*slab.Max; i++ {
+			newDelete(t, k, th, id)
+		}
+		const runs = slab.Max
 		allocs, bytes = 1<<63, 1<<63
 		for w := 0; w < 5; w++ {
 			var before, after runtime.MemStats

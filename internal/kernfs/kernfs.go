@@ -52,6 +52,7 @@ import (
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/simclock"
+	"zofs/internal/slab"
 	"zofs/internal/spans"
 	"zofs/internal/telemetry"
 )
@@ -119,6 +120,11 @@ type KernFS struct {
 	// coffers maps coffer.ID -> *cofferInfo. The hot paths (enlarge, map,
 	// Info) resolve IDs without any lock; mutations happen under regMu.
 	coffers registry
+	// infos is what coffer records are carved from, under regMu (or by
+	// Mount running alone). A record is never reused: a lock-free reader
+	// that resolved an ID before its coffer died reads a dead record, never
+	// another coffer's.
+	infos   slab.Slab[cofferInfo]
 	procs   map[int]*procState
 	procsMu sync.Mutex
 
@@ -146,14 +152,63 @@ type cofferInfo struct {
 	rp   coffer.RootPage
 	snap rootSnap
 
-	mappers map[int]*procState // PID → mapper; made by the first coffer_map
+	mappers mapperSet
 }
 
-func newCofferInfo(rp coffer.RootPage) *cofferInfo {
-	ci := &cofferInfo{rp: rp}
+// newCofferInfo carves the record of a coffer published under path-mirror
+// entry e. The caller holds regMu (or is Mount).
+func (k *KernFS) newCofferInfo(rp coffer.RootPage, e *pathEnt) *cofferInfo {
+	ci := k.infos.Carve()
+	ci.rp = rp
 	ci.mu.InitKeyed("kernfs.coffer", int64(rp.ID))
+	ci.snap.rename(e)
 	ci.publishRP()
 	return ci
+}
+
+// mapperSet is the processes that have a coffer mapped. A coffer has few —
+// one per process sharing it — so the set is a slice over room for the usual
+// count inside the record, which never moves: adding a mapper allocates only
+// past that room, and nothing is hashed.
+type mapperSet struct {
+	all    []*procState
+	inline [4]*procState
+}
+
+// get returns pid's mapper, or nil.
+func (s *mapperSet) get(pid int) *procState {
+	for _, ps := range s.all {
+		if ps.p.PID == pid {
+			return ps
+		}
+	}
+	return nil
+}
+
+func (s *mapperSet) add(ps *procState) {
+	if s.all == nil {
+		s.all = s.inline[:0]
+	}
+	s.all = append(s.all, ps)
+}
+
+func (s *mapperSet) remove(pid int) {
+	for i, ps := range s.all {
+		if ps.p.PID == pid {
+			last := len(s.all) - 1
+			s.all[i], s.all[last] = s.all[last], nil
+			s.all = s.all[:last]
+			return
+		}
+	}
+}
+
+// each calls fn for every mapper, the last added first; fn may remove the
+// mapper it is given.
+func (s *mapperSet) each(fn func(ps *procState)) {
+	for i := len(s.all) - 1; i >= 0; i-- {
+		fn(s.all[i])
+	}
 }
 
 // publishRP refreshes the lock-free root-page snapshot; call after every rp
@@ -174,7 +229,7 @@ func (ci *cofferInfo) writeGate(pid int) error {
 	if ci.rp.Flags&coffer.FlagReadOnly != 0 {
 		return ErrCofferReadOnly
 	}
-	ps := ci.mappers[pid]
+	ps := ci.mappers.get(pid)
 	if ps == nil || !ps.isWritable(ci.rp.ID) {
 		return ErrNotMapped
 	}
@@ -309,7 +364,7 @@ func Mkfs(dev *nvm.Device, opts MkfsOptions) error {
 	coffer.EncodeRootPage(&page, rp)
 	dev.WriteNTClass(nil, byteflow.ClassInode, pages[0]*nvm.PageSize, page[:])
 	scrubHead(dev, nil, pages, dirtied)
-	if err := pt.insert(nil, "/", rootID); err != nil {
+	if _, err := pt.insert(nil, "/", rootID); err != nil {
 		return err
 	}
 
@@ -424,7 +479,7 @@ func Mount(dev *nvm.Device) (*KernFS, error) {
 		if owner := k.space.slotOwner(rp.RootInode); owner != id {
 			merging = append(merging, [2]coffer.ID{id, owner})
 		}
-		k.coffers.store(id, newCofferInfo(*rp))
+		k.coffers.store(id, k.newCofferInfo(*rp, k.paths.entry(path)))
 		return true
 	})
 	if bad != nil {
@@ -867,12 +922,13 @@ func (k *KernFS) CofferNew(th *proc.Thread, parent coffer.ID, path string, typ c
 
 	// Publish: path entry and registry record become visible together.
 	k.regMu.Lock(th.Clk)
-	if err := k.paths.insert(th.Clk, path, id); err != nil {
+	e, err := k.paths.insert(th.Clk, path, id)
+	if err != nil {
 		k.regMu.Unlock(th.Clk)
 		k.space.releaseAll(th.Clk, id, false) // roll back the staged allocation
 		return 0, err
 	}
-	k.coffers.store(id, newCofferInfo(rp))
+	k.coffers.store(id, k.newCofferInfo(rp, e))
 	k.regMu.Unlock(th.Clk)
 	return id, nil
 }
@@ -910,9 +966,7 @@ func (k *KernFS) CofferDelete(th *proc.Thread, id coffer.ID) error {
 		ci.mu.Unlock(th.Clk)
 		return fmt.Errorf("%w: cannot delete root coffer", ErrInvalid)
 	}
-	for _, ps := range ci.mappers {
-		k.revokeLocked(ci, ps)
-	}
+	ci.mappers.each(func(ps *procState) { k.revokeLocked(ci, ps) })
 	if ci.rp.SplitFrom != 0 {
 		// Before the path entry goes: Mount frees a deleted coffer's
 		// pages, it does not give them back to the coffer it split from.
@@ -1023,7 +1077,7 @@ func (k *KernFS) CofferEnlarge(th *proc.Thread, id coffer.ID, npages int64, zero
 	for _, e := range exts {
 		own.Add(e.Start, e.Count)
 	}
-	for _, m := range ci.mappers {
+	for _, m := range ci.mappers.all {
 		key, w := m.access(id)
 		for _, e := range exts {
 			m.p.Mem.Map(e.Start, e.Count, key, w)
@@ -1065,7 +1119,7 @@ func (k *KernFS) MovePages(th *proc.Thread, src, dst coffer.ID, pages []int64) e
 		if pg == int64(src) {
 			return fmt.Errorf("%w: cannot move the root page", ErrInvalid)
 		}
-		if err := k.movePage(th, pg, src, dst, si.mappers, di.mappers); err != nil {
+		if err := k.movePage(th, pg, src, dst, si.mappers.all, di.mappers.all); err != nil {
 			return err
 		}
 	}
@@ -1077,7 +1131,7 @@ func (k *KernFS) MovePages(th *proc.Thread, src, dst coffer.ID, pages []int64) e
 // coffer src to dst, unmaps it from the processes in unmap, maps it into
 // those in mapIn under their keys for dst, and charges the per-page cost.
 // Either process set may be nil. The caller holds the coffer locks.
-func (k *KernFS) movePage(th *proc.Thread, pg int64, src, dst coffer.ID, unmap, mapIn map[int]*procState) error {
+func (k *KernFS) movePage(th *proc.Thread, pg int64, src, dst coffer.ID, unmap, mapIn []*procState) error {
 	if err := k.space.retag(th.Clk, src, dst, pg, 1); err != nil {
 		return err
 	}
@@ -1143,7 +1197,7 @@ func (k *KernFS) CofferShrink(th *proc.Thread, id coffer.ID, exts []coffer.Exten
 		if err := k.space.release(th.Clk, id, e.Start, e.Count); err != nil {
 			return err
 		}
-		for _, m := range ci.mappers {
+		for _, m := range ci.mappers.all {
 			m.p.Mem.Unmap(e.Start, e.Count)
 		}
 	}
@@ -1219,10 +1273,7 @@ func (k *KernFS) CofferMap(th *proc.Thread, id coffer.ID, write bool) (MapInfo, 
 	ps.keys[id] = key
 	ps.writable[id] = write
 	ps.mu.Unlock()
-	if ci.mappers == nil {
-		ci.mappers = map[int]*procState{}
-	}
-	ci.mappers[th.Proc.PID] = ps
+	ci.mappers.add(ps)
 	k.mapPagesLocked(ps, ci, key, write)
 	npg := k.space.pagesOf(id)
 	info := MapInfo{Key: key, Writable: write, Root: ci.rp}
@@ -1283,7 +1334,7 @@ func (k *KernFS) unmapLocked(ci *cofferInfo, ps *procState) {
 		own.Each(ps.p.Mem.Unmap)
 	}
 	ps.forgetKey(id)
-	delete(ci.mappers, ps.p.PID)
+	ci.mappers.remove(ps.p.PID)
 }
 
 // revokeLocked is unmapLocked for kernel-initiated evictions: the process
@@ -1448,6 +1499,12 @@ func (k *KernFS) renameTree(th *proc.Thread, oldPath, newPath string, exact bool
 	return err
 }
 
+// MayRename is coffer_rename's ownership rule: only root or the coffer's
+// owner moves a coffer. It is pure, so a µFS asks it of the lock-free
+// snapshot (Info) before its first store, as movePaths does under the
+// registry lock.
+func MayRename(rp coffer.RootPage, uid uint32) bool { return uid == 0 || uid == rp.UID }
+
 // movePaths is renameTree's registry section: it checks the rename, re-keys
 // the path entries and publishes the new paths, and returns the coffers moved
 // (all of them but after an error). Caller holds regMu, which keeps the coffer
@@ -1458,8 +1515,7 @@ func (k *KernFS) movePaths(th *proc.Thread, oldPath, newPath string, exact bool,
 		if ci == nil {
 			return nil, ErrNotFound
 		}
-		rp := ci.snap.load()
-		if u := th.Proc.UID(); u != 0 && u != rp.UID {
+		if !MayRename(ci.snap.load(), th.Proc.UID()) {
 			return nil, ErrPerm
 		}
 		ops = append(ops, renameOp{ci, oldPath, newPath})
@@ -1477,10 +1533,11 @@ func (k *KernFS) movePaths(th *proc.Thread, oldPath, newPath string, exact bool,
 	})
 	slices.SortFunc(ops, func(a, b renameOp) int { return cmp.Compare(a.ci.rp.ID, b.ci.rp.ID) })
 	for i, op := range ops {
-		if err := k.paths.rename(th.Clk, op.from, op.to, op.ci.rp.ID); err != nil {
+		e, err := k.paths.rename(th.Clk, op.from, op.to, op.ci.rp.ID)
+		if err != nil {
 			return ops[:i], err
 		}
-		op.ci.snap.rename(op.to)
+		op.ci.snap.rename(e)
 	}
 	return ops, nil
 }
@@ -1539,7 +1596,7 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 	// a different permission.
 	moved := 0
 	for _, pg := range pages {
-		if err = k.movePage(th, pg, old, id, ci.mappers, nil); err != nil {
+		if err = k.movePage(th, pg, old, id, ci.mappers.all, nil); err != nil {
 			break
 		}
 		moved++
@@ -1551,8 +1608,9 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 	}
 
 	k.regMu.Lock(th.Clk)
-	if err = k.paths.insert(th.Clk, newPath, id); err == nil {
-		k.coffers.store(id, newCofferInfo(rp))
+	var e *pathEnt
+	if e, err = k.paths.insert(th.Clk, newPath, id); err == nil {
+		k.coffers.store(id, k.newCofferInfo(rp, e))
 	}
 	k.regMu.Unlock(th.Clk)
 	if err != nil {
@@ -1570,7 +1628,7 @@ func (k *KernFS) unsplit(th *proc.Thread, ci *cofferInfo, id coffer.ID, moved []
 	ci.mu.Lock(th.Clk)
 	if !ci.dead {
 		for _, pg := range moved {
-			_ = k.movePage(th, pg, id, ci.rp.ID, nil, ci.mappers) // a page that will not retag is skipped
+			_ = k.movePage(th, pg, id, ci.rp.ID, nil, ci.mappers.all) // a page that will not retag is skipped
 		}
 	}
 	ci.mu.Unlock(th.Clk)
@@ -1614,14 +1672,14 @@ func (k *KernFS) foldLocked(th *proc.Thread, si, di *cofferInfo) error {
 	if di.rp.Mode&^0o111 != si.rp.Mode&^0o111 || di.rp.UID != si.rp.UID || di.rp.GID != si.rp.GID {
 		return fmt.Errorf("%w: merge requires identical permissions", ErrInvalid)
 	}
-	for pid := range si.mappers {
-		if _, alsoDst := di.mappers[pid]; !alsoDst {
+	for _, ps := range si.mappers.all {
+		if di.mappers.get(ps.p.PID) == nil {
 			return ErrBusy
 		}
 	}
 	// The root inode page moves first: from then on, Mount finishes a merge
 	// that a crash cuts (a coffer belongs where its root inode page is).
-	if err := k.movePage(th, si.rp.RootInode, src, dst, nil, di.mappers); err != nil {
+	if err := k.movePage(th, si.rp.RootInode, src, dst, nil, di.mappers.all); err != nil {
 		return err
 	}
 	// Retagging takes pages out of the set being walked, so the walk re-finds
@@ -1634,14 +1692,12 @@ func (k *KernFS) foldLocked(th *proc.Thread, si, di *cofferInfo) error {
 			}
 			// Remap under dst's key for every dst mapper; si's mappers
 			// are unmapped whole below.
-			if err := k.movePage(th, pg, src, dst, nil, di.mappers); err != nil {
+			if err := k.movePage(th, pg, src, dst, nil, di.mappers.all); err != nil {
 				return err
 			}
 		}
 	}
-	for _, m := range si.mappers {
-		k.unmapLocked(si, m)
-	}
+	si.mappers.each(func(m *procState) { k.unmapLocked(si, m) })
 	return nil
 }
 
@@ -1666,11 +1722,11 @@ func (k *KernFS) BeginRecover(th *proc.Thread, id coffer.ID, leaseNS uint64) ([]
 	ci.rp.Lease = uint64(th.Clk.Now()) + leaseNS
 	ci.publishRP()
 	k.updateRootPage(th.Clk, &ci.rp, 0)
-	for pid, ps := range ci.mappers {
-		if pid != th.Proc.PID {
+	ci.mappers.each(func(ps *procState) {
+		if ps.p.PID != th.Proc.PID {
 			k.revokeLocked(ci, ps)
 		}
-	}
+	})
 	return k.space.extentsOf(id), nil
 }
 
@@ -1710,7 +1766,7 @@ func (k *KernFS) EndRecover(th *proc.Thread, id coffer.ID, inUse []int64) error 
 		if err := k.space.release(th.Clk, id, pg, 1); err != nil {
 			return err
 		}
-		for _, m := range ci.mappers {
+		for _, m := range ci.mappers.all {
 			m.p.Mem.Unmap(pg, 1)
 		}
 		th.CPU(perfmodel.CPUSmallOp)
@@ -1758,12 +1814,10 @@ func (k *KernFS) quarantineLocked(th *proc.Thread, ci *cofferInfo, offline bool)
 	k.updateRootPage(th.Clk, &ci.rp, 0)
 	id := ci.rp.ID
 	if offline {
-		for _, ps := range ci.mappers {
-			k.revokeLocked(ci, ps)
-		}
+		ci.mappers.each(func(ps *procState) { k.revokeLocked(ci, ps) })
 		return
 	}
-	for _, ps := range ci.mappers {
+	for _, ps := range ci.mappers.all {
 		if ps.isWritable(id) {
 			ps.mu.Lock()
 			ps.writable[id] = false
@@ -1840,7 +1894,7 @@ func (k *KernFS) FileMmap(th *proc.Thread, id coffer.ID, pages []int64, writable
 		return ErrNotFound
 	}
 	defer ci.mu.Unlock(th.Clk)
-	ps := ci.mappers[th.Proc.PID]
+	ps := ci.mappers.get(th.Proc.PID)
 	if ps == nil {
 		return ErrNotMapped
 	}

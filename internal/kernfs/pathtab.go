@@ -11,6 +11,7 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/perfmodel"
 	"zofs/internal/simclock"
+	"zofs/internal/slab"
 )
 
 // Persistent path→coffer hash table (§4.1: "Treasury also introduces a
@@ -56,6 +57,9 @@ type pathTable struct {
 	// resolution never blocks behind a concurrent coffer create/delete/
 	// rename and a mutation costs one entry however many coffers exist.
 	vol [pathBuckets]atomic.Pointer[pathEnt]
+	// ents is what the mirror's entries are carved from, under wmu (or by
+	// Mount running alone).
+	ents slab.Slab[pathEnt]
 
 	// live counts the live entries of every entry page linked into a bucket
 	// chain, an emptied head page at zero; an unlinked page leaves it. Its
@@ -71,9 +75,9 @@ type pathTable struct {
 
 // pathEnt is one live mapping in the mirror, immutable but for its chain
 // link. An unlinked entry keeps its link, so a probe standing on it walks on
-// into the chain it left; entries are never reused. at is the device byte
-// offset of the persistent entry (one word keeps the struct in the 48-byte
-// size class).
+// into the chain it left; entries are carved from a slab and never reused, so
+// neither a probe nor a coffer's published path (rootSnap) ever reads one that
+// names another mapping. at is the device byte offset of the persistent entry.
 type pathEnt struct {
 	hash uint64
 	path string
@@ -135,20 +139,24 @@ func (pt *pathTable) entry(p string) *pathEnt {
 }
 
 // link pushes a mapping for p, whose persistent entry lies at device offset
-// at and which the caller has found absent, onto its chain. It is set without
-// the seq bracket: what load uses, on a table nobody reads yet.
-func (pt *pathTable) link(p string, id coffer.ID, at int64) {
-	e := &pathEnt{hash: pathHash(p), path: p, id: id, at: at}
+// at and which the caller has found absent, onto its chain, and returns its
+// entry. It is set without the seq bracket: what load uses, on a table nobody
+// reads yet.
+func (pt *pathTable) link(p string, id coffer.ID, at int64) *pathEnt {
+	e := pt.ents.Carve()
+	e.hash, e.path, e.id, e.at = pathHash(p), p, id, at
 	head := &pt.vol[e.hash%pathBuckets]
 	e.next.Store(head.Load())
 	head.Store(e)
+	return e
 }
 
 // set and unset edit the mirror inside the seq odd/even bracket.
-func (pt *pathTable) set(p string, id coffer.ID, at int64) {
+func (pt *pathTable) set(p string, id coffer.ID, at int64) *pathEnt {
 	pt.seq.Add(1)
-	pt.link(p, id, at)
+	e := pt.link(p, id, at)
 	pt.seq.Add(1)
+	return e
 }
 
 func (pt *pathTable) unset(p string) {
@@ -233,17 +241,18 @@ func (pt *pathTable) lookup(clk *simclock.Clock, p string) (coffer.ID, bool) {
 	return pt.find(p)
 }
 
-// insert adds a live entry, persisting it in the bucket chain.
-func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) error {
+// insert adds a live entry, persisting it in the bucket chain, and returns
+// its mirror entry.
+func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) (*pathEnt, error) {
 	if pt.wmu != nil {
 		pt.wmu.Lock(clk)
 		defer pt.wmu.Unlock(clk)
 	}
 	if _, dup := pt.find(p); dup {
-		return ErrExists
+		return nil, ErrExists
 	}
 	if len(p) > coffer.MaxPathLen {
-		return fmt.Errorf("%w: path too long", ErrInvalid)
+		return nil, fmt.Errorf("%w: path too long", ErrInvalid)
 	}
 	b := pt.bucketFor(p)
 	sz := entrySize(len(p))
@@ -264,8 +273,7 @@ func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) error {
 			binary.LittleEndian.PutUint16(hdr[8:], uint16(used+sz))
 			pt.dev.WriteNTClass(clk, byteflow.ClassDentry, cur*nvm.PageSize+8, hdr[8:10])
 			pt.live[cur]++
-			pt.set(p, id, cur*nvm.PageSize+entryPageHdr+used)
-			return nil
+			return pt.set(p, id, cur*nvm.PageSize+entryPageHdr+used), nil
 		}
 		cur = int64(binary.LittleEndian.Uint64(hdr[0:]))
 	}
@@ -274,7 +282,7 @@ func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) error {
 	var one [1]coffer.Extent
 	exts, err := pt.sm.allocate(clk, 0, coffer.KernelID, 1, one[:0])
 	if err != nil {
-		return err
+		return nil, err
 	}
 	newPg := exts[0].Start
 	binary.LittleEndian.PutUint64(page[0:], uint64(pg))
@@ -283,8 +291,7 @@ func (pt *pathTable) insert(clk *simclock.Clock, p string, id coffer.ID) error {
 	pt.dev.WriteNTClass(clk, byteflow.ClassDentry, newPg*nvm.PageSize, page[:])
 	pt.setBucketHead(clk, b, newPg)
 	pt.live[newPg] = 1
-	pt.set(p, id, newPg*nvm.PageSize+entryPageHdr)
-	return nil
+	return pt.set(p, id, newPg*nvm.PageSize+entryPageHdr), nil
 }
 
 func encodeEntry(dst []byte, p string, id coffer.ID) {
@@ -449,16 +456,18 @@ func (pt *pathTable) verify() error {
 	return err
 }
 
-// rename atomically (in the volatile view) re-keys an entry.
-func (pt *pathTable) rename(clk *simclock.Clock, oldPath, newPath string, id coffer.ID) error {
-	if err := pt.insert(clk, newPath, id); err != nil {
-		return err
+// rename atomically (in the volatile view) re-keys an entry, and returns the
+// new one.
+func (pt *pathTable) rename(clk *simclock.Clock, oldPath, newPath string, id coffer.ID) (*pathEnt, error) {
+	e, err := pt.insert(clk, newPath, id)
+	if err != nil {
+		return nil, err
 	}
 	if err := pt.remove(clk, oldPath); err != nil {
 		pt.remove(clk, newPath) // roll back best-effort
-		return err
+		return nil, err
 	}
-	return nil
+	return e, nil
 }
 
 // each calls fn for every live path→coffer mapping, in no particular order,

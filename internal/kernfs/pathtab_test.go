@@ -23,10 +23,10 @@ func newPathTable(t *testing.T) (*nvm.Device, *pathTable) {
 
 func TestPathTableInsertLookupRemove(t *testing.T) {
 	_, pt := newPathTable(t)
-	if err := pt.insert(nil, "/a", 100); err != nil {
+	if _, err := pt.insert(nil, "/a", 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.insert(nil, "/a", 101); err != ErrExists {
+	if _, err := pt.insert(nil, "/a", 101); err != ErrExists {
 		t.Fatalf("dup insert = %v", err)
 	}
 	if id, ok := pt.lookup(nil, "/a"); !ok || id != 100 {
@@ -48,7 +48,7 @@ func TestPathTablePersistsAcrossLoad(t *testing.T) {
 	// Enough entries to overflow bucket pages (long paths, many entries).
 	long := strings.Repeat("x", 180)
 	for i := 0; i < 500; i++ {
-		if err := pt.insert(nil, fmt.Sprintf("/%s/%04d", long, i), coffer.ID(1000+i)); err != nil {
+		if _, err := pt.insert(nil, fmt.Sprintf("/%s/%04d", long, i), coffer.ID(1000+i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestPathTablePersistsAcrossLoad(t *testing.T) {
 func TestPathTableRename(t *testing.T) {
 	_, pt := newPathTable(t)
 	pt.insert(nil, "/old", 7)
-	if err := pt.rename(nil, "/old", "/new", 7); err != nil {
+	if _, err := pt.rename(nil, "/old", "/new", 7); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := pt.lookup(nil, "/old"); ok {
@@ -90,7 +90,7 @@ func TestPathTableRename(t *testing.T) {
 	}
 	// Rename onto existing fails and preserves the source.
 	pt.insert(nil, "/other", 8)
-	if err := pt.rename(nil, "/new", "/other", 7); err == nil {
+	if _, err := pt.rename(nil, "/new", "/other", 7); err == nil {
 		t.Fatal("rename onto existing succeeded")
 	}
 	if id, ok := pt.lookup(nil, "/new"); !ok || id != 7 {
@@ -143,7 +143,7 @@ func TestPathTableRemoveAgainstMedia(t *testing.T) {
 	// Three ~1 KiB entries fill a page: four pages, newest at the head.
 	paths := collidingPaths(13, 1000)
 	for i, p := range paths[:12] {
-		if err := pt.insert(nil, p, coffer.ID(100+i)); err != nil {
+		if _, err := pt.insert(nil, p, coffer.ID(100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func TestPathTableRemoveAgainstMedia(t *testing.T) {
 	if n, chained := pt.live[head]; !chained || n != 0 {
 		t.Fatalf("the emptied head page: chained %v, %d live", chained, n)
 	}
-	if err := pt.insert(nil, paths[12], 200); err != nil {
+	if _, err := pt.insert(nil, paths[12], 200); err != nil {
 		t.Fatal(err)
 	}
 	if at := pt.entry(paths[12]).at; at != head*nvm.PageSize+entryPageHdr {

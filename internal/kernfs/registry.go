@@ -9,7 +9,7 @@ import (
 
 // The kernel agent's two volatile tables that lookups read without a lock —
 // the coffer registry here, the path mirror in pathtab.go — are typed: a
-// mutation boxes no key and no value, and what it allocates is what it keeps.
+// mutation boxes no key and no value, and what it keeps is carved from a slab.
 
 // registry is the coffer table, coffer.ID → *cofferInfo. An ID is the
 // coffer's root page number, so the table is indexed, not hashed: a directory
@@ -71,21 +71,19 @@ func (r *registry) each(fn func(id coffer.ID, ci *cofferInfo)) {
 // (Info, the permission prechecks of coffer_new and coffer_enlarge). It is a
 // sequence-locked copy whose every word is an atomic: a publish overwrites it
 // in place — no heap copy per mutation — and a reader that overlapped one
-// retries. The path is apart from the words: it is the path the coffer is
-// published under in the path table, set by the first publish and after that
-// only by a rename, under the registry lock, the moment the table changes —
-// the root page follows it later (renameTree). Only a renamed path is boxed;
-// the first lives in the snapshot itself.
+// retries. The path is apart from the words: it is the path-mirror entry the
+// coffer is published under, set by the first publish and after that only by
+// a rename, under the registry lock, the moment the table changes — the root
+// page follows it later (renameTree). Entries are never reused, so a reader
+// holding a replaced one still reads the path it named.
 type rootSnap struct {
-	seq   atomic.Uint32
-	w     [6]atomic.Uint64
-	path  atomic.Pointer[string]
-	first string
+	seq atomic.Uint32
+	w   [6]atomic.Uint64
+	ent atomic.Pointer[pathEnt]
 }
 
-// publish refreshes the snapshot's words from rp, and its path the first
-// time. The caller holds the coffer's lock (or has not made the coffer
-// visible yet).
+// publish refreshes the snapshot's words from rp. The caller holds the
+// coffer's lock (or has not made the coffer visible yet).
 func (s *rootSnap) publish(rp *coffer.RootPage) {
 	s.seq.Add(1)
 	s.w[0].Store(uint64(rp.ID)<<32 | uint64(rp.Type))
@@ -94,18 +92,15 @@ func (s *rootSnap) publish(rp *coffer.RootPage) {
 	s.w[3].Store(uint64(rp.RootInode))
 	s.w[4].Store(uint64(rp.Custom))
 	s.w[5].Store(rp.Lease)
-	if s.path.Load() == nil {
-		s.first = rp.Path
-		s.path.Store(&s.first)
-	}
 	s.seq.Add(1)
 }
 
-// rename publishes the coffer's new path. The caller holds the registry lock.
-func (s *rootSnap) rename(p string) { s.path.Store(&p) }
+// rename publishes the coffer's path-mirror entry. The caller holds the
+// registry lock (or has not made the coffer visible yet).
+func (s *rootSnap) rename(e *pathEnt) { s.ent.Store(e) }
 
 // published returns the path the coffer is published under.
-func (s *rootSnap) published() string { return *s.path.Load() }
+func (s *rootSnap) published() string { return s.ent.Load().path }
 
 // load returns the root page as of one publish.
 func (s *rootSnap) load() coffer.RootPage {
@@ -117,7 +112,7 @@ func (s *rootSnap) load() coffer.RootPage {
 				Mode: coffer.Mode(w1 >> 32), UID: uint32(w1),
 				GID: uint32(w2 >> 32), Flags: uint32(w2),
 				RootInode: int64(s.w[3].Load()), Custom: int64(s.w[4].Load()),
-				Lease: s.w[5].Load(), Path: *s.path.Load(),
+				Lease: s.w[5].Load(), Path: s.published(),
 			}
 			if s.seq.Load() == seq {
 				return rp

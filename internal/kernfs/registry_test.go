@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"zofs/internal/coffer"
+	"zofs/internal/slab"
 )
 
 // TestRegistryTable: the indexed coffer table against a map, including IDs no
@@ -145,9 +146,81 @@ func TestPathMirrorChains(t *testing.T) {
 }
 
 // TestPathEntFitsItsSizeClass: the entry location takes the 8 bytes the
-// allocator's 48-byte size class already rounded a mirror entry up to.
+// allocator's 48-byte size class rounded a mirror entry up to when each was
+// an object of its own; carved from a slab, an entry still costs 48 bytes.
 func TestPathEntFitsItsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(pathEnt{}); n > 48 {
 		t.Fatalf("pathEnt is %d bytes, past the 48-byte size class", n)
+	}
+}
+
+// TestMergedCofferRecordStaysDead: records are carved from a slab and never
+// handed out again. After a split is merged back and more coffers than a
+// slab chunk holds are created, the merged coffer's record still reads dead
+// with its own root page, no registry slot holds it, and neither LookupPath
+// nor Info finds a coffer at its path.
+func TestMergedCofferRecordStaysDead(t *testing.T) {
+	k, th, id := hostFS(t, 0)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	grant, err := k.CofferEnlarge(th, id, 4, false)
+	must(err)
+	pages := flatten(grant)
+	sid, err := k.CofferSplit(th, id, "/k/split", 0o600, 0, 0, pages[:3], pages[0], pages[1])
+	must(err)
+	old := k.coffers.load(sid)
+	was := old.rp
+	must(k.CofferMerge(th, id, sid))
+	for i := 0; i < 2*slab.Max; i++ {
+		_, err := k.CofferNew(th, k.RootCoffer(), fmt.Sprintf("/n%04d", i), coffer.TypeZoFS, 0o700, 0, 0, 3)
+		must(err)
+	}
+	if !old.dead || old.rp != was || old.snap.published() != "/k/split" {
+		t.Errorf("the merged record was reused: dead %v, %+v published at %q", old.dead, old.rp, old.snap.published())
+	}
+	k.coffers.each(func(cid coffer.ID, ci *cofferInfo) {
+		if ci == old {
+			t.Errorf("registry slot %d holds the merged coffer's record", cid)
+		}
+	})
+	if got, ok := k.LookupPath(nil, "/k/split"); ok {
+		t.Errorf("LookupPath finds coffer %d at the merged coffer's path", got)
+	}
+	if rp, ok := k.Info(sid); ok && rp.Path == "/k/split" {
+		t.Errorf("Info(%d) still answers the merged coffer: %+v", sid, rp)
+	}
+}
+
+// TestRenamedCofferReadsItsEntry: a coffer's published path is the path
+// mirror's entry for it. A rename points the record at the new path's entry,
+// and an entry a reader kept from before still reads the old path, however
+// many entries are carved after.
+func TestRenamedCofferReadsItsEntry(t *testing.T) {
+	k, th, id := hostFS(t, 0)
+	ci := k.coffers.load(id)
+	kept := ci.snap.ent.Load()
+	if kept != k.paths.entry("/k") {
+		t.Fatal("the record does not point at its path's mirror entry")
+	}
+	if err := k.RenameCoffer(th, "/k", "/k2"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*slab.Max; i++ {
+		if _, err := k.CofferNew(th, k.RootCoffer(), fmt.Sprintf("/n%04d", i), coffer.TypeZoFS, 0o700, 0, 0, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e := ci.snap.ent.Load(); e != k.paths.entry("/k2") || e.path != "/k2" {
+		t.Errorf("after the rename the record reads entry %+v", e)
+	}
+	if rp, ok := k.Info(id); !ok || rp.Path != "/k2" {
+		t.Errorf("Info = %+v, %v, want the path /k2", rp, ok)
+	}
+	if kept.path != "/k" || kept.id != id {
+		t.Errorf("the entry kept from before the rename now reads %q (coffer %d)", kept.path, kept.id)
 	}
 }

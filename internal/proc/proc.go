@@ -189,7 +189,7 @@ type Thread struct {
 	// file, so what an op needs only until it returns — a symlink's target, a
 	// page list — costs no heap object. Single-owner like the thread; nothing
 	// in it survives the op that filled it, except Scratch.Dir, which a
-	// listing hands back to its caller.
+	// listing hands back to its caller, and the memo in Scratch.Link.
 	Scratch Scratch
 }
 
@@ -198,8 +198,9 @@ type Thread struct {
 type Scratch struct {
 	Bytes []byte  // a symlink target, the path a link expands to
 	Pages []int64 // a file's pages at unlink, a subtree's at split
-	// Link is the library's reusable symlink report (a *vfs.SymlinkError;
-	// vfs imports proc, so it rides opaque like the clock's riders).
+	// Link is the library's symlink state: its reusable *vfs.SymlinkError
+	// and what it remembers of the links it expanded (opaque: vfs imports
+	// proc, so it rides like the clock's riders).
 	Link any
 	// Dir is the thread's directory listing (a *[]vfs.DirEntry, opaque for
 	// the same reason). Unlike the fields above it outlives the op that

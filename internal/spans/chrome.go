@@ -3,9 +3,11 @@ package spans
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
+	"unicode/utf8"
 
 	"zofs/internal/pmemtrace"
 	"zofs/internal/series"
@@ -18,39 +20,12 @@ import (
 // visually inside the op that caused it — lock waits as slices on the
 // waiter's track, and a counter ("C") track replays the dirty-line count, so
 // lost-update windows show as a non-zero sawtooth.
-// Structs marshal with fixed field order and
-// maps with sorted keys, keeping the exporter byte-deterministic for a given
-// input (golden-file tested).
-
-type chromeArgs struct {
-	Comp         map[string]int64 `json:"comp,omitempty"`
-	PathHash     string           `json:"path_hash,omitempty"`
-	PKey         *int16           `json:"pkey,omitempty"`
-	BytesRead    int64            `json:"nvm_bytes_read,omitempty"`
-	BytesWritten int64            `json:"nvm_bytes_written,omitempty"`
-	Flushes      int64            `json:"flushes,omitempty"`
-	Fences       int64            `json:"fences,omitempty"`
-	Aborted      bool             `json:"aborted,omitempty"`
-	Detail       string           `json:"detail,omitempty"`
-	Seq          uint64           `json:"seq,omitempty"`
-	Off          *int64           `json:"off,omitempty"`
-	Len          *int64           `json:"len,omitempty"`
-	Key          *int16           `json:"key,omitempty"`
-	Cause        string           `json:"cause,omitempty"`
-	Dirty        *int64           `json:"dirty,omitempty"`
-}
-
-type chromeEvent struct {
-	Name string      `json:"name"`
-	Cat  string      `json:"cat"`
-	Ph   string      `json:"ph"`
-	TS   float64     `json:"ts"` // microseconds
-	Dur  *float64    `json:"dur,omitempty"`
-	PID  int         `json:"pid"`
-	TID  int32       `json:"tid"`
-	S    string      `json:"s,omitempty"` // instant-event scope
-	Args *chromeArgs `json:"args,omitempty"`
-}
+//
+// Each event is appended to one buffer with strconv, fields in a fixed order
+// and component names sorted, in exactly the bytes encoding/json gave the
+// same event through reflection (chrome_test.go keeps that encoder as the
+// reference), so the export is byte-deterministic for a given input
+// (golden-file tested).
 
 const chromePID = 1
 
@@ -71,19 +46,14 @@ func byStart[T any](in []T, key func(*T) (start int64, tid int)) []T {
 	return out
 }
 
-// compArgs names a breakdown's non-zero components (nil when there is none).
-func compArgs(b Breakdown) map[string]int64 {
-	var m map[string]int64
-	for i, v := range b {
-		if v > 0 {
-			if m == nil {
-				m = map[string]int64{}
-			}
-			m[Component(i).Name()] = v
-		}
+// compByName is the components in the order of their names.
+var compByName = func() (o [NumComponents]Component) {
+	for i := range o {
+		o[i] = Component(i)
 	}
-	return m
-}
+	sort.Slice(o[:], func(i, j int) bool { return o[i].Name() < o[j].Name() })
+	return o
+}()
 
 // Timeline is everything the merged export can draw on one virtual-time
 // axis; any field may be empty. Lock-wait events render as "lockwait" slices
@@ -98,12 +68,9 @@ type Timeline struct {
 // WriteChromeTrace renders the timeline as Chrome trace-event JSON.
 func WriteChromeTrace(w io.Writer, tl Timeline) error {
 	bw := bufio.NewWriter(w)
+	var e chromeEnc
 	first := true
-	emit := func(ev chromeEvent) error {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
+	emit := func() error {
 		sep := ",\n  "
 		if first {
 			sep = "[\n  "
@@ -112,50 +79,51 @@ func WriteChromeTrace(w io.Writer, tl Timeline) error {
 		if _, err := bw.WriteString(sep); err != nil {
 			return err
 		}
-		_, err = bw.Write(b)
+		_, err := bw.Write(e.end())
 		return err
 	}
 
 	for _, r := range byStart(tl.Roots, func(r *Root) (int64, int) { return r.Start, r.TID }) {
-		dur := usec(r.Dur)
-		args := &chromeArgs{
-			Comp:         compArgs(r.Comp),
-			BytesRead:    r.BytesRead,
-			BytesWritten: r.BytesWritten,
-			Flushes:      r.Flushes,
-			Fences:       r.Fences,
-			Aborted:      r.Aborted,
-		}
+		e.head(r.Op, "fsop", "X", usec(r.Start))
+		e.dur(usec(r.Dur))
+		e.thread(int32(r.TID), "")
+		e.openArgs()
+		e.comp(r.Comp)
 		if r.PathHash != 0 {
-			args.PathHash = fmt.Sprintf("%016x", r.PathHash)
+			e.arg("path_hash")
+			e.b = append(e.b, '"')
+			for sh := 60; sh >= 0; sh -= 4 {
+				e.b = append(e.b, "0123456789abcdef"[r.PathHash>>sh&0xf])
+			}
+			e.b = append(e.b, '"')
 		}
 		if r.PKey >= 0 {
-			k := r.PKey
-			args.PKey = &k
+			e.argInt("pkey", int64(r.PKey))
 		}
-		if err := emit(chromeEvent{
-			Name: r.Op, Cat: "fsop", Ph: "X",
-			TS: usec(r.Start), Dur: &dur,
-			PID: chromePID, TID: int32(r.TID), Args: args,
-		}); err != nil {
+		e.argNonZero("nvm_bytes_read", r.BytesRead)
+		e.argNonZero("nvm_bytes_written", r.BytesWritten)
+		e.argNonZero("flushes", r.Flushes)
+		e.argNonZero("fences", r.Fences)
+		if r.Aborted {
+			e.arg("aborted")
+			e.b = append(e.b, "true"...)
+		}
+		if err := emit(); err != nil {
 			return err
 		}
 		for _, ch := range r.Children {
-			ce := chromeEvent{
-				Name: ch.Name, Cat: "span", PID: chromePID, TID: int32(r.TID),
-			}
-			if ch.Detail != "" {
-				ce.Args = &chromeArgs{Detail: ch.Detail}
-			}
 			if ch.Start < 0 {
 				// Unplaced annotation (e.g. the violation that aborted the
 				// op): an instant at the root's end.
-				ce.Ph, ce.S, ce.TS = "i", "t", usec(r.Start+r.Dur)
+				e.head(ch.Name, "span", "i", usec(r.Start+r.Dur))
+				e.thread(int32(r.TID), "t")
 			} else {
-				d := usec(ch.Dur)
-				ce.Ph, ce.TS, ce.Dur = "X", usec(ch.Start), &d
+				e.head(ch.Name, "span", "X", usec(ch.Start))
+				e.dur(usec(ch.Dur))
+				e.thread(int32(r.TID), "")
 			}
-			if err := emit(ce); err != nil {
+			e.argStr("detail", ch.Detail)
+			if err := emit(); err != nil {
 				return err
 			}
 		}
@@ -166,11 +134,10 @@ func WriteChromeTrace(w io.Writer, tl Timeline) error {
 		for _, ow := range m.Ops {
 			ops += ow.Count
 		}
-		if err := emit(chromeEvent{
-			Name: fmt.Sprintf("window %d", m.Index), Cat: "series", Ph: "i",
-			TS: usec(m.StartNS), PID: chromePID, TID: 0, S: "g",
-			Args: &chromeArgs{Detail: fmt.Sprintf("%d ops", ops)},
-		}); err != nil {
+		e.head("window "+strconv.FormatInt(m.Index, 10), "series", "i", usec(m.StartNS))
+		e.thread(0, "g")
+		e.argStr("detail", strconv.FormatInt(ops, 10)+" ops")
+		if err := emit(); err != nil {
 			return err
 		}
 	}
@@ -179,54 +146,54 @@ func WriteChromeTrace(w io.Writer, tl Timeline) error {
 	lastDirty := -1
 	for _, ev := range tl.Events {
 		if ev.Kind == pmemtrace.KindLockWait {
-			d := usec(ev.Len)
-			if err := emit(chromeEvent{
-				Name: "wait:" + ev.Cause, Cat: "lockwait", Ph: "X",
-				TS: usec(ev.TS), Dur: &d, PID: chromePID, TID: ev.TID,
-				Args: &chromeArgs{Detail: fmt.Sprintf("blocked by tid %d", ev.Off)},
-			}); err != nil {
+			e.head("wait:"+ev.Cause, "lockwait", "X", usec(ev.TS))
+			e.dur(usec(ev.Len))
+			e.thread(ev.TID, "")
+			e.arg("detail")
+			e.b = append(e.b, `"blocked by tid `...)
+			e.b = strconv.AppendInt(e.b, ev.Off, 10)
+			e.b = append(e.b, '"')
+			if err := emit(); err != nil {
 				return err
 			}
 			continue
 		}
-		tid := ev.TID
-		if tid < 0 {
-			tid = 0
+		scope := "t"
+		if ev.Kind == pmemtrace.KindViolation {
+			scope = "g" // faults are worth seeing across all tracks
 		}
-		ce := chromeEvent{
-			Name: ev.Kind.String(), Cat: "nvm", Ph: "i",
-			TS: usec(ev.TS), PID: chromePID, TID: tid, S: "t",
-			Args: &chromeArgs{Seq: ev.Seq},
+		e.head(ev.Kind.String(), "nvm", "i", usec(ev.TS))
+		e.thread(max(ev.TID, 0), scope)
+		e.openArgs()
+		if ev.Seq != 0 {
+			e.arg("seq")
+			e.b = strconv.AppendUint(e.b, ev.Seq, 10)
 		}
 		switch ev.Kind {
 		case pmemtrace.KindFence, pmemtrace.KindCrash, pmemtrace.KindCrashInject:
 			// No meaningful range.
 		case pmemtrace.KindViolation:
-			page := ev.Off
-			ce.Args.Off = &page
-			ce.Args.Cause = ev.Cause
-			ce.S = "g" // faults are worth seeing across all tracks
+			e.argInt("off", ev.Off)
 		default:
-			off, ln := ev.Off, ev.Len
-			ce.Args.Off = &off
-			ce.Args.Len = &ln
+			e.argInt("off", ev.Off)
+			e.argInt("len", ev.Len)
 		}
 		if ev.Key >= 0 {
-			k := ev.Key
-			ce.Args.Key = &k
+			e.argInt("key", int64(ev.Key))
 		}
-		if err := emit(ce); err != nil {
+		if ev.Kind == pmemtrace.KindViolation {
+			e.argStr("cause", ev.Cause)
+		}
+		if err := emit(); err != nil {
 			return err
 		}
 		before := dirty.Len()
 		dirty.Apply(ev, nil)
 		if after := dirty.Len(); after != before || (ev.Kind == pmemtrace.KindCrash && lastDirty != 0) {
-			n := int64(after)
-			if err := emit(chromeEvent{
-				Name: "dirty_lines", Cat: "nvm", Ph: "C",
-				TS: usec(ev.TS), PID: chromePID, TID: 0,
-				Args: &chromeArgs{Dirty: &n},
-			}); err != nil {
+			e.head("dirty_lines", "nvm", "C", usec(ev.TS))
+			e.thread(0, "")
+			e.argInt("dirty", int64(after))
+			if err := emit(); err != nil {
 				return err
 			}
 			lastDirty = after
@@ -243,4 +210,139 @@ func WriteChromeTrace(w io.Writer, tl Timeline) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// chromeEnc builds one event in its buffer, which each event reuses. The
+// calls come in the event's field order: head, then dur, thread, and the
+// args, the first of which opens the args object unless openArgs has.
+type chromeEnc struct {
+	b    []byte
+	args int // the args written so far, -1 before the args object opens
+}
+
+func (e *chromeEnc) head(name, cat, ph string, ts float64) {
+	e.b = append(e.b[:0], `{"name":`...)
+	e.b = appendJSONString(e.b, name)
+	e.b = append(e.b, `,"cat":"`...)
+	e.b = append(e.b, cat...)
+	e.b = append(e.b, `","ph":"`...)
+	e.b = append(e.b, ph...)
+	e.b = append(e.b, `","ts":`...)
+	e.b = appendJSONFloat(e.b, ts)
+	e.args = -1
+}
+
+func (e *chromeEnc) dur(d float64) {
+	e.b = append(e.b, `,"dur":`...)
+	e.b = appendJSONFloat(e.b, d)
+}
+
+// thread writes the pid, the tid and the instant scope ("" for none).
+func (e *chromeEnc) thread(tid int32, scope string) {
+	e.b = append(e.b, `,"pid":`...)
+	e.b = strconv.AppendInt(e.b, chromePID, 10)
+	e.b = append(e.b, `,"tid":`...)
+	e.b = strconv.AppendInt(e.b, int64(tid), 10)
+	if scope != "" {
+		e.b = append(e.b, `,"s":"`...)
+		e.b = append(e.b, scope...)
+		e.b = append(e.b, '"')
+	}
+}
+
+// openArgs opens the args object, which stays in the event even if empty.
+func (e *chromeEnc) openArgs() {
+	if e.args < 0 {
+		e.b = append(e.b, `,"args":{`...)
+		e.args = 0
+	}
+}
+
+// arg writes an argument's key; its value is the caller's to append.
+func (e *chromeEnc) arg(key string) {
+	e.openArgs()
+	if e.args > 0 {
+		e.b = append(e.b, ',')
+	}
+	e.args++
+	e.b = append(e.b, '"')
+	e.b = append(e.b, key...)
+	e.b = append(e.b, `":`...)
+}
+
+func (e *chromeEnc) argInt(key string, v int64) {
+	e.arg(key)
+	e.b = strconv.AppendInt(e.b, v, 10)
+}
+
+func (e *chromeEnc) argNonZero(key string, v int64) {
+	if v != 0 {
+		e.argInt(key, v)
+	}
+}
+
+// argStr writes a string argument unless it is empty.
+func (e *chromeEnc) argStr(key, v string) {
+	if v != "" {
+		e.arg(key)
+		e.b = appendJSONString(e.b, v)
+	}
+}
+
+// comp writes a breakdown's positive components by name, if it has any.
+func (e *chromeEnc) comp(b Breakdown) {
+	open := false
+	for _, c := range compByName {
+		if b[c] <= 0 {
+			continue
+		}
+		if open {
+			e.b = append(e.b, ',')
+		} else {
+			e.arg("comp")
+			e.b = append(e.b, '{')
+			open = true
+		}
+		e.b = append(e.b, '"')
+		e.b = append(e.b, c.Name()...)
+		e.b = append(e.b, `":`...)
+		e.b = strconv.AppendInt(e.b, b[c], 10)
+	}
+	if open {
+		e.b = append(e.b, '}')
+	}
+}
+
+// end closes the event and returns its bytes.
+func (e *chromeEnc) end() []byte {
+	if e.args >= 0 {
+		e.b = append(e.b, '}')
+	}
+	return append(e.b, '}')
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form (which usec never yields)
+// only below 1e-6 or from 1e21 up.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		q, _ := json.Marshal(f)
+		return append(b, q...)
+	}
+	return strconv.AppendFloat(b, f, 'f', -1, 64)
+}
+
+// appendJSONString appends s quoted as encoding/json quotes a string. Names,
+// causes and details are printable ASCII that needs no escape; anything else
+// goes through encoding/json itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

@@ -6,6 +6,7 @@ import (
 	"zofs/internal/lockprof"
 	"zofs/internal/nvm"
 	"zofs/internal/proc"
+	"zofs/internal/slab"
 	"zofs/internal/spans"
 )
 
@@ -84,7 +85,7 @@ type dirIndex struct {
 	pos      map[string]int       // name -> position in ents
 	free     map[int64]*slotBlock // free dentry slots by placement key
 	spare    *slotBlock           // blocks no stack uses, for the next push
-	blocks   slab[slotBlock]
+	blocks   slab.Slab[slotBlock]
 }
 
 // slotBlock is the top of one placement key's free dentry slots, a LIFO
@@ -108,7 +109,7 @@ func (idx *dirIndex) push(k int64, loc deLoc) {
 		if b != nil {
 			idx.spare = b.next
 		} else {
-			b = idx.blocks.carve()
+			b = idx.blocks.Carve()
 		}
 		b.next, b.n, top = top, 0, b
 		if idx.free == nil {
@@ -265,7 +266,7 @@ func DirCacheDirs(dev *nvm.Device) int {
 	n, s := 0, sharedFor(dev)
 	for i := range s.states {
 		s.states[i].mu.Lock()
-		n += s.states[i].dirs.n
+		n += s.states[i].dirs.Carved()
 		s.states[i].mu.Unlock()
 	}
 	return n

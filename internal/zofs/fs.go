@@ -12,6 +12,7 @@ import (
 	"zofs/internal/nvm"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
+	"zofs/internal/slab"
 	"zofs/internal/vfs"
 )
 
@@ -55,10 +56,13 @@ type FS struct {
 	sh   *shared
 	opts Options
 
-	mu      lockprof.RealMutex // guards mounts and revSeen; real-only, no virtual cost
+	mu      lockprof.RealMutex // guards mounts, carved and revSeen; real-only, no virtual cost
 	mounts  map[coffer.ID]*mount
 	mapSeq  uint64 // ensureMapped calls so far; stamps mount.seq
 	revSeen uint64 // last-seen kernel revocation generation (see ensureMapped)
+	// carved is what mounts are carved from. A mount is never reused: an op
+	// in flight may still hold one the cache has forgotten.
+	carved slab.Slab[mount]
 
 	hmu   sync.Mutex // guards hfree
 	hfree *file      // closed handles awaiting reuse, linked through file.next
@@ -192,7 +196,8 @@ func (f *FS) ensureMapped(th *proc.Thread, id coffer.ID, write bool) (*mount, er
 			f.mu.Lock()
 			m, ok := f.mounts[id]
 			if !ok {
-				m = &mount{id: id}
+				m = f.carved.Carve()
+				m.id = id
 				f.mounts[id] = m
 			}
 			f.mapSeq++
@@ -390,8 +395,9 @@ func (f *FS) walk(th *proc.Thread, path string, followFinal, write bool) (walkPo
 // closes the window and reports the path the dispatcher retries — the target,
 // joined to the link's directory when relative, then rest, the suffix of the
 // walked path the link left unconsumed. The path is assembled in the thread's
-// scratch around the target as it is read, so the string handed back is the one
-// heap object; the error is the thread's own reusable one.
+// scratch around the target as it is read; the string handed back comes from
+// the thread's memo when it expanded the same bytes last time at this inode
+// page (linkState), and the error is the thread's own reusable one.
 func (f *FS) expandSymlink(th *proc.Thread, pos walkPos, rest string) error {
 	dir, _ := vfs.SplitPath(pos.path)
 	at := len(dir) // where the target goes: after dir and its separator
@@ -411,14 +417,31 @@ func (f *FS) expandSymlink(th *proc.Thread, pos walkPos, rest string) error {
 		buf[end] = '/'
 		end += 1 + copy(buf[end+1:], rest)
 	}
-	se, _ := th.Scratch.Link.(*vfs.SymlinkError)
-	if se == nil {
-		se = new(vfs.SymlinkError)
-		th.Scratch.Link = se
+	ls, _ := th.Scratch.Link.(*linkState)
+	if ls == nil {
+		ls = new(linkState)
+		th.Scratch.Link = ls
 	}
-	se.Path = vfs.Clean(string(buf[start:end]))
-	return se
+	e := &ls.memo[pos.ino%linkMemoSlots]
+	if e.raw != string(buf[start:end]) {
+		e.raw = string(buf[start:end])
+		e.clean = vfs.Clean(e.raw)
+	}
+	ls.err.Path = e.clean
+	return &ls.err
 }
+
+// linkState is a thread's symlink report, reused by every expansion, and its
+// memo of expansions, direct-mapped by the link's inode page. An entry is
+// the expanded path as built and as cleaned; it answers only an expansion
+// that builds the very same bytes, so a recycled page, a changed target or
+// another rest simply misses, and nothing needs invalidating.
+type linkState struct {
+	err  vfs.SymlinkError
+	memo [linkMemoSlots]struct{ raw, clean string }
+}
+
+const linkMemoSlots = 128
 
 // readView borrows the device image over [off, off+n), charged like a device
 // read. Every caller asks for a positive range inside one page, and a page

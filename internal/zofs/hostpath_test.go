@@ -31,13 +31,11 @@ import (
 // page list is built in the thread's scratch, and an inode's volatile state
 // and dentry slot are found where the last file left them. Create, rename and
 // unlink are measured on a stationary tree, after one lap of the same cycle;
-// a listing is written into the thread's buffer. A first-seen inode page or
-// bucket carves its state entry from a slab, a fresh second-level page's free
-// slots fill a carved block, and a removed directory's index is reset in
-// place: fewer than one object an op. A coffer's life costs objects in the
-// kernel (its record, its path entry, its mapper table) and a mount here;
-// those rows are pinned at what they cost, so a coffer step that gains an
-// object shows.
+// a listing is written into the thread's buffer. What outlives an op is
+// carved from a slab — a first-seen inode page's or bucket's state entry, a
+// fresh second-level page's free-slot block, a coffer's kernel record and
+// path entry, its mount here — and a removed directory's index is reset in
+// place: fewer than one object an op.
 func TestAllocBudget(t *testing.T) {
 	if telemetry.Active() != nil || spans.Active() != nil || series.Active() != nil ||
 		lockprof.Active() != nil || pmemtrace.Active() != nil {
@@ -193,17 +191,20 @@ func TestAllocBudget(t *testing.T) {
 			must(f.Symlink(th, "/some/target", "/dir/sub/link"))
 			must(f.Unlink(th, "/dir/sub/link"))
 		}},
-		// A coffer root: coffer_new, then coffer_delete.
-		{"Create+Close+Unlink of a coffer root", 13, func() {
+		// A coffer root: coffer_new, then coffer_delete. The delete is not
+		// free: it moves the device's dcache epoch (ROADMAP item 20), so the
+		// next walk rebuilds each directory index it passes, decoding every
+		// name in it — the objects these two rows count.
+		{"Create+Close+Unlink of a coffer root", 8, func() {
 			create("/dir/sub/private", 0o600)
 			must(f.Unlink(th, "/dir/sub/private"))
 		}},
-		{"Mkdir+Rmdir of a coffer root", 12, func() {
+		{"Mkdir+Rmdir of a coffer root", 7, func() {
 			must(f.Mkdir(th, "/dir/private", 0o700))
 			must(f.Rmdir(th, "/dir/private"))
 		}},
 		// coffer_split, then coffer_merge.
-		{"Chmod split+merge-back", 5, func() {
+		{"Chmod split+merge-back", 0, func() {
 			must(f.Chmod(th, "/dir/sub/file", 0o600))
 			must(f.Chmod(th, "/dir/sub/file", 0o644))
 		}},

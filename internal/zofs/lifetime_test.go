@@ -2,9 +2,12 @@ package zofs
 
 import (
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"zofs/internal/proc"
 	"zofs/internal/vfs"
 )
 
@@ -126,4 +129,109 @@ func TestSymlinkExpansionMatchesReference(t *testing.T) {
 	if err := f.Symlink(th, long+"y", "/toolong"); !errors.Is(err, vfs.ErrNameTooLong) {
 		t.Fatalf("a target past the limit: %v", err)
 	}
+}
+
+// TestSymlinkMemoFollowsRecycledPage: the thread's expansion memo is keyed by
+// the link's inode page, and a link unlinked and replaced by one with another
+// target on the same page must not expand to the old path — for an absolute
+// target, and for a relative one with a rest, where another rest must miss
+// too. Opens go through vfs.Follow, as the dispatcher re-dispatches them.
+func TestSymlinkMemoFollowsRecycledPage(t *testing.T) {
+	_, _, f, th := newTestFS(t, Options{})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(f.Mkdir(th, "/d", 0o755))
+	for _, dir := range []string{"/a", "/b", "/d/x", "/d/q"} {
+		must(f.Mkdir(th, dir, 0o755))
+		h, err := f.Create(th, dir+"/z", 0o644)
+		must(err)
+		mustWrite(t, th, h, []byte(dir), 0)
+		must(h.Close(th))
+	}
+	linkIno := func(link string) int64 {
+		t.Helper()
+		pos, err := f.walk(th, link, false, false)
+		must(err)
+		pos.close()
+		return pos.ino
+	}
+	// read opens path the way the dispatcher does and returns the bytes.
+	read := func(path string) string {
+		t.Helper()
+		h, err := vfs.Follow(path, func(p string) (vfs.Handle, error) { return f.Open(th, p, vfs.O_RDONLY) })
+		must(err)
+		defer h.Close(th)
+		buf := make([]byte, 16)
+		n, _ := h.ReadAt(th, buf, 0)
+		return string(buf[:n])
+	}
+	// A link to a file, opened itself; and a relative link to a directory,
+	// opened through with a rest.
+	for _, c := range []struct{ old, new, rest, wantOld, wantNew string }{
+		{"/a/z", "/b/z", "", "/a", "/b"},
+		{"x", "q", "/z", "/d/x", "/d/q"},
+	} {
+		must(f.Symlink(th, c.old, "/d/ln"))
+		ino := linkIno("/d/ln")
+		if got := read("/d/ln" + c.rest); got != c.wantOld {
+			t.Fatalf("through a link to %q: read %q, want %q", c.old, got, c.wantOld)
+		}
+		must(f.Unlink(th, "/d/ln"))
+		must(f.Symlink(th, c.new, "/d/ln2"))
+		if linkIno("/d/ln2") != ino {
+			t.Fatal("premise: the new link did not take the unlinked one's inode page")
+		}
+		if got := read("/d/ln2" + c.rest); got != c.wantNew {
+			t.Errorf("through the recycled page, now a link to %q: read %q, want %q", c.new, got, c.wantNew)
+		}
+		if c.rest != "" {
+			// The same link with another rest.
+			_, err := f.Stat(th, "/d/ln2/other")
+			var se *vfs.SymlinkError
+			if !errors.As(err, &se) || se.Path != c.wantNew+"/other" {
+				t.Errorf("/d/ln2/other: %v, want an expansion to %q", err, c.wantNew+"/other")
+			}
+		}
+		must(f.Unlink(th, "/d/ln2"))
+	}
+}
+
+// TestSymlinkExpansionConcurrentProcesses: two processes expand their own
+// links on real goroutines (run under -race); each thread's memo and report
+// are its own, so every expansion is the thread's link's.
+func TestSymlinkExpansionConcurrentProcesses(t *testing.T) {
+	_, _, f, th := newTestFS(t, Options{})
+	if err := f.Mkdir(th, "/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const links = 8
+	for p := 0; p < 2; p++ {
+		for i := 0; i < links; i++ {
+			if err := f.Symlink(th, fmt.Sprintf("/t%d/%d", p, i), fmt.Sprintf("/d/p%dl%d", p, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < 2; p++ {
+		fp, thp := mountAs(t, f, 0)
+		wg.Add(1)
+		go func(p int, fp *FS, thp *proc.Thread) {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				i := r % links
+				_, err := fp.Stat(thp, fmt.Sprintf("/d/p%dl%d/rest", p, i))
+				var se *vfs.SymlinkError
+				if want := fmt.Sprintf("/t%d/%d/rest", p, i); !errors.As(err, &se) || se.Path != want {
+					t.Errorf("process %d, link %d: %v, want an expansion to %q", p, i, err, want)
+					return
+				}
+			}
+		}(p, fp, thp)
+	}
+	wg.Wait()
 }

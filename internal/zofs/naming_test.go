@@ -178,3 +178,85 @@ func TestEveryOpChecksTheNamingRule(t *testing.T) {
 		})
 	}
 }
+
+// TestRefusedCofferCallsChangeNothing is the table of ROADMAP item 33: each
+// row is an op that makes a coffer call its caller is refused. The op returns
+// ErrPerm and changes nothing: /shared (0777, root's) lists what it did, its
+// file coffers s (uid 1000's) and t (uid 2000's, four bytes) keep their root
+// pages and t its bytes, and Check finds nothing to repair.
+func TestRefusedCofferCallsChangeNothing(t *testing.T) {
+	rows := []struct {
+		name string
+		uid  uint32
+		op   vfs.Op
+	}{
+		// uid 2000 may delete t but not move s: the refusal must come
+		// before t goes.
+		{"rename a coffer root over another", 2000, vfs.Op{Kind: vfs.OpRename, Path: "/shared/s", Dst: "/shared/t"}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			_, k, f, th := newTestFS(t, Options{})
+			makeCofferMode(t, k, f, th, "/shared", 0o777)
+			owners := map[string]uint32{"/shared/s": 1000, "/shared/t": 2000}
+			before := map[string]coffer.RootPage{}
+			for _, p := range []string{"/shared/s", "/shared/t"} {
+				fo, tho := mountAs(t, f, owners[p])
+				h, err := fo.Create(tho, p, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if p == "/shared/t" {
+					mustWrite(t, tho, h, []byte("data"), 0)
+				}
+				h.Close(tho)
+				id, ok := k.LookupPath(nil, p)
+				if !ok {
+					t.Fatalf("premise: %s is not a coffer", p)
+				}
+				before[p], _ = k.Info(id)
+			}
+			listed := func() []string {
+				ents, err := f.ReadDir(th, "/shared")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var names []string
+				for _, e := range ents {
+					names = append(names, e.Name)
+				}
+				slices.Sort(names)
+				return names
+			}
+			was := listed()
+
+			fr, thr := mountAs(t, f, r.uid)
+			if err := r.op.Do(fr, thr); !errors.Is(err, vfs.ErrPerm) {
+				t.Fatalf("%v as uid %d: %v, want ErrPerm", r.op, r.uid, err)
+			}
+			if now := listed(); !slices.Equal(now, was) {
+				t.Errorf("/shared lists %v, want %v", now, was)
+			}
+			for p, rp := range before {
+				if id, ok := k.LookupPath(nil, p); !ok {
+					t.Errorf("%s is no longer published", p)
+				} else if got, _ := k.Info(id); got != rp {
+					t.Errorf("%s's root page went from %+v to %+v", p, rp, got)
+				}
+			}
+			h, err := f.Open(th, "/shared/t", vfs.O_RDONLY)
+			if err != nil {
+				t.Fatalf("open /shared/t: %v", err)
+			}
+			got := make([]byte, 8)
+			n, _ := h.ReadAt(th, got, 0)
+			h.Close(th)
+			if string(got[:n]) != "data" {
+				t.Errorf("/shared/t holds %q, want %q", got[:n], "data")
+			}
+			if rep := Check(k, th); len(rep.Findings) != 0 {
+				t.Errorf("Check found %v", rep.Findings)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package zofs
 
 import (
+	"zofs/internal/kernfs"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
@@ -63,6 +64,11 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
+	if id != 0 {
+		if rp, _ := f.kern.Info(id); !kernfs.MayRename(rp, th.Proc.UID()) {
+			return vfs.ErrPerm // the kernel would refuse: nothing is touched
+		}
+	}
 	crosses := id == 0 && src.m.id != dst.m.id // an in-coffer child changes coffer
 	if crosses && vfs.FileType(de.typ) == vfs.TypeDir {
 		// Moving a plain directory between coffers would require moving an
@@ -116,8 +122,9 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 	f.dirRemove(th, src.ino, oldBase, srcLoc)
 	switch {
 	case id != 0:
-		// The kernel moves the coffer's path tree. If it refuses (not the
-		// owner), the name goes back: in at the source, out at the destination.
+		// The kernel moves the coffer's path tree. If it refuses (a chown
+		// raced the check above), the name goes back: in at the source, out
+		// at the destination.
 		err := errno(f.kern.RenameCoffer(th, oldPath, newPath))
 		if err != nil && f.dirInsert(th, src.m, src.ino, oldBase, de.typ, cid, de.inode) == nil {
 			f.window(th, dst.m, true)

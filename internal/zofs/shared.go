@@ -10,6 +10,7 @@ import (
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/retry"
+	"zofs/internal/slab"
 	"zofs/internal/vfs"
 )
 
@@ -40,27 +41,8 @@ const stateShards = 64
 type stateShard struct {
 	mu   sync.Mutex
 	m    map[int64]*inoState
-	slab slab[inoState]
-	dirs slab[dirIndex]
-}
-
-// slab hands out pointers into chunks of T that never move: each chunk is as
-// large as everything carved before it, from slabMin up to slabMax.
-type slab[T any] struct {
-	free []T
-	n    int
-}
-
-const slabMin, slabMax = 4, 128
-
-func (s *slab[T]) carve() *T {
-	if len(s.free) == 0 {
-		s.free = make([]T, min(max(s.n, slabMin), slabMax))
-	}
-	p := &s.free[0]
-	s.free = s.free[1:]
-	s.n++
-	return p
+	slab slab.Slab[inoState]
+	dirs slab.Slab[dirIndex]
 }
 
 // inoState is what the processes of a device share, in DRAM, about one inode
@@ -102,7 +84,7 @@ type inoState struct {
 func (sh *stateShard) entry(key int64) *inoState {
 	st := sh.m[key]
 	if st == nil {
-		st = sh.slab.carve()
+		st = sh.slab.Carve()
 		if key < 0 {
 			st.lock.InitKeyed("zofs.dirbucket", -key)
 		} else {
@@ -133,7 +115,7 @@ func (s *shared) dir(ino int64) *dirIndex {
 	defer sh.mu.Unlock()
 	st := sh.entry(ino)
 	if st.dir == nil {
-		st.dir = sh.dirs.carve()
+		st.dir = sh.dirs.Carve()
 		st.dir.mu.InitKeyed("zofs.dcache", ino)
 	}
 	return st.dir

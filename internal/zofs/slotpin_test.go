@@ -149,11 +149,11 @@ func TestDirSlotChoicePinned(t *testing.T) {
 	if !idx.authoritative(f.sh.dc.epoch.Load()) {
 		t.Fatal("the index is not authoritative after the history")
 	}
-	kept, carved := freeSlots(idx), idx.blocks.n
+	kept, carved := freeSlots(idx), idx.blocks.Carved()
 	f.dcacheRebuild(th, idx, pos.ino)
 	built := freeSlots(idx)
-	if idx.blocks.n != carved {
-		t.Fatalf("the rebuild carved %d slot blocks: the reset did not hand them back", idx.blocks.n-carved)
+	if idx.blocks.Carved() != carved {
+		t.Fatalf("the rebuild carved %d slot blocks: the reset did not hand them back", idx.blocks.Carved()-carved)
 	}
 	if len(kept) != len(built) {
 		t.Fatalf("%d free-list keys kept, %d after a rebuild", len(kept), len(built))

@@ -221,13 +221,16 @@ app_tpcc 1 nvm_wbytes_per_op <= 78000
 app_tpcc 1 nvm_rbytes_per_op <= 1000
 # Files open, close, change permission and move between coffers without
 # garbage: recycled descriptions and handles, symlink targets and page lists
-# in thread scratch, typed kernel-agent tables (2.65 before, 0.57 now: the
-# path a symlinked open expands to, and per chmod split/merge cycle a coffer
-# record, a path-mirror entry, a mapper table and a mount).
-coffer_share 1 host_allocs_per_op <= 1.5
-# The same objects are all the bytes there are: chunks of device media are
-# pointers into one OS mapping per device (1055 with heap chunks, 41 now).
-coffer_share 1 host_bytes_per_op <= 100
+# in thread scratch, typed kernel-agent tables; what a coffer call keeps (a
+# coffer record, a path-mirror entry, a mount) comes from slabs, mappers fit
+# in the record and a symlinked open's path is the thread's memoized one
+# (2.65 before, 0.57 with those objects made per chmod split/merge cycle and
+# per symlinked open, 0.003 now).
+coffer_share 1 host_allocs_per_op <= 0.05
+# Chunks of device media are pointers into one OS mapping per device, and the
+# kept coffer objects come in slab chunks (1055 with heap chunks, 41 with an
+# object each, 29 now).
+coffer_share 1 host_bytes_per_op <= 30
 # Root pages update in place and emptied bucket heads stay; an unlinked symlink
 # scrubs its header and target; a zeroed root page is written over its path, a
 # dead one zeroed over it, and a merged pool page over its slots (2603
