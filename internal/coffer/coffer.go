@@ -76,6 +76,20 @@ func Access(m Mode, owner, group, uid, gid uint32, write bool) bool {
 	return bits&0o4 != 0
 }
 
+// Class is a permission class: a mode without the execution bits, recorded
+// but not enforced (§2.3), and the owning user and group. A file shares its
+// parent's coffer only in its class (§3.1); the survey groups files by it.
+type Class struct {
+	Mode     Mode
+	UID, GID uint32
+}
+
+// ClassOf is the permission class of mode m owned by (uid, gid).
+func ClassOf(m Mode, uid, gid uint32) Class { return Class{m &^ 0o111, uid, gid} }
+
+// Class is the coffer's permission class.
+func (rp *RootPage) Class() Class { return ClassOf(rp.Mode, rp.UID, rp.GID) }
+
 // Root page layout. The root page is the first page of every coffer,
 // written only by KernFS and mapped read-only into user space.
 const (

@@ -145,3 +145,19 @@ func TestExtent(t *testing.T) {
 		t.Fatal("empty String")
 	}
 }
+
+// TestClass: a permission class ignores the execution bits and nothing else.
+func TestClass(t *testing.T) {
+	if ClassOf(0o711, 1, 2) != ClassOf(0o600, 1, 2) {
+		t.Error("0711 and 0600 are one class")
+	}
+	for _, c := range []Class{ClassOf(0o640, 1, 2), ClassOf(0o600, 3, 2), ClassOf(0o600, 1, 3)} {
+		if c == ClassOf(0o600, 1, 2) {
+			t.Errorf("%+v is 0600 1:2's class", c)
+		}
+	}
+	rp := RootPage{Mode: 0o755, UID: 1, GID: 2}
+	if rp.Class() != ClassOf(0o644, 1, 2) {
+		t.Errorf("a 0755 coffer's class is %+v", rp.Class())
+	}
+}

@@ -847,6 +847,29 @@ func (k *KernFS) Info(id coffer.ID) (coffer.RootPage, bool) {
 	return ci.snap.load(), true
 }
 
+// MayAlter is the owner rule of the coffer calls: only root or a coffer's
+// owner deletes, renames, splits, re-permissions, re-types or quarantines it.
+// Like MayMerge it reads only its arguments, so a µFS asks it of Info before
+// its first store, and the call refuses through it under the coffer lock.
+func MayAlter(rp coffer.RootPage, uid uint32) bool { return uid == 0 || uid == rp.UID }
+
+// MayMerge is the owner rule's two-coffer form: coffer_merge alters both.
+func MayMerge(a, b coffer.RootPage, uid uint32) bool { return MayAlter(a, uid) && MayAlter(b, uid) }
+
+// lockToAlter locks coffer id for a call that changes it, or refuses the
+// caller through MayAlter; the caller unlocks.
+func (k *KernFS) lockToAlter(th *proc.Thread, id coffer.ID) (*cofferInfo, error) {
+	ci := k.lockCoffer(th.Clk, id)
+	switch {
+	case ci == nil:
+		return nil, ErrNotFound
+	case !MayAlter(ci.rp, th.Proc.UID()):
+		ci.mu.Unlock(th.Clk)
+		return nil, ErrPerm
+	}
+	return ci, nil
+}
+
 // Coffers returns a snapshot of all coffer IDs in ascending order (fsck,
 // tooling).
 func (k *KernFS) Coffers() []coffer.ID {
@@ -934,7 +957,7 @@ func (k *KernFS) CofferNew(th *proc.Thread, parent coffer.ID, path string, typ c
 }
 
 // CofferDelete removes a coffer and frees all its pages (Table 5:
-// coffer_delete). Only the owner (or root) may delete. Every process's
+// coffer_delete); MayAlter says who. Every process's
 // mapping is revoked first — the same eviction discipline BeginRecover
 // uses — so a deleted coffer can never stay readable through stale page
 // tables; a straggler faults on its next access and re-resolves the path.
@@ -954,13 +977,9 @@ func (k *KernFS) CofferDelete(th *proc.Thread, id coffer.ID) error {
 	defer kcall(th, "coffer_delete")()
 	th.Syscall()
 	k.rec().Inc(telemetry.CtrKernCofferDelete)
-	ci := k.lockCoffer(th.Clk, id)
-	if ci == nil {
-		return ErrNotFound
-	}
-	if u := th.Proc.UID(); u != 0 && u != ci.rp.UID {
-		ci.mu.Unlock(th.Clk)
-		return ErrPerm
+	ci, err := k.lockToAlter(th, id)
+	if err != nil {
+		return err
 	}
 	if id == k.rootCoffer {
 		ci.mu.Unlock(th.Clk)
@@ -1089,9 +1108,9 @@ func (k *KernFS) CofferEnlarge(th *proc.Thread, id coffer.ID, npages int64, zero
 }
 
 // MovePages retags specific pages from coffer src to coffer dst (used by
-// cross-coffer renames when the permissions match). Both coffers must be
-// write-mapped by the caller and carry identical permissions; each page is
-// retagged individually — as expensive per page as coffer_split (Table 9).
+// cross-coffer renames). Both coffers must be write-mapped by the caller and
+// of the same permission class; each page is retagged individually — as
+// expensive per page as coffer_split (Table 9).
 // Locks both coffers in ascending ID order.
 func (k *KernFS) MovePages(th *proc.Thread, src, dst coffer.ID, pages []int64) error {
 	defer kcall(th, "move_pages")()
@@ -1112,8 +1131,8 @@ func (k *KernFS) MovePages(th *proc.Thread, src, dst coffer.ID, pages []int64) e
 	if _, dw := ps.access(dst); !dw {
 		return ErrNotMapped
 	}
-	if si.rp.Mode != di.rp.Mode || si.rp.UID != di.rp.UID || si.rp.GID != di.rp.GID {
-		return fmt.Errorf("%w: move requires identical permissions", ErrInvalid)
+	if si.rp.Class() != di.rp.Class() {
+		return fmt.Errorf("%w: move requires one permission class", ErrInvalid)
 	}
 	for _, pg := range pages {
 		if pg == int64(src) {
@@ -1396,39 +1415,32 @@ func (k *KernFS) MappedCoffers(pid int) []coffer.ID {
 // ---- metadata updates -------------------------------------------------------
 
 // SetCofferMeta updates a coffer's permission/ownership in place (the cheap
-// chmod path, used when the whole coffer changes permission). Owner or root
-// only.
+// chmod path, used when the whole coffer changes permission); MayAlter says who.
 func (k *KernFS) SetCofferMeta(th *proc.Thread, id coffer.ID, mode coffer.Mode, uid, gid uint32) error {
 	defer kcall(th, "set_coffer_meta")()
 	th.Syscall()
-	ci := k.lockCoffer(th.Clk, id)
-	if ci == nil {
-		return ErrNotFound
+	ci, err := k.lockToAlter(th, id)
+	if err != nil {
+		return err
 	}
 	defer ci.mu.Unlock(th.Clk)
-	if u := th.Proc.UID(); u != 0 && u != ci.rp.UID {
-		return ErrPerm
-	}
 	ci.rp.Mode, ci.rp.UID, ci.rp.GID = mode, uid, gid
 	ci.publishRP()
 	k.updateRootPage(th.Clk, &ci.rp, 0)
 	return nil
 }
 
-// SetCofferType rewrites a coffer's µFS type (owner or root only; used by
+// SetCofferType rewrites a coffer's µFS type (MayAlter says who; used by
 // formatting tools that re-dedicate a coffer to a different µFS — the
 // interior must be re-initialized by the new µFS).
 func (k *KernFS) SetCofferType(th *proc.Thread, id coffer.ID, typ coffer.Type, mode coffer.Mode) error {
 	defer kcall(th, "set_coffer_type")()
 	th.Syscall()
-	ci := k.lockCoffer(th.Clk, id)
-	if ci == nil {
-		return ErrNotFound
+	ci, err := k.lockToAlter(th, id)
+	if err != nil {
+		return err
 	}
 	defer ci.mu.Unlock(th.Clk)
-	if u := th.Proc.UID(); u != 0 && u != ci.rp.UID {
-		return ErrPerm
-	}
 	ci.rp.Type = typ
 	ci.rp.Mode = mode
 	ci.publishRP()
@@ -1499,12 +1511,6 @@ func (k *KernFS) renameTree(th *proc.Thread, oldPath, newPath string, exact bool
 	return err
 }
 
-// MayRename is coffer_rename's ownership rule: only root or the coffer's
-// owner moves a coffer. It is pure, so a µFS asks it of the lock-free
-// snapshot (Info) before its first store, as movePaths does under the
-// registry lock.
-func MayRename(rp coffer.RootPage, uid uint32) bool { return uid == 0 || uid == rp.UID }
-
 // movePaths is renameTree's registry section: it checks the rename, re-keys
 // the path entries and publishes the new paths, and returns the coffers moved
 // (all of them but after an error). Caller holds regMu, which keeps the coffer
@@ -1515,7 +1521,7 @@ func (k *KernFS) movePaths(th *proc.Thread, oldPath, newPath string, exact bool,
 		if ci == nil {
 			return nil, ErrNotFound
 		}
-		if !MayRename(ci.snap.load(), th.Proc.UID()) {
+		if !MayAlter(ci.snap.load(), th.Proc.UID()) {
 			return nil, ErrPerm
 		}
 		ops = append(ops, renameOp{ci, oldPath, newPath})
@@ -1561,13 +1567,9 @@ func (k *KernFS) CofferSplit(th *proc.Thread, old coffer.ID, newPath string, mod
 	defer kcall(th, "coffer_split")()
 	th.Syscall()
 	k.rec().Inc(telemetry.CtrKernCofferSplit)
-	ci := k.lockCoffer(th.Clk, old)
-	if ci == nil {
-		return 0, ErrNotFound
-	}
-	if u := th.Proc.UID(); u != 0 && u != ci.rp.UID {
-		ci.mu.Unlock(th.Clk)
-		return 0, ErrPerm
+	ci, err := k.lockToAlter(th, old)
+	if err != nil {
+		return 0, err
 	}
 	if _, dup := k.paths.lookup(th.Clk, newPath); dup {
 		ci.mu.Unlock(th.Clk)
@@ -1636,11 +1638,11 @@ func (k *KernFS) unsplit(th *proc.Thread, ci *cofferInfo, id coffer.ID, moved []
 }
 
 // CofferMerge folds coffer src into coffer dst (Table 5: coffer_merge).
-// Both must carry identical permissions; src's pages are retagged one by one,
-// its root inode page first, with both coffers locked in ascending ID order,
-// and src, marked dead, is then unpublished and its root page freed. A crash
-// after the first retag leaves src published with its root inode page in
-// dst, which Mount reads as a cut merge and finishes.
+// Both must be of the same permission class; src's pages are retagged one by
+// one, its root inode page first, with both coffers locked in ascending ID
+// order, and src, marked dead, is then unpublished and its root page freed. A
+// crash after the first retag leaves src published with its root inode page
+// in dst, which Mount reads as a cut merge and finishes.
 func (k *KernFS) CofferMerge(th *proc.Thread, dst, src coffer.ID) error {
 	defer kcall(th, "coffer_merge")()
 	th.Syscall()
@@ -1662,15 +1664,16 @@ func (k *KernFS) CofferMerge(th *proc.Thread, dst, src coffer.ID) error {
 	return k.unpublish(th, si)
 }
 
-// foldLocked is coffer_merge's work under both coffer locks: the checks, the
-// retagging of every page of si but its root page to di, and si's unmapping.
+// foldLocked is coffer_merge's work under both coffer locks: the checks
+// (MayMerge, the same permission class), the retagging of every page of si
+// but its root page to di, and si's unmapping.
 func (k *KernFS) foldLocked(th *proc.Thread, si, di *cofferInfo) error {
 	src, dst := si.rp.ID, di.rp.ID
-	if u := th.Proc.UID(); u != 0 && (u != di.rp.UID || u != si.rp.UID) {
+	if !MayMerge(di.rp, si.rp, th.Proc.UID()) {
 		return ErrPerm
 	}
-	if di.rp.Mode&^0o111 != si.rp.Mode&^0o111 || di.rp.UID != si.rp.UID || di.rp.GID != si.rp.GID {
-		return fmt.Errorf("%w: merge requires identical permissions", ErrInvalid)
+	if di.rp.Class() != si.rp.Class() {
+		return fmt.Errorf("%w: merge requires one permission class", ErrInvalid)
 	}
 	for _, ps := range si.mappers.all {
 		if di.mappers.get(ps.p.PID) == nil {
@@ -1785,18 +1788,15 @@ func (k *KernFS) EndRecover(th *proc.Thread, id coffer.ID, inUse []int64) error 
 // maps/enlarges/shrinks; offline (offline=true) unmaps the coffer from every
 // process and refuses all maps. The flag is persisted in the root page so the
 // quarantine survives reboot; every other coffer is untouched — the paper's
-// fault-containment claim (§3.1) made operational. Owner or root only.
+// fault-containment claim (§3.1) made operational. MayAlter says who.
 func (k *KernFS) QuarantineCoffer(th *proc.Thread, id coffer.ID, offline bool) error {
 	defer kcall(th, "quarantine_coffer")()
 	th.Syscall()
-	ci := k.lockCoffer(th.Clk, id)
-	if ci == nil {
-		return ErrNotFound
+	ci, err := k.lockToAlter(th, id)
+	if err != nil {
+		return err
 	}
 	defer ci.mu.Unlock(th.Clk)
-	if u := th.Proc.UID(); u != 0 && u != ci.rp.UID {
-		return ErrPerm
-	}
 	k.quarantineLocked(th, ci, offline)
 	return nil
 }

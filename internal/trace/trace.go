@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+
+	"zofs/internal/coffer"
 )
 
 // Node is one file system object in a metadata tree.
@@ -41,8 +43,8 @@ func GroupByPermission(root *Node) []*Group {
 	var groups []*Group
 	var walk func(n *Node, g *Group)
 	walk = func(n *Node, g *Group) {
-		if g == nil || !samePermBits(n, g) {
-			g = &Group{Perm: n.Perm &^ 0o111, UID: n.UID, GID: n.GID}
+		if c := n.class(); g == nil || c != coffer.ClassOf(coffer.Mode(g.Perm), g.UID, g.GID) {
+			g = &Group{Perm: uint32(c.Mode), UID: c.UID, GID: c.GID}
 			groups = append(groups, g)
 		}
 		g.Files++
@@ -55,9 +57,8 @@ func GroupByPermission(root *Node) []*Group {
 	return groups
 }
 
-func samePermBits(n *Node, g *Group) bool {
-	return n.Perm&^0o111 == g.Perm && n.UID == g.UID && n.GID == g.GID
-}
+// class is n's permission class, the coffers' own (coffer.Class).
+func (n *Node) class() coffer.Class { return coffer.ClassOf(coffer.Mode(n.Perm), n.UID, n.GID) }
 
 // GroupStats summarizes groups for one permission class (a Table 4 column).
 type GroupStats struct {

@@ -5,6 +5,7 @@ import (
 
 	"zofs/internal/byteflow"
 	"zofs/internal/coffer"
+	"zofs/internal/kernfs"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
 )
@@ -121,11 +122,11 @@ func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid ui
 	hdr := f.readInodeHeader(th, de.inode)
 	old := perm{modeOf(hdr), u32at(hdr, inoUIDOff), u32at(hdr, inoGIDOff)}
 	p := old.changed(mode, uid, gid, chown)
-	// Only the owner (or root) may change permissions.
-	if u := th.Proc.UID(); u != 0 && u != rp.UID {
+	// The coffer's owner changes its files' permissions, in place or by a split.
+	if !kernfs.MayAlter(rp, th.Proc.UID()) {
 		return vfs.ErrPerm
 	}
-	if f.opts.OneCoffer || f.sameCofferPerm(rp, p.mode, p.uid, p.gid) {
+	if f.sameCofferPerm(rp, p.mode, p.uid, p.gid) {
 		// Still the coffer's permission class (or the single-coffer
 		// variant): a pure user-space inode update.
 		f.writeInodePerm(th, de.inode, p)
@@ -149,9 +150,10 @@ func (f *FS) setPerm(th *proc.Thread, path string, mode coffer.Mode, uid, gid ui
 // a new coffer at path with permission p. The new coffer's allocator pool
 // page comes off m's metadata list. With old set (a chmod), the root inode's
 // permission words take p before the kernel call; a crash between the two
-// leaves them saying p inside the old coffer. A refused split (not the
-// owner, the path taken, no page for the new root) moved nothing: the words
-// take old back and the pool page, still m's, goes back too.
+// leaves them saying p inside the old coffer. Both callers ask
+// kernfs.MayAlter first, so a non-owner is refused here only through a race
+// with a chown. A refused split (that, the path taken, no page for the new
+// root) moved nothing: the words take old back and the pool page goes back.
 func (f *FS) split(th *proc.Thread, m *mount, path string, pages []int64, root int64, p perm, old *perm) (coffer.ID, error) {
 	custom, err := f.allocPage(th, m, classMeta)
 	if err != nil {
@@ -186,6 +188,9 @@ func (f *FS) split(th *proc.Thread, m *mount, path string, pages []int64, root i
 // merge-back walks to the dentry itself. The merge-back is best-effort: any
 // failure leaves the split coffer in place, which is always a correct state.
 func (f *FS) chmodCoffer(th *proc.Thread, path string, id coffer.ID, p perm, parent *walkPos, de dentry, loc deLoc) error {
+	if !f.mayAlter(th, id) {
+		return vfs.ErrPerm
+	}
 	if err := errno(f.kern.SetCofferMeta(th, id, p.mode, p.uid, p.gid)); err != nil || path == "/" || f.opts.OneCoffer {
 		return err
 	}
@@ -202,7 +207,8 @@ func (f *FS) chmodCoffer(th *proc.Thread, path string, id coffer.ID, p perm, par
 		}
 		parent = &pos
 	}
-	if prp, ok := f.kern.Info(parent.m.id); !ok || !f.sameCofferPerm(prp, p.mode, p.uid, p.gid) {
+	prp, ok := f.kern.Info(parent.m.id)
+	if rp, _ := f.kern.Info(id); !ok || !f.sameCofferPerm(prp, p.mode, p.uid, p.gid) || !kernfs.MayMerge(prp, rp, th.Proc.UID()) {
 		return nil
 	}
 	if byPath {
@@ -262,7 +268,7 @@ func (f *FS) EnsureRootDir(th *proc.Thread) error {
 // parent's metadata list instead of leaking one page per split/merge cycle.
 // ZoFS writes a pool page only over its magic word and slots, so that much is
 // scrubbed. Whoever could write src can write parent too (a merge requires
-// identical permissions), so the page's tail exposes nothing new. The caller
+// one permission class), so the page's tail exposes nothing new. The caller
 // has the window open on parent.
 func (f *FS) mergedInto(th *proc.Thread, parent, src *mount) {
 	f.forgetMount(src.id)

@@ -12,13 +12,6 @@ import (
 	"zofs/internal/vfs"
 )
 
-// permClass is the permission a coffer's pages carry: ZoFS keeps a file in
-// its parent's coffer only when the two agree on it (sameCofferPerm).
-type permClass struct {
-	mode     coffer.Mode
-	uid, gid uint32
-}
-
 // cofferCrashRow is one µFS operation that calls a coffer operation (paper
 // Table 5), with the set-up before it. Its two legal outcomes are the models
 // of the set-up without and with the op. coffer says whether the op, run to
@@ -29,7 +22,7 @@ type cofferCrashRow struct {
 	setup  []vfs.Op
 	op     vfs.Op
 	coffer bool
-	to     permClass
+	to     coffer.Class
 }
 
 func cofferCrashRows() []cofferCrashRow {
@@ -41,16 +34,16 @@ func cofferCrashRows() []cofferCrashRow {
 	mkdir := func(path string, mode coffer.Mode) vfs.Op { return vfs.Op{Kind: vfs.OpMkdir, Path: path, Mode: mode} }
 	split := file("/f", 0o644, chmod("/f", 0o600))
 	return []cofferCrashRow{
-		{"chmod split", file("/f", 0o644), chmod("/f", 0o600), true, permClass{0o600, 0, 0}},
-		{"chown split", file("/f", 0o644), vfs.Op{Kind: vfs.OpChown, Path: "/f", UID: 7, GID: 7}, true, permClass{0o644, 7, 7}},
-		{"chmod merge-back", split, chmod("/f", 0o644), false, permClass{0o644, 0, 0}},
+		{"chmod split", file("/f", 0o644), chmod("/f", 0o600), true, coffer.ClassOf(0o600, 0, 0)},
+		{"chown split", file("/f", 0o644), vfs.Op{Kind: vfs.OpChown, Path: "/f", UID: 7, GID: 7}, true, coffer.ClassOf(0o644, 7, 7)},
+		{"chmod merge-back", split, chmod("/f", 0o644), false, coffer.ClassOf(0o644, 0, 0)},
 		{"rename split", append([]vfs.Op{mkdir("/ca", 0o750), mkdir("/cb", 0o700)}, file("/ca/f", 0o750)...),
-			vfs.Op{Kind: vfs.OpRename, Path: "/ca/f", Dst: "/cb/m"}, true, permClass{}},
-		{"unlink coffer_new file", file("/f", 0o600), vfs.Op{Kind: vfs.OpUnlink, Path: "/f"}, false, permClass{}},
-		{"unlink split file", split, vfs.Op{Kind: vfs.OpUnlink, Path: "/f"}, false, permClass{}},
-		{"rmdir coffer dir", []vfs.Op{mkdir("/d", 0o700)}, vfs.Op{Kind: vfs.OpRmdir, Path: "/d"}, false, permClass{}},
-		{"coffer create", nil, vfs.Op{Kind: vfs.OpCreate, Path: "/f", Mode: 0o600}, true, permClass{}},
-		{"coffer mkdir", nil, mkdir("/d", 0o700), true, permClass{}},
+			vfs.Op{Kind: vfs.OpRename, Path: "/ca/f", Dst: "/cb/m"}, true, coffer.Class{}},
+		{"unlink coffer_new file", file("/f", 0o600), vfs.Op{Kind: vfs.OpUnlink, Path: "/f"}, false, coffer.Class{}},
+		{"unlink split file", split, vfs.Op{Kind: vfs.OpUnlink, Path: "/f"}, false, coffer.Class{}},
+		{"rmdir coffer dir", []vfs.Op{mkdir("/d", 0o700)}, vfs.Op{Kind: vfs.OpRmdir, Path: "/d"}, false, coffer.Class{}},
+		{"coffer create", nil, vfs.Op{Kind: vfs.OpCreate, Path: "/f", Mode: 0o600}, true, coffer.Class{}},
+		{"coffer mkdir", nil, mkdir("/d", 0o700), true, coffer.Class{}},
 	}
 }
 
@@ -146,7 +139,7 @@ func cutCofferOp(t *testing.T, r cofferCrashRow, n int64) (done, unfinished bool
 }
 
 // checkCut remounts a crashed image and holds it to the row's outcomes.
-func checkCut(t *testing.T, where string, r cofferCrashRow, dev *nvm.Device, was []permClass, before, after *vfs.Model) {
+func checkCut(t *testing.T, where string, r cofferCrashRow, dev *nvm.Device, was []coffer.Class, before, after *vfs.Model) {
 	k, err := kernfs.Mount(dev)
 	if err != nil {
 		t.Errorf("%s: remount: %v", where, err)
@@ -157,7 +150,7 @@ func checkCut(t *testing.T, where string, r cofferCrashRow, dev *nvm.Device, was
 		t.Fatal(err)
 	}
 	for pg, c := range permClasses(k) {
-		if c != (permClass{}) && was[pg] != (permClass{}) && c != was[pg] && c != r.to {
+		if c != (coffer.Class{}) && was[pg] != (coffer.Class{}) && c != was[pg] && c != r.to {
 			t.Errorf("%s: page %d went from a coffer of %+v to one of %+v", where, pg, was[pg], c)
 			return
 		}
@@ -189,12 +182,12 @@ func checkCut(t *testing.T, where string, r cofferCrashRow, dev *nvm.Device, was
 
 // permClasses gives each device page the permission class of the published
 // coffer that owns it, zero for a page no published coffer owns.
-func permClasses(k *kernfs.KernFS) []permClass {
-	classes := make([]permClass, k.Device().Pages())
+func permClasses(k *kernfs.KernFS) []coffer.Class {
+	classes := make([]coffer.Class, k.Device().Pages())
 	for pg := range classes {
 		if id, ok := k.OwnerOf(int64(pg)); ok {
 			if rp, ok := k.Info(id); ok {
-				classes[pg] = permClass{execMask(rp.Mode), rp.UID, rp.GID}
+				classes[pg] = rp.Class()
 			}
 		}
 	}

@@ -3,7 +3,13 @@ package zofs
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"zofs/internal/coffer"
@@ -180,83 +186,194 @@ func TestEveryOpChecksTheNamingRule(t *testing.T) {
 }
 
 // TestRefusedCofferCallsChangeNothing is the table of ROADMAP item 33: each
-// row is an op that makes a coffer call its caller is refused. The op returns
-// ErrPerm and changes nothing: /shared (0777, root's) lists what it did, its
-// file coffers s (uid 1000's) and t (uid 2000's, four bytes) keep their root
-// pages and t its bytes, and Check finds nothing to repair.
+// row is an op that makes a coffer call its caller is refused, in a tree that
+// refusedTree builds. The op returns ErrPerm and changes nothing: every
+// listing and file's bytes (snapshot), every coffer's root page, and Check
+// finds nothing to repair. Each row names the call it makes; a kernel call
+// the µFS makes without a row, or a reason in noRow, fails the test.
 func TestRefusedCofferCallsChangeNothing(t *testing.T) {
 	rows := []struct {
-		name string
-		uid  uint32
-		op   vfs.Op
+		name, call string
+		uid        uint32
+		op         vfs.Op
 	}{
+		{"unlink another user's coffer root", "CofferDelete", 1000, vfs.Op{Kind: vfs.OpUnlink, Path: "/shared/t"}},
+		{"rmdir another user's coffer root", "CofferDelete", 1000, vfs.Op{Kind: vfs.OpRmdir, Path: "/shared/d"}},
+		{"chmod another user's coffer root", "SetCofferMeta", 1000, vfs.Op{Kind: vfs.OpChmod, Path: "/shared/t", Mode: 0o666}},
+		{"chown another user's coffer root", "SetCofferMeta", 1000, vfs.Op{Kind: vfs.OpChown, Path: "/shared/t", UID: 1000, GID: 1000}},
+		// Both would re-permission a root-owned file or coffer in /shared.
+		{"split by a non-owner", "CofferSplit", 2000, vfs.Op{Kind: vfs.OpChmod, Path: "/shared/x", Mode: 0o600}},
+		{"merge-back by a non-owner", "CofferMerge", 2000, vfs.Op{Kind: vfs.OpChmod, Path: "/shared/r", Mode: 0o666}},
 		// uid 2000 may delete t but not move s: the refusal must come
 		// before t goes.
-		{"rename a coffer root over another", 2000, vfs.Op{Kind: vfs.OpRename, Path: "/shared/s", Dst: "/shared/t"}},
+		{"rename a coffer root over another", "RenameCoffer", 2000, vfs.Op{Kind: vfs.OpRename, Path: "/shared/s", Dst: "/shared/t"}},
+		// x leaves root's coffer for uid 2000's by a split, which only root
+		// may make: the refusal must come before y goes.
+		{"rename by a split over the caller's file", "CofferSplit", 2000, vfs.Op{Kind: vfs.OpRename, Path: "/shared/x", Dst: "/shared/u/y"}},
+		{"move between coffers of one class", "MovePages", 1000, vfs.Op{Kind: vfs.OpRename, Path: "/shared/a/f", Dst: "/shared/b/g"}},
+		{"coffer-making create where the caller may not write", "CofferNew", 1000, vfs.Op{Kind: vfs.OpCreate, Path: "/shared/d/n", Mode: 0o600}},
+	}
+	// The kernel calls no rule here governs: each is either the walk's own
+	// (coffer_map checks coffer.Access before any row's op writes) or asks
+	// no rule of its caller.
+	noRow := map[string]string{
+		"CofferMap":        "the walk's access check, where the create and move rows are refused",
+		"CofferUnmap":      "drops the caller's own mapping",
+		"CofferEnlarge":    "grows a coffer the caller has write-mapped",
+		"RenamePrefix":     "re-paths the coffers under a plain directory; it asks no rule",
+		"BeginRecover":     "recovery, by a writer of the coffer",
+		"EndRecover":       "recovery, by the coffer's recoverer",
+		"QuarantineCoffer": "recovery's fence, by the coffer's recoverer",
+	}
+	covered := map[string]bool{}
+	for _, r := range rows {
+		covered[r.call] = true
+	}
+	for call := range kernelCalls(t) {
+		if !covered[call] && noRow[call] == "" {
+			t.Errorf("the µFS calls kernfs.%s, which has no row", call)
+		}
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			_, k, f, th := newTestFS(t, Options{})
-			makeCofferMode(t, k, f, th, "/shared", 0o777)
-			owners := map[string]uint32{"/shared/s": 1000, "/shared/t": 2000}
-			before := map[string]coffer.RootPage{}
-			for _, p := range []string{"/shared/s", "/shared/t"} {
-				fo, tho := mountAs(t, f, owners[p])
-				h, err := fo.Create(tho, p, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if p == "/shared/t" {
-					mustWrite(t, tho, h, []byte("data"), 0)
-				}
-				h.Close(tho)
-				id, ok := k.LookupPath(nil, p)
-				if !ok {
-					t.Fatalf("premise: %s is not a coffer", p)
-				}
-				before[p], _ = k.Info(id)
-			}
-			listed := func() []string {
-				ents, err := f.ReadDir(th, "/shared")
-				if err != nil {
-					t.Fatal(err)
-				}
-				var names []string
-				for _, e := range ents {
-					names = append(names, e.Name)
-				}
-				slices.Sort(names)
-				return names
-			}
-			was := listed()
+			refusedTree(t, k, f, th)
+			was, wasCoffers := snapshot(t, f, th, "/shared"), rootPages(k)
 
 			fr, thr := mountAs(t, f, r.uid)
 			if err := r.op.Do(fr, thr); !errors.Is(err, vfs.ErrPerm) {
 				t.Fatalf("%v as uid %d: %v, want ErrPerm", r.op, r.uid, err)
 			}
-			if now := listed(); !slices.Equal(now, was) {
-				t.Errorf("/shared lists %v, want %v", now, was)
+			if now := snapshot(t, f, th, "/shared"); !maps.Equal(now, was) {
+				t.Errorf("the tree went from %v to %v", was, now)
 			}
-			for p, rp := range before {
-				if id, ok := k.LookupPath(nil, p); !ok {
-					t.Errorf("%s is no longer published", p)
-				} else if got, _ := k.Info(id); got != rp {
-					t.Errorf("%s's root page went from %+v to %+v", p, rp, got)
-				}
-			}
-			h, err := f.Open(th, "/shared/t", vfs.O_RDONLY)
-			if err != nil {
-				t.Fatalf("open /shared/t: %v", err)
-			}
-			got := make([]byte, 8)
-			n, _ := h.ReadAt(th, got, 0)
-			h.Close(th)
-			if string(got[:n]) != "data" {
-				t.Errorf("/shared/t holds %q, want %q", got[:n], "data")
+			if now := rootPages(k); !maps.Equal(now, wasCoffers) {
+				t.Errorf("the coffers went from %+v to %+v", wasCoffers, now)
 			}
 			if rep := Check(k, th); len(rep.Findings) != 0 {
 				t.Errorf("Check found %v", rep.Findings)
 			}
 		})
 	}
+}
+
+// refusedTree builds /shared (0777, root's) holding root's in-coffer file x,
+// root's 0600 file coffer r, uid 1000's file coffer s, uid 2000's file coffer
+// t, uid 2000's empty directory coffer d and 0700 directory coffer u with its
+// in-coffer file y, and root's coffers a (0711, with the in-coffer file f)
+// and b (0700): one permission class.
+func refusedTree(t *testing.T, k *kernfs.KernFS, f *FS, th *proc.Thread) {
+	t.Helper()
+	makeCofferMode(t, k, f, th, "/shared", 0o777)
+	as := map[uint32]*FS{0: f}
+	ths := map[uint32]*proc.Thread{0: th}
+	for _, uid := range []uint32{1000, 2000} {
+		as[uid], ths[uid] = mountAs(t, f, uid)
+	}
+	for _, step := range []struct {
+		uid  uint32
+		path string
+		mode coffer.Mode
+		data string // a file's, or "/" for a directory
+	}{
+		{0, "/shared/x", 0o666, "x's bytes"},
+		{0, "/shared/r", 0o600, "r's bytes"},
+		{1000, "/shared/s", 0o644, ""},
+		{2000, "/shared/t", 0o644, "data"},
+		{2000, "/shared/d", 0o755, "/"},
+		{2000, "/shared/u", 0o700, "/"},
+		{2000, "/shared/u/y", 0o600, "y's bytes"},
+		{0, "/shared/a", 0o711, "/"},
+		{0, "/shared/a/f", 0o600, "f's bytes"},
+		{0, "/shared/b", 0o700, "/"},
+	} {
+		fu, thu := as[step.uid], ths[step.uid]
+		if step.data == "/" {
+			if err := fu.Mkdir(thu, step.path, step.mode); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		h, err := fu.Create(thu, step.path, step.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(t, thu, h, []byte(step.data), 0)
+		h.Close(thu)
+	}
+	for _, p := range []string{"/shared/r", "/shared/s", "/shared/t", "/shared/d", "/shared/u", "/shared/a", "/shared/b"} {
+		if _, ok := k.LookupPath(nil, p); !ok {
+			t.Fatalf("premise: %s is not a coffer", p)
+		}
+	}
+	for _, p := range []string{"/shared/x", "/shared/u/y", "/shared/a/f"} {
+		if _, ok := k.LookupPath(nil, p); ok {
+			t.Fatalf("premise: %s is a coffer", p)
+		}
+	}
+}
+
+// snapshot maps every path under dir to what it holds: a file's bytes, or
+// "/" for a directory.
+func snapshot(t *testing.T, f *FS, th *proc.Thread, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	ents, err := f.ReadDir(th, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		p := dir + "/" + e.Name
+		if e.Type == vfs.TypeDir {
+			out[p] = "/"
+			maps.Copy(out, snapshot(t, f, th, p))
+			continue
+		}
+		h, err := f.Open(th, p, vfs.O_RDONLY)
+		if err != nil {
+			t.Fatalf("open %s: %v", p, err)
+		}
+		buf := make([]byte, 64)
+		n, _ := h.ReadAt(th, buf, 0)
+		h.Close(th)
+		out[p] = string(buf[:n])
+	}
+	return out
+}
+
+// rootPages maps every published coffer to its root page.
+func rootPages(k *kernfs.KernFS) map[coffer.ID]coffer.RootPage {
+	out := map[coffer.ID]coffer.RootPage{}
+	for _, id := range k.Coffers() {
+		out[id], _ = k.Info(id)
+	}
+	return out
+}
+
+// kernelCalls is the set of KernFS system calls (methods taking the calling
+// thread) that the package's non-test code makes.
+func kernelCalls(t *testing.T) map[string]bool {
+	t.Helper()
+	kt, thread := reflect.TypeOf((*kernfs.KernFS)(nil)), reflect.TypeOf((*proc.Thread)(nil))
+	srcs, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]bool{}
+	call := regexp.MustCompile(`\bkern\.([A-Z]\w*)\(`)
+	for _, src := range srcs {
+		if strings.HasSuffix(src, "_test.go") {
+			continue
+		}
+		b, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range call.FindAllSubmatch(b, -1) {
+			if meth, ok := kt.MethodByName(string(m[1])); ok && meth.Type.NumIn() > 1 && meth.Type.In(1) == thread {
+				calls[string(m[1])] = true
+			}
+		}
+	}
+	return calls
 }

@@ -76,17 +76,31 @@ func TestNamespaceCostPins(t *testing.T) {
 		{"rename across coffers by MovePages", func() error { return f.Rename(th, "/a/m", "/b/m") }, pin{3055, 8224, 168}},
 		{"rename over a coffer root", func() error { return f.Rename(th, "/d/u", "/d/t") }, pin{3135, 32, 250}},
 	}
-	for _, c := range cases {
+	measure := func(name string, op func() error, want pin) {
+		t.Helper()
 		t0, r0, w0 := th.Clk.Now(), dev.BytesRead(), dev.BytesWritten()
-		if err := c.op(); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 		got := pin{th.Clk.Now() - t0, dev.BytesRead() - r0, dev.BytesWritten() - w0}
-		if got != c.want {
+		if got != want {
 			t.Errorf("%s: %d vns, %d B read, %d B written; want %d vns, %d B, %d B",
-				c.name, got.vns, got.rbytes, got.wbytes, c.want.vns, c.want.rbytes, c.want.wbytes)
+				name, got.vns, got.rbytes, got.wbytes, want.vns, want.rbytes, want.wbytes)
 		}
 	}
+	for _, c := range cases {
+		measure(c.name, c.op, c.want)
+	}
+	// /e is /b's permission class with other exec bits, so its file moves as
+	// /a/m did (set up last, so that the pins above stay where they were).
+	must(f.Mkdir(th, "/e", 0o711))
+	create("/e/warm", 0o600, pageSize)
+	create("/e/m", 0o600, 2*pageSize)
+	if _, err := f.Stat(th, "/b/warm"); err != nil { // rebuild /b's index after the deletes above
+		t.Fatal(err)
+	}
+	measure("rename across coffers of one class, exec bits differ",
+		func() error { return f.Rename(th, "/e/m", "/b/e") }, pin{3326, 32, 200})
 	// The paths above took the branches they are named for.
 	for _, p := range []string{"/d/x", "/d/u"} {
 		if _, err := f.Stat(th, p); err == nil {
@@ -96,7 +110,7 @@ func TestNamespaceCostPins(t *testing.T) {
 	if _, ok := k.LookupPath(nil, "/a/x"); !ok {
 		t.Error("the rename to /a/x did not split")
 	}
-	for _, p := range []string{"/b/m", "/d/s", "/d/t"} {
+	for _, p := range []string{"/b/m", "/b/e", "/d/s", "/d/t"} {
 		if _, ok := k.LookupPath(nil, p); ok {
 			t.Errorf("%s is a coffer root", p)
 		}

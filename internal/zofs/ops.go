@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"zofs/internal/coffer"
+	"zofs/internal/kernfs"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
 )
@@ -16,21 +17,20 @@ import (
 // duration of the access (G1/G2) and publishes metadata updates with
 // single atomic 8-byte commits in a recovery-safe order (§5.3).
 
-// execMask drops the execution bits: the paper's notion of "permission"
-// ignores them (§2.3), which is what lets 0755 directories and 0644 files
-// share a coffer.
-func execMask(m coffer.Mode) coffer.Mode { return m &^ 0o111 }
-
 func modeOf(hdr []byte) coffer.Mode { return coffer.Mode(u32at(hdr, inoModeOff)) }
+
+// mayAlter asks kernfs.MayAlter of coffer id's snapshot, uncharged; a coffer
+// already gone is left to the call to report.
+func (f *FS) mayAlter(th *proc.Thread, id coffer.ID) bool {
+	rp, ok := f.kern.Info(id)
+	return !ok || kernfs.MayAlter(rp, th.Proc.UID())
+}
 
 // sameCofferPerm decides whether a file with (mode, uid, gid) may live in a
 // coffer with root-page metadata rp (§5: "a file can be stored in its
 // parent's coffer only when it has the same permission as its parent").
 func (f *FS) sameCofferPerm(rp coffer.RootPage, mode coffer.Mode, uid, gid uint32) bool {
-	if f.opts.OneCoffer {
-		return true
-	}
-	return execMask(rp.Mode) == execMask(mode) && rp.UID == uid && rp.GID == gid
+	return f.opts.OneCoffer || rp.Class() == coffer.ClassOf(mode, uid, gid)
 }
 
 var _ vfs.FileSystem = (*FS)(nil)
@@ -289,10 +289,14 @@ func (f *FS) emptyDir(th *proc.Thread, pos walkPos, id coffer.ID, ino int64) (in
 	return ino, err
 }
 
-// deleteCoffer is the one coffer delete: the cached mapping goes, then
-// coffer_delete, and once the coffer is gone every directory index on the
-// device is distrusted, since its pages may be re-granted.
+// deleteCoffer is the one coffer delete: unless the kernel would refuse it
+// (mayAlter), the cached mapping goes, then coffer_delete, and once the
+// coffer is gone every directory index on the device is distrusted, since its
+// pages may be re-granted.
 func (f *FS) deleteCoffer(th *proc.Thread, id coffer.ID) error {
+	if !f.mayAlter(th, id) {
+		return vfs.ErrPerm
+	}
 	f.forgetMount(id)
 	err := errno(f.kern.CofferDelete(th, id))
 	if err == nil {

@@ -1,7 +1,6 @@
 package zofs
 
 import (
-	"zofs/internal/kernfs"
 	"zofs/internal/perfmodel"
 	"zofs/internal/proc"
 	"zofs/internal/vfs"
@@ -12,6 +11,8 @@ import (
 // of the file through the kernel (MovePages / coffer_split), which is the
 // worst case measured in Table 9. A replaced file goes as remove takes a
 // name (unname); both names' dentries must pass the naming rule (target).
+// The kernel's rules are asked before the destination goes, so a rename the
+// kernel would refuse changes nothing.
 func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 	oldDir, oldBase := vfs.SplitPath(oldPath)
 	newDir, newBase := vfs.SplitPath(newPath)
@@ -64,17 +65,20 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	if id != 0 {
-		if rp, _ := f.kern.Info(id); !kernfs.MayRename(rp, th.Proc.UID()) {
-			return vfs.ErrPerm // the kernel would refuse: nothing is touched
-		}
-	}
 	crosses := id == 0 && src.m.id != dst.m.id // an in-coffer child changes coffer
 	if crosses && vfs.FileType(de.typ) == vfs.TypeDir {
 		// Moving a plain directory between coffers would require moving an
 		// arbitrary subtree through the kernel; like a cross-device rename,
 		// callers must copy instead.
 		return vfs.ErrCrossDevice
+	}
+	// A crossing file moves into a coffer of its class, or else splits off,
+	// as its coffer's owner alone may; a coffer root moves by its owner.
+	rpSrc, _ := f.kern.Info(src.m.id)
+	rpDst, _ := f.kern.Info(dst.m.id)
+	split := crosses && rpSrc.Class() != rpDst.Class()
+	if split && !f.mayAlter(th, src.m.id) || id != 0 && !f.mayAlter(th, id) {
+		return vfs.ErrPerm
 	}
 
 	// A file at the destination goes first, the way remove takes a name.
@@ -91,23 +95,18 @@ func (f *FS) Rename(th *proc.Thread, oldPath, newPath string) error {
 
 	cid := uint32(id)
 	if crosses {
-		// A file or symlink changes coffer: its pages are retagged into the
-		// destination's, or with another permission split into their own.
-		rpSrc, _ := f.kern.Info(src.m.id)
-		rpDst, _ := f.kern.Info(dst.m.id)
+		// A file or symlink changes coffer.
 		f.window(th, src.m, true)
 		pages, _ := f.collectTreePages(th, de.inode, vfs.FileType(de.typ), th.Scratch.Pages[:0]) // a file's: no walk to fail
 		th.Scratch.Pages = pages
-		if execMask(rpSrc.Mode) == execMask(rpDst.Mode) && rpSrc.UID == rpDst.UID && rpSrc.GID == rpDst.GID {
-			if err := errno(f.kern.MovePages(th, src.m.id, dst.m.id, pages)); err != nil {
-				return err
-			}
-		} else {
+		if split {
 			newID, err := f.split(th, src.m, newPath, pages, de.inode, perm{rpSrc.Mode, rpSrc.UID, rpSrc.GID}, nil)
 			if err != nil {
 				return err
 			}
 			cid = uint32(newID)
+		} else if err := errno(f.kern.MovePages(th, src.m.id, dst.m.id, pages)); err != nil {
+			return err
 		}
 		f.window(th, dst.m, true)
 	}

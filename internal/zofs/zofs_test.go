@@ -696,6 +696,33 @@ func TestRenameCrossCofferFile(t *testing.T) {
 	if _, err := f.Stat(th, "/pri2/g"); err != nil {
 		t.Fatal(err)
 	}
+	// /a (0711) and /b (0700) differ only in exec bits: one permission
+	// class, so /a/f's pages move into /b's coffer over the file it replaces.
+	f.Mkdir(th, "/a", 0o711)
+	f.Mkdir(th, "/b", 0o700)
+	h, _ = f.Create(th, "/a/f", 0o600)
+	h.WriteAt(th, []byte("bytes of a"), 0)
+	h, _ = f.Create(th, "/b/g", 0o600)
+	h.WriteAt(th, []byte("old"), 0)
+	coffers := len(k.Coffers())
+	if err := f.Rename(th, "/a/f", "/b/g"); err != nil {
+		t.Fatalf("rename between coffers of one class: %v", err)
+	}
+	if n := len(k.Coffers()); n != coffers {
+		t.Errorf("%d coffers after the move, want %d", n, coffers)
+	}
+	if _, err := f.Stat(th, "/a/f"); !errors.Is(err, vfs.ErrNotExist) {
+		t.Errorf("/a/f after the move: %v, want ErrNotExist", err)
+	}
+	h2, err = f.Open(th, "/b/g", vfs.O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = make([]byte, 16)
+	n, _ := h2.ReadAt(th, out, 0)
+	if string(out[:n]) != "bytes of a" {
+		t.Errorf("/b/g holds %q, want %q", out[:n], "bytes of a")
+	}
 }
 
 func TestConcurrentCreates(t *testing.T) {

@@ -310,6 +310,14 @@ echo "sysfactory.All systems: $systems; zofs coffer-call sites (CofferNew, Coffe
 dentrycoffers=$(find internal/zofs -name '*.go' ! -name '*_test.go' | xargs grep -oE \
     'coffer\.ID\([a-z]+\.cofferID\)' | wc -l)
 echo "zofs dentry-to-coffer conversions (naming rule, ReadDir): $dentrycoffers"
+# One authorisation rule: the non-test lines in internal/kernfs and
+# internal/zofs, outside the predicates (kernfs.MayAlter and MayMerge;
+# coffer.Class), that restate the owner rule or the permission class (12 when
+# it was set). internal/baselines' POSIX checks are another system's.
+rules=$(find internal/kernfs internal/zofs -name '*.go' ! -name '*_test.go' | xargs grep -hE \
+    'u != 0 &&|uid == 0 \|\||&\^ ?0o111|execMask\(|\.Mode != [a-z]+\.rp\.Mode|\.UID [!=]= [a-z.]+\.UID' |
+    grep -vc '^func May' || true)
+echo "coffer-permission rules restated outside the predicates: $rules"
 echo "experiments: $(grep -c '^	{"' internal/harness/harness.go); zofs-bench flags:" \
     "$(grep -cE 'fl\.[A-Z][A-Za-z0-9]*\("' cmd/zofs-bench/main.go); harness.Options fields: $(fields internal/harness/harness.go)"
 
